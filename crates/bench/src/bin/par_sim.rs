@@ -11,12 +11,12 @@
 //!  "cells":24,"jobs":19200}
 //! ```
 //!
-//! Unlike `sweep` (which fans *independent simulations* through
-//! `grail_par::Runner`), this binary shards a single simulation's event
-//! loop: the conservative-lookahead protocol of `grail_par::shard`
-//! driving `sim::parallel`'s cell partition. Wall-clock numbers are the
-//! median of `--repeats` runs; everything simulation-derived stays
-//! exact.
+//! Unlike the figure binaries (which fan *independent simulations*
+//! through `grail_par::Runner`), this binary shards a single
+//! simulation's event loop: the conservative-lookahead protocol of
+//! `grail_par::shard` driving `sim::parallel`'s cell partition.
+//! Wall-clock numbers are the median of `--repeats` runs; everything
+//! simulation-derived stays exact.
 //!
 //! Flags:
 //! * `--shards LIST` — comma-separated shard counts (default `1,2,8`).

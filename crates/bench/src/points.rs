@@ -1,5 +1,4 @@
-//! Pure experiment point functions shared by the figure binaries and
-//! the consolidated `sweep` runner.
+//! Pure experiment point functions shared by the figure binaries.
 //!
 //! Each function maps one swept configuration to its
 //! [`ExperimentRecord`] using a private simulation world (fresh
@@ -436,6 +435,23 @@ mod tests {
             serde_json::to_string(&b).unwrap()
         );
         assert!(a.energy_j > 0.0);
+    }
+
+    #[test]
+    fn points_serialize_identically_sequential_and_parallel() {
+        use grail_par::Runner;
+        // Both FIG2 modes, then one faulted EXT-FAULT cell.
+        let point = |i: usize| match FIG2_MODES.get(i) {
+            Some(&(label, mode)) => fig2_point(label, mode),
+            None => fault_point("wearing", "timeout10s"),
+        };
+        let cells: Vec<usize> = (0..=FIG2_MODES.len()).collect();
+        let render =
+            |runner: Runner| runner.run(&cells, |_, &i| serde_json::to_string(&point(i)).unwrap());
+        assert_eq!(
+            render(Runner::sequential()),
+            render(Runner::with_threads(2))
+        );
     }
 
     #[test]

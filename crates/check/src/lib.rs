@@ -29,6 +29,7 @@
 
 #![forbid(unsafe_code)]
 
+use grail_metrics::text::json_escape;
 use std::collections::BTreeMap;
 
 pub mod models;
@@ -642,24 +643,6 @@ impl Checker {
 // ---------------------------------------------------------------------------
 // Rendering: JSONL artifact + rustc-style diagnostic
 // ---------------------------------------------------------------------------
-
-/// Escape `s` for a JSON string literal (hand-rolled: this crate keeps
-/// the workspace's zero-external-dependency discipline).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render a counterexample as JSONL: one header object, then one object
 /// per step. Byte-stable for fixed inputs.

@@ -34,11 +34,9 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod cache;
 pub mod dataflow;
 pub mod fix;
 pub mod graph;
-pub mod parready;
 pub mod rules;
 pub mod sarif;
 pub mod scan;
@@ -209,41 +207,20 @@ pub fn analyze(
     manifests: &[ManifestFile],
     threads: usize,
 ) -> Vec<Diagnostic> {
-    let analyses = stage1(files, threads, None);
+    let analyses = stage1(files, threads);
     stage2(&analyses, manifests)
 }
 
-/// [`analyze`] with a per-file result cache under `cache_dir`.
-///
-/// Stage 1 results (scan, skeleton, token diagnostics) are stored per
-/// file, keyed on content hash plus the engine fingerprint (tokenizer
-/// and rule registry versions) — see [`cache`]. Stage 2 (the workspace
-/// rules) always recomputes, so a warm run is byte-identical to a cold
-/// one by construction *and* by the test in `tests/cache.rs`.
-pub fn analyze_with_cache(
-    files: &[SourceFile],
-    manifests: &[ManifestFile],
-    threads: usize,
-    cache_dir: &Path,
-) -> io::Result<Vec<Diagnostic>> {
-    let store = cache::Store::open(cache_dir)?;
-    let analyses = stage1(files, threads, Some(&store));
-    Ok(stage2(&analyses, manifests))
-}
-
-/// Stage 1: fan the per-file analysis across `threads`, consulting the
-/// cache when one is supplied. Results come back in stable `rel` order.
-fn stage1(files: &[SourceFile], threads: usize, store: Option<&cache::Store>) -> Vec<FileAnalysis> {
+/// Stage 1: fan the per-file analysis across `threads`. Results come
+/// back in stable `rel` order.
+fn stage1(files: &[SourceFile], threads: usize) -> Vec<FileAnalysis> {
     let runner = if threads <= 1 {
         grail_par::Runner::sequential()
     } else {
         grail_par::Runner::with_threads(threads)
     };
     let mut analyses: Vec<FileAnalysis> = runner
-        .run(files, |_, f| match store {
-            Some(store) => store.analyze(f),
-            None => analyze_file(f),
-        })
+        .run(files, |_, f| analyze_file(f))
         .into_iter()
         .flatten()
         .collect();
@@ -339,17 +316,6 @@ pub fn check_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
 pub fn check_workspace_threads(root: &Path, threads: usize) -> io::Result<Vec<Diagnostic>> {
     let (files, manifests) = workspace_sources(root)?;
     Ok(analyze(&files, &manifests, threads))
-}
-
-/// Lint the workspace under `root` through the per-file cache at
-/// `cache_dir` — see [`analyze_with_cache`].
-pub fn check_workspace_cached(
-    root: &Path,
-    threads: usize,
-    cache_dir: &Path,
-) -> io::Result<Vec<Diagnostic>> {
-    let (files, manifests) = workspace_sources(root)?;
-    analyze_with_cache(&files, &manifests, threads, cache_dir)
 }
 
 /// Read every audited source file and manifest under `root` — the same

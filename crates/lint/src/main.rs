@@ -9,17 +9,12 @@
 //!   goes to stdout so it can be redirected into an artifact.
 //! * `--threads N` / `--sequential` — fan the per-file stage across N
 //!   threads; output is byte-identical at any thread count.
-//! * `--cache-dir DIR` — memoize per-file analyses under DIR so only
-//!   changed files are re-analyzed; output is byte-identical to an
-//!   uncached run.
-//! * `--par-report PATH` — also write the parallel-readiness audit for
-//!   `crates/sim` (JSON) to PATH.
-//! * `--bench-json PATH` — also write a wall-clock ledger (JSON) for
-//!   the lint run to PATH.
 //! * `--fix` — apply machine-applicable fixes in place (today: delete
 //!   dead `allow` pragmas flagged by `stale-pragma`), then re-lint and
 //!   report what remains.
 //! * `--list-rules` — print the rule table and exit.
+//!
+//! Any other argument starting with `--` is a usage error.
 
 #![forbid(unsafe_code)]
 
@@ -51,73 +46,76 @@ fn apply_fixes(root: &Path, diags: &[grail_lint::Diagnostic]) -> Result<usize, S
     Ok(removed)
 }
 
-fn main() -> ExitCode {
-    // Wall-clock here is presentation, not simulation: the lint binary
-    // reports its own cost in BENCH_lint.json, nothing replayable.
-    let started = std::time::Instant::now();
-    let mut args: Vec<String> = env::args().skip(1).collect();
+const USAGE: &str = "usage: grail-lint [--format text|sarif] [--threads N | --sequential] \
+                     [--fix] [--list-rules] [WORKSPACE_ROOT]";
+
+/// What the command line asked for.
+#[derive(Debug, PartialEq, Eq)]
+struct Cli {
+    runner: grail_par::Runner,
+    sarif: bool,
+    fix: bool,
+    list_rules: bool,
+    root: Option<PathBuf>,
+}
+
+fn is_sarif(format: &str) -> Result<bool, String> {
+    match format {
+        "text" => Ok(false),
+        "sarif" => Ok(true),
+        f => Err(format!("unknown format `{f}` (expected text|sarif)")),
+    }
+}
+
+/// Parse the arguments after the program name. Anything starting with
+/// `--` that is not a known flag is an error, so a stale invocation
+/// fails instead of linting a directory named after the flag.
+fn parse_args(mut args: Vec<String>) -> Result<Cli, String> {
     let runner = grail_par::Runner::from_cli_args(&mut args);
-    if args.iter().any(|a| a == "--list-rules") {
+    let mut cli = Cli {
+        runner,
+        sarif: false,
+        fix: false,
+        list_rules: false,
+        root: None,
+    };
+    let mut it = args.into_iter();
+    while let Some(a) = it.next() {
+        if a == "--format" {
+            cli.sarif = is_sarif(&it.next().ok_or("--format requires a value")?)?;
+        } else if let Some(f) = a.strip_prefix("--format=") {
+            cli.sarif = is_sarif(f)?;
+        } else if a == "--fix" {
+            cli.fix = true;
+        } else if a == "--list-rules" {
+            cli.list_rules = true;
+        } else if a.starts_with("--") {
+            return Err(format!("unknown flag `{a}`"));
+        } else if cli.root.is_some() {
+            return Err(format!("unexpected argument `{a}`"));
+        } else {
+            cli.root = Some(PathBuf::from(a));
+        }
+    }
+    Ok(cli)
+}
+
+fn main() -> ExitCode {
+    let cli = match parse_args(env::args().skip(1).collect()) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("grail-lint: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if cli.list_rules {
         for rule in grail_lint::rules::RULES {
             println!("{:<20} {}", rule.id, rule.summary);
         }
         return ExitCode::SUCCESS;
     }
-    let mut format = "text".to_string();
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut par_report: Option<PathBuf> = None;
-    let mut bench_json: Option<PathBuf> = None;
-    let mut fix = false;
-    let mut positional: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        let take_value = |it: &mut std::vec::IntoIter<String>, flag: &str| match it.next() {
-            Some(v) => Ok(v),
-            None => {
-                eprintln!("grail-lint: {flag} requires a value");
-                Err(())
-            }
-        };
-        if a == "--format" {
-            match take_value(&mut it, "--format") {
-                Ok(f) => format = f,
-                Err(()) => return ExitCode::FAILURE,
-            }
-        } else if let Some(f) = a.strip_prefix("--format=") {
-            format = f.to_string();
-        } else if a == "--cache-dir" {
-            match take_value(&mut it, "--cache-dir") {
-                Ok(d) => cache_dir = Some(PathBuf::from(d)),
-                Err(()) => return ExitCode::FAILURE,
-            }
-        } else if let Some(d) = a.strip_prefix("--cache-dir=") {
-            cache_dir = Some(PathBuf::from(d));
-        } else if a == "--par-report" {
-            match take_value(&mut it, "--par-report") {
-                Ok(p) => par_report = Some(PathBuf::from(p)),
-                Err(()) => return ExitCode::FAILURE,
-            }
-        } else if let Some(p) = a.strip_prefix("--par-report=") {
-            par_report = Some(PathBuf::from(p));
-        } else if a == "--bench-json" {
-            match take_value(&mut it, "--bench-json") {
-                Ok(p) => bench_json = Some(PathBuf::from(p)),
-                Err(()) => return ExitCode::FAILURE,
-            }
-        } else if let Some(p) = a.strip_prefix("--bench-json=") {
-            bench_json = Some(PathBuf::from(p));
-        } else if a == "--fix" {
-            fix = true;
-        } else {
-            positional.push(a);
-        }
-    }
-    if format != "text" && format != "sarif" {
-        eprintln!("grail-lint: unknown format `{format}` (expected text|sarif)");
-        return ExitCode::FAILURE;
-    }
-    let root = match positional.first() {
-        Some(p) => PathBuf::from(p),
+    let root = match cli.root {
+        Some(p) => p,
         // Under `cargo run` the manifest dir is crates/lint; walk up to
         // the workspace root. Outside cargo, lint the cwd.
         None => match env::var("CARGO_MANIFEST_DIR") {
@@ -130,11 +128,7 @@ fn main() -> ExitCode {
         },
     };
     let lint = |root: &PathBuf| -> Result<Vec<grail_lint::Diagnostic>, ExitCode> {
-        let result = match &cache_dir {
-            Some(dir) => grail_lint::check_workspace_cached(root, runner.threads(), dir),
-            None => grail_lint::check_workspace_threads(root, runner.threads()),
-        };
-        result.map_err(|e| {
+        grail_lint::check_workspace_threads(root, cli.runner.threads()).map_err(|e| {
             eprintln!("grail-lint: cannot walk {}: {e}", root.display());
             ExitCode::FAILURE
         })
@@ -143,7 +137,7 @@ fn main() -> ExitCode {
         Ok(diags) => diags,
         Err(code) => return code,
     };
-    if fix {
+    if cli.fix {
         match apply_fixes(&root, &diags) {
             Ok(0) => {}
             Ok(n) => {
@@ -161,39 +155,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(path) = par_report {
-        let json = match grail_lint::workspace_sources(&root) {
-            Ok((files, _)) => grail_lint::parready::report_json(&files),
-            Err(e) => {
-                eprintln!("grail-lint: cannot walk {}: {e}", root.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = fs::write(&path, json) {
-            eprintln!("grail-lint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "grail-lint: parallel-readiness report -> {}",
-            path.display()
-        );
-    }
-    if let Some(path) = bench_json {
-        let elapsed = started.elapsed();
-        let ledger = format!(
-            "{{\n  \"bench\": \"grail-lint\",\n  \"threads\": {},\n  \"cached\": {},\n  \
-             \"diagnostics\": {},\n  \"wall_clock_ms\": {}\n}}\n",
-            runner.threads(),
-            cache_dir.is_some(),
-            diags.len(),
-            elapsed.as_millis()
-        );
-        if let Err(e) = fs::write(&path, ledger) {
-            eprintln!("grail-lint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if format == "sarif" {
+    if cli.sarif {
         print!("{}", grail_lint::sarif::to_sarif(&diags));
         return if diags.is_empty() {
             ExitCode::SUCCESS
@@ -213,5 +175,53 @@ fn main() -> ExitCode {
         }
         eprintln!("grail-lint: {} violation(s)", diags.len());
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn known_flags_in_both_value_forms() {
+        let cli = parse(&["--format", "sarif", "--threads", "8", "--fix", "ws"]).unwrap();
+        assert_eq!(
+            cli,
+            Cli {
+                runner: grail_par::Runner::with_threads(8),
+                sarif: true,
+                fix: true,
+                list_rules: false,
+                root: Some(PathBuf::from("ws")),
+            }
+        );
+        let cli = parse(&["--format=sarif", "--sequential", "--list-rules"]).unwrap();
+        assert!(cli.sarif && cli.list_rules && cli.runner.is_sequential());
+        assert_eq!(cli.root, None);
+        assert!(!parse(&["--format=text"]).unwrap().sarif);
+        assert_eq!(parse(&[]).unwrap().runner, grail_par::Runner::available());
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_wherever_they_stand() {
+        for flag in ["--cache-dir", "--par-report", "--bench-json"] {
+            for args in [vec![flag, "x", "."], vec![".", flag, "x"]] {
+                let err = parse(&args).unwrap_err();
+                assert!(err.contains(flag), "{err}");
+            }
+            let err = parse(&[&format!("{flag}=x"), "."]).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+    }
+
+    #[test]
+    fn missing_and_bad_values_are_errors() {
+        assert!(parse(&["--format"]).unwrap_err().contains("--format"));
+        assert!(parse(&["--format", "xml"]).unwrap_err().contains("`xml`"));
+        assert!(parse(&["a", "b"]).unwrap_err().contains("`b`"));
     }
 }

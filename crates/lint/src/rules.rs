@@ -98,8 +98,6 @@ pub const UNIT_MIX: &str = "unit-mix";
 pub const RAW_ENERGY: &str = "raw-energy";
 /// Every charge site must sit under a settlement anchor.
 pub const LEDGER_FLOW: &str = "ledger-flow";
-/// Parallel-readiness: no interior mutability / non-Send state in sim.
-pub const PAR_READINESS: &str = "par-readiness";
 /// Metric names are static literals from the grail-metrics catalog,
 /// registered exactly once.
 pub const METRIC_HYGIENE: &str = "metric-hygiene";
@@ -178,10 +176,6 @@ pub const RULES: &[Rule] = &[
         summary: "every charge site must be reachable from a settlement anchor (finish / *Report-returning fn)",
     },
     Rule {
-        id: PAR_READINESS,
-        summary: "no RefCell/Cell/Rc/static mut/raw pointers in crates/sim (pre-flight for the parallel event loop)",
-    },
-    Rule {
         id: METRIC_HYGIENE,
         summary: "metric names are string literals from grail_metrics::spec::CATALOG, each registered exactly once",
     },
@@ -221,7 +215,6 @@ pub fn check_tokens(info: &FileInfo, f: &ScannedFile) -> Vec<Diagnostic> {
     unsafe_forbid(info, f, &mut raw);
     metric_hygiene(info, f, &mut raw);
     metric_registration(info, f, &mut raw);
-    crate::parready::par_readiness(info, f, &mut raw);
     raw
 }
 
@@ -351,7 +344,7 @@ pub fn has_token(line: &str, pat: &str) -> bool {
 }
 
 /// Byte offsets of every boundary-respecting occurrence of `pat`.
-pub(crate) fn token_positions(line: &str, pat: &str) -> Vec<usize> {
+fn token_positions(line: &str, pat: &str) -> Vec<usize> {
     let first_ident = pat.chars().next().is_some_and(is_ident_char);
     let last_ident = pat.chars().last().is_some_and(is_ident_char);
     let mut out = Vec::new();
@@ -1626,6 +1619,14 @@ mod tests {
         let src = "// grail-lint: allow(no-such-rule, because)\nfn f() {}\n";
         let got = rules_at("crates/buffer/src/x.rs", src);
         assert_eq!(got, vec![(1, "pragma".into())]);
+        // A retired rule id is unknown like any other, even where the
+        // rule used to fire.
+        assert!(super::RULES.iter().all(|r| r.id != "par-readiness"));
+        let retired = "// grail-lint: allow(par-readiness, shard-local)\nuse std::cell::RefCell;\n";
+        let got = check_source("crates/sim/src/x.rs", retired);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!((got[0].line, got[0].rule), (1, "pragma"));
+        assert!(got[0].message.contains("unknown rule `par-readiness`"));
     }
 
     #[test]

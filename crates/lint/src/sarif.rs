@@ -6,31 +6,12 @@
 //! [`Diagnostic`] carrying `ruleId`, `ruleIndex`, a `message` and a
 //! physical location (workspace-relative URI + 1-based start line).
 //! Everything the serializer emits is either a literal from this file
-//! or passes through [`escape`], so the output is valid JSON for any
-//! diagnostic content.
+//! or passes through [`json_escape`], so the output is valid JSON for
+//! any diagnostic content.
 
 use crate::rules::RULES;
 use crate::Diagnostic;
-use std::fmt::Write as _;
-
-/// Escape a string for inclusion inside a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use grail_metrics::text::json_escape;
 
 /// Index of `rule` in the shipped registry (usize::MAX if unknown —
 /// cannot happen for diagnostics the engine produced).
@@ -54,15 +35,18 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
     out.push_str("          \"informationUri\": \"https://github.com/grail/grail\",\n");
     out.push_str(&format!(
         "          \"version\": \"{}\",\n",
-        escape(env!("CARGO_PKG_VERSION"))
+        json_escape(env!("CARGO_PKG_VERSION"))
     ));
     out.push_str("          \"rules\": [\n");
     for (i, r) in RULES.iter().enumerate() {
         out.push_str("            {\n");
-        out.push_str(&format!("              \"id\": \"{}\",\n", escape(r.id)));
+        out.push_str(&format!(
+            "              \"id\": \"{}\",\n",
+            json_escape(r.id)
+        ));
         out.push_str(&format!(
             "              \"shortDescription\": {{ \"text\": \"{}\" }},\n",
-            escape(r.summary)
+            json_escape(r.summary)
         ));
         out.push_str("              \"defaultConfiguration\": { \"level\": \"error\" }\n");
         out.push_str(if i + 1 == RULES.len() {
@@ -75,7 +59,10 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
     out.push_str("      \"results\": [\n");
     for (i, d) in diags.iter().enumerate() {
         out.push_str("        {\n");
-        out.push_str(&format!("          \"ruleId\": \"{}\",\n", escape(d.rule)));
+        out.push_str(&format!(
+            "          \"ruleId\": \"{}\",\n",
+            json_escape(d.rule)
+        ));
         out.push_str(&format!(
             "          \"ruleIndex\": {},\n",
             rule_index(d.rule)
@@ -83,13 +70,13 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
         out.push_str("          \"level\": \"error\",\n");
         out.push_str(&format!(
             "          \"message\": {{ \"text\": \"{}\" }},\n",
-            escape(&d.message)
+            json_escape(&d.message)
         ));
         out.push_str("          \"locations\": [\n            {\n");
         out.push_str("              \"physicalLocation\": {\n");
         out.push_str(&format!(
             "                \"artifactLocation\": {{ \"uri\": \"{}\" }},\n",
-            escape(&d.file)
+            json_escape(&d.file)
         ));
         // Region: all diagnostics are single-line, so endLine mirrors
         // startLine; column spans are emitted when the rule recorded
@@ -121,13 +108,6 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escape_handles_quotes_backslashes_and_controls() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\ny\tz"), "x\\ny\\tz");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn sarif_log_contains_schema_rules_and_results() {

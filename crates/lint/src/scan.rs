@@ -67,12 +67,6 @@ impl ScannedFile {
 /// Marker every pragma comment must start with (after `//`).
 pub const PRAGMA_TAG: &str = "grail-lint:";
 
-/// Bumped whenever `strip`'s output can change for the same input, so
-/// cached per-file analyses (`crate::cache`) never survive a tokenizer
-/// change. v3: `ScannedFile` carries the raw line text alongside the
-/// blanked text.
-pub const TOKENIZER_VERSION: u32 = 3;
-
 struct RawPragma {
     rule: String,
     reason: String,

@@ -32,6 +32,8 @@
 //! * [`expo`] — Prometheus text exposition.
 //! * [`baseline`] — flat-JSON baselines and rustc-style drift diffs for
 //!   the `grail-watchdog` regression gate.
+//! * [`text`] — the JSON string escaping every hand-rolled exporter in
+//!   the workspace shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +45,7 @@ pub mod registry;
 pub mod scrape;
 pub mod slo;
 pub mod spec;
+pub mod text;
 
 pub use baseline::{compare, parse_baseline, render_baseline, render_drifts, Drift};
 pub use expo::to_prometheus;

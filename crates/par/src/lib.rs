@@ -35,8 +35,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// The two modes are observationally equivalent for pure point
 /// functions — that equivalence is property-tested in
-/// `tests/determinism.rs` and re-checked end-to-end by the `sweep`
-/// bench binary, which byte-compares serialized records across modes.
+/// `tests/determinism.rs` and re-checked end-to-end on real simulation
+/// points by the root `tests/par_determinism.rs`, which compares every
+/// result bit for bit across modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Runner {
     threads: usize,

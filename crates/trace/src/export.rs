@@ -7,26 +7,8 @@
 
 use crate::event::{ArgValue, Track};
 use crate::recorder::Recorder;
+use grail_metrics::text::json_escape;
 use std::fmt::Write as _;
-
-/// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Format an `f64` as a JSON number. Rust's `Display` for floats is the
 /// shortest decimal that round-trips, never locale-dependent, so this
