@@ -11,7 +11,7 @@
 //!  "cells":24,"jobs":19200}
 //! ```
 //!
-//! Unlike the figure binaries (which fan *independent simulations*
+//! Unlike `grail-bench run` (which fans *independent simulations*
 //! through `grail_par::Runner`), this binary shards a single
 //! simulation's event loop: the conservative-lookahead protocol of
 //! `grail_par::shard` driving `sim::parallel`'s cell partition.

@@ -1,4 +1,5 @@
-//! Deterministic CSV assembly shared by the figure-exporting binaries.
+//! Deterministic CSV assembly shared by everything that returns or
+//! writes a `figures/` file.
 //!
 //! Every `figures/` file flows through [`Csv`] (or through
 //! [`grail_sim::trace::BinnedSeries::to_csv`] for time series), so the
@@ -14,7 +15,6 @@ use std::fmt::Write as _;
 pub struct Csv {
     out: String,
     cols: usize,
-    rows: usize,
 }
 
 impl Csv {
@@ -27,7 +27,6 @@ impl Csv {
         Csv {
             out: format!("{}\n", columns.join(",")),
             cols: columns.len(),
-            rows: 0,
         }
     }
 
@@ -43,12 +42,6 @@ impl Csv {
             self.cols
         );
         let _ = writeln!(self.out, "{}", cells.join(","));
-        self.rows += 1;
-    }
-
-    /// Number of data rows appended so far.
-    pub fn rows(&self) -> usize {
-        self.rows
     }
 
     /// The finished CSV text.
@@ -78,14 +71,6 @@ mod tests {
         let text = build();
         assert_eq!(text, "disks,time_s\n36,12.5\n66,8\n");
         assert_eq!(text, build());
-    }
-
-    #[test]
-    fn row_count_tracks_appends() {
-        let mut c = Csv::new(&["a"]);
-        assert_eq!(c.rows(), 0);
-        c.row(&["1".to_string()]);
-        assert_eq!(c.rows(), 1);
     }
 
     #[test]

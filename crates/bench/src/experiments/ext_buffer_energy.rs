@@ -7,15 +7,16 @@
 //! the energy-aware policy evicts cheap-to-refetch pages first. A
 //! second sweep shows DRAM-rank consolidation cutting background power.
 
-use grail_bench::{print_header, print_row, ExperimentRecord};
+use super::Outcome;
+use crate::ExperimentRecord;
 use grail_buffer::policy::PolicyKind;
 use grail_buffer::pool::{BufferPool, EnergyModel};
 use grail_buffer::ranks::RankPlacement;
+use grail_par::Runner;
 use grail_power::units::{Joules, SimDuration, SimInstant, Watts};
 use grail_storage::page::PageId;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use std::path::Path;
 
 const PAGES: u32 = 4096;
 const POOL: usize = 512;
@@ -44,12 +45,45 @@ fn refetch(p: PageId) -> Joules {
     }
 }
 
-fn main() {
-    print_header(
-        "EXT-BUF",
-        "replacement policies scored on Joules, Zipf trace, mixed devices",
+/// Drive the trace through a pool under `kind`; the row's detail line
+/// splits its energy into residency and re-fetch.
+fn policy_row(kind: PolicyKind, t: &[PageId], residency: Watts) -> (ExperimentRecord, String) {
+    let mut pool = BufferPool::new(
+        POOL,
+        kind,
+        EnergyModel {
+            residency_watts_per_page: residency,
+        },
     );
-    let out = Path::new("experiments.jsonl");
+    for (i, p) in t.iter().enumerate() {
+        let now = SimInstant::EPOCH + SimDuration::from_millis(i as u64 * 5);
+        pool.access(*p, now, refetch(*p));
+    }
+    let name = pool.policy_name().to_string();
+    let stats = pool.finish(SimInstant::EPOCH + SimDuration::from_millis(ACCESSES as u64 * 5));
+    let rec = ExperimentRecord::new(
+        "EXT-BUF",
+        &name,
+        ACCESSES as f64 * 0.005,
+        stats.total_energy().joules(),
+        ACCESSES as f64,
+        serde_json::json!({
+            "hit_rate": stats.hit_rate(),
+            "residency_j": stats.residency_energy.joules(),
+            "refetch_j": stats.refetch_energy.joules(),
+        }),
+    );
+    let detail = format!(
+        "    hit rate {:.3}  residency {:.1}J  refetch {:.1}J",
+        stats.hit_rate(),
+        stats.residency_energy.joules(),
+        stats.refetch_energy.joules()
+    );
+    (rec, detail)
+}
+
+pub(super) fn run(runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let t = trace(11);
     let residency = Watts::new(0.0005);
     let policies = [
@@ -60,62 +94,26 @@ fn main() {
             residency_watts_per_page: residency,
         },
     ];
-    let mut energy_by_name: Vec<(String, f64)> = Vec::new();
-    for kind in policies {
-        let mut pool = BufferPool::new(
-            POOL,
-            kind,
-            EnergyModel {
-                residency_watts_per_page: residency,
-            },
-        );
-        for (i, p) in t.iter().enumerate() {
-            let now = SimInstant::EPOCH + SimDuration::from_millis(i as u64 * 5);
-            pool.access(*p, now, refetch(*p));
-        }
-        let name = pool.policy_name().to_string();
-        let stats = pool.finish(SimInstant::EPOCH + SimDuration::from_millis(ACCESSES as u64 * 5));
-        let rec = ExperimentRecord::new(
-            "EXT-BUF",
-            &name,
-            ACCESSES as f64 * 0.005,
-            stats.total_energy().joules(),
-            ACCESSES as f64,
-            serde_json::json!({
-                "hit_rate": stats.hit_rate(),
-                "residency_j": stats.residency_energy.joules(),
-                "refetch_j": stats.refetch_energy.joules(),
-            }),
-        );
-        print_row(&rec);
-        println!(
-            "    hit rate {:.3}  residency {:.1}J  refetch {:.1}J",
-            stats.hit_rate(),
-            stats.residency_energy.joules(),
-            stats.refetch_energy.joules()
-        );
-        rec.append_to(out).expect("append");
-        energy_by_name.push((name, stats.total_energy().joules()));
+    // The four pools are independent and each walks the whole trace, so
+    // they fan out; rows keep the policy order above.
+    for (rec, detail) in runner.run(&policies, |_, kind| policy_row(*kind, &t, residency)) {
+        out.push(rec);
+        out.detail(detail);
     }
-    let lru = energy_by_name
-        .iter()
-        .find(|(n, _)| n == "lru")
-        .expect("lru ran")
-        .1;
-    let ea = energy_by_name
-        .iter()
-        .find(|(n, _)| n == "energy")
-        .expect("ea ran")
-        .1;
-    println!();
-    println!(
-        "energy-aware vs LRU: {:.1}% of LRU's buffer-attributable energy",
-        100.0 * ea / lru
-    );
+    let energy_of = |name: &str| {
+        let (rec, _) = out
+            .rows
+            .iter()
+            .find(|(r, _)| r.config == name)
+            .expect("ran");
+        rec.energy_j
+    };
+    let vs_lru = 100.0 * energy_of("energy") / energy_of("lru");
+    out.say(format!(
+        "energy-aware vs LRU: {vs_lru:.1}% of LRU's buffer-attributable energy"
+    ));
 
     // Rank consolidation sweep.
-    println!();
-    println!("DRAM-rank consolidation (4 ranks × 1024 pages, pool half full):");
     let idle = Watts::new(4.0);
     let sr = Watts::new(0.8);
     let span = SimDuration::from_secs(1000);
@@ -127,20 +125,19 @@ fn main() {
     }
     let e_spread = spread.background_energy(span, idle, sr).joules();
     let e_packed = packed.background_energy(span, idle, sr).joules();
-    println!(
-        "  interleaved: {} powered ranks, {e_spread:.0} J; consolidated: {} powered ranks, {e_packed:.0} J ({:.1}% saved)",
-        spread.powered_ranks(),
-        packed.powered_ranks(),
-        100.0 * (1.0 - e_packed / e_spread)
-    );
-    ExperimentRecord::new(
+    out.push(ExperimentRecord::new(
         "EXT-BUF",
         "rank_consolidation",
         span.as_secs_f64(),
         e_packed,
         2048.0,
         serde_json::json!({"interleaved_j": e_spread, "saved_frac": 1.0 - e_packed / e_spread}),
-    )
-    .append_to(out)
-    .expect("append");
+    ));
+    out.detail(format!(
+            "    DRAM ranks (4 × 1024 pages, pool half full): interleaved {} powered, {e_spread:.0} J; consolidated {} powered, {e_packed:.0} J ({:.1}% saved)",
+            spread.powered_ranks(),
+            packed.powered_ranks(),
+            100.0 * (1.0 - e_packed / e_spread)
+        ));
+    out
 }

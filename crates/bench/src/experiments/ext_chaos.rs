@@ -18,32 +18,22 @@
 //! the replicated consolidations in between, whose extra Joules are
 //! exactly the ledger's Recovery line.
 //!
-//! The 3×4 grid runs through `grail_par` (`--threads N`/`--sequential`);
-//! points live in `grail_bench::points::chaos_point` and reporting is
-//! serial in level-major order, so output is identical in every mode.
-//! Besides `experiments.jsonl`, the run emits the frontier CSV
+//! The 3×4 grid runs through `grail_par`; points live in
+//! `crate::points::chaos_point` and rows are reported in level-major
+//! order, so output is identical at every thread count. Besides its
+//! records the run returns the frontier CSV
 //! (`figures/ext_chaos_frontier.csv`) and a Perfetto-compatible trace of
 //! the reference storm (`figures/ext_chaos_trace.jsonl`).
 
-use grail_bench::points::{
-    chaos_detail_line, chaos_point, chaos_policy, chaos_world, CHAOS_LEVELS, CHAOS_POLICIES,
-};
-use grail_bench::{cell_f64, print_header, print_row, Csv};
+use super::Outcome;
+use crate::points::{chaos_detail_line, chaos_point, CHAOS_LEVELS, CHAOS_POLICIES};
+use crate::{cell_f64, Csv};
 use grail_par::Runner;
-use grail_scheduler::chaos::run_chaos;
+use grail_scheduler::chaos::{reference_storm, run_chaos, DOCUMENTED_AVAILABILITY_FLOOR};
 use grail_trace::{Recorder, Tracer};
-use std::fs;
-use std::path::Path;
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let runner = Runner::from_cli_args(&mut args);
-
-    print_header(
-        "EXT-CHAOS",
-        "availability vs energy under correlated cluster chaos",
-    );
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let grid: Vec<(&str, &str)> = CHAOS_LEVELS
         .iter()
         .flat_map(|l| CHAOS_POLICIES.iter().map(move |p| (*l, *p)))
@@ -60,59 +50,56 @@ fn main() {
         "shed_frac",
         "served_work",
     ]);
-    let mut rows = grid.iter().zip(&recs);
+    let mut rows = grid.iter().zip(recs);
     for lname in CHAOS_LEVELS {
         let mut best: Option<(&str, f64)> = None;
         for pname in CHAOS_POLICIES {
             let (_, rec) = rows.next().expect("grid covers every cell");
-            let avail = rec.extra["availability"].as_f64().expect("chaos extra");
+            let extra = |k: &str| rec.extra[k].as_f64().expect("chaos extra");
+            let avail = extra("availability");
             // The frontier winner: cheapest policy that still clears the
             // documented availability floor.
-            if avail >= grail_scheduler::chaos::DOCUMENTED_AVAILABILITY_FLOOR
+            if avail >= DOCUMENTED_AVAILABILITY_FLOOR
                 && best.map_or(true, |(_, e)| rec.energy_j < e)
             {
                 best = Some((pname, rec.energy_j));
             }
-            print_row(rec);
-            println!("{}", chaos_detail_line(rec));
-            rec.append_to(out).expect("append");
             frontier.row(&[
                 lname.to_string(),
                 pname.to_string(),
                 cell_f64(avail),
                 cell_f64(rec.energy_j),
-                cell_f64(rec.extra["recovery_j"].as_f64().expect("chaos extra")),
-                cell_f64(rec.extra["recovery_share"].as_f64().expect("chaos extra")),
-                cell_f64(rec.extra["shed_frac"].as_f64().expect("chaos extra")),
+                cell_f64(extra("recovery_j")),
+                cell_f64(extra("recovery_share")),
+                cell_f64(extra("shed_frac")),
                 cell_f64(rec.work),
             ]);
+            let detail = chaos_detail_line(&rec);
+            out.push(rec);
+            out.detail(detail);
         }
         match best {
-            Some((pname, energy)) => println!(
-                "  chaos level {lname:>9}: frontier winner = {pname} ({energy:.0} J at ≥ floor availability)"
-            ),
-            None => println!("  chaos level {lname:>9}: no policy clears the availability floor"),
+            Some((pname, energy)) => out.say(format!(
+                "chaos level {lname:>9}: frontier winner = {pname} ({energy:.0} J at ≥ floor availability)"
+            )),
+            None => out.say(format!(
+                "chaos level {lname:>9}: no policy clears the availability floor"
+            )),
         }
     }
-
-    fs::create_dir_all("figures").expect("create figures/");
-    let rows = frontier.rows();
-    fs::write("figures/ext_chaos_frontier.csv", frontier.finish()).expect("write frontier");
+    out.figure("figures/ext_chaos_frontier.csv", frontier.finish());
 
     // Reference-storm trace: every chaos event, breaker trip, cold boot,
     // and re-dispatch of the storm × consolidate-r2 cell, Perfetto-ready.
-    let (fleet, schedule, demand) = chaos_world("storm");
-    let policy = chaos_policy("consolidate-r2");
+    let (fleet, schedule, demand, policy) = reference_storm();
     let mut tracer = Tracer::on(Recorder::new(1 << 16));
     run_chaos(&fleet, &schedule, demand, &policy, &mut tracer).expect("reference storm");
     let rec = tracer.take().expect("tracer is on");
-    fs::write("figures/ext_chaos_trace.jsonl", grail_trace::to_jsonl(&rec)).expect("write trace");
+    out.figure("figures/ext_chaos_trace.jsonl", grail_trace::to_jsonl(&rec));
 
-    println!();
-    println!(
-        "wrote figures/ext_chaos_frontier.csv ({rows} points) and figures/ext_chaos_trace.jsonl"
-    );
-    println!("shape: calm skies favor bare consolidation; chaos moves the frontier toward");
-    println!("replicated consolidation — its extra Joules are the ledger's Recovery line,");
-    println!("the explicit energy price of availability.");
+    out.say("");
+    out.say("shape: calm skies favor bare consolidation; chaos moves the frontier toward");
+    out.say("replicated consolidation — its extra Joules are the ledger's Recovery line,");
+    out.say("the explicit energy price of availability.");
+    out
 }

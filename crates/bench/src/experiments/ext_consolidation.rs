@@ -7,32 +7,30 @@
 //! sweep admission {immediate, batched-60s} × governor {never, timeout-
 //! 10s, oracle} and report energy, mean latency, and spin count.
 
-use grail_bench::{print_header, print_row, ExperimentRecord};
-use grail_power::components::CpuPowerProfile;
-use grail_power::components::DiskPowerProfile;
-use grail_power::units::{Bytes, Cycles, SimInstant};
-use grail_power::units::{Hertz, SimDuration};
+use super::Outcome;
+use crate::points::{fault_governor, FAULT_GOVERNORS};
+use crate::ExperimentRecord;
+use grail_par::Runner;
+use grail_power::components::{CpuPowerProfile, DiskPowerProfile};
+use grail_power::units::{Bytes, Cycles, Hertz, SimDuration, SimInstant};
 use grail_scheduler::admission::{AdmissionPolicy, BatchWindow};
-use grail_scheduler::governor::{
-    IdleGovernor, NeverPark, OracleGovernor, ParkCosts, TimeoutGovernor,
-};
+use grail_scheduler::governor::{IdleGovernor, ParkCosts};
 use grail_sim::perf::{AccessPattern, CpuPerfProfile, DiskPerfProfile};
 use grail_sim::sim::Simulation;
 use grail_sim::StorageTarget;
 use grail_workload::mix::poisson_arrivals;
-use std::path::Path;
 
 const N_DISKS: usize = 4;
 const JOBS: usize = 40;
 
-struct Outcome {
+struct Cell {
     energy_j: f64,
     mean_latency_s: f64,
     parks: u64,
     makespan_s: f64,
 }
 
-fn run(admission: AdmissionPolicy, governor: &dyn IdleGovernor) -> Outcome {
+fn cell(admission: AdmissionPolicy, governor: &dyn IdleGovernor) -> Cell {
     let arrivals = poisson_arrivals(1.0 / 50.0, JOBS, 7);
     let schedule = admission.schedule(&arrivals);
     let costs = ParkCosts::scsi_15k();
@@ -88,7 +86,7 @@ fn run(admission: AdmissionPolicy, governor: &dyn IdleGovernor) -> Outcome {
         prev_end = end;
     }
     let report = sim.finish(prev_end);
-    Outcome {
+    Cell {
         energy_j: report.total_energy().joules(),
         mean_latency_s: total_latency / JOBS as f64,
         parks,
@@ -96,12 +94,8 @@ fn run(admission: AdmissionPolicy, governor: &dyn IdleGovernor) -> Outcome {
     }
 }
 
-fn main() {
-    print_header(
-        "EXT-SCHED",
-        "batching + spin-down governors on an open arrival stream",
-    );
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let admissions: [(&str, AdmissionPolicy); 2] = [
         ("immediate", AdmissionPolicy::Immediate),
         (
@@ -111,20 +105,12 @@ fn main() {
             }),
         ),
     ];
-    let governors: [(&str, Box<dyn IdleGovernor>); 3] = [
-        ("never", Box::new(NeverPark)),
-        (
-            "timeout10s",
-            Box::new(TimeoutGovernor {
-                timeout: SimDuration::from_secs(10),
-            }),
-        ),
-        ("oracle", Box::new(OracleGovernor)),
-    ];
+    // The governor set EXT-FAULT re-runs under seeded faults.
+    let governors = FAULT_GOVERNORS.map(|g| (g, fault_governor(g)));
     let mut baseline = 0.0;
     for (aname, admission) in &admissions {
         for (gname, governor) in &governors {
-            let o = run(*admission, governor.as_ref());
+            let o = cell(*admission, governor.as_ref());
             if *aname == "immediate" && *gname == "never" {
                 baseline = o.energy_j;
             }
@@ -140,17 +126,16 @@ fn main() {
                     "energy_vs_baseline": if baseline > 0.0 { o.energy_j / baseline } else { 1.0 },
                 }),
             );
-            print_row(&rec);
-            println!(
+            out.push(rec);
+            out.detail(format!(
                 "    mean latency {:>8.1}s   spin-downs {:>3}   energy vs baseline {:>6.1}%",
                 o.mean_latency_s,
                 o.parks,
                 100.0 * o.energy_j / baseline
-            );
-            rec.append_to(out).expect("append");
+            ));
         }
     }
-    println!();
-    println!("expected shape: governors cut disk energy on long gaps; batching lengthens gaps");
-    println!("(more parks pay off) at the price of added latency — Sec. 4.2's exact trade.");
+    out.say("expected shape: governors cut disk energy on long gaps; batching lengthens gaps");
+    out.say("(more parks pay off) at the price of added latency — Sec. 4.2's exact trade.");
+    out
 }

@@ -10,40 +10,25 @@
 //!   can downclock into the slack almost for free — the classic DVFS
 //!   win for database scans.
 
-use grail_bench::{print_header, ExperimentRecord};
+use super::Outcome;
+use crate::ExperimentRecord;
+use grail_par::Runner;
 use grail_power::dvfs::DvfsModel;
 use grail_power::units::{Cycles, SimDuration};
-use std::path::Path;
 
-fn main() {
-    print_header(
-        "EXT-DVFS",
-        "energy per P-state: CPU-bound vs IO-bound query",
-    );
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let model = DvfsModel::opteron_like();
     let work = Cycles::new(23_000_000_000); // 10 s at P0
 
-    println!(
-        "{:<8} {:>10} {:>12} {:>16} {:>18}",
-        "pstate", "freq", "busy (s)", "cpu-bound E (J)", "io-bound E (J, 25s window)"
-    );
-    let deadline = SimDuration::from_secs(25); // disk time for the IO-bound twin
+    // Each row is the CPU-bound query at one P-state; its detail line
+    // carries the IO-bound twin (deadline = 25 s of disk time).
+    let deadline = SimDuration::from_secs(25);
     for i in 0..model.len() {
         let busy = model.exec_time(work, i);
         let cpu_bound = model.exec_energy(work, i);
         let io_bound = model.window_energy(work, i, deadline);
-        println!(
-            "{:<8} {:>10} {:>12.2} {:>16.1} {:>18}",
-            model.pstates[i].name,
-            format!("{}", model.pstates[i].freq),
-            busy.as_secs_f64(),
-            cpu_bound.joules(),
-            io_bound
-                .map(|e| format!("{:.1}", e.joules()))
-                .unwrap_or_else(|| "misses deadline".to_string()),
-        );
-        ExperimentRecord::new(
+        out.push(ExperimentRecord::new(
             "EXT-DVFS",
             model.pstates[i].name,
             busy.as_secs_f64(),
@@ -53,26 +38,31 @@ fn main() {
                 "io_bound_window_j": io_bound.map(|e| e.joules()),
                 "freq_ghz": model.pstates[i].freq.get() / 1e9,
             }),
-        )
-        .append_to(out)
-        .expect("append");
+        ));
+        out.detail(format!(
+            "    {} — io-bound energy over the 25 s window: {}",
+            model.pstates[i].freq,
+            io_bound
+                .map(|e| format!("{:.1} J", e.joules()))
+                .unwrap_or_else(|| "misses deadline".to_string()),
+        ));
     }
     let (best_io, e_io) = model.best_pstate(work, deadline).expect("fits");
     let (best_tight, e_tight) = model
         .best_pstate(work, SimDuration::from_secs(10))
         .expect("P0 fits exactly");
-    println!();
-    println!(
+    out.say(format!(
         "IO-bound (25 s of disk): best is {} at {:.1} J — downclock into the slack.",
         model.pstates[best_io].name,
         e_io.joules()
-    );
-    println!(
+    ));
+    out.say(format!(
         "tight deadline (10 s):   best is {} at {:.1} J — race to meet the deadline.",
         model.pstates[best_tight].name,
         e_tight.joules()
-    );
-    println!();
-    println!("the coordination warning of Sec. 5.3 ([RRT+08]): if a hardware governor picks the");
-    println!("p-state while the optimizer assumes P0 timing, both run 'at cross purposes'.");
+    ));
+    out.say("");
+    out.say("the coordination warning of Sec. 5.3 ([RRT+08]): if a hardware governor picks the");
+    out.say("p-state while the optimizer assumes P0 timing, both run 'at cross purposes'.");
+    out
 }

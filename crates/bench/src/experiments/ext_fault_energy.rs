@@ -12,35 +12,26 @@
 //!
 //! Expected shape: with no faults the oracle governor wins as in
 //! EXT-SCHED; at a wear-out level where spin-ups can kill a disk, the
-//! rebuild energy overwhelms the idle savings and never-park becomes
-//! the energy-optimal policy.
+//! rebuild energy all but cancels the idle savings (EXPERIMENTS.md has
+//! the measured table).
 //!
-//! The 3×3 grid runs through `grail_par` (`--threads N`/`--sequential`);
-//! the point simulation lives in `grail_bench::points::fault_point` and
-//! reporting happens serially in level-major order, so output is
-//! identical in every mode.
+//! The 3×3 grid runs through `grail_par`; the point simulation lives in
+//! `crate::points::fault_point` and rows are reported in level-major
+//! order, so output is identical at every thread count.
 
-use grail_bench::points::{fault_detail_line, fault_point, FAULT_GOVERNORS, FAULT_LEVELS};
-use grail_bench::{print_header, print_row};
+use super::Outcome;
+use crate::points::{fault_detail_line, fault_point, FAULT_GOVERNORS, FAULT_LEVELS};
 use grail_par::Runner;
-use std::path::Path;
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let runner = Runner::from_cli_args(&mut args);
-
-    print_header(
-        "EXT-FAULT",
-        "spin-down governors vs seeded faults on a RAID-5 box",
-    );
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let grid: Vec<(&str, &str)> = FAULT_LEVELS
         .iter()
         .flat_map(|l| FAULT_GOVERNORS.iter().map(move |g| (*l, *g)))
         .collect();
     let recs = runner.run(&grid, |_, (level, governor)| fault_point(level, governor));
 
-    let mut rows = grid.iter().zip(&recs);
+    let mut rows = grid.iter().zip(recs);
     for lname in FAULT_LEVELS {
         let mut best: Option<(&str, f64)> = None;
         for gname in FAULT_GOVERNORS {
@@ -48,15 +39,18 @@ fn main() {
             if best.map_or(true, |(_, e)| rec.energy_j < e) {
                 best = Some((gname, rec.energy_j));
             }
-            print_row(rec);
-            println!("{}", fault_detail_line(rec));
-            rec.append_to(out).expect("append");
+            let detail = fault_detail_line(&rec);
+            out.push(rec);
+            out.detail(detail);
         }
         let (gname, energy) = best.expect("three governors ran");
-        println!("  fault level {lname:>9}: energy winner = {gname} ({energy:.0} J)");
+        out.say(format!(
+            "fault level {lname:>9}: energy winner = {gname} ({energy:.0} J)"
+        ));
     }
-    println!();
-    println!("expected shape: with no faults, parking governors win as in EXT-SCHED; once");
-    println!("spin-ups can kill a spindle, rebuild energy lands on the Recovery ledger and");
-    println!("never-park becomes the cheapest policy — failure cost moves the optimum.");
+    out.say("");
+    out.say("expected shape: with no faults, parking governors win as in EXT-SCHED; once");
+    out.say("spin-ups can kill a spindle, rebuild energy lands on the Recovery ledger and");
+    out.say("eats the parking dividend — failure cost moves the optimum toward never-park.");
+    out
 }

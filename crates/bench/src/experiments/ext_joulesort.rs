@@ -6,21 +6,22 @@
 //! records/Joule even though the server finishes sooner, because the
 //! server's idle floor burns through the whole run.
 
-use grail_bench::{print_header, print_row, ExperimentRecord};
+use super::Outcome;
+use crate::ExperimentRecord;
 use grail_core::profile::HardwareProfile;
+use grail_par::Runner;
 use grail_query::exec::{run_collect, ExecContext};
 use grail_query::ops::sort::{SortOrder, SortSpec};
 use grail_query::ops::{ColumnarScan, Sort, StoredTable};
 use grail_sim::driver::run_streams;
 use grail_workload::joulesort::{records, score, RECORD_BYTES};
-use std::path::Path;
 use std::sync::Arc;
 
 const RECORDS: u64 = 100_000;
 /// Stretch measured demands to a 100 M-record (≈10 GB) JouleSort class.
 const STRETCH: f64 = 1000.0;
 
-fn run(profile: HardwareProfile, grant: u64, dop: u32) -> (f64, f64, u64) {
+fn sort_on(profile: HardwareProfile, grant: u64, dop: u32) -> (f64, f64, u64) {
     let table = records(RECORDS, 3);
     let (mut sim, cpu, targets) = profile.build();
     let stored = Arc::new(StoredTable::columnar_plain(
@@ -57,36 +58,30 @@ fn run(profile: HardwareProfile, grant: u64, dop: u32) -> (f64, f64, u64) {
     )
 }
 
-fn main() {
-    print_header(
-        "EXT-JS",
-        "JouleSort-style: records sorted per Joule, server vs flash box",
-    );
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let total_bytes = (RECORDS as f64 * STRETCH) as u64 * RECORD_BYTES;
-    println!(
-        "sorting {:.1} GB of {}-byte records (external sort, 1 GiB grant)",
-        total_bytes as f64 / 1e9,
-        RECORD_BYTES
-    );
     for (label, profile, dop) in [
         ("dl785_36disks", HardwareProfile::server_dl785(36), 32u32),
         ("flash_scanner", HardwareProfile::flash_scanner(), 1),
     ] {
-        let (t, e, n) = run(profile, 1 << 30, dop);
-        let rec = ExperimentRecord::new(
+        let (t, e, n) = sort_on(profile, 1 << 30, dop);
+        out.push(ExperimentRecord::new(
             "EXT-JS",
             label,
             t,
             e,
             n as f64,
             serde_json::json!({"records_per_joule": score(n, e)}),
-        );
-        print_row(&rec);
-        println!("    JouleSort score: {:.0} records/J", score(n, e));
-        rec.append_to(out).expect("append");
+        ));
+        out.detail(format!("    JouleSort score: {:.0} records/J", score(n, e)));
     }
-    println!();
-    println!("expected shape ([RSR+07]): the balanced low-power box wins records/Joule;");
-    println!("the brawny server wins wall-clock. Efficiency != performance, again.");
+    out.say(format!(
+        "sorted {:.1} GB of {}-byte records (external sort, 1 GiB grant)",
+        total_bytes as f64 / 1e9,
+        RECORD_BYTES
+    ));
+    out.say("expected shape ([RSR+07]): the balanced low-power box wins records/Joule;");
+    out.say("the brawny server wins wall-clock. Efficiency != performance, again.");
+    out
 }

@@ -2,20 +2,17 @@
 //! (parallelism, memory grant, compression, DVFS point) over a
 //! scan-and-sort workload and report the best setting per objective.
 
-use grail_bench::{print_header, ExperimentRecord};
+use super::Outcome;
+use crate::ExperimentRecord;
 use grail_optimizer::advisor::{advise, evaluate, KnobWorkload};
 use grail_optimizer::cost::HardwareDesc;
 use grail_optimizer::knobs::{sweep, KnobGrid};
 use grail_optimizer::objective::Objective;
+use grail_par::Runner;
 use grail_power::dvfs::DvfsModel;
-use std::path::Path;
 
-fn main() {
-    print_header(
-        "EXT-KNOB",
-        "Sec. 4.1 knob sweep: best setting per objective",
-    );
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let grid = KnobGrid::small();
     let workload = KnobWorkload::scan_sort_default();
     let dvfs = DvfsModel::opteron_like();
@@ -24,25 +21,9 @@ fn main() {
         ("flash_scanner", HardwareDesc::fig2_flash_scanner()),
         ("dl785_66", HardwareDesc::dl785(66)),
     ] {
-        println!();
-        println!("hardware: {hw_name} ({} grid points)", grid.len());
-        println!(
-            "{:<12} {:>5} {:>10} {:>12} {:>7} {:>10} {:>12}",
-            "objective", "dop", "grant", "compressed", "pstate", "time (s)", "energy (J)"
-        );
         for obj in [Objective::MinTime, Objective::MinEnergy, Objective::MinEdp] {
             let a = advise(&grid, &workload, hw, &dvfs, obj);
-            println!(
-                "{:<12} {:>5} {:>10} {:>12} {:>7} {:>10.2} {:>12.1}",
-                obj.name(),
-                a.config.dop,
-                format!("{}M", a.config.memory_grant >> 20),
-                a.config.compression,
-                a.config.pstate,
-                a.cost.elapsed_secs,
-                a.cost.energy_j
-            );
-            ExperimentRecord::new(
+            out.push(ExperimentRecord::new(
                 "EXT-KNOB",
                 &format!("{hw_name}:{}", obj.name()),
                 a.cost.elapsed_secs,
@@ -54,9 +35,14 @@ fn main() {
                     "compression": a.config.compression,
                     "pstate": a.config.pstate,
                 }),
-            )
-            .append_to(out)
-            .expect("append");
+            ));
+            out.detail(format!(
+                "    dop {}   grant {}M   compressed {}   pstate {}",
+                a.config.dop,
+                a.config.memory_grant >> 20,
+                a.config.compression,
+                a.config.pstate
+            ));
         }
         // How much the energy setting saves vs the time setting.
         let t = advise(&grid, &workload, hw, &dvfs, Objective::MinTime);
@@ -65,10 +51,12 @@ fn main() {
             .into_iter()
             .map(|c| evaluate(c, &workload, hw, &dvfs).energy_j)
             .fold(f64::MIN, f64::max);
-        println!(
-            "  energy setting saves {:.1}% vs time setting, {:.1}% vs the worst knob point",
+        out.say(format!(
+            "{hw_name} ({} grid points): energy setting saves {:.1}% vs time setting, {:.1}% vs the worst knob point",
+            grid.len(),
             100.0 * (1.0 - e.cost.energy_j / t.cost.energy_j),
             100.0 * (1.0 - e.cost.energy_j / worst)
-        );
+        ));
     }
+    out
 }

@@ -7,14 +7,14 @@
 //! through the WAL under per-commit vs group-commit policies, on a 15K
 //! disk log and on a flash log.
 
-use grail_bench::{print_header, ExperimentRecord};
-use grail_power::components::{DiskPowerProfile, SsdPowerProfile};
+use super::{log_device, Outcome};
+use crate::ExperimentRecord;
+use grail_par::Runner;
 use grail_power::units::{Bytes, SimDuration, SimInstant};
-use grail_sim::perf::{AccessPattern, DiskPerfProfile, SsdPerfProfile};
+use grail_sim::perf::AccessPattern;
 use grail_sim::sim::Simulation;
 use grail_sim::StorageTarget;
 use grail_storage::wal::{schedule, FlushPolicy};
-use std::path::Path;
 
 const COMMITS: u64 = 20_000;
 const RATE_HZ: u64 = 2_000;
@@ -37,11 +37,7 @@ fn run_on_device(policy: FlushPolicy, flash: bool) -> (f64, f64, f64) {
     let commits = commit_stream();
     let plan = schedule(&commits, policy);
     let mut sim = Simulation::new();
-    let target = if flash {
-        StorageTarget::Ssd(sim.add_ssd(SsdPerfProfile::fig2_flash(), SsdPowerProfile::enterprise()))
-    } else {
-        StorageTarget::Disk(sim.add_disk(DiskPerfProfile::scsi_15k(), DiskPowerProfile::scsi_15k()))
-    };
+    let target = log_device(&mut sim, flash);
     let mut end = SimInstant::EPOCH;
     for f in &plan.forces {
         let r = sim
@@ -67,25 +63,20 @@ fn run_on_device(policy: FlushPolicy, flash: bool) -> (f64, f64, f64) {
     )
 }
 
-fn main() {
-    print_header("EXT-LOG", "group-commit batching factor × log device");
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let commits = commit_stream();
-    println!(
-        "{:<28} {:>8} {:>12} {:>12} {:>12} {:>14}",
-        "policy/device", "forces", "added lat", "busy (s)", "energy (J)", "J per commit"
-    );
-    let policies: Vec<(String, FlushPolicy)> = vec![
-        ("per_commit".to_string(), FlushPolicy::PerCommit),
+    let policies = [
+        ("per_commit", FlushPolicy::PerCommit),
         (
-            "group_8".to_string(),
+            "group_8",
             FlushPolicy::GroupCommit {
                 max_batch: 8,
                 max_wait: SimDuration::from_millis(10),
             },
         ),
         (
-            "group_64".to_string(),
+            "group_64",
             FlushPolicy::GroupCommit {
                 max_batch: 64,
                 max_wait: SimDuration::from_millis(50),
@@ -94,20 +85,11 @@ fn main() {
     ];
     for flash in [false, true] {
         let device = if flash { "flash" } else { "disk15k" };
-        for (name, policy) in &policies {
-            let plan = schedule(&commits, *policy);
-            let (energy, busy, makespan) = run_on_device(*policy, flash);
-            let per_commit = energy / COMMITS as f64;
-            println!(
-                "{:<28} {:>8} {:>11.1}ms {:>12.2} {:>12.1} {:>14.4}",
-                format!("{name}@{device}"),
-                plan.force_count(),
-                plan.mean_added_latency(&commits).as_secs_f64() * 1000.0,
-                busy,
-                energy,
-                per_commit
-            );
-            ExperimentRecord::new(
+        for (name, policy) in policies {
+            let plan = schedule(&commits, policy);
+            let (energy, busy, makespan) = run_on_device(policy, flash);
+            let added_ms = plan.mean_added_latency(&commits).as_secs_f64() * 1000.0;
+            out.push(ExperimentRecord::new(
                 "EXT-LOG",
                 &format!("{name}@{device}"),
                 makespan,
@@ -115,16 +97,19 @@ fn main() {
                 COMMITS as f64,
                 serde_json::json!({
                     "forces": plan.force_count(),
-                    "added_latency_ms": plan.mean_added_latency(&commits).as_secs_f64() * 1000.0,
+                    "added_latency_ms": added_ms,
                     "device_busy_s": busy,
                 }),
-            )
-            .append_to(out)
-            .expect("append");
+            ));
+            out.detail(format!(
+                    "    forces {:>6}   added latency {added_ms:>6.1}ms   device busy {busy:>7.2}s   {:.4} J per commit",
+                    plan.force_count(),
+                    energy / COMMITS as f64
+                ));
         }
     }
-    println!();
-    println!("shape: per-commit on disk cannot even sustain the rate (each force costs a");
-    println!("rotation); batching collapses forces 8-64x; flash removes the positioning tax");
-    println!("— the Sec. 5.2 prediction that new storage moves the logging design point.");
+    out.say("shape: per-commit on disk cannot even sustain the rate (each force costs a");
+    out.say("rotation); batching collapses forces 8-64x; flash removes the positioning tax");
+    out.say("— the Sec. 5.2 prediction that new storage moves the logging design point.");
+    out
 }

@@ -12,31 +12,22 @@
 //!
 //! The crossover between the two columns is the claim.
 
-use grail_bench::{print_header, ExperimentRecord};
-use grail_power::components::{DiskPowerProfile, SsdPowerProfile};
+use super::{log_device, Outcome};
+use crate::ExperimentRecord;
+use grail_par::Runner;
 use grail_power::units::{Bytes, SimDuration, SimInstant};
-use grail_sim::perf::{AccessPattern, DiskPerfProfile, SsdPerfProfile};
+use grail_sim::perf::AccessPattern;
 use grail_sim::sim::Simulation;
-use grail_sim::StorageTarget;
 use grail_storage::btree::BTreeIndex;
 use grail_storage::page::PAGE_SIZE;
-use std::path::Path;
 
 const TXNS: u64 = 5_000;
 const TXN_RATE_HZ: u64 = 500;
 
-fn device(sim: &mut Simulation, flash: bool) -> StorageTarget {
-    if flash {
-        StorageTarget::Ssd(sim.add_ssd(SsdPerfProfile::fig2_flash(), SsdPowerProfile::enterprise()))
-    } else {
-        StorageTarget::Disk(sim.add_disk(DiskPerfProfile::scsi_15k(), DiskPowerProfile::scsi_15k()))
-    }
-}
-
 /// OLTP episode: returns (energy J, mean txn latency ms, makespan s).
 fn oltp(flash: bool, index_height: u32) -> (f64, f64, f64) {
     let mut sim = Simulation::new();
-    let target = device(&mut sim, flash);
+    let target = log_device(&mut sim, flash);
     let mut end = SimInstant::EPOCH;
     let mut latency = 0.0f64;
     for i in 0..TXNS {
@@ -75,7 +66,7 @@ fn oltp(flash: bool, index_height: u32) -> (f64, f64, f64) {
 /// DSS episode: one 6 GB sequential scan; returns (energy J, time s).
 fn dss(flash: bool) -> (f64, f64) {
     let mut sim = Simulation::new();
-    let target = device(&mut sim, flash);
+    let target = log_device(&mut sim, flash);
     let r = sim
         .read(
             target,
@@ -88,41 +79,18 @@ fn dss(flash: bool) -> (f64, f64) {
     (rep.total_energy().joules(), rep.elapsed.as_secs_f64())
 }
 
-fn main() {
-    print_header(
-        "EXT-OLTP",
-        "device choice by workload: point transactions vs sequential scans",
-    );
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     // ORDERS at 150 M rows: a 3-page B+tree descent (verified on a
     // scaled-down tree with identical fanout arithmetic).
     let small = BTreeIndex::build((0..1_000_000).collect());
     let height_150m = small.height() + 1; // one more level at 150 M
-    println!(
-        "index: B+tree fanout {}, height {} at 150 M rows ({} random pages per lookup)",
-        grail_storage::btree::FANOUT,
-        height_150m,
-        height_150m
-    );
-    println!();
-    println!(
-        "{:<10} {:>16} {:>14} {:>16} {:>14}",
-        "device", "OLTP J/txn", "txn lat (ms)", "DSS J/scan", "scan time (s)"
-    );
-    let mut rows = Vec::new();
+    let mut ratios = Vec::new();
     for flash in [false, true] {
         let name = if flash { "flash" } else { "disk15k" };
         let (oe, lat, makespan) = oltp(flash, height_150m);
         let (de, dt) = dss(flash);
-        println!(
-            "{:<10} {:>16.4} {:>14.2} {:>16.1} {:>14.1}",
-            name,
-            oe / TXNS as f64,
-            lat,
-            de,
-            dt
-        );
-        ExperimentRecord::new(
+        out.push(ExperimentRecord::new(
             "EXT-OLTP",
             name,
             makespan,
@@ -134,18 +102,22 @@ fn main() {
                 "dss_scan_j": de,
                 "dss_scan_s": dt,
             }),
-        )
-        .append_to(out)
-        .expect("append");
-        rows.push((name, oe / TXNS as f64, de));
+        ));
+        out.detail(format!(
+            "    OLTP {:.4} J/txn at {lat:.2} ms   DSS {de:.1} J/scan in {dt:.1} s",
+            oe / TXNS as f64
+        ));
+        ratios.push((oe / TXNS as f64, de));
     }
-    let oltp_ratio = rows[0].1 / rows[1].1;
-    let dss_ratio = rows[0].2 / rows[1].2;
-    println!();
-    println!(
+    let oltp_ratio = ratios[0].0 / ratios[1].0;
+    let dss_ratio = ratios[0].1 / ratios[1].1;
+    out.say(format!(
+        "index: B+tree fanout {}, height {height_150m} at 150 M rows ({height_150m} random pages per lookup)",
+        grail_storage::btree::FANOUT
+    ));
+    out.say(format!(
         "disk/flash energy ratio: {oltp_ratio:.0}x on OLTP vs {dss_ratio:.1}x on DSS — the gap IS"
-    );
-    println!(
-        "Sec. 5.3's claim: flash pays off where the workload is random, not where it streams."
-    );
+    ));
+    out.say("Sec. 5.3's claim: flash pays off where the workload is random, not where it streams.");
+    out
 }

@@ -9,12 +9,13 @@
 //!    2008 DRAM (~0.5 nW/byte idle) it lies, which quantifies the
 //!    speculation.
 
-use grail_bench::{print_header, print_row, ExperimentRecord};
+use super::Outcome;
+use crate::ExperimentRecord;
 use grail_optimizer::cost::{CostModel, HardwareDesc};
 use grail_optimizer::enumerate::{best_access_path, best_plan, JoinAlgo, PlanNode, Relation};
 use grail_optimizer::objective::Objective;
+use grail_par::Runner;
 use grail_power::units::Watts;
-use std::path::Path;
 
 fn rel(name: &str, rows: f64, stored_bytes: f64, decode_cpv: f64) -> Relation {
     Relation {
@@ -26,14 +27,10 @@ fn rel(name: &str, rows: f64, stored_bytes: f64, decode_cpv: f64) -> Relation {
     }
 }
 
-fn main() {
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
 
     // Part 1: access-path choice by objective.
-    print_header(
-        "EXT-OPT",
-        "objective-dependent access path (Fig. 2 as an optimizer rule)",
-    );
     let m = CostModel::new(HardwareDesc::fig2_flash_scanner());
     let variants = [
         rel("orders_plain", 150.0e6, 6.0e9, 0.0),
@@ -41,21 +38,18 @@ fn main() {
     ];
     for obj in [Objective::MinTime, Objective::MinEnergy, Objective::MinEdp] {
         let (pick, cost) = best_access_path(&variants, &m, obj);
-        let rec = ExperimentRecord::new(
+        out.push(ExperimentRecord::new(
             "EXT-OPT",
             &format!("{}:{}", obj.name(), variants[pick].name),
             cost.elapsed_secs,
             cost.energy_j,
             150.0e6,
             serde_json::json!({"objective": obj.name(), "picked": variants[pick].name}),
-        );
-        print_row(&rec);
-        rec.append_to(out).expect("append");
+        ));
     }
 
     // Part 2: the join-flip sensitivity sweep.
-    println!();
-    println!("join-algorithm flip threshold (marginal accounting, build 2M rows, probe 10K rows):");
+    out.say("join-algorithm flip threshold (marginal accounting, build 2M rows, probe 10K rows):");
     let mut hw = HardwareDesc::dl785(66);
     hw.base = Watts::ZERO;
     hw.cpu_idle = Watts::ZERO;
@@ -84,47 +78,37 @@ fn main() {
             },
             _ => "scan",
         };
-        println!(
+        out.say(format!(
             "  mem_power = 1e{exp:+} W/B: forced-big-build energy flips to NL: {energy_prefers_nl}; free MinEnergy plan uses {free_algo}"
-        );
+        ));
         if energy_prefers_nl && flip_at.is_none() {
             flip_at = Some(mem_w);
         }
     }
     let threshold = flip_at.unwrap_or(f64::INFINITY);
-    println!();
-    println!(
+    out.say(format!(
         "flip threshold m* ≈ {threshold:.1e} W/byte; 2008 DDR2 idle ≈ 5e-10 W/byte → {:.0e}× above reality",
         threshold / 5e-10
-    );
-    println!(
-        "=> Sec. 4.1's join-flip needs either far hungrier memory or pipelined-overlap plans;"
-    );
-    println!("   the access-path flip (part 1) is the realistic instance of the same principle.");
-    ExperimentRecord::new(
+    ));
+    out.say("=> Sec. 4.1's join-flip needs either far hungrier memory or pipelined-overlap plans;");
+    out.say("   the access-path flip (the first three rows) is the realistic instance of the same principle.");
+    out.push(ExperimentRecord::new(
         "EXT-OPT",
         "join_flip_threshold",
         0.0,
         0.0,
         0.0,
         serde_json::json!({"mem_watts_per_byte_threshold": threshold}),
-    )
-    .append_to(out)
-    .expect("append");
+    ));
 
     // Part 3: the *realistic* join flip — index nested-loop vs hash on
     // the flash scanner, sweeping probe cardinality. INL's descents are
     // flash-latency-bound (5 W); hash must scan + build the 2 M-row
-    // inner on the 90 W CPU.
-    println!();
-    println!("index-NL vs hash join on the flash scanner (inner = 2M rows, 3-page descents):");
+    // inner on the 90 W CPU. Each row is the INL plan; its detail line
+    // carries the hash-join twin.
     let m = CostModel::new(HardwareDesc::fig2_flash_scanner());
     let inner_rows = 2.0e6;
     let inner_scan = m.scan(inner_rows * 4.0, inner_rows * 32.0, 0.0);
-    println!(
-        "{:>10} {:>12} {:>12} {:>12} {:>12} {:>14}",
-        "probe", "HJ time", "INL time", "HJ energy", "INL energy", "winner(t / E)"
-    );
     let mut band = (None, None);
     for probe in [100.0f64, 500.0, 1000.0, 2000.0, 5000.0, 20_000.0, 1.0e6] {
         let hj = inner_scan.then(&m.hash_join(inner_rows, 4.0, probe));
@@ -143,11 +127,7 @@ fn main() {
             band.0.get_or_insert(probe);
             band.1 = Some(probe);
         }
-        println!(
-            "{probe:>10.0} {:>11.3}s {:>11.3}s {:>11.1}J {:>11.1}J {:>9} / {}",
-            hj.elapsed_secs, inl.elapsed_secs, hj.energy_j, inl.energy_j, t_winner, e_winner
-        );
-        ExperimentRecord::new(
+        out.push(ExperimentRecord::new(
             "EXT-OPT",
             &format!("inl_vs_hj_probe_{probe:.0}"),
             inl.elapsed_secs,
@@ -159,16 +139,19 @@ fn main() {
                 "time_winner": t_winner,
                 "energy_winner": e_winner,
             }),
-        )
-        .append_to(out)
-        .expect("append");
+        ));
+        out.detail(format!(
+            "    vs hash join {:.3}s {:.1}J   winner time / energy: {t_winner} / {e_winner}",
+            hj.elapsed_secs, hj.energy_j
+        ));
     }
+    out.say("index-NL vs hash join on the flash scanner (inner = 2M rows, 3-page descents):");
     if let (Some(lo), Some(hi)) = band {
-        println!();
-        println!(
+        out.say(format!(
             "=> for probe sizes ~{lo:.0}..{hi:.0} the objectives disagree with REALISTIC numbers:"
-        );
-        println!("   time picks the hash join, energy picks the index nested-loop — the Sec. 4.1");
-        println!("   flip, live, once the join that avoids the 90 W CPU exists in the plan space.");
+        ));
+        out.say("   time picks the hash join, energy picks the index nested-loop — the Sec. 4.1");
+        out.say("   flip, live, once the join that avoids the 90 W CPU exists in the plan space.");
     }
+    out
 }

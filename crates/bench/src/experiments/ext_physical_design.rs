@@ -9,7 +9,9 @@
 //!    Fig. 1's knob, "the costs associated with creating or maintaining
 //!    different partitionings".
 
-use grail_bench::{print_header, print_row, ExperimentRecord};
+use super::Outcome;
+use crate::ExperimentRecord;
+use grail_par::Runner;
 use grail_power::components::CpuPowerProfile;
 use grail_power::components::DiskPowerProfile;
 use grail_power::units::{Bytes, Cycles, Hertz, SimInstant, Watts};
@@ -18,7 +20,6 @@ use grail_sim::raid::RaidLevel;
 use grail_sim::sim::Simulation;
 use grail_sim::StorageTarget;
 use grail_storage::partition::{PartitionKind, Partitioning, ReplicaSet};
-use std::path::Path;
 
 const TABLE_BYTES: u64 = 64 << 30; // one replica's footprint
 
@@ -87,12 +88,8 @@ fn serve(
     )
 }
 
-fn main() {
-    print_header(
-        "EXT-PHYS",
-        "read replicas as an energy knob (66 disks total, narrow replica on 12)",
-    );
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let scan = 8u64 << 30; // 8 GiB per query
     let window = 3600.0; // the machine is on for this hour regardless
     for (label, width, period) in [
@@ -104,45 +101,40 @@ fn main() {
         ("heavy_narrow12", 12, 4.0),
     ] {
         let (lat, e, served) = serve(width, 66, period, window, scan);
-        let rec = ExperimentRecord::new(
+        out.push(ExperimentRecord::new(
             "EXT-PHYS",
             label,
             window,
             e,
             served as f64,
             serde_json::json!({"active_disks": width, "mean_latency_s": lat}),
-        );
-        print_row(&rec);
-        println!("    served {served} queries, mean latency {lat:.1}s");
-        rec.append_to(out).expect("append");
+        ));
+        out.detail(format!(
+            "    served {served} queries, mean latency {lat:.1}s"
+        ));
     }
-    println!();
-    println!("expected shape: over a fixed hour at light load, the narrow replica wins energy");
-    println!("(54 spindles sleep all hour) at a latency price; at heavy load the narrow array");
-    println!("saturates (queueing latency explodes) and the wide replica wins both metrics.");
+    out.say("expected shape: over a fixed hour at light load, the narrow replica wins energy");
+    out.say("(54 spindles sleep all hour) at a latency price; at heavy load the narrow array");
+    out.say("saturates (queueing latency explodes) and the wide replica wins both metrics.");
 
-    // Repartitioning cost table.
-    println!();
-    println!("repartitioning cost (bytes moved) from 204-disk layout, {TABLE_BYTES}-byte table:");
+    // Repartitioning cost rows: bytes moved from the 204-disk layout.
     let from = Partitioning::even(PartitionKind::Hash, 204, TABLE_BYTES).expect("layout");
     for to in [108u32, 66, 36] {
         let target = Partitioning::even(PartitionKind::Hash, to, TABLE_BYTES).expect("layout");
         let moved = from.repartition_bytes(&target);
-        println!(
-            "  204 -> {to:>3} disks: {:.1} GiB moved ({:.0}% of table)",
-            moved as f64 / (1u64 << 30) as f64,
-            100.0 * moved as f64 / TABLE_BYTES as f64
-        );
-        ExperimentRecord::new(
+        out.push(ExperimentRecord::new(
             "EXT-PHYS",
             &format!("repartition_204_to_{to}"),
             0.0,
             0.0,
             moved as f64,
             serde_json::json!({"bytes_moved": moved}),
-        )
-        .append_to(out)
-        .expect("append");
+        ));
+        out.detail(format!(
+            "    204 -> {to:>3} disks: {:.1} GiB moved ({:.0}% of the {TABLE_BYTES}-byte table)",
+            moved as f64 / (1u64 << 30) as f64,
+            100.0 * moved as f64 / TABLE_BYTES as f64
+        ));
     }
 
     // Replica-set bookkeeping sanity (the capacity price).
@@ -153,10 +145,11 @@ fn main() {
         table_bytes: TABLE_BYTES,
     };
     let rs = ReplicaSet::new(vec![wide, narrow.clone()]).expect("replicas");
-    println!();
-    println!(
+    out.say("");
+    out.say(format!(
         "replica set: {} GiB total storage for both replicas; {} spindles idle when narrow serves",
         rs.total_bytes() >> 30,
         rs.idle_slots(&narrow).len()
-    );
+    ));
+    out
 }

@@ -8,7 +8,9 @@
 //! a real simulated disk with an oracle governor on the inter-burst
 //! gaps.
 
-use grail_bench::{print_header, ExperimentRecord};
+use super::Outcome;
+use crate::ExperimentRecord;
+use grail_par::Runner;
 use grail_power::components::DiskPowerProfile;
 use grail_power::units::{Bytes, SimDuration, SimInstant};
 use grail_scheduler::governor::{IdleGovernor, OracleGovernor, ParkCosts};
@@ -16,12 +18,11 @@ use grail_sim::perf::{AccessPattern, DiskPerfProfile};
 use grail_sim::sim::Simulation;
 use grail_sim::StorageTarget;
 use grail_storage::prefetch::BurstPlan;
-use std::path::Path;
 
 const TOTAL_PAGES: u64 = 2_000;
 const PAGE: u64 = 1 << 20;
 
-fn run(burst: u32) -> (f64, u32) {
+fn fetch_in_bursts(burst: u32) -> (f64, u32) {
     let consume = SimDuration::from_millis(100);
     let plan = BurstPlan::plan(TOTAL_PAGES, consume, burst, SimDuration::from_millis(50));
     let costs = ParkCosts::scsi_15k();
@@ -57,12 +58,8 @@ fn run(burst: u32) -> (f64, u32) {
     (rep.total_energy().joules(), parks)
 }
 
-fn main() {
-    print_header(
-        "EXT-PREFETCH",
-        "burst prefetching [PS04]: disk energy vs burst size (oracle governor)",
-    );
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let break_even = ParkCosts::scsi_15k().break_even;
     let min_burst = BurstPlan::min_burst_for_gap(
         SimDuration::from_millis(100),
@@ -70,39 +67,30 @@ fn main() {
         break_even,
         10_000,
     );
-    println!(
-        "consumer: 1 MiB / 100 ms; disk break-even {:.1}s; min park-worthy burst: {:?} pages",
-        break_even.as_secs_f64(),
-        min_burst
-    );
-    println!(
-        "{:>8} {:>12} {:>8} {:>12} {:>10}",
-        "burst", "energy (J)", "parks", "buffer", "vs burst=1"
-    );
-    let (baseline, _) = run(1);
+    let (baseline, _) = fetch_in_bursts(1);
     for burst in [1u32, 8, 32, 64, 160, 320, 640] {
-        let (e, parks) = run(burst);
-        println!(
-            "{:>8} {:>12.0} {:>8} {:>11}M {:>9.1}%",
-            burst,
-            e,
-            parks,
-            (burst as u64 * PAGE) >> 20,
-            100.0 * e / baseline
-        );
-        ExperimentRecord::new(
+        let (e, parks) = fetch_in_bursts(burst);
+        out.push(ExperimentRecord::new(
             "EXT-PREFETCH",
             &format!("burst={burst}"),
             (TOTAL_PAGES as f64) * 0.1,
             e,
             TOTAL_PAGES as f64,
             serde_json::json!({"parks": parks, "buffer_bytes": burst as u64 * PAGE}),
-        )
-        .append_to(out)
-        .expect("append");
+        ));
+        out.detail(format!(
+            "    parks {parks:>4}   buffer {:>4}M   {:>5.1}% of burst=1",
+            (burst as u64 * PAGE) >> 20,
+            100.0 * e / baseline
+        ));
     }
-    println!();
-    println!("shape: below the park-worthy burst size nothing changes; above it the disk");
-    println!("sleeps between bursts and energy falls — buffer space buys idle-period length,");
-    println!("exactly the [PS04] trade Sec. 4.2 wants storage managers to adopt.");
+    out.say(format!(
+        "consumer: 1 MiB / 100 ms; disk break-even {:.1}s; min park-worthy burst: {:?} pages",
+        break_even.as_secs_f64(),
+        min_burst
+    ));
+    out.say("shape: below the park-worthy burst size nothing changes; above it the disk");
+    out.say("sleeps between bursts and energy falls — buffer space buys idle-period length,");
+    out.say("exactly the [PS04] trade Sec. 4.2 wants storage managers to adopt.");
+    out
 }

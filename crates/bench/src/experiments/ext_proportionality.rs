@@ -6,14 +6,14 @@
 //! real servers collapse below ~30% utilization — exactly the band
 //! \[BH07\] found Google's servers living in.
 
-use grail_bench::{print_header, ExperimentRecord};
+use super::Outcome;
+use crate::ExperimentRecord;
+use grail_par::Runner;
 use grail_power::proportionality::PowerCurve;
 use grail_power::units::Watts;
-use std::path::Path;
 
-fn main() {
-    print_header("EXT-PROP", "energy proportionality: EE vs utilization");
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let peak_perf = 1000.0; // work/s at full load
     let curves: [(&str, PowerCurve); 3] = [
         (
@@ -27,10 +27,8 @@ fn main() {
         ),
         ("proportional_ideal", PowerCurve::ideal(Watts::new(400.0))),
     ];
-    println!(
-        "{:<22} {:>6} {:>10} {:>12} {:>10}",
-        "curve", "util", "power(W)", "EE(work/J)", "EE/peakEE"
-    );
+    // Rows carry power (W) in the energy column and work/s in the work
+    // column, so the EE column reads work per Joule at that utilization.
     for (name, curve) in &curves {
         let peak_ee = curve.efficiency_at(1.0, peak_perf).work_per_joule();
         for s in curve.sample(10, peak_perf) {
@@ -39,15 +37,7 @@ fn main() {
             } else {
                 0.0
             };
-            println!(
-                "{:<22} {:>6.2} {:>10.1} {:>12.4} {:>10.3}",
-                name,
-                s.utilization,
-                s.power.get(),
-                s.efficiency.work_per_joule(),
-                rel
-            );
-            ExperimentRecord::new(
+            out.push(ExperimentRecord::new(
                 "EXT-PROP",
                 &format!("{name}@{:.1}", s.utilization),
                 0.0,
@@ -58,17 +48,16 @@ fn main() {
                     "power_w": s.power.get(),
                     "ee_rel_to_peak": rel,
                 }),
-            )
-            .append_to(out)
-            .expect("append");
+            ));
+            out.detail(format!("    EE / peak EE {rel:.3}"));
         }
-        println!(
-            "  -> dynamic range {:.1}%, proportionality index {:.3}",
+        out.say(format!(
+            "{name}: dynamic range {:.1}%, proportionality index {:.3}",
             curve.dynamic_range() * 100.0,
             curve.proportionality_index()
-        );
+        ));
     }
-    println!();
-    println!("paper/[BH07]: servers live at 10-50% utilization, where classic curves waste most;");
-    println!("the DL785 row shows why Fig. 1's only power knob was removing spindles entirely.");
+    out.say("paper/[BH07]: servers live at 10-50% utilization, where classic curves waste most;");
+    out.say("the DL785 row shows why Fig. 1's only power knob was removing spindles entirely.");
+    out
 }

@@ -7,7 +7,9 @@
 //! sharing on a real simulated disk array — latency is identical by
 //! construction (each query still waits one full pass).
 
-use grail_bench::{print_header, ExperimentRecord};
+use super::Outcome;
+use crate::ExperimentRecord;
+use grail_par::Runner;
 use grail_power::components::DiskPowerProfile;
 use grail_power::units::{Bytes, SimDuration, SimInstant, Watts};
 use grail_scheduler::sharing::share_scans;
@@ -16,7 +18,6 @@ use grail_sim::raid::RaidLevel;
 use grail_sim::sim::Simulation;
 use grail_sim::StorageTarget;
 use grail_workload::mix::poisson_arrivals;
-use std::path::Path;
 
 const QUERIES: usize = 60;
 const SCAN_BYTES: u64 = 4 << 30; // one full pass
@@ -95,18 +96,10 @@ fn shared(arrivals: &[SimInstant], pass: SimDuration) -> (f64, usize) {
     )
 }
 
-fn main() {
-    print_header(
-        "EXT-SHARE",
-        "circular scan sharing vs independent scans (8-disk array)",
-    );
-    let out = Path::new("experiments.jsonl");
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let (_, _, pass_secs) = machine();
-    println!("one pass = {pass_secs:.1}s; {QUERIES} queries per episode");
-    println!(
-        "{:>14} {:>12} {:>12} {:>8} {:>10}",
-        "arrival rate", "solo (kJ)", "shared (kJ)", "passes", "saved"
-    );
+    // Rows carry the shared-scan energy; the detail line has the solo twin.
     for (label, rate) in [
         ("1 per 2 passes", 0.5 / pass_secs),
         ("1 per pass", 1.0 / pass_secs),
@@ -117,15 +110,7 @@ fn main() {
         let e_solo = solo(&arrivals);
         let (e_shared, passes) = shared(&arrivals, SimDuration::from_secs_f64(pass_secs));
         let saved = 1.0 - e_shared / e_solo;
-        println!(
-            "{:>14} {:>12.1} {:>12.1} {:>8} {:>9.1}%",
-            label,
-            e_solo / 1000.0,
-            e_shared / 1000.0,
-            passes,
-            saved * 100.0
-        );
-        ExperimentRecord::new(
+        out.push(ExperimentRecord::new(
             "EXT-SHARE",
             label,
             0.0,
@@ -136,11 +121,18 @@ fn main() {
                 "physical_scans": passes,
                 "saved_frac": saved,
             }),
-        )
-        .append_to(out)
-        .expect("append");
+        ));
+        out.detail(format!(
+            "    solo {:.1} kJ   shared {:.1} kJ in {passes} passes   saved {:.1}%",
+            e_solo / 1000.0,
+            e_shared / 1000.0,
+            saved * 100.0
+        ));
     }
-    println!();
-    println!("shape: below one arrival per pass, nothing to share; as concurrency rises the");
-    println!("device converges to one continuous pass serving everyone — Sec. 5.2's shared work.");
+    out.say(format!(
+        "one pass = {pass_secs:.1}s; {QUERIES} queries per episode"
+    ));
+    out.say("shape: below one arrival per pass, nothing to share; as concurrency rises the");
+    out.say("device converges to one continuous pass serving everyone — Sec. 5.2's shared work.");
+    out
 }

@@ -7,52 +7,53 @@
 //! CPU-bound (5.5 s total, 5.1 s CPU) — ~2× faster yet ~44% **more**
 //! energy (487 J), because the CPU is 18× the power of the flash.
 //!
-//! Both bars run through `grail_par` (`--threads N`/`--sequential`);
-//! reporting happens serially in input order, so output is identical in
-//! every mode.
+//! Both bars run through `grail_par`; rows are reported in input
+//! order, so output is identical at every thread count. The grouped
+//! bars of the figure are returned as `figures/fig2_bars.csv`.
 
-use grail_bench::points::{fig2_point, FIG2_MODES};
-use grail_bench::{print_header, print_row};
+use super::Outcome;
+use crate::points::{fig2_point, FIG2_MODES};
+use crate::{cell_f64, Csv, ExperimentRecord};
 use grail_par::Runner;
-use std::path::Path;
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let runner = Runner::from_cli_args(&mut args);
-
-    print_header(
-        "FIG2",
-        "ORDERS 5/7-column scan, uncompressed vs compressed (1 CPU @90W, 3 SSDs @5W)",
-    );
+pub(super) fn run(runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
     let recs = runner.run(&FIG2_MODES, |_, (label, mode)| fig2_point(label, *mode));
-    let out = Path::new("experiments.jsonl");
+    let cpu_busy = |r: &ExperimentRecord| r.extra["cpu_busy_secs"].as_f64().expect("recorded");
+    let mut bars = Csv::new(&["config", "total_s", "cpu_s", "energy_j"]);
     for rec in &recs {
-        print_row(rec);
-        rec.append_to(out).expect("append experiments.jsonl");
+        bars.row(&[
+            rec.config.clone(),
+            cell_f64(rec.elapsed_secs),
+            cell_f64(cpu_busy(rec)),
+            cell_f64(rec.energy_j),
+        ]);
     }
+    out.figure("figures/fig2_bars.csv", bars.finish());
 
-    let cpu_busy =
-        |r: &grail_bench::ExperimentRecord| r.extra["cpu_busy_secs"].as_f64().expect("recorded");
     let (unc, cmp) = (&recs[0], &recs[1]);
-    println!();
-    println!(
+    out.say(format!(
         "uncompressed: total {:.2}s  CPU {:.2}s  E {:.0}J   (paper: 10s / 3.2s / 338J)",
         unc.elapsed_secs,
         cpu_busy(unc),
         unc.energy_j
-    );
-    println!(
+    ));
+    out.say(format!(
         "compressed:   total {:.2}s  CPU {:.2}s  E {:.0}J   (paper: 5.5s / 5.1s / 487J)",
         cmp.elapsed_secs,
         cpu_busy(cmp),
         cmp.energy_j
-    );
-    println!(
+    ));
+    out.say(format!(
         "speedup {:.2}x (paper ~1.8x); energy ratio {:.2}x (paper ~1.44x)",
         unc.elapsed_secs / cmp.elapsed_secs,
         cmp.energy_j / unc.energy_j
+    ));
+    out.say(
+        "=> the faster plan burns more Joules: optimizing for performance != optimizing for energy",
     );
-    println!(
-        "=> the faster plan burns more Joules: optimizing for performance != optimizing for energy"
-    );
+    for rec in recs {
+        out.push(rec);
+    }
+    out
 }

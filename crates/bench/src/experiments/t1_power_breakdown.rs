@@ -8,25 +8,18 @@
 //!   use" — we report the idle-to-peak dynamic range of the DL785
 //!   profile and contrast it with the flash scanner.
 
-use grail_bench::{print_header, print_row, ExperimentRecord};
-use grail_core::db::{CompressionMode, EnergyAwareDb, ExecPolicy};
-use grail_core::profile::HardwareProfile;
+use super::Outcome;
+use crate::points::{fig1_db, fig1_throughput, FIG1_DISKS};
+use crate::ExperimentRecord;
+use grail_par::Runner;
 use grail_power::units::SimDuration;
-use grail_workload::tpch::TpchScale;
-use std::path::Path;
 
-fn main() {
-    print_header("T1", "power breakdown and dynamic range per configuration");
-    let out = Path::new("experiments.jsonl");
-    let policy = ExecPolicy {
-        compression: CompressionMode::Plain,
-        dop: 4,
-    };
-    for disks in [36usize, 66, 108, 204] {
-        let mut db = EnergyAwareDb::new(HardwareProfile::server_dl785(disks));
-        db.load_tpch(TpchScale::toy());
+pub(super) fn run(_runner: &Runner) -> Outcome {
+    let mut out = Outcome::default();
+    for disks in FIG1_DISKS {
+        let db = fig1_db(disks);
         let idle = db.run_idle(SimDuration::from_secs(1000));
-        let run = db.run_throughput_test(8, 4, policy, 30_000.0);
+        let run = fig1_throughput(&db);
         let idle_power = idle.avg_power().get();
         let peak_power = run.avg_power().get();
         let idle_disk_share = idle.disk_share();
@@ -46,16 +39,15 @@ fn main() {
                 "dynamic_range": dynamic_range,
             }),
         );
-        print_row(&rec);
-        rec.append_to(out).expect("append experiments.jsonl");
-        println!(
-            "    idle {idle_power:.0}W  run-avg {peak_power:.0}W  dyn-range {:.1}%  disk share: configured {:.1}% / measured {:.1}%",
-            dynamic_range * 100.0,
-            idle_disk_share * 100.0,
-            run_disk_share * 100.0
-        );
+        out.push(rec);
+        out.detail(format!(
+                "    idle {idle_power:.0}W  run-avg {peak_power:.0}W  dyn-range {:.1}%  disk share: configured {:.1}% / measured {:.1}%",
+                dynamic_range * 100.0,
+                idle_disk_share * 100.0,
+                run_disk_share * 100.0
+            ));
     }
-    println!();
-    println!("paper claims: disk subsystem >50% of system power (DSS configs);");
-    println!("              classic servers show little idle-to-peak power variance.");
+    out.say("paper claims: disk subsystem >50% of system power (DSS configs);");
+    out.say("              classic servers show little idle-to-peak power variance.");
+    out
 }

@@ -1,17 +1,21 @@
 //! # grail-bench — the experiment harness
 //!
-//! One binary per figure/table of the paper (see DESIGN.md §3 for the
-//! index), plus Criterion micro-benches. The library part holds shared
-//! reporting helpers so every binary prints comparable rows and appends
-//! machine-readable JSON records.
+//! One table ([`EXPERIMENTS`]), one row per figure/table of the paper
+//! (DESIGN.md §3 is the index), each row a pure function returning an
+//! [`Outcome`]: records, console lines and figure bytes. The
+//! `grail-bench` binary (`src/main.rs`) is the only code that prints,
+//! appends the record file and writes `figures/*`; `grail-bench list`
+//! shows the rows and `grail-bench run <ID>…|all` executes them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod csv;
+pub mod experiments;
 pub mod points;
 pub mod record;
 
 pub use csv::{cell_f64, Csv};
-pub use record::{print_header, print_row, ExperimentRecord};
+pub use experiments::{Experiment, Outcome, EXPERIMENTS};
+pub use record::ExperimentRecord;

@@ -1,20 +1,22 @@
-//! Pure experiment point functions shared by the figure binaries.
+//! Pure experiment point functions shared by the swept experiments
+//! (and mirrored by `perf/`'s frozen copies).
 //!
 //! Each function maps one swept configuration to its
 //! [`ExperimentRecord`] using a private simulation world (fresh
 //! `EnergyAwareDb` / `Simulation` per call, seeded deterministically),
 //! so points are independent and safe to fan across `grail_par`
-//! threads. The binaries own all printing and file appends — points
-//! compute, the caller reports, and the report order is the input
-//! order regardless of execution mode.
+//! threads. Points compute, the experiment assembles its `Outcome`,
+//! the driver reports — and the report order is the input order
+//! regardless of execution mode.
 
 use crate::ExperimentRecord;
 use grail_core::db::{CompressionMode, EnergyAwareDb, ExecPolicy};
 use grail_core::profile::HardwareProfile;
+use grail_core::report::EnergyReport;
 use grail_power::components::{CpuPowerProfile, DiskPowerProfile};
 use grail_power::units::{Bytes, Cycles, Hertz, SimDuration, SimInstant};
-use grail_scheduler::chaos::{run_chaos, ChaosPolicy, ChaosReport};
-use grail_scheduler::cluster::{chaos_fleet, Machine, PlacementPolicy};
+use grail_scheduler::chaos::{reference_storm, run_chaos, ChaosPolicy, ChaosReport};
+use grail_scheduler::cluster::{Machine, PlacementPolicy};
 use grail_scheduler::governor::{
     IdleGovernor, NeverPark, OracleGovernor, ParkCosts, TimeoutGovernor,
 };
@@ -38,18 +40,28 @@ pub const FIG1_DISKS: [usize; 4] = [36, 66, 108, 204];
 /// regime.
 pub const FIG1_STRETCH: f64 = 30_000.0;
 
-/// One point of the Figure 1 sweep: the TPC-H-like throughput test on
-/// a `disks`-spindle DL785 class server.
-pub fn fig1_point(disks: usize) -> ExperimentRecord {
-    let streams = 8;
-    let queries_per_stream = 4;
+/// The Figure 1 server: a `disks`-spindle DL785 with the toy TPC-H
+/// tables loaded (shared with T1, which prices the same configurations).
+pub fn fig1_db(disks: usize) -> EnergyAwareDb {
+    let mut db = EnergyAwareDb::new(HardwareProfile::server_dl785(disks));
+    db.load_tpch(TpchScale::toy());
+    db
+}
+
+/// The Figure 1 throughput test on `db`: 8 streams × 4 queries at DOP 4
+/// over the Plain layout, stretched by [`FIG1_STRETCH`].
+pub fn fig1_throughput(db: &EnergyAwareDb) -> EnergyReport {
     let policy = ExecPolicy {
         compression: CompressionMode::Plain,
         dop: 4,
     };
-    let mut db = EnergyAwareDb::new(HardwareProfile::server_dl785(disks));
-    db.load_tpch(TpchScale::toy());
-    let r = db.run_throughput_test(streams, queries_per_stream, policy, FIG1_STRETCH);
+    db.run_throughput_test(8, 4, policy, FIG1_STRETCH)
+}
+
+/// One point of the Figure 1 sweep: the TPC-H-like throughput test on
+/// a `disks`-spindle DL785 class server.
+pub fn fig1_point(disks: usize) -> ExperimentRecord {
+    let r = fig1_throughput(&fig1_db(disks));
     ExperimentRecord::new(
         "FIG1",
         &format!("disks={disks}"),
@@ -292,32 +304,11 @@ pub const CHAOS_POLICIES: [&str; 4] = [
     "consolidate-r1",
 ];
 
-/// Seed for the chaos schedules (shared with EXT-FAULT's plan seed).
-pub const CHAOS_SEED: u64 = 1009;
-
-const CHAOS_DOMAINS: u32 = 4;
-const CHAOS_PER_DOMAIN: u32 = 6;
-const CHAOS_DEMAND_FRAC: f64 = 0.25;
-
-/// Horizon of every EXT-CHAOS cell: two simulated days.
-pub const CHAOS_HORIZON: SimDuration = SimDuration::from_secs(2 * 86_400);
-
 /// The seeded chaos intensity behind a sweep name.
 pub fn chaos_config(level: &str) -> ChaosConfig {
     match level {
         "calm" => ChaosConfig::NONE,
-        "storm" => ChaosConfig {
-            machine_mtbf: Some(SimDuration::from_secs(86_400)),
-            machine_restart: SimDuration::from_secs(600),
-            domain_mtbf: Some(SimDuration::from_secs(4 * 86_400)),
-            domain_outage: SimDuration::from_secs(1_800),
-            brownout_mtbf: Some(SimDuration::from_secs(86_400)),
-            brownout: SimDuration::from_secs(3_600),
-            brownout_cap_frac: 0.7,
-            surge_mtbf: Some(SimDuration::from_secs(43_200)),
-            surge: SimDuration::from_secs(2_400),
-            surge_factor: 1.5,
-        },
+        "storm" => *reference_storm().1.config(),
         "hurricane" => ChaosConfig {
             machine_mtbf: Some(SimDuration::from_secs(6 * 3_600)),
             machine_restart: SimDuration::from_secs(900),
@@ -350,20 +341,21 @@ pub fn chaos_policy(name: &str) -> ChaosPolicy {
     }
 }
 
-/// The fleet and seeded schedule behind an EXT-CHAOS level: a 24-machine
-/// fleet spanning [`CHAOS_DOMAINS`] fault domains and the level's chaos
-/// schedule over [`CHAOS_HORIZON`].
+/// The fleet, seeded schedule and demand behind an EXT-CHAOS level:
+/// the reference storm's 24-machine, 4-domain fleet at 25 % demand over
+/// two simulated days, with the level's chaos intensity drawn from the
+/// storm's seed — so `"storm"` *is* [`reference_storm`], and one edit
+/// there moves every level.
 pub fn chaos_world(level: &str) -> (Vec<Machine>, ChaosSchedule, f64) {
-    let fleet = chaos_fleet(CHAOS_DOMAINS, CHAOS_PER_DOMAIN);
+    let (fleet, storm, demand, _) = reference_storm();
     let schedule = ChaosSchedule::generate(
         chaos_config(level),
-        CHAOS_SEED,
-        fleet.len() as u32,
-        CHAOS_DOMAINS,
-        CHAOS_HORIZON,
+        storm.seed(),
+        storm.machines(),
+        storm.domains(),
+        storm.horizon(),
     );
-    let total: f64 = fleet.iter().map(|m| m.capacity).sum();
-    (fleet, schedule, total * CHAOS_DEMAND_FRAC)
+    (fleet, schedule, demand)
 }
 
 /// Run one EXT-CHAOS cell and return the raw report (shared by the
@@ -438,33 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn points_serialize_identically_sequential_and_parallel() {
-        use grail_par::Runner;
-        // Both FIG2 modes, then one faulted EXT-FAULT cell.
-        let point = |i: usize| match FIG2_MODES.get(i) {
-            Some(&(label, mode)) => fig2_point(label, mode),
-            None => fault_point("wearing", "timeout10s"),
-        };
-        let cells: Vec<usize> = (0..=FIG2_MODES.len()).collect();
-        let render =
-            |runner: Runner| runner.run(&cells, |_, &i| serde_json::to_string(&point(i)).unwrap());
-        assert_eq!(
-            render(Runner::sequential()),
-            render(Runner::with_threads(2))
-        );
-    }
-
-    #[test]
-    fn fault_grid_names_resolve() {
-        for l in FAULT_LEVELS {
-            let _ = fault_config(l);
-        }
-        for g in FAULT_GOVERNORS {
-            let _ = fault_governor(g);
-        }
-    }
-
-    #[test]
     fn chaos_grid_names_resolve() {
         for l in CHAOS_LEVELS {
             let _ = chaos_config(l);
@@ -487,6 +452,13 @@ mod tests {
         assert!(r.conservation_error() <= 1e-6 * r.offered.max(1.0));
         let line = chaos_detail_line(&a);
         assert!(line.contains("avail"), "{line}");
+    }
+
+    #[test]
+    fn storm_level_is_the_reference_storm() {
+        let (fleet, schedule, demand, policy) = reference_storm();
+        assert_eq!(chaos_world("storm"), (fleet, schedule, demand));
+        assert_eq!(chaos_policy("consolidate-r2"), policy);
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Shared reporting for the experiment binaries: aligned console rows
-//! plus machine-readable JSON records appended to `experiments.jsonl`.
+//! The machine-readable result row every experiment emits; the
+//! `grail-bench` driver prints it and appends it, as one JSON line, to
+//! the run directory's record file.
 
 use serde::Serialize;
-use std::fs::OpenOptions;
-use std::io::Write;
-use std::path::Path;
 
 /// One experiment result row, serialized to JSONL for EXPERIMENTS.md
 /// tooling.
@@ -46,32 +44,6 @@ impl ExperimentRecord {
             extra,
         }
     }
-
-    /// Append this record to `path` as one JSON line.
-    pub fn append_to(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = OpenOptions::new().create(true).append(true).open(path)?;
-        writeln!(f, "{}", serde_json::to_string(self).expect("serializable"))
-    }
-}
-
-/// Print an experiment header.
-pub fn print_header(experiment: &str, description: &str) {
-    // grail-lint: allow(print-hygiene, console reporting helper called only from the experiment binaries)
-    println!("== {experiment}: {description}");
-    // grail-lint: allow(print-hygiene, console reporting helper called only from the experiment binaries)
-    println!(
-        "{:<26} {:>12} {:>14} {:>12} {:>14}",
-        "config", "time (s)", "energy (J)", "work", "EE (work/J)"
-    );
-}
-
-/// Print one aligned result row.
-pub fn print_row(r: &ExperimentRecord) {
-    // grail-lint: allow(print-hygiene, console reporting helper called only from the experiment binaries)
-    println!(
-        "{:<26} {:>12.3} {:>14.1} {:>12.0} {:>14.6e}",
-        r.config, r.elapsed_secs, r.energy_j, r.work, r.efficiency
-    );
 }
 
 #[cfg(test)]
@@ -84,20 +56,5 @@ mod tests {
         assert!((r.efficiency - 0.5).abs() < 1e-12);
         let z = ExperimentRecord::new("T", "c", 2.0, 0.0, 100.0, serde_json::json!({}));
         assert_eq!(z.efficiency, 0.0);
-    }
-
-    #[test]
-    fn append_writes_jsonl() {
-        let dir = std::env::temp_dir().join("grail_record_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let r = ExperimentRecord::new("FIGX", "cfg", 1.0, 10.0, 5.0, serde_json::json!({"k": 1}));
-        r.append_to(&path).unwrap();
-        r.append_to(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("\"experiment\":\"FIGX\""));
-        let _ = std::fs::remove_file(&path);
     }
 }

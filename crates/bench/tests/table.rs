@@ -1,0 +1,93 @@
+//! The experiment table against its documentation and against itself:
+//! IDs match DESIGN.md §3 and EXPERIMENTS.md, every row produces sane
+//! records, and what a row renders is byte-identical at any thread
+//! count.
+
+use grail_bench::{Experiment, Outcome, EXPERIMENTS};
+use grail_par::Runner;
+
+const DESIGN: &str = include_str!("../../../DESIGN.md");
+const EXPERIMENTS_MD: &str = include_str!("../../../EXPERIMENTS.md");
+
+/// Rows cheap enough for a debug `cargo test`, covering a db scan, a
+/// faulted simulation, a closed-form model and a fleet placement. The
+/// whole table runs in `full_table_*` (`--release -- --ignored`, CI
+/// `sweep` job).
+const TIER1_IDS: [&str; 4] = ["FIG2", "EXT-FAULT", "EXT-DVFS", "EXT-CLUSTER"];
+
+fn assert_sane(e: &Experiment, outcome: &Outcome) {
+    assert!(!outcome.rows.is_empty(), "{} produced no record", e.id);
+    for (rec, _) in &outcome.rows {
+        assert_eq!(rec.experiment, e.id, "{}: foreign record {rec:?}", e.id);
+        for v in [rec.elapsed_secs, rec.energy_j, rec.work, rec.efficiency] {
+            assert!(v.is_finite(), "{}: non-finite value in {rec:?}", e.id);
+        }
+        assert!(rec.energy_j >= 0.0, "{}: negative energy in {rec:?}", e.id);
+    }
+    for (path, _) in &outcome.figures {
+        assert!(
+            path.starts_with("figures/") && !path.contains(".."),
+            "{}: figure {path:?} escapes figures/",
+            e.id
+        );
+    }
+}
+
+#[test]
+fn ids_match_design_index_and_experiments_headings() {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+    for (i, id) in ids.iter().enumerate() {
+        assert!(!id.is_empty());
+        assert!(!ids[..i].contains(id), "duplicate table row {id}");
+    }
+    // DESIGN.md §3: the `| **<ID>** |` rows, in order — equality checks
+    // both directions (no row without a doc line, no doc line without a
+    // row).
+    let section = DESIGN
+        .split("\n## ")
+        .find(|s| s.starts_with("3. Experiment index"))
+        .expect("DESIGN.md has a §3 experiment index");
+    let documented: Vec<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| **")?.split_once("** |"))
+        .map(|(id, _)| id)
+        .collect();
+    assert_eq!(ids, documented, "table rows vs DESIGN.md §3 index");
+    for id in ids {
+        let heading = format!("## {id} — ");
+        assert!(
+            EXPERIMENTS_MD.lines().any(|l| l.starts_with(&heading)),
+            "EXPERIMENTS.md has no `{heading}…` section"
+        );
+    }
+}
+
+/// Run `rows` sequentially and on two threads: every outcome is sane
+/// and both runs render the same JSONL and figure bytes.
+fn check(rows: &[&Experiment]) {
+    let run_all =
+        |runner: Runner| -> Vec<Outcome> { rows.iter().map(|e| (e.run)(&runner)).collect() };
+    let sequential = run_all(Runner::sequential());
+    let threaded = run_all(Runner::with_threads(2));
+    for ((e, seq), par) in rows.iter().zip(&sequential).zip(&threaded) {
+        assert_sane(e, seq);
+        assert_eq!(seq.jsonl(), par.jsonl(), "{}: records differ", e.id);
+        assert_eq!(seq.figures, par.figures, "{}: figures differ", e.id);
+    }
+}
+
+#[test]
+fn tier1_rows_are_sane_and_thread_count_invariant() {
+    let rows: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|e| TIER1_IDS.contains(&e.id))
+        .collect();
+    assert_eq!(rows.len(), TIER1_IDS.len());
+    check(&rows);
+}
+
+#[test]
+#[ignore = "runs all 19 experiments twice; CI's sweep job runs it in release"]
+fn full_table_is_sane_and_thread_count_invariant() {
+    check(&EXPERIMENTS.iter().collect::<Vec<_>>());
+}

@@ -301,18 +301,21 @@ impl Placement {
     }
 }
 
-/// The outcome of failing a machine out of a running placement.
+/// The outcome of failing machines out of a running placement — one
+/// box, or a correlated loss (rack, PDU trip).
 ///
 /// Consolidation's dark side: the paper's Sec. 2.4 powers servers off to
 /// approximate energy-proportionality, but a machine failure then forces
 /// displaced load onto boxes that must first *boot* — paying a latency
 /// and an energy surge that a spread (availability-first) layout never
 /// sees. This struct makes that recovery cost explicit so experiments
-/// can put it on the ledger.
+/// can put it on the ledger. Demand the survivors cannot absorb is
+/// **shed** and reported, never silently dropped: `served + shed ==
+/// offered` always holds.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Failover {
-    /// The new placement over the full fleet; the failed machine carries
-    /// zero load and is not powered.
+    /// The new placement over the full fleet; failed machines carry zero
+    /// load and are not powered.
     pub placement: Placement,
     /// Indices of machines that had to be powered on (cold-booted) to
     /// absorb the displaced load.
@@ -322,95 +325,12 @@ pub struct Failover {
     /// Worst-case boot latency — how long displaced work waits before
     /// full capacity is back.
     pub boot_latency: SimDuration,
-    /// Work/s that had to move off the failed machine.
-    pub displaced: f64,
-}
-
-/// Re-place a running placement after machine `failed` dies.
-///
-/// The total demand (the sum of `before.loads`) is re-placed on the
-/// surviving machines under `policy`. Machines that were powered off in
-/// `before` but receive load now must cold-boot; their boot energy and
-/// the worst-case boot latency are reported so callers can charge them
-/// to a recovery ledger.
-///
-/// # Errors
-/// [`ClusterError::UnknownMachine`] if `failed` is out of range,
-/// [`ClusterError::EmptyFleet`] for a one-machine fleet, and
-/// [`ClusterError::Overloaded`] if the survivors cannot absorb the
-/// demand.
-pub fn fail_over(
-    fleet: &[Machine],
-    before: &Placement,
-    failed: usize,
-    policy: PlacementPolicy,
-) -> Result<Failover, ClusterError> {
-    if failed >= fleet.len() {
-        return Err(ClusterError::UnknownMachine(failed));
-    }
-    let demand: f64 = before.loads.iter().sum();
-    let displaced = before.loads.get(failed).copied().unwrap_or(0.0);
-    // Place on the survivor sub-fleet, then map back to full-fleet
-    // indices (the failed slot keeps zero load and stays dark).
-    let survivors: Vec<Machine> = fleet
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != failed)
-        .map(|(_, m)| m.clone())
-        .collect();
-    let sub = place(&survivors, demand, policy)?;
-    let mut loads = vec![0.0; fleet.len()];
-    let mut powered = vec![false; fleet.len()];
-    let mut booted = Vec::new();
-    let mut boot_energy = Joules::ZERO;
-    let mut boot_latency = SimDuration::ZERO;
-    let mut sub_idx = 0;
-    for i in 0..fleet.len() {
-        if i == failed {
-            continue;
-        }
-        loads[i] = sub.loads[sub_idx];
-        powered[i] = sub.powered[sub_idx];
-        sub_idx += 1;
-        let was_on = before.powered.get(i).copied().unwrap_or(false);
-        if powered[i] && !was_on {
-            booted.push(i);
-            boot_energy += fleet[i].boot_energy;
-            boot_latency = boot_latency.max(fleet[i].boot_latency);
-        }
-    }
-    Ok(Failover {
-        placement: Placement { loads, powered },
-        booted,
-        boot_energy,
-        boot_latency,
-        displaced,
-    })
-}
-
-/// The outcome of failing *several* machines out of a running placement
-/// at once — a correlated failure (rack loss, PDU trip).
-///
-/// Unlike [`fail_over`], insufficient surviving capacity is not an
-/// error: demand the survivors cannot absorb is **shed** and reported,
-/// never silently dropped. `served + shed == offered` always holds.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct MultiFailover {
-    /// The new placement over the full fleet; failed machines carry zero
-    /// load and are not powered.
-    pub placement: Placement,
-    /// Indices of machines that had to be powered on (cold-booted) to
-    /// absorb the displaced load.
-    pub booted: Vec<usize>,
-    /// Total cold-boot energy across `booted`.
-    pub boot_energy: Joules,
-    /// Worst-case boot latency across `booted`.
-    pub boot_latency: SimDuration,
     /// Work/s that had to move off the failed machines.
     pub displaced: f64,
     /// Work/s the survivors actually serve.
     pub served: f64,
-    /// Work/s shed because surviving capacity was insufficient.
+    /// Work/s shed because surviving capacity was insufficient (zero
+    /// when the failure is survivable).
     pub shed: f64,
 }
 
@@ -418,20 +338,23 @@ pub struct MultiFailover {
 /// once.
 ///
 /// The offered demand (the sum of `before.loads`) is re-placed on the
-/// surviving machines under `policy`; demand beyond their total capacity
-/// is shed and reported in [`MultiFailover::shed`] (`served + shed ==
-/// offered`). Losing the whole fleet sheds everything rather than
-/// erroring — graceful degradation, not collapse.
+/// surviving machines under `policy`. Machines that were powered off in
+/// `before` but receive load now must cold-boot; their boot energy and
+/// the worst-case boot latency are reported so callers can charge them
+/// to a recovery ledger. Demand beyond the survivors' total capacity is
+/// shed and reported in [`Failover::shed`]; losing the whole fleet sheds
+/// everything rather than erroring — graceful degradation, not collapse.
+/// Duplicate indices in `failed` are tolerated.
 ///
 /// # Errors
 /// [`ClusterError::UnknownMachine`] if any index in `failed` is out of
 /// range.
-pub fn fail_over_multi(
+pub fn fail_over(
     fleet: &[Machine],
     before: &Placement,
     failed: &[usize],
     policy: PlacementPolicy,
-) -> Result<MultiFailover, ClusterError> {
+) -> Result<Failover, ClusterError> {
     let mut dead = vec![false; fleet.len()];
     for &f in failed {
         if f >= fleet.len() {
@@ -447,31 +370,26 @@ pub fn fail_over_multi(
         .filter(|(_, d)| **d)
         .map(|(l, _)| *l)
         .sum();
+    // Place on the survivor sub-fleet, then map back to full-fleet
+    // indices (failed slots keep zero load and stay dark).
     let survivors: Vec<Machine> = fleet
         .iter()
         .zip(&dead)
         .filter(|(_, d)| !**d)
         .map(|(m, _)| m.clone())
         .collect();
-    if survivors.is_empty() {
-        // The whole fleet is dark: everything is shed, nothing served.
-        return Ok(MultiFailover {
-            placement: Placement {
-                loads: vec![0.0; fleet.len()],
-                powered: vec![false; fleet.len()],
-            },
-            booted: Vec::new(),
-            boot_energy: Joules::ZERO,
-            boot_latency: SimDuration::ZERO,
-            displaced,
-            served: 0.0,
-            shed: offered,
-        });
-    }
     let survivor_cap: f64 = survivors.iter().map(|m| m.capacity).sum();
     let served = offered.min(survivor_cap);
     let shed = (offered - served).max(0.0);
-    let sub = place(&survivors, served, policy)?;
+    let sub = if survivors.is_empty() {
+        // The whole fleet is dark: nothing to place on.
+        Placement {
+            loads: Vec::new(),
+            powered: Vec::new(),
+        }
+    } else {
+        place(&survivors, served, policy)?
+    };
     let mut loads = vec![0.0; fleet.len()];
     let mut powered = vec![false; fleet.len()];
     let mut booted = Vec::new();
@@ -492,7 +410,7 @@ pub fn fail_over_multi(
             boot_latency = boot_latency.max(fleet[i].boot_latency);
         }
     }
-    Ok(MultiFailover {
+    Ok(Failover {
         placement: Placement { loads, powered },
         booted,
         boot_energy,
@@ -671,8 +589,11 @@ mod tests {
         assert_eq!(before.powered_count(), 2);
         // Kill new-a (index 4): its 2000 work/s must land somewhere that
         // was powered off, paying a cold boot.
-        let fo = fail_over(&fleet, &before, 4, PlacementPolicy::Consolidate).expect("survivable");
+        let fo =
+            fail_over(&fleet, &before, &[4], PlacementPolicy::Consolidate).expect("survivable");
         assert!((fo.displaced - 2000.0).abs() < 1e-9);
+        assert_eq!(fo.shed, 0.0);
+        assert!((fo.served - 4000.0).abs() < 1e-9);
         assert!(!fo.placement.powered[4]);
         assert_eq!(fo.placement.loads[4], 0.0);
         let served: f64 = fo.placement.loads.iter().sum();
@@ -692,7 +613,7 @@ mod tests {
     fn failover_under_spread_boots_nothing() {
         let fleet = refresh_cycle_fleet();
         let before = place(&fleet, 4000.0, PlacementPolicy::Spread).expect("fits");
-        let fo = fail_over(&fleet, &before, 0, PlacementPolicy::Spread).expect("survivable");
+        let fo = fail_over(&fleet, &before, &[0], PlacementPolicy::Spread).expect("survivable");
         // Everyone was already on — availability-first pays no boot.
         assert!(fo.booted.is_empty());
         assert_eq!(fo.boot_energy, Joules::ZERO);
@@ -700,30 +621,6 @@ mod tests {
         assert_eq!(fo.placement.loads[0], 0.0);
         let served: f64 = fo.placement.loads.iter().sum();
         assert!((served - 4000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn failover_errors() {
-        let fleet = refresh_cycle_fleet();
-        let before = place(&fleet, 4000.0, PlacementPolicy::Consolidate).expect("fits");
-        assert_eq!(
-            fail_over(&fleet, &before, 99, PlacementPolicy::Consolidate).unwrap_err(),
-            ClusterError::UnknownMachine(99)
-        );
-        // Survivors cannot absorb near-total demand after losing 2000.
-        let total: f64 = fleet.iter().map(|m| m.capacity).sum();
-        let full = place(&fleet, total, PlacementPolicy::Consolidate).expect("fits");
-        assert_eq!(
-            fail_over(&fleet, &full, 5, PlacementPolicy::Consolidate).unwrap_err(),
-            ClusterError::Overloaded
-        );
-        // A one-machine fleet has no survivors.
-        let solo = vec![Machine::new("only", 10.0, Watts::new(1.0), Watts::new(2.0))];
-        let p = place(&solo, 5.0, PlacementPolicy::Spread).expect("fits");
-        assert_eq!(
-            fail_over(&solo, &p, 0, PlacementPolicy::Spread).unwrap_err(),
-            ClusterError::EmptyFleet
-        );
     }
 
     #[test]
@@ -773,29 +670,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_failover_matches_single_when_survivable() {
-        let fleet = refresh_cycle_fleet();
-        let before = place(&fleet, 4000.0, PlacementPolicy::Consolidate).expect("fits");
-        let single = fail_over(&fleet, &before, 4, PlacementPolicy::Consolidate).expect("ok");
-        let multi =
-            fail_over_multi(&fleet, &before, &[4], PlacementPolicy::Consolidate).expect("in range");
-        assert_eq!(multi.placement, single.placement);
-        assert_eq!(multi.booted, single.booted);
-        assert_eq!(multi.boot_energy, single.boot_energy);
-        assert_eq!(multi.boot_latency, single.boot_latency);
-        assert_eq!(multi.shed, 0.0);
-        assert!((multi.served - 4000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn multi_failover_sheds_instead_of_erroring() {
+    fn failover_sheds_instead_of_erroring() {
         let fleet = refresh_cycle_fleet();
         let total: f64 = fleet.iter().map(|m| m.capacity).sum();
         let before = place(&fleet, total, PlacementPolicy::Consolidate).expect("fits");
         // Lose both new machines (4000 of 9000 capacity): survivors hold
         // 5000, so 4000 must be shed — and reported, not dropped.
-        let mf = fail_over_multi(&fleet, &before, &[4, 5], PlacementPolicy::Consolidate)
-            .expect("in range");
+        let mf =
+            fail_over(&fleet, &before, &[4, 5], PlacementPolicy::Consolidate).expect("in range");
         assert!((mf.served - 5000.0).abs() < 1e-9);
         assert!((mf.shed - 4000.0).abs() < 1e-9);
         assert!((mf.served + mf.shed - total).abs() < 1e-9, "no demand lost");
@@ -807,10 +689,10 @@ mod tests {
     }
 
     #[test]
-    fn multi_failover_total_fleet_loss_sheds_everything() {
+    fn failover_total_fleet_loss_sheds_everything() {
         let fleet = refresh_cycle_fleet();
         let before = place(&fleet, 4000.0, PlacementPolicy::Spread).expect("fits");
-        let mf = fail_over_multi(
+        let mf = fail_over(
             &fleet,
             &before,
             &[0, 1, 2, 3, 4, 5],
@@ -822,9 +704,9 @@ mod tests {
         assert_eq!(mf.placement.powered_count(), 0);
         assert_eq!(mf.boot_energy, Joules::ZERO);
         // Duplicate indices are tolerated; out-of-range ones are not.
-        assert!(fail_over_multi(&fleet, &before, &[0, 0], PlacementPolicy::Spread).is_ok());
+        assert!(fail_over(&fleet, &before, &[0, 0], PlacementPolicy::Spread).is_ok());
         assert_eq!(
-            fail_over_multi(&fleet, &before, &[99], PlacementPolicy::Spread).unwrap_err(),
+            fail_over(&fleet, &before, &[99], PlacementPolicy::Spread).unwrap_err(),
             ClusterError::UnknownMachine(99)
         );
     }

@@ -16,8 +16,9 @@
 //! * [`cluster`] — fleet-level consolidation (\[TWM+08\]): pack load onto
 //!   the most efficient machines and power off the rest, making the
 //!   cluster energy-proportional even when no machine is; includes
-//!   machine-failure re-placement ([`cluster::fail_over`]) that charges
-//!   cold-boot energy when displaced load lands on dark machines.
+//!   machine-failure re-placement ([`cluster::fail_over`], one box or a
+//!   correlated loss) that charges cold-boot energy when displaced load
+//!   lands on dark machines and sheds what the survivors cannot absorb.
 //! * [`chaos`] — the cluster chaos engine: drives a fleet through a
 //!   seeded [`grail_sim::fault::ChaosSchedule`] (correlated fault-domain
 //!   outages, crash/restart cycles, brownouts, surges) with
@@ -45,7 +46,7 @@ pub use chaos::{
     DOCUMENTED_AVAILABILITY_FLOOR,
 };
 pub use cluster::{
-    chaos_fleet, domain_count, fail_over, fail_over_multi, ClusterError, Failover, Machine,
-    MultiFailover, Placement, PlacementPolicy,
+    chaos_fleet, domain_count, fail_over, ClusterError, Failover, Machine, Placement,
+    PlacementPolicy,
 };
 pub use governor::{IdleGovernor, OracleGovernor, TimeoutGovernor};

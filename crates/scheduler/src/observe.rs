@@ -220,7 +220,7 @@ mod tests {
     fn placement_and_failover_events_recorded() {
         let fleet = refresh_cycle_fleet();
         let p = place(&fleet, 4000.0, PlacementPolicy::Consolidate).expect("fits");
-        let fo = fail_over(&fleet, &p, 4, PlacementPolicy::Consolidate).expect("survivable");
+        let fo = fail_over(&fleet, &p, &[4], PlacementPolicy::Consolidate).expect("survivable");
         let mut tracer = Tracer::on(Recorder::new(64));
         record_placement(&mut tracer, at(0.0), &fleet, &p, "consolidate");
         record_failover(&mut tracer, at(10.0), 4, &fo);

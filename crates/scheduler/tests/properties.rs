@@ -4,8 +4,7 @@ use grail_power::units::{SimDuration, SimInstant};
 use grail_scheduler::admission::{AdmissionPolicy, BatchWindow};
 use grail_scheduler::chaos::{run_chaos, ChaosPolicy};
 use grail_scheduler::cluster::{
-    chaos_fleet, fail_over, fail_over_multi, place, refresh_cycle_fleet, ClusterError,
-    PlacementPolicy,
+    chaos_fleet, fail_over, place, refresh_cycle_fleet, PlacementPolicy,
 };
 use grail_scheduler::governor::{gap_energy, IdleGovernor, OracleGovernor, ParkCosts};
 use grail_scheduler::sharing::share_scans;
@@ -95,12 +94,12 @@ proptest! {
         );
     }
 
-    /// Multi-machine fail-over: work is conserved (`served + shed ==
+    /// Fail-over of any machine subset: work is conserved (`served + shed ==
     /// offered`), dead machines carry nothing, capacities hold, cold
     /// boots only hit previously-dark machines, and the recovery bill is
     /// exactly the sum of the booted machines' boot energies.
     #[test]
-    fn multi_failover_invariants(
+    fn failover_invariants(
         frac in 0.0f64..1.0,
         dead_mask in 0u16..512,
     ) {
@@ -110,7 +109,7 @@ proptest! {
         let before = place(&fleet, demand, PlacementPolicy::Consolidate).expect("fits");
         let failed: Vec<usize> =
             (0..fleet.len()).filter(|i| dead_mask & (1 << i) != 0).collect();
-        let fo = fail_over_multi(&fleet, &before, &failed, PlacementPolicy::Consolidate)
+        let fo = fail_over(&fleet, &before, &failed, PlacementPolicy::Consolidate)
             .expect("valid indices never error");
         let offered: f64 = before.loads.iter().sum();
         prop_assert!(
@@ -132,33 +131,6 @@ proptest! {
             boot_sum += fleet[b].boot_energy.joules();
         }
         prop_assert!((fo.boot_energy.joules() - boot_sum).abs() < 1e-9);
-    }
-
-    /// On a single survivable failure, `fail_over_multi(&[f])` agrees
-    /// with the original `fail_over(f)`; when `fail_over` reports
-    /// `Overloaded`, the multi path serves what it can and sheds the
-    /// rest instead of erroring.
-    #[test]
-    fn multi_failover_matches_single(frac in 0.05f64..1.0, failed in 0usize..9) {
-        let fleet = refresh_cycle_fleet();
-        let total: f64 = fleet.iter().map(|m| m.capacity).sum();
-        let demand = total * frac;
-        let before = place(&fleet, demand, PlacementPolicy::Consolidate).expect("fits");
-        let multi = fail_over_multi(&fleet, &before, &[failed], PlacementPolicy::Consolidate)
-            .expect("valid index");
-        match fail_over(&fleet, &before, failed, PlacementPolicy::Consolidate) {
-            Ok(single) => {
-                prop_assert_eq!(&multi.placement.loads, &single.placement.loads);
-                prop_assert_eq!(&multi.booted, &single.booted);
-                prop_assert_eq!(multi.boot_energy, single.boot_energy);
-                prop_assert!((multi.displaced - single.displaced).abs() < 1e-9);
-                prop_assert!(multi.shed < 1e-6);
-            }
-            Err(ClusterError::Overloaded) => {
-                prop_assert!(multi.shed > 0.0, "overload must shed, not vanish");
-            }
-            Err(e) => prop_assert!(false, "unexpected error: {e}"),
-        }
     }
 
     /// The chaos engine conserves work (`served + shed + failed ==
