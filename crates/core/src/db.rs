@@ -3,10 +3,12 @@
 use crate::profile::HardwareProfile;
 use crate::report::EnergyReport;
 use grail_power::units::{Bytes, SimDuration};
+use grail_query::batch::Table;
 use grail_query::colscan;
 use grail_query::cost_charge::CostCharge;
 use grail_query::exec::{run_collect, ExecContext, OpTally};
 use grail_query::expr::Expr;
+use grail_query::ops::StoredTable;
 use grail_sim::driver::{run_streams, IoDemand, JobResult, JobSpec};
 use grail_sim::ids::CpuId;
 use grail_sim::sim::Simulation;
@@ -20,6 +22,7 @@ use grail_trace::{Category, Recorder, TraceEvent, TraceSink, TraceTime, Tracer, 
 use grail_workload::mix::{closed_mix, job_from_tallies, scale_tally};
 use grail_workload::queries::{QueryTemplate, StoredCatalog};
 use grail_workload::tpch::{self, TpchScale, TpchTables, ORDERS_FIG2_PROJECTION};
+use std::sync::{Arc, OnceLock};
 
 /// How tables are physically stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,11 +138,50 @@ pub fn stripe_job(job: &JobSpec, targets: &[StorageTarget]) -> JobSpec {
     }
 }
 
+/// One table in one stored form, encoded on first use.
+type StoredCell = OnceLock<Arc<StoredTable>>;
+
+/// One storage mode's cells, table by table.
+#[derive(Debug, Default)]
+struct StoredCells {
+    orders: StoredCell,
+    lineitem: StoredCell,
+    customer: StoredCell,
+    part: StoredCell,
+    supplier: StoredCell,
+}
+
+/// The loaded tables and their physical store. Compression is a
+/// physical-design decision taken once per load: every (table, storage
+/// mode) is encoded at most once, by the first call that needs it, and
+/// lives until the next `load_tpch*` replaces the whole value.
+///
+/// The store costs little beyond the tables: Plain segments share the
+/// tables' own columns, and Fig. 2 storage is Auto storage with ORDERS
+/// re-encoded, so it owns one cell and takes its other four tables
+/// from `auto`.
+#[derive(Debug)]
+struct Loaded {
+    tables: TpchTables,
+    plain: StoredCells,
+    auto: StoredCells,
+    fig2_orders: StoredCell,
+}
+
+/// How one storage mode stores one table.
+type StoreFn = fn(Arc<Table>, StorageTarget) -> StoredTable;
+
+/// `table` stored by `store`, encoded only if `cell` is still empty.
+fn stored_once(cell: &StoredCell, table: &Arc<Table>, store: StoreFn) -> Arc<StoredTable> {
+    cell.get_or_init(|| Arc::new(store(table.clone(), LOGICAL_TARGET)))
+        .clone()
+}
+
 /// The energy-aware database: a hardware profile plus loaded tables.
 #[derive(Debug)]
 pub struct EnergyAwareDb {
     profile: HardwareProfile,
-    tables: Option<TpchTables>,
+    loaded: Option<Loaded>,
     charge: CostCharge,
     fault: Option<(FaultConfig, u64)>,
     scrape_interval: Option<u64>,
@@ -150,7 +192,7 @@ impl EnergyAwareDb {
     pub fn new(profile: HardwareProfile) -> Self {
         EnergyAwareDb {
             profile,
-            tables: None,
+            loaded: None,
             charge: CostCharge::default_calibrated(),
             fault: None,
             scrape_interval: None,
@@ -215,14 +257,24 @@ impl EnergyAwareDb {
         self.load_tpch_seeded(scale, 42);
     }
 
-    /// Generate and load with an explicit seed.
+    /// Generate and load with an explicit seed. Whatever was stored for
+    /// the previous tables is dropped with them.
     pub fn load_tpch_seeded(&mut self, scale: TpchScale, seed: u64) {
-        self.tables = Some(tpch::generate(scale, seed));
+        self.loaded = Some(Loaded {
+            tables: tpch::generate(scale, seed),
+            plain: StoredCells::default(),
+            auto: StoredCells::default(),
+            fig2_orders: StoredCell::new(),
+        });
+    }
+
+    fn try_loaded(&self) -> Result<&Loaded, SimError> {
+        self.loaded.as_ref().ok_or(SimError::NotLoaded)
     }
 
     /// The loaded tables, or [`SimError::NotLoaded`].
     pub fn try_tables(&self) -> Result<&TpchTables, SimError> {
-        self.tables.as_ref().ok_or(SimError::NotLoaded)
+        self.try_loaded().map(|l| &l.tables)
     }
 
     /// The loaded tables.
@@ -235,12 +287,32 @@ impl EnergyAwareDb {
         self.try_tables().expect("load_tpch first")
     }
 
+    /// ORDERS as `mode` stores it (all a projection scan touches).
+    fn try_orders(&self, mode: CompressionMode) -> Result<Arc<StoredTable>, SimError> {
+        let l = self.try_loaded()?;
+        let (cell, store): (_, StoreFn) = match mode {
+            CompressionMode::Plain => (&l.plain.orders, StoredTable::columnar_plain),
+            CompressionMode::Auto => (&l.auto.orders, StoredTable::columnar_auto),
+            CompressionMode::Fig2 => (&l.fig2_orders, StoredCatalog::fig2_orders),
+        };
+        Ok(stored_once(cell, &l.tables.orders, store))
+    }
+
+    /// The stored catalog of `mode`, made of references into the store:
+    /// table for table what `StoredCatalog::{plain, compressed, fig2}`
+    /// would build.
     fn try_catalog(&self, mode: CompressionMode) -> Result<StoredCatalog, SimError> {
-        let tables = self.try_tables()?;
-        Ok(match mode {
-            CompressionMode::Plain => StoredCatalog::plain(tables, LOGICAL_TARGET),
-            CompressionMode::Auto => StoredCatalog::compressed(tables, LOGICAL_TARGET),
-            CompressionMode::Fig2 => StoredCatalog::fig2(tables, LOGICAL_TARGET),
+        let l = self.try_loaded()?;
+        let (cells, store): (_, StoreFn) = match mode {
+            CompressionMode::Plain => (&l.plain, StoredTable::columnar_plain),
+            CompressionMode::Auto | CompressionMode::Fig2 => (&l.auto, StoredTable::columnar_auto),
+        };
+        Ok(StoredCatalog {
+            orders: self.try_orders(mode)?,
+            lineitem: stored_once(&cells.lineitem, &l.tables.lineitem, store),
+            customer: stored_once(&cells.customer, &l.tables.customer, store),
+            part: stored_once(&cells.part, &l.tables.part, store),
+            supplier: stored_once(&cells.supplier, &l.tables.supplier, store),
         })
     }
 
@@ -292,9 +364,8 @@ impl EnergyAwareDb {
         scale_to: f64,
         traced: bool,
     ) -> Result<(EnergyReport, Option<Recorder>), SimError> {
-        let catalog = self.try_catalog(policy.compression)?;
         let run = colscan::scan_job(
-            catalog.orders.clone(),
+            self.try_orders(policy.compression)?,
             &spec.projection,
             spec.predicate.clone(),
             self.charge,
@@ -668,6 +739,140 @@ mod tests {
         let mut db = EnergyAwareDb::new(profile);
         db.load_tpch(TpchScale::toy());
         db
+    }
+
+    const MODES: [CompressionMode; 3] = [
+        CompressionMode::Plain,
+        CompressionMode::Auto,
+        CompressionMode::Fig2,
+    ];
+
+    /// One scan, one template and one throughput test under `mode`,
+    /// reduced to what must repeat bit for bit.
+    fn facade_calls(
+        db: &EnergyAwareDb,
+        mode: CompressionMode,
+    ) -> Vec<(
+        SimDuration,
+        grail_power::units::Joules,
+        grail_power::ledger::EnergyLedger,
+    )> {
+        let policy = ExecPolicy {
+            compression: mode,
+            dop: 2,
+        };
+        [
+            db.run_scan(&ScanSpec::fig2(), policy, 100.0),
+            db.run_template(QueryTemplate::SegmentRevenue, policy, 100.0),
+            db.run_throughput_test(2, 2, policy, 100.0),
+        ]
+        .into_iter()
+        .map(|r| (r.elapsed, r.energy, r.ledger))
+        .collect()
+    }
+
+    #[test]
+    fn repeated_calls_on_one_db_equal_a_fresh_db() {
+        let shared = db(HardwareProfile::server_dl785(36));
+        for mode in MODES {
+            let first = facade_calls(&shared, mode);
+            let second = facade_calls(&shared, mode);
+            let fresh = facade_calls(&db(HardwareProfile::server_dl785(36)), mode);
+            assert_eq!(first, second, "{mode:?}: the store must not change results");
+            assert_eq!(first, fresh, "{mode:?}: a warm db must equal a fresh one");
+        }
+    }
+
+    #[test]
+    fn reloading_drops_the_stored_tables() {
+        let mut db = db(HardwareProfile::server_dl785(36));
+        let reseeded = |seed| {
+            let mut db = EnergyAwareDb::new(HardwareProfile::server_dl785(36));
+            db.load_tpch_seeded(TpchScale::toy(), seed);
+            db
+        };
+        for mode in MODES {
+            let stale = facade_calls(&db, mode);
+            db.load_tpch_seeded(TpchScale::toy(), 7);
+            let reloaded = facade_calls(&db, mode);
+            assert_ne!(reloaded, stale, "{mode:?}: seed 7 is different data");
+            assert_eq!(reloaded, facade_calls(&reseeded(7), mode), "{mode:?}");
+            db.load_tpch(TpchScale::toy());
+            assert_eq!(facade_calls(&db, mode), stale, "{mode:?}: back on seed 42");
+        }
+    }
+
+    #[test]
+    fn scans_store_orders_only_and_only_once() {
+        let db = db(HardwareProfile::flash_scanner());
+        let policy = ExecPolicy {
+            compression: CompressionMode::Fig2,
+            dop: 1,
+        };
+        db.run_scan(&ScanSpec::fig2(), policy, 1.0);
+        let l = db.try_loaded().expect("loaded");
+        let orders = l.fig2_orders.get().expect("the scan stored ORDERS").clone();
+        for cells in [&l.plain, &l.auto] {
+            for cell in [
+                &cells.orders,
+                &cells.lineitem,
+                &cells.customer,
+                &cells.part,
+                &cells.supplier,
+            ] {
+                assert!(cell.get().is_none(), "a Fig2 scan touches nothing else");
+            }
+        }
+        db.run_scan(&ScanSpec::orders_projection(3), policy, 1.0);
+        assert!(Arc::ptr_eq(&orders, l.fig2_orders.get().expect("kept")));
+    }
+
+    #[test]
+    fn cached_catalogs_match_fresh_ones_and_share_tables() {
+        let db = db(HardwareProfile::flash_scanner());
+        let tables = db.tables();
+        let shape = |c: &StoredCatalog| -> Vec<_> {
+            [&c.orders, &c.lineitem, &c.customer, &c.part, &c.supplier]
+                .iter()
+                .flat_map(|t| t.segments.iter())
+                .map(|s| (s.encoding(), s.compressed_bytes()))
+                .collect()
+        };
+        let fresh = [
+            StoredCatalog::plain(tables, LOGICAL_TARGET),
+            StoredCatalog::compressed(tables, LOGICAL_TARGET),
+            StoredCatalog::fig2(tables, LOGICAL_TARGET),
+        ];
+        for (mode, fresh) in MODES.into_iter().zip(&fresh) {
+            let cached = db.try_catalog(mode).expect("loaded");
+            assert_eq!(shape(&cached), shape(fresh), "{mode:?}");
+            // Handing a catalog out again re-encodes nothing.
+            let again = db.try_catalog(mode).expect("loaded");
+            assert!(Arc::ptr_eq(&cached.orders, &again.orders), "{mode:?}");
+            assert!(Arc::ptr_eq(&cached.lineitem, &again.lineitem), "{mode:?}");
+        }
+        // Fig. 2 storage is Auto storage with ORDERS re-encoded.
+        let auto = db.try_catalog(CompressionMode::Auto).expect("loaded");
+        let fig2 = db.try_catalog(CompressionMode::Fig2).expect("loaded");
+        assert!(!Arc::ptr_eq(&auto.orders, &fig2.orders));
+        assert!(Arc::ptr_eq(&auto.lineitem, &fig2.lineitem));
+        assert!(Arc::ptr_eq(&auto.customer, &fig2.customer));
+        assert!(Arc::ptr_eq(&auto.part, &fig2.part));
+        assert!(Arc::ptr_eq(&auto.supplier, &fig2.supplier));
+        // Plain storage is the loaded columns themselves.
+        let plain = db.try_catalog(CompressionMode::Plain).expect("loaded");
+        for (seg, col) in plain.lineitem.segments.iter().zip(&tables.lineitem.columns) {
+            assert!(Arc::ptr_eq(&seg.decode().expect("plain decodes"), col));
+        }
+    }
+
+    #[test]
+    fn the_db_is_shareable_across_threads() {
+        // Compile-time: the store's cells keep the `&self` API `Sync`.
+        // The race itself (two workers on one `&db`) runs through
+        // `grail_par::Runner` in `tests/par_determinism.rs`.
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<EnergyAwareDb>();
     }
 
     #[test]

@@ -15,7 +15,7 @@ use grail_power::units::Bytes;
 use grail_sim::perf::AccessPattern;
 use grail_sim::StorageTarget;
 use grail_storage::column::ColumnSegment;
-use grail_storage::compress::Encoding;
+use grail_storage::compress::{self, Encoding};
 use grail_storage::page::PAGE_SIZE;
 use std::sync::Arc;
 
@@ -34,6 +34,7 @@ pub struct StoredTable {
 
 impl StoredTable {
     /// Store `table` column-wise with explicit per-column encodings.
+    /// [`Encoding::Plain`] segments share the table's columns.
     pub fn columnar(table: Arc<Table>, target: StorageTarget, encodings: &[Encoding]) -> Self {
         assert_eq!(
             encodings.len(),
@@ -44,7 +45,7 @@ impl StoredTable {
             .columns
             .iter()
             .zip(encodings)
-            .map(|(col, enc)| ColumnSegment::encode(col, *enc))
+            .map(|(col, enc)| ColumnSegment::encode_shared(col, *enc))
             .collect();
         StoredTable {
             table,
@@ -56,17 +57,12 @@ impl StoredTable {
 
     /// Store `table` column-wise, choosing encodings automatically.
     pub fn columnar_auto(table: Arc<Table>, target: StorageTarget) -> Self {
-        let segments = table
+        let encodings: Vec<Encoding> = table
             .columns
             .iter()
-            .map(|col| ColumnSegment::encode_auto(col))
+            .map(|col| compress::choose_encoding(col))
             .collect();
-        StoredTable {
-            table,
-            segments,
-            row_layout: false,
-            target,
-        }
+        StoredTable::columnar(table, target, &encodings)
     }
 
     /// Store `table` column-wise, uncompressed.
@@ -78,25 +74,15 @@ impl StoredTable {
     /// Store `table` row-major (uncompressed slotted pages).
     pub fn row(table: Arc<Table>, target: StorageTarget) -> Self {
         StoredTable {
-            segments: table
-                .columns
-                .iter()
-                .map(|col| ColumnSegment::encode(col, Encoding::Plain))
-                .collect(),
-            table,
             row_layout: true,
-            target,
+            ..StoredTable::columnar_plain(table, target)
         }
     }
 
     /// On-device bytes a scan of `projection` moves.
     pub fn scan_bytes(&self, projection: &[usize]) -> u64 {
         if self.row_layout {
-            // Full pages of full rows, regardless of projection.
-            let row = self.table.schema.arity() as u64 * 8;
-            let rows_per_page = (PAGE_SIZE as u64 / row).max(1);
-            let pages = (self.table.row_count() as u64).div_ceil(rows_per_page);
-            pages * PAGE_SIZE as u64
+            self.row_pages_bytes()
         } else {
             projection
                 .iter()
@@ -106,10 +92,21 @@ impl StoredTable {
         }
     }
 
+    /// Full pages of full rows: what any scan of a row layout moves.
+    fn row_pages_bytes(&self) -> u64 {
+        let row = self.table.schema.arity() as u64 * 8;
+        let rows_per_page = (PAGE_SIZE as u64 / row).max(1);
+        let pages = (self.table.row_count() as u64).div_ceil(rows_per_page);
+        pages * PAGE_SIZE as u64
+    }
+
     /// The whole table's stored footprint.
     pub fn footprint(&self) -> u64 {
-        let all: Vec<usize> = (0..self.table.schema.arity()).collect();
-        self.scan_bytes(&all)
+        if self.row_layout {
+            self.row_pages_bytes()
+        } else {
+            self.segments.iter().map(|s| s.compressed_bytes()).sum()
+        }
     }
 
     /// Overall compression ratio of the stored form.
@@ -151,25 +148,26 @@ impl ColumnarScan {
         if self.decoded.is_some() {
             return Ok(());
         }
+        // A bad projection is a plan error: it must not charge anything.
+        let segments = &self.stored.segments;
+        if let Some(bad) = self.projection.iter().find(|i| **i >= segments.len()) {
+            return Err(QueryError::UnknownColumn(*bad));
+        }
         // IO: one sequential read per projected segment.
         ctx.charge_read(
             self.stored.target,
             Bytes::new(self.stored.scan_bytes(&self.projection)),
             AccessPattern::Sequential,
         );
-        // CPU: real decode of each projected segment, charged per value.
+        // CPU: real decode of each projected segment, charged per value
+        // (a Plain segment decodes to the stored column itself).
         let mut cols = Vec::with_capacity(self.projection.len());
-        for i in &self.projection {
-            let seg = self
-                .stored
-                .segments
-                .get(*i)
-                .ok_or(QueryError::UnknownColumn(*i))?;
+        for seg in self.projection.iter().map(|i| &segments[*i]) {
             let decode_cost = ctx.charge.decode_cycles(seg.encoding());
             let scan_cost = ctx.charge.scan_cycles_per_value;
             let vals = seg.decode()?;
             ctx.charge_cpu((decode_cost + scan_cost) * vals.len() as f64);
-            cols.push(Arc::new(vals));
+            cols.push(vals);
         }
         self.decoded = Some(cols);
         Ok(())
@@ -238,10 +236,9 @@ impl RowScan {
     fn next_inner(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
         if !self.charged {
             self.charged = true;
-            let all: Vec<usize> = (0..self.stored.table.schema.arity()).collect();
             ctx.charge_read(
                 self.stored.target,
-                Bytes::new(self.stored.scan_bytes(&all)),
+                Bytes::new(self.stored.footprint()),
                 AccessPattern::Sequential,
             );
             let values = (self.stored.table.row_count() * self.stored.table.schema.arity()) as f64;
@@ -375,13 +372,60 @@ mod tests {
     }
 
     #[test]
-    fn unknown_projection_column_errors() {
+    fn unknown_projection_column_errors_before_charging() {
         let stored = Arc::new(StoredTable::columnar_plain(table(), target()));
-        let mut scan = ColumnarScan::new(stored, vec![99]);
+        // The valid column comes first: its bytes must not be charged
+        // on the way to the error.
+        let mut scan = ColumnarScan::new(stored, vec![0, 99]);
         let mut ctx = ExecContext::calibrated();
         assert!(matches!(
             scan.next(&mut ctx),
             Err(QueryError::UnknownColumn(99))
         ));
+        assert_eq!(ctx.total_io_bytes().get(), 0);
+        assert_eq!(ctx.total_cpu().get(), 0);
+    }
+
+    #[test]
+    fn plain_segments_share_the_table_columns() {
+        let t = table();
+        let encodings = [Encoding::Plain, Encoding::Dict, Encoding::Plain];
+        for stored in [
+            StoredTable::columnar_plain(t.clone(), target()),
+            StoredTable::row(t.clone(), target()),
+            StoredTable::columnar(t.clone(), target(), &encodings),
+        ] {
+            for (i, seg) in stored.segments.iter().enumerate() {
+                let shared = Arc::ptr_eq(&seg.decode().unwrap(), &t.columns[i]);
+                assert_eq!(shared, seg.encoding() == Encoding::Plain, "column {i}");
+                if shared {
+                    assert_eq!(seg.compressed_bytes(), 8 * t.row_count() as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plain_scan_hands_out_the_stored_columns() {
+        let t = table();
+        let stored = Arc::new(StoredTable::columnar_plain(t.clone(), target()));
+        let mut scan = ColumnarScan::new(stored, vec![2, 0]);
+        let mut ctx = ExecContext::calibrated();
+        scan.next(&mut ctx).unwrap().expect("first batch");
+        let decoded = scan.decoded.as_ref().expect("decoded by next");
+        assert!(Arc::ptr_eq(&decoded[0], &t.columns[2]));
+        assert!(Arc::ptr_eq(&decoded[1], &t.columns[0]));
+    }
+
+    #[test]
+    fn footprint_is_the_all_columns_scan() {
+        let all = [0, 1, 2];
+        for stored in [
+            StoredTable::columnar_plain(table(), target()),
+            StoredTable::columnar_auto(table(), target()),
+            StoredTable::row(table(), target()),
+        ] {
+            assert_eq!(stored.footprint(), stored.scan_bytes(&all));
+        }
     }
 }

@@ -43,7 +43,7 @@ proptest! {
     fn chooser_is_safe(vals in any_i64s()) {
         let enc = choose_encoding(&vals);
         let seg = ColumnSegment::encode(&vals, enc);
-        prop_assert_eq!(seg.decode().expect("chosen codec decodes"), vals);
+        prop_assert_eq!(&*seg.decode().expect("chosen codec decodes"), &vals);
     }
 
     /// LZ round-trips arbitrary byte strings.

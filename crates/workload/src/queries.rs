@@ -7,6 +7,7 @@
 //! sort (Q10-like). Each builds a real operator tree over stored tables.
 
 use crate::tpch::{TpchTables, DATE_DAYS};
+use grail_query::batch::Table;
 use grail_query::exec::Operator;
 use grail_query::expr::Expr;
 use grail_query::ops::sort::SortOrder;
@@ -57,10 +58,23 @@ impl StoredCatalog {
         }
     }
 
-    /// Store ORDERS with the conservative per-column codecs whose
-    /// overall ratio (~1.8–2×) matches the \[HLA+06\] scanner's Fig. 2
-    /// configuration; other tables auto.
+    /// Store ORDERS as [`Self::fig2_orders`] does; other tables auto,
+    /// exactly as [`Self::compressed`] stores them.
     pub fn fig2(tables: &TpchTables, target: StorageTarget) -> Self {
+        StoredCatalog {
+            orders: Arc::new(Self::fig2_orders(tables.orders.clone(), target)),
+            lineitem: Arc::new(StoredTable::columnar_auto(tables.lineitem.clone(), target)),
+            customer: Arc::new(StoredTable::columnar_auto(tables.customer.clone(), target)),
+            part: Arc::new(StoredTable::columnar_auto(tables.part.clone(), target)),
+            supplier: Arc::new(StoredTable::columnar_auto(tables.supplier.clone(), target)),
+        }
+    }
+
+    /// ORDERS under the conservative per-column codecs whose overall
+    /// ratio (~1.8–2×) matches the \[HLA+06\] scanner's Fig. 2
+    /// configuration: the one table a Fig. 2 catalog stores differently
+    /// from a compressed one.
+    pub fn fig2_orders(orders: Arc<Table>, target: StorageTarget) -> StoredTable {
         let orders_enc = [
             Encoding::Plain,   // o_orderkey (sparse keys kept verbatim)
             Encoding::Plain,   // o_custkey
@@ -70,17 +84,7 @@ impl StoredCatalog {
             Encoding::Dict,    // o_orderpriority
             Encoding::Rle,     // o_shippriority
         ];
-        StoredCatalog {
-            orders: Arc::new(StoredTable::columnar(
-                tables.orders.clone(),
-                target,
-                &orders_enc,
-            )),
-            lineitem: Arc::new(StoredTable::columnar_auto(tables.lineitem.clone(), target)),
-            customer: Arc::new(StoredTable::columnar_auto(tables.customer.clone(), target)),
-            part: Arc::new(StoredTable::columnar_auto(tables.part.clone(), target)),
-            supplier: Arc::new(StoredTable::columnar_auto(tables.supplier.clone(), target)),
-        }
+        StoredTable::columnar(orders, target, &orders_enc)
     }
 }
 
@@ -288,6 +292,33 @@ mod tests {
             let (r2, io2) = run(&packed);
             assert_eq!(r1, r2, "{} answers must not change", t.name());
             assert!(io2 < io1, "{} compressed must read less", t.name());
+        }
+    }
+
+    /// What lets a loaded database keep one set of auto-stored tables
+    /// for both modes: a Fig. 2 catalog is a compressed one with ORDERS
+    /// stored differently, and nothing else.
+    #[test]
+    fn fig2_catalog_differs_from_compressed_in_orders_only() {
+        let tables = generate(TpchScale { orders_rows: 2000 }, 42);
+        let target = StorageTarget::Disk(DiskId(0));
+        let auto = StoredCatalog::compressed(&tables, target);
+        let fig2 = StoredCatalog::fig2(&tables, target);
+        for (a, f) in [
+            (&auto.lineitem, &fig2.lineitem),
+            (&auto.customer, &fig2.customer),
+            (&auto.part, &fig2.part),
+            (&auto.supplier, &fig2.supplier),
+        ] {
+            assert_eq!(a.segments, f.segments, "{}", a.table.name);
+        }
+        assert_ne!(auto.orders.segments, fig2.orders.segments);
+        let orders = StoredCatalog::fig2_orders(tables.orders.clone(), target);
+        assert_eq!(orders.segments, fig2.orders.segments);
+        // Its two Plain key columns are the loaded columns themselves.
+        for i in [0, 1] {
+            let decoded = orders.segments[i].decode().unwrap();
+            assert!(Arc::ptr_eq(&decoded, &tables.orders.columns[i]));
         }
     }
 

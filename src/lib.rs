@@ -45,6 +45,10 @@
 //! assert!(report.energy.joules() > 0.0);
 //! println!("{} J over {}", report.energy.joules(), report.elapsed);
 //! ```
+//!
+//! Repeated queries on one `db` are cheap: each table is encoded once
+//! per storage mode, by the first call that needs it, and kept until
+//! the next `load_tpch*`; later calls only scan.
 
 #![forbid(unsafe_code)]
 

@@ -6,10 +6,11 @@
 //! small Figure-1-style throughput sweep over full `EnergyAwareDb`
 //! worlds — comparing every result down to the f64 bit pattern.
 
-use grail_core::db::{CompressionMode, EnergyAwareDb, ExecPolicy};
+use grail_core::db::{CompressionMode, EnergyAwareDb, ExecPolicy, ScanSpec};
 use grail_core::profile::HardwareProfile;
 use grail_par::Runner;
 use grail_workload::tpch::TpchScale;
+use std::sync::Barrier;
 
 /// One sweep point rendered to exact bits: any divergence in simulated
 /// time, energy, or work across execution modes shows up here.
@@ -39,4 +40,36 @@ fn parallel_simulation_sweep_is_bit_identical() {
         let par = Runner::with_threads(threads).run(&disks, |_, d| point(*d));
         assert_eq!(par, seq, "threads={threads}");
     }
+}
+
+/// Two workers race the first Fig. 2 scan of one shared `&db`: whoever
+/// loses the race to store ORDERS must see the winner's table, and both
+/// must report what a sequential run on a db of its own reports.
+#[test]
+fn racing_first_scans_share_one_store() {
+    let load = || {
+        let mut db = EnergyAwareDb::new(HardwareProfile::flash_scanner());
+        db.load_tpch(TpchScale::toy());
+        db
+    };
+    let policy = ExecPolicy {
+        compression: CompressionMode::Fig2,
+        dop: 1,
+    };
+    let scan = |db: &EnergyAwareDb| {
+        let r = db
+            .try_run_scan(&ScanSpec::fig2(), policy, 1.0)
+            .expect("loaded db scans");
+        (r.elapsed, r.energy, r.work.to_bits(), r.ledger)
+    };
+    let sequential = scan(&load());
+    let shared = load();
+    // Each worker claims one of the two items and waits for the other,
+    // so both calls start on a store nobody has filled yet.
+    let gate = Barrier::new(2);
+    let raced = Runner::with_threads(2).run(&[(), ()], |_, _| {
+        gate.wait();
+        scan(&shared)
+    });
+    assert_eq!(raced, vec![sequential.clone(), sequential]);
 }
