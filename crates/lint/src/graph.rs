@@ -1,19 +1,18 @@
-//! Module, impl and function recognition plus the intra-workspace call
-//! graph, recovered from the stripped token stream — no external
-//! parser, no syn, just the same blanked source the token rules read.
+//! Impl and function recognition plus the intra-workspace call graph,
+//! recovered from the stripped token stream — no external parser, no
+//! syn, just the same blanked source the token rules read.
 //!
 //! [`extract`] walks one scanned file and rebuilds its item skeleton:
-//! `mod` declarations, `use` imports, `impl` blocks (inherent and
-//! trait), and every `fn` with its body span and outgoing calls. The
+//! inline `mod` blocks, `impl` blocks (inherent and trait), and every
+//! `fn` with its signature facts, body span and outgoing calls. The
 //! per-file skeletons assemble into a [`WorkspaceGraph`], which
 //! resolves calls *by name*: a call site `foo(...)` or `x.foo(...)`
 //! gains an edge to every library function named `foo` anywhere in the
 //! workspace. That over-approximation is the right bias for an
 //! invariant checker — a missed edge could hide a violation, while a
 //! spurious one at worst widens a reachability set the rules treat
-//! conservatively (taint may flag a reviewable call site; the
-//! charge-reachability rule becomes *easier* to satisfy, never
-//! spuriously strict).
+//! conservatively (charge-reachability and ledger-flow become
+//! *easier* to satisfy, never spuriously strict).
 //!
 //! Functions defined inside `#[cfg(test)]` regions or test-like files
 //! (`tests/`, `benches/`, `examples/`) are never resolution targets:
@@ -59,9 +58,6 @@ pub struct FnDef {
     /// Declared return type, whitespace-normalized (`Joules`,
     /// `Result<ChaosReport, ClusterError>`); `None` for `()`.
     pub ret: Option<String>,
-    /// Named value parameters as `(name, type-text)`; `self` receivers
-    /// and destructuring patterns are omitted.
-    pub params: Vec<(String, String)>,
     /// True when the receiver is `&mut self` or `mut self` — the
     /// signature-level signal that the method mutates its state.
     pub mut_self: bool,
@@ -79,48 +75,11 @@ impl FnDef {
     }
 }
 
-/// A `use` import (first segment is what the layering rule cares about).
-#[derive(Debug, Clone)]
-pub struct UseRef {
-    /// The imported path, whitespace-normalized (`grail_sim::driver`).
-    pub path: String,
-    /// 1-based line of the `use` keyword.
-    pub line: usize,
-}
-
-/// A `mod child;` or `mod child { … }` declaration.
-#[derive(Debug, Clone)]
-pub struct ModDecl {
-    /// Declared module name.
-    pub name: String,
-    /// 1-based line.
-    pub line: usize,
-}
-
 /// The item skeleton of one file.
 #[derive(Debug, Clone, Default)]
 pub struct FileGraph {
     /// Every recognized `fn` with body span and calls.
     pub fns: Vec<FnDef>,
-    /// `use` imports.
-    pub uses: Vec<UseRef>,
-    /// `mod` declarations (module-graph edges).
-    pub mods: Vec<ModDecl>,
-}
-
-/// One node of the module graph: a module, the file that hosts it, and
-/// its outgoing edges (child declarations and imports).
-#[derive(Debug, Clone)]
-pub struct ModuleNode {
-    /// `crate::module::path` rendered as `crate_name::module` (the
-    /// crate root is just `crate_name`).
-    pub path: String,
-    /// Hosting file (workspace-relative).
-    pub file: String,
-    /// Declared child modules.
-    pub declares: Vec<String>,
-    /// Imported paths.
-    pub uses: Vec<String>,
 }
 
 // ---------------------------------------------------------------------------
@@ -161,9 +120,7 @@ enum Pending {
     /// Saw line-initial `impl`, accumulating the header until `{`.
     Impl { text: String },
     /// Saw `mod name`, waiting for `{` (inline) or `;` (child file).
-    Mod { name: String, line: usize },
-    /// Saw `use`, accumulating the path until `;`.
-    Use { text: String, line: usize },
+    Mod { name: String },
 }
 
 /// Keywords that can never be call names.
@@ -233,17 +190,6 @@ pub fn extract(info: &FileInfo, f: &ScannedFile) -> FileGraph {
             let c = chars[i];
             if let Some(p) = pending.as_mut() {
                 match p {
-                    Pending::Use { text, line } => {
-                        if c == ';' {
-                            let path: String = text.split_whitespace().collect::<Vec<_>>().join("");
-                            out.uses.push(UseRef { path, line: *line });
-                            pending = None;
-                        } else {
-                            text.push(c);
-                        }
-                        i += 1;
-                        continue;
-                    }
                     Pending::Impl { text } => {
                         if c == '{' {
                             let (type_, trait_) = parse_impl_header(text);
@@ -288,7 +234,6 @@ pub fn extract(info: &FileInfo, f: &ScannedFile) -> FileGraph {
                                 end_line: *line,
                                 in_test: f.is_test_line(*line),
                                 ret: sig.ret,
-                                params: sig.params,
                                 mut_self: sig.mut_self,
                                 calls: Vec::new(),
                             };
@@ -317,12 +262,8 @@ pub fn extract(info: &FileInfo, f: &ScannedFile) -> FileGraph {
                             continue;
                         }
                     },
-                    Pending::Mod { name, line } => {
+                    Pending::Mod { name } => {
                         if c == '{' {
-                            out.mods.push(ModDecl {
-                                name: name.clone(),
-                                line: *line,
-                            });
                             stack.push(Ctx {
                                 kind: CtxKind::Mod {
                                     name: std::mem::take(name),
@@ -332,14 +273,7 @@ pub fn extract(info: &FileInfo, f: &ScannedFile) -> FileGraph {
                             depth += 1;
                             pending = None;
                         } else if c == ';' {
-                            out.mods.push(ModDecl {
-                                name: std::mem::take(name),
-                                line: *line,
-                            });
                             pending = None;
-                        } else {
-                            i += 1;
-                            continue;
                         }
                         i += 1;
                         continue;
@@ -377,12 +311,6 @@ pub fn extract(info: &FileInfo, f: &ScannedFile) -> FileGraph {
                             text: String::new(),
                         });
                     }
-                    "use" if at_item || after_qualifiers => {
-                        pending = Some(Pending::Use {
-                            text: String::new(),
-                            line: lineno,
-                        });
-                    }
                     "fn" if line_head.split_whitespace().all(is_fn_qualifier) => {
                         // Next ident is the function name.
                         let mut j = i;
@@ -418,7 +346,6 @@ pub fn extract(info: &FileInfo, f: &ScannedFile) -> FileGraph {
                         if k > j {
                             pending = Some(Pending::Mod {
                                 name: chars[j..k].iter().collect(),
-                                line: lineno,
                             });
                             i = k;
                         }
@@ -546,8 +473,6 @@ fn parse_impl_header(text: &str) -> (Option<String>, Option<String>) {
 /// Parsed pieces of a fn signature (the text between the name and `{`).
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct FnSig {
-    /// Named value parameters as `(name, type-text)`.
-    pub params: Vec<(String, String)>,
     /// Whitespace-normalized return type, `None` for `()`.
     pub ret: Option<String>,
     /// True for `&mut self` / `mut self` receivers.
@@ -555,7 +480,7 @@ pub struct FnSig {
 }
 
 /// Parse a fn header: generics are skipped, the first top-level paren
-/// group yields the parameters, a following `->` yields the return type
+/// group yields the receiver, a following `->` yields the return type
 /// (cut at `where`). Tolerant by construction — anything unparseable
 /// just produces fewer facts, never an error.
 fn parse_fn_header(text: &str) -> FnSig {
@@ -566,12 +491,8 @@ fn parse_fn_header(text: &str) -> FnSig {
     for (i, &c) in chars.iter().enumerate() {
         match c {
             '<' => angle += 1,
-            '>' => {
-                // Ignore `->`: an arrow before the params cannot occur.
-                if i == 0 || chars[i - 1] != '-' {
-                    angle = angle.saturating_sub(1);
-                }
-            }
+            // Ignore `->`: an arrow before the params cannot occur.
+            '>' if i == 0 || chars[i - 1] != '-' => angle = angle.saturating_sub(1),
             '(' if angle == 0 => {
                 open = Some(i);
                 break;
@@ -597,32 +518,16 @@ fn parse_fn_header(text: &str) -> FnSig {
             _ => {}
         }
     }
-    let inner: String = chars[open + 1..close.min(n)].iter().collect();
-    let mut sig = FnSig::default();
-    for piece in split_top_level(&inner) {
-        let piece = piece.trim();
-        if piece.is_empty() {
-            continue;
-        }
-        let head: String = piece.split_whitespace().collect::<Vec<_>>().join(" ");
-        if head == "self"
-            || head.starts_with("self:")
-            || head.starts_with("&self")
-            || head.starts_with("& self")
-            || head.contains("mut self")
-            || head.starts_with("&'") && head.ends_with("self")
-        {
-            sig.mut_self = head.contains("mut self");
-            continue;
-        }
-        if let Some((name, ty)) = piece.split_once(':') {
-            let name = name.trim().trim_start_matches("mut ").trim();
-            if !name.is_empty() && name.chars().all(is_ident_char) {
-                let ty = ty.split_whitespace().collect::<Vec<_>>().join(" ");
-                sig.params.push((name.to_string(), ty));
-            }
-        }
-    }
+    // The receiver, if any, is the first parameter.
+    let receiver: String = chars[open + 1..close.min(n)]
+        .iter()
+        .take_while(|&&c| c != ',')
+        .collect();
+    let receiver = receiver.split_whitespace().collect::<Vec<_>>().join(" ");
+    let mut sig = FnSig {
+        mut_self: receiver.contains("mut self"),
+        ret: None,
+    };
     let rest: String = chars[(close + 1).min(n)..].iter().collect();
     if let Some(arrow) = rest.find("->") {
         let ret = rest[arrow + 2..].trim();
@@ -636,31 +541,6 @@ fn parse_fn_header(text: &str) -> FnSig {
         }
     }
     sig
-}
-
-/// Split a parameter list at commas outside `<>`, `()`, `[]`.
-fn split_top_level(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut depth = 0isize;
-    let chars: Vec<char> = s.chars().collect();
-    for (i, &c) in chars.iter().enumerate() {
-        match c {
-            '<' | '(' | '[' => depth += 1,
-            '>' if i == 0 || chars[i - 1] != '-' => depth -= 1,
-            ')' | ']' => depth -= 1,
-            ',' if depth <= 0 => {
-                out.push(std::mem::take(&mut cur));
-                continue;
-            }
-            _ => {}
-        }
-        cur.push(c);
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur);
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -690,10 +570,7 @@ impl WorkspaceGraph {
             // Library code cannot call into test regions, test-like
             // files, or binary targets (`main.rs`, `src/bin/`) — edges
             // into them would only manufacture false paths.
-            let binary = d.file == "src/main.rs"
-                || d.file.ends_with("/src/main.rs")
-                || d.file.contains("/src/bin/");
-            if d.in_test || d.kind != FileKind::Library || binary {
+            if d.in_test || d.kind != FileKind::Library || crate::is_binary_target(&d.file) {
                 continue;
             }
             by_name.entry(d.name.clone()).or_default().push(i);
@@ -786,28 +663,6 @@ impl WorkspaceGraph {
         }
         seen
     }
-
-    /// The module graph: one node per file-hosted module, with declared
-    /// children and imports as edges.
-    pub fn modules(files: &[(String, String, FileGraph)]) -> Vec<ModuleNode> {
-        files
-            .iter()
-            .map(|(rel, crate_name, fg)| {
-                let m = file_module(rel);
-                let path = if m.is_empty() {
-                    crate_name.clone()
-                } else {
-                    format!("{crate_name}::{m}")
-                };
-                ModuleNode {
-                    path,
-                    file: rel.clone(),
-                    declares: fg.mods.iter().map(|d| d.name.clone()).collect(),
-                    uses: fg.uses.iter().map(|u| u.path.clone()).collect(),
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -876,8 +731,6 @@ mod inner {
         assert_eq!(next.module, "colscan");
         let nested = &g.fns[1];
         assert_eq!(nested.module, "colscan::inner");
-        assert_eq!(g.mods.len(), 1);
-        assert_eq!(g.mods[0].name, "inner");
     }
 
     #[test]
@@ -948,7 +801,7 @@ mod tests {
     }
 
     #[test]
-    fn fn_signatures_yield_params_ret_and_receiver() {
+    fn fn_signatures_yield_ret_and_receiver() {
         let src = "\
 impl DiskDevice {
     pub fn serve(&mut self, at: SimInstant, bytes: u64) -> Joules {
@@ -971,13 +824,6 @@ where
         let g = graph_of("crates/sim/src/disk.rs", src);
         let serve = &g.fns[0];
         assert!(serve.mut_self);
-        assert_eq!(
-            serve.params,
-            vec![
-                ("at".to_string(), "SimInstant".to_string()),
-                ("bytes".to_string(), "u64".to_string()),
-            ]
-        );
         assert_eq!(serve.ret.as_deref(), Some("Joules"));
         let peek = &g.fns[1];
         assert!(!peek.mut_self);
@@ -988,12 +834,10 @@ where
             chaos.ret.as_deref(),
             Some("Result<ChaosReport, ClusterError>")
         );
-        assert_eq!(chaos.params[0].0, "fleet");
-        assert_eq!(chaos.params[1].1, "&ChaosSchedule");
     }
 
     #[test]
-    fn generic_fn_headers_find_the_param_list() {
+    fn generic_fn_headers_find_the_return_type() {
         let src = "\
 pub fn run<C: Sync, R, F>(items: &[C], f: F) -> Vec<R> {
     body()
@@ -1003,10 +847,8 @@ fn plain() {
 }
 ";
         let g = graph_of("crates/sim/src/x.rs", src);
-        assert_eq!(g.fns[0].params[0].0, "items");
         assert_eq!(g.fns[0].ret.as_deref(), Some("Vec<R>"));
         assert_eq!(g.fns[1].ret, None);
-        assert!(g.fns[1].params.is_empty());
     }
 
     #[test]
@@ -1028,18 +870,5 @@ fn orphan() {}
         let idx = |n: &str| wg.find(|d| d.name == n)[0];
         assert!(seen[idx("finish")] && seen[idx("settle")] && seen[idx("book")]);
         assert!(!seen[idx("orphan")]);
-    }
-
-    #[test]
-    fn use_imports_are_collected() {
-        let src = "\
-use grail_power::units::Joules;
-use std::collections::{BTreeMap, BTreeSet};
-fn f() {}
-";
-        let g = graph_of("crates/sim/src/x.rs", src);
-        assert_eq!(g.uses.len(), 2);
-        assert_eq!(g.uses[0].path, "grail_power::units::Joules");
-        assert_eq!(g.uses[0].line, 1);
     }
 }

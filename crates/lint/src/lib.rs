@@ -16,10 +16,16 @@
 //!    rules produce *raw* diagnostics.
 //! 2. **Workspace**: the per-file skeletons assemble into a
 //!    [`graph::WorkspaceGraph`], over which the semantic rules run —
-//!    nondeterminism taint ([`taint`]), charge-reachability and
-//!    layering ([`rules`]). Only then are pragma suppressions applied,
-//!    so [`rules::stale_pragmas`] can tell which pragmas actually earn
-//!    their keep against the full raw set.
+//!    charge-reachability, ledger-flow and model-coverage — and the
+//!    manifests are checked for layering ([`rules`]). Only then are
+//!    pragma suppressions applied, so [`rules::stale_pragmas`] can tell
+//!    which pragmas actually earn their keep against the full raw set.
+//!
+//! A rule lives here only if it can fire on code rustc accepts and no
+//! simpler rule already reports the same defect at its source. Units
+//! and ledger privacy are the type system's job (`grail_power::units`,
+//! `grail_power::ledger`); a host-clock read is reported where it is
+//! written, not at the call sites that reach it.
 //!
 //! The crate deliberately depends on nothing outside the workspace (and
 //! only on the std-only `grail-par` inside it): it must build
@@ -34,14 +40,10 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod dataflow;
-pub mod fix;
 pub mod graph;
 pub mod rules;
 pub mod sarif;
 pub mod scan;
-pub mod taint;
-pub mod units;
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -147,6 +149,13 @@ pub fn classify(rel: &str) -> Option<(String, FileKind)> {
     Some((crate_name.to_string(), kind))
 }
 
+/// True for files that compile into a binary target — `src/main.rs` and
+/// anything under `src/bin/`. A binary owns stdout and may time itself,
+/// and library code cannot call into it.
+pub(crate) fn is_binary_target(rel: &str) -> bool {
+    rel == "src/main.rs" || rel.ends_with("/src/main.rs") || rel.contains("/src/bin/")
+}
+
 /// An in-memory source file handed to the engine.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
@@ -166,16 +175,14 @@ pub struct ManifestFile {
 }
 
 /// Everything the workspace stage needs from one analyzed file.
-pub(crate) struct FileAnalysis {
-    pub(crate) rel: String,
-    pub(crate) crate_name: String,
-    pub(crate) kind: FileKind,
-    pub(crate) scanned: scan::ScannedFile,
-    pub(crate) graph: graph::FileGraph,
-    pub(crate) raw: Vec<Diagnostic>,
+struct FileAnalysis {
+    rel: String,
+    scanned: scan::ScannedFile,
+    graph: graph::FileGraph,
+    raw: Vec<Diagnostic>,
 }
 
-pub(crate) fn analyze_file(file: &SourceFile) -> Option<FileAnalysis> {
+fn analyze_file(file: &SourceFile) -> Option<FileAnalysis> {
     let (crate_name, kind) = classify(&file.rel)?;
     let info = FileInfo {
         rel: &file.rel,
@@ -187,8 +194,6 @@ pub(crate) fn analyze_file(file: &SourceFile) -> Option<FileAnalysis> {
     let raw = rules::check_tokens(&info, &scanned);
     Some(FileAnalysis {
         rel: file.rel.clone(),
-        crate_name,
-        kind,
         scanned,
         graph,
         raw,
@@ -244,19 +249,9 @@ fn stage2(analyses: &[FileAnalysis], manifests: &[ManifestFile]) -> Vec<Diagnost
         .iter()
         .flat_map(|a| a.raw.iter().cloned())
         .collect();
-    raw.extend(taint::check(&wg, &scanned_by_rel));
     raw.extend(rules::charge_reachability(&wg));
+    raw.extend(rules::ledger_flow(&wg));
     raw.extend(rules::model_coverage(&wg, &scanned_by_rel));
-    raw.extend(dataflow::ledger_flow(&wg));
-    for a in analyses {
-        let info = FileInfo {
-            rel: &a.rel,
-            crate_name: &a.crate_name,
-            kind: a.kind,
-        };
-        raw.extend(rules::layering_source(&info, &a.scanned));
-        raw.extend(units::check_file(&info, &a.scanned, &a.graph, &wg));
-    }
     for m in manifests {
         raw.extend(rules::layering_manifest(&m.rel, &m.source));
     }

@@ -9,52 +9,27 @@
 //!   goes to stdout so it can be redirected into an artifact.
 //! * `--threads N` / `--sequential` — fan the per-file stage across N
 //!   threads; output is byte-identical at any thread count.
-//! * `--fix` — apply machine-applicable fixes in place (today: delete
-//!   dead `allow` pragmas flagged by `stale-pragma`), then re-lint and
-//!   report what remains.
 //! * `--list-rules` — print the rule table and exit.
 //!
-//! Any other argument starting with `--` is a usage error.
+//! Any other argument starting with `--` is a usage error, and so is a
+//! root with no audited Rust sources under it (an empty directory, or
+//! `crates/` instead of the workspace root): a gate that looked at
+//! nothing must not report "clean".
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::env;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Apply every machine-applicable fix implied by `diags` to the files
-/// under `root`, returning how many pragmas were removed.
-fn apply_fixes(root: &Path, diags: &[grail_lint::Diagnostic]) -> Result<usize, String> {
-    let mut by_file: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
-    for d in diags {
-        if d.rule == grail_lint::rules::STALE_PRAGMA {
-            by_file.entry(&d.file).or_default().insert(d.line);
-        }
-    }
-    let mut removed = 0usize;
-    for (rel, lines) in &by_file {
-        let path = root.join(rel.replace('/', std::path::MAIN_SEPARATOR_STR));
-        let source =
-            fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        if let Some(fixed) = grail_lint::fix::remove_stale_pragmas(&source, lines) {
-            fs::write(&path, fixed).map_err(|e| format!("write {}: {e}", path.display()))?;
-            removed += lines.len();
-        }
-    }
-    Ok(removed)
-}
-
 const USAGE: &str = "usage: grail-lint [--format text|sarif] [--threads N | --sequential] \
-                     [--fix] [--list-rules] [WORKSPACE_ROOT]";
+                     [--list-rules] [WORKSPACE_ROOT]";
 
 /// What the command line asked for.
 #[derive(Debug, PartialEq, Eq)]
 struct Cli {
     runner: grail_par::Runner,
     sarif: bool,
-    fix: bool,
     list_rules: bool,
     root: Option<PathBuf>,
 }
@@ -75,7 +50,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Cli, String> {
     let mut cli = Cli {
         runner,
         sarif: false,
-        fix: false,
         list_rules: false,
         root: None,
     };
@@ -85,8 +59,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Cli, String> {
             cli.sarif = is_sarif(&it.next().ok_or("--format requires a value")?)?;
         } else if let Some(f) = a.strip_prefix("--format=") {
             cli.sarif = is_sarif(f)?;
-        } else if a == "--fix" {
-            cli.fix = true;
         } else if a == "--list-rules" {
             cli.list_rules = true;
         } else if a.starts_with("--") {
@@ -98,6 +70,22 @@ fn parse_args(mut args: Vec<String>) -> Result<Cli, String> {
         }
     }
     Ok(cli)
+}
+
+/// Lint the workspace under `root`. A root the walk finds no audited
+/// source under is an error: the caller pointed the gate at the wrong
+/// directory, and "zero files, zero violations" would pass vacuously.
+fn lint(root: &Path, threads: usize) -> Result<Vec<grail_lint::Diagnostic>, String> {
+    let (files, manifests) = grail_lint::workspace_sources(root)
+        .map_err(|e| format!("cannot walk {}: {e}", root.display()))?;
+    if files.is_empty() {
+        return Err(format!(
+            "no audited Rust sources under {} (expected the workspace root: \
+             src/, tests/, examples/ or crates/<name>/src/)",
+            root.display()
+        ));
+    }
+    Ok(grail_lint::analyze(&files, &manifests, threads))
 }
 
 fn main() -> ExitCode {
@@ -127,34 +115,13 @@ fn main() -> ExitCode {
             Err(_) => PathBuf::from("."),
         },
     };
-    let lint = |root: &PathBuf| -> Result<Vec<grail_lint::Diagnostic>, ExitCode> {
-        grail_lint::check_workspace_threads(root, cli.runner.threads()).map_err(|e| {
-            eprintln!("grail-lint: cannot walk {}: {e}", root.display());
-            ExitCode::FAILURE
-        })
-    };
-    let mut diags = match lint(&root) {
+    let diags = match lint(&root, cli.runner.threads()) {
         Ok(diags) => diags,
-        Err(code) => return code,
-    };
-    if cli.fix {
-        match apply_fixes(&root, &diags) {
-            Ok(0) => {}
-            Ok(n) => {
-                eprintln!("grail-lint: --fix removed {n} stale pragma(s)");
-                // Re-lint so the report (and the exit status) reflect
-                // the repaired tree, not the one we just rewrote.
-                diags = match lint(&root) {
-                    Ok(diags) => diags,
-                    Err(code) => return code,
-                };
-            }
-            Err(e) => {
-                eprintln!("grail-lint: --fix failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        Err(e) => {
+            eprintln!("grail-lint: {e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
     if cli.sarif {
         print!("{}", grail_lint::sarif::to_sarif(&diags));
         return if diags.is_empty() {
@@ -188,13 +155,12 @@ mod tests {
 
     #[test]
     fn known_flags_in_both_value_forms() {
-        let cli = parse(&["--format", "sarif", "--threads", "8", "--fix", "ws"]).unwrap();
+        let cli = parse(&["--format", "sarif", "--threads", "8", "ws"]).unwrap();
         assert_eq!(
             cli,
             Cli {
                 runner: grail_par::Runner::with_threads(8),
                 sarif: true,
-                fix: true,
                 list_rules: false,
                 root: Some(PathBuf::from("ws")),
             }
@@ -208,7 +174,7 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_errors_wherever_they_stand() {
-        for flag in ["--cache-dir", "--par-report", "--bench-json"] {
+        for flag in ["--cache-dir", "--par-report", "--bench-json", "--fix"] {
             for args in [vec![flag, "x", "."], vec![".", flag, "x"]] {
                 let err = parse(&args).unwrap_err();
                 assert!(err.contains(flag), "{err}");
@@ -223,5 +189,23 @@ mod tests {
         assert!(parse(&["--format"]).unwrap_err().contains("--format"));
         assert!(parse(&["--format", "xml"]).unwrap_err().contains("`xml`"));
         assert!(parse(&["a", "b"]).unwrap_err().contains("`b`"));
+    }
+
+    #[test]
+    fn a_root_with_no_audited_sources_is_an_error_not_a_clean_pass() {
+        let dir = env::temp_dir().join(format!("grail-lint-empty-{}", std::process::id()));
+        // `crates/` handed over instead of the workspace root: the file
+        // exists, but no audited path starts at `sim/`.
+        std::fs::create_dir_all(dir.join("sim/src")).unwrap();
+        std::fs::write(dir.join("sim/src/lib.rs"), "pub fn f() {}\n").unwrap();
+        let err = lint(&dir, 1).unwrap_err();
+        assert!(err.contains("no audited Rust sources"), "{err}");
+        assert!(err.contains(&dir.display().to_string()), "{err}");
+        // The same file one level down is audited and lints.
+        std::fs::create_dir_all(dir.join("crates")).unwrap();
+        std::fs::rename(dir.join("sim"), dir.join("crates/sim")).unwrap();
+        let rules: Vec<&str> = lint(&dir, 1).unwrap().iter().map(|d| d.rule).collect();
+        assert_eq!(rules, ["unsafe-forbid"]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,20 +4,25 @@
 //! Each rule protects one of the guarantees the energy-accounting
 //! argument rests on (see `DESIGN.md` § Invariants):
 //!
-//! * [`WALL_CLOCK`] — deterministic replay: simulated crates must never
-//!   read the host clock or an entropy-seeded RNG.
+//! * [`WALL_CLOCK`] — deterministic replay: nothing but a binary target
+//!   (`src/main.rs`, `src/bin/`) may read the host clock or an
+//!   entropy-seeded RNG. Every library, test, bench and example file
+//!   is in scope, so a clock read is reported at its source line no
+//!   matter how many calls separate it from simulated state.
 //! * [`HASH_ORDER`] — deterministic reports: no `HashMap`/`HashSet` in
 //!   library code, since their iteration order can leak into ledgers,
 //!   `EnergyReport`s and `experiments.jsonl`.
-//! * [`LEDGER_MUT`] — conservation: component totals move only through
-//!   `EnergyLedger`'s audited API (`charge`/`transfer`), never by
-//!   foreign impls or struct literals.
+//! * [`LEDGER_MUT`] — conservation: `EnergyLedger`'s accounting fields
+//!   stay private, which is what lets rustc reject every other way of
+//!   moving a total (struct literals, foreign impls touching the
+//!   fields, negative `Joules`).
 //! * [`ERROR_HYGIENE`] — no panicking escape hatches in simulator-facing
 //!   library code; failures route through `SimError`.
 //! * [`FLOAT_EQ`] — no `==`/`!=` on raw energy/time floats; replay
 //!   equality is asserted on whole values or bit patterns, tolerance
 //!   comparisons elsewhere.
-//! * [`PRINT_HYGIENE`] — no `println!`/`eprintln!` in library crates;
+//! * [`PRINT_HYGIENE`] — no `println!`/`eprintln!`/`print!`/`eprint!`/
+//!   `dbg!` in library crates;
 //!   diagnostics flow through `grail-trace` events or returned errors,
 //!   and only binary targets own stdout.
 //! * [`THREAD_CONFINE`] — threads and locks live only in `grail-par`;
@@ -44,35 +49,38 @@
 //!   `Simulation::finish`). No simulated work is free.
 //! * [`LAYERING`] — crate dependencies must follow the [`LAYERS`]
 //!   order from DESIGN.md §7; a back-edge (or a sideways edge inside a
-//!   layer) is an architecture regression, whether it appears in a
-//!   `Cargo.toml` or as a `grail_*::` path in library code.
+//!   layer) is an architecture regression. Checked on the manifests
+//!   alone: a `grail_x::` path compiles only if `[dependencies]` lists
+//!   `grail-x`.
 //! * [`STALE_PRAGMA`] — an `allow` pragma that suppresses zero
 //!   diagnostics under the semantic engine is dead weight that will
 //!   silently mask the next real violation on its line; deleting it is
 //!   always safe, so keeping it is an error (not suppressible).
-//!   Because deletion is always safe, this is the one rule the binary
-//!   repairs mechanically under `--fix` (see [`crate::fix`]).
+//! * [`LEDGER_FLOW`] — every `charge`/`charge_interval`/`transfer` call
+//!   site sits in a function some settlement anchor (`finish`, or a
+//!   `*Report`-returning function) reaches, so booked Joules always
+//!   end up in a report.
 //! * [`MODEL_COVERAGE`] — every protocol state machine (a mutating
 //!   `step`/`advance` beside ledger billing and a thread/shard
 //!   boundary in sim/par/scheduler library code) must be named in a
 //!   `covers` list of the `grail-check` model registry, so the
 //!   exhaustive checker exercises the same transition relation the
 //!   production event loops execute.
-//! * The taint layer (see [`crate::taint`]) re-reports [`WALL_CLOCK`]
-//!   and [`HASH_ORDER`] at every sim-reachable call site whose callee
-//!   chain ends in a nondeterminism source, with the full call chain
-//!   in the message.
+//!
+//! There is no dimensional rule: `grail_power::units` implements only
+//! the legal products and `EnergyLedger` takes typed arguments, so
+//! rustc is the unit checker (DESIGN §7.3).
 
 use crate::graph::WorkspaceGraph;
 use crate::scan::{is_ident_char, PragmaScope, ScannedFile};
-use crate::{Diagnostic, FileInfo, FileKind};
+use crate::{is_binary_target, Diagnostic, FileInfo, FileKind};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Determinism: no wall-clock or entropy sources in simulated crates.
+/// Determinism: no wall-clock or entropy sources outside binary targets.
 pub const WALL_CLOCK: &str = "wall-clock";
 /// Determinism: no hash-ordered collections in library code.
 pub const HASH_ORDER: &str = "hash-order";
-/// Conservation: the ledger mutates only through its audited API.
+/// Conservation: the ledger's accounting fields stay private.
 pub const LEDGER_MUT: &str = "ledger-mut";
 /// No `unwrap`/`expect`/`panic!` in simulator-facing library code.
 pub const ERROR_HYGIENE: &str = "error-hygiene";
@@ -92,10 +100,6 @@ pub const CHARGE_REACHABILITY: &str = "charge-reachability";
 pub const LAYERING: &str = "layering";
 /// An allow pragma that suppresses nothing is itself an error.
 pub const STALE_PRAGMA: &str = "stale-pragma";
-/// Dimensional analysis: no mixing of incompatible unit kinds.
-pub const UNIT_MIX: &str = "unit-mix";
-/// Raw f64 values must not flow into the ledger's booking sinks.
-pub const RAW_ENERGY: &str = "raw-energy";
 /// Every charge site must sit under a settlement anchor.
 pub const LEDGER_FLOW: &str = "ledger-flow";
 /// Metric names are static literals from the grail-metrics catalog,
@@ -117,7 +121,7 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         id: WALL_CLOCK,
-        summary: "no host clock / entropy RNG in sim, power, scheduler, core (replay determinism)",
+        summary: "no host clock / entropy RNG outside binary targets (replay determinism)",
     },
     Rule {
         id: HASH_ORDER,
@@ -125,7 +129,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: LEDGER_MUT,
-        summary: "EnergyLedger totals move only through its audited API in power/src/ledger.rs",
+        summary: "EnergyLedger accounting fields in power/src/ledger.rs stay private",
     },
     Rule {
         id: ERROR_HYGIENE,
@@ -137,7 +141,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: PRINT_HYGIENE,
-        summary: "no println!/eprintln! in library code outside tests; trace or return errors",
+        summary: "no println!/eprintln!/print!/eprint!/dbg! in library code outside tests; trace or return errors",
     },
     Rule {
         id: THREAD_CONFINE,
@@ -164,14 +168,6 @@ pub const RULES: &[Rule] = &[
         summary: "an allow pragma that suppresses zero diagnostics is dead and must be deleted (not suppressible)",
     },
     Rule {
-        id: UNIT_MIX,
-        summary: "energy/power/time values must not mix dimensions (Joules+Watts, energy*energy, raw J*s)",
-    },
-    Rule {
-        id: RAW_ENERGY,
-        summary: "EnergyLedger::charge/charge_interval/transfer take typed units, never raw f64 literals",
-    },
-    Rule {
         id: LEDGER_FLOW,
         summary: "every charge site must be reachable from a settlement anchor (finish / *Report-returning fn)",
     },
@@ -190,14 +186,10 @@ pub const RULES: &[Rule] = &[
 /// let rot accumulate invisibly.
 pub const UNSUPPRESSABLE: &[&str] = &[PRAGMA, STALE_PRAGMA];
 
-/// Crates whose code (tests included) must stay wall-clock-free. Also
-/// the reporting scope of the taint layer ([`crate::taint`]): these are
-/// the sim-reachable roots.
-pub const DETERMINISTIC_CRATES: &[&str] = &["sim", "power", "scheduler", "core"];
 /// Crates whose library code must route failures through `SimError`.
 const ERROR_HYGIENE_CRATES: &[&str] = &["sim", "power", "core", "scheduler"];
 /// The one file allowed to touch `EnergyLedger` internals.
-pub(crate) const LEDGER_FILE: &str = "crates/power/src/ledger.rs";
+const LEDGER_FILE: &str = "crates/power/src/ledger.rs";
 
 /// Run every per-file token rule over one scanned file and return the
 /// *raw* (unsuppressed) diagnostics. Suppression is applied later, at
@@ -304,22 +296,7 @@ pub fn stale_pragmas(rel: &str, f: &ScannedFile, raw: &[Diagnostic]) -> Vec<Diag
         let earns = raw
             .iter()
             .any(|d| d.file == rel && d.rule == p.rule && covers(d.line));
-        // A wall-clock/hash-order pragma outside the rules' reporting
-        // scope can still be doing real work: killing a taint seed
-        // (see `crate::taint`). Credit it when a source token sits on
-        // a covered line.
-        let seed_patterns: Option<&[&str]> = match p.rule.as_str() {
-            WALL_CLOCK => Some(WALL_CLOCK_PATTERNS),
-            HASH_ORDER => Some(HASH_ORDER_PATTERNS),
-            _ => None,
-        };
-        let earns_seed = seed_patterns.is_some_and(|pats| {
-            f.code
-                .iter()
-                .enumerate()
-                .any(|(i, code)| covers(i + 1) && pats.iter().any(|pat| has_token(code, pat)))
-        });
-        if !earns && !earns_seed {
+        if !earns {
             out.push(Diagnostic::new(
                 rel,
                 p.at,
@@ -339,7 +316,7 @@ pub fn stale_pragmas(rel: &str, f: &ScannedFile, raw: &[Diagnostic]) -> Vec<Diag
 /// pattern starts (ends) with an identifier character, the preceding
 /// (following) character must not be one, so `Instant::now` does not
 /// match inside `SimInstant::nowhere`.
-pub fn has_token(line: &str, pat: &str) -> bool {
+fn has_token(line: &str, pat: &str) -> bool {
     !token_positions(line, pat).is_empty()
 }
 
@@ -384,9 +361,8 @@ fn push_tok(
 // wall-clock
 // ---------------------------------------------------------------------------
 
-/// Tokens that read the host clock or an entropy source. Shared with
-/// the taint layer, which seeds from the same set.
-pub const WALL_CLOCK_PATTERNS: &[&str] = &[
+/// Tokens that read the host clock or an entropy source.
+const WALL_CLOCK_PATTERNS: &[&str] = &[
     "Instant::now",
     "std::time::Instant",
     "SystemTime",
@@ -400,11 +376,15 @@ pub const WALL_CLOCK_PATTERNS: &[&str] = &[
 ];
 
 fn wall_clock(info: &FileInfo, f: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    if !DETERMINISTIC_CRATES.contains(&info.crate_name) {
+    // Only a binary target may time itself. Everything else is in
+    // scope, whichever crate it lives in: a helper that reads the clock
+    // is one call away from simulated state, and the pure experiment
+    // rows in crates/bench are byte-compared by CI. Tests included:
+    // replay-equality tests are only trustworthy if they are themselves
+    // clock-free.
+    if is_binary_target(info.rel) {
         return;
     }
-    // Tests included: replay-equality tests are only trustworthy if they
-    // are themselves clock-free.
     for (i, code) in f.code.iter().enumerate() {
         for pat in WALL_CLOCK_PATTERNS {
             if let Some(&start) = token_positions(code, pat).first() {
@@ -429,8 +409,8 @@ fn wall_clock(info: &FileInfo, f: &ScannedFile, out: &mut Vec<Diagnostic>) {
 // hash-order
 // ---------------------------------------------------------------------------
 
-/// Hash-ordered collection tokens. Shared with the taint layer.
-pub const HASH_ORDER_PATTERNS: &[&str] = &["HashMap", "HashSet"];
+/// Hash-ordered collection tokens.
+const HASH_ORDER_PATTERNS: &[&str] = &["HashMap", "HashSet"];
 
 fn hash_order(info: &FileInfo, f: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if info.kind != FileKind::Library {
@@ -465,78 +445,30 @@ fn hash_order(info: &FileInfo, f: &ScannedFile, out: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------------------
 
 fn ledger_mut(info: &FileInfo, f: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    if info.rel == LEDGER_FILE {
-        // Inside the sanctioned file: the accounting fields must stay
-        // private, or the audited-API guarantee is void.
-        for (i, code) in f.code.iter().enumerate() {
-            let t = code.trim_start();
-            let is_field = |name: &str| {
-                (t.starts_with("pub ") || t.starts_with("pub("))
-                    && !t.contains("fn ")
-                    && has_token(t, name)
-                    && t.contains(&format!("{name}:"))
-            };
-            if is_field("entries") || is_field("total") {
-                push(
-                    out,
-                    info,
-                    i + 1,
-                    LEDGER_MUT,
-                    "EnergyLedger accounting fields must stay private; expose behavior \
-                     through audited methods instead"
-                        .to_string(),
-                );
-            }
-        }
+    // Private fields are what make rustc the conservation checker
+    // everywhere else: a struct literal is E0451, a foreign impl cannot
+    // name `entries`/`total`, and `Joules` has no `Neg`.
+    if info.rel != LEDGER_FILE {
         return;
     }
     for (i, code) in f.code.iter().enumerate() {
-        if has_token(code, "impl EnergyLedger") {
+        let t = code.trim_start();
+        let is_field = |name: &str| {
+            (t.starts_with("pub ") || t.starts_with("pub("))
+                && !t.contains("fn ")
+                && has_token(t, name)
+                && t.contains(&format!("{name}:"))
+        };
+        if is_field("entries") || is_field("total") {
             push(
                 out,
                 info,
                 i + 1,
                 LEDGER_MUT,
-                "foreign `impl EnergyLedger` could bypass conservation; extend \
-                 crates/power/src/ledger.rs instead"
+                "EnergyLedger accounting fields must stay private; expose behavior \
+                 through audited methods instead"
                     .to_string(),
             );
-        }
-        // `EnergyLedger {` in expression position is a struct literal;
-        // skip type positions (`-> EnergyLedger {`, `impl .. for ..`).
-        let literal = token_positions(code, "EnergyLedger {")
-            .into_iter()
-            .any(|pos| {
-                let pre = code[..pos].trim_end();
-                !(pre.ends_with("->")
-                    || pre.ends_with("impl")
-                    || pre.ends_with("for")
-                    || pre.ends_with("dyn")
-                    || pre.ends_with(':'))
-            });
-        if literal {
-            push(
-                out,
-                info,
-                i + 1,
-                LEDGER_MUT,
-                "constructing EnergyLedger by struct literal bypasses accounting; use \
-                 EnergyLedger::new() and charge()/transfer()"
-                    .to_string(),
-            );
-        }
-        for pat in [".charge(-", ".charge_interval(-", ".transfer(-"] {
-            if code.contains(pat) {
-                push(
-                    out,
-                    info,
-                    i + 1,
-                    LEDGER_MUT,
-                    "negative amounts would destroy Joules; ledger movements must be \
-                     non-negative (use transfer to re-attribute)"
-                        .to_string(),
-                );
-            }
         }
     }
 }
@@ -671,12 +603,6 @@ fn operand_after(code: &str, op_end: usize) -> String {
 // print-hygiene
 // ---------------------------------------------------------------------------
 
-/// True for files that compile into a binary target, which rightfully
-/// owns stdout: `src/main.rs` and anything under `src/bin/`.
-fn is_binary_target(rel: &str) -> bool {
-    rel == "src/main.rs" || rel.ends_with("/src/main.rs") || rel.contains("/src/bin/")
-}
-
 fn print_hygiene(info: &FileInfo, f: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if info.kind != FileKind::Library || is_binary_target(info.rel) {
         return;
@@ -685,7 +611,7 @@ fn print_hygiene(info: &FileInfo, f: &ScannedFile, out: &mut Vec<Diagnostic>) {
         if f.is_test_line(i + 1) {
             continue;
         }
-        for pat in ["println!", "eprintln!"] {
+        for pat in ["println!", "eprintln!", "print!", "eprint!", "dbg!"] {
             if has_token(code, pat) {
                 push(
                     out,
@@ -927,7 +853,7 @@ fn unsafe_forbid(info: &FileInfo, f: &ScannedFile, out: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------------------
 
 /// Sink methods on `EnergyLedger` — the only places energy is booked.
-pub(crate) const SINK_METHODS: &[&str] = &["charge", "charge_interval", "transfer"];
+const SINK_METHODS: &[&str] = &["charge", "charge_interval", "transfer"];
 
 /// Demand conduits: methods that *record* demand which a later
 /// settlement pass bills. A path ending at a conduit is considered
@@ -1043,6 +969,65 @@ pub fn charge_reachability(graph: &WorkspaceGraph) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
+// ledger-flow
+// ---------------------------------------------------------------------------
+
+/// Is this function a settlement anchor — a place where accumulated
+/// charges are folded into a report the caller can audit?
+fn is_settlement_anchor(d: &crate::graph::FnDef) -> bool {
+    if d.in_test || d.kind != FileKind::Library {
+        return false;
+    }
+    d.name == "finish"
+        || d.ret.as_deref().is_some_and(|r| {
+            r.split(|c| !is_ident_char(c))
+                .any(|word| word.ends_with("Report"))
+        })
+}
+
+/// The `ledger-flow` balance rule: every `charge`/`charge_interval`/
+/// `transfer` call site outside the ledger itself must sit in a
+/// function from which a settlement anchor is reachable *backwards* —
+/// i.e. some anchor reaches the charging function through the call
+/// graph, so the booked Joules are folded into a report instead of
+/// accumulating invisibly. Stays silent when the corpus has no ledger
+/// sinks in scope (partial corpora prove nothing).
+pub fn ledger_flow(graph: &WorkspaceGraph) -> Vec<Diagnostic> {
+    let has_sinks = graph
+        .fns
+        .iter()
+        .any(|d| d.file == LEDGER_FILE && SINK_METHODS.contains(&d.name.as_str()));
+    if !has_sinks {
+        return Vec::new();
+    }
+    let settled = graph.reachable_from(&graph.find(is_settlement_anchor));
+    let mut out = Vec::new();
+    for (i, d) in graph.fns.iter().enumerate() {
+        if settled[i] || d.in_test || d.kind != FileKind::Library || d.file == LEDGER_FILE {
+            continue;
+        }
+        for c in &d.calls {
+            if !SINK_METHODS.contains(&c.name.as_str()) {
+                continue;
+            }
+            out.push(Diagnostic::new(
+                d.file.clone(),
+                c.line,
+                LEDGER_FLOW,
+                format!(
+                    "`{}` books energy via `{}` but no settlement anchor (a `finish` \
+                     or report-producing function) reaches it; the charged Joules \
+                     can never be folded into an auditable report",
+                    d.qualified(),
+                    c.name
+                ),
+            ));
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
 // layering
 // ---------------------------------------------------------------------------
 
@@ -1075,65 +1060,11 @@ fn layer_of(crate_name: &str) -> Option<u32> {
         .map(|(_, l)| *l)
 }
 
-fn layering_diag(file: &str, line: usize, from: &str, to: &str, via: &str) -> Diagnostic {
-    let (lf, lt) = (layer_of(from).unwrap_or(0), layer_of(to).unwrap_or(0));
-    Diagnostic::new(
-        file,
-        line,
-        LAYERING,
-        format!(
-            "`{from}` (layer {lf}) must not depend on `{to}` (layer {lt}) {via}; \
-             dependencies point strictly downward in the DESIGN layer order"
-        ),
-    )
-}
-
-/// Source-level layering: any `grail_<crate>` path in non-test library
-/// code is a dependency edge, whether or not Cargo.toml admits it.
-pub fn layering_source(info: &FileInfo, f: &ScannedFile) -> Vec<Diagnostic> {
-    let Some(from) = layer_of(info.crate_name) else {
-        return Vec::new();
-    };
-    if info.kind != FileKind::Library {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, code) in f.code.iter().enumerate() {
-        if f.is_test_line(i + 1) {
-            continue;
-        }
-        let mut rest = code.as_str();
-        let mut base = 0usize;
-        while let Some(off) = rest.find("grail_") {
-            let start = base + off;
-            let pre_ok = !code[..start].chars().next_back().is_some_and(is_ident_char);
-            let tail: String = code[start + "grail_".len()..]
-                .chars()
-                .take_while(|&c| is_ident_char(c))
-                .collect();
-            base = start + "grail_".len();
-            rest = &code[base..];
-            if !pre_ok || tail.is_empty() || tail == info.crate_name {
-                continue;
-            }
-            let Some(to) = layer_of(&tail) else { continue };
-            if to >= from {
-                out.push(layering_diag(
-                    info.rel,
-                    i + 1,
-                    info.crate_name,
-                    &tail,
-                    "here",
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Manifest-level layering: `grail-*` entries in a `[dependencies]`
-/// section of `crates/<name>/Cargo.toml` (or the root manifest). Dev
-/// dependencies are exempt — tests may reach across layers.
+/// Layering: `grail-*` entries in a `[dependencies]` section of
+/// `crates/<name>/Cargo.toml` (or the root manifest). Dev dependencies
+/// are exempt — tests may reach across layers. The manifest is the only
+/// place to look: a `grail_x::` path in library code does not compile
+/// unless `[dependencies]` lists `grail-x`.
 pub fn layering_manifest(rel: &str, source: &str) -> Vec<Diagnostic> {
     let from = manifest_crate_name(rel);
     let Some(from_layer) = layer_of(from) else {
@@ -1158,7 +1089,16 @@ pub fn layering_manifest(rel: &str, source: &str) -> Vec<Diagnostic> {
             continue;
         };
         if to_layer >= from_layer {
-            out.push(layering_diag(rel, i + 1, from, &dep, "in its manifest"));
+            out.push(Diagnostic::new(
+                rel,
+                i + 1,
+                LAYERING,
+                format!(
+                    "`{from}` (layer {from_layer}) must not depend on `{dep}` (layer {to_layer}) \
+                     in its manifest; dependencies point strictly downward in the DESIGN \
+                     layer order"
+                ),
+            ));
         }
     }
     out
@@ -1327,7 +1267,14 @@ fn string_literals(code: &str, raw: &str) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::check_source;
+    use crate::{check_files, check_source, SourceFile};
+
+    fn sf(rel: &str, src: &str) -> SourceFile {
+        SourceFile {
+            rel: rel.to_string(),
+            source: src.to_string(),
+        }
+    }
 
     fn rules_at(rel: &str, src: &str) -> Vec<(usize, String)> {
         check_source(rel, src)
@@ -1350,14 +1297,24 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_passes_sim_clock_and_out_of_scope_crates() {
+    fn wall_clock_passes_sim_clock_and_binary_targets() {
         // SimInstant and seeded RNGs are the sanctioned sources.
         let ok = "fn f(now: SimInstant) { let rng = ChaCha8Rng::seed_from_u64(7); }\n";
         assert!(rules_at("crates/sim/src/x.rs", ok).is_empty());
-        // The same host-clock call outside the deterministic crates is
-        // not this rule's business.
-        let elsewhere = "fn f() { let t = std::time::Instant::now(); }\n";
-        assert!(rules_at("crates/storage/src/x.rs", elsewhere).is_empty());
+        // Only a binary target may time itself...
+        let timed = "fn f() { let t = Instant::now(); }\n";
+        assert!(rules_at("crates/bench/src/bin/par_sim.rs", timed).is_empty());
+        assert!(rules_at("crates/lint/src/main.rs", timed).is_empty());
+        // ...every other audited file is in scope, whatever its crate:
+        // library code, the experiment rows, tests and examples.
+        for rel in [
+            "crates/storage/src/x.rs",
+            "crates/bench/src/experiments/x.rs",
+            "crates/query/tests/x.rs",
+            "examples/x.rs",
+        ] {
+            assert_eq!(rules_at(rel, timed), vec![(1, "wall-clock".into())]);
+        }
     }
 
     #[test]
@@ -1394,25 +1351,25 @@ mod tests {
         assert!(rules_at("crates/query/src/x.rs", allowed).is_empty());
     }
 
+    #[test]
+    fn hash_map_behind_a_helper_is_reported_once_at_its_source() {
+        let helper = "pub fn lookup() -> u32 {\n    let m = HashMap::from([(1, 2)]);\n    0\n}\n";
+        let sched = "pub fn pick() -> u32 {\n    lookup()\n}\n";
+        let got = check_files(&[
+            sf("crates/workload/src/h.rs", helper),
+            sf("crates/scheduler/src/s.rs", sched),
+        ]);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(
+            (got[0].file.as_str(), got[0].line, got[0].rule),
+            ("crates/workload/src/h.rs", 2, "hash-order")
+        );
+    }
+
     // -- ledger-mut ---------------------------------------------------------
 
     #[test]
-    fn ledger_mut_triggers_on_foreign_impls_and_literals() {
-        let bad = "impl EnergyLedger { fn sneak(&mut self) {} }\n\
-                   fn f() { let l = EnergyLedger { entries: x, total: y }; }\n\
-                   fn g(l: &mut EnergyLedger) { l.charge(-1.0); }\n";
-        let got = rules_at("crates/sim/src/x.rs", bad);
-        assert!(got.contains(&(1, "ledger-mut".into())), "{got:?}");
-        assert!(got.contains(&(2, "ledger-mut".into())), "{got:?}");
-        assert!(got.contains(&(3, "ledger-mut".into())), "{got:?}");
-    }
-
-    #[test]
-    fn ledger_mut_passes_audited_use_and_flags_pub_fields_at_home() {
-        let ok = "fn f(l: &mut EnergyLedger) { l.charge(id, e); l.transfer(a, b, e); }\n\
-                  fn mk() -> EnergyLedger { EnergyLedger::new() }\n";
-        assert!(rules_at("crates/sim/src/x.rs", ok).is_empty());
-        // In ledger.rs itself the fields must stay private.
+    fn ledger_mut_keeps_the_accounting_fields_private() {
         let home_bad = "pub struct EnergyLedger {\n    pub entries: BTreeMap<ComponentId, Joules>,\n    total: Joules,\n}\n";
         let got = rules_at("crates/power/src/ledger.rs", home_bad);
         assert_eq!(got, vec![(2, "ledger-mut".into())]);
@@ -1475,6 +1432,25 @@ mod tests {
             got,
             vec![(1, "print-hygiene".into()), (2, "print-hygiene".into())]
         );
+    }
+
+    #[test]
+    fn print_hygiene_covers_the_newline_less_macros_and_dbg() {
+        let bad = "fn f() { print!(\"{}\", 1); }\n\
+                   fn g() { eprint!(\"oops\"); }\n\
+                   fn h(x: u32) -> u32 { dbg!(x) }\n";
+        let got = rules_at("crates/sim/src/p.rs", bad);
+        assert_eq!(
+            got,
+            vec![
+                (1, "print-hygiene".into()),
+                (2, "print-hygiene".into()),
+                (3, "print-hygiene".into())
+            ]
+        );
+        // One report per line: `println!` does not also match `print!`.
+        let one = rules_at("crates/sim/src/p.rs", "fn f() { println!(\"x\"); }\n");
+        assert_eq!(one, vec![(1, "print-hygiene".into())]);
     }
 
     #[test]
@@ -1627,6 +1603,15 @@ mod tests {
         assert_eq!(got.len(), 1, "{got:?}");
         assert_eq!((got[0].line, got[0].rule), (1, "pragma"));
         assert!(got[0].message.contains("unknown rule `par-readiness`"));
+        // The dimensional rules went the same way: rustc owns units.
+        for id in ["unit-mix", "raw-energy"] {
+            assert!(super::RULES.iter().all(|r| r.id != id));
+            let src = format!("// grail-lint: allow({id}, typed upstream)\nfn f() {{}}\n");
+            let got = check_source("crates/power/src/x.rs", &src);
+            assert_eq!(got.len(), 1, "{got:?}");
+            assert_eq!((got[0].line, got[0].rule), (1, "pragma"));
+            assert!(got[0].message.contains(&format!("unknown rule `{id}`")));
+        }
     }
 
     #[test]
@@ -1660,82 +1645,6 @@ mod tests {
     }
 
     // -- semantic rules -----------------------------------------------------
-
-    use crate::{check_files, SourceFile};
-
-    fn sf(rel: &str, src: &str) -> SourceFile {
-        SourceFile {
-            rel: rel.to_string(),
-            source: src.to_string(),
-        }
-    }
-
-    #[test]
-    fn taint_reports_boundary_call_with_full_chain() {
-        let helper = "\
-pub fn jitter() -> u64 {
-    entropy_word()
-}
-pub fn entropy_word() -> u64 {
-    let t = SystemTime::now();
-    0
-}
-";
-        let sim = "pub fn advance() {\n    let j = jitter();\n}\n";
-        let got = check_files(&[
-            sf("crates/storage/src/util.rs", helper),
-            sf("crates/sim/src/drv.rs", sim),
-        ]);
-        assert_eq!(got.len(), 1, "{got:?}");
-        let d = &got[0];
-        assert_eq!(
-            (d.file.as_str(), d.line, d.rule),
-            ("crates/sim/src/drv.rs", 2, "wall-clock")
-        );
-        assert!(
-            d.message.contains(
-                "`jitter` → `entropy_word` → `SystemTime` (crates/storage/src/util.rs:5)"
-            ),
-            "{}",
-            d.message
-        );
-    }
-
-    #[test]
-    fn taint_hash_order_crosses_crate_boundaries() {
-        let helper = "pub fn lookup() -> u32 {\n    let m = HashMap::from([(1, 2)]);\n    0\n}\n";
-        let sched = "pub fn pick() -> u32 {\n    lookup()\n}\n";
-        let got = check_files(&[
-            sf("crates/workload/src/h.rs", helper),
-            sf("crates/scheduler/src/s.rs", sched),
-        ]);
-        // The literal token reports in workload (a library crate)...
-        assert!(
-            got.iter()
-                .any(|d| d.file == "crates/workload/src/h.rs" && d.rule == "hash-order"),
-            "{got:?}"
-        );
-        // ...and the taint layer reports the boundary crossing with the chain.
-        assert!(
-            got.iter().any(|d| d.file == "crates/scheduler/src/s.rs"
-                && d.line == 2
-                && d.rule == "hash-order"
-                && d.message.contains("`lookup` → `HashMap`")),
-            "{got:?}"
-        );
-    }
-
-    #[test]
-    fn taint_respects_pragmas_at_the_source() {
-        let helper = "pub fn lookup() -> u32 {\n    let m = HashMap::from([(1, 2)]); // grail-lint: allow(hash-order, lookup only, never iterated)\n    0\n}\n";
-        let sched = "pub fn pick() -> u32 {\n    lookup()\n}\n";
-        let got = check_files(&[
-            sf("crates/query/src/h.rs", helper),
-            sf("crates/scheduler/src/s.rs", sched),
-        ]);
-        // The reasoned pragma kills the seed, so nothing crosses.
-        assert!(got.is_empty(), "{got:?}");
-    }
 
     #[test]
     fn charge_reachability_flags_unbilled_service_paths() {
@@ -1856,16 +1765,52 @@ impl Simulation {
     }
 
     #[test]
-    fn layering_flags_back_edges_in_source() {
-        let src = "use grail_core::GrailDb;\nfn f() {}\n";
-        let got = rules_at("crates/power/src/bad.rs", src);
-        assert_eq!(got, vec![(1, "layering".into())]);
-        // Downward edges are fine.
-        let ok = "use grail_power::units::Joules;\nfn f() {}\n";
-        assert!(rules_at("crates/sim/src/good.rs", ok).is_empty());
-        // Tests may reach across layers.
-        let test_src = "use grail_core::GrailDb;\nfn f() {}\n";
-        assert!(rules_at("crates/power/tests/x.rs", test_src).is_empty());
+    fn ledger_flow_flags_unanchored_charges() {
+        let ledger = "\
+impl EnergyLedger {
+    pub fn charge(&mut self, id: ComponentId, e: Joules) {}
+    pub fn transfer(&mut self, from: ComponentId, to: ComponentId, e: Joules) {}
+}
+";
+        let stray = "\
+impl Heater {
+    pub fn burn(&mut self, l: &mut EnergyLedger) {
+        l.charge(self.id, self.pending);
+    }
+}
+";
+        let got = check_files(&[
+            sf("crates/power/src/ledger.rs", ledger),
+            sf("crates/power/src/heater.rs", stray),
+        ]);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!((got[0].line, got[0].rule), (3, "ledger-flow"));
+        assert!(got[0].message.contains("Heater::burn"), "{got:?}");
+    }
+
+    #[test]
+    fn ledger_flow_accepts_report_anchored_charges() {
+        let ledger = "\
+impl EnergyLedger {
+    pub fn charge(&mut self, id: ComponentId, e: Joules) {}
+}
+";
+        let anchored = "\
+impl Engine {
+    pub fn run(&mut self) -> Result<RunReport, SimError> {
+        self.settle();
+        Ok(RunReport::default())
+    }
+    fn settle(&mut self) {
+        self.ledger.charge(self.id, self.pending);
+    }
+}
+";
+        let got = check_files(&[
+            sf("crates/power/src/ledger.rs", ledger),
+            sf("crates/sim/src/engine.rs", anchored),
+        ]);
+        assert!(got.is_empty(), "{got:?}");
     }
 
     #[test]

@@ -1,0 +1,4 @@
+fn main() {
+    let started = std::time::Instant::now();
+    println!("{:?}", started.elapsed());
+}
