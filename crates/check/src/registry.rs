@@ -55,9 +55,8 @@ pub const REGISTRY: &[ModelEntry] = &[
     },
     ModelEntry {
         name: "chaos-failover",
-        about:
-            "chaos failover: admission conservation, breaker saturation, domain-capped placement",
-        covers: &["scheduler::chaos::Engine"],
+        about: "chaos failover: admission conservation, breaker deadlines, domain-capped placement",
+        covers: &["scheduler::chaos::Engine", "scheduler::chaos::FleetState"],
         run: run_chaos,
     },
     ModelEntry {

@@ -34,6 +34,7 @@ fn registry_covers_the_workspace_protocol_state_machines() {
         "sim::parallel::CellRun",
         "sim::parallel::ShardState",
         "scheduler::chaos::Engine",
+        "scheduler::chaos::FleetState",
     ] {
         assert!(
             covered.contains(&required),

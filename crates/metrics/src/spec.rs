@@ -260,36 +260,6 @@ pub const CATALOG: &[MetricSpec] = &[
         help: "Disk unpark (spin-up) decisions taken",
     },
     MetricSpec {
-        name: "scheduler.admitted",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Queries admitted by the batching admission policy",
-    },
-    MetricSpec {
-        name: "scheduler.batches",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Admission batches released",
-    },
-    MetricSpec {
-        name: "scheduler.cold_boots",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Machines cold-booted by fail-over",
-    },
-    MetricSpec {
-        name: "scheduler.failovers",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Fail-over decisions executed",
-    },
-    MetricSpec {
-        name: "scheduler.placements",
-        kind: MetricKind::Counter,
-        unit: "1",
-        help: "Consolidation placements computed",
-    },
-    MetricSpec {
         name: "trace.dropped",
         kind: MetricKind::Counter,
         unit: "1",

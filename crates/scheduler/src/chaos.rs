@@ -28,7 +28,9 @@
 //! Everything is a pure function of `(fleet, schedule, demand, policy)`:
 //! same seed ⇒ byte-identical placements, ledger, and trace.
 
-use crate::cluster::{domain_count, ClusterError, Machine, Placement, PlacementPolicy};
+use crate::cluster::{
+    by_peak_efficiency, domain_count, ClusterError, Machine, Placement, PlacementPolicy,
+};
 use crate::observe;
 use grail_power::units::{Joules, SimDuration, SimInstant, Watts};
 use grail_power::{ComponentId, ComponentKind, EnergyLedger};
@@ -132,7 +134,7 @@ pub struct PlacementChange {
 /// The full outcome of a chaos run: the energy ledger, the demand
 /// accounting (`served + shed + failed == offered`), event counters, and
 /// the complete placement sequence.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct ChaosReport {
     /// Every Joule the run drew, by component; recovery work sits under
     /// [`ComponentKind::Recovery`] and still sums into the wall-socket
@@ -219,8 +221,8 @@ impl ChaosReport {
 enum Runtime {
     /// A schedule event, by index into [`ChaosSchedule::events`].
     Chaos(usize),
-    /// A quarantined machine may rejoin.
-    Rejoin(usize),
+    /// A breaker quarantine ends: re-plan.
+    Wake,
     /// Re-dispatch `work` stranded units, on their `attempt`-th try.
     Redispatch {
         /// Stranded work units to replay.
@@ -236,9 +238,8 @@ enum Runtime {
 /// `f(0) = 0`; walk its breakpoints (the sorted domain capacities) and
 /// return the root of the first descending segment.
 ///
-/// Public because the `grail-check` chaos model drives this exact
-/// function — the engine and the model checker share one admission
-/// core, not two copies.
+/// Public because the `grail-check` chaos model's admission-sanity
+/// invariant measures the live fleet with this exact function.
 pub fn max_replica_rate(dom_caps: &[f64], r: u32) -> f64 {
     let r = r as f64;
     let mut caps: Vec<f64> = dom_caps.iter().copied().filter(|c| *c > 0.0).collect();
@@ -271,7 +272,7 @@ pub fn max_replica_rate(dom_caps: &[f64], r: u32) -> f64 {
 /// `served_rate + shed_rate == demand_eff` exactly (up to float
 /// association), which is where the run-level conservation law
 /// `served + shed + failed == offered` comes from.
-pub fn admission(dom_caps: &[f64], demand_eff: f64, replicas: u32) -> (u32, f64, f64) {
+fn admission(dom_caps: &[f64], demand_eff: f64, replicas: u32) -> (u32, f64, f64) {
     let live_domains = dom_caps.iter().filter(|c| **c > 0.0).count() as u32;
     let r_max = replicas.min(live_domains).max(1);
     let mut r_eff = 1u32;
@@ -295,7 +296,7 @@ pub fn admission(dom_caps: &[f64], demand_eff: f64, replicas: u32) -> (u32, f64,
 /// with zero effective capacity are never powered (except under
 /// [`PlacementPolicy::Spread`], which keeps every healthy machine on
 /// for availability).
-pub fn place_replicated(
+fn place_replicated(
     fleet: &[Machine],
     policy: PlacementPolicy,
     n_domains: usize,
@@ -306,12 +307,7 @@ pub fn place_replicated(
     let n = fleet.len();
     let mut order: Vec<usize> = (0..n).filter(|&i| eff_cap[i] > 0.0).collect();
     if policy == PlacementPolicy::Consolidate {
-        order.sort_by(|&a, &b| {
-            fleet[b]
-                .peak_efficiency()
-                .total_cmp(&fleet[a].peak_efficiency())
-                .then(a.cmp(&b))
-        });
+        order.sort_by(by_peak_efficiency(fleet));
     }
     let mut loads = vec![0.0; n];
     let mut powered = vec![false; n];
@@ -341,45 +337,272 @@ pub fn place_replicated(
     Placement { loads, powered }
 }
 
-/// The engine's mutable state, split out so event handlers stay small.
+/// What the fleet is doing right now: the output of one re-plan, in
+/// force until the next.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan {
+    /// Per-machine load and power state.
+    pub placement: Placement,
+    /// Effective replica count.
+    pub r_eff: u32,
+    /// Demand rate served (one logical copy).
+    pub served_rate: f64,
+    /// Demand rate shed by admission control.
+    pub shed_rate: f64,
+}
+
+/// One input of the fleet transition relation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FleetEvent {
+    /// A schedule event.
+    Chaos(ChaosEventKind),
+    /// Time passed — a breaker quarantine may have been served: re-plan
+    /// for whoever is available now.
+    Wake,
+}
+
+/// What one [`FleetState::apply`] did, for the caller to bill, trace and
+/// schedule: the state machine itself touches no ledger, tracer or queue.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Effects {
+    /// Machines the new plan powers on that the old one had dark, in
+    /// fleet order: each owes one cold boot.
+    pub booted: Vec<usize>,
+    /// Load (work/s) the old plan had on machines this event killed;
+    /// times the in-flight window, that is the stranded work.
+    pub stranded_rate: f64,
+    /// The breaker held a restarted machine, `(machine, hold)`, instead
+    /// of re-planning — the one event that leaves the [`Plan`] as it
+    /// was. The caller owes a [`FleetEvent::Wake`] at `at + hold`.
+    pub quarantine: Option<(usize, SimDuration)>,
+}
+
+/// The fleet's health and current plan: the one state machine behind
+/// [`run_chaos`], the `grail-check` `chaos-failover` model and every
+/// "machines died, who serves what now" question. [`FleetState::apply`]
+/// is its only transition.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetState {
+    machine_up: Vec<bool>,
+    domain_up: Vec<bool>,
+    /// When each machine's latest quarantine ends ([`SimInstant::EPOCH`]:
+    /// never held). A deadline, not a flag: no timer can release a
+    /// machine early, a late or stale one is only a wake-up.
+    quarantined_until: Vec<SimInstant>,
+    trips: Vec<u32>,
+    last_crash: Vec<Option<SimInstant>>,
+    cap_frac: f64,
+    surge: f64,
+    plan: Plan,
+}
+
+/// Fraction of `m`'s capacity usable under a brownout cap: the load at
+/// which its linear power curve hits `cap_frac · peak`.
+fn usable_frac(m: &Machine, cap_frac: f64) -> f64 {
+    if cap_frac >= 1.0 {
+        return 1.0;
+    }
+    let peak = m.peak.get();
+    let idle = m.idle.get();
+    let span = peak - idle;
+    if span <= 0.0 {
+        // Flat power curve: the machine either fits under the cap or
+        // cannot run at all.
+        return if idle <= cap_frac * peak { 1.0 } else { 0.0 };
+    }
+    ((cap_frac * peak - idle) / span).clamp(0.0, 1.0)
+}
+
+impl FleetState {
+    /// A healthy fleet spanning `n_domains` fault domains, already
+    /// serving `demand` under `policy` (steady state: nothing boots).
+    pub fn new(fleet: &[Machine], n_domains: usize, policy: &ChaosPolicy, demand: f64) -> Self {
+        let n = fleet.len();
+        let mut state = FleetState {
+            machine_up: vec![true; n],
+            domain_up: vec![true; n_domains],
+            quarantined_until: vec![SimInstant::EPOCH; n],
+            trips: vec![0; n],
+            last_crash: vec![None; n],
+            cap_frac: 1.0,
+            surge: 1.0,
+            plan: Plan {
+                placement: Placement {
+                    loads: vec![0.0; n],
+                    powered: vec![false; n],
+                },
+                r_eff: policy.replicas,
+                served_rate: 0.0,
+                shed_rate: 0.0,
+            },
+        };
+        state.replan(fleet, policy, demand, SimInstant::EPOCH);
+        state
+    }
+
+    /// The plan in force.
+    pub fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
+    /// Whether machine `i` is running (it may still be quarantined).
+    pub fn machine_up(&self, i: usize) -> bool {
+        self.machine_up[i]
+    }
+
+    /// When machine `i`'s latest breaker quarantine ends.
+    pub fn quarantined_until(&self, i: usize) -> SimInstant {
+        self.quarantined_until[i]
+    }
+
+    /// Crashes of machine `i` inside the breaker's reset window.
+    pub fn trips(&self, i: usize) -> u32 {
+        self.trips[i]
+    }
+
+    /// Whether machine `i` may take load at `at`: running, its domain
+    /// powered, its latest quarantine served.
+    pub fn available(&self, fleet: &[Machine], i: usize, at: SimInstant) -> bool {
+        self.machine_up[i]
+            && self.domain_up[fleet[i].domain as usize]
+            && at >= self.quarantined_until[i]
+    }
+
+    /// The most (peak-)efficient machine available at `at`, if any —
+    /// where hedged re-dispatch replays stranded work.
+    fn best_available(&self, fleet: &[Machine], at: SimInstant) -> Option<usize> {
+        (0..fleet.len())
+            .filter(|&i| self.available(fleet, i, at))
+            .min_by(by_peak_efficiency(fleet))
+    }
+
+    /// Re-plan for the health at `at`: effective capacities →
+    /// [`admission`] → [`place_replicated`]. Returns the machines the
+    /// new plan powers on.
+    fn replan(
+        &mut self,
+        fleet: &[Machine],
+        policy: &ChaosPolicy,
+        demand: f64,
+        at: SimInstant,
+    ) -> Vec<usize> {
+        let n = fleet.len();
+        let eff_cap: Vec<f64> = (0..n)
+            .map(|i| {
+                if self.available(fleet, i, at) {
+                    fleet[i].capacity * usable_frac(&fleet[i], self.cap_frac)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let n_domains = self.domain_up.len();
+        let mut dom_caps = vec![0.0; n_domains];
+        for i in 0..n {
+            dom_caps[fleet[i].domain as usize] += eff_cap[i];
+        }
+        let (r_eff, served_rate, shed_rate) =
+            admission(&dom_caps, demand * self.surge, policy.replicas);
+        let placement = place_replicated(
+            fleet,
+            policy.placement,
+            n_domains,
+            &eff_cap,
+            served_rate,
+            r_eff,
+        );
+        let booted = (0..n)
+            .filter(|&i| placement.powered[i] && !self.plan.placement.powered[i])
+            .collect();
+        self.plan = Plan {
+            placement,
+            r_eff,
+            served_rate,
+            shed_rate,
+        };
+        booted
+    }
+
+    /// The transition relation: `event` happens at `at` to a fleet
+    /// serving `demand` under `policy`. Health changes, the breaker
+    /// counts, and (unless a restart is held in quarantine) the fleet
+    /// re-plans; everything the caller has to bill, trace or schedule
+    /// comes back in the [`Effects`].
+    ///
+    /// Events are trusted: [`run_chaos`] rejects a bad schedule with a
+    /// typed [`ClusterError`] before the first one, and a caller driving
+    /// `apply` directly owes the same checks — a brownout `cap_frac` in
+    /// `(0, 1]` and a finite, positive surge `factor`; anything else
+    /// (NaN included) is stored as given and poisons every later plan.
+    ///
+    /// # Panics
+    /// On a machine or domain index outside the fleet.
+    pub fn apply(
+        &mut self,
+        fleet: &[Machine],
+        policy: &ChaosPolicy,
+        demand: f64,
+        at: SimInstant,
+        event: FleetEvent,
+    ) -> Effects {
+        let mut fx = Effects::default();
+        let loads = &self.plan.placement.loads;
+        match event {
+            FleetEvent::Chaos(ChaosEventKind::MachineCrash { machine }) => {
+                let m = machine as usize;
+                self.trips[m] = match self.last_crash[m] {
+                    Some(prev) if at.duration_since(prev) <= policy.breaker.reset_window => {
+                        self.trips[m].saturating_add(1)
+                    }
+                    _ => 1,
+                };
+                self.last_crash[m] = Some(at);
+                fx.stranded_rate = loads[m];
+                self.machine_up[m] = false;
+            }
+            FleetEvent::Chaos(ChaosEventKind::MachineUp { machine }) => {
+                let m = machine as usize;
+                self.machine_up[m] = true;
+                let hold = policy.breaker.quarantine(self.trips[m]);
+                if !hold.is_zero() {
+                    self.quarantined_until[m] = at + hold;
+                    fx.quarantine = Some((m, hold));
+                    return fx;
+                }
+            }
+            FleetEvent::Chaos(ChaosEventKind::DomainDown { domain }) => {
+                fx.stranded_rate = (0..fleet.len())
+                    .filter(|&i| fleet[i].domain == domain)
+                    .map(|i| loads[i])
+                    .sum();
+                self.domain_up[domain as usize] = false;
+            }
+            FleetEvent::Chaos(ChaosEventKind::DomainUp { domain }) => {
+                self.domain_up[domain as usize] = true;
+            }
+            FleetEvent::Chaos(ChaosEventKind::BrownoutStart { cap_frac }) => {
+                self.cap_frac = cap_frac;
+            }
+            FleetEvent::Chaos(ChaosEventKind::BrownoutEnd) => self.cap_frac = 1.0,
+            FleetEvent::Chaos(ChaosEventKind::SurgeStart { factor }) => self.surge = factor,
+            FleetEvent::Chaos(ChaosEventKind::SurgeEnd) => self.surge = 1.0,
+            FleetEvent::Wake => {}
+        }
+        fx.booted = self.replan(fleet, policy, demand, at);
+        fx
+    }
+}
+
+/// The event loop's side of a run: the pure [`FleetState`] plus the
+/// report its [`Effects`] are billed and counted into.
 struct Engine<'a> {
     fleet: &'a [Machine],
     policy: &'a ChaosPolicy,
     demand: f64,
-    start: SimInstant,
-    n_domains: usize,
-    // Fleet health.
-    machine_up: Vec<bool>,
-    domain_up: Vec<bool>,
-    quarantined: Vec<bool>,
-    trips: Vec<u32>,
-    last_crash: Vec<Option<SimInstant>>,
-    // Environment.
-    cap_frac: f64,
-    surge: f64,
-    // Current interval.
-    placement: Placement,
-    served_rate: f64,
-    shed_rate: f64,
-    r_eff: u32,
-    // Accumulators.
-    ledger: EnergyLedger,
-    offered: f64,
-    served_integral: f64,
-    shed: f64,
-    failed: f64,
-    stranded: f64,
-    recovered: f64,
-    crashes: u64,
-    restarts: u64,
-    domain_outages: u64,
-    brownouts: u64,
-    surges: u64,
-    breaker_trips: u64,
-    cold_boots: u64,
-    redispatches: u64,
-    redundancy_degraded_secs: f64,
-    placements: Vec<PlacementChange>,
+    state: FleetState,
+    /// The report under construction. Its `served` is the integral of
+    /// the served rate until [`run_chaos`] takes the failed work out.
+    report: ChaosReport,
 }
 
 const RECOVERY: ComponentId = ComponentId::new(ComponentKind::Recovery, 0);
@@ -389,36 +612,8 @@ impl Engine<'_> {
         ComponentId::new(ComponentKind::Base, i as u32)
     }
 
-    /// Whether machine `i` may take load right now.
-    fn available(&self, i: usize) -> bool {
-        self.machine_up[i] && self.domain_up[self.fleet[i].domain as usize] && !self.quarantined[i]
-    }
-
-    /// Fraction of machine `i`'s capacity usable under the current
-    /// brownout cap: the load at which its linear power curve hits
-    /// `cap_frac · peak`.
-    fn usable_frac(&self, i: usize) -> f64 {
-        if self.cap_frac >= 1.0 {
-            return 1.0;
-        }
-        let m = &self.fleet[i];
-        let peak = m.peak.get();
-        let idle = m.idle.get();
-        let span = peak - idle;
-        if span <= 0.0 {
-            // Flat power curve: the machine either fits under the cap or
-            // cannot run at all.
-            return if idle <= self.cap_frac * peak {
-                1.0
-            } else {
-                0.0
-            };
-        }
-        ((self.cap_frac * peak - idle) / span).clamp(0.0, 1.0)
-    }
-
     /// Accrue energy and demand accounting over `[from, to)` under the
-    /// current placement and rates.
+    /// current plan.
     fn settle(&mut self, from: SimInstant, to: SimInstant, tracer: &mut Tracer) {
         // Drive the scrape clock first so boundary snapshots inside
         // `(from, to]` capture the integrals as they stood before this
@@ -429,124 +624,70 @@ impl Engine<'_> {
             return;
         }
         let secs = dt.as_secs_f64();
+        let plan = self.state.plan();
+        let cap_frac = self.state.cap_frac;
         for i in 0..self.fleet.len() {
-            if !self.placement.powered[i] {
+            if !plan.placement.powered[i] {
                 continue;
             }
             let m = &self.fleet[i];
-            let mut p = m.power_at(self.placement.loads[i]);
-            if self.cap_frac < 1.0 {
+            let mut p = m.power_at(plan.placement.loads[i]);
+            if cap_frac < 1.0 {
                 // The brownout physically caps the feeder; loads were
                 // already planned under it, this is belt-and-braces.
-                p = Watts::new(p.get().min(m.peak.get() * self.cap_frac));
+                p = Watts::new(p.get().min(m.peak.get() * cap_frac));
             }
-            self.ledger
+            self.report
+                .ledger
                 .charge_interval(Self::machine_component(i), p, dt);
         }
-        self.offered += self.demand * self.surge * secs;
-        self.served_integral += self.served_rate * secs;
-        self.shed += self.shed_rate * secs;
-        if self.r_eff < self.policy.replicas {
-            self.redundancy_degraded_secs += secs;
+        self.report.offered += self.demand * self.state.surge * secs;
+        self.report.served += plan.served_rate * secs;
+        self.report.shed += plan.shed_rate * secs;
+        if plan.r_eff < self.policy.replicas {
+            self.report.redundancy_degraded_secs += secs;
         }
-        tracer.gauge("chaos.offered_work", self.offered);
-        tracer.gauge("chaos.served_work", self.served_integral);
-        tracer.gauge("chaos.shed_work", self.shed);
+        tracer.gauge("chaos.offered_work", self.report.offered);
+        tracer.gauge("chaos.served_work", self.report.served);
+        tracer.gauge("chaos.shed_work", self.report.shed);
     }
 
-    /// Re-plan placement and admission for the current fleet health,
-    /// billing cold boots for machines that power on (skipped for the
-    /// initial placement — the fleet starts in steady state).
-    fn recompute(&mut self, at: SimInstant, bill_boots: bool, tracer: &mut Tracer) {
-        let n = self.fleet.len();
-        let eff_cap: Vec<f64> = (0..n)
-            .map(|i| {
-                if self.available(i) {
-                    self.fleet[i].capacity * self.usable_frac(i)
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mut dom_caps = vec![0.0; self.n_domains];
-        for i in 0..n {
-            dom_caps[self.fleet[i].domain as usize] += eff_cap[i];
+    /// Record the plan now in force, billing a cold boot to Recovery for
+    /// each machine it powered on.
+    fn record_plan(&mut self, at: SimInstant, booted: &[usize], tracer: &mut Tracer) {
+        for &i in booted {
+            self.report.cold_boots += 1;
+            let boot = self.fleet[i].boot_energy;
+            self.report.ledger.charge(Self::machine_component(i), boot);
+            self.report
+                .ledger
+                .transfer(Self::machine_component(i), RECOVERY, boot);
+            observe::record_chaos_boot(tracer, at, i, boot);
         }
-        let demand_eff = self.demand * self.surge;
-        let (r_eff, served_rate, shed_rate) =
-            admission(&dom_caps, demand_eff, self.policy.replicas);
-        let placement = place_replicated(
-            self.fleet,
-            self.policy.placement,
-            self.n_domains,
-            &eff_cap,
-            served_rate,
-            r_eff,
-        );
-        if bill_boots {
-            for i in 0..n {
-                if placement.powered[i] && !self.placement.powered[i] {
-                    self.cold_boots += 1;
-                    let boot = self.fleet[i].boot_energy;
-                    self.ledger.charge(Self::machine_component(i), boot);
-                    self.ledger
-                        .transfer(Self::machine_component(i), RECOVERY, boot);
-                    observe::record_chaos_boot(tracer, at, i, boot);
-                }
-            }
-        }
-        self.placement = placement;
-        self.served_rate = served_rate;
-        self.shed_rate = shed_rate;
-        self.r_eff = r_eff;
-        self.placements.push(PlacementChange {
+        let plan = self.state.plan();
+        let powered = plan.placement.powered_count() as u32;
+        self.report.placements.push(PlacementChange {
             at,
-            loads: self.placement.loads.clone(),
-            powered: self.placement.powered_count() as u32,
-            served_rate,
-            shed_rate,
-            replicas: r_eff,
+            loads: plan.placement.loads.clone(),
+            powered,
+            served_rate: plan.served_rate,
+            shed_rate: plan.shed_rate,
+            replicas: plan.r_eff,
         });
         observe::record_chaos_placement(
             tracer,
             at,
-            self.placement.powered_count() as u32,
-            served_rate,
-            shed_rate,
-            r_eff,
+            powered,
+            plan.served_rate,
+            plan.shed_rate,
+            plan.r_eff,
         );
     }
 
-    /// Work stranded in flight on `machines` when they die at `at`.
-    fn stranded_work(&self, at: SimInstant, machines: &[usize]) -> f64 {
-        let elapsed = at.duration_since(self.start).as_secs_f64();
-        let window = self.policy.inflight_window.as_secs_f64().min(elapsed);
-        machines
-            .iter()
-            .map(|&i| self.placement.loads[i])
-            .sum::<f64>()
-            * window
-    }
-
-    /// The most (peak-)efficient currently-available machine, if any —
-    /// where hedged re-dispatch replays stranded work.
-    fn best_available(&self) -> Option<usize> {
-        (0..self.fleet.len())
-            .filter(|&i| self.available(i))
-            .min_by(|&a, &b| {
-                self.fleet[b]
-                    .peak_efficiency()
-                    .total_cmp(&self.fleet[a].peak_efficiency())
-                    .then(a.cmp(&b))
-            })
-    }
-
-    /// Apply one runtime event at `at`: the single protocol transition
-    /// of the failover/admission pipeline. Every state change of the
-    /// run — fleet health, breaker trips, placement, the Recovery
-    /// ledger line — flows through here, which is what lets the
-    /// `grail-check` chaos model explore the same transition relation
-    /// the production event loop executes.
+    /// Apply one runtime event at `at`: hand it to
+    /// [`FleetState::apply`] — the transition relation the `grail-check`
+    /// chaos model explores — then bill, count, trace and schedule what
+    /// the returned [`Effects`] say happened.
     fn step(
         &mut self,
         at: SimInstant,
@@ -555,137 +696,95 @@ impl Engine<'_> {
         queue: &mut EventQueue<Runtime>,
         tracer: &mut Tracer,
     ) {
-        match rt {
+        let event = match rt {
             Runtime::Chaos(idx) => {
                 let ev = &schedule.events()[idx];
                 observe::record_chaos_event(tracer, ev);
                 match ev.kind {
-                    ChaosEventKind::MachineCrash { machine } => {
-                        let m = machine as usize;
-                        self.crashes += 1;
-                        self.trips[m] = match self.last_crash[m] {
-                            Some(prev)
-                                if at.duration_since(prev) <= self.policy.breaker.reset_window =>
-                            {
-                                self.trips[m].saturating_add(1)
-                            }
-                            _ => 1,
-                        };
-                        self.last_crash[m] = Some(at);
-                        let work = self.stranded_work(at, &[m]);
-                        self.machine_up[m] = false;
-                        self.recompute(at, true, tracer);
-                        if work > 0.0 {
-                            self.stranded += work;
-                            queue.push(
-                                at + self.policy.retry.backoff(1),
-                                Runtime::Redispatch { work, attempt: 1 },
-                            );
-                        }
-                    }
-                    ChaosEventKind::MachineUp { machine } => {
-                        let m = machine as usize;
-                        self.restarts += 1;
-                        let hold = self.policy.breaker.quarantine(self.trips[m]);
-                        self.machine_up[m] = true;
-                        if hold.is_zero() {
-                            self.recompute(at, true, tracer);
-                        } else {
-                            self.breaker_trips += 1;
-                            self.quarantined[m] = true;
-                            observe::record_chaos_breaker(tracer, at, m, self.trips[m], hold);
-                            queue.push(at + hold, Runtime::Rejoin(m));
-                        }
-                    }
-                    ChaosEventKind::DomainDown { domain } => {
-                        self.domain_outages += 1;
-                        let members: Vec<usize> = (0..self.fleet.len())
-                            .filter(|&i| self.fleet[i].domain == domain)
-                            .collect();
-                        let work = self.stranded_work(at, &members);
-                        self.domain_up[domain as usize] = false;
-                        self.recompute(at, true, tracer);
-                        if work > 0.0 {
-                            self.stranded += work;
-                            queue.push(
-                                at + self.policy.retry.backoff(1),
-                                Runtime::Redispatch { work, attempt: 1 },
-                            );
-                        }
-                    }
-                    ChaosEventKind::DomainUp { domain } => {
-                        self.domain_up[domain as usize] = true;
-                        self.recompute(at, true, tracer);
-                    }
-                    ChaosEventKind::BrownoutStart { cap_frac } => {
-                        self.brownouts += 1;
-                        self.cap_frac = cap_frac;
-                        self.recompute(at, true, tracer);
-                    }
-                    ChaosEventKind::BrownoutEnd => {
-                        self.cap_frac = 1.0;
-                        self.recompute(at, true, tracer);
-                    }
-                    ChaosEventKind::SurgeStart { factor } => {
-                        self.surges += 1;
-                        self.surge = factor;
-                        self.recompute(at, true, tracer);
-                    }
-                    ChaosEventKind::SurgeEnd => {
-                        self.surge = 1.0;
-                        self.recompute(at, true, tracer);
-                    }
+                    ChaosEventKind::MachineCrash { .. } => self.report.crashes += 1,
+                    ChaosEventKind::MachineUp { .. } => self.report.restarts += 1,
+                    ChaosEventKind::DomainDown { .. } => self.report.domain_outages += 1,
+                    ChaosEventKind::BrownoutStart { .. } => self.report.brownouts += 1,
+                    ChaosEventKind::SurgeStart { .. } => self.report.surges += 1,
+                    _ => {}
                 }
+                FleetEvent::Chaos(ev.kind)
             }
-            Runtime::Rejoin(m) => {
-                self.quarantined[m] = false;
-                self.recompute(at, true, tracer);
-            }
+            Runtime::Wake => FleetEvent::Wake,
             Runtime::Redispatch { work, attempt } => {
-                self.redispatch(at, work, attempt, queue, tracer);
+                return self.redispatch(at, work, attempt, Some(queue), tracer);
             }
+        };
+        let fx = self
+            .state
+            .apply(self.fleet, self.policy, self.demand, at, event);
+        match fx.quarantine {
+            Some((m, hold)) => {
+                self.report.breaker_trips += 1;
+                observe::record_chaos_breaker(tracer, at, m, self.state.trips(m), hold);
+                queue.push(at + hold, Runtime::Wake);
+            }
+            None => self.record_plan(at, &fx.booted, tracer),
+        }
+        let elapsed = at.duration_since(SimInstant::EPOCH).as_secs_f64();
+        let work = fx.stranded_rate * self.policy.inflight_window.as_secs_f64().min(elapsed);
+        if work > 0.0 {
+            self.report.stranded += work;
+            queue.push(
+                at + self.policy.retry.backoff(1),
+                Runtime::Redispatch { work, attempt: 1 },
+            );
         }
     }
 
     /// Resolve one re-dispatch attempt: replay on a live machine (hedged,
-    /// billed to Recovery), or reschedule, or — past the retry budget —
+    /// billed to Recovery), or reschedule on `queue`, or — past the retry
+    /// budget, or with no queue left because the horizon closed —
     /// account the work as failed.
     fn redispatch(
         &mut self,
         at: SimInstant,
         work: f64,
         attempt: u32,
-        queue: &mut EventQueue<Runtime>,
+        queue: Option<&mut EventQueue<Runtime>>,
         tracer: &mut Tracer,
     ) {
-        if let Some(host) = self.best_available() {
-            self.recovered += work;
-            self.redispatches += 1;
+        if let Some(host) = self.state.best_available(self.fleet, at) {
+            self.report.recovered += work;
+            self.report.redispatches += 1;
             let eff = self.fleet[host].peak_efficiency();
             let replay = if eff > 0.0 {
                 Joules::new(work / eff * (1.0 + self.policy.hedge_frac))
             } else {
                 Joules::ZERO
             };
-            self.ledger.charge(Self::machine_component(host), replay);
-            self.ledger
+            self.report
+                .ledger
+                .charge(Self::machine_component(host), replay);
+            self.report
+                .ledger
                 .transfer(Self::machine_component(host), RECOVERY, replay);
             observe::record_chaos_redispatch(tracer, at, work, attempt, true, replay);
-        } else if attempt > self.policy.retry.max_retries {
-            // Out of budget with nowhere to run: the work is lost. It
-            // was counted into the served integral while in flight, so
-            // move it from served to failed.
-            self.failed += work;
-            observe::record_chaos_redispatch(tracer, at, work, attempt, false, Joules::ZERO);
-        } else {
-            let next = attempt + 1;
-            queue.push(
-                at + self.policy.retry.backoff(next),
-                Runtime::Redispatch {
-                    work,
-                    attempt: next,
-                },
-            );
+            return;
+        }
+        match queue {
+            Some(queue) if attempt <= self.policy.retry.max_retries => {
+                let next = attempt + 1;
+                queue.push(
+                    at + self.policy.retry.backoff(next),
+                    Runtime::Redispatch {
+                        work,
+                        attempt: next,
+                    },
+                );
+            }
+            _ => {
+                // Nowhere to run and no try left: the work is lost. It
+                // was counted into the served integral while in flight,
+                // so move it from served to failed.
+                self.report.failed += work;
+                observe::record_chaos_redispatch(tracer, at, work, attempt, false, Joules::ZERO);
+            }
         }
     }
 }
@@ -699,9 +798,12 @@ impl Engine<'_> {
 /// # Errors
 /// [`ClusterError::EmptyFleet`] for an empty fleet,
 /// [`ClusterError::BadMachine`] if any machine fails
-/// [`Machine::validate`], and [`ClusterError::BadSchedule`] when the
-/// schedule's machine/domain shape does not cover the fleet or the
-/// demand/policy parameters are not finite.
+/// [`Machine::validate`], [`ClusterError::UnknownMachine`] when an event
+/// names a machine outside the fleet, and [`ClusterError::BadSchedule`]
+/// when the schedule's machine/domain shape does not cover the fleet, an
+/// event names a domain outside the schedule or carries a brownout cap
+/// outside `(0, 1]` or a surge factor that is not finite and positive,
+/// or the demand/policy parameters are not finite.
 pub fn run_chaos(
     fleet: &[Machine],
     schedule: &ChaosSchedule,
@@ -729,6 +831,28 @@ pub fn run_chaos(
             domain_count(fleet)
         )));
     }
+    for ev in schedule.events() {
+        let why = match ev.kind {
+            ChaosEventKind::MachineCrash { machine } | ChaosEventKind::MachineUp { machine }
+                if machine >= schedule.machines() =>
+            {
+                return Err(ClusterError::UnknownMachine(machine as usize));
+            }
+            ChaosEventKind::DomainDown { domain } | ChaosEventKind::DomainUp { domain }
+                if domain >= schedule.domains() =>
+            {
+                format!("event names domain {domain} of {}", schedule.domains())
+            }
+            ChaosEventKind::BrownoutStart { cap_frac } if !(cap_frac > 0.0 && cap_frac <= 1.0) => {
+                format!("brownout cap must be in (0, 1], got {cap_frac}")
+            }
+            ChaosEventKind::SurgeStart { factor } if !(factor.is_finite() && factor > 0.0) => {
+                format!("surge factor must be finite and positive, got {factor}")
+            }
+            _ => continue,
+        };
+        return Err(ClusterError::BadSchedule(why));
+    }
     if !demand.is_finite() || demand < 0.0 {
         return Err(ClusterError::BadSchedule(format!(
             "offered demand must be finite and non-negative, got {demand}"
@@ -745,60 +869,33 @@ pub fn run_chaos(
             policy.hedge_frac
         )));
     }
-    let n = fleet.len();
-    let n_domains = schedule.domains() as usize;
     let start = SimInstant::EPOCH;
     let end = start + schedule.horizon();
     let mut eng = Engine {
         fleet,
         policy,
         demand,
-        start,
-        n_domains,
-        machine_up: vec![true; n],
-        domain_up: vec![true; n_domains],
-        quarantined: vec![false; n],
-        trips: vec![0; n],
-        last_crash: vec![None; n],
-        cap_frac: 1.0,
-        surge: 1.0,
-        placement: Placement {
-            loads: vec![0.0; n],
-            powered: vec![false; n],
+        state: FleetState::new(fleet, schedule.domains() as usize, policy, demand),
+        report: ChaosReport {
+            horizon: schedule.horizon(),
+            ..ChaosReport::default()
         },
-        served_rate: 0.0,
-        shed_rate: 0.0,
-        r_eff: policy.replicas,
-        ledger: EnergyLedger::new(),
-        offered: 0.0,
-        served_integral: 0.0,
-        shed: 0.0,
-        failed: 0.0,
-        stranded: 0.0,
-        recovered: 0.0,
-        crashes: 0,
-        restarts: 0,
-        domain_outages: 0,
-        brownouts: 0,
-        surges: 0,
-        breaker_trips: 0,
-        cold_boots: 0,
-        redispatches: 0,
-        redundancy_degraded_secs: 0.0,
-        placements: Vec::new(),
     };
-    eng.recompute(start, false, tracer);
+    // The fleet starts in steady state: the initial plan boots nothing.
+    eng.record_plan(start, &[], tracer);
     let mut queue: EventQueue<Runtime> = EventQueue::new();
     for (idx, ev) in schedule.events().iter().enumerate() {
         queue.push(ev.at, Runtime::Chaos(idx));
     }
     let mut cur = start;
-    // Runtime events the engine scheduled past the horizon (late
-    // rejoins, backed-off re-dispatches) — resolved at the end.
-    let mut overflow: Vec<Runtime> = Vec::new();
+    // Re-dispatches the engine backed off past the horizon — resolved at
+    // the end. Late rejoins are moot.
+    let mut overflow: Vec<(f64, u32)> = Vec::new();
     while let Some((at, rt)) = queue.pop() {
         if at >= end {
-            overflow.push(rt);
+            if let Runtime::Redispatch { work, attempt } = rt {
+                overflow.push((work, attempt));
+            }
             continue;
         }
         eng.settle(cur, at, tracer);
@@ -808,41 +905,15 @@ pub fn run_chaos(
     eng.settle(cur, end, tracer);
     // Work still bouncing in re-dispatch when the horizon closes gets
     // one final resolution at the end instant: recovered if anything is
-    // live, failed otherwise. Late rejoins are moot.
-    for rt in overflow {
-        if let Runtime::Redispatch { work, attempt } = rt {
-            if eng.best_available().is_some() {
-                // Resolved exactly like an in-horizon re-dispatch.
-                let mut dummy = EventQueue::new();
-                eng.redispatch(end, work, attempt, &mut dummy, tracer);
-            } else {
-                eng.failed += work;
-                observe::record_chaos_redispatch(tracer, end, work, attempt, false, Joules::ZERO);
-            }
-        }
+    // live, failed otherwise.
+    for (work, attempt) in overflow {
+        eng.redispatch(end, work, attempt, None, tracer);
     }
-    eng.ledger.cover(start, end);
+    let mut report = eng.report;
+    report.served = (report.served - report.failed).max(0.0);
+    report.ledger.cover(start, end);
     tracer.finish_time(end.as_nanos());
-    Ok(ChaosReport {
-        ledger: eng.ledger,
-        horizon: schedule.horizon(),
-        offered: eng.offered,
-        served: (eng.served_integral - eng.failed).max(0.0),
-        shed: eng.shed,
-        failed: eng.failed,
-        stranded: eng.stranded,
-        recovered: eng.recovered,
-        crashes: eng.crashes,
-        restarts: eng.restarts,
-        domain_outages: eng.domain_outages,
-        brownouts: eng.brownouts,
-        surges: eng.surges,
-        breaker_trips: eng.breaker_trips,
-        cold_boots: eng.cold_boots,
-        redispatches: eng.redispatches,
-        redundancy_degraded_secs: eng.redundancy_degraded_secs,
-        placements: eng.placements,
-    })
+    Ok(report)
 }
 
 /// The documented availability floor the reference storm must clear —
@@ -895,8 +966,31 @@ mod tests {
             .collect()
     }
 
+    /// A scripted schedule for [`small_fleet`]: `(seconds, event)` pairs.
+    fn script(horizon_s: u64, events: &[(f64, ChaosEventKind)]) -> ChaosSchedule {
+        let events = events
+            .iter()
+            .map(|&(t, kind)| ChaosEvent { at: at(t), kind })
+            .collect();
+        ChaosSchedule::scripted(4, 2, SimDuration::from_secs(horizon_s), events)
+    }
+
     fn calm(horizon_s: u64) -> ChaosSchedule {
-        ChaosSchedule::scripted(4, 2, SimDuration::from_secs(horizon_s), vec![])
+        script(horizon_s, &[])
+    }
+
+    /// Spread, with a breaker that holds 500 s × 2 per extra crash
+    /// inside an hour.
+    fn flap_policy() -> ChaosPolicy {
+        ChaosPolicy {
+            placement: PlacementPolicy::Spread,
+            breaker: BreakerPolicy {
+                base_quarantine: SimDuration::from_secs(500),
+                multiplier: 2,
+                reset_window: SimDuration::from_secs(3_600),
+            },
+            ..ChaosPolicy::default()
+        }
     }
 
     fn check_conservation(r: &ChaosReport) {
@@ -910,18 +1004,17 @@ mod tests {
         );
     }
 
+    /// One tracer-less run of [`small_fleet`], conservation checked.
+    fn run(schedule: &ChaosSchedule, demand: f64, policy: &ChaosPolicy) -> ChaosReport {
+        let r =
+            run_chaos(&small_fleet(), schedule, demand, policy, &mut Tracer::off()).expect("valid");
+        check_conservation(&r);
+        r
+    }
+
     #[test]
     fn calm_run_serves_everything() {
-        let fleet = small_fleet();
-        let r = run_chaos(
-            &fleet,
-            &calm(1_000),
-            100.0,
-            &ChaosPolicy::default(),
-            &mut Tracer::off(),
-        )
-        .expect("valid");
-        check_conservation(&r);
+        let r = run(&calm(1_000), 100.0, &ChaosPolicy::default());
         assert!((r.availability() - 1.0).abs() < 1e-12);
         assert!((r.offered - 100.0 * 1_000.0).abs() < 1e-6);
         assert!(r.shed < 1e-9);
@@ -965,28 +1058,18 @@ mod tests {
 
     #[test]
     fn crash_strands_and_recovers_work_with_recovery_billing() {
-        let fleet = small_fleet();
-        let schedule = ChaosSchedule::scripted(
-            4,
-            2,
-            SimDuration::from_secs(10_000),
-            vec![
-                ChaosEvent {
-                    at: at(5_000.0),
-                    kind: ChaosEventKind::MachineCrash { machine: 0 },
-                },
-                ChaosEvent {
-                    at: at(5_600.0),
-                    kind: ChaosEventKind::MachineUp { machine: 0 },
-                },
+        let schedule = script(
+            10_000,
+            &[
+                (5_000.0, ChaosEventKind::MachineCrash { machine: 0 }),
+                (5_600.0, ChaosEventKind::MachineUp { machine: 0 }),
             ],
         );
         let policy = ChaosPolicy {
             placement: PlacementPolicy::Spread,
             ..ChaosPolicy::default()
         };
-        let r = run_chaos(&fleet, &schedule, 150.0, &policy, &mut Tracer::off()).expect("valid");
-        check_conservation(&r);
+        let r = run(&schedule, 150.0, &policy);
         assert_eq!(r.crashes, 1);
         assert_eq!(r.restarts, 1);
         assert!(r.stranded > 0.0, "machine 0 carried load when it died");
@@ -1012,31 +1095,14 @@ mod tests {
 
     #[test]
     fn fleet_blackout_sheds_then_fails_inflight_work() {
-        let fleet = small_fleet();
-        let schedule = ChaosSchedule::scripted(
-            4,
-            2,
-            SimDuration::from_secs(2_000),
-            vec![
-                ChaosEvent {
-                    at: at(1_000.0),
-                    kind: ChaosEventKind::DomainDown { domain: 0 },
-                },
-                ChaosEvent {
-                    at: at(1_000.0),
-                    kind: ChaosEventKind::DomainDown { domain: 1 },
-                },
+        let schedule = script(
+            2_000,
+            &[
+                (1_000.0, ChaosEventKind::DomainDown { domain: 0 }),
+                (1_000.0, ChaosEventKind::DomainDown { domain: 1 }),
             ],
         );
-        let r = run_chaos(
-            &fleet,
-            &schedule,
-            100.0,
-            &ChaosPolicy::default(),
-            &mut Tracer::off(),
-        )
-        .expect("valid");
-        check_conservation(&r);
+        let r = run(&schedule, 100.0, &ChaosPolicy::default());
         assert_eq!(r.domain_outages, 2);
         // Second half of the run is fully shed.
         assert!((r.shed - 100.0 * 1_000.0).abs() < 1.0, "shed {}", r.shed);
@@ -1049,28 +1115,14 @@ mod tests {
 
     #[test]
     fn degradation_drops_replicas_before_shedding() {
-        let fleet = small_fleet();
         // Lose domain 1 entirely: only one domain left, so r_eff must
         // fall to 1 — but demand 100 still fits domain 0's 200 capacity,
         // so nothing is shed.
-        let schedule = ChaosSchedule::scripted(
-            4,
-            2,
-            SimDuration::from_secs(2_000),
-            vec![ChaosEvent {
-                at: at(1_000.0),
-                kind: ChaosEventKind::DomainDown { domain: 1 },
-            }],
+        let schedule = script(
+            2_000,
+            &[(1_000.0, ChaosEventKind::DomainDown { domain: 1 })],
         );
-        let r = run_chaos(
-            &fleet,
-            &schedule,
-            100.0,
-            &ChaosPolicy::default(),
-            &mut Tracer::off(),
-        )
-        .expect("valid");
-        check_conservation(&r);
+        let r = run(&schedule, 100.0, &ChaosPolicy::default());
         assert!(r.shed < 1e-6, "replica sacrifice avoids shedding");
         let last = r.placements.last().expect("placements recorded");
         assert_eq!(last.replicas, 1);
@@ -1080,30 +1132,20 @@ mod tests {
 
     #[test]
     fn brownout_caps_power_and_capacity() {
-        let fleet = small_fleet();
         // cap_frac 0.5 on a 50/150 W curve: usable load fraction is
         // (75 - 50) / 100 = 0.25 → 25 work/s per machine, 100 fleetwide.
-        let schedule = ChaosSchedule::scripted(
-            4,
-            2,
-            SimDuration::from_secs(2_000),
-            vec![ChaosEvent {
-                at: at(1_000.0),
-                kind: ChaosEventKind::BrownoutStart { cap_frac: 0.5 },
-            }],
+        let schedule = script(
+            2_000,
+            &[(1_000.0, ChaosEventKind::BrownoutStart { cap_frac: 0.5 })],
         );
-        let r = run_chaos(
-            &fleet,
+        let r = run(
             &schedule,
             150.0,
             &ChaosPolicy {
                 replicas: 1,
                 ..ChaosPolicy::default()
             },
-            &mut Tracer::off(),
-        )
-        .expect("valid");
-        check_conservation(&r);
+        );
         assert_eq!(r.brownouts, 1);
         // First 1000 s serve 150; the brownout halves fleet capability
         // to 100, shedding 50 work/s for the remaining 1000 s.
@@ -1114,25 +1156,11 @@ mod tests {
 
     #[test]
     fn surge_raises_offered_demand() {
-        let fleet = small_fleet();
-        let schedule = ChaosSchedule::scripted(
-            4,
-            2,
-            SimDuration::from_secs(2_000),
-            vec![ChaosEvent {
-                at: at(1_000.0),
-                kind: ChaosEventKind::SurgeStart { factor: 2.0 },
-            }],
+        let schedule = script(
+            2_000,
+            &[(1_000.0, ChaosEventKind::SurgeStart { factor: 2.0 })],
         );
-        let r = run_chaos(
-            &fleet,
-            &schedule,
-            100.0,
-            &ChaosPolicy::default(),
-            &mut Tracer::off(),
-        )
-        .expect("valid");
-        check_conservation(&r);
+        let r = run(&schedule, 100.0, &ChaosPolicy::default());
         assert_eq!(r.surges, 1);
         assert!((r.offered - (100.0 * 1_000.0 + 200.0 * 1_000.0)).abs() < 1e-6);
         // 200 work/s × 2 replicas = 400 = exactly fleet capacity: served.
@@ -1141,30 +1169,17 @@ mod tests {
 
     #[test]
     fn breaker_quarantines_flapping_machine() {
-        let fleet = small_fleet();
-        let mk = |t: f64, kind| ChaosEvent { at: at(t), kind };
-        let schedule = ChaosSchedule::scripted(
-            4,
-            2,
-            SimDuration::from_secs(10_000),
-            vec![
-                mk(1_000.0, ChaosEventKind::MachineCrash { machine: 0 }),
-                mk(1_100.0, ChaosEventKind::MachineUp { machine: 0 }),
-                mk(1_200.0, ChaosEventKind::MachineCrash { machine: 0 }),
-                mk(1_300.0, ChaosEventKind::MachineUp { machine: 0 }),
+        let schedule = script(
+            10_000,
+            &[
+                (1_000.0, ChaosEventKind::MachineCrash { machine: 0 }),
+                (1_100.0, ChaosEventKind::MachineUp { machine: 0 }),
+                (1_200.0, ChaosEventKind::MachineCrash { machine: 0 }),
+                (1_300.0, ChaosEventKind::MachineUp { machine: 0 }),
             ],
         );
-        let policy = ChaosPolicy {
-            placement: PlacementPolicy::Spread,
-            breaker: BreakerPolicy {
-                base_quarantine: SimDuration::from_secs(500),
-                multiplier: 2,
-                reset_window: SimDuration::from_secs(3_600),
-            },
-            ..ChaosPolicy::default()
-        };
-        let r = run_chaos(&fleet, &schedule, 100.0, &policy, &mut Tracer::off()).expect("valid");
-        check_conservation(&r);
+        let policy = flap_policy();
+        let r = run(&schedule, 100.0, &policy);
         assert_eq!(r.crashes, 2);
         assert_eq!(r.restarts, 2);
         assert_eq!(r.breaker_trips, 1, "second restart is quarantined");
@@ -1174,6 +1189,145 @@ mod tests {
             r.placements.iter().any(|p| p.at == at(1_800.0)),
             "rejoin decision recorded"
         );
+    }
+
+    #[test]
+    fn stale_breaker_timer_does_not_release_a_requarantined_machine() {
+        // Trip 2 (up at 1 300) sets a timer for 1 800; machine 0 crashes
+        // again under it and trip 3 (up at 1 500) holds it until 2 500.
+        let schedule = script(
+            10_000,
+            &[
+                (1_000.0, ChaosEventKind::MachineCrash { machine: 0 }),
+                (1_100.0, ChaosEventKind::MachineUp { machine: 0 }),
+                (1_200.0, ChaosEventKind::MachineCrash { machine: 0 }),
+                (1_300.0, ChaosEventKind::MachineUp { machine: 0 }),
+                (1_400.0, ChaosEventKind::MachineCrash { machine: 0 }),
+                (1_500.0, ChaosEventKind::MachineUp { machine: 0 }),
+            ],
+        );
+        // One replica, filled in fleet order: machine 0 serves all 100
+        // whenever it is available.
+        let policy = ChaosPolicy {
+            replicas: 1,
+            ..flap_policy()
+        };
+        let r = run(&schedule, 100.0, &policy);
+        assert_eq!(r.breaker_trips, 2);
+        let decisions = |t: f64| r.placements.iter().filter(move |p| p.at == at(t));
+        // The old timer still wakes the engine at 1 800 — and releases
+        // nobody: no load on machine 0 until its latest quarantine ends.
+        assert_eq!(decisions(1_800.0).count(), 1);
+        for p in &r.placements {
+            if p.at >= at(1_400.0) && p.at < at(2_500.0) {
+                assert_eq!(p.loads[0], 0.0, "machine 0 loaded at {}", p.at);
+            }
+        }
+        let back: Vec<_> = decisions(2_500.0).collect();
+        assert_eq!(
+            back.len(),
+            1,
+            "a placement decision when the quarantine ends"
+        );
+        assert_eq!(back[0].loads[0], 100.0);
+    }
+
+    /// `refresh_cycle_fleet` (one domain, 9 000 work/s) serving `demand`
+    /// as one replica under `placement`.
+    fn refresh_state(
+        placement: PlacementPolicy,
+        demand: f64,
+    ) -> (Vec<Machine>, ChaosPolicy, FleetState) {
+        let fleet = crate::cluster::refresh_cycle_fleet();
+        let policy = ChaosPolicy {
+            placement,
+            replicas: 1,
+            inflight_window: SimDuration::ZERO,
+            ..ChaosPolicy::default()
+        };
+        let state = FleetState::new(&fleet, 1, &policy, demand);
+        (fleet, policy, state)
+    }
+
+    fn crash(machine: u32) -> FleetEvent {
+        FleetEvent::Chaos(ChaosEventKind::MachineCrash { machine })
+    }
+
+    #[test]
+    fn killing_loaded_machines_boots_only_dark_living_ones_and_bills_them_to_recovery() {
+        // Consolidated at 4 000 work/s only the two new machines (4, 5)
+        // run; kill both, one after the other.
+        let (fleet, policy, mut state) = refresh_state(PlacementPolicy::Consolidate, 4_000.0);
+        assert_eq!(state.plan().placement.powered_count(), 2);
+        let mut booted = Vec::new();
+        for dead in [4, 5] {
+            let before = state.plan().placement.clone();
+            let fx = state.apply(&fleet, &policy, 4_000.0, at(1_000.0), crash(dead));
+            assert_eq!(fx.stranded_rate, 2_000.0, "what machine {dead} carried");
+            assert!(!fx.booted.is_empty(), "someone had to cold-boot");
+            let plan = state.plan();
+            for &b in &fx.booted {
+                assert!(!before.powered[b] && plan.placement.powered[b]);
+                assert!(b != 4 && b != dead as usize, "booted a dead machine");
+            }
+            booted.extend(fx.booted);
+            assert_eq!(plan.placement.loads[dead as usize], 0.0);
+            assert!(!plan.placement.powered[dead as usize]);
+            assert_eq!((plan.served_rate, plan.shed_rate), (4_000.0, 0.0));
+            let placed: f64 = plan.placement.loads.iter().sum();
+            assert!(
+                (placed - 4_000.0).abs() < 1e-6,
+                "demand conserved: {placed}"
+            );
+        }
+        // The event loop bills exactly those boots to Recovery (no
+        // in-flight window, so no replay energy beside them).
+        let events = [4, 5]
+            .map(|machine| ChaosEvent {
+                at: at(1_000.0),
+                kind: ChaosEventKind::MachineCrash { machine },
+            })
+            .to_vec();
+        let schedule = ChaosSchedule::scripted(6, 1, SimDuration::from_secs(2_000), events);
+        let r = run_chaos(&fleet, &schedule, 4_000.0, &policy, &mut Tracer::off()).expect("valid");
+        let bill: f64 = booted.iter().map(|&b| fleet[b].boot_energy.joules()).sum();
+        assert!(bill > 0.0);
+        assert!((r.recovery_energy().joules() - bill).abs() < 1e-9);
+        assert_eq!(r.cold_boots, booted.len() as u64);
+    }
+
+    #[test]
+    fn spread_fails_over_without_a_cold_boot() {
+        let (fleet, policy, mut state) = refresh_state(PlacementPolicy::Spread, 4_000.0);
+        let fx = state.apply(&fleet, &policy, 4_000.0, at(1_000.0), crash(0));
+        // Everyone was already on — availability-first pays no boot.
+        assert!(fx.quarantine.is_none() && fx.booted.is_empty());
+        let plan = state.plan();
+        assert_eq!(plan.placement.loads[0], 0.0);
+        assert_eq!((plan.served_rate, plan.shed_rate), (4_000.0, 0.0));
+    }
+
+    #[test]
+    fn losses_beyond_surviving_capacity_are_shed_not_dropped() {
+        let (fleet, policy, mut state) = refresh_state(PlacementPolicy::Consolidate, 9_000.0);
+        // Lose both new machines (4 000 of 9 000 capacity) at full
+        // demand: survivors hold 5 000, so exactly 4 000 is shed.
+        for dead in [4, 5] {
+            state.apply(&fleet, &policy, 9_000.0, at(1_000.0), crash(dead));
+        }
+        let plan = state.plan();
+        assert_eq!((plan.served_rate, plan.shed_rate), (5_000.0, 4_000.0));
+        let placed: f64 = plan.placement.loads.iter().sum();
+        assert!((placed - 5_000.0).abs() < 1e-6);
+        assert_eq!(plan.placement.loads[4..], [0.0, 0.0]);
+        // Lose the rest: everything is shed, nothing powered, no boots.
+        for dead in 0..4 {
+            let fx = state.apply(&fleet, &policy, 9_000.0, at(1_000.0), crash(dead));
+            assert!(fx.booted.is_empty());
+        }
+        let plan = state.plan();
+        assert_eq!((plan.served_rate, plan.shed_rate), (0.0, 9_000.0));
+        assert_eq!(plan.placement.powered_count(), 0);
     }
 
     #[test]
@@ -1228,27 +1382,58 @@ mod tests {
             Err(ClusterError::EmptyFleet)
         ));
         let wrong_machines = ChaosSchedule::scripted(3, 2, SimDuration::from_secs(10), vec![]);
-        assert!(matches!(
-            run_chaos(&fleet, &wrong_machines, 1.0, &p, &mut t),
-            Err(ClusterError::BadSchedule(_))
-        ));
         let wrong_domains = ChaosSchedule::scripted(4, 1, SimDuration::from_secs(10), vec![]);
-        assert!(matches!(
-            run_chaos(&fleet, &wrong_domains, 1.0, &p, &mut t),
-            Err(ClusterError::BadSchedule(_))
-        ));
-        assert!(matches!(
-            run_chaos(&fleet, &calm(10), f64::NAN, &p, &mut t),
-            Err(ClusterError::BadSchedule(_))
-        ));
         let zero_replicas = ChaosPolicy {
             replicas: 0,
             ..ChaosPolicy::default()
         };
-        assert!(matches!(
-            run_chaos(&fleet, &calm(10), 1.0, &zero_replicas, &mut t),
-            Err(ClusterError::BadSchedule(_))
-        ));
+        for (schedule, demand, policy) in [
+            (&wrong_machines, 1.0, &p),
+            (&wrong_domains, 1.0, &p),
+            (&calm(10), f64::NAN, &p),
+            (&calm(10), 1.0, &zero_replicas),
+        ] {
+            assert!(matches!(
+                run_chaos(&fleet, schedule, demand, policy, &mut t),
+                Err(ClusterError::BadSchedule(_))
+            ));
+        }
+        // Scripted events are checked once, up front: an index outside
+        // the fleet or a poisonous parameter is an error, never a panic
+        // or a silent clamp.
+        let mut run = |kind| run_chaos(&fleet, &script(10, &[(1.0, kind)]), 1.0, &p, &mut t);
+        for machine in [4, 9] {
+            for kind in [
+                ChaosEventKind::MachineCrash { machine },
+                ChaosEventKind::MachineUp { machine },
+            ] {
+                let unknown = ClusterError::UnknownMachine(machine as usize);
+                assert_eq!(run(kind).unwrap_err(), unknown);
+            }
+        }
+        for kind in [
+            ChaosEventKind::DomainDown { domain: 7 },
+            ChaosEventKind::DomainUp { domain: 2 },
+            ChaosEventKind::BrownoutStart { cap_frac: f64::NAN },
+            ChaosEventKind::BrownoutStart { cap_frac: 0.0 },
+            ChaosEventKind::BrownoutStart { cap_frac: 1.5 },
+            ChaosEventKind::SurgeStart { factor: -1.0 },
+            ChaosEventKind::SurgeStart { factor: 0.0 },
+            ChaosEventKind::SurgeStart {
+                factor: f64::INFINITY,
+            },
+        ] {
+            assert!(
+                matches!(run(kind), Err(ClusterError::BadSchedule(_))),
+                "{kind:?} accepted"
+            );
+        }
+        for kind in [
+            ChaosEventKind::BrownoutStart { cap_frac: 1.0 },
+            ChaosEventKind::SurgeStart { factor: 0.5 },
+        ] {
+            assert!(run(kind).is_ok(), "{kind:?} rejected");
+        }
     }
 
     #[test]

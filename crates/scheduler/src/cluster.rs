@@ -10,6 +10,7 @@
 
 use grail_power::units::{Joules, SimDuration, Watts};
 use serde::Serialize;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// One machine in the fleet.
@@ -214,6 +215,19 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+/// The fleet's one efficiency ordering, as a comparator over machine
+/// indices: most peak-efficient first, ties broken by fleet order for
+/// determinism. Consolidation fills in this order and hedged re-dispatch
+/// replays on its first available machine.
+pub(crate) fn by_peak_efficiency(fleet: &[Machine]) -> impl Fn(&usize, &usize) -> Ordering + '_ {
+    move |&a, &b| {
+        fleet[b]
+            .peak_efficiency()
+            .total_cmp(&fleet[a].peak_efficiency())
+            .then(a.cmp(&b))
+    }
+}
+
 /// Place `demand` work/s on `fleet` under `policy`.
 pub fn place(
     fleet: &[Machine],
@@ -237,16 +251,8 @@ pub fn place(
             })
         }
         PlacementPolicy::Consolidate => {
-            // Most peak-efficient machines first; ties broken by fleet
-            // order for determinism.
             let mut order: Vec<usize> = (0..fleet.len()).collect();
-            order.sort_by(|a, b| {
-                fleet[*b]
-                    .peak_efficiency()
-                    .partial_cmp(&fleet[*a].peak_efficiency())
-                    .expect("finite efficiencies") // grail-lint: allow(error-hygiene, peak_efficiency is finite for all power models)
-                    .then(a.cmp(b))
-            });
+            order.sort_by(by_peak_efficiency(fleet));
             let mut loads = vec![0.0; fleet.len()];
             let mut powered = vec![false; fleet.len()];
             let mut rest = demand;
@@ -299,126 +305,6 @@ impl Placement {
     pub fn powered_count(&self) -> usize {
         self.powered.iter().filter(|p| **p).count()
     }
-}
-
-/// The outcome of failing machines out of a running placement — one
-/// box, or a correlated loss (rack, PDU trip).
-///
-/// Consolidation's dark side: the paper's Sec. 2.4 powers servers off to
-/// approximate energy-proportionality, but a machine failure then forces
-/// displaced load onto boxes that must first *boot* — paying a latency
-/// and an energy surge that a spread (availability-first) layout never
-/// sees. This struct makes that recovery cost explicit so experiments
-/// can put it on the ledger. Demand the survivors cannot absorb is
-/// **shed** and reported, never silently dropped: `served + shed ==
-/// offered` always holds.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Failover {
-    /// The new placement over the full fleet; failed machines carry zero
-    /// load and are not powered.
-    pub placement: Placement,
-    /// Indices of machines that had to be powered on (cold-booted) to
-    /// absorb the displaced load.
-    pub booted: Vec<usize>,
-    /// Total cold-boot energy across `booted`.
-    pub boot_energy: Joules,
-    /// Worst-case boot latency — how long displaced work waits before
-    /// full capacity is back.
-    pub boot_latency: SimDuration,
-    /// Work/s that had to move off the failed machines.
-    pub displaced: f64,
-    /// Work/s the survivors actually serve.
-    pub served: f64,
-    /// Work/s shed because surviving capacity was insufficient (zero
-    /// when the failure is survivable).
-    pub shed: f64,
-}
-
-/// Re-place a running placement after every machine in `failed` dies at
-/// once.
-///
-/// The offered demand (the sum of `before.loads`) is re-placed on the
-/// surviving machines under `policy`. Machines that were powered off in
-/// `before` but receive load now must cold-boot; their boot energy and
-/// the worst-case boot latency are reported so callers can charge them
-/// to a recovery ledger. Demand beyond the survivors' total capacity is
-/// shed and reported in [`Failover::shed`]; losing the whole fleet sheds
-/// everything rather than erroring — graceful degradation, not collapse.
-/// Duplicate indices in `failed` are tolerated.
-///
-/// # Errors
-/// [`ClusterError::UnknownMachine`] if any index in `failed` is out of
-/// range.
-pub fn fail_over(
-    fleet: &[Machine],
-    before: &Placement,
-    failed: &[usize],
-    policy: PlacementPolicy,
-) -> Result<Failover, ClusterError> {
-    let mut dead = vec![false; fleet.len()];
-    for &f in failed {
-        if f >= fleet.len() {
-            return Err(ClusterError::UnknownMachine(f));
-        }
-        dead[f] = true;
-    }
-    let offered: f64 = before.loads.iter().sum();
-    let displaced: f64 = before
-        .loads
-        .iter()
-        .zip(&dead)
-        .filter(|(_, d)| **d)
-        .map(|(l, _)| *l)
-        .sum();
-    // Place on the survivor sub-fleet, then map back to full-fleet
-    // indices (failed slots keep zero load and stay dark).
-    let survivors: Vec<Machine> = fleet
-        .iter()
-        .zip(&dead)
-        .filter(|(_, d)| !**d)
-        .map(|(m, _)| m.clone())
-        .collect();
-    let survivor_cap: f64 = survivors.iter().map(|m| m.capacity).sum();
-    let served = offered.min(survivor_cap);
-    let shed = (offered - served).max(0.0);
-    let sub = if survivors.is_empty() {
-        // The whole fleet is dark: nothing to place on.
-        Placement {
-            loads: Vec::new(),
-            powered: Vec::new(),
-        }
-    } else {
-        place(&survivors, served, policy)?
-    };
-    let mut loads = vec![0.0; fleet.len()];
-    let mut powered = vec![false; fleet.len()];
-    let mut booted = Vec::new();
-    let mut boot_energy = Joules::ZERO;
-    let mut boot_latency = SimDuration::ZERO;
-    let mut sub_idx = 0;
-    for i in 0..fleet.len() {
-        if dead[i] {
-            continue;
-        }
-        loads[i] = sub.loads[sub_idx];
-        powered[i] = sub.powered[sub_idx];
-        sub_idx += 1;
-        let was_on = before.powered.get(i).copied().unwrap_or(false);
-        if powered[i] && !was_on {
-            booted.push(i);
-            boot_energy += fleet[i].boot_energy;
-            boot_latency = boot_latency.max(fleet[i].boot_latency);
-        }
-    }
-    Ok(Failover {
-        placement: Placement { loads, powered },
-        booted,
-        boot_energy,
-        boot_latency,
-        displaced,
-        served,
-        shed,
-    })
 }
 
 /// A mixed-generation fleet for experiments: two old brawny boxes, two
@@ -582,48 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn failover_boots_dark_machines_and_reports_their_cost() {
-        let fleet = refresh_cycle_fleet();
-        // Consolidated at 4000 work/s: only the two new machines run.
-        let before = place(&fleet, 4000.0, PlacementPolicy::Consolidate).expect("fits");
-        assert_eq!(before.powered_count(), 2);
-        // Kill new-a (index 4): its 2000 work/s must land somewhere that
-        // was powered off, paying a cold boot.
-        let fo =
-            fail_over(&fleet, &before, &[4], PlacementPolicy::Consolidate).expect("survivable");
-        assert!((fo.displaced - 2000.0).abs() < 1e-9);
-        assert_eq!(fo.shed, 0.0);
-        assert!((fo.served - 4000.0).abs() < 1e-9);
-        assert!(!fo.placement.powered[4]);
-        assert_eq!(fo.placement.loads[4], 0.0);
-        let served: f64 = fo.placement.loads.iter().sum();
-        assert!((served - 4000.0).abs() < 1e-6, "demand conserved: {served}");
-        assert!(!fo.booted.is_empty(), "someone had to cold-boot");
-        assert!(!fo.booted.contains(&4));
-        assert!(fo.boot_energy.joules() > 0.0);
-        assert!(fo.boot_latency > SimDuration::ZERO);
-        // Booted machines were dark before and carry load now.
-        for &i in &fo.booted {
-            assert!(!before.powered[i]);
-            assert!(fo.placement.powered[i]);
-        }
-    }
-
-    #[test]
-    fn failover_under_spread_boots_nothing() {
-        let fleet = refresh_cycle_fleet();
-        let before = place(&fleet, 4000.0, PlacementPolicy::Spread).expect("fits");
-        let fo = fail_over(&fleet, &before, &[0], PlacementPolicy::Spread).expect("survivable");
-        // Everyone was already on — availability-first pays no boot.
-        assert!(fo.booted.is_empty());
-        assert_eq!(fo.boot_energy, Joules::ZERO);
-        assert_eq!(fo.boot_latency, SimDuration::ZERO);
-        assert_eq!(fo.placement.loads[0], 0.0);
-        let served: f64 = fo.placement.loads.iter().sum();
-        assert!((served - 4000.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn validate_rejects_bad_boot_geometry() {
         // Joules arithmetic saturates Sub at zero but overflows Mul to
         // infinity — exactly what try_with_boot must catch.
@@ -667,48 +511,6 @@ mod tests {
         }
         assert_eq!(domain_count(&[]), 0);
         assert_eq!(domain_count(&refresh_cycle_fleet()), 1);
-    }
-
-    #[test]
-    fn failover_sheds_instead_of_erroring() {
-        let fleet = refresh_cycle_fleet();
-        let total: f64 = fleet.iter().map(|m| m.capacity).sum();
-        let before = place(&fleet, total, PlacementPolicy::Consolidate).expect("fits");
-        // Lose both new machines (4000 of 9000 capacity): survivors hold
-        // 5000, so 4000 must be shed — and reported, not dropped.
-        let mf =
-            fail_over(&fleet, &before, &[4, 5], PlacementPolicy::Consolidate).expect("in range");
-        assert!((mf.served - 5000.0).abs() < 1e-9);
-        assert!((mf.shed - 4000.0).abs() < 1e-9);
-        assert!((mf.served + mf.shed - total).abs() < 1e-9, "no demand lost");
-        assert!((mf.displaced - 4000.0).abs() < 1e-9);
-        let placed: f64 = mf.placement.loads.iter().sum();
-        assert!((placed - mf.served).abs() < 1e-6);
-        assert_eq!(mf.placement.loads[4], 0.0);
-        assert_eq!(mf.placement.loads[5], 0.0);
-    }
-
-    #[test]
-    fn failover_total_fleet_loss_sheds_everything() {
-        let fleet = refresh_cycle_fleet();
-        let before = place(&fleet, 4000.0, PlacementPolicy::Spread).expect("fits");
-        let mf = fail_over(
-            &fleet,
-            &before,
-            &[0, 1, 2, 3, 4, 5],
-            PlacementPolicy::Spread,
-        )
-        .expect("in range");
-        assert_eq!(mf.served, 0.0);
-        assert!((mf.shed - 4000.0).abs() < 1e-9);
-        assert_eq!(mf.placement.powered_count(), 0);
-        assert_eq!(mf.boot_energy, Joules::ZERO);
-        // Duplicate indices are tolerated; out-of-range ones are not.
-        assert!(fail_over(&fleet, &before, &[0, 0], PlacementPolicy::Spread).is_ok());
-        assert_eq!(
-            fail_over(&fleet, &before, &[99], PlacementPolicy::Spread).unwrap_err(),
-            ClusterError::UnknownMachine(99)
-        );
     }
 
     #[test]

@@ -15,19 +15,18 @@
 //!   to an in-flight scan instead of re-reading.
 //! * [`cluster`] — fleet-level consolidation (\[TWM+08\]): pack load onto
 //!   the most efficient machines and power off the rest, making the
-//!   cluster energy-proportional even when no machine is; includes
-//!   machine-failure re-placement ([`cluster::fail_over`], one box or a
-//!   correlated loss) that charges cold-boot energy when displaced load
-//!   lands on dark machines and sheds what the survivors cannot absorb.
-//! * [`chaos`] — the cluster chaos engine: drives a fleet through a
-//!   seeded [`grail_sim::fault::ChaosSchedule`] (correlated fault-domain
-//!   outages, crash/restart cycles, brownouts, surges) with
-//!   fault-domain-aware replica placement, SLA-visible load shedding,
-//!   per-machine circuit breakers, and hedged re-dispatch — billing all
-//!   recovery work to the ledger's Recovery category so the energy cost
-//!   of resilience is a first-class output.
-//! * [`observe`] — bridges scheduler decisions into `grail-trace`
-//!   events for callers that carry a tracer.
+//!   cluster energy-proportional even when no machine is.
+//! * [`chaos`] — the fleet under failure. [`chaos::FleetState`] is the
+//!   one pure state machine for "an event happened: who serves what,
+//!   what boots, what is shed" (fault-domain-aware replica placement,
+//!   SLA-visible load shedding, per-machine circuit breakers);
+//!   [`chaos::run_chaos`] drives it through a seeded
+//!   [`grail_sim::fault::ChaosSchedule`] (correlated fault-domain
+//!   outages, crash/restart cycles, brownouts, surges), adds hedged
+//!   re-dispatch, and bills every cold boot and replay to the ledger's
+//!   Recovery category so the energy cost of resilience is a
+//!   first-class output.
+//! * [`observe`] — bridges the chaos engine into `grail-trace` events.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,8 +44,5 @@ pub use chaos::{
     run_chaos, BreakerPolicy, ChaosPolicy, ChaosReport, PlacementChange,
     DOCUMENTED_AVAILABILITY_FLOOR,
 };
-pub use cluster::{
-    chaos_fleet, domain_count, fail_over, ClusterError, Failover, Machine, Placement,
-    PlacementPolicy,
-};
+pub use cluster::{chaos_fleet, domain_count, ClusterError, Machine, Placement, PlacementPolicy};
 pub use governor::{IdleGovernor, OracleGovernor, TimeoutGovernor};

@@ -1,15 +1,10 @@
-//! Bridge from scheduler decisions to trace events.
+//! Bridge from the chaos engine to trace events.
 //!
-//! The scheduler's policies are pure functions over plain data — they
-//! know nothing about tracing. This module converts their outcomes
-//! ([`Placement`], [`Failover`], [`AdmissionOutcome`]) into
-//! [`grail_trace`] events after the fact, so callers that carry a
-//! [`Tracer`] can make every consolidation and fail-over decision
-//! visible without the policies themselves growing a tracing
-//! dependency in their signatures.
+//! [`crate::chaos::FleetState`] is a pure state machine — it knows
+//! nothing about tracing. [`crate::chaos::run_chaos`] turns the schedule
+//! events it feeds it and the effects it gets back into [`grail_trace`]
+//! events and `chaos.*` counters and gauges through these helpers.
 
-use crate::admission::{AdmissionOutcome, AdmissionPolicy};
-use crate::cluster::{Failover, Machine, Placement};
 use grail_power::units::{Joules, SimDuration, SimInstant};
 use grail_sim::fault::{ChaosEvent, ChaosEventKind};
 use grail_trace::{Category, TraceEvent, TraceTime, Tracer, Track};
@@ -17,97 +12,6 @@ use grail_trace::{Category, TraceEvent, TraceTime, Tracer, Track};
 #[inline]
 fn tt(at: SimInstant) -> TraceTime {
     TraceTime::from_nanos(at.as_nanos())
-}
-
-/// Record a computed placement: how many machines stay powered, the
-/// fleet power, and the resulting efficiency.
-pub fn record_placement(
-    tracer: &mut Tracer,
-    at: SimInstant,
-    fleet: &[Machine],
-    placement: &Placement,
-    policy: &'static str,
-) {
-    tracer.count("scheduler.placements", 1);
-    tracer.emit(Category::Scheduler, || {
-        let demand: f64 = placement.loads.iter().sum();
-        TraceEvent::instant(tt(at), Category::Scheduler, "scheduler.placement", {
-            Track::Main
-        })
-        .arg("policy", policy)
-        .arg("powered", placement.powered_count() as u64)
-        .arg("fleet", fleet.len() as u64)
-        .arg("demand", demand)
-        .arg("power_w", placement.power(fleet).get())
-        .arg("efficiency", placement.efficiency(fleet))
-    });
-}
-
-/// Record a fail-over: the displaced load, which machines cold-booted,
-/// and what the recovery cost in energy and latency.
-pub fn record_failover(tracer: &mut Tracer, at: SimInstant, failed: usize, failover: &Failover) {
-    tracer.count("scheduler.failovers", 1);
-    tracer.count("scheduler.cold_boots", failover.booted.len() as u64);
-    tracer.emit(Category::Scheduler, || {
-        TraceEvent::instant(tt(at), Category::Scheduler, "scheduler.failover", {
-            Track::Main
-        })
-        .arg("failed", failed as u64)
-        .arg("displaced", failover.displaced)
-        .arg("booted", failover.booted.len() as u64)
-        .arg("boot_j", failover.boot_energy.joules())
-        .arg("boot_latency_s", failover.boot_latency.as_secs_f64())
-    });
-}
-
-/// Record an admission schedule: one instant per release point (batch),
-/// carrying the batch size, plus a summary instant with the mean added
-/// latency the batching bought.
-pub fn record_admission(
-    tracer: &mut Tracer,
-    policy: &AdmissionPolicy,
-    arrivals: &[SimInstant],
-    outcome: &AdmissionOutcome,
-) {
-    tracer.count("scheduler.admitted", outcome.dispatches.len() as u64);
-    tracer.count("scheduler.batches", outcome.batches as u64);
-    if !tracer.enabled(Category::Scheduler) || outcome.dispatches.is_empty() {
-        return;
-    }
-    // One instant per distinct release point; dispatches are
-    // nondecreasing, so a linear group-by suffices.
-    let mut i = 0usize;
-    while i < outcome.dispatches.len() {
-        let release = outcome.dispatches[i];
-        let mut j = i;
-        while j < outcome.dispatches.len() && outcome.dispatches[j] == release {
-            j += 1;
-        }
-        let size = (j - i) as u64;
-        tracer.emit(Category::Scheduler, || {
-            TraceEvent::instant(tt(release), Category::Scheduler, "scheduler.release", {
-                Track::Main
-            })
-            .arg("policy", policy.name())
-            .arg("queries", size)
-        });
-        i = j;
-    }
-    let Some(&last) = outcome.dispatches.last() else {
-        return; // unreachable: emptiness checked above
-    };
-    tracer.emit(Category::Scheduler, || {
-        TraceEvent::instant(tt(last), Category::Scheduler, "scheduler.admission", {
-            Track::Main
-        })
-        .arg("policy", policy.name())
-        .arg("queries", outcome.dispatches.len() as u64)
-        .arg("batches", outcome.batches as u64)
-        .arg(
-            "mean_added_latency_s",
-            outcome.mean_added_latency_secs(arrivals),
-        )
-    });
 }
 
 /// Record a chaos-schedule event (crash, restart, outage, brownout,
@@ -207,49 +111,10 @@ pub fn record_chaos_boot(tracer: &mut Tracer, at: SimInstant, machine: usize, bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::BatchWindow;
-    use crate::cluster::{fail_over, place, refresh_cycle_fleet, PlacementPolicy};
-    use grail_power::units::SimDuration;
     use grail_trace::Recorder;
 
     fn at(s: f64) -> SimInstant {
         SimInstant::from_secs_f64(s)
-    }
-
-    #[test]
-    fn placement_and_failover_events_recorded() {
-        let fleet = refresh_cycle_fleet();
-        let p = place(&fleet, 4000.0, PlacementPolicy::Consolidate).expect("fits");
-        let fo = fail_over(&fleet, &p, &[4], PlacementPolicy::Consolidate).expect("survivable");
-        let mut tracer = Tracer::on(Recorder::new(64));
-        record_placement(&mut tracer, at(0.0), &fleet, &p, "consolidate");
-        record_failover(&mut tracer, at(10.0), 4, &fo);
-        let rec = tracer.take().expect("tracer is on");
-        let names: Vec<&str> = rec.events().map(|e| e.name).collect();
-        assert_eq!(names, vec!["scheduler.placement", "scheduler.failover"]);
-        assert_eq!(rec.metrics().counter("scheduler.placements"), 1);
-        assert_eq!(rec.metrics().counter("scheduler.failovers"), 1);
-        assert!(rec.metrics().counter("scheduler.cold_boots") > 0);
-    }
-
-    #[test]
-    fn admission_releases_group_by_batch() {
-        let arrivals = vec![at(0.0), at(1.0), at(2.0), at(10.0)];
-        let policy = AdmissionPolicy::Batched(BatchWindow {
-            window: SimDuration::from_secs(3),
-        });
-        let outcome = policy.schedule(&arrivals);
-        let mut tracer = Tracer::on(Recorder::new(64));
-        record_admission(&mut tracer, &policy, &arrivals, &outcome);
-        let rec = tracer.take().expect("tracer is on");
-        let releases: Vec<_> = rec
-            .events()
-            .filter(|e| e.name == "scheduler.release")
-            .collect();
-        assert_eq!(releases.len(), 2, "two batches, two release instants");
-        assert_eq!(rec.metrics().counter("scheduler.admitted"), 4);
-        assert_eq!(rec.metrics().counter("scheduler.batches"), 2);
-        assert!(rec.events().any(|e| e.name == "scheduler.admission"));
     }
 
     #[test]
@@ -280,14 +145,5 @@ mod tests {
         assert_eq!(rec.metrics().counter("chaos.breaker_trips"), 1);
         assert_eq!(rec.metrics().counter("chaos.redispatches"), 1);
         assert_eq!(rec.metrics().counter("chaos.cold_boots"), 1);
-    }
-
-    #[test]
-    fn off_tracer_records_nothing() {
-        let fleet = refresh_cycle_fleet();
-        let p = place(&fleet, 1000.0, PlacementPolicy::Spread).expect("fits");
-        let mut tracer = Tracer::off();
-        record_placement(&mut tracer, at(0.0), &fleet, &p, "spread");
-        assert!(tracer.take().is_none());
     }
 }
