@@ -66,10 +66,7 @@ fn power_series(trace: &Recorder, bin: SimDuration) -> BinnedSeries {
         let Some(dur) = ev.dur.filter(|d| *d > 0) else {
             continue;
         };
-        let Some(active_j) = ev.args.iter().find_map(|(k, v)| match v {
-            ArgValue::F64(j) if *k == "active_j" => Some(*j),
-            _ => None,
-        }) else {
+        let Some(ArgValue::F64(active_j)) = ev.arg("active_j") else {
             continue;
         };
         let start = SimInstant::EPOCH + SimDuration::from_nanos(ev.at.as_nanos());

@@ -38,9 +38,11 @@ pub enum ComponentKind {
     Other,
 }
 
-impl fmt::Display for ComponentKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl ComponentKind {
+    /// Stable lowercase name: the `Display` form, and the `kind` half
+    /// of a [`ComponentId`]'s `kind[index]` label.
+    pub const fn name(self) -> &'static str {
+        match self {
             ComponentKind::Cpu => "cpu",
             ComponentKind::Disk => "disk",
             ComponentKind::Ssd => "ssd",
@@ -49,8 +51,13 @@ impl fmt::Display for ComponentKind {
             ComponentKind::Base => "base",
             ComponentKind::Recovery => "recovery",
             ComponentKind::Other => "other",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for ComponentKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -1353,13 +1353,30 @@ mod tests {
             let mut tracer = Tracer::on(Recorder::new(1 << 16));
             let r = run_chaos(&fleet, &schedule, demand, &policy, &mut tracer).expect("valid");
             let rec = tracer.take().expect("tracer on");
-            (r, grail_trace::to_jsonl(&rec))
+            assert_eq!(rec.dropped(), 0, "ring overflowed");
+            assert_eq!(rec.metrics().counter("trace.dropped"), 0);
+            let exports = [
+                grail_trace::to_jsonl(&rec),
+                grail_trace::to_chrome(&rec),
+                grail_metrics::to_prometheus(rec.metrics()),
+            ];
+            (r, exports)
         };
         let (ra, ta) = run();
         let (rb, tb) = run();
         assert_eq!(ra, rb);
         assert_eq!(ta, tb);
-        assert!(!ta.is_empty());
+        // Identical to itself is not identical to the last commit: the
+        // exported bytes are pinned (FNV-1a, 64-bit; the constant the
+        // root `trace_determinism` test carries, measured before the
+        // recorder's event layout changed in PR 17).
+        let digest = ta
+            .iter()
+            .flat_map(|s| s.bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(digest, 0xa9ef_a98d_49a1_a7d2);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use grail_power::units::Joules;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The label of the residual row holding energy not caused by any
 /// tagged query (idle, base, transitions, background recovery).
@@ -94,29 +93,18 @@ impl AttributionTable {
     }
 }
 
-/// The in-flight accumulator the simulator carries while attribution is
-/// enabled. Keys sort deterministically.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AttributionAcc {
-    by_query: BTreeMap<(u32, u32), f64>,
-}
-
-impl AttributionAcc {
-    /// Add active energy to a query's bucket.
-    pub(crate) fn add(&mut self, tag: (u32, u32), energy: Joules) {
-        *self.by_query.entry(tag).or_insert(0.0) += energy.joules();
-    }
-
-    /// Settle against the final ledger total: query rows in key order,
-    /// then the residual making the rows sum to `total` by
-    /// construction.
-    pub(crate) fn into_table(self, total: Joules) -> AttributionTable {
+impl AttributionTable {
+    /// Settle `(stream, index, joules)` entries against the final
+    /// ledger total: one query row per entry, in the order given, then
+    /// the residual making the rows sum to `total` by construction.
+    pub(crate) fn settle(
+        entries: impl Iterator<Item = (u32, u32, f64)>,
+        total: Joules,
+    ) -> AttributionTable {
         let t = total.joules();
         let share = |e: f64| if t > 0.0 { e / t } else { 0.0 };
-        let mut rows: Vec<AttributionRow> = self
-            .by_query
-            .iter()
-            .map(|(&(stream, index), &e)| AttributionRow {
+        let mut rows: Vec<AttributionRow> = entries
+            .map(|(stream, index, e)| AttributionRow {
                 label: format!("s{stream}.q{index}"),
                 stream: Some(stream),
                 index: Some(index),
@@ -125,7 +113,7 @@ impl AttributionAcc {
                 operators: Vec::new(),
             })
             .collect();
-        let attributed: f64 = self.by_query.values().sum();
+        let attributed: f64 = rows.iter().map(|r| r.energy.joules()).sum();
         let residual = t - attributed;
         rows.push(AttributionRow {
             label: UNATTRIBUTED.to_string(),
@@ -139,6 +127,42 @@ impl AttributionAcc {
     }
 }
 
+/// The in-flight accumulator the simulator carries while attribution is
+/// enabled: `by_stream[stream][index]`, probed on every reservation, so
+/// it is two dense vectors rather than a map. `None` marks a query that
+/// was never charged — it gets no row, exactly as an absent map key
+/// would not.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AttributionAcc {
+    by_stream: Vec<Vec<Option<f64>>>,
+}
+
+impl AttributionAcc {
+    /// Add active energy to a query's bucket.
+    pub(crate) fn add(&mut self, (stream, index): (u32, u32), energy: Joules) {
+        let (stream, index) = (stream as usize, index as usize);
+        if stream >= self.by_stream.len() {
+            self.by_stream.resize_with(stream + 1, Vec::new);
+        }
+        let queries = &mut self.by_stream[stream];
+        if index >= queries.len() {
+            queries.resize(index + 1, None);
+        }
+        *queries[index].get_or_insert(0.0) += energy.joules();
+    }
+
+    /// The charged queries as `(stream, index, joules)`, in
+    /// `(stream, index)` order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
+        self.by_stream.iter().enumerate().flat_map(|(s, queries)| {
+            queries
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, e)| e.map(|e| (s as u32, i as u32, e)))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,7 +173,7 @@ mod tests {
         acc.add((0, 0), Joules::new(10.0));
         acc.add((0, 0), Joules::new(5.0));
         acc.add((1, 3), Joules::new(25.0));
-        let table = acc.into_table(Joules::new(100.0));
+        let table = AttributionTable::settle(acc.entries(), Joules::new(100.0));
         assert_eq!(table.rows.len(), 3);
         assert!((table.sum().joules() - 100.0).abs() < 1e-9);
         assert!((table.attributed().joules() - 40.0).abs() < 1e-9);
@@ -168,14 +192,14 @@ mod tests {
         acc.add((2, 0), Joules::new(1.0));
         acc.add((0, 1), Joules::new(1.0));
         acc.add((0, 0), Joules::new(1.0));
-        let table = acc.into_table(Joules::new(3.0));
+        let table = AttributionTable::settle(acc.entries(), Joules::new(3.0));
         let labels: Vec<&str> = table.rows.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(labels, vec!["s0.q0", "s0.q1", "s2.q0", "unattributed"]);
     }
 
     #[test]
     fn empty_total_yields_zero_shares() {
-        let table = AttributionAcc::default().into_table(Joules::ZERO);
+        let table = AttributionTable::settle(std::iter::empty(), Joules::ZERO);
         assert_eq!(table.rows.len(), 1);
         assert_eq!(table.rows[0].share, 0.0);
         assert_eq!(table.sum(), Joules::ZERO);

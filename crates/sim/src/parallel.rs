@@ -45,22 +45,18 @@
 
 // grail-lint: allow-file(thread-confine, sim::parallel is the sanctioned intra-sim parallelism home; it only queries available_parallelism and delegates spawning to grail-par's shard runner)
 
+use crate::attr::AttributionTable;
 use crate::driver::{DriveOutcome, JobResult, JobSpec, RetryPolicy, StreamEngine};
 use crate::error::SimError;
 use crate::fault::{ChaosEventKind, ChaosSchedule, FaultConfig, FaultPlan};
 use crate::perf::{CpuPerfProfile, DiskPerfProfile, SsdPerfProfile};
 use crate::raid::RaidLevel;
-use crate::sim::{SimReport, Simulation};
+use crate::sim::{ledger_event, tt, SimReport, Simulation};
 use grail_par::shard::{HorizonProtocol, ShardStep};
 use grail_power::components::{CpuPowerProfile, DiskPowerProfile, SsdPowerProfile};
-use grail_power::ledger::{ComponentId, ComponentKind, EnergyLedger, LedgerOp};
+use grail_power::ledger::{ComponentId, ComponentKind, EnergyLedger};
 use grail_power::units::{Cycles, Joules, SimDuration, SimInstant, Watts};
-use grail_trace::{Category, Recorder, TraceEvent, TraceTime, Tracer, Track};
-
-#[inline]
-fn tt(at: SimInstant) -> TraceTime {
-    TraceTime::from_nanos(at.as_nanos())
-}
+use grail_trace::{Category, Recorder, TraceEvent, TraceSink, Tracer, Track};
 
 /// One cell of a sharded simulation: a device slice plus the job
 /// streams bound to it. Stream job specs use **cell-local** ids
@@ -517,8 +513,13 @@ fn commit(config: &SimConfig, cells: Vec<CellRun>) -> Result<ParReport, SimError
     let mut attr: Vec<(u32, u32, f64)> = Vec::new();
     let mut recorders: Vec<Recorder> = Vec::new();
 
-    for (cell_idx, (sim, outcome, _)) in parts.drain(..).enumerate() {
+    for (cell_idx, (mut sim, outcome, _)) in parts.drain(..).enumerate() {
         let (disk_base, ssd_base, cpu_base, stream_base) = bases[cell_idx];
+        // Query rows are settled once, below, against the merged
+        // ledger; per-cell residuals would be recomputed anyway.
+        if let Some(acc) = sim.take_attribution() {
+            attr.extend(acc.entries().map(|(s, i, e)| (stream_base + s, i, e)));
+        }
         let rep = sim.finish(global_end);
         // Ledger: replay the cell's entries under global component ids.
         // BTreeMap order within a cell and cell-major order across
@@ -545,29 +546,7 @@ fn commit(config: &SimConfig, cells: Vec<CellRun>) -> Result<ParReport, SimError
                 ..r
             });
         }
-        if let Some(table) = rep.attribution {
-            for row in table.rows {
-                if let (Some(s), Some(i)) = (row.stream, row.index) {
-                    attr.push((stream_base + s, i, row.energy.joules()));
-                }
-                // Per-cell residuals are recomputed globally below.
-            }
-        }
         if let Some(mut rec) = rep.trace {
-            for e in rec.events_mut() {
-                match &mut e.track {
-                    Track::Stream(s) => *s += stream_base,
-                    Track::Device { kind, index } => {
-                        *index += match *kind {
-                            "disk" => disk_base,
-                            "ssd" => ssd_base,
-                            "cpu" => cpu_base,
-                            _ => 0,
-                        }
-                    }
-                    _ => {}
-                }
-            }
             rec.metrics_mut().roll_rates(end_nanos);
             recorders.push(rec);
         }
@@ -580,35 +559,9 @@ fn commit(config: &SimConfig, cells: Vec<CellRun>) -> Result<ParReport, SimError
         );
     }
 
-    let attribution = if config.attribution {
-        let total = ledger.total();
-        let t = total.joules();
-        let share = |e: f64| if t > 0.0 { e / t } else { 0.0 };
-        let mut rows: Vec<crate::attr::AttributionRow> = attr
-            .iter()
-            .map(|&(stream, index, e)| crate::attr::AttributionRow {
-                label: format!("s{stream}.q{index}"),
-                stream: Some(stream),
-                index: Some(index),
-                energy: Joules::new(e),
-                share: share(e),
-                operators: Vec::new(),
-            })
-            .collect();
-        let attributed: f64 = attr.iter().map(|&(_, _, e)| e).sum();
-        let residual = t - attributed;
-        rows.push(crate::attr::AttributionRow {
-            label: crate::attr::UNATTRIBUTED.to_string(),
-            stream: None,
-            index: None,
-            energy: Joules::new(residual),
-            share: share(residual),
-            operators: Vec::new(),
-        });
-        Some(crate::attr::AttributionTable { rows })
-    } else {
-        None
-    };
+    let attribution = config
+        .attribution
+        .then(|| AttributionTable::settle(attr.into_iter(), ledger.total()));
 
     let trace = if tracing {
         // The commit's own events ride in a final part: the merged
@@ -618,36 +571,37 @@ fn commit(config: &SimConfig, cells: Vec<CellRun>) -> Result<ParReport, SimError
         let journal = ledger.take_journal();
         let mut commit_rec = Recorder::with_categories(journal.len() + 1, Category::ALL);
         for op in journal {
-            let ev = match op {
-                LedgerOp::Charge { component, energy } => TraceEvent::instant(
-                    tt(global_end),
-                    Category::Ledger,
-                    "ledger.charge",
-                    Track::Main,
-                )
-                .arg("component", component.to_string())
-                .arg("joules", energy.joules()),
-                LedgerOp::Transfer { from, to, moved } => TraceEvent::instant(
-                    tt(global_end),
-                    Category::Ledger,
-                    "ledger.transfer",
-                    Track::Main,
-                )
-                .arg("from", from.to_string())
-                .arg("to", to.to_string())
-                .arg("joules", moved.joules()),
-            };
-            grail_trace::TraceSink::record(&mut commit_rec, ev);
+            commit_rec.record(ledger_event(global_end, op));
         }
-        grail_trace::TraceSink::record(
-            &mut commit_rec,
+        commit_rec.record(
             TraceEvent::instant(tt(global_end), Category::Sim, "par.commit", Track::Main)
                 .arg("cells", config.cells.len() as u64)
                 .arg("total_j", ledger.total().joules())
                 .arg("elapsed_s", span.as_secs_f64()),
         );
         recorders.push(commit_rec);
-        Some(Recorder::merge_ordered(recorders))
+        // Cell `i` is part `i`; the commit's own part has no base and
+        // keeps its tracks. Per-cell stream and device indices become
+        // global as the merge adopts each part.
+        Some(Recorder::merge_ordered(recorders, |part, track| {
+            let Some(&(disk_base, ssd_base, cpu_base, stream_base)) = bases.get(part) else {
+                return track;
+            };
+            match track {
+                Track::Stream(s) => Track::Stream(s + stream_base),
+                Track::Device { kind, index } => Track::Device {
+                    kind,
+                    index: index
+                        + match kind {
+                            "disk" => disk_base,
+                            "ssd" => ssd_base,
+                            "cpu" => cpu_base,
+                            _ => 0,
+                        },
+                },
+                Track::Main | Track::Exec => track,
+            }
+        }))
     } else {
         None
     };
@@ -863,6 +817,143 @@ mod tests {
             .collect();
         assert_eq!(on_horizon.len(), 1, "the zero-duration job ran once");
         assert!(on_horizon[0].latency().is_zero());
+    }
+
+    // -----------------------------------------------------------------
+    // Pinned bytes: the in-crate twin of the root `trace_determinism`
+    // digests (same scenario, same constant), runnable wherever this
+    // crate's unit tests build. Constants measured on the commit before
+    // the recorder's event layout changed (PR 17).
+
+    /// FNV-1a (64-bit) over JSONL + Chrome + Prometheus + attribution
+    /// rows; a ring that overflowed fails instead of digesting.
+    fn export_digest(rec: &Recorder, attribution: Option<&AttributionTable>) -> u64 {
+        assert_eq!(rec.dropped(), 0, "ring overflowed");
+        assert_eq!(rec.metrics().counter("trace.dropped"), 0);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |s: &str| {
+            for b in s.bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(&grail_trace::to_jsonl(rec));
+        eat(&grail_trace::to_chrome(rec));
+        eat(&grail_metrics::to_prometheus(rec.metrics()));
+        for row in attribution.iter().flat_map(|t| &t.rows) {
+            eat(&format!(
+                "{},{},{}\n",
+                row.label,
+                row.energy.joules(),
+                row.share
+            ));
+        }
+        h
+    }
+
+    /// Four cells drifting out of lockstep (salted job sizes), disks in
+    /// RAID-0 plus one SSD each so every track kind is remapped,
+    /// transient and latent faults live, two scripted machine crashes.
+    fn pinned_cells() -> SimConfig {
+        let cell = |c: usize| {
+            let streams = (0..2)
+                .map(|s| {
+                    (0..3)
+                        .map(|j| {
+                            let salt = (c * 31 + s * 7 + j) as u64;
+                            JobSpec::immediate(vec![
+                                PhaseSpec::overlapped(
+                                    Cycles::new(20_000_000 + (salt % 5) * 4_000_000),
+                                    2,
+                                    vec![IoDemand::seq_read(
+                                        StorageTarget::Array(crate::ids::ArrayId(0)),
+                                        Bytes::mib(2 + salt % 5),
+                                    )],
+                                ),
+                                PhaseSpec::io_then_cpu(
+                                    Cycles::new(1_000_000 + salt * 1_000),
+                                    1,
+                                    vec![IoDemand::seq_read(
+                                        StorageTarget::Ssd(crate::ids::SsdId(0)),
+                                        Bytes::mib(1 + salt % 3),
+                                    )],
+                                ),
+                            ])
+                        })
+                        .collect()
+                })
+                .collect();
+            CellSpec::new(
+                CpuPerfProfile {
+                    cores: 4,
+                    freq: Hertz::ghz(2.2),
+                },
+                CpuPowerProfile::opteron_socket(),
+            )
+            .with_disks(3, DiskPerfProfile::scsi_15k(), DiskPowerProfile::scsi_15k())
+            .with_raid(RaidLevel::Raid0)
+            .with_ssds(
+                1,
+                SsdPerfProfile::fig2_flash(),
+                SsdPowerProfile::fig2_flash(),
+            )
+            .with_streams(streams)
+        };
+        let crash = |ms: u64, machine: u32| ChaosEvent {
+            at: SimInstant::EPOCH + SimDuration::from_millis(ms),
+            kind: ChaosEventKind::MachineCrash { machine },
+        };
+        let mut cfg = SimConfig::new((0..4).map(cell).collect());
+        cfg.base_power = Watts::new(300.0);
+        cfg.seed = 11;
+        cfg.fault = FaultConfig {
+            transient_per_io: 0.05,
+            latent_per_read: 0.02,
+            ..FaultConfig::NONE
+        };
+        cfg.chaos = Some(ChaosSchedule::scripted(
+            4,
+            1,
+            SimDuration::from_secs(30),
+            vec![crash(40, 0), crash(170, 3)],
+        ));
+        cfg.trace_capacity = Some(4096);
+        cfg.attribution = true;
+        cfg
+    }
+
+    #[test]
+    fn sharded_trace_bytes_are_pinned_at_every_shard_count() {
+        let cfg = pinned_cells();
+        for shards in [1usize, 2, 8] {
+            let r = run_parallel(&cfg, shards).unwrap();
+            let rec = r.report.trace.as_ref().unwrap();
+            assert_eq!(
+                export_digest(rec, r.report.attribution.as_ref()),
+                0x4a4b_1780_cd06_0899,
+                "exported bytes moved at {shards} shard(s)"
+            );
+        }
+    }
+
+    #[test]
+    fn single_simulation_trace_bytes_are_pinned() {
+        // Cell 0 of the pinned scenario as ONE `Simulation` with every
+        // category on, so settlement journals the ledger (charges and
+        // the fault transfers) under the cell's own component ids.
+        let cfg = pinned_cells();
+        let mut cell = CellRun::build(&cfg, 0, &cfg.cells[0]).unwrap();
+        cell.sim.set_tracer(Tracer::on(Recorder::new(4096)));
+        cell.advance(u64::MAX);
+        assert!(cell.failed.is_none());
+        let rep = cell.sim.finish(cell.high_water);
+        let rec = rep.trace.as_ref().unwrap();
+        for name in ["ledger.charge", "ledger.transfer", "chaos.machine_crash"] {
+            assert!(rec.events().any(|e| e.name == name), "lost {name}");
+        }
+        assert_eq!(
+            export_digest(rec, rep.attribution.as_ref()),
+            0x3527_ff31_4df2_2b5b
+        );
     }
 
     #[test]

@@ -14,13 +14,33 @@ use grail_power::components::{CpuPowerProfile, DiskPowerProfile, SsdPowerProfile
 use grail_power::ledger::{ComponentId, ComponentKind, EnergyLedger, LedgerOp};
 use grail_power::units::{Bytes, Cycles, Joules, SimDuration, SimInstant, Watts};
 use grail_trace::metrics::SECONDS_BUCKETS;
-use grail_trace::{Category, Recorder, TraceEvent, TraceTime, Tracer, Track};
+use grail_trace::{ArgValue, Category, Recorder, TraceEvent, TraceTime, Tracer, Track};
 
 /// Convert a simulated instant into a trace timestamp. The trace layer
 /// carries bare simulated nanoseconds so it can stay dependency-free.
 #[inline]
-fn tt(at: SimInstant) -> TraceTime {
+pub(crate) fn tt(at: SimInstant) -> TraceTime {
     TraceTime::from_nanos(at.as_nanos())
+}
+
+/// One journaled ledger movement as a `Ledger`-category event at `at`.
+/// Component ids ride as [`ArgValue::Label`]s — exported as the same
+/// `disk[3]` text their `Display` gives, without an owned string.
+pub(crate) fn ledger_event(at: SimInstant, op: LedgerOp) -> TraceEvent {
+    let label = |id: ComponentId| ArgValue::Label {
+        kind: id.kind.name(),
+        index: id.index,
+    };
+    let event = |name| TraceEvent::instant(tt(at), Category::Ledger, name, Track::Main);
+    match op {
+        LedgerOp::Charge { component, energy } => event("ledger.charge")
+            .arg("component", label(component))
+            .arg("joules", energy.joules()),
+        LedgerOp::Transfer { from, to, moved } => event("ledger.transfer")
+            .arg("from", label(from))
+            .arg("to", label(to))
+            .arg("joules", moved.joules()),
+    }
 }
 
 /// The interval a request occupies its device.
@@ -138,7 +158,8 @@ impl Simulation {
     }
 
     /// Tag subsequent reservations as caused by query `index` of client
-    /// `stream`. No-op unless attribution is enabled.
+    /// `stream`. No-op unless attribution is enabled. Both are dense
+    /// indices counted from zero: the accumulator is a vector over them.
     pub fn set_query_tag(&mut self, stream: u32, index: u32) {
         if self.attribution.is_some() {
             self.query_tag = Some((stream, index));
@@ -148,6 +169,13 @@ impl Simulation {
     /// Clear the query tag: subsequent energy is unattributed.
     pub fn clear_query_tag(&mut self) {
         self.query_tag = None;
+    }
+
+    /// Hand the raw accumulator to a caller that settles several
+    /// simulations into one table (the shard commit);
+    /// [`Simulation::finish`] then reports no table of its own.
+    pub(crate) fn take_attribution(&mut self) -> Option<AttributionAcc> {
+        self.attribution.take()
     }
 
     /// Accumulate active energy against the current query tag.
@@ -1121,19 +1149,7 @@ impl Simulation {
             .map(|p| p.stats())
             .unwrap_or_default();
         for op in ledger.take_journal() {
-            self.tracer.emit(Category::Ledger, || match op {
-                LedgerOp::Charge { component, energy } => {
-                    TraceEvent::instant(tt(end), Category::Ledger, "ledger.charge", Track::Main)
-                        .arg("component", component.to_string())
-                        .arg("joules", energy.joules())
-                }
-                LedgerOp::Transfer { from, to, moved } => {
-                    TraceEvent::instant(tt(end), Category::Ledger, "ledger.transfer", Track::Main)
-                        .arg("from", from.to_string())
-                        .arg("to", to.to_string())
-                        .arg("joules", moved.joules())
-                }
-            });
+            self.tracer.emit(Category::Ledger, || ledger_event(end, op));
         }
         self.tracer.emit(Category::Sim, || {
             TraceEvent::instant(tt(end), Category::Sim, "sim.finish", Track::Main)
@@ -1143,7 +1159,7 @@ impl Simulation {
         let attribution = self
             .attribution
             .take()
-            .map(|acc| acc.into_table(ledger.total()));
+            .map(|acc| AttributionTable::settle(acc.entries(), ledger.total()));
         // Close the scrape clock before handing the recorder out: the
         // horizon snapshot must include the device summaries fed above.
         self.tracer.finish_time(end.as_nanos());
@@ -1625,7 +1641,10 @@ mod tests {
         let total = traced.ledger.total().joules();
         assert!((table.sum().joules() - total).abs() <= 1e-9_f64.max(total * 1e-9));
         assert!(table.attributed().joules() > 0.0);
-        // Identical traced runs export byte-identical JSONL.
+        // Identical traced runs export byte-identical JSONL (of the
+        // whole run: nothing was evicted).
+        assert_eq!(rec.dropped(), 0);
+        assert_eq!(rec.metrics().counter("trace.dropped"), 0);
         let again = run(true);
         assert_eq!(
             grail_trace::to_jsonl(rec),

@@ -95,7 +95,7 @@ impl fmt::Display for Category {
 /// The lane an event is drawn on in a trace viewer. Tracks map to
 /// Perfetto threads; their `Ord` (variant order, then fields) fixes the
 /// thread-id assignment deterministically.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Track {
     /// The simulation driver / control plane.
     Main,
@@ -113,13 +113,21 @@ pub enum Track {
 }
 
 impl Track {
-    /// Stable human label, used as the Perfetto thread name.
+    /// Stable human label, used as the Perfetto thread name. The
+    /// exporters write the [`fmt::Display`] form straight into their
+    /// output instead of building this `String` per event.
     pub fn label(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl fmt::Display for Track {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Track::Main => "main".to_string(),
-            Track::Device { kind, index } => format!("{kind}[{index}]"),
-            Track::Stream(s) => format!("stream[{s}]"),
-            Track::Exec => "exec".to_string(),
+            Track::Main => f.write_str("main"),
+            Track::Device { kind, index } => write!(f, "{kind}[{index}]"),
+            Track::Stream(s) => write!(f, "stream[{s}]"),
+            Track::Exec => f.write_str("exec"),
         }
     }
 }
@@ -133,8 +141,18 @@ pub enum ArgValue {
     I64(i64),
     /// Float (Joules, Watts, seconds).
     F64(f64),
-    /// Short label (component ids, policy names).
-    Str(String),
+    /// Free text. The only variant that owns heap memory; nothing on a
+    /// simulator hot path builds one.
+    Str(Box<str>),
+    /// A component-style label, exported as the string `kind[index]`
+    /// (`"disk[3]"`) — the text `ComponentId`'s `Display` gives, kept as
+    /// its two parts so recording it needs no owned string.
+    Label {
+        /// Lowercase component kind: `"disk"`, `"cpu"`, `"recovery"`.
+        kind: &'static str,
+        /// Instance number within the kind.
+        index: u32,
+    },
 }
 
 impl From<u64> for ArgValue {
@@ -154,20 +172,51 @@ impl From<f64> for ArgValue {
 }
 impl From<String> for ArgValue {
     fn from(v: String) -> Self {
-        ArgValue::Str(v)
+        ArgValue::Str(v.into())
     }
 }
 impl From<&str> for ArgValue {
     fn from(v: &str) -> Self {
-        ArgValue::Str(v.to_string())
+        ArgValue::Str(v.into())
     }
 }
 
-/// One recorded event: an instant (`dur == None`) or a span
-/// (`dur == Some(nanoseconds)`).
+/// One `key: value` detail of an event.
+pub type Arg = (&'static str, ArgValue);
+
+/// An [`ArgValue`] as the builder holds it: free text moved out to a
+/// list beside the slots, so the slots are `Copy`, a [`TraceEvent`]
+/// moves as plain bytes, and only the text list (empty on every
+/// simulator path) owns anything.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum SlotValue {
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Label {
+        kind: &'static str,
+        index: u32,
+    },
+    /// Position in the builder's text list.
+    Text(u32),
+}
+
+pub(crate) type Slot = (&'static str, SlotValue);
+
+/// The most arguments one event can carry: the widest emit site in the
+/// workspace (`array_read`/`array_write`). [`TraceEvent::arg`] asserts
+/// it, so a wider site fails its first test run and raises this.
+pub const MAX_ARGS: usize = 5;
+
+/// An event on its way into a [`TraceSink`](crate::recorder::TraceSink):
+/// an instant (`dur == None`) or a span (`dur == Some(nanoseconds)`).
 ///
-/// Args are an ordered `Vec`, not a map: insertion order is the export
-/// order, which keeps output byte-stable without sorting.
+/// This is a stack-only builder — its arguments sit inline, in
+/// attachment order (which is the export order, so output is byte-stable
+/// without sorting), and building one never allocates unless a caller
+/// attaches free text. What a [`Recorder`](crate::recorder::Recorder)
+/// *stores* is a fixed-width header plus a slice of its argument arena;
+/// [`EventRef`](crate::EventRef) is the read side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Event start, in simulated time.
@@ -180,12 +229,14 @@ pub struct TraceEvent {
     pub name: &'static str,
     /// Display lane.
     pub track: Track,
-    /// Ordered key/value details.
-    pub args: Vec<(&'static str, ArgValue)>,
+    pub(crate) slots: [Slot; MAX_ARGS],
+    pub(crate) len: usize,
+    pub(crate) texts: Vec<Box<str>>,
 }
 
 impl TraceEvent {
     /// A zero-duration point event.
+    #[inline]
     pub fn instant(at: TraceTime, cat: Category, name: &'static str, track: Track) -> Self {
         TraceEvent {
             at,
@@ -193,11 +244,14 @@ impl TraceEvent {
             cat,
             name,
             track,
-            args: Vec::new(),
+            slots: [("", SlotValue::U64(0)); MAX_ARGS],
+            len: 0,
+            texts: Vec::new(),
         }
     }
 
     /// A span covering `[at, at + dur_nanos]` of simulated time.
+    #[inline]
     pub fn span(
         at: TraceTime,
         dur_nanos: u64,
@@ -206,19 +260,50 @@ impl TraceEvent {
         track: Track,
     ) -> Self {
         TraceEvent {
-            at,
             dur: Some(dur_nanos),
-            cat,
-            name,
-            track,
-            args: Vec::new(),
+            ..TraceEvent::instant(at, cat, name, track)
         }
     }
 
     /// Attach an argument (builder style).
+    ///
+    /// # Panics
+    /// Panics past [`MAX_ARGS`] arguments: the count is a property of
+    /// the call site, not of its input.
+    #[inline]
     pub fn arg(mut self, key: &'static str, value: impl Into<ArgValue>) -> Self {
-        self.args.push((key, value.into()));
+        assert!(
+            self.len < MAX_ARGS,
+            "event {:?} carries more than MAX_ARGS = {MAX_ARGS} arguments",
+            self.name
+        );
+        let stored = match value.into() {
+            ArgValue::U64(v) => SlotValue::U64(v),
+            ArgValue::I64(v) => SlotValue::I64(v),
+            ArgValue::F64(v) => SlotValue::F64(v),
+            ArgValue::Label { kind, index } => SlotValue::Label { kind, index },
+            ArgValue::Str(text) => {
+                self.texts.push(text);
+                SlotValue::Text(self.texts.len() as u32 - 1)
+            }
+        };
+        self.slots[self.len] = (key, stored);
+        self.len += 1;
         self
+    }
+
+    /// The attached arguments, in attachment order.
+    pub fn args(&self) -> impl ExactSizeIterator<Item = Arg> + '_ {
+        self.slots[..self.len].iter().map(|&(key, slot)| {
+            let value = match slot {
+                SlotValue::U64(v) => ArgValue::U64(v),
+                SlotValue::I64(v) => ArgValue::I64(v),
+                SlotValue::F64(v) => ArgValue::F64(v),
+                SlotValue::Label { kind, index } => ArgValue::Label { kind, index },
+                SlotValue::Text(at) => ArgValue::Str(self.texts[at as usize].clone()),
+            };
+            (key, value)
+        })
     }
 }
 
@@ -268,6 +353,7 @@ mod tests {
         );
         assert_eq!(Track::Stream(2).label(), "stream[2]");
         assert_eq!(Track::Exec.label(), "exec");
+        assert_eq!(Track::Stream(7).to_string(), Track::Stream(7).label());
         let mut tracks = vec![
             Track::Exec,
             Track::Stream(1),
@@ -294,8 +380,21 @@ mod tests {
         .arg("joules", 0.25f64)
         .arg("op", "read");
         assert_eq!(ev.dur, Some(90));
-        assert_eq!(ev.args.len(), 3);
-        assert_eq!(ev.args[0], ("bytes", ArgValue::U64(4096)));
-        assert_eq!(ev.args[2], ("op", ArgValue::Str("read".to_string())));
+        let args: Vec<Arg> = ev.args().collect();
+        assert_eq!(args.len(), 3);
+        assert_eq!(args[0], ("bytes", ArgValue::U64(4096)));
+        assert_eq!(args[2], ("op", ArgValue::Str("read".into())));
+    }
+
+    #[test]
+    fn builder_holds_the_widest_event_and_no_wider() {
+        let ev = |n: usize| {
+            (0..n).fold(
+                TraceEvent::instant(TraceTime::ZERO, Category::Io, "wide", Track::Main),
+                |e, i| e.arg("k", i as u64),
+            )
+        };
+        assert_eq!(ev(MAX_ARGS).args().len(), MAX_ARGS);
+        assert!(std::panic::catch_unwind(|| ev(MAX_ARGS + 1)).is_err());
     }
 }

@@ -5,42 +5,56 @@
 //! so output bytes are a pure function of the recorder's contents:
 //! identical runs produce identical files, which CI asserts with `cmp`.
 
-use crate::event::{ArgValue, Track};
+use crate::event::{Arg, ArgValue, Track};
 use crate::recorder::Recorder;
-use grail_metrics::text::json_escape;
-use std::fmt::Write as _;
+use grail_metrics::text::JsonEscaped;
+use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 
-/// Format an `f64` as a JSON number. Rust's `Display` for floats is the
+/// Append `v` as a JSON number. Rust's `Display` for floats is the
 /// shortest decimal that round-trips, never locale-dependent, so this
 /// is byte-deterministic. Non-finite values become `null` (JSON has no
 /// NaN/Infinity).
-fn json_f64(v: f64) -> String {
+fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
-fn json_arg(value: &ArgValue) -> String {
-    match value {
-        ArgValue::U64(v) => format!("{v}"),
-        ArgValue::I64(v) => format!("{v}"),
-        ArgValue::F64(v) => json_f64(*v),
-        ArgValue::Str(s) => format!("\"{}\"", json_escape(s)),
-    }
+/// Append `"<v, JSON-escaped>"`.
+fn push_str_lit(out: &mut String, v: impl Display) {
+    out.push('"');
+    let _ = write!(JsonEscaped(out), "{v}");
+    out.push('"');
 }
 
-fn json_args(args: &[(&'static str, ArgValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in args.iter().enumerate() {
+/// Append `,"args":{"k":v,…}` — nothing for an event without arguments.
+fn push_args(out: &mut String, args: impl ExactSizeIterator<Item = Arg>) {
+    if args.len() == 0 {
+        return;
+    }
+    out.push_str(",\"args\":{");
+    for (i, (k, v)) in args.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{}", json_escape(k), json_arg(v));
+        push_str_lit(out, k);
+        out.push(':');
+        match v {
+            ArgValue::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            ArgValue::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            ArgValue::F64(v) => push_f64(out, v),
+            ArgValue::Str(s) => push_str_lit(out, s),
+            ArgValue::Label { kind, index } => push_str_lit(out, format_args!("{kind}[{index}]")),
+        }
     }
     out.push('}');
-    out
 }
 
 /// Export as JSONL: one JSON object per line — every event (oldest
@@ -54,38 +68,36 @@ pub fn to_jsonl(recorder: &Recorder) -> String {
         if let Some(dur) = ev.dur {
             let _ = write!(out, ",\"dur\":{dur}");
         }
-        let _ = write!(
-            out,
-            ",\"cat\":\"{}\",\"name\":\"{}\",\"track\":\"{}\"",
-            ev.cat.name(),
-            json_escape(ev.name),
-            json_escape(&ev.track.label()),
-        );
-        if !ev.args.is_empty() {
-            let _ = write!(out, ",\"args\":{}", json_args(&ev.args));
-        }
+        let _ = write!(out, ",\"cat\":\"{}\",\"name\":", ev.cat.name());
+        push_str_lit(&mut out, ev.name);
+        out.push_str(",\"track\":");
+        push_str_lit(&mut out, ev.track);
+        push_args(&mut out, ev.args());
         out.push_str("}\n");
     }
     let metrics = recorder.metrics();
     for (name, value) in metrics.counters() {
-        let _ = writeln!(
-            out,
-            "{{\"metric\":\"{}\",\"type\":\"counter\",\"value\":{value}}}",
-            json_escape(name)
-        );
+        out.push_str("{\"metric\":");
+        push_str_lit(&mut out, name);
+        let _ = writeln!(out, ",\"type\":\"counter\",\"value\":{value}}}");
     }
     for (name, hist) in metrics.histograms() {
-        let bounds: Vec<String> = hist.bounds().iter().map(|b| json_f64(*b)).collect();
-        let counts: Vec<String> = hist.counts().iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "{{\"metric\":\"{}\",\"type\":\"histogram\",\"bounds\":[{}],\"counts\":[{}],\"count\":{},\"sum\":{}}}",
-            json_escape(name),
-            bounds.join(","),
-            counts.join(","),
-            hist.count(),
-            json_f64(hist.sum()),
-        );
+        out.push_str("{\"metric\":");
+        push_str_lit(&mut out, name);
+        out.push_str(",\"type\":\"histogram\",\"bounds\":[");
+        for (i, b) in hist.bounds().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_f64(&mut out, *b);
+        }
+        out.push_str("],\"counts\":[");
+        for (i, c) in hist.counts().iter().enumerate() {
+            let _ = write!(out, "{}{c}", if i > 0 { "," } else { "" });
+        }
+        let _ = write!(out, "],\"count\":{},\"sum\":", hist.count());
+        push_f64(&mut out, hist.sum());
+        out.push_str("}\n");
     }
     let _ = writeln!(
         out,
@@ -96,17 +108,17 @@ pub fn to_jsonl(recorder: &Recorder) -> String {
     out
 }
 
-/// Deterministic thread-id assignment: distinct tracks sorted by their
-/// `Ord`, numbered from 1.
-fn track_ids(recorder: &Recorder) -> Vec<(Track, u32)> {
-    let mut tracks: Vec<Track> = recorder.events().map(|e| e.track.clone()).collect();
-    tracks.sort();
-    tracks.dedup();
-    tracks
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| (t, i as u32 + 1))
-        .collect()
+/// Deterministic thread-id assignment: distinct tracks in their `Ord`,
+/// numbered from 1.
+fn track_ids(recorder: &Recorder) -> BTreeMap<Track, u32> {
+    let mut ids = BTreeMap::new();
+    for ev in recorder.events() {
+        ids.insert(ev.track, 0);
+    }
+    for (tid, slot) in (1..).zip(ids.values_mut()) {
+        *slot = tid;
+    }
+    ids
 }
 
 /// Export in the Chrome trace-event JSON format, loadable in Perfetto
@@ -117,12 +129,6 @@ fn track_ids(recorder: &Recorder) -> Vec<(Track, u32)> {
 /// becomes a named thread via `thread_name` metadata events.
 pub fn to_chrome(recorder: &Recorder) -> String {
     let ids = track_ids(recorder);
-    let tid_of = |track: &Track| -> u32 {
-        ids.iter()
-            .find(|(t, _)| t == track)
-            .map(|(_, id)| *id)
-            .unwrap_or(0)
-    };
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
     for (track, tid) in &ids {
@@ -132,39 +138,35 @@ pub fn to_chrome(recorder: &Recorder) -> String {
         first = false;
         let _ = write!(
             out,
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(&track.label())
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":"
         );
+        push_str_lit(&mut out, track);
+        out.push_str("}}");
     }
     for ev in recorder.events() {
         if !first {
             out.push(',');
         }
         first = false;
-        let tid = tid_of(&ev.track);
-        let ts = json_f64(ev.at.as_micros_f64());
+        let tid = ids.get(&ev.track).copied().unwrap_or(0);
         match ev.dur {
             Some(dur) => {
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"dur\":{},\"cat\":\"{}\",\"name\":\"{}\"",
-                    json_f64(dur as f64 / 1_000.0),
-                    ev.cat.name(),
-                    json_escape(ev.name),
-                );
+                let _ = write!(out, "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":");
+                push_f64(&mut out, ev.at.as_micros_f64());
+                out.push_str(",\"dur\":");
+                push_f64(&mut out, dur as f64 / 1_000.0);
             }
             None => {
                 let _ = write!(
                     out,
-                    "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"cat\":\"{}\",\"name\":\"{}\"",
-                    ev.cat.name(),
-                    json_escape(ev.name),
+                    "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":"
                 );
+                push_f64(&mut out, ev.at.as_micros_f64());
             }
         }
-        if !ev.args.is_empty() {
-            let _ = write!(out, ",\"args\":{}", json_args(&ev.args));
-        }
+        let _ = write!(out, ",\"cat\":\"{}\",\"name\":", ev.cat.name());
+        push_str_lit(&mut out, ev.name);
+        push_args(&mut out, ev.args());
         out.push('}');
     }
     out.push_str("]}");
@@ -177,6 +179,7 @@ mod tests {
     use crate::event::{Category, TraceEvent, TraceTime};
     use crate::metrics::COUNT_BUCKETS;
     use crate::recorder::TraceSink;
+    use grail_metrics::text::json_escape;
 
     fn sample_recorder() -> Recorder {
         let mut r = Recorder::new(16);
@@ -284,9 +287,39 @@ mod tests {
     fn escaping_handles_quotes_and_control_chars() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(0.25), "0.25");
-        assert_eq!(json_f64(3.0), "3");
+        let f64s = [f64::NAN, 0.25, 3.0].map(|v| {
+            let mut out = String::new();
+            push_f64(&mut out, v);
+            out
+        });
+        assert_eq!(f64s, ["null", "0.25", "3"]);
+    }
+
+    #[test]
+    fn labels_and_free_text_export_as_escaped_strings() {
+        let mut r = Recorder::new(4);
+        r.record(
+            TraceEvent::instant(
+                TraceTime::ZERO,
+                Category::Ledger,
+                "ledger.charge",
+                Track::Main,
+            )
+            .arg(
+                "component",
+                ArgValue::Label {
+                    kind: "disk",
+                    index: 3,
+                },
+            )
+            .arg("note", "say \"hi\""),
+        );
+        assert!(to_jsonl(&r).starts_with(
+            "{\"ts\":0,\"cat\":\"ledger\",\"name\":\"ledger.charge\",\"track\":\"main\",\
+             \"args\":{\"component\":\"disk[3]\",\"note\":\"say \\\"hi\\\"\"}}\n"
+        ));
+        assert!(to_chrome(&r)
+            .ends_with("\"args\":{\"component\":\"disk[3]\",\"note\":\"say \\\"hi\\\"\"}}]}"));
     }
 
     #[test]

@@ -32,9 +32,14 @@
 //!
 //! ## Layout
 //!
-//! * [`event`] — [`TraceTime`], [`Category`], [`Track`], [`TraceEvent`].
-//! * [`recorder`] — [`TraceSink`], the ring-buffered [`Recorder`], and
-//!   the zero-cost [`Tracer`] handle.
+//! * [`event`] — [`TraceTime`], [`Category`], [`Track`], and the
+//!   stack-only [`TraceEvent`] builder an emit site hands to a sink.
+//! * [`recorder`] — [`TraceSink`], the ring-buffered [`Recorder`] (and
+//!   its zero-copy [`Recorder::merge_ordered`]), and the zero-cost
+//!   [`Tracer`] handle.
+//! * `rings` (private) — the stored form: 32-byte headers, 16-byte
+//!   argument slots, interned static strings; [`EventRef`] reads it
+//!   back.
 //! * [`metrics`] — the deterministic [`Metrics`] registry (counters,
 //!   gauges, fixed-bucket [`Histogram`]s, windowed rates), re-exported
 //!   from the layer-0 `grail-metrics` crate; the recorder can scrape it
@@ -49,8 +54,10 @@ pub mod event;
 pub mod export;
 pub mod metrics;
 pub mod recorder;
+mod rings;
 
-pub use event::{ArgValue, Category, TraceEvent, TraceTime, Track};
+pub use event::{Arg, ArgValue, Category, TraceEvent, TraceTime, Track, MAX_ARGS};
 pub use export::{to_chrome, to_jsonl};
 pub use metrics::{Histogram, Metrics};
 pub use recorder::{Recorder, TraceSink, Tracer};
+pub use rings::EventRef;

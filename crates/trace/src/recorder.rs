@@ -1,10 +1,10 @@
 //! The [`TraceSink`] trait, the ring-buffered [`Recorder`], and the
 //! zero-cost [`Tracer`] handle that instrumented code holds.
 
-use crate::event::{Category, TraceEvent};
+use crate::event::{Category, TraceEvent, Track};
 use crate::metrics::Metrics;
+use crate::rings::{EventRef, Rings};
 use grail_metrics::{Scraper, Snapshot};
-use std::collections::VecDeque;
 
 /// Anything that can accept trace events. The simulator is generic over
 /// this only at the edges; hot paths go through [`Tracer`] so the
@@ -17,14 +17,21 @@ pub trait TraceSink {
 
 /// A bounded, category-filtered event buffer plus metrics registry.
 ///
-/// The buffer is a ring: when full, the **oldest** event is evicted and
-/// counted in [`Recorder::dropped`]. Eviction depends only on the event
-/// sequence, so a full buffer is still deterministic.
+/// The buffer is a ring: when full, the **oldest** event is evicted —
+/// its arguments with it — and counted in [`Recorder::dropped`].
+/// Eviction depends only on the event sequence, so a full buffer is
+/// still deterministic.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     capacity: usize,
     mask: u32,
-    events: VecDeque<TraceEvent>,
+    /// What [`TraceSink::record`] appends to.
+    rings: Rings,
+    /// The inputs of [`Recorder::merge_ordered`], kept whole: a merge
+    /// moves no event, it only computes `order`. Empty otherwise.
+    merged: Vec<Rings>,
+    /// Read order over `merged`: `(part, position in that part's ring)`.
+    order: Vec<(u32, u32)>,
     dropped: u64,
     metrics: Metrics,
     scraper: Option<Scraper>,
@@ -44,7 +51,9 @@ impl Recorder {
         Recorder {
             capacity,
             mask,
-            events: VecDeque::new(),
+            rings: Rings::default(),
+            merged: Vec::new(),
+            order: Vec::new(),
             dropped: 0,
             metrics: Metrics::new(),
             scraper: None,
@@ -72,19 +81,24 @@ impl Recorder {
         self.mask & cat.bit() != 0
     }
 
-    /// Recorded events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.events.iter()
+    /// Recorded events, oldest first (a merged recorder: in merged
+    /// order).
+    pub fn events(&self) -> impl Iterator<Item = EventRef<'_>> + '_ {
+        let merged = self
+            .order
+            .iter()
+            .map(|&(part, seq)| self.merged[part as usize].view(seq as usize));
+        merged.chain((0..self.rings.len()).map(|seq| self.rings.view(seq)))
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.order.len() + self.rings.len()
     }
 
     /// True when no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// Events evicted because the ring was full.
@@ -131,48 +145,77 @@ impl Recorder {
             .unwrap_or(&[])
     }
 
-    /// Mutable access to retained events, oldest first. Exists for
-    /// post-run rewrites — the shard merge remaps per-cell stream and
-    /// device tracks to their global indices before concatenation.
-    pub fn events_mut(&mut self) -> impl Iterator<Item = &mut TraceEvent> + '_ {
-        self.events.iter_mut()
-    }
-
     /// Merge recorders from a sharded run into one, deterministically.
     ///
-    /// Events concatenate in `parts` order and are then stably sorted by
-    /// timestamp, so same-instant events from different parts keep the
-    /// part order and same-instant events within a part keep their
-    /// emission order — a pure function of the parts, independent of how
-    /// the parts were produced. Metrics registries fold in part order
-    /// (see [`grail_metrics::Registry::merge_from`] for the per-family
+    /// The merged order is a stable sort by timestamp of the parts'
+    /// events concatenated in `parts` order — that is, ascending
+    /// `(at, part, seq)`, `seq` being an event's position within its
+    /// part. (Parts are *not* time-sorted: a span is stamped with its
+    /// reservation's start, which may lie ahead of later emissions, so
+    /// this is a real sort, not a k-way merge.) Same-instant events from
+    /// different parts keep the part order and same-instant events
+    /// within a part keep their emission order — a pure function of the
+    /// parts, independent of how the parts were produced.
+    ///
+    /// Only the 16-byte keys are sorted and no event moves: the merged
+    /// recorder adopts each part's rings whole and reads them through
+    /// the sorted order. `retrack(part, track)` rewrites every track in
+    /// place on the way in (the shard commit shifts per-cell stream and
+    /// device indices to global ones there; pass `|_, track| track` to
+    /// keep tracks as recorded).
+    ///
+    /// Metrics registries fold in part order (see
+    /// [`grail_metrics::Registry::merge_from`] for the per-family
     /// semantics), drop counts sum, capacities sum (nothing recorded is
     /// evicted by the merge), and the mask is the union. Scrapers do not
     /// survive the merge: snapshot series interleaving is the caller's
     /// problem and the shard merge exports from the merged registry
     /// instead.
-    pub fn merge_ordered(parts: Vec<Recorder>) -> Recorder {
-        let mut capacity = 0usize;
-        let mut mask = 0u32;
-        let mut dropped = 0u64;
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let mut metrics = Metrics::new();
-        for part in parts {
-            capacity = capacity.saturating_add(part.capacity);
-            mask |= part.mask;
-            dropped += part.dropped;
-            metrics.merge_from(&part.metrics);
-            events.extend(part.events);
+    pub fn merge_ordered(
+        parts: Vec<Recorder>,
+        retrack: impl Fn(usize, Track) -> Track,
+    ) -> Recorder {
+        let mut out = Recorder::with_categories(0, 0);
+        let mut keys: Vec<(u64, u32, u32)> =
+            Vec::with_capacity(parts.iter().map(Recorder::len).sum());
+        for (part, mut p) in parts.into_iter().enumerate() {
+            // A part that is itself a merge reads in its merged order;
+            // make that its ring order.
+            p.flatten();
+            out.capacity = out.capacity.saturating_add(p.capacity);
+            out.mask |= p.mask;
+            out.dropped += p.dropped;
+            out.metrics.merge_from(&p.metrics);
+            p.rings.retrack(|seq, at, track| {
+                keys.push((at.as_nanos(), part as u32, seq as u32));
+                retrack(part, track)
+            });
+            out.merged.push(p.rings);
         }
-        events.sort_by_key(|e| e.at.as_nanos());
-        Recorder {
-            capacity,
-            mask,
-            events: events.into(),
-            dropped,
-            metrics,
-            scraper: None,
+        // Keys are distinct, so the unstable sort has one possible result.
+        keys.sort_unstable();
+        out.order = keys.into_iter().map(|(_, part, seq)| (part, seq)).collect();
+        out
+    }
+
+    /// Bring a merged recorder's events into `rings`, in read order, so
+    /// it can record (and evict) like any other. The one place a merged
+    /// event moves; nothing on the commit or export path calls it.
+    fn flatten(&mut self) {
+        // `rings` is empty while `order` is not: a merge starts it
+        // empty and `record` flattens before it appends.
+        for (part, seq) in std::mem::take(&mut self.order) {
+            let e = self.merged[part as usize].view(seq as usize);
+            let event = match e.dur {
+                Some(dur) => TraceEvent::span(e.at, dur, e.cat, e.name, e.track),
+                None => TraceEvent::instant(e.at, e.cat, e.name, e.track),
+            };
+            self.rings.push(
+                e.args()
+                    .fold(event, |event, (key, value)| event.arg(key, value)),
+            );
         }
+        self.merged.clear();
     }
 }
 
@@ -181,8 +224,11 @@ impl TraceSink for Recorder {
         if !self.enabled(event.cat) {
             return;
         }
-        if self.events.len() >= self.capacity {
-            self.events.pop_front();
+        if !self.order.is_empty() {
+            self.flatten();
+        }
+        if self.rings.len() >= self.capacity {
+            self.rings.pop_front();
             self.dropped += 1;
             // Silent drops would be invisible in aggregate: surface the
             // overflow as a metric alongside the struct counter.
@@ -191,7 +237,7 @@ impl TraceSink for Recorder {
                 return;
             }
         }
-        self.events.push_back(event);
+        self.rings.push(event);
     }
 }
 
@@ -323,7 +369,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{TraceTime, Track};
+    use crate::event::{ArgValue, TraceTime, Track};
     use crate::metrics::COUNT_BUCKETS;
 
     fn ev(ns: u64, cat: Category, name: &'static str) -> TraceEvent {
@@ -455,7 +501,7 @@ mod tests {
         b.record(ev(30, Category::Io, "b30"));
         a.metrics_mut().add("io.requests", 3);
         b.metrics_mut().add("io.requests", 2);
-        let merged = Recorder::merge_ordered(vec![a, b]);
+        let merged = Recorder::merge_ordered(vec![a, b], |_, t| t);
         let names: Vec<_> = merged.events().map(|e| e.name).collect();
         // Ties at t=30: part 0's events (in emission order) before part 1's.
         assert_eq!(names, vec!["a10", "b20", "a30", "a30b", "b30"]);
@@ -473,11 +519,103 @@ mod tests {
             b.record(ev(5, Category::Sim, "y"));
             vec![a, b]
         };
-        let m1 = Recorder::merge_ordered(build());
-        let m2 = Recorder::merge_ordered(build());
+        let m1 = Recorder::merge_ordered(build(), |_, t| t);
+        let m2 = Recorder::merge_ordered(build(), |_, t| t);
         let n1: Vec<_> = m1.events().map(|e| e.name).collect();
         let n2: Vec<_> = m2.events().map(|e| e.name).collect();
         assert_eq!(n1, n2);
+    }
+
+    /// Event `i` of the ring tests: 0, 1 or `MAX_ARGS` arguments in
+    /// rotation, the last of them free text every other time,
+    /// timestamps that are not monotone (as a cell's are not).
+    fn ring_ev(i: u64) -> TraceEvent {
+        let at = TraceTime::from_nanos(100 * i + 250 * (i % 3));
+        let e = TraceEvent::instant(at, Category::Io, "ring", Track::Stream(i as u32 % 2));
+        let numeric = [0, 0, crate::event::MAX_ARGS as u64 - 1][(i % 3) as usize];
+        let e = (0..numeric).fold(e, |e, k| e.arg("k", i * 10 + k));
+        match (i % 3, i % 2) {
+            (0, _) => e,
+            (_, 0) => e.arg("last", i),
+            (_, _) => e.arg("last", format!("text {i}")),
+        }
+    }
+
+    /// A recorder of `capacity` fed `ring_ev(i)` for every `i`.
+    fn fed(capacity: usize, events: impl IntoIterator<Item = u64>) -> Recorder {
+        let mut r = Recorder::new(capacity);
+        for i in events {
+            r.record(ring_ev(i));
+        }
+        r
+    }
+
+    /// The event lines of the JSONL export (no metrics, no summary:
+    /// those count the drops, which is the point of a wrapped ring).
+    fn event_lines(r: &Recorder) -> Vec<String> {
+        crate::export::to_jsonl(r)
+            .lines()
+            .filter(|l| l.starts_with("{\"ts\""))
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn evicting_an_event_releases_exactly_its_args() {
+        let cap = 4;
+        let mut r = Recorder::new(cap);
+        for i in 0..60 {
+            r.record(ring_ev(i));
+            let args: Vec<_> = r.events().flat_map(|e| e.args()).collect();
+            let texts = args
+                .iter()
+                .filter(|(_, v)| matches!(v, ArgValue::Str(_)))
+                .count();
+            assert_eq!(r.rings.held(), (args.len(), texts), "after event {i}");
+            assert!(args.len() <= cap * crate::event::MAX_ARGS);
+        }
+        assert_eq!((r.len(), r.dropped()), (cap, 56));
+        assert_eq!(event_lines(&r), event_lines(&fed(64, 56..60)));
+    }
+
+    #[test]
+    fn wrapped_rings_clone_and_merge_like_their_survivors() {
+        let (a, b) = (fed(4, 0..30), fed(4, 30..47));
+        assert_eq!(event_lines(&a.clone()), event_lines(&a));
+        let shift = |part: usize, track: Track| match track {
+            Track::Stream(s) => Track::Stream(s + 10 * part as u32),
+            other => other,
+        };
+        let merged = Recorder::merge_ordered(vec![a, b], shift);
+        let survivors = Recorder::merge_ordered(vec![fed(64, 26..30), fed(64, 43..47)], shift);
+        assert_eq!((merged.len(), merged.dropped()), (8, 26 + 13));
+        assert_eq!(event_lines(&merged), event_lines(&survivors));
+        assert!(event_lines(&merged)
+            .iter()
+            .any(|l| l.contains("\"track\":\"stream[11]\"")));
+        assert_eq!(event_lines(&merged.clone()), event_lines(&merged));
+    }
+
+    #[test]
+    fn a_merged_recorder_keeps_recording_as_one_ring() {
+        let mut merged = Recorder::merge_ordered(vec![fed(4, 0..30), fed(4, 30..47)], |_, t| t);
+        let oldest_three: Vec<String> = event_lines(&merged)[..3].to_vec();
+        // Full (capacities sum to 8): three more events evict the three
+        // oldest *in merged order*, wherever their parts kept them.
+        for i in 47..50 {
+            merged.record(ring_ev(i));
+        }
+        let lines = event_lines(&merged);
+        assert_eq!((merged.len(), merged.dropped()), (8, 26 + 13 + 3));
+        assert!(oldest_three.iter().all(|l| !lines.contains(l)));
+        assert_eq!(lines[5..], event_lines(&fed(64, 47..50))[..]);
+        let live: usize = merged.events().map(|e| e.args().len()).sum();
+        assert_eq!(merged.rings.held().0, live);
+        // Merging a merge reads it in its merged order.
+        let again = Recorder::merge_ordered(vec![merged.clone()], |_, t| t);
+        let mut by_time = lines.clone();
+        by_time.sort_by_key(|l| l[6..l.find(',').unwrap()].parse::<u64>().unwrap());
+        assert_eq!(event_lines(&again), by_time);
     }
 
     #[test]

@@ -34,6 +34,12 @@ fn point(name: &str, placement: PlacementPolicy, replicas: u32) -> String {
     let mut tracer = Tracer::on(Recorder::new(1 << 16));
     let r = run_chaos(&fleet, &schedule, demand, &policy, &mut tracer).expect("reference storm");
     let rec = tracer.take().expect("tracer is on");
+    assert_eq!(
+        rec.dropped(),
+        0,
+        "ring overflowed: the compared traces are suffixes"
+    );
+    assert_eq!(rec.metrics().counter("trace.dropped"), 0);
     format!(
         "{name} avail={:016x} energy={:016x} recovery={:016x} served={:016x} shed={:016x} \
          failed={:016x} crashes={} boots={} trips={} placements={}\n{}",

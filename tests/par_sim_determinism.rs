@@ -120,6 +120,12 @@ fn artifacts(r: &ParReport) -> (Vec<(String, u64)>, String, String) {
         .map(|(id, e)| (id.to_string(), e.joules().to_bits()))
         .collect();
     let rec = r.report.trace.as_ref().expect("scenarios trace");
+    assert_eq!(
+        rec.dropped(),
+        0,
+        "ring overflowed: the compared traces are suffixes"
+    );
+    assert_eq!(rec.metrics().counter("trace.dropped"), 0);
     (
         ledger,
         grail_trace::to_jsonl(rec),
