@@ -8,11 +8,17 @@
 //! binary actually executes — every ledger entry, placement decision,
 //! and trace line rendered to exact bits and compared across 1, 2, and
 //! 8 threads.
+//!
+//! Identical to itself is not identical to the last commit: the last
+//! test pins whole reports at fleet size by digest.
 
+use grail::power::units::SimDuration;
 use grail::scheduler::chaos::{reference_storm, run_chaos, ChaosPolicy};
-use grail::scheduler::cluster::PlacementPolicy;
+use grail::scheduler::cluster::{chaos_fleet, PlacementPolicy};
+use grail::sim::fault::{ChaosConfig, ChaosSchedule};
 use grail::trace::{to_jsonl, Recorder, Tracer};
 use grail_par::Runner;
+use std::fmt::Write;
 
 const POLICIES: [(&str, PlacementPolicy, u32); 4] = [
     ("spread-r1", PlacementPolicy::Spread, 1),
@@ -77,4 +83,70 @@ fn chaos_reports_and_traces_repeat_byte_for_byte() {
     let b = point(name, placement, replicas);
     assert_eq!(a, b);
     assert!(a.lines().count() > 1, "trace is non-empty");
+}
+
+/// FNV-1a (64-bit) of whatever is written into it: a 512-machine report
+/// renders to tens of megabytes, so it is hashed as it is formatted.
+struct Fnv1a(u64);
+
+impl Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// `format!("{report:?}")` — the ledger's bits, every `PlacementChange`,
+/// every counter — of a 16 × 32 `chaos_fleet` under a generated
+/// hurricane, for each policy at 25 % and 60 % of fleet capacity. The
+/// constants were measured before `run_chaos` stopped sorting the fleet
+/// and searching the ledger on every event; the in-crate twin
+/// (`chaos::tests::fleet_scale_report_bytes_are_pinned`) carries the
+/// same eight.
+#[test]
+fn fleet_scale_report_bytes_are_pinned() {
+    const PINNED: [[u64; 2]; 4] = [
+        [0xae27_6841_19e6_eb7b, 0x9d81_b430_ca9e_eb21],
+        [0x514c_0d56_31af_795c, 0x59e5_01bd_cd5c_029b],
+        [0x77f6_d553_6e18_e4fc, 0x8bb8_3fc0_6983_f0a5],
+        [0xe525_9475_9767_9a12, 0x3f66_4eeb_33b9_89f5],
+    ];
+    let hurricane = ChaosConfig {
+        machine_mtbf: Some(SimDuration::from_secs(6 * 3_600)),
+        machine_restart: SimDuration::from_secs(900),
+        domain_mtbf: Some(SimDuration::from_secs(86_400)),
+        domain_outage: SimDuration::from_secs(3_600),
+        brownout_mtbf: Some(SimDuration::from_secs(43_200)),
+        brownout: SimDuration::from_secs(7_200),
+        brownout_cap_frac: 0.6,
+        surge_mtbf: Some(SimDuration::from_secs(21_600)),
+        surge: SimDuration::from_secs(3_600),
+        surge_factor: 2.0,
+    };
+    let fleet = chaos_fleet(16, 32);
+    let horizon = SimDuration::from_secs(86_400);
+    let schedule = ChaosSchedule::generate(hurricane, 1009, fleet.len() as u32, 16, horizon);
+    let capacity: f64 = fleet.iter().map(|m| m.capacity).sum();
+    for ((name, placement, replicas), pinned) in POLICIES.into_iter().zip(PINNED) {
+        let policy = ChaosPolicy {
+            placement,
+            replicas,
+            ..ChaosPolicy::default()
+        };
+        for (frac, pinned) in [0.25, 0.60].into_iter().zip(pinned) {
+            let r = run_chaos(
+                &fleet,
+                &schedule,
+                capacity * frac,
+                &policy,
+                &mut Tracer::off(),
+            )
+            .expect("hurricane at fleet size");
+            let mut digest = Fnv1a(0xcbf2_9ce4_8422_2325);
+            write!(digest, "{r:?}").expect("hashing cannot fail");
+            assert_eq!(digest.0, pinned, "{name} at {frac} of capacity");
+        }
+    }
 }
