@@ -215,6 +215,40 @@ impl EnergyLedger {
         self.charge(component, power * d);
     }
 
+    /// Credit every `(component, energy)` pair, in the order given.
+    ///
+    /// Defined as one [`charge`](Self::charge) per pair in that order, and
+    /// equal to it bit for bit: the same `+=` on each entry, the same
+    /// running `total +=` sequence, the same journal pushes. What differs
+    /// is the cost when the components strictly ascend and already have
+    /// entries — a fleet settling its machines: the component map is
+    /// walked once, in order, instead of searched from the root per pair.
+    /// A component the walk does not meet (absent, repeated, or behind
+    /// it) goes through `charge` itself, and the walk resumes after it.
+    pub fn charge_ascending(&mut self, charges: impl IntoIterator<Item = (ComponentId, Joules)>) {
+        let mut charges = charges.into_iter();
+        let mut next = charges.next();
+        while let Some((first, _)) = next {
+            let mut walk = self.entries.range_mut(first..);
+            while let Some((component, energy)) = next {
+                match walk.find(|(id, _)| **id >= component) {
+                    Some((id, entry)) if *id == component => *entry += energy,
+                    _ => break,
+                }
+                self.total += energy;
+                if let Some(journal) = &mut self.journal {
+                    journal.push(LedgerOp::Charge { component, energy });
+                }
+                next = charges.next();
+            }
+            if let Some((component, energy)) = next {
+                self.charge(component, energy);
+                next = charges.next();
+            }
+        }
+        self.assert_conserved("charge_ascending");
+    }
+
     /// Extend the covered time window to include `[start, end]`.
     pub fn cover(&mut self, start: SimInstant, end: SimInstant) {
         self.window_start = Some(match self.window_start {
@@ -514,6 +548,72 @@ mod tests {
         // Journaling off again after take; totals were unaffected.
         assert!(l.take_journal().is_empty());
         assert!((l.total().joules() - 7.0).abs() < 1e-12);
+    }
+
+    /// Every bit a ledger holds, journal included.
+    fn bits(l: &EnergyLedger) -> (u64, Vec<(ComponentId, u64)>, Option<Vec<LedgerOp>>) {
+        let entries = l.iter().map(|(id, e)| (id, e.joules().to_bits())).collect();
+        (l.total().joules().to_bits(), entries, l.journal.clone())
+    }
+
+    #[test]
+    fn charge_ascending_is_the_loop_of_charge_bit_for_bit() {
+        let id = |kind, index| ComponentId::new(kind, index);
+        let base = |i| id(ComponentKind::Base, i);
+        // Amounts whose sums round differently in a different order.
+        let j = |k: u32| Joules::new(0.1 * f64::from(k + 1) + 1e-7 / f64::from(k + 1));
+        let ascending: Vec<_> = (0..40).map(|i| (base(i), j(i))).collect();
+        let descending: Vec<_> = ascending.iter().rev().copied().collect();
+        let repeated: Vec<_> = (0..40).map(|i| (base(i / 3), j(i))).collect();
+        let interleaved: Vec<_> = (0..40)
+            .map(|i| {
+                let kind = [
+                    ComponentKind::Recovery,
+                    ComponentKind::Cpu,
+                    ComponentKind::Base,
+                ][i as usize % 3];
+                (id(kind, i / 2), j(i))
+            })
+            .collect();
+        let partly_absent: Vec<_> = (0..40).map(|i| (base(2 * i + 1), j(i))).collect();
+        for charges in [
+            ascending,
+            descending,
+            repeated,
+            interleaved,
+            partly_absent,
+            Vec::new(),
+        ] {
+            for journaled in [false, true] {
+                // Pre-existing entries: Base 0, 3, 6, … and a Recovery line.
+                let mut one_by_one = EnergyLedger::new();
+                for i in (0..60).step_by(3) {
+                    one_by_one.charge(base(i), j(i));
+                }
+                one_by_one.charge(id(ComponentKind::Recovery, 0), j(7));
+                if journaled {
+                    one_by_one.enable_journal();
+                }
+                let mut batched = one_by_one.clone();
+                for &(component, energy) in &charges {
+                    one_by_one.charge(component, energy);
+                }
+                batched.charge_ascending(charges.iter().copied());
+                assert_eq!(bits(&batched), bits(&one_by_one));
+                assert_eq!(batched.component_count(), one_by_one.component_count());
+                assert_eq!(batched, one_by_one);
+            }
+        }
+    }
+
+    #[test]
+    fn charge_ascending_creates_an_entry_for_a_zero_charge() {
+        let mut l = EnergyLedger::new();
+        l.charge_ascending([(DISK0, Joules::ZERO), (DISK1, Joules::ZERO)]);
+        assert_eq!(l.component_count(), 2, "as `charge` does");
+        assert_eq!(l.total(), Joules::ZERO);
+        l.charge_ascending([(DISK0, Joules::ZERO)]);
+        assert_eq!(l.component_count(), 2);
     }
 
     #[test]

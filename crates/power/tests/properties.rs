@@ -155,6 +155,49 @@ proptest! {
         }
     }
 
+    /// `charge_ascending` is the loop of `charge`, bit for bit, whatever
+    /// the order of its input: sorted (the one-pass walk) or arbitrary
+    /// (the fallback), with repeats, kinds interleaved, ids with and
+    /// without an entry, and the empty batch.
+    #[test]
+    fn charge_ascending_equals_the_loop_of_charge(
+        seeded in proptest::collection::vec((0u8..3, 0u32..12, 0.0f64..1e6), 0..12),
+        batch in proptest::collection::vec((0u8..3, 0u32..12, 0.0f64..1e6), 0..40),
+        sorted in 0u8..2,
+        journaled in 0u8..2,
+    ) {
+        let kinds = [ComponentKind::Cpu, ComponentKind::Base, ComponentKind::Recovery];
+        let pair = |&(k, i, j): &(u8, u32, f64)| {
+            (ComponentId::new(kinds[k as usize], i), Joules::new(j))
+        };
+        let mut one_by_one = EnergyLedger::new();
+        for (id, e) in seeded.iter().map(pair) {
+            one_by_one.charge(id, e);
+        }
+        if journaled == 1 {
+            one_by_one.enable_journal();
+        }
+        let mut batched = one_by_one.clone();
+        let mut charges: Vec<_> = batch.iter().map(pair).collect();
+        if sorted == 1 {
+            charges.sort_by_key(|(id, _)| *id);
+        }
+        for &(id, e) in &charges {
+            one_by_one.charge(id, e);
+        }
+        batched.charge_ascending(charges.iter().copied());
+        prop_assert_eq!(
+            batched.total().joules().to_bits(),
+            one_by_one.total().joules().to_bits()
+        );
+        prop_assert_eq!(batched.component_count(), one_by_one.component_count());
+        for ((ia, ea), (ib, eb)) in batched.iter().zip(one_by_one.iter()) {
+            prop_assert_eq!(ia, ib);
+            prop_assert_eq!(ea.joules().to_bits(), eb.joules().to_bits());
+        }
+        prop_assert_eq!(batched.take_journal(), one_by_one.take_journal());
+    }
+
     /// Break-even gap really is break-even: below it parking loses,
     /// sufficiently above it parking wins.
     #[test]

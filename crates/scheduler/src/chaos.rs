@@ -39,6 +39,7 @@ use grail_sim::event::EventQueue;
 use grail_sim::fault::{ChaosEventKind, ChaosSchedule};
 use grail_trace::Tracer;
 use serde::Serialize;
+use std::ops::ControlFlow;
 
 /// The per-machine circuit breaker: how long a flapping machine is
 /// quarantined after each restart before it may take load again.
@@ -241,15 +242,28 @@ enum Runtime {
 /// Public because the `grail-check` chaos model's admission-sanity
 /// invariant measures the live fleet with this exact function.
 pub fn max_replica_rate(dom_caps: &[f64], r: u32) -> f64 {
+    let mut live = Vec::new();
+    sort_live(dom_caps, &mut live);
+    replica_rate(&live, r)
+}
+
+/// `live` ← the live (positive) capacities of `dom_caps`, ascending.
+fn sort_live(dom_caps: &[f64], live: &mut Vec<f64>) {
+    live.clear();
+    live.extend(dom_caps.iter().copied().filter(|c| *c > 0.0));
+    live.sort_by(f64::total_cmp);
+}
+
+/// [`max_replica_rate`] of live domain capacities already in
+/// [`sort_live`] order.
+fn replica_rate(caps: &[f64], r: u32) -> f64 {
     let r = r as f64;
-    let mut caps: Vec<f64> = dom_caps.iter().copied().filter(|c| *c > 0.0).collect();
-    caps.sort_by(f64::total_cmp);
     if caps.is_empty() || (caps.len() as f64) < r {
         return 0.0;
     }
     let mut sum_small = 0.0;
     let mut cnt_big = caps.len() as f64;
-    for &c in &caps {
+    for &c in caps {
         // On [prev, c): f(S) = sum_small + (cnt_big - r)·S.
         if cnt_big - r < 0.0 {
             return sum_small / (r - cnt_big);
@@ -272,13 +286,21 @@ pub fn max_replica_rate(dom_caps: &[f64], r: u32) -> f64 {
 /// `served_rate + shed_rate == demand_eff` exactly (up to float
 /// association), which is where the run-level conservation law
 /// `served + shed + failed == offered` comes from.
-fn admission(dom_caps: &[f64], demand_eff: f64, replicas: u32) -> (u32, f64, f64) {
-    let live_domains = dom_caps.iter().filter(|c| **c > 0.0).count() as u32;
-    let r_max = replicas.min(live_domains).max(1);
+///
+/// `live` is working space: it leaves holding `dom_caps` in
+/// [`sort_live`] order, sorted once for every replica count tried.
+fn admission(
+    dom_caps: &[f64],
+    demand_eff: f64,
+    replicas: u32,
+    live: &mut Vec<f64>,
+) -> (u32, f64, f64) {
+    sort_live(dom_caps, live);
+    let r_max = replicas.min(live.len() as u32).max(1);
     let mut r_eff = 1u32;
-    let mut served_rate = max_replica_rate(dom_caps, 1).min(demand_eff);
+    let mut served_rate = replica_rate(live, 1).min(demand_eff);
     for r in (2..=r_max).rev() {
-        let s = max_replica_rate(dom_caps, r).min(demand_eff);
+        let s = replica_rate(live, r).min(demand_eff);
         if s + 1e-9 >= demand_eff {
             r_eff = r;
             served_rate = s;
@@ -296,45 +318,56 @@ fn admission(dom_caps: &[f64], demand_eff: f64, replicas: u32) -> (u32, f64, f64
 /// with zero effective capacity are never powered (except under
 /// [`PlacementPolicy::Spread`], which keeps every healthy machine on
 /// for availability).
+///
+/// `by_efficiency` is the whole fleet in [`by_peak_efficiency`] order.
+/// That order is total (ties break on the index), so walking it past
+/// the machines without capacity visits the rest in exactly the order
+/// sorting them alone would. Reads `scratch.eff_cap`; overwrites
+/// `scratch.dom_used`, `scratch.loads` and `scratch.powered`.
 fn place_replicated(
     fleet: &[Machine],
     policy: PlacementPolicy,
-    n_domains: usize,
-    eff_cap: &[f64],
+    by_efficiency: &[usize],
     served_rate: f64,
     r_eff: u32,
-) -> Placement {
-    let n = fleet.len();
-    let mut order: Vec<usize> = (0..n).filter(|&i| eff_cap[i] > 0.0).collect();
-    if policy == PlacementPolicy::Consolidate {
-        order.sort_by(by_peak_efficiency(fleet));
+    scratch: &mut Scratch,
+) {
+    let Scratch {
+        eff_cap,
+        dom_used,
+        loads,
+        powered,
+        ..
+    } = scratch;
+    loads.fill(0.0);
+    dom_used.fill(0.0);
+    // Availability-first: under Spread every healthy machine stays powered.
+    let spread = policy == PlacementPolicy::Spread;
+    for (on, cap) in powered.iter_mut().zip(eff_cap.iter()) {
+        *on = spread && *cap > 0.0;
     }
-    let mut loads = vec![0.0; n];
-    let mut powered = vec![false; n];
-    if policy == PlacementPolicy::Spread {
-        // Availability-first: every healthy machine stays powered.
-        for &i in &order {
-            powered[i] = true;
-        }
-    }
-    let mut dom_used = vec![0.0; n_domains];
     let mut rest = served_rate * r_eff as f64;
-    for &i in &order {
+    let fill = |i: usize| {
         if rest <= 1e-12 {
-            break;
+            return ControlFlow::Break(());
         }
-        let d = fleet[i].domain as usize;
-        let room = eff_cap[i].min(served_rate - dom_used[d]);
-        if room <= 0.0 {
-            continue;
+        if eff_cap[i] > 0.0 {
+            let d = fleet[i].domain as usize;
+            let room = eff_cap[i].min(served_rate - dom_used[d]);
+            if room > 0.0 {
+                let take = rest.min(room);
+                loads[i] = take;
+                powered[i] = true;
+                dom_used[d] += take;
+                rest -= take;
+            }
         }
-        let take = rest.min(room);
-        loads[i] = take;
-        powered[i] = true;
-        dom_used[d] += take;
-        rest -= take;
-    }
-    Placement { loads, powered }
+        ControlFlow::Continue(())
+    };
+    let _ = match policy {
+        PlacementPolicy::Spread => (0..fleet.len()).try_for_each(fill),
+        PlacementPolicy::Consolidate => by_efficiency.iter().copied().try_for_each(fill),
+    };
 }
 
 /// What the fleet is doing right now: the output of one re-plan, in
@@ -394,6 +427,35 @@ pub struct FleetState {
     cap_frac: f64,
     surge: f64,
     plan: Plan,
+    /// Every fleet index in [`by_peak_efficiency`] order: a function of
+    /// the fleet alone, so sorted once.
+    by_efficiency: Vec<usize>,
+    scratch: Scratch,
+}
+
+/// The buffers one re-plan works in, kept between events so that an
+/// event allocates nothing. Every re-plan overwrites what it reads, so
+/// they carry no state — two fleets that differ only here are equal.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Per-machine capacity usable right now (0 when unavailable).
+    eff_cap: Vec<f64>,
+    /// `eff_cap` summed per fault domain.
+    dom_caps: Vec<f64>,
+    /// [`admission`]'s working space.
+    live_caps: Vec<f64>,
+    /// Load placed per fault domain so far.
+    dom_used: Vec<f64>,
+    /// Where the next plan's placement is built; swapped with the
+    /// outgoing plan's, whose buffers the plan after that reuses.
+    loads: Vec<f64>,
+    powered: Vec<bool>,
+}
+
+impl PartialEq for Scratch {
+    fn eq(&self, _: &Scratch) -> bool {
+        true
+    }
 }
 
 /// Fraction of `m`'s capacity usable under a brownout cap: the load at
@@ -416,8 +478,20 @@ fn usable_frac(m: &Machine, cap_frac: f64) -> f64 {
 impl FleetState {
     /// A healthy fleet spanning `n_domains` fault domains, already
     /// serving `demand` under `policy` (steady state: nothing boots).
+    ///
+    /// # Panics
+    /// When `n_domains` does not cover the fleet (a machine sits in
+    /// domain `n_domains` or beyond). [`run_chaos`] rejects that shape
+    /// with a typed [`ClusterError::BadSchedule`] before it gets here.
     pub fn new(fleet: &[Machine], n_domains: usize, policy: &ChaosPolicy, demand: f64) -> Self {
         let n = fleet.len();
+        assert!(
+            n_domains >= domain_count(fleet) as usize,
+            "fleet spans {} fault domains, n_domains is {n_domains}",
+            domain_count(fleet)
+        );
+        let mut by_efficiency: Vec<usize> = (0..n).collect();
+        by_efficiency.sort_by(by_peak_efficiency(fleet));
         let mut state = FleetState {
             machine_up: vec![true; n],
             domain_up: vec![true; n_domains],
@@ -434,6 +508,15 @@ impl FleetState {
                 r_eff: policy.replicas,
                 served_rate: 0.0,
                 shed_rate: 0.0,
+            },
+            by_efficiency,
+            scratch: Scratch {
+                eff_cap: vec![0.0; n],
+                dom_caps: vec![0.0; n_domains],
+                live_caps: Vec::with_capacity(n_domains),
+                dom_used: vec![0.0; n_domains],
+                loads: vec![0.0; n],
+                powered: vec![false; n],
             },
         };
         state.replan(fleet, policy, demand, SimInstant::EPOCH);
@@ -471,9 +554,10 @@ impl FleetState {
     /// The most (peak-)efficient machine available at `at`, if any —
     /// where hedged re-dispatch replays stranded work.
     fn best_available(&self, fleet: &[Machine], at: SimInstant) -> Option<usize> {
-        (0..fleet.len())
-            .filter(|&i| self.available(fleet, i, at))
-            .min_by(by_peak_efficiency(fleet))
+        self.by_efficiency
+            .iter()
+            .copied()
+            .find(|&i| self.available(fleet, i, at))
     }
 
     /// Re-plan for the health at `at`: effective capacities →
@@ -486,40 +570,44 @@ impl FleetState {
         demand: f64,
         at: SimInstant,
     ) -> Vec<usize> {
-        let n = fleet.len();
-        let eff_cap: Vec<f64> = (0..n)
-            .map(|i| {
-                if self.available(fleet, i, at) {
-                    fleet[i].capacity * usable_frac(&fleet[i], self.cap_frac)
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let n_domains = self.domain_up.len();
-        let mut dom_caps = vec![0.0; n_domains];
-        for i in 0..n {
-            dom_caps[fleet[i].domain as usize] += eff_cap[i];
+        // Out of `self` while `self.available` is consulted; an empty
+        // `Scratch` owns no heap memory.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.dom_caps.fill(0.0);
+        for (i, m) in fleet.iter().enumerate() {
+            let cap = if self.available(fleet, i, at) {
+                m.capacity * usable_frac(m, self.cap_frac)
+            } else {
+                0.0
+            };
+            scratch.eff_cap[i] = cap;
+            scratch.dom_caps[m.domain as usize] += cap;
         }
-        let (r_eff, served_rate, shed_rate) =
-            admission(&dom_caps, demand * self.surge, policy.replicas);
-        let placement = place_replicated(
+        let (r_eff, served_rate, shed_rate) = admission(
+            &scratch.dom_caps,
+            demand * self.surge,
+            policy.replicas,
+            &mut scratch.live_caps,
+        );
+        place_replicated(
             fleet,
             policy.placement,
-            n_domains,
-            &eff_cap,
+            &self.by_efficiency,
             served_rate,
             r_eff,
+            &mut scratch,
         );
-        let booted = (0..n)
-            .filter(|&i| placement.powered[i] && !self.plan.placement.powered[i])
+        let placement = &mut self.plan.placement;
+        let booted = (scratch.powered.iter().zip(&placement.powered).enumerate())
+            .filter(|(_, (on, was_on))| **on && !**was_on)
+            .map(|(i, _)| i)
             .collect();
-        self.plan = Plan {
-            placement,
-            r_eff,
-            served_rate,
-            shed_rate,
-        };
+        std::mem::swap(&mut placement.loads, &mut scratch.loads);
+        std::mem::swap(&mut placement.powered, &mut scratch.powered);
+        self.plan.r_eff = r_eff;
+        self.plan.served_rate = served_rate;
+        self.plan.shed_rate = shed_rate;
+        self.scratch = scratch;
         booted
     }
 
@@ -626,21 +714,20 @@ impl Engine<'_> {
         let secs = dt.as_secs_f64();
         let plan = self.state.plan();
         let cap_frac = self.state.cap_frac;
-        for i in 0..self.fleet.len() {
-            if !plan.placement.powered[i] {
-                continue;
-            }
-            let m = &self.fleet[i];
+        let fleet = self.fleet;
+        let powered = (0..fleet.len()).filter(|&i| plan.placement.powered[i]);
+        // Fleet order is ascending component order: one pass over the
+        // ledger, not one search of it per machine.
+        self.report.ledger.charge_ascending(powered.map(|i| {
+            let m = &fleet[i];
             let mut p = m.power_at(plan.placement.loads[i]);
             if cap_frac < 1.0 {
                 // The brownout physically caps the feeder; loads were
                 // already planned under it, this is belt-and-braces.
                 p = Watts::new(p.get().min(m.peak.get() * cap_frac));
             }
-            self.report
-                .ledger
-                .charge_interval(Self::machine_component(i), p, dt);
-        }
+            (Self::machine_component(i), p * dt)
+        }));
         self.report.offered += self.demand * self.state.surge * secs;
         self.report.served += plan.served_rate * secs;
         self.report.shed += plan.shed_rate * secs;
@@ -1330,6 +1417,252 @@ mod tests {
         assert_eq!(plan.placement.powered_count(), 0);
     }
 
+    /// The placement this module shipped before the efficiency order was
+    /// cached, kept as the oracle: collect the machines with capacity,
+    /// sort *them*, fill.
+    fn reference_place_replicated(
+        fleet: &[Machine],
+        policy: PlacementPolicy,
+        n_domains: usize,
+        eff_cap: &[f64],
+        served_rate: f64,
+        r_eff: u32,
+    ) -> Placement {
+        let n = fleet.len();
+        let mut order: Vec<usize> = (0..n).filter(|&i| eff_cap[i] > 0.0).collect();
+        if policy == PlacementPolicy::Consolidate {
+            order.sort_by(by_peak_efficiency(fleet));
+        }
+        let mut loads = vec![0.0; n];
+        let mut powered = vec![false; n];
+        if policy == PlacementPolicy::Spread {
+            for &i in &order {
+                powered[i] = true;
+            }
+        }
+        let mut dom_used = vec![0.0; n_domains];
+        let mut rest = served_rate * r_eff as f64;
+        for &i in &order {
+            if rest <= 1e-12 {
+                break;
+            }
+            let d = fleet[i].domain as usize;
+            let room = eff_cap[i].min(served_rate - dom_used[d]);
+            if room <= 0.0 {
+                continue;
+            }
+            let take = rest.min(room);
+            loads[i] = take;
+            powered[i] = true;
+            dom_used[d] += take;
+            rest -= take;
+        }
+        Placement { loads, powered }
+    }
+
+    /// The plan `state`'s health calls for at `at`, derived from nothing
+    /// but that health: fresh buffers, a fresh sort.
+    fn reference_plan(
+        state: &FleetState,
+        fleet: &[Machine],
+        policy: &ChaosPolicy,
+        demand: f64,
+        at: SimInstant,
+    ) -> Plan {
+        let eff_cap: Vec<f64> = (0..fleet.len())
+            .map(|i| {
+                if state.available(fleet, i, at) {
+                    fleet[i].capacity * usable_frac(&fleet[i], state.cap_frac)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let n_domains = state.domain_up.len();
+        let mut dom_caps = vec![0.0; n_domains];
+        for (m, cap) in fleet.iter().zip(&eff_cap) {
+            dom_caps[m.domain as usize] += cap;
+        }
+        let (r_eff, served_rate, shed_rate) = admission(
+            &dom_caps,
+            demand * state.surge,
+            policy.replicas,
+            &mut Vec::new(),
+        );
+        Plan {
+            placement: reference_place_replicated(
+                fleet,
+                policy.placement,
+                n_domains,
+                &eff_cap,
+                served_rate,
+                r_eff,
+            ),
+            r_eff,
+            served_rate,
+            shed_rate,
+        }
+    }
+
+    /// Knuth's MMIX LCG, high bits: enough to script a storm.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// Drive `fleet` through `steps` random events — crashes and restarts
+    /// (of flapping machines too, so the breaker holds some), domain
+    /// outages, brownouts, surges, wake-ups; several at one instant, and
+    /// every breaker wake-up together with a chaos event at its very
+    /// timestamp — checking after each that the plan, the boots and the
+    /// re-dispatch host are what the reference derives from scratch.
+    fn check_against_reference(
+        fleet: &[Machine],
+        policy: &ChaosPolicy,
+        demand: f64,
+        seed: u64,
+        steps: u32,
+    ) {
+        let n = fleet.len() as u64;
+        let n_domains = domain_count(fleet);
+        let mut rng = Lcg(seed);
+        let mut state = FleetState::new(fleet, n_domains as usize, policy, demand);
+        assert_eq!(
+            *state.plan(),
+            reference_plan(&state, fleet, policy, demand, SimInstant::EPOCH)
+        );
+        let mut domain_up = vec![true; n_domains as usize];
+        let mut wakes: Vec<SimInstant> = Vec::new();
+        let mut now = SimInstant::EPOCH;
+        let (mut held, mut woken, mut booted) = (0, 0, 0);
+        for step in 0..steps {
+            wakes.sort();
+            let due = wakes.first().copied();
+            let mut wake = None;
+            match rng.below(4) {
+                0 => {}
+                1 => now += SimDuration::from_secs(rng.below(900)),
+                _ => {
+                    if let Some(due) = due.filter(|d| *d >= now) {
+                        now = due;
+                        woken += 1;
+                        wake = Some(FleetEvent::Wake);
+                    }
+                }
+            }
+            wakes.retain(|w| *w > now);
+            let machine = rng.below(n) as u32;
+            let domain = rng.below(u64::from(n_domains)) as u32;
+            let kind = match rng.below(10) {
+                0..=3 if state.machine_up(machine as usize) => {
+                    ChaosEventKind::MachineCrash { machine }
+                }
+                0..=3 => ChaosEventKind::MachineUp { machine },
+                4 => {
+                    let up = &mut domain_up[domain as usize];
+                    *up = !*up;
+                    if *up {
+                        ChaosEventKind::DomainUp { domain }
+                    } else {
+                        ChaosEventKind::DomainDown { domain }
+                    }
+                }
+                5 => ChaosEventKind::BrownoutStart {
+                    cap_frac: [0.5, 0.6, 0.85][rng.below(3) as usize],
+                },
+                6 => ChaosEventKind::BrownoutEnd,
+                7 => ChaosEventKind::SurgeStart {
+                    factor: [0.5, 1.5, 3.0][rng.below(3) as usize],
+                },
+                8 => ChaosEventKind::SurgeEnd,
+                _ => ChaosEventKind::MachineUp { machine },
+            };
+            // The chaos event first, then the wake-up due at the same
+            // instant: the order the event queue delivers them in.
+            for event in std::iter::once(FleetEvent::Chaos(kind)).chain(wake) {
+                let before = state.plan().clone();
+                let fx = state.apply(fleet, policy, demand, now, event);
+                let what = format!("step {step}, {event:?} at {now}");
+                if let Some((_, hold)) = fx.quarantine {
+                    held += 1;
+                    wakes.push(now + hold);
+                    assert_eq!(*state.plan(), before, "{what}: a held restart re-planned");
+                    assert!(fx.booted.is_empty(), "{what}");
+                } else {
+                    let expected = reference_plan(&state, fleet, policy, demand, now);
+                    assert_eq!(*state.plan(), expected, "{what}");
+                    let boots: Vec<usize> = (0..fleet.len())
+                        .filter(|&i| expected.placement.powered[i] && !before.placement.powered[i])
+                        .collect();
+                    booted += boots.len();
+                    assert_eq!(fx.booted, boots, "{what}");
+                }
+                let host = (0..fleet.len())
+                    .filter(|&i| state.available(fleet, i, now))
+                    .min_by(by_peak_efficiency(fleet));
+                assert_eq!(state.best_available(fleet, now), host, "{what}");
+            }
+        }
+        assert!(held > 0, "the storm never tripped the breaker");
+        assert!(woken > 0, "no wake-up ever shared an instant with an event");
+        if policy.placement == PlacementPolicy::Consolidate {
+            assert!(booted > 0, "the storm never cold-booted a machine");
+        }
+    }
+
+    #[test]
+    fn cached_efficiency_order_places_like_a_fresh_sort() {
+        // Three efficiency classes: almost every comparison is a tie,
+        // broken on the fleet index.
+        let tied = crate::cluster::chaos_fleet(4, 6);
+        // Every efficiency distinct, and interleaved across domains.
+        let distinct: Vec<Machine> = (0..24)
+            .map(|i| {
+                let capacity = 1_000.0 + 37.0 * f64::from((i * 7) % 24);
+                Machine::new(
+                    &format!("m{i}"),
+                    capacity,
+                    Watts::new(200.0),
+                    Watts::new(400.0),
+                )
+                .with_domain(i % 4)
+            })
+            .collect();
+        let mut seed = 0x5eed;
+        for fleet in [&tied, &distinct] {
+            let capacity: f64 = fleet.iter().map(|m| m.capacity).sum();
+            for (placement, replicas) in [
+                (PlacementPolicy::Spread, 1),
+                (PlacementPolicy::Consolidate, 1),
+                (PlacementPolicy::Consolidate, 2),
+                (PlacementPolicy::Consolidate, 3),
+            ] {
+                let policy = ChaosPolicy {
+                    placement,
+                    replicas,
+                    ..ChaosPolicy::default()
+                };
+                for frac in [0.25, 0.60] {
+                    seed += 1;
+                    check_against_reference(fleet, &policy, capacity * frac, seed, 400);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet spans 2 fault domains, n_domains is 1")]
+    fn fleet_state_rejects_too_few_domains_at_the_door() {
+        FleetState::new(&small_fleet(), 1, &ChaosPolicy::default(), 100.0);
+    }
+
     #[test]
     fn breaker_policy_quarantine_saturates() {
         let b = BreakerPolicy::default();
@@ -1370,18 +1703,21 @@ mod tests {
         // exported bytes are pinned (FNV-1a, 64-bit; the constant the
         // root `trace_determinism` test carries, measured before the
         // recorder's event layout changed in PR 17).
-        let digest = ta
-            .iter()
-            .flat_map(|s| s.bytes())
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            });
-        assert_eq!(digest, 0xa9ef_a98d_49a1_a7d2);
+        let mut digest = Fnv1a::new();
+        for export in &ta {
+            std::fmt::Write::write_str(&mut digest, export).expect("hashing cannot fail");
+        }
+        assert_eq!(digest.0, 0xa9ef_a98d_49a1_a7d2);
     }
 
-    /// FNV-1a (64-bit) of a value's `{:?}` rendering, hashed as it is
-    /// written: a 512-machine report renders to tens of megabytes.
+    /// FNV-1a (64-bit) of whatever is written into it.
     struct Fnv1a(u64);
+
+    impl Fnv1a {
+        fn new() -> Self {
+            Fnv1a(0xcbf2_9ce4_8422_2325)
+        }
+    }
 
     impl std::fmt::Write for Fnv1a {
         fn write_str(&mut self, s: &str) -> std::fmt::Result {
@@ -1392,9 +1728,11 @@ mod tests {
         }
     }
 
+    /// Digest of a value's `{:?}` rendering, hashed as it is formatted: a
+    /// 512-machine report renders to tens of megabytes.
     fn debug_digest(v: &impl std::fmt::Debug) -> u64 {
         use std::fmt::Write;
-        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv1a::new();
         write!(h, "{v:?}").expect("hashing cannot fail");
         h.0
     }

@@ -1,9 +1,11 @@
 //! Property tests for the consolidation policies.
 
-use grail_power::units::{SimDuration, SimInstant};
+use grail_power::units::{SimDuration, SimInstant, Watts};
 use grail_scheduler::admission::{AdmissionPolicy, BatchWindow};
 use grail_scheduler::chaos::{run_chaos, ChaosPolicy, FleetEvent, FleetState};
-use grail_scheduler::cluster::{chaos_fleet, place, refresh_cycle_fleet, PlacementPolicy};
+use grail_scheduler::cluster::{
+    chaos_fleet, place, refresh_cycle_fleet, Machine, Placement, PlacementPolicy,
+};
 use grail_scheduler::governor::{gap_energy, IdleGovernor, OracleGovernor, ParkCosts};
 use grail_scheduler::sharing::share_scans;
 use grail_sim::fault::{ChaosEvent, ChaosEventKind, ChaosSchedule};
@@ -17,6 +19,69 @@ fn sorted_arrivals() -> impl Strategy<Value = Vec<SimInstant>> {
             .map(|m| SimInstant::EPOCH + SimDuration::from_millis(m))
             .collect()
     })
+}
+
+/// The placement `FleetState` must arrive at, the way the engine
+/// computed it before it cached the fleet's efficiency order: collect
+/// the machines with capacity, sort *them* (most efficient first, ties
+/// on the fleet index), fill under the one-replica-per-domain cap.
+/// Admission is not re-derived: `served_rate` and `r_eff` are the
+/// plan's own.
+fn reference_placement(
+    fleet: &[Machine],
+    policy: PlacementPolicy,
+    eff_cap: &[f64],
+    served_rate: f64,
+    r_eff: u32,
+) -> Placement {
+    let n = fleet.len();
+    let mut order: Vec<usize> = (0..n).filter(|&i| eff_cap[i] > 0.0).collect();
+    if policy == PlacementPolicy::Consolidate {
+        order.sort_by(|&a, &b| {
+            let (ea, eb) = (fleet[a].peak_efficiency(), fleet[b].peak_efficiency());
+            eb.total_cmp(&ea).then(a.cmp(&b))
+        });
+    }
+    let mut loads = vec![0.0; n];
+    let mut powered = vec![false; n];
+    if policy == PlacementPolicy::Spread {
+        for &i in &order {
+            powered[i] = true;
+        }
+    }
+    let domains = fleet
+        .iter()
+        .map(|m| m.domain as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut dom_used = vec![0.0; domains];
+    let mut rest = served_rate * r_eff as f64;
+    for &i in &order {
+        if rest <= 1e-12 {
+            break;
+        }
+        let d = fleet[i].domain as usize;
+        let room = eff_cap[i].min(served_rate - dom_used[d]);
+        if room <= 0.0 {
+            continue;
+        }
+        let take = rest.min(room);
+        loads[i] = take;
+        powered[i] = true;
+        dom_used[d] += take;
+        rest -= take;
+    }
+    Placement { loads, powered }
+}
+
+/// Capacity of `m` usable under a brownout cap of `cap_frac` of peak
+/// power (linear power curve), as the engine derives it.
+fn usable_capacity(m: &Machine, cap_frac: f64) -> f64 {
+    if cap_frac >= 1.0 {
+        return m.capacity;
+    }
+    let (idle, peak) = (m.idle.get(), m.peak.get());
+    m.capacity * ((cap_frac * peak - idle) / (peak - idle)).clamp(0.0, 1.0)
 }
 
 proptest! {
@@ -180,5 +245,113 @@ proptest! {
         prop_assert!(r1.availability() >= 0.0 && r1.availability() <= 1.0 + 1e-9);
         prop_assert!(r1.recovery_energy().joules() <= r1.total_energy().joules() + 1e-9);
         prop_assert_eq!(r1, r2);
+    }
+
+    /// The cached efficiency order places like a fresh sort: along any
+    /// event sequence — crashes and restarts of flapping machines,
+    /// domain outages, brownouts, surges; bursts at one instant; every
+    /// breaker wake-up delivered together with a chaos event at its very
+    /// timestamp — each plan's placement and each `Effects::booted` are
+    /// what the collect-and-sort reference derives from the health alone.
+    /// On `chaos_fleet` (three efficiency classes: nearly every
+    /// comparison is a tie) and on a fleet of all-distinct efficiencies.
+    #[test]
+    fn cached_order_places_like_a_fresh_sort(
+        distinct in 0u8..2,
+        policy_ix in 0usize..4,
+        frac in 0.05f64..0.95,
+        ops in proptest::collection::vec((0u8..10, 0u32..24, 0u8..4, 0u64..900), 1..80),
+    ) {
+        let fleet: Vec<Machine> = if distinct == 1 {
+            (0..24u32)
+                .map(|i| {
+                    let capacity = 1_000.0 + 37.0 * f64::from((i * 7) % 24);
+                    Machine::new(&format!("m{i}"), capacity, Watts::new(200.0), Watts::new(400.0))
+                        .with_domain(i % 4)
+                })
+                .collect()
+        } else {
+            chaos_fleet(4, 6)
+        };
+        let (placement, replicas) = [
+            (PlacementPolicy::Spread, 1),
+            (PlacementPolicy::Consolidate, 1),
+            (PlacementPolicy::Consolidate, 2),
+            (PlacementPolicy::Consolidate, 3),
+        ][policy_ix];
+        let policy = ChaosPolicy { placement, replicas, ..ChaosPolicy::default() };
+        let demand = frac * fleet.iter().map(|m| m.capacity).sum::<f64>();
+        let mut state = FleetState::new(&fleet, 4, &policy, demand);
+        let mut domain_up = [true; 4];
+        let mut cap_frac = 1.0;
+        let mut wakes: Vec<SimInstant> = Vec::new();
+        let mut now = SimInstant::EPOCH;
+        for (kind, index, clock, secs) in ops {
+            let mut wake = None;
+            wakes.sort();
+            match clock {
+                0 => {}
+                1 => now += SimDuration::from_secs(secs),
+                _ => if let Some(due) = wakes.first().copied().filter(|d| *d >= now) {
+                    now = due;
+                    wake = Some(FleetEvent::Wake);
+                },
+            }
+            wakes.retain(|w| *w > now);
+            let (machine, domain) = (index, index % 4);
+            let chaos = match kind {
+                0..=3 if state.machine_up(machine as usize) => {
+                    ChaosEventKind::MachineCrash { machine }
+                }
+                0..=3 | 9 => ChaosEventKind::MachineUp { machine },
+                4 => {
+                    let up = &mut domain_up[domain as usize];
+                    *up = !*up;
+                    if *up {
+                        ChaosEventKind::DomainUp { domain }
+                    } else {
+                        ChaosEventKind::DomainDown { domain }
+                    }
+                }
+                5 => ChaosEventKind::BrownoutStart { cap_frac: 0.5 + 0.05 * f64::from(index % 8) },
+                6 => ChaosEventKind::BrownoutEnd,
+                7 => ChaosEventKind::SurgeStart { factor: 0.5 + 0.25 * f64::from(index % 12) },
+                _ => ChaosEventKind::SurgeEnd,
+            };
+            match chaos {
+                ChaosEventKind::BrownoutStart { cap_frac: cap } => cap_frac = cap,
+                ChaosEventKind::BrownoutEnd => cap_frac = 1.0,
+                _ => {}
+            }
+            // The chaos event first, then the wake-up due at the same
+            // instant: the order the event queue delivers them in.
+            for event in std::iter::once(FleetEvent::Chaos(chaos)).chain(wake) {
+                let before = state.plan().clone();
+                let fx = state.apply(&fleet, &policy, demand, now, event);
+                if let Some((_, hold)) = fx.quarantine {
+                    wakes.push(now + hold);
+                    prop_assert_eq!(state.plan(), &before);
+                    prop_assert!(fx.booted.is_empty());
+                    continue;
+                }
+                let eff_cap: Vec<f64> = (0..fleet.len())
+                    .map(|i| {
+                        if state.available(&fleet, i, now) {
+                            usable_capacity(&fleet[i], cap_frac)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                let plan = state.plan();
+                let expected =
+                    reference_placement(&fleet, placement, &eff_cap, plan.served_rate, plan.r_eff);
+                prop_assert_eq!(&plan.placement, &expected, "{:?} at {}", event, now);
+                let boots: Vec<usize> = (0..fleet.len())
+                    .filter(|&i| expected.powered[i] && !before.placement.powered[i])
+                    .collect();
+                prop_assert_eq!(fx.booted, boots, "{:?} at {}", event, now);
+            }
+        }
     }
 }
