@@ -30,6 +30,8 @@ mod ext_prefetch;
 mod ext_proportionality;
 mod ext_scan_sharing;
 mod ext_tco;
+mod ext_trace;
+mod ext_watch;
 mod fig1_diminishing_returns;
 mod fig2_scan_compression;
 mod t1_power_breakdown;
@@ -197,5 +199,15 @@ pub const EXPERIMENTS: &[Experiment] = &[
         id: "EXT-CHAOS",
         about: "availability vs energy under correlated cluster chaos",
         run: ext_chaos::run,
+    },
+    Experiment {
+        id: "EXT-TRACE",
+        about: "FIG1 and FIG2 with the flight recorder on: JSONL, Perfetto, power, attribution",
+        run: ext_trace::run,
+    },
+    Experiment {
+        id: "EXT-WATCH",
+        about: "calm fleet, reference storm and db run scraped into the watchdog summary",
+        run: ext_watch::run,
     },
 ];

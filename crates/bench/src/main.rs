@@ -33,23 +33,7 @@ enum Command {
 /// (case-insensitive; a repeated ID runs once); anything else is an
 /// error naming it.
 fn parse(mut args: Vec<String>) -> Result<(Runner, Command), String> {
-    // `Runner::from_cli_args` panics on a bad `--threads`; turn that
-    // into a usage error before it sees the arguments.
-    for (i, a) in args.iter().enumerate() {
-        if a == "--threads" {
-            match args.get(i + 1).map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => {}
-                Some(_) => {
-                    return Err(format!(
-                        "--threads expects a positive integer, got `{}`",
-                        args[i + 1]
-                    ))
-                }
-                None => return Err("--threads requires a value".to_string()),
-            }
-        }
-    }
-    let runner = Runner::from_cli_args(&mut args);
+    let runner = Runner::from_cli_args(&mut args)?;
     let mut args = args.iter().map(String::as_str);
     let command = match args.next() {
         None => return Err("no command".to_string()),

@@ -1,19 +1,33 @@
 //! The experiment table against its documentation and against itself:
 //! IDs match DESIGN.md §3 and EXPERIMENTS.md, every row produces sane
-//! records, and what a row renders is byte-identical at any thread
-//! count.
+//! records, what a row renders is byte-identical at any thread count,
+//! and EXT-WATCH's summary equals the committed watchdog baseline.
 
 use grail_bench::{Experiment, Outcome, EXPERIMENTS};
+use grail_metrics::{compare, parse_baseline, render_drifts};
 use grail_par::Runner;
 
 const DESIGN: &str = include_str!("../../../DESIGN.md");
 const EXPERIMENTS_MD: &str = include_str!("../../../EXPERIMENTS.md");
+/// The sealed watchdog baseline: every EXT-WATCH summary key, simulated
+/// and bit-stable, so the comparison tolerates nothing.
+const WATCHDOG_BASELINE: &str = include_str!("../baselines/watchdog.json");
+const WATCHDOG_BASELINE_PATH: &str = "crates/bench/baselines/watchdog.json";
+const REBLESS: &str =
+    "grail-bench run EXT-WATCH && cp figures/watchdog_baseline.json crates/bench/baselines/";
 
 /// Rows cheap enough for a debug `cargo test`, covering a db scan, a
-/// faulted simulation, a closed-form model and a fleet placement. The
-/// whole table runs in `full_table_*` (`--release -- --ignored`, CI
-/// `sweep` job).
-const TIER1_IDS: [&str; 4] = ["FIG2", "EXT-FAULT", "EXT-DVFS", "EXT-CLUSTER"];
+/// faulted simulation, a closed-form model, a fleet placement, the
+/// traced captures and the scraped watchdog scenarios. The whole table
+/// runs in `full_table_*` (`--release -- --ignored`, CI `sweep` job).
+const TIER1_IDS: [&str; 6] = [
+    "FIG2",
+    "EXT-FAULT",
+    "EXT-DVFS",
+    "EXT-CLUSTER",
+    "EXT-TRACE",
+    "EXT-WATCH",
+];
 
 fn assert_sane(e: &Experiment, outcome: &Outcome) {
     assert!(!outcome.rows.is_empty(), "{} produced no record", e.id);
@@ -87,7 +101,62 @@ fn tier1_rows_are_sane_and_thread_count_invariant() {
 }
 
 #[test]
-#[ignore = "runs all 19 experiments twice; CI's sweep job runs it in release"]
+#[ignore = "runs all 21 experiments twice; CI's sweep job runs it in release"]
 fn full_table_is_sane_and_thread_count_invariant() {
     check(&EXPERIMENTS.iter().collect::<Vec<_>>());
+}
+
+/// The summary EXT-WATCH measured, as the `figures/watchdog_baseline.json`
+/// it returns.
+fn watchdog_summary() -> String {
+    let row = EXPERIMENTS.iter().find(|e| e.id == "EXT-WATCH").unwrap();
+    let outcome = (row.run)(&Runner::sequential());
+    let (_, bytes) = outcome
+        .figures
+        .into_iter()
+        .find(|(path, _)| path == "figures/watchdog_baseline.json")
+        .expect("EXT-WATCH returns its summary");
+    String::from_utf8(bytes).expect("the summary is text")
+}
+
+/// The energy-regression gate: any drift of any summary key between
+/// this commit and the sealed baseline fails, naming the key.
+#[test]
+fn watchdog_summary_matches_the_committed_baseline() {
+    let measured = watchdog_summary();
+    assert!(
+        measured == WATCHDOG_BASELINE,
+        "EXT-WATCH's summary differs from {WATCHDOG_BASELINE_PATH}\n{}",
+        render_drifts(
+            &compare(
+                &parse_baseline(WATCHDOG_BASELINE).expect("committed baseline parses"),
+                &parse_baseline(&measured).expect("measured summary parses"),
+                |_| 0.0,
+            ),
+            WATCHDOG_BASELINE_PATH,
+            REBLESS,
+        )
+    );
+}
+
+/// Negative control: a 10 % joules-per-query regression is exactly one
+/// drift, reported readably.
+#[test]
+fn ten_percent_joules_per_query_inflation_is_one_readable_drift() {
+    let baseline = parse_baseline(WATCHDOG_BASELINE).expect("committed baseline parses");
+    let mut inflated = parse_baseline(&watchdog_summary()).expect("measured summary parses");
+    for (key, value) in &mut inflated {
+        if key == "db.joules_per_query" {
+            *value *= 1.10;
+        }
+    }
+    let drifts = compare(&baseline, &inflated, |_| 0.0);
+    let keys: Vec<&str> = drifts.iter().map(|d| d.key.as_str()).collect();
+    assert_eq!(keys, ["db.joules_per_query"]);
+    let text = render_drifts(&drifts, WATCHDOG_BASELINE_PATH, REBLESS);
+    assert!(
+        text.contains("error[watchdog]: `db.joules_per_query` drifted +10.00%"),
+        "{text}"
+    );
+    assert!(text.contains(REBLESS), "{text}");
 }

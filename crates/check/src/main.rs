@@ -32,7 +32,7 @@ fn usage() -> &'static str {
 }
 
 fn parse(mut args: Vec<String>) -> Result<Options, String> {
-    let runner = Runner::from_cli_args(&mut args);
+    let runner = Runner::from_cli_args(&mut args)?;
     let mut opts = Options {
         list: false,
         model: None,

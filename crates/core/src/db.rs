@@ -81,7 +81,7 @@ impl ScanSpec {
 }
 
 /// Default event capacity for traced runs: plenty for the small
-/// configurations `trace_dump` captures; bigger runs evict oldest
+/// configurations EXT-TRACE captures; bigger runs evict oldest
 /// events deterministically and report the drop count.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 

@@ -568,7 +568,7 @@ impl WorkspaceGraph {
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (i, d) in fns.iter().enumerate() {
             // Library code cannot call into test regions, test-like
-            // files, or binary targets (`main.rs`, `src/bin/`) — edges
+            // files, or binary targets (`main.rs`) — edges
             // into them would only manufacture false paths.
             if d.in_test || d.kind != FileKind::Library || crate::is_binary_target(&d.file) {
                 continue;

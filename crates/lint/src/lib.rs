@@ -149,11 +149,10 @@ pub fn classify(rel: &str) -> Option<(String, FileKind)> {
     Some((crate_name.to_string(), kind))
 }
 
-/// True for files that compile into a binary target — `src/main.rs` and
-/// anything under `src/bin/`. A binary owns stdout and may time itself,
-/// and library code cannot call into it.
+/// True for files that compile into a binary target — a `src/main.rs`.
+/// A binary owns stdout, and library code cannot call into it.
 pub(crate) fn is_binary_target(rel: &str) -> bool {
-    rel == "src/main.rs" || rel.ends_with("/src/main.rs") || rel.contains("/src/bin/")
+    rel == "src/main.rs" || rel.ends_with("/src/main.rs")
 }
 
 /// An in-memory source file handed to the engine.

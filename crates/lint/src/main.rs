@@ -46,7 +46,7 @@ fn is_sarif(format: &str) -> Result<bool, String> {
 /// `--` that is not a known flag is an error, so a stale invocation
 /// fails instead of linting a directory named after the flag.
 fn parse_args(mut args: Vec<String>) -> Result<Cli, String> {
-    let runner = grail_par::Runner::from_cli_args(&mut args);
+    let runner = grail_par::Runner::from_cli_args(&mut args)?;
     let mut cli = Cli {
         runner,
         sarif: false,
@@ -189,6 +189,13 @@ mod tests {
         assert!(parse(&["--format"]).unwrap_err().contains("--format"));
         assert!(parse(&["--format", "xml"]).unwrap_err().contains("`xml`"));
         assert!(parse(&["a", "b"]).unwrap_err().contains("`b`"));
+        assert!(parse(&[".", "--threads"])
+            .unwrap_err()
+            .contains("--threads"));
+        for bad in ["many", "0"] {
+            let err = parse(&["--threads", bad, "."]).unwrap_err();
+            assert!(err.contains("positive integer"), "{err}");
+        }
     }
 
     #[test]

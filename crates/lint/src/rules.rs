@@ -4,11 +4,11 @@
 //! Each rule protects one of the guarantees the energy-accounting
 //! argument rests on (see `DESIGN.md` § Invariants):
 //!
-//! * [`WALL_CLOCK`] — deterministic replay: nothing but a binary target
-//!   (`src/main.rs`, `src/bin/`) may read the host clock or an
-//!   entropy-seeded RNG. Every library, test, bench and example file
-//!   is in scope, so a clock read is reported at its source line no
-//!   matter how many calls separate it from simulated state.
+//! * [`WALL_CLOCK`] — deterministic replay: no audited file may read
+//!   the host clock or an entropy-seeded RNG. Every library, binary,
+//!   test, bench and example file is in scope, so a clock read is
+//!   reported at its source line no matter how many calls separate it
+//!   from simulated state. Host time is measured by `perf/` alone.
 //! * [`HASH_ORDER`] — deterministic reports: no `HashMap`/`HashSet` in
 //!   library code, since their iteration order can leak into ledgers,
 //!   `EnergyReport`s and `experiments.jsonl`.
@@ -76,7 +76,7 @@ use crate::scan::{is_ident_char, PragmaScope, ScannedFile};
 use crate::{is_binary_target, Diagnostic, FileInfo, FileKind};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Determinism: no wall-clock or entropy sources outside binary targets.
+/// Determinism: no wall-clock or entropy sources in any audited file.
 pub const WALL_CLOCK: &str = "wall-clock";
 /// Determinism: no hash-ordered collections in library code.
 pub const HASH_ORDER: &str = "hash-order";
@@ -121,7 +121,7 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         id: WALL_CLOCK,
-        summary: "no host clock / entropy RNG outside binary targets (replay determinism)",
+        summary: "no host clock / entropy RNG in any audited file (replay determinism)",
     },
     Rule {
         id: HASH_ORDER,
@@ -376,15 +376,12 @@ const WALL_CLOCK_PATTERNS: &[&str] = &[
 ];
 
 fn wall_clock(info: &FileInfo, f: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    // Only a binary target may time itself. Everything else is in
-    // scope, whichever crate it lives in: a helper that reads the clock
-    // is one call away from simulated state, and the pure experiment
-    // rows in crates/bench are byte-compared by CI. Tests included:
-    // replay-equality tests are only trustworthy if they are themselves
-    // clock-free.
-    if is_binary_target(info.rel) {
-        return;
-    }
+    // Every audited file is in scope, whichever crate it lives in: a
+    // helper that reads the clock is one call away from simulated
+    // state, and the pure experiment rows in crates/bench are
+    // byte-compared by CI. Tests included: replay-equality tests are
+    // only trustworthy if they are themselves clock-free. Binaries too:
+    // no `main.rs` times itself, host time is `perf/`'s job.
     for (i, code) in f.code.iter().enumerate() {
         for pat in WALL_CLOCK_PATTERNS {
             if let Some(&start) = token_positions(code, pat).first() {
@@ -665,9 +662,9 @@ fn literal_text(f: &ScannedFile, i: usize, pos: usize) -> String {
 }
 
 fn metric_hygiene(info: &FileInfo, f: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    // Binary targets (the watchdog, figure generators) read metrics back
-    // out of registries through parameterized helpers; the literal rule
-    // bites at the instrumentation sites in library code.
+    // Binary targets report what registries hold through parameterized
+    // helpers; the literal rule bites at the instrumentation sites in
+    // library code.
     if info.kind != FileKind::Library
         || is_binary_target(info.rel)
         || METRIC_PLUMBING_CRATES.contains(&info.crate_name)
@@ -1297,17 +1294,17 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_passes_sim_clock_and_binary_targets() {
+    fn wall_clock_passes_sim_clock_and_reports_every_audited_file() {
         // SimInstant and seeded RNGs are the sanctioned sources.
         let ok = "fn f(now: SimInstant) { let rng = ChaCha8Rng::seed_from_u64(7); }\n";
         assert!(rules_at("crates/sim/src/x.rs", ok).is_empty());
-        // Only a binary target may time itself...
+        // Every audited file is in scope, whatever its crate: a binary
+        // that times itself, library code, the experiment rows, tests
+        // and examples.
         let timed = "fn f() { let t = Instant::now(); }\n";
-        assert!(rules_at("crates/bench/src/bin/par_sim.rs", timed).is_empty());
-        assert!(rules_at("crates/lint/src/main.rs", timed).is_empty());
-        // ...every other audited file is in scope, whatever its crate:
-        // library code, the experiment rows, tests and examples.
         for rel in [
+            "crates/lint/src/main.rs",
+            "crates/bench/src/main.rs",
             "crates/storage/src/x.rs",
             "crates/bench/src/experiments/x.rs",
             "crates/query/tests/x.rs",
@@ -1457,7 +1454,7 @@ mod tests {
     fn print_hygiene_passes_binaries_tests_and_pragmas() {
         let printing = "fn main() { println!(\"hello\"); }\n";
         // Binary targets own stdout.
-        assert!(rules_at("crates/bench/src/bin/fig1.rs", printing).is_empty());
+        assert!(rules_at("crates/bench/src/main.rs", printing).is_empty());
         assert!(rules_at("crates/lint/src/main.rs", printing).is_empty());
         // Test modules and test-like files may print freely.
         let in_tests = "#[cfg(test)]\nmod tests {\n    fn t() { println!(\"dbg\"); }\n}\n";
@@ -1498,7 +1495,7 @@ mod tests {
             "#[cfg(test)]\nmod tests {\n    fn t(tr: &mut Tracer) { tr.count(\"ad.hoc\", 1); }\n}\n";
         assert!(rules_at("crates/sim/src/x.rs", in_tests).is_empty());
         let bin = "fn main() { reg.gauge(name); }\n";
-        assert!(rules_at("crates/bench/src/bin/fig1.rs", bin).is_empty());
+        assert!(rules_at("crates/bench/src/main.rs", bin).is_empty());
     }
 
     #[test]

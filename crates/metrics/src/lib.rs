@@ -31,7 +31,7 @@
 //!   alerts ([`SloSpec`], [`evaluate`](slo::evaluate)).
 //! * [`expo`] — Prometheus text exposition.
 //! * [`baseline`] — flat-JSON baselines and rustc-style drift diffs for
-//!   the `grail-watchdog` regression gate.
+//!   the EXT-WATCH regression gate (`crates/bench/tests/table.rs`).
 //! * [`text`] — the JSON string escaping every hand-rolled exporter in
 //!   the workspace shares.
 

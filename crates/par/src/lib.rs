@@ -73,8 +73,10 @@ impl Runner {
     ///
     /// With neither flag present this defaults to
     /// [`Runner::available`]. `--sequential` wins if both appear, so a
-    /// trailing `--sequential` can always pin down a CI baseline.
-    pub fn from_cli_args(args: &mut Vec<String>) -> Self {
+    /// trailing `--sequential` can always pin down a CI baseline. A
+    /// `--threads` without a positive integer after it is an `Err`
+    /// naming the problem, for the caller's usage message.
+    pub fn from_cli_args(args: &mut Vec<String>) -> Result<Self, String> {
         let mut threads: Option<usize> = None;
         let mut sequential = false;
         let mut kept = Vec::with_capacity(args.len());
@@ -83,27 +85,26 @@ impl Runner {
             match a.as_str() {
                 "--sequential" => sequential = true,
                 "--threads" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| panic!("--threads requires a value"));
-                    let n: usize = v.parse().unwrap_or_else(|_| {
-                        panic!("--threads expects a positive integer, got {v:?}")
-                    });
-                    assert!(n >= 1, "--threads expects a positive integer, got 0");
-                    threads = Some(n);
+                    let v = it.next().ok_or("--threads requires a value")?;
+                    match v.parse::<usize>() {
+                        Ok(n) if n >= 1 => threads = Some(n),
+                        _ => {
+                            return Err(format!("--threads expects a positive integer, got `{v}`"))
+                        }
+                    }
                 }
                 _ => kept.push(a),
             }
         }
         drop(it);
         *args = kept;
-        if sequential {
+        Ok(if sequential {
             Runner::sequential()
         } else if let Some(n) = threads {
             Runner::with_threads(n)
         } else {
             Runner::available()
-        }
+        })
     }
 
     /// Worker thread count this runner fans across.
@@ -274,7 +275,7 @@ mod tests {
     #[test]
     fn cli_sequential_flag() {
         let mut a = args(&["--sequential", "--out", "x.json"]);
-        let r = Runner::from_cli_args(&mut a);
+        let r = Runner::from_cli_args(&mut a).unwrap();
         assert!(r.is_sequential());
         assert_eq!(a, args(&["--out", "x.json"]));
     }
@@ -282,7 +283,7 @@ mod tests {
     #[test]
     fn cli_threads_flag() {
         let mut a = args(&["--threads", "6"]);
-        let r = Runner::from_cli_args(&mut a);
+        let r = Runner::from_cli_args(&mut a).unwrap();
         assert_eq!(r.threads(), 6);
         assert!(a.is_empty());
     }
@@ -290,29 +291,34 @@ mod tests {
     #[test]
     fn cli_sequential_beats_threads() {
         let mut a = args(&["--threads", "6", "--sequential"]);
-        assert!(Runner::from_cli_args(&mut a).is_sequential());
+        assert!(Runner::from_cli_args(&mut a).unwrap().is_sequential());
     }
 
     #[test]
     fn cli_default_uses_machine() {
         let mut a = args(&["positional"]);
-        let r = Runner::from_cli_args(&mut a);
+        let r = Runner::from_cli_args(&mut a).unwrap();
         assert_eq!(r, Runner::available());
         assert_eq!(a, args(&["positional"]));
     }
 
     #[test]
-    #[should_panic(expected = "--threads requires a value")]
     fn cli_threads_missing_value() {
-        let mut a = args(&["--threads"]);
-        Runner::from_cli_args(&mut a);
+        let mut a = args(&["run", "--threads"]);
+        let err = Runner::from_cli_args(&mut a).unwrap_err();
+        assert_eq!(err, "--threads requires a value");
     }
 
     #[test]
-    #[should_panic(expected = "positive integer")]
     fn cli_threads_zero_rejected() {
-        let mut a = args(&["--threads", "0"]);
-        Runner::from_cli_args(&mut a);
+        for bad in ["0", "many", "-1"] {
+            let mut a = args(&["--threads", bad]);
+            let err = Runner::from_cli_args(&mut a).unwrap_err();
+            assert_eq!(
+                err,
+                format!("--threads expects a positive integer, got `{bad}`")
+            );
+        }
     }
 
     #[test]

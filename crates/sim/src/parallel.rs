@@ -27,10 +27,9 @@
 //! trace events (stable sort by timestamp keeps cell order on ties),
 //! metrics registries, attribution rows, fault counters. Nothing that
 //! depends on the shard count — not even the count itself — enters any
-//! merged artifact, so `--shards 1`, `2`, and `8` produce the same
-//! bytes. The root `par_sim_determinism` test and the CI byte-diff
-//! enforce exactly that on serialized ledgers, JSONL traces, and
-//! Prometheus scrapes.
+//! merged artifact, so 1, 2, and 8 shards produce the same bytes. The
+//! root `par_sim_determinism` test enforces exactly that on serialized
+//! ledgers, JSONL traces, and Prometheus scrapes.
 //!
 //! ## Why conservative (and not optimistic)
 //!

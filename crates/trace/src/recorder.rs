@@ -63,7 +63,7 @@ impl Recorder {
     /// A recorder that retains no events and filters every category —
     /// the cheapest live tracer: `emit` closures are never invoked,
     /// only `count`/`observe`/`gauge`/`rate` touch the registry. Used
-    /// by metrics-only runs (the watchdog, the overhead bench).
+    /// by metrics-only runs (EXT-WATCH, `grail-perf`'s overhead probe).
     pub fn metrics_only() -> Self {
         Recorder::with_categories(0, 0)
     }

@@ -3,7 +3,7 @@
 //! the simulated run — identical across repeated runs and across any
 //! `grail_par` worker-thread count.
 //!
-//! The fleet sweep is the same shape the `grail-watchdog` binary
+//! The fleet sweep is the same shape experiment row EXT-WATCH
 //! executes: each sweep point runs the reference storm with a
 //! metrics-only recorder and an hourly scrape clock, then renders every
 //! observable surface (snapshot series with bit-exact gauges, the
