@@ -4,12 +4,13 @@
 //! The paper's energy claims only hold if every joule is conserved
 //! across concurrent machinery. Byte-identity tests sample schedules;
 //! this crate *proves* small instances by exhausting them: a protocol
-//! is an explicit transition system (the [`Model`] trait), and the
-//! [`Checker`] walks every reachable interleaving with a depth-first
-//! search over FNV-fingerprinted states, a sleep-set partial-order
-//! reduction, and a configurable state/depth [`Budget`]. On violation
-//! it re-searches breadth-first for the *shortest* counterexample and
-//! emits the action trace as JSONL plus a rustc-style diagnostic.
+//! is an explicit transition system (the [`Model`] trait), and
+//! [`check`] walks every reachable interleaving once, breadth-first
+//! over the full transition relation, deduplicating on exact state
+//! encodings under a configurable state [`Budget`]. Obligations are
+//! checked in depth order, so the first violation met already has the
+//! *shortest* counterexample; its action trace is emitted as JSONL plus
+//! a rustc-style diagnostic.
 //!
 //! Three production protocols ship as models (see [`models`]), each
 //! extracted so the model drives the *real* transition code — the
@@ -20,10 +21,10 @@
 //! types it covers; grail-lint's `model-coverage` rule walks those
 //! declarations so a new protocol state machine cannot land unchecked.
 //!
-//! Everything here is deterministic: no wall clock, no hashing with
-//! random seeds (FNV-1a with exact collision buckets), `BTreeMap` only,
-//! and the engine never spawns threads — fan-out across models goes
-//! through `grail_par::Runner` exactly like the rest of the workspace.
+//! Everything here is deterministic: no wall clock, no hashing,
+//! `BTreeMap` only, and the engine never spawns threads — fan-out
+//! across models goes through `grail_par::Runner` exactly like the rest
+//! of the workspace.
 //!
 //! [`EnergyLedger`]: grail_power::EnergyLedger
 
@@ -43,13 +44,9 @@ pub mod registry;
 ///
 /// States must be finite in practice (the checker interns every one);
 /// keep instances small — the point is exhausting a representative
-/// instance, not simulating a large one. Two contracts matter:
-///
-/// * [`encode`](Model::encode) must be injective: states that encode to
-///   the same bytes are treated as identical.
-/// * [`describe_action`](Model::describe_action) must be injective over
-///   the actions enabled in any single state: the sleep-set bookkeeping
-///   keys actions by their description.
+/// instance, not simulating a large one. One contract matters:
+/// [`encode`](Model::encode) must be injective — states that encode to
+/// the same bytes are treated as identical.
 pub trait Model {
     /// A reachable configuration of the protocol.
     type State: Clone;
@@ -71,18 +68,12 @@ pub trait Model {
     fn terminal(&self, _s: &Self::State) -> Result<(), String> {
         Ok(())
     }
-    /// Serialize `s` injectively for fingerprinting and deduplication.
+    /// Serialize `s` injectively for deduplication.
     fn encode(&self, s: &Self::State, out: &mut Vec<u8>);
-    /// Human-readable action label (injective within one state).
+    /// Human-readable action label for counterexample traces.
     fn describe_action(&self, a: &Self::Action) -> String;
     /// Human-readable state summary for counterexample traces.
     fn describe_state(&self, s: &Self::State) -> String;
-    /// May `a` and `b` commute (same final state either order, and
-    /// neither enables/disables the other)? Used by the sleep-set
-    /// reduction; `false` is always sound.
-    fn independent(&self, _a: &Self::Action, _b: &Self::Action) -> bool {
-        false
-    }
     /// Goal predicate for the reachability obligation: return
     /// `Some(is_goal)` to require that a goal state stays reachable
     /// from *every* reachable state, `None` for no obligation.
@@ -102,8 +93,6 @@ pub trait Model {
 pub struct Budget {
     /// Maximum distinct states interned before giving up.
     pub max_states: usize,
-    /// Maximum DFS depth (trace length) before giving up.
-    pub max_depth: usize,
 }
 
 /// The committed CI budget: every shipped model must exhaust its state
@@ -111,7 +100,6 @@ pub struct Budget {
 /// job).
 pub const CI_BUDGET: Budget = Budget {
     max_states: 1 << 18,
-    max_depth: 4096,
 };
 
 impl Default for Budget {
@@ -125,11 +113,9 @@ impl Default for Budget {
 pub struct Stats {
     /// Distinct states interned.
     pub states: usize,
-    /// Transitions executed.
+    /// Transitions executed: one [`Model::step`] per (expanded state,
+    /// enabled action).
     pub transitions: usize,
-    /// Transitions skipped by the sleep-set reduction or the visited
-    /// set.
-    pub pruned: usize,
 }
 
 /// What kind of obligation a counterexample refutes.
@@ -162,9 +148,9 @@ pub struct TraceStep {
     pub state: String,
 }
 
-/// A minimized counterexample: the shortest action sequence from the
-/// initial state to a violating state (breadth-first over the full,
-/// unreduced transition relation, so no shorter trace exists).
+/// A minimal counterexample: the shortest action sequence from the
+/// initial state to a violating state (breadth-first over the full
+/// transition relation, so no shorter trace exists).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counterexample {
     /// Which obligation failed.
@@ -173,7 +159,7 @@ pub struct Counterexample {
     pub message: String,
     /// The initial state, rendered.
     pub initial: String,
-    /// The minimized trace.
+    /// The minimal trace.
     pub steps: Vec<TraceStep>,
 }
 
@@ -203,440 +189,147 @@ impl Outcome {
 }
 
 // ---------------------------------------------------------------------------
-// FNV fingerprinting with exact collision buckets
+// The walk
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over the encoded state. 64-bit fingerprints index the store;
-/// full encodings disambiguate colliding fingerprints, so deduplication
-/// is exact, not probabilistic.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Interned state store: fingerprint buckets over exact encodings.
-#[derive(Default)]
-struct Store {
-    buckets: BTreeMap<u64, Vec<usize>>,
-    encodings: Vec<Vec<u8>>,
-}
-
-impl Store {
-    /// Intern `enc`, returning `(id, freshly_inserted)`.
-    fn intern(&mut self, enc: &[u8]) -> (usize, bool) {
-        let h = fnv1a(enc);
-        let bucket = self.buckets.entry(h).or_default();
-        for &id in bucket.iter() {
-            if self.encodings[id] == enc {
-                return (id, false);
-            }
-        }
-        let id = self.encodings.len();
-        self.encodings.push(enc.to_vec());
-        bucket.push(id);
-        (id, true)
-    }
-
-    fn len(&self) -> usize {
-        self.encodings.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checker
-// ---------------------------------------------------------------------------
-
-/// The exhaustive explorer.
-#[derive(Debug, Clone, Copy)]
-pub struct Checker {
-    /// The exploration budget.
-    pub budget: Budget,
-}
-
-/// One DFS frame: a state, its enabled actions, and the sleep set in
-/// force when it was entered. `sleep` grows as earlier siblings finish.
-struct Frame<S, A> {
+/// One interned state and how the walk reached it.
+struct Node<S, A> {
     state: S,
-    enabled: Vec<A>,
-    /// Action keys (description hashes) currently asleep.
-    sleep: Vec<u64>,
-    /// Enabled actions paired with their keys, parallel to `enabled`.
-    keys: Vec<u64>,
-    next: usize,
+    /// `(predecessor, action taken)` of the first edge in; `None` for
+    /// the initial state.
+    parent: Option<(usize, A)>,
+    /// Every predecessor, one entry per edge in; recorded only for
+    /// models with a goal.
+    preds: Vec<usize>,
 }
 
-impl Checker {
-    /// A checker with the given budget.
-    pub fn new(budget: Budget) -> Self {
-        Checker { budget }
-    }
+/// Exhaustively explore `model` under `budget` and check every
+/// obligation, in one breadth-first walk of the full transition
+/// relation.
+///
+/// States are deduplicated on their exact encoding and numbered in
+/// discovery order, which is depth order. `invariant` and `terminal`
+/// are checked as each state is dequeued, so the first violation met
+/// is a shallowest one and its parent chain is a shortest trace. A
+/// violating state is never expanded. [`Model::step`] runs exactly once
+/// per (reachable state, enabled action). Models with a [`Model::goal`]
+/// have their predecessor edges recorded in the same walk and get a
+/// reverse reachability sweep at the end.
+pub fn check<M: Model>(model: &M, budget: Budget) -> Outcome {
+    let mut stats = Stats {
+        states: 1,
+        transitions: 0,
+    };
+    let init = model.initial();
+    let has_goal = model.goal(&init).is_some();
 
-    /// Exhaustively explore `model` and check every obligation.
-    ///
-    /// The main walk is a DFS with a sleep-set partial-order reduction:
-    /// after exploring action `a` from state `s`, every later sibling's
-    /// subtree puts `a` to sleep as long as it stays independent of the
-    /// actions taken — orderings that provably commute are pruned. The
-    /// reduction prunes *transitions*, never states (re-visiting a
-    /// state with a weaker sleep set re-explores it), so every
-    /// reachable state is still checked. On violation the engine
-    /// switches to an unreduced breadth-first search for the shortest
-    /// counterexample; models with a [`Model::goal`] get a final
-    /// co-reachability pass over the full transition graph.
-    pub fn check<M: Model>(&self, model: &M) -> Outcome {
-        let mut stats = Stats::default();
-        let mut store = Store::default();
-        // Minimal sleep signature each interned state was explored
-        // with: a revisit prunes only if its sleep set covers this one.
-        let mut explored_sleep: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+    let mut enc = Vec::new();
+    model.encode(&init, &mut enc);
+    let mut ids: BTreeMap<Vec<u8>, usize> = BTreeMap::from([(enc.clone(), 0)]);
+    let mut nodes = vec![Node {
+        state: init,
+        parent: None,
+        preds: Vec::new(),
+    }];
+    let mut goals: Vec<usize> = Vec::new();
 
-        let init = model.initial();
-        if let Err(message) = model.invariant(&init) {
-            return Outcome::Violation(
-                stats,
-                Counterexample {
-                    kind: CxKind::Invariant,
-                    message,
-                    initial: model.describe_state(&init),
-                    steps: Vec::new(),
-                },
-            );
-        }
-        let mut enc = Vec::new();
-        model.encode(&init, &mut enc);
-        let (init_id, _) = store.intern(&enc);
-        stats.states = store.len();
-        explored_sleep.insert(init_id, Vec::new());
-
-        let mut stack = vec![self.frame(model, init, Vec::new())];
-        if let Some(err) = Self::check_leaf(model, &stack[0]) {
-            return match self.minimize(model, stats) {
-                Some(cx) => Outcome::Violation(stats, cx),
-                None => Outcome::Violation(stats, err),
-            };
-        }
-
-        while let Some(top) = stack.last_mut() {
-            if top.next >= top.enabled.len() {
-                stack.pop();
-                continue;
-            }
-            let i = top.next;
-            top.next += 1;
-            let key = top.keys[i];
-            if top.sleep.contains(&key) {
-                stats.pruned += 1;
-                continue;
-            }
-            let action = top.enabled[i].clone();
-            // Earlier siblings (and inherited sleepers) stay asleep in
-            // this child only while independent of the action taken.
-            let child_sleep: Vec<u64> = top
-                .sleep
-                .iter()
-                .copied()
-                .chain(top.keys[..i].iter().copied())
-                .filter(|k| {
-                    top.enabled
-                        .iter()
-                        .zip(top.keys.iter())
-                        .find(|(_, kk)| *kk == k)
-                        .is_some_and(|(b, _)| model.independent(&action, b))
-                })
-                .collect();
-            let child = model.step(&top.state, &action);
-            stats.transitions += 1;
-
-            if let Err(message) = model.invariant(&child) {
-                let fallback = Counterexample {
-                    kind: CxKind::Invariant,
-                    message,
-                    initial: model.describe_state(&model.initial()),
-                    steps: vec![TraceStep {
-                        action: model.describe_action(&action),
-                        state: model.describe_state(&child),
-                    }],
-                };
-                return match self.minimize(model, stats) {
-                    Some(cx) => Outcome::Violation(stats, cx),
-                    None => Outcome::Violation(stats, fallback),
-                };
-            }
-
-            enc.clear();
-            model.encode(&child, &mut enc);
-            let (id, fresh) = store.intern(&enc);
-            stats.states = store.len();
-            if stats.states > self.budget.max_states {
-                return Outcome::Budget(
-                    stats,
-                    format!(
-                        "state budget exhausted at {} states",
-                        self.budget.max_states
-                    ),
-                );
-            }
-            let mut sig = child_sleep.clone();
-            sig.sort_unstable();
-            sig.dedup();
-            let explore = if fresh {
-                explored_sleep.insert(id, sig);
-                true
-            } else {
-                match explored_sleep.get_mut(&id) {
-                    Some(prev) if prev.iter().all(|k| sig.contains(k)) => {
-                        // Already explored with a sleep set this visit
-                        // only shrinks further: nothing new to see.
-                        stats.pruned += 1;
-                        false
-                    }
-                    Some(prev) => {
-                        // Weaker sleep set: re-explore, remember the
-                        // intersection as the new floor.
-                        prev.retain(|k| sig.contains(k));
-                        true
-                    }
-                    None => {
-                        explored_sleep.insert(id, sig);
-                        true
-                    }
-                }
-            };
-            if explore {
-                if stack.len() >= self.budget.max_depth {
-                    return Outcome::Budget(
-                        stats,
-                        format!("depth budget exhausted at depth {}", self.budget.max_depth),
-                    );
-                }
-                let frame = self.frame_with(model, child, child_sleep);
-                if let Some(err) = Self::check_leaf(model, &frame) {
-                    return match self.minimize(model, stats) {
-                        Some(cx) => Outcome::Violation(stats, cx),
-                        None => Outcome::Violation(stats, err),
-                    };
-                }
-                stack.push(frame);
-            }
-        }
-
-        if let Some(cx) = self.goal_unreachable(model, stats) {
+    let mut head = 0;
+    while head < nodes.len() {
+        let state = nodes[head].state.clone();
+        if let Err(message) = model.invariant(&state) {
+            let cx = rebuild(model, &nodes, head, CxKind::Invariant, message);
             return Outcome::Violation(stats, cx);
         }
-        Outcome::Pass(stats)
-    }
-
-    fn frame<M: Model>(
-        &self,
-        model: &M,
-        state: M::State,
-        sleep: Vec<u64>,
-    ) -> Frame<M::State, M::Action> {
-        self.frame_with(model, state, sleep)
-    }
-
-    fn frame_with<M: Model>(
-        &self,
-        model: &M,
-        state: M::State,
-        sleep: Vec<u64>,
-    ) -> Frame<M::State, M::Action> {
         let enabled = model.actions(&state);
-        let keys = enabled
-            .iter()
-            .map(|a| fnv1a(model.describe_action(a).as_bytes()))
-            .collect();
-        Frame {
-            state,
-            enabled,
-            sleep,
-            keys,
-            next: 0,
-        }
-    }
-
-    /// Deadlock check for a freshly entered state.
-    fn check_leaf<M: Model>(
-        model: &M,
-        frame: &Frame<M::State, M::Action>,
-    ) -> Option<Counterexample> {
-        if !frame.enabled.is_empty() {
-            return None;
-        }
-        match model.terminal(&frame.state) {
-            Ok(()) => None,
-            Err(message) => Some(Counterexample {
-                kind: CxKind::Deadlock,
-                message,
-                initial: model.describe_state(&model.initial()),
-                steps: vec![TraceStep {
-                    action: "(end of trace)".to_string(),
-                    state: model.describe_state(&frame.state),
-                }],
-            }),
-        }
-    }
-
-    /// Breadth-first search, without reduction, for the shortest trace
-    /// to any violating state. Called only after the DFS found *a*
-    /// violation, so a violating state is reachable; `None` only if the
-    /// budget somehow cannot cover the re-search.
-    fn minimize<M: Model>(&self, model: &M, _stats: Stats) -> Option<Counterexample> {
-        let mut store = Store::default();
-        let mut states: Vec<M::State> = Vec::new();
-        let mut parent: Vec<Option<(usize, String)>> = Vec::new();
-        let mut enc = Vec::new();
-
-        let init = model.initial();
-        model.encode(&init, &mut enc);
-        store.intern(&enc);
-        states.push(init);
-        parent.push(None);
-
-        let mut head = 0;
-        while head < states.len() {
-            let state = states[head].clone();
-            if let Err(message) = model.invariant(&state) {
-                return Some(self.rebuild(
-                    model,
-                    &states,
-                    &parent,
-                    head,
-                    CxKind::Invariant,
-                    message,
-                ));
+        if enabled.is_empty() {
+            if let Err(message) = model.terminal(&state) {
+                let cx = rebuild(model, &nodes, head, CxKind::Deadlock, message);
+                return Outcome::Violation(stats, cx);
             }
-            let enabled = model.actions(&state);
-            if enabled.is_empty() {
-                if let Err(message) = model.terminal(&state) {
-                    return Some(self.rebuild(
-                        model,
-                        &states,
-                        &parent,
-                        head,
-                        CxKind::Deadlock,
-                        message,
-                    ));
-                }
-            }
-            for action in enabled {
-                let child = model.step(&state, &action);
-                enc.clear();
-                model.encode(&child, &mut enc);
-                let (id, fresh) = store.intern(&enc);
-                if fresh {
-                    if store.len() > self.budget.max_states.saturating_mul(2) {
-                        return None;
+        }
+        if model.goal(&state) == Some(true) {
+            goals.push(head);
+        }
+        for action in enabled {
+            let child = model.step(&state, &action);
+            stats.transitions += 1;
+            enc.clear();
+            model.encode(&child, &mut enc);
+            let id = match ids.get(&enc) {
+                Some(&id) => id,
+                None => {
+                    let id = nodes.len();
+                    ids.insert(enc.clone(), id);
+                    nodes.push(Node {
+                        state: child,
+                        parent: Some((head, action)),
+                        preds: Vec::new(),
+                    });
+                    stats.states = nodes.len();
+                    if stats.states > budget.max_states {
+                        return Outcome::Budget(
+                            stats,
+                            format!("state budget exhausted at {} states", budget.max_states),
+                        );
                     }
-                    debug_assert_eq!(id, states.len());
-                    states.push(child);
-                    parent.push(Some((head, model.describe_action(&action))));
+                    id
                 }
+            };
+            if has_goal {
+                nodes[id].preds.push(head);
             }
-            head += 1;
         }
-        None
+        head += 1;
     }
 
-    /// Reconstruct the action trace from the BFS parent links.
-    fn rebuild<M: Model>(
-        &self,
-        model: &M,
-        states: &[M::State],
-        parent: &[Option<(usize, String)>],
-        mut at: usize,
-        kind: CxKind,
-        message: String,
-    ) -> Counterexample {
-        let mut rev: Vec<TraceStep> = Vec::new();
-        while let Some((prev, action)) = &parent[at] {
-            rev.push(TraceStep {
-                action: action.clone(),
-                state: model.describe_state(&states[at]),
-            });
-            at = *prev;
-        }
-        rev.reverse();
-        Counterexample {
-            kind,
-            message,
-            initial: model.describe_state(&model.initial()),
-            steps: rev,
-        }
-    }
-
-    /// Co-reachability pass for models with a goal: every reachable
-    /// state must still be able to reach a goal state. Runs over the
-    /// full (unreduced) transition graph; the counterexample is the
-    /// shortest path to the shallowest stuck state.
-    fn goal_unreachable<M: Model>(&self, model: &M, _stats: Stats) -> Option<Counterexample> {
-        let init = model.initial();
-        model.goal(&init)?;
-
-        let mut store = Store::default();
-        let mut states: Vec<M::State> = Vec::new();
-        let mut parent: Vec<Option<(usize, String)>> = Vec::new();
-        let mut preds: Vec<Vec<usize>> = Vec::new();
-        let mut goals: Vec<usize> = Vec::new();
-        let mut enc = Vec::new();
-
-        model.encode(&init, &mut enc);
-        store.intern(&enc);
-        states.push(init);
-        parent.push(None);
-        preds.push(Vec::new());
-
-        let mut head = 0;
-        while head < states.len() {
-            let state = states[head].clone();
-            if model.goal(&state) == Some(true) {
-                goals.push(head);
-            }
-            for action in model.actions(&state) {
-                let child = model.step(&state, &action);
-                enc.clear();
-                model.encode(&child, &mut enc);
-                let (id, fresh) = store.intern(&enc);
-                if fresh {
-                    debug_assert_eq!(id, states.len());
-                    states.push(child);
-                    parent.push(Some((head, model.describe_action(&action))));
-                    preds.push(Vec::new());
-                }
-                preds[id].push(head);
-            }
-            head += 1;
-        }
-
+    if has_goal {
         // Reverse reachability from the goal set.
-        let mut co = vec![false; states.len()];
-        let mut queue: Vec<usize> = goals;
-        for &g in &queue {
+        let mut co = vec![false; nodes.len()];
+        for &g in &goals {
             co[g] = true;
         }
-        while let Some(s) = queue.pop() {
-            for &p in &preds[s] {
+        while let Some(s) = goals.pop() {
+            for &p in &nodes[s].preds {
                 if !co[p] {
                     co[p] = true;
-                    queue.push(p);
+                    goals.push(p);
                 }
             }
         }
-        // BFS order == `states` order, so the first stuck state is the
-        // shallowest one: its parent chain is a shortest path.
-        let stuck = co.iter().position(|ok| !ok)?;
-        Some(self.rebuild(
-            model,
-            &states,
-            &parent,
-            stuck,
-            CxKind::GoalUnreachable,
-            "no goal (settlement) state is reachable from here".to_string(),
-        ))
+        // Discovery order is depth order, so the first stuck state is
+        // a shallowest one.
+        if let Some(stuck) = co.iter().position(|ok| !ok) {
+            let message = "no goal state is reachable from here".to_string();
+            let cx = rebuild(model, &nodes, stuck, CxKind::GoalUnreachable, message);
+            return Outcome::Violation(stats, cx);
+        }
+    }
+    Outcome::Pass(stats)
+}
+
+/// The trace from the initial state to `nodes[at]`, read off the
+/// parent links.
+fn rebuild<M: Model>(
+    model: &M,
+    nodes: &[Node<M::State, M::Action>],
+    mut at: usize,
+    kind: CxKind,
+    message: String,
+) -> Counterexample {
+    let mut steps: Vec<TraceStep> = Vec::new();
+    while let Some((prev, action)) = &nodes[at].parent {
+        steps.push(TraceStep {
+            action: model.describe_action(action),
+            state: model.describe_state(&nodes[at].state),
+        });
+        at = *prev;
+    }
+    steps.reverse();
+    Counterexample {
+        kind,
+        message,
+        initial: model.describe_state(&nodes[at].state),
+        steps,
     }
 }
 
@@ -686,7 +379,7 @@ pub fn to_diagnostic(model: &str, cx: &Counterexample, stats: Stats) -> String {
         out.push_str(&format!("   |        => {}\n", step.state));
     }
     out.push_str(&format!(
-        "   = note: {} states, {} transitions explored before minimization\n",
+        "   = note: {} states, {} transitions explored\n",
         stats.states, stats.transitions
     ));
     out
@@ -711,7 +404,7 @@ pub struct Report {
 
 /// Check `model` under `budget` and package the outcome as a [`Report`].
 pub fn run_model<M: Model>(model: &M, budget: Budget) -> Report {
-    let outcome = Checker::new(budget).check(model);
+    let outcome = check(model, budget);
     let name = model.name();
     let stats = outcome.stats();
     match outcome {
@@ -719,8 +412,8 @@ pub fn run_model<M: Model>(model: &M, budget: Budget) -> Report {
             model: name,
             passed: true,
             line: format!(
-                "pass: {} states, {} transitions, {} pruned (fixpoint within budget)",
-                s.states, s.transitions, s.pruned
+                "pass: {} states, {} transitions (fixpoint within budget)",
+                s.states, s.transitions
             ),
             jsonl: None,
             diagnostic: None,
@@ -748,7 +441,7 @@ pub fn run_model<M: Model>(model: &M, budget: Budget) -> Report {
             jsonl: None,
             diagnostic: Some(format!(
                 "error[model-check]: model `{name}` exceeded its budget: {what}\n\
-                 \x20 = note: raise --max-states/--max-depth or shrink the model instance\n"
+                 \x20 = note: raise --max-states or shrink the model instance\n"
             )),
         },
     }
@@ -812,22 +505,25 @@ mod tests {
             ceiling: 10,
             broken: false,
         };
-        let out = Checker::new(Budget::default()).check(&m);
+        let out = check(&m, Budget::default());
         assert!(out.passed(), "{out:?}");
         // States 0..=11 are reachable (10+2 overshoot allowed by +2).
         assert_eq!(out.stats().states, 12);
+        let enabled: usize = (0..=11).map(|s| m.actions(&s).len()).sum();
+        assert_eq!(out.stats().transitions, enabled);
+        assert_eq!(enabled, 20);
     }
 
     #[test]
     fn broken_counter_yields_shortest_trace() {
         // ceiling 4: state 5 is reachable (3+2) and violates. Shortest
         // path to 5 is +2,+2,+1 or +1,+2,+2 — three steps either way;
-        // BFS explores +1 before +2 at each layer, pinning the bytes.
+        // the walk expands +1 before +2 at each layer, pinning the bytes.
         let m = Counter {
             ceiling: 4,
             broken: true,
         };
-        match Checker::new(Budget::default()).check(&m) {
+        match check(&m, Budget::default()) {
             Outcome::Violation(_, cx) => {
                 assert_eq!(cx.kind, CxKind::Invariant);
                 assert_eq!(cx.steps.len(), 3, "{cx:?}");
@@ -842,11 +538,7 @@ mod tests {
             ceiling: 1000,
             broken: false,
         };
-        let out = Checker::new(Budget {
-            max_states: 16,
-            max_depth: 4096,
-        })
-        .check(&m);
+        let out = check(&m, Budget { max_states: 16 });
         assert!(matches!(out, Outcome::Budget(_, _)), "{out:?}");
     }
 
@@ -871,54 +563,140 @@ mod tests {
         assert!(d.contains("minimized trace, 1 step(s)"));
     }
 
-    /// Two independent writers to disjoint slots: sleep sets must prune
-    /// one of the two interleavings' transitions.
-    struct TwoSlots;
+    /// A hand-drawn graph over small integers, for the obligations no
+    /// shipped model can show failing: edges in expansion order, one
+    /// optional invariant-breaking state, the states allowed to be
+    /// final, one optional goal state.
+    struct Graph {
+        edges: Vec<(u8, u8)>,
+        bad: Option<u8>,
+        finals: &'static [u8],
+        goal: Option<u8>,
+    }
 
-    impl Model for TwoSlots {
-        type State = [bool; 2];
-        type Action = usize;
+    impl Model for Graph {
+        type State = u8;
+        type Action = u8;
         fn name(&self) -> &'static str {
-            "two-slots"
+            "graph"
         }
-        fn initial(&self) -> [bool; 2] {
-            [false; 2]
+        fn initial(&self) -> u8 {
+            0
         }
-        fn actions(&self, s: &[bool; 2]) -> Vec<usize> {
-            (0..2).filter(|&i| !s[i]).collect()
+        fn actions(&self, s: &u8) -> Vec<u8> {
+            let out = self.edges.iter().filter(|(from, _)| from == s);
+            out.map(|&(_, to)| to).collect()
         }
-        fn step(&self, s: &[bool; 2], a: &usize) -> [bool; 2] {
-            let mut t = *s;
-            t[*a] = true;
-            t
+        fn step(&self, _s: &u8, a: &u8) -> u8 {
+            *a
         }
-        fn invariant(&self, _s: &[bool; 2]) -> Result<(), String> {
-            Ok(())
+        fn invariant(&self, s: &u8) -> Result<(), String> {
+            match self.bad {
+                Some(bad) if bad == *s => Err(format!("state {s} is bad")),
+                _ => Ok(()),
+            }
         }
-        fn encode(&self, s: &[bool; 2], out: &mut Vec<u8>) {
-            out.push(s[0] as u8);
-            out.push(s[1] as u8);
+        fn terminal(&self, s: &u8) -> Result<(), String> {
+            if self.finals.contains(s) {
+                Ok(())
+            } else {
+                Err(format!("stopped at {s}"))
+            }
         }
-        fn describe_action(&self, a: &usize) -> String {
-            format!("set{a}")
+        fn encode(&self, s: &u8, out: &mut Vec<u8>) {
+            out.push(*s);
         }
-        fn describe_state(&self, s: &[bool; 2]) -> String {
-            format!("{s:?}")
+        fn describe_action(&self, a: &u8) -> String {
+            format!("go {a}")
         }
-        fn independent(&self, _a: &usize, _b: &usize) -> bool {
-            true
+        fn describe_state(&self, s: &u8) -> String {
+            format!("at {s}")
+        }
+        fn goal(&self, s: &u8) -> Option<bool> {
+            self.goal.map(|g| g == *s)
         }
     }
 
+    fn violation(g: &Graph) -> Counterexample {
+        match check(g, Budget::default()) {
+            Outcome::Violation(_, cx) => cx,
+            other => panic!("expected violation, got {other:?}"),
+        }
+    }
+
+    fn trace(cx: &Counterexample) -> Vec<&str> {
+        cx.steps.iter().map(|s| s.action.as_str()).collect()
+    }
+
     #[test]
-    fn sleep_sets_prune_commuting_interleavings() {
-        let out = Checker::new(Budget::default()).check(&TwoSlots);
-        assert!(out.passed());
-        let s = out.stats();
-        assert_eq!(s.states, 4, "all states still visited");
-        assert!(
-            s.pruned >= 1,
-            "one of the two orderings must be slept: {s:?}"
-        );
+    fn a_deadlock_is_reported_with_the_shortest_trace() {
+        // 4 has no way out and is not final. The edge order leads a
+        // depth-first walk there in three steps (1, 3, 4); two suffice.
+        let g = Graph {
+            edges: vec![(0, 1), (0, 2), (1, 3), (3, 4), (2, 4)],
+            bad: None,
+            finals: &[],
+            goal: None,
+        };
+        let cx = violation(&g);
+        assert_eq!(cx.kind, CxKind::Deadlock);
+        assert_eq!(cx.message, "stopped at 4");
+        assert_eq!(cx.initial, "at 0");
+        assert_eq!(trace(&cx), ["go 2", "go 4"]);
+        // The same graph with 4 declared final is clean.
+        let ok = Graph { finals: &[4], ..g };
+        assert!(check(&ok, Budget::default()).passed());
+    }
+
+    #[test]
+    fn a_sink_that_cannot_reach_the_goal_is_reported_at_its_shallowest() {
+        // 0 -> 1 -> 2 -> 3 -> 0 keeps the goal (3) reachable; 9 only
+        // loops on itself, so it never deadlocks and never gets back.
+        // 4 can still return to 0, so 9 is the only stuck state.
+        let g = Graph {
+            edges: vec![
+                (0, 1),
+                (0, 4),
+                (1, 2),
+                (1, 9),
+                (2, 3),
+                (3, 0),
+                (4, 0),
+                (4, 9),
+                (9, 9),
+            ],
+            bad: None,
+            finals: &[],
+            goal: Some(3),
+        };
+        let cx = violation(&g);
+        assert_eq!(cx.kind, CxKind::GoalUnreachable);
+        assert_eq!(trace(&cx), ["go 1", "go 9"]);
+        assert_eq!(cx.steps[1].state, "at 9");
+        // Give the sink a way back and the obligation holds.
+        let ok = Graph {
+            edges: [&g.edges[..], &[(9, 0)]].concat(),
+            ..g
+        };
+        assert!(check(&ok, Budget::default()).passed());
+    }
+
+    #[test]
+    fn the_shallowest_violation_wins_whatever_its_kind() {
+        // Invariant breach at depth 3 down the first branch, deadlock
+        // at depth 2 down the second: the deadlock is the report.
+        let g = Graph {
+            edges: vec![(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)],
+            bad: Some(3),
+            finals: &[],
+            goal: None,
+        };
+        let cx = violation(&g);
+        assert_eq!(cx.kind, CxKind::Deadlock);
+        assert_eq!(trace(&cx), ["go 4", "go 5"]);
+        // Without the deadlock the breach is found, at its depth.
+        let cx = violation(&Graph { finals: &[5], ..g });
+        assert_eq!(cx.kind, CxKind::Invariant);
+        assert_eq!(trace(&cx), ["go 1", "go 2", "go 3"]);
     }
 }

@@ -4,7 +4,7 @@
 //! grail-check                      # check every registered model
 //! grail-check --list               # list models and what they cover
 //! grail-check --model NAME        # check one model (incl. the broken control)
-//! grail-check --max-states N --max-depth N
+//! grail-check --max-states N      # state budget (default: the CI budget)
 //! grail-check --out-dir DIR       # write counterexample artifacts
 //! grail-check --threads N | --sequential
 //! ```
@@ -27,8 +27,8 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: grail-check [--list] [--model NAME] [--max-states N] [--max-depth N]\n\
-     \x20                  [--out-dir DIR] [--threads N | --sequential]"
+    "usage: grail-check [--list] [--model NAME] [--max-states N] [--out-dir DIR]\n\
+     \x20                  [--threads N | --sequential]"
 }
 
 fn parse(mut args: Vec<String>) -> Result<Options, String> {
@@ -50,10 +50,6 @@ fn parse(mut args: Vec<String>) -> Result<Options, String> {
             "--max-states" => {
                 let v = it.next().ok_or("--max-states needs a number")?;
                 opts.budget.max_states = v.parse().map_err(|_| format!("bad --max-states {v}"))?;
-            }
-            "--max-depth" => {
-                let v = it.next().ok_or("--max-depth needs a number")?;
-                opts.budget.max_depth = v.parse().map_err(|_| format!("bad --max-depth {v}"))?;
             }
             "--out-dir" => {
                 opts.out_dir = Some(PathBuf::from(it.next().ok_or("--out-dir needs a path")?));
@@ -139,5 +135,35 @@ fn main() -> ExitCode {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_words(words: &[&str]) -> Result<Options, String> {
+        parse(words.iter().map(|w| w.to_string()).collect())
+    }
+
+    #[test]
+    fn bad_command_lines_name_the_problem() {
+        for (words, problem) in [
+            (&["--max-depth", "1"][..], "unknown argument --max-depth"),
+            (
+                &["--model", "x", "--max-states"],
+                "--max-states needs a number",
+            ),
+            (&["--max-states", "many"], "bad --max-states many"),
+            (&["--list", "--model"], "--model needs a name"),
+        ] {
+            match parse_words(words) {
+                Err(msg) => assert_eq!(msg, problem, "{words:?}"),
+                Ok(_) => panic!("{words:?} parsed"),
+            }
+        }
+        let opts = parse_words(&["--model", "x", "--max-states", "8"]).expect("valid");
+        assert_eq!(opts.model.as_deref(), Some("x"));
+        assert_eq!(opts.budget.max_states, 8);
     }
 }

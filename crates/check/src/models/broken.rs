@@ -2,10 +2,10 @@
 //! bound inflation.
 //!
 //! This is the negative control for the whole pipeline. CI runs it in a
-//! must-fail leg: grail-check has to find the breach, minimize it, and
-//! exit non-zero — proving the checker can actually catch the class of
-//! bug the faithful models are certifying the absence of. The tests pin
-//! the minimized trace to its known length and assert the rendered
+//! must-fail leg: grail-check has to find the breach by its shortest
+//! trace and exit non-zero — proving the checker can actually catch the
+//! class of bug the faithful models are certifying the absence of. The
+//! tests pin the trace to its known minimal length and assert the rendered
 //! counterexample is byte-stable across 1/2/8 runner threads.
 //!
 //! The defect is the classic conservative-discipline off-by-one:
@@ -18,7 +18,7 @@
 use super::shard::{ShardModel, ShardScript};
 use grail_par::HorizonProtocol;
 
-/// Number of steps in the minimized counterexample for
+/// Number of steps in the minimal counterexample for
 /// [`broken_shard_model`] — pinned so the byte-stability tests and the
 /// CI must-fail leg can assert the exact trace, not just "some trace".
 pub const BROKEN_TRACE_LEN: usize = 5;

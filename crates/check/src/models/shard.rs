@@ -416,16 +416,4 @@ impl Model for ShardModel {
             s.committed.len()
         )
     }
-
-    fn independent(&self, a: &ShardAction, b: &ShardAction) -> bool {
-        // Publishes by different shards write disjoint slots and read
-        // only their own cursors: they commute and cannot enable or
-        // disable each other. Everything involving an Advance is
-        // dependent — it reads every other shard's slot and live
-        // frontier.
-        match (a, b) {
-            (ShardAction::Publish(i), ShardAction::Publish(j)) => i != j,
-            _ => false,
-        }
-    }
 }
