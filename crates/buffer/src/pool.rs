@@ -328,4 +328,78 @@ mod tests {
         let m = EnergyModel::from_rank(Watts::new(4.0), 1000);
         assert!((m.residency_watts_per_page.get() - 0.004).abs() < 1e-12);
     }
+
+    /// FNV-1a (64-bit) of whatever is written into it.
+    struct Fnv1a(u64);
+
+    impl std::fmt::Write for Fnv1a {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+
+    /// Every [`Access`] (hit, miss and its victim, bypass) and the bits
+    /// of the final [`PoolStats`] of EXT-BUF's trace shape — ChaCha12
+    /// seed 11, rank = u³ × 4096, 512 frames, 5 ms steps, 0.05 J (even
+    /// pages, flash) / 2 J (odd, disk) re-fetch, 0.0005 W residency —
+    /// cut to 20 000 accesses, per policy. The constants were measured
+    /// while `Lru::victim` and `EnergyAware::victim` still scanned the
+    /// whole page map: an index that breaks one tie the other way, or
+    /// picks one different victim, changes them.
+    #[test]
+    fn ext_buf_trace_outcomes_are_pinned() {
+        use rand::{Rng, SeedableRng};
+        use std::fmt::Write;
+        let residency = Watts::new(0.0005);
+        let pinned = [
+            (PolicyKind::Lru, 0x3f9a_6428_f00f_ac8e_u64),
+            (PolicyKind::Clock, 0x7c7b_0023_3c28_e576),
+            (PolicyKind::TwoQ, 0x0bb4_4aa8_80ea_5fef),
+            (
+                PolicyKind::EnergyAware {
+                    residency_watts_per_page: residency,
+                },
+                0x743a_6a9e_641f_bfd5,
+            ),
+        ];
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(11);
+        let trace: Vec<PageId> = (0..20_000)
+            .map(|_| {
+                let u: f64 = rng.random_range(0.0f64..1.0);
+                pid(((u.powf(3.0) * 4096.0) as u32).min(4095))
+            })
+            .collect();
+        let step = |i: usize| SimInstant::EPOCH + SimDuration::from_millis(i as u64 * 5);
+        for (kind, digest) in pinned {
+            let mut pool = BufferPool::new(
+                512,
+                kind,
+                EnergyModel {
+                    residency_watts_per_page: residency,
+                },
+            );
+            let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+            for (i, p) in trace.iter().enumerate() {
+                let refetch = Joules::new(if p.index % 2 == 0 { 0.05 } else { 2.0 });
+                write!(h, "{:?}", pool.access(*p, step(i), refetch)).expect("hashing cannot fail");
+            }
+            let name = pool.policy_name();
+            let s = pool.finish(step(trace.len()));
+            write!(
+                h,
+                "{} {} {} {} {:016x} {:016x}",
+                s.hits,
+                s.misses,
+                s.evictions,
+                s.bypasses,
+                s.residency_energy.joules().to_bits(),
+                s.refetch_energy.joules().to_bits()
+            )
+            .expect("hashing cannot fail");
+            assert_eq!(h.0, digest, "{name}: {:#018x}", h.0);
+        }
+    }
 }
