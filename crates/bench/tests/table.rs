@@ -18,13 +18,15 @@ const REBLESS: &str =
 
 /// Rows cheap enough for a debug `cargo test`, covering a db scan, a
 /// faulted simulation, a closed-form model, a fleet placement, the
+/// four buffer policies over the published 200 k-access trace, the
 /// traced captures and the scraped watchdog scenarios. The whole table
 /// runs in `full_table_*` (`--release -- --ignored`, CI `sweep` job).
-const TIER1_IDS: [&str; 6] = [
+const TIER1_IDS: [&str; 7] = [
     "FIG2",
     "EXT-FAULT",
     "EXT-DVFS",
     "EXT-CLUSTER",
+    "EXT-BUF",
     "EXT-TRACE",
     "EXT-WATCH",
 ];
@@ -101,7 +103,7 @@ fn tier1_rows_are_sane_and_thread_count_invariant() {
 }
 
 #[test]
-#[ignore = "runs all 21 experiments twice; CI's sweep job runs it in release"]
+#[ignore = "runs all 21 experiments twice (tier-1 runs seven); CI's sweep job runs it in release"]
 fn full_table_is_sane_and_thread_count_invariant() {
     check(&EXPERIMENTS.iter().collect::<Vec<_>>());
 }

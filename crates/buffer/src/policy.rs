@@ -10,16 +10,25 @@
 //! ```text
 //! keep_cost(p)  = residency_power × predicted_time_to_reuse(p)
 //! evict_cost(p) = refetch_energy(p)        (paid only if p is reused)
-//! victim        = argmax_p  keep_cost(p) − evict_cost(p)
+//! victim        = argmax_p  (keep_cost(p) − evict_cost(p), page id of p)
 //! ```
+//!
+//! The page id is part of the order, not an afterthought: wastes tie
+//! whenever two pages of one re-fetch cost sit at the same predicted
+//! reuse (every overdue page does), and the largest page id then goes.
 //!
 //! With homogeneous devices this degenerates to recency (≈ LRU); with a
 //! heterogeneous storage hierarchy (flash vs spun-down disk) it deviates
 //! exactly where the paper predicts new policies are needed.
+//!
+//! No policy reads the whole pool to choose a victim: LRU and both 2Q
+//! queues share one recency index, the energy-aware policy keeps
+//! per-re-fetch-cost runs whose order does not depend on the clock
+//! (DESIGN §4.1), and CLOCK advances its hand.
 
 use grail_power::units::{Joules, SimDuration, SimInstant, Watts};
 use grail_storage::page::PageId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Metadata the pool passes to policies on every touch.
 #[derive(Debug, Clone, Copy)]
@@ -80,33 +89,65 @@ impl PolicyKind {
 // LRU
 // ---------------------------------------------------------------------------
 
-/// Least-recently-used via a logical-clock stamp per page.
+/// Pages in the order they were last touched, oldest first, as a
+/// logical-clock stamp per page kept in both directions. The victim
+/// index of LRU and of both 2Q queues (a FIFO is this index never
+/// re-touched).
+#[derive(Debug, Default)]
+struct Recency {
+    stamp: u64,
+    stamp_of: BTreeMap<PageId, u64>,
+    by_stamp: BTreeMap<u64, PageId>,
+}
+
+impl Recency {
+    /// Make `page` the most recent member, adding it if absent.
+    fn touch(&mut self, page: PageId) {
+        self.stamp += 1;
+        if let Some(old) = self.stamp_of.insert(page, self.stamp) {
+            self.by_stamp.remove(&old);
+        }
+        self.by_stamp.insert(self.stamp, page);
+        debug_assert_eq!(self.stamp_of.len(), self.by_stamp.len());
+    }
+
+    /// Drop `page`; false if it was not a member.
+    fn remove(&mut self, page: PageId) -> bool {
+        let stamp = self.stamp_of.remove(&page);
+        if let Some(stamp) = stamp {
+            self.by_stamp.remove(&stamp);
+        }
+        debug_assert_eq!(self.stamp_of.len(), self.by_stamp.len());
+        stamp.is_some()
+    }
+
+    /// The least recently touched page for which `evictable` holds.
+    fn oldest(&self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+        self.by_stamp.values().copied().find(|p| evictable(*p))
+    }
+}
+
+/// Least-recently-used.
 #[derive(Debug, Default)]
 pub struct Lru {
-    stamp: u64,
-    last_used: BTreeMap<PageId, u64>,
+    recency: Recency,
 }
 
 impl ReplacementPolicy for Lru {
     fn on_hit(&mut self, t: Touch) {
-        self.stamp += 1;
-        self.last_used.insert(t.page, self.stamp);
+        self.recency.touch(t.page);
     }
 
     fn on_insert(&mut self, t: Touch) {
-        self.on_hit(t);
+        self.recency.touch(t.page);
     }
 
     fn on_remove(&mut self, page: PageId) {
-        self.last_used.remove(&page);
+        self.recency.remove(page);
     }
 
     fn victim(&mut self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        self.last_used
-            .iter()
-            .filter(|(p, _)| evictable(**p))
-            .min_by_key(|(p, s)| (**s, **p))
-            .map(|(p, _)| *p)
+        self.recency.oldest(evictable)
     }
 
     fn name(&self) -> &'static str {
@@ -185,39 +226,30 @@ impl ReplacementPolicy for Clock {
 /// to the protected LRU. Victims come from probation first.
 #[derive(Debug, Default)]
 pub struct TwoQ {
-    probation: VecDeque<PageId>,
-    protected: Lru,
-    in_probation: BTreeSet<PageId>,
+    probation: Recency,
+    protected: Recency,
 }
 
 impl ReplacementPolicy for TwoQ {
     fn on_hit(&mut self, t: Touch) {
-        if self.in_probation.remove(&t.page) {
-            self.probation.retain(|p| *p != t.page);
-            self.protected.on_insert(t);
-        } else {
-            self.protected.on_hit(t);
-        }
+        self.probation.remove(t.page);
+        self.protected.touch(t.page);
     }
 
     fn on_insert(&mut self, t: Touch) {
-        self.probation.push_back(t.page);
-        self.in_probation.insert(t.page);
+        self.probation.touch(t.page);
     }
 
     fn on_remove(&mut self, page: PageId) {
-        if self.in_probation.remove(&page) {
-            self.probation.retain(|p| *p != page);
-        } else {
-            self.protected.on_remove(page);
+        if !self.probation.remove(page) {
+            self.protected.remove(page);
         }
     }
 
     fn victim(&mut self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        if let Some(p) = self.probation.iter().find(|p| evictable(**p)) {
-            return Some(*p);
-        }
-        self.protected.victim(evictable)
+        self.probation
+            .oldest(evictable)
+            .or_else(|| self.protected.oldest(evictable))
     }
 
     fn name(&self) -> &'static str {
@@ -237,11 +269,44 @@ struct PageEnergyState {
     refetch: Joules,
 }
 
+impl PageEnergyState {
+    /// When the predicted reuse falls due, `last_access + gap_ema` in
+    /// nanoseconds (wide: two `u64`s are added); `None` with no gap yet.
+    fn deadline(&self) -> Option<u128> {
+        let gap = self.gap_ema?;
+        Some(u128::from(self.last_access.as_nanos()) + u128::from(gap.as_nanos()))
+    }
+}
+
+/// The pages of one re-fetch energy. Their wastes differ only through
+/// the predicted reuse, so each run below lists its pages by falling
+/// waste whatever the clock reads.
+#[derive(Debug, Default)]
+struct Runs {
+    /// Never re-accessed: predicted reuse grows with idle time, at one
+    /// slope for all, so the oldest `last_access` leads.
+    idle: BTreeSet<(SimInstant, PageId)>,
+    /// Gap known and the deadline ahead: predicted reuse shrinks as it
+    /// nears, at one slope for all, so the *last* entry leads.
+    due: BTreeSet<(u128, PageId)>,
+    /// Deadline passed: predicted reuse rests at its 1 ms floor, every
+    /// waste ties, the largest page id leads.
+    overdue: BTreeSet<PageId>,
+}
+
+impl Runs {
+    fn len(&self) -> usize {
+        self.idle.len() + self.due.len() + self.overdue.len()
+    }
+}
+
 /// The energy-cost replacement policy (module docs).
 #[derive(Debug)]
 pub struct EnergyAware {
     residency: Watts,
     pages: BTreeMap<PageId, PageEnergyState>,
+    /// Every page of `pages`, in the runs of its re-fetch energy's bits.
+    groups: BTreeMap<u64, Runs>,
     now: SimInstant,
 }
 
@@ -251,6 +316,7 @@ impl EnergyAware {
         EnergyAware {
             residency,
             pages: BTreeMap::new(),
+            groups: BTreeMap::new(),
             now: SimInstant::EPOCH,
         }
     }
@@ -277,53 +343,115 @@ impl EnergyAware {
         let keep = (self.residency * self.predicted_reuse(s)).joules();
         keep - s.refetch.joules()
     }
+
+    /// Track `t.page` as touched at `t.now` with `gap_ema`; it must not
+    /// be tracked already.
+    fn admit(&mut self, t: Touch, gap_ema: Option<SimDuration>) {
+        self.now = self.now.max(t.now);
+        let s = PageEnergyState {
+            last_access: t.now,
+            gap_ema,
+            refetch: t.refetch,
+        };
+        let runs = self.groups.entry(s.refetch.joules().to_bits()).or_default();
+        match s.deadline() {
+            Some(deadline) => runs.due.insert((deadline, t.page)),
+            None => runs.idle.insert((s.last_access, t.page)),
+        };
+        self.pages.insert(t.page, s);
+        self.debug_check();
+    }
+
+    /// Stop tracking `page`, returning what was known of it.
+    fn forget(&mut self, page: PageId) -> Option<PageEnergyState> {
+        let s = self.pages.remove(&page)?;
+        let bits = s.refetch.joules().to_bits();
+        let runs = self.groups.get_mut(&bits).expect("page has a group");
+        let found = match s.deadline() {
+            Some(deadline) => runs.due.remove(&(deadline, page)) || runs.overdue.remove(&page),
+            None => runs.idle.remove(&(s.last_access, page)),
+        };
+        debug_assert!(found, "{page:?} is in no run");
+        if runs.len() == 0 {
+            self.groups.remove(&bits);
+        }
+        self.debug_check();
+        Some(s)
+    }
+
+    fn debug_check(&self) {
+        debug_assert_eq!(
+            self.pages.len(),
+            self.groups.values().map(Runs::len).sum::<usize>(),
+            "index and page map disagree"
+        );
+    }
+
+    /// Raise `best` to the `(waste, page id)` maximum of one run. `run`
+    /// lists evictable pages by falling predicted reuse, and `u64 → f64`,
+    /// `÷ 1e9`, `× residency`, `− refetch` are each monotone, so the
+    /// wastes fall too, though not strictly: the maximum is the first
+    /// page or a later one whose waste rounds to the same `f64` and whose
+    /// id is larger. The walk ends at the first waste below the head's.
+    fn offer(&self, run: impl Iterator<Item = PageId>, best: &mut Option<(f64, PageId)>) {
+        let mut head = None;
+        for page in run {
+            let waste = self.waste_if_kept(&self.pages[&page]);
+            if *head.get_or_insert(waste) > waste {
+                break;
+            }
+            let loses_to = |(w, p): (f64, PageId)| {
+                let by_waste = waste.partial_cmp(&w).expect("finite costs");
+                by_waste.then_with(|| page.cmp(&p)).is_lt()
+            };
+            if !best.is_some_and(loses_to) {
+                *best = Some((waste, page));
+            }
+        }
+    }
 }
 
 impl ReplacementPolicy for EnergyAware {
     fn on_hit(&mut self, t: Touch) {
-        self.now = self.now.max(t.now);
-        let entry = self.pages.entry(t.page).or_insert(PageEnergyState {
-            last_access: t.now,
-            gap_ema: None,
-            refetch: t.refetch,
+        let prev = self.forget(t.page);
+        let gap = prev.map_or(SimDuration::ZERO, |s| {
+            t.now.saturating_duration_since(s.last_access)
         });
-        let gap = t.now.saturating_duration_since(entry.last_access);
-        entry.gap_ema = Some(match entry.gap_ema {
+        let gap_ema = match prev.and_then(|s| s.gap_ema) {
             // EMA with α = 1/2: cheap and responsive.
             Some(prev) => SimDuration::from_nanos((prev.as_nanos() + gap.as_nanos()) / 2),
             None => gap,
-        });
-        entry.last_access = t.now;
-        entry.refetch = t.refetch;
+        };
+        self.admit(t, Some(gap_ema));
     }
 
     fn on_insert(&mut self, t: Touch) {
-        self.now = self.now.max(t.now);
-        self.pages.insert(
-            t.page,
-            PageEnergyState {
-                last_access: t.now,
-                gap_ema: None,
-                refetch: t.refetch,
-            },
-        );
+        self.forget(t.page);
+        self.admit(t, None);
     }
 
     fn on_remove(&mut self, page: PageId) {
-        self.pages.remove(&page);
+        self.forget(page);
     }
 
     fn victim(&mut self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        self.pages
-            .iter()
-            .filter(|(p, _)| evictable(**p))
-            .max_by(|(pa, a), (pb, b)| {
-                self.waste_if_kept(a)
-                    .partial_cmp(&self.waste_if_kept(b))
-                    .expect("finite costs")
-                    .then_with(|| pa.cmp(pb))
-            })
-            .map(|(p, _)| *p)
+        let now = u128::from(self.now.as_nanos());
+        let free = |p: &PageId| evictable(*p);
+        let mut best = None;
+        for runs in self.groups.values_mut() {
+            // The clock only advances: a deadline it has passed stays passed.
+            while runs.due.first().is_some_and(|e| e.0 <= now) {
+                let (_, page) = runs.due.pop_first().expect("just seen");
+                runs.overdue.insert(page);
+            }
+        }
+        for runs in self.groups.values() {
+            self.offer(runs.idle.iter().map(|e| e.1).filter(free), &mut best);
+            self.offer(runs.due.iter().rev().map(|e| e.1).filter(free), &mut best);
+            let floor = runs.overdue.iter().rev().copied().find(free);
+            self.offer(floor.into_iter(), &mut best);
+        }
+        best.map(|(_, page)| page)
     }
 
     fn name(&self) -> &'static str {
@@ -332,8 +460,14 @@ impl ReplacementPolicy for EnergyAware {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/reference.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::{replay, scanning, Step};
     use super::*;
+    use crate::pool::{BufferPool, EnergyModel};
 
     fn pid(i: u32) -> PageId {
         PageId::new(0, i)
@@ -481,6 +615,141 @@ mod tests {
             let mut p = kind.build();
             p.on_insert(touch(1, 0.0));
             assert_eq!(p.victim(&ALL), Some(pid(1)), "{}", p.name());
+        }
+    }
+
+    /// Knuth's MMIX LCG, high bits: the oracle tests' only input.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len() as u64) as usize]
+        }
+    }
+
+    struct Scenario {
+        capacity: usize,
+        /// The policies that have a scan to be checked against.
+        kinds: [PolicyKind; 3],
+        model: EnergyModel,
+        steps: Vec<Step>,
+    }
+
+    /// A generated pool and trace. Across seeds: capacity 1; residency 0
+    /// (every waste of one cost ties, page id alone decides) and 1e-9 W
+    /// (nanoseconds apart round to one `f64` waste); one, two, five and
+    /// all-distinct re-fetch costs, fixed per page or redrawn on every
+    /// touch; repeated timestamps and gaps from 1 ns to 3 s, so gap EMAs
+    /// are crossed by later waits (due → overdue); pins and unpins, so a
+    /// run's head is often not evictable. `stale` touches carry a `now`
+    /// older than one the policy has already seen.
+    fn scenario(seed: u64, stale: bool) -> Scenario {
+        const MS: u64 = 1_000_000;
+        let mut r = Lcg(seed);
+        let capacity = r.pick(&[1, 1, 2, 3, 5, 8, 16, 33]);
+        let pages = capacity as u64 * (1 + r.below(3)) + 2;
+        let residency = Watts::new(r.pick(&[0.0, 1e-9, 0.0005, 0.0005, 0.01]));
+        // An empty palette prices every slot differently.
+        let palette = r.pick(&[&[0.05, 2.0][..], &[1.0], &[0.0, 0.05, 0.5, 2.0, 7.5], &[]]);
+        let reprice = r.below(4) == 0;
+        let gaps = r.pick(&[
+            &[0, 1, MS, 5 * MS][..],
+            &[5 * MS],
+            &[0, 0, 5 * MS, 40 * MS, 1_000 * MS, 3_000 * MS],
+            &[0],
+        ]);
+        let mut now = 0;
+        let steps = (0..50 + r.below(400))
+            .map(|_| {
+                let page = pid(r.below(pages) as u32);
+                match r.below(20) {
+                    0 | 1 => Step::Pin(page),
+                    2..=4 => Step::Unpin(page),
+                    _ => {
+                        now += r.pick(gaps);
+                        let back = if stale { r.pick(gaps) * r.below(3) } else { 0 };
+                        let slot = if reprice {
+                            r.below(64)
+                        } else {
+                            page.index.into()
+                        };
+                        let cost = match palette.len() {
+                            0 => slot as f64 * 0.1,
+                            n => palette[slot as usize % n],
+                        };
+                        Step::Access(Touch {
+                            page,
+                            now: SimInstant::from_nanos(now.saturating_sub(back)),
+                            refetch: Joules::new(cost),
+                        })
+                    }
+                }
+            })
+            .collect();
+        Scenario {
+            capacity,
+            kinds: [
+                PolicyKind::Lru,
+                PolicyKind::TwoQ,
+                PolicyKind::EnergyAware {
+                    residency_watts_per_page: residency,
+                },
+            ],
+            model: EnergyModel {
+                residency_watts_per_page: residency,
+            },
+            steps,
+        }
+    }
+
+    /// The differential oracle: a pool over each indexed policy and a
+    /// pool over its whole-map scan (`tests/common/reference.rs`) agree
+    /// on every `Access`, every pin and the final `PoolStats`, on 1 200
+    /// generated traces per policy.
+    #[test]
+    fn indexed_pools_match_the_scanning_oracles() {
+        for seed in 0..1_200 {
+            let sc = scenario(seed, false);
+            for kind in sc.kinds {
+                let mut indexed = BufferPool::new(sc.capacity, kind, sc.model);
+                let mut scanned = BufferPool::with_policy(sc.capacity, scanning(kind), sc.model);
+                for (i, step) in sc.steps.iter().enumerate() {
+                    let same = match *step {
+                        Step::Access(t) => {
+                            indexed.access(t.page, t.now, t.refetch)
+                                == scanned.access(t.page, t.now, t.refetch)
+                        }
+                        Step::Pin(p) => indexed.pin(p) == scanned.pin(p),
+                        Step::Unpin(p) => indexed.unpin(p) == scanned.unpin(p),
+                    };
+                    assert!(same, "{kind:?} seed {seed} step {i}: {step:?}");
+                }
+                assert_eq!(indexed.stats(), scanned.stats(), "seed {seed}");
+            }
+        }
+    }
+
+    /// The same agreement through the trait alone, where — unlike under
+    /// the pool — a `Touch` may be older than the policy's `now`.
+    #[test]
+    fn stale_touches_through_the_trait_match_the_scanning_oracles() {
+        for seed in 0..1_000 {
+            let sc = scenario(seed, true);
+            for kind in sc.kinds {
+                assert_eq!(
+                    replay(kind.build().as_mut(), sc.capacity, &sc.steps),
+                    replay(scanning(kind).as_mut(), sc.capacity, &sc.steps),
+                    "{kind:?} seed {seed}"
+                );
+            }
         }
     }
 }

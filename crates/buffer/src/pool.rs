@@ -101,11 +101,21 @@ impl BufferPool {
     /// # Panics
     /// Panics on zero capacity.
     pub fn new(capacity: usize, policy: PolicyKind, energy: EnergyModel) -> Self {
+        Self::with_policy(capacity, policy.build(), energy)
+    }
+
+    /// [`BufferPool::new`] over a policy built elsewhere (the unit tests'
+    /// scanning oracles).
+    pub(crate) fn with_policy(
+        capacity: usize,
+        policy: Box<dyn ReplacementPolicy>,
+        energy: EnergyModel,
+    ) -> Self {
         assert!(capacity > 0, "pool needs at least one frame");
         BufferPool {
             capacity,
             frames: BTreeMap::new(),
-            policy: policy.build(),
+            policy,
             energy,
             stats: PoolStats::default(),
             accrued_to: SimInstant::EPOCH,

@@ -1,11 +1,16 @@
 //! Property tests: pool capacity/pin invariants hold under arbitrary
-//! traces, for every policy.
+//! traces, for every policy, and the indexed policies choose the
+//! victims their whole-map scans chose.
 
-use grail_buffer::policy::PolicyKind;
+use grail_buffer::policy::{PolicyKind, ReplacementPolicy, Touch};
 use grail_buffer::pool::{Access, BufferPool, EnergyModel};
 use grail_power::units::{Joules, SimDuration, SimInstant, Watts};
 use grail_storage::page::PageId;
 use proptest::prelude::*;
+
+#[path = "common/reference.rs"]
+mod reference;
+use reference::{replay, scanning, Step};
 
 fn policies() -> Vec<PolicyKind> {
     vec![
@@ -140,5 +145,53 @@ proptest! {
             (s.residency_energy.joules() - expected_residency).abs() < 1e-9,
             "got {} expected {}", s.residency_energy.joules(), expected_residency
         );
+    }
+
+    /// Same victims as the whole-map scans (`common/reference.rs`), on
+    /// traces with pins, repeated and backward timestamps, waits that
+    /// cross a gap EMA, re-fetch costs redrawn on every touch, and a
+    /// residency of 0 (all wastes of a cost tie) or 1e-9 W (nanoseconds
+    /// apart round to one waste). `policy.rs`'s unit tests carry the
+    /// twin of this that needs no proptest.
+    #[test]
+    fn indexed_victims_match_the_scanning_oracles(
+        cap in 1usize..12,
+        residency in 0usize..3,
+        trace in proptest::collection::vec((0u32..40, 0usize..4, 0usize..5, 0u8..12), 1..300),
+    ) {
+        const GAPS_NS: [u64; 4] = [0, 1, 5_000_000, 1_000_000_000];
+        const COSTS: [f64; 5] = [0.0, 0.05, 0.05, 2.0, 7.5];
+        let residency = Watts::new([0.0, 1e-9, 0.0005][residency]);
+        let mut now = 0;
+        let steps: Vec<Step> = trace
+            .iter()
+            .map(|&(page, gap, cost, action)| {
+                let page = PageId::new(0, page);
+                match action {
+                    0 => Step::Pin(page),
+                    1 | 2 => Step::Unpin(page),
+                    _ => {
+                        now += GAPS_NS[gap];
+                        let back = if action == 3 { GAPS_NS[2] } else { 0 };
+                        Step::Access(Touch {
+                            page,
+                            now: SimInstant::from_nanos(now.saturating_sub(back)),
+                            refetch: Joules::new(COSTS[cost]),
+                        })
+                    }
+                }
+            })
+            .collect();
+        for kind in [
+            PolicyKind::Lru,
+            PolicyKind::TwoQ,
+            PolicyKind::EnergyAware { residency_watts_per_page: residency },
+        ] {
+            prop_assert_eq!(
+                replay(kind.build().as_mut(), cap, &steps),
+                replay(scanning(kind).as_mut(), cap, &steps),
+                "{:?}", kind
+            );
+        }
     }
 }
