@@ -10,6 +10,7 @@
 
 use crate::schema::Schema;
 use crate::value::Datum;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Rows per batch produced by operators.
@@ -82,6 +83,22 @@ impl Batch {
         }
     }
 
+    /// A dense batch transposed from row-major `rows`, each as wide as
+    /// the schema. For operators that assemble output a row at a time.
+    ///
+    /// # Panics
+    /// Panics when a row's width is not the schema's arity.
+    pub fn from_rows(schema: Arc<Schema>, rows: &[Vec<Datum>]) -> Self {
+        let mut cols = vec![Vec::with_capacity(rows.len()); schema.arity()];
+        for row in rows {
+            assert_eq!(row.len(), cols.len(), "row width mismatch");
+            for (col, v) in cols.iter_mut().zip(row) {
+                col.push(*v);
+            }
+        }
+        Batch::new(schema, cols)
+    }
+
     /// An empty batch of `schema`.
     pub fn empty(schema: Arc<Schema>) -> Self {
         let arity = schema.arity();
@@ -146,13 +163,37 @@ impl Batch {
         self.columns[col][phys]
     }
 
-    /// Column `i` of logical rows, materialized in order.
-    pub fn gather(&self, i: usize) -> Vec<Datum> {
+    /// Column `i` of the logical rows as one slice: borrowed from the
+    /// backing column when the batch is dense, gathered through the
+    /// selection vector otherwise. What column-at-a-time operators read.
+    pub fn logical_column(&self, i: usize) -> Cow<'_, [Datum]> {
         let col = &self.columns[i];
         match &self.sel {
-            Some(s) => s.iter().map(|p| col[*p as usize]).collect(),
-            None => col[self.offset..self.offset + self.rows].to_vec(),
+            Some(s) => Cow::Owned(take(col, s)),
+            None => Cow::Borrowed(&col[self.offset..self.offset + self.rows]),
         }
+    }
+
+    /// Column `i` of logical rows, materialized in order.
+    pub fn gather(&self, i: usize) -> Vec<Datum> {
+        self.logical_column(i).into_owned()
+    }
+
+    /// Logical rows `[from, to)` as a view sharing the backing columns.
+    ///
+    /// # Panics
+    /// Panics unless `from <= to <= self.len()`.
+    pub fn slice(&self, from: usize, to: usize) -> Batch {
+        assert!(from <= to && to <= self.len(), "slice outside the batch");
+        let mut out = self.clone();
+        match &self.sel {
+            Some(s) => out.sel = Some(Arc::new(s[from..to].to_vec())),
+            None => {
+                out.offset += from;
+                out.rows = to - from;
+            }
+        }
+        out
     }
 
     /// One logical row, materialized.
@@ -244,6 +285,12 @@ impl Batch {
             sel: None,
         }
     }
+}
+
+/// `col[i]` for each `i` of `idx`, in order: the one gather behind
+/// selections, join outputs and sort permutations.
+pub(crate) fn take(col: &[Datum], idx: &[u32]) -> Vec<Datum> {
+    idx.iter().map(|i| col[*i as usize]).collect()
 }
 
 impl PartialEq for Batch {
@@ -412,6 +459,45 @@ mod tests {
         // A full dense batch densifies by sharing, not copying.
         let d2 = b.to_dense();
         assert!(Arc::ptr_eq(&b.columns[0], &d2.columns[0]));
+    }
+
+    #[test]
+    fn logical_column_borrows_dense_and_gathers_selected() {
+        let cols = vec![
+            Arc::new((0..10).collect::<Vec<i64>>()),
+            Arc::new(vec![7; 10]),
+        ];
+        let window = Batch::from_shared(schema(), cols, 3, 4);
+        assert!(matches!(
+            window.logical_column(0),
+            Cow::Borrowed(&[3, 4, 5, 6])
+        ));
+        let picked = window.filter(&[false, true, false, true]);
+        assert!(matches!(picked.logical_column(0), Cow::Owned(_)));
+        assert_eq!(&*picked.logical_column(0), &[4, 6]);
+        assert_eq!(picked.gather(1), &[7, 7]);
+    }
+
+    #[test]
+    fn slice_narrows_windows_and_selections_without_copying_columns() {
+        let b = Batch::new(schema(), vec![(0..8).collect(), (10..18).collect()]);
+        let mid = b.slice(2, 6).slice(1, 3);
+        assert_eq!(mid.column(0), &[3, 4]);
+        assert_eq!(mid.column(1), &[13, 14]);
+        assert!(Arc::ptr_eq(&b.columns[0], &mid.columns[0]));
+        let odd = b.filter(&[false, true, false, true, false, true, false, true]);
+        let tail = odd.slice(1, 4);
+        assert_eq!(tail.gather(0), &[3, 5, 7]);
+        assert!(Arc::ptr_eq(&b.columns[1], &tail.columns[1]));
+        assert!(b.slice(8, 8).is_empty());
+    }
+
+    #[test]
+    fn from_rows_transposes() {
+        let b = Batch::from_rows(schema(), &[vec![1, 10], vec![2, 20], vec![3, 30]]);
+        assert_eq!(b.column(0), &[1, 2, 3]);
+        assert_eq!(b.column(1), &[10, 20, 30]);
+        assert!(Batch::from_rows(schema(), &[]).is_empty());
     }
 
     #[test]

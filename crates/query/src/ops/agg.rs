@@ -1,10 +1,16 @@
-//! Hash aggregation with grouping.
+//! Hash aggregation with grouping, a column at a time: each input batch
+//! is first resolved to one group id per row (a [`GroupTable`] over the
+//! key columns), then every aggregate walks its own input column against
+//! those ids. No key tuple or state vector is allocated per row. Groups
+//! leave sorted by key, so the output order is a property of the data,
+//! never of the hash.
 
 use crate::batch::Batch;
 use crate::exec::{ExecContext, Operator, QueryError};
+use crate::ops::group_table::GroupTable;
 use crate::schema::{ColumnType, Schema};
 use crate::value::Datum;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// An aggregate function.
@@ -86,8 +92,8 @@ impl AggState {
     }
 }
 
-/// Group-by hash aggregation (BTree-backed for deterministic output
-/// order).
+/// Group-by hash aggregation; groups are emitted in ascending
+/// lexicographic key order.
 pub struct HashAggregate {
     input: Box<dyn Operator>,
     group_by: Vec<usize>,
@@ -135,39 +141,49 @@ impl HashAggregate {
                 return Err(QueryError::UnknownColumn(a.column));
             }
         }
-        let mut groups: BTreeMap<Vec<Datum>, Vec<AggState>> = BTreeMap::new();
+        let mut table = GroupTable::new(self.group_by.len());
+        // states[a][g]: aggregate `a` of group `g`.
+        let mut states: Vec<Vec<AggState>> = vec![Vec::new(); self.aggs.len()];
+        let mut gids: Vec<u32> = Vec::new();
         let mut rows = 0f64;
         while let Some(batch) = self.input.next(ctx)? {
             rows += batch.len() as f64;
-            for r in 0..batch.len() {
-                let key: Vec<Datum> = self.group_by.iter().map(|c| batch.value(*c, r)).collect();
-                let states = groups
-                    .entry(key)
-                    .or_insert_with(|| vec![AggState::new(); self.aggs.len()]);
-                for (s, a) in states.iter_mut().zip(&self.aggs) {
-                    let v = if a.func == AggFunc::Count {
-                        0
-                    } else {
-                        batch.value(a.column, r)
-                    };
-                    s.update(v);
+            let keys: Vec<Cow<'_, [Datum]>> = self
+                .group_by
+                .iter()
+                .map(|c| batch.logical_column(*c))
+                .collect();
+            gids.clear();
+            table.intern(&keys, batch.len(), &mut gids);
+            for (of_group, a) in states.iter_mut().zip(&self.aggs) {
+                of_group.resize(table.len(), AggState::new());
+                if a.func == AggFunc::Count {
+                    for g in &gids {
+                        of_group[*g as usize].update(0);
+                    }
+                } else {
+                    let values = batch.logical_column(a.column);
+                    for (g, v) in gids.iter().zip(values.iter()) {
+                        of_group[*g as usize].update(*v);
+                    }
                 }
             }
         }
         ctx.charge_cpu(
             ctx.charge.agg_cycles_per_row * rows
-                + ctx.charge.agg_cycles_per_group * groups.len() as f64,
+                + ctx.charge.agg_cycles_per_group * table.len() as f64,
         );
         ctx.phase_break();
-        let arity = self.schema.arity();
-        let mut cols: Vec<Vec<Datum>> = vec![Vec::with_capacity(groups.len()); arity];
-        for (key, states) in groups {
-            for (c, k) in key.iter().enumerate() {
-                cols[c].push(*k);
-            }
-            for (i, (s, a)) in states.iter().zip(&self.aggs).enumerate() {
-                cols[self.group_by.len() + i].push(s.finish(a.func));
-            }
+        // Keys are distinct, so an unstable sort has one possible result.
+        let mut order: Vec<u32> = (0..table.len() as u32).collect();
+        order.sort_unstable_by(|a, b| table.key(*a).cmp(table.key(*b)));
+        let mut cols = Vec::with_capacity(self.schema.arity());
+        for k in 0..self.group_by.len() {
+            cols.push(order.iter().map(|g| table.key(*g)[k]).collect());
+        }
+        for (of_group, a) in states.iter().zip(&self.aggs) {
+            let finished = order.iter().map(|g| of_group[*g as usize].finish(a.func));
+            cols.push(finished.collect());
         }
         self.result = Some(Batch::new(self.schema.clone(), cols));
         Ok(())
@@ -198,7 +214,10 @@ impl Operator for HashAggregate {
 mod tests {
     use super::*;
     use crate::batch::Table;
+    use crate::batch::BATCH_ROWS;
     use crate::exec::run_collect;
+    use crate::expr::Expr;
+    use crate::ops::filter::Filter;
     use crate::ops::scan::{ColumnarScan, StoredTable};
     use grail_sim::{DiskId, StorageTarget};
 
@@ -278,5 +297,127 @@ mod tests {
         let mut ctx = ExecContext::calibrated();
         let out = run_collect(&mut agg, &mut ctx).unwrap();
         assert!(out.is_empty() || out[0].is_empty());
+    }
+
+    fn rows_of(op: &mut dyn Operator) -> Vec<Vec<i64>> {
+        let mut ctx = ExecContext::calibrated();
+        let out = run_collect(op, &mut ctx).unwrap();
+        out.iter()
+            .flat_map(|b| (0..b.len()).map(|r| b.row(r)))
+            .collect()
+    }
+
+    #[test]
+    fn empty_input_emits_one_empty_batch_grouped_or_not() {
+        for group_by in [vec![0], vec![]] {
+            let input = scan_of(vec![("g", vec![])]);
+            let mut agg =
+                HashAggregate::new(input, group_by, vec![AggSpec::new(AggFunc::Sum, 0, "s")]);
+            let mut ctx = ExecContext::calibrated();
+            let first = agg
+                .next(&mut ctx)
+                .unwrap()
+                .expect("one batch, even if empty");
+            assert_eq!(
+                (first.len(), first.schema().arity()),
+                (0, agg.schema().arity())
+            );
+            assert!(agg.next(&mut ctx).unwrap().is_none());
+        }
+    }
+
+    /// Filter hands over selection-carrying views of the scan's second,
+    /// `offset > 0` window as well as its first.
+    #[test]
+    fn selected_and_windowed_input_aggregates_like_its_dense_copy() {
+        let n = BATCH_ROWS as i64 + 1000;
+        let g: Vec<i64> = (0..n).map(|i| i % 5).collect();
+        let v: Vec<i64> = (0..n).map(|i| i * 3 - 7000).collect();
+        let keep: Vec<i64> = (0..n).map(|i| (i % 3 != 0) as i64).collect();
+        let aggs = || {
+            vec![
+                AggSpec::new(AggFunc::Count, 9, "c"),
+                AggSpec::new(AggFunc::Sum, 1, "s"),
+                AggSpec::new(AggFunc::Min, 1, "lo"),
+                AggSpec::new(AggFunc::Max, 1, "hi"),
+                AggSpec::new(AggFunc::Avg, 1, "avg"),
+            ]
+        };
+        let all = scan_of(vec![
+            ("g", g.clone()),
+            ("v", v.clone()),
+            ("keep", keep.clone()),
+        ]);
+        let filtered = Filter::new(all, Expr::gt(Expr::Col(2), Expr::Lit(0)));
+        let mut over_view = HashAggregate::new(Box::new(filtered), vec![0], aggs());
+        let pick = |col: &[i64]| -> Vec<i64> {
+            let kept = col.iter().zip(&keep).filter(|(_, k)| **k == 1);
+            kept.map(|(v, _)| *v).collect()
+        };
+        let dense = scan_of(vec![("g", pick(&g)), ("v", pick(&v))]);
+        let mut over_dense = HashAggregate::new(dense, vec![0], aggs());
+        let got = rows_of(&mut over_view);
+        assert_eq!(got.len(), 5);
+        assert_eq!(got, rows_of(&mut over_dense));
+    }
+
+    #[test]
+    fn multi_column_keys_leave_in_lexicographic_order() {
+        let input = scan_of(vec![
+            ("a", vec![2, -1, 2, i64::MAX, -1, i64::MIN, 2]),
+            ("b", vec![0, 5, -3, 0, 4, 9, 0]),
+        ]);
+        let mut agg = HashAggregate::new(
+            input,
+            vec![0, 1],
+            vec![AggSpec::new(AggFunc::Count, 0, "c")],
+        );
+        assert_eq!(
+            rows_of(&mut agg),
+            vec![
+                vec![i64::MIN, 9, 1],
+                vec![-1, 4, 1],
+                vec![-1, 5, 1],
+                vec![2, -3, 1],
+                vec![2, 0, 2],
+                vec![i64::MAX, 0, 1],
+            ]
+        );
+    }
+
+    /// 3 000 two-column groups: the table grows eight times from its 16
+    /// slots and linear probing resolves many shared home slots.
+    #[test]
+    fn many_colliding_groups_survive_table_growth() {
+        let n = 9_000i64;
+        let a: Vec<i64> = (0..n).map(|i| (i * 7) % 60).collect();
+        let b: Vec<i64> = (0..n).map(|i| (i * 7) % 3000 / 60).collect();
+        let input = scan_of(vec![("a", a), ("b", b), ("one", vec![1; n as usize])]);
+        let mut agg =
+            HashAggregate::new(input, vec![1, 0], vec![AggSpec::new(AggFunc::Sum, 2, "n")]);
+        let got = rows_of(&mut agg);
+        let expect: Vec<Vec<i64>> = (0..3000).map(|k| vec![k / 60, k % 60, 3]).collect();
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn sum_wraps_and_avg_divides_the_wrapped_sum() {
+        let input = scan_of(vec![("v", vec![i64::MAX, 1, i64::MAX, 1])]);
+        let mut agg = HashAggregate::new(
+            input,
+            vec![],
+            vec![
+                AggSpec::new(AggFunc::Sum, 0, "s"),
+                AggSpec::new(AggFunc::Avg, 0, "a"),
+                AggSpec::new(AggFunc::Min, 0, "lo"),
+                AggSpec::new(AggFunc::Max, 0, "hi"),
+            ],
+        );
+        let sum = i64::MAX
+            .wrapping_add(1)
+            .wrapping_add(i64::MAX)
+            .wrapping_add(1);
+        assert_eq!(sum, 0);
+        assert_eq!(rows_of(&mut agg), vec![vec![0, 0, 1, i64::MAX]]);
     }
 }

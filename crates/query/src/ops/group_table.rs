@@ -1,0 +1,222 @@
+//! Key tuples → dense group ids, for the blocking operators.
+//!
+//! Keys live in one flat arena (group `g` owns
+//! `keys[g * width..(g + 1) * width]`) and an open-addressing table of
+//! `u32` group ids finds them: no allocation per row or per group, and
+//! ids are handed out in first-arrival order, so nothing downstream
+//! depends on where a key hashed. The multiplicative hash is not
+//! collision-resistant; keys here are column values the engine itself
+//! generated, never an outside party's.
+
+use crate::value::Datum;
+use std::borrow::Cow;
+
+const EMPTY: u32 = u32::MAX;
+const INITIAL_SLOTS: usize = 16;
+
+/// An insert-only map from `width`-datum keys to ids `0, 1, 2, …`.
+pub(crate) struct GroupTable {
+    width: usize,
+    keys: Vec<Datum>,
+    groups: usize,
+    /// A group id or `EMPTY`; the length is a power of two, at least
+    /// twice `groups`.
+    slots: Vec<u32>,
+}
+
+/// Multiply-rotate over the key's datums. The multiplier is 2^64/φ: the
+/// table indexes by the product's top bits, and a run of consecutive
+/// integers (surrogate keys) times the golden ratio lands evenly spread
+/// there. FxHash's 2^64/π constant does not — π's continued fraction
+/// makes `k` and `k + 355` share a home slot.
+fn hash(key: impl Iterator<Item = Datum>) -> u64 {
+    key.fold(0, |h: u64, v| {
+        (h.rotate_left(5) ^ v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    })
+}
+
+impl GroupTable {
+    /// An empty table over keys of `width` datums (0 = one global group).
+    pub(crate) fn new(width: usize) -> Self {
+        GroupTable {
+            width,
+            keys: Vec::new(),
+            groups: 0,
+            slots: vec![EMPTY; INITIAL_SLOTS],
+        }
+    }
+
+    /// Number of distinct keys seen.
+    pub(crate) fn len(&self) -> usize {
+        self.groups
+    }
+
+    /// The key of group `g`.
+    pub(crate) fn key(&self, g: u32) -> &[Datum] {
+        &self.keys[g as usize * self.width..(g as usize + 1) * self.width]
+    }
+
+    /// The home slot of a hash: its top bits, which the multiply mixed.
+    fn home(&self, h: u64) -> usize {
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The slot holding `key`'s group, or the empty slot where the
+    /// probe for it ends.
+    fn probe(&self, h: u64, matches: impl Fn(u32) -> bool) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(h);
+        while self.slots[slot] != EMPTY && !matches(self.slots[slot]) {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// The group of `key`, if it was ever interned.
+    pub(crate) fn find(&self, key: &[Datum]) -> Option<u32> {
+        debug_assert_eq!(key.len(), self.width);
+        let slot = self.probe(hash(key.iter().copied()), |g| {
+            self.key(g).iter().zip(key).all(|(a, b)| a == b)
+        });
+        Some(self.slots[slot]).filter(|g| *g != EMPTY)
+    }
+
+    /// Append to `out` the group of each of the `rows` rows whose key is
+    /// `(cols[0][r], cols[1][r], …)`, giving first-seen keys the next id.
+    pub(crate) fn intern(&mut self, cols: &[Cow<'_, [Datum]>], rows: usize, out: &mut Vec<u32>) {
+        assert_eq!(cols.len(), self.width, "key width mismatch");
+        let cols: Vec<&[Datum]> = cols.iter().map(|c| &c[..rows]).collect();
+        out.reserve(rows);
+        for r in 0..rows {
+            let h = hash(cols.iter().map(|c| c[r]));
+            let slot = self.probe(h, |g| {
+                self.key(g).iter().zip(&cols).all(|(k, c)| *k == c[r])
+            });
+            if self.slots[slot] != EMPTY {
+                out.push(self.slots[slot]);
+                continue;
+            }
+            let g = u32::try_from(self.groups)
+                .ok()
+                .filter(|g| *g != EMPTY)
+                .expect("group ids fit u32");
+            self.keys.extend(cols.iter().map(|c| c[r]));
+            self.groups += 1;
+            self.slots[slot] = g;
+            out.push(g);
+            if self.groups * 2 > self.slots.len() {
+                self.grow();
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY; self.slots.len() * 2];
+        for g in 0..self.groups as u32 {
+            // Every key is distinct, so each probe ends at an empty slot.
+            let slot = self.probe(hash(self.key(g).iter().copied()), |_| false);
+            self.slots[slot] = g;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn intern(t: &mut GroupTable, cols: &[&[Datum]]) -> Vec<u32> {
+        let cows: Vec<Cow<'_, [Datum]>> = cols.iter().map(|c| Cow::Borrowed(*c)).collect();
+        let mut out = Vec::new();
+        t.intern(&cows, cols.first().map_or(0, |c| c.len()), &mut out);
+        out
+    }
+
+    #[test]
+    fn ids_follow_first_arrival() {
+        let mut t = GroupTable::new(1);
+        assert_eq!(intern(&mut t, &[&[9, 3, 9, 7, 3]]), [0, 1, 0, 2, 1]);
+        assert_eq!(
+            intern(&mut t, &[&[7, 5]]),
+            [2, 3],
+            "ids persist across calls"
+        );
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.key(3), &[5]);
+        assert_eq!(t.find(&[3]), Some(1));
+        assert_eq!(t.find(&[4]), None);
+    }
+
+    #[test]
+    fn zero_width_keys_are_one_group_once_a_row_arrives() {
+        let mut t = GroupTable::new(0);
+        let mut out = Vec::new();
+        t.intern(&[], 0, &mut out);
+        assert_eq!((t.len(), out.len()), (0, 0), "no row, no group");
+        t.intern(&[], 3, &mut out);
+        assert_eq!((t.len(), out), (1, vec![0, 0, 0]));
+    }
+
+    /// Two-column keys sharing a home slot in the initial table stay
+    /// apart: the probe compares whole tuples, not hashes.
+    #[test]
+    fn colliding_multi_column_keys_stay_distinct() {
+        let t = GroupTable::new(2);
+        let home = |a: Datum, b: Datum| t.home(hash([a, b].into_iter()));
+        let first = (0, 0);
+        let clash: Vec<(Datum, Datum)> = (0..64)
+            .flat_map(|a| (0..64).map(move |b| (a, b)))
+            .filter(|k| *k != first && home(k.0, k.1) == home(first.0, first.1))
+            .take(3)
+            .collect();
+        assert_eq!(clash.len(), 3, "4096 keys over 16 slots collide");
+        let a: Vec<Datum> = [first].iter().chain(&clash).map(|k| k.0).collect();
+        let b: Vec<Datum> = [first].iter().chain(&clash).map(|k| k.1).collect();
+        let mut t = GroupTable::new(2);
+        assert_eq!(intern(&mut t, &[&a, &b]), [0, 1, 2, 3]);
+        assert_eq!(intern(&mut t, &[&a, &b]), [0, 1, 2, 3]);
+        // Same datums in the other column order are another tuple.
+        let mut t = GroupTable::new(2);
+        assert_eq!(intern(&mut t, &[&[1, 2, 1], &[2, 1, 2]]), [0, 1, 0]);
+    }
+
+    #[test]
+    fn growth_keeps_every_id() {
+        let keys: Vec<Datum> = (0..1000).map(|i| i * 7 - 3000).collect();
+        let mut t = GroupTable::new(1);
+        let ids = intern(&mut t, &[&keys]);
+        assert_eq!(ids, (0..1000).collect::<Vec<u32>>());
+        assert!(t.slots.len() >= 2048 && t.slots.len() > INITIAL_SLOTS);
+        assert_eq!(intern(&mut t, &[&keys]), ids, "found again after growing");
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(t.find(&[*k]), Some(i as u32));
+        }
+    }
+
+    /// Surrogate keys arrive as runs of consecutive or evenly strided
+    /// integers; they must not pile up behind a few home slots (with
+    /// FxHash's multiplier 6 000 consecutive keys sit 6.7 slots from home
+    /// on average, and every probe walks that far).
+    #[test]
+    fn consecutive_and_strided_keys_stay_near_their_home_slots() {
+        for stride in [1, 4, 10, 1 << 20] {
+            let keys: Vec<Datum> = (0..6000).map(|i| i * stride).collect();
+            let mut t = GroupTable::new(1);
+            intern(&mut t, &[&keys]);
+            let mask = t.slots.len() - 1;
+            let displaced: usize = (t.slots.iter().enumerate())
+                .filter(|(_, g)| **g != EMPTY)
+                .map(|(at, g)| {
+                    (at + t.slots.len() - t.home(hash(t.key(*g).iter().copied()))) & mask
+                })
+                .sum();
+            assert!(displaced < t.len() / 2, "stride {stride}: {displaced}");
+        }
+    }
+
+    #[test]
+    fn extreme_keys_are_ordinary() {
+        let mut t = GroupTable::new(1);
+        let ids = intern(&mut t, &[&[i64::MIN, i64::MAX, 0, -1, i64::MIN, i64::MAX]]);
+        assert_eq!(ids, [0, 1, 2, 3, 0, 1]);
+    }
+}

@@ -151,7 +151,7 @@ impl IndexRangeScan {
             return Ok(None);
         }
         let end = (self.cursor + BATCH_ROWS).min(rows.len());
-        let batch = rows_to_batch(self.schema.clone(), &rows[self.cursor..end]);
+        let batch = Batch::from_rows(self.schema.clone(), &rows[self.cursor..end]);
         self.cursor = end;
         Ok(Some(batch))
     }
@@ -210,7 +210,7 @@ impl IndexNlJoin {
             if !self.pending.is_empty() {
                 let take = self.pending.len().min(BATCH_ROWS);
                 let rows: Vec<Vec<Datum>> = self.pending.drain(..take).collect();
-                return Ok(Some(rows_to_batch(self.schema.clone(), &rows)));
+                return Ok(Some(Batch::from_rows(self.schema.clone(), &rows)));
             }
             let Some(batch) = self.outer.next(ctx)? else {
                 return Ok(None);
@@ -256,17 +256,6 @@ impl Operator for IndexNlJoin {
         ctx.end_op(op);
         out
     }
-}
-
-fn rows_to_batch(schema: Arc<Schema>, rows: &[Vec<Datum>]) -> Batch {
-    let arity = schema.arity();
-    let mut cols = vec![Vec::with_capacity(rows.len()); arity];
-    for row in rows {
-        for (c, v) in row.iter().enumerate() {
-            cols[c].push(*v);
-        }
-    }
-    Batch::new(schema, cols)
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 
 pub mod agg;
 pub mod filter;
+mod group_table;
 pub mod hash_join;
 pub mod index;
 pub mod merge_join;

@@ -61,7 +61,7 @@ impl NestedLoopJoin {
             if !self.pending.is_empty() {
                 let take = self.pending.len().min(BATCH_ROWS);
                 let rows: Vec<Vec<Datum>> = self.pending.drain(..take).collect();
-                return Ok(Some(rows_to_batch(self.schema.clone(), rows)));
+                return Ok(Some(Batch::from_rows(self.schema.clone(), &rows)));
             }
             let Some(outer_batch) = self.outer.next(ctx)? else {
                 return Ok(None);
@@ -75,7 +75,8 @@ impl NestedLoopJoin {
                     let mut joined = orow.clone();
                     joined.extend_from_slice(irow);
                     // Evaluate the predicate on the single joined row.
-                    let row_batch = rows_to_batch(self.schema.clone(), vec![joined.clone()]);
+                    let row_batch =
+                        Batch::from_rows(self.schema.clone(), std::slice::from_ref(&joined));
                     if self.predicate.eval_mask(&row_batch)[0] {
                         self.pending.push(joined);
                     }
@@ -96,17 +97,6 @@ impl Operator for NestedLoopJoin {
         ctx.end_op(op);
         out
     }
-}
-
-fn rows_to_batch(schema: Arc<Schema>, rows: Vec<Vec<Datum>>) -> Batch {
-    let arity = schema.arity();
-    let mut cols = vec![Vec::with_capacity(rows.len()); arity];
-    for row in rows {
-        for (c, v) in row.into_iter().enumerate() {
-            cols[c].push(v);
-        }
-    }
-    Batch::new(schema, cols)
 }
 
 #[cfg(test)]

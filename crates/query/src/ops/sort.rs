@@ -4,8 +4,13 @@
 //! External sort is the JouleSort workload (\[RSR+07\]) and the memory-
 //! grant knob of Sec. 4.1: a smaller grant saves DRAM power but buys
 //! spill IO.
+//!
+//! The input is kept column-major; the sort itself is a stable argsort of
+//! a `u32` row permutation over the key columns, and each column is
+//! gathered through it once. Output batches are [`BATCH_ROWS`] windows
+//! over that one sorted batch.
 
-use crate::batch::{Batch, BATCH_ROWS};
+use crate::batch::{take, Batch, BATCH_ROWS};
 use crate::exec::{ExecContext, Operator, QueryError};
 use crate::schema::Schema;
 use crate::value::Datum;
@@ -41,7 +46,7 @@ pub struct Sort {
     input: Box<dyn Operator>,
     spec: SortSpec,
     schema: Arc<Schema>,
-    sorted: Option<Vec<Vec<Datum>>>,
+    sorted: Option<Batch>,
     cursor: usize,
 }
 
@@ -58,9 +63,10 @@ impl Sort {
         }
     }
 
-    fn compare(keys: &[(usize, SortOrder)], a: &[Datum], b: &[Datum]) -> Ordering {
+    /// Order of rows `a` and `b` of column-major `cols` under `keys`.
+    fn compare(keys: &[(usize, SortOrder)], cols: &[Vec<Datum>], a: u32, b: u32) -> Ordering {
         for (col, order) in keys {
-            let o = a[*col].cmp(&b[*col]);
+            let o = cols[*col][a as usize].cmp(&cols[*col][b as usize]);
             let o = match order {
                 SortOrder::Asc => o,
                 SortOrder::Desc => o.reverse(),
@@ -81,22 +87,23 @@ impl Sort {
                 return Err(QueryError::UnknownColumn(*col));
             }
         }
-        let mut rows: Vec<Vec<Datum>> = Vec::new();
+        let mut cols = vec![Vec::new(); self.schema.arity()];
         while let Some(batch) = self.input.next(ctx)? {
-            for r in 0..batch.len() {
-                rows.push(batch.row(r));
+            for (c, col) in cols.iter_mut().enumerate() {
+                col.extend_from_slice(&batch.logical_column(c));
             }
         }
-        let n = rows.len() as f64;
-        let keys = self.spec.keys.clone();
-        rows.sort_by(|a, b| Sort::compare(&keys, a, b));
+        let rows = cols.first().map_or(0, Vec::len);
+        let n = rows as f64;
+        let mut perm: Vec<u32> = (0..u32::try_from(rows).expect("sort input fits u32")).collect();
+        perm.sort_by(|a, b| Sort::compare(&self.spec.keys, &cols, *a, *b));
         // CPU: n log2 n comparisons.
         let cmps = if n > 1.0 { n * n.log2() } else { 0.0 };
         ctx.charge_cpu(ctx.charge.sort_cycles_per_cmp * cmps);
 
         // Spill model: if the input exceeds the grant, one full
         // write+read pass per extra merge level.
-        let bytes = rows.len() as u64 * self.schema.arity() as u64 * 8;
+        let bytes = rows as u64 * self.schema.arity() as u64 * 8;
         if bytes > self.spec.memory_grant && self.spec.memory_grant > 0 {
             let runs = bytes.div_ceil(self.spec.memory_grant);
             // Single merge pass handles fan-in up to ~64; deeper inputs
@@ -123,7 +130,8 @@ impl Sort {
         }
         // Sorting is a full pipeline breaker.
         ctx.phase_break();
-        self.sorted = Some(rows);
+        let sorted = cols.iter().map(|c| take(c, &perm)).collect();
+        self.sorted = Some(Batch::new(self.schema.clone(), sorted));
         Ok(())
     }
 }
@@ -131,21 +139,14 @@ impl Sort {
 impl Sort {
     fn next_inner(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
         self.ensure_sorted(ctx)?;
-        let rows = self.sorted.as_ref().expect("sorted above");
-        if self.cursor >= rows.len() {
+        let sorted = self.sorted.as_ref().expect("sorted above");
+        if self.cursor >= sorted.len() {
             return Ok(None);
         }
-        let end = (self.cursor + BATCH_ROWS).min(rows.len());
-        let slice = &rows[self.cursor..end];
-        let arity = self.schema.arity();
-        let mut cols = vec![Vec::with_capacity(slice.len()); arity];
-        for row in slice {
-            for (c, v) in row.iter().enumerate() {
-                cols[c].push(*v);
-            }
-        }
+        let end = (self.cursor + BATCH_ROWS).min(sorted.len());
+        let out = sorted.slice(self.cursor, end);
         self.cursor = end;
-        Ok(Some(Batch::new(self.schema.clone(), cols)))
+        Ok(Some(out))
     }
 }
 
@@ -167,6 +168,8 @@ mod tests {
     use super::*;
     use crate::batch::Table;
     use crate::exec::{run_collect, total_rows};
+    use crate::expr::Expr;
+    use crate::ops::filter::Filter;
     use crate::ops::scan::{ColumnarScan, StoredTable};
     use crate::schema::ColumnType;
     use grail_sim::DiskId;
@@ -267,5 +270,79 @@ mod tests {
             run_collect(&mut s, &mut ctx),
             Err(QueryError::UnknownColumn(7))
         ));
+    }
+
+    /// Ties keep input order across input batches, and the output leaves
+    /// in `BATCH_ROWS` windows.
+    #[test]
+    fn stable_across_input_batches_and_windowed_on_the_way_out() {
+        let n = 2 * BATCH_ROWS as i64 + 300;
+        let input = scan_of(vec![
+            ("k", (0..n).map(|i| (i * 7) % 4).collect()),
+            ("arrival", (0..n).collect()),
+        ]);
+        let mut s = Sort::new(input, spec(vec![(0, SortOrder::Desc)], u64::MAX));
+        let mut ctx = ExecContext::calibrated();
+        let out = run_collect(&mut s, &mut ctx).unwrap();
+        let lens: Vec<usize> = out.iter().map(|b| b.len()).collect();
+        assert_eq!(lens, [BATCH_ROWS, BATCH_ROWS, 300]);
+        let rows: Vec<(i64, i64)> = out
+            .iter()
+            .flat_map(|b| b.column(0).iter().copied().zip(b.column(1).iter().copied()))
+            .collect();
+        let mut expect: Vec<(i64, i64)> = (0..n).map(|i| ((i * 7) % 4, i)).collect();
+        expect.sort_by_key(|(k, _)| std::cmp::Reverse(*k));
+        assert_eq!(rows, expect);
+    }
+
+    /// Filter hands over selection-carrying views of the scan's second,
+    /// `offset > 0` window as well as its first.
+    #[test]
+    fn selected_and_windowed_input_sorts_like_its_dense_copy() {
+        let n = BATCH_ROWS as i64 + 800;
+        let k: Vec<i64> = (0..n).map(|i| (i * 31) % 97 - 40).collect();
+        let tag: Vec<i64> = (0..n).collect();
+        let kept: Vec<usize> = (0..n as usize).filter(|i| k[*i] > -10).collect();
+        let pick = |col: &[i64]| -> Vec<i64> { kept.iter().map(|i| col[*i]).collect() };
+        let keys = vec![(0, SortOrder::Asc), (1, SortOrder::Desc)];
+        let run = |input: Box<dyn Operator>| {
+            let mut s = Sort::new(input, spec(keys.clone(), u64::MAX));
+            let mut ctx = ExecContext::calibrated();
+            let out = run_collect(&mut s, &mut ctx).unwrap();
+            let k: Vec<i64> = out.iter().flat_map(|b| b.column(0).to_vec()).collect();
+            let tag: Vec<i64> = out.iter().flat_map(|b| b.column(1).to_vec()).collect();
+            (k, tag)
+        };
+        let view = Filter::new(
+            scan_of(vec![("k", k.clone()), ("tag", tag.clone())]),
+            Expr::gt(Expr::Col(0), Expr::Lit(-10)),
+        );
+        let got = run(Box::new(view));
+        assert_eq!(got.0.len(), kept.len());
+        assert_eq!(
+            got,
+            run(scan_of(vec![("k", pick(&k)), ("tag", pick(&tag))]))
+        );
+    }
+
+    #[test]
+    fn extreme_keys_and_empty_input() {
+        let input = scan_of(vec![("k", vec![0, i64::MAX, i64::MIN, -1, i64::MAX])]);
+        let mut s = Sort::new(input, spec(vec![(0, SortOrder::Desc)], u64::MAX));
+        let mut ctx = ExecContext::calibrated();
+        let out = run_collect(&mut s, &mut ctx).unwrap();
+        assert_eq!(out[0].column(0), &[i64::MAX, i64::MAX, 0, -1, i64::MIN]);
+
+        let mut s = Sort::new(
+            scan_of(vec![("k", vec![])]),
+            spec(vec![(0, SortOrder::Asc)], 64),
+        );
+        let mut ctx = ExecContext::calibrated();
+        assert!(s.next(&mut ctx).unwrap().is_none());
+        assert_eq!(
+            ctx.finish().len(),
+            1,
+            "the scan's own charges, nothing spilled"
+        );
     }
 }
