@@ -12,14 +12,13 @@
 //! *shortest* counterexample; its action trace is emitted as JSONL plus
 //! a rustc-style diagnostic.
 //!
-//! Three production protocols ship as models (see [`models`]), each
+//! Two production protocols ship as models (see [`models`]), each
 //! extracted so the model drives the *real* transition code — the
-//! horizon arithmetic of `grail_par::shard`, the crash tie-break of
-//! `grail_sim::parallel`, the admission/placement/breaker core of
-//! `grail_scheduler::chaos`, and the audited [`EnergyLedger`] API —
-//! never a copy. The [`registry`] binds each model to the workspace
-//! types it covers; grail-lint's `model-coverage` rule walks those
-//! declarations so a new protocol state machine cannot land unchecked.
+//! admission/placement/breaker core of `grail_scheduler::chaos` and
+//! the audited [`EnergyLedger`] API — never a copy. The [`registry`]
+//! binds each model to the workspace types it covers; grail-lint's
+//! `model-coverage` rule walks those declarations so a new protocol
+//! state machine cannot land unchecked.
 //!
 //! Everything here is deterministic: no wall clock, no hashing,
 //! `BTreeMap` only, and the engine never spawns threads — fan-out

@@ -20,6 +20,14 @@
 //! * **settlement liveness** — the `finish` settlement (cover the run
 //!   window) is reachable from every reachable state, checked as a
 //!   [`Model::goal`] co-reachability obligation over the full graph.
+//!
+//! [`LedgerModel::broken_control`] is the seeded negative control for
+//! the whole pipeline: the same model with a shadow accumulator that
+//! counts what a `Transfer` moved as if it had been charged. CI runs it
+//! in a must-fail leg — grail-check has to find the breach by its
+//! shortest trace (a disk charge, then a transfer that actually moves
+//! some of it) and exit non-zero, proving the checker can catch the
+//! class of bug the faithful models certify the absence of.
 
 use crate::Model;
 use grail_power::units::{Joules, SimDuration, SimInstant};
@@ -57,12 +65,33 @@ pub enum LedgerAction {
 pub struct LedgerModel {
     /// Charge/transfer steps allowed before only `Finish` remains.
     max_ops: u32,
+    /// The seeded defect: the shadow accumulator also counts transfers.
+    shadow_counts_transfers: bool,
 }
+
+/// Number of steps in the minimal counterexample for
+/// [`LedgerModel::broken_control`] — pinned so the byte-stability tests
+/// and the CI must-fail leg can assert the exact trace, not just "some
+/// trace".
+pub const BROKEN_TRACE_LEN: usize = 2;
 
 impl LedgerModel {
     /// The reference instance: three ops from the dyadic palette.
     pub fn reference() -> Self {
-        LedgerModel { max_ops: 3 }
+        LedgerModel {
+            max_ops: 3,
+            shadow_counts_transfers: false,
+        }
+    }
+
+    /// The negative control: [`LedgerModel::reference`] with the seeded
+    /// shadow-accounting defect and nothing else changed (see the
+    /// module docs). Must fail.
+    pub fn broken_control() -> Self {
+        LedgerModel {
+            shadow_counts_transfers: true,
+            ..LedgerModel::reference()
+        }
     }
 
     fn palette(&self) -> [LedgerAction; 5] {
@@ -81,7 +110,11 @@ impl Model for LedgerModel {
     type Action = LedgerAction;
 
     fn name(&self) -> &'static str {
-        "ledger-settlement"
+        if self.shadow_counts_transfers {
+            "broken-ledger"
+        } else {
+            "ledger-settlement"
+        }
     }
 
     fn initial(&self) -> LedgerState {
@@ -115,7 +148,10 @@ impl Model for LedgerModel {
             }
             LedgerAction::Transfer(j) => {
                 // The real clamp-to-balance re-attribution.
-                t.ledger.transfer(DISK, RECOVERY, Joules::new(j));
+                let moved = t.ledger.transfer(DISK, RECOVERY, Joules::new(j));
+                if self.shadow_counts_transfers {
+                    t.charged += moved.joules();
+                }
                 t.ops += 1;
             }
             LedgerAction::Finish => {

@@ -2,19 +2,16 @@
 //!
 //! Each submodule turns one production protocol into a [`Model`]
 //! implementation that drives the *real* transition code — the
-//! extraction refactors in `grail_par::shard`, `grail_sim::parallel`,
-//! and `grail_scheduler::chaos` exist precisely so these models and the
-//! production loops share one copy of the logic. [`broken`] is the
-//! seeded negative control for CI's must-fail leg.
+//! `FleetState::apply` refactor in `grail_scheduler::chaos` exists
+//! precisely so the model and the production loop share one copy of
+//! the logic, and the ledger model's state literally contains an
+//! `EnergyLedger`. [`LedgerModel::broken_control`] is the seeded
+//! negative control for CI's must-fail leg.
 //!
 //! [`Model`]: crate::Model
 
-pub mod broken;
 pub mod chaos;
 pub mod ledger;
-pub mod shard;
 
-pub use broken::{broken_shard_model, BROKEN_TRACE_LEN};
 pub use chaos::ChaosModel;
-pub use ledger::LedgerModel;
-pub use shard::{ShardModel, ShardScript};
+pub use ledger::{LedgerModel, BROKEN_TRACE_LEN};

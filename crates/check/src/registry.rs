@@ -4,12 +4,13 @@
 //! The `covers` lists are load-bearing beyond documentation:
 //! grail-lint's `model-coverage` rule scans the workspace for types
 //! that implement the protocol-state-machine idiom (a `step`/`advance`
-//! method mutating an `EnergyLedger` across a thread or shard
-//! boundary) and demands each one appear in some entry's `covers`
-//! list. Deleting a line here, or adding a new protocol state machine
-//! without a model, fails the lint — code and proof stay bound.
+//! method mutating an `EnergyLedger` beside a `grail_par` or
+//! `ChaosSchedule` boundary) and demands each one appear in some
+//! entry's `covers` list. Deleting a line here, or adding a new
+//! protocol state machine without a model, fails the lint — code and
+//! proof stay bound.
 
-use crate::models::{broken_shard_model, ChaosModel, LedgerModel, ShardModel};
+use crate::models::{ChaosModel, LedgerModel};
 use crate::{run_model, Budget, Report};
 
 /// One registered model.
@@ -25,10 +26,6 @@ pub struct ModelEntry {
     pub run: fn(Budget) -> Report,
 }
 
-fn run_shard(budget: Budget) -> Report {
-    run_model(&ShardModel::reference(), budget)
-}
-
 fn run_chaos(budget: Budget) -> Report {
     run_model(&ChaosModel::reference(), budget)
 }
@@ -38,21 +35,11 @@ fn run_ledger(budget: Budget) -> Report {
 }
 
 fn run_broken(budget: Budget) -> Report {
-    run_model(&broken_shard_model(), budget)
+    run_model(&LedgerModel::broken_control(), budget)
 }
 
 /// Every shipped model, in the order the default run checks them.
 pub const REGISTRY: &[ModelEntry] = &[
-    ModelEntry {
-        name: "shard-horizon",
-        about: "epoch-horizon commit: conservative bounds, crash tie-break, fixed commit order",
-        covers: &[
-            "par::shard::HorizonProtocol",
-            "sim::parallel::CellRun",
-            "sim::parallel::ShardState",
-        ],
-        run: run_shard,
-    },
     ModelEntry {
         name: "chaos-failover",
         about: "chaos failover: admission conservation, breaker deadlines, domain-capped placement",
@@ -70,10 +57,10 @@ pub const REGISTRY: &[ModelEntry] = &[
 
 /// The seeded negative control. Not part of [`REGISTRY`]: the default
 /// run must pass, and this model must fail — CI runs it in a dedicated
-/// must-fail leg via `--model broken-shard-horizon`.
+/// must-fail leg via `--model broken-ledger`.
 pub const BROKEN: ModelEntry = ModelEntry {
-    name: "broken-shard-horizon",
-    about: "seeded off-by-one bound (negative control; must fail)",
+    name: "broken-ledger",
+    about: "seeded shadow accumulator counting transfers as charges (negative control; must fail)",
     covers: &[],
     run: run_broken,
 };

@@ -29,10 +29,6 @@ fn every_registered_model_reaches_fixpoint_clean_within_ci_budget() {
         lines,
         [
             (
-                "shard-horizon",
-                "pass: 1378 states, 3020 transitions (fixpoint within budget)"
-            ),
-            (
                 "chaos-failover",
                 "pass: 900 states, 2275 transitions (fixpoint within budget)"
             ),
@@ -50,12 +46,7 @@ fn registry_covers_the_workspace_protocol_state_machines() {
         .iter()
         .flat_map(|e| e.covers.iter().copied())
         .collect();
-    for required in [
-        "sim::parallel::CellRun",
-        "sim::parallel::ShardState",
-        "scheduler::chaos::Engine",
-        "scheduler::chaos::FleetState",
-    ] {
+    for required in ["scheduler::chaos::Engine", "scheduler::chaos::FleetState"] {
         assert!(
             covered.contains(&required),
             "{required} lost its model — grail-lint's model-coverage rule will fail"
@@ -65,7 +56,7 @@ fn registry_covers_the_workspace_protocol_state_machines() {
 
 #[test]
 fn broken_model_fails_with_a_minimized_trace_of_known_length() {
-    let entry = find("broken-shard-horizon").expect("seeded control is registered");
+    let entry = find("broken-ledger").expect("seeded control is registered");
     let report = (entry.run)(CI_BUDGET);
     assert!(
         !report.passed,
@@ -81,10 +72,7 @@ fn broken_model_fails_with_a_minimized_trace_of_known_length() {
         "trace no longer minimal?\n{jsonl}"
     );
     let header = jsonl.lines().next().expect("header line");
-    assert!(
-        header.contains("\"model\":\"broken-shard-horizon\""),
-        "{header}"
-    );
+    assert!(header.contains("\"model\":\"broken-ledger\""), "{header}");
     assert!(header.contains("\"kind\":\"invariant\""), "{header}");
     assert!(
         header.contains(&format!("\"steps\":{BROKEN_TRACE_LEN}")),
@@ -104,26 +92,11 @@ fn broken_model_fails_with_a_minimized_trace_of_known_length() {
 
 #[test]
 fn the_faithful_twin_of_the_broken_model_passes() {
-    // Same scripts, same lookahead, slack zero: the defect is the +1,
-    // nothing else.
-    use grail_check::models::{ShardModel, ShardScript};
-    use grail_par::HorizonProtocol;
-    let faithful = ShardModel::with_slack(
-        "broken-twin-faithful",
-        vec![
-            ShardScript {
-                events: vec![10, 20],
-                crashes: vec![],
-            },
-            ShardScript {
-                events: vec![15, 22],
-                crashes: vec![],
-            },
-        ],
-        HorizonProtocol::new(1),
-        0,
-    );
-    let report = grail_check::run_model(&faithful, CI_BUDGET);
+    // `broken_control` is `reference` with the shadow-accounting flag
+    // set and nothing else: same palette, same op budget. The defect is
+    // the miscounted transfer, not the instance.
+    use grail_check::models::LedgerModel;
+    let report = grail_check::run_model(&LedgerModel::reference(), CI_BUDGET);
     assert!(report.passed, "{}", report.line);
 }
 
@@ -144,7 +117,7 @@ fn reports_are_byte_identical_across_1_2_and_8_threads() {
 
 #[test]
 fn a_tight_budget_fails_loudly_instead_of_passing_vacuously() {
-    let entry = find("shard-horizon").expect("registered");
+    let entry = find("chaos-failover").expect("registered");
     let report = (entry.run)(Budget { max_states: 8 });
     assert!(!report.passed);
     assert!(report.line.contains("budget"), "{}", report.line);

@@ -28,7 +28,7 @@
 //! * [`THREAD_CONFINE`] — threads and locks live only in `grail-par`;
 //!   everywhere else, parallelism goes through `grail_par::Runner`,
 //!   whose index-ordered merge is what keeps fan-out byte-identical
-//!   to sequential runs.
+//!   to sequential runs (not suppressible).
 //! * [`UNSAFE_FORBID`] — every library crate root carries
 //!   `#![forbid(unsafe_code)]`.
 //! * [`PRAGMA`] — suppression pragmas themselves must be well-formed and
@@ -183,8 +183,10 @@ pub const RULES: &[Rule] = &[
 
 /// Rules whose diagnostics a pragma can never silence. Suppressing the
 /// suppression machinery (or a report that a suppression is dead) would
-/// let rot accumulate invisibly.
-pub const UNSUPPRESSABLE: &[&str] = &[PRAGMA, STALE_PRAGMA];
+/// let rot accumulate invisibly, and a waved-through lock or thread
+/// outside `crates/par` is scheduling reaching observable state: move
+/// it into `crates/par` instead.
+pub const UNSUPPRESSABLE: &[&str] = &[PRAGMA, STALE_PRAGMA, THREAD_CONFINE];
 
 /// Crates whose library code must route failures through `SimError`.
 const ERROR_HYGIENE_CRATES: &[&str] = &["sim", "power", "core", "scheduler"];
@@ -214,11 +216,6 @@ pub fn check_tokens(info: &FileInfo, f: &ScannedFile) -> Vec<Diagnostic> {
 /// never match, whatever the pragma says.
 pub fn suppressed(d: &Diagnostic, f: &ScannedFile) -> bool {
     if UNSUPPRESSABLE.contains(&d.rule) {
-        return false;
-    }
-    // `thread-confine` has a second gate: its pragmas only bind inside
-    // the sanctioned-file allowlist.
-    if d.rule == THREAD_CONFINE && !THREAD_SANCTIONED.contains(&d.file.as_str()) {
         return false;
     }
     f.pragmas.iter().any(|p| {
@@ -253,18 +250,6 @@ pub fn pragma_hygiene(rel: &str, f: &ScannedFile) -> Vec<Diagnostic> {
                 PRAGMA,
                 format!("the `{}` rule cannot be suppressed", p.rule),
             ));
-        } else if p.rule == THREAD_CONFINE && !THREAD_SANCTIONED.contains(&rel) {
-            out.push(Diagnostic::new(
-                rel,
-                p.at,
-                PRAGMA,
-                format!(
-                    "`thread-confine` may only be suppressed in sanctioned files ({}); \
-                     move the synchronization into crates/par (or the sanctioned module) \
-                     instead of waving it through",
-                    THREAD_SANCTIONED.join(", ")
-                ),
-            ));
         }
     }
     out
@@ -281,12 +266,6 @@ pub fn stale_pragmas(rel: &str, f: &ScannedFile, raw: &[Diagnostic]) -> Vec<Diag
         // Unknown-rule and unsuppressable-rule pragmas are already
         // errors under `pragma`; don't double-report them as stale.
         if !RULES.iter().any(|r| r.id == p.rule) || UNSUPPRESSABLE.contains(&p.rule.as_str()) {
-            continue;
-        }
-        // A thread-confine pragma outside the sanctioned files is
-        // already an error under `pragma`; don't pile a staleness
-        // report on top (it can never bind, so it is trivially stale).
-        if p.rule == THREAD_CONFINE && !THREAD_SANCTIONED.contains(&rel) {
             continue;
         }
         let covers = |line: usize| match p.scope {
@@ -775,15 +754,6 @@ fn metric_registration(info: &FileInfo, f: &ScannedFile, out: &mut Vec<Diagnosti
 /// The one crate allowed to spawn threads and hold locks.
 const THREAD_CRATE: &str = "par";
 
-/// Files outside `crates/par` sanctioned to hold synchronization
-/// primitives — currently only the intra-simulation parallel event
-/// loop, which delegates its spawning to `grail_par::shard` but still
-/// names `std::thread` (core autodetection). A `thread-confine` pragma
-/// is honored ONLY in these files (the reason stays mandatory);
-/// anywhere else the pragma is itself a `pragma` error, so a stray
-/// Mutex elsewhere in crates/sim cannot be waved through.
-pub const THREAD_SANCTIONED: &[&str] = &["crates/sim/src/parallel.rs"];
-
 const THREAD_PATTERNS: &[&str] = &[
     "std::thread",
     "thread::spawn",
@@ -1124,9 +1094,8 @@ const MODEL_LEDGER_TOKENS: &[&str] = &[
     ".transfer(",
     "bill_recovery",
 ];
-/// Evidence that a file sits on a thread/shard protocol boundary.
-const MODEL_BOUNDARY_TOKENS: &[&str] =
-    &["ShardStep", "HorizonProtocol", "grail_par", "ChaosSchedule"];
+/// Evidence that a file sits on a thread or fleet-schedule boundary.
+const MODEL_BOUNDARY_TOKENS: &[&str] = &["grail_par", "ChaosSchedule"];
 /// Where new covers entries belong (named in the diagnostic).
 const MODEL_REGISTRY_FILE: &str = "crates/check/src/registry.rs";
 
@@ -1540,17 +1509,11 @@ mod tests {
     }
 
     #[test]
-    fn thread_confine_pragma_binds_only_in_sanctioned_files() {
-        // In the sanctioned module a reasoned pragma authorizes the
-        // exception.
-        let allowed =
-            "// grail-lint: allow-file(thread-confine, sanctioned intra-sim parallelism home)\n\
-                       fn f() { let n = std::thread::available_parallelism(); }\n";
-        assert!(rules_at("crates/sim/src/parallel.rs", allowed).is_empty());
-        // Anywhere else the identical pragma is itself an error AND the
-        // violation still reports: no waving a stray Mutex through.
+    fn thread_confine_cannot_be_suppressed() {
+        // A reasoned pragma is itself an error AND the violation still
+        // reports: no waving a stray Mutex through.
         let waved = "fn g() { let m = std::sync::Mutex::new(0); } // grail-lint: allow(thread-confine, trust me)\n";
-        let got = rules_at("crates/sim/src/cache.rs", waved);
+        let got = rules_at("crates/sim/src/parallel.rs", waved);
         assert!(got.contains(&(1, "thread-confine".into())), "{got:?}");
         assert!(got.contains(&(1, "pragma".into())), "{got:?}");
         // ...and it is not double-reported as stale.

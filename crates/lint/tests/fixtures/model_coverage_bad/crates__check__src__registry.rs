@@ -6,6 +6,6 @@ pub struct ModelEntry {
 }
 
 pub const REGISTRY: &[ModelEntry] = &[ModelEntry {
-    name: "shard-horizon",
-    covers: &["sim::parallel::ShardState"],
+    name: "cell-run",
+    covers: &["sim::parallel::CellRun"],
 }];

@@ -1,8 +1,8 @@
 //! Fixture: a protocol state machine no grail-check model covers.
 
-use grail_par::shard::ShardStep;
+use grail_par::Runner;
 
-impl ShardStep for CellRun {
+impl CellRun {
     fn next_at(&self) -> u64 {
         self.queue_head
     }

@@ -6,6 +6,6 @@ pub struct ModelEntry {
 }
 
 pub const REGISTRY: &[ModelEntry] = &[ModelEntry {
-    name: "shard-horizon",
-    covers: &["sim::cell::CellRun", "sim::parallel::ShardState"],
+    name: "cell-run",
+    covers: &["sim::cell::CellRun", "sim::parallel::CellRun"],
 }];

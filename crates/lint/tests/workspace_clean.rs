@@ -108,19 +108,18 @@ fn semantic_rules_are_live_on_this_workspace() {
             .is_empty(),
         "expected the Simulation::finish settlement function"
     );
-    // The model-coverage rule has real machines to hold against the
-    // grail-check registry: the shard cells and the chaos engine.
+    // The model-coverage rule has a real machine to hold against the
+    // grail-check registry: the chaos engine.
     let machines = g.find(|d| {
-        matches!(d.crate_name.as_str(), "sim" | "par" | "scheduler")
+        d.crate_name == "scheduler"
             && !d.in_test
             && d.mut_self
-            && matches!(d.name.as_str(), "step" | "advance")
-            && d.impl_type.is_some()
+            && d.name == "step"
+            && d.impl_type.as_deref() == Some("Engine")
     });
     assert!(
-        machines.len() >= 3,
-        "expected the protocol state machines (CellRun, ShardState, Engine), found {}",
-        machines.len()
+        !machines.is_empty(),
+        "expected the scheduler::chaos::Engine state machine"
     );
 
     // Every member crate's manifest is collected and has a layer.
@@ -287,11 +286,11 @@ fn every_rule_is_exercised_by_the_engine() {
     let diags = grail_lint::check_files(&[
         sf(
             "crates/check/src/registry.rs",
-            "pub const REGISTRY: &[ModelEntry] = &[ModelEntry {\n    name: \"shard\",\n    covers: &[\"sim::parallel::SomethingElse\"],\n}];\n",
+            "pub const REGISTRY: &[ModelEntry] = &[ModelEntry {\n    name: \"cell\",\n    covers: &[\"sim::parallel::SomethingElse\"],\n}];\n",
         ),
         sf(
             "crates/sim/src/cell.rs",
-            "use grail_par::shard::ShardStep;\nimpl ShardStep for CellRun {\n    fn advance(&mut self, bound: u64) {\n        self.sim.bill_recovery(bound);\n    }\n}\n",
+            "use grail_par::Runner;\nimpl CellRun {\n    fn advance(&mut self, bound: u64) {\n        self.sim.bill_recovery(bound);\n    }\n}\n",
         ),
     ]);
     assert!(

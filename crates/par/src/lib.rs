@@ -8,15 +8,16 @@
 //! exactly what the byte-identical-artifacts contract cares about
 //! (`experiments.jsonl`, figure CSVs, trace exports).
 //!
-//! [`Runner::run`] therefore fans `&[C] -> Vec<R>` across a scoped
-//! thread pool but merges results by **input index**, so the returned
-//! vector is indistinguishable from `configs.iter().map(...)` run on a
-//! single thread. Workers pull work items from a shared atomic counter
-//! (dynamic load balancing — sweep points have wildly different costs),
-//! stash `(index, result)` pairs locally, and the merge step slots them
-//! back into input order after all threads join. No `Mutex`, no
-//! channels, no unsafe: the only shared mutable state is one
-//! `AtomicUsize`.
+//! The crate is one primitive, [`Runner::for_each_mut`]: scoped workers
+//! claim `(index, &mut item)` pairs from a slice iterator behind a
+//! `Mutex` (dynamic load balancing — sweep points have wildly different
+//! costs) and run `f` on each item in place, so every result lands at
+//! its **input index** whichever thread computed it. [`Runner::run`]
+//! maps `&[C] -> Vec<R>` by filling a slot vector through it, and
+//! `grail_sim::parallel` runs the cells of a sharded simulation through
+//! it; both are indistinguishable from a single-threaded `for` loop.
+//! No channels, no unsafe: the only shared mutable state is that one
+//! locked iterator.
 //!
 //! Thread spawning is *confined* to this crate by grail-lint's
 //! `thread-confine` rule; everything downstream of a worker runs the
@@ -24,11 +25,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod shard;
-
-pub use shard::{HorizonProtocol, ShardStep};
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// How a sweep executes: on the calling thread, or fanned across a
 /// fixed number of worker threads with index-ordered merge.
@@ -117,6 +114,54 @@ impl Runner {
         self.threads == 1
     }
 
+    /// Call `f(index, &mut item)` exactly once per item, fanned across
+    /// the runner's threads; returns when every item has been visited.
+    ///
+    /// Workers claim the next unvisited item from a shared iterator, so
+    /// which thread runs which item is scheduling-dependent — but each
+    /// item is only ever touched by its one claimant, and results stay
+    /// in the slice at their input index. With one thread (or at most
+    /// one item) everything runs inline on the calling thread.
+    ///
+    /// A panic in any worker is re-raised on the calling thread after
+    /// the scope joins, so failures are no quieter than under a
+    /// sequential `for` loop.
+    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
+        let threads = self.threads.min(items.len());
+        if threads <= 1 {
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
+            }
+            return;
+        }
+        let queue = Mutex::new(items.iter_mut().enumerate());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        // The guard is dropped before `f` runs, so a
+                        // panicking `f` never poisons the queue.
+                        let claimed = queue
+                            .lock()
+                            .expect("no worker panics while claiming")
+                            .next();
+                        let Some((i, item)) = claimed else { break };
+                        f(i, item);
+                    })
+                })
+                .collect();
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
+    }
+
     /// Map `f` over `configs`, returning results in **input order**
     /// regardless of which thread computed each point or when it
     /// finished.
@@ -125,67 +170,19 @@ impl Runner {
     /// It must be a pure function of its arguments for the determinism
     /// contract to hold — the runner guarantees order, purity is the
     /// caller's half of the bargain (grail-lint's determinism rules
-    /// police the simulation side).
-    ///
-    /// A panic in any worker is re-raised on the calling thread after
-    /// the scope joins, so failures are no quieter than under a
-    /// sequential `for` loop.
+    /// police the simulation side). Panics propagate as in
+    /// [`Runner::for_each_mut`].
     pub fn run<C, R, F>(&self, configs: &[C], f: F) -> Vec<R>
     where
         C: Sync,
         R: Send,
         F: Fn(usize, &C) -> R + Sync,
     {
-        let n = configs.len();
-        let threads = self.threads.min(n.max(1));
-        if threads <= 1 {
-            // Inline fast path: no scope, no atomics, no merge.
-            return configs.iter().enumerate().map(|(i, c)| f(i, c)).collect();
-        }
-
-        // Shared work index: each worker claims the next unclaimed
-        // config. Relaxed ordering suffices — fetch_add is the sole
-        // synchronization point and claims need no ordering relative
-        // to anything else; result visibility is given by the joins.
-        let next = AtomicUsize::new(0);
-        let per_thread: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, f(i, &configs[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(local) => local,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-
-        // Index-ordered merge: scheduling decided who computed what;
-        // the input order decides where it lands.
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (i, r) in per_thread.into_iter().flatten() {
-            debug_assert!(slots[i].is_none(), "config {i} claimed twice");
-            slots[i] = Some(r);
-        }
+        let mut slots: Vec<Option<R>> = configs.iter().map(|_| None).collect();
+        self.for_each_mut(&mut slots, |i, slot| *slot = Some(f(i, &configs[i])));
         slots
             .into_iter()
-            .enumerate()
-            .map(|(i, s)| s.unwrap_or_else(|| panic!("config {i} never claimed")))
+            .map(|slot| slot.expect("for_each_mut visits every slot"))
             .collect()
     }
 }
@@ -200,6 +197,33 @@ impl Default for Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn for_each_mut_visits_every_index_exactly_once() {
+        // 0 items, fewer items than threads, and many more.
+        for len in [0usize, 3, 97] {
+            for threads in [1, 2, 8] {
+                let mut visits = vec![0u32; len];
+                Runner::with_threads(threads).for_each_mut(&mut visits, |i, v| {
+                    *v += 1 + i as u32;
+                });
+                let want: Vec<u32> = (0..len as u32).map(|i| 1 + i).collect();
+                assert_eq!(visits, want, "len={len} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 exploded")]
+    fn for_each_mut_reraises_a_worker_panic_on_the_caller() {
+        let mut items = [0u8; 16];
+        Runner::with_threads(2).for_each_mut(&mut items, |i, _| {
+            if i == 5 {
+                panic!("item 5 exploded");
+            }
+        });
+    }
 
     fn square_point(i: usize, c: &u64) -> (usize, u64) {
         (i, c * c)

@@ -107,21 +107,6 @@ impl SimDuration {
         }
     }
 
-    /// Scale by a non-negative factor, rounding to the nearest nanosecond.
-    ///
-    /// Useful for slowdown/speedup factors (e.g. DVFS). Saturates on
-    /// overflow; a non-finite or negative factor yields zero.
-    #[inline]
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * factor)
-    }
-
-    /// Integer division of this duration into `n` equal parts (floor).
-    #[inline]
-    pub const fn div_u64(self, n: u64) -> SimDuration {
-        SimDuration(self.0 / n)
-    }
-
     /// Multiplication by an integer factor that clamps at
     /// [`SimDuration::MAX`] instead of overflowing — the safe form of
     /// `dur * n` for factors derived from untrusted exponents (retry
@@ -570,12 +555,6 @@ impl Bytes {
         Bytes(n)
     }
 
-    /// `n` kibibytes.
-    #[inline]
-    pub const fn kib(n: u64) -> Self {
-        Bytes(n * 1024)
-    }
-
     /// `n` mebibytes.
     #[inline]
     pub const fn mib(n: u64) -> Self {
@@ -811,17 +790,6 @@ impl EnergyEfficiency {
     pub const fn work_per_joule(self) -> f64 {
         self.0
     }
-
-    /// Relative improvement of `self` over `base`, as a fraction
-    /// (`0.14` = 14% more efficient).
-    #[inline]
-    pub fn gain_over(self, base: EnergyEfficiency) -> f64 {
-        if base.0 <= 0.0 {
-            0.0
-        } else {
-            self.0 / base.0 - 1.0
-        }
-    }
 }
 
 impl fmt::Display for EnergyEfficiency {
@@ -984,13 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn ee_gain() {
-        let base = EnergyEfficiency::from_work_energy(100.0, Joules::new(100.0));
-        let better = EnergyEfficiency::from_work_energy(114.0, Joules::new(100.0));
-        assert!((better.gain_over(base) - 0.14).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_energy_zero_power_ee() {
         assert_eq!(
             EnergyEfficiency::from_work_energy(5.0, Joules::ZERO).work_per_joule(),
@@ -1000,12 +961,5 @@ mod tests {
             EnergyEfficiency::from_perf_power(5.0, Watts::ZERO).work_per_joule(),
             0.0
         );
-    }
-
-    #[test]
-    fn duration_mul_f64() {
-        let d = SimDuration::from_secs(10).mul_f64(0.5);
-        assert_eq!(d, SimDuration::from_secs(5));
-        assert_eq!(SimDuration::from_secs(1).mul_f64(-2.0), SimDuration::ZERO);
     }
 }

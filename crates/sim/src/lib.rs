@@ -34,9 +34,9 @@
 //! * [`driver`] — multi-stream job driver (phases of CPU + IO demands)
 //!   with retry/backoff over transient faults.
 //! * [`event`] — deterministic priority event queue.
-//! * [`parallel`] — intra-simulation parallelism: cells sharded across
-//!   threads with conservative lookahead, byte-identical at any shard
-//!   count ([`parallel::run_parallel`]).
+//! * [`parallel`] — intra-simulation parallelism: independent cells
+//!   built, run as a parallel map and committed in index order,
+//!   byte-identical at any shard count ([`parallel::run_parallel`]).
 //! * [`trace`] — binned power/utilization time series.
 //! * [`attr`] — per-query energy attribution tables whose rows sum to
 //!   the ledger's wall-socket total.
@@ -73,6 +73,6 @@ pub use fault::{
     FaultStats,
 };
 pub use ids::{ArrayId, CpuId, DiskId, SsdId, StorageTarget};
-pub use parallel::{derived_lookahead, run_parallel, CellSpec, ParReport, SimConfig};
+pub use parallel::{run_parallel, CellSpec, ParReport, SimConfig};
 pub use perf::{AccessPattern, CpuPerfProfile, DiskPerfProfile, SsdPerfProfile};
 pub use sim::{Reservation, SimReport, Simulation};

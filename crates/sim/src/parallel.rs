@@ -1,48 +1,35 @@
-//! Intra-simulation parallelism: shard one simulation's event loop
-//! across threads, with bit-identical output at any shard count.
+//! Intra-simulation parallelism: run one simulation's cells across
+//! threads, with bit-identical output at any shard count.
 //!
-//! `grail-par`'s [`Runner`](grail_par::Runner) parallelizes *across*
-//! independent sweep points; this module parallelizes *inside* one
-//! simulation. The unit of partition is the **cell**: a slice of the
-//! simulated machine (its own CPU pool, spindles/SSDs, arrays) together
-//! with the client streams bound to it — the shape of every
-//! cluster-scale scenario, where a fleet is hundreds of such cells and
-//! nothing crosses cell boundaries except the final energy roll-up.
-//! Each cell runs the ordinary sequential [`Simulation`] +
-//! [`driver`](crate::driver) machinery; shards are threads hosting
-//! disjoint cell subsets, paced by the conservative horizon protocol in
-//! [`grail_par::shard`]: a shard may advance to `min(neighbor horizons)
-//! + lookahead`, with lookahead derived from device service-time floors
-//! (see [`derived_lookahead`]).
+//! `grail-par`'s [`Runner::run`] parallelizes *across* independent
+//! sweep points; this module parallelizes *inside* one simulation. The
+//! unit of partition is the **cell**: a slice of the simulated machine
+//! (its own CPU pool, spindles/SSDs, arrays) together with the client
+//! streams bound to it — the shape of every cluster-scale scenario,
+//! where a fleet is hundreds of such cells and nothing crosses cell
+//! boundaries except the final energy roll-up. [`run_parallel`] is
+//! three steps: **build** every cell on the calling thread, **run**
+//! each cell to completion with the ordinary sequential [`Simulation`]
+//! and [`driver`](crate::driver) machinery (a parallel map over the
+//! cells, [`Runner::for_each_mut`]), then **commit** the finished cells
+//! into one report.
 //!
 //! ## Why the output is byte-identical at any shard count
 //!
 //! Every mutation of simulation state happens inside some cell, and a
 //! cell's evolution is a pure function of its spec, its seeded fault
 //! plan, and its chaos slice — never of what other cells are doing or
-//! of which OS thread hosts it. The horizon protocol therefore only
-//! decides *when* (in wall-clock) a cell's events run, not *what* they
-//! compute. The commit then folds per-cell artifacts in **fixed cell
-//! index order**: ledger charges (float accumulation order is pinned),
-//! trace events (stable sort by timestamp keeps cell order on ties),
-//! metrics registries, attribution rows, fault counters. Nothing that
-//! depends on the shard count — not even the count itself — enters any
-//! merged artifact, so 1, 2, and 8 shards produce the same bytes. The
-//! root `par_sim_determinism` test enforces exactly that on serialized
+//! of which OS thread hosts it. Cells exchange no events, so there is
+//! nothing to synchronize while they run: the thread count only decides
+//! *when* (in wall-clock) a cell runs, not *what* it computes. The
+//! commit then folds per-cell artifacts in **fixed cell index order**:
+//! ledger charges (float accumulation order is pinned), trace events
+//! (stable sort by timestamp keeps cell order on ties), metrics
+//! registries, attribution rows, fault counters. Nothing that depends
+//! on the shard count — not even the count itself — enters any merged
+//! artifact, so 1, 2, and 8 shards produce the same bytes. The root
+//! `par_sim_determinism` test enforces exactly that on serialized
 //! ledgers, JSONL traces, and Prometheus scrapes.
-//!
-//! ## Why conservative (and not optimistic)
-//!
-//! Optimistic engines (Time Warp) need rollback: every device calendar,
-//! power-state machine, ledger accumulator and trace buffer would have
-//! to checkpoint, and a single float re-accumulated in a different
-//! order after rollback would break the byte-identity contract that
-//! every downstream artifact relies on. Conservative synchronization
-//! never executes an event it might retract, so the sequential code
-//! runs unchanged — the entire refactor is pacing plus a deterministic
-//! merge.
-
-// grail-lint: allow-file(thread-confine, sim::parallel is the sanctioned intra-sim parallelism home; it only queries available_parallelism and delegates spawning to grail-par's shard runner)
 
 use crate::attr::AttributionTable;
 use crate::driver::{DriveOutcome, JobResult, JobSpec, RetryPolicy, StreamEngine};
@@ -51,10 +38,10 @@ use crate::fault::{ChaosEventKind, ChaosSchedule, FaultConfig, FaultPlan};
 use crate::perf::{CpuPerfProfile, DiskPerfProfile, SsdPerfProfile};
 use crate::raid::RaidLevel;
 use crate::sim::{ledger_event, tt, SimReport, Simulation};
-use grail_par::shard::{HorizonProtocol, ShardStep};
+use grail_par::Runner;
 use grail_power::components::{CpuPowerProfile, DiskPowerProfile, SsdPowerProfile};
 use grail_power::ledger::{ComponentId, ComponentKind, EnergyLedger};
-use grail_power::units::{Cycles, Joules, SimDuration, SimInstant, Watts};
+use grail_power::units::{Joules, SimInstant, Watts};
 use grail_trace::{Category, Recorder, TraceEvent, TraceSink, Tracer, Track};
 
 /// One cell of a sharded simulation: a device slice plus the job
@@ -162,11 +149,6 @@ pub struct SimConfig {
     pub crash_boot_energy: Joules,
     /// Driver retry policy, shared by every cell.
     pub policy: RetryPolicy,
-    /// Commit granularity: the floor of the effective advance window.
-    /// Cells exchange no events, so the window is purely a pacing
-    /// knob — the derived device floor (microseconds to nanoseconds)
-    /// would serialize shards without changing any output byte.
-    pub epoch: SimDuration,
     /// Per-cell trace buffer capacity; `None` disables tracing.
     pub trace_capacity: Option<usize>,
     /// Collect per-query attribution tables (merged at commit).
@@ -175,7 +157,7 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// A configuration over `cells` with no faults, no chaos, no base
-    /// draw, default retry policy, a 250 ms epoch, and tracing off.
+    /// draw, default retry policy, and tracing off.
     pub fn new(cells: Vec<CellSpec>) -> Self {
         SimConfig {
             cells,
@@ -185,7 +167,6 @@ impl SimConfig {
             chaos: None,
             crash_boot_energy: Joules::new(500.0),
             policy: RetryPolicy::default(),
-            epoch: SimDuration::from_millis(250),
             trace_capacity: None,
             attribution: false,
         }
@@ -193,9 +174,7 @@ impl SimConfig {
 }
 
 /// The outcome of a sharded run: the merged [`SimReport`]
-/// (byte-identical at any shard count) plus driver results and the
-/// pacing parameters actually used. `shards` and `lookahead` exist for
-/// benchmarking only — they never appear in the report's artifacts.
+/// (byte-identical at any shard count) plus driver results.
 #[derive(Debug)]
 pub struct ParReport {
     /// The merged settlement, indistinguishable from a single
@@ -204,35 +183,6 @@ pub struct ParReport {
     pub report: SimReport,
     /// Merged driver outcome; `JobResult::stream` values are global.
     pub outcome: DriveOutcome,
-    /// Shard (thread) count the run used.
-    pub shards: usize,
-    /// The effective advance window, `max(derived floor, epoch)`.
-    pub lookahead: SimDuration,
-}
-
-/// The service-time lower bound across every device model present: the
-/// classic lookahead of conservative simulation. Disk floor is one
-/// positioning (`avg_seek + avg_rotation`), SSD floor one request
-/// latency, CPU floor one core cycle; the minimum over the cells is a
-/// time no device could respond within, clamped to ≥ 1 ns.
-pub fn derived_lookahead(cells: &[CellSpec]) -> SimDuration {
-    let mut floor: Option<SimDuration> = None;
-    let mut fold = |d: SimDuration| match floor {
-        Some(f) if f <= d => {}
-        _ => floor = Some(d),
-    };
-    for c in cells {
-        if c.disks > 0 {
-            fold(c.disk_perf.avg_seek + c.disk_perf.avg_rotation);
-        }
-        if c.ssds > 0 {
-            fold(c.ssd_perf.request_latency);
-        }
-        fold(c.cpu.core_time(Cycles::new(1)));
-    }
-    floor
-        .unwrap_or(SimDuration::from_nanos(1))
-        .max(SimDuration::from_nanos(1))
 }
 
 /// splitmix64 — the same mix `FaultPlan` uses to give devices disjoint
@@ -246,35 +196,25 @@ fn mix(seed: u64, cell: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What a cell does next under an advance `bound`: the crash-vs-stream
-/// decision at the heart of [`CellRun::advance`], exposed as a pure
-/// function so the `grail-check` protocol model drives the *real*
-/// tie-break rather than a copy.
+/// What a cell does next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellAction {
-    /// Bill the reboot surge at the crash instant. Crashes win ties
-    /// (`crash <= event`) so same-instant stream events see the
-    /// post-crash world — the ordering `ChaosSchedule::generate`
-    /// documents.
-    Crash,
-    /// Run the next stream event.
-    Event,
-    /// Nothing at or before `bound`: the cell parks until repaced.
-    Park,
+enum CellAction {
+    /// Bill the reboot surge at the crash instant.
+    Crash(SimInstant),
+    /// Run the stream event due at this instant.
+    Event(SimInstant),
 }
 
 /// Decide the next step for a cell whose next crash sits at `crash` and
-/// next stream event at `event` (both simulated nanoseconds, `u64::MAX`
-/// when exhausted), under the conservative advance `bound`. An instant
-/// landing exactly on the bound is processed in this round.
-pub fn next_cell_action(crash: u64, event: u64, bound: u64) -> CellAction {
-    let next = crash.min(event);
-    if next == u64::MAX || next > bound {
-        CellAction::Park
-    } else if crash <= event {
-        CellAction::Crash
-    } else {
-        CellAction::Event
+/// next stream event at `event` (`None` when exhausted). Crashes win
+/// ties (`crash <= event`) so same-instant stream events see the
+/// post-crash world — the ordering `ChaosSchedule::generate` documents.
+fn next_cell_action(crash: Option<SimInstant>, event: Option<SimInstant>) -> Option<CellAction> {
+    match (crash, event) {
+        (Some(c), Some(e)) if c <= e => Some(CellAction::Crash(c)),
+        (Some(c), None) => Some(CellAction::Crash(c)),
+        (_, Some(e)) => Some(CellAction::Event(e)),
+        (None, None) => None,
     }
 }
 
@@ -290,6 +230,7 @@ struct CellRun {
     /// Latest simulated instant this cell has acted at (chaos bills can
     /// land past the workload's end; the commit horizon covers them).
     high_water: SimInstant,
+    /// Why [`CellRun::run`] stopped early, if it did.
     failed: Option<SimError>,
 }
 
@@ -344,72 +285,24 @@ impl CellRun {
         })
     }
 
-    fn next_crash(&self) -> u64 {
-        self.crashes
-            .get(self.crash_idx)
-            .map(|t| t.as_nanos())
-            .unwrap_or(u64::MAX)
-    }
-
-    fn next_at(&self) -> u64 {
-        if self.failed.is_some() {
-            return u64::MAX;
-        }
-        let e = self
-            .engine
-            .next_at()
-            .map(|t| t.as_nanos())
-            .unwrap_or(u64::MAX);
-        e.min(self.next_crash())
-    }
-
-    fn advance(&mut self, bound: u64) {
-        while self.failed.is_none() {
-            let c = self.next_crash();
-            let e = self
-                .engine
-                .next_at()
-                .map(|t| t.as_nanos())
-                .unwrap_or(u64::MAX);
-            match next_cell_action(c, e, bound) {
-                CellAction::Park => break,
-                CellAction::Crash => {
-                    self.high_water = self.high_water.max(SimInstant::from_nanos(c));
-                    let at = self.crashes[self.crash_idx];
+    /// Run the cell to completion: every crash and stream event in
+    /// time order, stopping at the first error.
+    fn run(&mut self) -> Result<(), SimError> {
+        loop {
+            let crash = self.crashes.get(self.crash_idx).copied();
+            match next_cell_action(crash, self.engine.next_at()) {
+                None => return Ok(()),
+                Some(CellAction::Crash(at)) => {
+                    self.high_water = self.high_water.max(at);
                     self.sim
                         .bill_recovery(at, "chaos.machine_crash", self.boot_energy);
                     self.crash_idx += 1;
                 }
-                CellAction::Event => {
-                    self.high_water = self.high_water.max(SimInstant::from_nanos(e));
-                    if let Err(err) = self.engine.step(&mut self.sim) {
-                        self.failed = Some(err);
-                    }
+                Some(CellAction::Event(at)) => {
+                    self.high_water = self.high_water.max(at);
+                    self.engine.step(&mut self.sim)?;
                 }
             }
-        }
-    }
-}
-
-/// A shard: one thread's subset of the cells. `next_at`/`advance`
-/// aggregate over the hosted cells, so the horizon protocol sees one
-/// queue per shard exactly as it would for a monolithic event loop.
-struct ShardState {
-    cells: Vec<(usize, CellRun)>,
-}
-
-impl ShardStep for ShardState {
-    fn next_at(&self) -> u64 {
-        self.cells
-            .iter()
-            .map(|(_, c)| c.next_at())
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
-    fn advance(&mut self, bound: u64) {
-        for (_, c) in &mut self.cells {
-            c.advance(bound);
         }
     }
 }
@@ -421,47 +314,24 @@ impl ShardStep for ShardState {
 /// shard count; see the module docs for the argument and the root
 /// `par_sim_determinism` test for the enforcement.
 pub fn run_parallel(config: &SimConfig, shards: usize) -> Result<ParReport, SimError> {
-    let requested = if shards == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    let runner = if shards == 0 {
+        Runner::available()
     } else {
-        shards
+        Runner::with_threads(shards)
     };
+    // Built here rather than by the workers: build errors surface in
+    // cell order, and the cells' allocations stay in one arena.
     let mut cells = Vec::with_capacity(config.cells.len());
     for (i, spec) in config.cells.iter().enumerate() {
         cells.push(CellRun::build(config, i, spec)?);
     }
-
-    // Round-robin cells onto shards. Placement affects wall-clock only:
-    // the commit below orders everything by cell index.
-    let shard_count = requested.min(cells.len()).max(1);
-    let mut shard_states: Vec<ShardState> = (0..shard_count)
-        .map(|_| ShardState { cells: Vec::new() })
-        .collect();
-    for (i, cell) in cells.into_iter().enumerate() {
-        shard_states[i % shard_count].cells.push((i, cell));
+    runner.for_each_mut(&mut cells, |_, cell| cell.failed = cell.run().err());
+    // Surface the first failure by cell index (deterministic regardless
+    // of which thread hit it).
+    if let Some(err) = cells.iter_mut().find_map(|c| c.failed.take()) {
+        return Err(err);
     }
-
-    let lookahead = derived_lookahead(&config.cells).max(config.epoch);
-    let shard_states = HorizonProtocol::new(lookahead.as_nanos()).run(shard_states);
-
-    // Re-collect cells in index order and surface the first failure by
-    // cell index (deterministic regardless of which thread hit it).
-    let mut tagged: Vec<(usize, CellRun)> =
-        shard_states.into_iter().flat_map(|s| s.cells).collect();
-    tagged.sort_by_key(|(i, _)| *i);
-    let mut cells: Vec<CellRun> = tagged.into_iter().map(|(_, c)| c).collect();
-    for c in &mut cells {
-        if let Some(err) = c.failed.take() {
-            return Err(err);
-        }
-    }
-
-    let mut report = commit(config, cells)?;
-    report.shards = shard_count;
-    report.lookahead = lookahead;
-    Ok(report)
+    commit(config, cells)
 }
 
 /// Fold finished cells into one report, in cell index order throughout.
@@ -622,10 +492,6 @@ fn commit(config: &SimConfig, cells: Vec<CellRun>) -> Result<ParReport, SimError
             makespan,
             total_retries,
         },
-        // Pacing parameters are stamped by `run_parallel`; they are
-        // observability only and never reach an artifact.
-        shards: 0,
-        lookahead: SimDuration::ZERO,
     })
 }
 
@@ -635,7 +501,11 @@ mod tests {
     use crate::driver::{IoDemand, PhaseSpec};
     use crate::fault::ChaosEvent;
     use crate::ids::StorageTarget;
-    use grail_power::units::{Bytes, Hertz};
+    use grail_power::units::{Bytes, Cycles, Hertz, SimDuration};
+
+    /// Auto, sequential, even and uneven splits of the cell counts the
+    /// tests use, and more threads than cells.
+    const SHARD_COUNTS: [usize; 5] = [0, 1, 2, 3, 8];
 
     fn scan_cell(streams: usize, jobs: usize) -> CellSpec {
         let target = StorageTarget::Array(crate::ids::ArrayId(0));
@@ -691,10 +561,10 @@ mod tests {
     fn shard_counts_agree_byte_for_byte() {
         let cfg = reference_config(5);
         let r1 = run_parallel(&cfg, 1).unwrap();
-        let r2 = run_parallel(&cfg, 2).unwrap();
-        let r8 = run_parallel(&cfg, 8).unwrap();
-        assert_eq!(fingerprint(&r1), fingerprint(&r2));
-        assert_eq!(fingerprint(&r1), fingerprint(&r8));
+        for shards in SHARD_COUNTS {
+            let r = run_parallel(&cfg, shards).unwrap();
+            assert_eq!(fingerprint(&r1), fingerprint(&r), "{shards} shard(s)");
+        }
         assert_eq!(r1.outcome.results.len(), 5 * 2 * 2);
     }
 
@@ -739,26 +609,50 @@ mod tests {
     }
 
     #[test]
-    fn crash_on_epoch_horizon_bills_recovery_identically() {
-        let mut cfg = reference_config(4);
-        let crash_at = SimInstant::EPOCH + cfg.epoch; // exactly one epoch in
+    fn crash_coinciding_with_a_stream_event_is_billed_first_and_once() {
+        // A zero-work job arrives on cell 1 at the very nanosecond the
+        // cell crashes: the crash must be billed before the arrival is
+        // dispatched, and both exactly once, at every shard count.
+        let mut cfg = reference_config(5);
+        let at = SimInstant::EPOCH + SimDuration::from_millis(250);
+        let mut zero = JobSpec::immediate(vec![PhaseSpec::cpu_only(Cycles::new(0), 1)]);
+        zero.arrival = at;
+        cfg.cells[1].streams.push(vec![zero]);
         cfg.chaos = Some(ChaosSchedule::scripted(
-            4,
+            5,
             1,
             SimDuration::from_secs(10),
             vec![ChaosEvent {
-                at: crash_at,
-                kind: ChaosEventKind::MachineCrash { machine: 2 },
+                at,
+                kind: ChaosEventKind::MachineCrash { machine: 1 },
             }],
         ));
         let r1 = run_parallel(&cfg, 1).unwrap();
-        let r8 = run_parallel(&cfg, 8).unwrap();
-        let rec1 = r1.report.recovery_energy();
+        for shards in SHARD_COUNTS {
+            let r = run_parallel(&cfg, shards).unwrap();
+            assert_eq!(fingerprint(&r1), fingerprint(&r), "{shards} shard(s)");
+        }
+        let recovery = r1.report.recovery_energy();
         assert_eq!(
-            rec1.joules().to_bits(),
-            r8.report.recovery_energy().joules().to_bits()
+            recovery.joules().to_bits(),
+            cfg.crash_boot_energy.joules().to_bits(),
+            "exactly one cold boot is billed"
         );
-        assert!((rec1.joules() - cfg.crash_boot_energy.joules()).abs() < 1e-9);
+        // 5 cells × 2 streams × 2 jobs + the coinciding job, which is
+        // cell 1's third stream: global stream 2 + 2.
+        assert_eq!(r1.outcome.results.len(), 21);
+        let coinciding: Vec<_> = r1.outcome.results.iter().filter(|r| r.end == at).collect();
+        assert_eq!(coinciding.len(), 1, "the zero-duration job ran once");
+        assert_eq!(coinciding[0].stream, 4);
+        assert!(coinciding[0].latency().is_zero());
+        let rec = r1.report.trace.as_ref().unwrap();
+        let at_instant: Vec<&str> = rec
+            .events()
+            .filter(|e| e.at.as_nanos() == at.as_nanos())
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(at_instant.first(), Some(&"chaos.machine_crash"));
+        assert!(at_instant.len() > 1, "the arrival traced after the crash");
     }
 
     #[test]
@@ -769,53 +663,46 @@ mod tests {
         assert!(r.outcome.results.is_empty());
     }
 
-    #[test]
-    fn derived_lookahead_is_clamped_to_one_nanosecond() {
-        // A CPU-only cell at an absurd clock: one core cycle rounds to
-        // 0 ns, and without the clamp the horizon protocol would get a
-        // zero-width advance window. The floor must be exactly 1 ns —
-        // and a run paced at that degenerate window must still agree
-        // byte-for-byte with the sequential baseline.
-        let mut cells: Vec<CellSpec> = (0..2).map(|_| scan_cell(1, 1)).collect();
-        for c in &mut cells {
-            c.cpu.freq = Hertz::ghz(1000.0);
+    /// A config whose cells `bad` each drive a stream at an SSD they
+    /// do not own (`SsdId(cell index)`, so the error names its cell).
+    fn config_with_stray_targets(bad: &[usize]) -> SimConfig {
+        let mut cfg = reference_config(6);
+        for &c in bad {
+            let stray = StorageTarget::Ssd(crate::ids::SsdId(c as u32));
+            cfg.cells[c]
+                .streams
+                .push(vec![JobSpec::immediate(vec![PhaseSpec::overlapped(
+                    Cycles::new(1_000),
+                    1,
+                    vec![IoDemand::seq_read(stray, Bytes::mib(1))],
+                )])]);
         }
-        assert_eq!(derived_lookahead(&cells), SimDuration::from_nanos(1));
-        let mut cfg = SimConfig::new(cells);
-        cfg.epoch = SimDuration::from_nanos(1); // effective lookahead = the clamp
-        let r1 = run_parallel(&cfg, 1).unwrap();
-        let r2 = run_parallel(&cfg, 2).unwrap();
-        assert_eq!(r2.lookahead, SimDuration::from_nanos(1));
-        assert_eq!(fingerprint(&r1), fingerprint(&r2));
-        assert_eq!(r1.outcome.results.len(), 2);
+        cfg
     }
 
     #[test]
-    fn zero_duration_event_on_the_epoch_horizon_runs_exactly_once() {
-        // A zero-work job arriving exactly on the first epoch horizon:
-        // its event time equals a shard's advance bound, so the `<=`
-        // tie in the protocol decides whether it runs this round or the
-        // next. Either way it must run exactly once, at its arrival
-        // instant, with identical artifacts at every shard count.
-        let mut cfg = reference_config(2);
-        let mut zero = JobSpec::immediate(vec![PhaseSpec::cpu_only(Cycles::new(0), 1)]);
-        zero.arrival = SimInstant::EPOCH + cfg.epoch;
-        cfg.cells[1].streams.push(vec![zero]);
-        let r1 = run_parallel(&cfg, 1).unwrap();
-        let r2 = run_parallel(&cfg, 2).unwrap();
-        let r8 = run_parallel(&cfg, 8).unwrap();
-        assert_eq!(fingerprint(&r1), fingerprint(&r2));
-        assert_eq!(fingerprint(&r1), fingerprint(&r8));
-        // 2 cells × 2 streams × 2 jobs + the horizon-aligned job.
-        assert_eq!(r1.outcome.results.len(), 9);
-        let on_horizon: Vec<_> = r1
-            .outcome
-            .results
-            .iter()
-            .filter(|r| r.end == SimInstant::EPOCH + cfg.epoch)
-            .collect();
-        assert_eq!(on_horizon.len(), 1, "the zero-duration job ran once");
-        assert!(on_horizon[0].latency().is_zero());
+    fn the_lowest_index_failure_is_returned_at_every_shard_count() {
+        // Run errors in cells 2 and 5: cell 2's is the one reported.
+        let cfg = config_with_stray_targets(&[2, 5]);
+        for shards in SHARD_COUNTS {
+            assert_eq!(
+                run_parallel(&cfg, shards).unwrap_err(),
+                SimError::UnknownDevice("SsdId(2)".to_string()),
+                "{shards} shard(s)"
+            );
+        }
+        // A build error in cell 1 (RAID-5 over two disks) outranks them:
+        // no cell runs at all.
+        let mut cfg = config_with_stray_targets(&[2, 5]);
+        cfg.cells[1].disks = 2;
+        cfg.cells[1].raid = Some(RaidLevel::Raid5);
+        for shards in SHARD_COUNTS {
+            assert_eq!(
+                run_parallel(&cfg, shards).unwrap_err(),
+                SimError::BadArrayGeometry { disks: 2, min: 3 },
+                "{shards} shard(s)"
+            );
+        }
     }
 
     // -----------------------------------------------------------------
@@ -923,7 +810,7 @@ mod tests {
     #[test]
     fn sharded_trace_bytes_are_pinned_at_every_shard_count() {
         let cfg = pinned_cells();
-        for shards in [1usize, 2, 8] {
+        for shards in SHARD_COUNTS {
             let r = run_parallel(&cfg, shards).unwrap();
             let rec = r.report.trace.as_ref().unwrap();
             assert_eq!(
@@ -942,8 +829,7 @@ mod tests {
         let cfg = pinned_cells();
         let mut cell = CellRun::build(&cfg, 0, &cfg.cells[0]).unwrap();
         cell.sim.set_tracer(Tracer::on(Recorder::new(4096)));
-        cell.advance(u64::MAX);
-        assert!(cell.failed.is_none());
+        cell.run().unwrap();
         let rep = cell.sim.finish(cell.high_water);
         let rec = rep.trace.as_ref().unwrap();
         for name in ["ledger.charge", "ledger.transfer", "chaos.machine_crash"] {
@@ -957,24 +843,14 @@ mod tests {
 
     #[test]
     fn cell_action_tie_break_prefers_the_crash() {
-        assert_eq!(next_cell_action(100, 100, 200), CellAction::Crash);
-        assert_eq!(next_cell_action(100, 90, 200), CellAction::Event);
-        assert_eq!(next_cell_action(u64::MAX, 90, 200), CellAction::Event);
-        // Exactly on the bound still runs this round; one past parks.
-        assert_eq!(next_cell_action(u64::MAX, 200, 200), CellAction::Event);
-        assert_eq!(next_cell_action(201, u64::MAX, 200), CellAction::Park);
-        assert_eq!(
-            next_cell_action(u64::MAX, u64::MAX, u64::MAX),
-            CellAction::Park
-        );
-    }
-
-    #[test]
-    fn lookahead_floor_comes_from_the_slowest_constraint() {
-        let cells = vec![scan_cell(1, 1)];
-        let floor = derived_lookahead(&cells);
-        // CPU cycle (~0.5 ns) undercuts the disk's 5.5 ms positioning
-        // floor; the derived lookahead is the MINIMUM across devices.
-        assert!(floor <= SimDuration::from_nanos(1));
+        use CellAction::{Crash, Event};
+        let at = SimInstant::from_nanos;
+        let next = |c: Option<u64>, e: Option<u64>| next_cell_action(c.map(at), e.map(at));
+        assert_eq!(next(Some(100), Some(100)), Some(Crash(at(100))));
+        assert_eq!(next(Some(100), Some(90)), Some(Event(at(90))));
+        assert_eq!(next(Some(100), Some(101)), Some(Crash(at(100))));
+        assert_eq!(next(None, Some(90)), Some(Event(at(90))));
+        assert_eq!(next(Some(201), None), Some(Crash(at(201))));
+        assert_eq!(next(None, None), None);
     }
 }

@@ -2,7 +2,7 @@
 //! `grail_sim::parallel` simulation sharded across threads must produce
 //! the **same bytes** as its single-shard run — the energy ledger, the
 //! JSONL trace, and the Prometheus scrape, compared as strings at shard
-//! counts 1, 2, and 8.
+//! counts 0 (auto), 1, 2, 3 (divides no scenario's cell count) and 8.
 //!
 //! The unit tests in `sim::parallel` prove the ledger fingerprints
 //! agree; this closes the loop through the full artifact pipeline —
@@ -10,9 +10,9 @@
 //! for a plain scenario, a fault-injected one, and a scripted-chaos
 //! one, plus (ignored in debug, run in release by CI) the plain
 //! scenario at 24 cells × 2 streams × 400 jobs. A proptest then sweeps
-//! small random topologies, and a final test crashes a machine
-//! *exactly on an epoch-commit horizon* — the nastiest instant for a
-//! sharded event loop — and checks Recovery billing to the bit.
+//! small random topologies, and a final test crashes a machine *at the
+//! very nanosecond one of its jobs arrives* and checks Recovery
+//! billing to the bit.
 
 use grail_power::components::{CpuPowerProfile, DiskPowerProfile, SsdPowerProfile};
 use grail_power::units::{Bytes, Cycles, Hertz, SimDuration, SimInstant, Watts};
@@ -140,9 +140,12 @@ fn artifacts(r: &ParReport) -> (Vec<(String, u64)>, String, String) {
     )
 }
 
+/// Shard counts every scenario is compared at, against the 1-shard run.
+const SHARD_COUNTS: [usize; 4] = [0, 2, 3, 8];
+
 fn assert_shards_agree(cfg: &SimConfig) {
     let want = artifacts(&run_parallel(cfg, 1).expect("1 shard"));
-    for shards in [2usize, 8] {
+    for shards in SHARD_COUNTS {
         let got = artifacts(&run_parallel(cfg, shards).expect("sharded run"));
         assert_eq!(want.0, got.0, "ledger diverged at {shards} shards");
         assert_eq!(want.1, got.1, "JSONL trace diverged at {shards} shards");
@@ -161,7 +164,7 @@ fn plain_simulation_is_byte_identical_across_shard_counts() {
 }
 
 #[test]
-#[ignore = "19 200 jobs at 1, 2 and 8 shards; CI's test job runs it in release"]
+#[ignore = "19 200 jobs at five shard counts; CI's test job runs it in release"]
 fn plain_simulation_at_scale_is_byte_identical_across_shard_counts() {
     // 800 jobs per cell record ~4 800 events; `artifacts` fails on a
     // ring that dropped any, so equal truncated prefixes cannot pass.
@@ -179,57 +182,58 @@ fn chaotic_simulation_is_byte_identical_across_shard_counts() {
 }
 
 #[test]
-fn crash_exactly_on_epoch_horizon_bills_recovery_identically() {
-    // The crash lands on the first epoch-commit horizon — the instant a
-    // shard's advance window closes. A protocol that processed the
-    // horizon instant on one side of the barrier at 1 shard and the
-    // other side at 8 would double-bill or drop the cold boot here.
+fn crash_coinciding_with_a_job_arrival_bills_recovery_identically() {
+    // Cell 2 crashes at the very nanosecond one of its jobs arrives.
+    // The crash is billed first (same-instant stream events see the
+    // post-crash world) and exactly once, whichever thread hosts the
+    // cell. 20 ms is mid-workload: nothing else happens at that instant.
     let mut cfg = plain_config(4);
-    let crash_at = SimInstant::EPOCH + cfg.epoch;
+    let at = SimInstant::EPOCH + SimDuration::from_millis(20);
+    let mut coinciding = JobSpec::immediate(vec![PhaseSpec::cpu_only(Cycles::new(0), 1)]);
+    coinciding.arrival = at;
+    cfg.cells[2].streams.push(vec![coinciding]);
     cfg.chaos = Some(ChaosSchedule::scripted(
         4,
         1,
         SimDuration::from_secs(30),
         vec![ChaosEvent {
-            at: crash_at,
+            at,
             kind: ChaosEventKind::MachineCrash { machine: 2 },
         }],
     ));
-    let r1 = run_parallel(&cfg, 1).expect("1 shard");
-    let r8 = run_parallel(&cfg, 8).expect("8 shards");
-    let rec1 = r1.report.recovery_energy().joules();
-    let rec8 = r8.report.recovery_energy().joules();
+    assert_shards_agree(&cfg);
+    let r = run_parallel(&cfg, 1).expect("1 shard");
     assert_eq!(
-        rec1.to_bits(),
-        rec8.to_bits(),
-        "Recovery billing diverged: {rec1} J at 1 shard vs {rec8} J at 8"
-    );
-    assert_eq!(
-        rec1.to_bits(),
+        r.report.recovery_energy().joules().to_bits(),
         cfg.crash_boot_energy.joules().to_bits(),
         "exactly one cold boot is billed"
     );
-    assert_eq!(artifacts(&r1), artifacts(&r8));
+    let rec = r.report.trace.as_ref().expect("traced");
+    let at_instant: Vec<&str> = rec
+        .events()
+        .filter(|e| e.at.as_nanos() == at.as_nanos())
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(at_instant.first(), Some(&"chaos.machine_crash"));
+    assert!(at_instant.len() > 1, "the arrival traced after the crash");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random small topologies: whatever the cell count, stream shape,
-    /// seed, or epoch, every shard count serializes the same bytes.
+    /// Random small topologies: whatever the cell count, stream shape
+    /// or seed, every shard count serializes the same bytes.
     #[test]
     fn random_topologies_are_byte_identical_across_shard_counts(
         cells in 1usize..5,
         streams in 1usize..3,
         jobs in 1usize..4,
         seed in any::<u64>(),
-        epoch_ms in prop::sample::select(vec![1u64, 50, 250]),
         attribution in any::<bool>(),
     ) {
         let mut cfg = SimConfig::new((0..cells).map(|c| cell(c, streams, jobs)).collect());
         cfg.base_power = Watts::new(250.0);
         cfg.seed = seed;
-        cfg.epoch = SimDuration::from_millis(epoch_ms);
         cfg.trace_capacity = Some(4096);
         cfg.attribution = attribution;
         cfg.fault = FaultConfig {
@@ -237,7 +241,7 @@ proptest! {
             ..FaultConfig::NONE
         };
         let want = artifacts(&run_parallel(&cfg, 1).expect("1 shard"));
-        for shards in [2usize, 8] {
+        for shards in SHARD_COUNTS {
             let got = artifacts(&run_parallel(&cfg, shards).expect("sharded run"));
             prop_assert_eq!(&want, &got, "diverged at {} shards", shards);
         }
