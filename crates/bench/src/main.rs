@@ -170,7 +170,7 @@ mod tests {
             ["FIG1", "FIG2", "EXT-FAULT"]
         );
         let (runner, _) = parse_line("--threads 2 run FIG1 --sequential").expect("valid");
-        assert!(runner.is_sequential());
+        assert_eq!(runner.threads(), 1);
         let (runner, _) = parse_line("run FIG1 --threads 3").expect("valid");
         assert_eq!(runner.threads(), 3);
     }

@@ -17,18 +17,6 @@ pub struct EnergyModel {
     pub residency_watts_per_page: Watts,
 }
 
-impl EnergyModel {
-    /// A model derived from a DRAM rank profile and page size: the
-    /// rank's idle power, prorated per page.
-    pub fn from_rank(rank_idle: Watts, rank_capacity_pages: u64) -> Self {
-        EnergyModel {
-            residency_watts_per_page: Watts::new(
-                rank_idle.get() / rank_capacity_pages.max(1) as f64,
-            ),
-        }
-    }
-}
-
 /// Outcome of an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
@@ -125,11 +113,6 @@ impl BufferPool {
     /// Number of cached pages.
     pub fn occupancy(&self) -> usize {
         self.frames.len()
-    }
-
-    /// The pool's frame capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Whether `page` is cached.
@@ -331,12 +314,6 @@ mod tests {
     #[should_panic(expected = "at least one frame")]
     fn zero_capacity_rejected() {
         let _ = pool(0);
-    }
-
-    #[test]
-    fn energy_model_from_rank() {
-        let m = EnergyModel::from_rank(Watts::new(4.0), 1000);
-        assert!((m.residency_watts_per_page.get() - 0.004).abs() < 1e-12);
     }
 
     /// FNV-1a (64-bit) of whatever is written into it.

@@ -83,40 +83,6 @@ impl RankPlacement {
         self.ranks.iter().filter(|r| !r.is_empty()).count()
     }
 
-    /// Moves that would consolidate pages off the emptiest ranks into
-    /// free slots of lower-index ranks: `(page, from, to)`.
-    pub fn consolidation_moves(&self) -> Vec<(PageId, usize, usize)> {
-        let mut moves = Vec::new();
-        let mut free: Vec<usize> = self
-            .ranks
-            .iter()
-            .map(|r| self.rank_capacity - r.len())
-            .collect();
-        // Walk donor ranks from the top; receivers from the bottom.
-        for donor in (0..self.ranks.len()).rev() {
-            for page in self.ranks[donor].iter().rev() {
-                let Some(receiver) = (0..donor).find(|r| free[*r] > 0) else {
-                    continue;
-                };
-                moves.push((*page, donor, receiver));
-                free[receiver] -= 1;
-                free[donor] += 1;
-            }
-        }
-        moves
-    }
-
-    /// Apply a set of consolidation moves.
-    pub fn apply_moves(&mut self, moves: &[(PageId, usize, usize)]) {
-        for (page, from, to) in moves {
-            if self.location.get(page) == Some(from) && self.ranks[*to].len() < self.rank_capacity {
-                self.ranks[*from].retain(|p| p != page);
-                self.ranks[*to].push(*page);
-                self.location.insert(*page, *to);
-            }
-        }
-    }
-
     /// Background energy over `d` with `idle` power per powered rank and
     /// `self_refresh` per parked rank.
     pub fn background_energy(&self, d: SimDuration, idle: Watts, self_refresh: Watts) -> Joules {
@@ -152,19 +118,6 @@ mod tests {
         }
         assert_eq!(r.occupancy(), vec![1, 1, 1, 1]);
         assert_eq!(r.powered_ranks(), 4);
-    }
-
-    #[test]
-    fn consolidation_moves_empty_high_ranks() {
-        let mut r = RankPlacement::new(4, 4);
-        for i in 0..4 {
-            r.place_interleaved(pid(i));
-        }
-        assert_eq!(r.powered_ranks(), 4);
-        let moves = r.consolidation_moves();
-        r.apply_moves(&moves);
-        assert_eq!(r.powered_ranks(), 1, "{:?}", r.occupancy());
-        assert_eq!(r.occupancy()[0], 4);
     }
 
     #[test]

@@ -166,7 +166,7 @@ mod tests {
             }
         );
         let cli = parse(&["--format=sarif", "--sequential", "--list-rules"]).unwrap();
-        assert!(cli.sarif && cli.list_rules && cli.runner.is_sequential());
+        assert!(cli.sarif && cli.list_rules && cli.runner.threads() == 1);
         assert_eq!(cli.root, None);
         assert!(!parse(&["--format=text"]).unwrap().sarif);
         assert_eq!(parse(&[]).unwrap().runner, grail_par::Runner::available());

@@ -615,7 +615,6 @@ const METRIC_RECORD_CALLS: &[&str] = &[
     ".count(",
     ".observe(",
     ".gauge(",
-    ".gauge_add(",
     ".set_gauge(",
     ".add_gauge(",
     ".rate(",
@@ -1101,9 +1100,9 @@ const MODEL_REGISTRY_FILE: &str = "crates/check/src/registry.rs";
 
 /// Model-coverage: every type implementing the protocol-state-machine
 /// idiom — a `step`/`advance` method taking `&mut self`, declared in a
-/// [`MODEL_CRATES`] library file that both bills the `EnergyLedger`
-/// ([`MODEL_LEDGER_TOKENS`]) and sits on a thread/shard boundary
-/// ([`MODEL_BOUNDARY_TOKENS`]) — must be named in a `covers` list of
+/// `MODEL_CRATES` library file that both bills the `EnergyLedger`
+/// (`MODEL_LEDGER_TOKENS`) and sits on a thread/shard boundary
+/// (`MODEL_BOUNDARY_TOKENS`) — must be named in a `covers` list of
 /// the `grail-check` model registry. A state machine nobody
 /// model-checks is exactly the code whose next refactor reintroduces a
 /// horizon or failover bug that only shows up under rare interleavings.

@@ -28,7 +28,7 @@
 //! * [`spec`] — the static metric catalog ([`MetricSpec`], [`CATALOG`]).
 //! * [`scrape`] — [`Scraper`], [`Snapshot`], [`SnapshotSeries`].
 //! * [`slo`] — declarative objectives with multi-window burn-rate
-//!   alerts ([`SloSpec`], [`evaluate`](slo::evaluate)).
+//!   alerts ([`SloSpec`], [`evaluate`]).
 //! * [`expo`] — Prometheus text exposition.
 //! * [`baseline`] — flat-JSON baselines and rustc-style drift diffs for
 //!   the EXT-WATCH regression gate (`crates/bench/tests/table.rs`).

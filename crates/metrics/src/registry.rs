@@ -78,15 +78,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
     /// The `q`-quantile (`0 < q ≤ 1`) estimated from bucket counts with
     /// linear interpolation inside the bucket; overflow observations
     /// report the last finite bound. Returns 0 when empty.
@@ -399,7 +390,6 @@ mod tests {
         h.observe(1000.0); // overflow
         assert_eq!(h.count(), 4);
         assert!((h.sum() - 1004.0).abs() < 1e-9);
-        assert!((h.mean() - 251.0).abs() < 1e-9);
         assert_eq!(h.counts()[0], 1);
         assert_eq!(h.counts()[1], 1);
         assert_eq!(h.counts()[3], 1);

@@ -127,19 +127,9 @@ impl Scraper {
         }
     }
 
-    /// Scrape interval in nanoseconds.
-    pub fn interval_nanos(&self) -> u64 {
-        self.interval_nanos
-    }
-
     /// Snapshots collected so far.
     pub fn series(&self) -> &SnapshotSeries {
         &self.series
-    }
-
-    /// Consume the scraper, returning its series.
-    pub fn into_series(self) -> SnapshotSeries {
-        self.series
     }
 }
 

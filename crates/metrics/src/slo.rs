@@ -234,7 +234,7 @@ mod tests {
             }
         }
         sc.finish(horizon, &mut reg);
-        sc.into_series()
+        sc.series().clone()
     }
 
     #[test]
@@ -336,7 +336,7 @@ mod tests {
             slow_windows: 1,
             burn_threshold: 1.0,
         };
-        let report = evaluate(&[spec], &sc.into_series());
+        let report = evaluate(&[spec], &sc.series().clone());
         let o = &report.objectives[0];
         assert!(o.ok);
         assert!((o.worst_burn - 0.5).abs() < 1e-9);

@@ -13,7 +13,7 @@
 //! for the rest of the phase, and a DRAM-residency term for memory
 //! grants held over the phase.
 
-use grail_power::units::{Joules, Watts};
+use grail_power::units::Watts;
 use grail_query::cost_charge::CostCharge;
 use serde::Serialize;
 
@@ -103,11 +103,6 @@ impl PlanCost {
             energy_j: self.energy_j + next.energy_j,
             memory_bytes: self.memory_bytes.max(next.memory_bytes),
         }
-    }
-
-    /// The energy as a typed quantity.
-    pub fn energy(&self) -> Joules {
-        Joules::new(self.energy_j.max(0.0))
     }
 }
 
@@ -199,15 +194,6 @@ impl CostModel {
             energy_j: cpu_e + io_e + base_e,
             memory_bytes: 64 * 1024,
         }
-    }
-
-    /// Merge join of two sorted inputs.
-    pub fn merge_join(&self, left_rows: f64, right_rows: f64) -> PlanCost {
-        self.phase(
-            (left_rows + right_rows) * self.charge.merge_cycles_per_row,
-            0.0,
-            64 * 1024,
-        )
     }
 
     /// Sort of `rows`×`arity` with `grant` bytes of memory (spills cost

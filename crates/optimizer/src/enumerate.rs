@@ -53,27 +53,6 @@ pub enum PlanNode {
     },
 }
 
-impl PlanNode {
-    /// Render the plan as a compact string, e.g.
-    /// `HJ(NL(orders, customer), lineitem)`.
-    pub fn render(&self, relations: &[Relation]) -> String {
-        match self {
-            PlanNode::Scan { index } => relations[*index].name.clone(),
-            PlanNode::Join { algo, left, right } => {
-                let a = match algo {
-                    JoinAlgo::Hash => "HJ",
-                    JoinAlgo::NestedLoop => "NL",
-                };
-                format!(
-                    "{a}({}, {})",
-                    left.render(relations),
-                    right.render(relations)
-                )
-            }
-        }
-    }
-}
-
 /// The enumerator's output: the plan, its estimated cost, and its
 /// estimated output cardinality.
 #[derive(Debug, Clone, PartialEq)]
@@ -375,15 +354,6 @@ mod tests {
         let rels = [rel("a", 100.0), rel("b", 100.0)];
         let p = best_plan(&rels, &|_, _| None, &model(), Objective::MinTime);
         assert_eq!(p.rows, 10_000.0);
-    }
-
-    #[test]
-    fn render_is_readable() {
-        let rels = [rel("orders", 10.0), rel("customer", 10.0)];
-        let sel = |i: usize, j: usize| (i != j).then_some(0.1);
-        let p = best_plan(&rels, &sel, &model(), Objective::MinTime);
-        let r = p.plan.render(&rels);
-        assert!(r.contains("orders") && r.contains("customer"), "{r}");
     }
 
     #[test]

@@ -23,19 +23,6 @@ pub struct KnobConfig {
     pub pstate: usize,
 }
 
-impl KnobConfig {
-    /// The classic performance-first default: max parallelism, big
-    /// grant, compression on, fastest clock.
-    pub fn performance_default() -> Self {
-        KnobConfig {
-            dop: 32,
-            memory_grant: 4 << 30,
-            compression: true,
-            pstate: 0,
-        }
-    }
-}
-
 /// The swept grid for the knob experiments.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KnobGrid {
@@ -108,15 +95,5 @@ mod tests {
         for c in &configs {
             assert!(seen.insert(format!("{c:?}")));
         }
-    }
-
-    #[test]
-    fn default_is_in_small_grid_space() {
-        let d = KnobConfig::performance_default();
-        let grid = KnobGrid::small();
-        assert!(grid.dops.contains(&d.dop));
-        assert!(grid.grants.contains(&d.memory_grant));
-        assert!(grid.compression.contains(&d.compression));
-        assert!(grid.pstates.contains(&d.pstate));
     }
 }

@@ -6,7 +6,6 @@
 //! Fig. 2). This crate implements a dual **time/energy cost model** and
 //! plan selection under pluggable objectives:
 //!
-//! * [`stats`] — table/column statistics the cost model consumes.
 //! * [`cost`] — per-operator time and energy estimates against a
 //!   hardware description.
 //! * [`objective`] — MinTime, MinEnergy, energy-delay product, and
@@ -26,7 +25,6 @@ pub mod cost;
 pub mod enumerate;
 pub mod knobs;
 pub mod objective;
-pub mod stats;
 
 pub use cost::{CostModel, HardwareDesc, PlanCost};
 pub use objective::Objective;

@@ -1,7 +1,7 @@
 //! grail-par: deterministic parallel experiment runner.
 //!
 //! Every figure in the paper reproduction is a sweep over independent
-//! simulation configurations: each point owns its own [`grail_sim`]
+//! simulation configurations: each point owns its own `grail_sim`
 //! world, seeded RNG, and energy meters, and never observes another
 //! point. That independence is what makes parallelism free — the only
 //! thing a thread pool could corrupt is *output order*, and order is
@@ -107,11 +107,6 @@ impl Runner {
     /// Worker thread count this runner fans across.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// True when this runner executes on the calling thread only.
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
     }
 
     /// Call `f(index, &mut item)` exactly once per item, fanned across
@@ -300,7 +295,7 @@ mod tests {
     fn cli_sequential_flag() {
         let mut a = args(&["--sequential", "--out", "x.json"]);
         let r = Runner::from_cli_args(&mut a).unwrap();
-        assert!(r.is_sequential());
+        assert_eq!(r.threads(), 1);
         assert_eq!(a, args(&["--out", "x.json"]));
     }
 
@@ -315,7 +310,7 @@ mod tests {
     #[test]
     fn cli_sequential_beats_threads() {
         let mut a = args(&["--threads", "6", "--sequential"]);
-        assert!(Runner::from_cli_args(&mut a).unwrap().is_sequential());
+        assert_eq!(Runner::from_cli_args(&mut a).unwrap().threads(), 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod disk_states {
     pub const STANDBY: PowerStateId = PowerStateId(2);
 }
 
-/// State ids for simple active/idle machines (CPU core, SSD, DRAM rank).
+/// State ids for simple active/idle machines (CPU core, SSD).
 pub mod duo_states {
     use super::PowerStateId;
     /// Doing work.
@@ -68,19 +68,6 @@ impl DiskPowerProfile {
             spin_down_energy: Joules::new(8.0),
             spin_up_latency: SimDuration::from_secs(6),
             spin_up_energy: Joules::new(140.0),
-        }
-    }
-
-    /// A 7.2K nearline SATA drive: lower power, slower, cheaper to park.
-    pub fn nearline_7k2() -> Self {
-        DiskPowerProfile {
-            active: Watts::new(11.0),
-            idle: Watts::new(8.0),
-            standby: Watts::new(1.5),
-            spin_down_latency: SimDuration::from_secs(1),
-            spin_down_energy: Joules::new(6.0),
-            spin_up_latency: SimDuration::from_secs(8),
-            spin_up_energy: Joules::new(110.0),
         }
     }
 
@@ -212,170 +199,10 @@ impl CpuPowerProfile {
         }
     }
 
-    /// Socket power with `busy` of the socket's cores executing.
-    ///
-    /// # Panics
-    /// Panics if `busy` exceeds the core count.
-    pub fn socket_power(&self, busy: u32) -> Watts {
-        assert!(busy <= self.cores, "busy cores {busy} > {}", self.cores);
-        let idle = self.cores - busy;
-        self.uncore + self.core_active * busy as f64 + self.core_idle * idle as f64
-    }
-
     /// Build one core's two-state machine, starting idle. The uncore
     /// floor is charged separately (it exists whether or not cores work).
     pub fn core_machine(&self, start: SimInstant) -> PowerStateMachine {
         PowerStateMachine::active_idle(self.core_active, self.core_idle, start)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DRAM
-// ---------------------------------------------------------------------------
-
-/// Power profile of one DRAM rank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DramPowerProfile {
-    /// Power while the rank is being accessed.
-    pub active: Watts,
-    /// Power while idle but instantly accessible (precharge standby).
-    pub idle: Watts,
-    /// Power in self-refresh (contents retained, access requires wake).
-    pub self_refresh: Watts,
-    /// Latency to leave self-refresh.
-    pub wake_latency: SimDuration,
-    /// Rank capacity in GiB (for per-GiB reasoning in the buffer manager).
-    pub capacity_gib: u32,
-}
-
-impl DramPowerProfile {
-    /// A DDR2-era 8 GiB rank of the Fig. 1 server's 64 GiB.
-    pub fn ddr2_8gib() -> Self {
-        DramPowerProfile {
-            active: Watts::new(7.0),
-            idle: Watts::new(4.0),
-            self_refresh: Watts::new(0.8),
-            wake_latency: SimDuration::from_micros(10),
-            capacity_gib: 8,
-        }
-    }
-
-    /// Build the rank's three-state machine, starting idle.
-    pub fn machine(&self, start: SimInstant) -> PowerStateMachine {
-        let states = vec![
-            PowerState {
-                name: "active",
-                power: self.active,
-            },
-            PowerState {
-                name: "idle",
-                power: self.idle,
-            },
-            PowerState {
-                name: "self_refresh",
-                power: self.self_refresh,
-            },
-        ];
-        let z = SimDuration::ZERO;
-        let transitions = vec![
-            Transition {
-                from: PowerStateId(0),
-                to: PowerStateId(1),
-                latency: z,
-                energy: Joules::ZERO,
-            },
-            Transition {
-                from: PowerStateId(1),
-                to: PowerStateId(0),
-                latency: z,
-                energy: Joules::ZERO,
-            },
-            Transition {
-                from: PowerStateId(1),
-                to: PowerStateId(2),
-                latency: z,
-                energy: Joules::ZERO,
-            },
-            Transition {
-                from: PowerStateId(2),
-                to: PowerStateId(1),
-                latency: self.wake_latency,
-                energy: Joules::ZERO,
-            },
-        ];
-        PowerStateMachine::new(states, transitions, PowerStateId(1), start)
-    }
-
-    /// Joules to keep one page of `page_bytes` resident in this rank for
-    /// `d` — the "keeping a page in RAM will require energy, proportional
-    /// to the time the page is cached" cost of Sec. 4.3.
-    pub fn residency_energy(&self, page_bytes: u64, d: SimDuration) -> Joules {
-        let bytes = self.capacity_gib as f64 * 1024.0 * 1024.0 * 1024.0;
-        let per_byte = self.idle.get() / bytes;
-        Joules::new(per_byte * page_bytes as f64 * d.as_secs_f64())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PSU and base
-// ---------------------------------------------------------------------------
-
-/// A power-supply model: wall power exceeds DC power by the conversion
-/// loss, and \[PBS+03\]'s cooling tax adds 0.5–1 W per served Watt.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PsuModel {
-    /// Conversion efficiency in (0, 1].
-    pub efficiency: f64,
-    /// Additional cooling power per Watt delivered (0.5–1.0 in
-    /// \[PBS+03\]).
-    pub cooling_per_watt: f64,
-}
-
-impl PsuModel {
-    /// A decent 2008 server supply: 85% efficient, 0.5 W/W cooling.
-    pub fn typical_2008() -> Self {
-        PsuModel {
-            efficiency: 0.85,
-            cooling_per_watt: 0.5,
-        }
-    }
-
-    /// An ideal supply (for experiments that want DC-side numbers only).
-    pub fn ideal() -> Self {
-        PsuModel {
-            efficiency: 1.0,
-            cooling_per_watt: 0.0,
-        }
-    }
-
-    /// Wall power required to deliver `dc` to components.
-    pub fn wall_power(&self, dc: Watts) -> Watts {
-        assert!(
-            self.efficiency > 0.0 && self.efficiency <= 1.0,
-            "efficiency out of range"
-        );
-        Watts::new(dc.get() / self.efficiency)
-    }
-
-    /// Wall power plus the data-center cooling tax.
-    pub fn facility_power(&self, dc: Watts) -> Watts {
-        let wall = self.wall_power(dc);
-        wall + wall * self.cooling_per_watt
-    }
-}
-
-/// A constant base draw (fans, chassis, board) that is on whenever the
-/// server is on — the reason classic servers have a tiny dynamic range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BasePowerProfile {
-    /// The constant draw.
-    pub power: Watts,
-}
-
-impl BasePowerProfile {
-    /// A fixed base draw of `w` Watts.
-    pub fn constant(w: Watts) -> Self {
-        BasePowerProfile { power: w }
     }
 }
 
@@ -440,58 +267,5 @@ mod tests {
             .unwrap();
         // 90 W × 3.2 s = 288 J, and nothing while idle.
         assert!((s.total_energy.joules() - 288.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn socket_power_composition() {
-        let p = CpuPowerProfile::opteron_socket();
-        assert!((p.socket_power(0).get() - (15.0 + 16.0)).abs() < 1e-9);
-        assert!((p.socket_power(4).get() - (15.0 + 72.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "busy cores")]
-    fn socket_power_rejects_overcount() {
-        let _ = CpuPowerProfile::opteron_socket().socket_power(5);
-    }
-
-    #[test]
-    fn dram_residency_energy_scales() {
-        let p = DramPowerProfile::ddr2_8gib();
-        let one_page = p.residency_energy(8192, SimDuration::from_secs(100));
-        let two_pages = p.residency_energy(16384, SimDuration::from_secs(100));
-        let twice_long = p.residency_energy(8192, SimDuration::from_secs(200));
-        assert!((two_pages.joules() - 2.0 * one_page.joules()).abs() < 1e-12);
-        assert!((twice_long.joules() - 2.0 * one_page.joules()).abs() < 1e-12);
-        // Whole rank for 1 s = idle power.
-        let whole = p.residency_energy(8u64 << 30, SimDuration::from_secs(1));
-        assert!((whole.joules() - p.idle.get()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn psu_wall_and_facility() {
-        let psu = PsuModel::typical_2008();
-        let wall = psu.wall_power(Watts::new(850.0));
-        assert!((wall.get() - 1000.0).abs() < 1e-9);
-        let fac = psu.facility_power(Watts::new(850.0));
-        assert!((fac.get() - 1500.0).abs() < 1e-9);
-        assert_eq!(PsuModel::ideal().wall_power(Watts::new(100.0)).get(), 100.0);
-    }
-
-    #[test]
-    fn dram_machine_self_refresh_wake_has_latency() {
-        let p = DramPowerProfile::ddr2_8gib();
-        let mut m = p.machine(SimInstant::EPOCH);
-        m.set_state(SimInstant::EPOCH, PowerStateId(2)).unwrap();
-        let woke = m
-            .set_state(
-                SimInstant::EPOCH + SimDuration::from_secs(1),
-                PowerStateId(1),
-            )
-            .unwrap();
-        assert_eq!(
-            woke,
-            SimInstant::EPOCH + SimDuration::from_secs(1) + p.wake_latency
-        );
     }
 }

@@ -180,24 +180,10 @@ impl PowerStateMachine {
         PowerStateMachine::new(states, transitions, PowerStateId(1), start)
     }
 
-    /// The state id named `name`, if any.
-    pub fn state_named(&self, name: &str) -> Option<PowerStateId> {
-        self.states
-            .iter()
-            .position(|s| s.name == name)
-            .map(|i| PowerStateId(i as u8))
-    }
-
     /// The machine's current state.
     #[inline]
     pub fn current(&self) -> PowerStateId {
         self.current
-    }
-
-    /// The power being drawn right now (including mid-transition draw).
-    #[inline]
-    pub fn current_power(&self) -> Watts {
-        self.current_power
     }
 
     /// The steady power of state `id`.
@@ -360,12 +346,6 @@ impl PowerStateMachine {
     #[inline]
     pub fn total_energy(&self) -> Joules {
         self.total_energy
-    }
-
-    /// The machine's time cursor.
-    #[inline]
-    pub fn cursor(&self) -> SimInstant {
-        self.cursor
     }
 
     /// Finalize at `end` and summarize.
@@ -534,8 +514,6 @@ mod tests {
     #[test]
     fn state_lookup() {
         let m = disk_machine();
-        assert_eq!(m.state_named("standby"), Some(PowerStateId(2)));
-        assert_eq!(m.state_named("nope"), None);
         assert!(m.state_power(PowerStateId(9)).is_err());
     }
 

@@ -98,15 +98,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition.
-    #[inline]
-    pub const fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        match self.0.checked_add(rhs.0) {
-            Some(n) => Some(SimDuration(n)),
-            None => None,
-        }
-    }
-
     /// Multiplication by an integer factor that clamps at
     /// [`SimDuration::MAX`] instead of overflowing — the safe form of
     /// `dur * n` for factors derived from untrusted exponents (retry
@@ -303,12 +294,6 @@ impl Watts {
     #[inline]
     pub const fn get(self) -> f64 {
         self.0
-    }
-
-    /// The larger of two powers.
-    #[inline]
-    pub fn max(self, other: Watts) -> Watts {
-        Watts(self.0.max(other.0))
     }
 }
 
@@ -573,12 +558,6 @@ impl Bytes {
         self.0
     }
 
-    /// The byte count as `f64` (for rate arithmetic).
-    #[inline]
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
-
     /// Time to move this many bytes at `bytes_per_sec`.
     ///
     /// Returns [`SimDuration::MAX`] for a non-positive rate.
@@ -723,12 +702,6 @@ impl Hertz {
     pub fn new(hz: f64) -> Self {
         assert!(hz.is_finite() && hz >= 0.0, "invalid frequency: {hz} Hz");
         Hertz(hz)
-    }
-
-    /// `mhz` megahertz.
-    #[inline]
-    pub fn mhz(mhz: f64) -> Self {
-        Hertz::new(mhz * 1e6)
     }
 
     /// `ghz` gigahertz.

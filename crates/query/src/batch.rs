@@ -99,18 +99,6 @@ impl Batch {
         Batch::new(schema, cols)
     }
 
-    /// An empty batch of `schema`.
-    pub fn empty(schema: Arc<Schema>) -> Self {
-        let arity = schema.arity();
-        Batch {
-            schema,
-            columns: vec![Arc::new(Vec::new()); arity],
-            offset: 0,
-            rows: 0,
-            sel: None,
-        }
-    }
-
     /// The batch's schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
@@ -228,42 +216,6 @@ impl Batch {
         }
     }
 
-    /// Project columns by index (with the matching projected schema),
-    /// sharing backing data and any selection. Indices without a
-    /// backing column are skipped, mirroring [`Schema::project`].
-    pub fn project(&self, columns: &[usize]) -> Batch {
-        let schema = self.schema.project(columns);
-        let cols: Vec<Arc<Vec<Datum>>> = columns
-            .iter()
-            .filter_map(|i| self.columns.get(*i).cloned())
-            .collect();
-        Batch {
-            schema,
-            columns: cols,
-            offset: self.offset,
-            rows: self.rows,
-            sel: self.sel.clone(),
-        }
-    }
-
-    /// Re-label shared columns under a caller-supplied schema (the
-    /// zero-copy path for all-column-reference projections).
-    ///
-    /// # Panics
-    /// Panics when `schema.arity() != columns.len()` or an index is out
-    /// of range.
-    pub fn select_columns(&self, columns: &[usize], schema: Arc<Schema>) -> Batch {
-        assert_eq!(schema.arity(), columns.len(), "batch arity mismatch");
-        let cols: Vec<Arc<Vec<Datum>>> = columns.iter().map(|i| self.columns[*i].clone()).collect();
-        Batch {
-            schema,
-            columns: cols,
-            offset: self.offset,
-            rows: self.rows,
-            sel: self.sel.clone(),
-        }
-    }
-
     /// Materialize the logical rows as a full-width dense batch. A
     /// batch that already covers its whole backing densely is returned
     /// as a cheap shared clone.
@@ -345,14 +297,6 @@ impl Table {
     pub fn raw_bytes(&self) -> u64 {
         (self.row_count() * self.schema.arity() * 8) as u64
     }
-
-    /// Slice rows `[from, to)` of selected columns into a zero-copy
-    /// window batch.
-    pub fn slice(&self, columns: &[usize], from: usize, to: usize) -> Batch {
-        let schema = self.schema.project(columns);
-        let cols: Vec<Arc<Vec<Datum>>> = columns.iter().map(|i| self.columns[*i].clone()).collect();
-        Batch::from_shared(schema, cols, from, to - from)
-    }
 }
 
 #[cfg(test)]
@@ -370,7 +314,6 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.column(1), &[10, 20, 30]);
         assert_eq!(b.row(2), vec![3, 30]);
-        assert!(Batch::empty(schema()).is_empty());
     }
 
     #[test]
@@ -427,24 +370,6 @@ mod tests {
         assert_eq!(f.gather(0), &[4, 6]);
         // Selection indices are physical (window offset included).
         assert_eq!(f.selection().unwrap().as_slice(), &[4, 6]);
-    }
-
-    #[test]
-    fn project_columns() {
-        let b = Batch::new(schema(), vec![vec![1, 2], vec![3, 4]]);
-        let p = b.project(&[1]);
-        assert_eq!(p.schema().arity(), 1);
-        assert_eq!(p.column(0), &[3, 4]);
-        assert!(Arc::ptr_eq(&b.columns[1], &p.columns[0]));
-    }
-
-    #[test]
-    fn project_preserves_selection() {
-        let b = Batch::new(schema(), vec![vec![1, 2, 3], vec![4, 5, 6]]);
-        let f = b.filter(&[true, false, true]);
-        let p = f.project(&[1]);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.gather(0), &[4, 6]);
     }
 
     #[test]
@@ -510,13 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn table_slices() {
+    fn table_counts_rows_and_bytes() {
         let t = Table::new("t", schema(), vec![(0..10).collect(), (10..20).collect()]);
         assert_eq!(t.row_count(), 10);
         assert_eq!(t.raw_bytes(), 160);
-        let s = t.slice(&[1], 2, 5);
-        assert_eq!(s.column(0), &[12, 13, 14]);
-        // Slices share the table's backing columns.
-        assert!(Arc::ptr_eq(&t.columns[1], &s.columns[0]));
     }
 }

@@ -40,7 +40,7 @@ pub struct CostCharge {
     pub nl_cycles_per_pair: f64,
     /// Per comparison in sorting.
     pub sort_cycles_per_cmp: f64,
-    /// Per row merged in merge join / run merge.
+    /// Per row merged in an external sort's run merge.
     pub merge_cycles_per_row: f64,
     /// Per row aggregated.
     pub agg_cycles_per_row: f64,

@@ -1,5 +1,5 @@
 //! Hash aggregation with grouping, a column at a time: each input batch
-//! is first resolved to one group id per row (a [`GroupTable`] over the
+//! is first resolved to one group id per row (a `GroupTable` over the
 //! key columns), then every aggregate walks its own input column against
 //! those ids. No key tuple or state vector is allocated per row. Groups
 //! leave sorted by key, so the output order is a property of the data,

@@ -66,13 +66,6 @@ impl HashJoin {
         }
     }
 
-    /// Estimated bytes of hash-table memory the build side occupies
-    /// (used by the optimizer's memory-power model).
-    pub fn build_memory_bytes(rows: u64, arity: u64) -> u64 {
-        // Row payload + bucket/pointer overhead ≈ 2×.
-        rows * arity * 8 * 2
-    }
-
     fn ensure_built(&mut self, ctx: &mut ExecContext) -> Result<(), QueryError> {
         if self.table.is_some() {
             return Ok(());
@@ -261,11 +254,6 @@ mod tests {
             run_collect(&mut j, &mut ctx),
             Err(QueryError::UnknownColumn(5))
         ));
-    }
-
-    #[test]
-    fn memory_estimate_scales() {
-        assert_eq!(HashJoin::build_memory_bytes(100, 4), 100 * 4 * 8 * 2);
     }
 
     fn rows_of(batches: &[Batch]) -> Vec<Vec<i64>> {

@@ -9,9 +9,7 @@ pub mod filter;
 mod group_table;
 pub mod hash_join;
 pub mod index;
-pub mod merge_join;
 pub mod nl_join;
-pub mod project;
 pub mod scan;
 pub mod sort;
 
@@ -19,8 +17,6 @@ pub use agg::{AggFunc, AggSpec, HashAggregate};
 pub use filter::Filter;
 pub use hash_join::HashJoin;
 pub use index::{IndexNlJoin, IndexRangeScan, IndexedTable};
-pub use merge_join::MergeJoin;
 pub use nl_join::NestedLoopJoin;
-pub use project::Project;
-pub use scan::{ColumnarScan, RowScan, StoredTable};
+pub use scan::{ColumnarScan, StoredTable};
 pub use sort::{Sort, SortSpec};

@@ -1,12 +1,11 @@
 //! Table scans over stored (physically encoded) tables.
 //!
 //! [`StoredTable`] binds an in-memory logical table to a physical
-//! incarnation: layout, per-column encodings (real
+//! incarnation: per-column encodings (real
 //! [`grail_storage::column::ColumnSegment`]s, so compressed sizes are
-//! measured, not assumed), and a storage target. [`ColumnarScan`] reads
-//! only projected columns and pays decode CPU per encoding;
-//! [`RowScan`] reads full rows regardless of projection — the Fig. 2
-//! contrast in operator form.
+//! measured, not assumed) and a storage target. [`ColumnarScan`] reads
+//! only projected columns and pays decode CPU per encoding — Fig. 2's
+//! two bars are this scan over a plain and a compressed store.
 
 use crate::batch::{Batch, Table, BATCH_ROWS};
 use crate::exec::{ExecContext, Operator, QueryError};
@@ -16,18 +15,15 @@ use grail_sim::perf::AccessPattern;
 use grail_sim::StorageTarget;
 use grail_storage::column::ColumnSegment;
 use grail_storage::compress::{self, Encoding};
-use grail_storage::page::PAGE_SIZE;
 use std::sync::Arc;
 
-/// A logical table bound to a physical layout on a storage target.
+/// A logical table stored column-wise on a storage target.
 #[derive(Debug, Clone)]
 pub struct StoredTable {
     /// The decoded truth (used to validate scans in tests).
     pub table: Arc<Table>,
-    /// Per-column physical segments (columnar layouts).
+    /// Per-column physical segments.
     pub segments: Vec<ColumnSegment>,
-    /// True if stored row-major (scans read everything).
-    pub row_layout: bool,
     /// The device holding the table.
     pub target: StorageTarget,
 }
@@ -50,7 +46,6 @@ impl StoredTable {
         StoredTable {
             table,
             segments,
-            row_layout: false,
             target,
         }
     }
@@ -71,53 +66,18 @@ impl StoredTable {
         StoredTable::columnar(table, target, &encodings)
     }
 
-    /// Store `table` row-major (uncompressed slotted pages).
-    pub fn row(table: Arc<Table>, target: StorageTarget) -> Self {
-        StoredTable {
-            row_layout: true,
-            ..StoredTable::columnar_plain(table, target)
-        }
-    }
-
     /// On-device bytes a scan of `projection` moves.
     pub fn scan_bytes(&self, projection: &[usize]) -> u64 {
-        if self.row_layout {
-            self.row_pages_bytes()
-        } else {
-            projection
-                .iter()
-                .filter_map(|i| self.segments.get(*i))
-                .map(|s| s.compressed_bytes())
-                .sum()
-        }
-    }
-
-    /// Full pages of full rows: what any scan of a row layout moves.
-    fn row_pages_bytes(&self) -> u64 {
-        let row = self.table.schema.arity() as u64 * 8;
-        let rows_per_page = (PAGE_SIZE as u64 / row).max(1);
-        let pages = (self.table.row_count() as u64).div_ceil(rows_per_page);
-        pages * PAGE_SIZE as u64
+        projection
+            .iter()
+            .filter_map(|i| self.segments.get(*i))
+            .map(|s| s.compressed_bytes())
+            .sum()
     }
 
     /// The whole table's stored footprint.
     pub fn footprint(&self) -> u64 {
-        if self.row_layout {
-            self.row_pages_bytes()
-        } else {
-            self.segments.iter().map(|s| s.compressed_bytes()).sum()
-        }
-    }
-
-    /// Overall compression ratio of the stored form.
-    pub fn ratio(&self) -> f64 {
-        let raw = self.table.raw_bytes() as f64;
-        let stored = self.footprint() as f64;
-        if stored == 0.0 {
-            1.0
-        } else {
-            raw / stored
-        }
+        self.segments.iter().map(|s| s.compressed_bytes()).sum()
     }
 }
 
@@ -208,66 +168,6 @@ impl Operator for ColumnarScan {
     }
 }
 
-/// A row scan: reads full pages, materializes full rows, then projects.
-/// Pays full-row IO and per-value CPU on every column.
-pub struct RowScan {
-    stored: Arc<StoredTable>,
-    projection: Vec<usize>,
-    schema: Arc<Schema>,
-    charged: bool,
-    cursor: usize,
-}
-
-impl RowScan {
-    /// Scan `projection` of row-stored `stored`.
-    pub fn new(stored: Arc<StoredTable>, projection: Vec<usize>) -> Self {
-        let schema = stored.table.schema.project(&projection);
-        RowScan {
-            stored,
-            projection,
-            schema,
-            charged: false,
-            cursor: 0,
-        }
-    }
-}
-
-impl RowScan {
-    fn next_inner(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
-        if !self.charged {
-            self.charged = true;
-            ctx.charge_read(
-                self.stored.target,
-                Bytes::new(self.stored.footprint()),
-                AccessPattern::Sequential,
-            );
-            let values = (self.stored.table.row_count() * self.stored.table.schema.arity()) as f64;
-            ctx.charge_cpu(ctx.charge.scan_cycles_per_value * values);
-        }
-        let total = self.stored.table.row_count();
-        if self.cursor >= total {
-            return Ok(None);
-        }
-        let end = (self.cursor + BATCH_ROWS).min(total);
-        let batch = self.stored.table.slice(&self.projection, self.cursor, end);
-        self.cursor = end;
-        Ok(Some(batch))
-    }
-}
-
-impl Operator for RowScan {
-    fn schema(&self) -> Arc<Schema> {
-        self.schema.clone()
-    }
-
-    fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
-        let op = ctx.begin_op("row_scan");
-        let out = self.next_inner(ctx);
-        ctx.end_op(op);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,7 +226,6 @@ mod tests {
         let plain = Arc::new(StoredTable::columnar_plain(table(), target()));
         let auto = Arc::new(StoredTable::columnar_auto(table(), target()));
         assert!(auto.footprint() < plain.footprint());
-        assert!(auto.ratio() > 1.0);
 
         let run = |stored: Arc<StoredTable>| {
             let mut scan = ColumnarScan::new(stored, vec![0, 1, 2]);
@@ -345,22 +244,6 @@ mod tests {
         let cpu = |p: &Vec<crate::exec::Tally>| -> u64 { p.iter().map(|t| t.cpu.get()).sum() };
         assert!(io(&p_auto) < io(&p_plain));
         assert!(cpu(&p_auto) > cpu(&p_plain));
-    }
-
-    #[test]
-    fn row_scan_reads_full_rows() {
-        let stored = Arc::new(StoredTable::row(table(), target()));
-        let mut scan = RowScan::new(stored.clone(), vec![1]);
-        let mut ctx = ExecContext::calibrated();
-        let batches = run_collect(&mut scan, &mut ctx).unwrap();
-        let rows: usize = batches.iter().map(|b| b.len()).sum();
-        assert_eq!(rows, 10_000);
-        assert_eq!(batches[0].schema().arity(), 1);
-        // IO equals full page-padded row bytes even for 1 column.
-        let phases = ctx.finish();
-        let io: u64 = phases.iter().map(|t| t.io_bytes().get()).sum();
-        assert_eq!(io, stored.scan_bytes(&[0, 1, 2]));
-        assert!(io >= 10_000 * 3 * 8);
     }
 
     #[test]
@@ -392,7 +275,6 @@ mod tests {
         let encodings = [Encoding::Plain, Encoding::Dict, Encoding::Plain];
         for stored in [
             StoredTable::columnar_plain(t.clone(), target()),
-            StoredTable::row(t.clone(), target()),
             StoredTable::columnar(t.clone(), target(), &encodings),
         ] {
             for (i, seg) in stored.segments.iter().enumerate() {
@@ -423,7 +305,6 @@ mod tests {
         for stored in [
             StoredTable::columnar_plain(table(), target()),
             StoredTable::columnar_auto(table(), target()),
-            StoredTable::row(table(), target()),
         ] {
             assert_eq!(stored.footprint(), stored.scan_bytes(&all));
         }

@@ -57,16 +57,6 @@ impl Schema {
         self.fields.len()
     }
 
-    /// Index of the column named `name`.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
-
-    /// The type of column `i`.
-    pub fn column_type(&self, i: usize) -> Option<ColumnType> {
-        self.fields.get(i).map(|f| f.ty)
-    }
-
     /// A schema keeping only `columns` (by index), in the given order.
     pub fn project(&self, columns: &[usize]) -> Arc<Schema> {
         Arc::new(Schema {
@@ -98,13 +88,8 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_arity() {
-        let s = s();
-        assert_eq!(s.arity(), 3);
-        assert_eq!(s.index_of("o_custkey"), Some(1));
-        assert_eq!(s.index_of("nope"), None);
-        assert_eq!(s.column_type(2), Some(ColumnType::Decimal));
-        assert_eq!(s.column_type(9), None);
+    fn arity_counts_fields() {
+        assert_eq!(s().arity(), 3);
     }
 
     #[test]

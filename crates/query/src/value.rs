@@ -4,59 +4,8 @@
 //! boundary — integers verbatim, decimals scaled by 100, dates as day
 //! numbers, strings dictionary-coded — the representation read-optimized
 //! column engines (the paper's \[HLA+06\] scanner) actually scan. The
-//! [`Datum`] alias marks an `i64` carrying such a code; rendering back to
-//! a human form needs the column's [`crate::schema::ColumnType`].
-
-use crate::schema::ColumnType;
+//! [`Datum`] alias marks an `i64` carrying such a code; what it means is
+//! the column's [`crate::schema::ColumnType`].
 
 /// A 64-bit-coded scalar value.
 pub type Datum = i64;
-
-/// Scale factor for fixed-point decimal codes (two fraction digits).
-pub const DECIMAL_SCALE: i64 = 100;
-
-/// Encode a decimal with two fraction digits.
-pub fn decimal(units: i64, cents: i64) -> Datum {
-    units * DECIMAL_SCALE + cents.signum() * (cents.abs() % DECIMAL_SCALE)
-}
-
-/// Encode a calendar date as days since 1992-01-01 (the TPC-H epoch).
-pub fn date_from_days(days: i64) -> Datum {
-    days
-}
-
-/// Render `v` under `ty` for reports and debugging.
-pub fn render(v: Datum, ty: ColumnType) -> String {
-    match ty {
-        ColumnType::Int | ColumnType::Id => v.to_string(),
-        ColumnType::Decimal => format!("{}.{:02}", v / DECIMAL_SCALE, (v % DECIMAL_SCALE).abs()),
-        ColumnType::Date => {
-            // Days since 1992-01-01, rendered as an offset date; exact
-            // calendars are irrelevant to the experiments.
-            format!("1992+{v}d")
-        }
-        ColumnType::Code => format!("#{v}"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn decimal_encoding() {
-        assert_eq!(decimal(12, 34), 1234);
-        assert_eq!(decimal(0, 5), 5);
-        assert_eq!(decimal(-3, 25), -275);
-        assert_eq!(render(1234, ColumnType::Decimal), "12.34");
-        assert_eq!(render(-275, ColumnType::Decimal), "-2.75");
-    }
-
-    #[test]
-    fn rendering_by_type() {
-        assert_eq!(render(42, ColumnType::Int), "42");
-        assert_eq!(render(42, ColumnType::Id), "42");
-        assert_eq!(render(100, ColumnType::Date), "1992+100d");
-        assert_eq!(render(3, ColumnType::Code), "#3");
-    }
-}

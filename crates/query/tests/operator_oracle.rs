@@ -9,12 +9,21 @@
 //! The feeding operator charges a fractional cost and a read per batch,
 //! so a pull that moves across a `phase_break`, or a `charge_cpu` that is
 //! split or merged, changes a rounded total.
+//!
+//! The join cases also run the operators no template executes but
+//! EXT-OPT prices — `NestedLoopJoin`, `IndexNlJoin`, `IndexRangeScan` —
+//! on the same inputs: same row multiset as the hash join, same rows as
+//! a `Filter` over a `ColumnarScan`.
 
 use grail_power::units::Bytes;
-use grail_query::batch::{Batch, BATCH_ROWS};
+use grail_query::batch::{Batch, Table, BATCH_ROWS};
 use grail_query::exec::{ExecContext, OpTally, Operator, QueryError, Tally};
+use grail_query::expr::Expr;
 use grail_query::ops::sort::SortOrder;
-use grail_query::ops::{AggFunc, AggSpec, HashAggregate, HashJoin, Sort, SortSpec};
+use grail_query::ops::{
+    AggFunc, AggSpec, ColumnarScan, Filter, HashAggregate, HashJoin, IndexNlJoin, IndexRangeScan,
+    IndexedTable, NestedLoopJoin, Sort, SortSpec, StoredTable,
+};
 use grail_query::schema::{ColumnType, Schema};
 use grail_query::value::Datum;
 use grail_sim::perf::AccessPattern;
@@ -201,6 +210,32 @@ impl Run {
         let rows = |b: &Vec<Vec<Datum>>| b.first().map_or(0, Vec::len);
         self.batches.iter().map(rows).collect()
     }
+
+    /// The rows returned, in delivery order.
+    fn rows(&self) -> Vec<Vec<Datum>> {
+        let mut rows = Vec::new();
+        for (cols, len) in self.batches.iter().zip(self.lens()) {
+            rows.extend((0..len).map(|r| cols.iter().map(|c| c[r]).collect::<Vec<_>>()));
+        }
+        rows
+    }
+
+    /// The rows returned, sorted: the multiset two algorithms must share.
+    fn sorted_rows(&self) -> Vec<Vec<Datum>> {
+        let mut rows = self.rows();
+        rows.sort_unstable();
+        rows
+    }
+}
+
+/// The logical rows of `input`, stored plain: what an index is built over.
+fn stored_of(input: &(Arc<Schema>, Vec<Batch>)) -> Arc<StoredTable> {
+    let columns = (0..input.0.arity())
+        .map(|c| input.1.iter().flat_map(|b| b.gather(c)).collect())
+        .collect();
+    let table = Arc::new(Table::new("t", input.0.clone(), columns));
+    let target = StorageTarget::Disk(DiskId(1));
+    Arc::new(StoredTable::columnar_plain(table, target))
 }
 
 fn drive(mut op: impl Operator) -> Run {
@@ -273,7 +308,14 @@ fn aggregate_matches_the_row_at_a_time_oracle() {
 
 #[test]
 fn hash_join_matches_the_row_at_a_time_oracle() {
+    /// The nested loop evaluates its predicate once per pair, through a
+    /// one-row batch: compared where the cross product stays this small.
+    const NL_PAIRS: usize = 4096;
+    /// The row-at-a-time twins run where the join returns at most this
+    /// many rows: several output batches, not the heaviest fan-outs.
+    const TWIN_ROWS: usize = 2 * BATCH_ROWS;
     let (mut chunked, mut failed, mut unmatched, mut empty_build) = (0, 0, 0, 0);
+    let (mut nested, mut probed, mut ranged) = (0, 0, 0);
     for case in 0..CASES {
         let mut rng = Lcg(0x101 ^ (case << 20));
         let (build_arity, probe_arity) = (1 + rng.below(3), 1 + rng.below(3));
@@ -299,6 +341,58 @@ fn hash_join_matches_the_row_at_a_time_oracle() {
             probe_key,
         ));
         assert_eq!(got, want, "case {case}: keys {build_key} = {probe_key}");
+        let in_schema = build_key < build_arity && probe_key < probe_arity;
+        if in_schema && got.lens().iter().sum::<usize>() <= TWIN_ROWS {
+            let matches = got.sorted_rows();
+            let rows = |input: &(Arc<Schema>, Vec<Batch>)| input.1.iter().map(Batch::len).sum();
+            let (build_rows, probe_rows): (usize, usize) = (rows(&build), rows(&probe));
+            if build_rows * probe_rows <= NL_PAIRS {
+                let on = Expr::eq(Expr::Col(build_key), Expr::Col(build_arity + probe_key));
+                let nl = drive(NestedLoopJoin::new(
+                    Feed::boxed("build", &build),
+                    Feed::boxed("probe", &probe),
+                    on,
+                ));
+                assert_eq!(nl.error, None, "case {case}: nested loop");
+                assert_eq!(nl.sorted_rows(), matches, "case {case}: nested loop");
+                nested += !matches.is_empty() as u32;
+            }
+            // The index join puts its outer (the probe side) first.
+            let stored = stored_of(&build);
+            let index = Arc::new(IndexedTable::build(stored.clone(), build_key));
+            let all: Vec<usize> = (0..build_arity).collect();
+            let inl = drive(IndexNlJoin::new(
+                Feed::boxed("probe", &probe),
+                index.clone(),
+                probe_key,
+                all.clone(),
+            ));
+            assert_eq!(inl.error, None, "case {case}: index join");
+            let mut rotated = inl.rows();
+            rotated.iter_mut().for_each(|r| r.rotate_left(probe_arity));
+            rotated.sort_unstable();
+            assert_eq!(rotated, matches, "case {case}: index join");
+            probed += !matches.is_empty() as u32;
+            // A key range, inverted half the time, against a filtered scan.
+            let (lo, hi) = (domain.draw(&mut rng), domain.draw(&mut rng));
+            let key = || Expr::Col(build_key);
+            let in_range = Expr::and(
+                Expr::le(Expr::Lit(lo), key()),
+                Expr::le(key(), Expr::Lit(hi)),
+            );
+            let scan = drive(Filter::new(
+                Box::new(ColumnarScan::new(stored, all.clone())),
+                in_range,
+            ));
+            let range = drive(IndexRangeScan::new(index, lo, hi, all));
+            assert_eq!(range.error, None, "case {case}: index range");
+            let mut found = range.rows();
+            let in_key_order = found.windows(2).all(|w| w[0][build_key] <= w[1][build_key]);
+            assert!(in_key_order, "case {case}: key order");
+            ranged += (!found.is_empty() && found.len() < build_rows) as u32;
+            found.sort_unstable();
+            assert_eq!(found, scan.sorted_rows(), "case {case}: [{lo}, {hi}]");
+        }
         let lens = got.lens();
         // A full chunk followed by more of the same probe batch.
         chunked += lens.windows(2).any(|w| w[0] == BATCH_ROWS) as u32;
@@ -309,6 +403,10 @@ fn hash_join_matches_the_row_at_a_time_oracle() {
     assert!(
         chunked > 100 && failed > 50 && unmatched > 50 && empty_build > 50,
         "coverage: {chunked} chunked, {failed} failed, {unmatched} unmatched, {empty_build} empty builds"
+    );
+    assert!(
+        nested > 50 && probed > 200 && ranged > 200,
+        "coverage: {nested} nested-loop, {probed} index-join and {ranged} partial-range cases with rows"
     );
 }
 

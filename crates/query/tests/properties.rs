@@ -1,13 +1,14 @@
 //! Property tests: operator correctness against naive reference
-//! implementations on arbitrary data.
+//! implementations on arbitrary data. The joins and the index paths are
+//! compared in `operator_oracle.rs`, on generated inputs that run in
+//! every `cargo test`.
 
 use grail_query::batch::Table;
 use grail_query::exec::{run_collect, ExecContext, Operator};
 use grail_query::expr::Expr;
 use grail_query::ops::sort::SortOrder;
 use grail_query::ops::{
-    AggFunc, AggSpec, ColumnarScan, Filter, HashAggregate, HashJoin, NestedLoopJoin, Sort,
-    SortSpec, StoredTable,
+    AggFunc, AggSpec, ColumnarScan, Filter, HashAggregate, Sort, SortSpec, StoredTable,
 };
 use grail_query::schema::{ColumnType, Schema};
 use grail_sim::{DiskId, StorageTarget};
@@ -89,37 +90,6 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// Hash join and nested-loop join agree on arbitrary key columns,
-    /// and both match the naive cross-filter.
-    #[test]
-    fn joins_agree(
-        left in proptest::collection::vec(0i64..20, 0..60),
-        right in proptest::collection::vec(0i64..20, 0..60),
-    ) {
-        let mut hj = HashJoin::new(
-            scan_of(vec![left.clone()]),
-            scan_of(vec![right.clone()]),
-            0,
-            0,
-        );
-        let mut nl = NestedLoopJoin::new(
-            scan_of(vec![left.clone()]),
-            scan_of(vec![right.clone()]),
-            Expr::eq(Expr::Col(0), Expr::Col(1)),
-        );
-        let mut hj_rows = rows_of(&mut hj);
-        let mut nl_rows = rows_of(&mut nl);
-        hj_rows.sort();
-        nl_rows.sort();
-        prop_assert_eq!(&hj_rows, &nl_rows);
-        let mut expect: Vec<Vec<i64>> = left
-            .iter()
-            .flat_map(|l| right.iter().filter(|r| *r == l).map(|r| vec![*l, *r]).collect::<Vec<_>>())
-            .collect();
-        expect.sort();
-        prop_assert_eq!(hj_rows, expect);
-    }
-
     /// Aggregation matches a reference group-by.
     #[test]
     fn aggregate_matches_reference(
@@ -162,104 +132,5 @@ proptest! {
             ctx.finish()
         };
         prop_assert_eq!(run(), run());
-    }
-}
-
-mod index_paths {
-    use grail_query::batch::Table;
-    use grail_query::exec::{run_collect, ExecContext, Operator};
-    use grail_query::ops::{ColumnarScan, IndexNlJoin, IndexRangeScan, IndexedTable, StoredTable};
-    use grail_query::schema::{ColumnType, Schema};
-    use grail_sim::{DiskId, StorageTarget};
-    use proptest::prelude::*;
-    use std::sync::Arc;
-
-    fn stored_of(cols: Vec<Vec<i64>>) -> Arc<StoredTable> {
-        let schema = Schema::new(
-            (0..cols.len())
-                .map(|i| {
-                    (
-                        Box::leak(format!("c{i}").into_boxed_str()) as &str,
-                        ColumnType::Int,
-                    )
-                })
-                .collect(),
-        );
-        let table = Arc::new(Table::new("t", schema, cols));
-        Arc::new(StoredTable::columnar_plain(
-            table,
-            StorageTarget::Disk(DiskId(0)),
-        ))
-    }
-
-    fn rows_of(op: &mut dyn Operator) -> Vec<Vec<i64>> {
-        let mut ctx = ExecContext::calibrated();
-        run_collect(op, &mut ctx)
-            .unwrap()
-            .iter()
-            .flat_map(|b| (0..b.len()).map(|r| b.row(r)).collect::<Vec<_>>())
-            .collect()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Index range scans return exactly the rows a filtered full
-        /// scan would, in key order.
-        #[test]
-        fn index_range_matches_filter(
-            keys in proptest::collection::vec(-200i64..200, 0..800),
-            lo in -250i64..250,
-            width in 0i64..200,
-        ) {
-            let hi = lo + width;
-            let vals: Vec<i64> = keys.iter().map(|k| k * 10).collect();
-            let stored = stored_of(vec![keys.clone(), vals]);
-            let idx = Arc::new(IndexedTable::build(stored, 0));
-            let mut scan = IndexRangeScan::new(idx, lo, hi, vec![0, 1]);
-            let got = rows_of(&mut scan);
-            let mut expect: Vec<Vec<i64>> = keys
-                .iter()
-                .filter(|k| (lo..=hi).contains(*k))
-                .map(|k| vec![*k, k * 10])
-                .collect();
-            expect.sort();
-            let mut got_sorted = got.clone();
-            got_sorted.sort();
-            prop_assert_eq!(got_sorted, expect);
-            // Output is key-ordered as delivered.
-            prop_assert!(got.windows(2).all(|w| w[0][0] <= w[1][0]));
-        }
-
-        /// Index NL join agrees with the naive nested-loop reference.
-        #[test]
-        fn index_nl_matches_reference(
-            outer in proptest::collection::vec(0i64..30, 0..80),
-            inner in proptest::collection::vec(0i64..30, 0..80),
-        ) {
-            let outer_stored = stored_of(vec![outer.clone()]);
-            let inner_stored = stored_of(vec![inner.clone()]);
-            let idx = Arc::new(IndexedTable::build(inner_stored, 0));
-            let mut join = IndexNlJoin::new(
-                Box::new(ColumnarScan::new(outer_stored, vec![0])),
-                idx,
-                0,
-                vec![0],
-            );
-            let mut got = rows_of(&mut join);
-            got.sort();
-            let mut expect: Vec<Vec<i64>> = outer
-                .iter()
-                .flat_map(|o| {
-                    inner
-                        .iter()
-                        .filter(|i| *i == o)
-                        .map(|i| vec![*o, *i])
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            expect.sort();
-            prop_assert_eq!(got, expect);
-        }
     }
 }

@@ -50,11 +50,6 @@ impl CpuDevice {
         }
     }
 
-    /// Number of cores in the pool.
-    pub fn core_count(&self) -> u32 {
-        self.perf.cores
-    }
-
     /// Clock frequency.
     pub fn freq(&self) -> grail_power::units::Hertz {
         self.perf.freq
@@ -109,15 +104,6 @@ impl CpuDevice {
         }
     }
 
-    /// The earliest instant any core is free.
-    pub fn next_free(&self) -> SimInstant {
-        self.cores
-            .iter()
-            .map(|c| c.next_free)
-            .min()
-            .unwrap_or(SimInstant::EPOCH)
-    }
-
     /// The instant all queued work completes.
     pub fn all_free(&self) -> SimInstant {
         self.cores
@@ -130,15 +116,6 @@ impl CpuDevice {
     /// Statistics so far (`busy` sums over cores: 2 cores × 1 s = 2 s).
     pub fn stats(&self) -> DeviceStats {
         self.stats
-    }
-
-    /// Aggregate core utilization over `elapsed` (1.0 = all cores busy).
-    pub fn pool_utilization(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() || self.cores.is_empty() {
-            return 0.0;
-        }
-        (self.stats.busy.as_secs_f64() / (elapsed.as_secs_f64() * self.cores.len() as f64))
-            .clamp(0.0, 1.0)
     }
 
     /// Per-core power while executing.
@@ -281,20 +258,5 @@ mod tests {
             SimInstant::EPOCH,
         );
         assert!((c.uncore_power().get() - 8.0 * 15.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pool_utilization() {
-        let mut c = CpuDevice::new(
-            CpuPerfProfile {
-                cores: 2,
-                freq: grail_power::units::Hertz::ghz(1.0),
-            },
-            CpuPowerProfile::fig2_cpu(),
-            SimInstant::EPOCH,
-        );
-        c.compute(at(0.0), Cycles::new(1_000_000_000)); // 1 s on one of 2 cores
-        let u = c.pool_utilization(SimDuration::from_secs(1));
-        assert!((u - 0.5).abs() < 1e-9);
     }
 }

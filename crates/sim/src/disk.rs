@@ -22,17 +22,6 @@ pub struct DeviceStats {
     pub requests: u64,
 }
 
-impl DeviceStats {
-    /// Utilization over an elapsed window.
-    pub fn utilization(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            (self.busy.as_secs_f64() / elapsed.as_secs_f64()).clamp(0.0, 1.0)
-        }
-    }
-}
-
 /// One simulated rotating disk.
 #[derive(Debug, Clone)]
 pub struct DiskDevice {
@@ -266,15 +255,5 @@ mod tests {
         let d = disk();
         let g = d.break_even_gap().unwrap();
         assert!(g.as_secs_f64() > 7.0, "must exceed switch time, got {g}");
-    }
-
-    #[test]
-    fn utilization_math() {
-        let mut d = disk();
-        let r = d.serve(at(0.0), Bytes::mib(90), AccessPattern::Sequential);
-        let stats = d.stats();
-        let u = stats.utilization(r.end.duration_since(SimInstant::EPOCH) * 2);
-        assert!(u > 0.4 && u < 0.6, "{u}");
-        assert_eq!(DeviceStats::default().utilization(SimDuration::ZERO), 0.0);
     }
 }

@@ -182,15 +182,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that surfaces the first fault instead of retrying.
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            base_backoff: SimDuration::ZERO,
-            multiplier: 1,
-        }
-    }
-
     /// The backoff delay before attempt number `attempt` (1-based count
     /// of consecutive failures so far): `base · multiplier^(attempt-1)`,
     /// exponent capped and every multiplication saturating, so even

@@ -75,6 +75,11 @@ pub enum SimError {
         /// The planner/executor error, printed.
         reason: String,
     },
+    /// A configuration whose parts do not fit each other (a chaos
+    /// schedule generated for another machine count, an event naming a
+    /// machine the configuration does not have), rejected before
+    /// anything runs.
+    BadConfig(String),
 }
 
 impl SimError {
@@ -133,6 +138,7 @@ impl fmt::Display for SimError {
             }
             SimError::NotLoaded => f.write_str("no tables loaded; call load_tpch first"),
             SimError::Plan { reason } => write!(f, "query planning failed: {reason}"),
+            SimError::BadConfig(why) => write!(f, "bad configuration: {why}"),
         }
     }
 }

@@ -103,11 +103,6 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Total fault events of any kind.
-    pub fn total_faults(&self) -> u64 {
-        self.transient + self.latent + self.disk_failures + self.ssd_failures + self.spin_up_faults
-    }
-
     /// Fold `other`'s counters into this one — the shard merge sums
     /// per-cell stats into the committed report.
     pub fn absorb(&mut self, other: &FaultStats) {
@@ -144,7 +139,6 @@ pub struct FaultPlan {
     disks: Vec<DeviceFaults>,
     ssds: Vec<DeviceFaults>,
     stats: FaultStats,
-    chaos: Option<ChaosSchedule>,
 }
 
 const DISK_SALT: u64 = 0xD15C_FA17;
@@ -154,7 +148,7 @@ const CHAOS_DOMAIN_SALT: u64 = 0xC4A0_50D0;
 const CHAOS_BROWNOUT_SALT: u64 = 0xC4A0_50B0;
 const CHAOS_SURGE_SALT: u64 = 0xC4A0_505E;
 
-fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -194,31 +188,12 @@ impl FaultPlan {
             disks: Vec::new(),
             ssds: Vec::new(),
             stats: FaultStats::default(),
-            chaos: None,
         }
-    }
-
-    /// Attach a fleet-level [`ChaosSchedule`] (builder style). Device
-    /// draws are untouched — the schedule is carried for cluster-layer
-    /// consumers.
-    pub fn with_chaos(mut self, schedule: ChaosSchedule) -> Self {
-        self.chaos = Some(schedule);
-        self
-    }
-
-    /// The attached fleet-level chaos schedule, if any.
-    pub fn chaos(&self) -> Option<&ChaosSchedule> {
-        self.chaos.as_ref()
     }
 
     /// The configured rates.
     pub fn config(&self) -> &FaultConfig {
         &self.cfg
-    }
-
-    /// The driving seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Fault counters so far.
@@ -930,14 +905,6 @@ mod tests {
             s.events()[1].kind,
             ChaosEventKind::MachineCrash { machine: 1 }
         );
-    }
-
-    #[test]
-    fn chaos_schedule_rides_along_on_fault_plan() {
-        let s = ChaosSchedule::generate(storm_cfg(), 5, 4, 2, SimDuration::from_secs(100_000));
-        let p = FaultPlan::new(FaultConfig::NONE, 5).with_chaos(s.clone());
-        assert_eq!(p.chaos(), Some(&s));
-        assert_eq!(FaultPlan::new(FaultConfig::NONE, 5).chaos(), None);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::attr::AttributionTable;
 use crate::driver::{DriveOutcome, JobResult, JobSpec, RetryPolicy, StreamEngine};
 use crate::error::SimError;
-use crate::fault::{ChaosEventKind, ChaosSchedule, FaultConfig, FaultPlan};
+use crate::fault::{splitmix64, ChaosEventKind, ChaosSchedule, FaultConfig, FaultPlan};
 use crate::perf::{CpuPerfProfile, DiskPerfProfile, SsdPerfProfile};
 use crate::raid::RaidLevel;
 use crate::sim::{ledger_event, tt, SimReport, Simulation};
@@ -138,7 +138,9 @@ pub struct SimConfig {
     /// as devices do within one plan.
     pub seed: u64,
     /// Fleet-level chaos: `MachineCrash { machine }` events strike the
-    /// cell whose index equals `machine`. A crash bills
+    /// cell whose index equals `machine`; a schedule that addresses a
+    /// different number of machines than there are cells, or names a
+    /// machine past the last cell, is a [`SimError::BadConfig`]. A crash bills
     /// [`SimConfig::crash_boot_energy`] to the Recovery category,
     /// applied *before* same-instant stream events. Other chaos kinds
     /// (domain outages, brownouts, surges) are fleet-scheduler
@@ -185,15 +187,10 @@ pub struct ParReport {
     pub outcome: DriveOutcome,
 }
 
-/// splitmix64 — the same mix `FaultPlan` uses to give devices disjoint
-/// streams, here giving cells disjoint plan seeds.
+/// Cell `cell`'s fault-plan seed: the mix `FaultPlan` uses to give
+/// devices disjoint streams, here giving cells disjoint plan seeds.
 fn mix(seed: u64, cell: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(cell.wrapping_mul(0xD1B5_4A32_D192_ED03));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(seed.wrapping_add(cell.wrapping_mul(0xD1B5_4A32_D192_ED03)))
 }
 
 /// What a cell does next.
@@ -314,6 +311,9 @@ impl CellRun {
 /// shard count; see the module docs for the argument and the root
 /// `par_sim_determinism` test for the enforcement.
 pub fn run_parallel(config: &SimConfig, shards: usize) -> Result<ParReport, SimError> {
+    if let Some(schedule) = &config.chaos {
+        check_schedule(schedule, config.cells.len())?;
+    }
     let runner = if shards == 0 {
         Runner::available()
     } else {
@@ -332,6 +332,30 @@ pub fn run_parallel(config: &SimConfig, shards: usize) -> Result<ParReport, SimE
         return Err(err);
     }
     commit(config, cells)
+}
+
+/// A chaos schedule fits a configuration of `cells` cells when it
+/// addresses exactly that many machines and every machine event names
+/// one of them — the shapes `run_chaos` rejects for a fleet.
+fn check_schedule(schedule: &ChaosSchedule, cells: usize) -> Result<(), SimError> {
+    if schedule.machines() as usize != cells {
+        return Err(SimError::BadConfig(format!(
+            "chaos schedule addresses {} machines, configuration has {cells} cells",
+            schedule.machines()
+        )));
+    }
+    for ev in schedule.events() {
+        if let ChaosEventKind::MachineCrash { machine } | ChaosEventKind::MachineUp { machine } =
+            ev.kind
+        {
+            if machine as usize >= cells {
+                return Err(SimError::BadConfig(format!(
+                    "chaos event names machine {machine} of {cells}"
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Fold finished cells into one report, in cell index order throughout.
@@ -661,6 +685,32 @@ mod tests {
         let r = run_parallel(&cfg, 4).unwrap();
         assert_eq!(r.report.ledger.total(), Joules::ZERO);
         assert!(r.outcome.results.is_empty());
+    }
+
+    #[test]
+    fn a_chaos_schedule_that_does_not_fit_the_cells_is_rejected() {
+        let crash = |machine| ChaosEvent {
+            at: SimInstant::EPOCH + SimDuration::from_secs(1),
+            kind: ChaosEventKind::MachineCrash { machine },
+        };
+        let horizon = SimDuration::from_secs(10);
+        let mut cfg = reference_config(3);
+        for shards in [1, 2] {
+            // Generated for another machine count, even with no events.
+            cfg.chaos = Some(ChaosSchedule::scripted(4, 1, horizon, Vec::new()));
+            let err = run_parallel(&cfg, shards).unwrap_err();
+            assert!(matches!(err, SimError::BadConfig(_)), "{err}");
+            // The right count, but an event names machine `cells.len()`.
+            cfg.chaos = Some(ChaosSchedule::scripted(3, 1, horizon, vec![crash(3)]));
+            let err = run_parallel(&cfg, shards).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::BadConfig("chaos event names machine 3 of 3".to_string())
+            );
+            // The last cell itself is fine.
+            cfg.chaos = Some(ChaosSchedule::scripted(3, 1, horizon, vec![crash(2)]));
+            assert!(run_parallel(&cfg, shards).is_ok());
+        }
     }
 
     /// A config whose cells `bad` each drive a stream at an SSD they

@@ -41,16 +41,6 @@ impl DiskPerfProfile {
         }
     }
 
-    /// A 7.2K nearline SATA drive: 8.5 ms seek, 4.2 ms rotation,
-    /// ~70 MB/s.
-    pub fn nearline_7k2() -> Self {
-        DiskPerfProfile {
-            avg_seek: SimDuration::from_micros(8500),
-            avg_rotation: SimDuration::from_micros(4200),
-            transfer_bytes_per_sec: 70.0e6,
-        }
-    }
-
     /// Service time for `bytes` under `access`.
     pub fn service_time(&self, bytes: Bytes, access: AccessPattern) -> SimDuration {
         let transfer = bytes.time_at_rate(self.transfer_bytes_per_sec);

@@ -192,11 +192,6 @@ impl Simulation {
         self.fault_plan = Some(plan);
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
     /// Fault counters so far (all zero without a plan).
     pub fn fault_stats(&self) -> FaultStats {
         self.fault_plan
@@ -1023,22 +1018,6 @@ impl Simulation {
         Ok(done)
     }
 
-    /// Whether a disk is spun down.
-    pub fn disk_is_parked(&self, id: DiskId) -> Result<bool, SimError> {
-        self.disks
-            .get(id.0 as usize)
-            .map(|d| d.is_parked())
-            .ok_or_else(|| SimError::UnknownDevice(format!("{id:?}")))
-    }
-
-    /// A disk's spin-down break-even gap.
-    pub fn disk_break_even(&self, id: DiskId) -> Result<Option<SimDuration>, SimError> {
-        self.disks
-            .get(id.0 as usize)
-            .map(|d| d.break_even_gap())
-            .ok_or_else(|| SimError::UnknownDevice(format!("{id:?}")))
-    }
-
     /// Per-disk statistics.
     pub fn disk_stats(&self, id: DiskId) -> Result<DeviceStats, SimError> {
         self.disks
@@ -1061,16 +1040,6 @@ impl Simulation {
         let s = self.ssds.iter().map(|s| s.next_free());
         let c = self.cpus.iter().map(|c| c.all_free());
         d.chain(s).chain(c).max().unwrap_or(SimInstant::EPOCH)
-    }
-
-    /// Number of disks.
-    pub fn disk_count(&self) -> usize {
-        self.disks.len()
-    }
-
-    /// Number of SSDs.
-    pub fn ssd_count(&self) -> usize {
-        self.ssds.len()
     }
 
     /// Finalize every device at `end` (or the natural horizon, whichever

@@ -49,15 +49,6 @@ impl BinnedSeries {
         }
     }
 
-    /// Accumulate a point energy spike at `at`.
-    pub fn add_spike(&mut self, at: SimInstant, energy: Joules) {
-        let idx = (at.as_nanos() / self.bin.as_nanos()) as usize;
-        if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, 0.0);
-        }
-        self.bins[idx] += energy.joules();
-    }
-
     /// The average-power series: one `(bin_start, avg_power)` per bin.
     pub fn power_series(&self) -> Vec<(SimInstant, Watts)> {
         let w = self.bin.as_secs_f64();
@@ -125,14 +116,6 @@ mod tests {
         assert!((series[1].1.get() - 10.0).abs() < 1e-9);
         assert!((series[2].1.get() - 5.0).abs() < 1e-9);
         assert!((s.total_energy().joules() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn spikes_land_in_their_bin() {
-        let mut s = BinnedSeries::new(SimDuration::from_secs(1));
-        s.add_spike(at(3.7), Joules::new(42.0));
-        assert_eq!(s.len(), 4);
-        assert!((s.total_energy().joules() - 42.0).abs() < 1e-12);
     }
 
     #[test]

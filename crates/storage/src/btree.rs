@@ -107,17 +107,6 @@ impl BTreeIndex {
         }
         self.height() + (rows.saturating_sub(1) / FANOUT) as u32
     }
-
-    /// Total index footprint in pages (leaves + inner levels).
-    pub fn total_pages(&self) -> u64 {
-        let leaf_pages = self.leaves.len().div_ceil(FANOUT) as u64;
-        let inner: u64 = self
-            .levels
-            .iter()
-            .map(|l| l.len().div_ceil(FANOUT) as u64)
-            .sum();
-        leaf_pages + inner
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +169,6 @@ mod tests {
         // A range of 2 pages' worth of rows touches one extra leaf.
         assert_eq!(idx.range_pages(FANOUT + 1), 3);
         assert_eq!(idx.range_pages(1), 2);
-        assert_eq!(idx.total_pages(), 3 + 1);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! bitpacked u32 block]`. Codes reuse the [`super::bitpack`] format by
 //! packing them as an i64 column, which keeps one packer implementation.
 
+use super::bitpack;
 use super::varint::{read_i64, read_u32, write_i64, write_u32};
-use super::{bitpack, Encoding};
 use crate::error::StorageError;
 use std::collections::HashMap; // grail-lint: allow(hash-order, per-value lookups only; dict order is first-appearance)
 
@@ -59,9 +59,6 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<i64>, StorageError> {
     }
     Ok(out)
 }
-
-/// The encoding this module implements (handy for tables of codecs).
-pub const ENCODING: Encoding = Encoding::Dict;
 
 #[cfg(test)]
 mod tests {

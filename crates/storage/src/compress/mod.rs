@@ -8,14 +8,12 @@
 //! the executor charges for them corresponds to work that actually
 //! happens.
 //!
-//! Integer codecs ([`rle`], [`dict`], [`bitpack`], [`delta`]) operate on
-//! `&[i64]` columns; [`lzb`] is a byte-level LZ for row pages and
-//! incompressible-ish payloads.
+//! The codecs ([`rle`], [`dict`], [`bitpack`], [`delta`]) operate on
+//! `&[i64]` columns.
 
 pub mod bitpack;
 pub mod delta;
 pub mod dict;
-pub mod lzb;
 pub mod rle;
 pub mod varint;
 

@@ -5,12 +5,12 @@
 //! on database energy use". This crate supplies the formats those
 //! decisions choose between:
 //!
-//! * [`page`] / [`heap`] — slotted row pages (the classic layout).
+//! * [`page`] — page ids and the page size the buffer pool, the B+tree
+//!   and the prefetcher count in.
 //! * [`mod@column`] — columnar segments, the layout Fig. 2's scanner reads.
 //! * [`compress`] — real, round-trip-tested codecs (RLE, dictionary,
-//!   bit-packing, delta, and a byte-level LZ) whose CPU-for-bandwidth
-//!   trade *is* Fig. 2's experiment.
-//! * [`layout`] — projected-scan volume math for row vs column layouts.
+//!   bit-packing, delta) whose CPU-for-bandwidth trade *is* Fig. 2's
+//!   experiment.
 //! * [`partition`] — repartitioning across disk subsets (Fig. 1's knob)
 //!   and redundant read-optimized replicas (Sec. 5.1's energy use of
 //!   extra capacity).
@@ -34,8 +34,6 @@ pub mod btree;
 pub mod column;
 pub mod compress;
 pub mod error;
-pub mod heap;
-pub mod layout;
 pub mod page;
 pub mod partition;
 pub mod prefetch;
@@ -44,4 +42,4 @@ pub mod wal;
 pub use column::ColumnSegment;
 pub use compress::Encoding;
 pub use error::StorageError;
-pub use page::{Page, PageId, PAGE_SIZE};
+pub use page::{PageId, PAGE_SIZE};

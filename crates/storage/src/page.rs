@@ -1,6 +1,6 @@
-//! Pages: the unit of IO, buffering, and energy accounting.
+//! Page ids and the page size: the unit of IO, buffering, and energy
+//! accounting.
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -29,35 +29,6 @@ impl fmt::Display for PageId {
     }
 }
 
-/// An immutable page image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Page {
-    /// The page's identity.
-    pub id: PageId,
-    /// The page's bytes (cheaply cloneable).
-    pub data: Bytes,
-}
-
-impl Page {
-    /// Wrap raw bytes as a page.
-    pub fn new(id: PageId, data: impl Into<Bytes>) -> Self {
-        Page {
-            id,
-            data: data.into(),
-        }
-    }
-
-    /// The page's size in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if the page holds no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,15 +39,5 @@ mod tests {
         let b = PageId::new(1, 0);
         assert!(a < b);
         assert_eq!(format!("{}", PageId::new(3, 14)), "3:14");
-    }
-
-    #[test]
-    fn page_wraps_bytes_cheaply() {
-        let p = Page::new(PageId::new(0, 0), vec![7u8; 128]);
-        let q = p.clone();
-        assert_eq!(p, q);
-        assert_eq!(p.len(), 128);
-        assert!(!p.is_empty());
-        assert!(Page::new(PageId::new(0, 1), Vec::new()).is_empty());
     }
 }

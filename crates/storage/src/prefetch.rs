@@ -104,11 +104,6 @@ impl BurstPlan {
         }
         None
     }
-
-    /// Buffer pages this plan requires.
-    pub fn buffer_requirement(&self) -> u32 {
-        self.burst_size
-    }
 }
 
 #[cfg(test)]

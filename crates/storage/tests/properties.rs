@@ -1,9 +1,8 @@
 //! Property-based tests: every codec round-trips on arbitrary inputs,
-//! and layout/partition math conserves bytes.
+//! and partition math conserves bytes.
 
 use grail_storage::column::ColumnSegment;
-use grail_storage::compress::{self, choose_encoding, lzb, Encoding};
-use grail_storage::layout::{ColumnPhys, ScanVolume, TableLayout};
+use grail_storage::compress::{self, choose_encoding, Encoding};
 use grail_storage::partition::{PartitionKind, Partitioning};
 use proptest::prelude::*;
 
@@ -44,43 +43,6 @@ proptest! {
         let enc = choose_encoding(&vals);
         let seg = ColumnSegment::encode(&vals, enc);
         prop_assert_eq!(&*seg.decode().expect("chosen codec decodes"), &vals);
-    }
-
-    /// LZ round-trips arbitrary byte strings.
-    #[test]
-    fn lzb_round_trips(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        let c = lzb::compress(&data);
-        prop_assert_eq!(lzb::decompress(&c).expect("decompress own output"), data);
-    }
-
-    /// LZ round-trips highly repetitive strings (worst case for overlap
-    /// handling) and actually shrinks them.
-    #[test]
-    fn lzb_repetitive(pattern in proptest::collection::vec(any::<u8>(), 1..16), reps in 10usize..200) {
-        let data: Vec<u8> = pattern.iter().copied().cycle().take(pattern.len() * reps).collect();
-        let c = lzb::compress(&data);
-        prop_assert_eq!(lzb::decompress(&c).expect("decompress"), data.clone());
-        if data.len() > 256 {
-            prop_assert!(c.len() < data.len());
-        }
-    }
-
-    /// Columnar projected scans never read more than row scans of the
-    /// same table, and footprint is projection-independent.
-    #[test]
-    fn columnar_dominates_row_for_projections(
-        rows in 1u64..100_000,
-        widths in proptest::collection::vec(1u32..64, 1..12),
-        proj_mask in any::<u16>(),
-    ) {
-        let columns: Vec<ColumnPhys> = widths.iter().map(|w| ColumnPhys::plain(*w)).collect();
-        let projected: Vec<usize> = (0..columns.len())
-            .filter(|i| proj_mask & (1 << (i % 16)) != 0)
-            .collect();
-        let row = ScanVolume { rows, columns: columns.clone(), layout: TableLayout::Row };
-        let col = ScanVolume { rows, columns, layout: TableLayout::Columnar };
-        prop_assert!(col.scan_bytes(&projected) <= row.scan_bytes(&projected));
-        prop_assert_eq!(row.footprint(), col.footprint());
     }
 
     /// Partition byte shares always conserve the table total, and every

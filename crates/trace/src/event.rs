@@ -112,15 +112,6 @@ pub enum Track {
     Exec,
 }
 
-impl Track {
-    /// Stable human label, used as the Perfetto thread name. The
-    /// exporters write the [`fmt::Display`] form straight into their
-    /// output instead of building this `String` per event.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-}
-
 impl fmt::Display for Track {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -342,18 +333,17 @@ mod tests {
 
     #[test]
     fn track_labels_and_order_are_stable() {
-        assert_eq!(Track::Main.label(), "main");
+        assert_eq!(Track::Main.to_string(), "main");
         assert_eq!(
             Track::Device {
                 kind: "disk",
                 index: 3
             }
-            .label(),
+            .to_string(),
             "disk[3]"
         );
-        assert_eq!(Track::Stream(2).label(), "stream[2]");
-        assert_eq!(Track::Exec.label(), "exec");
-        assert_eq!(Track::Stream(7).to_string(), Track::Stream(7).label());
+        assert_eq!(Track::Stream(2).to_string(), "stream[2]");
+        assert_eq!(Track::Exec.to_string(), "exec");
         let mut tracks = vec![
             Track::Exec,
             Track::Stream(1),

@@ -313,14 +313,6 @@ impl Tracer {
         }
     }
 
-    /// Accumulate into a gauge (no-op when off).
-    #[inline]
-    pub fn gauge_add(&mut self, name: &'static str, delta: f64) {
-        if let Some(r) = &mut self.0 {
-            r.metrics_mut().add_gauge(name, delta);
-        }
-    }
-
     /// Credit `delta` events at simulated `now_nanos` into a
     /// tumbling-window rate (no-op when off).
     #[inline]
@@ -348,11 +340,6 @@ impl Tracer {
         if let Some(r) = &mut self.0 {
             r.finish_time(end_nanos);
         }
-    }
-
-    /// Borrow the live recorder, if any.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.0.as_deref()
     }
 
     /// Mutably borrow the live recorder, if any.
@@ -622,7 +609,6 @@ mod tests {
     fn tracer_off_ignores_time_and_gauges() {
         let mut t = Tracer::off();
         t.gauge("g", 1.0);
-        t.gauge_add("g", 1.0);
         t.rate("r", 10, 5, 1);
         t.advance_time(100);
         t.finish_time(200);

@@ -280,7 +280,7 @@ impl Rings {
     }
 }
 
-/// One recorded event as a [`Recorder`] hands it out: the header fields
+/// One recorded event as a [`crate::Recorder`] hands it out: the header fields
 /// by value plus a view of its arguments in the recorder's arena.
 #[derive(Debug, Clone)]
 pub struct EventRef<'a> {

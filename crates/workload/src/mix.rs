@@ -89,19 +89,6 @@ pub fn poisson_arrivals(rate_hz: f64, n: usize, seed: u64) -> Vec<SimInstant> {
     out
 }
 
-/// Attach arrivals to a repeated job prototype: one single-stream open
-/// workload.
-pub fn open_stream(prototype: &JobSpec, arrivals: &[SimInstant]) -> Vec<JobSpec> {
-    arrivals
-        .iter()
-        .map(|a| {
-            let mut j = prototype.clone();
-            j.arrival = *a;
-            j
-        })
-        .collect()
-}
-
 /// The idle gaps between consecutive arrivals (for governor reasoning).
 pub fn arrival_gaps(arrivals: &[SimInstant]) -> Vec<SimDuration> {
     arrivals
@@ -172,16 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn open_stream_attaches_arrivals() {
-        let proto = job_from_tallies(&[tally(5, 5)], 1);
+    fn arrival_gaps_sit_between_arrivals() {
         let arrivals = poisson_arrivals(1.0, 10, 3);
-        let jobs = open_stream(&proto, &arrivals);
-        assert_eq!(jobs.len(), 10);
-        for (j, a) in jobs.iter().zip(&arrivals) {
-            assert_eq!(j.arrival, *a);
-        }
-        let gaps = arrival_gaps(&arrivals);
-        assert_eq!(gaps.len(), 9);
+        assert_eq!(arrival_gaps(&arrivals).len(), 9);
     }
 
     #[test]

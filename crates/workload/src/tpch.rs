@@ -22,13 +22,6 @@ pub struct TpchScale {
 }
 
 impl TpchScale {
-    /// TPC-H scale factor `sf` (SF 1 = 1.5 M orders).
-    pub fn sf(sf: f64) -> Self {
-        TpchScale {
-            orders_rows: (1_500_000.0 * sf).round().max(1.0) as u64,
-        }
-    }
-
     /// A laptop-friendly scale for tests and examples (10 K orders).
     pub fn toy() -> Self {
         TpchScale {
@@ -258,7 +251,6 @@ mod tests {
         assert_eq!(t.lineitem.row_count() as u64, s.orders_rows * 4);
         assert_eq!(t.customer.row_count() as u64, s.orders_rows / 10);
         assert!(t.part.row_count() > 0 && t.supplier.row_count() > 0);
-        assert_eq!(TpchScale::sf(1.0).orders_rows, 1_500_000);
     }
 
     #[test]
