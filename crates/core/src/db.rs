@@ -21,7 +21,7 @@ use grail_sim::{FaultConfig, FaultPlan, SimError};
 use grail_trace::{Category, Recorder, TraceEvent, TraceSink, TraceTime, Tracer, Track};
 use grail_workload::mix::{closed_mix, job_from_tallies, scale_tally};
 use grail_workload::queries::{QueryTemplate, StoredCatalog};
-use grail_workload::tpch::{self, TpchScale, TpchTables, ORDERS_FIG2_PROJECTION};
+use grail_workload::tpch::{self, TpchScale, TpchTable, TpchTables, ORDERS_FIG2_PROJECTION};
 use std::sync::{Arc, OnceLock};
 
 /// How tables are physically stored.
@@ -138,23 +138,31 @@ pub fn stripe_job(job: &JobSpec, targets: &[StorageTarget]) -> JobSpec {
     }
 }
 
+/// One value per TPC-H table, each made by the first call that needs it.
+#[derive(Debug)]
+struct Cells<T>([OnceLock<Arc<T>>; 5]);
+
+impl<T> Default for Cells<T> {
+    fn default() -> Self {
+        Cells(std::array::from_fn(|_| OnceLock::new()))
+    }
+}
+
+impl<T> Cells<T> {
+    fn cell(&self, table: TpchTable) -> &OnceLock<Arc<T>> {
+        &self.0[table as usize]
+    }
+}
+
 /// One table in one stored form, encoded on first use.
 type StoredCell = OnceLock<Arc<StoredTable>>;
 
-/// One storage mode's cells, table by table.
-#[derive(Debug, Default)]
-struct StoredCells {
-    orders: StoredCell,
-    lineitem: StoredCell,
-    customer: StoredCell,
-    part: StoredCell,
-    supplier: StoredCell,
-}
-
-/// The loaded tables and their physical store. Compression is a
-/// physical-design decision taken once per load: every (table, storage
-/// mode) is encoded at most once, by the first call that needs it, and
-/// lives until the next `load_tpch*` replaces the whole value.
+/// The loaded database: what to generate, the tables generated so far,
+/// and their physical store. Generation and compression both happen on
+/// first use: every table is generated at most once, by the first call
+/// that reads it, and every (table, storage mode) is encoded at most
+/// once, by the first call that scans it. All of it lives until the
+/// next `load_tpch*` replaces the whole value.
 ///
 /// The store costs little beyond the tables: Plain segments share the
 /// tables' own columns, and Fig. 2 storage is Auto storage with ORDERS
@@ -162,19 +170,34 @@ struct StoredCells {
 /// from `auto`.
 #[derive(Debug)]
 struct Loaded {
-    tables: TpchTables,
-    plain: StoredCells,
-    auto: StoredCells,
+    scale: TpchScale,
+    seed: u64,
+    generated: Cells<Table>,
+    /// The five generated tables as one value, assembled by the first
+    /// [`EnergyAwareDb::try_tables`].
+    tables: OnceLock<TpchTables>,
+    plain: Cells<StoredTable>,
+    auto: Cells<StoredTable>,
     fig2_orders: StoredCell,
 }
 
 /// How one storage mode stores one table.
 type StoreFn = fn(Arc<Table>, StorageTarget) -> StoredTable;
 
-/// `table` stored by `store`, encoded only if `cell` is still empty.
-fn stored_once(cell: &StoredCell, table: &Arc<Table>, store: StoreFn) -> Arc<StoredTable> {
-    cell.get_or_init(|| Arc::new(store(table.clone(), LOGICAL_TARGET)))
-        .clone()
+impl Loaded {
+    /// `table`, generated only if its cell is still empty.
+    fn table(&self, table: TpchTable) -> Arc<Table> {
+        self.generated
+            .cell(table)
+            .get_or_init(|| tpch::generate_table(self.scale, self.seed, table))
+            .clone()
+    }
+
+    /// `table` stored by `store`, encoded only if `cell` is still empty.
+    fn stored(&self, cell: &StoredCell, table: TpchTable, store: StoreFn) -> Arc<StoredTable> {
+        cell.get_or_init(|| Arc::new(store(self.table(table), LOGICAL_TARGET)))
+            .clone()
+    }
 }
 
 /// The energy-aware database: a hardware profile plus loaded tables.
@@ -252,18 +275,24 @@ impl EnergyAwareDb {
         (sim, cpu, targets)
     }
 
-    /// Generate and load TPC-H-like tables at `scale` (seed 42).
+    /// Load TPC-H-like tables at `scale` (seed 42).
     pub fn load_tpch(&mut self, scale: TpchScale) {
         self.load_tpch_seeded(scale, 42);
     }
 
-    /// Generate and load with an explicit seed. Whatever was stored for
-    /// the previous tables is dropped with them.
+    /// Load TPC-H-like tables at `scale` from `seed`. Nothing is drawn
+    /// yet: each table is generated by the first call that reads it (a
+    /// projection scan reads ORDERS alone), byte for byte the table
+    /// [`tpch::generate`] would return. The previous tables, and
+    /// whatever was stored for them, are dropped.
     pub fn load_tpch_seeded(&mut self, scale: TpchScale, seed: u64) {
         self.loaded = Some(Loaded {
-            tables: tpch::generate(scale, seed),
-            plain: StoredCells::default(),
-            auto: StoredCells::default(),
+            scale,
+            seed,
+            generated: Cells::default(),
+            tables: OnceLock::new(),
+            plain: Cells::default(),
+            auto: Cells::default(),
             fig2_orders: StoredCell::new(),
         });
     }
@@ -272,9 +301,27 @@ impl EnergyAwareDb {
         self.loaded.as_ref().ok_or(SimError::NotLoaded)
     }
 
-    /// The loaded tables, or [`SimError::NotLoaded`].
+    /// The loaded tables, or [`SimError::NotLoaded`]. The first call
+    /// generates whichever of the five no run has read yet.
     pub fn try_tables(&self) -> Result<&TpchTables, SimError> {
-        self.try_loaded().map(|l| &l.tables)
+        let l = self.try_loaded()?;
+        Ok(l.tables.get_or_init(|| TpchTables {
+            orders: l.table(TpchTable::Orders),
+            lineitem: l.table(TpchTable::Lineitem),
+            customer: l.table(TpchTable::Customer),
+            part: l.table(TpchTable::Part),
+            supplier: l.table(TpchTable::Supplier),
+        }))
+    }
+
+    /// The tables generated so far, in [`TpchTable::ALL`] order.
+    #[cfg(test)]
+    fn generated(&self) -> Vec<TpchTable> {
+        let l = self.try_loaded().expect("loaded");
+        TpchTable::ALL
+            .into_iter()
+            .filter(|t| l.generated.cell(*t).get().is_some())
+            .collect()
     }
 
     /// The loaded tables.
@@ -291,11 +338,13 @@ impl EnergyAwareDb {
     fn try_orders(&self, mode: CompressionMode) -> Result<Arc<StoredTable>, SimError> {
         let l = self.try_loaded()?;
         let (cell, store): (_, StoreFn) = match mode {
-            CompressionMode::Plain => (&l.plain.orders, StoredTable::columnar_plain),
-            CompressionMode::Auto => (&l.auto.orders, StoredTable::columnar_auto),
+            CompressionMode::Plain => {
+                (l.plain.cell(TpchTable::Orders), StoredTable::columnar_plain)
+            }
+            CompressionMode::Auto => (l.auto.cell(TpchTable::Orders), StoredTable::columnar_auto),
             CompressionMode::Fig2 => (&l.fig2_orders, StoredCatalog::fig2_orders),
         };
-        Ok(stored_once(cell, &l.tables.orders, store))
+        Ok(l.stored(cell, TpchTable::Orders, store))
     }
 
     /// The stored catalog of `mode`, made of references into the store:
@@ -307,12 +356,13 @@ impl EnergyAwareDb {
             CompressionMode::Plain => (&l.plain, StoredTable::columnar_plain),
             CompressionMode::Auto | CompressionMode::Fig2 => (&l.auto, StoredTable::columnar_auto),
         };
+        let stored = |table| l.stored(cells.cell(table), table, store);
         Ok(StoredCatalog {
             orders: self.try_orders(mode)?,
-            lineitem: stored_once(&cells.lineitem, &l.tables.lineitem, store),
-            customer: stored_once(&cells.customer, &l.tables.customer, store),
-            part: stored_once(&cells.part, &l.tables.part, store),
-            supplier: stored_once(&cells.supplier, &l.tables.supplier, store),
+            lineitem: stored(TpchTable::Lineitem),
+            customer: stored(TpchTable::Customer),
+            part: stored(TpchTable::Part),
+            supplier: stored(TpchTable::Supplier),
         })
     }
 
@@ -813,18 +863,43 @@ mod tests {
         let l = db.try_loaded().expect("loaded");
         let orders = l.fig2_orders.get().expect("the scan stored ORDERS").clone();
         for cells in [&l.plain, &l.auto] {
-            for cell in [
-                &cells.orders,
-                &cells.lineitem,
-                &cells.customer,
-                &cells.part,
-                &cells.supplier,
-            ] {
+            for cell in &cells.0 {
                 assert!(cell.get().is_none(), "a Fig2 scan touches nothing else");
             }
         }
         db.run_scan(&ScanSpec::orders_projection(3), policy, 1.0);
         assert!(Arc::ptr_eq(&orders, l.fig2_orders.get().expect("kept")));
+    }
+
+    /// A projection scan generates ORDERS alone and reports bit for bit
+    /// what a db whose five tables were drawn up front reports; a later
+    /// throughput test draws the other four, reuses that ORDERS, and
+    /// equals the up-front run too.
+    #[test]
+    fn a_scan_generates_orders_only() {
+        for mode in MODES {
+            let policy = ExecPolicy {
+                compression: mode,
+                dop: 2,
+            };
+            let lazy = db(HardwareProfile::server_dl785(36));
+            let eager = db(HardwareProfile::server_dl785(36));
+            assert!(lazy.generated().is_empty(), "loading draws nothing");
+            eager.tables();
+            assert_eq!(eager.generated(), TpchTable::ALL);
+
+            let scan = lazy.run_scan(&ScanSpec::fig2(), policy, 100.0);
+            assert_eq!(lazy.generated(), [TpchTable::Orders], "{mode:?}");
+            let eager_scan = eager.run_scan(&ScanSpec::fig2(), policy, 100.0);
+            assert_eq!(format!("{scan:?}"), format!("{eager_scan:?}"), "{mode:?}");
+
+            let orders = lazy.try_loaded().expect("loaded").table(TpchTable::Orders);
+            let mix = lazy.run_throughput_test(2, 2, policy, 100.0);
+            assert_eq!(lazy.generated(), TpchTable::ALL, "{mode:?}");
+            assert!(Arc::ptr_eq(&orders, &lazy.tables().orders), "{mode:?}");
+            let eager_mix = eager.run_throughput_test(2, 2, policy, 100.0);
+            assert_eq!(format!("{mix:?}"), format!("{eager_mix:?}"), "{mode:?}");
+        }
     }
 
     #[test]

@@ -55,6 +55,11 @@ impl CpuDevice {
         self.perf.freq
     }
 
+    /// Cores in the pool.
+    pub(crate) fn cores(&self) -> u32 {
+        self.perf.cores
+    }
+
     /// Execute `work` on one core, FCFS (earliest-free core wins, ties to
     /// the lowest index). Issue times must be nondecreasing.
     pub fn compute(&mut self, at: SimInstant, work: Cycles) -> Reservation {
@@ -82,7 +87,7 @@ impl CpuDevice {
                 .iter()
                 .enumerate()
                 .min_by_key(|(i, c)| (c.next_free, *i))
-                .expect("pool is non-empty"); // grail-lint: allow(error-hygiene, callers size the pool nonzero: run_parallel rejects a zero-core cell)
+                .expect("pool is non-empty"); // grail-lint: allow(error-hygiene, callers size the pool nonzero: Simulation::compute_parallel rejects a zero-core pool)
             let core = &mut self.cores[idx];
             let start = at.max(core.next_free);
             let end = start + dur;

@@ -929,7 +929,8 @@ impl Simulation {
         self.compute_parallel(cpu, at, work, 1)
     }
 
-    /// Execute `work` split over `dop` cores of `cpu`.
+    /// Execute `work` split over `dop` cores of `cpu`. A pool of 0
+    /// cores can run nothing: that is a [`SimError::BadConfig`] naming it.
     pub fn compute_parallel(
         &mut self,
         cpu: CpuId,
@@ -941,6 +942,9 @@ impl Simulation {
             .cpus
             .get_mut(cpu.0 as usize)
             .ok_or_else(|| SimError::UnknownDevice(format!("{cpu:?}")))?;
+        if c.cores() == 0 {
+            return Err(SimError::BadConfig(format!("CPU pool {cpu:?} has 0 cores")));
+        }
         let r = c.compute_parallel(at, work, dop);
         // Exact active busy-time across cores: total cycles at the core
         // frequency, regardless of how the work was split.
@@ -1275,6 +1279,27 @@ mod tests {
         assert!(sim.compute(CpuId(3), at(0.0), Cycles::new(1)).is_err());
         assert!(sim.make_array(RaidLevel::Raid5, vec![DiskId(9)]).is_err());
         assert!(sim.park_disk(DiskId(0), at(0.0)).is_err());
+    }
+
+    #[test]
+    fn a_zero_core_pool_is_a_bad_config() {
+        let mut sim = Simulation::new();
+        let cpu = sim.add_cpu(
+            CpuPerfProfile {
+                cores: 0,
+                freq: grail_power::units::Hertz::ghz(2.0),
+            },
+            CpuPowerProfile::opteron_socket(),
+        );
+        let bad = SimError::BadConfig("CPU pool CpuId(0) has 0 cores".to_string());
+        for dop in [0, 1, 4] {
+            let err = sim.compute_parallel(cpu, at(0.0), Cycles::new(1), dop);
+            assert_eq!(err.unwrap_err(), bad, "dop {dop}");
+        }
+        assert_eq!(sim.compute(cpu, at(0.0), Cycles::new(1)).unwrap_err(), bad);
+        // Nothing was reserved, and the simulation still finishes.
+        assert_eq!(sim.cpu(cpu).unwrap().stats().requests, 0);
+        assert_eq!(sim.finish(at(1.0)).elapsed, SimDuration::from_secs(1));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! runs and platforms.
 //!
 //! * [`tpch`] — schemas and the seeded generator (ORDERS, LINEITEM,
-//!   CUSTOMER, PART, SUPPLIER).
+//!   CUSTOMER, PART, SUPPLIER), whole or one table at a time.
 //! * [`queries`] — the throughput-test query templates (scan-filter,
 //!   scan-aggregate, join, sort) with per-template resource shapes.
 //! * [`mix`] — multi-stream mixes: the closed-loop throughput test of

@@ -67,18 +67,60 @@ pub struct TpchTables {
 /// Days in the TPC-H date domain (1992-01-01 .. 1998-08-02).
 pub const DATE_DAYS: i64 = 2406;
 
-fn rng_for(seed: u64, table: u64) -> ChaCha12Rng {
-    ChaCha12Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ table)
+/// One table of the generated database.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TpchTable {
+    /// ORDERS.
+    Orders,
+    /// LINEITEM.
+    Lineitem,
+    /// CUSTOMER.
+    Customer,
+    /// PART.
+    Part,
+    /// SUPPLIER.
+    Supplier,
+}
+
+impl TpchTable {
+    /// Every table, in [`TpchTables`] field order.
+    pub const ALL: [TpchTable; 5] = [
+        TpchTable::Orders,
+        TpchTable::Lineitem,
+        TpchTable::Customer,
+        TpchTable::Part,
+        TpchTable::Supplier,
+    ];
+}
+
+/// Each table draws from its own stream (1 to 5 in [`TpchTable::ALL`]
+/// order), so generating one never moves another's bytes.
+fn rng_for(seed: u64, table: TpchTable) -> ChaCha12Rng {
+    let stream = table as u64 + 1;
+    ChaCha12Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stream)
+}
+
+/// Generate one table of the database at `scale` from `seed`: the same
+/// table [`generate`] returns, without drawing the other four.
+pub fn generate_table(scale: TpchScale, seed: u64, table: TpchTable) -> Arc<Table> {
+    Arc::new(match table {
+        TpchTable::Orders => gen_orders(scale, seed),
+        TpchTable::Lineitem => gen_lineitem(scale, seed),
+        TpchTable::Customer => gen_customer(scale, seed),
+        TpchTable::Part => gen_part(scale, seed),
+        TpchTable::Supplier => gen_supplier(scale, seed),
+    })
 }
 
 /// Generate the database at `scale` from `seed`.
 pub fn generate(scale: TpchScale, seed: u64) -> TpchTables {
+    let table = |t| generate_table(scale, seed, t);
     TpchTables {
-        orders: Arc::new(gen_orders(scale, seed)),
-        lineitem: Arc::new(gen_lineitem(scale, seed)),
-        customer: Arc::new(gen_customer(scale, seed)),
-        part: Arc::new(gen_part(scale, seed)),
-        supplier: Arc::new(gen_supplier(scale, seed)),
+        orders: table(TpchTable::Orders),
+        lineitem: table(TpchTable::Lineitem),
+        customer: table(TpchTable::Customer),
+        part: table(TpchTable::Part),
+        supplier: table(TpchTable::Supplier),
     }
 }
 
@@ -89,7 +131,7 @@ pub const ORDERS_FIG2_PROJECTION: [usize; 5] = [0, 1, 2, 3, 4];
 fn gen_orders(scale: TpchScale, seed: u64) -> Table {
     let n = scale.orders_rows;
     let customers = scale.customer_rows() as i64;
-    let mut rng = rng_for(seed, 1);
+    let mut rng = rng_for(seed, TpchTable::Orders);
     let schema = Schema::new(vec![
         ("o_orderkey", ColumnType::Id),
         ("o_custkey", ColumnType::Id),
@@ -142,7 +184,7 @@ fn gen_lineitem(scale: TpchScale, seed: u64) -> Table {
     let orders = scale.orders_rows;
     let parts = scale.part_rows() as i64;
     let suppliers = scale.supplier_rows() as i64;
-    let mut rng = rng_for(seed, 2);
+    let mut rng = rng_for(seed, TpchTable::Lineitem);
     let schema = Schema::new(vec![
         ("l_orderkey", ColumnType::Id),
         ("l_partkey", ColumnType::Id),
@@ -179,7 +221,7 @@ fn gen_lineitem(scale: TpchScale, seed: u64) -> Table {
 
 fn gen_customer(scale: TpchScale, seed: u64) -> Table {
     let n = scale.customer_rows() as usize;
-    let mut rng = rng_for(seed, 3);
+    let mut rng = rng_for(seed, TpchTable::Customer);
     let schema = Schema::new(vec![
         ("c_custkey", ColumnType::Id),
         ("c_nationkey", ColumnType::Id),
@@ -200,7 +242,7 @@ fn gen_customer(scale: TpchScale, seed: u64) -> Table {
 
 fn gen_part(scale: TpchScale, seed: u64) -> Table {
     let n = scale.part_rows() as usize;
-    let mut rng = rng_for(seed, 4);
+    let mut rng = rng_for(seed, TpchTable::Part);
     let schema = Schema::new(vec![
         ("p_partkey", ColumnType::Id),
         ("p_brand", ColumnType::Code),
@@ -221,7 +263,7 @@ fn gen_part(scale: TpchScale, seed: u64) -> Table {
 
 fn gen_supplier(scale: TpchScale, seed: u64) -> Table {
     let n = scale.supplier_rows() as usize;
-    let mut rng = rng_for(seed, 5);
+    let mut rng = rng_for(seed, TpchTable::Supplier);
     let schema = Schema::new(vec![
         ("s_suppkey", ColumnType::Id),
         ("s_nationkey", ColumnType::Id),

@@ -7,7 +7,8 @@
 //! assert prints — on the parent commit, never on the change.
 
 use grail_query::batch::Table;
-use grail_workload::tpch::{generate, TpchScale};
+use grail_workload::tpch::{generate, generate_table, TpchScale, TpchTable, TpchTables};
+use std::sync::Arc;
 
 /// One row per `(orders_rows, seed)`, one digest per table in
 /// `TpchTables` field order: ORDERS, LINEITEM, CUSTOMER, PART, SUPPLIER.
@@ -64,6 +65,11 @@ fn digest(table: &Table) -> u64 {
     h.0
 }
 
+/// The five tables in `TpchTable::ALL` order.
+fn each(t: &TpchTables) -> [&Arc<Table>; 5] {
+    [&t.orders, &t.lineitem, &t.customer, &t.part, &t.supplier]
+}
+
 #[test]
 fn generated_tables_are_pinned() {
     assert_eq!(TpchScale::toy().orders_rows, 10_000);
@@ -71,8 +77,7 @@ fn generated_tables_are_pinned() {
         .iter()
         .map(|&(orders_rows, seed, _)| {
             let t = generate(TpchScale { orders_rows }, seed);
-            let tables = [&t.orders, &t.lineitem, &t.customer, &t.part, &t.supplier];
-            (orders_rows, seed, tables.map(|t| digest(t)))
+            (orders_rows, seed, each(&t).map(|t| digest(t)))
         })
         .collect();
     let table: String = measured
@@ -85,4 +90,26 @@ fn generated_tables_are_pinned() {
         })
         .collect();
     assert!(measured == PINNED, "measured digests:\n{table}");
+}
+
+/// Each table drawn alone, last first, is exactly the table `generate`
+/// returns: no table's stream depends on another having been drawn.
+#[test]
+fn per_table_entry_points_compose_to_generate() {
+    for &(orders_rows, seed, _) in &PINNED {
+        let scale = TpchScale { orders_rows };
+        let whole = generate(scale, seed);
+        for (table, expected) in TpchTable::ALL.into_iter().zip(each(&whole)).rev() {
+            let alone = generate_table(scale, seed, table);
+            assert_eq!(
+                alone.columns, expected.columns,
+                "{table:?} at {orders_rows}/{seed}"
+            );
+            assert_eq!(
+                digest(&alone),
+                digest(expected),
+                "{table:?} at {orders_rows}/{seed}"
+            );
+        }
+    }
 }

@@ -46,9 +46,10 @@
 //! println!("{} J over {}", report.energy.joules(), report.elapsed);
 //! ```
 //!
-//! Repeated queries on one `db` are cheap: each table is encoded once
-//! per storage mode, by the first call that needs it, and kept until
-//! the next `load_tpch*`; later calls only scan.
+//! `load_tpch` draws nothing up front: each table is generated, and
+//! encoded once per storage mode, by the first call that reads it (the
+//! scan above generates ORDERS alone), and kept until the next
+//! `load_tpch*`. Repeated queries on one `db` only scan.
 
 #![forbid(unsafe_code)]
 
