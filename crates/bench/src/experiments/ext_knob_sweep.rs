@@ -4,10 +4,11 @@
 
 use super::Outcome;
 use crate::ExperimentRecord;
+use grail_core::optimizer::advisor::{advise, evaluate, KnobWorkload};
+use grail_core::optimizer::cost::CostModel;
+use grail_core::optimizer::knobs::{sweep, KnobGrid};
+use grail_core::optimizer::objective::Objective;
 use grail_core::profile::HardwareProfile;
-use grail_optimizer::advisor::{advise, evaluate, KnobWorkload};
-use grail_optimizer::knobs::{sweep, KnobGrid};
-use grail_optimizer::objective::Objective;
 use grail_par::Runner;
 use grail_power::dvfs::DvfsModel;
 
@@ -21,9 +22,9 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
         ("flash_scanner", HardwareProfile::flash_scanner()),
         ("dl785_66", HardwareProfile::server_dl785(66)),
     ] {
-        let hw = profile.hardware_desc();
+        let model = CostModel::new(&profile);
         for obj in [Objective::MinTime, Objective::MinEnergy, Objective::MinEdp] {
-            let a = advise(&grid, &workload, hw, &dvfs, obj);
+            let a = advise(&grid, &workload, &model, &dvfs, obj);
             out.push(ExperimentRecord::new(
                 "EXT-KNOB",
                 &format!("{hw_name}:{}", obj.name()),
@@ -46,11 +47,11 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
             ));
         }
         // How much the energy setting saves vs the time setting.
-        let t = advise(&grid, &workload, hw, &dvfs, Objective::MinTime);
-        let e = advise(&grid, &workload, hw, &dvfs, Objective::MinEnergy);
+        let t = advise(&grid, &workload, &model, &dvfs, Objective::MinTime);
+        let e = advise(&grid, &workload, &model, &dvfs, Objective::MinEnergy);
         let worst = sweep(&grid)
             .into_iter()
-            .map(|c| evaluate(c, &workload, hw, &dvfs).energy_j)
+            .map(|c| evaluate(c, &workload, &model, &dvfs).energy_j)
             .fold(f64::MIN, f64::max);
         out.say(format!(
             "{hw_name} ({} grid points): energy setting saves {:.1}% vs time setting, {:.1}% vs the worst knob point",

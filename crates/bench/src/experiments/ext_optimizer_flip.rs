@@ -11,10 +11,10 @@
 
 use super::Outcome;
 use crate::ExperimentRecord;
+use grail_core::optimizer::cost::CostModel;
+use grail_core::optimizer::enumerate::{best_access_path, best_plan, JoinAlgo, PlanNode, Relation};
+use grail_core::optimizer::objective::Objective;
 use grail_core::profile::HardwareProfile;
-use grail_optimizer::cost::CostModel;
-use grail_optimizer::enumerate::{best_access_path, best_plan, JoinAlgo, PlanNode, Relation};
-use grail_optimizer::objective::Objective;
 use grail_par::Runner;
 use grail_power::units::Watts;
 
@@ -32,7 +32,7 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
     let mut out = Outcome::default();
 
     // Part 1: access-path choice by objective.
-    let m = CostModel::new(HardwareProfile::flash_scanner().hardware_desc());
+    let m = CostModel::new(&HardwareProfile::flash_scanner());
     let variants = [
         rel("orders_plain", 150.0e6, 6.0e9, 0.0),
         rel("orders_compressed", 150.0e6, 3.15e9, 5.8),
@@ -51,11 +51,11 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
 
     // Part 2: the join-flip sensitivity sweep.
     out.say("join-algorithm flip threshold (marginal accounting, build 2M rows, probe 10K rows):");
-    let mut hw = HardwareProfile::server_dl785(66).hardware_desc();
-    hw.cpu_active = hw.cpu_active - hw.cpu_idle;
-    hw.base = Watts::ZERO;
-    hw.cpu_idle = Watts::ZERO;
-    hw.io_idle = Watts::ZERO;
+    let mut model = CostModel::new(&HardwareProfile::server_dl785(66));
+    model.cpu_active = model.cpu_active - model.cpu_idle;
+    model.base = Watts::ZERO;
+    model.cpu_idle = Watts::ZERO;
+    model.io_idle = Watts::ZERO;
     let rels = [
         rel("probe", 1.0e4, 1.0e4 * 40.0, 0.0),
         rel("build", 2.0e6, 2.0e6 * 40.0, 0.0),
@@ -64,8 +64,7 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
     let mut flip_at: Option<f64> = None;
     for exp in -10..2 {
         let mem_w = 10f64.powi(exp);
-        hw.mem_watts_per_byte = mem_w;
-        let model = CostModel::new(hw);
+        model.mem_watts_per_byte = mem_w;
         // Force the memory-heavy shape (build on the big side) to probe
         // the flip the paper describes; the free enumerator's choice is
         // printed alongside.

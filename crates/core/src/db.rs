@@ -1,5 +1,9 @@
 //! The [`EnergyAwareDb`] facade: load data, run work, read the meter.
 
+use crate::optimizer::advisor::{advise, Advice, KnobWorkload};
+use crate::optimizer::cost::CostModel;
+use crate::optimizer::knobs::KnobGrid;
+use crate::optimizer::objective::Objective;
 use crate::profile::HardwareProfile;
 use crate::report::EnergyReport;
 use grail_metrics::registry::{JOULES_BUCKETS, SECONDS_BUCKETS};
@@ -649,15 +653,11 @@ impl EnergyAwareDb {
 
     /// Ask the knob advisor (Sec. 4.1) for the best configuration of
     /// this machine for a scan-and-sort workload under `objective`.
-    pub fn advise_knobs(
-        &self,
-        workload: &grail_optimizer::advisor::KnobWorkload,
-        objective: grail_optimizer::objective::Objective,
-    ) -> grail_optimizer::advisor::Advice {
-        grail_optimizer::advisor::advise(
-            &grail_optimizer::knobs::KnobGrid::small(),
+    pub fn advise_knobs(&self, workload: &KnobWorkload, objective: Objective) -> Advice {
+        advise(
+            &KnobGrid::small(),
             workload,
-            self.profile.hardware_desc(),
+            &CostModel::new(&self.profile),
             &grail_power::dvfs::DvfsModel::opteron_like(),
             objective,
         )
@@ -1044,8 +1044,6 @@ mod tests {
 
     #[test]
     fn advise_knobs_through_the_facade() {
-        use grail_optimizer::advisor::KnobWorkload;
-        use grail_optimizer::objective::Objective;
         let db = db(HardwareProfile::flash_scanner());
         let w = KnobWorkload::scan_sort_default();
         let t = db.advise_knobs(&w, Objective::MinTime);

@@ -11,6 +11,9 @@
 //!   SSDs), plus constructors for custom machines.
 //! * [`db`] — the facade: load tables, run scans/mixes under an
 //!   [`db::ExecPolicy`], collect reports.
+//! * [`optimizer`] — the energy-aware optimizer: a time/energy cost
+//!   model priced from a [`profile::HardwareProfile`], objectives, join
+//!   enumeration and the knob advisor.
 //! * [`report`] — [`report::EnergyReport`]: time, Joules, per-component
 //!   breakdown, energy efficiency.
 
@@ -19,6 +22,7 @@
 #![warn(clippy::all)]
 
 pub mod db;
+pub mod optimizer;
 pub mod profile;
 pub mod report;
 

@@ -13,9 +13,9 @@
 //! * `compression` — swaps stored bytes for decode cycles.
 //! * `pstate` — rescales clock and active power via a [`DvfsModel`].
 
-use crate::cost::{CostModel, HardwareDesc, PlanCost};
-use crate::knobs::{sweep, KnobConfig, KnobGrid};
-use crate::objective::Objective;
+use super::cost::{CostModel, PlanCost};
+use super::knobs::{sweep, KnobConfig, KnobGrid};
+use super::objective::Objective;
 use grail_power::dvfs::DvfsModel;
 
 /// The workload a knob setting is scored against: a projection scan
@@ -50,30 +50,30 @@ impl KnobWorkload {
     }
 }
 
-/// Apply a knob configuration to the hardware description. The halted
-/// pool (`cpu_idle`) stays; DVFS and parallelism scale only the marginal
+/// Apply a knob configuration to the model's machine. The halted pool
+/// (`cpu_idle`) stays; DVFS and parallelism scale only the marginal
 /// draw of a busy core above it.
-fn configure(hw: HardwareDesc, cfg: KnobConfig, dvfs: &DvfsModel) -> HardwareDesc {
-    let mut hw = hw;
+fn configure(model: &CostModel, cfg: KnobConfig, dvfs: &DvfsModel) -> CostModel {
+    let mut m = *model;
     let p = cfg.pstate.min(dvfs.len().saturating_sub(1));
     let freq_scale = dvfs.pstates[p].freq.get() / dvfs.pstates[0].freq.get();
     let power_scale = dvfs.active_power(p).get() / dvfs.active_power(0).get();
     // Parallelism: time ÷ dop, busy core-seconds unchanged.
     let dop = cfg.dop.max(1) as f64;
-    hw.cpu_hz *= freq_scale;
-    hw.cpu_hz *= dop;
-    hw.cpu_active = hw.cpu_idle + (hw.cpu_active - hw.cpu_idle) * power_scale * dop;
-    hw
+    m.cpu_hz *= freq_scale;
+    m.cpu_hz *= dop;
+    m.cpu_active = m.cpu_idle + (m.cpu_active - m.cpu_idle) * power_scale * dop;
+    m
 }
 
-/// Cost of `workload` under `cfg`.
+/// Cost of `workload` under `cfg` on `model`'s machine.
 pub fn evaluate(
     cfg: KnobConfig,
     workload: &KnobWorkload,
-    hw: HardwareDesc,
+    model: &CostModel,
     dvfs: &DvfsModel,
 ) -> PlanCost {
-    let model = CostModel::new(configure(hw, cfg, dvfs));
+    let model = configure(model, cfg, dvfs);
     let (bytes, decode) = if cfg.compression {
         (
             workload.scan_bytes_plain / workload.compression_ratio.max(1.0),
@@ -99,11 +99,12 @@ pub struct Advice {
 /// Sweep `grid` and return the best configuration under `objective`.
 ///
 /// # Panics
-/// Panics on an empty grid.
+/// Panics on an empty grid, and on a NaN score (`finite scores`): a
+/// NaN cost cannot be ranked, and a silent rank would pick it.
 pub fn advise(
     grid: &KnobGrid,
     workload: &KnobWorkload,
-    hw: HardwareDesc,
+    model: &CostModel,
     dvfs: &DvfsModel,
     objective: Objective,
 ) -> Advice {
@@ -112,13 +113,13 @@ pub fn advise(
         .into_iter()
         .map(|config| Advice {
             config,
-            cost: evaluate(config, workload, hw, dvfs),
+            cost: evaluate(config, workload, model, dvfs),
         })
         .min_by(|a, b| {
             objective
                 .score(&a.cost)
                 .partial_cmp(&objective.score(&b.cost))
-                .expect("finite scores")
+                .expect("finite scores") // grail-lint: allow(error-hygiene, a NaN score is a broken cost model; documented under # Panics)
         })
-        .expect("non-empty grid")
+        .expect("non-empty grid") // grail-lint: allow(error-hygiene, the assert above rejects an empty grid)
 }

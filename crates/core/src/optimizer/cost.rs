@@ -5,46 +5,17 @@
 //! the same way simple models for device access times work well in
 //! practice". This model is exactly that: per-operator CPU and IO
 //! estimates (sharing the executor's [`CostCharge`] constants, so the
-//! model predicts what the executor charges) combined with a first-order
-//! hardware power description.
+//! model predicts what the executor charges) combined with first-order
+//! power terms read off the [`HardwareProfile`] the simulator runs.
 //!
 //! Time composes as `max(cpu, io)` within a pipelined phase and as a sum
 //! across phases; energy charges active power for busy time, idle power
 //! for the rest of the phase, and a DRAM-residency term for memory
 //! grants held over the phase.
 
+use crate::profile::HardwareProfile;
 use grail_power::units::Watts;
 use grail_query::cost_charge::CostCharge;
-
-/// First-order hardware description the model costs against. Built by
-/// `grail_core::profile::HardwareProfile::hardware_desc` from the
-/// profile the simulator runs, so both price the same machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HardwareDesc {
-    /// Core clock.
-    pub cpu_hz: f64,
-    /// CPU pool power with one core busy. CPU time is counted in
-    /// one-core seconds, so this is what a busy second costs.
-    pub cpu_active: Watts,
-    /// CPU pool power with every core halted.
-    pub cpu_idle: Watts,
-    /// Aggregate storage bandwidth.
-    pub io_bytes_per_sec: f64,
-    /// Storage power while transferring.
-    pub io_active: Watts,
-    /// Storage power while idle within a query's span.
-    pub io_idle: Watts,
-    /// DRAM power per byte held (residency cost of grants). Derived
-    /// descriptions set 0: the simulator bills DRAM inside `base`.
-    pub mem_watts_per_byte: f64,
-    /// Constant draw attributed to the query's span.
-    pub base: Watts,
-    /// Seconds per dependent random IO (an index-descent page touch):
-    /// a seek+rotation on disk, a request latency on flash. Dependent
-    /// lookups cannot be striped, so this is per-operation latency, not
-    /// aggregate bandwidth.
-    pub io_random_secs_per_op: f64,
-}
 
 /// Estimated cost of a plan (or plan fragment).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -75,20 +46,75 @@ impl PlanCost {
     }
 }
 
-/// The cost model: hardware + the executor's cycle calibration.
+/// The cost model: a first-order price list of the machine plus the
+/// executor's cycle calibration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// Hardware description.
-    pub hw: HardwareDesc,
+    /// Core clock.
+    pub cpu_hz: f64,
+    /// CPU pool power with one core busy. CPU time is counted in
+    /// one-core seconds, so this is what a busy second costs.
+    pub cpu_active: Watts,
+    /// CPU pool power with every core halted.
+    pub cpu_idle: Watts,
+    /// Aggregate storage bandwidth.
+    pub io_bytes_per_sec: f64,
+    /// Storage power while transferring.
+    pub io_active: Watts,
+    /// Storage power while idle within a query's span.
+    pub io_idle: Watts,
+    /// DRAM power per byte held (residency cost of grants). A profile
+    /// prices 0: the simulator bills DRAM inside `base`.
+    pub mem_watts_per_byte: f64,
+    /// Constant draw attributed to the query's span.
+    pub base: Watts,
+    /// Seconds per dependent random IO (an index-descent page touch):
+    /// a seek+rotation on disk, a request latency on flash. Dependent
+    /// lookups cannot be striped, so this is per-operation latency, not
+    /// aggregate bandwidth.
+    pub io_random_secs_per_op: f64,
     /// Cycle constants (shared with the executor).
     pub charge: CostCharge,
 }
 
 impl CostModel {
-    /// A model over `hw` with the default calibration.
-    pub fn new(hw: HardwareDesc) -> Self {
+    /// The model of `profile`, the machine the simulator runs, with the
+    /// default calibration. CPU draw is what the simulator bills: the
+    /// whole pool halted, and the same pool with one core busy (the
+    /// model counts one-core seconds).
+    pub fn new(profile: &HardwareProfile) -> Self {
+        let cores = profile.cpu_perf.cores;
+        let sockets = (cores as f64 / profile.cpu_power.cores.max(1) as f64).ceil();
+        let cpu_idle = Watts::new(
+            cores as f64 * profile.cpu_power.core_idle.get()
+                + sockets * profile.cpu_power.uncore.get(),
+        );
+        let (io_active, io_idle) = if profile.disks > 0 {
+            (
+                Watts::new(profile.disks as f64 * profile.disk_power.active.get()),
+                Watts::new(profile.disks as f64 * profile.disk_power.idle.get()),
+            )
+        } else {
+            let n = profile.ssds.max(1) as f64;
+            (
+                Watts::new(n * profile.ssd_power.active.get()),
+                Watts::new(n * profile.ssd_power.idle.get()),
+            )
+        };
         CostModel {
-            hw,
+            cpu_hz: profile.cpu_perf.freq.get(),
+            cpu_active: cpu_idle + (profile.cpu_power.core_active - profile.cpu_power.core_idle),
+            cpu_idle,
+            io_bytes_per_sec: profile.storage_bandwidth(),
+            io_active,
+            io_idle,
+            mem_watts_per_byte: 0.0,
+            base: profile.base_power,
+            io_random_secs_per_op: if profile.disks > 0 {
+                (profile.disk_perf.avg_seek + profile.disk_perf.avg_rotation).as_secs_f64()
+            } else {
+                profile.ssd_perf.request_latency.as_secs_f64()
+            },
             charge: CostCharge::default_calibrated(),
         }
     }
@@ -97,8 +123,8 @@ impl CostModel {
     /// `io_bytes` of transfer while `memory_bytes` stay granted.
     pub fn phase(&self, cpu_cycles: f64, io_bytes: f64, memory_bytes: u64) -> PlanCost {
         self.priced(
-            cpu_cycles / self.hw.cpu_hz,
-            io_bytes / self.hw.io_bytes_per_sec,
+            cpu_cycles / self.cpu_hz,
+            io_bytes / self.io_bytes_per_sec,
             memory_bytes,
         )
     }
@@ -108,11 +134,10 @@ impl CostModel {
     /// residency and base draw over the whole of it.
     fn priced(&self, cpu_secs: f64, io_secs: f64, memory_bytes: u64) -> PlanCost {
         let elapsed = cpu_secs.max(io_secs);
-        let cpu_e =
-            self.hw.cpu_active.get() * cpu_secs + self.hw.cpu_idle.get() * (elapsed - cpu_secs);
-        let io_e = self.hw.io_active.get() * io_secs + self.hw.io_idle.get() * (elapsed - io_secs);
-        let mem_e = self.hw.mem_watts_per_byte * memory_bytes as f64 * elapsed;
-        let base_e = self.hw.base.get() * elapsed;
+        let cpu_e = self.cpu_active.get() * cpu_secs + self.cpu_idle.get() * (elapsed - cpu_secs);
+        let io_e = self.io_active.get() * io_secs + self.io_idle.get() * (elapsed - io_secs);
+        let mem_e = self.mem_watts_per_byte * memory_bytes as f64 * elapsed;
+        let base_e = self.base.get() * elapsed;
         PlanCost {
             cpu_secs,
             io_secs,
@@ -159,8 +184,8 @@ impl CostModel {
     /// random latency, not aggregate bandwidth.
     pub fn index_nl_join(&self, probe_rows: f64, pages_per_probe: f64) -> PlanCost {
         self.priced(
-            probe_rows * self.charge.hash_probe_cycles_per_row / self.hw.cpu_hz,
-            probe_rows * pages_per_probe * self.hw.io_random_secs_per_op,
+            probe_rows * self.charge.hash_probe_cycles_per_row / self.cpu_hz,
+            probe_rows * pages_per_probe * self.io_random_secs_per_op,
             64 * 1024,
         )
     }
@@ -197,5 +222,40 @@ impl CostModel {
             0.0,
             (groups * 64.0) as u64,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn terms_are_priced_from_the_profile() {
+        // Every term, exactly, in declaration order: clock; CPU active,
+        // idle; IO bandwidth, active, idle; DRAM; base; random-IO latency.
+        let terms = |p: HardwareProfile| {
+            let m = CostModel::new(&p);
+            [
+                m.cpu_hz,
+                m.cpu_active.get(),
+                m.cpu_idle.get(),
+                m.io_bytes_per_sec,
+                m.io_active.get(),
+                m.io_idle.get(),
+                m.mem_watts_per_byte,
+                m.base.get(),
+                m.io_random_secs_per_op,
+            ]
+        };
+        assert_eq!(
+            terms(HardwareProfile::flash_scanner()),
+            [2.3e9, 90.0, 0.0, 600.0e6, 5.0, 5.0, 0.0, 0.0, 100e-6]
+        );
+        // The pool halted is 32 × 4 W cores + 8 × 15 W uncore; one busy
+        // core adds 18 − 4 W. RAID-5 leaves 65 data spindles × 90 MB/s.
+        assert_eq!(
+            terms(HardwareProfile::server_dl785(66)),
+            [2.3e9, 262.0, 248.0, 5.85e9, 990.0, 990.0, 0.0, 693.0, 5.5e-3]
+        );
     }
 }

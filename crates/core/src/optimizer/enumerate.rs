@@ -6,8 +6,8 @@
 //! [`Objective::MinEnergy`] and you have the optimizer Sec. 4.1 calls
 //! for. The experiments diff the two.
 
-use crate::cost::{CostModel, PlanCost};
-use crate::objective::Objective;
+use super::cost::{CostModel, PlanCost};
+use super::objective::Objective;
 
 /// A base relation in the join graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +75,8 @@ pub type SelectivityFn<'a> = &'a dyn Fn(usize, usize) -> Option<f64>;
 /// optimizer rule. Returns the winning index into `variants`.
 ///
 /// # Panics
-/// Panics on an empty variant list.
+/// Panics on an empty variant list, and on a NaN score (`finite
+/// scores`): a NaN cost cannot be ranked, and a silent rank would pick it.
 pub fn best_access_path(
     variants: &[Relation],
     model: &CostModel,
@@ -95,9 +96,9 @@ pub fn best_access_path(
             objective
                 .score(a)
                 .partial_cmp(&objective.score(b))
-                .expect("finite scores")
+                .expect("finite scores") // grail-lint: allow(error-hygiene, a NaN score is a broken cost model; documented under # Panics)
         })
-        .expect("non-empty")
+        .expect("non-empty") // grail-lint: allow(error-hygiene, the assert above rejects an empty variant list)
 }
 
 /// Enumerate join orders and algorithms over `relations`, DP over
@@ -135,49 +136,50 @@ pub fn best_plan(
             continue;
         }
         let mut candidate: Option<ChosenPlan> = None;
-        // Proper non-empty splits.
-        let mut lhs = (s - 1) & s;
-        while lhs != 0 {
-            let rhs = s ^ lhs;
-            if let (Some(l), Some(r)) = (&best[lhs as usize], &best[rhs as usize]) {
-                // Combined selectivity across the cut.
-                let mut combined: Option<f64> = None;
-                for i in 0..n {
-                    if lhs & (1 << i) == 0 {
-                        continue;
-                    }
-                    for j in 0..n {
-                        if rhs & (1 << j) == 0 {
-                            continue;
-                        }
-                        if let Some(f) = sel(i, j) {
-                            combined = Some(combined.unwrap_or(1.0) * f);
-                        }
-                    }
-                }
-                // Avoid cross joins when any connected split exists.
-                let Some(f) = combined else {
-                    lhs = (lhs - 1) & s;
+        // Two passes over the proper non-empty splits. Cross joins are
+        // avoided unless forced: the second pass (selectivity 1, nested
+        // loop only) runs only when no split is connected.
+        for cross in [false, true] {
+            if candidate.is_some() {
+                break;
+            }
+            let mut next = (s - 1) & s;
+            while next != 0 {
+                let (lhs, rhs) = (next, s ^ next);
+                next = (next - 1) & s;
+                let (Some(l), Some(r)) = (&best[lhs as usize], &best[rhs as usize]) else {
                     continue;
                 };
+                let (f, algos): (f64, &[JoinAlgo]) = if cross {
+                    (1.0, &[JoinAlgo::NestedLoop])
+                } else {
+                    // Combined selectivity across the cut.
+                    let across = (0..n)
+                        .filter(|i| lhs & (1 << i) != 0)
+                        .flat_map(|i| {
+                            (0..n)
+                                .filter(move |j| rhs & (1 << j) != 0)
+                                .filter_map(move |j| sel(i, j))
+                        })
+                        .reduce(|a, b| a * b);
+                    let Some(f) = across else { continue };
+                    (f, &[JoinAlgo::Hash, JoinAlgo::NestedLoop])
+                };
                 let out_rows = (l.rows * r.rows * f).max(1.0);
-                for algo in [JoinAlgo::Hash, JoinAlgo::NestedLoop] {
+                for &algo in algos {
                     let join_cost = match algo {
-                        JoinAlgo::Hash => {
-                            // Build on the smaller side by convention:
-                            // left is the build input here.
-                            model.hash_join(l.rows, 4.0, r.rows)
-                        }
+                        // Build on the smaller side by convention: left
+                        // is the build input here.
+                        JoinAlgo::Hash => model.hash_join(l.rows, 4.0, r.rows),
                         JoinAlgo::NestedLoop => model.nl_join(l.rows, r.rows),
                     };
-                    let total = l.cost.then(&r.cost).then(&join_cost);
                     let plan = ChosenPlan {
                         plan: PlanNode::Join {
                             algo,
                             left: Box::new(l.plan.clone()),
                             right: Box::new(r.plan.clone()),
                         },
-                        cost: total,
+                        cost: l.cost.then(&r.cost).then(&join_cost),
                         rows: out_rows,
                     };
                     candidate = Some(match candidate {
@@ -185,34 +187,6 @@ pub fn best_plan(
                         _ => plan,
                     });
                 }
-            }
-            lhs = (lhs - 1) & s;
-        }
-        // If everything was a cross join (disconnected graph), allow
-        // them as a fallback.
-        if candidate.is_none() {
-            let mut lhs = (s - 1) & s;
-            while lhs != 0 {
-                let rhs = s ^ lhs;
-                if let (Some(l), Some(r)) = (&best[lhs as usize], &best[rhs as usize]) {
-                    let out_rows = (l.rows * r.rows).max(1.0);
-                    let join_cost = model.nl_join(l.rows, r.rows);
-                    let total = l.cost.then(&r.cost).then(&join_cost);
-                    let plan = ChosenPlan {
-                        plan: PlanNode::Join {
-                            algo: JoinAlgo::NestedLoop,
-                            left: Box::new(l.plan.clone()),
-                            right: Box::new(r.plan.clone()),
-                        },
-                        cost: total,
-                        rows: out_rows,
-                    };
-                    candidate = Some(match candidate {
-                        Some(c) if !objective.better(&plan.cost, &c.cost) => c,
-                        _ => plan,
-                    });
-                }
-                lhs = (lhs - 1) & s;
             }
         }
         best[s as usize] = candidate;
@@ -220,5 +194,5 @@ pub fn best_plan(
 
     best[full as usize]
         .clone()
-        .expect("full subset always has a plan")
+        .expect("full subset always has a plan") // grail-lint: allow(error-hygiene, every subset of two or more relations has a split and the cross-join pass prices every split)
 }

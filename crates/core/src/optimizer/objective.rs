@@ -1,10 +1,10 @@
 //! Optimization objectives.
 //!
 //! The paper's thesis in one type: the same plan space scored by time,
-//! by energy, by energy-delay product, or by a tunable blend. MinTime is
-//! the classic optimizer; MinEnergy is what Sec. 4.1 asks for.
+//! by energy, or by energy-delay product. MinTime is the classic
+//! optimizer; MinEnergy is what Sec. 4.1 asks for.
 
-use crate::cost::PlanCost;
+use super::cost::PlanCost;
 
 /// A plan-scoring objective (lower is better).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,16 +15,6 @@ pub enum Objective {
     MinEnergy,
     /// Minimize energy × delay (balances both).
     MinEdp,
-    /// Minimize `w·time_norm + (1-w)·energy_norm` with caller-chosen
-    /// normalizers.
-    Weighted {
-        /// Weight on time in `[0, 1]`.
-        time_weight: f64,
-        /// Seconds that count as "1" of time.
-        time_norm: f64,
-        /// Joules that count as "1" of energy.
-        energy_norm: f64,
-    },
 }
 
 impl Objective {
@@ -34,15 +24,6 @@ impl Objective {
             Objective::MinTime => c.elapsed_secs,
             Objective::MinEnergy => c.energy_j,
             Objective::MinEdp => c.energy_j * c.elapsed_secs,
-            Objective::Weighted {
-                time_weight,
-                time_norm,
-                energy_norm,
-            } => {
-                let w = time_weight.clamp(0.0, 1.0);
-                w * c.elapsed_secs / time_norm.max(1e-12)
-                    + (1.0 - w) * c.energy_j / energy_norm.max(1e-12)
-            }
         }
     }
 
@@ -57,7 +38,6 @@ impl Objective {
             Objective::MinTime => "min_time",
             Objective::MinEnergy => "min_energy",
             Objective::MinEdp => "min_edp",
-            Objective::Weighted { .. } => "weighted",
         }
     }
 }
@@ -85,24 +65,6 @@ mod tests {
         assert!(Objective::MinEnergy.better(&uncompressed, &compressed));
         // EDP: 487×5.5 = 2679 vs 338×10 = 3380 — compressed wins EDP.
         assert!(Objective::MinEdp.better(&compressed, &uncompressed));
-    }
-
-    #[test]
-    fn weighted_interpolates() {
-        let a = cost(1.0, 100.0);
-        let b = cost(2.0, 50.0);
-        let time_heavy = Objective::Weighted {
-            time_weight: 0.99,
-            time_norm: 1.0,
-            energy_norm: 100.0,
-        };
-        let energy_heavy = Objective::Weighted {
-            time_weight: 0.01,
-            time_norm: 1.0,
-            energy_norm: 100.0,
-        };
-        assert!(time_heavy.better(&a, &b));
-        assert!(energy_heavy.better(&b, &a));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Hardware profiles: the paper's two test systems, and constructors
 //! for variations.
 
-use grail_optimizer::cost::HardwareDesc;
 use grail_power::components::{CpuPowerProfile, DiskPowerProfile, SsdPowerProfile};
 use grail_power::units::Watts;
 use grail_sim::perf::{CpuPerfProfile, DiskPerfProfile, FabricModel, SsdPerfProfile};
@@ -140,45 +139,6 @@ impl HardwareProfile {
             self.ssds.max(1) as f64 * self.ssd_perf.read_bytes_per_sec
         }
     }
-
-    /// The matching first-order description for the optimizer's cost
-    /// model: the one place a machine is written down for it. CPU draw
-    /// is what the simulator bills: the whole pool halted, and the same
-    /// pool with one core busy (the cost model counts one-core seconds).
-    pub fn hardware_desc(&self) -> HardwareDesc {
-        let cores = self.cpu_perf.cores;
-        let sockets = (cores as f64 / self.cpu_power.cores.max(1) as f64).ceil();
-        let cpu_idle = Watts::new(
-            cores as f64 * self.cpu_power.core_idle.get() + sockets * self.cpu_power.uncore.get(),
-        );
-        let (io_active, io_idle) = if self.disks > 0 {
-            (
-                Watts::new(self.disks as f64 * self.disk_power.active.get()),
-                Watts::new(self.disks as f64 * self.disk_power.idle.get()),
-            )
-        } else {
-            let n = self.ssds.max(1) as f64;
-            (
-                Watts::new(n * self.ssd_power.active.get()),
-                Watts::new(n * self.ssd_power.idle.get()),
-            )
-        };
-        HardwareDesc {
-            cpu_hz: self.cpu_perf.freq.get(),
-            cpu_active: cpu_idle + (self.cpu_power.core_active - self.cpu_power.core_idle),
-            cpu_idle,
-            io_bytes_per_sec: self.storage_bandwidth(),
-            io_active,
-            io_idle,
-            mem_watts_per_byte: 0.0,
-            base: self.base_power,
-            io_random_secs_per_op: if self.disks > 0 {
-                (self.disk_perf.avg_seek + self.disk_perf.avg_rotation).as_secs_f64()
-            } else {
-                self.ssd_perf.request_latency.as_secs_f64()
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -238,37 +198,6 @@ mod tests {
         assert!((p.storage_bandwidth() - 65.0 * 90.0e6).abs() < 1.0);
         let f = HardwareProfile::flash_scanner();
         assert!((f.storage_bandwidth() - 600.0e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn hardware_desc_mirrors_profile() {
-        // Every field, exactly, in declaration order: clock; CPU active,
-        // idle; IO bandwidth, active, idle; DRAM; base; random-IO latency.
-        let fields = |p: HardwareProfile| {
-            let d = p.hardware_desc();
-            [
-                d.cpu_hz,
-                d.cpu_active.get(),
-                d.cpu_idle.get(),
-                d.io_bytes_per_sec,
-                d.io_active.get(),
-                d.io_idle.get(),
-                d.mem_watts_per_byte,
-                d.base.get(),
-                d.io_random_secs_per_op,
-            ]
-        };
-        // The values the optimizer's deleted hand copy spelled out.
-        assert_eq!(
-            fields(HardwareProfile::flash_scanner()),
-            [2.3e9, 90.0, 0.0, 600.0e6, 5.0, 5.0, 0.0, 0.0, 100e-6]
-        );
-        // The pool halted is 32 × 4 W cores + 8 × 15 W uncore; one busy
-        // core adds 18 − 4 W. RAID-5 leaves 65 data spindles × 90 MB/s.
-        assert_eq!(
-            fields(HardwareProfile::server_dl785(66)),
-            [2.3e9, 262.0, 248.0, 5.85e9, 990.0, 990.0, 0.0, 693.0, 5.5e-3]
-        );
     }
 
     #[test]

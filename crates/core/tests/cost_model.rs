@@ -1,24 +1,23 @@
 //! The optimizer's cost model, enumerator and knob advisor, priced
-//! against the machines the simulator runs: every `HardwareDesc` here
-//! comes from `HardwareProfile::hardware_desc()`. (The optimizer crate
-//! cannot see `grail-core`, so the tests that need a machine live here.)
+//! against the machines the simulator runs: every `CostModel` here is
+//! built from a `HardwareProfile`.
 
+use grail_core::optimizer::advisor::{advise, evaluate, KnobWorkload};
+use grail_core::optimizer::cost::{CostModel, PlanCost};
+use grail_core::optimizer::enumerate::{best_access_path, best_plan, JoinAlgo, PlanNode, Relation};
+use grail_core::optimizer::knobs::{sweep, KnobConfig, KnobGrid};
+use grail_core::optimizer::objective::Objective;
 use grail_core::profile::HardwareProfile;
-use grail_optimizer::advisor::{advise, evaluate, KnobWorkload};
-use grail_optimizer::cost::{CostModel, HardwareDesc, PlanCost};
-use grail_optimizer::enumerate::{best_access_path, best_plan, JoinAlgo, PlanNode, Relation};
-use grail_optimizer::knobs::{sweep, KnobConfig, KnobGrid};
-use grail_optimizer::objective::Objective;
 use grail_power::dvfs::DvfsModel;
 use grail_power::units::Watts;
 use grail_prop::check;
 
-fn flash() -> HardwareDesc {
-    HardwareProfile::flash_scanner().hardware_desc()
+fn flash() -> CostModel {
+    CostModel::new(&HardwareProfile::flash_scanner())
 }
 
-fn dl785(disks: usize) -> HardwareDesc {
-    HardwareProfile::server_dl785(disks).hardware_desc()
+fn dl785(disks: usize) -> CostModel {
+    CostModel::new(&HardwareProfile::server_dl785(disks))
 }
 
 // ---------------------------------------------------------------------------
@@ -29,7 +28,7 @@ fn dl785(disks: usize) -> HardwareDesc {
 fn fig2_scan_costs_reproduce_the_figure() {
     // Uncompressed: 750 M values, 6 GB. Compressed: same values,
     // 3.3 GB, ~5.6 extra cycles/value.
-    let m = CostModel::new(flash());
+    let m = flash();
     let unc = m.scan(750.0e6, 6.0e9, 0.0);
     assert!((unc.io_secs - 10.0).abs() < 0.1, "{}", unc.io_secs);
     assert!((unc.cpu_secs - 3.2).abs() < 0.15, "{}", unc.cpu_secs);
@@ -44,7 +43,7 @@ fn fig2_scan_costs_reproduce_the_figure() {
 
 #[test]
 fn phase_overlap_semantics() {
-    let m = CostModel::new(flash());
+    let m = flash();
     let p = m.phase(2.3e9, 600.0e6, 0); // 1 s CPU, 1 s IO
     assert!((p.elapsed_secs - 1.0).abs() < 1e-9);
     let q = m.phase(2.3e9, 0.0, 0).then(&m.phase(0.0, 600.0e6, 0));
@@ -53,7 +52,7 @@ fn phase_overlap_semantics() {
 
 #[test]
 fn hash_join_holds_memory_nl_does_not() {
-    let m = CostModel::new(dl785(66));
+    let m = dl785(66);
     let hj = m.hash_join(1.0e6, 4.0, 1.0e7);
     let nl = m.nl_join(1.0e7, 1.0e6);
     assert!(hj.memory_bytes > 10 * nl.memory_bytes);
@@ -69,13 +68,13 @@ fn memory_power_threshold_flips_the_join_choice() {
     // threshold m* always exists; the EXT-OPT bench reports where it
     // falls. Here we verify the mechanism brackets m*.
     let marginal = |mem_w_per_byte: f64| {
-        let mut hw = dl785(66);
-        hw.cpu_active = hw.cpu_active - hw.cpu_idle;
-        hw.base = Watts::ZERO;
-        hw.cpu_idle = Watts::ZERO;
-        hw.io_idle = Watts::ZERO;
-        hw.mem_watts_per_byte = mem_w_per_byte;
-        CostModel::new(hw)
+        let mut m = dl785(66);
+        m.cpu_active = m.cpu_active - m.cpu_idle;
+        m.base = Watts::ZERO;
+        m.cpu_idle = Watts::ZERO;
+        m.io_idle = Watts::ZERO;
+        m.mem_watts_per_byte = mem_w_per_byte;
+        m
     };
     let build = 2.0e6;
     let probe = 1.0e4;
@@ -114,7 +113,7 @@ fn index_nl_flip_is_real_on_flash() {
     // inner (90 W CPU work); index NL pays dependent 100 µs flash
     // descents (5 W). In a band of probe sizes, time prefers hash
     // while energy prefers index NL.
-    let m = CostModel::new(flash());
+    let m = flash();
     let inner_rows = 2.0e6;
     let inner_scan = m.scan(inner_rows * 4.0, inner_rows * 32.0, 0.0);
     let probe = 2000.0;
@@ -148,8 +147,8 @@ fn index_nl_flip_is_real_on_flash() {
 fn index_nl_on_disk_pays_seeks() {
     // The same descents cost 5.5 ms each on a 15K spindle: 55× the
     // flash latency, which is the Sec. 5.3 device asymmetry.
-    let flash = CostModel::new(flash());
-    let disk = CostModel::new(dl785(66));
+    let flash = flash();
+    let disk = dl785(66);
     let f = flash.index_nl_join(1000.0, 3.0);
     let d = disk.index_nl_join(1000.0, 3.0);
     assert!(
@@ -162,7 +161,7 @@ fn index_nl_on_disk_pays_seeks() {
 
 #[test]
 fn sort_spill_adds_io() {
-    let m = CostModel::new(dl785(66));
+    let m = dl785(66);
     let fits = m.sort(1.0e6, 2.0, u64::MAX);
     let spills = m.sort(1.0e6, 2.0, 1 << 20);
     assert_eq!(fits.io_secs, 0.0);
@@ -172,8 +171,8 @@ fn sort_spill_adds_io() {
 
 #[test]
 fn dl785_disk_power_dominates() {
-    let hw = dl785(204);
-    assert!(hw.io_active.get() > hw.cpu_active.get() + hw.base.get());
+    let m = dl785(204);
+    assert!(m.io_active.get() > m.cpu_active.get() + m.base.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -191,7 +190,7 @@ fn rel(name: &str, rows: f64) -> Relation {
 }
 
 fn model() -> CostModel {
-    CostModel::new(dl785(66))
+    dl785(66)
 }
 
 #[test]
@@ -247,7 +246,7 @@ fn access_path_choice_diverges_by_objective() {
     // Fig. 2 as an optimizer decision: on the flash-scanner machine
     // the compressed variant is ~2× faster but burns more Joules, so
     // MinTime and MinEnergy must pick different physical variants.
-    let m = CostModel::new(flash());
+    let m = flash();
     let plain = Relation {
         name: "orders_plain".to_string(),
         rows: 150.0e6,
@@ -278,9 +277,8 @@ fn enumerator_avoids_memory_heavy_plans_under_energy_pressure() {
     // of the Sec. 4.1 speculation at plan level is avoidance, not a
     // blanket flip to NL (NL's long runtime holds *its* state in
     // memory even longer).
-    let mut hw = dl785(66);
-    hw.mem_watts_per_byte = 1e-3;
-    let m = CostModel::new(hw);
+    let mut m = dl785(66);
+    m.mem_watts_per_byte = 1e-3;
     let rels = [rel("small", 1.0e4), rel("big", 2.0e6)];
     let sel = |i: usize, j: usize| (i != j).then_some(1e-6);
     for obj in [Objective::MinTime, Objective::MinEnergy] {
@@ -313,11 +311,18 @@ fn empty_rejected() {
     let _ = best_plan(&[], &|_, _| None, &model(), Objective::MinTime);
 }
 
+#[test]
+#[should_panic(expected = "finite scores")]
+fn nan_cost_is_not_ranked() {
+    let variants = [rel("t", 1000.0), rel("nan", f64::NAN)];
+    let _ = best_access_path(&variants, &model(), Objective::MinEnergy);
+}
+
 // ---------------------------------------------------------------------------
 // Knob advisor
 // ---------------------------------------------------------------------------
 
-fn setup() -> (KnobGrid, KnobWorkload, HardwareDesc, DvfsModel) {
+fn setup() -> (KnobGrid, KnobWorkload, CostModel, DvfsModel) {
     (
         KnobGrid::small(),
         KnobWorkload::scan_sort_default(),
@@ -337,9 +342,9 @@ fn knobs(dop: u32, memory_grant: u64, compression: bool, pstate: usize) -> KnobC
 
 #[test]
 fn advice_comes_from_the_grid() {
-    let (grid, w, hw, dvfs) = setup();
+    let (grid, w, m, dvfs) = setup();
     for obj in [Objective::MinTime, Objective::MinEnergy, Objective::MinEdp] {
-        let a = advise(&grid, &w, hw, &dvfs, obj);
+        let a = advise(&grid, &w, &m, &dvfs, obj);
         assert!(grid.dops.contains(&a.config.dop));
         assert!(grid.grants.contains(&a.config.memory_grant));
         assert!(grid.pstates.contains(&a.config.pstate));
@@ -347,7 +352,7 @@ fn advice_comes_from_the_grid() {
         // The advice is never beaten by any grid point under its
         // own objective.
         for cfg in sweep(&grid) {
-            let c = evaluate(cfg, &w, hw, &dvfs);
+            let c = evaluate(cfg, &w, &m, &dvfs);
             assert!(obj.score(&a.cost) <= obj.score(&c) * (1.0 + 1e-12));
         }
     }
@@ -355,9 +360,9 @@ fn advice_comes_from_the_grid() {
 
 #[test]
 fn time_and_energy_disagree_on_knobs() {
-    let (grid, w, hw, dvfs) = setup();
-    let t = advise(&grid, &w, hw, &dvfs, Objective::MinTime);
-    let e = advise(&grid, &w, hw, &dvfs, Objective::MinEnergy);
+    let (grid, w, m, dvfs) = setup();
+    let t = advise(&grid, &w, &m, &dvfs, Objective::MinTime);
+    let e = advise(&grid, &w, &m, &dvfs, Objective::MinEnergy);
     assert_ne!(t.config, e.config, "objectives must pick different knobs");
     // Each wins its own metric.
     assert!(t.cost.elapsed_secs <= e.cost.elapsed_secs);
@@ -371,9 +376,9 @@ fn time_and_energy_disagree_on_knobs() {
 
 #[test]
 fn dop_divides_time_not_energy() {
-    let (_, w, hw, dvfs) = setup();
-    let slow = evaluate(knobs(1, 4 << 30, false, 0), &w, hw, &dvfs);
-    let fast = evaluate(knobs(8, 4 << 30, false, 0), &w, hw, &dvfs);
+    let (_, w, m, dvfs) = setup();
+    let slow = evaluate(knobs(1, 4 << 30, false, 0), &w, &m, &dvfs);
+    let fast = evaluate(knobs(8, 4 << 30, false, 0), &w, &m, &dvfs);
     assert!(fast.cpu_secs < slow.cpu_secs / 4.0);
     // Busy energy identical up to idle-tail differences: compare
     // within 10% (the scan is IO-bound, so elapsed shifts little).
@@ -383,18 +388,18 @@ fn dop_divides_time_not_energy() {
 
 #[test]
 fn small_grant_spills() {
-    let (_, w, hw, dvfs) = setup();
-    let big = evaluate(knobs(1, 4 << 30, false, 0), &w, hw, &dvfs);
-    let tiny = evaluate(knobs(1, 16 << 20, false, 0), &w, hw, &dvfs);
+    let (_, w, m, dvfs) = setup();
+    let big = evaluate(knobs(1, 4 << 30, false, 0), &w, &m, &dvfs);
+    let tiny = evaluate(knobs(1, 16 << 20, false, 0), &w, &m, &dvfs);
     assert!(tiny.io_secs > big.io_secs, "spill adds IO");
     assert!(tiny.elapsed_secs > big.elapsed_secs);
 }
 
 #[test]
 fn lower_pstate_stretches_and_saves_active_power() {
-    let (_, w, hw, dvfs) = setup();
-    let p0 = evaluate(knobs(1, 4 << 30, true, 0), &w, hw, &dvfs);
-    let p4 = evaluate(knobs(1, 4 << 30, true, 4), &w, hw, &dvfs);
+    let (_, w, m, dvfs) = setup();
+    let p0 = evaluate(knobs(1, 4 << 30, true, 0), &w, &m, &dvfs);
+    let p4 = evaluate(knobs(1, 4 << 30, true, 4), &w, &m, &dvfs);
     assert!(p4.cpu_secs > p0.cpu_secs);
     // Voltage scaling: fewer Joules per cycle.
     assert!(p4.energy_j < p0.energy_j);
@@ -461,7 +466,7 @@ fn dp_beats_all_left_deep_plans() {
             .enumerate()
             .map(|(i, s)| rel(&format!("r{i}"), *s))
             .collect();
-        let m = CostModel::new(dl785(66));
+        let m = dl785(66);
         let sel_fn = |i: usize, j: usize| (i != j).then_some(sel);
         for obj in [Objective::MinTime, Objective::MinEnergy, Objective::MinEdp] {
             let chosen = best_plan(&rels, &sel_fn, &m, obj);
@@ -497,7 +502,7 @@ fn cost_then_is_associative() {
     check(32, |g| {
         let mut pair = || (g.range(0.0f64..100.0), g.range(0.0f64..100.0));
         let (a, b, c) = (pair(), pair(), pair());
-        let m = CostModel::new(dl785(36));
+        let m = dl785(36);
         let pa = m.phase(a.0 * 1e9, a.1 * 1e9, 0);
         let pb = m.phase(b.0 * 1e9, b.1 * 1e9, 0);
         let pc = m.phase(c.0 * 1e9, c.1 * 1e9, 0);
@@ -517,11 +522,38 @@ fn scan_cost_monotone() {
     check(32, |g| {
         let (values, bytes) = (g.range(1.0f64..1e9), g.range(1.0f64..1e10));
         let extra = g.range(0.1f64..20.0);
-        let m = CostModel::new(flash());
+        let m = flash();
         let base = m.scan(values, bytes, 0.0);
         let more_bytes = m.scan(values, bytes * 2.0, 0.0);
         let more_decode = m.scan(values, bytes, extra);
         assert!(more_bytes.io_secs > base.io_secs);
         assert!(more_decode.cpu_secs > base.cpu_secs);
+    });
+}
+
+/// Objectives agree on dominated plans: if a plan is worse in both
+/// time and energy, every objective rejects it.
+#[test]
+fn dominated_plans_rejected_by_all_objectives() {
+    check(32, |g| {
+        let (t, e) = (g.range(0.1f64..100.0), g.range(0.1f64..100_000.0));
+        let (dt, de) = (g.range(0.01f64..10.0), g.range(0.01f64..10_000.0));
+        let good = PlanCost {
+            cpu_secs: t,
+            io_secs: 0.0,
+            elapsed_secs: t,
+            energy_j: e,
+            memory_bytes: 0,
+        };
+        let bad = PlanCost {
+            cpu_secs: t + dt,
+            io_secs: 0.0,
+            elapsed_secs: t + dt,
+            energy_j: e + de,
+            memory_bytes: 0,
+        };
+        for obj in [Objective::MinTime, Objective::MinEnergy, Objective::MinEdp] {
+            assert!(obj.better(&good, &bad), "{}", obj.name());
+        }
     });
 }

@@ -797,7 +797,6 @@ pub const LAYERS: &[(&str, u32)] = &[
     ("query", 4),
     ("check", 4),
     ("workload", 5),
-    ("optimizer", 5),
     ("core", 6),
     ("bench", 7),
     ("grail", 7),

@@ -47,27 +47,50 @@ fn workspace_output_is_thread_count_invariant() {
 
 #[test]
 fn every_member_crate_has_a_layer() {
-    // Guard against `layering` passing vacuously: every member crate's
-    // manifest is collected and named in the layer table.
+    // Guard against `layering` passing vacuously or going stale: the
+    // layer table names exactly the member crates plus the root
+    // package, and DESIGN §7's table puts each at the same layer.
     let root = workspace_root();
     let (_, manifests) = grail_lint::workspace_sources(&root).expect("readable");
     assert!(
         manifests.iter().any(|m| m.rel == "Cargo.toml"),
         "root manifest missing"
     );
-    for m in &manifests {
-        let Some(name) = m
-            .rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.strip_suffix("/Cargo.toml"))
-        else {
-            continue;
-        };
-        assert!(
-            grail_lint::rules::LAYERS.iter().any(|(n, _)| *n == name),
-            "crate `{name}` missing from the layering table"
-        );
-    }
+    let mut members: Vec<&str> = manifests
+        .iter()
+        .filter_map(|m| m.rel.strip_prefix("crates/")?.strip_suffix("/Cargo.toml"))
+        .chain(["grail"])
+        .collect();
+    members.sort_unstable();
+    let mut layers = grail_lint::rules::LAYERS.to_vec();
+    layers.sort_unstable();
+    let named: Vec<&str> = layers.iter().map(|(n, _)| *n).collect();
+    assert_eq!(
+        named, members,
+        "LAYERS must name every member crate plus `grail`, once each"
+    );
+
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md is readable");
+    let (_, section) = design
+        .split_once("**Layering.**")
+        .expect("DESIGN §7 has a layer table");
+    let mut documented: Vec<(&str, u32)> = section
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|row| {
+            let mut cells = row.split('|').skip(1);
+            let layer: u32 = cells.next()?.trim().parse().ok()?;
+            let crates = cells.next()?.split('`').skip(1).step_by(2);
+            Some(crates.map(move |name| (name, layer)))
+        })
+        .flatten()
+        .collect();
+    documented.sort_unstable();
+    assert_eq!(
+        documented, layers,
+        "DESIGN §7's layer table disagrees with LAYERS"
+    );
 }
 
 #[test]

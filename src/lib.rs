@@ -25,12 +25,11 @@
 //!   ([`grail_workload`]).
 //! * [`query`] — the relational executor and column scanner
 //!   ([`grail_query`]).
-//! * [`optimizer`] — the dual time/energy cost model and plan selection
-//!   ([`grail_optimizer`]).
 //! * [`scheduler`] — consolidation, batching, and idle governors
 //!   ([`grail_scheduler`]).
-//! * [`core`] — the [`grail_core::EnergyAwareDb`] facade and hardware
-//!   profiles.
+//! * [`core`] — the [`grail_core::EnergyAwareDb`] facade, hardware
+//!   profiles, and the energy-aware optimizer that prices them
+//!   ([`grail_core::optimizer`]).
 //!
 //! ## Quickstart
 //!
@@ -57,7 +56,6 @@ pub use grail_buffer as buffer;
 pub use grail_check as check;
 pub use grail_core as core;
 pub use grail_metrics as metrics;
-pub use grail_optimizer as optimizer;
 pub use grail_power as power;
 pub use grail_query as query;
 pub use grail_scheduler as scheduler;

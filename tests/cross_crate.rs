@@ -6,8 +6,8 @@
 //! * the executor's charges vs the optimizer's operator estimates.
 
 use grail::core::db::{CompressionMode, EnergyAwareDb, ExecPolicy, ScanSpec};
+use grail::core::optimizer::cost::CostModel;
 use grail::core::profile::HardwareProfile;
-use grail::optimizer::cost::CostModel;
 use grail::power::components::{CpuPowerProfile, DiskPowerProfile};
 use grail::power::units::{Bytes, Cycles, Hertz, SimDuration, SimInstant};
 use grail::scheduler::governor::{
@@ -30,7 +30,7 @@ fn cost_model_predicts_simulator() {
         db.load_tpch(TpchScale::toy());
         let measured = db.run_scan(&ScanSpec::fig2(), ExecPolicy::default(), 15_000.0);
 
-        let model = CostModel::new(profile.hardware_desc());
+        let model = CostModel::new(profile);
         // 5 columns × 10 K rows × 15 000 stretch = 750 M values, 6 GB.
         let predicted = model.scan(750.0e6, 6.0e9, 0.0);
 

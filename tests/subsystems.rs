@@ -3,10 +3,11 @@
 
 use grail::buffer::policy::PolicyKind;
 use grail::buffer::pool::{BufferPool, EnergyModel};
+use grail::core::optimizer::advisor::{advise, KnobWorkload};
+use grail::core::optimizer::cost::CostModel;
+use grail::core::optimizer::knobs::KnobGrid;
+use grail::core::optimizer::objective::Objective;
 use grail::core::profile::HardwareProfile;
-use grail::optimizer::advisor::{advise, KnobWorkload};
-use grail::optimizer::knobs::KnobGrid;
-use grail::optimizer::objective::Objective;
 use grail::power::dvfs::DvfsModel;
 use grail::power::tco::TcoModel;
 use grail::power::units::{Bytes, Joules, SimDuration, SimInstant, Watts};
@@ -28,10 +29,10 @@ fn knob_advisor_objectives_diverge() {
     let w = KnobWorkload::scan_sort_default();
     let dvfs = DvfsModel::opteron_like();
     let advice = |profile: HardwareProfile| {
-        let hw = profile.hardware_desc();
+        let model = CostModel::new(&profile);
         (
-            advise(&grid, &w, hw, &dvfs, Objective::MinTime),
-            advise(&grid, &w, hw, &dvfs, Objective::MinEnergy),
+            advise(&grid, &w, &model, &dvfs, Objective::MinTime),
+            advise(&grid, &w, &model, &dvfs, Objective::MinEnergy),
         )
     };
     let (t, e) = advice(HardwareProfile::flash_scanner());
