@@ -59,8 +59,7 @@ pub(super) fn run(runner: &Runner) -> Outcome {
             let avail = extra("availability");
             // The frontier winner: cheapest policy that still clears the
             // documented availability floor.
-            if avail >= DOCUMENTED_AVAILABILITY_FLOOR
-                && best.map_or(true, |(_, e)| rec.energy_j < e)
+            if avail >= DOCUMENTED_AVAILABILITY_FLOOR && best.is_none_or(|(_, e)| rec.energy_j < e)
             {
                 best = Some((pname, rec.energy_j));
             }

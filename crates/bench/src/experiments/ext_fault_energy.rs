@@ -36,7 +36,7 @@ pub(super) fn run(runner: &Runner) -> Outcome {
         let mut best: Option<(&str, f64)> = None;
         for gname in FAULT_GOVERNORS {
             let (_, rec) = rows.next().expect("grid covers every cell");
-            if best.map_or(true, |(_, e)| rec.energy_j < e) {
+            if best.is_none_or(|(_, e)| rec.energy_j < e) {
                 best = Some((gname, rec.energy_j));
             }
             let detail = fault_detail_line(&rec);

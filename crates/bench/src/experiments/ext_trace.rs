@@ -51,7 +51,10 @@ fn fig2() -> TracedRun {
         .expect("fig2 trace run")
 }
 
-const CAPTURES: [(&str, fn() -> TracedRun); 2] = [("fig1", fig1), ("fig2", fig2)];
+/// A figure's name and the traced run that captures it.
+type Capture = (&'static str, fn() -> TracedRun);
+
+const CAPTURES: [Capture; 2] = [("fig1", fig1), ("fig2", fig2)];
 
 /// Rebuild the active-power series from the recorder's IO spans: each
 /// span carries its active energy (`active_j`), so average power over

@@ -11,6 +11,13 @@
 //! out over `grail_par`; every artifact is byte-identical at any thread
 //! count.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "grail-bench owns the console: it prints rows, usage and errors"
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use grail_bench::{Experiment, ExperimentRecord, Outcome, EXPERIMENTS};
 use grail_par::Runner;
 use std::fs::{self, OpenOptions};

@@ -26,7 +26,7 @@
 //!
 //! [`EnergyLedger`]: grail_power::EnergyLedger
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use grail_metrics::text::json_escape;
 use std::collections::BTreeMap;

@@ -12,6 +12,13 @@
 //! Exit status: 0 when every checked model reaches fixpoint clean,
 //! 1 on any violation or budget exhaustion, 2 on usage errors.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the checker owns the console: it prints verdicts, usage and errors"
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use grail_check::registry::{find, REGISTRY};
 use grail_check::{Budget, Report};
 use grail_par::Runner;

@@ -333,8 +333,11 @@ impl EnergyAwareDb {
     /// # Panics
     /// Panics if nothing is loaded; [`Self::try_tables`] is the fallible
     /// form.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking facade over try_tables"
+    )]
     pub fn tables(&self) -> &TpchTables {
-        // grail-lint: allow(error-hygiene, documented panicking facade over try_tables)
         self.try_tables().expect("load_tpch first")
     }
 
@@ -379,9 +382,13 @@ impl EnergyAwareDb {
     /// Panics when nothing is loaded, the projection is invalid, or the
     /// fault profile exhausts retries; [`Self::try_run_scan`] is the
     /// fallible form.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking facade over try_run_scan"
+    )]
     pub fn run_scan(&self, spec: &ScanSpec, policy: ExecPolicy, scale_to: f64) -> EnergyReport {
         self.try_run_scan(spec, policy, scale_to)
-            .expect("scan runs on a loaded db") // grail-lint: allow(error-hygiene, documented panicking facade over try_run_scan)
+            .expect("scan runs on a loaded db")
     }
 
     /// Fallible form of [`Self::run_scan`].
@@ -407,7 +414,11 @@ impl EnergyAwareDb {
         scale_to: f64,
     ) -> Result<TracedRun, SimError> {
         let (report, trace) = self.scan_inner(spec, policy, scale_to, true)?;
-        let trace = trace.expect("traced run carries a recorder"); // grail-lint: allow(error-hygiene, scan_inner(traced=true) always installs a tracer)
+        #[expect(
+            clippy::expect_used,
+            reason = "scan_inner(traced=true) always installs a tracer"
+        )]
+        let trace = trace.expect("traced run carries a recorder");
         Ok(TracedRun { report, trace })
     }
 
@@ -505,6 +516,10 @@ impl EnergyAwareDb {
     /// # Panics
     /// Panics when nothing is loaded or the template fails to execute;
     /// [`Self::try_run_template`] is the fallible form.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking facade over try_run_template"
+    )]
     pub fn run_template(
         &self,
         template: QueryTemplate,
@@ -512,7 +527,7 @@ impl EnergyAwareDb {
         scale_to: f64,
     ) -> EnergyReport {
         self.try_run_template(template, policy, scale_to)
-            .expect("template runs on a loaded db") // grail-lint: allow(error-hygiene, documented panicking facade over try_run_template)
+            .expect("template runs on a loaded db")
     }
 
     /// Fallible form of [`Self::run_template`].
@@ -551,6 +566,10 @@ impl EnergyAwareDb {
     /// # Panics
     /// Panics when nothing is loaded or a template fails to execute;
     /// [`Self::try_run_throughput_test`] is the fallible form.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking facade over try_run_throughput_test"
+    )]
     pub fn run_throughput_test(
         &self,
         streams: usize,
@@ -559,7 +578,7 @@ impl EnergyAwareDb {
         scale_to: f64,
     ) -> EnergyReport {
         self.try_run_throughput_test(streams, queries_per_stream, policy, scale_to)
-            .expect("throughput test runs on a loaded db") // grail-lint: allow(error-hygiene, documented panicking facade over try_run_throughput_test)
+            .expect("throughput test runs on a loaded db")
     }
 
     /// Fallible form of [`Self::run_throughput_test`].
@@ -587,7 +606,11 @@ impl EnergyAwareDb {
     ) -> Result<TracedRun, SimError> {
         let (report, trace) =
             self.throughput_inner(streams, queries_per_stream, policy, scale_to, true)?;
-        let trace = trace.expect("traced run carries a recorder"); // grail-lint: allow(error-hygiene, throughput_inner(traced=true) always installs a tracer)
+        #[expect(
+            clippy::expect_used,
+            reason = "throughput_inner(traced=true) always installs a tracer"
+        )]
+        let trace = trace.expect("traced run carries a recorder");
         Ok(TracedRun { report, trace })
     }
 

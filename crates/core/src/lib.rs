@@ -17,9 +17,16 @@
 //! * [`report`] — [`report::EnergyReport`]: time, Joules, per-component
 //!   breakdown, energy efficiency.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod db;
 pub mod optimizer;

@@ -101,6 +101,10 @@ pub struct Advice {
 /// # Panics
 /// Panics on an empty grid, and on a NaN score (`finite scores`): a
 /// NaN cost cannot be ranked, and a silent rank would pick it.
+#[expect(
+    clippy::expect_used,
+    reason = "a NaN score is a broken cost model and the assert above rejects an empty grid; both documented under # Panics"
+)]
 pub fn advise(
     grid: &KnobGrid,
     workload: &KnobWorkload,
@@ -119,7 +123,7 @@ pub fn advise(
             objective
                 .score(&a.cost)
                 .partial_cmp(&objective.score(&b.cost))
-                .expect("finite scores") // grail-lint: allow(error-hygiene, a NaN score is a broken cost model; documented under # Panics)
+                .expect("finite scores")
         })
-        .expect("non-empty grid") // grail-lint: allow(error-hygiene, the assert above rejects an empty grid)
+        .expect("non-empty grid")
 }

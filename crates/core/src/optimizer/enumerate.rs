@@ -77,6 +77,10 @@ pub type SelectivityFn<'a> = &'a dyn Fn(usize, usize) -> Option<f64>;
 /// # Panics
 /// Panics on an empty variant list, and on a NaN score (`finite
 /// scores`): a NaN cost cannot be ranked, and a silent rank would pick it.
+#[expect(
+    clippy::expect_used,
+    reason = "a NaN score is a broken cost model and the assert above rejects an empty variant list; both documented under # Panics"
+)]
 pub fn best_access_path(
     variants: &[Relation],
     model: &CostModel,
@@ -96,9 +100,9 @@ pub fn best_access_path(
             objective
                 .score(a)
                 .partial_cmp(&objective.score(b))
-                .expect("finite scores") // grail-lint: allow(error-hygiene, a NaN score is a broken cost model; documented under # Panics)
+                .expect("finite scores")
         })
-        .expect("non-empty") // grail-lint: allow(error-hygiene, the assert above rejects an empty variant list)
+        .expect("non-empty")
 }
 
 /// Enumerate join orders and algorithms over `relations`, DP over
@@ -107,6 +111,10 @@ pub fn best_access_path(
 /// # Panics
 /// Panics on more than 16 relations (DP over subsets) or on zero
 /// relations.
+#[expect(
+    clippy::expect_used,
+    reason = "every subset of two or more relations has a split and the cross-join pass prices every split"
+)]
 pub fn best_plan(
     relations: &[Relation],
     sel: SelectivityFn<'_>,
@@ -194,5 +202,5 @@ pub fn best_plan(
 
     best[full as usize]
         .clone()
-        .expect("full subset always has a plan") // grail-lint: allow(error-hygiene, every subset of two or more relations has a split and the cross-join pass prices every split)
+        .expect("full subset always has a plan")
 }

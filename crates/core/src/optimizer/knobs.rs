@@ -89,6 +89,10 @@ mod tests {
         // Deterministic order.
         assert_eq!(configs, sweep(&grid));
         // All distinct.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership probe only; never iterated"
+        )]
         let mut seen = std::collections::HashSet::new();
         for c in &configs {
             assert!(seen.insert(format!("{c:?}")));

@@ -111,9 +111,13 @@ impl HardwareProfile {
         sim.set_fabric(self.fabric);
         let targets = if self.disks > 0 {
             let ids = sim.add_disks(self.disks, self.disk_perf, self.disk_power);
+            #[expect(
+                clippy::expect_used,
+                reason = "profile disk counts satisfy RAID minimums by construction"
+            )]
             let arr = sim
                 .make_array(self.raid, ids)
-                .expect("profile disk counts satisfy RAID minimums"); // grail-lint: allow(error-hygiene, profile disk counts satisfy RAID minimums by construction)
+                .expect("profile disk counts satisfy RAID minimums");
             vec![StorageTarget::Array(arr)]
         } else {
             sim.add_ssds(self.ssds.max(1), self.ssd_perf, self.ssd_power)

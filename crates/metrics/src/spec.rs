@@ -3,10 +3,12 @@
 //!
 //! Instrumentation sites pass bare `&'static str` literals; this table
 //! is where those names acquire a kind, a unit, and help text for the
-//! Prometheus exposition. The `metric-hygiene` lint rule enforces the
-//! two invariants the exposition relies on: call sites never build
-//! names at runtime (bounded cardinality), and each catalog name
-//! appears exactly once.
+//! Prometheus exposition. The exposition relies on two invariants: call
+//! sites never build names at runtime (the recording API takes
+//! `&'static str`, so cardinality is bounded), and each catalog name
+//! appears exactly once (`catalog_is_sorted_and_duplicate_free`). The
+//! root `tests/metrics_determinism.rs` fails when a pinned scrape
+//! carries a name missing here.
 
 /// What family a metric belongs to (drives the Prometheus `# TYPE`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +48,7 @@ pub struct MetricSpec {
 }
 
 /// Every metric the workspace emits, in name order. Each name is
-/// registered exactly once (asserted by a test and the
-/// `metric-hygiene` lint rule).
+/// registered exactly once (asserted by a test below).
 pub const CATALOG: &[MetricSpec] = &[
     MetricSpec {
         name: "chaos.breaker_trips",

@@ -52,7 +52,7 @@ mod tests {
     #[test]
     fn escaping_sink_matches_json_escape() {
         let mut out = String::from("[");
-        let _ = write!(JsonEscaped(&mut out), "{}:{}", "a\"b", 7);
+        let _ = write!(JsonEscaped(&mut out), "a\"b:{}", 7);
         assert_eq!(out, format!("[{}:7", json_escape("a\"b")));
     }
 }

@@ -19,11 +19,13 @@
 //! No channels, no unsafe: the only shared mutable state is that one
 //! locked iterator.
 //!
-//! Thread spawning is *confined* to this crate by grail-lint's
-//! `thread-confine` rule; everything downstream of a worker runs the
-//! ordinary sequential simulation code.
+//! Thread spawning is *confined* to this crate: clippy's
+//! `disallowed_methods` rejects `thread::scope`, `Mutex::new` and their
+//! kin everywhere, and only an item-level `#[expect]` in this crate's
+//! `src/` may waive it (CI rejects one anywhere else). Everything
+//! downstream of a worker runs the ordinary sequential simulation code.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::sync::Mutex;
 
@@ -121,6 +123,10 @@ impl Runner {
     /// A panic in any worker is re-raised on the calling thread after
     /// the scope joins, so failures are no quieter than under a
     /// sequential `for` loop.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned lock and thread scope in the workspace"
+    )]
     pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
@@ -164,8 +170,8 @@ impl Runner {
     /// `f` is called exactly once per config with `(index, &config)`.
     /// It must be a pure function of its arguments for the determinism
     /// contract to hold — the runner guarantees order, purity is the
-    /// caller's half of the bargain (grail-lint's determinism rules
-    /// police the simulation side). Panics propagate as in
+    /// caller's half of the bargain (the workspace's
+    /// disallowed paths police the simulation side). Panics propagate as in
     /// [`Runner::for_each_mut`].
     pub fn run<C, R, F>(&self, configs: &[C], f: F) -> Vec<R>
     where

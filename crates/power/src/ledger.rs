@@ -122,6 +122,21 @@ pub enum LedgerOp {
 ///
 /// Iteration order (and therefore report order) is
 /// deterministic: components sort by `(kind, index)`.
+///
+/// The accounting fields are private, which is what keeps
+/// `total = Σ entries`: outside this module a Joule moves only through
+/// [`charge`](Self::charge), [`charge_interval`](Self::charge_interval)
+/// or [`transfer`](Self::transfer), and no code can even read a field:
+///
+/// ```compile_fail,E0616
+/// let ledger = grail_power::EnergyLedger::new();
+/// let _total = ledger.total;
+/// ```
+///
+/// ```compile_fail,E0616
+/// let ledger = grail_power::EnergyLedger::new();
+/// let _components = ledger.entries.len();
+/// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyLedger {
     entries: BTreeMap<ComponentId, Joules>,

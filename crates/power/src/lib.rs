@@ -22,9 +22,16 @@
 //!   example, Sec. 4.2 of the paper); [`state::PowerStateMachine`] refuses
 //!   undeclared transitions and charges declared ones.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod components;
 pub mod dvfs;

@@ -29,7 +29,7 @@
 //! });
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};

@@ -6,6 +6,11 @@
 //! `charge_read`/`charge_write`, `phase_break` and `begin_op` is where the
 //! engine's operators must still make it, with the same argument.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the oracle keeps the old HashJoin's HashMap; it is probed per row, never iterated"
+)]
+
 use grail_power::units::Bytes;
 use grail_query::batch::{Batch, BATCH_ROWS};
 use grail_query::exec::{ExecContext, Operator, QueryError};

@@ -28,9 +28,16 @@
 //!   first-class output.
 //! * [`observe`] — bridges the chaos engine into `grail-trace` events.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod admission;
 pub mod chaos;

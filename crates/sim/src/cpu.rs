@@ -82,21 +82,33 @@ impl CpuDevice {
         let mut first_start = SimInstant::MAX;
         let mut last_end = SimInstant::EPOCH;
         for _ in 0..dop {
+            #[expect(
+                clippy::expect_used,
+                reason = "callers size the pool nonzero: Simulation::compute_parallel rejects a zero-core pool"
+            )]
             let (idx, _) = self
                 .cores
                 .iter()
                 .enumerate()
                 .min_by_key(|(i, c)| (c.next_free, *i))
-                .expect("pool is non-empty"); // grail-lint: allow(error-hygiene, callers size the pool nonzero: Simulation::compute_parallel rejects a zero-core pool)
+                .expect("pool is non-empty");
             let core = &mut self.cores[idx];
             let start = at.max(core.next_free);
             let end = start + dur;
+            #[expect(
+                clippy::expect_used,
+                reason = "idle/active transition is declared in the duo state machine"
+            )]
             core.machine
                 .set_state(start, duo_states::ACTIVE)
-                .expect("idle->active"); // grail-lint: allow(error-hygiene, idle/active transition is declared in the duo state machine)
+                .expect("idle->active");
+            #[expect(
+                clippy::expect_used,
+                reason = "idle/active transition is declared in the duo state machine"
+            )]
             core.machine
                 .set_state(end, duo_states::IDLE)
-                .expect("active->idle"); // grail-lint: allow(error-hygiene, idle/active transition is declared in the duo state machine)
+                .expect("active->idle");
             core.next_free = end;
             first_start = first_start.min(start);
             last_end = last_end.max(end);
@@ -152,19 +164,23 @@ impl CpuDevice {
         let uncore = self.uncore_power() * span;
         let mut agg: Option<MachineSummary> = None;
         for c in self.cores {
-            let s = c.machine.finish(end).expect("monotone finish"); // grail-lint: allow(error-hygiene, per-core event times are monotone by construction)
+            #[expect(
+                clippy::expect_used,
+                reason = "per-core event times are monotone by construction"
+            )]
+            let s = c.machine.finish(end).expect("monotone finish");
             agg = Some(match agg {
                 None => s,
                 Some(mut a) => {
-                    a.total_energy = a.total_energy + s.total_energy;
+                    a.total_energy += s.total_energy;
                     for (dst, src) in a.per_state.iter_mut().zip(&s.per_state) {
-                        dst.time = dst.time + src.time;
-                        dst.energy = dst.energy + src.energy;
+                        dst.time += src.time;
+                        dst.energy += src.energy;
                         dst.entries += src.entries;
                     }
-                    a.transition_energy = a.transition_energy + s.transition_energy;
+                    a.transition_energy += s.transition_energy;
                     a.transitions += s.transitions;
-                    a.transition_time = a.transition_time + s.transition_time;
+                    a.transition_time += s.transition_time;
                     a
                 }
             });
@@ -176,7 +192,7 @@ impl CpuDevice {
             transitions: 0,
             transition_time: SimDuration::ZERO,
         });
-        out.total_energy = out.total_energy + uncore;
+        out.total_energy += uncore;
         out
     }
 }

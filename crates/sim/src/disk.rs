@@ -64,22 +64,34 @@ impl DiskDevice {
             ready = ready.max(busy);
         }
         if self.parked {
+            #[expect(
+                clippy::expect_used,
+                reason = "spin-up transition is declared in the disk state machine"
+            )]
             let woke = self
                 .machine
                 .set_state(ready, disk_states::IDLE)
-                .expect("spin-up from standby is declared"); // grail-lint: allow(error-hygiene, spin-up transition is declared in the disk state machine)
+                .expect("spin-up from standby is declared");
             ready = woke;
             self.parked = false;
         }
         let service = self.perf.service_time(bytes, access);
         let start = ready;
         let end = start + service;
+        #[expect(
+            clippy::expect_used,
+            reason = "idle/active transition is declared in the disk state machine"
+        )]
         self.machine
             .set_state(start, disk_states::ACTIVE)
-            .expect("idle->active is declared"); // grail-lint: allow(error-hygiene, idle/active transition is declared in the disk state machine)
+            .expect("idle->active is declared");
+        #[expect(
+            clippy::expect_used,
+            reason = "idle/active transition is declared in the disk state machine"
+        )]
         self.machine
             .set_state(end, disk_states::IDLE)
-            .expect("active->idle is declared"); // grail-lint: allow(error-hygiene, idle/active transition is declared in the disk state machine)
+            .expect("active->idle is declared");
         self.next_free = end;
         self.stats.busy += service;
         self.stats.bytes += bytes;
@@ -94,10 +106,14 @@ impl DiskDevice {
             return at;
         }
         let at = at.max(self.next_free);
+        #[expect(
+            clippy::expect_used,
+            reason = "standby transition is declared in the disk state machine"
+        )]
         let done = self
             .machine
             .set_state(at, disk_states::STANDBY)
-            .expect("idle->standby is declared"); // grail-lint: allow(error-hygiene, standby transition is declared in the disk state machine)
+            .expect("idle->standby is declared");
         self.parked = true;
         self.next_free = done;
         done
@@ -112,10 +128,14 @@ impl DiskDevice {
         if let Some(busy) = self.machine.busy_until() {
             at = at.max(busy);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "standby transition is declared in the disk state machine"
+        )]
         let done = self
             .machine
             .set_state(at, disk_states::IDLE)
-            .expect("standby->idle is declared"); // grail-lint: allow(error-hygiene, standby transition is declared in the disk state machine)
+            .expect("standby->idle is declared");
         self.parked = false;
         self.next_free = done;
         done
@@ -137,10 +157,14 @@ impl DiskDevice {
     }
 
     /// Power drawn while seeking/transferring.
+    #[expect(
+        clippy::expect_used,
+        reason = "ACTIVE is declared in every disk power model"
+    )]
     pub fn active_power(&self) -> Watts {
         self.machine
             .state_power(disk_states::ACTIVE)
-            .expect("active state is declared") // grail-lint: allow(error-hygiene, ACTIVE is declared in every disk power model)
+            .expect("active state is declared")
     }
 
     /// Latency and surge energy of one spin-up attempt.
@@ -164,10 +188,14 @@ impl DiskDevice {
 
     /// Finalize at `end`, returning the full power-state summary
     /// (occupancies, transition counts and costs) for metrics feeds.
+    #[expect(
+        clippy::expect_used,
+        reason = "device event times are monotone by construction"
+    )]
     pub fn finish_summary(self, end: SimInstant) -> MachineSummary {
         self.machine
             .finish(end.max(self.next_free))
-            .expect("monotone finish") // grail-lint: allow(error-hygiene, device event times are monotone by construction)
+            .expect("monotone finish")
     }
 }
 

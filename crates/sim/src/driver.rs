@@ -736,7 +736,7 @@ mod tests {
         // Retry/backoff must never lose or duplicate a job: same job set,
         // with and without faults, completes the same (stream, index) set.
         let build = || {
-            let (mut sim, cpu, target) = server(4, 5);
+            let (sim, cpu, target) = server(4, 5);
             let streams: Vec<_> = (0..4)
                 .map(|i| {
                     vec![

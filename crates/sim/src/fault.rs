@@ -521,7 +521,7 @@ impl ChaosSchedule {
             let mut rng = ChaCha12Rng::seed_from_u64(device_seed(seed, salt, index));
             let mut t = SimInstant::EPOCH;
             loop {
-                t = t + exp_sample(&mut rng, mtbf);
+                t += exp_sample(&mut rng, mtbf);
                 if t >= end {
                     break;
                 }

@@ -48,9 +48,16 @@
 //! event in [`sim::SimReport::trace`]. With no tracer (the default),
 //! every instrumentation site is a single branch.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::all)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod attr;
 pub mod cpu;

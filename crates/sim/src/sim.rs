@@ -324,7 +324,8 @@ impl Simulation {
             });
             merge(&mut span, r);
         }
-        let done = span.expect("arrays are non-empty"); // grail-lint: allow(error-hygiene, make_array rejects empty arrays)
+        #[expect(clippy::expect_used, reason = "make_array rejects empty arrays")]
+        let done = span.expect("arrays are non-empty");
         self.tracer.count("fault.rebuilds", 1);
         self.tracer.emit(Category::Fault, || {
             TraceEvent::span(
@@ -779,10 +780,11 @@ impl Simulation {
         for (disk, share) in shares {
             // Fabric contention stretches each member's transfer.
             let effective = Bytes::new((share.get() as f64 / factor).round() as u64);
+            #[expect(clippy::expect_used, reason = "disk ids were validated at make_array")]
             let d = self
                 .disks
                 .get_mut(disk.0 as usize)
-                .expect("validated at make_array"); // grail-lint: allow(error-hygiene, disk ids were validated at make_array)
+                .expect("validated at make_array");
             let r = d.serve(at, effective, per_disk_access);
             served.push((disk, r));
             res = Some(match res {
@@ -790,7 +792,8 @@ impl Simulation {
                 None => r,
             });
         }
-        let res = res.expect("arrays are non-empty"); // grail-lint: allow(error-hygiene, make_array rejects empty arrays)
+        #[expect(clippy::expect_used, reason = "make_array rejects empty arrays")]
+        let res = res.expect("arrays are non-empty");
 
         if let Some(plan) = self.fault_plan.as_mut() {
             // Draw for every member (streams advance uniformly); the

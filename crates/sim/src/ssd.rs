@@ -46,12 +46,20 @@ impl SsdDevice {
         let start = at.max(self.next_free);
         let service = self.perf.service_time(bytes, access);
         let end = start + service;
+        #[expect(
+            clippy::expect_used,
+            reason = "idle/active transition is declared in the duo state machine"
+        )]
         self.machine
             .set_state(start, duo_states::ACTIVE)
-            .expect("idle->active"); // grail-lint: allow(error-hygiene, idle/active transition is declared in the duo state machine)
+            .expect("idle->active");
+        #[expect(
+            clippy::expect_used,
+            reason = "idle/active transition is declared in the duo state machine"
+        )]
         self.machine
             .set_state(end, duo_states::IDLE)
-            .expect("active->idle"); // grail-lint: allow(error-hygiene, idle/active transition is declared in the duo state machine)
+            .expect("active->idle");
         self.next_free = end;
         self.stats.busy += service;
         self.stats.bytes += bytes;
@@ -60,10 +68,14 @@ impl SsdDevice {
     }
 
     /// Power drawn while transferring.
+    #[expect(
+        clippy::expect_used,
+        reason = "ACTIVE is declared in every ssd power model"
+    )]
     pub fn active_power(&self) -> Watts {
         self.machine
             .state_power(duo_states::ACTIVE)
-            .expect("active state is declared") // grail-lint: allow(error-hygiene, ACTIVE is declared in every ssd power model)
+            .expect("active state is declared")
     }
 
     /// The instant the SSD becomes free.
@@ -83,10 +95,14 @@ impl SsdDevice {
 
     /// Finalize at `end`, returning the full power-state summary
     /// (occupancies, transition counts and costs) for metrics feeds.
+    #[expect(
+        clippy::expect_used,
+        reason = "device event times are monotone by construction"
+    )]
     pub fn finish_summary(self, end: SimInstant) -> MachineSummary {
         self.machine
             .finish(end.max(self.next_free))
-            .expect("monotone finish") // grail-lint: allow(error-hygiene, device event times are monotone by construction)
+            .expect("monotone finish")
     }
 }
 

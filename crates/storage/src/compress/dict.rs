@@ -10,14 +10,21 @@
 use super::bitpack::{self, Packed};
 use super::varint::{read_i64, read_u32, write_i64, write_u32};
 use crate::error::StorageError;
-use std::collections::HashMap; // grail-lint: allow(hash-order, per-value lookups only; dict order is first-appearance)
+#[expect(
+    clippy::disallowed_types,
+    reason = "per-value lookups only; dict order is first-appearance"
+)]
+use std::collections::HashMap;
 use std::ops::Range;
 
 /// Encode `values` with a dictionary.
 pub fn encode(values: &[i64]) -> Vec<u8> {
     let mut dict: Vec<i64> = Vec::new();
     let mut codes: Vec<i64> = Vec::with_capacity(values.len());
-    // grail-lint: allow(hash-order, lookup-only code assignment; emitted dict follows input order)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only code assignment; emitted dict follows input order"
+    )]
     let mut index: HashMap<i64, u32> = HashMap::new();
     for v in values {
         let code = *index.entry(*v).or_insert_with(|| {

@@ -122,7 +122,10 @@ pub fn choose_encoding(values: &[i64]) -> Encoding {
     if avg_run >= 4.0 {
         return Encoding::Rle;
     }
-    // grail-lint: allow(hash-order, cardinality probe; only .len() is read)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "cardinality probe; only .len() is read"
+    )]
     let mut distinct = std::collections::HashSet::new();
     for v in values.iter().take(65_536) {
         distinct.insert(*v);

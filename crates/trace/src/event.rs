@@ -344,7 +344,7 @@ mod tests {
         );
         assert_eq!(Track::Stream(2).to_string(), "stream[2]");
         assert_eq!(Track::Exec.to_string(), "exec");
-        let mut tracks = vec![
+        let mut tracks = [
             Track::Exec,
             Track::Stream(1),
             Track::Main,

@@ -333,6 +333,10 @@ mod tests {
             assert!(t.lineitem.columns[2][r] < supps);
         }
         // Every lineitem orderkey exists in orders (same sparse formula).
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership probe only; never iterated"
+        )]
         let okeys: std::collections::HashSet<i64> = t.orders.columns[0].iter().copied().collect();
         for r in 0..1000 {
             assert!(okeys.contains(&t.lineitem.columns[0][r]));

@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example capacity_planning`
 
+#![expect(clippy::print_stdout, reason = "an example prints what it shows")]
+
 use grail::power::tco::TcoModel;
 use grail::power::units::Watts;
 use grail::scheduler::cluster::{place, refresh_cycle_fleet, ClusterError, PlacementPolicy};

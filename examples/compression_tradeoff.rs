@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example compression_tradeoff`
 
+#![expect(clippy::print_stdout, reason = "an example prints what it shows")]
+
 use grail::core::db::{CompressionMode, EnergyAwareDb, ExecPolicy, ScanSpec};
 use grail::core::profile::HardwareProfile;
 use grail::core::report::EnergyReport;

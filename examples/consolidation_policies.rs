@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example consolidation_policies`
 
+#![expect(clippy::print_stdout, reason = "an example prints what it shows")]
+
 use grail::power::components::{CpuPowerProfile, DiskPowerProfile};
 use grail::power::units::{Bytes, Cycles, Hertz, SimDuration, SimInstant};
 use grail::scheduler::admission::{AdmissionPolicy, BatchWindow};

@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![expect(clippy::print_stdout, reason = "an example prints what it shows")]
+
 use grail::prelude::*;
 use grail::sim::SimError;
 

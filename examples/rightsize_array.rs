@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --release --example rightsize_array`
 
+#![expect(clippy::print_stdout, reason = "an example prints what it shows")]
+
 use grail::core::db::{CompressionMode, EnergyAwareDb, ExecPolicy};
 use grail::core::profile::HardwareProfile;
 use grail::sim::SimError;

@@ -11,7 +11,9 @@
 //! Any nondeterminism anywhere in the instrumentation shows up as a
 //! string mismatch between thread counts or re-runs.
 
+use grail::core::db::{EnergyAwareDb, ExecPolicy};
 use grail::metrics::{evaluate, to_prometheus, SloKind, SloSpec, Snapshot};
+use grail::prelude::*;
 use grail::scheduler::chaos::{reference_storm, run_chaos, ChaosPolicy};
 use grail::scheduler::cluster::PlacementPolicy;
 use grail::trace::{Recorder, Tracer};
@@ -147,4 +149,45 @@ fn reruns_and_scrape_intervals_are_stable() {
             "scrape interval perturbed the run"
         );
     });
+}
+
+/// Asserts that every `# TYPE` family of a scrape follows its `# HELP`
+/// line. The exposition writes one only for names in `spec::CATALOG`,
+/// so a family without it is a metric that reached the scrape
+/// uncatalogued.
+fn assert_catalogued(prom: &str) {
+    let mut helped = None;
+    let mut families = 0;
+    for line in prom.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            helped = rest.split(' ').next();
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let name = rest.split(' ').next().unwrap_or_default();
+            assert!(
+                helped == Some(name),
+                "`{name}` reached a scrape without a spec::CATALOG entry"
+            );
+            families += 1;
+        }
+    }
+    assert!(families > 0, "empty scrape");
+}
+
+/// Every metric in the pinned scrapes is catalogued: the reference
+/// storm under each policy (pinned above and by EXT-WATCH) and the
+/// facade's traced throughput test (pinned in `trace_determinism.rs`).
+/// Six catalog entries reach no tier-1 scrape; DESIGN §12 names them.
+#[test]
+fn every_exported_family_is_catalogued() {
+    for (_, placement, replicas) in POLICIES {
+        assert_catalogued(&to_prometheus(
+            storm_recorder(HOUR, placement, replicas).metrics(),
+        ));
+    }
+    let mut db = EnergyAwareDb::new(HardwareProfile::server_dl785(36));
+    db.load_tpch(TpchScale::toy());
+    let run = db
+        .try_run_throughput_test_traced(2, 2, ExecPolicy::default(), 10.0)
+        .expect("loaded db runs");
+    assert_catalogued(&to_prometheus(run.trace.metrics()));
 }
