@@ -913,6 +913,84 @@ mod tests {
     }
 
     #[test]
+    fn single_device_trace_bytes_are_pinned() {
+        // One traced `Simulation` with no array: a bare disk read and
+        // written, a second bare disk parked before each of its reads (so
+        // every wake draws a spin-up), and an SSD read and written, under
+        // transient, latent and spin-up faults with attribution on. This
+        // is what the cell pins leave out: `fault.spin_up` on a device
+        // track, and SSD writes.
+        use crate::ids::{DiskId, SsdId};
+        use crate::perf::AccessPattern;
+        let mut sim = Simulation::new();
+        sim.add_disks(2, DiskPerfProfile::scsi_15k(), DiskPowerProfile::scsi_15k());
+        sim.add_ssd(SsdPerfProfile::fig2_flash(), SsdPowerProfile::fig2_flash());
+        sim.set_base_power(Watts::new(50.0));
+        sim.set_fault_plan(FaultPlan::new(
+            FaultConfig {
+                transient_per_io: 0.15,
+                latent_per_read: 0.1,
+                spin_up_fault: 0.4,
+                ..FaultConfig::NONE
+            },
+            17,
+        ));
+        sim.set_tracer(Tracer::on(Recorder::new(4096)));
+        sim.enable_attribution();
+        let mut t = SimInstant::EPOCH;
+        for q in 0..36u32 {
+            sim.set_query_tag(q % 2, q / 2);
+            let target = match q % 3 {
+                0 => StorageTarget::Disk(DiskId(0)),
+                1 => StorageTarget::Disk(DiskId(1)),
+                _ => StorageTarget::Ssd(SsdId(0)),
+            };
+            let bytes = Bytes::mib(1 + u64::from(q % 5));
+            let access = if q % 4 == 3 {
+                AccessPattern::Random { ios: 8 }
+            } else {
+                AccessPattern::Sequential
+            };
+            let served = if q % 3 == 1 {
+                sim.park_disk(DiskId(1), t).unwrap();
+                sim.read(target, t, bytes, access)
+            } else if q % 2 == 0 {
+                sim.read(target, t, bytes, access)
+            } else {
+                sim.write(target, t, bytes, access)
+            };
+            t = match served {
+                Ok(r) => r.end,
+                Err(e) => e.retry_until().unwrap_or(t),
+            };
+            sim.clear_query_tag();
+        }
+        let end = sim.horizon();
+        let rep = sim.finish(end);
+        let rec = rep.trace.as_ref().unwrap();
+        let on_device = |name: &str| {
+            rec.events()
+                .any(|e| e.name == name && matches!(e.track, Track::Device { .. }))
+        };
+        for name in [
+            "disk_read",
+            "disk_write",
+            "ssd_io",
+            "disk_park",
+            "fault.spin_up",
+            "fault.disk_io",
+            "fault.ssd_io",
+        ] {
+            assert!(on_device(name), "lost {name}");
+        }
+        assert!(rep.faults.latent > 0 && rep.faults.spin_up_faults > 0);
+        assert_eq!(
+            export_digest(rec, rep.attribution.as_ref()),
+            0xba1d_9598_0f36_7ac0
+        );
+    }
+
+    #[test]
     fn cell_action_tie_break_prefers_the_crash() {
         use CellAction::{Crash, Event};
         let at = SimInstant::from_nanos;
