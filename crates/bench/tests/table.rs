@@ -133,7 +133,6 @@ fn watchdog_summary_matches_the_committed_baseline() {
             &compare(
                 &parse_baseline(WATCHDOG_BASELINE).expect("committed baseline parses"),
                 &parse_baseline(&measured).expect("measured summary parses"),
-                |_| 0.0,
             ),
             WATCHDOG_BASELINE_PATH,
             REBLESS,
@@ -152,7 +151,7 @@ fn ten_percent_joules_per_query_inflation_is_one_readable_drift() {
             *value *= 1.10;
         }
     }
-    let drifts = compare(&baseline, &inflated, |_| 0.0);
+    let drifts = compare(&baseline, &inflated);
     let keys: Vec<&str> = drifts.iter().map(|d| d.key.as_str()).collect();
     assert_eq!(keys, ["db.joules_per_query"]);
     let text = render_drifts(&drifts, WATCHDOG_BASELINE_PATH, REBLESS);

@@ -1,5 +1,5 @@
 //! Watchdog baselines: a flat `{"name": number}` JSON document, plus
-//! tolerance comparison and rustc-style drift rendering.
+//! exact comparison and rustc-style drift rendering.
 //!
 //! The format is deliberately minimal — sorted keys, one entry per
 //! line, shortest-roundtrip floats — so a committed baseline diffs
@@ -7,7 +7,7 @@
 //! byte-identical no-op. Parsing is hand-rolled for the same reason
 //! this crate has no dependencies: layer 0 must stay std-only.
 
-/// One metric that drifted beyond its tolerance (or appeared/vanished).
+/// One metric whose value changed (or that appeared/vanished).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Drift {
     /// Baseline key.
@@ -16,8 +16,6 @@ pub struct Drift {
     pub baseline: Option<f64>,
     /// Current run's value (`None` when the key vanished).
     pub current: Option<f64>,
-    /// Relative tolerance the comparison applied.
-    pub tolerance: f64,
 }
 
 impl Drift {
@@ -95,34 +93,19 @@ fn split_top_level(body: &str) -> Vec<&str> {
     parts
 }
 
-/// Compare `current` against `baseline` under a per-key relative
-/// tolerance. Missing and extra keys always count as drift.
-pub fn compare(
-    baseline: &[(String, f64)],
-    current: &[(String, f64)],
-    tolerance_for: impl Fn(&str) -> f64,
-) -> Vec<Drift> {
+/// Compare `current` against `baseline` exactly: every summary value is
+/// simulated and bit-stable, so any change is a drift. Missing and extra
+/// keys count as drift too.
+pub fn compare(baseline: &[(String, f64)], current: &[(String, f64)]) -> Vec<Drift> {
     let mut drifts = Vec::new();
     for (k, b) in baseline {
-        let tol = tolerance_for(k);
-        match current.iter().find(|(ck, _)| ck == k) {
-            None => drifts.push(Drift {
+        let c = current.iter().find(|(ck, _)| ck == k).map(|(_, c)| *c);
+        if c.is_none_or(|c| c.to_bits() != b.to_bits()) {
+            drifts.push(Drift {
                 key: k.clone(),
                 baseline: Some(*b),
-                current: None,
-                tolerance: tol,
-            }),
-            Some((_, c)) => {
-                let scale = b.abs().max(f64::MIN_POSITIVE);
-                if ((c - b) / scale).abs() > tol {
-                    drifts.push(Drift {
-                        key: k.clone(),
-                        baseline: Some(*b),
-                        current: Some(*c),
-                        tolerance: tol,
-                    });
-                }
-            }
+                current: c,
+            });
         }
     }
     for (k, c) in current {
@@ -131,7 +114,6 @@ pub fn compare(
                 key: k.clone(),
                 baseline: None,
                 current: Some(*c),
-                tolerance: tolerance_for(k),
             });
         }
     }
@@ -149,11 +131,10 @@ pub fn render_drifts(drifts: &[Drift], baseline_path: &str, regen_cmd: &str) -> 
             _ => {
                 let rel = d.relative().unwrap_or(f64::INFINITY);
                 format!(
-                    "error[watchdog]: `{}` drifted {}{:.2}% beyond the ±{:.1}% tolerance",
+                    "error[watchdog]: `{}` drifted {}{:.2}%",
                     d.key,
                     if rel >= 0.0 { "+" } else { "" },
-                    rel * 100.0,
-                    d.tolerance * 100.0
+                    rel * 100.0
                 )
             }
         };
@@ -171,7 +152,7 @@ pub fn render_drifts(drifts: &[Drift], baseline_path: &str, regen_cmd: &str) -> 
     }
     if !drifts.is_empty() {
         out.push_str(&format!(
-            "error: energy/SLO regression — {} metric(s) drifted beyond tolerance\n",
+            "error: energy/SLO regression — {} metric(s) drifted\n",
             drifts.len()
         ));
         out.push_str(&format!(
@@ -211,10 +192,10 @@ mod tests {
     }
 
     #[test]
-    fn compare_flags_only_out_of_tolerance_keys() {
+    fn compare_flags_only_changed_keys() {
         let base = entries(&[("a", 100.0), ("b", 1.0), ("gone", 5.0)]);
-        let cur = entries(&[("a", 101.0), ("b", 1.2), ("new", 7.0)]);
-        let drifts = compare(&base, &cur, |_| 0.02);
+        let cur = entries(&[("a", 100.0), ("b", 1.2), ("new", 7.0)]);
+        let drifts = compare(&base, &cur);
         let keys: Vec<&str> = drifts.iter().map(|d| d.key.as_str()).collect();
         assert_eq!(keys, vec!["b", "gone", "new"]);
         assert!((drifts[0].relative().unwrap() - 0.2).abs() < 1e-9);
@@ -225,7 +206,6 @@ mod tests {
         let drifts = compare(
             &entries(&[("joules_per_query", 10.0)]),
             &entries(&[("joules_per_query", 11.0)]),
-            |_| 0.02,
         );
         let text = render_drifts(&drifts, "crates/bench/baselines/watchdog.json", "regen");
         assert!(text.contains("error[watchdog]: `joules_per_query` drifted +10.00%"));

@@ -5,7 +5,7 @@
 //! Fig. 1's server has 32 Opteron cores whose saturation is what bends
 //! the performance curve flat as disks are added.
 
-use crate::disk::DeviceStats;
+use crate::device::DeviceStats;
 use crate::perf::CpuPerfProfile;
 use crate::sim::Reservation;
 use grail_power::components::{duo_states, CpuPowerProfile};

@@ -1,15 +1,27 @@
-//! The rotating-disk device: an FCFS server with spin states.
+//! Storage devices: one FCFS server for rotating disks and flash.
 //!
-//! The paper's Fig. 1 system is dominated by these ("the disk subsystem
-//! consumed more than 50% of the total system power"), and Sec. 4.2's
-//! consolidation ideas hinge on their expensive spin-up/spin-down
-//! transitions.
+//! The paper bills Fig. 1's spindles and Fig. 2's flash drives the same
+//! way (device-seconds × device watts), so both are a [`StorageDevice`]:
+//! a request starts when the device is free and holds it for the service
+//! time of its [`DiskPerfProfile`] or [`SsdPerfProfile`], stepping the
+//! power machine IDLE → ACTIVE → IDLE. A disk's machine also has
+//! STANDBY: it parks to save power, and a request to a parked disk pays
+//! the spin-up first — Sec. 4.2's consolidation ideas hinge on those
+//! transitions. An SSD never parks: flash is "an order of magnitude more
+//! energy efficient than regular hard drives" and has no spin states,
+//! which moves Fig. 2's tradeoffs to the CPU side.
 
-use crate::perf::{AccessPattern, DiskPerfProfile};
+use crate::perf::{AccessPattern, DiskPerfProfile, SsdPerfProfile};
 use crate::sim::Reservation;
-use grail_power::components::{disk_states, DiskPowerProfile};
+use grail_power::components::disk_states::{ACTIVE, IDLE, STANDBY};
+use grail_power::components::{duo_states, DiskPowerProfile, SsdPowerProfile};
+use grail_power::ledger::ComponentKind;
 use grail_power::state::{MachineSummary, PowerStateMachine};
 use grail_power::units::{Bytes, Joules, SimDuration, SimInstant, Watts};
+
+// An SSD's active/idle machine numbers its two states as a disk's does,
+// so one device steps either.
+const _: () = assert!(ACTIVE.0 == duo_states::ACTIVE.0 && IDLE.0 == duo_states::IDLE.0);
 
 /// Aggregate statistics of one device.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -22,10 +34,71 @@ pub struct DeviceStats {
     pub requests: u64,
 }
 
-/// One simulated rotating disk.
+/// The storage device classes. Each has its own id space (`DiskId`,
+/// `SsdId`), its own fault streams and its own names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DeviceClass {
+    Disk,
+    Ssd,
+}
+
+/// What errors, traces, metrics and the ledger call one device class.
+pub(crate) struct ClassLabels {
+    /// The id type an error prints: `DiskId(3)`.
+    pub(crate) id: &'static str,
+    /// The ledger component kind.
+    pub(crate) kind: ComponentKind,
+    /// The kind of the class's device trace tracks.
+    pub(crate) track: &'static str,
+    /// Span name of a served read.
+    pub(crate) read: &'static str,
+    /// Span name of a served write.
+    pub(crate) write: &'static str,
+    /// Histogram of service seconds.
+    pub(crate) service_secs: &'static str,
+    /// Event name of a failed IO attempt.
+    pub(crate) fault: &'static str,
+}
+
+static LABELS: [ClassLabels; 2] = [
+    ClassLabels {
+        id: "DiskId",
+        kind: ComponentKind::Disk,
+        track: "disk",
+        read: "disk_read",
+        write: "disk_write",
+        service_secs: "io.disk_service_secs",
+        fault: "fault.disk_io",
+    },
+    ClassLabels {
+        id: "SsdId",
+        kind: ComponentKind::Ssd,
+        track: "ssd",
+        read: "ssd_io",
+        write: "ssd_io",
+        service_secs: "io.ssd_service_secs",
+        fault: "fault.ssd_io",
+    },
+];
+
+impl DeviceClass {
+    /// This class's names.
+    pub(crate) fn labels(self) -> &'static ClassLabels {
+        &LABELS[self as usize]
+    }
+}
+
+/// Where a device's service times come from.
+#[derive(Debug, Clone, Copy)]
+enum ServiceModel {
+    Disk(DiskPerfProfile),
+    Ssd(SsdPerfProfile),
+}
+
+/// One simulated disk or SSD.
 #[derive(Debug, Clone)]
-pub struct DiskDevice {
-    perf: DiskPerfProfile,
+pub struct StorageDevice {
+    perf: ServiceModel,
     machine: PowerStateMachine,
     next_free: SimInstant,
     last_issue: SimInstant,
@@ -33,13 +106,21 @@ pub struct DiskDevice {
     parked: bool,
 }
 
-impl DiskDevice {
-    /// A disk with the given performance and power profiles, idle and
-    /// spinning at `start`.
-    pub fn new(perf: DiskPerfProfile, power: DiskPowerProfile, start: SimInstant) -> Self {
-        DiskDevice {
+impl StorageDevice {
+    /// A rotating disk, idle and spinning at `start`.
+    pub fn disk(perf: DiskPerfProfile, power: DiskPowerProfile, start: SimInstant) -> Self {
+        Self::new(ServiceModel::Disk(perf), power.machine(start), start)
+    }
+
+    /// An SSD, idle at `start`.
+    pub fn ssd(perf: SsdPerfProfile, power: SsdPowerProfile, start: SimInstant) -> Self {
+        Self::new(ServiceModel::Ssd(perf), power.machine(start), start)
+    }
+
+    fn new(perf: ServiceModel, machine: PowerStateMachine, start: SimInstant) -> Self {
+        StorageDevice {
             perf,
-            machine: power.machine(start),
+            machine,
             next_free: start,
             last_issue: start,
             stats: DeviceStats::default(),
@@ -55,7 +136,7 @@ impl DiskDevice {
     pub fn serve(&mut self, at: SimInstant, bytes: Bytes, access: AccessPattern) -> Reservation {
         debug_assert!(
             at >= self.last_issue,
-            "out-of-order issue to disk: {at} after {}",
+            "out-of-order issue to device: {at} after {}",
             self.last_issue
         );
         self.last_issue = at;
@@ -70,27 +151,30 @@ impl DiskDevice {
             )]
             let woke = self
                 .machine
-                .set_state(ready, disk_states::IDLE)
+                .set_state(ready, IDLE)
                 .expect("spin-up from standby is declared");
             ready = woke;
             self.parked = false;
         }
-        let service = self.perf.service_time(bytes, access);
+        let service = match self.perf {
+            ServiceModel::Disk(p) => p.service_time(bytes, access),
+            ServiceModel::Ssd(p) => p.service_time(bytes, access),
+        };
         let start = ready;
         let end = start + service;
         #[expect(
             clippy::expect_used,
-            reason = "idle/active transition is declared in the disk state machine"
+            reason = "idle/active transition is declared in every device state machine"
         )]
         self.machine
-            .set_state(start, disk_states::ACTIVE)
+            .set_state(start, ACTIVE)
             .expect("idle->active is declared");
         #[expect(
             clippy::expect_used,
-            reason = "idle/active transition is declared in the disk state machine"
+            reason = "idle/active transition is declared in every device state machine"
         )]
         self.machine
-            .set_state(end, disk_states::IDLE)
+            .set_state(end, IDLE)
             .expect("active->idle is declared");
         self.next_free = end;
         self.stats.busy += service;
@@ -99,8 +183,8 @@ impl DiskDevice {
         Reservation { start, end }
     }
 
-    /// Spin the disk down at `at` (no-op if already parked). Returns when
-    /// the transition completes.
+    /// Spin a disk down at `at` (no-op if already parked). Returns when
+    /// the transition completes. Only a disk has a standby state.
     pub fn park(&mut self, at: SimInstant) -> SimInstant {
         if self.parked {
             return at;
@@ -112,7 +196,7 @@ impl DiskDevice {
         )]
         let done = self
             .machine
-            .set_state(at, disk_states::STANDBY)
+            .set_state(at, STANDBY)
             .expect("idle->standby is declared");
         self.parked = true;
         self.next_free = done;
@@ -134,19 +218,19 @@ impl DiskDevice {
         )]
         let done = self
             .machine
-            .set_state(at, disk_states::IDLE)
+            .set_state(at, IDLE)
             .expect("standby->idle is declared");
         self.parked = false;
         self.next_free = done;
         done
     }
 
-    /// True if the disk is currently spun down.
+    /// True if the disk is currently spun down (never for an SSD).
     pub fn is_parked(&self) -> bool {
         self.parked
     }
 
-    /// The instant the disk becomes free for a new request.
+    /// The instant the device becomes free for a new request.
     pub fn next_free(&self) -> SimInstant {
         self.next_free
     }
@@ -159,18 +243,18 @@ impl DiskDevice {
     /// Power drawn while seeking/transferring.
     #[expect(
         clippy::expect_used,
-        reason = "ACTIVE is declared in every disk power model"
+        reason = "ACTIVE is declared in every device power model"
     )]
     pub fn active_power(&self) -> Watts {
         self.machine
-            .state_power(disk_states::ACTIVE)
+            .state_power(ACTIVE)
             .expect("active state is declared")
     }
 
-    /// Latency and surge energy of one spin-up attempt.
+    /// Latency and surge energy of one spin-up attempt (zero for an SSD).
     pub fn spin_up_cost(&self) -> (SimDuration, Joules) {
         self.machine
-            .transition(disk_states::STANDBY, disk_states::IDLE)
+            .transition(STANDBY, IDLE)
             .map(|t| (t.latency, t.energy))
             .unwrap_or((SimDuration::ZERO, Joules::ZERO))
     }
@@ -178,7 +262,7 @@ impl DiskDevice {
     /// Energy-saving helper: the idle-gap length beyond which parking and
     /// unparking saves energy versus staying spun up.
     pub fn break_even_gap(&self) -> Option<SimDuration> {
-        self.machine.break_even_gap(disk_states::STANDBY)
+        self.machine.break_even_gap(STANDBY)
     }
 
     /// Finalize at `end`, returning total energy consumed.
@@ -203,12 +287,16 @@ impl DiskDevice {
 mod tests {
     use super::*;
 
-    fn disk() -> DiskDevice {
-        DiskDevice::new(
+    fn disk() -> StorageDevice {
+        StorageDevice::disk(
             DiskPerfProfile::scsi_15k(),
             DiskPowerProfile::scsi_15k(),
             SimInstant::EPOCH,
         )
+    }
+
+    fn flash(power: SsdPowerProfile) -> StorageDevice {
+        StorageDevice::ssd(SsdPerfProfile::fig2_flash(), power, SimInstant::EPOCH)
     }
 
     fn at(s: f64) -> SimInstant {
@@ -283,5 +371,49 @@ mod tests {
         let d = disk();
         let g = d.break_even_gap().unwrap();
         assert!(g.as_secs_f64() > 7.0, "must exceed switch time, got {g}");
+    }
+
+    #[test]
+    fn fig2_drive_energy_is_constant_rate() {
+        // The paper charges flash 5 W for wall time, so a fig2 SSD's
+        // energy depends only on the horizon, not on activity.
+        let horizon = at(10.0);
+        let e_idle = flash(SsdPowerProfile::fig2_flash()).finish(horizon);
+        let mut busy_drive = flash(SsdPowerProfile::fig2_flash());
+        busy_drive.serve(
+            at(0.0),
+            Bytes::new(1_000_000_000),
+            AccessPattern::Sequential,
+        );
+        let e_busy = busy_drive.finish(horizon);
+        assert!((e_idle.joules() - e_busy.joules()).abs() < 1e-6);
+        assert!((e_idle.joules() - 10.0 * 5.0 / 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn enterprise_drive_active_costs_more() {
+        let horizon = at(10.0);
+        let e_idle = flash(SsdPowerProfile::enterprise()).finish(horizon);
+        let mut busy = flash(SsdPowerProfile::enterprise());
+        busy.serve(
+            at(0.0),
+            Bytes::new(1_000_000_000),
+            AccessPattern::Sequential,
+        );
+        let e_busy = busy.finish(horizon);
+        assert!(e_busy.joules() > e_idle.joules());
+    }
+
+    #[test]
+    fn ssd_queueing() {
+        let mut s = flash(SsdPowerProfile::fig2_flash());
+        let r1 = s.serve(at(0.0), Bytes::mib(200), AccessPattern::Sequential);
+        let r2 = s.serve(at(0.0), Bytes::mib(200), AccessPattern::Sequential);
+        assert_eq!(r2.start, r1.end);
+        assert_eq!(s.stats().requests, 2);
+        assert_eq!(s.stats().bytes, Bytes::mib(400));
+        // Flash has no spin states: no spin-up to pay, no break-even gap.
+        assert_eq!(s.spin_up_cost(), (SimDuration::ZERO, Joules::ZERO));
+        assert_eq!(s.break_even_gap(), None);
     }
 }

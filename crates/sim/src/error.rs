@@ -46,8 +46,8 @@ pub enum SimError {
         /// Earliest instant at which a retry may be issued.
         until: SimInstant,
     },
-    /// The device has failed entirely (whole-disk failure or SSD
-    /// wear-out) and cannot serve requests until rebuilt/replaced.
+    /// The disk has failed entirely and cannot serve requests until
+    /// rebuilt/replaced.
     DeviceFailed {
         /// The failed device, printed.
         device: String,

@@ -14,7 +14,8 @@
 //! zero-rate [`FaultConfig`]) behaves byte-identically to the pre-fault
 //! simulator — zero-probability draws never consume randomness.
 
-use crate::ids::{DiskId, SsdId};
+use crate::device::DeviceClass;
+use crate::ids::DiskId;
 use crate::rng::ChaCha12Rng;
 use grail_power::units::{SimDuration, SimInstant};
 
@@ -29,22 +30,19 @@ pub enum FaultKind {
     LatentSector,
     /// The whole disk failed (mechanically, or killed by a spin-up).
     DiskFailure,
-    /// The SSD wore out (write endurance exhausted).
-    SsdWearOut,
 }
 
 /// Fault rates and lifetimes. All fields default to "never fails".
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
-    /// Probability that any single disk IO suffers a transient error.
+    /// Probability that any single disk or SSD IO suffers a transient
+    /// error.
     pub transient_per_io: f64,
     /// Probability that a disk read hits a latent sector error.
     pub latent_per_read: f64,
     /// Mean time to whole-disk failure (exponentially distributed per
-    /// disk), or `None` for immortal disks.
+    /// disk), or `None` for immortal disks. SSDs never fail.
     pub disk_mttf: Option<SimDuration>,
-    /// Mean time to SSD wear-out, or `None` for immortal SSDs.
-    pub ssd_wearout_mttf: Option<SimDuration>,
     /// Probability that a spin-up attempt faults transiently (the disk
     /// stays parked, the surge energy is wasted).
     pub spin_up_fault: f64,
@@ -59,7 +57,6 @@ impl FaultConfig {
         transient_per_io: 0.0,
         latent_per_read: 0.0,
         disk_mttf: None,
-        ssd_wearout_mttf: None,
         spin_up_fault: 0.0,
         spin_up_kill: 0.0,
     };
@@ -69,7 +66,6 @@ impl FaultConfig {
         self.transient_per_io <= 0.0
             && self.latent_per_read <= 0.0
             && self.disk_mttf.is_none()
-            && self.ssd_wearout_mttf.is_none()
             && self.spin_up_fault <= 0.0
             && self.spin_up_kill <= 0.0
     }
@@ -90,8 +86,6 @@ pub struct FaultStats {
     pub latent: u64,
     /// Whole-disk failures (MTTF expiry or spin-up kill), first detection.
     pub disk_failures: u64,
-    /// SSD wear-outs, first detection.
-    pub ssd_failures: u64,
     /// Spin-up attempts that faulted transiently.
     pub spin_up_faults: u64,
     /// Degraded-mode array reads served (reconstruct-from-parity).
@@ -107,7 +101,6 @@ impl FaultStats {
         self.transient += other.transient;
         self.latent += other.latent;
         self.disk_failures += other.disk_failures;
-        self.ssd_failures += other.ssd_failures;
         self.spin_up_faults += other.spin_up_faults;
         self.degraded_reads += other.degraded_reads;
         self.rebuilds += other.rebuilds;
@@ -134,8 +127,8 @@ struct DeviceFaults {
 pub struct FaultPlan {
     cfg: FaultConfig,
     seed: u64,
-    disks: Vec<DeviceFaults>,
-    ssds: Vec<DeviceFaults>,
+    /// Per-device state, one table per device class.
+    slots: [Vec<DeviceFaults>; 2],
     stats: FaultStats,
 }
 
@@ -183,8 +176,7 @@ impl FaultPlan {
         FaultPlan {
             cfg,
             seed,
-            disks: Vec::new(),
-            ssds: Vec::new(),
+            slots: [Vec::new(), Vec::new()],
             stats: FaultStats::default(),
         }
     }
@@ -199,46 +191,31 @@ impl FaultPlan {
         self.stats
     }
 
-    fn disk_slot(&mut self, d: DiskId) -> &mut DeviceFaults {
-        let idx = d.0 as usize;
-        while self.disks.len() <= idx {
-            let i = self.disks.len() as u64;
-            let mut rng = ChaCha12Rng::seed_from_u64(device_seed(self.seed, DISK_SALT, i));
-            let fail_at = self
-                .cfg
-                .disk_mttf
-                .map(|mttf| SimInstant::EPOCH + exp_sample(&mut rng, mttf));
-            self.disks.push(DeviceFaults {
+    fn slot(&mut self, class: DeviceClass, index: u32) -> &mut DeviceFaults {
+        let slots = &mut self.slots[class as usize];
+        let idx = index as usize;
+        while slots.len() <= idx {
+            let (salt, mttf) = match class {
+                DeviceClass::Disk => (DISK_SALT, self.cfg.disk_mttf),
+                DeviceClass::Ssd => (SSD_SALT, None),
+            };
+            let i = slots.len() as u64;
+            let mut rng = ChaCha12Rng::seed_from_u64(device_seed(self.seed, salt, i));
+            let fail_at = mttf.map(|mttf| SimInstant::EPOCH + exp_sample(&mut rng, mttf));
+            slots.push(DeviceFaults {
                 rng,
                 fail_at,
                 noted: false,
             });
         }
-        &mut self.disks[idx]
+        &mut slots[idx]
     }
 
-    fn ssd_slot(&mut self, s: SsdId) -> &mut DeviceFaults {
-        let idx = s.0 as usize;
-        while self.ssds.len() <= idx {
-            let i = self.ssds.len() as u64;
-            let mut rng = ChaCha12Rng::seed_from_u64(device_seed(self.seed, SSD_SALT, i));
-            let fail_at = self
-                .cfg
-                .ssd_wearout_mttf
-                .map(|mttf| SimInstant::EPOCH + exp_sample(&mut rng, mttf));
-            self.ssds.push(DeviceFaults {
-                rng,
-                fail_at,
-                noted: false,
-            });
-        }
-        &mut self.ssds[idx]
-    }
-
-    /// Whether disk `d` has failed by instant `at`. The first positive
-    /// answer per failure is counted in [`FaultStats::disk_failures`].
-    pub fn disk_failed(&mut self, d: DiskId, at: SimInstant) -> bool {
-        let slot = self.disk_slot(d);
+    /// Whether device `index` of `class` has failed by instant `at`
+    /// (only a disk ever does). The first positive answer per failure is
+    /// counted in [`FaultStats::disk_failures`].
+    pub(crate) fn failed(&mut self, class: DeviceClass, index: u32, at: SimInstant) -> bool {
+        let slot = self.slot(class, index);
         let failed = slot.fail_at.is_some_and(|f| at >= f);
         if failed && !slot.noted {
             slot.noted = true;
@@ -247,41 +224,24 @@ impl FaultPlan {
         failed
     }
 
-    /// Whether SSD `s` has worn out by instant `at`.
-    pub fn ssd_failed(&mut self, s: SsdId, at: SimInstant) -> bool {
-        let slot = self.ssd_slot(s);
-        let failed = slot.fail_at.is_some_and(|f| at >= f);
-        if failed && !slot.noted {
-            slot.noted = true;
-            self.stats.ssd_failures += 1;
-        }
-        failed
-    }
-
-    /// Draw the fault outcome for one disk IO. Latent sector errors only
-    /// strike reads.
-    pub fn draw_disk_io(&mut self, d: DiskId, is_read: bool) -> Option<FaultKind> {
+    /// Draw the fault outcome for one IO on device `index` of `class`.
+    /// Latent sector errors only strike disk reads.
+    pub(crate) fn draw_io(
+        &mut self,
+        class: DeviceClass,
+        index: u32,
+        is_read: bool,
+    ) -> Option<FaultKind> {
         let transient = self.cfg.transient_per_io;
         let latent = self.cfg.latent_per_read;
-        let slot = self.disk_slot(d);
+        let slot = self.slot(class, index);
         if bernoulli(&mut slot.rng, transient) {
             self.stats.transient += 1;
             return Some(FaultKind::TransientIo);
         }
-        if is_read && bernoulli(&mut slot.rng, latent) {
+        if class == DeviceClass::Disk && is_read && bernoulli(&mut slot.rng, latent) {
             self.stats.latent += 1;
             return Some(FaultKind::LatentSector);
-        }
-        None
-    }
-
-    /// Draw the fault outcome for one SSD IO (transient only).
-    pub fn draw_ssd_io(&mut self, s: SsdId) -> Option<FaultKind> {
-        let transient = self.cfg.transient_per_io;
-        let slot = self.ssd_slot(s);
-        if bernoulli(&mut slot.rng, transient) {
-            self.stats.transient += 1;
-            return Some(FaultKind::TransientIo);
         }
         None
     }
@@ -289,10 +249,10 @@ impl FaultPlan {
     /// Draw the outcome of a spin-up attempt at `at`: the kill draw comes
     /// first (a kill marks the disk failed as of `at`), then the
     /// transient-fault draw.
-    pub fn draw_spin_up(&mut self, d: DiskId, at: SimInstant) -> Option<FaultKind> {
+    pub(crate) fn draw_spin_up(&mut self, d: DiskId, at: SimInstant) -> Option<FaultKind> {
         let kill = self.cfg.spin_up_kill;
         let fault = self.cfg.spin_up_fault;
-        let slot = self.disk_slot(d);
+        let slot = self.slot(DeviceClass::Disk, d.0);
         if bernoulli(&mut slot.rng, kill) {
             slot.fail_at = Some(at);
             slot.noted = true;
@@ -307,15 +267,15 @@ impl FaultPlan {
     }
 
     /// Record one degraded-mode (reconstruct-from-parity) array read.
-    pub fn note_degraded_read(&mut self) {
+    pub(crate) fn note_degraded_read(&mut self) {
         self.stats.degraded_reads += 1;
     }
 
     /// Mark disk `d` rebuilt (replaced) at `at`: it is healthy again and
     /// its next failure time is resampled from the configured MTTF.
-    pub fn mark_rebuilt(&mut self, d: DiskId, at: SimInstant) {
+    pub(crate) fn mark_rebuilt(&mut self, d: DiskId, at: SimInstant) {
         let mttf = self.cfg.disk_mttf;
-        let slot = self.disk_slot(d);
+        let slot = self.slot(DeviceClass::Disk, d.0);
         slot.fail_at = mttf.map(|m| at + exp_sample(&mut slot.rng, m));
         slot.noted = false;
         self.stats.rebuilds += 1;
@@ -649,6 +609,7 @@ impl ChaosSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use DeviceClass::{Disk, Ssd};
 
     fn at(s: f64) -> SimInstant {
         SimInstant::EPOCH + SimDuration::from_secs_f64(s)
@@ -658,11 +619,11 @@ mod tests {
     fn zero_config_never_faults_and_never_consumes_rng() {
         let mut p = FaultPlan::new(FaultConfig::NONE, 42);
         for i in 0..4 {
-            assert!(!p.disk_failed(DiskId(i), at(1e9)));
-            assert_eq!(p.draw_disk_io(DiskId(i), true), None);
+            assert!(!p.failed(Disk, i, at(1e9)));
+            assert_eq!(p.draw_io(Disk, i, true), None);
             assert_eq!(p.draw_spin_up(DiskId(i), at(0.0)), None);
-            assert!(!p.ssd_failed(SsdId(i), at(1e9)));
-            assert_eq!(p.draw_ssd_io(SsdId(i)), None);
+            assert!(!p.failed(Ssd, i, at(1e9)));
+            assert_eq!(p.draw_io(Ssd, i, true), None);
         }
         assert_eq!(p.stats(), FaultStats::default());
         // The streams were never advanced: a fresh plan's first real draw
@@ -676,10 +637,7 @@ mod tests {
         );
         let mut p = FaultPlan { cfg: q.cfg, ..p };
         for i in 0..4 {
-            assert_eq!(
-                p.draw_disk_io(DiskId(i), true),
-                q.draw_disk_io(DiskId(i), true)
-            );
+            assert_eq!(p.draw_io(Disk, i, true), q.draw_io(Disk, i, true));
         }
     }
 
@@ -691,17 +649,16 @@ mod tests {
             disk_mttf: Some(SimDuration::from_secs(10_000)),
             spin_up_fault: 0.1,
             spin_up_kill: 0.05,
-            ..FaultConfig::NONE
         };
         let run = || {
             let mut p = FaultPlan::new(cfg, 7);
             let mut out = Vec::new();
             for step in 0..200u32 {
-                let d = DiskId(step % 3);
+                let d = step % 3;
                 out.push((
-                    p.disk_failed(d, at(step as f64)),
-                    p.draw_disk_io(d, step % 2 == 0),
-                    p.draw_spin_up(d, at(step as f64)),
+                    p.failed(Disk, d, at(step as f64)),
+                    p.draw_io(Disk, d, step % 2 == 0),
+                    p.draw_spin_up(DiskId(d), at(step as f64)),
                 ));
             }
             (out, p.stats())
@@ -718,7 +675,7 @@ mod tests {
         let draw = |seed| {
             let mut p = FaultPlan::new(cfg, seed);
             (0..64)
-                .map(|_| p.draw_disk_io(DiskId(0), true).is_some())
+                .map(|_| p.draw_io(Disk, 0, true).is_some())
                 .collect::<Vec<_>>()
         };
         assert_ne!(draw(1), draw(2));
@@ -733,11 +690,11 @@ mod tests {
         // Draws for disk 1 must be unaffected by how often disk 0 draws.
         let mut a = FaultPlan::new(cfg, 9);
         for _ in 0..50 {
-            a.draw_disk_io(DiskId(0), true);
+            a.draw_io(Disk, 0, true);
         }
-        let seq_a: Vec<_> = (0..32).map(|_| a.draw_disk_io(DiskId(1), true)).collect();
+        let seq_a: Vec<_> = (0..32).map(|_| a.draw_io(Disk, 1, true)).collect();
         let mut b = FaultPlan::new(cfg, 9);
-        let seq_b: Vec<_> = (0..32).map(|_| b.draw_disk_io(DiskId(1), true)).collect();
+        let seq_b: Vec<_> = (0..32).map(|_| b.draw_io(Disk, 1, true)).collect();
         assert_eq!(seq_a, seq_b);
     }
 
@@ -748,16 +705,16 @@ mod tests {
             ..FaultConfig::NONE
         };
         let mut p = FaultPlan::new(cfg, 3);
-        assert!(!p.disk_failed(DiskId(0), at(5.0)));
+        assert!(!p.failed(Disk, 0, at(5.0)));
         assert_eq!(
             p.draw_spin_up(DiskId(0), at(5.0)),
             Some(FaultKind::DiskFailure)
         );
-        assert!(p.disk_failed(DiskId(0), at(5.0)));
+        assert!(p.failed(Disk, 0, at(5.0)));
         assert_eq!(p.stats().disk_failures, 1);
         // Rebuild resurrects it (no MTTF configured → immortal again).
         p.mark_rebuilt(DiskId(0), at(100.0));
-        assert!(!p.disk_failed(DiskId(0), at(1e6)));
+        assert!(!p.failed(Disk, 0, at(1e6)));
         assert_eq!(p.stats().rebuilds, 1);
     }
 
@@ -769,9 +726,11 @@ mod tests {
         };
         let mut p = FaultPlan::new(cfg, 11);
         // An exponential lifetime is finite: far future is always failed.
-        assert!(p.disk_failed(DiskId(0), at(1e12)));
-        assert!(p.disk_failed(DiskId(0), at(1e12)));
+        assert!(p.failed(Disk, 0, at(1e12)));
+        assert!(p.failed(Disk, 0, at(1e12)));
         assert_eq!(p.stats().disk_failures, 1);
+        // The MTTF is a disk's: an SSD never fails.
+        assert!(!p.failed(Ssd, 0, at(1e12)));
     }
 
     fn storm_cfg() -> ChaosConfig {
@@ -912,10 +871,8 @@ mod tests {
             ..FaultConfig::NONE
         };
         let mut p = FaultPlan::new(cfg, 5);
-        assert_eq!(p.draw_disk_io(DiskId(0), false), None);
-        assert_eq!(
-            p.draw_disk_io(DiskId(0), true),
-            Some(FaultKind::LatentSector)
-        );
+        assert_eq!(p.draw_io(Disk, 0, false), None);
+        assert_eq!(p.draw_io(Ssd, 0, true), None);
+        assert_eq!(p.draw_io(Disk, 0, true), Some(FaultKind::LatentSector));
     }
 }

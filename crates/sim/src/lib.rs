@@ -26,7 +26,8 @@
 //! ## Layout
 //!
 //! * [`perf`] — device service-time profiles (15K SCSI, flash SSD, CPU).
-//! * [`disk`], [`ssd`], [`cpu`] — the device implementations.
+//! * [`device`] — one FCFS storage device for disks and SSDs (an SSD
+//!   is a disk that never parks); [`cpu`] — the CPU pool.
 //! * [`raid`] — RAID-0/RAID-5 striping over disk sets, including
 //!   degraded-mode (reconstruct-from-parity) share math.
 //! * [`fault`] — seeded, deterministic fault injection ([`fault::FaultPlan`]).
@@ -61,7 +62,7 @@
 
 pub mod attr;
 pub mod cpu;
-pub mod disk;
+pub mod device;
 pub mod driver;
 pub mod error;
 pub mod event;
@@ -72,7 +73,6 @@ pub mod perf;
 pub mod raid;
 pub mod rng;
 pub mod sim;
-pub mod ssd;
 pub mod trace;
 
 pub use attr::{AttributionRow, AttributionTable, OperatorShare};

@@ -3,16 +3,16 @@
 
 use crate::attr::{AttributionAcc, AttributionTable};
 use crate::cpu::CpuDevice;
-use crate::disk::{DeviceStats, DiskDevice};
+use crate::device::{DeviceClass, DeviceStats, StorageDevice};
 use crate::error::SimError;
 use crate::fault::{FaultKind, FaultPlan, FaultStats};
 use crate::ids::{ArrayId, CpuId, DiskId, SsdId, StorageTarget};
 use crate::perf::{AccessPattern, CpuPerfProfile, DiskPerfProfile, FabricModel, SsdPerfProfile};
 use crate::raid::{RaidLevel, RaidSpec};
-use crate::ssd::SsdDevice;
 use grail_metrics::registry::SECONDS_BUCKETS;
 use grail_power::components::{CpuPowerProfile, DiskPowerProfile, SsdPowerProfile};
 use grail_power::ledger::{ComponentId, ComponentKind, EnergyLedger, LedgerOp};
+use grail_power::state::MachineSummary;
 use grail_power::units::{Bytes, Cycles, Joules, SimDuration, SimInstant, Watts};
 use grail_trace::{ArgValue, Category, Recorder, TraceEvent, TraceTime, Tracer, Track};
 
@@ -82,8 +82,8 @@ struct RecoveryCharge {
 /// base draw.
 #[derive(Debug, Clone)]
 pub struct Simulation {
-    disks: Vec<DiskDevice>,
-    ssds: Vec<SsdDevice>,
+    disks: Vec<StorageDevice>,
+    ssds: Vec<StorageDevice>,
     cpus: Vec<CpuDevice>,
     arrays: Vec<RaidSpec>,
     base_power: Watts,
@@ -238,7 +238,7 @@ impl Simulation {
             .disks
             .iter()
             .copied()
-            .filter(|d| plan.disk_failed(*d, at))
+            .filter(|d| plan.failed(DeviceClass::Disk, d.0, at))
             .collect())
     }
 
@@ -262,25 +262,14 @@ impl Simulation {
         disk_bytes: Bytes,
         cpu: Option<CpuId>,
     ) -> Result<Reservation, SimError> {
-        let spec = self.array(id)?.clone();
-        let failed: Vec<DiskId> = {
-            let Some(plan) = self.fault_plan.as_mut() else {
-                return Err(SimError::NothingToRebuild {
-                    array: format!("{id:?}"),
-                });
-            };
-            spec.disks
-                .iter()
-                .copied()
-                .filter(|d| plan.disk_failed(*d, at))
-                .collect()
-        };
+        let failed = self.failed_array_disks(id, at)?;
         if failed.is_empty() {
             return Err(SimError::NothingToRebuild {
                 array: format!("{id:?}"),
             });
         }
-        let survivors: Vec<DiskId> = spec
+        let survivors: Vec<DiskId> = self
+            .array(id)?
             .disks
             .iter()
             .copied()
@@ -351,7 +340,7 @@ impl Simulation {
     pub fn add_disk(&mut self, perf: DiskPerfProfile, power: DiskPowerProfile) -> DiskId {
         let id = DiskId(self.disks.len() as u32);
         self.disks
-            .push(DiskDevice::new(perf, power, SimInstant::EPOCH));
+            .push(StorageDevice::disk(perf, power, SimInstant::EPOCH));
         id
     }
 
@@ -369,7 +358,7 @@ impl Simulation {
     pub fn add_ssd(&mut self, perf: SsdPerfProfile, power: SsdPowerProfile) -> SsdId {
         let id = SsdId(self.ssds.len() as u32);
         self.ssds
-            .push(SsdDevice::new(perf, power, SimInstant::EPOCH));
+            .push(StorageDevice::ssd(perf, power, SimInstant::EPOCH));
         id
     }
 
@@ -432,11 +421,7 @@ impl Simulation {
         bytes: Bytes,
         access: AccessPattern,
     ) -> Result<Reservation, SimError> {
-        match target {
-            StorageTarget::Disk(id) => self.disk_io(id, at, bytes, access, true),
-            StorageTarget::Ssd(id) => self.ssd_io(id, at, bytes, access),
-            StorageTarget::Array(id) => self.array_io(id, at, bytes, access, true),
-        }
+        self.io(target, at, bytes, access, true)
     }
 
     /// Write `bytes` to `target` at `at` (RAID-5 pays parity overhead).
@@ -447,123 +432,121 @@ impl Simulation {
         bytes: Bytes,
         access: AccessPattern,
     ) -> Result<Reservation, SimError> {
-        match target {
-            StorageTarget::Disk(id) => self.disk_io(id, at, bytes, access, false),
-            StorageTarget::Ssd(id) => self.ssd_io(id, at, bytes, access),
-            StorageTarget::Array(id) => self.array_io(id, at, bytes, access, false),
-        }
+        self.io(target, at, bytes, access, false)
     }
 
-    /// Serve one single-disk IO, applying fault draws when a plan is
-    /// installed.
-    fn disk_io(
+    /// Serve one read or write on any target.
+    fn io(
         &mut self,
-        id: DiskId,
+        target: StorageTarget,
         at: SimInstant,
         bytes: Bytes,
         access: AccessPattern,
         is_read: bool,
     ) -> Result<Reservation, SimError> {
-        let idx = id.0 as usize;
-        if idx >= self.disks.len() {
-            return Err(SimError::UnknownDevice(format!("{id:?}")));
-        }
-        if let Some(plan) = self.fault_plan.as_mut() {
-            if plan.disk_failed(id, at) {
-                return Err(SimError::DeviceFailed {
-                    device: format!("{id:?}"),
-                });
+        match target {
+            StorageTarget::Disk(id) => {
+                self.device_io(DeviceClass::Disk, id.0, at, bytes, access, is_read)
             }
-            if self.disks[idx].is_parked() {
-                match plan.draw_spin_up(id, at) {
-                    None => {}
-                    Some(kind) => {
-                        // The failed attempt still burned the motor surge;
-                        // no device machine captured it, so charge it to
-                        // Recovery directly.
-                        let (lat, surge) = self.disks[idx].spin_up_cost();
-                        self.recovery.push(RecoveryCharge {
-                            from: None,
-                            energy: surge,
-                        });
-                        self.retry_pending += surge;
-                        self.attribute(surge);
-                        self.tracer.count("fault.spin_up_failures", 1);
-                        self.tracer.emit(Category::Fault, || {
-                            TraceEvent::instant(
-                                tt(at),
-                                Category::Fault,
-                                "fault.spin_up",
-                                Track::Device {
-                                    kind: "disk",
-                                    index: id.0,
-                                },
-                            )
+            StorageTarget::Ssd(id) => {
+                self.device_io(DeviceClass::Ssd, id.0, at, bytes, access, is_read)
+            }
+            StorageTarget::Array(id) => self.array_io(id, at, bytes, access, is_read),
+        }
+    }
+
+    /// Serve one IO on a single disk or SSD, applying fault draws when a
+    /// plan is installed: a parked disk draws its spin-up first, then the
+    /// served attempt draws a transient (on a disk read, also a latent)
+    /// fault.
+    fn device_io(
+        &mut self,
+        class: DeviceClass,
+        index: u32,
+        at: SimInstant,
+        bytes: Bytes,
+        access: AccessPattern,
+        is_read: bool,
+    ) -> Result<Reservation, SimError> {
+        let labels = class.labels();
+        let name = || format!("{}({index})", labels.id);
+        let track = Track::Device {
+            kind: labels.track,
+            index,
+        };
+        let devices = match class {
+            DeviceClass::Disk => &mut self.disks,
+            DeviceClass::Ssd => &mut self.ssds,
+        };
+        let dev = devices
+            .get_mut(index as usize)
+            .ok_or_else(|| SimError::UnknownDevice(name()))?;
+        if let Some(plan) = self.fault_plan.as_mut() {
+            if plan.failed(class, index, at) {
+                return Err(SimError::DeviceFailed { device: name() });
+            }
+            if dev.is_parked() {
+                if let Some(kind) = plan.draw_spin_up(DiskId(index), at) {
+                    // The failed attempt still burned the motor surge; no
+                    // device machine captured it, so charge it to
+                    // Recovery directly.
+                    let (lat, surge) = dev.spin_up_cost();
+                    self.waste(&[RecoveryCharge {
+                        from: None,
+                        energy: surge,
+                    }]);
+                    let killed = kind == FaultKind::DiskFailure;
+                    self.tracer.count("fault.spin_up_failures", 1);
+                    self.tracer.emit(Category::Fault, || {
+                        TraceEvent::instant(tt(at), Category::Fault, "fault.spin_up", track)
                             .arg("surge_j", surge.joules())
-                            .arg(
-                                "kind",
-                                if kind == FaultKind::DiskFailure {
-                                    "disk_failure"
-                                } else {
-                                    "transient"
-                                },
-                            )
-                        });
-                        return Err(if kind == FaultKind::DiskFailure {
-                            SimError::DeviceFailed {
-                                device: format!("{id:?}"),
-                            }
-                        } else {
-                            SimError::TransientIo {
-                                device: format!("{id:?}"),
-                                until: at + lat,
-                            }
-                        });
-                    }
+                            .arg("kind", if killed { "disk_failure" } else { "transient" })
+                    });
+                    return Err(if killed {
+                        SimError::DeviceFailed { device: name() }
+                    } else {
+                        SimError::TransientIo {
+                            device: name(),
+                            until: at + lat,
+                        }
+                    });
                 }
             }
         }
-        let r = self.disks[idx].serve(at, bytes, access);
-        if let Some(plan) = self.fault_plan.as_mut() {
-            if let Some(kind) = plan.draw_disk_io(id, is_read) {
-                let wasted = self.disks[idx].active_power() * r.duration();
-                self.recovery.push(RecoveryCharge {
-                    from: Some(ComponentId::new(ComponentKind::Disk, id.0)),
-                    energy: wasted,
-                });
-                self.retry_pending += wasted;
-                self.attribute(wasted);
-                self.tracer.count("fault.io_faults", 1);
-                self.tracer.emit(Category::Fault, || {
-                    TraceEvent::instant(
-                        tt(r.end),
-                        Category::Fault,
-                        "fault.disk_io",
-                        Track::Device {
-                            kind: "disk",
-                            index: id.0,
-                        },
-                    )
-                    .arg("wasted_j", wasted.joules())
-                });
-                let device = format!("{id:?}");
-                return Err(match kind {
-                    FaultKind::LatentSector => SimError::LatentSector {
-                        device,
-                        until: r.end,
-                    },
-                    _ => SimError::TransientIo {
-                        device,
-                        until: r.end,
-                    },
-                });
-            }
+        let r = dev.serve(at, bytes, access);
+        let active = dev.active_power() * r.duration();
+        let fault = self
+            .fault_plan
+            .as_mut()
+            .and_then(|plan| plan.draw_io(class, index, is_read));
+        if let Some(kind) = fault {
+            // The attempt's service energy was wasted: recovery work,
+            // attributed to the retry.
+            self.waste(&[RecoveryCharge {
+                from: Some(ComponentId::new(labels.kind, index)),
+                energy: active,
+            }]);
+            self.tracer.count("fault.io_faults", 1);
+            self.tracer.emit(Category::Fault, || {
+                TraceEvent::instant(tt(r.end), Category::Fault, labels.fault, track)
+                    .arg("wasted_j", active.joules())
+            });
+            let device = name();
+            return Err(match kind {
+                FaultKind::LatentSector => SimError::LatentSector {
+                    device,
+                    until: r.end,
+                },
+                _ => SimError::TransientIo {
+                    device,
+                    until: r.end,
+                },
+            });
         }
-        let active = self.disks[idx].active_power() * r.duration();
         self.attribute(active);
         self.tracer.count("io.requests", 1);
         self.tracer.observe(
-            "io.disk_service_secs",
+            labels.service_secs,
             SECONDS_BUCKETS,
             r.duration().as_secs_f64(),
         );
@@ -572,11 +555,8 @@ impl Simulation {
                 tt(r.start),
                 r.duration().as_nanos(),
                 Category::Io,
-                if is_read { "disk_read" } else { "disk_write" },
-                Track::Device {
-                    kind: "disk",
-                    index: id.0,
-                },
+                if is_read { labels.read } else { labels.write },
+                track,
             )
             .arg("bytes", bytes.get())
             .arg("active_j", active.joules())
@@ -584,77 +564,19 @@ impl Simulation {
         Ok(r)
     }
 
-    /// Serve one SSD IO, applying fault draws when a plan is installed.
-    fn ssd_io(
-        &mut self,
-        id: SsdId,
-        at: SimInstant,
-        bytes: Bytes,
-        access: AccessPattern,
-    ) -> Result<Reservation, SimError> {
-        let idx = id.0 as usize;
-        if idx >= self.ssds.len() {
-            return Err(SimError::UnknownDevice(format!("{id:?}")));
+    /// Book the energy of a failed attempt: each charge moves to the
+    /// `Recovery` category at settlement and waits in the retry energy
+    /// the driver drains, and their sum is attributed once to the
+    /// current query. Returns that sum.
+    fn waste(&mut self, charges: &[RecoveryCharge]) -> Joules {
+        let mut total = Joules::ZERO;
+        for &charge in charges {
+            self.recovery.push(charge);
+            self.retry_pending += charge.energy;
+            total += charge.energy;
         }
-        if let Some(plan) = self.fault_plan.as_mut() {
-            if plan.ssd_failed(id, at) {
-                return Err(SimError::DeviceFailed {
-                    device: format!("{id:?}"),
-                });
-            }
-        }
-        let r = self.ssds[idx].serve(at, bytes, access);
-        if let Some(plan) = self.fault_plan.as_mut() {
-            if plan.draw_ssd_io(id).is_some() {
-                let wasted = self.ssds[idx].active_power() * r.duration();
-                self.recovery.push(RecoveryCharge {
-                    from: Some(ComponentId::new(ComponentKind::Ssd, id.0)),
-                    energy: wasted,
-                });
-                self.retry_pending += wasted;
-                self.attribute(wasted);
-                self.tracer.count("fault.io_faults", 1);
-                self.tracer.emit(Category::Fault, || {
-                    TraceEvent::instant(
-                        tt(r.end),
-                        Category::Fault,
-                        "fault.ssd_io",
-                        Track::Device {
-                            kind: "ssd",
-                            index: id.0,
-                        },
-                    )
-                    .arg("wasted_j", wasted.joules())
-                });
-                return Err(SimError::TransientIo {
-                    device: format!("{id:?}"),
-                    until: r.end,
-                });
-            }
-        }
-        let active = self.ssds[idx].active_power() * r.duration();
-        self.attribute(active);
-        self.tracer.count("io.requests", 1);
-        self.tracer.observe(
-            "io.ssd_service_secs",
-            SECONDS_BUCKETS,
-            r.duration().as_secs_f64(),
-        );
-        self.tracer.emit(Category::Io, || {
-            TraceEvent::span(
-                tt(r.start),
-                r.duration().as_nanos(),
-                Category::Io,
-                "ssd_io",
-                Track::Device {
-                    kind: "ssd",
-                    index: id.0,
-                },
-            )
-            .arg("bytes", bytes.get())
-            .arg("active_j", active.joules())
-        });
-        Ok(r)
+        self.attribute(total);
+        total
     }
 
     /// Serve one array IO (read or write), handling degraded RAID-5 mode
@@ -689,13 +611,12 @@ impl Simulation {
         if let Some(plan) = self.fault_plan.as_mut() {
             let mut failed: Vec<usize> = Vec::new();
             for (i, d) in spec.disks.iter().enumerate() {
-                if plan.disk_failed(*d, at) {
+                if plan.failed(DeviceClass::Disk, d.0, at) {
                     failed.push(i);
                 }
             }
             let mut spin_err: Option<SimError> = None;
-            let mut surge_total = Joules::ZERO;
-            let mut spin_faults = 0u64;
+            let mut surges: Vec<RecoveryCharge> = Vec::new();
             for (i, d) in spec.disks.iter().enumerate() {
                 if failed.contains(&i) {
                     continue;
@@ -710,13 +631,10 @@ impl Simulation {
                 }
                 if let Some(kind) = plan.draw_spin_up(*d, at) {
                     let (lat, surge) = self.disks[d.0 as usize].spin_up_cost();
-                    self.recovery.push(RecoveryCharge {
+                    surges.push(RecoveryCharge {
                         from: None,
                         energy: surge,
                     });
-                    self.retry_pending += surge;
-                    surge_total += surge;
-                    spin_faults += 1;
                     if kind == FaultKind::DiskFailure {
                         failed.push(i);
                     }
@@ -728,8 +646,9 @@ impl Simulation {
                     }
                 }
             }
-            if spin_faults > 0 {
-                self.attribute(surge_total);
+            if !surges.is_empty() {
+                let surge_total = self.waste(&surges);
+                let spin_faults = surges.len() as u64;
                 self.tracer.count("fault.spin_up_failures", spin_faults);
                 self.tracer.emit(Category::Fault, || {
                     TraceEvent::instant(tt(at), Category::Fault, "fault.spin_up", Track::Main)
@@ -800,7 +719,7 @@ impl Simulation {
             // first fault fails the whole attempt.
             let mut fault: Option<(DiskId, FaultKind)> = None;
             for (disk, _) in &served {
-                if let Some(k) = plan.draw_disk_io(*disk, is_read) {
+                if let Some(k) = plan.draw_io(DeviceClass::Disk, disk.0, is_read) {
                     if fault.is_none() {
                         fault = Some((*disk, k));
                     }
@@ -809,17 +728,14 @@ impl Simulation {
             if let Some((disk, kind)) = fault {
                 // Every member's service time was wasted: its energy is
                 // recovery work, attributed to the retry.
-                let mut wasted_total = Joules::ZERO;
-                for (d, r) in &served {
-                    let wasted = self.disks[d.0 as usize].active_power() * r.duration();
-                    self.recovery.push(RecoveryCharge {
+                let wasted: Vec<RecoveryCharge> = served
+                    .iter()
+                    .map(|(d, r)| RecoveryCharge {
                         from: Some(ComponentId::new(ComponentKind::Disk, d.0)),
-                        energy: wasted,
-                    });
-                    self.retry_pending += wasted;
-                    wasted_total += wasted;
-                }
-                self.attribute(wasted_total);
+                        energy: self.disks[d.0 as usize].active_power() * r.duration(),
+                    })
+                    .collect();
+                let wasted_total = self.waste(&wasted);
                 self.tracer.count("fault.io_faults", 1);
                 self.tracer.emit(Category::Fault, || {
                     TraceEvent::instant(tt(res.end), Category::Fault, "fault.array_io", {
@@ -981,41 +897,32 @@ impl Simulation {
 
     /// Spin down one disk; returns when the transition completes.
     pub fn park_disk(&mut self, id: DiskId, at: SimInstant) -> Result<SimInstant, SimError> {
-        let d = self
-            .disks
-            .get_mut(id.0 as usize)
-            .ok_or_else(|| SimError::UnknownDevice(format!("{id:?}")))?;
-        let done = d.park(at);
-        self.tracer.count("power.parks", 1);
-        self.tracer.emit(Category::Power, || {
-            TraceEvent::span(
-                tt(at),
-                done.saturating_duration_since(at).as_nanos(),
-                Category::Power,
-                "disk_park",
-                Track::Device {
-                    kind: "disk",
-                    index: id.0,
-                },
-            )
-        });
-        Ok(done)
+        self.spin(id, at, true)
     }
 
     /// Spin one disk back up; returns when it is ready.
     pub fn unpark_disk(&mut self, id: DiskId, at: SimInstant) -> Result<SimInstant, SimError> {
+        self.spin(id, at, false)
+    }
+
+    /// Park (`down`) or unpark disk `id` at `at`, tracing the transition.
+    fn spin(&mut self, id: DiskId, at: SimInstant, down: bool) -> Result<SimInstant, SimError> {
         let d = self
             .disks
             .get_mut(id.0 as usize)
             .ok_or_else(|| SimError::UnknownDevice(format!("{id:?}")))?;
-        let done = d.unpark(at);
-        self.tracer.count("power.unparks", 1);
+        let (done, counter, name) = if down {
+            (d.park(at), "power.parks", "disk_park")
+        } else {
+            (d.unpark(at), "power.unparks", "disk_unpark")
+        };
+        self.tracer.count(counter, 1);
         self.tracer.emit(Category::Power, || {
             TraceEvent::span(
                 tt(at),
                 done.saturating_duration_since(at).as_nanos(),
                 Category::Power,
-                "disk_unpark",
+                name,
                 Track::Device {
                     kind: "disk",
                     index: id.0,
@@ -1064,40 +971,31 @@ impl Simulation {
             ledger.enable_journal();
         }
         ledger.cover(SimInstant::EPOCH, end);
-        let mut disk_stats = Vec::with_capacity(self.disks.len());
-        for (i, d) in self.disks.into_iter().enumerate() {
-            disk_stats.push(d.stats());
-            let s = d.finish_summary(end);
+        // Devices settle in a fixed order (disks, SSDs, CPU pools): it
+        // is the ledger journal's order.
+        let mut settle = |id: ComponentId, summary: MachineSummary| {
             if let Some(rec) = self.tracer.recorder_mut() {
-                s.feed_metrics(rec.metrics_mut());
+                summary.feed_metrics(rec.metrics_mut());
             }
-            ledger.charge(
-                ComponentId::new(ComponentKind::Disk, i as u32),
-                s.total_energy,
-            );
-        }
-        let mut ssd_stats = Vec::with_capacity(self.ssds.len());
-        for (i, s) in self.ssds.into_iter().enumerate() {
-            ssd_stats.push(s.stats());
-            let sum = s.finish_summary(end);
-            if let Some(rec) = self.tracer.recorder_mut() {
-                sum.feed_metrics(rec.metrics_mut());
+            ledger.charge(id, summary.total_energy);
+        };
+        let (mut disk_stats, mut ssd_stats) = (Vec::new(), Vec::new());
+        for (class, devices, stats) in [
+            (DeviceClass::Disk, self.disks, &mut disk_stats),
+            (DeviceClass::Ssd, self.ssds, &mut ssd_stats),
+        ] {
+            for (i, d) in devices.into_iter().enumerate() {
+                stats.push(d.stats());
+                let id = ComponentId::new(class.labels().kind, i as u32);
+                settle(id, d.finish_summary(end));
             }
-            ledger.charge(
-                ComponentId::new(ComponentKind::Ssd, i as u32),
-                sum.total_energy,
-            );
         }
         let mut cpu_stats = Vec::with_capacity(self.cpus.len());
         for (i, c) in self.cpus.into_iter().enumerate() {
             cpu_stats.push(c.stats());
-            let sum = c.finish_summary(end);
-            if let Some(rec) = self.tracer.recorder_mut() {
-                sum.feed_metrics(rec.metrics_mut());
-            }
-            ledger.charge(
+            settle(
                 ComponentId::new(ComponentKind::Cpu, i as u32),
-                sum.total_energy,
+                c.finish_summary(end),
             );
         }
         if self.base_power.get() > 0.0 {
