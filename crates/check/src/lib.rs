@@ -9,26 +9,24 @@
 //! over the full transition relation, deduplicating on exact state
 //! encodings under a configurable state [`Budget`]. Obligations are
 //! checked in depth order, so the first violation met already has the
-//! *shortest* counterexample; its action trace is emitted as JSONL plus
-//! a rustc-style diagnostic.
+//! *shortest* counterexample; its action trace is rendered as a
+//! rustc-style diagnostic.
 //!
 //! Two production protocols ship as models (see [`models`]), each
 //! extracted so the model drives the *real* transition code — the
 //! admission/placement/breaker core of `grail_scheduler::chaos` and
 //! the audited [`EnergyLedger`] API — never a copy, so a rename or
 //! signature change of either breaks this crate's build. The
-//! [`registry`] lists the models and the function each one drives.
+//! [`registry`] lists the models and the function each one drives;
+//! `tests/models.rs` checks them all and pins how much each explores.
 //!
 //! Everything here is deterministic: no wall clock, no hashing,
-//! `BTreeMap` only, and the engine never spawns threads — fan-out
-//! across models goes through `grail_par::Runner` exactly like the rest
-//! of the workspace.
+//! `BTreeMap` only, and the engine never spawns threads.
 //!
 //! [`EnergyLedger`]: grail_power::EnergyLedger
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-use grail_metrics::text::json_escape;
 use std::collections::BTreeMap;
 
 pub mod models;
@@ -94,17 +92,10 @@ pub struct Budget {
 }
 
 /// The committed CI budget: every shipped model must exhaust its state
-/// space well inside this (see `tests/models.rs` and the `check` CI
-/// job).
+/// space well inside this (see `tests/models.rs`).
 pub const CI_BUDGET: Budget = Budget {
     max_states: 1 << 18,
 };
-
-impl Default for Budget {
-    fn default() -> Self {
-        CI_BUDGET
-    }
-}
 
 /// Exploration statistics, reported on every outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -332,33 +323,11 @@ fn rebuild<M: Model>(
 }
 
 // ---------------------------------------------------------------------------
-// Rendering: JSONL artifact + rustc-style diagnostic
+// Rendering: the rustc-style diagnostic
 // ---------------------------------------------------------------------------
 
-/// Render a counterexample as JSONL: one header object, then one object
-/// per step. Byte-stable for fixed inputs.
-pub fn to_jsonl(model: &str, cx: &Counterexample) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"model\":\"{}\",\"kind\":\"{}\",\"message\":\"{}\",\"steps\":{},\"initial\":\"{}\"}}\n",
-        json_escape(model),
-        cx.kind.label(),
-        json_escape(&cx.message),
-        cx.steps.len(),
-        json_escape(&cx.initial),
-    ));
-    for (i, step) in cx.steps.iter().enumerate() {
-        out.push_str(&format!(
-            "{{\"step\":{},\"action\":\"{}\",\"state\":\"{}\"}}\n",
-            i,
-            json_escape(&step.action),
-            json_escape(&step.state),
-        ));
-    }
-    out
-}
-
-/// Render a counterexample as a rustc-style diagnostic.
+/// Render a counterexample as a rustc-style diagnostic. Byte-stable for
+/// fixed inputs.
 pub fn to_diagnostic(model: &str, cx: &Counterexample, stats: Stats) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -383,9 +352,9 @@ pub fn to_diagnostic(model: &str, cx: &Counterexample, stats: Stats) -> String {
     out
 }
 
-/// The result of running one registry entry: everything the CLI, CI
-/// job, and byte-stability tests consume. Deterministic for fixed
-/// model + budget.
+/// The result of running one registry entry: the one-line verdict
+/// `tests/models.rs` pins and, on failure, the diagnostic its assertion
+/// prints. Deterministic for fixed model + budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Model name.
@@ -394,8 +363,6 @@ pub struct Report {
     pub passed: bool,
     /// One-line outcome summary.
     pub line: String,
-    /// Counterexample JSONL artifact, when there is one.
-    pub jsonl: Option<String>,
     /// Rustc-style diagnostic, when there is one.
     pub diagnostic: Option<String>,
 }
@@ -413,7 +380,6 @@ pub fn run_model<M: Model>(model: &M, budget: Budget) -> Report {
                 "pass: {} states, {} transitions (fixpoint within budget)",
                 s.states, s.transitions
             ),
-            jsonl: None,
             diagnostic: None,
         },
         Outcome::Violation(s, cx) => Report {
@@ -426,7 +392,6 @@ pub fn run_model<M: Model>(model: &M, budget: Budget) -> Report {
                 s.states,
                 cx.steps.len()
             ),
-            jsonl: Some(to_jsonl(name, &cx)),
             diagnostic: Some(to_diagnostic(name, &cx, stats)),
         },
         Outcome::Budget(s, what) => Report {
@@ -436,10 +401,9 @@ pub fn run_model<M: Model>(model: &M, budget: Budget) -> Report {
                 "FAIL[budget]: {what} ({} states, {} transitions)",
                 s.states, s.transitions
             ),
-            jsonl: None,
             diagnostic: Some(format!(
                 "error[model-check]: model `{name}` exceeded its budget: {what}\n\
-                 \x20 = note: raise --max-states or shrink the model instance\n"
+                 \x20 = note: raise the budget or shrink the model instance\n"
             )),
         },
     }
@@ -503,7 +467,7 @@ mod tests {
             ceiling: 10,
             broken: false,
         };
-        let out = check(&m, Budget::default());
+        let out = check(&m, CI_BUDGET);
         assert!(out.passed(), "{out:?}");
         // States 0..=11 are reachable (10+2 overshoot allowed by +2).
         assert_eq!(out.stats().states, 12);
@@ -521,7 +485,7 @@ mod tests {
             ceiling: 4,
             broken: true,
         };
-        match check(&m, Budget::default()) {
+        match check(&m, CI_BUDGET) {
             Outcome::Violation(_, cx) => {
                 assert_eq!(cx.kind, CxKind::Invariant);
                 assert_eq!(cx.steps.len(), 3, "{cx:?}");
@@ -541,24 +505,26 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_and_diagnostic_are_stable() {
+    fn diagnostic_is_stable() {
         let cx = Counterexample {
             kind: CxKind::Invariant,
-            message: "x \"quoted\" and\nnewline".to_string(),
+            message: "counter 5 above 4".to_string(),
             initial: "n=0".to_string(),
             steps: vec![TraceStep {
                 action: "+1".to_string(),
                 state: "n=1".to_string(),
             }],
         };
-        let j = to_jsonl("counter", &cx);
-        assert!(j.starts_with("{\"model\":\"counter\",\"kind\":\"invariant\""));
-        assert!(j.contains("\\\"quoted\\\""));
-        assert!(j.contains("and\\nnewline"));
-        assert_eq!(j.lines().count(), 2);
-        let d = to_diagnostic("counter", &cx, Stats::default());
-        assert!(d.starts_with("error[model-check]:"));
-        assert!(d.contains("minimized trace, 1 step(s)"));
+        assert_eq!(
+            to_diagnostic("counter", &cx, Stats::default()),
+            "error[model-check]: model `counter` fails its invariant obligation: counter 5 above 4\n\
+             \x20 --> grail-check(counter): minimized trace, 1 step(s)\n\
+             \x20  |\n\
+             \x20  |   init: n=0\n\
+             \x20  |     0: +1\n\
+             \x20  |        => n=1\n\
+             \x20  = note: 0 states, 0 transitions explored\n"
+        );
     }
 
     /// A hand-drawn graph over small integers, for the obligations no
@@ -616,7 +582,7 @@ mod tests {
     }
 
     fn violation(g: &Graph) -> Counterexample {
-        match check(g, Budget::default()) {
+        match check(g, CI_BUDGET) {
             Outcome::Violation(_, cx) => cx,
             other => panic!("expected violation, got {other:?}"),
         }
@@ -643,7 +609,7 @@ mod tests {
         assert_eq!(trace(&cx), ["go 2", "go 4"]);
         // The same graph with 4 declared final is clean.
         let ok = Graph { finals: &[4], ..g };
-        assert!(check(&ok, Budget::default()).passed());
+        assert!(check(&ok, CI_BUDGET).passed());
     }
 
     #[test]
@@ -676,7 +642,7 @@ mod tests {
             edges: [&g.edges[..], &[(9, 0)]].concat(),
             ..g
         };
-        assert!(check(&ok, Budget::default()).passed());
+        assert!(check(&ok, CI_BUDGET).passed());
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //!
 //! [`LedgerModel::broken_control`] is the seeded negative control for
 //! the whole pipeline: the same model with a shadow accumulator that
-//! counts what a `Transfer` moved as if it had been charged. CI runs it
-//! in a must-fail leg — grail-check has to find the breach by its
-//! shortest trace (a disk charge, then a transfer that actually moves
-//! some of it) and exit non-zero, proving the checker can catch the
-//! class of bug the faithful models certify the absence of.
+//! counts what a `Transfer` moved as if it had been charged. A test
+//! requires the checker to find the breach by its shortest trace (a
+//! disk charge, then a transfer that actually moves some of it),
+//! proving it can catch the class of bug the faithful models certify
+//! the absence of.
 
 use crate::Model;
 use grail_power::units::{Joules, SimDuration, SimInstant};
@@ -70,9 +70,8 @@ pub struct LedgerModel {
 }
 
 /// Number of steps in the minimal counterexample for
-/// [`LedgerModel::broken_control`] — pinned so the byte-stability tests
-/// and the CI must-fail leg can assert the exact trace, not just "some
-/// trace".
+/// [`LedgerModel::broken_control`] — pinned so its test can assert the
+/// exact trace, not just "some trace".
 pub const BROKEN_TRACE_LEN: usize = 2;
 
 impl LedgerModel {

@@ -6,7 +6,7 @@
 //! precisely so the model and the production loop share one copy of
 //! the logic, and the ledger model's state literally contains an
 //! `EnergyLedger`. [`LedgerModel::broken_control`] is the seeded
-//! negative control for CI's must-fail leg.
+//! negative control, which `tests/models.rs` requires to fail.
 //!
 //! [`Model`]: crate::Model
 

@@ -1,75 +1,29 @@
-//! The model registry: every shipped protocol model and a
-//! deterministic way to run them all.
+//! The model registry: every shipped protocol model, and the seeded
+//! negative control beside it. Each entry checks its model under a
+//! budget; the [`Report`] carries the model's name.
 //!
 //! What binds a model to the shipped code is that its `step` calls the
-//! production transition function its `about` names: rename or re-sign
-//! that function and this crate stops compiling.
+//! production transition function its entry's doc names: rename or
+//! re-sign that function and this crate stops compiling.
 
 use crate::models::{ChaosModel, LedgerModel};
 use crate::{run_model, Budget, Report};
 
-/// One registered model.
-pub struct ModelEntry {
-    /// Stable name, usable with `grail-check --model NAME`.
-    pub name: &'static str,
-    /// One-line description for `--list` output, naming the production
-    /// function the model drives.
-    pub about: &'static str,
-    /// Check the model under a budget.
-    pub run: fn(Budget) -> Report,
-}
+/// `scheduler::chaos::FleetState::apply`: admission conservation,
+/// breaker deadlines, domain-capped placement.
+pub const CHAOS_FAILOVER: fn(Budget) -> Report =
+    |budget| run_model(&ChaosModel::reference(), budget);
 
-fn run_chaos(budget: Budget) -> Report {
-    run_model(&ChaosModel::reference(), budget)
-}
+/// `EnergyLedger::{charge, transfer, cover}`: bit-exact conservation,
+/// transfer neutrality, settlement liveness.
+pub const LEDGER_SETTLEMENT: fn(Budget) -> Report =
+    |budget| run_model(&LedgerModel::reference(), budget);
 
-fn run_ledger(budget: Budget) -> Report {
-    run_model(&LedgerModel::reference(), budget)
-}
+/// Every shipped model; each must pass.
+pub const REGISTRY: &[fn(Budget) -> Report] = &[CHAOS_FAILOVER, LEDGER_SETTLEMENT];
 
-fn run_broken(budget: Budget) -> Report {
-    run_model(&LedgerModel::broken_control(), budget)
-}
-
-/// Every shipped model, in the order the default run checks them.
-pub const REGISTRY: &[ModelEntry] = &[
-    ModelEntry {
-        name: "chaos-failover",
-        about: "scheduler::chaos::FleetState::apply — admission conservation, breaker deadlines, \
-                domain-capped placement",
-        run: run_chaos,
-    },
-    ModelEntry {
-        name: "ledger-settlement",
-        about: "EnergyLedger::{charge, transfer, cover} — bit-exact conservation, transfer \
-                neutrality, settlement liveness",
-        run: run_ledger,
-    },
-];
-
-/// The seeded negative control. Not part of [`REGISTRY`]: the default
-/// run must pass, and this model must fail — CI runs it in a dedicated
-/// must-fail leg via `--model broken-ledger`.
-pub const BROKEN: ModelEntry = ModelEntry {
-    name: "broken-ledger",
-    about: "EnergyLedger::{charge, transfer, cover} beside a seeded shadow accumulator counting \
-            transfers as charges (negative control; must fail)",
-    run: run_broken,
-};
-
-/// Look a model up by name, including the seeded broken one.
-pub fn find(name: &str) -> Option<&'static ModelEntry> {
-    REGISTRY
-        .iter()
-        .chain(std::iter::once(&BROKEN))
-        .find(|e| e.name == name)
-}
-
-/// Check every registered model (the broken control excluded), fanning
-/// across `runner` threads, reports in registry order. Deterministic:
-/// the runner returns results in input order whatever the thread count,
-/// and each model's exploration is itself deterministic, so the full
-/// report vector is byte-stable across 1/2/8 threads.
-pub fn run_all(budget: Budget, runner: &grail_par::Runner) -> Vec<Report> {
-    runner.run(REGISTRY, |_, entry| (entry.run)(budget))
-}
+/// The seeded negative control, not part of [`REGISTRY`]:
+/// `EnergyLedger::{charge, transfer, cover}` beside a shadow accumulator
+/// that counts transfers as charges. It must fail, and `tests/models.rs`
+/// pins its minimized trace.
+pub const BROKEN: fn(Budget) -> Report = |budget| run_model(&LedgerModel::broken_control(), budget);

@@ -6,24 +6,25 @@
 //! CI budget, the deliberately broken model fails with a minimized
 //! trace of known length, and the full report vector — counterexample
 //! bytes included — is identical whether the registry fans across 1, 2,
-//! or 8 runner threads.
+//! or 8 runner threads. A failing model's assertion prints its
+//! rustc-style diagnostic.
 
 use grail_check::models::BROKEN_TRACE_LEN;
-use grail_check::registry::{find, run_all, ModelEntry, BROKEN, REGISTRY};
+use grail_check::registry::{BROKEN, REGISTRY};
 use grail_check::{Budget, Report, CI_BUDGET};
 use grail_par::Runner;
 
 #[test]
 fn every_registered_model_reaches_fixpoint_clean_within_ci_budget() {
-    let reports = run_all(CI_BUDGET, &Runner::sequential());
-    assert_eq!(reports.len(), REGISTRY.len());
+    let reports = Runner::sequential().run(REGISTRY, |_, run| run(CI_BUDGET));
     for r in &reports {
-        assert!(r.passed, "{}: {}", r.model, r.line);
-        assert!(r.jsonl.is_none() && r.diagnostic.is_none());
+        let diagnostic = r.diagnostic.as_deref().unwrap_or_default();
+        assert!(r.passed, "{}: {}\n{diagnostic}", r.model, r.line);
+        assert!(r.diagnostic.is_none());
     }
     // How much each model explores is part of the obligation: a change
     // that silently explores less proves less. A deliberate model
-    // change updates its pair here and in the `check` CI job.
+    // change updates its line here.
     let lines: Vec<(&str, &str)> = reports.iter().map(|r| (r.model, &r.line[..])).collect();
     assert_eq!(
         lines,
@@ -42,37 +43,35 @@ fn every_registered_model_reaches_fixpoint_clean_within_ci_budget() {
 
 #[test]
 fn broken_model_fails_with_a_minimized_trace_of_known_length() {
-    let entry = find("broken-ledger").expect("seeded control is registered");
-    let report = (entry.run)(CI_BUDGET);
+    let report = BROKEN(CI_BUDGET);
     assert!(
         !report.passed,
         "the negative control passed: {}",
         report.line
     );
-
-    let jsonl = report.jsonl.as_deref().expect("violation carries JSONL");
-    // Header line + one line per minimized step.
-    assert_eq!(
-        jsonl.lines().count(),
-        1 + BROKEN_TRACE_LEN,
-        "trace no longer minimal?\n{jsonl}"
-    );
-    let header = jsonl.lines().next().expect("header line");
-    assert!(header.contains("\"model\":\"broken-ledger\""), "{header}");
-    assert!(header.contains("\"kind\":\"invariant\""), "{header}");
     assert!(
-        header.contains(&format!("\"steps\":{BROKEN_TRACE_LEN}")),
-        "{header}"
+        report.line.starts_with("FAIL[invariant]"),
+        "{}",
+        report.line
     );
 
     let diag = report
         .diagnostic
         .as_deref()
         .expect("violation carries diagnostic");
-    assert!(diag.starts_with("error[model-check]:"), "{diag}");
+    assert!(
+        diag.starts_with("error[model-check]: model `broken-ledger` fails its invariant"),
+        "{diag}"
+    );
     assert!(
         diag.contains(&format!("minimized trace, {BROKEN_TRACE_LEN} step(s)")),
         "{diag}"
+    );
+    // One `=>` line per minimized step.
+    assert_eq!(
+        diag.lines().filter(|l| l.contains(" => ")).count(),
+        BROKEN_TRACE_LEN,
+        "trace no longer minimal?\n{diag}"
     );
 }
 
@@ -88,11 +87,11 @@ fn the_faithful_twin_of_the_broken_model_passes() {
 
 #[test]
 fn reports_are_byte_identical_across_1_2_and_8_threads() {
-    let entries: Vec<&ModelEntry> = REGISTRY.iter().chain(std::iter::once(&BROKEN)).collect();
-    let baseline: Vec<Report> = Runner::sequential().run(&entries, |_, e| (e.run)(CI_BUDGET));
+    let entries = [REGISTRY, &[BROKEN]].concat();
+    let baseline: Vec<Report> = Runner::sequential().run(&entries, |_, run| run(CI_BUDGET));
     assert!(baseline.iter().any(|r| !r.passed), "control must fail");
     for threads in [2, 8] {
-        let reports = Runner::with_threads(threads).run(&entries, |_, e| (e.run)(CI_BUDGET));
+        let reports = Runner::with_threads(threads).run(&entries, |_, run| run(CI_BUDGET));
         assert_eq!(
             reports, baseline,
             "reports drifted at {threads} threads — counterexample bytes must not \
@@ -103,8 +102,9 @@ fn reports_are_byte_identical_across_1_2_and_8_threads() {
 
 #[test]
 fn a_tight_budget_fails_loudly_instead_of_passing_vacuously() {
-    let entry = find("chaos-failover").expect("registered");
-    let report = (entry.run)(Budget { max_states: 8 });
-    assert!(!report.passed);
-    assert!(report.line.contains("budget"), "{}", report.line);
+    let tight = Budget { max_states: 8 };
+    for report in Runner::sequential().run(REGISTRY, |_, run| run(tight)) {
+        assert!(!report.passed, "{}: {}", report.model, report.line);
+        assert!(report.line.contains("budget"), "{}", report.line);
+    }
 }

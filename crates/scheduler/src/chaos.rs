@@ -1686,115 +1686,6 @@ mod tests {
         let (rb, tb) = run();
         assert_eq!(ra, rb);
         assert_eq!(ta, tb);
-        // Identical to itself is not identical to the last commit: the
-        // exported bytes are pinned (FNV-1a, 64-bit; the constant the
-        // root `trace_determinism` test carries, measured before the
-        // recorder's event layout changed in PR 17).
-        let mut digest = Fnv1a::new();
-        for export in &ta {
-            std::fmt::Write::write_str(&mut digest, export).expect("hashing cannot fail");
-        }
-        assert_eq!(digest.0, 0xa9ef_a98d_49a1_a7d2);
-    }
-
-    /// FNV-1a (64-bit) of whatever is written into it.
-    struct Fnv1a(u64);
-
-    impl Fnv1a {
-        fn new() -> Self {
-            Fnv1a(0xcbf2_9ce4_8422_2325)
-        }
-    }
-
-    impl std::fmt::Write for Fnv1a {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for b in s.bytes() {
-                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-
-    /// Digest of a value's `{:?}` rendering, hashed as it is formatted: a
-    /// 512-machine report renders to tens of megabytes.
-    fn debug_digest(v: &impl std::fmt::Debug) -> u64 {
-        use std::fmt::Write;
-        let mut h = Fnv1a::new();
-        write!(h, "{v:?}").expect("hashing cannot fail");
-        h.0
-    }
-
-    /// The whole [`ChaosReport`] — ledger bits, every `PlacementChange`,
-    /// counters — of a 16 × 32 `chaos_fleet` under a generated hurricane,
-    /// per policy and demand. `reference_storm` above pins 24 machines
-    /// under one policy; this is the fleet size where a mis-ordered
-    /// efficiency tie or a re-associated ledger sum would show. The
-    /// constants (shared with the root `chaos_determinism` test) were
-    /// measured before placement stopped sorting per event.
-    #[test]
-    fn fleet_scale_report_bytes_are_pinned() {
-        use grail_sim::fault::ChaosConfig;
-        const PINNED: [(PlacementPolicy, u32, [u64; 2]); 4] = [
-            (
-                PlacementPolicy::Spread,
-                1,
-                [0xae27_6841_19e6_eb7b, 0x9d81_b430_ca9e_eb21],
-            ),
-            (
-                PlacementPolicy::Consolidate,
-                1,
-                [0xe525_9475_9767_9a12, 0x3f66_4eeb_33b9_89f5],
-            ),
-            (
-                PlacementPolicy::Consolidate,
-                2,
-                [0x77f6_d553_6e18_e4fc, 0x8bb8_3fc0_6983_f0a5],
-            ),
-            (
-                PlacementPolicy::Consolidate,
-                3,
-                [0x514c_0d56_31af_795c, 0x59e5_01bd_cd5c_029b],
-            ),
-        ];
-        let hurricane = ChaosConfig {
-            machine_mtbf: Some(SimDuration::from_secs(6 * 3_600)),
-            machine_restart: SimDuration::from_secs(900),
-            domain_mtbf: Some(SimDuration::from_secs(86_400)),
-            domain_outage: SimDuration::from_secs(3_600),
-            brownout_mtbf: Some(SimDuration::from_secs(43_200)),
-            brownout: SimDuration::from_secs(7_200),
-            brownout_cap_frac: 0.6,
-            surge_mtbf: Some(SimDuration::from_secs(21_600)),
-            surge: SimDuration::from_secs(3_600),
-            surge_factor: 2.0,
-        };
-        let fleet = crate::cluster::chaos_fleet(16, 32);
-        let horizon = SimDuration::from_secs(86_400);
-        let schedule = ChaosSchedule::generate(hurricane, 1009, fleet.len() as u32, 16, horizon);
-        let capacity: f64 = fleet.iter().map(|m| m.capacity).sum();
-        for (placement, replicas, pinned) in PINNED {
-            let policy = ChaosPolicy {
-                placement,
-                replicas,
-                ..ChaosPolicy::default()
-            };
-            for (frac, pinned) in [0.25, 0.60].into_iter().zip(pinned) {
-                let r = run_chaos(
-                    &fleet,
-                    &schedule,
-                    capacity * frac,
-                    &policy,
-                    &mut Tracer::off(),
-                )
-                .expect("valid");
-                check_conservation(&r);
-                assert_eq!(
-                    debug_digest(&r),
-                    pinned,
-                    "{placement:?} r{replicas} at {frac} of capacity"
-                );
-            }
-        }
     }
 
     #[test]

@@ -283,12 +283,12 @@ pub fn run_streams_with(
 
 /// The driver's event loop, reified so it can be *stepped*.
 ///
-/// [`run_streams_with`] drains it in one call; `sim::parallel` instead
-/// interleaves `step` with the conservative horizon protocol, advancing
-/// each cell's engine only while its next event time stays under the
-/// shard bound. One `step` call processes exactly one event-queue pop —
-/// the same pop the sequential loop would perform — so the sequence of
-/// simulation mutations is identical however the steps are paced.
+/// [`run_streams_with`] drains it in one call; a `sim::parallel` cell
+/// instead interleaves `step` with its machine crashes, taking whichever
+/// comes first in simulated time (the crash on a tie). One `step` call
+/// processes exactly one event-queue pop — the same pop the sequential
+/// loop would perform — so the sequence of simulation mutations is
+/// identical however the steps are paced.
 pub(crate) struct StreamEngine {
     states: Vec<StreamState>,
     q: EventQueue<usize>,

@@ -777,10 +777,11 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Pinned bytes: the in-crate twin of the root `trace_determinism`
-    // digests (same scenario, same constant), runnable wherever this
-    // crate's unit tests build. Constants measured on the commit before
-    // the recorder's event layout changed (PR 17).
+    // Pinned bytes of the simulator's exports; the root
+    // `trace_determinism` test pins the facade's and the chaos engine's.
+    // The cell constants were measured before the recorder's event
+    // layout changed, the single-device one before disk and SSD became
+    // one device.
 
     /// FNV-1a (64-bit) over JSONL + Chrome + Prometheus + attribution
     /// rows; a ring that overflowed fails instead of digesting.
@@ -884,6 +885,22 @@ mod tests {
         for shards in SHARD_COUNTS {
             let r = run_parallel(&cfg, shards).unwrap();
             let rec = r.report.trace.as_ref().unwrap();
+            // The scenario is only worth pinning while it exercises what
+            // the merge has to get right: faults, crashes, the re-journaled
+            // ledger, and the last cell's remapped tracks.
+            let jsonl = grail_trace::to_jsonl(rec);
+            for needle in [
+                "\"name\":\"chaos.machine_crash\"",
+                "\"name\":\"fault.array_io\"",
+                "\"name\":\"fault.ssd_io\"",
+                "\"name\":\"retry\"",
+                "\"component\":\"recovery[0]\"",
+                "\"track\":\"ssd[3]\"",
+                "\"track\":\"disk[11]\"",
+                "\"track\":\"stream[7]\"",
+            ] {
+                assert!(jsonl.contains(needle), "pinned trace lost {needle}");
+            }
             assert_eq!(
                 export_digest(rec, r.report.attribution.as_ref()),
                 0x4a4b_1780_cd06_0899,

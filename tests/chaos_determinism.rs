@@ -4,13 +4,13 @@
 //! traces.
 //!
 //! The unit tests in `grail-scheduler::chaos` prove one run equals the
-//! next; this closes the loop through `grail_par` the way the `ext_chaos`
-//! binary actually executes — every ledger entry, placement decision,
+//! next; this closes the loop through `grail_par` the way the EXT-CHAOS
+//! row actually executes — every ledger entry, placement decision,
 //! and trace line rendered to exact bits and compared across 1, 2, and
 //! 8 threads.
 //!
 //! Identical to itself is not identical to the last commit: the last
-//! test pins whole reports at fleet size by digest.
+//! test is the one pin of whole reports at fleet size, by digest.
 
 use grail::power::units::SimDuration;
 use grail::scheduler::chaos::{reference_storm, run_chaos, ChaosPolicy};
@@ -100,11 +100,10 @@ impl Write for Fnv1a {
 
 /// `format!("{report:?}")` — the ledger's bits, every `PlacementChange`,
 /// every counter — of a 16 × 32 `chaos_fleet` under a generated
-/// hurricane, for each policy at 25 % and 60 % of fleet capacity. The
-/// constants were measured before `run_chaos` stopped sorting the fleet
-/// and searching the ledger on every event; the in-crate twin
-/// (`chaos::tests::fleet_scale_report_bytes_are_pinned`) carries the
-/// same eight.
+/// hurricane, for each policy at 25 % and 60 % of fleet capacity, each
+/// report conserving its demand. The constants were measured before
+/// `run_chaos` stopped sorting the fleet and searching the ledger on
+/// every event.
 #[test]
 fn fleet_scale_report_bytes_are_pinned() {
     const PINNED: [[u64; 2]; 4] = [
@@ -144,6 +143,14 @@ fn fleet_scale_report_bytes_are_pinned() {
                 &mut Tracer::off(),
             )
             .expect("hurricane at fleet size");
+            assert!(
+                r.conservation_error() <= 1e-6 * r.offered.max(1.0),
+                "{name} at {frac}: served {} + shed {} + failed {} != offered {}",
+                r.served,
+                r.shed,
+                r.failed,
+                r.offered
+            );
             let mut digest = Fnv1a(0xcbf2_9ce4_8422_2325);
             write!(digest, "{r:?}").expect("hashing cannot fail");
             assert_eq!(digest.0, pinned, "{name} at {frac} of capacity");

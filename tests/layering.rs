@@ -1,7 +1,8 @@
 //! Crate dependencies point strictly downward in DESIGN §7's layer
 //! order; an edge to the same or a higher layer is an architecture
 //! regression. The manifests are the one place to look: a `grail_x::`
-//! path compiles only if `[dependencies]` lists `grail-x`.
+//! path compiles only if `[dependencies]` lists `grail-x`, and each
+//! listed `grail-x` must be named as `grail_x` in the crate's `src/`.
 //! Dev-dependencies are exempt in every form, since tests may reach
 //! across layers.
 
@@ -55,10 +56,9 @@ fn dependency_table(header: &str) -> Option<&str> {
     Some(name.trim_matches('"'))
 }
 
-/// Every `grail-*` dependency of crate `from` that points at an equal
-/// or higher layer, as `line: message`.
-fn back_edges(from: &str, manifest: &str) -> Vec<String> {
-    let from_layer = layer_of(from).unwrap_or_else(|| panic!("`{from}` has no layer"));
+/// Every `grail-*` entry of a manifest's dependency tables, as `(line
+/// number, name after the prefix)`.
+fn grail_deps(manifest: &str) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     let mut in_deps = false;
     for (i, line) in manifest.lines().enumerate() {
@@ -78,18 +78,26 @@ fn back_edges(from: &str, manifest: &str) -> Vec<String> {
         let Some(dep) = entry.strip_prefix("grail-") else {
             continue;
         };
-        let dep: String = dep
+        let dep = dep
             .chars()
             .take_while(|&c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
             .collect();
-        let Some(to_layer) = layer_of(&dep) else {
-            continue;
-        };
-        if to_layer >= from_layer {
-            out.push(format!(
-                "{}: `{from}` (layer {from_layer}) must not depend on `{dep}` (layer {to_layer})",
-                i + 1
-            ));
+        out.push((i + 1, dep));
+    }
+    out
+}
+
+/// Every `grail-*` dependency of crate `from` that points at an equal
+/// or higher layer, as `line: message`.
+fn back_edges(from: &str, manifest: &str) -> Vec<String> {
+    let from_layer = layer_of(from).unwrap_or_else(|| panic!("`{from}` has no layer"));
+    let mut out = Vec::new();
+    for (line, dep) in grail_deps(manifest) {
+        match layer_of(&dep) {
+            Some(to_layer) if to_layer >= from_layer => out.push(format!(
+                "{line}: `{from}` (layer {from_layer}) must not depend on `{dep}` (layer {to_layer})"
+            )),
+            _ => {}
         }
     }
     out
@@ -127,6 +135,47 @@ fn manifests_respect_the_layer_order() {
         })
         .collect();
     assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// Every `.rs` file under `dir`, comment lines dropped.
+fn source_code(dir: &Path) -> String {
+    let mut code = String::new();
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("source entry").path();
+        if path.is_dir() {
+            code += &source_code(&path);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            let text = fs::read_to_string(&path).expect("source is readable");
+            for line in text.lines().filter(|l| !l.trim_start().starts_with("//")) {
+                code += line;
+                code.push('\n');
+            }
+        }
+    }
+    code
+}
+
+#[test]
+fn every_dependency_is_named_in_its_crate_source() {
+    // An edge no `src/` line names is dead: it costs build order and
+    // hides the real layering. Tests reach other crates through
+    // dev-dependencies, which this does not read.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dead = Vec::new();
+    for (name, manifest) in manifests() {
+        let dir = match name.as_str() {
+            "grail" => root.to_path_buf(),
+            member => root.join("crates").join(member),
+        };
+        let code = source_code(&dir.join("src"));
+        for (line, dep) in grail_deps(&manifest) {
+            let path = format!("grail_{}", dep.replace('-', "_"));
+            if !code.contains(&path) {
+                dead.push(format!("{name}/Cargo.toml:{line}: no `{path}` in src/"));
+            }
+        }
+    }
+    assert!(dead.is_empty(), "{}", dead.join("\n"));
 }
 
 #[test]

@@ -143,11 +143,11 @@ fn seeded_fault_runs_are_byte_identical() {
 
 // ---------------------------------------------------------------------
 // Pinned bytes. "Identical across runs" says nothing about "identical
-// to what the previous commit exported", so the three trace-producing
-// paths carry FNV-1a digests of every exported byte. The constants were
-// measured on the commit *before* the recorder's event layout changed
-// (PR 17); `crates/sim/src/parallel.rs` and `crates/scheduler/src/chaos.rs`
-// pin the same scenarios in-crate.
+// to what the previous commit exported", so the facade's traced run and
+// the reference storm carry FNV-1a digests of every exported byte. The
+// constants were measured on the commit *before* the recorder's event
+// layout changed; the sharded cells are pinned in
+// `crates/sim/src/parallel.rs`.
 
 /// FNV-1a (64-bit) over JSONL + Chrome + Prometheus + attribution rows.
 fn export_digest(rec: &Recorder, attribution: Option<&AttributionTable>) -> u64 {
@@ -170,115 +170,6 @@ fn export_digest(rec: &Recorder, attribution: Option<&AttributionTable>) -> u64 
         ));
     }
     h
-}
-
-/// Four cells drifting out of lockstep (salted job sizes), disks in
-/// RAID-0 plus one SSD each so every track kind is remapped, transient
-/// and latent faults live, two scripted machine crashes.
-fn pinned_cells() -> grail::sim::SimConfig {
-    use grail::power::components::{CpuPowerProfile, DiskPowerProfile, SsdPowerProfile};
-    use grail::power::units::{Bytes, Cycles, Hertz};
-    use grail::sim::driver::{IoDemand, JobSpec, PhaseSpec};
-    use grail::sim::raid::RaidLevel;
-    use grail::sim::{
-        ArrayId, CellSpec, ChaosEvent, ChaosEventKind, ChaosSchedule, CpuPerfProfile,
-        DiskPerfProfile, SimConfig, SsdId, SsdPerfProfile, StorageTarget,
-    };
-    let cell = |c: usize| {
-        let streams = (0..2)
-            .map(|s| {
-                (0..3)
-                    .map(|j| {
-                        let salt = (c * 31 + s * 7 + j) as u64;
-                        JobSpec::immediate(vec![
-                            PhaseSpec::overlapped(
-                                Cycles::new(20_000_000 + (salt % 5) * 4_000_000),
-                                2,
-                                vec![IoDemand::seq_read(
-                                    StorageTarget::Array(ArrayId(0)),
-                                    Bytes::mib(2 + salt % 5),
-                                )],
-                            ),
-                            PhaseSpec::io_then_cpu(
-                                Cycles::new(1_000_000 + salt * 1_000),
-                                1,
-                                vec![IoDemand::seq_read(
-                                    StorageTarget::Ssd(SsdId(0)),
-                                    Bytes::mib(1 + salt % 3),
-                                )],
-                            ),
-                        ])
-                    })
-                    .collect()
-            })
-            .collect();
-        CellSpec::new(
-            CpuPerfProfile {
-                cores: 4,
-                freq: Hertz::ghz(2.2),
-            },
-            CpuPowerProfile::opteron_socket(),
-        )
-        .with_disks(3, DiskPerfProfile::scsi_15k(), DiskPowerProfile::scsi_15k())
-        .with_raid(RaidLevel::Raid0)
-        .with_ssds(
-            1,
-            SsdPerfProfile::fig2_flash(),
-            SsdPowerProfile::fig2_flash(),
-        )
-        .with_streams(streams)
-    };
-    let crash = |ms: u64, machine: u32| ChaosEvent {
-        at: SimInstant::EPOCH + SimDuration::from_millis(ms),
-        kind: ChaosEventKind::MachineCrash { machine },
-    };
-    let mut cfg = SimConfig::new((0..4).map(cell).collect());
-    cfg.base_power = Watts::new(300.0);
-    cfg.seed = 11;
-    cfg.fault = FaultConfig {
-        transient_per_io: 0.05,
-        latent_per_read: 0.02,
-        ..FaultConfig::NONE
-    };
-    cfg.chaos = Some(ChaosSchedule::scripted(
-        4,
-        1,
-        SimDuration::from_secs(30),
-        vec![crash(40, 0), crash(170, 3)],
-    ));
-    cfg.trace_capacity = Some(4096);
-    cfg.attribution = true;
-    cfg
-}
-
-#[test]
-fn sharded_trace_bytes_are_pinned_at_every_shard_count() {
-    let cfg = pinned_cells();
-    for shards in [1usize, 2, 8] {
-        let r = grail::sim::run_parallel(&cfg, shards).expect("pinned cells run");
-        let rec = r.report.trace.as_ref().expect("tracing is on");
-        // The scenario is only worth pinning while it exercises what the
-        // merge has to get right: faults, crashes, the re-journaled
-        // ledger, and the last cell's remapped tracks.
-        let jsonl = to_jsonl(rec);
-        for needle in [
-            "\"name\":\"chaos.machine_crash\"",
-            "\"name\":\"fault.array_io\"",
-            "\"name\":\"fault.ssd_io\"",
-            "\"name\":\"retry\"",
-            "\"component\":\"recovery[0]\"",
-            "\"track\":\"ssd[3]\"",
-            "\"track\":\"disk[11]\"",
-            "\"track\":\"stream[7]\"",
-        ] {
-            assert!(jsonl.contains(needle), "pinned trace lost {needle}");
-        }
-        assert_eq!(
-            export_digest(rec, r.report.attribution.as_ref()),
-            PINNED_CELLS,
-            "exported bytes moved at {shards} shard(s)"
-        );
-    }
 }
 
 #[test]
@@ -305,6 +196,5 @@ fn reference_storm_trace_bytes_are_pinned() {
     assert_eq!(export_digest(&rec, None), PINNED_STORM);
 }
 
-const PINNED_CELLS: u64 = 0x4a4b_1780_cd06_0899;
 const PINNED_THROUGHPUT: u64 = 0x9c04_795e_cd7d_1112;
 const PINNED_STORM: u64 = 0xa9ef_a98d_49a1_a7d2;
