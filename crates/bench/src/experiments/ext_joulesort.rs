@@ -8,12 +8,12 @@
 
 use super::Outcome;
 use crate::ExperimentRecord;
+use grail_core::db::{EnergyAwareDb, ExecPolicy, LOGICAL_TARGET};
 use grail_core::profile::HardwareProfile;
+use grail_core::report::EnergyReport;
 use grail_par::Runner;
-use grail_query::exec::{run_collect, ExecContext};
 use grail_query::ops::sort::{SortOrder, SortSpec};
 use grail_query::ops::{ColumnarScan, Sort, StoredTable};
-use grail_sim::driver::run_streams;
 use grail_workload::joulesort::{records, score, RECORD_BYTES};
 use std::sync::Arc;
 
@@ -21,41 +21,29 @@ const RECORDS: u64 = 100_000;
 /// Stretch measured demands to a 100 M-record (≈10 GB) JouleSort class.
 const STRETCH: f64 = 1000.0;
 
-fn sort_on(profile: HardwareProfile, grant: u64, dop: u32) -> (f64, f64, u64) {
-    let table = records(RECORDS, 3);
-    let (mut sim, cpu, targets) = profile.build();
+fn sort_on(profile: HardwareProfile, grant: u64, dop: u32) -> EnergyReport {
     let stored = Arc::new(StoredTable::columnar_plain(
-        table,
-        grail_core::db::LOGICAL_TARGET,
+        records(RECORDS, 3),
+        LOGICAL_TARGET,
     ));
     let all: Vec<usize> = (0..stored.table.schema.arity()).collect();
-    let mut sort = Sort::new(
+    let sort = Sort::new(
         Box::new(ColumnarScan::new(stored, all)),
         SortSpec {
             keys: vec![(0, SortOrder::Asc)],
             memory_grant: grant,
-            spill_target: grail_core::db::LOGICAL_TARGET,
+            spill_target: LOGICAL_TARGET,
         },
     );
-    let mut ctx = ExecContext::calibrated();
-    let out = run_collect(&mut sort, &mut ctx).expect("sort runs");
-    let rows: usize = out.iter().map(|b| b.len()).sum();
-    assert_eq!(rows as u64, RECORDS);
-    // Scale demands and stripe across the profile's devices.
-    let tallies: Vec<_> = ctx
-        .finish()
-        .iter()
-        .map(|t| grail_workload::mix::scale_tally(t, STRETCH))
-        .collect();
-    let job = grail_workload::mix::job_from_tallies(&tallies, dop);
-    let job = grail_core::db::stripe_job(&job, &targets);
-    let drive = run_streams(&mut sim, cpu, &[vec![job]]).expect("drive");
-    let rep = sim.finish(drive.makespan);
-    (
-        rep.elapsed.as_secs_f64(),
-        rep.total_energy().joules(),
-        (RECORDS as f64 * STRETCH) as u64,
-    )
+    let policy = ExecPolicy {
+        dop,
+        ..ExecPolicy::default()
+    };
+    let r = EnergyAwareDb::new(profile)
+        .try_run_plan(Box::new(sort), policy, STRETCH)
+        .expect("sort runs");
+    assert_eq!(r.work as u64, RECORDS);
+    r
 }
 
 pub(super) fn run(_runner: &Runner) -> Outcome {
@@ -65,11 +53,12 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
         ("dl785_36disks", HardwareProfile::server_dl785(36), 32u32),
         ("flash_scanner", HardwareProfile::flash_scanner(), 1),
     ] {
-        let (t, e, n) = sort_on(profile, 1 << 30, dop);
+        let r = sort_on(profile, 1 << 30, dop);
+        let (e, n) = (r.energy.joules(), (RECORDS as f64 * STRETCH) as u64);
         out.push(ExperimentRecord::new(
             "EXT-JS",
             label,
-            t,
+            r.elapsed.as_secs_f64(),
             e,
             n as f64,
             crate::extras!({"records_per_joule": score(n, e)}),

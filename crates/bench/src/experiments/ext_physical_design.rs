@@ -17,7 +17,7 @@ use grail_power::units::{Bytes, Cycles, SimInstant};
 use grail_sim::perf::AccessPattern;
 use grail_sim::sim::Simulation;
 use grail_sim::StorageTarget;
-use grail_storage::partition::{PartitionKind, Partitioning, ReplicaSet};
+use grail_storage::partition::{Partitioning, ReplicaSet};
 
 const TABLE_BYTES: u64 = 64 << 30; // one replica's footprint
 
@@ -108,9 +108,9 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
     out.say("saturates (queueing latency explodes) and the wide replica wins both metrics.");
 
     // Repartitioning cost rows: bytes moved from the 204-disk layout.
-    let from = Partitioning::even(PartitionKind::Hash, 204, TABLE_BYTES).expect("layout");
+    let from = Partitioning::even(204, TABLE_BYTES).expect("layout");
     for to in [108u32, 66, 36] {
-        let target = Partitioning::even(PartitionKind::Hash, to, TABLE_BYTES).expect("layout");
+        let target = Partitioning::even(to, TABLE_BYTES).expect("layout");
         let moved = from.repartition_bytes(&target);
         out.push(ExperimentRecord::new(
             "EXT-PHYS",
@@ -128,12 +128,8 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
     }
 
     // Replica-set bookkeeping sanity (the capacity price).
-    let wide = Partitioning::even(PartitionKind::Hash, 66, TABLE_BYTES).expect("layout");
-    let narrow = Partitioning {
-        kind: PartitionKind::Hash,
-        slots: (0..12).collect(),
-        table_bytes: TABLE_BYTES,
-    };
+    let wide = Partitioning::even(66, TABLE_BYTES).expect("layout");
+    let narrow = Partitioning::even(12, TABLE_BYTES).expect("layout");
     let rs = ReplicaSet::new(vec![wide, narrow.clone()]).expect("replicas");
     out.say("");
     out.say(format!(

@@ -316,18 +316,6 @@ mod tests {
         let _ = pool(0);
     }
 
-    /// FNV-1a (64-bit) of whatever is written into it.
-    struct Fnv1a(u64);
-
-    impl std::fmt::Write for Fnv1a {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for b in s.bytes() {
-                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-
     /// Every [`Access`] (hit, miss and its victim, bypass) and the bits
     /// of the final [`PoolStats`] of EXT-BUF's trace shape — ChaCha12
     /// seed 11, rank = u³ × 4096, 512 frames, 5 ms steps, 0.05 J (even
@@ -367,7 +355,7 @@ mod tests {
                     residency_watts_per_page: residency,
                 },
             );
-            let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+            let mut h = grail_prop::Fnv1a::new();
             for (i, p) in trace.iter().enumerate() {
                 let refetch = Joules::new(if p.index % 2 == 0 { 0.05 } else { 2.0 });
                 write!(h, "{:?}", pool.access(*p, step(i), refetch)).expect("hashing cannot fail");
@@ -385,7 +373,7 @@ mod tests {
                 s.refetch_energy.joules().to_bits()
             )
             .expect("hashing cannot fail");
-            assert_eq!(h.0, digest, "{name}: {:#018x}", h.0);
+            assert_eq!(h.finish(), digest, "{name}: {:#018x}", h.finish());
         }
     }
 }

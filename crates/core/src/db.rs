@@ -9,11 +9,9 @@ use crate::report::EnergyReport;
 use grail_metrics::registry::{JOULES_BUCKETS, SECONDS_BUCKETS};
 use grail_power::units::{Bytes, SimDuration};
 use grail_query::batch::Table;
-use grail_query::colscan;
-use grail_query::cost_charge::CostCharge;
-use grail_query::exec::{run_collect, ExecContext, OpTally};
+use grail_query::exec::{run_collect, ExecContext, OpTally, Operator};
 use grail_query::expr::Expr;
-use grail_query::ops::StoredTable;
+use grail_query::ops::{ColumnarScan, StoredTable};
 use grail_sim::driver::{run_streams, IoDemand, JobResult, JobSpec};
 use grail_sim::ids::CpuId;
 use grail_sim::sim::Simulation;
@@ -82,6 +80,24 @@ impl ScanSpec {
             predicate: None,
         }
     }
+
+    /// This scan over `orders`.
+    fn plan(&self, orders: Arc<StoredTable>) -> Box<dyn Operator> {
+        let projection = self.projection.clone();
+        match self.predicate.clone() {
+            Some(p) => ColumnarScan::filtered(orders, projection, p),
+            None => Box::new(ColumnarScan::new(orders, projection)),
+        }
+    }
+
+    /// The report label of this scan under `policy`.
+    fn label(&self, policy: ExecPolicy) -> String {
+        format!(
+            "scan[{} cols, {:?}]",
+            self.projection.len(),
+            policy.compression
+        )
+    }
 }
 
 /// Default event capacity for traced runs: plenty for the small
@@ -109,37 +125,19 @@ pub const LOGICAL_TARGET: StorageTarget = StorageTarget::Disk(DiskId(u32::MAX));
 /// striped over the drives / the RAID array).
 pub fn stripe_job(job: &JobSpec, targets: &[StorageTarget]) -> JobSpec {
     let n = targets.len().max(1) as u64;
-    JobSpec {
-        arrival: job.arrival,
-        phases: job
-            .phases
-            .iter()
-            .map(|p| {
-                let mut io = Vec::with_capacity(p.io.len() * targets.len());
-                for d in &p.io {
-                    let per = d.bytes.get() / n;
-                    let rem = d.bytes.get() - per * n;
-                    for (i, t) in targets.iter().enumerate() {
-                        let share = if i == 0 { per + rem } else { per };
-                        if share > 0 {
-                            io.push(IoDemand {
-                                target: *t,
-                                bytes: Bytes::new(share),
-                                access: d.access,
-                                op: d.op,
-                            });
-                        }
-                    }
-                }
-                grail_sim::driver::PhaseSpec {
-                    cpu: p.cpu,
-                    dop: p.dop,
-                    io,
-                    overlap: p.overlap,
-                }
+    let mut job = job.clone();
+    for p in &mut job.phases {
+        let striped = p.io.iter().flat_map(|d| {
+            let (per, rem) = (d.bytes.get() / n, d.bytes.get() % n);
+            targets.iter().enumerate().map(move |(i, t)| IoDemand {
+                target: *t,
+                bytes: Bytes::new(if i == 0 { per + rem } else { per }),
+                ..*d
             })
-            .collect(),
+        });
+        p.io = striped.filter(|d| d.bytes.get() > 0).collect();
     }
+    job
 }
 
 /// One value per TPC-H table, each made by the first call that needs it.
@@ -209,7 +207,6 @@ impl Loaded {
 pub struct EnergyAwareDb {
     profile: HardwareProfile,
     loaded: Option<Loaded>,
-    charge: CostCharge,
     fault: Option<(FaultConfig, u64)>,
     scrape_interval: Option<u64>,
 }
@@ -220,7 +217,6 @@ impl EnergyAwareDb {
         EnergyAwareDb {
             profile,
             loaded: None,
-            charge: CostCharge::default_calibrated(),
             fault: None,
             scrape_interval: None,
         }
@@ -318,16 +314,6 @@ impl EnergyAwareDb {
         }))
     }
 
-    /// The tables generated so far, in [`TpchTable::ALL`] order.
-    #[cfg(test)]
-    fn generated(&self) -> Vec<TpchTable> {
-        let l = self.try_loaded().expect("loaded");
-        TpchTable::ALL
-            .into_iter()
-            .filter(|t| l.generated.cell(*t).get().is_some())
-            .collect()
-    }
-
     /// The loaded tables.
     ///
     /// # Panics
@@ -398,8 +384,13 @@ impl EnergyAwareDb {
         policy: ExecPolicy,
         scale_to: f64,
     ) -> Result<EnergyReport, SimError> {
-        self.scan_inner(spec, policy, scale_to, false)
-            .map(|(report, _)| report)
+        let plan = spec.plan(self.try_orders(policy.compression)?);
+        let report = self.try_run_plan(plan, policy, scale_to)?;
+        Ok(EnergyReport {
+            label: spec.label(policy),
+            work: (report.work * scale_to).max(0.0),
+            ..report
+        })
     }
 
     /// [`Self::try_run_scan`] with the flight recorder on: every device
@@ -413,148 +404,49 @@ impl EnergyAwareDb {
         policy: ExecPolicy,
         scale_to: f64,
     ) -> Result<TracedRun, SimError> {
-        let (report, trace) = self.scan_inner(spec, policy, scale_to, true)?;
-        #[expect(
-            clippy::expect_used,
-            reason = "scan_inner(traced=true) always installs a tracer"
-        )]
-        let trace = trace.expect("traced run carries a recorder");
-        Ok(TracedRun { report, trace })
-    }
-
-    fn scan_inner(
-        &self,
-        spec: &ScanSpec,
-        policy: ExecPolicy,
-        scale_to: f64,
-        traced: bool,
-    ) -> Result<(EnergyReport, Option<Recorder>), SimError> {
-        let run = colscan::scan_job(
-            self.try_orders(policy.compression)?,
-            &spec.projection,
-            spec.predicate.clone(),
-            self.charge,
-            policy.dop,
-        )
-        .map_err(|e| SimError::Plan {
-            reason: e.to_string(),
-        })?;
-        let (mut sim, cpu, targets) = self.build_sim();
-        if traced {
-            self.install_tracer(&mut sim);
-        }
-        let mut job = run.job.clone();
-        if (scale_to - 1.0).abs() > 1e-9 {
-            for p in &mut job.phases {
-                p.cpu =
-                    grail_power::units::Cycles::new((p.cpu.get() as f64 * scale_to).round() as u64);
-                for d in &mut p.io {
-                    d.bytes = Bytes::new((d.bytes.get() as f64 * scale_to).round() as u64);
-                }
-            }
-        }
-        let job = stripe_job(&job, &targets);
-        let out = run_streams(&mut sim, cpu, &[vec![job]])?;
-        record_query_metrics(sim.tracer_mut(), &out.results);
-        let cpu_busy = sim.cpu(cpu)?.stats().busy;
-        let report = sim.finish(out.makespan);
-        let energy = report.total_energy();
-        let recovery = report.recovery_energy();
-        let mut attribution = report.attribution;
-        let mut trace = report.trace;
-        // The single scan job is every query; template 0 describes it.
-        attach_operator_detail(trace.as_mut(), attribution.as_mut(), &[run.ops], |_, _| 0);
-        feed_query_energy(trace.as_mut(), attribution.as_ref());
-        Ok((
-            EnergyReport {
-                profile: self.profile.name,
-                label: format!(
-                    "scan[{} cols, {:?}]",
-                    spec.projection.len(),
-                    policy.compression
-                ),
-                elapsed: report.elapsed,
-                energy,
-                work: (run.rows as f64 * scale_to).max(0.0),
-                cpu_busy,
-                recovery,
-                retries: out.total_retries,
-                ledger: report.ledger,
-                attribution,
+        let plan = spec.plan(self.try_orders(policy.compression)?);
+        let scan = measure(plan, policy.dop, scale_to)?;
+        let run = self.meter(spec.label(policy), std::slice::from_ref(&scan), 1, 1, true)?;
+        Ok(TracedRun {
+            report: EnergyReport {
+                work: (scan.rows as f64 * scale_to).max(0.0),
+                ..run.report
             },
-            trace,
-        ))
-    }
-
-    /// Measure one template's real demands at the loaded scale,
-    /// stretched by `scale_to`, as a dispatchable job plus its result
-    /// row count and per-operator tallies.
-    fn template_job(
-        &self,
-        template: QueryTemplate,
-        catalog: &StoredCatalog,
-        policy: ExecPolicy,
-        scale_to: f64,
-    ) -> Result<(JobSpec, usize, Vec<OpTally>), SimError> {
-        let mut plan = template.plan(catalog);
-        let mut ctx = ExecContext::new(self.charge);
-        let out = run_collect(plan.as_mut(), &mut ctx).map_err(|e| SimError::Plan {
-            reason: e.to_string(),
-        })?;
-        let rows = out.iter().map(|b| b.len()).sum();
-        let ops = ctx.take_op_tallies();
-        let tallies: Vec<_> = ctx
-            .finish()
-            .iter()
-            .map(|tally| scale_tally(tally, scale_to))
-            .collect();
-        Ok((job_from_tallies(&tallies, policy.dop), rows, ops))
+            ..run
+        })
     }
 
     /// Run one query template by itself and meter it.
-    ///
-    /// # Panics
-    /// Panics when nothing is loaded or the template fails to execute;
-    /// [`Self::try_run_template`] is the fallible form.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panicking facade over try_run_template"
-    )]
-    pub fn run_template(
-        &self,
-        template: QueryTemplate,
-        policy: ExecPolicy,
-        scale_to: f64,
-    ) -> EnergyReport {
-        self.try_run_template(template, policy, scale_to)
-            .expect("template runs on a loaded db")
-    }
-
-    /// Fallible form of [`Self::run_template`].
     pub fn try_run_template(
         &self,
         template: QueryTemplate,
         policy: ExecPolicy,
         scale_to: f64,
     ) -> Result<EnergyReport, SimError> {
-        let catalog = self.try_catalog(policy.compression)?;
-        let (job, rows, _ops) = self.template_job(template, &catalog, policy, scale_to)?;
-        let (mut sim, cpu, targets) = self.build_sim();
-        let job = stripe_job(&job, &targets);
-        let out = run_streams(&mut sim, cpu, &[vec![job]])?;
-        let cpu_busy = sim.cpu(cpu)?.stats().busy;
-        let report = sim.finish(out.makespan);
+        let plan = template.plan(&self.try_catalog(policy.compression)?);
         Ok(EnergyReport {
-            profile: self.profile.name,
             label: template.name().to_string(),
-            elapsed: report.elapsed,
-            energy: report.total_energy(),
-            work: rows as f64,
-            cpu_busy,
-            recovery: report.recovery_energy(),
-            retries: out.total_retries,
-            ledger: report.ledger,
-            attribution: None,
+            ..self.try_run_plan(plan, policy, scale_to)?
+        })
+    }
+
+    /// Run `plan` by itself and meter it: its demands are measured on
+    /// the calibrated executor at the loaded scale, stretched by
+    /// `scale_to`, split over `policy.dop` cores and dispatched as the
+    /// only query on a fresh simulation of the profile. `work` is the
+    /// plan's result rows; `policy.compression` is not read, the plan
+    /// already names its stored tables.
+    pub fn try_run_plan(
+        &self,
+        plan: Box<dyn Operator>,
+        policy: ExecPolicy,
+        scale_to: f64,
+    ) -> Result<EnergyReport, SimError> {
+        let plan = measure(plan, policy.dop, scale_to)?;
+        let run = self.meter("plan".into(), std::slice::from_ref(&plan), 1, 1, false)?;
+        Ok(EnergyReport {
+            work: plan.rows as f64,
+            ..run.report
         })
     }
 
@@ -589,8 +481,11 @@ impl EnergyAwareDb {
         policy: ExecPolicy,
         scale_to: f64,
     ) -> Result<EnergyReport, SimError> {
-        self.throughput_inner(streams, queries_per_stream, policy, scale_to, false)
-            .map(|(report, _)| report)
+        let mix = self.measure_mix(policy, scale_to)?;
+        let label = format!("throughput[{streams}x{queries_per_stream}]");
+        Ok(self
+            .meter(label, &mix, streams, queries_per_stream, false)?
+            .report)
     }
 
     /// [`Self::try_run_throughput_test`] with the flight recorder on.
@@ -604,74 +499,65 @@ impl EnergyAwareDb {
         policy: ExecPolicy,
         scale_to: f64,
     ) -> Result<TracedRun, SimError> {
-        let (report, trace) =
-            self.throughput_inner(streams, queries_per_stream, policy, scale_to, true)?;
-        #[expect(
-            clippy::expect_used,
-            reason = "throughput_inner(traced=true) always installs a tracer"
-        )]
-        let trace = trace.expect("traced run carries a recorder");
-        Ok(TracedRun { report, trace })
+        let mix = self.measure_mix(policy, scale_to)?;
+        let label = format!("throughput[{streams}x{queries_per_stream}]");
+        self.meter(label, &mix, streams, queries_per_stream, true)
     }
 
-    fn throughput_inner(
-        &self,
-        streams: usize,
-        queries_per_stream: usize,
-        policy: ExecPolicy,
-        scale_to: f64,
-        traced: bool,
-    ) -> Result<(EnergyReport, Option<Recorder>), SimError> {
+    /// The four throughput-test templates under `policy`, each measured
+    /// once.
+    fn measure_mix(&self, policy: ExecPolicy, scale_to: f64) -> Result<Vec<Measured>, SimError> {
         let catalog = self.try_catalog(policy.compression)?;
-        // Measure each template's real demands once.
-        let mut template_ops: Vec<Vec<OpTally>> = Vec::with_capacity(QueryTemplate::MIX.len());
-        let prototypes: Vec<JobSpec> = QueryTemplate::MIX
+        QueryTemplate::MIX
             .iter()
-            .map(|t| {
-                let (job, _rows, ops) = self.template_job(*t, &catalog, policy, scale_to)?;
-                template_ops.push(ops);
-                Ok(job)
-            })
-            .collect::<Result<_, SimError>>()?;
+            .map(|t| measure(t.plan(&catalog), policy.dop, scale_to))
+            .collect()
+    }
+
+    /// The one metered run: `streams` closed-loop clients of
+    /// `per_stream` queries each, dealt round-robin over `prototypes`
+    /// by [`closed_mix`], on a fresh simulation of the profile. `work`
+    /// counts the completed queries. Untraced, the returned recorder is
+    /// [`Recorder::metrics_only`] and keeps nothing.
+    fn meter(
+        &self,
+        label: String,
+        prototypes: &[Measured],
+        streams: usize,
+        per_stream: usize,
+        traced: bool,
+    ) -> Result<TracedRun, SimError> {
         let (mut sim, cpu, targets) = self.build_sim();
         if traced {
             self.install_tracer(&mut sim);
         }
-        let striped: Vec<JobSpec> = prototypes.iter().map(|j| stripe_job(j, &targets)).collect();
-        let mix = closed_mix(&striped, streams, queries_per_stream);
-        let out = run_streams(&mut sim, cpu, &mix)?;
+        let striped: Vec<JobSpec> = prototypes
+            .iter()
+            .map(|m| stripe_job(&m.job, &targets))
+            .collect();
+        let out = run_streams(&mut sim, cpu, &closed_mix(&striped, streams, per_stream))?;
         record_query_metrics(sim.tracer_mut(), &out.results);
         let cpu_busy = sim.cpu(cpu)?.stats().busy;
-        let report = sim.finish(out.makespan);
-        let energy = report.total_energy();
-        let recovery = report.recovery_energy();
-        let mut attribution = report.attribution;
-        let mut trace = report.trace;
-        // closed_mix deals template (s + q) % MIX.len() to stream s's
-        // q-th query; use the same formula to attach operator detail.
-        let n = prototypes.len();
-        attach_operator_detail(
-            trace.as_mut(),
-            attribution.as_mut(),
-            &template_ops,
-            |s, q| (s as usize + q as usize) % n,
-        );
-        feed_query_energy(trace.as_mut(), attribution.as_ref());
-        Ok((
-            EnergyReport {
+        let mut report = sim.finish(out.makespan);
+        let mut attribution = report.attribution.take();
+        let mut trace = report.trace.take().unwrap_or_else(Recorder::metrics_only);
+        attach_operator_detail(&mut trace, attribution.as_mut(), prototypes);
+        feed_query_energy(&mut trace, attribution.as_ref());
+        Ok(TracedRun {
+            report: EnergyReport {
                 profile: self.profile.name,
-                label: format!("throughput[{streams}x{queries_per_stream}]"),
+                label,
                 elapsed: report.elapsed,
-                energy,
+                energy: report.total_energy(),
                 work: out.results.len() as f64,
                 cpu_busy,
-                recovery,
+                recovery: report.recovery_energy(),
                 retries: out.total_retries,
                 ledger: report.ledger,
                 attribution,
             },
             trace,
-        ))
+        })
     }
 
     /// Ask the knob advisor (Sec. 4.1) for the best configuration of
@@ -729,8 +615,8 @@ fn record_query_metrics(tracer: &mut Tracer, results: &[JobResult]) {
 /// joules-per-query gauge the regression watchdog guards. Attribution
 /// settles only at finish, so these land after the last scrape — they
 /// are end-of-run aggregates, not time series.
-fn feed_query_energy(trace: Option<&mut Recorder>, attribution: Option<&AttributionTable>) {
-    let (Some(rec), Some(table)) = (trace, attribution) else {
+fn feed_query_energy(rec: &mut Recorder, attribution: Option<&AttributionTable>) {
+    let Some(table) = attribution else {
         return;
     };
     let mut queries = 0u64;
@@ -749,26 +635,24 @@ fn feed_query_energy(trace: Option<&mut Recorder>, attribution: Option<&Attribut
 
 /// Attach per-operator demand detail to a traced run's outputs.
 ///
-/// `per_template[k]` holds the operator tallies measured for prototype
-/// `k`; `template_of(stream, index)` maps a query back to its template
-/// (the same formula the mix builder used). Attribution rows gain
-/// [`OperatorShare`] breakdowns, and the recorder gains one
-/// [`Category::Query`] span per operator on [`Track::Exec`] in
-/// pseudo-time (1 CPU cycle = 1 ns), so Perfetto shows relative operator
-/// weight without pretending the executor ran on the simulated clock.
+/// `prototypes[k]` holds the operator tallies measured for template
+/// `k`, and [`closed_mix`] dealt template `(s + q) % n` to stream `s`'s
+/// `q`-th query. Attribution rows gain [`OperatorShare`] breakdowns, and
+/// the recorder gains one [`Category::Query`] span per operator on
+/// [`Track::Exec`] in pseudo-time (1 CPU cycle = 1 ns), so Perfetto
+/// shows relative operator weight without pretending the executor ran
+/// on the simulated clock.
 fn attach_operator_detail(
-    trace: Option<&mut Recorder>,
+    rec: &mut Recorder,
     attribution: Option<&mut AttributionTable>,
-    per_template: &[Vec<OpTally>],
-    template_of: impl Fn(u32, u32) -> usize,
+    prototypes: &[Measured],
 ) {
     if let Some(table) = attribution {
         for row in &mut table.rows {
+            // A query row exists only if `closed_mix` dealt it a prototype.
             if let (Some(s), Some(q)) = (row.stream, row.index) {
-                let Some(tallies) = per_template.get(template_of(s, q)) else {
-                    continue;
-                };
-                row.operators = tallies
+                row.operators = prototypes[(s as usize + q as usize) % prototypes.len()]
+                    .ops
                     .iter()
                     .map(|t| OperatorShare {
                         name: t.name.to_string(),
@@ -780,28 +664,56 @@ fn attach_operator_detail(
             }
         }
     }
-    if let Some(rec) = trace {
-        for (k, tallies) in per_template.iter().enumerate() {
-            let mut cursor = 0u64;
-            for t in tallies {
-                let dur = t.cpu.get().max(1);
-                rec.record(
-                    TraceEvent::span(
-                        TraceTime::from_nanos(cursor),
-                        dur,
-                        Category::Query,
-                        t.name,
-                        Track::Exec,
-                    )
-                    .arg("template", k as u64)
-                    .arg("calls", t.calls)
-                    .arg("cpu_cycles", t.cpu.get())
-                    .arg("io_bytes", t.io_bytes.get()),
-                );
-                cursor += dur;
-            }
+    for (k, m) in prototypes.iter().enumerate() {
+        let mut cursor = 0u64;
+        for t in &m.ops {
+            let dur = t.cpu.get().max(1);
+            rec.record(
+                TraceEvent::span(
+                    TraceTime::from_nanos(cursor),
+                    dur,
+                    Category::Query,
+                    t.name,
+                    Track::Exec,
+                )
+                .arg("template", k as u64)
+                .arg("calls", t.calls)
+                .arg("cpu_cycles", t.cpu.get())
+                .arg("io_bytes", t.io_bytes.get()),
+            );
+            cursor += dur;
         }
     }
+}
+
+/// One plan measured at the loaded scale: the job it dispatches, its
+/// result rows and its per-operator tallies.
+#[derive(Debug)]
+struct Measured {
+    job: JobSpec,
+    rows: usize,
+    ops: Vec<OpTally>,
+}
+
+/// Run `plan` on the calibrated executor and package its phase tallies,
+/// each stretched by `scale_to`, as one job with CPU split over `dop`
+/// cores.
+fn measure(mut plan: Box<dyn Operator>, dop: u32, scale_to: f64) -> Result<Measured, SimError> {
+    let mut ctx = ExecContext::calibrated();
+    let out = run_collect(plan.as_mut(), &mut ctx).map_err(|e| SimError::Plan {
+        reason: e.to_string(),
+    })?;
+    let ops = ctx.take_op_tallies();
+    let tallies: Vec<_> = ctx
+        .finish()
+        .iter()
+        .map(|tally| scale_tally(tally, scale_to))
+        .collect();
+    Ok(Measured {
+        job: job_from_tallies(&tallies, dop),
+        rows: out.iter().map(|b| b.len()).sum(),
+        ops,
+    })
 }
 
 #[cfg(test)]
@@ -812,6 +724,15 @@ mod tests {
         let mut db = EnergyAwareDb::new(profile);
         db.load_tpch(TpchScale::toy());
         db
+    }
+
+    /// The tables `db` generated so far, in [`TpchTable::ALL`] order.
+    fn generated(db: &EnergyAwareDb) -> Vec<TpchTable> {
+        let l = db.try_loaded().expect("loaded");
+        TpchTable::ALL
+            .into_iter()
+            .filter(|t| l.generated.cell(*t).get().is_some())
+            .collect()
     }
 
     const MODES: [CompressionMode; 3] = [
@@ -836,7 +757,8 @@ mod tests {
         };
         [
             db.run_scan(&ScanSpec::fig2(), policy, 100.0),
-            db.run_template(QueryTemplate::SegmentRevenue, policy, 100.0),
+            db.try_run_template(QueryTemplate::SegmentRevenue, policy, 100.0)
+                .expect("template runs on a loaded db"),
             db.run_throughput_test(2, 2, policy, 100.0),
         ]
         .into_iter()
@@ -907,18 +829,18 @@ mod tests {
             };
             let lazy = db(HardwareProfile::server_dl785(36));
             let eager = db(HardwareProfile::server_dl785(36));
-            assert!(lazy.generated().is_empty(), "loading draws nothing");
+            assert!(generated(&lazy).is_empty(), "loading draws nothing");
             eager.tables();
-            assert_eq!(eager.generated(), TpchTable::ALL);
+            assert_eq!(generated(&eager), TpchTable::ALL);
 
             let scan = lazy.run_scan(&ScanSpec::fig2(), policy, 100.0);
-            assert_eq!(lazy.generated(), [TpchTable::Orders], "{mode:?}");
+            assert_eq!(generated(&lazy), [TpchTable::Orders], "{mode:?}");
             let eager_scan = eager.run_scan(&ScanSpec::fig2(), policy, 100.0);
             assert_eq!(format!("{scan:?}"), format!("{eager_scan:?}"), "{mode:?}");
 
             let orders = lazy.try_loaded().expect("loaded").table(TpchTable::Orders);
             let mix = lazy.run_throughput_test(2, 2, policy, 100.0);
-            assert_eq!(lazy.generated(), TpchTable::ALL, "{mode:?}");
+            assert_eq!(generated(&lazy), TpchTable::ALL, "{mode:?}");
             assert!(Arc::ptr_eq(&orders, &lazy.tables().orders), "{mode:?}");
             let eager_mix = eager.run_throughput_test(2, 2, policy, 100.0);
             assert_eq!(format!("{mix:?}"), format!("{eager_mix:?}"), "{mode:?}");
@@ -1051,8 +973,12 @@ mod tests {
     #[test]
     fn run_template_meters_single_queries() {
         let db = db(HardwareProfile::server_dl785(36));
+        let run = |t| {
+            db.try_run_template(t, ExecPolicy::default(), 100.0)
+                .expect("template runs on a loaded db")
+        };
         for t in QueryTemplate::MIX {
-            let r = db.run_template(t, ExecPolicy::default(), 100.0);
+            let r = run(t);
             assert!(r.work > 0.0, "{} returned rows", t.name());
             assert!(r.elapsed > SimDuration::ZERO);
             assert!(r.energy.joules() > 0.0);
@@ -1060,8 +986,8 @@ mod tests {
         }
         // The scan-heavy template costs more energy than the tiny join
         // at the same stretch.
-        let q1 = db.run_template(QueryTemplate::PricingSummary, ExecPolicy::default(), 100.0);
-        let q3 = db.run_template(QueryTemplate::SegmentRevenue, ExecPolicy::default(), 100.0);
+        let q1 = run(QueryTemplate::PricingSummary);
+        let q3 = run(QueryTemplate::SegmentRevenue);
         assert!(q1.energy.joules() > q3.energy.joules());
     }
 
@@ -1251,19 +1177,19 @@ mod tests {
             }
         }
         // Round-robin dealing hands template (s + q) % 4 to stream s's
-        // q-th query: s0.q1 and s1.q0 share template 1's operator set,
-        // while s0.q0 (template 0, single-scan) and s1.q1 (template 2,
-        // a join) must differ.
-        let ops = |s: u32, q: u32| -> Vec<String> {
-            table
-                .query(s, q)
-                .unwrap()
+        // q-th query, and the row carries that template's own tallies.
+        let catalog = db.try_catalog(CompressionMode::Plain).expect("loaded");
+        for (s, q) in [(0u32, 0u32), (0, 1), (1, 0), (1, 1)] {
+            let t = QueryTemplate::MIX[(s + q) as usize % 4];
+            let m = measure(t.plan(&catalog), 1, 1.0).expect("template runs");
+            let want: Vec<_> = m.ops.iter().map(|o| (o.name, o.cpu.get())).collect();
+            let row = table.query(s, q).expect("query row present");
+            let got: Vec<_> = row
                 .operators
                 .iter()
-                .map(|o| o.name.clone())
-                .collect()
-        };
-        assert_eq!(ops(0, 1), ops(1, 0));
-        assert_ne!(ops(0, 0), ops(1, 1));
+                .map(|o| (o.name.as_str(), o.cpu_cycles))
+                .collect();
+            assert_eq!(got, want, "s{s}.q{q} is {}", t.name());
+        }
     }
 }

@@ -20,6 +20,9 @@
 //! * **Replayable failures.** The panic message names `seed 0x…, size N`
 //!   and the [`replay`] call that runs exactly that input again.
 //!
+//! [`Fnv1a`] is the other half of a pinned test: the one digest the
+//! workspace's `*_are_pinned` tests compare against their constants.
+//!
 //! ```
 //! grail_prop::check(64, |g| {
 //!     let bound = g.range(-5i64..5);
@@ -31,6 +34,7 @@
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
+use std::fmt;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 
@@ -190,6 +194,49 @@ fn run(seed: u64, size: usize, property: &mut impl FnMut(&mut Gen)) -> Result<()
     )
 }
 
+/// FNV-1a (64-bit) of every byte written into it, as [`Fnv1a::bytes`],
+/// as little-endian [`Fnv1a::word`]s or as formatted text (`write!`):
+/// a big `{:?}` rendering is hashed as it is formatted, never held.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// The digest of nothing yet: the FNV-1a offset basis.
+    pub fn new() -> Fnv1a {
+        Fnv1a::default()
+    }
+
+    /// Hash `bytes`.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Hash `v`'s eight little-endian bytes.
+    pub fn word(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// The digest of everything hashed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -200,6 +247,23 @@ fn splitmix64(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        use std::fmt::Write;
+        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv1a::new();
+        h.bytes(b"a");
+        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+        // Formatted in pieces, hashed as one stream.
+        let (mut text, bar) = (Fnv1a::new(), "bar");
+        write!(text, "foo{bar}").expect("hashing cannot fail");
+        assert_eq!(text.finish(), 0x8594_4171_f739_67e8);
+        let (mut word, mut bytes) = (Fnv1a::new(), Fnv1a::new());
+        word.word(0x0102_0304_0506_0708);
+        bytes.bytes(&[8, 7, 6, 5, 4, 3, 2, 1]);
+        assert_eq!(word, bytes);
+    }
 
     #[test]
     fn draws_are_the_mmix_lcg_high_bits() {

@@ -9,12 +9,13 @@
 //! here. To re-measure, set a constant to 0 and read the table the
 //! failing assert prints — on the parent commit, never on the change.
 //!
-//! The facade's two ORDERS scans (`colscan::scan_job` over the Fig. 2
-//! projection, bare and with the rare-status predicate) are pinned the
-//! same way, on what a `ScanRun` carries: rows, CPU, IO bytes, every
-//! `OpTally` and the `JobSpec`. They were measured on `Filter` over a
-//! fully decoded `ColumnarScan`.
+//! The two ORDERS scans the facade meters (the plan `colscan::scan_job`
+//! runs over the Fig. 2 projection, bare and with the rare-status
+//! predicate) are pinned the same way, on what a `ScanRun` carries:
+//! rows, CPU, IO bytes, every `OpTally` and the `JobSpec`. They were
+//! measured on `Filter` over a fully decoded `ColumnarScan`.
 
+use grail_prop::Fnv1a;
 use grail_query::colscan;
 use grail_query::cost_charge::CostCharge;
 use grail_query::exec::ExecContext;
@@ -58,24 +59,10 @@ const PINNED: [(&str, [u64; 4]); 3] = [
     ),
 ];
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn word(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
 fn digest(template: QueryTemplate, catalog: &StoredCatalog) -> u64 {
     let mut plan = template.plan(catalog);
     let mut ctx = ExecContext::calibrated();
-    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    let mut h = Fnv1a::new();
     while let Some(batch) = plan.next(&mut ctx).expect("template plans are well formed") {
         h.word(batch.len() as u64);
         for c in 0..batch.schema().arity() {
@@ -97,7 +84,7 @@ fn digest(template: QueryTemplate, catalog: &StoredCatalog) -> u64 {
             h.bytes(format!("{read:?}").as_bytes());
         }
     }
-    h.0
+    h.finish()
 }
 
 #[test]
@@ -148,7 +135,7 @@ fn scan_digest(orders: &Arc<StoredTable>, predicate: Option<Expr>) -> u64 {
         4,
     )
     .expect("the Fig. 2 scans are well formed");
-    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    let mut h = Fnv1a::new();
     h.word(run.rows as u64);
     h.word(run.cpu.get());
     h.word(run.io_bytes.get());
@@ -159,7 +146,7 @@ fn scan_digest(orders: &Arc<StoredTable>, predicate: Option<Expr>) -> u64 {
         h.word(t.io_bytes.get());
     }
     h.bytes(format!("{:?}", run.job).as_bytes());
-    h.0
+    h.finish()
 }
 
 fn toy_orders() -> [Arc<StoredTable>; 3] {

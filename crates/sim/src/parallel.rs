@@ -788,24 +788,16 @@ mod tests {
     fn export_digest(rec: &Recorder, attribution: Option<&AttributionTable>) -> u64 {
         assert_eq!(rec.dropped(), 0, "ring overflowed");
         assert_eq!(rec.metrics().counter("trace.dropped"), 0);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |s: &str| {
-            for b in s.bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&grail_trace::to_jsonl(rec));
-        eat(&grail_trace::to_chrome(rec));
-        eat(&grail_metrics::to_prometheus(rec.metrics()));
+        use std::fmt::Write;
+        let mut h = grail_prop::Fnv1a::new();
+        h.bytes(grail_trace::to_jsonl(rec).as_bytes());
+        h.bytes(grail_trace::to_chrome(rec).as_bytes());
+        h.bytes(grail_metrics::to_prometheus(rec.metrics()).as_bytes());
         for row in attribution.iter().flat_map(|t| &t.rows) {
-            eat(&format!(
-                "{},{},{}\n",
-                row.label,
-                row.energy.joules(),
-                row.share
-            ));
+            writeln!(h, "{},{},{}", row.label, row.energy.joules(), row.share)
+                .expect("hashing cannot fail");
         }
-        h
+        h.finish()
     }
 
     /// Four cells drifting out of lockstep (salted job sizes), disks in

@@ -11,20 +11,9 @@
 
 use crate::error::StorageError;
 
-/// How rows map to partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PartitionKind {
-    /// Contiguous key ranges.
-    Range,
-    /// Hash of the key.
-    Hash,
-}
-
 /// A partitioning of one table across disk slots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partitioning {
-    /// Mapping style.
-    pub kind: PartitionKind,
     /// The disk slot of each partition (one partition per entry).
     pub slots: Vec<u32>,
     /// Total table bytes.
@@ -33,12 +22,11 @@ pub struct Partitioning {
 
 impl Partitioning {
     /// Partition `table_bytes` across `disks` slots.
-    pub fn even(kind: PartitionKind, disks: u32, table_bytes: u64) -> Result<Self, StorageError> {
+    pub fn even(disks: u32, table_bytes: u64) -> Result<Self, StorageError> {
         if disks == 0 {
             return Err(StorageError::EmptyPartitioning);
         }
         Ok(Partitioning {
-            kind,
             slots: (0..disks).collect(),
             table_bytes,
         })
@@ -47,47 +35,6 @@ impl Partitioning {
     /// Number of partitions (= disks used).
     pub fn width(&self) -> u32 {
         self.slots.len() as u32
-    }
-
-    /// Bytes stored on each disk slot: `(slot, bytes)`, remainder to the
-    /// first.
-    pub fn bytes_per_slot(&self) -> Vec<(u32, u64)> {
-        let n = self.slots.len() as u64;
-        let per = self.table_bytes / n;
-        let rem = self.table_bytes - per * n;
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (*s, if i == 0 { per + rem } else { per }))
-            .collect()
-    }
-
-    /// The partition slot a key belongs to.
-    pub fn slot_for_key(&self, key: i64) -> u32 {
-        let n = self.slots.len() as u64;
-        let idx = match self.kind {
-            PartitionKind::Hash => (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n,
-            PartitionKind::Range => {
-                // Interpret key as position in a dense domain of
-                // unknown bounds: fold into n by the low bits of the
-                // key's magnitude scaled by partition count. Callers
-                // with real bounds should use `slot_for_range_key`.
-                (key.unsigned_abs()) % n
-            }
-        };
-        self.slots[idx as usize]
-    }
-
-    /// The partition slot for a key within known bounds `[lo, hi]`.
-    pub fn slot_for_range_key(&self, key: i64, lo: i64, hi: i64) -> u32 {
-        let n = self.slots.len() as u128;
-        if hi <= lo {
-            return self.slots[0];
-        }
-        let offset = (key.clamp(lo, hi) as i128 - lo as i128) as u128;
-        let span = (hi as i128 - lo as i128) as u128 + 1;
-        let idx = (offset * n / span).min(n - 1);
-        self.slots[idx as usize]
     }
 
     /// Cost (bytes moved) to repartition to `target`: bytes whose slot
@@ -164,72 +111,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn even_partitioning_spreads_bytes() {
-        let p = Partitioning::even(PartitionKind::Hash, 4, 1003).unwrap();
-        let shares = p.bytes_per_slot();
-        assert_eq!(shares.len(), 4);
-        let total: u64 = shares.iter().map(|(_, b)| b).sum();
-        assert_eq!(total, 1003);
-        assert_eq!(shares[0].1, 250 + 3);
-    }
-
-    #[test]
     fn zero_disks_rejected() {
-        assert!(Partitioning::even(PartitionKind::Hash, 0, 100).is_err());
-    }
-
-    #[test]
-    fn hash_keys_spread() {
-        let p = Partitioning::even(PartitionKind::Hash, 8, 0).unwrap();
-        let mut counts = [0u32; 8];
-        for k in 0..8000 {
-            counts[p.slot_for_key(k) as usize] += 1;
-        }
-        for c in counts {
-            assert!((800..1200).contains(&c), "{counts:?}");
-        }
-    }
-
-    #[test]
-    fn range_keys_ordered() {
-        let p = Partitioning::even(PartitionKind::Range, 4, 0).unwrap();
-        let lo = 0;
-        let hi = 399;
-        assert_eq!(p.slot_for_range_key(0, lo, hi), 0);
-        assert_eq!(p.slot_for_range_key(150, lo, hi), 1);
-        assert_eq!(p.slot_for_range_key(399, lo, hi), 3);
-        // Out-of-bounds clamps.
-        assert_eq!(p.slot_for_range_key(-5, lo, hi), 0);
-        assert_eq!(p.slot_for_range_key(1000, lo, hi), 3);
-        // Degenerate range.
-        assert_eq!(p.slot_for_range_key(7, 5, 5), 0);
+        assert!(Partitioning::even(0, 100).is_err());
     }
 
     #[test]
     fn repartition_cost_shape() {
-        let from = Partitioning::even(PartitionKind::Hash, 204, 1_000_000).unwrap();
-        let to66 = Partitioning::even(PartitionKind::Hash, 66, 1_000_000).unwrap();
+        let from = Partitioning::even(204, 1_000_000).unwrap();
+        let to66 = Partitioning::even(66, 1_000_000).unwrap();
         let cost = from.repartition_bytes(&to66);
         assert!(cost > 0);
         assert!(cost < 1_000_000, "never moves more than the table");
         assert_eq!(from.repartition_bytes(&from.clone()), 0);
         // Shrinking further moves more.
-        let to36 = Partitioning::even(PartitionKind::Hash, 36, 1_000_000).unwrap();
+        let to36 = Partitioning::even(36, 1_000_000).unwrap();
         assert!(from.repartition_bytes(&to36) > cost);
     }
 
     #[test]
     fn replica_choice_and_idle_slots() {
-        let narrow = Partitioning {
-            kind: PartitionKind::Hash,
-            slots: (0..8).collect(),
-            table_bytes: 1000,
-        };
-        let wide = Partitioning {
-            kind: PartitionKind::Hash,
-            slots: (0..64).collect(),
-            table_bytes: 1000,
-        };
+        let narrow = Partitioning::even(8, 1000).unwrap();
+        let wide = Partitioning::even(64, 1000).unwrap();
         let rs = ReplicaSet::new(vec![wide.clone(), narrow.clone()]).unwrap();
         assert_eq!(rs.choose(1).width(), 8, "light load picks narrow");
         assert_eq!(rs.choose(32).width(), 64, "heavy load picks wide");

@@ -123,8 +123,10 @@ impl fmt::Display for Track {
     }
 }
 
-/// One argument value attached to an event.
-#[derive(Debug, Clone, PartialEq)]
+/// One argument value attached to an event. Every variant is plain
+/// bytes: text is a `&'static str`, so recording an argument never
+/// allocates.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArgValue {
     /// Unsigned integer (bytes, counts, indices).
     U64(u64),
@@ -132,9 +134,8 @@ pub enum ArgValue {
     I64(i64),
     /// Float (Joules, Watts, seconds).
     F64(f64),
-    /// Free text. The only variant that owns heap memory; nothing on a
-    /// simulator hot path builds one.
-    Str(Box<str>),
+    /// Static text, e.g. a fault kind (`"transient"`).
+    Str(&'static str),
     /// A component-style label, exported as the string `kind[index]`
     /// (`"disk[3]"`) — the text `ComponentId`'s `Display` gives, kept as
     /// its two parts so recording it needs no owned string.
@@ -161,38 +162,14 @@ impl From<f64> for ArgValue {
         ArgValue::F64(v)
     }
 }
-impl From<String> for ArgValue {
-    fn from(v: String) -> Self {
-        ArgValue::Str(v.into())
-    }
-}
-impl From<&str> for ArgValue {
-    fn from(v: &str) -> Self {
-        ArgValue::Str(v.into())
+impl From<&'static str> for ArgValue {
+    fn from(v: &'static str) -> Self {
+        ArgValue::Str(v)
     }
 }
 
 /// One `key: value` detail of an event.
 pub type Arg = (&'static str, ArgValue);
-
-/// An [`ArgValue`] as the builder holds it: free text moved out to a
-/// list beside the slots, so the slots are `Copy`, a [`TraceEvent`]
-/// moves as plain bytes, and only the text list (empty on every
-/// simulator path) owns anything.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum SlotValue {
-    U64(u64),
-    I64(i64),
-    F64(f64),
-    Label {
-        kind: &'static str,
-        index: u32,
-    },
-    /// Position in the builder's text list.
-    Text(u32),
-}
-
-pub(crate) type Slot = (&'static str, SlotValue);
 
 /// The most arguments one event can carry: the widest emit site in the
 /// workspace (`array_read`/`array_write`). [`TraceEvent::arg`] asserts
@@ -202,13 +179,12 @@ pub const MAX_ARGS: usize = 5;
 /// An event on its way into a [`TraceSink`](crate::recorder::TraceSink):
 /// an instant (`dur == None`) or a span (`dur == Some(nanoseconds)`).
 ///
-/// This is a stack-only builder — its arguments sit inline, in
+/// This is a stack-only `Copy` builder — its arguments sit inline, in
 /// attachment order (which is the export order, so output is byte-stable
-/// without sorting), and building one never allocates unless a caller
-/// attaches free text. What a [`Recorder`](crate::recorder::Recorder)
+/// without sorting), and building one never allocates. What a [`Recorder`](crate::recorder::Recorder)
 /// *stores* is a fixed-width header plus a slice of its argument arena;
 /// [`EventRef`](crate::EventRef) is the read side.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Event start, in simulated time.
     pub at: TraceTime,
@@ -220,9 +196,8 @@ pub struct TraceEvent {
     pub name: &'static str,
     /// Display lane.
     pub track: Track,
-    pub(crate) slots: [Slot; MAX_ARGS],
+    pub(crate) slots: [Arg; MAX_ARGS],
     pub(crate) len: usize,
-    pub(crate) texts: Vec<Box<str>>,
 }
 
 impl TraceEvent {
@@ -235,9 +210,8 @@ impl TraceEvent {
             cat,
             name,
             track,
-            slots: [("", SlotValue::U64(0)); MAX_ARGS],
+            slots: [("", ArgValue::U64(0)); MAX_ARGS],
             len: 0,
-            texts: Vec::new(),
         }
     }
 
@@ -268,33 +242,14 @@ impl TraceEvent {
             "event {:?} carries more than MAX_ARGS = {MAX_ARGS} arguments",
             self.name
         );
-        let stored = match value.into() {
-            ArgValue::U64(v) => SlotValue::U64(v),
-            ArgValue::I64(v) => SlotValue::I64(v),
-            ArgValue::F64(v) => SlotValue::F64(v),
-            ArgValue::Label { kind, index } => SlotValue::Label { kind, index },
-            ArgValue::Str(text) => {
-                self.texts.push(text);
-                SlotValue::Text(self.texts.len() as u32 - 1)
-            }
-        };
-        self.slots[self.len] = (key, stored);
+        self.slots[self.len] = (key, value.into());
         self.len += 1;
         self
     }
 
     /// The attached arguments, in attachment order.
     pub fn args(&self) -> impl ExactSizeIterator<Item = Arg> + '_ {
-        self.slots[..self.len].iter().map(|&(key, slot)| {
-            let value = match slot {
-                SlotValue::U64(v) => ArgValue::U64(v),
-                SlotValue::I64(v) => ArgValue::I64(v),
-                SlotValue::F64(v) => ArgValue::F64(v),
-                SlotValue::Label { kind, index } => ArgValue::Label { kind, index },
-                SlotValue::Text(at) => ArgValue::Str(self.texts[at as usize].clone()),
-            };
-            (key, value)
-        })
+        self.slots[..self.len].iter().copied()
     }
 }
 
@@ -373,7 +328,7 @@ mod tests {
         let args: Vec<Arg> = ev.args().collect();
         assert_eq!(args.len(), 3);
         assert_eq!(args[0], ("bytes", ArgValue::U64(4096)));
-        assert_eq!(args[2], ("op", ArgValue::Str("read".into())));
+        assert_eq!(args[2], ("op", ArgValue::Str("read")));
     }
 
     #[test]

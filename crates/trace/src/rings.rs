@@ -9,11 +9,11 @@
 //! traced run pays for is mostly memory it touches for the first time,
 //! so the bytes are the cost.
 
-use crate::event::{Arg, ArgValue, Category, SlotValue, TraceEvent, TraceTime, Track, MAX_ARGS};
+use crate::event::{Arg, ArgValue, Category, TraceEvent, TraceTime, Track, MAX_ARGS};
 use std::collections::{vec_deque, VecDeque};
 
 /// The static strings one [`Rings`] has seen — event names, argument
-/// keys, device and label kinds — numbered in first-seen order, so a
+/// keys and texts, device and label kinds — numbered in first-seen order, so a
 /// stored event spends two bytes on each instead of a sixteen-byte
 /// `&'static str`.
 #[derive(Debug, Clone)]
@@ -113,8 +113,8 @@ enum Repr {
     F64,
     /// `kind << 32 | index`, `kind` a [`Names`] id.
     Label,
-    /// Absolute position in [`Rings::texts`].
-    Text,
+    /// A [`Names`] id.
+    Str,
 }
 
 /// One stored argument: 16 bytes.
@@ -129,17 +129,13 @@ struct Packed {
 /// Event storage: a ring of fixed-width headers plus one shared arena
 /// holding every event's argument slots back to back, in event order —
 /// so recording an event allocates nothing, and the oldest event's
-/// arguments are always the arena's front. Free text (rare) queues the
-/// same way in `texts`, addressed by absolute position like the arena.
+/// arguments are always the arena's front.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Rings {
     events: VecDeque<Header>,
     args: VecDeque<Packed>,
     /// Arena position of `args.front()`.
     args_base: u32,
-    texts: VecDeque<Box<str>>,
-    /// Text position of `texts.front()`.
-    texts_base: u32,
     names: Names,
 }
 
@@ -149,10 +145,10 @@ impl Rings {
         self.events.len()
     }
 
-    /// Arena slots and queued texts held — what eviction must release.
+    /// Arena slots held — what eviction must release.
     #[cfg(test)]
-    pub(crate) fn held(&self) -> (usize, usize) {
-        (self.args.len(), self.texts.len())
+    pub(crate) fn held(&self) -> usize {
+        self.args.len()
     }
 
     /// Append one event.
@@ -170,28 +166,26 @@ impl Rings {
             args_len: event.len as u8,
             span: event.dur.is_some(),
         });
-        let texts_end = self.texts_base.wrapping_add(self.texts.len() as u32);
         let mut packed = [Packed {
             bits: 0,
             key: 0,
             repr: Repr::U64,
         }; MAX_ARGS];
-        for (p, &(key, stored)) in packed.iter_mut().zip(&event.slots[..event.len]) {
-            let (repr, bits) = match stored {
-                SlotValue::U64(v) => (Repr::U64, v),
-                SlotValue::I64(v) => (Repr::I64, v as u64),
-                SlotValue::F64(v) => (Repr::F64, v.to_bits()),
-                SlotValue::Label { kind, index } => (
+        for (p, &(key, value)) in packed.iter_mut().zip(&event.slots[..event.len]) {
+            let (repr, bits) = match value {
+                ArgValue::U64(v) => (Repr::U64, v),
+                ArgValue::I64(v) => (Repr::I64, v as u64),
+                ArgValue::F64(v) => (Repr::F64, v.to_bits()),
+                ArgValue::Label { kind, index } => (
                     Repr::Label,
                     u64::from(self.names.id(kind)) << 32 | u64::from(index),
                 ),
-                SlotValue::Text(at) => (Repr::Text, u64::from(texts_end.wrapping_add(at))),
+                ArgValue::Str(text) => (Repr::Str, u64::from(self.names.id(text))),
             };
             let key = self.names.id(key);
             *p = Packed { bits, key, repr };
         }
         self.args.extend(&packed[..event.len]);
-        self.texts.extend(event.texts);
     }
 
     /// Evict the oldest event and release its arguments.
@@ -199,15 +193,7 @@ impl Rings {
         let Some(h) = self.events.pop_front() else {
             return;
         };
-        for _ in 0..h.args_len {
-            if let Some(Packed {
-                repr: Repr::Text, ..
-            }) = self.args.pop_front()
-            {
-                self.texts.pop_front();
-                self.texts_base = self.texts_base.wrapping_add(1);
-            }
-        }
+        self.args.drain(..usize::from(h.args_len));
         self.args_base = self.args_base.wrapping_add(u32::from(h.args_len));
     }
 
@@ -256,10 +242,7 @@ impl Rings {
                 kind: self.names.get((p.bits >> 32) as u16),
                 index: p.bits as u32,
             },
-            Repr::Text => {
-                let at = (p.bits as u32).wrapping_sub(self.texts_base);
-                ArgValue::Str(self.texts[at as usize].clone())
-            }
+            Repr::Str => ArgValue::Str(self.names.get(p.bits as u16)),
         };
         (self.names.get(p.key), value)
     }

@@ -6,6 +6,7 @@
 //! re-measure, set a constant to 0 and read the table the failing
 //! assert prints — on the parent commit, never on the change.
 
+use grail_prop::Fnv1a;
 use grail_query::batch::Table;
 use grail_workload::tpch::{generate, generate_table, TpchScale, TpchTable, TpchTables};
 use std::sync::Arc;
@@ -37,22 +38,8 @@ const PINNED: [(u64, u64, [u64; 5]); 2] = [
     ),
 ];
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn word(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
 fn digest(table: &Table) -> u64 {
-    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    let mut h = Fnv1a::new();
     h.bytes(table.name.as_bytes());
     for (field, column) in table.schema.fields().iter().zip(&table.columns) {
         h.bytes(field.name.as_bytes());
@@ -62,7 +49,7 @@ fn digest(table: &Table) -> u64 {
             h.word(*v as u64);
         }
     }
-    h.0
+    h.finish()
 }
 
 /// The five tables in `TpchTable::ALL` order.

@@ -18,6 +18,7 @@ use grail::scheduler::cluster::{chaos_fleet, PlacementPolicy};
 use grail::sim::fault::{ChaosConfig, ChaosSchedule};
 use grail::trace::{to_jsonl, Recorder, Tracer};
 use grail_par::Runner;
+use grail_prop::Fnv1a;
 use std::fmt::Write;
 
 const POLICIES: [(&str, PlacementPolicy, u32); 4] = [
@@ -85,19 +86,6 @@ fn chaos_reports_and_traces_repeat_byte_for_byte() {
     assert!(a.lines().count() > 1, "trace is non-empty");
 }
 
-/// FNV-1a (64-bit) of whatever is written into it: a 512-machine report
-/// renders to tens of megabytes, so it is hashed as it is formatted.
-struct Fnv1a(u64);
-
-impl Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
-
 /// `format!("{report:?}")` — the ledger's bits, every `PlacementChange`,
 /// every counter — of a 16 × 32 `chaos_fleet` under a generated
 /// hurricane, for each policy at 25 % and 60 % of fleet capacity, each
@@ -151,9 +139,10 @@ fn fleet_scale_report_bytes_are_pinned() {
                 r.failed,
                 r.offered
             );
-            let mut digest = Fnv1a(0xcbf2_9ce4_8422_2325);
+            // Tens of megabytes of text: hashed as it is formatted.
+            let mut digest = Fnv1a::new();
             write!(digest, "{r:?}").expect("hashing cannot fail");
-            assert_eq!(digest.0, pinned, "{name} at {frac} of capacity");
+            assert_eq!(digest.finish(), pinned, "{name} at {frac} of capacity");
         }
     }
 }

@@ -9,7 +9,8 @@ use grail::core::db::{EnergyAwareDb, ExecPolicy, ScanSpec, TracedRun};
 use grail::metrics::to_prometheus;
 use grail::prelude::*;
 use grail::trace::{to_chrome, to_jsonl};
-use grail_prop::check;
+use grail_prop::{check, Fnv1a};
+use std::fmt::Write;
 
 fn loaded_db(profile: HardwareProfile) -> EnergyAwareDb {
     let mut db = EnergyAwareDb::new(profile);
@@ -152,24 +153,15 @@ fn seeded_fault_runs_are_byte_identical() {
 /// FNV-1a (64-bit) over JSONL + Chrome + Prometheus + attribution rows.
 fn export_digest(rec: &Recorder, attribution: Option<&AttributionTable>) -> u64 {
     assert_lossless(rec);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |s: &str| {
-        for b in s.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&to_jsonl(rec));
-    eat(&to_chrome(rec));
-    eat(&to_prometheus(rec.metrics()));
+    let mut h = Fnv1a::new();
+    h.bytes(to_jsonl(rec).as_bytes());
+    h.bytes(to_chrome(rec).as_bytes());
+    h.bytes(to_prometheus(rec.metrics()).as_bytes());
     for row in attribution.iter().flat_map(|t| &t.rows) {
-        eat(&format!(
-            "{},{},{}\n",
-            row.label,
-            row.energy.joules(),
-            row.share
-        ));
+        writeln!(h, "{},{},{}", row.label, row.energy.joules(), row.share)
+            .expect("hashing cannot fail");
     }
-    h
+    h.finish()
 }
 
 #[test]
