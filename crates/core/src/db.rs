@@ -266,13 +266,14 @@ impl EnergyAwareDb {
     }
 
     /// Build the profile's simulation, arming the fault plan when one is
-    /// configured.
-    fn build_sim(&self) -> (Simulation, CpuId, Vec<StorageTarget>) {
-        let (mut sim, cpu, targets) = self.profile.build();
+    /// configured; a profile whose disks cannot form its RAID level is
+    /// [`SimError::BadArrayGeometry`].
+    fn build_sim(&self) -> Result<(Simulation, CpuId, Vec<StorageTarget>), SimError> {
+        let (mut sim, cpu, targets) = self.profile.try_build()?;
         if let Some((cfg, seed)) = self.fault {
             sim.set_fault_plan(FaultPlan::new(cfg, seed));
         }
-        (sim, cpu, targets)
+        Ok((sim, cpu, targets))
     }
 
     /// Load TPC-H-like tables at `scale` (seed 42).
@@ -527,7 +528,7 @@ impl EnergyAwareDb {
         per_stream: usize,
         traced: bool,
     ) -> Result<TracedRun, SimError> {
-        let (mut sim, cpu, targets) = self.build_sim();
+        let (mut sim, cpu, targets) = self.build_sim()?;
         if traced {
             self.install_tracer(&mut sim);
         }
@@ -575,8 +576,18 @@ impl EnergyAwareDb {
     /// Idle the machine for `d` and meter it (the baseline burn the
     /// paper's Sec. 2.4 calls out: classic servers draw most of their
     /// peak power doing nothing).
+    ///
+    /// # Panics
+    /// Panics when the profile's disks cannot form its RAID level, as
+    /// [`HardwareProfile::build`] does.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking form, like HardwareProfile::build"
+    )]
     pub fn run_idle(&self, d: SimDuration) -> EnergyReport {
-        let (sim, _, _) = self.build_sim();
+        let (sim, _, _) = self
+            .build_sim()
+            .expect("profile disk counts satisfy RAID minimums");
         let report = sim.finish(grail_power::units::SimInstant::EPOCH + d);
         EnergyReport {
             profile: self.profile.name,
@@ -1066,6 +1077,31 @@ mod tests {
             SimError::NotLoaded.to_string(),
             "no tables loaded; call load_tpch first"
         );
+    }
+
+    /// RAID-5 needs three disks: a DL785 of one or two is a typed error
+    /// from every fallible run, not a panic inside the simulator build.
+    #[test]
+    fn too_few_disks_for_raid5_error_through_try_api() {
+        for disks in [1, 2] {
+            let db = db(HardwareProfile::server_dl785(disks));
+            let bad = SimError::BadArrayGeometry { disks, min: 3 };
+            let policy = ExecPolicy::default();
+            let scan = ScanSpec::fig2();
+            let template = QueryTemplate::PricingSummary;
+            let catalog = db.try_catalog(policy.compression).expect("loaded");
+            let results = [
+                db.try_run_scan(&scan, policy, 1.0).err(),
+                db.try_run_scan_traced(&scan, policy, 1.0).err(),
+                db.try_run_template(template, policy, 1.0).err(),
+                db.try_run_plan(template.plan(&catalog), policy, 1.0).err(),
+                db.try_run_throughput_test(1, 1, policy, 1.0).err(),
+                db.try_run_throughput_test_traced(1, 1, policy, 1.0).err(),
+            ];
+            for (i, got) in results.into_iter().enumerate() {
+                assert_eq!(got, Some(bad.clone()), "{disks} disks, call {i}");
+            }
+        }
     }
 
     #[test]

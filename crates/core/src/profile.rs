@@ -6,7 +6,7 @@ use grail_power::units::Watts;
 use grail_sim::perf::{CpuPerfProfile, DiskPerfProfile, FabricModel, SsdPerfProfile};
 use grail_sim::raid::RaidLevel;
 use grail_sim::sim::Simulation;
-use grail_sim::{CpuId, StorageTarget};
+use grail_sim::{CpuId, SimError, StorageTarget};
 
 /// A complete machine description: performance and power for every
 /// component class, plus topology.
@@ -104,28 +104,33 @@ impl HardwareProfile {
     /// is split across (one RAID array for disk profiles, each SSD for
     /// flash profiles, matching Fig. 2's scanner striping its columns
     /// over all three drives).
+    ///
+    /// # Panics
+    /// Panics when the disks cannot form the profile's RAID level (RAID-5
+    /// over one or two disks); [`Self::try_build`] is the fallible form.
+    #[expect(clippy::expect_used, reason = "documented panicking form of try_build")]
     pub fn build(&self) -> (Simulation, CpuId, Vec<StorageTarget>) {
+        self.try_build()
+            .expect("profile disk counts satisfy RAID minimums")
+    }
+
+    /// Fallible form of [`Self::build`]: a disk count below the RAID
+    /// level's minimum is [`SimError::BadArrayGeometry`].
+    pub fn try_build(&self) -> Result<(Simulation, CpuId, Vec<StorageTarget>), SimError> {
         let mut sim = Simulation::new();
         let cpu = sim.add_cpu(self.cpu_perf, self.cpu_power);
         sim.set_base_power(self.base_power);
         sim.set_fabric(self.fabric);
         let targets = if self.disks > 0 {
             let ids = sim.add_disks(self.disks, self.disk_perf, self.disk_power);
-            #[expect(
-                clippy::expect_used,
-                reason = "profile disk counts satisfy RAID minimums by construction"
-            )]
-            let arr = sim
-                .make_array(self.raid, ids)
-                .expect("profile disk counts satisfy RAID minimums");
-            vec![StorageTarget::Array(arr)]
+            vec![StorageTarget::Array(sim.make_array(self.raid, ids)?)]
         } else {
             sim.add_ssds(self.ssds.max(1), self.ssd_perf, self.ssd_power)
                 .into_iter()
                 .map(StorageTarget::Ssd)
                 .collect()
         };
-        (sim, cpu, targets)
+        Ok((sim, cpu, targets))
     }
 
     /// Aggregate storage read bandwidth (bytes/s) of the primary target,
@@ -194,6 +199,21 @@ mod tests {
         // Flash profile exposes one target per drive.
         let (_, _, flash_targets) = HardwareProfile::flash_scanner().build();
         assert_eq!(flash_targets.len(), 3);
+    }
+
+    #[test]
+    fn try_build_rejects_raid5_below_three_disks() {
+        for disks in [1, 2] {
+            let err = HardwareProfile::server_dl785(disks).try_build().err();
+            assert_eq!(err, Some(SimError::BadArrayGeometry { disks, min: 3 }));
+        }
+        assert!(HardwareProfile::server_dl785(3).try_build().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "RAID minimums")]
+    fn build_panics_below_the_raid_minimum() {
+        let _ = HardwareProfile::server_dl785(2).build();
     }
 
     #[test]

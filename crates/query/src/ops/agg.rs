@@ -50,44 +50,42 @@ impl AggSpec {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct AggState {
-    count: i64,
-    sum: i64,
-    min: i64,
-    max: i64,
-}
-
-impl AggState {
-    fn new() -> Self {
-        AggState {
-            count: 0,
-            sum: 0,
-            min: i64::MAX,
-            max: i64::MIN,
+impl AggFunc {
+    /// The accumulator of a group no row has reached yet; `None` for
+    /// `Count`, which reads the shared per-group count.
+    fn identity(self) -> Option<i64> {
+        match self {
+            AggFunc::Count => None,
+            AggFunc::Sum | AggFunc::Avg => Some(0),
+            AggFunc::Min => Some(i64::MAX),
+            AggFunc::Max => Some(i64::MIN),
         }
     }
 
-    fn update(&mut self, v: Datum) {
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+    /// Fold `values` into `acc`, value `i` into the accumulator of group
+    /// `gids[i]`. The function is matched once per batch, not per row.
+    fn fold(self, acc: &mut [i64], gids: &[u32], values: &[Datum]) {
+        fn each(acc: &mut [i64], gids: &[u32], values: &[Datum], f: impl Fn(i64, i64) -> i64) {
+            for (g, v) in gids.iter().zip(values) {
+                let slot = &mut acc[*g as usize];
+                *slot = f(*slot, *v);
+            }
+        }
+        match self {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => each(acc, gids, values, i64::wrapping_add),
+            AggFunc::Min => each(acc, gids, values, i64::min),
+            AggFunc::Max => each(acc, gids, values, i64::max),
+        }
     }
 
-    fn finish(&self, f: AggFunc) -> Datum {
-        match f {
-            AggFunc::Count => self.count,
-            AggFunc::Sum => self.sum,
-            AggFunc::Min => self.min,
-            AggFunc::Max => self.max,
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    0
-                } else {
-                    self.sum / self.count
-                }
-            }
+    /// The result of a group of `count` rows (at least one) whose
+    /// accumulator is `acc`.
+    fn finish(self, acc: i64, count: i64) -> Datum {
+        match self {
+            AggFunc::Count => count,
+            AggFunc::Sum | AggFunc::Min | AggFunc::Max => acc,
+            AggFunc::Avg => acc / count,
         }
     }
 }
@@ -142,8 +140,10 @@ impl HashAggregate {
             }
         }
         let mut table = GroupTable::new(self.group_by.len());
-        // states[a][g]: aggregate `a` of group `g`.
-        let mut states: Vec<Vec<AggState>> = vec![Vec::new(); self.aggs.len()];
+        // counts[g]: rows of group `g`; accs[a][g]: aggregate `a`'s sum,
+        // minimum or maximum of group `g` (empty for a count).
+        let mut counts: Vec<i64> = Vec::new();
+        let mut accs: Vec<Vec<i64>> = vec![Vec::new(); self.aggs.len()];
         let mut gids: Vec<u32> = Vec::new();
         let mut rows = 0f64;
         while let Some(batch) = self.input.next(ctx)? {
@@ -155,18 +155,16 @@ impl HashAggregate {
                 .collect();
             gids.clear();
             table.intern(&keys, batch.len(), &mut gids);
-            for (of_group, a) in states.iter_mut().zip(&self.aggs) {
-                of_group.resize(table.len(), AggState::new());
-                if a.func == AggFunc::Count {
-                    for g in &gids {
-                        of_group[*g as usize].update(0);
-                    }
-                } else {
-                    let values = batch.logical_column(a.column);
-                    for (g, v) in gids.iter().zip(values.iter()) {
-                        of_group[*g as usize].update(*v);
-                    }
-                }
+            counts.resize(table.len(), 0);
+            for g in &gids {
+                counts[*g as usize] += 1;
+            }
+            for (acc, a) in accs.iter_mut().zip(&self.aggs) {
+                let Some(identity) = a.func.identity() else {
+                    continue;
+                };
+                acc.resize(table.len(), identity);
+                a.func.fold(acc, &gids, &batch.logical_column(a.column));
             }
         }
         ctx.charge_cpu(
@@ -181,8 +179,12 @@ impl HashAggregate {
         for k in 0..self.group_by.len() {
             cols.push(order.iter().map(|g| table.key(*g)[k]).collect());
         }
-        for (of_group, a) in states.iter().zip(&self.aggs) {
-            let finished = order.iter().map(|g| of_group[*g as usize].finish(a.func));
+        for (acc, a) in accs.iter().zip(&self.aggs) {
+            let finished = order.iter().map(|g| {
+                let g = *g as usize;
+                // A count keeps no accumulator of its own.
+                a.func.finish(acc.get(g).copied().unwrap_or(0), counts[g])
+            });
             cols.push(finished.collect());
         }
         self.result = Some(Batch::new(self.schema.clone(), cols));

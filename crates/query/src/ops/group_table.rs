@@ -7,12 +7,21 @@
 //! depends on where a key hashed. The multiplicative hash is not
 //! collision-resistant; keys here are column values the engine itself
 //! generated, never an outside party's.
+//!
+//! A batch whose key columns all hold small non-negative values (their
+//! bit widths sum to at most [`DIRECT_BITS`]) skips the hash: the key
+//! packs into an index of a direct map of ids. The map only remembers
+//! what the hash table answered, so a key's first sighting still goes
+//! through the table and ids keep their first-arrival order whichever
+//! path a batch takes.
 
 use crate::value::Datum;
 use std::borrow::Cow;
 
 const EMPTY: u32 = u32::MAX;
 const INITIAL_SLOTS: usize = 16;
+/// The widest packed key the direct map indexes: 4 096 ids, 16 KB.
+const DIRECT_BITS: u32 = 12;
 
 /// An insert-only map from `width`-datum keys to ids `0, 1, 2, …`.
 pub(crate) struct GroupTable {
@@ -22,6 +31,12 @@ pub(crate) struct GroupTable {
     /// A group id or `EMPTY`; the length is a power of two, at least
     /// twice `groups`.
     slots: Vec<u32>,
+    /// Bits per key column of the packed key; column 0 takes the lowest.
+    direct_bits: Vec<u32>,
+    /// The id of each packed key seen since the layout last changed, or
+    /// `EMPTY`; `1 << Σ direct_bits` entries, none before the first
+    /// direct batch.
+    direct: Vec<u32>,
 }
 
 /// Multiply-rotate over the key's datums. The multiplier is 2^64/φ: the
@@ -43,6 +58,8 @@ impl GroupTable {
             keys: Vec::new(),
             groups: 0,
             slots: vec![EMPTY; INITIAL_SLOTS],
+            direct_bits: vec![0; width],
+            direct: Vec::new(),
         }
     }
 
@@ -87,27 +104,70 @@ impl GroupTable {
         assert_eq!(cols.len(), self.width, "key width mismatch");
         let cols: Vec<&[Datum]> = cols.iter().map(|c| &c[..rows]).collect();
         out.reserve(rows);
-        for r in 0..rows {
-            let h = hash(cols.iter().map(|c| c[r]));
-            let slot = self.probe(h, |g| {
-                self.key(g).iter().zip(&cols).all(|(k, c)| *k == c[r])
-            });
-            if self.slots[slot] != EMPTY {
-                out.push(self.slots[slot]);
-                continue;
-            }
-            let g = u32::try_from(self.groups)
-                .ok()
-                .filter(|g| *g != EMPTY)
-                .expect("group ids fit u32");
-            self.keys.extend(cols.iter().map(|c| c[r]));
-            self.groups += 1;
-            self.slots[slot] = g;
-            out.push(g);
-            if self.groups * 2 > self.slots.len() {
-                self.grow();
-            }
+        if !self.fit_direct(&cols) {
+            out.extend((0..rows).map(|r| self.intern_row(&cols, r)));
+            return;
         }
+        // Pack each row's key in place, then turn packed keys into ids.
+        let base = out.len();
+        out.resize(base + rows, 0);
+        let mut shift = 0;
+        for (col, bits) in cols.iter().zip(&self.direct_bits) {
+            for (packed, v) in out[base..].iter_mut().zip(*col) {
+                *packed |= (*v as u32) << shift;
+            }
+            shift += bits;
+        }
+        for (r, slot) in out[base..].iter_mut().enumerate() {
+            let packed = *slot as usize;
+            if self.direct[packed] == EMPTY {
+                self.direct[packed] = self.intern_row(&cols, r);
+            }
+            *slot = self.direct[packed];
+        }
+    }
+
+    /// Whether every key of `cols` packs into the direct map, widening
+    /// its layout (and forgetting what it held) when a column outgrows
+    /// its bits. One OR per value sizes a column; a negative value sets
+    /// the top bit and so never fits.
+    fn fit_direct(&mut self, cols: &[&[Datum]]) -> bool {
+        let needed = cols.iter().map(|c| {
+            let any = c.iter().fold(0, |acc, v| acc | v) as u64;
+            64 - any.leading_zeros()
+        });
+        let bits: Vec<u32> = needed
+            .zip(&self.direct_bits)
+            .map(|(n, b)| n.max(*b))
+            .collect();
+        if bits.iter().sum::<u32>() > DIRECT_BITS {
+            return false;
+        }
+        if bits != self.direct_bits || self.direct.is_empty() {
+            self.direct = vec![EMPTY; 1 << bits.iter().sum::<u32>()];
+            self.direct_bits = bits;
+        }
+        true
+    }
+
+    /// The group of row `r`'s key, interned through the hash table.
+    fn intern_row(&mut self, cols: &[&[Datum]], r: usize) -> u32 {
+        let h = hash(cols.iter().map(|c| c[r]));
+        let slot = self.probe(h, |g| self.key(g).iter().zip(cols).all(|(k, c)| *k == c[r]));
+        if self.slots[slot] != EMPTY {
+            return self.slots[slot];
+        }
+        let g = u32::try_from(self.groups)
+            .ok()
+            .filter(|g| *g != EMPTY)
+            .expect("group ids fit u32");
+        self.keys.extend(cols.iter().map(|c| c[r]));
+        self.groups += 1;
+        self.slots[slot] = g;
+        if self.groups * 2 > self.slots.len() {
+            self.grow();
+        }
+        g
     }
 
     fn grow(&mut self) {
@@ -144,6 +204,33 @@ mod tests {
         assert_eq!(t.key(3), &[5]);
         assert_eq!(t.find(&[3]), Some(1));
         assert_eq!(t.find(&[4]), None);
+    }
+
+    /// A key's id is the one its first sighting got, whichever path a
+    /// batch takes: direct, hashed (a negative or too wide a key), or
+    /// direct again over a widened layout.
+    #[test]
+    fn ids_stay_first_arrival_across_direct_and_hashed_batches() {
+        let mut t = GroupTable::new(2);
+        assert_eq!(intern(&mut t, &[&[1, 0, 1], &[2, 3, 2]]), [0, 1, 0]);
+        assert_eq!(
+            (t.direct_bits.as_slice(), t.direct.len()),
+            ([1, 2].as_slice(), 8)
+        );
+        // A negative key hashes the batch; known keys keep their ids.
+        assert_eq!(intern(&mut t, &[&[0, -1, 1], &[3, 0, 2]]), [1, 2, 0]);
+        // Direct again over the same layout: (0, 0) is new.
+        assert_eq!(intern(&mut t, &[&[1, 0], &[2, 0]]), [0, 3]);
+        // 17 needs 5 bits: the map is rebuilt, the ids are not.
+        assert_eq!(intern(&mut t, &[&[17, 1, 0], &[0, 2, 3]]), [4, 0, 1]);
+        assert_eq!(
+            (t.direct_bits.as_slice(), t.direct.len()),
+            ([5, 2].as_slice(), 128)
+        );
+        // 4096 would need 13 + 2 bits: hashed, the layout stays.
+        assert_eq!(intern(&mut t, &[&[4096, 17, -1], &[0, 0, 0]]), [5, 4, 2]);
+        assert_eq!(t.direct_bits, [5, 2]);
+        assert_eq!((t.len(), t.key(5)), (6, [4096, 0].as_slice()));
     }
 
     #[test]

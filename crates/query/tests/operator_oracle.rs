@@ -3,7 +3,9 @@
 //! seeded `grail_prop::Gen` inputs: dense, windowed (`offset > 0`) and
 //! selection-carrying batches, empty batches and empty inputs, key domains
 //! from two values (fan-out past `BATCH_ROWS` per probe batch) to the
-//! `i64` extremes, bad column indices, every spill grant. Equal means
+//! `i64` extremes, bad column indices, every spill grant. The aggregate
+//! draws a domain per batch, so batches whose small keys index group ids
+//! directly, and batches that hash, meet in one aggregation. Equal means
 //! everything a caller or the simulator can observe: each batch `next()`
 //! returns, the error and where it struck, every `OpTally`, every phase
 //! with each `ReadDemand`. The feeding operator charges a fractional cost
@@ -128,12 +130,14 @@ fn gen_batch(rng: &mut Gen, schema: &Arc<Schema>, len: usize, domain: Domain) ->
     window.filter(&mask)
 }
 
+/// Up to `max_batches` batches of at most `max_len` rows, each batch's
+/// values from the domain `domain` returns for it.
 fn gen_input(
     rng: &mut Gen,
     arity: usize,
     max_batches: usize,
     max_len: usize,
-    domain: Domain,
+    mut domain: impl FnMut(&mut Gen) -> Domain,
 ) -> (Arc<Schema>, Vec<Batch>) {
     let schema = schema_of(arity);
     let batches = (0..rng.range(0..max_batches + 1))
@@ -143,6 +147,7 @@ fn gen_input(
             } else {
                 rng.range(0..max_len + 1)
             };
+            let domain = domain(rng);
             gen_batch(rng, &schema, len, domain)
         })
         .collect();
@@ -304,11 +309,17 @@ fn aggregate_matches_the_row_at_a_time_oracle() {
         AggFunc::Avg,
     ];
     let (mut grown, mut failed, mut groupless, mut empty) = (0, 0, 0, 0);
+    let (mut mixed, mut widened) = (0, 0);
     for case in 0..CASES {
         let mut rng = Gen::new(0xA66 ^ (case << 20));
         let arity = 1 + rng.range(0..4);
-        let domain = Domain::pick(&mut rng);
-        let input = gen_input(&mut rng, arity, 4, 150, domain);
+        // A domain per batch: small codes (direct group ids), negatives and
+        // wide keys (hashed) alternate inside one aggregation.
+        let mut domains = Vec::new();
+        let input = gen_input(&mut rng, arity, 4, 150, |rng| {
+            domains.push(Domain::pick(rng));
+            domains[domains.len() - 1]
+        });
         let group_by: Vec<usize> = (0..rng.range(0..4))
             .map(|_| column(&mut rng, arity))
             .collect();
@@ -333,10 +344,27 @@ fn aggregate_matches_the_row_at_a_time_oracle() {
         failed += got.error.is_some() as u32;
         groupless += (group_by.is_empty() && got.error.is_none()) as u32;
         empty += (got.lens() == [0]) as u32;
+        // The small domains reached, in batch order, among batches with rows.
+        let reached: Vec<Option<usize>> = (domains.iter().zip(&input.1))
+            .filter(|(_, b)| !b.is_empty())
+            .map(|(d, _)| match d {
+                Domain::Small(n) => Some(*n),
+                _ => None,
+            })
+            .collect();
+        if !group_by.is_empty() && got.error.is_none() {
+            mixed += (reached.contains(&None) && reached.iter().any(Option::is_some)) as u32;
+            let small: Vec<usize> = reached.iter().flatten().copied().collect();
+            widened += small.windows(2).any(|w| w[0] < w[1]) as u32;
+        }
     }
     assert!(
         grown > 50 && failed > 50 && groupless > 100 && empty > 20,
         "coverage: {grown} grew the table, {failed} failed, {groupless} group-less, {empty} empty"
+    );
+    assert!(
+        mixed > 100 && widened > 50,
+        "coverage: {mixed} mixed small and hashed keys, {widened} widened small keys"
     );
 }
 
@@ -359,8 +387,8 @@ fn hash_join_matches_the_row_at_a_time_oracle() {
         } else {
             Domain::pick(&mut rng)
         };
-        let build = gen_input(&mut rng, build_arity, 3, 150, domain);
-        let probe = gen_input(&mut rng, probe_arity, 4, 150, domain);
+        let build = gen_input(&mut rng, build_arity, 3, 150, |_| domain);
+        let probe = gen_input(&mut rng, probe_arity, 4, 150, |_| domain);
         let (build_key, probe_key) = (column(&mut rng, build_arity), column(&mut rng, probe_arity));
         let got = drive(HashJoin::new(
             Feed::boxed("build", &build),
@@ -470,7 +498,7 @@ fn sort_matches_the_row_at_a_time_oracle() {
         let domain = Domain::pick(&mut rng);
         // One case in five is long enough to leave in several windows.
         let max_len = if rng.one_in(5) { 3000 } else { 200 };
-        let input = gen_input(&mut rng, arity, 4, max_len, domain);
+        let input = gen_input(&mut rng, arity, 4, max_len, |_| domain);
         let spec = SortSpec {
             keys: (0..1 + rng.range(0..3))
                 .map(|_| {

@@ -214,10 +214,9 @@ impl SegmentReader {
                 Ok(())
             }
             Codec::Rle(runs, bytes) => runs.gather(bytes, positions, out),
-            Codec::Dict(dict, bytes) => dict.gather(bytes, positions, out, &mut self.scratch),
+            Codec::Dict(dict, bytes) => dict.gather(bytes, positions, out),
             Codec::BitPack(packed, bytes) => {
-                let value = |r| packed.value(r);
-                packed.pick(bytes, positions, out, &mut self.scratch, value);
+                packed.pick(bytes, positions, out, |r| packed.value(r));
                 Ok(())
             }
         }

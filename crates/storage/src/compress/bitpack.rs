@@ -112,9 +112,11 @@ impl Packed {
     }
 
     /// Write `map(residual)` of rows `first..first + out.len()` into
-    /// `out`. The bits of 64 rows starting at a multiple of 64 fill
-    /// exactly `width` words, so such a block is unpacked a word at a time
-    /// from a 64-bit carry; rows outside whole blocks are read one by one.
+    /// `out`. A row whose bits start at least 8 bytes before the end of
+    /// the data is read with one unaligned little-endian load (its bits
+    /// start at most 7 into it, so any width up to 57 fits); the rows
+    /// past that, and every row of a wider block, go through
+    /// [`Self::residual_at`].
     #[inline]
     pub(crate) fn unpack<T>(
         &self,
@@ -124,49 +126,39 @@ impl Packed {
         map: impl Fn(u64) -> T,
     ) {
         let data = &bytes[self.data..];
-        let (width, mask) = (self.width, mask(self.width));
-        let block_bytes = 8 * width as usize;
-        let head = (first.next_multiple_of(64) - first).min(out.len());
-        let (head_out, rest) = out.split_at_mut(head);
-        for (i, slot) in head_out.iter_mut().enumerate() {
-            *slot = map(self.residual_at(bytes, first + i));
+        let loaded = self.loaded_rows(data).saturating_sub(first).min(out.len());
+        let (head, tail) = out.split_at_mut(loaded);
+        for (i, slot) in head.iter_mut().enumerate() {
+            *slot = map(self.load(data, first + i));
         }
-        let mut row = first + head;
-        let mut blocks = rest.chunks_exact_mut(64);
-        for chunk in &mut blocks {
-            let at = row / 64 * block_bytes;
-            // A short last word ends the block path; the rows read it padded.
-            let Some(block) = data.get(at..at + block_bytes) else {
-                chunk
-                    .iter_mut()
-                    .enumerate()
-                    .for_each(|(i, slot)| *slot = map(self.residual_at(bytes, row + i)));
-                row += 64;
-                continue;
-            };
-            let mut words = block
-                .chunks_exact(8)
-                .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
-            let (mut carry, mut have) = (0u64, 0u32);
-            for slot in chunk {
-                *slot = map(if have >= width {
-                    let r = carry & mask;
-                    carry = carry.checked_shr(width).unwrap_or(0);
-                    have -= width;
-                    r
-                } else {
-                    let next = words.next().unwrap_or(0);
-                    let r = (carry | next << have) & mask;
-                    carry = next.checked_shr(width - have).unwrap_or(0);
-                    have += 64 - width;
-                    r
-                });
-            }
-            row += 64;
+        for (i, slot) in tail.iter_mut().enumerate() {
+            *slot = map(self.residual_at(bytes, first + loaded + i));
         }
-        for (i, slot) in blocks.into_remainder().iter_mut().enumerate() {
-            *slot = map(self.residual_at(bytes, row + i));
+    }
+
+    /// How many leading rows [`Self::load`] can read: row `i` qualifies
+    /// when its first byte `i·width / 8` has 8 bytes behind it. A width-0
+    /// block needs no bytes at all.
+    #[inline]
+    fn loaded_rows(&self, data: &[u8]) -> usize {
+        match self.width {
+            0 => usize::MAX,
+            1..=57 => (data.len().saturating_sub(7) * 8).div_ceil(self.width as usize),
+            _ => 0,
         }
+    }
+
+    /// The residual of row `i` from one unaligned load; `i` must be below
+    /// [`Self::loaded_rows`].
+    #[inline]
+    fn load(&self, data: &[u8], i: usize) -> u64 {
+        if self.width == 0 {
+            return 0;
+        }
+        let bit = i * self.width as usize;
+        let at = bit / 8;
+        let word = u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
+        (word >> (bit % 8)) & mask(self.width)
     }
 
     /// The residual of row `i`: one or two word reads, one shift, one mask.
@@ -185,32 +177,26 @@ impl Packed {
     }
 
     /// Append `map(residual)` of each of `positions` (strictly
-    /// ascending) to `out`. A list that covers most of the rows it spans
-    /// unpacks them all into `scratch` and picks; a sparser one reads each
-    /// row on its own.
+    /// ascending) to `out`, each read where it lies: one unaligned load,
+    /// or [`Self::residual_at`] near the end of the data.
+    #[inline]
     pub(crate) fn pick<T>(
         &self,
         bytes: &[u8],
         positions: &[u32],
         out: &mut Vec<T>,
-        scratch: &mut Vec<u64>,
         map: impl Fn(u64) -> T,
     ) {
-        let (Some(first), Some(last)) = (positions.first(), positions.last()) else {
-            return;
-        };
-        let span = (last - first) as usize + 1;
-        if positions.len() * 4 < span * 3 {
-            out.extend(
-                positions
-                    .iter()
-                    .map(|p| map(self.residual_at(bytes, *p as usize))),
-            );
-            return;
-        }
-        scratch.resize(span, 0);
-        self.unpack(bytes, *first as usize, scratch, |r| r);
-        out.extend(positions.iter().map(|p| map(scratch[(p - first) as usize])));
+        let data = &bytes[self.data..];
+        let loaded = self.loaded_rows(data);
+        let split = positions.partition_point(|p| (*p as usize) < loaded);
+        let (head, tail) = positions.split_at(split);
+        out.reserve(positions.len());
+        out.extend(head.iter().map(|p| map(self.load(data, *p as usize))));
+        out.extend(
+            tail.iter()
+                .map(|p| map(self.residual_at(bytes, *p as usize))),
+        );
     }
 
     /// Append the rows of `rows` whose value lies in `[lo, hi]`,

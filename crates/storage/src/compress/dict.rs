@@ -10,6 +10,7 @@
 use super::bitpack::{self, Packed};
 use super::varint::{read_i64, read_u32, write_i64, write_u32};
 use crate::error::StorageError;
+use std::cell::Cell;
 #[expect(
     clippy::disallowed_types,
     reason = "per-value lookups only; dict order is first-appearance"
@@ -44,14 +45,15 @@ pub fn encode(values: &[i64]) -> Vec<u8> {
     out
 }
 
-/// Decode dictionary-encoded `bytes`: the codes are unpacked into the
-/// output buffer and mapped through the dictionary where they lie.
+/// Decode dictionary-encoded `bytes`: each code is mapped through the
+/// dictionary as it is unpacked.
 pub fn decode(bytes: &[u8]) -> Result<Vec<i64>, StorageError> {
     let dict = Dict::parse(bytes)?;
     let mut out = vec![0; dict.codes.count];
-    dict.codes.unpack(bytes, 0, &mut out, |r| r as i64);
-    dict.map_codes(&mut out)?;
-    Ok(out)
+    let corrupt = Cell::new(None);
+    dict.codes
+        .unpack(bytes, 0, &mut out, |r| dict.lookup(r, &corrupt));
+    corrupt.get().map_or(Ok(out), |r| Err(dict.code_error(r)))
 }
 
 /// A dictionary segment with its entries read and its code block's
@@ -102,29 +104,42 @@ impl Dict {
             return Ok(());
         }
         for c in codes {
-            let code = usize::try_from(self.codes.value(c))
-                .map_err(|_| StorageError::CorruptSegment("dict negative code"))?;
-            if code >= self.entries.len() {
-                return Err(StorageError::CorruptSegment("dict code out of range"));
+            if self.entry(c).is_none() {
+                return Err(self.code_error(c));
             }
         }
         Ok(())
+    }
+
+    /// The entry a code residual names, if it names one.
+    #[inline]
+    fn entry(&self, code: u64) -> Option<i64> {
+        let index = usize::try_from(self.codes.value(code)).ok()?;
+        self.entries.get(index).copied()
+    }
+
+    /// The entry a code residual names; a corrupt code reads 0 and, when
+    /// it is the first, is kept in `corrupt` for [`Self::code_error`].
+    #[inline]
+    fn lookup(&self, code: u64, corrupt: &Cell<Option<u64>>) -> i64 {
+        self.entry(code).unwrap_or_else(|| {
+            corrupt.set(corrupt.get().or(Some(code)));
+            0
+        })
+    }
+
+    /// What is wrong with a code residual that names no entry.
+    fn code_error(&self, code: u64) -> StorageError {
+        StorageError::CorruptSegment(match self.codes.value(code) < 0 {
+            true => "dict negative code",
+            false => "dict code out of range",
+        })
     }
 
     /// The entry index of a code residual that passed [`Self::check`].
     #[inline]
     fn index(&self, code: u64) -> usize {
         self.codes.value(code) as usize
-    }
-
-    /// Replace code residuals (held as `r as i64`) with the values they
-    /// name.
-    fn map_codes(&self, codes: &mut [i64]) -> Result<(), StorageError> {
-        self.check(codes.iter().map(|c| *c as u64))?;
-        for c in codes {
-            *c = self.entries[self.index(*c as u64)];
-        }
-        Ok(())
     }
 
     /// Append the rows of `rows` whose value lies in `[lo, hi]`: the
@@ -160,19 +175,24 @@ impl Dict {
         Ok(())
     }
 
-    /// Append the values of `positions` (strictly ascending).
+    /// Append the values of `positions` (strictly ascending), each code
+    /// mapped through the dictionary as it is read. A corrupt code
+    /// appends nothing and is the error of the first such position.
     pub(crate) fn gather(
         &self,
         bytes: &[u8],
         positions: &[u32],
         out: &mut Vec<i64>,
-        scratch: &mut Vec<u64>,
     ) -> Result<(), StorageError> {
         let base = out.len();
+        let corrupt = Cell::new(None);
         self.codes
-            .pick(bytes, positions, out, scratch, |r| r as i64);
-        self.map_codes(&mut out[base..])
-            .inspect_err(|_| out.truncate(base))
+            .pick(bytes, positions, out, |r| self.lookup(r, &corrupt));
+        let Some(bad) = corrupt.get() else {
+            return Ok(());
+        };
+        out.truncate(base);
+        Err(self.code_error(bad))
     }
 }
 
@@ -229,6 +249,72 @@ mod tests {
         write_i64(&mut bad, 42);
         bad.extend_from_slice(&bitpack::encode(&[0i64])); // only one code
         assert!(decode(&bad).is_err());
+    }
+
+    /// A dictionary whose `n` codes `i % entries.len()` are packed at
+    /// `width` bits on a frame that puts the last code at the widest
+    /// residual: a hand-built block (the encoder packs codes at their
+    /// minimal width, on a frame of 0).
+    fn coded_at(width: u32, n: usize, entries: &[i64]) -> Vec<u8> {
+        let min = (entries.len() as i128 - (1i128 << width)).max(i64::MIN as i128) as i64;
+        let mut words = vec![0u64; (n * width as usize).div_ceil(64)];
+        for i in 0..n {
+            let residual = ((i % entries.len()) as i128 - min as i128) as u64;
+            let (w, off) = (i * width as usize / 64, (i * width as usize % 64) as u32);
+            words[w] |= residual << off;
+            if off + width > 64 {
+                words[w + 1] |= residual >> (64 - off);
+            }
+        }
+        let mut out = Vec::new();
+        write_u32(&mut out, n as u32);
+        write_u32(&mut out, entries.len() as u32);
+        entries.iter().for_each(|e| write_i64(&mut out, *e));
+        write_u32(&mut out, n as u32);
+        write_i64(&mut out, min);
+        out.push(width as u8);
+        words
+            .iter()
+            .for_each(|w| out.extend_from_slice(&w.to_le_bytes()));
+        out
+    }
+
+    /// `unpack`, `pick` and `gather` from each of the last 128 rows (the
+    /// 8-byte loads run out up to 119 rows before the end) read what
+    /// `residual_at` reads row by row, at every width.
+    #[test]
+    fn every_read_matches_residual_at_near_the_end_of_the_data() {
+        let all = [-7, i64::MIN, 0, i64::MAX, 42];
+        for width in 1..=64 {
+            let entries = &all[..all.len().min(1 << width.min(3))];
+            for n in [1, 9, 63, 64, 65, 200, 333] {
+                let bytes = coded_at(width, n, entries);
+                let dict = Dict::parse(&bytes).expect("valid");
+                let p = dict.codes;
+                let truth: Vec<u64> = (0..n).map(|i| p.residual_at(&bytes, i)).collect();
+                let values: Vec<i64> = (0..n).map(|i| entries[i % entries.len()]).collect();
+                assert_eq!(decode(&bytes).as_ref(), Ok(&values), "width {width}");
+                for start in n.saturating_sub(128)..n {
+                    let mut unpacked = vec![0; n - start];
+                    p.unpack(&bytes, start, &mut unpacked, |r| r);
+                    assert_eq!(unpacked, truth[start..], "width {width}, from {start}");
+                    let positions: Vec<u32> =
+                        (start as u32..n as u32).step_by(1 + start % 3).collect();
+                    let at = |i: &u32| *i as usize;
+                    let mut picked = Vec::new();
+                    p.pick(&bytes, &positions, &mut picked, |r| r);
+                    assert_eq!(
+                        picked,
+                        positions.iter().map(|i| truth[at(i)]).collect::<Vec<_>>()
+                    );
+                    let mut gathered = Vec::new();
+                    dict.gather(&bytes, &positions, &mut gathered)
+                        .expect("valid");
+                    let want: Vec<i64> = positions.iter().map(|i| values[at(i)]).collect();
+                    assert_eq!(gathered, want, "width {width}, from {start}");
+                }
+            }
+        }
     }
 
     /// A dictionary length past the end of the bytes used to reserve

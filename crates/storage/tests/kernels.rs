@@ -11,6 +11,10 @@
 //!   for bounds at `i64::MIN` / `i64::MAX`, empty and one-value ranges,
 //!   and windows that cross the segment's end, walked the way a scan walks
 //!   them and then out of order.
+//! * Near the end of the packed data, where a row's 8-byte load would run
+//!   past the buffer, reads that start at each of the last rows agree
+//!   with the reference at every bit-pack width 1..=64 and every
+//!   dictionary code width 1..=13.
 
 use grail_prop::Gen;
 use grail_storage::column::ColumnSegment;
@@ -295,4 +299,63 @@ fn select_and_gather_match_the_reference() {
         selected > 1_000_000 && crossed > 1000,
         "coverage: {selected} rows selected, {crossed} windows crossed the end"
     );
+}
+
+/// `n` values over `k` random dictionary entries, each entry appearing
+/// by row `k`: the codes are `0..k`, packed at the width of `k − 1`.
+fn of_codes(rng: &mut Gen, n: usize, k: usize) -> Vec<i64> {
+    let dict: Vec<i64> = (0..k).map(|_| rng.word() as i64).collect();
+    (0..n)
+        .map(|i| dict[if i < k { i } else { rng.range(0..k) }])
+        .collect()
+}
+
+/// Every start row of the last `TAIL` rows: at width 1 the last row an
+/// 8-byte load reads whole lies up to 119 rows (7 bytes plus a padded
+/// word) before the end, so the reads from each start cross it.
+#[test]
+fn reads_from_the_last_rows_match_the_reference() {
+    const TAIL: usize = 128;
+    let mut rng = Gen::new(0x7A11);
+    let mut cases = Vec::new();
+    for width in 1..=64 {
+        for n in [1 + rng.range(0..TAIL), TAIL + rng.range(0..200)] {
+            let label = format!("width {width}, {n} rows");
+            cases.push((label, Encoding::BitPack, of_width(&mut rng, n, width)));
+        }
+    }
+    for bits in 1..=13 {
+        let k = (1 << (bits - 1)) + 1;
+        let n = k + rng.range(0..TAIL);
+        let label = format!("{bits}-bit codes, {n} rows");
+        cases.push((label, Encoding::Dict, of_codes(&mut rng, n, k)));
+    }
+    for (label, enc, vals) in cases {
+        let truth = reference_decode(&compress::encode(&vals, enc), enc).expect("valid");
+        let n = truth.len();
+        let mut reader = ColumnSegment::encode(&vals, enc)
+            .reader()
+            .expect("a fresh segment reads");
+        for start in n.saturating_sub(TAIL)..n {
+            let ctx = || format!("{label}, {} from row {start}", enc.name());
+            // A one-value range unpacks every row of the window.
+            let v = truth[start];
+            let want: Vec<u32> = (start..n)
+                .filter(|r| truth[*r] == v)
+                .map(|r| r as u32)
+                .collect();
+            let mut got = Vec::new();
+            reader
+                .select_range(start..n, v, v, &mut got)
+                .expect("valid");
+            assert_eq!(got, want, "{}", ctx());
+            // Every row from `start`, then `start` alone.
+            let all: Vec<u32> = (start as u32..n as u32).collect();
+            for positions in [&all[..], &all[..1]] {
+                let mut values = Vec::new();
+                reader.gather(positions, &mut values).expect("valid");
+                assert_eq!(values, truth[start..start + positions.len()], "{}", ctx());
+            }
+        }
+    }
 }
