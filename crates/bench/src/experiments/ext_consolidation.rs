@@ -8,15 +8,14 @@
 //! 10s, oracle} and report energy, mean latency, and spin count.
 
 use super::Outcome;
-use crate::points::{fault_governor, FAULT_GOVERNORS};
+use crate::points::{fault_governor, parking_box, FAULT_GOVERNORS};
 use crate::ExperimentRecord;
 use grail_par::Runner;
-use grail_power::components::{CpuPowerProfile, DiskPowerProfile};
-use grail_power::units::{Bytes, Cycles, Hertz, SimDuration, SimInstant};
+use grail_power::units::{Bytes, Cycles, SimDuration, SimInstant};
 use grail_scheduler::admission::{AdmissionPolicy, BatchWindow};
 use grail_scheduler::governor::{IdleGovernor, ParkCosts};
-use grail_sim::perf::{AccessPattern, CpuPerfProfile, DiskPerfProfile};
-use grail_sim::sim::Simulation;
+use grail_sim::perf::AccessPattern;
+use grail_sim::raid::RaidLevel;
 use grail_sim::StorageTarget;
 use grail_workload::mix::poisson_arrivals;
 
@@ -35,20 +34,7 @@ fn cell(admission: AdmissionPolicy, governor: &dyn IdleGovernor) -> Cell {
     let schedule = admission.schedule(&arrivals);
     let costs = ParkCosts::scsi_15k();
 
-    let mut sim = Simulation::new();
-    let cpu = sim.add_cpu(
-        CpuPerfProfile {
-            cores: 4,
-            freq: Hertz::ghz(2.3),
-        },
-        CpuPowerProfile::opteron_socket(),
-    );
-    let disks: Vec<_> = (0..N_DISKS)
-        .map(|_| sim.add_disk(DiskPerfProfile::scsi_15k(), DiskPowerProfile::scsi_15k()))
-        .collect();
-    let arr = sim
-        .make_array(grail_sim::raid::RaidLevel::Raid0, disks.clone())
-        .expect("geometry ok");
+    let (mut sim, cpu, arr, disks) = parking_box(N_DISKS, RaidLevel::Raid0);
 
     let mut prev_end = SimInstant::EPOCH;
     let mut parks = 0u64;

@@ -15,8 +15,6 @@ use grail_core::profile::HardwareProfile;
 use grail_par::Runner;
 use grail_power::units::{Bytes, Cycles, SimInstant};
 use grail_sim::perf::AccessPattern;
-use grail_sim::sim::Simulation;
-use grail_sim::StorageTarget;
 use grail_storage::partition::{Partitioning, ReplicaSet};
 
 const TABLE_BYTES: u64 = 64 << 30; // one replica's footprint
@@ -34,19 +32,13 @@ fn serve(
     window_s: f64,
     scan_bytes: u64,
 ) -> (f64, f64, usize) {
-    // The FIG1 server, parked spindles included, so the serving rows
-    // bill the same floor FIG1 does.
-    let p = HardwareProfile::server_dl785(total);
-    let mut sim = Simulation::new();
-    sim.set_fabric(p.fabric);
-    sim.set_base_power(p.base_power);
-    let cpu = sim.add_cpu(p.cpu_perf, p.cpu_power);
-    let active = sim.add_disks(width, p.disk_perf, p.disk_power);
-    let parked = sim.add_disks(total - width, p.disk_perf, p.disk_power);
-    for d in &parked {
-        sim.park_disk(*d, SimInstant::EPOCH).expect("parkable");
+    // The FIG1 server over the serving array, plus the parked
+    // spindles, so the serving rows bill the same floor FIG1 does.
+    let p = HardwareProfile::server_dl785(width);
+    let (mut sim, cpu, targets) = p.try_build().expect("geometry");
+    for d in sim.add_disks(total - width, p.disk_perf, p.disk_power) {
+        sim.park_disk(d, SimInstant::EPOCH).expect("parkable");
     }
-    let arr = sim.make_array(p.raid, active).expect("geometry");
     let mut prev_end = SimInstant::EPOCH;
     let mut served = 0usize;
     let mut latency = 0.0f64;
@@ -56,7 +48,7 @@ fn serve(
         let start = arrival.max(prev_end);
         let io = sim
             .read(
-                StorageTarget::Array(arr),
+                targets[0],
                 start,
                 Bytes::new(scan_bytes),
                 AccessPattern::Sequential,

@@ -13,15 +13,16 @@ use crate::ExperimentRecord;
 use grail_core::db::{CompressionMode, EnergyAwareDb, ExecPolicy};
 use grail_core::profile::HardwareProfile;
 use grail_core::report::EnergyReport;
-use grail_power::components::{CpuPowerProfile, DiskPowerProfile};
-use grail_power::units::{Bytes, Cycles, Hertz, SimDuration, SimInstant};
+use grail_power::units::{Bytes, Cycles, SimDuration, SimInstant};
 use grail_scheduler::chaos::{reference_storm, run_chaos, ChaosPolicy, ChaosReport};
 use grail_scheduler::cluster::{Machine, PlacementPolicy};
 use grail_scheduler::governor::{
     IdleGovernor, NeverPark, OracleGovernor, ParkCosts, TimeoutGovernor,
 };
-use grail_sim::perf::{AccessPattern, CpuPerfProfile, DiskPerfProfile};
+use grail_sim::perf::AccessPattern;
+use grail_sim::raid::RaidLevel;
 use grail_sim::sim::Simulation;
+use grail_sim::{ArrayId, CpuId, DiskId};
 use grail_sim::{ChaosConfig, ChaosSchedule, FaultConfig, FaultPlan, SimError, StorageTarget};
 use grail_trace::Tracer;
 use grail_workload::mix::poisson_arrivals;
@@ -164,6 +165,20 @@ pub fn fault_governor(name: &str) -> Box<dyn IdleGovernor> {
     }
 }
 
+/// The box EXT-SCHED parks and EXT-FAULT faults: four cores over
+/// `disks` 15K spindles in `raid`, built, with its array and the
+/// array's member disks.
+pub fn parking_box(disks: usize, raid: RaidLevel) -> (Simulation, CpuId, ArrayId, Vec<DiskId>) {
+    let (sim, cpu, targets) = HardwareProfile::scsi_server(4, disks, raid)
+        .try_build()
+        .expect("geometry ok");
+    let StorageTarget::Array(arr) = targets[0] else {
+        unreachable!("a disk profile scans its array")
+    };
+    let members = sim.array(arr).expect("built array").disks.clone();
+    (sim, cpu, arr, members)
+}
+
 /// One cell of the EXT-FAULT grid: replay the EXT-SCHED arrival stream
 /// over a 5-disk RAID-5 box under a seeded fault level × idle governor,
 /// with recovery energy on the ledger.
@@ -174,23 +189,10 @@ pub fn fault_point(level: &str, governor: &str) -> ExperimentRecord {
     let arrivals = poisson_arrivals(1.0 / 50.0, JOBS, 7);
     let costs = ParkCosts::scsi_15k();
 
-    let mut sim = Simulation::new();
+    let (mut sim, cpu, arr, disks) = parking_box(N_DISKS, RaidLevel::Raid5);
     if !cfg.is_zero() {
         sim.set_fault_plan(FaultPlan::new(cfg, FAULT_SEED));
     }
-    let cpu = sim.add_cpu(
-        CpuPerfProfile {
-            cores: 4,
-            freq: Hertz::ghz(2.3),
-        },
-        CpuPowerProfile::opteron_socket(),
-    );
-    let disks: Vec<_> = (0..N_DISKS)
-        .map(|_| sim.add_disk(DiskPerfProfile::scsi_15k(), DiskPowerProfile::scsi_15k()))
-        .collect();
-    let arr = sim
-        .make_array(grail_sim::raid::RaidLevel::Raid5, disks.clone())
-        .expect("geometry ok");
 
     let mut prev_end = SimInstant::EPOCH;
     let mut parks = 0u64;

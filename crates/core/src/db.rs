@@ -266,8 +266,7 @@ impl EnergyAwareDb {
     }
 
     /// Build the profile's simulation, arming the fault plan when one is
-    /// configured; a profile whose disks cannot form its RAID level is
-    /// [`SimError::BadArrayGeometry`].
+    /// configured; errs where [`HardwareProfile::try_build`] does.
     fn build_sim(&self) -> Result<(Simulation, CpuId, Vec<StorageTarget>), SimError> {
         let (mut sim, cpu, targets) = self.profile.try_build()?;
         if let Some((cfg, seed)) = self.fault {
@@ -575,21 +574,12 @@ impl EnergyAwareDb {
 
     /// Idle the machine for `d` and meter it (the baseline burn the
     /// paper's Sec. 2.4 calls out: classic servers draw most of their
-    /// peak power doing nothing).
-    ///
-    /// # Panics
-    /// Panics when the profile's disks cannot form its RAID level, as
-    /// [`HardwareProfile::build`] does.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panicking form, like HardwareProfile::build"
-    )]
-    pub fn run_idle(&self, d: SimDuration) -> EnergyReport {
-        let (sim, _, _) = self
-            .build_sim()
-            .expect("profile disk counts satisfy RAID minimums");
+    /// peak power doing nothing). Errs where
+    /// [`HardwareProfile::try_build`] does.
+    pub fn run_idle(&self, d: SimDuration) -> Result<EnergyReport, SimError> {
+        let (sim, _, _) = self.build_sim()?;
         let report = sim.finish(grail_power::units::SimInstant::EPOCH + d);
-        EnergyReport {
+        Ok(EnergyReport {
             profile: self.profile.name,
             label: "idle".to_string(),
             elapsed: report.elapsed,
@@ -600,7 +590,7 @@ impl EnergyAwareDb {
             retries: 0,
             ledger: report.ledger,
             attribution: None,
-        }
+        })
     }
 }
 
@@ -1040,7 +1030,9 @@ mod tests {
     #[test]
     fn idle_run_matches_profile_floor() {
         let db = db(HardwareProfile::server_dl785(66));
-        let r = db.run_idle(SimDuration::from_secs(100));
+        let r = db
+            .run_idle(SimDuration::from_secs(100))
+            .expect("a DL785 of 66 disks builds");
         let expect = (941.0 + 66.0 * 15.0) * 100.0;
         assert!(
             (r.energy.joules() - expect).abs() < expect * 0.01,
@@ -1079,13 +1071,18 @@ mod tests {
         );
     }
 
-    /// RAID-5 needs three disks: a DL785 of one or two is a typed error
-    /// from every fallible run, not a panic inside the simulator build.
+    /// RAID-5 needs three disks, and a machine needs some storage: a
+    /// DL785 of one or two disks, or of none, is a typed error from
+    /// every fallible run, not a panic inside the simulator build nor a
+    /// run on a flash drive the profile does not have.
     #[test]
     fn too_few_disks_for_raid5_error_through_try_api() {
-        for disks in [1, 2] {
+        for disks in [0, 1, 2] {
             let db = db(HardwareProfile::server_dl785(disks));
-            let bad = SimError::BadArrayGeometry { disks, min: 3 };
+            let bad = match disks {
+                0 => SimError::NoStorage,
+                _ => SimError::BadArrayGeometry { disks, min: 3 },
+            };
             let policy = ExecPolicy::default();
             let scan = ScanSpec::fig2();
             let template = QueryTemplate::PricingSummary;
@@ -1097,6 +1094,7 @@ mod tests {
                 db.try_run_plan(template.plan(&catalog), policy, 1.0).err(),
                 db.try_run_throughput_test(1, 1, policy, 1.0).err(),
                 db.try_run_throughput_test_traced(1, 1, policy, 1.0).err(),
+                db.run_idle(SimDuration::from_secs(1)).err(),
             ];
             for (i, got) in results.into_iter().enumerate() {
                 assert_eq!(got, Some(bad.clone()), "{disks} disks, call {i}");

@@ -83,22 +83,20 @@ impl CostModel {
     /// whole pool halted, and the same pool with one core busy (the
     /// model counts one-core seconds).
     pub fn new(profile: &HardwareProfile) -> Self {
-        let cores = profile.cpu_perf.cores;
-        let sockets = (cores as f64 / profile.cpu_power.cores.max(1) as f64).ceil();
-        let cpu_idle = Watts::new(
-            cores as f64 * profile.cpu_power.core_idle.get()
-                + sockets * profile.cpu_power.uncore.get(),
-        );
-        let (io_active, io_idle) = if profile.disks > 0 {
+        let cpu_idle = profile.cpu_power.idle_power(profile.cpu_perf.cores);
+        let (disks, ssds) = (profile.disks as f64, profile.ssds as f64);
+        let (disk, ssd) = (&profile.disk_power, &profile.ssd_power);
+        // Every device idles; the ones a scan stripes across run active.
+        let io_idle = Watts::new(disks * disk.idle.get() + ssds * ssd.idle.get());
+        let (io_active, io_random) = if profile.scans_disk_array() {
             (
-                Watts::new(profile.disks as f64 * profile.disk_power.active.get()),
-                Watts::new(profile.disks as f64 * profile.disk_power.idle.get()),
+                Watts::new(disks * disk.active.get() + ssds * ssd.idle.get()),
+                profile.disk_perf.avg_seek + profile.disk_perf.avg_rotation,
             )
         } else {
-            let n = profile.ssds.max(1) as f64;
             (
-                Watts::new(n * profile.ssd_power.active.get()),
-                Watts::new(n * profile.ssd_power.idle.get()),
+                Watts::new(ssds * ssd.active.get()),
+                profile.ssd_perf.request_latency,
             )
         };
         CostModel {
@@ -110,11 +108,7 @@ impl CostModel {
             io_idle,
             mem_watts_per_byte: 0.0,
             base: profile.base_power,
-            io_random_secs_per_op: if profile.disks > 0 {
-                (profile.disk_perf.avg_seek + profile.disk_perf.avg_rotation).as_secs_f64()
-            } else {
-                profile.ssd_perf.request_latency.as_secs_f64()
-            },
+            io_random_secs_per_op: io_random.as_secs_f64(),
             charge: CostCharge::default_calibrated(),
         }
     }

@@ -65,11 +65,10 @@ impl HardwareProfile {
             ssds: 0,
             ssd_perf: SsdPerfProfile::fig2_flash(),
             ssd_power: SsdPowerProfile::fig2_flash(),
-            // 941 W = CPUs + memory + chassis, minus what the explicit
-            // CPU model already charges; the CPU model contributes
-            // ~248 W idle (32 cores × 4 W + 8 × 15 W uncore), so the
-            // remainder is charged as base.
-            base_power: Watts::new(941.0 - 248.0),
+            // 941 W = CPUs + memory + chassis; the CPU model already
+            // bills its idle draw, so the remainder is charged as base.
+            base_power: Watts::new(941.0)
+                - CpuPowerProfile::opteron_socket().idle_power(CpuPerfProfile::dl785().cores),
         }
     }
 
@@ -93,50 +92,70 @@ impl HardwareProfile {
         }
     }
 
-    /// A variant with a different spindle count (Fig. 1's knob).
-    pub fn with_disks(mut self, disks: usize) -> Self {
-        self.disks = disks;
-        self
+    /// A small server whose spindles a governor parks: `cores` of the
+    /// DL785's cores over `disks` 15K SCSI drives (with spin states) in
+    /// `raid`, with no base draw and an unconstrained fabric.
+    pub fn scsi_server(cores: u32, disks: usize, raid: RaidLevel) -> Self {
+        HardwareProfile {
+            name: "scsi_server",
+            cpu_perf: CpuPerfProfile {
+                cores,
+                ..CpuPerfProfile::dl785()
+            },
+            disks,
+            disk_power: DiskPowerProfile::scsi_15k(),
+            raid,
+            fabric: FabricModel::unconstrained(),
+            base_power: Watts::ZERO,
+            ..Self::server_dl785(0)
+        }
+    }
+
+    /// Whether a scan stripes across the disk array (the profile has
+    /// disks) rather than across each SSD. SSDs beside disks draw power
+    /// but carry no scan.
+    pub fn scans_disk_array(&self) -> bool {
+        self.disks > 0
     }
 
     /// Instantiate the simulator: returns the machine, its CPU pool,
     /// and the *stripe targets* — the physical units a logical IO demand
-    /// is split across (one RAID array for disk profiles, each SSD for
-    /// flash profiles, matching Fig. 2's scanner striping its columns
-    /// over all three drives).
+    /// is split across ([`Self::scans_disk_array`]: one RAID array, or
+    /// each SSD, matching Fig. 2's scanner striping its columns over all
+    /// three drives).
     ///
     /// # Panics
-    /// Panics when the disks cannot form the profile's RAID level (RAID-5
-    /// over one or two disks); [`Self::try_build`] is the fallible form.
+    /// Panics where [`Self::try_build`] errs.
     #[expect(clippy::expect_used, reason = "documented panicking form of try_build")]
     pub fn build(&self) -> (Simulation, CpuId, Vec<StorageTarget>) {
         self.try_build()
-            .expect("profile disk counts satisfy RAID minimums")
+            .expect("profile has storage and its disks satisfy RAID minimums")
     }
 
     /// Fallible form of [`Self::build`]: a disk count below the RAID
-    /// level's minimum is [`SimError::BadArrayGeometry`].
+    /// level's minimum is [`SimError::BadArrayGeometry`], a profile with
+    /// neither disks nor SSDs [`SimError::NoStorage`].
     pub fn try_build(&self) -> Result<(Simulation, CpuId, Vec<StorageTarget>), SimError> {
         let mut sim = Simulation::new();
         let cpu = sim.add_cpu(self.cpu_perf, self.cpu_power);
         sim.set_base_power(self.base_power);
         sim.set_fabric(self.fabric);
-        let targets = if self.disks > 0 {
-            let ids = sim.add_disks(self.disks, self.disk_perf, self.disk_power);
-            vec![StorageTarget::Array(sim.make_array(self.raid, ids)?)]
+        let disks = sim.add_disks(self.disks, self.disk_perf, self.disk_power);
+        let ssds = sim.add_ssds(self.ssds, self.ssd_perf, self.ssd_power);
+        let targets = if self.scans_disk_array() {
+            vec![StorageTarget::Array(sim.make_array(self.raid, disks)?)]
+        } else if self.ssds > 0 {
+            ssds.into_iter().map(StorageTarget::Ssd).collect()
         } else {
-            sim.add_ssds(self.ssds.max(1), self.ssd_perf, self.ssd_power)
-                .into_iter()
-                .map(StorageTarget::Ssd)
-                .collect()
+            return Err(SimError::NoStorage);
         };
         Ok((sim, cpu, targets))
     }
 
-    /// Aggregate storage read bandwidth (bytes/s) of the primary target,
+    /// Aggregate read bandwidth (bytes/s) of the stripe targets,
     /// including the fabric factor.
     pub fn storage_bandwidth(&self) -> f64 {
-        if self.disks > 0 {
+        if self.scans_disk_array() {
             let data_disks = match self.raid {
                 RaidLevel::Raid0 => self.disks,
                 RaidLevel::Raid5 => self.disks.saturating_sub(1),
@@ -145,7 +164,7 @@ impl HardwareProfile {
                 * self.disk_perf.transfer_bytes_per_sec
                 * self.fabric.factor(self.disks as u32)
         } else {
-            self.ssds.max(1) as f64 * self.ssd_perf.read_bytes_per_sec
+            self.ssds as f64 * self.ssd_perf.read_bytes_per_sec
         }
     }
 }
@@ -222,11 +241,5 @@ mod tests {
         assert!((p.storage_bandwidth() - 65.0 * 90.0e6).abs() < 1.0);
         let f = HardwareProfile::flash_scanner();
         assert!((f.storage_bandwidth() - 600.0e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn with_disks_changes_topology() {
-        let p = HardwareProfile::server_dl785(36).with_disks(204);
-        assert_eq!(p.disks, 204);
     }
 }

@@ -9,8 +9,11 @@ use grail_core::optimizer::knobs::{sweep, KnobConfig, KnobGrid};
 use grail_core::optimizer::objective::Objective;
 use grail_core::profile::HardwareProfile;
 use grail_power::dvfs::DvfsModel;
-use grail_power::units::Watts;
+use grail_power::units::{SimInstant, Watts};
 use grail_prop::check;
+use grail_sim::perf::CpuPerfProfile;
+use grail_sim::raid::RaidLevel;
+use grail_sim::SimError;
 
 fn flash() -> CostModel {
     CostModel::new(&HardwareProfile::flash_scanner())
@@ -173,6 +176,58 @@ fn sort_spill_adds_io() {
 fn dl785_disk_power_dominates() {
     let m = dl785(204);
     assert!(m.io_active.get() > m.cpu_active.get() + m.base.get());
+}
+
+/// The model prices the machine `try_build` makes. Over generated
+/// profiles — disks 0..=256 × RAID-0/5 × SSDs 0..=4 × cores 1..=64, on
+/// the DL785's, the flash scanner's or the SCSI server's parts — the
+/// build is the typed error (RAID-5 below three disks, or no storage),
+/// or a machine whose settled idle power is the model's `cpu_idle +
+/// io_idle + base`.
+#[test]
+fn model_idle_power_is_the_built_machines() {
+    check(256, |g| {
+        let (disks, ssds, cores) = (g.range(0usize..257), g.range(0usize..5), g.range(1u32..65));
+        let raid = g.pick(&[RaidLevel::Raid0, RaidLevel::Raid5]);
+        let parts = match g.below(3) {
+            0 => HardwareProfile::server_dl785(0),
+            1 => HardwareProfile::flash_scanner(),
+            _ => HardwareProfile::scsi_server(1, 0, RaidLevel::Raid0),
+        };
+        let profile = HardwareProfile {
+            cpu_perf: CpuPerfProfile {
+                cores,
+                ..parts.cpu_perf
+            },
+            disks,
+            raid,
+            ssds,
+            ..parts
+        };
+        let expected = match (disks, ssds, raid) {
+            (0, 0, _) => Some(SimError::NoStorage),
+            (1 | 2, _, RaidLevel::Raid5) => Some(SimError::BadArrayGeometry { disks, min: 3 }),
+            _ => None,
+        };
+        let built = profile.try_build();
+        let what = format!(
+            "{} with {disks} disks ({raid:?}), {ssds} SSDs, {cores} cores",
+            profile.name
+        );
+        assert_eq!(built.as_ref().err(), expected.as_ref(), "{what}");
+        if let Ok((sim, _, _)) = built {
+            let settled = sim
+                .finish(SimInstant::from_secs_f64(100.0))
+                .avg_power()
+                .get();
+            let m = CostModel::new(&profile);
+            let model = (m.cpu_idle + m.io_idle + m.base).get();
+            assert!(
+                (settled - model).abs() <= 1e-9 * model,
+                "{what}: the simulator settles at {settled} W, the model prices {model} W"
+            );
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------

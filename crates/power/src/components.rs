@@ -198,6 +198,21 @@ impl CpuPowerProfile {
         }
     }
 
+    /// The uncore floor of `cores` cores: one `uncore` per whole socket
+    /// they occupy (none when a socket has no cores).
+    pub fn uncore_power(&self, cores: u32) -> Watts {
+        if self.cores == 0 {
+            return Watts::ZERO;
+        }
+        self.uncore * (f64::from(cores) / f64::from(self.cores)).ceil()
+    }
+
+    /// A pool of `cores` cores with every core halted: `cores ×
+    /// core_idle` plus the uncore floor.
+    pub fn idle_power(&self, cores: u32) -> Watts {
+        self.core_idle * f64::from(cores) + self.uncore_power(cores)
+    }
+
     /// Build one core's two-state machine, starting idle. The uncore
     /// floor is charged separately (it exists whether or not cores work).
     pub fn core_machine(&self, start: SimInstant) -> PowerStateMachine {

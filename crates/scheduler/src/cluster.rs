@@ -8,6 +8,7 @@
 //! the most efficient machines full and powers the rest off, making the
 //! *cluster* energy-proportional even though no single machine is.
 
+use grail_power::proportionality::{CurveShape, PowerCurve};
 use grail_power::units::{Joules, SimDuration, Watts};
 use std::cmp::Ordering;
 use std::fmt;
@@ -19,10 +20,9 @@ pub struct Machine {
     pub name: String,
     /// Peak throughput, work/s.
     pub capacity: f64,
-    /// Power at zero load (while on).
-    pub idle: Watts,
-    /// Power at full load.
-    pub peak: Watts,
+    /// Power from zero load (while on) to full load: linear, which the
+    /// brownout cap's usable capacity assumes.
+    pub curve: PowerCurve,
     /// Cold-boot latency when a powered-off machine is brought back.
     pub boot_latency: SimDuration,
     /// Energy burned by one cold boot (drawn before any work is served).
@@ -47,8 +47,7 @@ impl Machine {
         Machine {
             name: name.to_string(),
             capacity,
-            idle,
-            peak,
+            curve: PowerCurve::linear(idle, peak),
             boot_latency: DEFAULT_BOOT_LATENCY,
             boot_energy: peak * DEFAULT_BOOT_LATENCY,
             domain: 0,
@@ -71,8 +70,12 @@ impl Machine {
         let m = Machine {
             name: name.to_string(),
             capacity,
-            idle,
-            peak,
+            // `validate` rejects idle above peak; `PowerCurve::linear` panics.
+            curve: PowerCurve {
+                idle,
+                peak,
+                shape: CurveShape::Linear,
+            },
             boot_latency: DEFAULT_BOOT_LATENCY,
             // Placeholder until the power curve is known valid; the real
             // default (peak × latency) is derived below.
@@ -80,7 +83,7 @@ impl Machine {
             domain: 0,
         };
         m.validate()?;
-        let boot_energy = m.peak * DEFAULT_BOOT_LATENCY;
+        let boot_energy = m.curve.peak * DEFAULT_BOOT_LATENCY;
         m.try_with_boot(DEFAULT_BOOT_LATENCY, boot_energy)
     }
 
@@ -94,21 +97,21 @@ impl Machine {
     /// infinity even though its constructor rejects it).
     pub fn validate(&self) -> Result<(), ClusterError> {
         let name = &self.name;
+        let (idle, peak) = (self.curve.idle, self.curve.peak);
         if !self.capacity.is_finite() || self.capacity <= 0.0 {
             return Err(ClusterError::BadMachine(format!(
                 "{name}: capacity must be positive, got {}",
                 self.capacity
             )));
         }
-        if self.idle.get() < 0.0 || !self.idle.get().is_finite() || !self.peak.get().is_finite() {
+        if idle.get() < 0.0 || !idle.get().is_finite() || !peak.get().is_finite() {
             return Err(ClusterError::BadMachine(format!(
                 "{name}: power draws must be finite and non-negative"
             )));
         }
-        if self.idle.get() > self.peak.get() {
+        if idle.get() > peak.get() {
             return Err(ClusterError::BadMachine(format!(
-                "{name}: idle {} above peak {}",
-                self.idle, self.peak
+                "{name}: idle {idle} above peak {peak}"
             )));
         }
         if !self.boot_energy.joules().is_finite() || self.boot_energy.joules() < 0.0 {
@@ -153,13 +156,12 @@ impl Machine {
 
     /// Power at `load` work/s (clamped to capacity).
     pub fn power_at(&self, load: f64) -> Watts {
-        let u = (load / self.capacity).clamp(0.0, 1.0);
-        Watts::new(self.idle.get() + (self.peak.get() - self.idle.get()) * u)
+        self.curve.power_at(load / self.capacity)
     }
 
     /// Work per Joule at full load.
     pub fn peak_efficiency(&self) -> f64 {
-        self.capacity / self.peak.get()
+        self.capacity / self.curve.peak.get()
     }
 }
 

@@ -142,11 +142,7 @@ impl CpuDevice {
 
     /// The uncore floor for the whole pool, in Watts.
     pub fn uncore_power(&self) -> Watts {
-        if self.power.cores == 0 {
-            return Watts::ZERO;
-        }
-        let sockets = (self.perf.cores as f64 / self.power.cores as f64).ceil();
-        self.power.uncore * sockets
+        self.power.uncore_power(self.perf.cores)
     }
 
     /// Finalize at `end`: total energy = per-core machines + uncore floor

@@ -13,6 +13,9 @@ use grail_power::units::SimInstant;
 pub enum SimError {
     /// A device id that does not exist in this simulation.
     UnknownDevice(String),
+    /// A machine was described with neither disks nor SSDs: nothing
+    /// can carry its IO.
+    NoStorage,
     /// An array was declared over zero disks, or RAID-5 over fewer than
     /// three.
     BadArrayGeometry {
@@ -107,6 +110,7 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::UnknownDevice(d) => write!(f, "unknown device {d}"),
+            SimError::NoStorage => f.write_str("machine has no storage: no disks and no SSDs"),
             SimError::BadArrayGeometry { disks, min } => {
                 write!(f, "bad array geometry: {disks} disks (minimum {min})")
             }

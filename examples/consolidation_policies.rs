@@ -9,15 +9,14 @@
 
 #![expect(clippy::print_stdout, reason = "an example prints what it shows")]
 
-use grail::power::components::{CpuPowerProfile, DiskPowerProfile};
-use grail::power::units::{Bytes, Cycles, Hertz, SimDuration, SimInstant};
+use grail::core::profile::HardwareProfile;
+use grail::power::units::{Bytes, Cycles, SimDuration, SimInstant};
 use grail::scheduler::admission::{AdmissionPolicy, BatchWindow};
 use grail::scheduler::governor::{
     IdleGovernor, NeverPark, OracleGovernor, ParkCosts, TimeoutGovernor,
 };
-use grail::sim::perf::{AccessPattern, CpuPerfProfile, DiskPerfProfile};
+use grail::sim::perf::AccessPattern;
 use grail::sim::raid::RaidLevel;
-use grail::sim::sim::Simulation;
 use grail::sim::{SimError, StorageTarget};
 use grail::workload::mix::poisson_arrivals;
 
@@ -28,16 +27,12 @@ fn episode(
     let arrivals = poisson_arrivals(1.0 / 45.0, 30, 99);
     let schedule = admission.schedule(&arrivals);
     let costs = ParkCosts::scsi_15k();
-    let mut sim = Simulation::new();
-    let cpu = sim.add_cpu(
-        CpuPerfProfile {
-            cores: 2,
-            freq: Hertz::ghz(2.3),
-        },
-        CpuPowerProfile::opteron_socket(),
-    );
-    let disks = sim.add_disks(2, DiskPerfProfile::scsi_15k(), DiskPowerProfile::scsi_15k());
-    let arr = sim.make_array(RaidLevel::Raid0, disks.clone())?;
+    let (mut sim, cpu, targets) =
+        HardwareProfile::scsi_server(2, 2, RaidLevel::Raid0).try_build()?;
+    let StorageTarget::Array(arr) = targets[0] else {
+        unreachable!("a disk profile scans its array")
+    };
+    let disks = sim.array(arr)?.disks.clone();
     let mut prev_end = SimInstant::EPOCH;
     let mut parks = 0;
     let mut latency = 0.0;

@@ -8,14 +8,13 @@
 use grail::core::db::{CompressionMode, EnergyAwareDb, ExecPolicy, ScanSpec};
 use grail::core::optimizer::cost::CostModel;
 use grail::core::profile::HardwareProfile;
-use grail::power::components::{CpuPowerProfile, DiskPowerProfile};
-use grail::power::units::{Bytes, Cycles, Hertz, SimDuration, SimInstant};
+use grail::power::components::CpuPowerProfile;
+use grail::power::units::{Bytes, Cycles, SimDuration, SimInstant};
 use grail::scheduler::governor::{
     IdleGovernor, NeverPark, OracleGovernor, ParkCosts, TimeoutGovernor,
 };
-use grail::sim::perf::{AccessPattern, CpuPerfProfile, DiskPerfProfile};
+use grail::sim::perf::AccessPattern;
 use grail::sim::raid::RaidLevel;
-use grail::sim::sim::Simulation;
 use grail::sim::StorageTarget;
 use grail::workload::tpch::TpchScale;
 
@@ -46,18 +45,15 @@ fn cost_model_predicts_simulator() {
 
 fn governor_episode(governor: &dyn IdleGovernor) -> f64 {
     let costs = ParkCosts::scsi_15k();
-    let mut sim = Simulation::new();
-    let cpu = sim.add_cpu(
-        CpuPerfProfile {
-            cores: 1,
-            freq: Hertz::ghz(2.3),
-        },
-        CpuPowerProfile::fig2_cpu(),
-    );
-    let disks = sim.add_disks(2, DiskPerfProfile::scsi_15k(), DiskPowerProfile::scsi_15k());
-    let arr = sim
-        .make_array(RaidLevel::Raid0, disks.clone())
-        .expect("geometry");
+    let profile = HardwareProfile {
+        cpu_power: CpuPowerProfile::fig2_cpu(),
+        ..HardwareProfile::scsi_server(1, 2, RaidLevel::Raid0)
+    };
+    let (mut sim, cpu, targets) = profile.try_build().expect("geometry");
+    let StorageTarget::Array(arr) = targets[0] else {
+        unreachable!("a disk profile scans its array")
+    };
+    let disks = sim.array(arr).expect("built array").disks.clone();
     // Fixed schedule: a burst, a 100 s gap, a burst, a 30 s gap, a burst.
     let mut prev_end = SimInstant::EPOCH;
     for (arrive_s, mib) in [(0.0, 256u64), (120.0, 256), (160.0, 256)] {
