@@ -22,7 +22,7 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
         ("flash_scanner", HardwareProfile::flash_scanner()),
         ("dl785_66", HardwareProfile::server_dl785(66)),
     ] {
-        let model = CostModel::new(&profile);
+        let model = CostModel::new(&profile).expect("profile has storage");
         for obj in [Objective::MinTime, Objective::MinEnergy, Objective::MinEdp] {
             let a = advise(&grid, &workload, &model, &dvfs, obj);
             out.push(ExperimentRecord::new(

@@ -32,7 +32,7 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
     let mut out = Outcome::default();
 
     // Part 1: access-path choice by objective.
-    let m = CostModel::new(&HardwareProfile::flash_scanner());
+    let m = CostModel::new(&HardwareProfile::flash_scanner()).expect("flash scanner");
     let variants = [
         rel("orders_plain", 150.0e6, 6.0e9, 0.0),
         rel("orders_compressed", 150.0e6, 3.15e9, 5.8),
@@ -51,7 +51,7 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
 
     // Part 2: the join-flip sensitivity sweep.
     out.say("join-algorithm flip threshold (marginal accounting, build 2M rows, probe 10K rows):");
-    let mut model = CostModel::new(&HardwareProfile::server_dl785(66));
+    let mut model = CostModel::new(&HardwareProfile::server_dl785(66)).expect("66 disks");
     model.cpu_active = model.cpu_active - model.cpu_idle;
     model.base = Watts::ZERO;
     model.cpu_idle = Watts::ZERO;

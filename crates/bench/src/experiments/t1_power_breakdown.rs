@@ -20,7 +20,7 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
         let db = fig1_db(disks);
         let idle = db
             .run_idle(SimDuration::from_secs(1000))
-            .expect("every FIG1 server builds");
+            .expect("FIG1 builds");
         let run = fig1_throughput(&db);
         let idle_power = idle.avg_power().get();
         let peak_power = run.avg_power().get();

@@ -165,9 +165,9 @@ pub fn fault_governor(name: &str) -> Box<dyn IdleGovernor> {
     }
 }
 
-/// The box EXT-SCHED parks and EXT-FAULT faults: four cores over
-/// `disks` 15K spindles in `raid`, built, with its array and the
-/// array's member disks.
+/// The box EXT-SCHED parks and EXT-FAULT faults, built: four cores
+/// over `disks` 15K spindles in `raid`, with its array and the array's
+/// member disks.
 pub fn parking_box(disks: usize, raid: RaidLevel) -> (Simulation, CpuId, ArrayId, Vec<DiskId>) {
     let (sim, cpu, targets) = HardwareProfile::scsi_server(4, disks, raid)
         .try_build()

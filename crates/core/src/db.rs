@@ -561,15 +561,16 @@ impl EnergyAwareDb {
     }
 
     /// Ask the knob advisor (Sec. 4.1) for the best configuration of
-    /// this machine for a scan-and-sort workload under `objective`.
-    pub fn advise_knobs(&self, workload: &KnobWorkload, objective: Objective) -> Advice {
-        advise(
+    /// this machine for a scan-and-sort workload `w` under `objective`.
+    /// Errs where [`CostModel::new`] does.
+    pub fn advise_knobs(&self, w: &KnobWorkload, objective: Objective) -> Result<Advice, SimError> {
+        Ok(advise(
             &KnobGrid::small(),
-            workload,
-            &CostModel::new(&self.profile),
+            w,
+            &CostModel::new(&self.profile)?,
             &grail_power::dvfs::DvfsModel::opteron_like(),
             objective,
-        )
+        ))
     }
 
     /// Idle the machine for `d` and meter it (the baseline burn the
@@ -996,8 +997,8 @@ mod tests {
     fn advise_knobs_through_the_facade() {
         let db = db(HardwareProfile::flash_scanner());
         let w = KnobWorkload::scan_sort_default();
-        let t = db.advise_knobs(&w, Objective::MinTime);
-        let e = db.advise_knobs(&w, Objective::MinEnergy);
+        let t = db.advise_knobs(&w, Objective::MinTime).unwrap();
+        let e = db.advise_knobs(&w, Objective::MinEnergy).unwrap();
         assert!(e.cost.energy_j <= t.cost.energy_j);
         assert!(t.cost.elapsed_secs <= e.cost.elapsed_secs);
     }
@@ -1095,6 +1096,8 @@ mod tests {
                 db.try_run_throughput_test(1, 1, policy, 1.0).err(),
                 db.try_run_throughput_test_traced(1, 1, policy, 1.0).err(),
                 db.run_idle(SimDuration::from_secs(1)).err(),
+                db.advise_knobs(&KnobWorkload::scan_sort_default(), Objective::MinTime)
+                    .err(),
             ];
             for (i, got) in results.into_iter().enumerate() {
                 assert_eq!(got, Some(bad.clone()), "{disks} disks, call {i}");

@@ -16,6 +16,8 @@
 use crate::profile::HardwareProfile;
 use grail_power::units::Watts;
 use grail_query::cost_charge::CostCharge;
+use grail_sim::raid::RaidLevel;
+use grail_sim::SimError;
 
 /// Estimated cost of a plan (or plan fragment).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -81,36 +83,45 @@ impl CostModel {
     /// The model of `profile`, the machine the simulator runs, with the
     /// default calibration. CPU draw is what the simulator bills: the
     /// whole pool halted, and the same pool with one core busy (the
-    /// model counts one-core seconds).
-    pub fn new(profile: &HardwareProfile) -> Self {
+    /// model counts one-core seconds). Errs where
+    /// [`HardwareProfile::try_build`] does.
+    pub fn new(profile: &HardwareProfile) -> Result<Self, SimError> {
         let cpu_idle = profile.cpu_power.idle_power(profile.cpu_perf.cores);
         let (disks, ssds) = (profile.disks as f64, profile.ssds as f64);
         let (disk, ssd) = (&profile.disk_power, &profile.ssd_power);
         // Every device idles; the ones a scan stripes across run active.
         let io_idle = Watts::new(disks * disk.idle.get() + ssds * ssd.idle.get());
-        let (io_active, io_random) = if profile.scans_disk_array() {
+        let (io_bytes_per_sec, io_active, io_random) = if profile.scans_disk_array()? {
+            let data_disks = match profile.raid {
+                RaidLevel::Raid0 => disks,
+                RaidLevel::Raid5 => disks - 1.0,
+            };
             (
+                data_disks
+                    * profile.disk_perf.transfer_bytes_per_sec
+                    * profile.fabric.factor(profile.disks as u32),
                 Watts::new(disks * disk.active.get() + ssds * ssd.idle.get()),
                 profile.disk_perf.avg_seek + profile.disk_perf.avg_rotation,
             )
         } else {
             (
+                ssds * profile.ssd_perf.read_bytes_per_sec,
                 Watts::new(ssds * ssd.active.get()),
                 profile.ssd_perf.request_latency,
             )
         };
-        CostModel {
+        Ok(CostModel {
             cpu_hz: profile.cpu_perf.freq.get(),
             cpu_active: cpu_idle + (profile.cpu_power.core_active - profile.cpu_power.core_idle),
             cpu_idle,
-            io_bytes_per_sec: profile.storage_bandwidth(),
+            io_bytes_per_sec,
             io_active,
             io_idle,
             mem_watts_per_byte: 0.0,
             base: profile.base_power,
             io_random_secs_per_op: io_random.as_secs_f64(),
             charge: CostCharge::default_calibrated(),
-        }
+        })
     }
 
     /// One pipelined phase: `cpu_cycles` of compute overlapping
@@ -228,7 +239,7 @@ mod tests {
         // Every term, exactly, in declaration order: clock; CPU active,
         // idle; IO bandwidth, active, idle; DRAM; base; random-IO latency.
         let terms = |p: HardwareProfile| {
-            let m = CostModel::new(&p);
+            let m = CostModel::new(&p).unwrap();
             [
                 m.cpu_hz,
                 m.cpu_active.get(),
@@ -250,6 +261,27 @@ mod tests {
         assert_eq!(
             terms(HardwareProfile::server_dl785(66)),
             [2.3e9, 262.0, 248.0, 5.85e9, 990.0, 990.0, 0.0, 693.0, 5.5e-3]
+        );
+    }
+
+    #[test]
+    fn storage_bandwidth_raid5_loses_one_disk() {
+        let bandwidth = |p: HardwareProfile| CostModel::new(&p).map(|m| m.io_bytes_per_sec);
+        let raid0 = HardwareProfile {
+            raid: RaidLevel::Raid0,
+            ..HardwareProfile::server_dl785(66)
+        };
+        assert_eq!(bandwidth(raid0), Ok(66.0 * 90.0e6));
+        assert_eq!(
+            bandwidth(HardwareProfile::server_dl785(66)),
+            Ok(65.0 * 90.0e6)
+        );
+        // No parity group below three disks, and nothing to read without storage.
+        let one = bandwidth(HardwareProfile::server_dl785(1));
+        assert_eq!(one, Err(SimError::BadArrayGeometry { disks: 1, min: 3 }));
+        assert_eq!(
+            bandwidth(HardwareProfile::server_dl785(0)),
+            Err(SimError::NoStorage)
         );
     }
 }

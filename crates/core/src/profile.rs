@@ -112,29 +112,32 @@ impl HardwareProfile {
     }
 
     /// Whether a scan stripes across the disk array (the profile has
-    /// disks) rather than across each SSD. SSDs beside disks draw power
-    /// but carry no scan.
-    pub fn scans_disk_array(&self) -> bool {
-        self.disks > 0
+    /// disks) rather than across each SSD; SSDs beside disks draw power
+    /// but carry no scan. [`SimError::NoStorage`] without disks or SSDs,
+    /// [`SimError::BadArrayGeometry`] below the RAID level's minimum.
+    pub fn scans_disk_array(&self) -> Result<bool, SimError> {
+        let min = self.raid.min_disks();
+        match (self.disks, self.ssds) {
+            (0, 0) => Err(SimError::NoStorage),
+            (0, _) => Ok(false),
+            (disks, _) if disks < min => Err(SimError::BadArrayGeometry { disks, min }),
+            _ => Ok(true),
+        }
     }
 
     /// Instantiate the simulator: returns the machine, its CPU pool,
     /// and the *stripe targets* — the physical units a logical IO demand
     /// is split across ([`Self::scans_disk_array`]: one RAID array, or
     /// each SSD, matching Fig. 2's scanner striping its columns over all
-    /// three drives).
-    ///
-    /// # Panics
-    /// Panics where [`Self::try_build`] errs.
+    /// three drives). Panics where [`Self::try_build`] errs.
     #[expect(clippy::expect_used, reason = "documented panicking form of try_build")]
     pub fn build(&self) -> (Simulation, CpuId, Vec<StorageTarget>) {
         self.try_build()
             .expect("profile has storage and its disks satisfy RAID minimums")
     }
 
-    /// Fallible form of [`Self::build`]: a disk count below the RAID
-    /// level's minimum is [`SimError::BadArrayGeometry`], a profile with
-    /// neither disks nor SSDs [`SimError::NoStorage`].
+    /// Fallible form of [`Self::build`]; errs where
+    /// [`Self::scans_disk_array`] does.
     pub fn try_build(&self) -> Result<(Simulation, CpuId, Vec<StorageTarget>), SimError> {
         let mut sim = Simulation::new();
         let cpu = sim.add_cpu(self.cpu_perf, self.cpu_power);
@@ -142,30 +145,12 @@ impl HardwareProfile {
         sim.set_fabric(self.fabric);
         let disks = sim.add_disks(self.disks, self.disk_perf, self.disk_power);
         let ssds = sim.add_ssds(self.ssds, self.ssd_perf, self.ssd_power);
-        let targets = if self.scans_disk_array() {
+        let targets = if self.scans_disk_array()? {
             vec![StorageTarget::Array(sim.make_array(self.raid, disks)?)]
-        } else if self.ssds > 0 {
-            ssds.into_iter().map(StorageTarget::Ssd).collect()
         } else {
-            return Err(SimError::NoStorage);
+            ssds.into_iter().map(StorageTarget::Ssd).collect()
         };
         Ok((sim, cpu, targets))
-    }
-
-    /// Aggregate read bandwidth (bytes/s) of the stripe targets,
-    /// including the fabric factor.
-    pub fn storage_bandwidth(&self) -> f64 {
-        if self.scans_disk_array() {
-            let data_disks = match self.raid {
-                RaidLevel::Raid0 => self.disks,
-                RaidLevel::Raid5 => self.disks.saturating_sub(1),
-            };
-            data_disks as f64
-                * self.disk_perf.transfer_bytes_per_sec
-                * self.fabric.factor(self.disks as u32)
-        } else {
-            self.ssds as f64 * self.ssd_perf.read_bytes_per_sec
-        }
     }
 }
 
@@ -233,13 +218,5 @@ mod tests {
     #[should_panic(expected = "RAID minimums")]
     fn build_panics_below_the_raid_minimum() {
         let _ = HardwareProfile::server_dl785(2).build();
-    }
-
-    #[test]
-    fn storage_bandwidth_raid5_loses_one_disk() {
-        let p = HardwareProfile::server_dl785(66);
-        assert!((p.storage_bandwidth() - 65.0 * 90.0e6).abs() < 1.0);
-        let f = HardwareProfile::flash_scanner();
-        assert!((f.storage_bandwidth() - 600.0e6).abs() < 1.0);
     }
 }

@@ -16,11 +16,11 @@ use grail_sim::raid::RaidLevel;
 use grail_sim::SimError;
 
 fn flash() -> CostModel {
-    CostModel::new(&HardwareProfile::flash_scanner())
+    CostModel::new(&HardwareProfile::flash_scanner()).unwrap()
 }
 
 fn dl785(disks: usize) -> CostModel {
-    CostModel::new(&HardwareProfile::server_dl785(disks))
+    CostModel::new(&HardwareProfile::server_dl785(disks)).unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -181,9 +181,9 @@ fn dl785_disk_power_dominates() {
 /// The model prices the machine `try_build` makes. Over generated
 /// profiles — disks 0..=256 × RAID-0/5 × SSDs 0..=4 × cores 1..=64, on
 /// the DL785's, the flash scanner's or the SCSI server's parts — the
-/// build is the typed error (RAID-5 below three disks, or no storage),
-/// or a machine whose settled idle power is the model's `cpu_idle +
-/// io_idle + base`.
+/// build and the model are the same typed error (RAID-5 below three
+/// disks, or no storage), or a machine whose settled idle power is the
+/// model's `cpu_idle + io_idle + base`.
 #[test]
 fn model_idle_power_is_the_built_machines() {
     check(256, |g| {
@@ -214,13 +214,14 @@ fn model_idle_power_is_the_built_machines() {
             "{} with {disks} disks ({raid:?}), {ssds} SSDs, {cores} cores",
             profile.name
         );
+        let model = CostModel::new(&profile);
         assert_eq!(built.as_ref().err(), expected.as_ref(), "{what}");
-        if let Ok((sim, _, _)) = built {
+        assert_eq!(model.as_ref().err(), expected.as_ref(), "{what}");
+        if let (Ok((sim, _, _)), Ok(m)) = (built, model) {
             let settled = sim
                 .finish(SimInstant::from_secs_f64(100.0))
                 .avg_power()
                 .get();
-            let m = CostModel::new(&profile);
             let model = (m.cpu_idle + m.io_idle + m.base).get();
             assert!(
                 (settled - model).abs() <= 1e-9 * model,

@@ -198,8 +198,7 @@ impl CpuPowerProfile {
         }
     }
 
-    /// The uncore floor of `cores` cores: one `uncore` per whole socket
-    /// they occupy (none when a socket has no cores).
+    /// The uncore floor of `cores` cores: one `uncore` per socket used.
     pub fn uncore_power(&self, cores: u32) -> Watts {
         if self.cores == 0 {
             return Watts::ZERO;
@@ -207,8 +206,7 @@ impl CpuPowerProfile {
         self.uncore * (f64::from(cores) / f64::from(self.cores)).ceil()
     }
 
-    /// A pool of `cores` cores with every core halted: `cores ×
-    /// core_idle` plus the uncore floor.
+    /// `cores` cores all halted: `cores × core_idle` plus the uncore floor.
     pub fn idle_power(&self, cores: u32) -> Watts {
         self.core_idle * f64::from(cores) + self.uncore_power(cores)
     }

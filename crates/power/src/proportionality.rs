@@ -66,8 +66,7 @@ impl PowerCurve {
         PowerCurve::linear(peak * 0.75, peak)
     }
 
-    /// Power at utilization `u` (clamped to `[0, 1]`); inlined for the
-    /// fleet engine, which prices every powered machine at every event.
+    /// Power at utilization `u` (clamped to `[0, 1]`).
     #[inline]
     pub fn power_at(&self, u: f64) -> Watts {
         let u = u.clamp(0.0, 1.0);

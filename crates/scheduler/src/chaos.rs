@@ -463,8 +463,8 @@ fn usable_frac(m: &Machine, cap_frac: f64) -> f64 {
     if cap_frac >= 1.0 {
         return 1.0;
     }
-    let peak = m.curve.peak.get();
-    let idle = m.curve.idle.get();
+    let peak = m.peak.get();
+    let idle = m.idle.get();
     let span = peak - idle;
     if span <= 0.0 {
         // Flat power curve: the machine either fits under the cap or
@@ -723,7 +723,7 @@ impl Engine<'_> {
             if cap_frac < 1.0 {
                 // The brownout physically caps the feeder; loads were
                 // already planned under it, this is belt-and-braces.
-                p = Watts::new(p.get().min(m.curve.peak.get() * cap_frac));
+                p = Watts::new(p.get().min(m.peak.get() * cap_frac));
             }
             (Self::machine_component(i), p * dt)
         }));

@@ -20,9 +20,10 @@ pub struct Machine {
     pub name: String,
     /// Peak throughput, work/s.
     pub capacity: f64,
-    /// Power from zero load (while on) to full load: linear, which the
-    /// brownout cap's usable capacity assumes.
-    pub curve: PowerCurve,
+    /// Power at zero load (while on).
+    pub idle: Watts,
+    /// Power at full load.
+    pub peak: Watts,
     /// Cold-boot latency when a powered-off machine is brought back.
     pub boot_latency: SimDuration,
     /// Energy burned by one cold boot (drawn before any work is served).
@@ -47,7 +48,8 @@ impl Machine {
         Machine {
             name: name.to_string(),
             capacity,
-            curve: PowerCurve::linear(idle, peak),
+            idle,
+            peak,
             boot_latency: DEFAULT_BOOT_LATENCY,
             boot_energy: peak * DEFAULT_BOOT_LATENCY,
             domain: 0,
@@ -70,12 +72,8 @@ impl Machine {
         let m = Machine {
             name: name.to_string(),
             capacity,
-            // `validate` rejects idle above peak; `PowerCurve::linear` panics.
-            curve: PowerCurve {
-                idle,
-                peak,
-                shape: CurveShape::Linear,
-            },
+            idle,
+            peak,
             boot_latency: DEFAULT_BOOT_LATENCY,
             // Placeholder until the power curve is known valid; the real
             // default (peak × latency) is derived below.
@@ -83,7 +81,7 @@ impl Machine {
             domain: 0,
         };
         m.validate()?;
-        let boot_energy = m.curve.peak * DEFAULT_BOOT_LATENCY;
+        let boot_energy = m.peak * DEFAULT_BOOT_LATENCY;
         m.try_with_boot(DEFAULT_BOOT_LATENCY, boot_energy)
     }
 
@@ -97,21 +95,21 @@ impl Machine {
     /// infinity even though its constructor rejects it).
     pub fn validate(&self) -> Result<(), ClusterError> {
         let name = &self.name;
-        let (idle, peak) = (self.curve.idle, self.curve.peak);
         if !self.capacity.is_finite() || self.capacity <= 0.0 {
             return Err(ClusterError::BadMachine(format!(
                 "{name}: capacity must be positive, got {}",
                 self.capacity
             )));
         }
-        if idle.get() < 0.0 || !idle.get().is_finite() || !peak.get().is_finite() {
+        if self.idle.get() < 0.0 || !self.idle.get().is_finite() || !self.peak.get().is_finite() {
             return Err(ClusterError::BadMachine(format!(
                 "{name}: power draws must be finite and non-negative"
             )));
         }
-        if idle.get() > peak.get() {
+        if self.idle.get() > self.peak.get() {
             return Err(ClusterError::BadMachine(format!(
-                "{name}: idle {idle} above peak {peak}"
+                "{name}: idle {} above peak {}",
+                self.idle, self.peak
             )));
         }
         if !self.boot_energy.joules().is_finite() || self.boot_energy.joules() < 0.0 {
@@ -156,12 +154,17 @@ impl Machine {
 
     /// Power at `load` work/s (clamped to capacity).
     pub fn power_at(&self, load: f64) -> Watts {
-        self.curve.power_at(load / self.capacity)
+        let curve = PowerCurve {
+            idle: self.idle,
+            peak: self.peak,
+            shape: CurveShape::Linear,
+        };
+        curve.power_at(load / self.capacity)
     }
 
     /// Work per Joule at full load.
     pub fn peak_efficiency(&self) -> f64 {
-        self.capacity / self.curve.peak.get()
+        self.capacity / self.peak.get()
     }
 }
 

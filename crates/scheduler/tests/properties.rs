@@ -82,7 +82,7 @@ fn usable_capacity(m: &Machine, cap_frac: f64) -> f64 {
     if cap_frac >= 1.0 {
         return m.capacity;
     }
-    let (idle, peak) = (m.curve.idle.get(), m.curve.peak.get());
+    let (idle, peak) = (m.idle.get(), m.peak.get());
     m.capacity * ((cap_frac * peak - idle) / (peak - idle)).clamp(0.0, 1.0)
 }
 

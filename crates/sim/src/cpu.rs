@@ -140,11 +140,6 @@ impl CpuDevice {
         self.power.core_active
     }
 
-    /// The uncore floor for the whole pool, in Watts.
-    pub fn uncore_power(&self) -> Watts {
-        self.power.uncore_power(self.perf.cores)
-    }
-
     /// Finalize at `end`: total energy = per-core machines + uncore floor
     /// over the whole span.
     pub fn finish(self, end: SimInstant) -> Joules {
@@ -157,7 +152,7 @@ impl CpuDevice {
     pub fn finish_summary(self, end: SimInstant) -> MachineSummary {
         let end = end.max(self.all_free());
         let span = end.duration_since(SimInstant::EPOCH);
-        let uncore = self.uncore_power() * span;
+        let uncore = self.power.uncore_power(self.perf.cores) * span;
         let mut agg: Option<MachineSummary> = None;
         for c in self.cores {
             #[expect(
@@ -274,6 +269,7 @@ mod tests {
             CpuPowerProfile::opteron_socket(), // 4 cores/socket, 15 W uncore
             SimInstant::EPOCH,
         );
-        assert!((c.uncore_power().get() - 8.0 * 15.0).abs() < 1e-9);
+        let uncore = c.power.uncore_power(c.perf.cores);
+        assert!((uncore.get() - 8.0 * 15.0).abs() < 1e-9);
     }
 }

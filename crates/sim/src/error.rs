@@ -13,8 +13,7 @@ use grail_power::units::SimInstant;
 pub enum SimError {
     /// A device id that does not exist in this simulation.
     UnknownDevice(String),
-    /// A machine was described with neither disks nor SSDs: nothing
-    /// can carry its IO.
+    /// A machine with neither disks nor SSDs: nothing can carry its IO.
     NoStorage,
     /// An array was declared over zero disks, or RAID-5 over fewer than
     /// three.

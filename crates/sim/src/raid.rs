@@ -17,6 +17,16 @@ pub enum RaidLevel {
     Raid5,
 }
 
+impl RaidLevel {
+    /// Fewest member disks an array at this level can stripe over.
+    pub fn min_disks(self) -> usize {
+        match self {
+            RaidLevel::Raid0 => 1,
+            RaidLevel::Raid5 => 3,
+        }
+    }
+}
+
 /// A striped array over a set of member disks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RaidSpec {
@@ -29,10 +39,7 @@ pub struct RaidSpec {
 impl RaidSpec {
     /// Validate and build an array spec.
     pub fn new(level: RaidLevel, disks: Vec<DiskId>) -> Result<Self, SimError> {
-        let min = match level {
-            RaidLevel::Raid0 => 1,
-            RaidLevel::Raid5 => 3,
-        };
+        let min = level.min_disks();
         if disks.len() < min {
             return Err(SimError::BadArrayGeometry {
                 disks: disks.len(),

@@ -29,7 +29,7 @@ fn cost_model_predicts_simulator() {
         db.load_tpch(TpchScale::toy());
         let measured = db.run_scan(&ScanSpec::fig2(), ExecPolicy::default(), 15_000.0);
 
-        let model = CostModel::new(profile);
+        let model = CostModel::new(profile).unwrap();
         // 5 columns × 10 K rows × 15 000 stretch = 750 M values, 6 GB.
         let predicted = model.scan(750.0e6, 6.0e9, 0.0);
 

@@ -34,9 +34,9 @@ const TOLERANCE: f64 = 1e-3;
 /// horizon pins the cell's settlement to the fluid model's.
 fn lower(m: &Machine, load: f64) -> CellSpec {
     let power = CpuPowerProfile {
-        core_active: Watts::new((m.curve.peak.get() - m.curve.idle.get()) / f64::from(CORES)),
+        core_active: Watts::new((m.peak.get() - m.idle.get()) / f64::from(CORES)),
         core_idle: Watts::ZERO,
-        uncore: m.curve.idle,
+        uncore: m.idle,
         cores: CORES,
     };
     let perf = CpuPerfProfile {

@@ -29,7 +29,7 @@ fn knob_advisor_objectives_diverge() {
     let w = KnobWorkload::scan_sort_default();
     let dvfs = DvfsModel::opteron_like();
     let advice = |profile: HardwareProfile| {
-        let model = CostModel::new(&profile);
+        let model = CostModel::new(&profile).unwrap();
         (
             advise(&grid, &w, &model, &dvfs, Objective::MinTime),
             advise(&grid, &w, &model, &dvfs, Objective::MinEnergy),
