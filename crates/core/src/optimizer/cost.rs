@@ -257,10 +257,13 @@ mod tests {
             [2.3e9, 90.0, 0.0, 600.0e6, 5.0, 5.0, 0.0, 0.0, 100e-6]
         );
         // The pool halted is 32 × 4 W cores + 8 × 15 W uncore; one busy
-        // core adds 18 − 4 W. RAID-5 leaves 65 data spindles × 90 MB/s.
+        // core adds 18 − 4 W; the base is the rest of 941 W. RAID-5
+        // leaves 65 data spindles × 90 MB/s.
+        let idle = 32.0 * 4.0 + 8.0 * 15.0;
+        let (busy, base) = (idle + 18.0 - 4.0, 941.0 - idle);
         assert_eq!(
             terms(HardwareProfile::server_dl785(66)),
-            [2.3e9, 262.0, 248.0, 5.85e9, 990.0, 990.0, 0.0, 693.0, 5.5e-3]
+            [2.3e9, busy, idle, 5.85e9, 990.0, 990.0, 0.0, base, 5.5e-3]
         );
     }
 
