@@ -901,6 +901,164 @@ mod tests {
         }
     }
 
+    /// FNV-1a (64-bit) over every field of every `JobResult` in order,
+    /// then the makespan and the retry total: the untraced outcome the
+    /// trace pins only reach through job spans.
+    fn outcome_digest(o: &DriveOutcome) -> u64 {
+        let mut h = grail_prop::Fnv1a::new();
+        for r in &o.results {
+            h.word(r.stream as u64);
+            h.word(r.index as u64);
+            h.word(r.start.as_nanos());
+            h.word(r.end.as_nanos());
+            h.word(u64::from(r.retries));
+            h.word(r.retry_energy.joules().to_bits());
+        }
+        h.word(o.makespan.as_nanos());
+        h.word(o.total_retries);
+        h.finish()
+    }
+
+    #[test]
+    fn sharded_outcome_is_pinned_at_every_shard_count() {
+        let cfg = pinned_cells();
+        for shards in [1, 2, 8] {
+            let r = run_parallel(&cfg, shards).unwrap();
+            assert!(r.outcome.total_retries > 0, "faults must retry");
+            assert_eq!(
+                outcome_digest(&r.outcome),
+                0x7abc_96d3_3594_cf3a,
+                "driver outcome moved at {shards} shard(s)"
+            );
+        }
+    }
+
+    /// One `Simulation` (four cores, a bare disk, three disks in RAID-5,
+    /// an SSD) under transient and latent faults, and three streams that
+    /// between them take every step shape the driver has: an empty job,
+    /// a CPU-only phase, an overlapped phase of several demands (reads,
+    /// a write, random access), an IO-then-CPU phase split in two, a
+    /// blocking phase that stays whole (no CPU), and a job arriving after
+    /// its stream went idle.
+    fn every_step_shape(fault_seed: u64) -> (Simulation, crate::ids::CpuId, Vec<Vec<JobSpec>>) {
+        use crate::driver::IoOp;
+        use crate::ids::{ArrayId, DiskId, SsdId};
+        use crate::perf::AccessPattern;
+        let mut sim = Simulation::new();
+        let cpu = sim.add_cpu(
+            CpuPerfProfile {
+                cores: 4,
+                freq: Hertz::ghz(2.0),
+            },
+            CpuPowerProfile::opteron_socket(),
+        );
+        sim.add_disk(DiskPerfProfile::scsi_15k(), DiskPowerProfile::scsi_15k());
+        let members = sim.add_disks(3, DiskPerfProfile::scsi_15k(), DiskPowerProfile::scsi_15k());
+        sim.make_array(RaidLevel::Raid5, members).unwrap();
+        sim.add_ssd(SsdPerfProfile::fig2_flash(), SsdPowerProfile::fig2_flash());
+        sim.set_fault_plan(FaultPlan::new(
+            FaultConfig {
+                transient_per_io: 0.2,
+                latent_per_read: 0.1,
+                ..FaultConfig::NONE
+            },
+            fault_seed,
+        ));
+        let (disk, array, ssd) = (
+            StorageTarget::Disk(DiskId(0)),
+            StorageTarget::Array(ArrayId(0)),
+            StorageTarget::Ssd(SsdId(0)),
+        );
+        let io = |target, mib, access, op| IoDemand {
+            target,
+            bytes: Bytes::mib(mib),
+            access,
+            op,
+        };
+        let scan = |mib| {
+            vec![
+                io(array, mib, AccessPattern::Sequential, IoOp::Read),
+                io(ssd, 2, AccessPattern::Sequential, IoOp::Write),
+                io(disk, 1, AccessPattern::Random { ios: 16 }, IoOp::Read),
+            ]
+        };
+        let mut late = JobSpec::immediate(vec![
+            PhaseSpec::io_then_cpu(Cycles::new(3_000_000), 1, scan(2)),
+            PhaseSpec::cpu_only(Cycles::new(1_000_000), 2),
+        ]);
+        late.arrival = SimInstant::EPOCH + SimDuration::from_secs(5);
+        let streams = vec![
+            vec![
+                JobSpec::immediate(vec![]),
+                JobSpec::immediate(vec![PhaseSpec::overlapped(
+                    Cycles::new(40_000_000),
+                    2,
+                    scan(6),
+                )]),
+                JobSpec::immediate(vec![
+                    PhaseSpec::io_then_cpu(
+                        Cycles::new(8_000_000),
+                        3,
+                        vec![io(disk, 3, AccessPattern::Sequential, IoOp::Read)],
+                    ),
+                    PhaseSpec::io_then_cpu(
+                        Cycles::ZERO,
+                        1,
+                        vec![io(ssd, 4, AccessPattern::Sequential, IoOp::Read)],
+                    ),
+                ]),
+            ],
+            vec![
+                JobSpec::immediate(vec![PhaseSpec::cpu_only(Cycles::new(30_000_000), 4)]),
+                late,
+                JobSpec::immediate(vec![]),
+            ],
+            (0..4)
+                .map(|j| {
+                    JobSpec::immediate(vec![
+                        PhaseSpec::overlapped(Cycles::new(5_000_000), 1, scan(1 + j)),
+                        PhaseSpec::io_then_cpu(
+                            Cycles::new(2_000_000),
+                            2,
+                            vec![io(array, 1, AccessPattern::Sequential, IoOp::Write)],
+                        ),
+                    ])
+                })
+                .collect(),
+        ];
+        (sim, cpu, streams)
+    }
+
+    #[test]
+    fn single_simulation_outcome_is_pinned() {
+        let (mut sim, cpu, streams) = every_step_shape(23);
+        let policy = RetryPolicy {
+            max_retries: 64,
+            ..RetryPolicy::default()
+        };
+        let out = crate::driver::run_streams_with(&mut sim, cpu, &streams, &policy).unwrap();
+        assert_eq!(out.results.len(), 3 + 3 + 4);
+        assert!(out.total_retries > 0, "faults must retry");
+        assert!(out.results.iter().any(|r| r.latency().is_zero()));
+        assert_eq!(outcome_digest(&out), 0x8750_e405_b65b_3bf0);
+
+        // The same streams on a budget of one retry run out of it.
+        let (mut sim, cpu, streams) = every_step_shape(23);
+        let policy = RetryPolicy {
+            max_retries: 1,
+            ..RetryPolicy::default()
+        };
+        let err = crate::driver::run_streams_with(&mut sim, cpu, &streams, &policy).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::RetriesExhausted {
+                stream: 2,
+                job: 1,
+                attempts: 2
+            }
+        );
+    }
+
     #[test]
     fn single_simulation_trace_bytes_are_pinned() {
         // Cell 0 of the pinned scenario as ONE `Simulation` with every
