@@ -889,7 +889,9 @@ impl Engine<'_> {
 /// when the schedule's machine/domain shape does not cover the fleet, an
 /// event names a domain outside the schedule or carries a brownout cap
 /// outside `(0, 1]` or a surge factor that is not finite and positive,
-/// or the demand/policy parameters are not finite.
+/// or the demand/policy parameters are not finite, or the run's work or
+/// energy could add up past `f64`'s range (a fleet whose capacities,
+/// draws or efficiencies are extreme for the demand and horizon).
 pub fn run_chaos(
     fleet: &[Machine],
     schedule: &ChaosSchedule,
@@ -955,6 +957,7 @@ pub fn run_chaos(
             policy.hedge_frac
         )));
     }
+    check_totals(fleet, schedule, demand, policy)?;
     let start = SimInstant::EPOCH;
     let end = start + schedule.horizon();
     let mut eng = Engine {
@@ -1000,6 +1003,51 @@ pub fn run_chaos(
     report.ledger.cover(start, end);
     tracer.finish_time(end.as_nanos());
     Ok(report)
+}
+
+/// Bound, before the run, every total it adds up, so that none leaves
+/// `f64`'s finite range halfway (a `Joules` that does panics, and a work
+/// total that does turns the conservation sum into NaN). The fleet
+/// serves at most `demand × surge` work/s; each event strands at most
+/// an in-flight window of that, replayed at no worse than the fleet's
+/// lowest positive peak efficiency; every machine draws at most its
+/// peak, and boots at most once per plan, of which there are at most
+/// `2 × events + 1`. The factor of four is headroom for the rounding of
+/// the sums these terms bound, and for `served + shed + failed`.
+fn check_totals(
+    fleet: &[Machine],
+    schedule: &ChaosSchedule,
+    demand: f64,
+    policy: &ChaosPolicy,
+) -> Result<(), ClusterError> {
+    let horizon = schedule.horizon().as_secs_f64();
+    let window = policy.inflight_window.min(schedule.horizon()).as_secs_f64();
+    let events = schedule.events().len() as f64;
+    let surge = (schedule.events().iter()).fold(1.0_f64, |s, ev| match ev.kind {
+        ChaosEventKind::SurgeStart { factor } => s.max(factor),
+        _ => s,
+    });
+    let stranded = events * demand * surge * window;
+    let work = demand * surge * horizon + stranded;
+    let worst_efficiency = (fleet.iter().map(Machine::peak_efficiency))
+        .filter(|e| *e > 0.0)
+        .fold(f64::INFINITY, f64::min);
+    let replay = if stranded > 0.0 {
+        stranded / worst_efficiency * (1.0 + policy.hedge_frac)
+    } else {
+        0.0
+    };
+    let drawn: f64 = (fleet.iter())
+        .map(|m| m.peak.get() * horizon + m.boot_energy.joules() * (2.0 * events + 1.0))
+        .sum();
+    for (total, bound) in [("work", work), ("energy (J)", drawn + replay)] {
+        if !(4.0 * bound).is_finite() {
+            return Err(ClusterError::BadSchedule(format!(
+                "this fleet's {total} could reach {bound:e} over the run, past f64's range"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The documented availability floor the reference storm must clear —
@@ -1759,6 +1807,32 @@ mod tests {
             ChaosEventKind::SurgeStart { factor: 0.5 },
         ] {
             assert!(run(kind).is_ok(), "{kind:?} rejected");
+        }
+    }
+
+    #[test]
+    fn a_replay_past_f64s_range_is_a_typed_error() {
+        // Both machines pass `Machine::validate`, but a share of `b`'s
+        // 3e299 work/s replayed on `a` at 5e-301 work/J bills over 1e600 J.
+        let fleet = [
+            Machine::new("a", 1e-300, Watts::new(1.0), Watts::new(2.0)).with_domain(0),
+            Machine::new("b", 1e300, Watts::new(1.0), Watts::new(2.0)).with_domain(1),
+        ];
+        let storm = *reference_storm().1.config();
+        let schedule = ChaosSchedule::generate(storm, 7, 2, 2, SimDuration::from_secs(86_400));
+        let demand = 0.3 * fleet.iter().map(|m| m.capacity).sum::<f64>();
+        for (placement, replicas) in [
+            (PlacementPolicy::Spread, 1),
+            (PlacementPolicy::Consolidate, 2),
+        ] {
+            let policy = ChaosPolicy {
+                placement,
+                replicas,
+                ..ChaosPolicy::default()
+            };
+            let err =
+                run_chaos(&fleet, &schedule, demand, &policy, &mut Tracer::off()).unwrap_err();
+            assert!(matches!(err, ClusterError::BadSchedule(_)), "{err}");
         }
     }
 

@@ -201,7 +201,8 @@ pub enum ClusterError {
     /// A machine index is out of range for the fleet.
     UnknownMachine(usize),
     /// A chaos schedule (or its run parameters) does not fit the fleet:
-    /// wrong machine/domain shape, or non-finite demand/policy inputs.
+    /// wrong machine/domain shape, non-finite demand/policy inputs, or
+    /// work or energy totals that would overflow `f64`.
     BadSchedule(String),
 }
 

@@ -1,9 +1,9 @@
 //! Property tests for the consolidation policies.
 
-use grail_power::units::{SimDuration, SimInstant, Watts};
+use grail_power::units::{Joules, SimDuration, SimInstant, Watts};
 use grail_prop::{check, Gen};
 use grail_scheduler::admission::{AdmissionPolicy, BatchWindow};
-use grail_scheduler::chaos::{run_chaos, ChaosPolicy, FleetEvent, FleetState};
+use grail_scheduler::chaos::{reference_storm, run_chaos, ChaosPolicy, FleetEvent, FleetState};
 use grail_scheduler::cluster::{
     chaos_fleet, place, refresh_cycle_fleet, Machine, Placement, PlacementPolicy,
 };
@@ -292,6 +292,78 @@ fn chaos_conservation_and_determinism() {
         assert!(r1.availability() >= 0.0 && r1.availability() <= 1.0 + 1e-9);
         assert!(r1.recovery_energy().joules() <= r1.total_energy().joules() + 1e-9);
         assert_eq!(r1, r2);
+    });
+}
+
+/// A machine field from anywhere in `f64`: now and then NaN, ±inf or
+/// zero, otherwise a value from the smallest subnormal up to 1e308,
+/// log-uniform.
+fn any_magnitude(g: &mut Gen) -> f64 {
+    match g.below(32) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => 0.0,
+        _ => 10f64.powf(g.range(-323.0f64..308.0)),
+    }
+}
+
+/// A generated fleet that `run_chaos` accepts runs clean: whatever the
+/// machines' capacity, idle and peak draw and boot energy, a storm-level
+/// day at 30 % of capacity is a `ClusterError` or a report whose ledger
+/// is finite and which conserves `served + shed + failed == offered`.
+#[test]
+fn generated_machines_are_a_typed_error_or_a_finite_report() {
+    check(CASES, |g| {
+        let (seed, policy_ix) = (g.word(), g.range(0usize..4));
+        let fleet = g.vec(1..6, |g| {
+            let (capacity, peak) = (any_magnitude(g), any_magnitude(g));
+            let idle = if g.one_in(4) {
+                any_magnitude(g)
+            } else {
+                peak * g.range(0.0f64..1.0)
+            };
+            Machine {
+                name: "drawn".to_string(),
+                capacity,
+                idle: Watts::new(1.0) * idle,
+                peak: Watts::new(1.0) * peak,
+                boot_latency: SimDuration::from_secs(g.range(0u64..600)),
+                boot_energy: Joules::new(1.0) * any_magnitude(g),
+                domain: g.range(0u32..2),
+            }
+        });
+        let storm = *reference_storm().1.config();
+        let machines = fleet.len() as u32;
+        let schedule =
+            ChaosSchedule::generate(storm, seed, machines, 2, SimDuration::from_secs(86_400));
+        let demand = 0.3 * fleet.iter().map(|m| m.capacity).sum::<f64>();
+        let (placement, replicas) = [
+            (PlacementPolicy::Spread, 1),
+            (PlacementPolicy::Consolidate, 1),
+            (PlacementPolicy::Consolidate, 2),
+            (PlacementPolicy::Consolidate, 3),
+        ][policy_ix];
+        let policy = ChaosPolicy {
+            placement,
+            replicas,
+            ..ChaosPolicy::default()
+        };
+        let Ok(r) = run_chaos(&fleet, &schedule, demand, &policy, &mut Tracer::off()) else {
+            return;
+        };
+        for (id, e) in r.ledger.iter() {
+            assert!(e.joules().is_finite(), "{id} bills {} J", e.joules());
+        }
+        assert!(r.total_energy().joules().is_finite());
+        assert!(
+            r.conservation_error() <= 1e-6 * r.offered.max(1.0),
+            "served {} + shed {} + failed {} != offered {}",
+            r.served,
+            r.shed,
+            r.failed,
+            r.offered
+        );
     });
 }
 

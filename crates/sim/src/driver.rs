@@ -97,6 +97,14 @@ impl PhaseSpec {
             overlap: true,
         }
     }
+
+    /// Whether the driver runs the phase as two steps, all of its IO and
+    /// then its CPU, rather than one. Phases are split so that every
+    /// issue happens at a queue pop, keeping device issue times globally
+    /// nondecreasing.
+    fn splits(&self) -> bool {
+        !self.overlap && !self.io.is_empty() && self.cpu != Cycles::ZERO
+    }
 }
 
 /// One job (query): an arrival time and a phase list.
@@ -197,21 +205,14 @@ impl RetryPolicy {
     }
 }
 
-/// An executable step (phases are pre-split so every issue happens at a
-/// queue pop, keeping device issue times globally nondecreasing).
-#[derive(Debug, Clone)]
-struct Step {
-    cpu: Cycles,
-    dop: u32,
-    io: Vec<IoDemand>,
-}
-
-#[derive(Debug)]
+/// Where one stream stands: a cursor over its `JobSpec`s, which the
+/// engine reads in place.
+#[derive(Debug, Default)]
 struct StreamState {
-    jobs: Vec<Vec<Step>>,
-    arrivals: Vec<SimInstant>,
     job_idx: usize,
-    step_idx: usize,
+    phase_idx: usize,
+    /// In the CPU step of a phase that [`PhaseSpec::splits`].
+    cpu_half: bool,
     job_start: SimInstant,
     /// Next IO demand of the current step still to issue (resume point
     /// after a retryable fault).
@@ -225,31 +226,6 @@ struct StreamState {
     job_retries: u32,
     /// Energy wasted by the current job's failed attempts.
     job_retry_energy: Joules,
-}
-
-fn compile(job: &JobSpec) -> Vec<Step> {
-    let mut steps = Vec::with_capacity(job.phases.len() * 2);
-    for p in &job.phases {
-        if p.overlap || p.io.is_empty() || p.cpu == Cycles::ZERO {
-            steps.push(Step {
-                cpu: p.cpu,
-                dop: p.dop,
-                io: p.io.clone(),
-            });
-        } else {
-            steps.push(Step {
-                cpu: Cycles::ZERO,
-                dop: 1,
-                io: p.io.clone(),
-            });
-            steps.push(Step {
-                cpu: p.cpu,
-                dop: p.dop,
-                io: Vec::new(),
-            });
-        }
-    }
-    steps
 }
 
 /// Run `streams` of jobs concurrently on `sim`, using `cpu` for all CPU
@@ -289,7 +265,12 @@ pub fn run_streams_with(
 /// processes exactly one event-queue pop — the same pop the sequential
 /// loop would perform — so the sequence of simulation mutations is
 /// identical however the steps are paced.
-pub(crate) struct StreamEngine {
+///
+/// The engine borrows its streams and reads each step from the
+/// `JobSpec`s where they lie: building it allocates one cursor per
+/// stream and the results vector, and a step allocates nothing.
+pub(crate) struct StreamEngine<'a> {
+    streams: &'a [Vec<JobSpec>],
     states: Vec<StreamState>,
     q: EventQueue<usize>,
     cpu: CpuId,
@@ -299,35 +280,21 @@ pub(crate) struct StreamEngine {
     total_retries: u64,
 }
 
-impl StreamEngine {
-    pub(crate) fn new(cpu: CpuId, streams: &[Vec<JobSpec>], policy: RetryPolicy) -> Self {
-        let states: Vec<StreamState> = streams
-            .iter()
-            .map(|jobs| StreamState {
-                jobs: jobs.iter().map(compile).collect(),
-                arrivals: jobs.iter().map(|j| j.arrival).collect(),
-                job_idx: 0,
-                step_idx: 0,
-                job_start: SimInstant::EPOCH,
-                io_idx: 0,
-                step_end_acc: SimInstant::EPOCH,
-                attempts: 0,
-                job_retries: 0,
-                job_retry_energy: Joules::ZERO,
-            })
-            .collect();
+impl<'a> StreamEngine<'a> {
+    pub(crate) fn new(cpu: CpuId, streams: &'a [Vec<JobSpec>], policy: RetryPolicy) -> Self {
         let mut q: EventQueue<usize> = EventQueue::new();
-        for (i, st) in states.iter().enumerate() {
-            if !st.jobs.is_empty() {
-                q.push(st.arrivals[0], i);
+        for (i, jobs) in streams.iter().enumerate() {
+            if let Some(first) = jobs.first() {
+                q.push(first.arrival, i);
             }
         }
         StreamEngine {
-            states,
+            streams,
+            states: streams.iter().map(|_| StreamState::default()).collect(),
             q,
             cpu,
             policy,
-            results: Vec::new(),
+            results: Vec::with_capacity(streams.iter().map(Vec::len).sum()),
             makespan: SimInstant::EPOCH,
             total_retries: 0,
         }
@@ -349,12 +316,13 @@ impl StreamEngine {
         sim.tracer_mut().advance_time(t.as_nanos());
         sim.tracer_mut()
             .observe("driver.queue_depth", COUNT_BUCKETS, self.q.len() as f64);
+        let jobs = &self.streams[stream];
         let st = &mut self.states[stream];
-        if st.step_idx == 0 && st.io_idx == 0 && st.attempts == 0 {
+        if st.phase_idx == 0 && !st.cpu_half && st.io_idx == 0 && st.attempts == 0 {
             st.job_start = t;
         }
         // Skip empty jobs outright.
-        while st.job_idx < st.jobs.len() && st.jobs[st.job_idx].is_empty() {
+        while st.job_idx < jobs.len() && jobs[st.job_idx].phases.is_empty() {
             self.results.push(JobResult {
                 stream,
                 index: st.job_idx,
@@ -364,13 +332,19 @@ impl StreamEngine {
                 retry_energy: Joules::ZERO,
             });
             st.job_idx += 1;
-            st.step_idx = 0;
             st.job_start = t;
         }
-        if st.job_idx >= st.jobs.len() {
+        let Some(job) = jobs.get(st.job_idx) else {
             return Ok(true);
-        }
-        let step = st.jobs[st.job_idx][st.step_idx].clone();
+        };
+        // The step: a whole phase, or the IO or the CPU half of a split one.
+        let phase = &job.phases[st.phase_idx];
+        let splits = phase.splits();
+        let (io, cpu, dop): (&[IoDemand], _, _) = match (splits, st.cpu_half) {
+            (false, _) => (&phase.io, phase.cpu, phase.dop),
+            (true, false) => (&phase.io, Cycles::ZERO, 1),
+            (true, true) => (&[], phase.cpu, phase.dop),
+        };
         if st.io_idx == 0 && st.attempts == 0 {
             st.step_end_acc = t;
         }
@@ -380,8 +354,7 @@ impl StreamEngine {
         // Issue the step's IO, resuming after any demand already served
         // before a retryable fault.
         let mut reissue_at: Option<SimInstant> = None;
-        while st.io_idx < step.io.len() {
-            let d = &step.io[st.io_idx];
+        while let Some(d) = io.get(st.io_idx) {
             let r = match d.op {
                 IoOp::Read => sim.read(d.target, t, d.bytes, d.access),
                 IoOp::Write => sim.write(d.target, t, d.bytes, d.access),
@@ -432,13 +405,18 @@ impl StreamEngine {
             return Ok(true);
         }
         st.io_idx = 0;
-        if step.cpu > Cycles::ZERO {
-            let r = sim.compute_parallel(self.cpu, t, step.cpu, step.dop)?;
+        if cpu > Cycles::ZERO {
+            let r = sim.compute_parallel(self.cpu, t, cpu, dop)?;
             step_end = step_end.max(r.end);
         }
         sim.clear_query_tag();
-        st.step_idx += 1;
-        if st.step_idx >= st.jobs[st.job_idx].len() {
+        if splits && !st.cpu_half {
+            st.cpu_half = true;
+        } else {
+            st.cpu_half = false;
+            st.phase_idx += 1;
+        }
+        if st.phase_idx >= job.phases.len() {
             // Job complete.
             self.results.push(JobResult {
                 stream,
@@ -463,12 +441,11 @@ impl StreamEngine {
             });
             self.makespan = self.makespan.max(step_end);
             st.job_idx += 1;
-            st.step_idx = 0;
+            st.phase_idx = 0;
             st.job_retries = 0;
             st.job_retry_energy = Joules::ZERO;
-            if st.job_idx < st.jobs.len() {
-                let next = step_end.max(st.arrivals[st.job_idx]);
-                self.q.push(next, stream);
+            if let Some(next) = jobs.get(st.job_idx) {
+                self.q.push(step_end.max(next.arrival), stream);
             }
         } else {
             self.q.push(step_end, stream);
@@ -484,6 +461,10 @@ impl StreamEngine {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/common/compiled.rs"]
+pub(crate) mod compiled;
 
 #[cfg(test)]
 mod tests {

@@ -216,11 +216,12 @@ fn next_cell_action(crash: Option<SimInstant>, event: Option<SimInstant>) -> Opt
     }
 }
 
-/// One cell mid-run: its simulation, its driver engine, and its slice
-/// of the chaos schedule.
-struct CellRun {
+/// One cell mid-run: its simulation, its driver engine (reading the
+/// cell's streams where the `CellSpec` holds them), and its slice of the
+/// chaos schedule.
+struct CellRun<'a> {
     sim: Simulation,
-    engine: StreamEngine,
+    engine: StreamEngine<'a>,
     /// Crash instants for this cell, sorted ascending.
     crashes: Vec<SimInstant>,
     crash_idx: usize,
@@ -232,8 +233,16 @@ struct CellRun {
     failed: Option<SimError>,
 }
 
-impl CellRun {
-    fn build(config: &SimConfig, index: usize, spec: &CellSpec) -> Result<CellRun, SimError> {
+/// A finished cell as the commit folds it: its simulation, its driver
+/// outcome, and the latest instant it acted at.
+type CellPart = (Simulation, DriveOutcome, SimInstant);
+
+impl<'a> CellRun<'a> {
+    fn build(
+        config: &SimConfig,
+        index: usize,
+        spec: &'a CellSpec,
+    ) -> Result<CellRun<'a>, SimError> {
         if spec.cpu.cores == 0 {
             return Err(SimError::BadConfig(format!(
                 "cell {index} has a CPU pool of 0 cores"
@@ -308,6 +317,10 @@ impl CellRun {
             }
         }
     }
+
+    fn into_part(self) -> CellPart {
+        (self.sim, self.engine.into_outcome(), self.high_water)
+    }
 }
 
 /// Run the configured simulation on `shards` threads (0 = one per
@@ -337,7 +350,7 @@ pub fn run_parallel(config: &SimConfig, shards: usize) -> Result<ParReport, SimE
     if let Some(err) = cells.iter_mut().find_map(|c| c.failed.take()) {
         return Err(err);
     }
-    commit(config, cells)
+    commit(config, cells.into_iter().map(CellRun::into_part).collect())
 }
 
 /// A chaos schedule fits a configuration of `cells` cells when it
@@ -365,7 +378,7 @@ fn check_schedule(schedule: &ChaosSchedule, cells: usize) -> Result<(), SimError
 }
 
 /// Fold finished cells into one report, in cell index order throughout.
-fn commit(config: &SimConfig, cells: Vec<CellRun>) -> Result<ParReport, SimError> {
+fn commit(config: &SimConfig, mut parts: Vec<CellPart>) -> Result<ParReport, SimError> {
     // Global index bases per cell: prefix sums over the specs.
     let mut bases = Vec::with_capacity(config.cells.len());
     let (mut db, mut sb, mut cb, mut strb) = (0u32, 0u32, 0u32, 0u32);
@@ -378,13 +391,6 @@ fn commit(config: &SimConfig, cells: Vec<CellRun>) -> Result<ParReport, SimError
     }
 
     // Pass 1: settle every cell at the common horizon.
-    let mut parts: Vec<(Simulation, DriveOutcome, SimInstant)> = cells
-        .into_iter()
-        .map(|c| {
-            let hw = c.high_water;
-            (c.sim, c.engine.into_outcome(), hw)
-        })
-        .collect();
     let mut global_end = SimInstant::EPOCH;
     for (sim, outcome, high_water) in &parts {
         global_end = global_end
@@ -406,7 +412,8 @@ fn commit(config: &SimConfig, cells: Vec<CellRun>) -> Result<ParReport, SimError
     let mut ssd_stats = Vec::new();
     let mut cpu_stats = Vec::new();
     let mut faults = crate::fault::FaultStats::default();
-    let mut results: Vec<JobResult> = Vec::new();
+    let mut results: Vec<JobResult> =
+        Vec::with_capacity(parts.iter().map(|(_, o, _)| o.results.len()).sum());
     let mut makespan = SimInstant::EPOCH;
     let mut total_retries = 0u64;
     let mut attr: Vec<(u32, u32, f64)> = Vec::new();
@@ -439,12 +446,10 @@ fn commit(config: &SimConfig, cells: Vec<CellRun>) -> Result<ParReport, SimError
         faults.absorb(&rep.faults);
         makespan = makespan.max(outcome.makespan);
         total_retries += outcome.total_retries;
-        for r in outcome.results {
-            results.push(JobResult {
-                stream: r.stream + stream_base as usize,
-                ..r
-            });
-        }
+        results.extend(outcome.results.iter().map(|r| JobResult {
+            stream: r.stream + stream_base as usize,
+            ..*r
+        }));
         if let Some(mut rec) = rep.trace {
             rec.metrics_mut().roll_rates(end_nanos);
             recorders.push(rec);
@@ -524,6 +529,10 @@ fn commit(config: &SimConfig, cells: Vec<CellRun>) -> Result<ParReport, SimError
         },
     })
 }
+
+#[cfg(test)]
+#[path = "../tests/common/drawn.rs"]
+mod drawn;
 
 #[cfg(test)]
 mod tests {
@@ -1057,6 +1066,128 @@ mod tests {
                 attempts: 2
             }
         );
+    }
+
+    // -----------------------------------------------------------------
+    // The in-place engine against the compiling one it replaced: equal
+    // outcomes, errors, ledger bits and JSONL traces on drawn input.
+
+    /// `run_parallel` at one shard with every cell driven by the
+    /// compiling engine: cells built first, run in index order (so the
+    /// lowest-index error wins, as there), committed the same way.
+    fn run_compiled(config: &SimConfig) -> Result<ParReport, SimError> {
+        use crate::driver::compiled::CompiledEngine;
+        if let Some(schedule) = &config.chaos {
+            check_schedule(schedule, config.cells.len())?;
+        }
+        let mut cells = Vec::new();
+        for (i, spec) in config.cells.iter().enumerate() {
+            let cell = CellRun::build(config, i, spec)?;
+            let engine = CompiledEngine::new(crate::ids::CpuId(0), &spec.streams, config.policy);
+            cells.push((cell, engine));
+        }
+        let mut parts = Vec::new();
+        for (cell, mut engine) in cells {
+            let CellRun {
+                mut sim,
+                crashes,
+                boot_energy,
+                mut high_water,
+                ..
+            } = cell;
+            let mut crashes = crashes.into_iter().peekable();
+            while let Some(action) = next_cell_action(crashes.peek().copied(), engine.next_at()) {
+                match action {
+                    CellAction::Crash(at) => {
+                        high_water = high_water.max(at);
+                        sim.bill_recovery(at, "chaos.machine_crash", boot_energy);
+                        crashes.next();
+                    }
+                    CellAction::Event(at) => {
+                        high_water = high_water.max(at);
+                        engine.step(&mut sim)?;
+                    }
+                }
+            }
+            parts.push((sim, engine.into_outcome(), high_water));
+        }
+        commit(config, parts)
+    }
+
+    /// What the two engines must agree on: the outcome, the ledger's
+    /// bits and the JSONL trace.
+    fn drive_artifacts(
+        outcome: &DriveOutcome,
+        report: &SimReport,
+    ) -> (DriveOutcome, Vec<(String, u64)>, String) {
+        let ledger = (report.ledger.iter())
+            .map(|(id, e)| (id.to_string(), e.joules().to_bits()))
+            .collect();
+        let jsonl = report.trace.as_ref().map(grail_trace::to_jsonl);
+        (outcome.clone(), ledger, jsonl.unwrap_or_default())
+    }
+
+    #[test]
+    fn streams_run_in_place_match_the_compiling_oracle() {
+        use super::drawn::drawn_cell;
+        use crate::driver::compiled::run_streams_compiled;
+        use crate::driver::run_streams_with;
+        grail_prop::check(256, |g| {
+            let (seed, attribution) = (g.word(), g.bool());
+            let (transient, latent) = (g.range(0.0f64..0.3), g.range(0.0f64..0.2));
+            let policy = RetryPolicy {
+                max_retries: g.range(0u32..6),
+                ..RetryPolicy::default()
+            };
+            // Drawn cells under faults and machine crashes, through the
+            // whole build → run → commit pipeline.
+            let mut cfg = SimConfig::new(g.vec(1..4, drawn_cell));
+            let machines = cfg.cells.len() as u32;
+            let crashes = g.vec(0..4, |g| ChaosEvent {
+                at: SimInstant::EPOCH + SimDuration::from_millis(g.range(0u64..300)),
+                kind: ChaosEventKind::MachineCrash {
+                    machine: g.range(0..machines),
+                },
+            });
+            cfg.seed = seed;
+            cfg.attribution = attribution;
+            cfg.policy = policy;
+            cfg.trace_capacity = Some(1 << 12);
+            cfg.fault = FaultConfig {
+                transient_per_io: transient,
+                latent_per_read: latent,
+                ..FaultConfig::NONE
+            };
+            cfg.chaos = Some(ChaosSchedule::scripted(
+                machines,
+                1,
+                SimDuration::from_secs(30),
+                crashes,
+            ));
+            match (run_parallel(&cfg, 1), run_compiled(&cfg)) {
+                (Ok(a), Ok(b)) => assert_eq!(
+                    drive_artifacts(&a.outcome, &a.report),
+                    drive_artifacts(&b.outcome, &b.report)
+                ),
+                (a, b) => assert_eq!(a.err(), b.err()),
+            }
+            // Every step shape on one traced `Simulation`, under the
+            // drawn retry budget, which may run out.
+            let single = |compiled: bool| {
+                let (mut sim, cpu, streams) = every_step_shape(seed);
+                sim.set_tracer(Tracer::on(Recorder::new(1 << 12)));
+                let run = if compiled {
+                    run_streams_compiled
+                } else {
+                    run_streams_with
+                };
+                let outcome = run(&mut sim, cpu, &streams, &policy);
+                let end = sim.horizon();
+                let report = sim.finish(end);
+                outcome.map(|o| drive_artifacts(&o, &report))
+            };
+            assert_eq!(single(false), single(true));
+        });
     }
 
     #[test]
