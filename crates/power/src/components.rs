@@ -1,34 +1,16 @@
 //! Concrete component power profiles, calibrated to the hardware classes
 //! of the paper's two experiments.
 //!
-//! Each profile is plain data plus a constructor for the matching
-//! [`PowerStateMachine`]. Numbers come from the paper where it gives them
-//! (90 W CPU, 5 W for three flash drives, ~15 W per 15K SCSI spindle) and
-//! from era-typical datasheets elsewhere; every figure is a named field so
-//! experiments can recalibrate without touching model code.
+//! Each profile is plain data plus a constructor for its
+//! [`PowerStateMachine`]: every component is active or idle, and only a
+//! disk has a [`Spin`] down to standby and back. Numbers come from the
+//! paper where it gives them (90 W CPU, 5 W for three flash drives, ~15 W
+//! per 15K SCSI spindle) and from era-typical datasheets elsewhere; every
+//! figure is a named field so experiments can recalibrate without
+//! touching model code.
 
-use crate::state::{PowerState, PowerStateId, PowerStateMachine, Transition};
+use crate::state::{PowerStateMachine, Spin, Transition};
 use crate::units::{Joules, SimDuration, SimInstant, Watts};
-
-/// State ids shared by all disk-like machines built here.
-pub mod disk_states {
-    use super::PowerStateId;
-    /// Seeking/transferring.
-    pub const ACTIVE: PowerStateId = PowerStateId(0);
-    /// Spinning, no I/O.
-    pub const IDLE: PowerStateId = PowerStateId(1);
-    /// Spun down.
-    pub const STANDBY: PowerStateId = PowerStateId(2);
-}
-
-/// State ids for simple active/idle machines (CPU core, SSD).
-pub mod duo_states {
-    use super::PowerStateId;
-    /// Doing work.
-    pub const ACTIVE: PowerStateId = PowerStateId(0);
-    /// Not doing work.
-    pub const IDLE: PowerStateId = PowerStateId(1);
-}
 
 // ---------------------------------------------------------------------------
 // Disk
@@ -70,51 +52,21 @@ impl DiskPowerProfile {
         }
     }
 
-    /// Build the three-state machine for one drive, starting spinning
-    /// idle.
+    /// Build the machine for one drive, starting spinning idle: the
+    /// only one with a standby state.
     pub fn machine(&self, start: SimInstant) -> PowerStateMachine {
-        let states = vec![
-            PowerState {
-                name: "active",
-                power: self.active,
-            },
-            PowerState {
-                name: "idle",
-                power: self.idle,
-            },
-            PowerState {
-                name: "standby",
-                power: self.standby,
-            },
-        ];
-        let z = SimDuration::ZERO;
-        let transitions = vec![
-            Transition {
-                from: disk_states::ACTIVE,
-                to: disk_states::IDLE,
-                latency: z,
-                energy: Joules::ZERO,
-            },
-            Transition {
-                from: disk_states::IDLE,
-                to: disk_states::ACTIVE,
-                latency: z,
-                energy: Joules::ZERO,
-            },
-            Transition {
-                from: disk_states::IDLE,
-                to: disk_states::STANDBY,
+        let spin = Spin {
+            standby: self.standby,
+            down: Transition {
                 latency: self.spin_down_latency,
                 energy: self.spin_down_energy,
             },
-            Transition {
-                from: disk_states::STANDBY,
-                to: disk_states::IDLE,
+            up: Transition {
                 latency: self.spin_up_latency,
                 energy: self.spin_up_energy,
             },
-        ];
-        PowerStateMachine::new(states, transitions, disk_states::IDLE, start)
+        };
+        PowerStateMachine::new(self.active, self.idle, Some(spin), start)
     }
 }
 
@@ -150,9 +102,9 @@ impl SsdPowerProfile {
         }
     }
 
-    /// Build the two-state machine for one SSD, starting idle.
+    /// Build the machine for one SSD, starting idle (no standby).
     pub fn machine(&self, start: SimInstant) -> PowerStateMachine {
-        PowerStateMachine::active_idle(self.active, self.idle, start)
+        PowerStateMachine::new(self.active, self.idle, None, start)
     }
 }
 
@@ -211,36 +163,31 @@ impl CpuPowerProfile {
         self.core_idle * f64::from(cores) + self.uncore_power(cores)
     }
 
-    /// Build one core's two-state machine, starting idle. The uncore
+    /// Build one core's machine, starting idle (no standby). The uncore
     /// floor is charged separately (it exists whether or not cores work).
     pub fn core_machine(&self, start: SimInstant) -> PowerStateMachine {
-        PowerStateMachine::active_idle(self.core_active, self.core_idle, start)
+        PowerStateMachine::new(self.core_active, self.core_idle, None, start)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::PowerState::{Active, Idle, Standby};
 
     #[test]
     fn disk_machine_wiring() {
         let p = DiskPowerProfile::scsi_15k();
         let mut m = p.machine(SimInstant::EPOCH);
-        assert_eq!(m.current(), disk_states::IDLE);
+        assert_eq!(m.current(), Idle);
         // idle -> active is instant and free.
         let done = m
-            .set_state(
-                SimInstant::EPOCH + SimDuration::from_secs(1),
-                disk_states::ACTIVE,
-            )
+            .set_state(SimInstant::EPOCH + SimDuration::from_secs(1), Active)
             .unwrap();
         assert_eq!(done, SimInstant::EPOCH + SimDuration::from_secs(1));
-        // active -> standby is undeclared (must pass through idle).
+        // active -> standby must pass through idle.
         assert!(m
-            .set_state(
-                SimInstant::EPOCH + SimDuration::from_secs(2),
-                disk_states::STANDBY
-            )
+            .set_state(SimInstant::EPOCH + SimDuration::from_secs(2), Standby)
             .is_err());
     }
 
@@ -249,8 +196,8 @@ mod tests {
         let p = DiskPowerProfile::scsi_15k();
         let mut m = p.machine(SimInstant::EPOCH);
         let t = |s: u64| SimInstant::EPOCH + SimDuration::from_secs(s);
-        m.set_state(t(0), disk_states::STANDBY).unwrap(); // 1 s, 8 J
-        m.set_state(t(100), disk_states::IDLE).unwrap(); // 6 s, 140 J
+        m.set_state(t(0), Standby).unwrap(); // 1 s, 8 J
+        m.set_state(t(100), Idle).unwrap(); // 6 s, 140 J
         let s = m.finish(t(106)).unwrap();
         // 8 + 140 transition J + 99 s standby at 2.5 W.
         let expect = 8.0 + 140.0 + 99.0 * 2.5;
@@ -270,10 +217,8 @@ mod tests {
     fn fig2_cpu_energy_matches_paper() {
         let p = CpuPowerProfile::fig2_cpu();
         let mut core = p.core_machine(SimInstant::EPOCH);
-        core.set_state(SimInstant::EPOCH, duo_states::ACTIVE)
-            .unwrap();
         let busy_end = SimInstant::EPOCH + SimDuration::from_secs_f64(3.2);
-        core.set_state(busy_end, duo_states::IDLE).unwrap();
+        core.busy(SimInstant::EPOCH, busy_end).unwrap();
         let s = core
             .finish(SimInstant::EPOCH + SimDuration::from_secs(10))
             .unwrap();

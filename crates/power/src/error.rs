@@ -1,21 +1,20 @@
 //! Error types for power modeling.
 
-use crate::state::PowerStateId;
+use crate::state::PowerState;
 use crate::units::SimInstant;
 use std::fmt;
 
 /// Errors raised by power-state machines and ledgers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PowerError {
-    /// A transition between two states that was never declared.
+    /// A state change the machine does not make: active ↔ standby, or
+    /// standby on a machine without a spin.
     UndeclaredTransition {
         /// State the machine was in.
-        from: PowerStateId,
+        from: PowerState,
         /// State that was requested.
-        to: PowerStateId,
+        to: PowerState,
     },
-    /// A state id that does not exist in the machine.
-    UnknownState(PowerStateId),
     /// An operation was requested at a time earlier than the machine's
     /// current position; simulated time is monotone.
     TimeWentBackwards {
@@ -39,7 +38,6 @@ impl fmt::Display for PowerError {
             PowerError::UndeclaredTransition { from, to } => {
                 write!(f, "undeclared power-state transition {from:?} -> {to:?}")
             }
-            PowerError::UnknownState(id) => write!(f, "unknown power state {id:?}"),
             PowerError::TimeWentBackwards { now, requested } => {
                 write!(f, "time went backwards: at {now}, requested {requested}")
             }

@@ -19,8 +19,9 @@
 //!   are deterministic and unit-testable to float epsilon.
 //! * **Transitions are first-class.** Real devices pay latency *and*
 //!   energy to change power states (disk spin-up being the canonical
-//!   example, Sec. 4.2 of the paper); [`state::PowerStateMachine`] refuses
-//!   undeclared transitions and charges declared ones.
+//!   example, Sec. 4.2 of the paper). A [`state::PowerStateMachine`] is
+//!   active, idle or — given a [`state::Spin`] — standby: active ↔ idle
+//!   is free, idle ↔ standby is charged, and nothing else is allowed.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
@@ -44,7 +45,7 @@ pub mod units;
 
 pub use error::PowerError;
 pub use ledger::{ComponentId, ComponentKind, EnergyLedger, LedgerOp};
-pub use state::{PowerState, PowerStateId, PowerStateMachine, Transition};
+pub use state::{PowerState, PowerStateMachine, Spin, Transition};
 pub use units::{
     Bytes, Cycles, EnergyEfficiency, Hertz, JouleSeconds, Joules, SimDuration, SimInstant, Watts,
 };

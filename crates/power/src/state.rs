@@ -1,37 +1,33 @@
-//! Power-state machines with explicit, costed transitions.
+//! Power-state machines with costed transitions.
 //!
 //! The paper (Sec. 2.4, 4.2) stresses that current components "are either
 //! on … or off, and the transitions can be expensive", and that software
 //! must reason about whether an idle period is long enough to amortize a
-//! state switch. [`PowerStateMachine`] makes that reasoning checkable: a
-//! machine declares its states (each with a power draw) and its legal
-//! transitions (each with a latency and an energy cost), accumulates energy
-//! in closed form as simulated time advances, and refuses undeclared or
-//! time-travelling state changes.
+//! state switch. Every component modeled here is [`PowerState::Active`]
+//! or [`PowerState::Idle`], switching between the two for free; a disk
+//! can also drop to [`PowerState::Standby`] from idle, paying the latency
+//! and energy of its [`Spin`] each way. [`PowerStateMachine`] accumulates
+//! energy in closed form as simulated time advances and refuses any other
+//! change, as well as a time-travelling one.
 
 use crate::error::PowerError;
 use crate::units::{Joules, SimDuration, SimInstant, Watts};
 
-/// Identifier of a state within one [`PowerStateMachine`] (dense index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PowerStateId(pub u8);
-
-/// One power state: a name (for reports) and a steady-state power draw.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerState {
-    /// Human-readable name ("active", "idle", "standby", …).
-    pub name: &'static str,
-    /// Steady-state power drawn while in this state.
-    pub power: Watts,
+/// The power states of a component; the discriminant indexes
+/// [`MachineSummary::per_state`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PowerState {
+    /// Doing work: seeking, transferring, executing.
+    Active = 0,
+    /// Ready, not working.
+    Idle = 1,
+    /// Spun down: only a machine with a [`Spin`] reaches it, from idle.
+    Standby = 2,
 }
 
-/// A declared transition between two power states.
+/// The cost of one state change.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
-    /// Source state.
-    pub from: PowerStateId,
-    /// Destination state.
-    pub to: PowerStateId,
     /// Time during which the component is unavailable.
     pub latency: SimDuration,
     /// Total energy consumed by the transition itself (e.g. a disk
@@ -39,6 +35,26 @@ pub struct Transition {
     /// state's steady power: during the transition the machine draws
     /// `energy / latency` on average.
     pub energy: Joules,
+}
+
+impl Transition {
+    /// Active ↔ idle: instant and free.
+    const FREE: Transition = Transition {
+        latency: SimDuration::ZERO,
+        energy: Joules::ZERO,
+    };
+}
+
+/// A machine's standby state and the round trip into it: a disk's
+/// spin-down and spin-up.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spin {
+    /// Power drawn while spun down.
+    pub standby: Watts,
+    /// Idle → standby.
+    pub down: Transition,
+    /// Standby → idle.
+    pub up: Transition,
 }
 
 /// Per-state occupancy statistics.
@@ -53,12 +69,12 @@ pub struct StateOccupancy {
 }
 
 /// Summary of a machine's whole history.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MachineSummary {
     /// Total energy including transitions.
     pub total_energy: Joules,
-    /// Occupancy per state, indexed by [`PowerStateId`].
-    pub per_state: Vec<StateOccupancy>,
+    /// Occupancy per state, indexed by [`PowerState`] (`as usize`).
+    pub per_state: [StateOccupancy; 3],
     /// Energy consumed by transitions alone.
     pub transition_energy: Joules,
     /// Number of transitions performed.
@@ -68,6 +84,21 @@ pub struct MachineSummary {
 }
 
 impl MachineSummary {
+    /// Add `other`'s history into this one, field by field in
+    /// declaration order: several machines (the cores of a CPU pool)
+    /// reported as one.
+    pub fn absorb(&mut self, other: &MachineSummary) {
+        self.total_energy += other.total_energy;
+        for (dst, src) in self.per_state.iter_mut().zip(&other.per_state) {
+            dst.time += src.time;
+            dst.energy += src.energy;
+            dst.entries += src.entries;
+        }
+        self.transition_energy += other.transition_energy;
+        self.transitions += other.transitions;
+        self.transition_time += other.transition_time;
+    }
+
     /// Accumulate this machine's lifetime statistics into a metrics
     /// registry. Counters and gauges *add* so summaries from several
     /// machines (one per device, one per CPU core) aggregate into
@@ -86,11 +117,10 @@ impl MachineSummary {
 /// A power-state machine that integrates energy as simulated time advances.
 #[derive(Debug, Clone)]
 pub struct PowerStateMachine {
-    states: Vec<PowerState>,
-    /// Declared transitions, looked up linearly (machines have ≤ a handful
-    /// of states, so a flat vec beats a hash map).
-    transitions: Vec<Transition>,
-    current: PowerStateId,
+    active: Watts,
+    idle: Watts,
+    spin: Option<Spin>,
+    current: PowerState,
     /// Last instant up to which energy has been accumulated.
     cursor: SimInstant,
     /// If a transition is in flight, when it completes.
@@ -98,46 +128,26 @@ pub struct PowerStateMachine {
     /// Power drawn right now (state power, or average transition power).
     current_power: Watts,
     total_energy: Joules,
-    per_state: Vec<StateOccupancy>,
+    per_state: [StateOccupancy; 3],
     transition_energy: Joules,
     transition_count: u64,
     transition_time: SimDuration,
 }
 
 impl PowerStateMachine {
-    /// Build a machine starting in `initial` at `start`.
-    ///
-    /// # Panics
-    /// Panics if `states` is empty, `initial` is out of range, or any
-    /// transition references an unknown state — these are construction
-    /// bugs, not runtime conditions.
-    pub fn new(
-        states: Vec<PowerState>,
-        transitions: Vec<Transition>,
-        initial: PowerStateId,
-        start: SimInstant,
-    ) -> Self {
-        assert!(!states.is_empty(), "a power-state machine needs states");
-        assert!(
-            (initial.0 as usize) < states.len(),
-            "initial state {initial:?} out of range"
-        );
-        for t in &transitions {
-            assert!(
-                (t.from.0 as usize) < states.len() && (t.to.0 as usize) < states.len(),
-                "transition {t:?} references unknown state"
-            );
-        }
-        let mut per_state = vec![StateOccupancy::default(); states.len()];
-        per_state[initial.0 as usize].entries = 1;
-        let current_power = states[initial.0 as usize].power;
+    /// A machine drawing `active` while working and `idle` otherwise,
+    /// with a standby state if `spin` is given, starting idle at `start`.
+    pub fn new(active: Watts, idle: Watts, spin: Option<Spin>, start: SimInstant) -> Self {
+        let mut per_state = [StateOccupancy::default(); 3];
+        per_state[PowerState::Idle as usize].entries = 1;
         PowerStateMachine {
-            states,
-            transitions,
-            current: initial,
+            active,
+            idle,
+            spin,
+            current: PowerState::Idle,
             cursor: start,
             busy_until: None,
-            current_power,
+            current_power: idle,
             total_energy: Joules::ZERO,
             per_state,
             transition_energy: Joules::ZERO,
@@ -146,62 +156,32 @@ impl PowerStateMachine {
         }
     }
 
-    /// Convenience: a two-state machine (`active` / `idle`) with free,
-    /// instant transitions — the "limited power knobs" servers of
-    /// Sec. 2.4 collapse to this.
-    pub fn active_idle(active: Watts, idle: Watts, start: SimInstant) -> Self {
-        let states = vec![
-            PowerState {
-                name: "active",
-                power: active,
-            },
-            PowerState {
-                name: "idle",
-                power: idle,
-            },
-        ];
-        let transitions = vec![
-            Transition {
-                from: PowerStateId(0),
-                to: PowerStateId(1),
-                latency: SimDuration::ZERO,
-                energy: Joules::ZERO,
-            },
-            Transition {
-                from: PowerStateId(1),
-                to: PowerStateId(0),
-                latency: SimDuration::ZERO,
-                energy: Joules::ZERO,
-            },
-        ];
-        PowerStateMachine::new(states, transitions, PowerStateId(1), start)
-    }
-
     /// The machine's current state.
     #[inline]
-    pub fn current(&self) -> PowerStateId {
+    pub fn current(&self) -> PowerState {
         self.current
     }
 
-    /// The steady power of state `id`.
-    pub fn state_power(&self, id: PowerStateId) -> Result<Watts, PowerError> {
-        self.states
-            .get(id.0 as usize)
-            .map(|s| s.power)
-            .ok_or(PowerError::UnknownState(id))
+    /// The machine's standby state and its round trip, if it has one.
+    #[inline]
+    pub fn spin(&self) -> Option<Spin> {
+        self.spin
+    }
+
+    /// The steady power of `state`. A machine without a [`Spin`] never
+    /// reaches standby; it reports its idle draw there.
+    pub fn state_power(&self, state: PowerState) -> Watts {
+        match state {
+            PowerState::Active => self.active,
+            PowerState::Idle => self.idle,
+            PowerState::Standby => self.spin.map_or(self.idle, |s| s.standby),
+        }
     }
 
     /// If a transition is in flight, when the machine becomes available.
     #[inline]
     pub fn busy_until(&self) -> Option<SimInstant> {
         self.busy_until
-    }
-
-    /// The declared transition from `from` to `to`, if any.
-    pub fn transition(&self, from: PowerStateId, to: PowerStateId) -> Option<&Transition> {
-        self.transitions
-            .iter()
-            .find(|t| t.from == from && t.to == to)
     }
 
     /// Accumulate energy up to `t` without changing state.
@@ -224,7 +204,7 @@ impl PowerStateMachine {
                 self.transition_time += span;
                 self.cursor = done;
                 self.busy_until = None;
-                self.current_power = self.states[self.current.0 as usize].power;
+                self.current_power = self.state_power(self.current);
             } else {
                 let span = t.saturating_duration_since(self.cursor);
                 let e = self.current_power * span;
@@ -239,7 +219,7 @@ impl PowerStateMachine {
         if !span.is_zero() {
             let e = self.current_power * span;
             self.total_energy += e;
-            let occ = &mut self.per_state[self.current.0 as usize];
+            let occ = &mut self.per_state[self.current as usize];
             occ.time += span;
             occ.energy += e;
             self.cursor = t;
@@ -251,15 +231,17 @@ impl PowerStateMachine {
     ///
     /// Returns the instant at which the new state is fully entered
     /// (`at + latency`). A change to the current state is a no-op that
-    /// still advances the clock. Errors if the transition is undeclared,
-    /// `at` precedes the machine's cursor, or a transition is in flight.
-    pub fn set_state(
-        &mut self,
-        at: SimInstant,
-        to: PowerStateId,
-    ) -> Result<SimInstant, PowerError> {
-        if (to.0 as usize) >= self.states.len() {
-            return Err(PowerError::UnknownState(to));
+    /// still advances the clock. Errors if `at` precedes the machine's
+    /// cursor or a transition is in flight, and for a change other than
+    /// active ↔ idle ↔ standby (after advancing the clock to `at`). A
+    /// machine without a [`Spin`] refuses standby before anything else.
+    pub fn set_state(&mut self, at: SimInstant, to: PowerState) -> Result<SimInstant, PowerError> {
+        let undeclared = PowerError::UndeclaredTransition {
+            from: self.current,
+            to,
+        };
+        if to == PowerState::Standby && self.spin.is_none() {
+            return Err(undeclared);
         }
         if let Some(done) = self.busy_until {
             if at < done {
@@ -273,20 +255,21 @@ impl PowerStateMachine {
         if to == self.current {
             return Ok(at);
         }
-        let tr = *self
-            .transition(self.current, to)
-            .ok_or(PowerError::UndeclaredTransition {
-                from: self.current,
-                to,
-            })?;
+        let tr = match (self.current, to, self.spin) {
+            (PowerState::Active, PowerState::Idle, _)
+            | (PowerState::Idle, PowerState::Active, _) => Transition::FREE,
+            (PowerState::Idle, PowerState::Standby, Some(spin)) => spin.down,
+            (PowerState::Standby, PowerState::Idle, Some(spin)) => spin.up,
+            _ => return Err(undeclared),
+        };
         self.transition_count += 1;
         self.current = to;
-        self.per_state[to.0 as usize].entries += 1;
+        self.per_state[to as usize].entries += 1;
         if tr.latency.is_zero() {
             // Instant transition: charge its energy as a point spike.
             self.total_energy += tr.energy;
             self.transition_energy += tr.energy;
-            self.current_power = self.states[to.0 as usize].power;
+            self.current_power = self.state_power(to);
             Ok(at)
         } else {
             // During the transition the machine draws the transition's
@@ -298,40 +281,27 @@ impl PowerStateMachine {
         }
     }
 
-    /// Whether switching to `to` and back pays for itself over an idle gap
-    /// of length `gap`: compares energy of staying in the current state
-    /// for `gap` against transitioning to `to`, idling there, and coming
-    /// back. This is the "minimum-length idle period" calculus of
-    /// Sec. 4.2.
-    pub fn break_even_worth_it(&self, to: PowerStateId, gap: SimDuration) -> bool {
-        let Some(down) = self.transition(self.current, to) else {
-            return false;
-        };
-        let Some(up) = self.transition(to, self.current) else {
-            return false;
-        };
-        let switch_time = down.latency + up.latency;
-        if switch_time > gap {
-            return false;
-        }
-        let stay = self.states[self.current.0 as usize].power * gap;
-        let low_time = gap - switch_time;
-        let go = down.energy + up.energy + self.states[to.0 as usize].power * low_time;
-        go < stay
+    /// One busy interval: active from `start`, idle again at `end`.
+    pub fn busy(&mut self, start: SimInstant, end: SimInstant) -> Result<(), PowerError> {
+        self.set_state(start, PowerState::Active)?;
+        self.set_state(end, PowerState::Idle)?;
+        Ok(())
     }
 
-    /// The minimum idle-gap length at which dropping to `to` saves energy,
-    /// or `None` if it never does (or the round trip is undeclared).
-    pub fn break_even_gap(&self, to: PowerStateId) -> Option<SimDuration> {
-        let down = self.transition(self.current, to)?;
-        let up = self.transition(to, self.current)?;
-        let p_hi = self.states[self.current.0 as usize].power.get();
-        let p_lo = self.states[to.0 as usize].power.get();
+    /// The minimum idle-gap length at which spinning down and back up
+    /// saves energy over idling through the gap (the "minimum-length
+    /// idle period" of Sec. 4.2), or `None` without a [`Spin`] or when
+    /// standby draws no less than idle. A function of the spin alone: a
+    /// parked machine reports the same gap.
+    pub fn break_even_gap(&self) -> Option<SimDuration> {
+        let spin = self.spin?;
+        let p_hi = self.idle.get();
+        let p_lo = spin.standby.get();
         if p_lo >= p_hi {
             return None;
         }
-        let switch_time = (down.latency + up.latency).as_secs_f64();
-        let switch_energy = (down.energy + up.energy).joules();
+        let switch_time = (spin.down.latency + spin.up.latency).as_secs_f64();
+        let switch_energy = (spin.down.energy + spin.up.energy).joules();
         // Solve p_hi * g = switch_energy + p_lo * (g - switch_time)
         // =>   g = (switch_energy - p_lo * switch_time) / (p_hi - p_lo)
         let g = (switch_energy - p_lo * switch_time) / (p_hi - p_lo);
@@ -361,64 +331,43 @@ impl PowerStateMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use PowerState::{Active, Idle, Standby};
 
     fn secs(s: f64) -> SimInstant {
         SimInstant::EPOCH + SimDuration::from_secs_f64(s)
     }
 
-    /// A three-state disk-like machine: active 15 W, idle 11 W,
-    /// standby 2 W; spin-down 1 s / 5 J, spin-up 6 s / 135 J.
-    fn disk_machine() -> PowerStateMachine {
-        let states = vec![
-            PowerState {
-                name: "active",
-                power: Watts::new(15.0),
-            },
-            PowerState {
-                name: "idle",
-                power: Watts::new(11.0),
-            },
-            PowerState {
-                name: "standby",
-                power: Watts::new(2.0),
-            },
-        ];
-        let z = SimDuration::ZERO;
-        let transitions = vec![
-            Transition {
-                from: PowerStateId(0),
-                to: PowerStateId(1),
-                latency: z,
-                energy: Joules::ZERO,
-            },
-            Transition {
-                from: PowerStateId(1),
-                to: PowerStateId(0),
-                latency: z,
-                energy: Joules::ZERO,
-            },
-            Transition {
-                from: PowerStateId(1),
-                to: PowerStateId(2),
+    fn spin(standby: f64) -> Spin {
+        Spin {
+            standby: Watts::new(standby),
+            down: Transition {
                 latency: SimDuration::from_secs(1),
                 energy: Joules::new(5.0),
             },
-            Transition {
-                from: PowerStateId(2),
-                to: PowerStateId(1),
+            up: Transition {
                 latency: SimDuration::from_secs(6),
                 energy: Joules::new(135.0),
             },
-        ];
-        PowerStateMachine::new(states, transitions, PowerStateId(1), SimInstant::EPOCH)
+        }
+    }
+
+    /// A disk-like machine: active 15 W, idle 11 W, standby 2 W;
+    /// spin-down 1 s / 5 J, spin-up 6 s / 135 J.
+    fn disk_machine() -> PowerStateMachine {
+        PowerStateMachine::new(
+            Watts::new(15.0),
+            Watts::new(11.0),
+            Some(spin(2.0)),
+            SimInstant::EPOCH,
+        )
     }
 
     #[test]
     fn steady_state_energy() {
-        let mut m = PowerStateMachine::active_idle(Watts::new(90.0), Watts::new(10.0), secs(0.0));
+        let mut m = PowerStateMachine::new(Watts::new(90.0), Watts::new(10.0), None, secs(0.0));
         m.advance_to(secs(10.0)).unwrap();
         assert!((m.total_energy().joules() - 100.0).abs() < 1e-9);
-        m.set_state(secs(10.0), PowerStateId(0)).unwrap();
+        m.set_state(secs(10.0), Active).unwrap();
         m.advance_to(secs(13.2)).unwrap();
         // 10 s idle at 10 W + 3.2 s active at 90 W = 388 J.
         assert!((m.total_energy().joules() - 388.0).abs() < 1e-9);
@@ -427,10 +376,22 @@ mod tests {
     #[test]
     fn undeclared_transition_rejected() {
         let mut m = disk_machine();
-        // active <-> standby was never declared.
-        m.set_state(secs(1.0), PowerStateId(0)).unwrap();
-        let err = m.set_state(secs(2.0), PowerStateId(2)).unwrap_err();
+        // Active <-> standby passes through idle.
+        m.set_state(secs(1.0), Active).unwrap();
+        let err = m.set_state(secs(2.0), Standby).unwrap_err();
         assert!(matches!(err, PowerError::UndeclaredTransition { .. }));
+        // A machine without a spin has no standby: refused before the
+        // clock moves, so the past is no error of its own.
+        let mut flat = PowerStateMachine::new(Watts::new(6.0), Watts::new(1.0), None, secs(5.0));
+        let err = flat.set_state(secs(0.0), Standby).unwrap_err();
+        assert_eq!(
+            err,
+            PowerError::UndeclaredTransition {
+                from: Idle,
+                to: Standby
+            }
+        );
+        assert_eq!(flat.state_power(Standby), Watts::new(1.0));
     }
 
     #[test]
@@ -446,7 +407,7 @@ mod tests {
         let mut m = disk_machine();
         // idle 0..10 s (110 J), spin down at 10 s (1 s, 5 J), standby
         // 11..20 s (18 J).
-        let done = m.set_state(secs(10.0), PowerStateId(2)).unwrap();
+        let done = m.set_state(secs(10.0), Standby).unwrap();
         assert_eq!(done, secs(11.0));
         assert_eq!(m.busy_until(), Some(secs(11.0)));
         m.advance_to(secs(20.0)).unwrap();
@@ -455,23 +416,23 @@ mod tests {
         assert_eq!(s.transitions, 1);
         assert!((s.transition_energy.joules() - 5.0).abs() < 1e-9);
         assert_eq!(s.transition_time, SimDuration::from_secs(1));
-        assert!((s.per_state[2].energy.joules() - 18.0).abs() < 1e-9);
+        assert!((s.per_state[Standby as usize].energy.joules() - 18.0).abs() < 1e-9);
     }
 
     #[test]
     fn change_during_transition_rejected() {
         let mut m = disk_machine();
-        m.set_state(secs(10.0), PowerStateId(2)).unwrap();
-        let err = m.set_state(secs(10.5), PowerStateId(1)).unwrap_err();
+        m.set_state(secs(10.0), Standby).unwrap();
+        let err = m.set_state(secs(10.5), Idle).unwrap_err();
         assert!(matches!(err, PowerError::TransitionInFlight { .. }));
         // At completion time it is allowed again.
-        m.set_state(secs(11.0), PowerStateId(1)).unwrap();
+        m.set_state(secs(11.0), Idle).unwrap();
     }
 
     #[test]
     fn self_transition_is_noop() {
         let mut m = disk_machine();
-        m.set_state(secs(3.0), PowerStateId(1)).unwrap();
+        m.set_state(secs(3.0), Idle).unwrap();
         let s = m.finish(secs(3.0)).unwrap();
         assert_eq!(s.transitions, 0);
     }
@@ -479,7 +440,7 @@ mod tests {
     #[test]
     fn advance_splits_transition_interval() {
         let mut m = disk_machine();
-        m.set_state(secs(0.0), PowerStateId(2)).unwrap(); // 1 s, 5 J
+        m.set_state(secs(0.0), Standby).unwrap(); // 1 s, 5 J
         m.advance_to(secs(0.5)).unwrap();
         // Half the transition: 2.5 J.
         assert!((m.total_energy().joules() - 2.5).abs() < 1e-9);
@@ -489,39 +450,56 @@ mod tests {
     }
 
     #[test]
-    fn break_even_calculus() {
-        let m = disk_machine();
+    fn break_even_is_a_function_of_the_spin() {
+        let mut m = disk_machine();
         // Round trip idle->standby->idle costs 140 J + 7 s of switching.
         // Break-even: g = (140 - 2*7) / (11 - 2) = 14.0 s.
-        let g = m.break_even_gap(PowerStateId(2)).unwrap();
+        let g = m.break_even_gap().unwrap();
         assert!((g.as_secs_f64() - 14.0).abs() < 1e-6);
-        assert!(!m.break_even_worth_it(PowerStateId(2), SimDuration::from_secs(10)));
-        assert!(m.break_even_worth_it(PowerStateId(2), SimDuration::from_secs(20)));
-    }
-
-    #[test]
-    fn break_even_to_higher_power_state_is_none() {
-        let mut m = disk_machine();
-        m.set_state(secs(0.0), PowerStateId(2)).unwrap();
-        m.advance_to(secs(1.0)).unwrap();
-        // From standby, "dropping" to idle costs more power: never worth it.
-        assert_eq!(m.break_even_gap(PowerStateId(1)), None);
-    }
-
-    #[test]
-    fn state_lookup() {
-        let m = disk_machine();
-        assert!(m.state_power(PowerStateId(9)).is_err());
+        // Parked, the machine reports the same gap.
+        m.set_state(secs(0.0), Standby).unwrap();
+        assert_eq!(m.break_even_gap(), Some(g));
+        // A standby no cheaper than idle never pays; no spin, no gap.
+        let hot = PowerStateMachine::new(
+            Watts::new(15.0),
+            Watts::new(11.0),
+            Some(spin(11.0)),
+            secs(0.0),
+        );
+        assert_eq!(hot.break_even_gap(), None);
+        let flat = PowerStateMachine::new(Watts::new(15.0), Watts::new(11.0), None, secs(0.0));
+        assert_eq!(flat.break_even_gap(), None);
     }
 
     #[test]
     fn entries_counted() {
         let mut m = disk_machine();
-        m.set_state(secs(1.0), PowerStateId(0)).unwrap();
-        m.set_state(secs(2.0), PowerStateId(1)).unwrap();
-        m.set_state(secs(3.0), PowerStateId(0)).unwrap();
+        m.busy(secs(1.0), secs(2.0)).unwrap();
+        m.set_state(secs(3.0), Active).unwrap();
         let s = m.finish(secs(4.0)).unwrap();
-        assert_eq!(s.per_state[0].entries, 2);
-        assert_eq!(s.per_state[1].entries, 2); // initial + one re-entry
+        assert_eq!(s.per_state[Active as usize].entries, 2);
+        assert_eq!(s.per_state[Idle as usize].entries, 2); // initial + one re-entry
+    }
+
+    #[test]
+    fn absorb_adds_every_field() {
+        let mut m = disk_machine();
+        m.busy(secs(1.0), secs(2.0)).unwrap();
+        m.set_state(secs(3.0), Standby).unwrap();
+        let one = m.finish(secs(10.0)).unwrap();
+        let mut two = MachineSummary::default();
+        two.absorb(&one);
+        assert_eq!(two, one);
+        two.absorb(&one);
+        assert_eq!(two.transitions, 2 * one.transitions);
+        assert_eq!(
+            two.transition_time,
+            one.transition_time + one.transition_time
+        );
+        for (a, b) in two.per_state.iter().zip(&one.per_state) {
+            assert_eq!((a.time, a.entries), (b.time + b.time, 2 * b.entries));
+            assert_eq!(a.energy, b.energy + b.energy);
+        }
+        assert_eq!(two.total_energy, one.total_energy + one.total_energy);
     }
 }

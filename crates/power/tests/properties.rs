@@ -1,9 +1,14 @@
 //! Property-based tests for the power substrate's core invariants.
 
-use grail_power::components::DiskPowerProfile;
+#[path = "common/graph_machine.rs"]
+mod graph;
+
+use grail_power::components::{CpuPowerProfile, DiskPowerProfile, SsdPowerProfile};
 use grail_power::ledger::{ComponentId, ComponentKind, EnergyLedger};
 use grail_power::proportionality::PowerCurve;
+use grail_power::state::{MachineSummary, PowerState, PowerStateMachine};
 use grail_power::units::{EnergyEfficiency, Joules, SimDuration, SimInstant, Watts};
+use grail_power::PowerError;
 use grail_prop::{check, Gen};
 
 /// The case count these properties have always run at.
@@ -96,7 +101,7 @@ fn power_curve_monotone() {
 /// idle/active toggles and occasional standby round trips.
 #[test]
 fn machine_energy_conserved() {
-    use grail_power::components::disk_states as ds;
+    use PowerState::{Active, Idle, Standby};
     check(CASES, |g| {
         let gaps = g.vec(1..30, |g| g.range(0.01f64..50.0));
         let profile = DiskPowerProfile::scsi_15k();
@@ -112,15 +117,15 @@ fn machine_energy_conserved() {
             }
             if i % 5 == 4 {
                 // Park and immediately schedule wake after the spin-down.
-                if m.current() == ds::IDLE {
-                    let done = m.set_state(t, ds::STANDBY).unwrap();
+                if m.current() == Idle {
+                    let done = m.set_state(t, Standby).unwrap();
                     t = done + SimDuration::from_secs_f64(*gap);
-                    let woke = m.set_state(t, ds::IDLE).unwrap();
+                    let woke = m.set_state(t, Idle).unwrap();
                     t = woke;
                     continue;
                 }
             }
-            let target = if next_active { ds::ACTIVE } else { ds::IDLE };
+            let target = if next_active { Active } else { Idle };
             next_active = !next_active;
             if m.current() != target {
                 m.set_state(t, target).unwrap();
@@ -240,18 +245,212 @@ fn charge_ascending_equals_the_loop_of_charge() {
 }
 
 /// Break-even gap really is break-even: below it parking loses,
-/// sufficiently above it parking wins.
+/// sufficiently above it parking wins, by the graph machine's
+/// round-trip calculus.
 #[test]
 fn break_even_gap_is_threshold() {
-    use grail_power::components::disk_states as ds;
     check(CASES, |g| {
         let scale = g.range(1.1f64..10.0);
         let profile = DiskPowerProfile::scsi_15k();
         let m = profile.machine(SimInstant::EPOCH);
-        let gap = m.break_even_gap(ds::STANDBY).expect("standby saves power");
+        let gap = m.break_even_gap().expect("standby saves power");
         let below = SimDuration::from_secs_f64(gap.as_secs_f64() / scale);
         let above = SimDuration::from_secs_f64(gap.as_secs_f64() * scale);
-        assert!(!m.break_even_worth_it(ds::STANDBY, below));
-        assert!(m.break_even_worth_it(ds::STANDBY, above));
+        let oracle = graph::PowerStateMachine::disk(&profile, SimInstant::EPOCH);
+        assert!(!oracle.break_even_worth_it(graph::STANDBY, below));
+        assert!(oracle.break_even_worth_it(graph::STANDBY, above));
+    });
+}
+
+/// A draw in `0..hi` on a 1e-6 grid (seconds, watts, joules), exactly
+/// zero one time in `zero_in`.
+fn grid(g: &mut Gen, hi: f64, zero_in: u64) -> f64 {
+    if g.one_in(zero_in) {
+        0.0
+    } else {
+        (g.range(0.0f64..hi) * 1e6).round() / 1e6
+    }
+}
+
+/// One profile of each shape the components build, drawn: a disk (spin
+/// latencies and energies zero or not, standby above, at or below
+/// idle), an SSD or a CPU core, as the fixed machine and the graph one.
+fn drawn_machines(g: &mut Gen, start: SimInstant) -> (PowerStateMachine, graph::PowerStateMachine) {
+    let watts = |g: &mut Gen| Watts::new(grid(g, 40.0, 6));
+    let (active, idle) = (watts(g), watts(g));
+    match g.below(3) {
+        0 => {
+            let p = DiskPowerProfile {
+                active,
+                idle,
+                standby: if g.one_in(8) { idle } else { watts(g) },
+                spin_down_latency: SimDuration::from_secs_f64(grid(g, 3.0, 3)),
+                spin_down_energy: Joules::new(grid(g, 20.0, 3)),
+                spin_up_latency: SimDuration::from_secs_f64(grid(g, 10.0, 3)),
+                spin_up_energy: Joules::new(grid(g, 200.0, 3)),
+            };
+            (p.machine(start), graph::PowerStateMachine::disk(&p, start))
+        }
+        1 => {
+            let p = SsdPowerProfile { active, idle };
+            let oracle = graph::PowerStateMachine::active_idle(active, idle, start);
+            (p.machine(start), oracle)
+        }
+        _ => {
+            let p = CpuPowerProfile {
+                core_active: active,
+                core_idle: idle,
+                uncore: Watts::ZERO,
+                cores: 1,
+            };
+            let oracle = graph::PowerStateMachine::active_idle(active, idle, start);
+            (p.core_machine(start), oracle)
+        }
+    }
+}
+
+/// What a drawn op asks of both machines.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `busy(start, end)`: active, then idle again (the end may precede
+    /// the start).
+    Serve(SimInstant, SimInstant),
+    /// `set_state` to any of the three states: a park, an unpark, an
+    /// activation, or one the machine refuses.
+    Set(SimInstant, PowerState),
+    /// `advance_to`.
+    Advance(SimInstant),
+}
+
+/// Every state, in discriminant order (the graph's dense ids).
+const STATES: [PowerState; 3] = [PowerState::Active, PowerState::Idle, PowerState::Standby];
+
+fn graph_id(s: PowerState) -> graph::PowerStateId {
+    graph::PowerStateId(s as u8)
+}
+
+fn fixed_state(id: graph::PowerStateId) -> PowerState {
+    STATES[usize::from(id.0)]
+}
+
+/// The graph machine's error as the fixed machine spells it: an unknown
+/// standby is an undeclared change from `from`.
+fn lift(e: graph::PowerError, from: PowerState) -> PowerError {
+    match e {
+        graph::PowerError::UndeclaredTransition { from, to } => PowerError::UndeclaredTransition {
+            from: fixed_state(from),
+            to: fixed_state(to),
+        },
+        graph::PowerError::UnknownState(to) => PowerError::UndeclaredTransition {
+            from,
+            to: fixed_state(to),
+        },
+        graph::PowerError::TimeWentBackwards { now, requested } => {
+            PowerError::TimeWentBackwards { now, requested }
+        }
+        graph::PowerError::TransitionInFlight {
+            busy_until,
+            requested,
+        } => PowerError::TransitionInFlight {
+            busy_until,
+            requested,
+        },
+    }
+}
+
+fn assert_summaries_bit_equal(got: &MachineSummary, want: &graph::MachineSummary) {
+    let bits = |j: Joules| j.joules().to_bits();
+    assert_eq!(bits(got.total_energy), bits(want.total_energy));
+    assert_eq!(bits(got.transition_energy), bits(want.transition_energy));
+    assert_eq!(got.transitions, want.transitions);
+    assert_eq!(got.transition_time, want.transition_time);
+    for (i, g) in got.per_state.iter().enumerate() {
+        let w = want.per_state.get(i).copied().unwrap_or_default();
+        assert_eq!(
+            (g.time, bits(g.energy), g.entries),
+            (w.time, bits(w.energy), w.entries),
+            "state {i}"
+        );
+    }
+}
+
+/// The fixed Active/Idle/Standby machine is the graph machine it
+/// replaced, bit for bit, on drawn profiles and op sequences: serve
+/// intervals, parks, unparks, activations and advances, some inside an
+/// in-flight spin and some in the past. After every op both return the
+/// same result (the graph's unknown standby is the fixed machine's
+/// undeclared one), state, pending spin and energy; at finish every
+/// summary field is equal by bits.
+#[test]
+fn fixed_machine_matches_the_graph_machine() {
+    check(CASES, |g| {
+        let start = SimInstant::EPOCH + SimDuration::from_secs_f64(grid(g, 100.0, 4));
+        let (mut m, mut oracle) = drawn_machines(g, start);
+        let gap = oracle.break_even_gap(graph::STANDBY);
+        for s in STATES {
+            if let Ok(w) = oracle.state_power(graph_id(s)) {
+                assert_eq!(m.state_power(s).get().to_bits(), w.get().to_bits());
+            }
+        }
+        let mut now = start.as_secs_f64();
+        let mut at = |g: &mut Gen| {
+            // Mostly forward, sometimes by less than a spin, now and
+            // then into the past.
+            let t = match g.below(8) {
+                0 => now - grid(g, 3.0, 4),
+                1 => now + grid(g, 1.0, 2),
+                _ => now + grid(g, 30.0, 8),
+            };
+            now = now.max(t);
+            SimInstant::EPOCH + SimDuration::from_secs_f64(t.max(0.0))
+        };
+        let ops = g.vec(0..60, |g| match g.below(8) {
+            0..=2 => {
+                let a = at(g);
+                let len = SimDuration::from_secs_f64(grid(g, 2.0, 8));
+                let end = if g.one_in(16) {
+                    a - len.min(a.duration_since(SimInstant::EPOCH))
+                } else {
+                    a + len
+                };
+                Op::Serve(a, end)
+            }
+            3..=6 => {
+                let t = at(g);
+                Op::Set(t, g.pick(&STATES))
+            }
+            _ => Op::Advance(at(g)),
+        });
+        for (i, op) in ops.iter().enumerate() {
+            let from = fixed_state(oracle.current());
+            let (got, want) = match *op {
+                Op::Serve(a, b) => (
+                    m.busy(a, b).map(|()| b),
+                    oracle
+                        .set_state(a, graph::ACTIVE)
+                        .and_then(|_| oracle.set_state(b, graph::IDLE)),
+                ),
+                Op::Set(t, s) => (m.set_state(t, s), oracle.set_state(t, graph_id(s))),
+                Op::Advance(t) => (
+                    m.advance_to(t).map(|()| t),
+                    oracle.advance_to(t).map(|()| t),
+                ),
+            };
+            let want = want.map_err(|e| lift(e, from));
+            assert_eq!(got, want, "op {i}: {op:?}");
+            assert_eq!(m.current(), fixed_state(oracle.current()), "op {i}: {op:?}");
+            assert_eq!(m.busy_until(), oracle.busy_until(), "op {i}: {op:?}");
+            assert_eq!(
+                m.total_energy().joules().to_bits(),
+                oracle.total_energy().joules().to_bits(),
+                "op {i}: {op:?}"
+            );
+            assert_eq!(m.break_even_gap(), gap, "op {i}: {op:?}");
+        }
+        let (end, from) = (at(g), fixed_state(oracle.current()));
+        match (m.finish(end), oracle.finish(end)) {
+            (Ok(got), Ok(want)) => assert_summaries_bit_equal(&got, &want),
+            (got, want) => assert_eq!(got.err(), want.err().map(|e| lift(e, from))),
+        }
     });
 }

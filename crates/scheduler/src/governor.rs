@@ -159,9 +159,28 @@ pub fn gap_energy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grail_power::components::DiskPowerProfile;
 
     fn at(s: f64) -> SimInstant {
         SimInstant::from_secs_f64(s)
+    }
+
+    #[test]
+    fn park_costs_are_a_copy_of_the_scsi_15k_profile() {
+        let (c, p) = (ParkCosts::scsi_15k(), DiskPowerProfile::scsi_15k());
+        assert_eq!(c.spin_up, p.spin_up_latency);
+        assert_eq!(c.spin_down, p.spin_down_latency);
+        assert_eq!(c.idle_power, p.idle);
+        assert_eq!(c.standby_power, p.standby);
+        assert_eq!(c.round_trip_energy, p.spin_down_energy + p.spin_up_energy);
+        // The copy's break-even (14.05 s) sits exactly 1 s above the
+        // profile's (13.05 s). The fleet re-pin of ROADMAP item 3 derives
+        // `ParkCosts` from the profile and flips this line to equality.
+        let gap = p.machine(SimInstant::EPOCH).break_even_gap();
+        assert_eq!(
+            Some(c.break_even),
+            gap.map(|g| g + SimDuration::from_secs(1))
+        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 use crate::device::DeviceStats;
 use crate::perf::CpuPerfProfile;
 use crate::sim::Reservation;
-use grail_power::components::{duo_states, CpuPowerProfile};
+use grail_power::components::CpuPowerProfile;
 use grail_power::state::{MachineSummary, PowerStateMachine};
-use grail_power::units::{Cycles, Joules, SimDuration, SimInstant, Watts};
+use grail_power::units::{Cycles, Joules, SimInstant, Watts};
 
 /// One simulated CPU pool.
 #[derive(Debug, Clone)]
@@ -97,18 +97,11 @@ impl CpuDevice {
             let end = start + dur;
             #[expect(
                 clippy::expect_used,
-                reason = "idle/active transition is declared in the duo state machine"
+                reason = "a core's work starts once it is free, at or after its machine's cursor"
             )]
             core.machine
-                .set_state(start, duo_states::ACTIVE)
-                .expect("idle->active");
-            #[expect(
-                clippy::expect_used,
-                reason = "idle/active transition is declared in the duo state machine"
-            )]
-            core.machine
-                .set_state(end, duo_states::IDLE)
-                .expect("active->idle");
+                .busy(start, end)
+                .expect("idle->active->idle at monotone times");
             core.next_free = end;
             first_start = first_start.min(start);
             last_end = last_end.max(end);
@@ -147,8 +140,8 @@ impl CpuDevice {
     }
 
     /// Finalize at `end`, returning a package-level power-state summary:
-    /// per-core machine summaries aggregated elementwise (all cores share
-    /// the same state set), with the uncore floor folded into the total.
+    /// the first core's summary absorbing the others', with the uncore
+    /// floor folded into the total.
     pub fn finish_summary(self, end: SimInstant) -> MachineSummary {
         let end = end.max(self.all_free());
         let span = end.duration_since(SimInstant::EPOCH);
@@ -160,29 +153,12 @@ impl CpuDevice {
                 reason = "per-core event times are monotone by construction"
             )]
             let s = c.machine.finish(end).expect("monotone finish");
-            agg = Some(match agg {
-                None => s,
-                Some(mut a) => {
-                    a.total_energy += s.total_energy;
-                    for (dst, src) in a.per_state.iter_mut().zip(&s.per_state) {
-                        dst.time += src.time;
-                        dst.energy += src.energy;
-                        dst.entries += src.entries;
-                    }
-                    a.transition_energy += s.transition_energy;
-                    a.transitions += s.transitions;
-                    a.transition_time += s.transition_time;
-                    a
-                }
-            });
+            match &mut agg {
+                None => agg = Some(s),
+                Some(a) => a.absorb(&s),
+            }
         }
-        let mut out = agg.unwrap_or(MachineSummary {
-            total_energy: Joules::ZERO,
-            per_state: Vec::new(),
-            transition_energy: Joules::ZERO,
-            transitions: 0,
-            transition_time: SimDuration::ZERO,
-        });
+        let mut out = agg.unwrap_or_default();
         out.total_energy += uncore;
         out
     }
@@ -191,6 +167,7 @@ impl CpuDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grail_power::units::SimDuration;
 
     fn at(s: f64) -> SimInstant {
         SimInstant::EPOCH + SimDuration::from_secs_f64(s)

@@ -4,8 +4,8 @@
 //! way (device-seconds × device watts), so both are a [`StorageDevice`]:
 //! a request starts when the device is free and holds it for the service
 //! time of its [`DiskPerfProfile`] or [`SsdPerfProfile`], stepping the
-//! power machine IDLE → ACTIVE → IDLE. A disk's machine also has
-//! STANDBY: it parks to save power, and a request to a parked disk pays
+//! power machine idle → active → idle. A disk's machine also has
+//! standby: it parks to save power, and a request to a parked disk pays
 //! the spin-up first — Sec. 4.2's consolidation ideas hinge on those
 //! transitions. An SSD never parks: flash is "an order of magnitude more
 //! energy efficient than regular hard drives" and has no spin states,
@@ -13,15 +13,10 @@
 
 use crate::perf::{AccessPattern, DiskPerfProfile, SsdPerfProfile};
 use crate::sim::Reservation;
-use grail_power::components::disk_states::{ACTIVE, IDLE, STANDBY};
-use grail_power::components::{duo_states, DiskPowerProfile, SsdPowerProfile};
+use grail_power::components::{DiskPowerProfile, SsdPowerProfile};
 use grail_power::ledger::ComponentKind;
-use grail_power::state::{MachineSummary, PowerStateMachine};
+use grail_power::state::{MachineSummary, PowerState, PowerStateMachine};
 use grail_power::units::{Bytes, Joules, SimDuration, SimInstant, Watts};
-
-// An SSD's active/idle machine numbers its two states as a disk's does,
-// so one device steps either.
-const _: () = assert!(ACTIVE.0 == duo_states::ACTIVE.0 && IDLE.0 == duo_states::IDLE.0);
 
 /// Aggregate statistics of one device.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -103,7 +98,6 @@ pub struct StorageDevice {
     next_free: SimInstant,
     last_issue: SimInstant,
     stats: DeviceStats,
-    parked: bool,
 }
 
 impl StorageDevice {
@@ -124,7 +118,6 @@ impl StorageDevice {
             next_free: start,
             last_issue: start,
             stats: DeviceStats::default(),
-            parked: false,
         }
     }
 
@@ -144,38 +137,19 @@ impl StorageDevice {
         if let Some(busy) = self.machine.busy_until() {
             ready = ready.max(busy);
         }
-        if self.parked {
-            #[expect(
-                clippy::expect_used,
-                reason = "spin-up transition is declared in the disk state machine"
-            )]
-            let woke = self
-                .machine
-                .set_state(ready, IDLE)
-                .expect("spin-up from standby is declared");
-            ready = woke;
-            self.parked = false;
-        }
+        let start = self.unpark(ready);
         let service = match self.perf {
             ServiceModel::Disk(p) => p.service_time(bytes, access),
             ServiceModel::Ssd(p) => p.service_time(bytes, access),
         };
-        let start = ready;
         let end = start + service;
         #[expect(
             clippy::expect_used,
-            reason = "idle/active transition is declared in every device state machine"
+            reason = "a served interval starts at or after the machine's cursor and any spin"
         )]
         self.machine
-            .set_state(start, ACTIVE)
-            .expect("idle->active is declared");
-        #[expect(
-            clippy::expect_used,
-            reason = "idle/active transition is declared in every device state machine"
-        )]
-        self.machine
-            .set_state(end, IDLE)
-            .expect("active->idle is declared");
+            .busy(start, end)
+            .expect("idle->active->idle at monotone times");
         self.next_free = end;
         self.stats.busy += service;
         self.stats.bytes += bytes;
@@ -183,29 +157,28 @@ impl StorageDevice {
         Reservation { start, end }
     }
 
-    /// Spin a disk down at `at` (no-op if already parked). Returns when
-    /// the transition completes. Only a disk has a standby state.
+    /// Spin a disk down at `at` (no-op if already parked, and for an
+    /// SSD, which has no standby). Returns when the transition completes.
     pub fn park(&mut self, at: SimInstant) -> SimInstant {
-        if self.parked {
+        if self.machine.spin().is_none() || self.is_parked() {
             return at;
         }
         let at = at.max(self.next_free);
         #[expect(
             clippy::expect_used,
-            reason = "standby transition is declared in the disk state machine"
+            reason = "a spinning disk is idle once free, and may drop to standby"
         )]
         let done = self
             .machine
-            .set_state(at, STANDBY)
-            .expect("idle->standby is declared");
-        self.parked = true;
+            .set_state(at, PowerState::Standby)
+            .expect("idle->standby is a disk's spin-down");
         self.next_free = done;
         done
     }
 
     /// Spin the disk up at `at` (no-op if spinning). Returns when ready.
     pub fn unpark(&mut self, at: SimInstant) -> SimInstant {
-        if !self.parked {
+        if !self.is_parked() {
             return at;
         }
         let mut at = at;
@@ -214,20 +187,19 @@ impl StorageDevice {
         }
         #[expect(
             clippy::expect_used,
-            reason = "standby transition is declared in the disk state machine"
+            reason = "a parked disk may spin up once its spin-down completes"
         )]
         let done = self
             .machine
-            .set_state(at, IDLE)
-            .expect("standby->idle is declared");
-        self.parked = false;
+            .set_state(at, PowerState::Idle)
+            .expect("standby->idle is a disk's spin-up");
         self.next_free = done;
         done
     }
 
     /// True if the disk is currently spun down (never for an SSD).
     pub fn is_parked(&self) -> bool {
-        self.parked
+        self.machine.current() == PowerState::Standby
     }
 
     /// The instant the device becomes free for a new request.
@@ -241,28 +213,17 @@ impl StorageDevice {
     }
 
     /// Power drawn while seeking/transferring.
-    #[expect(
-        clippy::expect_used,
-        reason = "ACTIVE is declared in every device power model"
-    )]
     pub fn active_power(&self) -> Watts {
-        self.machine
-            .state_power(ACTIVE)
-            .expect("active state is declared")
+        self.machine.state_power(PowerState::Active)
     }
 
     /// Latency and surge energy of one spin-up attempt (zero for an SSD).
     pub fn spin_up_cost(&self) -> (SimDuration, Joules) {
         self.machine
-            .transition(STANDBY, IDLE)
-            .map(|t| (t.latency, t.energy))
-            .unwrap_or((SimDuration::ZERO, Joules::ZERO))
-    }
-
-    /// Energy-saving helper: the idle-gap length beyond which parking and
-    /// unparking saves energy versus staying spun up.
-    pub fn break_even_gap(&self) -> Option<SimDuration> {
-        self.machine.break_even_gap(STANDBY)
+            .spin()
+            .map_or((SimDuration::ZERO, Joules::ZERO), |s| {
+                (s.up.latency, s.up.energy)
+            })
     }
 
     /// Finalize at `end`, returning total energy consumed.
@@ -367,13 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn break_even_gap_exposed() {
-        let d = disk();
-        let g = d.break_even_gap().unwrap();
-        assert!(g.as_secs_f64() > 7.0, "must exceed switch time, got {g}");
-    }
-
-    #[test]
     fn fig2_drive_energy_is_constant_rate() {
         // The paper charges flash 5 W for wall time, so a fig2 SSD's
         // energy depends only on the horizon, not on activity.
@@ -412,8 +366,21 @@ mod tests {
         assert_eq!(r2.start, r1.end);
         assert_eq!(s.stats().requests, 2);
         assert_eq!(s.stats().bytes, Bytes::mib(400));
-        // Flash has no spin states: no spin-up to pay, no break-even gap.
+        // Flash has no spin states: no spin-up to pay.
         assert_eq!(s.spin_up_cost(), (SimDuration::ZERO, Joules::ZERO));
-        assert_eq!(s.break_even_gap(), None);
+    }
+
+    #[test]
+    fn an_ssd_never_parks() {
+        let mut s = flash(SsdPowerProfile::enterprise());
+        assert_eq!(s.park(at(3.0)), at(3.0));
+        assert!(!s.is_parked());
+        assert_eq!(s.unpark(at(4.0)), at(4.0));
+        let r = s.serve(at(5.0), Bytes::mib(1), AccessPattern::Sequential);
+        assert_eq!(r.start, at(5.0));
+        // Nothing moved: the same energy as a drive never asked to park.
+        let mut plain = flash(SsdPowerProfile::enterprise());
+        plain.serve(at(5.0), Bytes::mib(1), AccessPattern::Sequential);
+        assert_eq!(s.finish_summary(at(10.0)), plain.finish_summary(at(10.0)));
     }
 }
