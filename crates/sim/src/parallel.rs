@@ -797,6 +797,11 @@ mod tests {
     fn export_digest(rec: &Recorder, attribution: Option<&AttributionTable>) -> u64 {
         assert_eq!(rec.dropped(), 0, "ring overflowed");
         assert_eq!(rec.metrics().counter("trace.dropped"), 0);
+        wrapped_export_digest(rec, attribution)
+    }
+
+    /// [`export_digest`] of a recorder that may have evicted events.
+    fn wrapped_export_digest(rec: &Recorder, attribution: Option<&AttributionTable>) -> u64 {
         use std::fmt::Write;
         let mut h = grail_prop::Fnv1a::new();
         h.bytes(grail_trace::to_jsonl(rec).as_bytes());
@@ -813,10 +818,15 @@ mod tests {
     /// RAID-0 plus one SSD each so every track kind is remapped,
     /// transient and latent faults live, two scripted machine crashes.
     fn pinned_cells() -> SimConfig {
+        pinned_cells_of(3)
+    }
+
+    /// [`pinned_cells`] with `jobs` jobs per stream.
+    fn pinned_cells_of(jobs: usize) -> SimConfig {
         let cell = |c: usize| {
             let streams = (0..2)
                 .map(|s| {
-                    (0..3)
+                    (0..jobs)
                         .map(|j| {
                             let salt = (c * 31 + s * 7 + j) as u64;
                             JobSpec::immediate(vec![
@@ -905,6 +915,51 @@ mod tests {
             assert_eq!(
                 export_digest(rec, r.report.attribution.as_ref()),
                 0x4a4b_1780_cd06_0899,
+                "exported bytes moved at {shards} shard(s)"
+            );
+        }
+    }
+
+    /// Events a cell of [`multi_block_cells`] records: its ring spans
+    /// more than three of the recorder's 8 192-entry blocks.
+    const MULTI_BLOCK_CELL_EVENTS: usize = 3 * 8192;
+
+    /// [`pinned_cells`] with 1 800 jobs per stream: ~30 900 events per
+    /// cell.
+    fn multi_block_cells(trace_capacity: usize) -> SimConfig {
+        let mut cfg = pinned_cells_of(1800);
+        cfg.trace_capacity = Some(trace_capacity);
+        cfg
+    }
+
+    #[test]
+    fn multi_block_sharded_trace_bytes_are_pinned() {
+        let cfg = multi_block_cells(1 << 16);
+        for shards in [1, 2, 8] {
+            let r = run_parallel(&cfg, shards).unwrap();
+            let rec = r.report.trace.as_ref().unwrap();
+            assert!(rec.len() > 4 * MULTI_BLOCK_CELL_EVENTS);
+            assert_eq!(
+                export_digest(rec, r.report.attribution.as_ref()),
+                0x33dc_db60_fb3f_3434,
+                "exported bytes moved at {shards} shard(s)"
+            );
+        }
+    }
+
+    #[test]
+    fn wrapped_multi_block_trace_bytes_are_pinned() {
+        // Each cell keeps its newest 10 000 events of ~30 900: its
+        // evictions cross two block boundaries, and the kept suffix
+        // starts inside a block.
+        let cfg = multi_block_cells(10_000);
+        for shards in [1, 2, 8] {
+            let r = run_parallel(&cfg, shards).unwrap();
+            let rec = r.report.trace.as_ref().unwrap();
+            assert!(rec.dropped() > 4 * (MULTI_BLOCK_CELL_EVENTS as u64 - 10_000));
+            assert_eq!(
+                wrapped_export_digest(rec, r.report.attribution.as_ref()),
+                0x8a6d_1992_78dd_1bc4,
                 "exported bytes moved at {shards} shard(s)"
             );
         }

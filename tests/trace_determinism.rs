@@ -80,12 +80,16 @@ fn throughput_trace_is_deterministic_and_conserving() {
 fn trace_overflow_is_counted_and_deterministic() {
     use grail::scheduler::chaos::{reference_storm, run_chaos};
     use grail::trace::{Recorder, Tracer};
-    let run = |cap: usize| {
+    // The reference storm `storms` times over into one ring of `cap`.
+    let replay = |cap: usize, storms: usize| {
         let (fleet, schedule, demand, policy) = reference_storm();
         let mut tracer = Tracer::on(Recorder::new(cap));
-        run_chaos(&fleet, &schedule, demand, &policy, &mut tracer).expect("reference storm");
+        for _ in 0..storms {
+            run_chaos(&fleet, &schedule, demand, &policy, &mut tracer).expect("reference storm");
+        }
         tracer.take().expect("tracer is on")
     };
+    let run = |cap: usize| replay(cap, 1);
     // A storm emits far more than 8 events: the ring overflows, and the
     // overflow surfaces both as the struct counter and as the
     // `trace.dropped` metric (silent loss would poison any analysis
@@ -104,6 +108,24 @@ fn trace_overflow_is_counted_and_deterministic() {
     let big = run(1 << 20);
     assert_eq!(big.metrics().counter("trace.dropped"), 0);
     assert_eq!(big.len() as u64, 8 + tiny.dropped());
+    // A wrapped ring keeps exactly the newest events, not merely the
+    // same ones twice: its event lines are the roomy ring's last `cap`.
+    // 80 storms emit ~29 400 events, so a ring of 10 000 holds parts of
+    // two of the recorder's 8 192-entry blocks and its evictions cross
+    // two block boundaries.
+    let event_lines = |rec: &Recorder| -> Vec<String> {
+        to_jsonl(rec)
+            .lines()
+            .filter(|l| l.starts_with("{\"ts\""))
+            .map(str::to_string)
+            .collect()
+    };
+    let all = event_lines(&replay(1 << 20, 80));
+    for cap in [8, 10_000] {
+        let wrapped = replay(cap, 80);
+        assert!(wrapped.dropped() > 2 * 8192, "cap {cap}");
+        assert_eq!(event_lines(&wrapped), all[all.len() - cap..], "cap {cap}");
+    }
 }
 
 /// Identical seed and fault plan ⇒ byte-identical JSONL, across a
