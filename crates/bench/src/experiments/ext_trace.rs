@@ -95,7 +95,7 @@ fn dump(exp: &str, run: TracedRun) -> (ExperimentRecord, String, Vec<(String, St
     let mut attribution = Csv::new(&["query", "energy_j", "share"]);
     for row in &table.rows {
         attribution.row(&[
-            row.label.clone(),
+            row.label(),
             cell_f64(row.energy.joules()),
             cell_f64(row.share),
         ]);

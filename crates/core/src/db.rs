@@ -1209,8 +1209,8 @@ mod tests {
         for s in 0..2u32 {
             for q in 0..2u32 {
                 let row = table.query(s, q).expect("query row present");
-                assert!(row.energy.joules() > 0.0, "{} burned energy", row.label);
-                assert!(!row.operators.is_empty(), "{} has operators", row.label);
+                assert!(row.energy.joules() > 0.0, "{} burned energy", row.label());
+                assert!(!row.operators.is_empty(), "{} has operators", row.label());
             }
         }
         // Round-robin dealing hands template (s + q) % 4 to stream s's

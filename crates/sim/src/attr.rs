@@ -35,9 +35,6 @@ pub struct OperatorShare {
 /// One attribution row: a query (or the residual) and its energy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttributionRow {
-    /// Display label: `"s2.q7"` for stream 2's 8th query, or
-    /// [`UNATTRIBUTED`].
-    pub label: String,
     /// Client stream, `None` for the residual row.
     pub stream: Option<u32>,
     /// Query index within the stream, `None` for the residual row.
@@ -59,6 +56,24 @@ pub struct AttributionRow {
 pub struct AttributionTable {
     /// Query rows in `(stream, index)` order, then the residual row.
     pub rows: Vec<AttributionRow>,
+}
+
+impl AttributionRow {
+    /// Display label: `"s2.q7"` for stream 2's 8th query, or
+    /// [`UNATTRIBUTED`]. Formatted on each call: a table of tens of
+    /// thousands of rows holds no text.
+    pub fn label(&self) -> String {
+        match (self.stream, self.index) {
+            (Some(stream), Some(index)) => format!("s{stream}.q{index}"),
+            _ => UNATTRIBUTED.to_string(),
+        }
+    }
+
+    /// The order of [`AttributionTable::rows`]: query rows by
+    /// `(stream, index)`, then the residual.
+    fn order_key(&self) -> (bool, Option<u32>, Option<u32>) {
+        (self.stream.is_none(), self.stream, self.index)
+    }
 }
 
 impl AttributionTable {
@@ -83,11 +98,14 @@ impl AttributionTable {
         self.rows.iter().find(|r| r.stream.is_none())
     }
 
-    /// The row for `(stream, index)`, if present.
+    /// The row for `(stream, index)`, if present: a binary search of
+    /// the rows, which are in `(stream, index)` order.
     pub fn query(&self, stream: u32, index: u32) -> Option<&AttributionRow> {
+        let key = (false, Some(stream), Some(index));
         self.rows
-            .iter()
-            .find(|r| r.stream == Some(stream) && r.index == Some(index))
+            .binary_search_by_key(&key, AttributionRow::order_key)
+            .ok()
+            .map(|i| &self.rows[i])
     }
 }
 
@@ -103,7 +121,6 @@ impl AttributionTable {
         let share = |e: f64| if t > 0.0 { e / t } else { 0.0 };
         let mut rows: Vec<AttributionRow> = entries
             .map(|(stream, index, e)| AttributionRow {
-                label: format!("s{stream}.q{index}"),
                 stream: Some(stream),
                 index: Some(index),
                 energy: Joules::new(e),
@@ -111,10 +128,13 @@ impl AttributionTable {
                 operators: Vec::new(),
             })
             .collect();
+        debug_assert!(
+            rows.windows(2).all(|w| w[0].order_key() < w[1].order_key()),
+            "attribution entries must come in (stream, index) order"
+        );
         let attributed: f64 = rows.iter().map(|r| r.energy.joules()).sum();
         let residual = t - attributed;
         rows.push(AttributionRow {
-            label: UNATTRIBUTED.to_string(),
             stream: None,
             index: None,
             energy: Joules::new(residual),
@@ -176,10 +196,10 @@ mod tests {
         assert!((table.sum().joules() - 100.0).abs() < 1e-9);
         assert!((table.attributed().joules() - 40.0).abs() < 1e-9);
         let res = table.residual().unwrap();
-        assert_eq!(res.label, UNATTRIBUTED);
+        assert_eq!(res.label(), UNATTRIBUTED);
         assert!((res.energy.joules() - 60.0).abs() < 1e-9);
         let q = table.query(0, 0).unwrap();
-        assert_eq!(q.label, "s0.q0");
+        assert_eq!(q.label(), "s0.q0");
         assert!((q.energy.joules() - 15.0).abs() < 1e-9);
         assert!((q.share - 0.15).abs() < 1e-12);
     }
@@ -191,8 +211,15 @@ mod tests {
         acc.add((0, 1), Joules::new(1.0));
         acc.add((0, 0), Joules::new(1.0));
         let table = AttributionTable::settle(acc.entries(), Joules::new(3.0));
-        let labels: Vec<&str> = table.rows.iter().map(|r| r.label.as_str()).collect();
-        assert_eq!(labels, vec!["s0.q0", "s0.q1", "s2.q0", "unattributed"]);
+        let labels: Vec<String> = table.rows.iter().map(AttributionRow::label).collect();
+        assert_eq!(labels, ["s0.q0", "s0.q1", "s2.q0", "unattributed"]);
+        for (i, row) in table.rows.iter().enumerate() {
+            if let (Some(s), Some(q)) = (row.stream, row.index) {
+                assert!(std::ptr::eq(table.query(s, q).unwrap(), &table.rows[i]));
+            }
+        }
+        assert!(table.query(0, 2).is_none() && table.query(1, 0).is_none());
+        assert!(table.query(3, 0).is_none());
     }
 
     #[test]

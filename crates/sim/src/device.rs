@@ -41,10 +41,9 @@ pub(crate) enum DeviceClass {
 pub(crate) struct ClassLabels {
     /// The id type an error prints: `DiskId(3)`.
     pub(crate) id: &'static str,
-    /// The ledger component kind.
+    /// The ledger component kind; its name is the kind of the class's
+    /// device trace tracks.
     pub(crate) kind: ComponentKind,
-    /// The kind of the class's device trace tracks.
-    pub(crate) track: &'static str,
     /// Span name of a served read.
     pub(crate) read: &'static str,
     /// Span name of a served write.
@@ -59,7 +58,6 @@ static LABELS: [ClassLabels; 2] = [
     ClassLabels {
         id: "DiskId",
         kind: ComponentKind::Disk,
-        track: "disk",
         read: "disk_read",
         write: "disk_write",
         service_secs: "io.disk_service_secs",
@@ -68,7 +66,6 @@ static LABELS: [ClassLabels; 2] = [
     ClassLabels {
         id: "SsdId",
         kind: ComponentKind::Ssd,
-        track: "ssd",
         read: "ssd_io",
         write: "ssd_io",
         service_secs: "io.ssd_service_secs",
@@ -81,6 +78,19 @@ impl DeviceClass {
     pub(crate) fn labels(self) -> &'static ClassLabels {
         &LABELS[self as usize]
     }
+}
+
+/// The ledger kinds of the devices a cell owns: every storage class in
+/// the label table, and the CPU pool.
+pub(crate) fn device_kinds() -> impl Iterator<Item = ComponentKind> {
+    LABELS.iter().map(|l| l.kind).chain([ComponentKind::Cpu])
+}
+
+/// The ledger kind of a device trace track, whose `kind` is the
+/// [`ComponentKind::name`] of one of [`device_kinds`]; `None` for any
+/// other text.
+pub(crate) fn track_kind(kind: &str) -> Option<ComponentKind> {
+    device_kinds().find(|k| k.name() == kind)
 }
 
 /// Where a device's service times come from.

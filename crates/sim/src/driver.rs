@@ -781,7 +781,7 @@ mod tests {
         assert!((table.sum().joules() - total).abs() <= 1e-9_f64.max(total * 1e-9));
         for r in &out.results {
             let row = table.query(r.stream as u32, r.index as u32).unwrap();
-            assert!(row.energy.joules() > 0.0, "{}", row.label);
+            assert!(row.energy.joules() > 0.0, "{}", row.label());
         }
     }
 

@@ -377,17 +377,66 @@ fn check_schedule(schedule: &ChaosSchedule, cells: usize) -> Result<(), SimError
     Ok(())
 }
 
+/// Where a cell's first disk, SSD, CPU pool and stream land in the
+/// global index spaces: prefix sums over the cells before it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Bases {
+    disk: u32,
+    ssd: u32,
+    cpu: u32,
+    stream: u32,
+}
+
+impl Bases {
+    /// The global base of a cell's `kind` indices; `None` for the kinds
+    /// that are one component fleet-wide, never a cell's own.
+    fn of(&self, kind: ComponentKind) -> Option<u32> {
+        match kind {
+            ComponentKind::Disk => Some(self.disk),
+            ComponentKind::Ssd => Some(self.ssd),
+            ComponentKind::Cpu => Some(self.cpu),
+            ComponentKind::Dram
+            | ComponentKind::Nic
+            | ComponentKind::Base
+            | ComponentKind::Recovery
+            | ComponentKind::Other => None,
+        }
+    }
+
+    /// A cell's ledger component under its global id.
+    fn component(&self, id: ComponentId) -> ComponentId {
+        match self.of(id.kind) {
+            Some(base) => ComponentId::new(id.kind, base + id.index),
+            None => id,
+        }
+    }
+
+    /// A cell's trace track under global stream and device indices.
+    fn track(&self, track: Track) -> Track {
+        match track {
+            Track::Stream(s) => Track::Stream(s + self.stream),
+            Track::Device { kind, index } => match crate::device::track_kind(kind) {
+                Some(k) => Track::Device {
+                    kind,
+                    index: self.component(ComponentId::new(k, index)).index,
+                },
+                None => track,
+            },
+            Track::Main | Track::Exec => track,
+        }
+    }
+}
+
 /// Fold finished cells into one report, in cell index order throughout.
 fn commit(config: &SimConfig, mut parts: Vec<CellPart>) -> Result<ParReport, SimError> {
-    // Global index bases per cell: prefix sums over the specs.
     let mut bases = Vec::with_capacity(config.cells.len());
-    let (mut db, mut sb, mut cb, mut strb) = (0u32, 0u32, 0u32, 0u32);
+    let mut next = Bases::default();
     for spec in &config.cells {
-        bases.push((db, sb, cb, strb));
-        db += spec.disks as u32;
-        sb += spec.ssds as u32;
-        cb += 1;
-        strb += spec.streams.len() as u32;
+        bases.push(next);
+        next.disk += spec.disks as u32;
+        next.ssd += spec.ssds as u32;
+        next.cpu += 1;
+        next.stream += spec.streams.len() as u32;
     }
 
     // Pass 1: settle every cell at the common horizon.
@@ -420,25 +469,18 @@ fn commit(config: &SimConfig, mut parts: Vec<CellPart>) -> Result<ParReport, Sim
     let mut recorders: Vec<Recorder> = Vec::new();
 
     for (cell_idx, (mut sim, outcome, _)) in parts.drain(..).enumerate() {
-        let (disk_base, ssd_base, cpu_base, stream_base) = bases[cell_idx];
+        let base = bases[cell_idx];
         // Query rows are settled once, below, against the merged
         // ledger; per-cell residuals would be recomputed anyway.
         if let Some(acc) = sim.take_attribution() {
-            attr.extend(acc.entries().map(|(s, i, e)| (stream_base + s, i, e)));
+            attr.extend(acc.entries().map(|(s, i, e)| (base.stream + s, i, e)));
         }
         let rep = sim.finish(global_end);
         // Ledger: replay the cell's entries under global component ids.
         // BTreeMap order within a cell and cell-major order across
         // cells pin the float accumulation sequence.
         for (id, e) in rep.ledger.iter() {
-            let global = match id.kind {
-                ComponentKind::Disk => ComponentId::new(id.kind, disk_base + id.index),
-                ComponentKind::Ssd => ComponentId::new(id.kind, ssd_base + id.index),
-                ComponentKind::Cpu => ComponentId::new(id.kind, cpu_base + id.index),
-                // Recovery (and anything shared) stays a singleton.
-                _ => id,
-            };
-            ledger.charge(global, e);
+            ledger.charge(base.component(id), e);
         }
         disk_stats.extend(rep.disk_stats);
         ssd_stats.extend(rep.ssd_stats);
@@ -447,7 +489,7 @@ fn commit(config: &SimConfig, mut parts: Vec<CellPart>) -> Result<ParReport, Sim
         makespan = makespan.max(outcome.makespan);
         total_retries += outcome.total_retries;
         results.extend(outcome.results.iter().map(|r| JobResult {
-            stream: r.stream + stream_base as usize,
+            stream: r.stream + base.stream as usize,
             ..*r
         }));
         if let Some(mut rec) = rep.trace {
@@ -486,25 +528,9 @@ fn commit(config: &SimConfig, mut parts: Vec<CellPart>) -> Result<ParReport, Sim
         recorders.push(commit_rec);
         // Cell `i` is part `i`; the commit's own part has no base and
         // keeps its tracks. Per-cell stream and device indices become
-        // global as the merge adopts each part.
+        // global as the merge adopts each part, by the ledger's rule.
         Some(Recorder::merge_ordered(recorders, |part, track| {
-            let Some(&(disk_base, ssd_base, cpu_base, stream_base)) = bases.get(part) else {
-                return track;
-            };
-            match track {
-                Track::Stream(s) => Track::Stream(s + stream_base),
-                Track::Device { kind, index } => Track::Device {
-                    kind,
-                    index: index
-                        + match kind {
-                            "disk" => disk_base,
-                            "ssd" => ssd_base,
-                            "cpu" => cpu_base,
-                            _ => 0,
-                        },
-                },
-                Track::Main | Track::Exec => track,
-            }
+            bases.get(part).map_or(track, |base| base.track(track))
         }))
     } else {
         None
@@ -633,6 +659,37 @@ mod tests {
                 > Joules::ZERO
         );
         assert_eq!(r.report.disk_stats.len(), 9);
+    }
+
+    #[test]
+    fn every_device_kind_is_shifted_past_the_cells_before() {
+        // A device class whose kind kept cell-local indices would make
+        // two cells' ledger entries and trace lanes collide.
+        let base = Bases {
+            disk: 10,
+            ssd: 20,
+            cpu: 30,
+            stream: 40,
+        };
+        for kind in crate::device::device_kinds() {
+            let at = base.of(kind).expect("a device kind has a per-cell base");
+            let track = Track::Device {
+                kind: kind.name(),
+                index: 1,
+            };
+            let shifted = Track::Device {
+                kind: kind.name(),
+                index: at + 1,
+            };
+            assert_eq!(base.track(track), shifted, "{kind}");
+            assert_eq!(
+                base.component(ComponentId::new(kind, 1)),
+                ComponentId::new(kind, at + 1)
+            );
+        }
+        assert_eq!(base.track(Track::Stream(2)), Track::Stream(42));
+        let recovery = ComponentId::new(ComponentKind::Recovery, 0);
+        assert_eq!(base.component(recovery), recovery);
     }
 
     #[test]
@@ -808,7 +865,7 @@ mod tests {
         h.bytes(grail_trace::to_chrome(rec).as_bytes());
         h.bytes(grail_metrics::to_prometheus(rec.metrics()).as_bytes());
         for row in attribution.iter().flat_map(|t| &t.rows) {
-            writeln!(h, "{},{},{}", row.label, row.energy.joules(), row.share)
+            writeln!(h, "{},{},{}", row.label(), row.energy.joules(), row.share)
                 .expect("hashing cannot fail");
         }
         h.finish()

@@ -471,7 +471,7 @@ impl Simulation {
         let labels = class.labels();
         let name = || format!("{}({index})", labels.id);
         let track = Track::Device {
-            kind: labels.track,
+            kind: labels.kind.name(),
             index,
         };
         let devices = match class {
@@ -797,7 +797,7 @@ impl Simulation {
                         "array_member_write"
                     },
                     Track::Device {
-                        kind: "disk",
+                        kind: ComponentKind::Disk.name(),
                         index: d.0,
                     },
                 )
@@ -877,7 +877,7 @@ impl Simulation {
                 Category::Io,
                 "compute",
                 Track::Device {
-                    kind: "cpu",
+                    kind: ComponentKind::Cpu.name(),
                     index: cpu.0,
                 },
             )
@@ -924,7 +924,7 @@ impl Simulation {
                 Category::Power,
                 name,
                 Track::Device {
-                    kind: "disk",
+                    kind: ComponentKind::Disk.name(),
                     index: id.0,
                 },
             )

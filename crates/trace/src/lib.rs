@@ -37,9 +37,9 @@
 //! * [`recorder`] — [`TraceSink`], the ring-buffered [`Recorder`] (and
 //!   its zero-copy [`Recorder::merge_ordered`]), and the zero-cost
 //!   [`Tracer`] handle.
-//! * `rings` (private) — the stored form: 32-byte headers, 16-byte
-//!   argument slots, interned static strings; [`EventRef`] reads it
-//!   back.
+//! * `rings` (private) — the stored form: 32-byte headers and 16-byte
+//!   argument slots in fixed-size blocks, interned static strings and
+//!   tracks; [`EventRef`] reads it back.
 //! * The recorder carries a deterministic [`grail_metrics::Registry`]
 //!   (counters, gauges, fixed-bucket histograms, windowed rates) and can
 //!   scrape it into snapshot series on a simulated-time interval.

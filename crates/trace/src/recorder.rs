@@ -1,7 +1,7 @@
 //! The [`TraceSink`] trait, the ring-buffered [`Recorder`], and the
 //! zero-cost [`Tracer`] handle that instrumented code holds.
 
-use crate::event::{Category, TraceEvent, Track};
+use crate::event::{Category, TraceEvent, TraceTime, Track};
 use crate::rings::{EventRef, Rings};
 use grail_metrics::{Registry, Scraper, Snapshot};
 
@@ -29,8 +29,9 @@ pub struct Recorder {
     /// The inputs of [`Recorder::merge_ordered`], kept whole: a merge
     /// moves no event, it only computes `order`. Empty otherwise.
     merged: Vec<Rings>,
-    /// Read order over `merged`: `(part, position in that part's ring)`.
-    order: Vec<(u32, u32)>,
+    /// Read order over `merged`: `part << 32 | position in that part's
+    /// ring`, written over the merge's sorted keys.
+    order: Vec<u64>,
     dropped: u64,
     metrics: Registry,
     scraper: Option<Scraper>,
@@ -86,7 +87,7 @@ impl Recorder {
         let merged = self
             .order
             .iter()
-            .map(|&(part, seq)| self.merged[part as usize].view(seq as usize));
+            .map(|&pos| self.merged[(pos >> 32) as usize].view(pos as u32 as usize));
         merged.chain((0..self.rings.len()).map(|seq| self.rings.view(seq)))
     }
 
@@ -156,12 +157,13 @@ impl Recorder {
     /// within a part keep their emission order — a pure function of the
     /// parts, independent of how the parts were produced.
     ///
-    /// Only the 16-byte keys are sorted and no event moves: the merged
-    /// recorder adopts each part's rings whole and reads them through
-    /// the sorted order. `retrack(part, track)` rewrites every track in
-    /// place on the way in (the shard commit shifts per-cell stream and
-    /// device indices to global ones there; pass `|_, track| track` to
-    /// keep tracks as recorded).
+    /// Only keys are sorted — one word each when the timestamps leave
+    /// room — and no event moves: the merged recorder adopts each part's
+    /// rings whole and reads them through the sorted keys.
+    /// `retrack(part, track)` rewrites each part's track table on the
+    /// way in, once per distinct track (the shard commit shifts per-cell
+    /// stream and device indices to global ones there; pass
+    /// `|_, track| track` to keep tracks as recorded).
     ///
     /// Metrics registries fold in part order (see
     /// [`grail_metrics::Registry::merge_from`] for the per-family
@@ -175,8 +177,8 @@ impl Recorder {
         retrack: impl Fn(usize, Track) -> Track,
     ) -> Recorder {
         let mut out = Recorder::with_categories(0, 0);
-        let mut keys: Vec<(u64, u32, u32)> =
-            Vec::with_capacity(parts.iter().map(Recorder::len).sum());
+        let mut keys: Vec<u64> = Vec::with_capacity(parts.iter().map(Recorder::len).sum());
+        let mut lens = Vec::with_capacity(parts.len());
         for (part, mut p) in parts.into_iter().enumerate() {
             // A part that is itself a merge reads in its merged order;
             // make that its ring order.
@@ -185,15 +187,12 @@ impl Recorder {
             out.mask |= p.mask;
             out.dropped += p.dropped;
             out.metrics.merge_from(&p.metrics);
-            p.rings.retrack(|seq, at, track| {
-                keys.push((at.as_nanos(), part as u32, seq as u32));
-                retrack(part, track)
-            });
+            p.rings.retrack(|track| retrack(part, track));
+            keys.extend(p.rings.times().map(TraceTime::as_nanos));
+            lens.push(p.rings.len());
             out.merged.push(p.rings);
         }
-        // Keys are distinct, so the unstable sort has one possible result.
-        keys.sort_unstable();
-        out.order = keys.into_iter().map(|(_, part, seq)| (part, seq)).collect();
+        out.order = read_order(keys, &lens);
         out
     }
 
@@ -203,8 +202,8 @@ impl Recorder {
     fn flatten(&mut self) {
         // `rings` is empty while `order` is not: a merge starts it
         // empty and `record` flattens before it appends.
-        for (part, seq) in std::mem::take(&mut self.order) {
-            let e = self.merged[part as usize].view(seq as usize);
+        for pos in std::mem::take(&mut self.order) {
+            let e = self.merged[(pos >> 32) as usize].view(pos as u32 as usize);
             let event = match e.dur {
                 Some(dur) => TraceEvent::span(e.at, dur, e.cat, e.name, e.track),
                 None => TraceEvent::instant(e.at, e.cat, e.name, e.track),
@@ -216,6 +215,48 @@ impl Recorder {
         }
         self.merged.clear();
     }
+}
+
+/// The read order of a merge: each event's `part << 32 | seq`, sorted
+/// by `(at, part, seq)`. `keys` holds the events' timestamps, parts
+/// concatenated (`lens` long each), and is overwritten with the result.
+///
+/// When the timestamps leave room, a key is one word `at | part | seq`
+/// and sorts in place; otherwise the `(at, part, seq)` triples sort
+/// beside it, at twice the bytes. Keys are distinct either way, so the
+/// unstable sort has one possible result.
+fn read_order(mut keys: Vec<u64>, lens: &[usize]) -> Vec<u64> {
+    // Bits that hold every value below `n`.
+    let width = |n: usize| usize::BITS - n.saturating_sub(1).leading_zeros();
+    let seq_bits = width(lens.iter().copied().max().unwrap_or(0));
+    let part_bits = width(lens.len());
+    let at_bits = u64::BITS - keys.iter().copied().max().unwrap_or(0).leading_zeros();
+    let positions = lens
+        .iter()
+        .enumerate()
+        .flat_map(|(part, &len)| (0..len as u64).map(move |seq| (part as u64, seq)));
+    if at_bits + part_bits + seq_bits > u64::BITS {
+        let mut wide: Vec<(u64, u64, u64)> = keys
+            .into_iter()
+            .zip(positions)
+            .map(|(at, (part, seq))| (at, part, seq))
+            .collect();
+        wide.sort_unstable();
+        return wide
+            .into_iter()
+            .map(|(_, part, seq)| part << 32 | seq)
+            .collect();
+    }
+    let low = part_bits + seq_bits;
+    for (key, (part, seq)) in keys.iter_mut().zip(positions) {
+        *key = key.checked_shl(low).unwrap_or(0) | part << seq_bits | seq;
+    }
+    keys.sort_unstable();
+    let (part_mask, seq_mask) = ((1 << part_bits) - 1, (1 << seq_bits) - 1);
+    for key in &mut keys {
+        *key = (*key >> seq_bits & part_mask) << 32 | *key & seq_mask;
+    }
+    keys
 }
 
 impl TraceSink for Recorder {
@@ -353,10 +394,16 @@ impl Tracer {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/reference.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{TraceTime, Track};
+    use crate::event::{ArgValue, TraceTime, Track, MAX_ARGS};
+    use crate::rings::BLOCK;
     use grail_metrics::registry::COUNT_BUCKETS;
+    use grail_prop::Gen;
 
     fn ev(ns: u64, cat: Category, name: &'static str) -> TraceEvent {
         TraceEvent::instant(TraceTime::from_nanos(ns), cat, name, Track::Main)
@@ -547,17 +594,17 @@ mod tests {
     }
 
     #[test]
-    fn evicting_an_event_releases_exactly_its_args() {
-        let cap = 4;
+    fn evicting_releases_every_block_the_ring_has_left() {
+        let (cap, n) = (4, 3 * BLOCK as u64);
         let mut r = Recorder::new(cap);
-        for i in 0..60 {
+        for i in 0..n {
             r.record(ring_ev(i));
-            let args: Vec<_> = r.events().flat_map(|e| e.args()).collect();
-            assert_eq!(r.rings.held(), args.len(), "after event {i}");
-            assert!(args.len() <= cap * crate::event::MAX_ARGS);
+            // The block being filled, and the one the oldest event is in.
+            let (headers, args) = r.rings.held();
+            assert!(headers <= 2 && args <= 2, "after event {i}");
         }
-        assert_eq!((r.len(), r.dropped()), (cap, 56));
-        assert_eq!(event_lines(&r), event_lines(&fed(64, 56..60)));
+        assert_eq!((r.len(), r.dropped()), (cap, n - 4));
+        assert_eq!(event_lines(&r), event_lines(&fed(64, n - 4..n)));
     }
 
     #[test]
@@ -591,13 +638,132 @@ mod tests {
         assert_eq!((merged.len(), merged.dropped()), (8, 26 + 13 + 3));
         assert!(oldest_three.iter().all(|l| !lines.contains(l)));
         assert_eq!(lines[5..], event_lines(&fed(64, 47..50))[..]);
-        let live: usize = merged.events().map(|e| e.args().len()).sum();
-        assert_eq!(merged.rings.held(), live);
+        assert_eq!(merged.rings.held(), (1, 1));
         // Merging a merge reads it in its merged order.
         let again = Recorder::merge_ordered(vec![merged.clone()], |_, t| t);
         let mut by_time = lines.clone();
         by_time.sort_by_key(|l| l[6..l.find(',').unwrap()].parse::<u64>().unwrap());
         assert_eq!(event_lines(&again), by_time);
+    }
+
+    /// What a drawn event's strings are drawn from.
+    const NAMES: [&str; 3] = ["disk_read", "compute", "ledger.charge"];
+    const KEYS: [&str; 3] = ["bytes", "joules", "component"];
+    const KINDS: [&str; 3] = ["disk", "ssd", "cpu"];
+
+    /// One event of every shape: instant or span, on any track kind, at
+    /// one of few timestamps (so ties are common; `far` ones leave no
+    /// room to pack a merge key), with 0 to `MAX_ARGS` arguments of
+    /// every `ArgValue` variant.
+    fn drawn_event(g: &mut Gen, far: bool) -> TraceEvent {
+        let at = TraceTime::from_nanos(g.below(500) + if far { u64::MAX - 500 } else { 0 });
+        let cat = g.pick(&[Category::Sim, Category::Io, Category::Ledger]);
+        let name = g.pick(&NAMES);
+        let track = match g.below(4) {
+            0 => Track::Main,
+            1 => Track::Exec,
+            2 => Track::Stream(g.below(6) as u32),
+            _ => Track::Device {
+                kind: g.pick(&KINDS),
+                index: g.below(5) as u32,
+            },
+        };
+        let event = match g.bool() {
+            true => TraceEvent::span(at, g.below(1_000), cat, name, track),
+            false => TraceEvent::instant(at, cat, name, track),
+        };
+        (0..g.below(MAX_ARGS as u64 + 1)).fold(event, |event, _| {
+            let value = match g.below(5) {
+                0 => ArgValue::U64(g.word()),
+                1 => ArgValue::I64(g.word() as i64),
+                2 => ArgValue::F64(g.pick(&[0.125, -3.0, 1e300, f64::NAN])),
+                3 => ArgValue::Str(g.pick(&["transient", "say \"hi\""])),
+                _ => ArgValue::Label {
+                    kind: g.pick(&KINDS),
+                    index: g.below(8) as u32,
+                },
+            };
+            event.arg(g.pick(&KEYS), value)
+        })
+    }
+
+    /// A fresh, unwrapped recorder holding `r`'s events, drops and
+    /// metrics: what `r` exports.
+    fn flat(r: &reference::Recorder) -> Recorder {
+        let mut out = Recorder::new(r.capacity);
+        for e in r.events() {
+            let event = match e.dur {
+                Some(dur) => TraceEvent::span(e.at, dur, e.cat, e.name, e.track),
+                None => TraceEvent::instant(e.at, e.cat, e.name, e.track),
+            };
+            out.rings
+                .push(e.args().fold(event, |event, (k, v)| event.arg(k, v)));
+        }
+        out.dropped = r.dropped;
+        out.metrics = r.metrics.clone();
+        out
+    }
+
+    #[test]
+    fn blocks_and_track_tables_match_the_reference_rings() {
+        // Each part: a capacity below, at or above the block size (or
+        // none to speak of), fed a short drawn run of events or, one
+        // time in three, a long one several times over — enough to wrap
+        // a ring across block boundaries and reuse its released blocks;
+        // then 1–4 parts merged with a shift no track survives twice,
+        // and recorded into.
+        grail_prop::check(256, |g| {
+            let parts = g.range(1usize..5);
+            let far = g.one_in(8);
+            let drawn_event = |g: &mut Gen| drawn_event(g, far);
+            let mut sut = Vec::new();
+            let mut oracle = Vec::new();
+            for _ in 0..parts {
+                // Rings that wrap get longer runs than rings that keep
+                // (and export) every event.
+                let (capacity, most) = match g.below(6) {
+                    0 => (g.range(0..64), 8),
+                    1 => (BLOCK - 1, 8),
+                    2 => (BLOCK, 8),
+                    3 => (BLOCK + 1, 8),
+                    4 => (2 * BLOCK + g.range(0..64), 3),
+                    _ => (usize::MAX, 3),
+                };
+                let (len, repeats) = match g.one_in(3) {
+                    true => (usize::MAX, g.range(1usize..most + 1)),
+                    false => (512, 1),
+                };
+                let events = g.vec(0..len, drawn_event);
+                let (mut a, mut b) = (Recorder::new(capacity), reference::Recorder::new(capacity));
+                for e in (0..repeats).flat_map(|_| &events) {
+                    a.record(*e);
+                    b.record(*e);
+                }
+                sut.push(a);
+                oracle.push(b);
+            }
+            let shift = |part: usize, track: Track| {
+                let by = 10 * (part as u32 + 1);
+                match track {
+                    Track::Stream(s) => Track::Stream(s + by),
+                    Track::Device { kind, index } => Track::Device {
+                        kind,
+                        index: index + by,
+                    },
+                    Track::Main | Track::Exec => track,
+                }
+            };
+            let mut sut = Recorder::merge_ordered(sut, shift);
+            let mut oracle = reference::Recorder::merge_ordered(oracle, shift);
+            for e in g.vec(0..64, drawn_event) {
+                sut.record(e);
+                oracle.record(e);
+            }
+            let want = flat(&oracle);
+            assert_eq!((sut.len(), sut.dropped()), (oracle.len(), oracle.dropped));
+            assert_eq!(crate::to_jsonl(&sut), crate::to_jsonl(&want));
+            assert_eq!(crate::to_chrome(&sut), crate::to_chrome(&want));
+        });
     }
 
     #[test]

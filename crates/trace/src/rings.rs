@@ -1,19 +1,22 @@
 //! How a [`Recorder`](crate::recorder::Recorder) stores events, and
 //! the [`EventRef`] view it reads them back through.
 //!
-//! A recorded event is a 32-byte header in one ring plus 16 bytes per
-//! argument in a shared arena; every static string it carries (name,
-//! argument keys, device and label kinds) is a two-byte id into a
-//! per-ring table. Recording therefore allocates nothing per event and
-//! touches ~66 bytes of ring for the average simulator event — what a
-//! traced run pays for is mostly memory it touches for the first time,
-//! so the bytes are the cost.
+//! A recorded event is a 32-byte header plus 16 bytes per argument in a
+//! shared arena; every static string it carries (name, argument keys
+//! and texts, label kinds) is a two-byte id into a per-ring table, and
+//! its track an id into a per-ring [`Track`] table. Headers and
+//! argument slots live in fixed-size blocks that are never reallocated,
+//! and an evicted block is reused for the next one. Recording therefore
+//! allocates nothing per event and writes each stored byte once, ~66
+//! bytes for the average simulator event — what a traced run pays for
+//! is mostly memory it touches for the first time, so the bytes are the
+//! cost.
 
 use crate::event::{Arg, ArgValue, Category, TraceEvent, TraceTime, Track, MAX_ARGS};
-use std::collections::{vec_deque, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The static strings one [`Rings`] has seen — event names, argument
-/// keys and texts, device and label kinds — numbered in first-seen order, so a
+/// keys and texts, label kinds — numbered in first-seen order, so a
 /// stored event spends two bytes on each instead of a sixteen-byte
 /// `&'static str`.
 #[derive(Debug, Clone)]
@@ -73,13 +76,70 @@ impl Names {
     }
 }
 
-/// Which [`Track`] variant a header's `(kind, track_index)` pair means.
-#[derive(Debug, Clone, Copy)]
-enum Lane {
-    Main,
-    Device,
-    Stream,
-    Exec,
+/// The tracks one [`Rings`] has seen, numbered in first-seen order. A
+/// stored event names its track by id, so the shard merge rewrites each
+/// distinct track once instead of every event's.
+#[derive(Debug, Clone)]
+struct Tracks {
+    list: Vec<Track>,
+    /// The id of every track in `list`, for what `recent` misses.
+    ids: BTreeMap<Track, u32>,
+    /// Recently seen tracks and their ids, direct-mapped by a hash of
+    /// the track.
+    recent: [Option<(Track, u32)>; 64],
+}
+
+impl Default for Tracks {
+    fn default() -> Self {
+        Tracks {
+            list: Vec::new(),
+            ids: BTreeMap::new(),
+            recent: [None; 64],
+        }
+    }
+}
+
+impl Tracks {
+    #[inline]
+    fn id(&mut self, track: Track) -> u32 {
+        let hash = match track {
+            Track::Main => 0,
+            Track::Exec => 1,
+            Track::Stream(s) => 2 + 3 * s as usize,
+            Track::Device { kind, index } => (kind.as_ptr() as usize >> 2) + 3 * index as usize,
+        };
+        let way = hash % self.recent.len();
+        match self.recent[way] {
+            Some((seen, id)) if seen == track => id,
+            _ => {
+                let next = self.list.len() as u32;
+                let id = *self.ids.entry(track).or_insert(next);
+                if id == next {
+                    self.list.push(track);
+                }
+                self.recent[way] = Some((track, id));
+                id
+            }
+        }
+    }
+
+    fn get(&self, id: u32) -> Track {
+        self.list[id as usize]
+    }
+
+    /// Replace every track by `f(track)`, each once.
+    fn retrack(&mut self, mut f: impl FnMut(Track) -> Track) {
+        for track in &mut self.list {
+            *track = f(*track);
+        }
+        // Look-ups follow the new tracks; where two old tracks became
+        // one, the lower id answers.
+        self.ids.clear();
+        for (id, track) in (0..).zip(&self.list) {
+            self.ids.entry(*track).or_insert(id);
+        }
+        self.recent = [None; 64];
+    }
 }
 
 /// The fixed-width part of a stored event: 32 bytes. Its arguments are
@@ -90,16 +150,12 @@ struct Header {
     at: TraceTime,
     /// Span duration; meaningful only when `span`.
     dur: u64,
-    /// Absolute arena position, counted (wrapping) from the rings'
-    /// creation: evicting from the arena's front moves
-    /// [`Rings::args_base`], never a stored header.
+    /// Arena position of the first argument slot.
     args_at: u32,
-    track_index: u32,
+    /// [`Tracks`] id of the event's track.
+    track: u32,
     /// [`Names`] id of the event name.
     name: u16,
-    /// [`Names`] id of a [`Lane::Device`]'s kind.
-    kind: u16,
-    lane: Lane,
     cat: Category,
     args_len: u8,
     span: bool,
@@ -126,46 +182,129 @@ struct Packed {
     repr: Repr,
 }
 
+/// Entries per block of a [`Blocks`].
+pub(crate) const BLOCK: usize = 8192;
+
+/// A queue of `T` in blocks of [`BLOCK`] entries, addressed by
+/// position: counted (wrapping) from the queue's creation, so entry `p`
+/// sits `p - base` slots past the front block's first. A block is
+/// allocated with room for [`BLOCK`] entries and never grows, so an
+/// entry is written once and never moves; a released block is kept for
+/// the next one. [`BLOCK`] divides 2^32, so every block starts at a
+/// multiple of it even after the positions wrap.
+#[derive(Debug, Clone)]
+struct Blocks<T> {
+    blocks: VecDeque<Vec<T>>,
+    /// Position of `blocks[0]`'s first slot.
+    base: u32,
+    /// The last released block, emptied when reused.
+    spare: Option<Vec<T>>,
+}
+
+impl<T> Default for Blocks<T> {
+    fn default() -> Self {
+        Blocks {
+            blocks: VecDeque::new(),
+            base: 0,
+            spare: None,
+        }
+    }
+}
+
+impl<T: Copy> Blocks<T> {
+    /// The position after the last entry.
+    fn end(&self) -> u32 {
+        match self.blocks.back() {
+            Some(last) => self
+                .base
+                .wrapping_add(((self.blocks.len() - 1) * BLOCK + last.len()) as u32),
+            None => self.base,
+        }
+    }
+
+    /// Append `items` side by side and return the position of the
+    /// first. Items that do not fit the back block start a new one and
+    /// leave the back block's last slots unused.
+    #[inline]
+    fn extend(&mut self, items: &[T]) -> u32 {
+        if items.is_empty() {
+            return self.end();
+        }
+        if !matches!(self.blocks.back(), Some(last) if last.len() + items.len() <= BLOCK) {
+            let mut block = self
+                .spare
+                .take()
+                .unwrap_or_else(|| Vec::with_capacity(BLOCK));
+            block.clear();
+            self.blocks.push_back(block);
+        }
+        let at = self.end();
+        if let Some(last) = self.blocks.back_mut() {
+            last.extend_from_slice(items);
+        }
+        at
+    }
+
+    /// The `len` entries from position `at`.
+    #[inline]
+    fn slice(&self, at: u32, len: usize) -> &[T] {
+        if len == 0 {
+            return &[];
+        }
+        let off = at.wrapping_sub(self.base) as usize;
+        let from = off % BLOCK;
+        &self.blocks[off / BLOCK][from..from + len]
+    }
+
+    /// Release the front blocks that end at or before position `live`.
+    fn release_before(&mut self, live: u32) {
+        while !self.blocks.is_empty() && live.wrapping_sub(self.base) as usize >= BLOCK {
+            self.spare = self.blocks.pop_front();
+            self.base = self.base.wrapping_add(BLOCK as u32);
+        }
+    }
+
+    /// Every entry from position `from` on, in order.
+    fn iter_from(&self, from: u32) -> impl Iterator<Item = &T> + '_ {
+        let off = from.wrapping_sub(self.base) as usize;
+        let (skip, first) = (off / BLOCK, off % BLOCK);
+        self.blocks
+            .iter()
+            .skip(skip)
+            .zip(std::iter::once(first).chain(std::iter::repeat(0)))
+            .flat_map(|(block, from)| &block[from..])
+    }
+}
+
 /// Event storage: a ring of fixed-width headers plus one shared arena
-/// holding every event's argument slots back to back, in event order —
-/// so recording an event allocates nothing, and the oldest event's
-/// arguments are always the arena's front.
+/// holding every event's argument slots, each event's side by side and
+/// in event order — so recording an event allocates nothing, and the
+/// oldest event's arguments are always the arena's front.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Rings {
-    events: VecDeque<Header>,
-    args: VecDeque<Packed>,
-    /// Arena position of `args.front()`.
-    args_base: u32,
+    events: Blocks<Header>,
+    /// Position of the oldest stored header.
+    front: u32,
+    args: Blocks<Packed>,
     names: Names,
+    tracks: Tracks,
 }
 
 impl Rings {
     /// Number of stored events.
     pub(crate) fn len(&self) -> usize {
-        self.events.len()
+        self.events.end().wrapping_sub(self.front) as usize
     }
 
-    /// Arena slots held — what eviction must release.
+    /// Header and arena blocks held — what eviction must release.
     #[cfg(test)]
-    pub(crate) fn held(&self) -> usize {
-        self.args.len()
+    pub(crate) fn held(&self) -> (usize, usize) {
+        (self.events.blocks.len(), self.args.blocks.len())
     }
 
     /// Append one event.
+    #[inline]
     pub(crate) fn push(&mut self, event: TraceEvent) {
-        let (lane, kind, track_index) = self.pack_track(event.track);
-        self.events.push_back(Header {
-            at: event.at,
-            dur: event.dur.unwrap_or(0),
-            args_at: self.args_base.wrapping_add(self.args.len() as u32),
-            track_index,
-            name: self.names.id(event.name),
-            kind,
-            lane,
-            cat: event.cat,
-            args_len: event.len as u8,
-            span: event.dur.is_some(),
-        });
         let mut packed = [Packed {
             bits: 0,
             key: 0,
@@ -185,52 +324,45 @@ impl Rings {
             let key = self.names.id(key);
             *p = Packed { bits, key, repr };
         }
-        self.args.extend(&packed[..event.len]);
+        let header = Header {
+            at: event.at,
+            dur: event.dur.unwrap_or(0),
+            args_at: self.args.extend(&packed[..event.len]),
+            track: self.tracks.id(event.track),
+            name: self.names.id(event.name),
+            cat: event.cat,
+            args_len: event.len as u8,
+            span: event.dur.is_some(),
+        };
+        self.events.extend(&[header]);
     }
 
     /// Evict the oldest event and release its arguments.
     pub(crate) fn pop_front(&mut self) {
-        let Some(h) = self.events.pop_front() else {
+        if self.len() == 0 {
             return;
+        }
+        self.front = self.front.wrapping_add(1);
+        self.events.release_before(self.front);
+        let live = match self.len() {
+            0 => self.args.end(),
+            _ => self.header(0).args_at,
         };
-        self.args.drain(..usize::from(h.args_len));
-        self.args_base = self.args_base.wrapping_add(u32::from(h.args_len));
+        self.args.release_before(live);
     }
 
-    /// Visit every event in ring order as `(seq, at, track)`; the
-    /// track `f` returns replaces the event's.
-    pub(crate) fn retrack(&mut self, mut f: impl FnMut(usize, TraceTime, Track) -> Track) {
-        for seq in 0..self.events.len() {
-            let h = self.events[seq];
-            let (lane, kind, track_index) = self.pack_track(f(seq, h.at, self.track(&h)));
-            self.events[seq] = Header {
-                lane,
-                kind,
-                track_index,
-                ..h
-            };
-        }
+    /// Replace every distinct track by `f(track)`, once each.
+    pub(crate) fn retrack(&mut self, f: impl FnMut(Track) -> Track) {
+        self.tracks.retrack(f);
     }
 
-    fn pack_track(&mut self, track: Track) -> (Lane, u16, u32) {
-        match track {
-            Track::Main => (Lane::Main, 0, 0),
-            Track::Device { kind, index } => (Lane::Device, self.names.id(kind), index),
-            Track::Stream(s) => (Lane::Stream, 0, s),
-            Track::Exec => (Lane::Exec, 0, 0),
-        }
+    /// Every event's timestamp, in ring order.
+    pub(crate) fn times(&self) -> impl Iterator<Item = TraceTime> + '_ {
+        self.events.iter_from(self.front).map(|h| h.at)
     }
 
-    fn track(&self, h: &Header) -> Track {
-        match h.lane {
-            Lane::Main => Track::Main,
-            Lane::Device => Track::Device {
-                kind: self.names.get(h.kind),
-                index: h.track_index,
-            },
-            Lane::Stream => Track::Stream(h.track_index),
-            Lane::Exec => Track::Exec,
-        }
+    fn header(&self, seq: usize) -> &Header {
+        &self.events.slice(self.front.wrapping_add(seq as u32), 1)[0]
     }
 
     fn arg(&self, p: &Packed) -> Arg {
@@ -249,15 +381,14 @@ impl Rings {
 
     /// The event at ring position `seq`.
     pub(crate) fn view(&self, seq: usize) -> EventRef<'_> {
-        let h = &self.events[seq];
-        let from = h.args_at.wrapping_sub(self.args_base) as usize;
+        let h = self.header(seq);
         EventRef {
             at: h.at,
             dur: h.span.then_some(h.dur),
             cat: h.cat,
             name: self.names.get(h.name),
-            track: self.track(h),
-            packed: self.args.range(from..from + usize::from(h.args_len)),
+            track: self.tracks.get(h.track),
+            packed: self.args.slice(h.args_at, usize::from(h.args_len)).iter(),
             rings: self,
         }
     }
@@ -277,7 +408,7 @@ pub struct EventRef<'a> {
     pub name: &'static str,
     /// Display lane.
     pub track: Track,
-    packed: vec_deque::Iter<'a, Packed>,
+    packed: std::slice::Iter<'a, Packed>,
     rings: &'a Rings,
 }
 
@@ -302,6 +433,11 @@ mod tests {
     fn stored_sizes_are_what_the_docs_say() {
         assert_eq!(std::mem::size_of::<Header>(), 32);
         assert_eq!(std::mem::size_of::<Packed>(), 16);
+        assert_eq!(
+            (1u64 << 32) % BLOCK as u64,
+            0,
+            "positions wrap onto a block start"
+        );
     }
 
     #[test]
@@ -324,5 +460,27 @@ mod tests {
         assert_eq!(first, again);
         assert!(many.iter().zip(&first).all(|(s, id)| names.get(*id) == *s));
         assert_eq!(names.get(u16::MAX), Names::FULL);
+    }
+
+    #[test]
+    fn tracks_intern_by_value_and_retrack_each_once() {
+        let mut tracks = Tracks::default();
+        let owned: &'static str = Box::leak("disk".to_string().into_boxed_str());
+        let disk = |kind, index| Track::Device { kind, index };
+        let ids: Vec<u32> = (0..300)
+            .map(|i| tracks.id(Track::Stream(i % 150)))
+            .collect();
+        assert_eq!(ids[150..], ids[..150], "ids outlive cache collisions");
+        assert_eq!(tracks.id(disk("disk", 3)), tracks.id(disk(owned, 3)));
+        let main = tracks.id(Track::Main);
+        tracks.retrack(|t| match t {
+            Track::Stream(s) => Track::Stream(s + 1),
+            other => other,
+        });
+        assert_eq!(tracks.get(ids[0]), Track::Stream(1));
+        // Stream 149 became 150, a new track; stream 1 is now id 0's.
+        assert_eq!(tracks.id(Track::Stream(1)), ids[0]);
+        assert_eq!(tracks.id(Track::Stream(150)), ids[149]);
+        assert_eq!(tracks.id(Track::Main), main);
     }
 }

@@ -180,7 +180,7 @@ fn export_digest(rec: &Recorder, attribution: Option<&AttributionTable>) -> u64 
     h.bytes(to_chrome(rec).as_bytes());
     h.bytes(to_prometheus(rec.metrics()).as_bytes());
     for row in attribution.iter().flat_map(|t| &t.rows) {
-        writeln!(h, "{},{},{}", row.label, row.energy.joules(), row.share)
+        writeln!(h, "{},{},{}", row.label(), row.energy.joules(), row.share)
             .expect("hashing cannot fail");
     }
     h.finish()
