@@ -1173,8 +1173,10 @@ mod tests {
         assert_eq!(traced.report.energy, plain.energy);
         assert_eq!(traced.report.elapsed, plain.elapsed);
         assert!(plain.attribution.is_none());
-        // The recorder saw the run.
+        // The recorder saw the run, all of it.
         assert!(!traced.trace.is_empty());
+        assert_eq!(traced.trace.dropped(), 0, "ring overflowed");
+        assert_eq!(traced.trace.metrics().counter("trace.dropped"), 0);
         assert!(traced.trace.events().any(|e| e.name == "sim.finish"));
         assert!(traced.trace.events().any(|e| e.name == "scan"));
         // Attribution rows sum to the wall-socket total, and the single
@@ -1200,6 +1202,8 @@ mod tests {
             .expect("loaded db runs");
         assert_eq!(traced.report.energy, plain.energy);
         assert_eq!(traced.report.elapsed, plain.elapsed);
+        assert_eq!(traced.trace.dropped(), 0, "ring overflowed");
+        assert_eq!(traced.trace.metrics().counter("trace.dropped"), 0);
         let table = traced.report.attribution.as_ref().expect("traced");
         // 2 streams x 2 queries + residual.
         assert_eq!(table.rows.len(), 5);

@@ -7,7 +7,6 @@
 //! been application and database agnostic").
 
 use crate::units::{EnergyEfficiency, Joules, SimDuration, SimInstant, Watts};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Coarse component category, used for power-breakdown reports (e.g. the
@@ -118,15 +117,27 @@ pub enum LedgerOp {
     },
 }
 
+/// Every [`ComponentKind`], in declaration (and so report) order.
+const KINDS: [ComponentKind; 8] = {
+    use ComponentKind::*;
+    [Cpu, Disk, Ssd, Dram, Nic, Base, Recovery, Other]
+};
+
 /// Exact per-component energy accounting over a simulation window.
 ///
 /// Iteration order (and therefore report order) is
 /// deterministic: components sort by `(kind, index)`.
 ///
+/// Entries sit in one slot per index of each kind: a charge is an indexed
+/// add, and memory is O(largest index per kind), which every caller's
+/// dense numbering keeps small (machines, devices, `Bases`-shifted cells).
+/// Readers, `==` and `Debug` see the entries present, never the slots.
+///
 /// The accounting fields are private, which is what keeps
 /// `total = Σ entries`: outside this module a Joule moves only through
-/// [`charge`](Self::charge), [`charge_interval`](Self::charge_interval)
-/// or [`transfer`](Self::transfer), and no code can even read a field:
+/// [`charge`](Self::charge), [`charge_all`](Self::charge_all),
+/// [`charge_interval`](Self::charge_interval) or
+/// [`transfer`](Self::transfer), and no code can even read a field:
 ///
 /// ```compile_fail,E0616
 /// let ledger = grail_power::EnergyLedger::new();
@@ -137,9 +148,10 @@ pub enum LedgerOp {
 /// let ledger = grail_power::EnergyLedger::new();
 /// let _components = ledger.entries.len();
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub struct EnergyLedger {
-    entries: BTreeMap<ComponentId, Joules>,
+    /// Slot `[kind as usize][index]`: `None` where nothing was charged.
+    entries: [Vec<Option<Joules>>; 8],
     total: Joules,
     window_start: Option<SimInstant>,
     window_end: Option<SimInstant>,
@@ -160,7 +172,8 @@ impl EnergyLedger {
     /// Compiled out of release builds (the entry sum is O(components)).
     #[cfg(debug_assertions)]
     fn assert_conserved(&self, op: &str) {
-        let sum: f64 = self.entries.values().map(|e| e.joules()).sum();
+        let entries = self.entries.iter().flatten().flatten();
+        let sum = entries.copied().sum::<Joules>().joules();
         let total = self.total.joules();
         let tol = 1e-9_f64.max(total.abs() * 1e-9);
         debug_assert!(
@@ -173,6 +186,17 @@ impl EnergyLedger {
     #[cfg(not(debug_assertions))]
     #[inline]
     fn assert_conserved(&self, _op: &str) {}
+
+    /// `component`'s entry, created at zero if absent.
+    #[inline]
+    fn entry(&mut self, component: ComponentId) -> &mut Joules {
+        let slots = &mut self.entries[component.kind as usize];
+        let i = component.index as usize;
+        if i >= slots.len() {
+            slots.resize(i + 1, None);
+        }
+        slots[i].get_or_insert(Joules::ZERO)
+    }
 
     /// Start journaling every subsequent [`charge`](Self::charge) and
     /// [`transfer`](Self::transfer) (see [`LedgerOp`]). Idempotent.
@@ -190,12 +214,7 @@ impl EnergyLedger {
 
     /// Credit `energy` to `component`.
     pub fn charge(&mut self, component: ComponentId, energy: Joules) {
-        *self.entries.entry(component).or_insert(Joules::ZERO) += energy;
-        self.total += energy;
-        if let Some(journal) = &mut self.journal {
-            journal.push(LedgerOp::Charge { component, energy });
-        }
-        self.assert_conserved("charge");
+        self.charge_all([(component, energy)]);
     }
 
     /// Credit `power × duration` to `component`.
@@ -203,38 +222,19 @@ impl EnergyLedger {
         self.charge(component, power * d);
     }
 
-    /// Credit every `(component, energy)` pair, in the order given.
-    ///
-    /// Defined as one [`charge`](Self::charge) per pair in that order, and
-    /// equal to it bit for bit: the same `+=` on each entry, the same
-    /// running `total +=` sequence, the same journal pushes. What differs
-    /// is the cost when the components strictly ascend and already have
-    /// entries — a fleet settling its machines: the component map is
-    /// walked once, in order, instead of searched from the root per pair.
-    /// A component the walk does not meet (absent, repeated, or behind
-    /// it) goes through `charge` itself, and the walk resumes after it.
-    pub fn charge_ascending(&mut self, charges: impl IntoIterator<Item = (ComponentId, Joules)>) {
-        let mut charges = charges.into_iter();
-        let mut next = charges.next();
-        while let Some((first, _)) = next {
-            let mut walk = self.entries.range_mut(first..);
-            while let Some((component, energy)) = next {
-                match walk.find(|(id, _)| **id >= component) {
-                    Some((id, entry)) if *id == component => *entry += energy,
-                    _ => break,
-                }
-                self.total += energy;
-                if let Some(journal) = &mut self.journal {
-                    journal.push(LedgerOp::Charge { component, energy });
-                }
-                next = charges.next();
-            }
-            if let Some((component, energy)) = next {
-                self.charge(component, energy);
-                next = charges.next();
+    /// Credit every `(component, energy)` pair, in the order given: one
+    /// [`charge`](Self::charge) per pair, bit for bit (the same `+=` on
+    /// each entry, the same running `total +=` sequence, the same journal
+    /// pushes), audited once for the batch instead of once per pair.
+    pub fn charge_all(&mut self, charges: impl IntoIterator<Item = (ComponentId, Joules)>) {
+        for (component, energy) in charges {
+            *self.entry(component) += energy;
+            self.total += energy;
+            if let Some(journal) = &mut self.journal {
+                journal.push(LedgerOp::Charge { component, energy });
             }
         }
-        self.assert_conserved("charge_ascending");
+        self.assert_conserved("charge");
     }
 
     /// Extend the covered time window to include `[start, end]`.
@@ -275,16 +275,13 @@ impl EnergyLedger {
 
     /// Energy consumed by one component.
     pub fn component(&self, id: ComponentId) -> Joules {
-        self.entries.get(&id).copied().unwrap_or(Joules::ZERO)
+        let slot = self.entries[id.kind as usize].get(id.index as usize);
+        slot.copied().flatten().unwrap_or(Joules::ZERO)
     }
 
     /// Energy consumed by all components of `kind`.
     pub fn kind_total(&self, kind: ComponentKind) -> Joules {
-        self.entries
-            .iter()
-            .filter(|(id, _)| id.kind == kind)
-            .map(|(_, e)| *e)
-            .sum()
+        self.entries[kind as usize].iter().flatten().copied().sum()
     }
 
     /// Fraction of total energy consumed by `kind` (0 if ledger empty).
@@ -298,32 +295,28 @@ impl EnergyLedger {
 
     /// Per-category breakdown, sorted by category, with shares.
     pub fn breakdown(&self) -> Vec<BreakdownRow> {
-        let mut by_kind: BTreeMap<ComponentKind, Joules> = BTreeMap::new();
-        for (id, e) in &self.entries {
-            *by_kind.entry(id.kind).or_insert(Joules::ZERO) += *e;
-        }
-        by_kind
-            .into_iter()
-            .map(|(kind, energy)| BreakdownRow {
+        (KINDS.into_iter())
+            .filter(|&kind| self.entries[kind as usize].iter().any(Option::is_some))
+            .map(|kind| BreakdownRow {
                 kind,
-                energy,
-                share: if self.total.joules() > 0.0 {
-                    energy.joules() / self.total.joules()
-                } else {
-                    0.0
-                },
+                energy: self.kind_total(kind),
+                share: self.kind_share(kind),
             })
             .collect()
     }
 
     /// All `(component, energy)` entries in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (ComponentId, Joules)> + '_ {
-        self.entries.iter().map(|(id, e)| (*id, *e))
+        let kinds = KINDS.into_iter().zip(&self.entries);
+        kinds.flat_map(|(kind, slots)| {
+            let slots = slots.iter().enumerate();
+            slots.filter_map(move |(i, e)| Some((ComponentId::new(kind, i as u32), (*e)?)))
+        })
     }
 
     /// Number of distinct components charged.
     pub fn component_count(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().flatten().flatten().count()
     }
 
     /// Re-attribute up to `energy` from `from` to `to`, clamped to
@@ -340,8 +333,8 @@ impl EnergyLedger {
         let avail = self.component(from);
         let moved = Joules::new(energy.joules().min(avail.joules()).max(0.0));
         if moved.joules() > 0.0 {
-            self.entries.insert(from, avail - moved);
-            *self.entries.entry(to).or_insert(Joules::ZERO) += moved;
+            *self.entry(from) = avail - moved;
+            *self.entry(to) += moved;
             if let Some(journal) = &mut self.journal {
                 journal.push(LedgerOp::Transfer { from, to, moved });
             }
@@ -359,9 +352,7 @@ impl EnergyLedger {
     /// Fold another ledger into this one (component-wise sum, union
     /// window).
     pub fn merge(&mut self, other: &EnergyLedger) {
-        for (id, e) in other.iter() {
-            self.charge(id, e);
-        }
+        self.charge_all(other.iter());
         if let Some((s, e)) = other.window() {
             self.cover(s, e);
         }
@@ -371,6 +362,37 @@ impl EnergyLedger {
     /// total energy.
     pub fn efficiency(&self, work: f64) -> EnergyEfficiency {
         EnergyEfficiency::from_work_energy(work, self.total)
+    }
+}
+
+/// Equal entries present, total, window and journal; slots do not count.
+impl PartialEq for EnergyLedger {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+            && self.total == other.total
+            && (self.window_start, self.window_end) == (other.window_start, other.window_end)
+            && self.journal == other.journal
+    }
+}
+
+/// The entries printed as the sorted map they once were.
+struct Entries<'a>(&'a EnergyLedger);
+
+impl fmt::Debug for Entries<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.0.iter()).finish()
+    }
+}
+
+impl fmt::Debug for EnergyLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EnergyLedger")
+            .field("entries", &Entries(self))
+            .field("total", &self.total)
+            .field("window_start", &self.window_start)
+            .field("window_end", &self.window_end)
+            .field("journal", &self.journal)
+            .finish()
     }
 }
 
@@ -545,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn charge_ascending_is_the_loop_of_charge_bit_for_bit() {
+    fn charge_all_is_the_loop_of_charge_bit_for_bit() {
         let id = |kind, index| ComponentId::new(kind, index);
         let base = |i| id(ComponentKind::Base, i);
         // Amounts whose sums round differently in a different order.
@@ -586,7 +608,7 @@ mod tests {
                 for &(component, energy) in &charges {
                     one_by_one.charge(component, energy);
                 }
-                batched.charge_ascending(charges.iter().copied());
+                batched.charge_all(charges.iter().copied());
                 assert_eq!(bits(&batched), bits(&one_by_one));
                 assert_eq!(batched.component_count(), one_by_one.component_count());
                 assert_eq!(batched, one_by_one);
@@ -595,13 +617,38 @@ mod tests {
     }
 
     #[test]
-    fn charge_ascending_creates_an_entry_for_a_zero_charge() {
+    fn charge_all_creates_an_entry_for_a_zero_charge() {
         let mut l = EnergyLedger::new();
-        l.charge_ascending([(DISK0, Joules::ZERO), (DISK1, Joules::ZERO)]);
+        l.charge_all([(DISK0, Joules::ZERO), (DISK1, Joules::ZERO)]);
         assert_eq!(l.component_count(), 2, "as `charge` does");
         assert_eq!(l.total(), Joules::ZERO);
-        l.charge_ascending([(DISK0, Joules::ZERO)]);
+        l.charge_all([(DISK0, Joules::ZERO)]);
         assert_eq!(l.component_count(), 2);
+    }
+
+    #[test]
+    fn a_far_index_charges_iterates_in_order_and_round_trips_a_transfer() {
+        let far = ComponentId::new(ComponentKind::Disk, 1 << 20);
+        let far_rec = ComponentId::new(ComponentKind::Recovery, 1 << 20);
+        let mut l = EnergyLedger::new();
+        l.charge(far, Joules::new(4.0));
+        l.charge(DISK0, Joules::new(1.0));
+        l.charge(CPU0, Joules::new(2.0));
+        assert_eq!(l.component(far), Joules::new(4.0));
+        assert_eq!(l.transfer(far, far_rec, Joules::new(3.0)), Joules::new(3.0));
+        assert_eq!(l.transfer(far_rec, far, Joules::new(5.0)), Joules::new(3.0));
+        let entries: Vec<_> = l.iter().collect();
+        assert_eq!(
+            entries,
+            [
+                (CPU0, Joules::new(2.0)),
+                (DISK0, Joules::new(1.0)),
+                (far, Joules::new(4.0)),
+                (far_rec, Joules::ZERO),
+            ]
+        );
+        assert_eq!(l.component_count(), 4);
+        assert_eq!(l.total(), Joules::new(7.0));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests for the power substrate's core invariants.
 
+#[path = "common/btree_ledger.rs"]
+mod btree;
 #[path = "common/graph_machine.rs"]
 mod graph;
 
@@ -197,12 +199,11 @@ fn ledger_conserves_under_random_charges_and_transfers() {
     });
 }
 
-/// `charge_ascending` is the loop of `charge`, bit for bit, whatever
-/// the order of its input: sorted (the one-pass walk) or arbitrary
-/// (the fallback), with repeats, kinds interleaved, ids with and
-/// without an entry, and the empty batch.
+/// `charge_all` is the loop of `charge`, bit for bit, whatever
+/// the order of its input: sorted or arbitrary, with repeats, kinds
+/// interleaved, ids with and without an entry, and the empty batch.
 #[test]
-fn charge_ascending_equals_the_loop_of_charge() {
+fn charge_all_equals_the_loop_of_charge() {
     let kinds = [
         ComponentKind::Cpu,
         ComponentKind::Base,
@@ -230,7 +231,7 @@ fn charge_ascending_equals_the_loop_of_charge() {
         for &(id, e) in &charges {
             one_by_one.charge(id, e);
         }
-        batched.charge_ascending(charges.iter().copied());
+        batched.charge_all(charges.iter().copied());
         assert_eq!(
             batched.total().joules().to_bits(),
             one_by_one.total().joules().to_bits()
@@ -241,6 +242,201 @@ fn charge_ascending_equals_the_loop_of_charge() {
             assert_eq!(ea.joules().to_bits(), eb.joules().to_bits());
         }
         assert_eq!(batched.take_journal(), one_by_one.take_journal());
+    });
+}
+
+/// Every component kind, in declaration order.
+const KINDS: [ComponentKind; 8] = [
+    ComponentKind::Cpu,
+    ComponentKind::Disk,
+    ComponentKind::Ssd,
+    ComponentKind::Dram,
+    ComponentKind::Nic,
+    ComponentKind::Base,
+    ComponentKind::Recovery,
+    ComponentKind::Other,
+];
+
+/// One drawn ledger operation, applied alike to the dense ledger and to
+/// the `BTreeMap` ledger it replaced.
+#[derive(Debug, Clone)]
+enum LedgerStep {
+    Charge(ComponentId, Joules),
+    ChargeAll(Vec<(ComponentId, Joules)>),
+    Transfer(ComponentId, ComponentId, Joules),
+    /// Fold in a ledger of these charges, covering this window.
+    Merge(Vec<(ComponentId, Joules)>, Option<(SimInstant, SimInstant)>),
+    Cover(SimInstant, SimInstant),
+    EnableJournal,
+    TakeJournal,
+}
+
+/// A component of any kind at index 0..12, or now and then the lone
+/// index `1 << 16` of the case's `sparse` kind.
+fn ledger_id(g: &mut Gen, sparse: Option<ComponentKind>) -> ComponentId {
+    match sparse {
+        Some(kind) if g.one_in(16) => ComponentId::new(kind, 1 << 16),
+        _ => ComponentId::new(g.pick(&KINDS), g.range(0u32..12)),
+    }
+}
+
+/// An amount that is sometimes exactly zero (a zero charge still makes
+/// an entry) and otherwise rounds differently in a different order.
+fn ledger_joules(g: &mut Gen) -> Joules {
+    if g.one_in(8) {
+        Joules::ZERO
+    } else {
+        Joules::new(g.range(0.0f64..1e6))
+    }
+}
+
+/// A `charge_all` batch: kinds interleaved as drawn, ascending,
+/// descending, or repeating a few components.
+fn ledger_batch(g: &mut Gen, sparse: Option<ComponentKind>) -> Vec<(ComponentId, Joules)> {
+    let few = [ledger_id(g, sparse), ledger_id(g, sparse)];
+    let repeated = g.one_in(4);
+    let mut batch = g.vec(0..24, |g| {
+        let id = if repeated {
+            g.pick(&few)
+        } else {
+            ledger_id(g, sparse)
+        };
+        (id, ledger_joules(g))
+    });
+    match g.below(3) {
+        0 => batch.sort_by_key(|(id, _)| *id),
+        1 => batch.sort_by_key(|(id, _)| std::cmp::Reverse(*id)),
+        _ => {}
+    }
+    batch
+}
+
+fn ledger_window(g: &mut Gen) -> (SimInstant, SimInstant) {
+    let a = SimInstant::from_nanos(g.range(0u64..1_000_000));
+    (a, a + SimDuration::from_nanos(g.range(0u64..1_000_000)))
+}
+
+fn ledger_step(g: &mut Gen, sparse: Option<ComponentKind>) -> LedgerStep {
+    match g.below(16) {
+        0..=4 => LedgerStep::Charge(ledger_id(g, sparse), ledger_joules(g)),
+        5..=7 => LedgerStep::ChargeAll(ledger_batch(g, sparse)),
+        8..=11 => {
+            // `from` is often absent, and the amount often exceeds it.
+            let (from, to) = (ledger_id(g, sparse), ledger_id(g, sparse));
+            LedgerStep::Transfer(from, to, Joules::new(g.range(0.0f64..2e6)))
+        }
+        12 => {
+            let window = g.bool().then(|| ledger_window(g));
+            LedgerStep::Merge(ledger_batch(g, sparse), window)
+        }
+        13 => {
+            let (s, e) = ledger_window(g);
+            LedgerStep::Cover(s, e)
+        }
+        14 => LedgerStep::EnableJournal,
+        _ => LedgerStep::TakeJournal,
+    }
+}
+
+/// Apply `step` to both ledgers, asserting every value it returns agrees.
+fn apply_ledger_step(dense: &mut EnergyLedger, old: &mut btree::EnergyLedger, step: &LedgerStep) {
+    match step {
+        LedgerStep::Charge(id, e) => {
+            dense.charge(*id, *e);
+            old.charge(*id, *e);
+        }
+        LedgerStep::ChargeAll(batch) => {
+            dense.charge_all(batch.iter().copied());
+            old.charge_ascending(batch.iter().copied());
+        }
+        LedgerStep::Transfer(from, to, e) => {
+            let moved = dense.transfer(*from, *to, *e).joules().to_bits();
+            assert_eq!(moved, old.transfer(*from, *to, *e).joules().to_bits());
+        }
+        LedgerStep::Merge(batch, window) => {
+            let (mut other, mut old_other) = (EnergyLedger::new(), btree::EnergyLedger::new());
+            other.charge_all(batch.iter().copied());
+            old_other.charge_ascending(batch.iter().copied());
+            if let Some((s, e)) = *window {
+                other.cover(s, e);
+                old_other.cover(s, e);
+            }
+            dense.merge(&other);
+            old.merge(&old_other);
+        }
+        LedgerStep::Cover(s, e) => {
+            dense.cover(*s, *e);
+            old.cover(*s, *e);
+        }
+        LedgerStep::EnableJournal => {
+            dense.enable_journal();
+            old.enable_journal();
+        }
+        LedgerStep::TakeJournal => assert_eq!(dense.take_journal(), old.take_journal()),
+    }
+}
+
+/// Every reading of a dense ledger equals the `BTreeMap` ledger's, to
+/// the bit and to the byte of every rendering.
+fn assert_ledgers_agree(dense: &EnergyLedger, old: &btree::EnergyLedger) {
+    let bits = |e: Joules| e.joules().to_bits();
+    assert_eq!(bits(dense.total()), bits(old.total()));
+    let entries = dense.iter().map(|(id, e)| (id, bits(e)));
+    let old_entries = old.iter().map(|(id, e)| (id, bits(e)));
+    assert_eq!(entries.collect::<Vec<_>>(), old_entries.collect::<Vec<_>>());
+    assert_eq!(dense.component_count(), old.component_count());
+    for kind in KINDS {
+        assert_eq!(bits(dense.kind_total(kind)), bits(old.kind_total(kind)));
+        assert_eq!(
+            dense.kind_share(kind).to_bits(),
+            old.kind_share(kind).to_bits()
+        );
+    }
+    let rows = |rows: Vec<grail_power::ledger::BreakdownRow>| -> Vec<_> {
+        (rows.into_iter())
+            .map(|r| (r.kind, bits(r.energy), r.share.to_bits()))
+            .collect()
+    };
+    assert_eq!(rows(dense.breakdown()), rows(old.breakdown()));
+    assert_eq!(dense.window(), old.window());
+    assert_eq!(format!("{dense:?}"), format!("{old:?}"));
+    assert_eq!(format!("{dense:#?}"), format!("{old:#?}"));
+    assert_eq!(dense.to_string(), old.to_string());
+}
+
+/// The dense `EnergyLedger` is the `BTreeMap` ledger it replaced
+/// (`tests/common/btree_ledger.rs`): after any drawn sequence of
+/// charges, `charge_all` batches (descending, repeated, kinds
+/// interleaved), transfers (from an absent or a short component),
+/// merges, covers and journal switches, over all eight kinds at indices
+/// 0..12 and a sparse `1 << 16`, every reading agrees bit for bit — the
+/// journal included — and `==` decides alike on a twin built with one
+/// more step (sometimes a no-op).
+#[test]
+fn dense_ledger_matches_the_btree_ledger() {
+    check(CASES, |g| {
+        let sparse = g.one_in(8).then(|| g.pick(&KINDS));
+        let steps = g.vec(0..40, |g| ledger_step(g, sparse));
+        let (mut dense, mut old) = (EnergyLedger::new(), btree::EnergyLedger::new());
+        for step in &steps {
+            apply_ledger_step(&mut dense, &mut old, step);
+        }
+        assert_ledgers_agree(&dense, &old);
+        let (mut dense_twin, mut old_twin) = (dense.clone(), old.clone());
+        let extra = match g.below(3) {
+            // A transfer out of a component nobody charged moves nothing.
+            0 => LedgerStep::Transfer(
+                ComponentId::new(g.pick(&KINDS), 1 << 16),
+                ledger_id(g, sparse),
+                Joules::new(1.0),
+            ),
+            _ => ledger_step(g, sparse),
+        };
+        apply_ledger_step(&mut dense_twin, &mut old_twin, &extra);
+        assert_ledgers_agree(&dense_twin, &old_twin);
+        assert_eq!(dense == dense_twin, old == old_twin, "after {extra:?}");
+        assert_eq!(dense_twin == dense, old_twin == old);
+        assert_eq!(dense.take_journal(), old.take_journal());
     });
 }
 

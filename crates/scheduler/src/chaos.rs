@@ -690,6 +690,26 @@ struct Engine<'a> {
     /// The report under construction. Its `served` is the integral of
     /// the served rate until [`run_chaos`] takes the failed work out.
     report: ChaosReport,
+    /// What [`settle`](Self::settle) charges: the plan's powered draws.
+    draws: Vec<(usize, Watts)>,
+    /// Per machine, its last [`draw`] and the bits of its `(load, cap_frac)`.
+    memo: Vec<Option<([u64; 2], Watts)>>,
+}
+
+/// `m`'s draw at `load` under a brownout `cap_frac`, memoized on their bits.
+fn draw(memo: &mut Option<([u64; 2], Watts)>, m: &Machine, load: f64, cap_frac: f64) -> Watts {
+    let key = [load.to_bits(), cap_frac.to_bits()];
+    if let Some((_, w)) = memo.filter(|(k, _)| *k == key) {
+        return w;
+    }
+    let mut p = m.power_at(load);
+    if cap_frac < 1.0 {
+        // The brownout physically caps the feeder; loads were already
+        // planned under it, this is belt-and-braces.
+        p = Watts::new(p.get().min(m.peak.get() * cap_frac));
+    }
+    *memo = Some((key, p));
+    p
 }
 
 const RECOVERY: ComponentId = ComponentId::new(ComponentKind::Recovery, 0);
@@ -712,21 +732,8 @@ impl Engine<'_> {
         }
         let secs = dt.as_secs_f64();
         let plan = self.state.plan();
-        let cap_frac = self.state.cap_frac;
-        let fleet = self.fleet;
-        let powered = (0..fleet.len()).filter(|&i| plan.placement.powered[i]);
-        // Fleet order is ascending component order: one pass over the
-        // ledger, not one search of it per machine.
-        self.report.ledger.charge_ascending(powered.map(|i| {
-            let m = &fleet[i];
-            let mut p = m.power_at(plan.placement.loads[i]);
-            if cap_frac < 1.0 {
-                // The brownout physically caps the feeder; loads were
-                // already planned under it, this is belt-and-braces.
-                p = Watts::new(p.get().min(m.peak.get() * cap_frac));
-            }
-            (Self::machine_component(i), p * dt)
-        }));
+        let draws = self.draws.iter();
+        (self.report.ledger).charge_all(draws.map(|&(i, w)| (Self::machine_component(i), w * dt)));
         self.report.offered += self.demand * self.state.surge * secs;
         self.report.served += plan.served_rate * secs;
         self.report.shed += plan.shed_rate * secs;
@@ -751,6 +758,14 @@ impl Engine<'_> {
             observe::record_chaos_boot(tracer, at, i, boot);
         }
         let plan = self.state.plan();
+        let (loads, cap_frac) = (&plan.placement.loads, self.state.cap_frac);
+        self.draws.clear();
+        for (i, m) in self.fleet.iter().enumerate() {
+            if plan.placement.powered[i] {
+                let w = draw(&mut self.memo[i], m, loads[i], cap_frac);
+                self.draws.push((i, w));
+            }
+        }
         let powered = plan.placement.powered_count() as u32;
         self.report.placements.push(PlacementChange {
             at,
@@ -969,6 +984,8 @@ pub fn run_chaos(
             horizon: schedule.horizon(),
             ..ChaosReport::default()
         },
+        draws: Vec::with_capacity(fleet.len()),
+        memo: vec![None; fleet.len()],
     };
     // The fleet starts in steady state: the initial plan boots nothing.
     eng.record_plan(start, &[], tracer);
@@ -1650,6 +1667,26 @@ mod tests {
         if policy.placement == PlacementPolicy::Consolidate {
             assert!(booted > 0, "the storm never cold-booted a machine");
         }
+    }
+
+    /// A memoized draw is the draw computed afresh, whatever came
+    /// before it: the same load under another brownout cap (which may
+    /// bind, at a full load), another load under the same cap, or both
+    /// repeated.
+    #[test]
+    fn memoized_draws_equal_fresh_ones() {
+        grail_prop::check(256, |g| {
+            let idle = g.range(0.0f64..200.0);
+            let m = Machine::new("m", 100.0, Watts::new(idle), Watts::new(idle + 100.0));
+            let mut memo = None;
+            for _ in 0..g.range(1usize..24) {
+                let load = g.pick(&[0.0, 12.5, 50.0, 99.9, 100.0]);
+                let cap_frac = g.pick(&[1.0, 0.85, 0.6, 0.5, 0.25]);
+                let fresh = draw(&mut None, &m, load, cap_frac);
+                let memoized = draw(&mut memo, &m, load, cap_frac);
+                assert_eq!(memoized.get().to_bits(), fresh.get().to_bits());
+            }
+        });
     }
 
     #[test]

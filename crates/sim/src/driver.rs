@@ -770,6 +770,8 @@ mod tests {
         let out = run_streams(&mut sim, cpu, &streams).unwrap();
         let rep = sim.finish(out.makespan);
         let rec = rep.trace.as_ref().unwrap();
+        assert_eq!(rec.dropped(), 0, "ring overflowed");
+        assert_eq!(rec.metrics().counter("trace.dropped"), 0);
         let jobs = rec.events().filter(|e| e.name == "job").count();
         assert_eq!(jobs, out.results.len());
         assert_eq!(rec.metrics().counter("driver.jobs"), 4);
