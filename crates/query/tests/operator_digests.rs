@@ -16,6 +16,7 @@
 //! measured on `Filter` over a fully decoded `ColumnarScan`.
 
 use grail_prop::Fnv1a;
+use grail_query::batch::BATCH_ROWS;
 use grail_query::colscan;
 use grail_query::cost_charge::CostCharge;
 use grail_query::exec::ExecContext;
@@ -111,6 +112,56 @@ fn template_digests_are_pinned() {
         })
         .collect();
     assert!(measured == PINNED, "measured digests:\n{table}");
+}
+
+/// Q1 and Q6 at 10 000 orders, one row per catalog: LINEITEM then spans
+/// ten `BATCH_ROWS` windows, the last one partial, where the 2 000-order
+/// pins above span two. Measured on `HashAggregate` over
+/// `ColumnarScan::filtered`.
+const MULTI_WINDOW_PINNED: [(&str, [u64; 2]); 3] = [
+    ("plain", [0x2911_f045_7cb6_3763, 0x284c_5e41_5ebf_f11f]),
+    ("compressed", [0x2770_5f7f_7f00_f0f4, 0x5029_b869_ffa5_1fe8]),
+    ("fig2", [0x2770_5f7f_7f00_f0f4, 0x5029_b869_ffa5_1fe8]),
+];
+
+#[test]
+fn multi_window_aggregate_digests_are_pinned() {
+    let tables = generate(
+        TpchScale {
+            orders_rows: 10_000,
+        },
+        42,
+    );
+    let target = StorageTarget::Disk(DiskId(0));
+    let catalogs = [
+        StoredCatalog::plain(&tables, target),
+        StoredCatalog::compressed(&tables, target),
+        StoredCatalog::fig2(&tables, target),
+    ];
+    let windows = tables.lineitem.row_count().div_ceil(BATCH_ROWS);
+    assert_eq!(windows, 10, "{} LINEITEM rows", tables.lineitem.row_count());
+    assert_ne!(
+        tables.lineitem.row_count() % BATCH_ROWS,
+        0,
+        "a partial last window"
+    );
+    let templates = [
+        QueryTemplate::PricingSummary,
+        QueryTemplate::RevenueForecast,
+    ];
+    let measured: Vec<(&str, [u64; 2])> = MULTI_WINDOW_PINNED
+        .iter()
+        .zip(&catalogs)
+        .map(|((name, _), cat)| (*name, templates.map(|t| digest(t, cat))))
+        .collect();
+    let table: String = measured
+        .iter()
+        .map(|(name, d)| format!("    (\"{name}\", [{:#x}, {:#x}]),\n", d[0], d[1]))
+        .collect();
+    assert!(
+        measured == MULTI_WINDOW_PINNED,
+        "measured digests:\n{table}"
+    );
 }
 
 /// One row per catalog's ORDERS, one digest per scan: the Fig. 2
