@@ -3,13 +3,18 @@
 //! key columns), then every aggregate walks its own input column against
 //! those ids. No key tuple or state vector is allocated per row. Groups
 //! leave sorted by key, so the output order is a property of the data,
-//! never of the hash.
+//! never of the hash. Over a scan that selects on its encoded columns
+//! ([`ColumnarScan::aggregated`]) the aggregate reads no batch: each
+//! window's survivors are folded from their stored codes into the same
+//! groups.
 
 use crate::batch::Batch;
 use crate::exec::{ExecContext, Operator, QueryError};
 use crate::ops::group_table::GroupTable;
+use crate::ops::scan::ColumnarScan;
 use crate::schema::{ColumnType, Schema};
 use crate::value::Datum;
+use grail_storage::column::Codebook;
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -63,19 +68,42 @@ impl AggFunc {
     }
 
     /// Fold `values` into `acc`, value `i` into the accumulator of group
-    /// `gids[i]`. The function is matched once per batch, not per row.
-    fn fold(self, acc: &mut [i64], gids: &[u32], values: &[Datum]) {
-        fn each(acc: &mut [i64], gids: &[u32], values: &[Datum], f: impl Fn(i64, i64) -> i64) {
-            for (g, v) in gids.iter().zip(values) {
-                let slot = &mut acc[*g as usize];
-                *slot = f(*slot, *v);
-            }
+    /// `gids[i]`, and count each row in `counts` when there are counts to
+    /// keep. The function is matched once per batch and the codebook once
+    /// per run of codes, not per row.
+    fn fold(
+        self,
+        acc: &mut [i64],
+        counts: Option<&mut [i64]>,
+        gids: &[u32],
+        values: impl Values,
+    ) -> Result<(), QueryError> {
+        fn each(
+            acc: &mut [i64],
+            mut counts: Option<&mut [i64]>,
+            gids: &[u32],
+            values: impl Values,
+            f: impl Fn(i64, i64) -> i64 + Copy,
+        ) -> Result<(), QueryError> {
+            values.each(|at, codes, book| {
+                let gids = &gids[at..at + codes.len()];
+                let counts = counts.as_deref_mut();
+                match book {
+                    Codebook::Values => fold_run(acc, counts, gids, codes, f, |v| v),
+                    Codebook::Entries(e) => {
+                        fold_run(acc, counts, gids, codes, f, |c| e[c as usize])
+                    }
+                    Codebook::Frame { min, .. } => {
+                        fold_run(acc, counts, gids, codes, f, |c| min.wrapping_add(c))
+                    }
+                }
+            })
         }
         match self {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => each(acc, gids, values, i64::wrapping_add),
-            AggFunc::Min => each(acc, gids, values, i64::min),
-            AggFunc::Max => each(acc, gids, values, i64::max),
+            AggFunc::Count => Ok(()),
+            AggFunc::Sum | AggFunc::Avg => each(acc, counts, gids, values, i64::wrapping_add),
+            AggFunc::Min => each(acc, counts, gids, values, i64::min),
+            AggFunc::Max => each(acc, counts, gids, values, i64::max),
         }
     }
 
@@ -90,10 +118,122 @@ impl AggFunc {
     }
 }
 
+/// Fold `value(codes[i])` into `acc[gids[i]]` with `f`, counting the rows
+/// too when `counts` is given.
+#[inline(always)]
+fn fold_run(
+    acc: &mut [i64],
+    counts: Option<&mut [i64]>,
+    gids: &[u32],
+    codes: &[i64],
+    f: impl Fn(i64, i64) -> i64,
+    value: impl Fn(i64) -> i64,
+) {
+    let rows = gids.iter().map(|g| *g as usize).zip(codes);
+    match counts {
+        Some(counts) => rows.for_each(|(g, c)| {
+            acc[g] = f(acc[g], value(*c));
+            counts[g] += 1;
+        }),
+        None => rows.for_each(|(g, c)| acc[g] = f(acc[g], value(*c))),
+    }
+}
+
+/// One input column of an aggregation, as its reader hands it over:
+/// `sink(i, codes, book)` for the codes of rows `i..i + codes.len()`, run
+/// after run in row order, and the codebook that decodes them.
+pub(crate) trait Values {
+    fn each(self, sink: impl FnMut(usize, &[i64], Codebook<'_>)) -> Result<(), QueryError>;
+}
+
+impl Values for Cow<'_, [Datum]> {
+    fn each(self, mut sink: impl FnMut(usize, &[i64], Codebook<'_>)) -> Result<(), QueryError> {
+        sink(0, &self, Codebook::Values);
+        Ok(())
+    }
+}
+
+/// The groups of one aggregation and their accumulators, whatever reads
+/// the rows: batches, or a scan's stored codes.
+pub(crate) struct Groups {
+    /// The key tuples, as dense ids in first-arrival order.
+    pub(crate) table: GroupTable,
+    /// The input's key columns.
+    pub(crate) keys: Vec<usize>,
+    /// `counts[g]`: rows of group `g`.
+    counts: Vec<i64>,
+    /// Each aggregate's function, input column and per-group sum, minimum
+    /// or maximum (none for a count).
+    accs: Vec<(AggFunc, usize, Vec<i64>)>,
+    rows: usize,
+}
+
+impl Groups {
+    fn new(group_by: &[usize], aggs: &[AggSpec]) -> Self {
+        Groups {
+            table: GroupTable::new(group_by.len()),
+            keys: group_by.to_vec(),
+            counts: Vec::new(),
+            accs: aggs
+                .iter()
+                .map(|a| (a.func, a.column, Vec::new()))
+                .collect(),
+            rows: 0,
+        }
+    }
+
+    /// Count the rows whose groups are `gids` and fold each aggregate's
+    /// input column, `column(c)` for column `c`, into their accumulators.
+    pub(crate) fn fold<V: Values>(
+        &mut self,
+        gids: &[u32],
+        mut column: impl FnMut(usize) -> V,
+    ) -> Result<(), QueryError> {
+        self.rows += gids.len();
+        let groups = self.table.len();
+        self.counts.resize(groups, 0);
+        // The first aggregate that reads a column counts the rows as it
+        // folds them; with none, a pass of its own does.
+        let mut counts = Some(self.counts.as_mut_slice());
+        for (func, col, acc) in &mut self.accs {
+            let Some(identity) = func.identity() else {
+                continue;
+            };
+            acc.resize(groups, identity);
+            func.fold(acc, counts.take(), gids, column(*col))?;
+        }
+        if let Some(counts) = counts {
+            gids.iter().for_each(|g| counts[*g as usize] += 1);
+        }
+        Ok(())
+    }
+
+    /// The groups sorted by key: the key columns, then each aggregate's
+    /// result.
+    fn finish(&self, schema: Arc<Schema>) -> Batch {
+        let table = &self.table;
+        // Keys are distinct, so an unstable sort has one possible result.
+        let mut order: Vec<usize> = (0..table.len()).collect();
+        order.sort_unstable_by(|a, b| table.key(*a as u32).cmp(table.key(*b as u32)));
+        let mut cols = Vec::with_capacity(schema.arity());
+        for k in 0..self.keys.len() {
+            cols.push(order.iter().map(|g| table.key(*g as u32)[k]).collect());
+        }
+        for (func, _, acc) in &self.accs {
+            let finished = order.iter().map(|g| {
+                // A count keeps no accumulator of its own.
+                func.finish(acc.get(*g).copied().unwrap_or(0), self.counts[*g])
+            });
+            cols.push(finished.collect());
+        }
+        Batch::new(schema, cols)
+    }
+}
+
 /// Group-by hash aggregation; groups are emitted in ascending
 /// lexicographic key order.
 pub struct HashAggregate {
-    input: Box<dyn Operator>,
+    input: Input,
     group_by: Vec<usize>,
     aggs: Vec<AggSpec>,
     schema: Arc<Schema>,
@@ -101,10 +241,32 @@ pub struct HashAggregate {
     emitted: bool,
 }
 
+/// Where a [`HashAggregate`]'s rows come from.
+enum Input {
+    /// The batches an operator returns.
+    Batches(Box<dyn Operator>),
+    /// A scan that selects on its encoded columns, folded window by
+    /// window from the stored codes ([`ColumnarScan::aggregated`]).
+    Scan(ColumnarScan),
+}
+
 impl HashAggregate {
     /// Aggregate `input` grouped by `group_by` columns.
     pub fn new(input: Box<dyn Operator>, group_by: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
-        let in_schema = input.schema();
+        HashAggregate::over(Input::Batches(input), group_by, aggs)
+    }
+
+    /// Aggregate the rows `scan`, which selects on its encoded columns,
+    /// returns, without a batch between them.
+    pub(crate) fn over_scan(scan: ColumnarScan, group_by: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
+        HashAggregate::over(Input::Scan(scan), group_by, aggs)
+    }
+
+    fn over(input: Input, group_by: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
+        let in_schema = match &input {
+            Input::Batches(op) => op.schema(),
+            Input::Scan(scan) => scan.schema(),
+        };
         let mut fields: Vec<(String, ColumnType)> = group_by
             .iter()
             .filter_map(|i| in_schema.fields().get(*i))
@@ -128,66 +290,43 @@ impl HashAggregate {
         if self.result.is_some() {
             return Ok(());
         }
-        let in_arity = self.input.schema().arity();
-        for g in &self.group_by {
-            if *g >= in_arity {
-                return Err(QueryError::UnknownColumn(*g));
-            }
+        let arity = match &self.input {
+            Input::Batches(op) => op.schema().arity(),
+            Input::Scan(scan) => scan.schema().arity(),
+        };
+        let read = self.aggs.iter().filter(|a| a.func != AggFunc::Count);
+        if let Some(bad) = (self.group_by.iter().copied())
+            .chain(read.map(|a| a.column))
+            .find(|c| *c >= arity)
+        {
+            return Err(QueryError::UnknownColumn(bad));
         }
-        for a in &self.aggs {
-            if a.func != AggFunc::Count && a.column >= in_arity {
-                return Err(QueryError::UnknownColumn(a.column));
-            }
-        }
-        let mut table = GroupTable::new(self.group_by.len());
-        // counts[g]: rows of group `g`; accs[a][g]: aggregate `a`'s sum,
-        // minimum or maximum of group `g` (empty for a count).
-        let mut counts: Vec<i64> = Vec::new();
-        let mut accs: Vec<Vec<i64>> = vec![Vec::new(); self.aggs.len()];
+        let mut groups = Groups::new(&self.group_by, &self.aggs);
         let mut gids: Vec<u32> = Vec::new();
-        let mut rows = 0f64;
-        while let Some(batch) = self.input.next(ctx)? {
-            rows += batch.len() as f64;
-            let keys: Vec<Cow<'_, [Datum]>> = self
-                .group_by
-                .iter()
+        loop {
+            let batch = match &mut self.input {
+                Input::Batches(op) => op.next(ctx)?,
+                Input::Scan(scan) => match scan.fold_window(ctx, &mut groups, &mut gids)? {
+                    true => continue,
+                    false => None,
+                },
+            };
+            let Some(batch) = batch else {
+                break;
+            };
+            let keys: Vec<Cow<'_, [Datum]>> = (groups.keys.iter())
                 .map(|c| batch.logical_column(*c))
                 .collect();
             gids.clear();
-            table.intern(&keys, batch.len(), &mut gids);
-            counts.resize(table.len(), 0);
-            for g in &gids {
-                counts[*g as usize] += 1;
-            }
-            for (acc, a) in accs.iter_mut().zip(&self.aggs) {
-                let Some(identity) = a.func.identity() else {
-                    continue;
-                };
-                acc.resize(table.len(), identity);
-                a.func.fold(acc, &gids, &batch.logical_column(a.column));
-            }
+            groups.table.intern(&keys, batch.len(), &mut gids);
+            groups.fold(&gids, |c| batch.logical_column(c))?;
         }
         ctx.charge_cpu(
-            ctx.charge.agg_cycles_per_row * rows
-                + ctx.charge.agg_cycles_per_group * table.len() as f64,
+            ctx.charge.agg_cycles_per_row * groups.rows as f64
+                + ctx.charge.agg_cycles_per_group * groups.table.len() as f64,
         );
         ctx.phase_break();
-        // Keys are distinct, so an unstable sort has one possible result.
-        let mut order: Vec<u32> = (0..table.len() as u32).collect();
-        order.sort_unstable_by(|a, b| table.key(*a).cmp(table.key(*b)));
-        let mut cols = Vec::with_capacity(self.schema.arity());
-        for k in 0..self.group_by.len() {
-            cols.push(order.iter().map(|g| table.key(*g)[k]).collect());
-        }
-        for (acc, a) in accs.iter().zip(&self.aggs) {
-            let finished = order.iter().map(|g| {
-                let g = *g as usize;
-                // A count keeps no accumulator of its own.
-                a.func.finish(acc.get(g).copied().unwrap_or(0), counts[g])
-            });
-            cols.push(finished.collect());
-        }
-        self.result = Some(Batch::new(self.schema.clone(), cols));
+        self.result = Some(groups.finish(self.schema.clone()));
         Ok(())
     }
 }

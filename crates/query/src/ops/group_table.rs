@@ -13,7 +13,9 @@
 //! packs into an index of a direct map of ids. The map only remembers
 //! what the hash table answered, so a key's first sighting still goes
 //! through the table and ids keep their first-arrival order whichever
-//! path a batch takes.
+//! path a batch takes. A caller may pack other small codes than the key
+//! values (a dictionary's indices) as long as it packs the same codes for
+//! a key every time and decodes a code to its key datum.
 
 use crate::value::Datum;
 use std::borrow::Cow;
@@ -103,9 +105,13 @@ impl GroupTable {
     pub(crate) fn intern(&mut self, cols: &[Cow<'_, [Datum]>], rows: usize, out: &mut Vec<u32>) {
         assert_eq!(cols.len(), self.width, "key width mismatch");
         let cols: Vec<&[Datum]> = cols.iter().map(|c| &c[..rows]).collect();
-        out.reserve(rows);
-        if !self.fit_direct(&cols) {
-            out.extend((0..rows).map(|r| self.intern_row(&cols, r)));
+        // One OR per value sizes a column; a negative value sets the top
+        // bit and so never fits.
+        let needed: Vec<u32> = (cols.iter())
+            .map(|c| 64 - (c.iter().fold(0, |acc, v| acc | v) as u64).leading_zeros())
+            .collect();
+        if !self.fit_direct(&needed) {
+            self.intern_hashed(&cols, rows, out);
             return;
         }
         // Pack each row's key in place, then turn packed keys into ids.
@@ -118,27 +124,23 @@ impl GroupTable {
             }
             shift += bits;
         }
-        for (r, slot) in out[base..].iter_mut().enumerate() {
-            let packed = *slot as usize;
-            if self.direct[packed] == EMPTY {
-                self.direct[packed] = self.intern_row(&cols, r);
-            }
-            *slot = self.direct[packed];
-        }
+        self.resolve(&mut out[base..], |_, v| v as Datum);
     }
 
-    /// Whether every key of `cols` packs into the direct map, widening
-    /// its layout (and forgetting what it held) when a column outgrows
-    /// its bits. One OR per value sizes a column; a negative value sets
-    /// the top bit and so never fits.
-    fn fit_direct(&mut self, cols: &[&[Datum]]) -> bool {
-        let needed = cols.iter().map(|c| {
-            let any = c.iter().fold(0, |acc, v| acc | v) as u64;
-            64 - any.leading_zeros()
-        });
-        let bits: Vec<u32> = needed
-            .zip(&self.direct_bits)
-            .map(|(n, b)| n.max(*b))
+    /// Append to `out` the group of each of the `rows` rows of `cols`,
+    /// every one interned through the hash table.
+    pub(crate) fn intern_hashed(&mut self, cols: &[&[Datum]], rows: usize, out: &mut Vec<u32>) {
+        out.extend((0..rows).map(|r| self.intern_key(|k| cols[k][r])));
+    }
+
+    /// Whether keys whose column `k` needs `needed[k]` bits pack into the
+    /// direct map, widening its layout (and forgetting what it held) when
+    /// a column outgrows its bits. A fitting caller packs column `k` at
+    /// [`Self::direct_bits`]`[k]` bits, column 0 lowest.
+    pub(crate) fn fit_direct(&mut self, needed: &[u32]) -> bool {
+        assert_eq!(needed.len(), self.width, "key width mismatch");
+        let bits: Vec<u32> = (needed.iter().zip(&self.direct_bits))
+            .map(|(n, b)| *n.max(b))
             .collect();
         if bits.iter().sum::<u32>() > DIRECT_BITS {
             return false;
@@ -150,10 +152,51 @@ impl GroupTable {
         true
     }
 
-    /// The group of row `r`'s key, interned through the hash table.
-    fn intern_row(&mut self, cols: &[&[Datum]], r: usize) -> u32 {
-        let h = hash(cols.iter().map(|c| c[r]));
-        let slot = self.probe(h, |g| self.key(g).iter().zip(cols).all(|(k, c)| *k == c[r]));
+    /// The direct map's bits per key column, after [`Self::fit_direct`].
+    pub(crate) fn direct_bits(&self) -> &[u32] {
+        &self.direct_bits
+    }
+
+    /// Turn each packed key of `ids` into its group id. A packed key the
+    /// direct map has not seen is decoded column by column (`decode(k,
+    /// code)`) and interned through the hash table.
+    pub(crate) fn resolve(&mut self, ids: &mut [u32], decode: impl Fn(usize, u64) -> Datum) {
+        // Held apart from `self` while the loop runs, which lets the
+        // compiler keep it in registers across the stores to `ids`.
+        let mut direct = std::mem::take(&mut self.direct);
+        for slot in ids {
+            let packed = *slot as usize;
+            if direct[packed] == EMPTY {
+                direct[packed] = self.intern_packed(packed, &decode);
+            }
+            *slot = direct[packed];
+        }
+        self.direct = direct;
+    }
+
+    /// The group of a packed key the direct map has not seen: decoded
+    /// column by column and interned through the hash table.
+    #[cold]
+    #[inline(never)]
+    fn intern_packed(&mut self, packed: usize, decode: &impl Fn(usize, u64) -> Datum) -> u32 {
+        let mut shift = 0;
+        let key: Vec<Datum> = (self.direct_bits.iter().enumerate())
+            .map(|(k, bits)| {
+                let code = (packed as u64 >> shift) & ((1 << bits) - 1);
+                shift += bits;
+                decode(k, code)
+            })
+            .collect();
+        self.intern_key(|k| key[k])
+    }
+
+    /// The group of the key whose `k`-th datum is `key(k)`, interned
+    /// through the hash table.
+    fn intern_key(&mut self, key: impl Fn(usize) -> Datum) -> u32 {
+        let h = hash((0..self.width).map(&key));
+        let slot = self.probe(h, |g| {
+            self.key(g).iter().enumerate().all(|(k, v)| *v == key(k))
+        });
         if self.slots[slot] != EMPTY {
             return self.slots[slot];
         }
@@ -161,7 +204,7 @@ impl GroupTable {
             .ok()
             .filter(|g| *g != EMPTY)
             .expect("group ids fit u32");
-        self.keys.extend(cols.iter().map(|c| c[r]));
+        self.keys.extend((0..self.width).map(&key));
         self.groups += 1;
         self.slots[slot] = g;
         if self.groups * 2 > self.slots.len() {

@@ -12,17 +12,23 @@
 //! ranges, the scan tests the ranges on the encoded columns window by
 //! window and decodes only the surviving rows of its projection. That
 //! saves host time only: it charges exactly what a [`Filter`] over a
-//! fully decoding scan charges, call for call.
+//! fully decoding scan charges, call for call. [`ColumnarScan::aggregated`]
+//! goes one step further for a [`HashAggregate`] over such a scan: it
+//! folds each window's survivors from their stored codes and decodes
+//! nothing but a new group's key, charging what the two operators charge.
 
 use crate::batch::{Batch, Table, BATCH_ROWS};
 use crate::exec::{ExecContext, Operator, QueryError};
 use crate::expr::Expr;
+use crate::ops::agg::{AggSpec, Groups, HashAggregate, Values};
 use crate::ops::filter::Filter;
+use crate::ops::group_table::GroupTable;
 use crate::schema::Schema;
+use crate::value::Datum;
 use grail_power::units::Bytes;
 use grail_sim::perf::AccessPattern;
 use grail_sim::StorageTarget;
-use grail_storage::column::{ColumnSegment, SegmentReader};
+use grail_storage::column::{Codebook, ColumnSegment, SegmentReader};
 use grail_storage::compress::{self, Encoding};
 use grail_storage::error::StorageError;
 use std::ops::Range;
@@ -150,23 +156,60 @@ impl ColumnarScan {
         projection: Vec<usize>,
         predicate: Expr,
     ) -> Box<dyn Operator> {
-        let arity = projection.len();
-        match predicate.column_ranges() {
-            Some(ranges) if ranges.iter().all(|r| r.0 < arity) => {
-                let mut scan = ColumnarScan::new(stored, projection);
-                scan.pushed = Some(Pushdown {
-                    ranges,
-                    terms: predicate.cost_terms(),
-                    readers: Vec::new(),
-                    shared: None,
-                });
-                Box::new(scan)
-            }
-            _ => Box::new(Filter::new(
+        match ColumnarScan::pushed(&stored, &projection, &predicate) {
+            Some(scan) => Box::new(scan),
+            None => Box::new(Filter::new(
                 Box::new(ColumnarScan::new(stored, projection)),
                 predicate,
             )),
         }
+    }
+
+    /// A [`HashAggregate`] of the rows [`Self::filtered`] returns.
+    ///
+    /// When that scan tests the predicate on the encoded columns, this is
+    /// one operator that selects each window's survivors as the scan does
+    /// and folds them straight from the segment readers: group ids from
+    /// the key columns' codes, aggregates from each value where it is
+    /// stored, no survivor column and no batch. It makes the calls the
+    /// `HashAggregate` over the scan makes, in order, so every tally,
+    /// phase and row is theirs. Any other predicate gets that
+    /// `HashAggregate`.
+    pub fn aggregated(
+        stored: Arc<StoredTable>,
+        projection: Vec<usize>,
+        predicate: Expr,
+        group_by: Vec<usize>,
+        aggs: Vec<AggSpec>,
+    ) -> Box<dyn Operator> {
+        match ColumnarScan::pushed(&stored, &projection, &predicate) {
+            Some(scan) => Box::new(HashAggregate::over_scan(scan, group_by, aggs)),
+            None => {
+                let input = ColumnarScan::filtered(stored, projection, predicate);
+                Box::new(HashAggregate::new(input, group_by, aggs))
+            }
+        }
+    }
+
+    /// The scan that tests `predicate` on the encoded columns, when it is
+    /// per-column ranges over the projection.
+    fn pushed(
+        stored: &Arc<StoredTable>,
+        projection: &[usize],
+        predicate: &Expr,
+    ) -> Option<ColumnarScan> {
+        let ranges = predicate.column_ranges()?;
+        if ranges.iter().any(|r| r.0 >= projection.len()) {
+            return None;
+        }
+        let mut scan = ColumnarScan::new(stored.clone(), projection.to_vec());
+        scan.pushed = Some(Pushdown {
+            ranges,
+            terms: predicate.cost_terms(),
+            readers: Vec::new(),
+            shared: None,
+        });
+        Some(scan)
     }
 
     /// The first pull's work, however the scan then decodes: check the
@@ -242,43 +285,54 @@ impl ColumnarScan {
         Ok(self.advance(total))
     }
 
-    fn next_filtered(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
+    /// Fill `sel` with the survivors of the next window that has any,
+    /// pulling windows as a `Filter` pulls its scan; `false` at the end.
+    fn next_survivors(
+        &mut self,
+        ctx: &mut ExecContext,
+        sel: &mut Vec<u32>,
+    ) -> Result<bool, QueryError> {
         loop {
             let op = ctx.begin_op("scan");
             let window = self.next_window(ctx);
             ctx.end_op(op);
             let Some(rows) = window? else {
-                return Ok(None);
+                return Ok(false);
             };
             let pushed = self.pushed.as_mut().expect("a filtered scan");
             ctx.charge_cpu(
                 ctx.charge.expr_cycles_per_term * pushed.terms as f64 * rows.len() as f64,
             );
-            if let Some(batch) = pushed.survivors(&self.schema, rows)? {
-                return Ok(Some(batch));
+            pushed.select(rows, sel)?;
+            if !sel.is_empty() {
+                return Ok(true);
             }
         }
+    }
+
+    fn next_filtered(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
+        let mut sel = Vec::new();
+        if !self.next_survivors(ctx, &mut sel)? {
+            return Ok(None);
+        }
+        let pushed = self.pushed.as_mut().expect("a filtered scan");
+        Ok(Some(pushed.survivors(&self.schema, sel)?))
     }
 }
 
 impl Pushdown {
-    /// The rows of window `rows` inside every range, as a batch of the
-    /// projection; `None` when no row survives.
-    fn survivors(
-        &mut self,
-        schema: &Arc<Schema>,
-        rows: Range<usize>,
-    ) -> Result<Option<Batch>, StorageError> {
-        let mut sel = Vec::with_capacity(rows.len());
+    /// Replace `sel` with the rows of window `rows` inside every range.
+    fn select(&mut self, rows: Range<usize>, sel: &mut Vec<u32>) -> Result<(), StorageError> {
+        sel.clear();
         let mut vals = Vec::new();
         let (&(first, lo, hi), rest) = self.ranges.split_first().expect("at least one range");
-        self.readers[first].select_range(rows, lo, hi, &mut sel)?;
+        self.readers[first].select_range(rows, lo, hi, sel)?;
         for &(col, lo, hi) in rest {
             if sel.is_empty() {
                 break;
             }
             vals.clear();
-            self.readers[col].gather(&sel, &mut vals)?;
+            self.readers[col].gather(sel, &mut vals)?;
             let mut kept = 0;
             for (j, v) in vals.iter().enumerate() {
                 sel[kept] = sel[j];
@@ -286,15 +340,13 @@ impl Pushdown {
             }
             sel.truncate(kept);
         }
-        if sel.is_empty() {
-            return Ok(None);
-        }
+        Ok(())
+    }
+
+    /// The survivors `sel` as a batch of the projection.
+    fn survivors(&mut self, schema: &Arc<Schema>, sel: Vec<u32>) -> Result<Batch, StorageError> {
         if let Some(cols) = &self.shared {
-            return Ok(Some(Batch::from_selection(
-                schema.clone(),
-                cols.clone(),
-                sel,
-            )));
+            return Ok(Batch::from_selection(schema.clone(), cols.clone(), sel));
         }
         let cols = self
             .readers
@@ -304,7 +356,97 @@ impl Pushdown {
                 reader.gather(&sel, &mut col).map(|()| col)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Some(Batch::new(schema.clone(), cols)))
+        Ok(Batch::new(schema.clone(), cols))
+    }
+}
+
+/// A reader's column at the survivors `sel`, handed over as stored codes.
+impl Values for (&SegmentReader, &[u32]) {
+    fn each(self, mut sink: impl FnMut(usize, &[i64], Codebook<'_>)) -> Result<(), QueryError> {
+        let (reader, sel) = self;
+        let book = reader.codebook();
+        Ok(reader.codes(sel, |at, codes| sink(at, codes, book))?)
+    }
+}
+
+impl ColumnarScan {
+    /// Fold the survivors of the next window that has any into `groups`,
+    /// pulled as a `HashAggregate` pulls a filtered scan; `false` at the
+    /// end. `gids` is scratch.
+    pub(crate) fn fold_window(
+        &mut self,
+        ctx: &mut ExecContext,
+        groups: &mut Groups,
+        gids: &mut Vec<u32>,
+    ) -> Result<bool, QueryError> {
+        let mut sel = Vec::new();
+        let op = ctx.begin_op("filter");
+        let found = self.next_survivors(ctx, &mut sel);
+        ctx.end_op(op);
+        if !found? {
+            return Ok(false);
+        }
+        let readers = &self.pushed.as_ref().expect("a filtered scan").readers;
+        let keys = &groups.keys;
+        ColumnarScan::group_ids(readers, &sel, &mut groups.table, keys, gids)?;
+        groups.fold(gids, |c| (&readers[c], sel.as_slice()))?;
+        Ok(true)
+    }
+
+    /// Fill `gids` with the groups of the survivors `sel`: their key codes
+    /// packed into the direct map when they fit, else their decoded keys
+    /// hashed.
+    fn group_ids(
+        readers: &[SegmentReader],
+        sel: &[u32],
+        table: &mut GroupTable,
+        keys: &[usize],
+        gids: &mut Vec<u32>,
+    ) -> Result<(), QueryError> {
+        // Bits per key code: a dictionary index is below the entry count,
+        // a residual as wide as its frame; a value is sized by ORing the
+        // codes as they are packed, and packed again if it outgrew the
+        // layout.
+        let books: Vec<Codebook<'_>> = keys.iter().map(|k| readers[*k].codebook()).collect();
+        let mut needed: Vec<u32> = (books.iter())
+            .map(|book| match book {
+                Codebook::Entries(e) => usize::BITS - e.len().saturating_sub(1).leading_zeros(),
+                Codebook::Frame { bits, .. } => *bits,
+                Codebook::Values => 0,
+            })
+            .collect();
+        while table.fit_direct(&needed) {
+            gids.clear();
+            gids.resize(sel.len(), 0);
+            let ids = &mut gids[..sel.len()];
+            let (mut shift, mut fits) = (0, true);
+            for ((k, bits), need) in keys.iter().zip(table.direct_bits()).zip(&mut needed) {
+                let mut any = 0;
+                readers[*k].codes(sel, |at, codes| {
+                    for (id, c) in ids[at..at + codes.len()].iter_mut().zip(codes) {
+                        any |= *c as u64;
+                        *id |= (*c as u32) << shift;
+                    }
+                })?;
+                *need = (*need).max(64 - any.leading_zeros());
+                fits &= *need <= *bits;
+                shift += bits;
+            }
+            if fits {
+                table.resolve(gids, |k, code| books[k].value(code as i64));
+                return Ok(());
+            }
+        }
+        let mut cols: Vec<Vec<Datum>> = vec![Vec::with_capacity(sel.len()); keys.len()];
+        for ((col, k), book) in cols.iter_mut().zip(keys).zip(&books) {
+            readers[*k].codes(sel, |_, codes| {
+                col.extend(codes.iter().map(|c| book.value(*c)))
+            })?;
+        }
+        let cols: Vec<&[Datum]> = cols.iter().map(Vec::as_slice).collect();
+        gids.clear();
+        table.intern_hashed(&cols, sel.len(), gids);
+        Ok(())
     }
 }
 

@@ -15,7 +15,9 @@
 //! `ColumnarScan::filtered`, which tests range predicates on encoded
 //! columns and decodes only the survivors, is compared the same way with
 //! the `Filter` over a fully decoding `ColumnarScan` it replaces, on
-//! stored tables under every encoding.
+//! stored tables under every encoding; `ColumnarScan::aggregated`, which
+//! folds those survivors from their stored codes, with the
+//! `HashAggregate` over `ColumnarScan::filtered` it replaces.
 //!
 //! The join cases also run the operators no template executes but
 //! EXT-OPT prices — `NestedLoopJoin`, `IndexNlJoin`, `IndexRangeScan` —
@@ -624,6 +626,206 @@ fn filtered_scan_matches_filter_over_a_decoding_scan() {
     assert!(
         pushed > 400 && windows > 300 && kept_some > 150 && failed > 20,
         "coverage: {pushed} pushed down, {windows} multi-window, {kept_some} partial, {failed} failed"
+    );
+}
+
+/// `ColumnarScan::aggregated` against the composition it replaces,
+/// `HashAggregate` over `ColumnarScan::filtered`, on stored tables under
+/// every encoding: lengths at and around one to three `BATCH_ROWS`
+/// windows, columns that hold each window's index (so a predicate can
+/// empty whole windows), zero to two group keys that pack or hash, every
+/// `AggFunc`, predicates that keep everything, nothing or some rows, ones
+/// that do not qualify, and bad projection, group and aggregate columns.
+/// Equal means every batch's values, the error, every `OpTally` and every
+/// phase; a plan error charges nothing.
+#[test]
+fn aggregated_scan_matches_hash_aggregate_over_the_filtered_scan() {
+    const FUNCS: [AggFunc; 5] = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+    ];
+    let ops: [fn(Expr, Expr) -> Expr; 4] = [Expr::eq, Expr::lt, Expr::le, Expr::gt];
+    let (mut pushed, mut windows, mut emptied, mut all, mut none) = (0, 0, 0, 0, 0);
+    let (mut packed, mut hashed, mut failed, mut two_books) = (0, 0, 0, 0);
+    // Counts every input drawn, the shrinking re-runs included.
+    let mut draw = 0;
+    grail_prop::check(768, |rng| {
+        draw += 1;
+        let arity = 1 + rng.range(0..4);
+        let rows = match rng.range(0..2) {
+            0 => rng.range(0..300),
+            _ => (rng.range(1..4) * BATCH_ROWS + rng.range(0..3)).saturating_sub(1),
+        };
+        let domains: Vec<Option<Domain>> = (0..arity)
+            .map(|_| (!rng.one_in(3)).then(|| Domain::pick(rng)))
+            .collect();
+        let columns: Vec<Vec<Datum>> = (domains.iter())
+            .map(|domain| {
+                let Some(domain) = domain else {
+                    // The window's index: an equality keeps whole windows.
+                    return (0..rows).map(|r| (r / BATCH_ROWS) as Datum).collect();
+                };
+                let run = if rng.one_in(3) {
+                    1 + rng.range(0..40)
+                } else {
+                    1
+                };
+                let mut col = Vec::with_capacity(rows);
+                while col.len() < rows {
+                    let v = domain.draw(rng);
+                    col.extend(std::iter::repeat_n(v, run.min(rows - col.len())));
+                }
+                col
+            })
+            .collect();
+        // Every encoding, dictionaries twice as often: their codes are
+        // indices, which only their own entries decode.
+        let encodings: Vec<Encoding> = (0..arity)
+            .map(|_| {
+                rng.pick(&[
+                    Encoding::Dict,
+                    Encoding::Dict,
+                    Encoding::Plain,
+                    Encoding::Rle,
+                    Encoding::BitPack,
+                    Encoding::Delta,
+                ])
+            })
+            .collect();
+        let table = Arc::new(Table::new("t", schema_of(arity), columns.clone()));
+        let stored = Arc::new(StoredTable::columnar(
+            table,
+            StorageTarget::Disk(DiskId(2)),
+            &encodings,
+        ));
+        // Mostly distinct columns, so that keys meet different codebooks.
+        let first = rng.range(0..arity);
+        let projection: Vec<usize> = (0..1 + rng.range(0..4))
+            .map(|i| match rng.one_in(4) {
+                true => column(rng, arity),
+                false => (first + i) % arity,
+            })
+            .collect();
+        let width = projection.len();
+        let valid = |col: usize| projection[col] < arity && rows > 0;
+        let mut predicate: Option<Expr> = None;
+        for _ in 0..1 + rng.range(0..2) {
+            let col = rng.range(0..width);
+            let v = match (rng.range(0..4), valid(col)) {
+                (0, _) => [i64::MIN, i64::MAX][rng.range(0..2)],
+                (1, true) => columns[projection[col]][rng.range(0..rows)],
+                (2, true) => columns[projection[col]][rng.range(0..rows)].saturating_add(1),
+                _ => domains[projection[col].min(arity - 1)]
+                    .unwrap_or(Domain::Small(3))
+                    .draw(rng),
+            };
+            let op = ops[rng.range(0..4)];
+            let term = match rng.range(0..2) {
+                0 => op(Expr::Col(col), Expr::Lit(v)),
+                _ => op(Expr::Lit(v), Expr::Col(col)),
+            };
+            predicate = Some(match predicate {
+                Some(p) => Expr::and(p, term),
+                None => term,
+            });
+        }
+        let mut predicate = predicate.expect("at least one term");
+        // Keep one window of a window-index column, now and then.
+        let index_at = (0..width).find(|c| valid(*c) && domains[projection[*c]].is_none());
+        if let Some(c) = index_at.filter(|_| rng.bool()) {
+            let window = rng.range(0..rows.div_ceil(BATCH_ROWS)) as Datum;
+            let term = Expr::eq(Expr::Col(c), Expr::Lit(window));
+            predicate = match rng.one_in(3) {
+                true => Expr::and(term, predicate),
+                false => term,
+            };
+        }
+        if rng.one_in(10) {
+            predicate = Expr::or(predicate, Expr::eq(Expr::Col(0), Expr::Lit(0)));
+        }
+        let key = column(rng, width);
+        let group_by: Vec<usize> = (0..rng.pick(&[0, 1, 2, 2]))
+            .map(|i| match rng.one_in(4) {
+                true => column(rng, width),
+                false => (key + i) % width.max(1),
+            })
+            .collect();
+        let aggs: Vec<AggSpec> = (0..rng.range(0..5))
+            .map(|_| AggSpec::new(rng.pick(&FUNCS), column(rng, width), "a"))
+            .collect();
+        let mut fused = ColumnarScan::aggregated(
+            stored.clone(),
+            projection.clone(),
+            predicate.clone(),
+            group_by.clone(),
+            aggs.clone(),
+        );
+        let got = drive_dyn(fused.as_mut());
+        let filtered = ColumnarScan::filtered(stored, projection.clone(), predicate.clone());
+        let want = drive(HashAggregate::new(filtered, group_by.clone(), aggs.clone()));
+        assert_eq!(
+            got, want,
+            "draw {draw}: {encodings:?} {projection:?} {predicate:?} by {group_by:?} {aggs:?}"
+        );
+        if let Some(QueryError::UnknownColumn(_)) = got.error {
+            assert!(got.phases.is_empty(), "draw {draw}: a plan error charged");
+            assert!(got.tallies.iter().all(|t| t.cpu == Cycles::ZERO));
+        }
+        let ranges = predicate.column_ranges();
+        let qualifies = ranges
+            .as_ref()
+            .is_some_and(|r| r.iter().all(|r| r.0 < width));
+        if got.error.is_none() && !got.rows().is_empty() && qualifies {
+            assert_billed(&got, "HashAggregate", draw);
+            assert_billed(&got, "ColumnarScan", draw);
+            assert_billed(&got, "Filter", draw);
+        }
+        pushed += qualifies as u32;
+        windows += (rows > BATCH_ROWS) as u32;
+        failed += got.error.is_some() as u32;
+        let (Some(ranges), true, None) = (ranges, qualifies, &got.error) else {
+            return;
+        };
+        // Which rows survive, window by window.
+        let kept: Vec<usize> = (0..rows.div_ceil(BATCH_ROWS))
+            .map(|w| {
+                let window = w * BATCH_ROWS..rows.min((w + 1) * BATCH_ROWS);
+                let inside = |r: usize| {
+                    let value = |c: usize| columns[projection[c]][r];
+                    ranges
+                        .iter()
+                        .all(|(c, lo, hi)| (lo..=hi).contains(&&value(*c)))
+                };
+                window.filter(|r| inside(*r)).count()
+            })
+            .collect();
+        let survivors: usize = kept.iter().sum();
+        emptied += (kept.contains(&0) && survivors > 0) as u32;
+        all += (rows > 0 && survivors == rows) as u32;
+        none += (rows > 0 && survivors == 0) as u32;
+        if !group_by.is_empty() && survivors > 0 {
+            let wide = group_by.iter().any(|k| {
+                let col = &columns[projection[*k]];
+                col.iter().any(|v| !(0..1 << 12).contains(v))
+            });
+            hashed += wide as u32;
+            packed += !wide as u32;
+            // Two packed keys, one a dictionary's index and one not.
+            let dict = |k: &usize| encodings[projection[*k]] == Encoding::Dict;
+            two_books += (!wide && group_by.iter().any(dict) && !group_by.iter().all(dict)) as u32;
+        }
+    });
+    assert!(
+        pushed > 600 && windows > 200 && emptied > 50 && all > 70 && none > 150 && failed > 50,
+        "coverage: {pushed} pushed down, {windows} multi-window, {emptied} emptied a window, \
+         {all} kept all, {none} kept none, {failed} failed"
+    );
+    assert!(
+        packed > 140 && hashed > 60 && two_books > 10,
+        "coverage: {packed} packed and {hashed} hashed keys, {two_books} through two codebooks"
     );
 }
 

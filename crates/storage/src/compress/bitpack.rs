@@ -72,8 +72,8 @@ pub(crate) struct Packed {
     data: usize,
     /// Values in the block.
     pub(crate) count: usize,
-    min: i64,
-    width: u32,
+    pub(crate) min: i64,
+    pub(crate) width: u32,
 }
 
 impl Packed {
@@ -176,27 +176,29 @@ impl Packed {
         v & mask(self.width)
     }
 
-    /// Append `map(residual)` of each of `positions` (strictly
-    /// ascending) to `out`, each read where it lies: one unaligned load,
-    /// or [`Self::residual_at`] near the end of the data.
+    /// Write `map(residual)` of each of `positions` (strictly ascending)
+    /// into `out`, each read where it lies: one unaligned load, or
+    /// [`Self::residual_at`] near the end of the data.
     #[inline]
-    pub(crate) fn pick<T>(
+    pub(crate) fn fill<T>(
         &self,
         bytes: &[u8],
         positions: &[u32],
-        out: &mut Vec<T>,
+        out: &mut [T],
         map: impl Fn(u64) -> T,
     ) {
-        let data = &bytes[self.data..];
-        let loaded = self.loaded_rows(data);
+        // A copy, so that the stores to `out` cannot make the header reload.
+        let packed = *self;
+        let data = &bytes[packed.data..];
+        let loaded = packed.loaded_rows(data);
         let split = positions.partition_point(|p| (*p as usize) < loaded);
-        let (head, tail) = positions.split_at(split);
-        out.reserve(positions.len());
-        out.extend(head.iter().map(|p| map(self.load(data, *p as usize))));
-        out.extend(
-            tail.iter()
-                .map(|p| map(self.residual_at(bytes, *p as usize))),
-        );
+        let (head, tail) = out.split_at_mut(split);
+        for (r, p) in head.iter_mut().zip(&positions[..split]) {
+            *r = map(packed.load(data, *p as usize));
+        }
+        for (r, p) in tail.iter_mut().zip(&positions[split..]) {
+            *r = map(packed.residual_at(bytes, *p as usize));
+        }
     }
 
     /// Append the rows of `rows` whose value lies in `[lo, hi]`,

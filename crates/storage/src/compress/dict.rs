@@ -93,22 +93,17 @@ impl Dict {
         })
     }
 
-    /// Check that every code residual names an entry: one maximum when
-    /// they all do, else the error of the first row that does not.
+    /// Check that every code residual names an entry: one pass when they
+    /// all do, else the error of the first that does not.
     fn check(&self, codes: impl Iterator<Item = u64> + Clone) -> Result<(), StorageError> {
-        let Some(max) = codes.clone().max() else {
-            return Ok(());
-        };
-        let first = self.codes.value(0) as i128;
-        if first >= 0 && first + (max as i128) < self.entries.len() as i128 {
+        // A negative index is a huge `u64`: one comparison checks both ends.
+        let (first, len) = (self.codes.min, self.entries.len() as u64);
+        let names = |r: u64| (first.wrapping_add(r as i64) as u64) < len;
+        if codes.clone().fold(true, |ok, r| ok & names(r)) {
             return Ok(());
         }
-        for c in codes {
-            if self.entry(c).is_none() {
-                return Err(self.code_error(c));
-            }
-        }
-        Ok(())
+        let bad = codes.clone().find(|r| !names(*r)).expect("a corrupt code");
+        Err(self.code_error(bad))
     }
 
     /// The entry a code residual names, if it names one.
@@ -116,6 +111,11 @@ impl Dict {
     fn entry(&self, code: u64) -> Option<i64> {
         let index = usize::try_from(self.codes.value(code)).ok()?;
         self.entries.get(index).copied()
+    }
+
+    /// The dictionary's entries, in first-appearance order.
+    pub(crate) fn entries(&self) -> &[i64] {
+        &self.entries
     }
 
     /// The entry a code residual names; a corrupt code reads 0 and, when
@@ -175,24 +175,20 @@ impl Dict {
         Ok(())
     }
 
-    /// Append the values of `positions` (strictly ascending), each code
-    /// mapped through the dictionary as it is read. A corrupt code
-    /// appends nothing and is the error of the first such position.
-    pub(crate) fn gather(
+    /// Write the entry index of each of `positions` (strictly ascending)
+    /// into `out`. A corrupt code is the error of the first such
+    /// position.
+    #[inline]
+    pub(crate) fn indices(
         &self,
         bytes: &[u8],
         positions: &[u32],
-        out: &mut Vec<i64>,
+        out: &mut [i64],
     ) -> Result<(), StorageError> {
-        let base = out.len();
-        let corrupt = Cell::new(None);
+        let first = self.codes.min;
         self.codes
-            .pick(bytes, positions, out, |r| self.lookup(r, &corrupt));
-        let Some(bad) = corrupt.get() else {
-            return Ok(());
-        };
-        out.truncate(base);
-        Err(self.code_error(bad))
+            .fill(bytes, positions, out, |r| first.wrapping_add(r as i64));
+        self.check(out.iter().map(|i| i.wrapping_sub(first) as u64))
     }
 }
 
@@ -239,6 +235,11 @@ mod tests {
         write_i64(&mut bad, 42);
         bad.extend_from_slice(&bitpack::encode(&[5i64]));
         assert!(decode(&bad).is_err());
+        let dict = Dict::parse(&bad).expect("the header is whole");
+        assert_eq!(
+            dict.indices(&bad, &[0], &mut [0]),
+            Err(StorageError::CorruptSegment("dict code out of range"))
+        );
     }
 
     #[test]
@@ -279,7 +280,7 @@ mod tests {
         out
     }
 
-    /// `unpack`, `pick` and `gather` from each of the last 128 rows (the
+    /// `unpack`, `fill` and `indices` from each of the last 128 rows (the
     /// 8-byte loads run out up to 119 rows before the end) read what
     /// `residual_at` reads row by row, at every width.
     #[test]
@@ -301,17 +302,19 @@ mod tests {
                     let positions: Vec<u32> =
                         (start as u32..n as u32).step_by(1 + start % 3).collect();
                     let at = |i: &u32| *i as usize;
-                    let mut picked = Vec::new();
-                    p.pick(&bytes, &positions, &mut picked, |r| r);
+                    let mut picked = vec![0; positions.len()];
+                    p.fill(&bytes, &positions, &mut picked, |r| r);
                     assert_eq!(
                         picked,
                         positions.iter().map(|i| truth[at(i)]).collect::<Vec<_>>()
                     );
-                    let mut gathered = Vec::new();
-                    dict.gather(&bytes, &positions, &mut gathered)
-                        .expect("valid");
                     let want: Vec<i64> = positions.iter().map(|i| values[at(i)]).collect();
-                    assert_eq!(gathered, want, "width {width}, from {start}");
+                    let mut indices = vec![0; positions.len()];
+                    dict.indices(&bytes, &positions, &mut indices)
+                        .expect("valid");
+                    let looked_up: Vec<i64> =
+                        indices.iter().map(|c| entries[*c as usize]).collect();
+                    assert_eq!(looked_up, want, "width {width}, from {start}");
                 }
             }
         }

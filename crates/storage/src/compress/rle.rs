@@ -120,25 +120,25 @@ impl Runs {
         }
     }
 
-    /// Append the values of `positions` (ascending, each `< count`). The
-    /// cursor stays at the first position's run.
-    pub(crate) fn gather(
+    /// Call `each(i, value)` for the `i`-th of `positions` (ascending,
+    /// each `< count`). The cursor stays at the first position's run.
+    #[inline]
+    pub(crate) fn visit(
         &mut self,
         bytes: &[u8],
         positions: &[u32],
-        out: &mut Vec<i64>,
+        mut each: impl FnMut(usize, i64),
     ) -> Result<(), StorageError> {
         let Some(first) = positions.first() else {
             return Ok(());
         };
         self.seek(bytes, *first as usize)?;
         let mut run = *self;
-        out.reserve(positions.len());
-        for p in positions {
+        for (i, p) in positions.iter().enumerate() {
             while run.end <= *p as usize {
                 run.step(bytes)?;
             }
-            out.push(run.value);
+            each(i, run.value);
         }
         Ok(())
     }

@@ -128,13 +128,10 @@ impl QueryTemplate {
                 //        avg(discount), count(*)
                 // FROM lineitem WHERE shipdate <= cutoff
                 // GROUP BY returnflag, linestatus
-                let filtered = ColumnarScan::filtered(
+                ColumnarScan::aggregated(
                     catalog.lineitem.clone(),
                     vec![3, 4, 5, 7, 8, 9], // qty, price, disc, rflag, lstatus, shipdate
                     Expr::le(Expr::Col(5), Expr::Lit(DATE_DAYS - 90)),
-                );
-                Box::new(HashAggregate::new(
-                    filtered,
                     vec![3, 4],
                     vec![
                         AggSpec::new(AggFunc::Sum, 0, "sum_qty"),
@@ -142,13 +139,13 @@ impl QueryTemplate {
                         AggSpec::new(AggFunc::Avg, 2, "avg_disc"),
                         AggSpec::new(AggFunc::Count, 0, "count"),
                     ],
-                ))
+                )
             }
             QueryTemplate::RevenueForecast => {
                 // SELECT sum(price * discount) FROM lineitem
                 // WHERE shipdate in year AND discount in 4..=6
                 //   AND quantity < 24
-                let filtered = ColumnarScan::filtered(
+                ColumnarScan::aggregated(
                     catalog.lineitem.clone(),
                     vec![3, 4, 5, 9], // qty, price, disc, shipdate
                     Expr::and(
@@ -164,12 +161,9 @@ impl QueryTemplate {
                             Expr::lt(Expr::Col(0), Expr::Lit(24)),
                         ),
                     ),
-                );
-                Box::new(HashAggregate::new(
-                    filtered,
                     vec![],
                     vec![AggSpec::new(AggFunc::Sum, 1, "revenue")],
-                ))
+                )
             }
             QueryTemplate::SegmentRevenue => {
                 // SELECT mktsegment, sum(totalprice), count(*)
