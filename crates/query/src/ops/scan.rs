@@ -167,11 +167,11 @@ impl ColumnarScan {
 
     /// A [`HashAggregate`] of the rows [`Self::filtered`] returns.
     ///
-    /// When that scan tests the predicate on the encoded columns, this is
-    /// one operator that selects each window's survivors as the scan does
-    /// and folds them straight from the segment readers: group ids from
-    /// the key columns' codes, aggregates from each value where it is
-    /// stored, no survivor column and no batch. It makes the calls the
+    /// When that scan tests the predicate on the encoded columns, the
+    /// aggregate reads it without a batch: it selects each window's
+    /// survivors as the scan does and folds them straight from the segment
+    /// readers, group ids from the key columns' codes and aggregates from
+    /// each value where it is stored. It makes the calls the
     /// `HashAggregate` over the scan makes, in order, so every tally,
     /// phase and row is theirs. Any other predicate gets that
     /// `HashAggregate`.
@@ -318,58 +318,7 @@ impl ColumnarScan {
         let pushed = self.pushed.as_mut().expect("a filtered scan");
         Ok(Some(pushed.survivors(&self.schema, sel)?))
     }
-}
 
-impl Pushdown {
-    /// Replace `sel` with the rows of window `rows` inside every range.
-    fn select(&mut self, rows: Range<usize>, sel: &mut Vec<u32>) -> Result<(), StorageError> {
-        sel.clear();
-        let mut vals = Vec::new();
-        let (&(first, lo, hi), rest) = self.ranges.split_first().expect("at least one range");
-        self.readers[first].select_range(rows, lo, hi, sel)?;
-        for &(col, lo, hi) in rest {
-            if sel.is_empty() {
-                break;
-            }
-            vals.clear();
-            self.readers[col].gather(sel, &mut vals)?;
-            let mut kept = 0;
-            for (j, v) in vals.iter().enumerate() {
-                sel[kept] = sel[j];
-                kept += (lo <= *v && *v <= hi) as usize;
-            }
-            sel.truncate(kept);
-        }
-        Ok(())
-    }
-
-    /// The survivors `sel` as a batch of the projection.
-    fn survivors(&mut self, schema: &Arc<Schema>, sel: Vec<u32>) -> Result<Batch, StorageError> {
-        if let Some(cols) = &self.shared {
-            return Ok(Batch::from_selection(schema.clone(), cols.clone(), sel));
-        }
-        let cols = self
-            .readers
-            .iter_mut()
-            .map(|reader| {
-                let mut col = Vec::with_capacity(sel.len());
-                reader.gather(&sel, &mut col).map(|()| col)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Batch::new(schema.clone(), cols))
-    }
-}
-
-/// A reader's column at the survivors `sel`, handed over as stored codes.
-impl Values for (&SegmentReader, &[u32]) {
-    fn each(self, mut sink: impl FnMut(usize, &[i64], Codebook<'_>)) -> Result<(), QueryError> {
-        let (reader, sel) = self;
-        let book = reader.codebook();
-        Ok(reader.codes(sel, |at, codes| sink(at, codes, book))?)
-    }
-}
-
-impl ColumnarScan {
     /// Fold the survivors of the next window that has any into `groups`,
     /// pulled as a `HashAggregate` pulls a filtered scan; `false` at the
     /// end. `gids` is scratch.
@@ -447,6 +396,55 @@ impl ColumnarScan {
         gids.clear();
         table.intern_hashed(&cols, sel.len(), gids);
         Ok(())
+    }
+}
+
+impl Pushdown {
+    /// Replace `sel` with the rows of window `rows` inside every range.
+    fn select(&mut self, rows: Range<usize>, sel: &mut Vec<u32>) -> Result<(), StorageError> {
+        sel.clear();
+        let mut vals = Vec::new();
+        let (&(first, lo, hi), rest) = self.ranges.split_first().expect("at least one range");
+        self.readers[first].select_range(rows, lo, hi, sel)?;
+        for &(col, lo, hi) in rest {
+            if sel.is_empty() {
+                break;
+            }
+            vals.clear();
+            self.readers[col].gather(sel, &mut vals)?;
+            let mut kept = 0;
+            for (j, v) in vals.iter().enumerate() {
+                sel[kept] = sel[j];
+                kept += (lo <= *v && *v <= hi) as usize;
+            }
+            sel.truncate(kept);
+        }
+        Ok(())
+    }
+
+    /// The survivors `sel` as a batch of the projection.
+    fn survivors(&mut self, schema: &Arc<Schema>, sel: Vec<u32>) -> Result<Batch, StorageError> {
+        if let Some(cols) = &self.shared {
+            return Ok(Batch::from_selection(schema.clone(), cols.clone(), sel));
+        }
+        let cols = self
+            .readers
+            .iter_mut()
+            .map(|reader| {
+                let mut col = Vec::with_capacity(sel.len());
+                reader.gather(&sel, &mut col).map(|()| col)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Batch::new(schema.clone(), cols))
+    }
+}
+
+/// A reader's column at the survivors `sel`, handed over as stored codes.
+impl Values for (&SegmentReader, &[u32]) {
+    fn each(self, mut sink: impl FnMut(usize, &[i64], Codebook<'_>)) -> Result<(), QueryError> {
+        let (reader, sel) = self;
+        let book = reader.codebook();
+        Ok(reader.codes(sel, |at, codes| sink(at, codes, book))?)
     }
 }
 
