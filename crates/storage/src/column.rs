@@ -5,7 +5,7 @@
 //! is an independently encoded segment, so a 5-of-7-column projection
 //! moves only those five columns' bytes. A [`SegmentReader`] answers a
 //! range predicate on the encoded form and decodes only the rows asked
-//! for.
+//! for, or hands out their stored codes undecoded.
 
 use crate::compress::bitpack::{append_hits, Packed};
 use crate::compress::dict::Dict;
@@ -218,11 +218,10 @@ impl SegmentReader {
     }
 
     /// Hand `each(i, codes)` the stored codes of `positions[i..]`
-    /// (strictly ascending), read in place 1 024 at a time into a
-    /// scratch `each` may overwrite, for a caller that folds rows without
-    /// decoding them. Dictionary codes are
-    /// checked against the entries: a corrupt one is the error of the
-    /// first position that holds one.
+    /// (strictly ascending), read in place 1 024 at a time into a scratch
+    /// `each` may overwrite, for a caller that folds rows without
+    /// decoding them. Dictionary codes are checked against the entries: a
+    /// corrupt one is the error of the first position that holds one.
     ///
     /// # Panics
     /// Panics when a position lies past the segment's end.
