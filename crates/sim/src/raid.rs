@@ -67,20 +67,10 @@ impl RaidSpec {
     /// spread over all spindles, each moving `bytes / data_width` of
     /// useful data (RAID-5 spindles interleave parity they skip).
     ///
-    /// Returns one entry per member disk. The first disk absorbs the
+    /// Yields one entry per member disk. The first disk absorbs the
     /// remainder so shares always sum to at least `bytes`.
-    pub fn read_shares(&self, bytes: Bytes) -> Vec<(DiskId, Bytes)> {
-        let n = self.data_width() as u64;
-        let per = bytes.get() / n;
-        let rem = bytes.get() - per * n;
-        self.disks
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let share = if i == 0 { per + rem } else { per };
-                (*d, Bytes::new(share))
-            })
-            .collect()
+    pub(crate) fn read_shares(&self, bytes: Bytes) -> Shares<'_> {
+        self.spread(bytes.get(), self.data_width() as u64, None)
     }
 
     /// Per-disk byte share for a degraded RAID-5 read of `bytes` with the
@@ -93,14 +83,14 @@ impl RaidSpec {
     /// first survivor absorbs the rounding remainder so shares always sum
     /// to at least the reconstruction volume.
     ///
-    /// Returns one entry per *surviving* member disk (the failed disk
+    /// Yields one entry per *surviving* member disk (the failed disk
     /// serves nothing). Errors if the level has no redundancy or
     /// `failed_idx` is out of range.
-    pub fn degraded_read_shares(
+    pub(crate) fn degraded_read_shares(
         &self,
         bytes: Bytes,
         failed_idx: usize,
-    ) -> Result<Vec<(DiskId, Bytes)>, SimError> {
+    ) -> Result<Shares<'_>, SimError> {
         if self.level != RaidLevel::Raid5 {
             return Err(SimError::BadArrayGeometry {
                 disks: self.disks.len(),
@@ -112,40 +102,21 @@ impl RaidSpec {
                 "member index {failed_idx}"
             )));
         };
-        let failed = *failed;
-        let n = self.disks.len() as u64;
         // Healthy per-survivor share inflated by n/(n-1): total volume
         // moved is bytes · n/(n-1) over n-1 survivors.
-        let total = bytes.get() * n / (n - 1);
-        let survivors = n - 1;
-        let per = total / survivors;
-        let rem = total - per * survivors;
-        let mut first = true;
-        Ok(self
-            .disks
-            .iter()
-            .filter(|d| **d != failed)
-            .map(|d| {
-                let share = if first {
-                    first = false;
-                    per + rem
-                } else {
-                    per
-                };
-                (*d, Bytes::new(share))
-            })
-            .collect())
+        let n = self.disks.len() as u64;
+        Ok(self.spread(bytes.get() * n / (n - 1), n - 1, Some(*failed)))
     }
 
     /// Per-disk byte share for a degraded RAID-5 full-stripe write of
     /// `bytes` with the member at `failed_idx` missing: the survivors
     /// absorb the same `n/(n-1)` parity volume as a healthy write, spread
     /// over one fewer spindle.
-    pub fn degraded_write_shares(
+    pub(crate) fn degraded_write_shares(
         &self,
         bytes: Bytes,
         failed_idx: usize,
-    ) -> Result<Vec<(DiskId, Bytes)>, SimError> {
+    ) -> Result<Shares<'_>, SimError> {
         // Same total volume and survivor set as a degraded read: a
         // healthy RAID-5 full-stripe write moves bytes · n/(n-1), and in
         // degraded mode the failed member's units are simply dropped
@@ -156,24 +127,48 @@ impl RaidSpec {
     /// Per-disk byte share for a large (full-stripe) write of `bytes`.
     /// RAID-5 writes `bytes · n/(n-1)` in total (data + parity), spread
     /// over all `n` spindles.
-    pub fn write_shares(&self, bytes: Bytes) -> Vec<(DiskId, Bytes)> {
+    pub(crate) fn write_shares(&self, bytes: Bytes) -> Shares<'_> {
         match self.level {
             RaidLevel::Raid0 => self.read_shares(bytes),
             RaidLevel::Raid5 => {
                 let n = self.disks.len() as u64;
-                let total = bytes.get() * n / (n - 1);
-                let per = total / n;
-                let rem = total - per * n;
-                self.disks
-                    .iter()
-                    .enumerate()
-                    .map(|(i, d)| {
-                        let share = if i == 0 { per + rem } else { per };
-                        (*d, Bytes::new(share))
-                    })
-                    .collect()
+                self.spread(bytes.get() * n / (n - 1), n, None)
             }
         }
+    }
+
+    /// `total` bytes in `over` equal shares over the members other than
+    /// `skip`, the first of them absorbing the remainder.
+    fn spread(&self, total: u64, over: u64, skip: Option<DiskId>) -> Shares<'_> {
+        let per = total / over;
+        Shares {
+            disks: self.disks.iter(),
+            skip,
+            per,
+            next: total - per * (over - 1),
+        }
+    }
+}
+
+/// The `(disk, bytes)` shares of one array IO, computed as they are
+/// walked: an array IO allocates nothing for them.
+#[derive(Debug, Clone)]
+pub(crate) struct Shares<'a> {
+    disks: std::slice::Iter<'a, DiskId>,
+    skip: Option<DiskId>,
+    per: u64,
+    /// The next member's share: the remainder-carrying first one, then
+    /// `per`.
+    next: u64,
+}
+
+impl Iterator for Shares<'_> {
+    type Item = (DiskId, Bytes);
+
+    fn next(&mut self) -> Option<(DiskId, Bytes)> {
+        let disk = *self.disks.find(|d| Some(**d) != self.skip)?;
+        let share = std::mem::replace(&mut self.next, self.per);
+        Some((disk, Bytes::new(share)))
     }
 }
 
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn raid0_read_split_even() {
         let a = RaidSpec::new(RaidLevel::Raid0, ids(4)).unwrap();
-        let shares = a.read_shares(Bytes::new(4000));
+        let shares: Vec<_> = a.read_shares(Bytes::new(4000)).collect();
         assert_eq!(shares.len(), 4);
         assert!(shares.iter().all(|(_, b)| b.get() == 1000));
     }
@@ -204,7 +199,7 @@ mod tests {
     #[test]
     fn raid5_read_uses_all_spindles_minus_parity_share() {
         let a = RaidSpec::new(RaidLevel::Raid5, ids(5)).unwrap();
-        let shares = a.read_shares(Bytes::new(4000));
+        let shares: Vec<_> = a.read_shares(Bytes::new(4000)).collect();
         assert_eq!(shares.len(), 5);
         // data_width = 4, so each spindle moves 1000 useful bytes.
         assert!(shares.iter().all(|(_, b)| b.get() == 1000));
@@ -215,8 +210,7 @@ mod tests {
     #[test]
     fn raid5_write_parity_overhead() {
         let a = RaidSpec::new(RaidLevel::Raid5, ids(5)).unwrap();
-        let shares = a.write_shares(Bytes::new(4000));
-        let total: u64 = shares.iter().map(|(_, b)| b.get()).sum();
+        let total: u64 = a.write_shares(Bytes::new(4000)).map(|(_, b)| b.get()).sum();
         // 4000 × 5/4 = 5000 bytes actually written.
         assert_eq!(total, 5000);
     }
@@ -224,7 +218,10 @@ mod tests {
     #[test]
     fn degraded_read_excludes_failed_and_inflates_survivors() {
         let a = RaidSpec::new(RaidLevel::Raid5, ids(5)).unwrap();
-        let shares = a.degraded_read_shares(Bytes::new(4000), 2).unwrap();
+        let shares: Vec<_> = a
+            .degraded_read_shares(Bytes::new(4000), 2)
+            .unwrap()
+            .collect();
         assert_eq!(shares.len(), 4);
         assert!(shares.iter().all(|(d, _)| *d != DiskId(2)));
         // Total volume = 4000 × 5/4 = 5000 over 4 survivors.
@@ -245,15 +242,10 @@ mod tests {
     #[test]
     fn degraded_write_matches_healthy_total_volume() {
         let a = RaidSpec::new(RaidLevel::Raid5, ids(5)).unwrap();
-        let healthy: u64 = a
-            .write_shares(Bytes::new(4000))
-            .iter()
-            .map(|(_, b)| b.get())
-            .sum();
+        let healthy: u64 = a.write_shares(Bytes::new(4000)).map(|(_, b)| b.get()).sum();
         let degraded: u64 = a
             .degraded_write_shares(Bytes::new(4000), 0)
             .unwrap()
-            .iter()
             .map(|(_, b)| b.get())
             .sum();
         assert_eq!(healthy, degraded);
@@ -262,7 +254,7 @@ mod tests {
     #[test]
     fn remainder_goes_to_first_disk() {
         let a = RaidSpec::new(RaidLevel::Raid0, ids(3)).unwrap();
-        let shares = a.read_shares(Bytes::new(10));
+        let shares: Vec<_> = a.read_shares(Bytes::new(10)).collect();
         assert_eq!(shares[0].1.get(), 4);
         assert_eq!(shares[1].1.get(), 3);
         assert_eq!(shares[2].1.get(), 3);

@@ -1,8 +1,8 @@
 //! The workspace's one random number generator: ChaCha with 12 rounds,
 //! seeded and sampled the way `rand_chacha` 0.9 and `rand` 0.9 do it
 //! (PCG32 seed expansion, a 64-bit block counter with a zero stream id,
-//! four blocks buffered per refill, widening-multiply integer ranges and
-//! 52-bit `[1, 2)` float ranges).
+//! four blocks buffered per refill, word-position seeks, widening-multiply
+//! integer ranges and 52-bit `[1, 2)` float ranges).
 //!
 //! The stream is a pinned contract, not an implementation detail: every
 //! generated table, fault draw and access trace behind a pinned digest or
@@ -93,6 +93,24 @@ impl ChaCha12Rng {
         self.buf = buf;
         self.counter = self.counter.wrapping_add((BUF_WORDS / 16) as u64);
         self.index = index;
+    }
+
+    /// The keystream position in 32-bit words: how many words the
+    /// stream has handed out since block 0 (`rand_chacha`'s meaning).
+    pub fn word_pos(&self) -> u128 {
+        let block = self
+            .counter
+            .wrapping_sub((BUF_WORDS / 16) as u64)
+            .wrapping_add((self.index / 16) as u64);
+        u128::from(block) * 16 + (self.index % 16) as u128
+    }
+
+    /// Seek to keystream word `pos`: refill the buffer at block
+    /// `pos / 16` and skip `pos % 16` words, so the next draw is the one
+    /// a fresh stream makes after `pos` words.
+    pub fn set_word_pos(&mut self, pos: u128) {
+        self.counter = (pos / 16) as u64;
+        self.refill((pos % 16) as usize);
     }
 
     fn next_u32(&mut self) -> u32 {
@@ -288,6 +306,71 @@ mod tests {
         assert_eq!(rng.random::<i64>(), 633_513_173_585_076_202);
         // An unsuffixed literal range falls back to `i32`, as in `tpch`.
         assert_eq!(rng.random_range(0..100), 61);
+    }
+
+    /// The words a stream hands out after `p` draws of one word.
+    fn words_after(mut rng: ChaCha12Rng, p: u128, n: usize) -> Vec<u32> {
+        for _ in 0..p {
+            rng.next_u32();
+        }
+        (0..n).map(|_| rng.next_u32()).collect()
+    }
+
+    fn seeked(mut rng: ChaCha12Rng, p: u128, n: usize) -> Vec<u32> {
+        rng.set_word_pos(p);
+        assert_eq!(rng.word_pos(), p);
+        (0..n).map(|_| rng.next_u32()).collect()
+    }
+
+    #[test]
+    fn seeking_equals_drawing_up_to_the_position() {
+        let rng = ChaCha12Rng::seed_from_u64(42);
+        assert_eq!(rng.word_pos(), 0);
+        for p in [0, 1, 15, 16, 17, 63, 64, 65, 200] {
+            assert_eq!(
+                seeked(rng.clone(), p, 80),
+                words_after(rng.clone(), p, 80),
+                "p={p}"
+            );
+        }
+        // The last word of block 2^32 - 1, then block 2^32, whose counter
+        // carries into the high word: a seek there must equal a stream
+        // that reached it through ordinary refills from a block-aligned
+        // seek, and block 2^32 must not be block 0 again.
+        let p = 16 * (1u128 << 32) - 1;
+        let mut aligned = rng.clone();
+        aligned.set_word_pos(p - 63);
+        assert_eq!(seeked(rng.clone(), p, 80), words_after(aligned, 63, 80));
+        assert_ne!(seeked(rng.clone(), p + 1, 16), seeked(rng.clone(), 0, 16));
+        // Word 15 of block 2^32 - 1 and word 0 of block 2^32 under seed
+        // 42's key, from a ChaCha12 block function written apart from
+        // this one (counter low word in state word 12, high in 13).
+        assert_eq!(seeked(rng.clone(), p, 2), [0x56b0_7aff, 0x9f72_f8c9]);
+    }
+
+    /// `word_pos` counts one word per `u32` draw and two per `u64`
+    /// draw, also when a `u64` straddles a refill (index 63).
+    #[test]
+    fn word_pos_tracks_mixed_draws() {
+        let mut rng = ChaCha12Rng::seed_from_u64(9);
+        let mut words = 0u128;
+        let mut g = grail_prop::Gen::new(3);
+        let mut straddled = 0;
+        for _ in 0..2_000 {
+            if g.bool() {
+                rng.next_u32();
+                words += 1;
+            } else {
+                straddled += usize::from(rng.index == BUF_WORDS - 1);
+                rng.next_u64();
+                words += 2;
+            }
+            assert_eq!(rng.word_pos(), words);
+        }
+        assert!(straddled > 0, "no u64 draw straddled a refill");
+        let mut fresh = ChaCha12Rng::seed_from_u64(9);
+        fresh.set_word_pos(words);
+        assert_eq!(fresh.next_u64(), rng.next_u64());
     }
 
     /// One-word and two-word draws alternate, so pairs straddle refills.

@@ -15,6 +15,7 @@ use grail_power::ledger::{ComponentId, ComponentKind, EnergyLedger, LedgerOp};
 use grail_power::state::MachineSummary;
 use grail_power::units::{Bytes, Cycles, Joules, SimDuration, SimInstant, Watts};
 use grail_trace::{ArgValue, Category, Recorder, TraceEvent, TraceTime, Tracer, Track};
+use std::sync::Arc;
 
 /// Convert a simulated instant into a trace timestamp. The trace layer
 /// carries bare simulated nanoseconds so it can stay dependency-free.
@@ -85,7 +86,7 @@ pub struct Simulation {
     disks: Vec<StorageDevice>,
     ssds: Vec<StorageDevice>,
     cpus: Vec<CpuDevice>,
-    arrays: Vec<RaidSpec>,
+    arrays: Vec<Arc<RaidSpec>>,
     base_power: Watts,
     fabric: FabricModel,
     fault_plan: Option<FaultPlan>,
@@ -94,6 +95,9 @@ pub struct Simulation {
     tracer: Tracer,
     attribution: Option<AttributionAcc>,
     query_tag: Option<(u32, u32)>,
+    /// The members one array IO served and their reservations: a
+    /// buffer every array IO reuses.
+    served: Vec<(DiskId, Reservation)>,
 }
 
 impl Default for Simulation {
@@ -111,6 +115,7 @@ impl Default for Simulation {
             tracer: Tracer::off(),
             attribution: None,
             query_tag: None,
+            served: Vec::new(),
         }
     }
 }
@@ -230,7 +235,7 @@ impl Simulation {
         id: ArrayId,
         at: SimInstant,
     ) -> Result<Vec<DiskId>, SimError> {
-        let spec = self.array(id)?.clone();
+        let spec = Arc::clone(self.array_arc(id)?);
         let Some(plan) = self.fault_plan.as_mut() else {
             return Ok(Vec::new());
         };
@@ -393,12 +398,16 @@ impl Simulation {
         }
         let spec = RaidSpec::new(level, disks)?;
         let id = ArrayId(self.arrays.len() as u32);
-        self.arrays.push(spec);
+        self.arrays.push(Arc::new(spec));
         Ok(id)
     }
 
     /// The array spec behind `id`.
     pub fn array(&self, id: ArrayId) -> Result<&RaidSpec, SimError> {
+        self.array_arc(id).map(|spec| &**spec)
+    }
+
+    fn array_arc(&self, id: ArrayId) -> Result<&Arc<RaidSpec>, SimError> {
         self.arrays
             .get(id.0 as usize)
             .ok_or_else(|| SimError::UnknownDevice(format!("{id:?}")))
@@ -589,7 +598,7 @@ impl Simulation {
         access: AccessPattern,
         is_read: bool,
     ) -> Result<Reservation, SimError> {
-        let spec = self.array(id)?.clone();
+        let spec = Arc::clone(self.array_arc(id)?);
         // RAID-5 small writes pay read-modify-write: four IOs (read data,
         // read parity, write data, write parity) per logical write.
         // Full-stripe (sequential) writes avoid it.
@@ -693,8 +702,9 @@ impl Simulation {
                 }
             }
         };
-        let per_disk_access = self.split_access(access, shares.len() as u32);
-        let mut served: Vec<(DiskId, Reservation)> = Vec::with_capacity(shares.len());
+        let per_disk_access = self.split_access(access, shares.clone().count() as u32);
+        let mut served = std::mem::take(&mut self.served);
+        served.clear();
         let mut res: Option<Reservation> = None;
         for (disk, share) in shares {
             // Fabric contention stretches each member's transfer.
@@ -745,6 +755,7 @@ impl Simulation {
                     .arg("wasted_j", wasted_total.joules())
                 });
                 let device = format!("{disk:?}");
+                self.served = served;
                 return Err(match kind {
                     FaultKind::LatentSector => SimError::LatentSector {
                         device,
@@ -825,6 +836,7 @@ impl Simulation {
             .arg("degraded", u64::from(degraded.is_some()))
             .arg("active_j", active.joules())
         });
+        self.served = served;
         Ok(res)
     }
 

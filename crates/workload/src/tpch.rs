@@ -5,12 +5,14 @@
 //! vs uniform keys, low-cardinality flags, clustered dates — not on
 //! audited content. Generation is deterministic: the same
 //! `(scale, seed)` yields bit-identical tables on any platform
-//! (ChaCha12).
+//! (ChaCha12) and at any thread count, since a table's row ranges seek
+//! to their own positions in its stream and are stitched in order.
 
+use grail_par::Runner;
 use grail_query::batch::Table;
 use grail_query::schema::{ColumnType, Schema};
 use grail_sim::rng::ChaCha12Rng;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Scale of a generated database, in ORDERS rows; other tables follow
 /// TPC-H's cardinality ratios.
@@ -103,13 +105,7 @@ fn rng_for(seed: u64, table: TpchTable) -> ChaCha12Rng {
 /// Generate one table of the database at `scale` from `seed`: the same
 /// table [`generate`] returns, without drawing the other four.
 pub fn generate_table(scale: TpchScale, seed: u64, table: TpchTable) -> Arc<Table> {
-    Arc::new(match table {
-        TpchTable::Orders => gen_orders(scale, seed),
-        TpchTable::Lineitem => gen_lineitem(scale, seed),
-        TpchTable::Customer => gen_customer(scale, seed),
-        TpchTable::Part => gen_part(scale, seed),
-        TpchTable::Supplier => gen_supplier(scale, seed),
-    })
+    Arc::new(draw_table(scale, seed, table, None).0)
 }
 
 /// Generate the database at `scale` from `seed`.
@@ -128,10 +124,31 @@ pub fn generate(scale: TpchScale, seed: u64) -> TpchTables {
 /// totalprice, orderdate).
 pub const ORDERS_FIG2_PROJECTION: [usize; 5] = [0, 1, 2, 3, 4];
 
-fn gen_orders(scale: TpchScale, seed: u64) -> Table {
-    let n = scale.orders_rows;
+/// `table` at `scale` from `seed`, and how many of its row ranges the
+/// stitch redrew. `ranges` forces the range count; `None` splits as
+/// [`Split::columns`] decides.
+fn draw_table(
+    scale: TpchScale,
+    seed: u64,
+    table: TpchTable,
+    ranges: Option<usize>,
+) -> (Table, usize) {
+    let split = Split {
+        seed,
+        table,
+        ranges,
+    };
+    match table {
+        TpchTable::Orders => gen_orders(scale, split),
+        TpchTable::Lineitem => gen_lineitem(scale, split),
+        TpchTable::Customer => gen_customer(scale, split),
+        TpchTable::Part => gen_part(scale, split),
+        TpchTable::Supplier => gen_supplier(scale, split),
+    }
+}
+
+fn gen_orders(scale: TpchScale, split: Split) -> (Table, usize) {
     let customers = scale.customer_rows() as i64;
-    let mut rng = rng_for(seed, TpchTable::Orders);
     let schema = Schema::new(vec![
         ("o_orderkey", ColumnType::Id),
         ("o_custkey", ColumnType::Id),
@@ -141,50 +158,32 @@ fn gen_orders(scale: TpchScale, seed: u64) -> Table {
         ("o_orderpriority", ColumnType::Code),
         ("o_shippriority", ColumnType::Int),
     ]);
-    let mut orderkey = Vec::with_capacity(n as usize);
-    let mut custkey = Vec::with_capacity(n as usize);
-    let mut status = Vec::with_capacity(n as usize);
-    let mut price = Vec::with_capacity(n as usize);
-    let mut date = Vec::with_capacity(n as usize);
-    let mut priority = Vec::with_capacity(n as usize);
-    let mut shippriority = Vec::with_capacity(n as usize);
-    for i in 0..n {
-        // Sparse keys as in TPC-H (4 of every 32 key values used).
-        orderkey.push((i as i64 / 4) * 32 + (i as i64 % 4));
-        custkey.push(rng.random_range(0..customers));
+    let (cols, redrawn) = split.columns(scale.orders_rows as usize, |rng, i| {
+        let custkey = rng.random_range(0..customers);
         // F/O dominate; P is rare.
-        let s = match rng.random_range(0..100) {
+        let status = match rng.random_range(0..100) {
             0..=48 => 0,
             49..=97 => 1,
             _ => 2,
         };
-        status.push(s);
         // Price in cents, 857.71 .. ~555285.16 like TPC-H's domain.
-        price.push(rng.random_range(85_771..55_528_516));
-        date.push(rng.random_range(0..DATE_DAYS));
-        priority.push(rng.random_range(0..5));
-        shippriority.push(0);
-    }
-    Table::new(
-        "orders",
-        schema,
-        vec![
-            orderkey,
-            custkey,
-            status,
-            price,
-            date,
-            priority,
-            shippriority,
-        ],
-    )
+        let price = rng.random_range(85_771..55_528_516);
+        let date = rng.random_range(0..DATE_DAYS);
+        let priority = rng.random_range(0..5);
+        [orderkey(i), custkey, status, price, date, priority, 0]
+    });
+    (Table::new("orders", schema, cols), redrawn)
 }
 
-fn gen_lineitem(scale: TpchScale, seed: u64) -> Table {
-    let orders = scale.orders_rows;
+/// The key of ORDERS row `i`: sparse as in TPC-H (4 of every 32 key
+/// values used).
+fn orderkey(i: usize) -> i64 {
+    (i as i64 / 4) * 32 + (i as i64 % 4)
+}
+
+fn gen_lineitem(scale: TpchScale, split: Split) -> (Table, usize) {
     let parts = scale.part_rows() as i64;
     let suppliers = scale.supplier_rows() as i64;
-    let mut rng = rng_for(seed, TpchTable::Lineitem);
     let schema = Schema::new(vec![
         ("l_orderkey", ColumnType::Id),
         ("l_partkey", ColumnType::Id),
@@ -197,31 +196,34 @@ fn gen_lineitem(scale: TpchScale, seed: u64) -> Table {
         ("l_linestatus", ColumnType::Code),
         ("l_shipdate", ColumnType::Date),
     ]);
-    let n = scale.lineitem_rows() as usize;
-    let mut cols: Vec<Vec<i64>> = (0..10).map(|_| Vec::with_capacity(n)).collect();
-    for o in 0..orders {
-        let okey = (o as i64 / 4) * 32 + (o as i64 % 4);
-        for _ in 0..4 {
-            let qty = rng.random_range(1..=50);
-            let unit_price = rng.random_range(90_000..=200_000);
-            cols[0].push(okey);
-            cols[1].push(rng.random_range(0..parts));
-            cols[2].push(rng.random_range(0..suppliers));
-            cols[3].push(qty);
-            cols[4].push(qty * unit_price);
-            cols[5].push(rng.random_range(0..=10));
-            cols[6].push(rng.random_range(0..=8));
-            cols[7].push(rng.random_range(0..3));
-            cols[8].push(rng.random_range(0..2));
-            cols[9].push(rng.random_range(0..DATE_DAYS));
-        }
-    }
-    Table::new("lineitem", schema, cols)
+    // Four lines per order: line `i` belongs to order `i / 4`.
+    let (cols, redrawn) = split.columns(scale.lineitem_rows() as usize, |rng, i| {
+        let qty = rng.random_range(1..=50);
+        let unit_price = rng.random_range(90_000..=200_000);
+        let partkey = rng.random_range(0..parts);
+        let suppkey = rng.random_range(0..suppliers);
+        let discount = rng.random_range(0..=10);
+        let tax = rng.random_range(0..=8);
+        let returnflag = rng.random_range(0..3);
+        let linestatus = rng.random_range(0..2);
+        let shipdate = rng.random_range(0..DATE_DAYS);
+        [
+            orderkey(i / 4),
+            partkey,
+            suppkey,
+            qty,
+            qty * unit_price,
+            discount,
+            tax,
+            returnflag,
+            linestatus,
+            shipdate,
+        ]
+    });
+    (Table::new("lineitem", schema, cols), redrawn)
 }
 
-fn gen_customer(scale: TpchScale, seed: u64) -> Table {
-    let n = scale.customer_rows() as usize;
-    let mut rng = rng_for(seed, TpchTable::Customer);
+fn gen_customer(scale: TpchScale, split: Split) -> (Table, usize) {
     let schema = Schema::new(vec![
         ("c_custkey", ColumnType::Id),
         ("c_nationkey", ColumnType::Id),
@@ -229,20 +231,16 @@ fn gen_customer(scale: TpchScale, seed: u64) -> Table {
         ("c_mktsegment", ColumnType::Code),
         ("c_ordercount", ColumnType::Int),
     ]);
-    let mut cols: Vec<Vec<i64>> = (0..5).map(|_| Vec::with_capacity(n)).collect();
-    for i in 0..n {
-        cols[0].push(i as i64);
-        cols[1].push(rng.random_range(0..25));
-        cols[2].push(rng.random_range(-99_999..999_999));
-        cols[3].push(rng.random_range(0..5));
-        cols[4].push(0);
-    }
-    Table::new("customer", schema, cols)
+    let (cols, redrawn) = split.columns(scale.customer_rows() as usize, |rng, i| {
+        let nationkey = rng.random_range(0..25);
+        let acctbal = rng.random_range(-99_999..999_999);
+        let mktsegment = rng.random_range(0..5);
+        [i as i64, nationkey, acctbal, mktsegment, 0]
+    });
+    (Table::new("customer", schema, cols), redrawn)
 }
 
-fn gen_part(scale: TpchScale, seed: u64) -> Table {
-    let n = scale.part_rows() as usize;
-    let mut rng = rng_for(seed, TpchTable::Part);
+fn gen_part(scale: TpchScale, split: Split) -> (Table, usize) {
     let schema = Schema::new(vec![
         ("p_partkey", ColumnType::Id),
         ("p_brand", ColumnType::Code),
@@ -250,39 +248,262 @@ fn gen_part(scale: TpchScale, seed: u64) -> Table {
         ("p_size", ColumnType::Int),
         ("p_retailprice", ColumnType::Decimal),
     ]);
-    let mut cols: Vec<Vec<i64>> = (0..5).map(|_| Vec::with_capacity(n)).collect();
-    for i in 0..n {
-        cols[0].push(i as i64);
-        cols[1].push(rng.random_range(0..25));
-        cols[2].push(rng.random_range(0..150));
-        cols[3].push(rng.random_range(1..=50));
-        cols[4].push(90_000 + (i as i64 % 200_001));
-    }
-    Table::new("part", schema, cols)
+    let (cols, redrawn) = split.columns(scale.part_rows() as usize, |rng, i| {
+        let brand = rng.random_range(0..25);
+        let ty = rng.random_range(0..150);
+        let size = rng.random_range(1..=50);
+        [i as i64, brand, ty, size, 90_000 + (i as i64 % 200_001)]
+    });
+    (Table::new("part", schema, cols), redrawn)
 }
 
-fn gen_supplier(scale: TpchScale, seed: u64) -> Table {
-    let n = scale.supplier_rows() as usize;
-    let mut rng = rng_for(seed, TpchTable::Supplier);
+fn gen_supplier(scale: TpchScale, split: Split) -> (Table, usize) {
     let schema = Schema::new(vec![
         ("s_suppkey", ColumnType::Id),
         ("s_nationkey", ColumnType::Id),
         ("s_acctbal", ColumnType::Decimal),
         ("s_phoneprefix", ColumnType::Code),
     ]);
-    let mut cols: Vec<Vec<i64>> = (0..4).map(|_| Vec::with_capacity(n)).collect();
-    for i in 0..n {
-        cols[0].push(i as i64);
-        cols[1].push(rng.random_range(0..25));
-        cols[2].push(rng.random_range(-99_999..999_999));
-        cols[3].push(rng.random_range(10..35));
-    }
-    Table::new("supplier", schema, cols)
+    let (cols, redrawn) = split.columns(scale.supplier_rows() as usize, |rng, i| {
+        let nationkey = rng.random_range(0..25);
+        let acctbal = rng.random_range(-99_999..999_999);
+        let phoneprefix = rng.random_range(10..35);
+        [i as i64, nationkey, acctbal, phoneprefix]
+    });
+    (Table::new("supplier", schema, cols), redrawn)
 }
+
+/// Fewest rows a range must hold to pay for a thread of its own.
+const MIN_RANGE_ROWS: usize = 2_048;
+
+/// One worker per core, asked of the OS once: the query reads cgroup
+/// files, ~16 µs on a 2-vCPU Linux VM, a third of drawing a toy
+/// CUSTOMER.
+fn runner() -> Runner {
+    static RUNNER: OnceLock<Runner> = OnceLock::new();
+    *RUNNER.get_or_init(Runner::available)
+}
+
+/// Which stream a table draws from, and how many row ranges it is
+/// drawn in (`None`: one per runner thread the table pays for).
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    seed: u64,
+    table: TpchTable,
+    ranges: Option<usize>,
+}
+
+impl Split {
+    /// `rows` rows of `C` columns, row `i` drawn by `row(rng, i)` from
+    /// the table's stream, and how many ranges the stitch redrew.
+    ///
+    /// Row 0 is drawn inline, and the words it consumes are the stride:
+    /// range `k`, starting at row `first`, seeks to `stride × first` and
+    /// is drawn on its own thread into its own slices of the columns. A
+    /// row whose draws hit Canon's second draw consumes more words, so
+    /// the stitch walks the ranges in order and draws again, from the
+    /// true position, every range whose predecessor did not end where
+    /// it began. The columns are then byte for byte the ones a single
+    /// loop over the stream draws.
+    fn columns<const C: usize>(
+        self,
+        rows: usize,
+        row: impl Fn(&mut ChaCha12Rng, usize) -> [i64; C] + Sync,
+    ) -> (Vec<Vec<i64>>, usize) {
+        let mut cols: [Vec<i64>; C] = std::array::from_fn(|_| vec![0; rows]);
+        let mut redrawn = 0;
+        if rows > 0 {
+            let stream = rng_for(self.seed, self.table);
+            let mut rest = cols.each_mut().map(Vec::as_mut_slice);
+            let mut head = Rows::split_off(&mut rest, 0, 1);
+            head.draw(&stream, 0, &row);
+            let stride = head.end;
+
+            let tail = rows - 1;
+            let runner = runner();
+            let wanted = self
+                .ranges
+                .unwrap_or(runner.threads().min(tail / MIN_RANGE_ROWS));
+            let count = wanted.clamp(1, tail.max(1));
+            let mut ranges: Vec<Rows<C>> = (0..count)
+                .scan(1, |first, k| {
+                    let len = tail / count + usize::from(k < tail % count);
+                    let rows = Rows::split_off(&mut rest, *first, len);
+                    *first += len;
+                    Some(rows)
+                })
+                .collect();
+            runner.for_each_mut(&mut ranges, |_, range| {
+                range.draw(&stream, stride * range.first as u128, &row);
+            });
+
+            // The stitch follows true positions only, from where row 0
+            // ended: a wrong stride costs redraws, never bytes.
+            let mut at = head.end;
+            for range in &mut ranges {
+                if range.start != at {
+                    range.draw(&stream, at, &row);
+                    redrawn += 1;
+                }
+                at = range.end;
+            }
+        }
+        (cols.into(), redrawn)
+    }
+}
+
+/// Rows `first..first + len` of a table: their slices of its columns,
+/// and the stream positions they were drawn from and ended at.
+struct Rows<'a, const C: usize> {
+    first: usize,
+    len: usize,
+    cols: [&'a mut [i64]; C],
+    start: u128,
+    end: u128,
+}
+
+impl<'a, const C: usize> Rows<'a, C> {
+    /// The next `len` rows off the front of `rest`, which starts at row
+    /// `first`.
+    fn split_off(rest: &mut [&'a mut [i64]; C], first: usize, len: usize) -> Self {
+        let cols = rest.each_mut().map(|col| {
+            let (head, tail) = std::mem::take(col).split_at_mut(len);
+            *col = tail;
+            head
+        });
+        Rows {
+            first,
+            len,
+            cols,
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Draw the rows from word `start` of `stream`.
+    fn draw(
+        &mut self,
+        stream: &ChaCha12Rng,
+        start: u128,
+        row: &impl Fn(&mut ChaCha12Rng, usize) -> [i64; C],
+    ) {
+        let mut rng = stream.clone();
+        rng.set_word_pos(start);
+        for i in 0..self.len {
+            let values = row(&mut rng, self.first + i);
+            for (col, v) in self.cols.iter_mut().zip(values) {
+                col[i] = v;
+            }
+        }
+        self.start = start;
+        self.end = rng.word_pos();
+    }
+}
+
+#[cfg(test)]
+#[path = "../tests/common/sequential.rs"]
+mod sequential;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grail_prop::check;
+
+    /// The points `tpch_digests` pins.
+    const PINNED: [(u64, u64); 2] = [(10_000, 42), (2_000, 1009)];
+
+    /// Every table, drawn in 1 to 8 ranges, equals the one loop over its
+    /// stream column for column: at the row counts where the automatic
+    /// split changes (ORDERS' tail crossing `2 × MIN_RANGE_ROWS`,
+    /// LINEITEM's at a quarter of that), at tiny tables where ranges
+    /// outnumber rows, and at the pinned scales.
+    #[test]
+    fn chunked_tables_match_the_sequential_generator() {
+        let edge = 2 * MIN_RANGE_ROWS as u64 + 1;
+        let sizes = [
+            0,
+            1,
+            2,
+            3,
+            7,
+            edge - 1,
+            edge,
+            edge + 1,
+            edge / 4 - 1,
+            edge / 4,
+            edge / 4 + 1,
+            2_000,
+            10_000,
+        ];
+        check(256, |g| {
+            let orders_rows = if g.one_in(4) {
+                g.range(0..5_000)
+            } else {
+                g.pick(&sizes)
+            };
+            let (seed, ranges) = (g.word(), g.range(1usize..9));
+            let scale = TpchScale { orders_rows };
+            for table in TpchTable::ALL {
+                let want = sequential::generate_table(scale, seed, table);
+                let (got, _) = draw_table(scale, seed, table, Some(ranges));
+                assert_eq!(got.name, want.name);
+                assert_eq!(got.schema, want.schema);
+                for (c, (got, want)) in got.columns.iter().zip(&want.columns).enumerate() {
+                    assert!(
+                        got == want,
+                        "{table:?} column {c} differs: {orders_rows} orders, seed {seed:#x}, \
+                         {ranges} ranges"
+                    );
+                }
+            }
+        });
+    }
+
+    /// A row whose `u64` draw has a range of 2^63 + 1 hits Canon's second
+    /// draw about half the time, so rows draw 2 or 4 words and nearly
+    /// every range starts off the learned stride: the stitch redraws
+    /// them, and the columns still equal one loop over the stream.
+    #[test]
+    fn stitching_redraws_ranges_that_drifted() {
+        let row =
+            |rng: &mut ChaCha12Rng, i: usize| [i as i64, rng.random_range(0..=(1u64 << 63)) as i64];
+        let mut redrawn = 0;
+        check(256, |g| {
+            let (rows, seed, ranges) = (g.range(0usize..3_000), g.word(), g.range(1usize..9));
+            let split = Split {
+                seed,
+                table: TpchTable::Orders,
+                ranges: Some(ranges),
+            };
+            let (cols, n) = split.columns(rows, row);
+            redrawn += n;
+            let mut rng = rng_for(seed, TpchTable::Orders);
+            let drawn: Vec<[i64; 2]> = (0..rows).map(|i| row(&mut rng, i)).collect();
+            let want: Vec<Vec<i64>> = (0..2)
+                .map(|c| drawn.iter().map(|r| r[c]).collect())
+                .collect();
+            assert!(cols == want, "{rows} rows, seed {seed:#x}, {ranges} ranges");
+        });
+        assert!(redrawn > 256, "only {redrawn} ranges redrawn");
+    }
+
+    /// At the pinned points no range is drawn twice: a stride learned
+    /// wrong would redraw every range after the join, generating the
+    /// table sequentially with the same bytes.
+    #[test]
+    fn no_range_is_redrawn_at_the_pinned_points() {
+        for (orders_rows, seed) in PINNED {
+            for table in TpchTable::ALL {
+                for ranges in [None, Some(2), Some(8)] {
+                    let (_, redrawn) = draw_table(TpchScale { orders_rows }, seed, table, ranges);
+                    assert_eq!(
+                        redrawn, 0,
+                        "{table:?} at ({orders_rows}, {seed}), {ranges:?}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn cardinality_ratios() {
