@@ -6,28 +6,61 @@
 //! point. That independence is what makes parallelism free — the only
 //! thing a thread pool could corrupt is *output order*, and order is
 //! exactly what the byte-identical-artifacts contract cares about
-//! (`experiments.jsonl`, figure CSVs, trace exports).
+//! (`experiments.jsonl`, figure CSVs, trace exports). The same holds
+//! inside one computation cut into independent pieces: a TPC-H table
+//! drawn in seeked row ranges, the cells of a sharded simulation, or
+//! one aggregate query's scan windows folded in contiguous ranges and
+//! merged in range order.
 //!
-//! The crate is one primitive, [`Runner::for_each_mut`]: scoped workers
-//! claim `(index, &mut item)` pairs from a slice iterator behind a
-//! `Mutex` (dynamic load balancing — sweep points have wildly different
-//! costs) and run `f` on each item in place, so every result lands at
-//! its **input index** whichever thread computed it. [`Runner::run`]
-//! maps `&[C] -> Vec<R>` by filling a slot vector through it, and
-//! `grail_sim::parallel` runs the cells of a sharded simulation through
-//! it; both are indistinguishable from a single-threaded `for` loop.
-//! No channels, no unsafe: the only shared mutable state is that one
+//! The crate is one primitive, [`Runner::for_each_mut`]: the calling
+//! thread and `threads − 1` scoped workers claim `(index, &mut item)`
+//! pairs from a slice iterator behind a `Mutex` (dynamic load balancing
+//! — sweep points have wildly different costs) and run `f` on each item
+//! in place, so every result lands at its **input index** whichever
+//! thread computed it. [`Runner::run`] maps `&[C] -> Vec<R>` by filling
+//! a slot vector through it, and `grail_sim::parallel`, `grail_workload`'s
+//! TPC-H generator and `grail_query`'s aggregated scan run through it;
+//! all are indistinguishable from a single-threaded `for` loop. No
+//! channels, no unsafe: the only shared mutable state is that one
 //! locked iterator.
+//!
+//! Fan-outs do not nest: the generator and the scan ask
+//! [`Runner::current`], which is sequential on a thread running an item
+//! of a `for_each_mut`. A sweep run with `--threads N` already holds
+//! the cores it was given, and one run with `--sequential` keeps every
+//! query and table it runs on that one thread.
 //!
 //! Thread spawning is *confined* to this crate: clippy's
 //! `disallowed_methods` rejects `thread::scope`, `Mutex::new` and their
 //! kin everywhere, and only an item-level `#[expect]` in this crate's
 //! `src/` may waive it (CI rejects one anywhere else). Everything
-//! downstream of a worker runs the ordinary sequential simulation code.
+//! downstream of a worker runs the ordinary sequential code.
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::{Mutex, OnceLock};
+
+thread_local! {
+    /// Whether this thread is running an item of a [`Runner::for_each_mut`].
+    static IN_ITEM: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as running items until dropped, then
+/// restores the mark it found (a panicking item unwinds through it).
+struct InItem(bool);
+
+impl InItem {
+    fn enter() -> Self {
+        InItem(IN_ITEM.replace(true))
+    }
+}
+
+impl Drop for InItem {
+    fn drop(&mut self) {
+        IN_ITEM.set(self.0);
+    }
+}
 
 /// How a sweep executes: on the calling thread, or fanned across a
 /// fixed number of worker threads with index-ordered merge.
@@ -57,11 +90,34 @@ impl Runner {
 
     /// One thread per available core, as reported by the OS. Falls
     /// back to sequential when parallelism cannot be queried.
+    ///
+    /// The OS is asked once per process and the answer cached: on Linux
+    /// the query reads cgroup files (~27 µs on a 2-vCPU VM), which a
+    /// caller that fans out one query's scan would otherwise pay per
+    /// query. A core count changed under a running process is not seen.
     pub fn available() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Runner { threads: n }
+        static AVAILABLE: OnceLock<Runner> = OnceLock::new();
+        *AVAILABLE.get_or_init(|| {
+            let n = std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1);
+            Runner { threads: n }
+        })
+    }
+
+    /// The runner for work that may fan out inside one computation, such
+    /// as one table's rows or one query's scan windows:
+    /// [`Runner::available`] on a thread outside any
+    /// [`Runner::for_each_mut`], and [`Runner::sequential`] on one running
+    /// an item of one, whatever that runner's thread count. The enclosing
+    /// runner already holds the cores it was given, so the nested work
+    /// would only crowd them (or, under `--sequential`, leave its one
+    /// thread).
+    pub fn current() -> Self {
+        match IN_ITEM.get() {
+            true => Runner::sequential(),
+            false => Runner::available(),
+        }
     }
 
     /// Build a runner from process arguments, consuming the flags it
@@ -114,15 +170,19 @@ impl Runner {
     /// Call `f(index, &mut item)` exactly once per item, fanned across
     /// the runner's threads; returns when every item has been visited.
     ///
-    /// Workers claim the next unvisited item from a shared iterator, so
-    /// which thread runs which item is scheduling-dependent — but each
-    /// item is only ever touched by its one claimant, and results stay
-    /// in the slice at their input index. With one thread (or at most
-    /// one item) everything runs inline on the calling thread.
+    /// The calling thread and `threads − 1` scoped workers (fewer when
+    /// there are fewer items) claim the next unvisited item from a shared
+    /// iterator, so which thread runs which item is scheduling-dependent
+    /// — but each item is only ever touched by its one claimant, and
+    /// results stay in the slice at their input index. With one thread
+    /// (or at most one item) everything runs inline on the calling
+    /// thread and nothing is spawned. Either way, [`Runner::current`] is
+    /// sequential inside `f`.
     ///
     /// A panic in any worker is re-raised on the calling thread after
     /// the scope joins, so failures are no quieter than under a
-    /// sequential `for` loop.
+    /// sequential `for` loop; so is a panic on the calling thread itself,
+    /// once the workers have drained the queue.
     #[expect(
         clippy::disallowed_methods,
         reason = "the one sanctioned lock and thread scope in the workspace"
@@ -134,27 +194,29 @@ impl Runner {
     {
         let threads = self.threads.min(items.len());
         if threads <= 1 {
+            let _inside = InItem::enter();
             for (i, item) in items.iter_mut().enumerate() {
                 f(i, item);
             }
             return;
         }
         let queue = Mutex::new(items.iter_mut().enumerate());
+        let work = || {
+            let _inside = InItem::enter();
+            loop {
+                // The guard is dropped before `f` runs, so a panicking `f`
+                // never poisons the queue.
+                let claimed = queue
+                    .lock()
+                    .expect("no thread panics while claiming")
+                    .next();
+                let Some((i, item)) = claimed else { break };
+                f(i, item);
+            }
+        };
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        // The guard is dropped before `f` runs, so a
-                        // panicking `f` never poisons the queue.
-                        let claimed = queue
-                            .lock()
-                            .expect("no worker panics while claiming")
-                            .next();
-                        let Some((i, item)) = claimed else { break };
-                        f(i, item);
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            work();
             for h in handles {
                 if let Err(payload) = h.join() {
                     std::panic::resume_unwind(payload);
@@ -212,6 +274,69 @@ mod tests {
                 let want: Vec<u32> = (0..len as u32).map(|i| 1 + i).collect();
                 assert_eq!(visits, want, "len={len} threads={threads}");
             }
+        }
+    }
+
+    /// The first `threads` items each wait until all of them have
+    /// started, so each is held by a different thread at once: with the
+    /// caller and `threads − 1` workers, one of them is the caller. The
+    /// wait gives up after a bounded spin, so a runner that parks the
+    /// caller fails instead of hanging.
+    #[test]
+    fn for_each_mut_runs_items_on_the_caller_too() {
+        for threads in [2, 3] {
+            let started = AtomicUsize::new(0);
+            let mut ran = vec![None; 4 * threads];
+            Runner::with_threads(threads).for_each_mut(&mut ran, |i, slot| {
+                if i < threads {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    for _ in 0..1 << 24 {
+                        if started.load(Ordering::SeqCst) == threads {
+                            break;
+                        }
+                        std::thread::yield_now();
+                    }
+                }
+                *slot = Some(std::thread::current().id());
+            });
+            let mut distinct = Vec::new();
+            for id in ran.iter().map(|id| id.expect("every item ran")) {
+                if !distinct.contains(&id) {
+                    distinct.push(id);
+                }
+            }
+            let caller = std::thread::current().id();
+            assert!(
+                distinct.contains(&caller),
+                "threads={threads}: the caller ran nothing"
+            );
+            assert!(distinct.len() <= threads, "threads={threads}: {distinct:?}");
+        }
+    }
+
+    /// Inside every item of a sequential or fanned-out runner, and of one
+    /// nested in an item, the current runner is sequential; on the caller
+    /// it is the machine's again afterwards, after a panicking item too.
+    #[test]
+    fn current_is_sequential_inside_an_item() {
+        assert_eq!(Runner::current(), Runner::available());
+        for threads in [1, 2, 3] {
+            let runner = Runner::with_threads(threads);
+            let inner = runner.run(&[0u8; 6], |_, _| {
+                let nested = Runner::with_threads(2).run(&[0u8; 3], |_, _| Runner::current());
+                (Runner::current(), nested)
+            });
+            let sequential = Runner::sequential();
+            assert!(
+                (inner.iter()).all(|(r, n)| *r == sequential && n.iter().all(|r| *r == sequential)),
+                "threads={threads}: {inner:?}"
+            );
+            assert_eq!(Runner::current(), Runner::available(), "threads={threads}");
+            let panicked = std::panic::catch_unwind(|| {
+                runner.for_each_mut(&mut [0u8; 4], |i, _| assert!(i != 0, "item 0 panics"));
+            });
+            assert!(panicked.is_err());
+            assert_eq!(Runner::current(), Runner::available(), "threads={threads}");
         }
     }
 

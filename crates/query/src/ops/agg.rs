@@ -6,7 +6,8 @@
 //! never of the hash. Over a scan that selects on its encoded columns
 //! ([`ColumnarScan::aggregated`]) the aggregate reads no batch: each
 //! window's survivors are folded from their stored codes into the same
-//! groups.
+//! groups, or, over enough windows, into one set of groups per range of
+//! windows, merged afterwards.
 
 use crate::batch::Batch;
 use crate::exec::{ExecContext, Operator, QueryError};
@@ -208,6 +209,42 @@ impl Groups {
         Ok(())
     }
 
+    /// No groups yet, over the same keys and aggregates.
+    pub(crate) fn empty_like(&self) -> Self {
+        Groups {
+            table: GroupTable::new(self.keys.len()),
+            keys: self.keys.clone(),
+            counts: Vec::new(),
+            accs: (self.accs.iter())
+                .map(|(func, col, _)| (*func, *col, Vec::new()))
+                .collect(),
+            rows: 0,
+        }
+    }
+
+    /// Fold the groups `other` holds, over the same keys and aggregates,
+    /// into these: each of its keys is interned here, then its count and
+    /// accumulators fold in as one row of values. Sums wrap, so the
+    /// result is the one folding `other`'s rows here would give.
+    pub(crate) fn merge(&mut self, other: &Groups) -> Result<(), QueryError> {
+        let ids: Vec<u32> = (0..other.table.len() as u32)
+            .map(|g| self.table.intern_key(|k| other.table.key(g)[k]))
+            .collect();
+        self.rows += other.rows;
+        let groups = self.table.len();
+        self.counts.resize(groups, 0);
+        let counts = Cow::Borrowed(other.counts.as_slice());
+        AggFunc::Sum.fold(&mut self.counts, None, &ids, counts)?;
+        for ((func, _, acc), (_, _, theirs)) in self.accs.iter_mut().zip(&other.accs) {
+            let Some(identity) = func.identity() else {
+                continue;
+            };
+            acc.resize(groups, identity);
+            func.fold(acc, None, &ids, Cow::Borrowed(theirs.as_slice()))?;
+        }
+        Ok(())
+    }
+
     /// The groups sorted by key: the key columns, then each aggregate's
     /// result.
     fn finish(&self, schema: Arc<Schema>) -> Batch {
@@ -302,24 +339,19 @@ impl HashAggregate {
             return Err(QueryError::UnknownColumn(bad));
         }
         let mut groups = Groups::new(&self.group_by, &self.aggs);
-        let mut gids: Vec<u32> = Vec::new();
-        loop {
-            let batch = match &mut self.input {
-                Input::Batches(op) => op.next(ctx)?,
-                Input::Scan(scan) => match scan.fold_window(ctx, &mut groups, &mut gids)? {
-                    true => continue,
-                    false => None,
-                },
-            };
-            let Some(batch) = batch else {
-                break;
-            };
-            let keys: Vec<Cow<'_, [Datum]>> = (groups.keys.iter())
-                .map(|c| batch.logical_column(*c))
-                .collect();
-            gids.clear();
-            groups.table.intern(&keys, batch.len(), &mut gids);
-            groups.fold(&gids, |c| batch.logical_column(c))?;
+        match &mut self.input {
+            Input::Scan(scan) => scan.fold(ctx, &mut groups)?,
+            Input::Batches(op) => {
+                let mut gids: Vec<u32> = Vec::new();
+                while let Some(batch) = op.next(ctx)? {
+                    let keys: Vec<Cow<'_, [Datum]>> = (groups.keys.iter())
+                        .map(|c| batch.logical_column(*c))
+                        .collect();
+                    gids.clear();
+                    groups.table.intern(&keys, batch.len(), &mut gids);
+                    groups.fold(&gids, |c| batch.logical_column(c))?;
+                }
+            }
         }
         ctx.charge_cpu(
             ctx.charge.agg_cycles_per_row * groups.rows as f64

@@ -192,7 +192,7 @@ impl GroupTable {
 
     /// The group of the key whose `k`-th datum is `key(k)`, interned
     /// through the hash table.
-    fn intern_key(&mut self, key: impl Fn(usize) -> Datum) -> u32 {
+    pub(crate) fn intern_key(&mut self, key: impl Fn(usize) -> Datum) -> u32 {
         let h = hash((0..self.width).map(&key));
         let slot = self.probe(h, |g| {
             self.key(g).iter().enumerate().all(|(k, v)| *v == key(k))

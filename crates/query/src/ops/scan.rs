@@ -16,6 +16,11 @@
 //! goes one step further for a [`HashAggregate`] over such a scan: it
 //! folds each window's survivors from their stored codes and decodes
 //! nothing but a new group's key, charging what the two operators charge.
+//! Over at least four windows per core, outside a sweep's point, it folds
+//! contiguous ranges of windows on every core, each with readers and
+//! groups of its own, merges the groups in range order, and then replays
+//! the pulls on the caller's context window by window, so the charges are
+//! still the sequential fold's, call for call.
 
 use crate::batch::{Batch, Table, BATCH_ROWS};
 use crate::exec::{ExecContext, Operator, QueryError};
@@ -25,6 +30,7 @@ use crate::ops::filter::Filter;
 use crate::ops::group_table::GroupTable;
 use crate::schema::Schema;
 use crate::value::Datum;
+use grail_par::Runner;
 use grail_power::units::Bytes;
 use grail_sim::perf::AccessPattern;
 use grail_sim::StorageTarget;
@@ -114,10 +120,8 @@ pub struct ColumnarScan {
 
 /// A predicate the scan tests on the encoded columns.
 struct Pushdown {
-    /// `(projected column, lo, hi)`, from [`Expr::column_ranges`].
-    ranges: Vec<(usize, i64, i64)>,
-    /// The predicate's [`Expr::cost_terms`].
-    terms: u64,
+    /// What it tests.
+    test: RangeTest,
     /// One reader per projected column, opened by the first pull.
     readers: Vec<SegmentReader>,
     /// The stored columns, when every projected segment is Plain: the
@@ -204,8 +208,14 @@ impl ColumnarScan {
         }
         let mut scan = ColumnarScan::new(stored.clone(), projection.to_vec());
         scan.pushed = Some(Pushdown {
-            ranges,
-            terms: predicate.cost_terms(),
+            test: RangeTest {
+                ranges,
+                terms: predicate.cost_terms(),
+                #[cfg(test)]
+                fault: None,
+                #[cfg(test)]
+                split: None,
+            },
             readers: Vec::new(),
             shared: None,
         });
@@ -285,12 +295,13 @@ impl ColumnarScan {
         Ok(self.advance(total))
     }
 
-    /// Fill `sel` with the survivors of the next window that has any,
-    /// pulling windows as a `Filter` pulls its scan; `false` at the end.
+    /// Pull windows as a `Filter` pulls its scan until `select(pushed,
+    /// rows)`, called after window `rows`' predicate charge, finds
+    /// survivors in one; `false` at the end.
     fn next_survivors(
         &mut self,
         ctx: &mut ExecContext,
-        sel: &mut Vec<u32>,
+        mut select: impl FnMut(&mut Pushdown, Range<usize>) -> Result<bool, QueryError>,
     ) -> Result<bool, QueryError> {
         loop {
             let op = ctx.begin_op("scan");
@@ -301,10 +312,9 @@ impl ColumnarScan {
             };
             let pushed = self.pushed.as_mut().expect("a filtered scan");
             ctx.charge_cpu(
-                ctx.charge.expr_cycles_per_term * pushed.terms as f64 * rows.len() as f64,
+                ctx.charge.expr_cycles_per_term * pushed.test.terms as f64 * rows.len() as f64,
             );
-            pushed.select(rows, sel)?;
-            if !sel.is_empty() {
+            if select(pushed, rows)? {
                 return Ok(true);
             }
         }
@@ -312,34 +322,104 @@ impl ColumnarScan {
 
     fn next_filtered(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
         let mut sel = Vec::new();
-        if !self.next_survivors(ctx, &mut sel)? {
+        if !self.next_survivors(ctx, |pushed, rows| pushed.select(rows, &mut sel))? {
             return Ok(None);
         }
         let pushed = self.pushed.as_mut().expect("a filtered scan");
         Ok(Some(pushed.survivors(&self.schema, sel)?))
     }
 
+    /// [`Self::next_survivors`] as a `HashAggregate` pulls a filtered
+    /// scan: inside one `"filter"` pull.
+    fn pull_filtered(
+        &mut self,
+        ctx: &mut ExecContext,
+        select: impl FnMut(&mut Pushdown, Range<usize>) -> Result<bool, QueryError>,
+    ) -> Result<bool, QueryError> {
+        let op = ctx.begin_op("filter");
+        let found = self.next_survivors(ctx, select);
+        ctx.end_op(op);
+        found
+    }
+
+    /// Fold the survivors of every window left into `groups`, pulled as a
+    /// `HashAggregate` pulls a filtered scan.
+    ///
+    /// Window by window on the calling thread when there are fewer than
+    /// [`MIN_WINDOWS_PER_THREAD`] windows per [`Runner::current`] thread
+    /// (always, inside a sweep's point). Otherwise the windows fold in one
+    /// contiguous range per thread on the runner, each range with readers
+    /// and groups of its own, and only then are the pulls made on `ctx`: each
+    /// window's "had survivors" verdict stands in for its selection, and
+    /// the first window that failed returns its error there. The ranges'
+    /// groups merge in range order; the groups leave sorted by key, so
+    /// the rows are the window-by-window fold's, and so is every charge.
+    pub(crate) fn fold(
+        &mut self,
+        ctx: &mut ExecContext,
+        groups: &mut Groups,
+    ) -> Result<(), QueryError> {
+        let runner = Runner::current();
+        let segments = &self.stored.segments;
+        let total = match self.projection.iter().all(|c| *c < segments.len()) {
+            true => segments[self.projection[0]].rows() as usize,
+            false => 0,
+        };
+        let windows = total.saturating_sub(self.cursor).div_ceil(BATCH_ROWS);
+        let test = &self.pushed.as_ref().expect("a filtered scan").test;
+        let ranges = test.ranges(windows, runner.threads());
+        if ranges <= 1 {
+            let mut gids = Vec::new();
+            while self.fold_window(ctx, groups, &mut gids)? {}
+            return Ok(());
+        }
+        let mut parts: Vec<Part> = (0..ranges)
+            .map(|r| Part {
+                windows: windows * r / ranges..windows * (r + 1) / ranges,
+                groups: groups.empty_like(),
+                survived: Vec::new(),
+                failed: None,
+            })
+            .collect();
+        let test = &self.pushed.as_ref().expect("a filtered scan").test;
+        let (stored, projection, first) = (&self.stored, &self.projection, self.cursor);
+        runner.for_each_mut(&mut parts, |_, part| {
+            part.failed = part.fold(stored, projection, test, first..total).err();
+        });
+        let mut verdicts = parts.iter().flat_map(Part::verdicts);
+        while self.pull_filtered(ctx, |_, _| verdicts.next().expect("a verdict per window"))? {}
+        parts.iter().try_for_each(|part| groups.merge(&part.groups))
+    }
+
     /// Fold the survivors of the next window that has any into `groups`,
     /// pulled as a `HashAggregate` pulls a filtered scan; `false` at the
     /// end. `gids` is scratch.
-    pub(crate) fn fold_window(
+    fn fold_window(
         &mut self,
         ctx: &mut ExecContext,
         groups: &mut Groups,
         gids: &mut Vec<u32>,
     ) -> Result<bool, QueryError> {
         let mut sel = Vec::new();
-        let op = ctx.begin_op("filter");
-        let found = self.next_survivors(ctx, &mut sel);
-        ctx.end_op(op);
-        if !found? {
+        if !self.pull_filtered(ctx, |pushed, rows| pushed.select(rows, &mut sel))? {
             return Ok(false);
         }
         let readers = &self.pushed.as_ref().expect("a filtered scan").readers;
-        let keys = &groups.keys;
-        ColumnarScan::group_ids(readers, &sel, &mut groups.table, keys, gids)?;
-        groups.fold(gids, |c| (&readers[c], sel.as_slice()))?;
+        ColumnarScan::fold_survivors(readers, &sel, groups, gids)?;
         Ok(true)
+    }
+
+    /// Fold the survivors `sel` into `groups`: group ids from the key
+    /// columns' codes, each aggregate from its column's codes. `gids` is
+    /// scratch.
+    fn fold_survivors(
+        readers: &[SegmentReader],
+        sel: &[u32],
+        groups: &mut Groups,
+        gids: &mut Vec<u32>,
+    ) -> Result<(), QueryError> {
+        ColumnarScan::group_ids(readers, sel, &mut groups.table, &groups.keys, gids)?;
+        groups.fold(gids, |c| (&readers[c], sel))
     }
 
     /// Fill `gids` with the groups of the survivors `sel`: their key codes
@@ -399,19 +479,65 @@ impl ColumnarScan {
     }
 }
 
-impl Pushdown {
-    /// Replace `sel` with the rows of window `rows` inside every range.
-    fn select(&mut self, rows: Range<usize>, sel: &mut Vec<u32>) -> Result<(), StorageError> {
+/// Fewest windows per thread for which an aggregated scan folds on
+/// every thread rather than window by window on the caller. Measured on
+/// a 2-vCPU VM, Q1 plus Q6 at 2–12 LINEITEM windows, folded inline and
+/// split alternately: a second thread costs Q6 (~20 µs a window) 25–100
+/// µs, so the pair breaks even at 4–6 windows and gains from 8.
+const MIN_WINDOWS_PER_THREAD: usize = 4;
+
+/// A conjunction of per-column ranges, tested on the encoded columns.
+struct RangeTest {
+    /// `(projected column, lo, hi)`, from [`Expr::column_ranges`].
+    ranges: Vec<(usize, i64, i64)>,
+    /// The predicate's [`Expr::cost_terms`].
+    terms: u64,
+    /// A row whose window's selection fails as a corrupt segment's would.
+    #[cfg(test)]
+    fault: Option<usize>,
+    /// How many ranges an aggregate folds the windows in, whatever their
+    /// count (`None`: [`RangeTest::ranges`]' rule).
+    #[cfg(test)]
+    split: Option<usize>,
+}
+
+impl RangeTest {
+    /// How many ranges an aggregate over this scan folds `windows`
+    /// windows in on `threads` threads: one per thread, or a single one
+    /// below [`MIN_WINDOWS_PER_THREAD`] windows per thread.
+    fn ranges(&self, windows: usize, threads: usize) -> usize {
+        #[cfg(test)]
+        if let Some(n) = self.split {
+            return n;
+        }
+        match windows < MIN_WINDOWS_PER_THREAD * threads {
+            true => 1,
+            false => threads,
+        }
+    }
+
+    /// Replace `sel` with the rows of window `rows` inside every range,
+    /// read through `readers`, one per projected column.
+    fn select(
+        &self,
+        readers: &mut [SegmentReader],
+        rows: Range<usize>,
+        sel: &mut Vec<u32>,
+    ) -> Result<(), StorageError> {
+        #[cfg(test)]
+        if self.fault.is_some_and(|row| rows.contains(&row)) {
+            return Err(StorageError::CorruptSegment("injected fault"));
+        }
         sel.clear();
         let mut vals = Vec::new();
         let (&(first, lo, hi), rest) = self.ranges.split_first().expect("at least one range");
-        self.readers[first].select_range(rows, lo, hi, sel)?;
+        readers[first].select_range(rows, lo, hi, sel)?;
         for &(col, lo, hi) in rest {
             if sel.is_empty() {
                 break;
             }
             vals.clear();
-            self.readers[col].gather(sel, &mut vals)?;
+            readers[col].gather(sel, &mut vals)?;
             let mut kept = 0;
             for (j, v) in vals.iter().enumerate() {
                 sel[kept] = sel[j];
@@ -420,6 +546,68 @@ impl Pushdown {
             sel.truncate(kept);
         }
         Ok(())
+    }
+}
+
+/// One contiguous range of a split fold's windows, folded on a runner
+/// thread.
+struct Part {
+    /// Its windows, counted from the first window left to the scan.
+    windows: Range<usize>,
+    /// The groups its survivors fold into.
+    groups: Groups,
+    /// Per window, in order, whether any row survived.
+    survived: Vec<bool>,
+    /// The error of the window after the last in `survived`, which
+    /// ended the range early.
+    failed: Option<QueryError>,
+}
+
+impl Part {
+    /// Select and fold this range's windows of `rows`, window `w`
+    /// starting at row `rows.start + w * BATCH_ROWS`, through readers of
+    /// its own, up to the first error.
+    fn fold(
+        &mut self,
+        stored: &StoredTable,
+        projection: &[usize],
+        test: &RangeTest,
+        rows: Range<usize>,
+    ) -> Result<(), QueryError> {
+        if self.windows.is_empty() {
+            return Ok(());
+        }
+        let readers = projection.iter().map(|c| stored.segments[*c].reader());
+        let mut readers = readers.collect::<Result<Vec<_>, _>>()?;
+        let (mut sel, mut gids) = (Vec::new(), Vec::new());
+        for w in self.windows.clone() {
+            let start = rows.start + w * BATCH_ROWS;
+            test.select(
+                &mut readers,
+                start..(start + BATCH_ROWS).min(rows.end),
+                &mut sel,
+            )?;
+            if !sel.is_empty() {
+                ColumnarScan::fold_survivors(&readers, &sel, &mut self.groups, &mut gids)?;
+            }
+            self.survived.push(!sel.is_empty());
+        }
+        Ok(())
+    }
+
+    /// Each window's verdict in order, ending at the failed one.
+    fn verdicts(&self) -> impl Iterator<Item = Result<bool, QueryError>> + '_ {
+        let survived = self.survived.iter().map(|s| Ok(*s));
+        survived.chain(self.failed.iter().map(|e| Err(e.clone())))
+    }
+}
+
+impl Pushdown {
+    /// Replace `sel` with the rows of window `rows` inside every range;
+    /// whether any survived.
+    fn select(&mut self, rows: Range<usize>, sel: &mut Vec<u32>) -> Result<bool, QueryError> {
+        self.test.select(&mut self.readers, rows, sel)?;
+        Ok(!sel.is_empty())
     }
 
     /// The survivors `sel` as a batch of the projection.
@@ -469,8 +657,10 @@ impl Operator for ColumnarScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_collect;
+    use crate::exec::{run_collect, OpTally, Tally};
+    use crate::ops::agg::AggFunc;
     use crate::schema::ColumnType;
+    use grail_power::units::Cycles;
     use grail_sim::DiskId;
 
     fn table() -> Arc<Table> {
@@ -652,5 +842,161 @@ mod tests {
         ] {
             assert_eq!(stored.footprint(), stored.scan_bytes(&all));
         }
+    }
+
+    /// Everything a caller or the simulator sees of an aggregate driven
+    /// to its end or its first error.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        rows: Vec<Vec<i64>>,
+        error: Option<QueryError>,
+        tallies: Vec<OpTally>,
+        total_cpu: Cycles,
+        total_io: Bytes,
+        phases: Vec<Tally>,
+    }
+
+    fn drive(mut agg: HashAggregate) -> Seen {
+        let mut ctx = ExecContext::calibrated();
+        let mut rows = Vec::new();
+        let error = loop {
+            match agg.next(&mut ctx) {
+                Ok(Some(b)) => rows.extend((0..b.len()).map(|r| b.row(r))),
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
+        };
+        Seen {
+            rows,
+            error,
+            tallies: ctx.op_tallies().to_vec(),
+            total_cpu: ctx.total_cpu(),
+            total_io: ctx.total_io_bytes(),
+            phases: ctx.finish(),
+        }
+    }
+
+    /// The aggregated scan folded in 1–8 window ranges on the runner
+    /// against the same scan folded window by window: every row, the
+    /// error, every `OpTally`, both totals and every phase. Zero to eight
+    /// windows, the last one full or partial; each window keeps all, none
+    /// or some of its rows (so the first and the last may keep none);
+    /// Plain, RLE, Dict, BitPack and Delta segments; keys that pack, that
+    /// hash, or none; every `AggFunc` over values that wrap a sum; a
+    /// storage error injected into one window's selection; and bad
+    /// projection and group columns.
+    #[test]
+    fn split_fold_matches_the_window_by_window_fold() {
+        const FUNCS: [AggFunc; 5] = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Avg,
+        ];
+        let (mut split, mut faulted, mut failed) = (0, 0, 0);
+        let (mut first_empty, mut last_empty, mut partial, mut hashed) = (0, 0, 0, 0);
+        grail_prop::check(256, |g| {
+            let ranges = g.range(1..9);
+            let last = match g.one_in(4) {
+                true => BATCH_ROWS,
+                false => g.range(1..BATCH_ROWS),
+            };
+            let keys = g.range(1..20);
+            let wide: Vec<i64> = (0..g.range(1..6)).map(|_| g.word() as i64).collect();
+            let big = g.bool();
+            // Per window: 0 keeps nothing, 1 everything, 2 some rows.
+            let kinds = g.vec(0..9, |g| g.pick(&[0, 1, 2, 2]));
+            let rows =
+                kinds.len().saturating_sub(1) * BATCH_ROWS + last * !kinds.is_empty() as usize;
+            let mut cols: [Vec<i64>; 5] = Default::default();
+            for r in 0..rows {
+                let kind = kinds[r / BATCH_ROWS];
+                let tag = match kind {
+                    2 if r % 7 == 0 || cols[0].is_empty() => g.range(0..3),
+                    2 => *cols[0].last().expect("a row"),
+                    _ => kind,
+                };
+                cols[0].push(tag);
+                cols[1].push(g.range(0..keys));
+                cols[2].push(g.pick(&wide));
+                cols[3].push(match big {
+                    true => i64::MAX - g.range(0..1_000),
+                    false => g.range(-50..50),
+                });
+                cols[4].push(g.range(0..100));
+            }
+            let schema = Schema::new((0..5).map(|_| ("c", ColumnType::Int)).collect());
+            let table = Arc::new(Table::new("t", schema, cols.to_vec()));
+            let encodings: Vec<Encoding> = (0..5)
+                .map(|_| {
+                    g.pick(&[
+                        Encoding::Plain,
+                        Encoding::Rle,
+                        Encoding::Dict,
+                        Encoding::BitPack,
+                        Encoding::Delta,
+                    ])
+                })
+                .collect();
+            let stored = Arc::new(StoredTable::columnar(table, target(), &encodings));
+            let mut projection: Vec<usize> = (0..5).collect();
+            if g.one_in(16) {
+                projection.push(7);
+            }
+            let tag = Expr::eq(Expr::Col(0), Expr::Lit(1));
+            let (lo, hi) = (g.range(-5..60), g.range(40..105));
+            let band = Expr::and(
+                Expr::le(Expr::Lit(lo), Expr::Col(4)),
+                Expr::le(Expr::Col(4), Expr::Lit(hi)),
+            );
+            let predicate = match g.range(0..3) {
+                0 => tag,
+                1 => Expr::and(tag, band),
+                _ => Expr::and(band, tag),
+            };
+            let mut group_by = g
+                .pick(&[&[][..], &[1], &[2], &[0], &[1, 2], &[2, 1], &[1, 0]])
+                .to_vec();
+            if g.one_in(32) {
+                group_by.push(9);
+            }
+            let aggs: Vec<AggSpec> = (0..g.range(0..5))
+                .map(|_| AggSpec::new(g.pick(&FUNCS), g.range(1..5), "a"))
+                .collect();
+            let fault = (rows > 0 && g.one_in(4)).then(|| g.range(0..rows));
+            let fold = |n: usize| {
+                let mut scan = ColumnarScan::pushed(&stored, &projection, &predicate)
+                    .expect("per-column ranges over the projection");
+                let test = &mut scan.pushed.as_mut().expect("pushed").test;
+                (test.fault, test.split) = (fault, Some(n));
+                let (group_by, aggs) = (group_by.clone(), aggs.clone());
+                drive(HashAggregate::over_scan(scan, group_by, aggs))
+            };
+            let want = fold(1);
+            assert_eq!(
+                fold(ranges),
+                want,
+                "{ranges} ranges, windows {kinds:?} (last {last} rows), {encodings:?}, \
+                 fault at {fault:?}, by {group_by:?} {aggs:?}"
+            );
+            split += (ranges > 1 && kinds.len() > 1) as u32;
+            faulted += fault.is_some() as u32;
+            failed += want.error.is_some() as u32;
+            first_empty += (kinds.len() > 1 && kinds[0] == 0) as u32;
+            last_empty += (kinds.len() > 1 && kinds.last() == Some(&0)) as u32;
+            partial += (kinds.len() > 1 && last < BATCH_ROWS) as u32;
+            hashed +=
+                (group_by.contains(&2) && want.error.is_none() && !want.rows.is_empty()) as u32;
+        });
+        assert!(
+            split > 150 && faulted > 40 && failed > 50 && first_empty > 25 && last_empty > 25,
+            "coverage: {split} split, {faulted} faulted, {failed} failed, \
+             {first_empty} with the first window empty, {last_empty} with the last"
+        );
+        assert!(
+            partial > 100 && hashed > 40,
+            "coverage: {partial} with a partial last window, {hashed} hashed keys"
+        );
     }
 }

@@ -12,7 +12,7 @@ use grail_par::Runner;
 use grail_query::batch::Table;
 use grail_query::schema::{ColumnType, Schema};
 use grail_sim::rng::ChaCha12Rng;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Scale of a generated database, in ORDERS rows; other tables follow
 /// TPC-H's cardinality ratios.
@@ -276,16 +276,9 @@ fn gen_supplier(scale: TpchScale, split: Split) -> (Table, usize) {
 /// Fewest rows a range must hold to pay for a thread of its own.
 const MIN_RANGE_ROWS: usize = 2_048;
 
-/// One worker per core, asked of the OS once: the query reads cgroup
-/// files, ~16 µs on a 2-vCPU Linux VM, a third of drawing a toy
-/// CUSTOMER.
-fn runner() -> Runner {
-    static RUNNER: OnceLock<Runner> = OnceLock::new();
-    *RUNNER.get_or_init(Runner::available)
-}
-
 /// Which stream a table draws from, and how many row ranges it is
-/// drawn in (`None`: one per runner thread the table pays for).
+/// drawn in (`None`: one per [`Runner::current`] thread the table pays
+/// for, so a table drawn inside a sweep's point is drawn inline).
 #[derive(Debug, Clone, Copy)]
 struct Split {
     seed: u64,
@@ -320,7 +313,7 @@ impl Split {
             let stride = head.end;
 
             let tail = rows - 1;
-            let runner = runner();
+            let runner = Runner::current();
             let wanted = self
                 .ranges
                 .unwrap_or(runner.threads().min(tail / MIN_RANGE_ROWS));
