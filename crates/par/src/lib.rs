@@ -18,11 +18,12 @@
 //! — sweep points have wildly different costs) and run `f` on each item
 //! in place, so every result lands at its **input index** whichever
 //! thread computed it. [`Runner::run`] maps `&[C] -> Vec<R>` by filling
-//! a slot vector through it, and `grail_sim::parallel`, `grail_workload`'s
-//! TPC-H generator and `grail_query`'s aggregated scan run through it;
-//! all are indistinguishable from a single-threaded `for` loop. No
-//! channels, no unsafe: the only shared mutable state is that one
-//! locked iterator.
+//! a slot vector through it, and [`Runner::split`] is the one rule that
+//! cuts a computation into contiguous ranges for it: `grail_workload`'s
+//! TPC-H generator and `grail_query`'s aggregated scan fan out that
+//! way, `grail_sim::parallel` one item per cell. All are
+//! indistinguishable from a single-threaded `for` loop. No channels, no
+//! unsafe: the only shared mutable state is that one locked iterator.
 //!
 //! Fan-outs do not nest: the generator and the scan ask
 //! [`Runner::current`], which is sequential on a thread running an item
@@ -39,6 +40,7 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
 thread_local! {
@@ -81,8 +83,8 @@ impl Runner {
         Runner { threads: 1 }
     }
 
-    /// Fan across exactly `n` worker threads (`n >= 1`; `1` is
-    /// equivalent to [`Runner::sequential`]).
+    /// Fan across `n` threads, the caller and `n − 1` workers (`n >= 1`;
+    /// `1` is [`Runner::sequential`]).
     pub fn with_threads(n: usize) -> Self {
         assert!(n >= 1, "a runner needs at least one thread");
         Runner { threads: n }
@@ -124,7 +126,7 @@ impl Runner {
     /// recognizes so callers can parse the remainder themselves:
     ///
     /// * `--sequential` — force single-threaded execution,
-    /// * `--threads N` — use exactly `N` worker threads.
+    /// * `--threads N` — fan across `N` threads, the caller included.
     ///
     /// With neither flag present this defaults to
     /// [`Runner::available`]. `--sequential` wins if both appear, so a
@@ -162,9 +164,26 @@ impl Runner {
         })
     }
 
-    /// Worker thread count this runner fans across.
+    /// How many threads this runner fans across, the caller included.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Cut `0..len` into the contiguous ranges one computation fans out
+    /// over: one per thread while each holds at least `min` (`>= 1`)
+    /// items, and always one, so `max(1, min(threads, len / min))`
+    /// ranges, in order, the longer ones first and none longer than
+    /// another by more than one. `len == 0` gives one empty range.
+    pub fn split(&self, len: usize, min: usize) -> Vec<Range<usize>> {
+        let count = self.threads.min(len / min).max(1);
+        let mut start = 0;
+        (0..count)
+            .map(|k| {
+                let range = start..start + len / count + usize::from(k < len % count);
+                start = range.end;
+                range
+            })
+            .collect()
     }
 
     /// Call `f(index, &mut item)` exactly once per item, fanned across
@@ -175,9 +194,8 @@ impl Runner {
     /// iterator, so which thread runs which item is scheduling-dependent
     /// — but each item is only ever touched by its one claimant, and
     /// results stay in the slice at their input index. With one thread
-    /// (or at most one item) everything runs inline on the calling
-    /// thread and nothing is spawned. Either way, [`Runner::current`] is
-    /// sequential inside `f`.
+    /// (or at most one item) the caller claims every item and nothing is
+    /// spawned. [`Runner::current`] is sequential inside `f`.
     ///
     /// A panic in any worker is re-raised on the calling thread after
     /// the scope joins, so failures are no quieter than under a
@@ -193,13 +211,6 @@ impl Runner {
         F: Fn(usize, &mut T) + Sync,
     {
         let threads = self.threads.min(items.len());
-        if threads <= 1 {
-            let _inside = InItem::enter();
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
-            return;
-        }
         let queue = Mutex::new(items.iter_mut().enumerate());
         let work = || {
             let _inside = InItem::enter();
@@ -247,13 +258,6 @@ impl Runner {
             .into_iter()
             .map(|slot| slot.expect("for_each_mut visits every slot"))
             .collect()
-    }
-}
-
-impl Default for Runner {
-    /// Defaults to [`Runner::available`]: use the machine.
-    fn default() -> Self {
-        Runner::available()
     }
 }
 
@@ -312,6 +316,59 @@ mod tests {
             );
             assert!(distinct.len() <= threads, "threads={threads}: {distinct:?}");
         }
+    }
+
+    /// At one thread the caller claims every item, in order, and the
+    /// current runner is sequential inside each.
+    #[test]
+    fn for_each_mut_at_one_thread_runs_every_item_on_the_caller() {
+        let caller = std::thread::current().id();
+        let mut seen = vec![None; 5];
+        Runner::sequential().for_each_mut(&mut seen, |i, slot| {
+            *slot = Some((i, std::thread::current().id(), Runner::current()));
+        });
+        let want = (0..5).map(|i| Some((i, caller, Runner::sequential())));
+        assert_eq!(seen, want.collect::<Vec<_>>());
+    }
+
+    /// `split`'s ranges are contiguous, in order and cover `0..len`;
+    /// their lengths differ by at most one; there are `max(1,
+    /// min(threads, len / min))` of them, so each holds `min` items or
+    /// more unless there is one. Empty and shorter-than-`min` lengths
+    /// included.
+    #[test]
+    fn split_cuts_even_contiguous_ranges() {
+        grail_prop::check(512, |g| {
+            let (threads, min) = (g.range(1usize..9), g.range(1usize..20));
+            let len = match g.one_in(4) {
+                true => g.range(0..min),
+                false => g.range(0usize..300),
+            };
+            let ranges = Runner::with_threads(threads).split(len, min);
+            let seen = format!("{threads} threads, len {len}, min {min}: {ranges:?}");
+            assert_eq!(ranges.len(), threads.min(len / min).max(1), "{seen}");
+            assert_eq!(ranges.first().map(|r| r.start), Some(0), "{seen}");
+            assert_eq!(ranges.last().map(|r| r.end), Some(len), "{seen}");
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start), "{seen}");
+            let short = ranges.iter().map(|r| r.len()).min().expect("a range");
+            let long = ranges.iter().map(|r| r.len()).max().expect("a range");
+            assert!(long - short <= 1, "{seen}");
+            assert!(ranges.len() == 1 || short >= min, "{seen}");
+        });
+    }
+
+    /// On two threads at four per range, 0 to 7 items stay one range and
+    /// 8 or more make two: the window counts at which an aggregated scan
+    /// folds inline or on both cores.
+    #[test]
+    fn split_on_two_threads_at_four_a_range() {
+        let two = Runner::with_threads(2);
+        for len in 0..8 {
+            assert_eq!(two.split(len, 4), vec![0..len], "len {len}");
+        }
+        assert_eq!(two.split(8, 4), vec![0..4, 4..8]);
+        assert_eq!(two.split(10, 4), vec![0..5, 5..10]);
+        assert_eq!(two.split(59, 4), vec![0..30, 30..59]);
     }
 
     /// Inside every item of a sequential or fanned-out runner, and of one

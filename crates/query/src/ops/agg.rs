@@ -5,9 +5,8 @@
 //! leave sorted by key, so the output order is a property of the data,
 //! never of the hash. Over a scan that selects on its encoded columns
 //! ([`ColumnarScan::aggregated`]) the aggregate reads no batch: each
-//! window's survivors are folded from their stored codes into the same
-//! groups, or, over enough windows, into one set of groups per range of
-//! windows, merged afterwards.
+//! window's survivors are folded from their stored codes into one set of
+//! groups per contiguous range of windows, merged in range order.
 
 use crate::batch::Batch;
 use crate::exec::{ExecContext, Operator, QueryError};
@@ -282,8 +281,8 @@ pub struct HashAggregate {
 enum Input {
     /// The batches an operator returns.
     Batches(Box<dyn Operator>),
-    /// A scan that selects on its encoded columns, folded window by
-    /// window from the stored codes ([`ColumnarScan::aggregated`]).
+    /// A scan that selects on its encoded columns, folded range by range
+    /// from the stored codes ([`ColumnarScan::aggregated`]).
     Scan(ColumnarScan),
 }
 

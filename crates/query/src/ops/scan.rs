@@ -16,11 +16,11 @@
 //! goes one step further for a [`HashAggregate`] over such a scan: it
 //! folds each window's survivors from their stored codes and decodes
 //! nothing but a new group's key, charging what the two operators charge.
-//! Over at least four windows per core, outside a sweep's point, it folds
-//! contiguous ranges of windows on every core, each with readers and
-//! groups of its own, merges the groups in range order, and then replays
-//! the pulls on the caller's context window by window, so the charges are
-//! still the sequential fold's, call for call.
+//! It folds contiguous ranges of windows, one per core at four windows a
+//! core or more (outside a sweep's point) and else one on the caller,
+//! each with readers and groups of its own; merges the groups in range
+//! order; and then replays the pulls on the caller's context in window
+//! order, so the charges are still the two operators', call for call.
 
 use crate::batch::{Batch, Table, BATCH_ROWS};
 use crate::exec::{ExecContext, Operator, QueryError};
@@ -214,7 +214,7 @@ impl ColumnarScan {
                 #[cfg(test)]
                 fault: None,
                 #[cfg(test)]
-                split: None,
+                threads: None,
             },
             readers: Vec::new(),
             shared: None,
@@ -345,21 +345,19 @@ impl ColumnarScan {
     /// Fold the survivors of every window left into `groups`, pulled as a
     /// `HashAggregate` pulls a filtered scan.
     ///
-    /// Window by window on the calling thread when there are fewer than
-    /// [`MIN_WINDOWS_PER_THREAD`] windows per [`Runner::current`] thread
-    /// (always, inside a sweep's point). Otherwise the windows fold in one
-    /// contiguous range per thread on the runner, each range with readers
-    /// and groups of its own, and only then are the pulls made on `ctx`: each
+    /// The windows fold in the contiguous ranges [`Runner::split`] cuts at
+    /// [`MIN_WINDOWS_PER_THREAD`] on [`Runner::current`] (one, on the
+    /// caller, inside a sweep's point), each range with readers and
+    /// groups of its own, and only then are the pulls made on `ctx`: each
     /// window's "had survivors" verdict stands in for its selection, and
     /// the first window that failed returns its error there. The ranges'
     /// groups merge in range order; the groups leave sorted by key, so
-    /// the rows are the window-by-window fold's, and so is every charge.
+    /// the rows are the batch aggregate's, and so is every charge.
     pub(crate) fn fold(
         &mut self,
         ctx: &mut ExecContext,
         groups: &mut Groups,
     ) -> Result<(), QueryError> {
-        let runner = Runner::current();
         let segments = &self.stored.segments;
         let total = match self.projection.iter().all(|c| *c < segments.len()) {
             true => segments[self.projection[0]].rows() as usize,
@@ -367,21 +365,19 @@ impl ColumnarScan {
         };
         let windows = total.saturating_sub(self.cursor).div_ceil(BATCH_ROWS);
         let test = &self.pushed.as_ref().expect("a filtered scan").test;
-        let ranges = test.ranges(windows, runner.threads());
-        if ranges <= 1 {
-            let mut gids = Vec::new();
-            while self.fold_window(ctx, groups, &mut gids)? {}
-            return Ok(());
-        }
-        let mut parts: Vec<Part> = (0..ranges)
-            .map(|r| Part {
-                windows: windows * r / ranges..windows * (r + 1) / ranges,
+        let (runner, min) = (Runner::current(), MIN_WINDOWS_PER_THREAD);
+        #[cfg(test)]
+        let (runner, min) = test
+            .threads
+            .map_or((runner, min), |n| (Runner::with_threads(n), 1));
+        let mut parts: Vec<Part> = (runner.split(windows, min).into_iter())
+            .map(|windows| Part {
+                windows,
                 groups: groups.empty_like(),
                 survived: Vec::new(),
                 failed: None,
             })
             .collect();
-        let test = &self.pushed.as_ref().expect("a filtered scan").test;
         let (stored, projection, first) = (&self.stored, &self.projection, self.cursor);
         runner.for_each_mut(&mut parts, |_, part| {
             part.failed = part.fold(stored, projection, test, first..total).err();
@@ -389,37 +385,6 @@ impl ColumnarScan {
         let mut verdicts = parts.iter().flat_map(Part::verdicts);
         while self.pull_filtered(ctx, |_, _| verdicts.next().expect("a verdict per window"))? {}
         parts.iter().try_for_each(|part| groups.merge(&part.groups))
-    }
-
-    /// Fold the survivors of the next window that has any into `groups`,
-    /// pulled as a `HashAggregate` pulls a filtered scan; `false` at the
-    /// end. `gids` is scratch.
-    fn fold_window(
-        &mut self,
-        ctx: &mut ExecContext,
-        groups: &mut Groups,
-        gids: &mut Vec<u32>,
-    ) -> Result<bool, QueryError> {
-        let mut sel = Vec::new();
-        if !self.pull_filtered(ctx, |pushed, rows| pushed.select(rows, &mut sel))? {
-            return Ok(false);
-        }
-        let readers = &self.pushed.as_ref().expect("a filtered scan").readers;
-        ColumnarScan::fold_survivors(readers, &sel, groups, gids)?;
-        Ok(true)
-    }
-
-    /// Fold the survivors `sel` into `groups`: group ids from the key
-    /// columns' codes, each aggregate from its column's codes. `gids` is
-    /// scratch.
-    fn fold_survivors(
-        readers: &[SegmentReader],
-        sel: &[u32],
-        groups: &mut Groups,
-        gids: &mut Vec<u32>,
-    ) -> Result<(), QueryError> {
-        ColumnarScan::group_ids(readers, sel, &mut groups.table, &groups.keys, gids)?;
-        groups.fold(gids, |c| (&readers[c], sel))
     }
 
     /// Fill `gids` with the groups of the survivors `sel`: their key codes
@@ -479,8 +444,8 @@ impl ColumnarScan {
     }
 }
 
-/// Fewest windows per thread for which an aggregated scan folds on
-/// every thread rather than window by window on the caller. Measured on
+/// Fewest windows per range for which an aggregated scan folds on more
+/// than one thread rather than in one range on the caller. Measured on
 /// a 2-vCPU VM, Q1 plus Q6 at 2–12 LINEITEM windows, folded inline and
 /// split alternately: a second thread costs Q6 (~20 µs a window) 25–100
 /// µs, so the pair breaks even at 4–6 windows and gains from 8.
@@ -495,27 +460,13 @@ struct RangeTest {
     /// A row whose window's selection fails as a corrupt segment's would.
     #[cfg(test)]
     fault: Option<usize>,
-    /// How many ranges an aggregate folds the windows in, whatever their
-    /// count (`None`: [`RangeTest::ranges`]' rule).
+    /// The threads an aggregate folds on, at one window a range or more
+    /// (`None`: [`Runner::current`]'s, at [`MIN_WINDOWS_PER_THREAD`]).
     #[cfg(test)]
-    split: Option<usize>,
+    threads: Option<usize>,
 }
 
 impl RangeTest {
-    /// How many ranges an aggregate over this scan folds `windows`
-    /// windows in on `threads` threads: one per thread, or a single one
-    /// below [`MIN_WINDOWS_PER_THREAD`] windows per thread.
-    fn ranges(&self, windows: usize, threads: usize) -> usize {
-        #[cfg(test)]
-        if let Some(n) = self.split {
-            return n;
-        }
-        match windows < MIN_WINDOWS_PER_THREAD * threads {
-            true => 1,
-            false => threads,
-        }
-    }
-
     /// Replace `sel` with the rows of window `rows` inside every range,
     /// read through `readers`, one per projected column.
     fn select(
@@ -549,8 +500,8 @@ impl RangeTest {
     }
 }
 
-/// One contiguous range of a split fold's windows, folded on a runner
-/// thread.
+/// One contiguous range of an aggregated scan's windows, folded on a
+/// runner thread.
 struct Part {
     /// Its windows, counted from the first window left to the scan.
     windows: Range<usize>,
@@ -566,7 +517,8 @@ struct Part {
 impl Part {
     /// Select and fold this range's windows of `rows`, window `w`
     /// starting at row `rows.start + w * BATCH_ROWS`, through readers of
-    /// its own, up to the first error.
+    /// its own, up to the first error: group ids from the key columns'
+    /// codes, each aggregate from its column's codes.
     fn fold(
         &mut self,
         stored: &StoredTable,
@@ -588,7 +540,15 @@ impl Part {
                 &mut sel,
             )?;
             if !sel.is_empty() {
-                ColumnarScan::fold_survivors(&readers, &sel, &mut self.groups, &mut gids)?;
+                let groups = &mut self.groups;
+                ColumnarScan::group_ids(
+                    &readers,
+                    &sel,
+                    &mut groups.table,
+                    &groups.keys,
+                    &mut gids,
+                )?;
+                groups.fold(&gids, |c| (&readers[c], sel.as_slice()))?;
             }
             self.survived.push(!sel.is_empty());
         }
@@ -876,17 +836,19 @@ mod tests {
         }
     }
 
-    /// The aggregated scan folded in 1–8 window ranges on the runner
-    /// against the same scan folded window by window: every row, the
-    /// error, every `OpTally`, both totals and every phase. Zero to eight
-    /// windows, the last one full or partial; each window keeps all, none
+    /// The aggregated scan folded in one range on the caller or in 2–8 on
+    /// the runner against a `HashAggregate` over the same filtered scan's
+    /// batches: every row, the error, every `OpTally`, both totals and
+    /// every phase. One to eight threads at a window a range, or the
+    /// current runner's rule; zero to eight windows, the last one full or
+    /// partial; each window keeps all, none
     /// or some of its rows (so the first and the last may keep none);
     /// Plain, RLE, Dict, BitPack and Delta segments; keys that pack, that
     /// hash, or none; every `AggFunc` over values that wrap a sum; a
     /// storage error injected into one window's selection; and bad
     /// projection and group columns.
     #[test]
-    fn split_fold_matches_the_window_by_window_fold() {
+    fn split_fold_matches_the_batch_aggregate() {
         const FUNCS: [AggFunc; 5] = [
             AggFunc::Count,
             AggFunc::Sum,
@@ -894,10 +856,14 @@ mod tests {
             AggFunc::Max,
             AggFunc::Avg,
         ];
-        let (mut split, mut faulted, mut failed) = (0, 0, 0);
+        let (mut split, mut single, mut faulted, mut failed) = (0, 0, 0, 0);
         let (mut first_empty, mut last_empty, mut partial, mut hashed) = (0, 0, 0, 0);
-        grail_prop::check(256, |g| {
-            let ranges = g.range(1..9);
+        grail_prop::check(320, |g| {
+            let threads = match g.range(0..8) {
+                0 => None,
+                1 => Some(1),
+                _ => Some(g.range(2..9)),
+            };
             let last = match g.one_in(4) {
                 true => BATCH_ROWS,
                 false => g.range(1..BATCH_ROWS),
@@ -965,22 +931,31 @@ mod tests {
                 .map(|_| AggSpec::new(g.pick(&FUNCS), g.range(1..5), "a"))
                 .collect();
             let fault = (rows > 0 && g.one_in(4)).then(|| g.range(0..rows));
-            let fold = |n: usize| {
+            let scan = || {
                 let mut scan = ColumnarScan::pushed(&stored, &projection, &predicate)
                     .expect("per-column ranges over the projection");
                 let test = &mut scan.pushed.as_mut().expect("pushed").test;
-                (test.fault, test.split) = (fault, Some(n));
-                let (group_by, aggs) = (group_by.clone(), aggs.clone());
-                drive(HashAggregate::over_scan(scan, group_by, aggs))
+                (test.fault, test.threads) = (fault, threads);
+                scan
             };
-            let want = fold(1);
+            // What `filtered` returns for this predicate, with the fault set.
+            let want = drive(HashAggregate::new(
+                Box::new(scan()),
+                group_by.clone(),
+                aggs.clone(),
+            ));
+            let got = drive(HashAggregate::over_scan(
+                scan(),
+                group_by.clone(),
+                aggs.clone(),
+            ));
             assert_eq!(
-                fold(ranges),
-                want,
-                "{ranges} ranges, windows {kinds:?} (last {last} rows), {encodings:?}, \
+                got, want,
+                "{threads:?} threads, windows {kinds:?} (last {last} rows), {encodings:?}, \
                  fault at {fault:?}, by {group_by:?} {aggs:?}"
             );
-            split += (ranges > 1 && kinds.len() > 1) as u32;
+            split += threads.is_some_and(|n| n.min(kinds.len()) > 1) as u32;
+            single += (threads == Some(1) && kinds.len() > 1) as u32;
             faulted += fault.is_some() as u32;
             failed += want.error.is_some() as u32;
             first_empty += (kinds.len() > 1 && kinds[0] == 0) as u32;
@@ -995,8 +970,9 @@ mod tests {
              {first_empty} with the first window empty, {last_empty} with the last"
         );
         assert!(
-            partial > 100 && hashed > 40,
-            "coverage: {partial} with a partial last window, {hashed} hashed keys"
+            single > 20 && partial > 100 && hashed > 40,
+            "coverage: {single} in one range on the caller, {partial} with a partial last \
+             window, {hashed} hashed keys"
         );
     }
 }

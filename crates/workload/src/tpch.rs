@@ -105,7 +105,13 @@ fn rng_for(seed: u64, table: TpchTable) -> ChaCha12Rng {
 /// Generate one table of the database at `scale` from `seed`: the same
 /// table [`generate`] returns, without drawing the other four.
 pub fn generate_table(scale: TpchScale, seed: u64, table: TpchTable) -> Arc<Table> {
-    Arc::new(draw_table(scale, seed, table, None).0)
+    let split = Split {
+        seed,
+        table,
+        #[cfg(test)]
+        threads: None,
+    };
+    Arc::new(draw_table(scale, split).0)
 }
 
 /// Generate the database at `scale` from `seed`.
@@ -124,21 +130,10 @@ pub fn generate(scale: TpchScale, seed: u64) -> TpchTables {
 /// totalprice, orderdate).
 pub const ORDERS_FIG2_PROJECTION: [usize; 5] = [0, 1, 2, 3, 4];
 
-/// `table` at `scale` from `seed`, and how many of its row ranges the
-/// stitch redrew. `ranges` forces the range count; `None` splits as
-/// [`Split::columns`] decides.
-fn draw_table(
-    scale: TpchScale,
-    seed: u64,
-    table: TpchTable,
-    ranges: Option<usize>,
-) -> (Table, usize) {
-    let split = Split {
-        seed,
-        table,
-        ranges,
-    };
-    match table {
+/// The table `split` names at `scale`, and how many of its row ranges
+/// the stitch redrew.
+fn draw_table(scale: TpchScale, split: Split) -> (Table, usize) {
+    match split.table {
         TpchTable::Orders => gen_orders(scale, split),
         TpchTable::Lineitem => gen_lineitem(scale, split),
         TpchTable::Customer => gen_customer(scale, split),
@@ -276,23 +271,26 @@ fn gen_supplier(scale: TpchScale, split: Split) -> (Table, usize) {
 /// Fewest rows a range must hold to pay for a thread of its own.
 const MIN_RANGE_ROWS: usize = 2_048;
 
-/// Which stream a table draws from, and how many row ranges it is
-/// drawn in (`None`: one per [`Runner::current`] thread the table pays
-/// for, so a table drawn inside a sweep's point is drawn inline).
+/// Which table, and which seed its stream is drawn from.
 #[derive(Debug, Clone, Copy)]
 struct Split {
     seed: u64,
     table: TpchTable,
-    ranges: Option<usize>,
+    /// The threads its rows are drawn on, at one row a range or more
+    /// (`None`: [`Runner::current`]'s, at [`MIN_RANGE_ROWS`]).
+    #[cfg(test)]
+    threads: Option<usize>,
 }
 
 impl Split {
     /// `rows` rows of `C` columns, row `i` drawn by `row(rng, i)` from
     /// the table's stream, and how many ranges the stitch redrew.
     ///
-    /// Row 0 is drawn inline, and the words it consumes are the stride:
-    /// range `k`, starting at row `first`, seeks to `stride × first` and
-    /// is drawn on its own thread into its own slices of the columns. A
+    /// Row 0 is drawn inline, and the words it consumes are the stride.
+    /// The other rows are cut into the ranges [`Runner::split`] cuts at
+    /// [`MIN_RANGE_ROWS`] on [`Runner::current`] (one, on the caller,
+    /// inside a sweep's point); a range starting at row `first` seeks to
+    /// `stride × first` and is drawn into its own slices of the columns. A
     /// row whose draws hit Canon's second draw consumes more words, so
     /// the stitch walks the ranges in order and draws again, from the
     /// true position, every range whose predecessor did not end where
@@ -312,19 +310,13 @@ impl Split {
             head.draw(&stream, 0, &row);
             let stride = head.end;
 
-            let tail = rows - 1;
-            let runner = Runner::current();
-            let wanted = self
-                .ranges
-                .unwrap_or(runner.threads().min(tail / MIN_RANGE_ROWS));
-            let count = wanted.clamp(1, tail.max(1));
-            let mut ranges: Vec<Rows<C>> = (0..count)
-                .scan(1, |first, k| {
-                    let len = tail / count + usize::from(k < tail % count);
-                    let rows = Rows::split_off(&mut rest, *first, len);
-                    *first += len;
-                    Some(rows)
-                })
+            let (runner, min) = (Runner::current(), MIN_RANGE_ROWS);
+            #[cfg(test)]
+            let (runner, min) = self
+                .threads
+                .map_or((runner, min), |n| (Runner::with_threads(n), 1));
+            let mut ranges: Vec<Rows<C>> = (runner.split(rows - 1, min).into_iter())
+                .map(|r| Rows::split_off(&mut rest, 1 + r.start, r.len()))
                 .collect();
             runner.for_each_mut(&mut ranges, |_, range| {
                 range.draw(&stream, stride * range.first as u128, &row);
@@ -405,11 +397,12 @@ mod tests {
     /// The points `tpch_digests` pins.
     const PINNED: [(u64, u64); 2] = [(10_000, 42), (2_000, 1009)];
 
-    /// Every table, drawn in 1 to 8 ranges, equals the one loop over its
-    /// stream column for column: at the row counts where the automatic
-    /// split changes (ORDERS' tail crossing `2 × MIN_RANGE_ROWS`,
-    /// LINEITEM's at a quarter of that), at tiny tables where ranges
-    /// outnumber rows, and at the pinned scales.
+    /// Every table, drawn on 1 to 8 threads at a row a range or as the
+    /// current runner splits it, equals the one loop over its stream
+    /// column for column: at the row counts where the current runner's
+    /// split changes on two cores (ORDERS' tail crossing `2 ×
+    /// MIN_RANGE_ROWS`, LINEITEM's at a quarter of that), at tiny tables
+    /// where threads outnumber rows, and at the pinned scales.
     #[test]
     fn chunked_tables_match_the_sequential_generator() {
         let edge = 2 * MIN_RANGE_ROWS as u64 + 1;
@@ -434,18 +427,26 @@ mod tests {
             } else {
                 g.pick(&sizes)
             };
-            let (seed, ranges) = (g.word(), g.range(1usize..9));
+            let seed = g.word();
+            let threads = (!g.one_in(8)).then(|| g.range(1usize..9));
             let scale = TpchScale { orders_rows };
             for table in TpchTable::ALL {
                 let want = sequential::generate_table(scale, seed, table);
-                let (got, _) = draw_table(scale, seed, table, Some(ranges));
+                let (got, _) = draw_table(
+                    scale,
+                    Split {
+                        seed,
+                        table,
+                        threads,
+                    },
+                );
                 assert_eq!(got.name, want.name);
                 assert_eq!(got.schema, want.schema);
                 for (c, (got, want)) in got.columns.iter().zip(&want.columns).enumerate() {
                     assert!(
                         got == want,
                         "{table:?} column {c} differs: {orders_rows} orders, seed {seed:#x}, \
-                         {ranges} ranges"
+                         {threads:?} threads"
                     );
                 }
             }
@@ -462,11 +463,11 @@ mod tests {
             |rng: &mut ChaCha12Rng, i: usize| [i as i64, rng.random_range(0..=(1u64 << 63)) as i64];
         let mut redrawn = 0;
         check(256, |g| {
-            let (rows, seed, ranges) = (g.range(0usize..3_000), g.word(), g.range(1usize..9));
+            let (rows, seed, threads) = (g.range(0usize..3_000), g.word(), g.range(1usize..9));
             let split = Split {
                 seed,
                 table: TpchTable::Orders,
-                ranges: Some(ranges),
+                threads: Some(threads),
             };
             let (cols, n) = split.columns(rows, row);
             redrawn += n;
@@ -475,7 +476,10 @@ mod tests {
             let want: Vec<Vec<i64>> = (0..2)
                 .map(|c| drawn.iter().map(|r| r[c]).collect())
                 .collect();
-            assert!(cols == want, "{rows} rows, seed {seed:#x}, {ranges} ranges");
+            assert!(
+                cols == want,
+                "{rows} rows, seed {seed:#x}, {threads} threads"
+            );
         });
         assert!(redrawn > 256, "only {redrawn} ranges redrawn");
     }
@@ -487,11 +491,16 @@ mod tests {
     fn no_range_is_redrawn_at_the_pinned_points() {
         for (orders_rows, seed) in PINNED {
             for table in TpchTable::ALL {
-                for ranges in [None, Some(2), Some(8)] {
-                    let (_, redrawn) = draw_table(TpchScale { orders_rows }, seed, table, ranges);
+                for threads in [None, Some(2), Some(8)] {
+                    let split = Split {
+                        seed,
+                        table,
+                        threads,
+                    };
+                    let (_, redrawn) = draw_table(TpchScale { orders_rows }, split);
                     assert_eq!(
                         redrawn, 0,
-                        "{table:?} at ({orders_rows}, {seed}), {ranges:?}"
+                        "{table:?} at ({orders_rows}, {seed}), {threads:?} threads"
                     );
                 }
             }
