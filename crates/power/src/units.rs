@@ -212,6 +212,13 @@ impl SimInstant {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
+    /// `self + d`, or [`SimInstant::MAX`] where that would overflow: a
+    /// deadline that saturated durations put past every horizon.
+    #[inline]
+    pub const fn saturating_add(self, d: SimDuration) -> SimInstant {
+        SimInstant(self.0.saturating_add(d.as_nanos()))
+    }
+
     /// The later of two instants.
     #[inline]
     pub fn max(self, other: SimInstant) -> SimInstant {

@@ -38,7 +38,7 @@ use grail_sim::driver::RetryPolicy;
 use grail_sim::event::EventQueue;
 use grail_sim::fault::{ChaosEventKind, ChaosSchedule};
 use grail_trace::Tracer;
-use std::ops::ControlFlow;
+use std::fmt;
 
 /// The per-machine circuit breaker: how long a flapping machine is
 /// quarantined after each restart before it may take load again.
@@ -131,6 +131,101 @@ pub struct PlacementChange {
     pub replicas: u32,
 }
 
+/// Every placement decision of a run, in order, each stored as the
+/// `(machine, load)` pairs it changed (the first one whole): a decision
+/// moves a few of the fleet's loads, so the report keeps those, not a
+/// copy of the fleet per event. [`Placements::iter`] yields the full
+/// [`PlacementChange`]s, and `{:?}` prints exactly that list.
+#[derive(Clone, PartialEq, Default)]
+pub struct Placements {
+    decisions: Vec<Decision>,
+    /// The pairs of every decision, in order; `Decision::end` splits them.
+    changes: Vec<(u32, f64)>,
+}
+
+/// A [`PlacementChange`] without its loads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Decision {
+    at: SimInstant,
+    powered: u32,
+    served_rate: f64,
+    shed_rate: f64,
+    replicas: u32,
+    /// Where this decision's pairs end in [`Placements::changes`].
+    end: usize,
+}
+
+impl Placements {
+    /// Number of decisions.
+    pub fn len(&self) -> usize {
+        self.decisions.len()
+    }
+
+    /// Whether no decision was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.decisions.is_empty()
+    }
+
+    /// Every decision in order, its loads rebuilt from the pairs.
+    pub fn iter(&self) -> impl Iterator<Item = PlacementChange> + '_ {
+        let mut loads: Vec<f64> = Vec::new();
+        let mut start = 0;
+        self.decisions.iter().map(move |d| {
+            for &(i, load) in &self.changes[start..d.end] {
+                let i = i as usize;
+                if i >= loads.len() {
+                    loads.resize(i + 1, 0.0);
+                }
+                loads[i] = load;
+            }
+            start = d.end;
+            PlacementChange {
+                at: d.at,
+                loads: loads.clone(),
+                powered: d.powered,
+                served_rate: d.served_rate,
+                shed_rate: d.shed_rate,
+                replicas: d.replicas,
+            }
+        })
+    }
+
+    /// The `k`-th decision.
+    pub fn get(&self, k: usize) -> Option<PlacementChange> {
+        self.iter().nth(k)
+    }
+
+    /// The latest decision.
+    pub fn last(&self) -> Option<PlacementChange> {
+        self.iter().last()
+    }
+
+    /// Record the plan now in force: every machine's load the first
+    /// time, then those of the machines in `changed`.
+    fn push(&mut self, at: SimInstant, plan: &Plan, changed: &[usize], powered: u32) {
+        let loads = &plan.placement.loads;
+        if self.decisions.is_empty() {
+            (self.changes).extend(loads.iter().enumerate().map(|(i, &l)| (i as u32, l)));
+        } else {
+            (self.changes).extend(changed.iter().map(|&i| (i as u32, loads[i])));
+        }
+        self.decisions.push(Decision {
+            at,
+            powered,
+            served_rate: plan.served_rate,
+            shed_rate: plan.shed_rate,
+            replicas: plan.r_eff,
+            end: self.changes.len(),
+        });
+    }
+}
+
+impl fmt::Debug for Placements {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The full outcome of a chaos run: the energy ledger, the demand
 /// accounting (`served + shed + failed == offered`), event counters, and
 /// the complete placement sequence.
@@ -174,7 +269,7 @@ pub struct ChaosReport {
     /// Simulated seconds spent below the target replica count.
     pub redundancy_degraded_secs: f64,
     /// Every placement decision, in order.
-    pub placements: Vec<PlacementChange>,
+    pub placements: Placements,
 }
 
 impl ChaosReport {
@@ -240,6 +335,11 @@ enum Runtime {
 ///
 /// Public because the `grail-check` chaos model's admission-sanity
 /// invariant measures the live fleet with this exact function.
+///
+/// Known overstatement: the walk returns the root of the first segment
+/// on which `f` descends without checking that the root lies inside
+/// that segment. `[100, 100, 100]` at `r = 2` returns 200, and the
+/// feasible rate is 150 (ROADMAP item 3 fixes the walk).
 pub fn max_replica_rate(dom_caps: &[f64], r: u32) -> f64 {
     let mut live = Vec::new();
     sort_live(dom_caps, &mut live);
@@ -310,63 +410,146 @@ fn admission(
     (r_eff, served_rate, shed_rate)
 }
 
+/// Positions of the fill's walk between two of its checkpoints.
+const MARK_EVERY: usize = 16;
+
 /// Greedy domain-capped fill: place `served_rate · r_eff` total load
 /// with at most `served_rate` (one replica's worth) per domain, so no
-/// single domain loss can take every copy. Feasible by construction:
-/// [`max_replica_rate`] guaranteed `Σ_d min(cap_d, S) ≥ r·S`. Machines
-/// with zero effective capacity are never powered (except under
+/// single domain loss can take every copy. Meant to be feasible because
+/// [`max_replica_rate`] bounds `served_rate`, but that bound overstates
+/// (`[100, 100, 100]` at `r = 2` admits 200, and 150 is feasible; ROADMAP
+/// item 3), and then the fill places less than `served_rate · r_eff`.
+/// Machines with zero effective capacity are never powered (except under
 /// [`PlacementPolicy::Spread`], which keeps every healthy machine on
 /// for availability).
 ///
-/// `by_efficiency` is the whole fleet in [`by_peak_efficiency`] order.
-/// That order is total (ties break on the index), so walking it past
-/// the machines without capacity visits the rest in exactly the order
-/// sorting them alone would. Reads `scratch.eff_cap`; overwrites
-/// `scratch.dom_used`, `scratch.loads` and `scratch.powered`.
+/// The walk visits the fleet in [`by_peak_efficiency`] order (`Spread`:
+/// fleet order), stopping once everything is placed. That order is
+/// total (ties break on the index), so walking it past the machines
+/// without capacity visits the rest in exactly the order sorting them
+/// alone would.
+///
+/// The walk's state before a position is a function of the capacities
+/// before it, so under the last walk's policy, rate and replica count
+/// it resumes from the checkpoint (`rest` and the per-domain sums, kept
+/// every [`MARK_EVERY`] positions) at or before the first machine whose
+/// capacity moved, and is skipped when that machine lies past where the
+/// last walk stopped. `placement` is overwritten where it changes: loads
+/// from the resumed walk and what the last walk loaded beyond this
+/// one's end; power wherever a load or a capacity moved. Reads
+/// `scratch.eff_cap` and `scratch.moved`; leaves the machines whose load
+/// or power changed in `scratch.changed`. Returns the machines it
+/// powered on, both in fleet order.
 fn place_replicated(
     fleet: &[Machine],
+    orders: &Orders,
     policy: PlacementPolicy,
-    by_efficiency: &[usize],
     served_rate: f64,
     r_eff: u32,
+    placement: &mut Placement,
     scratch: &mut Scratch,
-) {
+) -> Vec<usize> {
     let Scratch {
         eff_cap,
+        moved,
         dom_used,
-        loads,
-        powered,
+        marks,
+        walked,
+        walk_end,
+        changed,
         ..
     } = scratch;
-    loads.fill(0.0);
-    dom_used.fill(0.0);
-    // Availability-first: under Spread every healthy machine stays powered.
+    let n = fleet.len();
     let spread = policy == PlacementPolicy::Spread;
-    for (on, cap) in powered.iter_mut().zip(eff_cap.iter()) {
-        *on = spread && *cap > 0.0;
-    }
-    let mut rest = served_rate * r_eff as f64;
-    let fill = |i: usize| {
-        if rest <= 1e-12 {
-            return ControlFlow::Break(());
+    let by_efficiency = (!spread).then_some(orders);
+    let machine_at = |p: usize| by_efficiency.map_or(p, |o| o.by_efficiency[p]);
+    let position = |i: usize| by_efficiency.map_or(i, |o| o.rank[i]);
+    let key = (policy, served_rate.to_bits(), r_eff);
+    // Positions of the last walk name the same machines only under the
+    // same policy; otherwise every machine past this walk is cleared.
+    let same_order = matches!(*walked, Some((last, ..)) if last == policy);
+    let (last_end, start) = match *walked {
+        Some(last) if last == key => {
+            let first = moved.iter().map(|&i| position(i)).min();
+            (*walk_end, first.filter(|&p| p < *walk_end))
         }
-        if eff_cap[i] > 0.0 {
-            let d = fleet[i].domain as usize;
-            let room = eff_cap[i].min(served_rate - dom_used[d]);
-            if room > 0.0 {
-                let take = rest.min(room);
-                loads[i] = take;
-                powered[i] = true;
-                dom_used[d] += take;
-                rest -= take;
+        _ if same_order => (*walk_end, Some(0)),
+        _ => (n, Some(0)),
+    };
+    *walked = Some(key);
+    changed.clear();
+    let mut set = |i: usize, load: f64| {
+        if placement.loads[i].to_bits() != load.to_bits() {
+            placement.loads[i] = load;
+            changed.push(i);
+        }
+    };
+    if let Some(first) = start {
+        let width = dom_used.len() + 1;
+        let mut p = first - first % MARK_EVERY;
+        let mut rest = served_rate * r_eff as f64;
+        if p == 0 {
+            dom_used.fill(0.0);
+        } else {
+            let mark = &marks[p / MARK_EVERY * width..][..width];
+            rest = mark[0];
+            dom_used.copy_from_slice(&mark[1..]);
+        }
+        while p < n {
+            if p.is_multiple_of(MARK_EVERY) {
+                let mark = &mut marks[p / MARK_EVERY * width..][..width];
+                mark[0] = rest;
+                mark[1..].copy_from_slice(dom_used);
             }
+            if rest <= 1e-12 {
+                break;
+            }
+            let i = machine_at(p);
+            let mut load = 0.0;
+            if eff_cap[i] > 0.0 {
+                let d = fleet[i].domain as usize;
+                let room = eff_cap[i].min(served_rate - dom_used[d]);
+                if room > 0.0 {
+                    load = rest.min(room);
+                    dom_used[d] += load;
+                    rest -= load;
+                }
+            }
+            set(i, load);
+            p += 1;
         }
-        ControlFlow::Continue(())
+        for q in p..last_end {
+            set(machine_at(q), 0.0);
+        }
+        *walk_end = p;
+    }
+    // Power follows load, and under Spread capacity too: it can flip
+    // only where one of them moved.
+    let mut booted = Vec::new();
+    let mut repower = |i: usize| {
+        let on = placement.loads[i] > 0.0 || (spread && eff_cap[i] > 0.0);
+        if on == placement.powered[i] {
+            return false;
+        }
+        placement.powered[i] = on;
+        if on {
+            booted.push(i);
+        }
+        true
     };
-    let _ = match policy {
-        PlacementPolicy::Spread => (0..fleet.len()).try_for_each(fill),
-        PlacementPolicy::Consolidate => by_efficiency.iter().copied().try_for_each(fill),
-    };
+    for &i in changed.iter() {
+        repower(i);
+    }
+    // A machine whose load changed was repowered above; any other flip
+    // is a change of its own.
+    if !same_order {
+        changed.extend((0..n).filter(|&i| repower(i)));
+    } else {
+        changed.extend(moved.iter().copied().filter(|&i| repower(i)));
+    }
+    booted.sort_unstable();
+    changed.sort_unstable();
+    booted
 }
 
 /// What the fleet is doing right now: the output of one re-plan, in
@@ -405,7 +588,8 @@ pub struct Effects {
     pub stranded_rate: f64,
     /// The breaker held a restarted machine, `(machine, hold)`, instead
     /// of re-planning — the one event that leaves the [`Plan`] as it
-    /// was. The caller owes a [`FleetEvent::Wake`] at `at + hold`.
+    /// was. The caller owes a [`FleetEvent::Wake`] at `at + hold`,
+    /// saturating at [`SimInstant::MAX`].
     pub quarantine: Option<(usize, SimDuration)>,
 }
 
@@ -426,29 +610,94 @@ pub struct FleetState {
     cap_frac: f64,
     surge: f64,
     plan: Plan,
-    /// Every fleet index in [`by_peak_efficiency`] order: a function of
-    /// the fleet alone, so sorted once.
-    by_efficiency: Vec<usize>,
+    orders: Orders,
     scratch: Scratch,
 }
 
-/// The buffers one re-plan works in, kept between events so that an
-/// event allocates nothing. Every re-plan overwrites what it reads, so
-/// they carry no state — two fleets that differ only here are equal.
+/// The fleet's machines in the orders a re-plan visits them: a function
+/// of the fleet alone, so computed once.
+#[derive(Debug, Clone, PartialEq)]
+struct Orders {
+    /// Every fleet index in [`by_peak_efficiency`] order.
+    by_efficiency: Vec<usize>,
+    /// Each machine's position in `by_efficiency`.
+    rank: Vec<usize>,
+    /// Every fleet index grouped by fault domain, fleet order within
+    /// one; domain `d`'s run ends at `domain_ends[d]`.
+    by_domain: Vec<usize>,
+    domain_ends: Vec<usize>,
+}
+
+impl Orders {
+    fn new(fleet: &[Machine], n_domains: usize) -> Orders {
+        let n = fleet.len();
+        let mut by_efficiency: Vec<usize> = (0..n).collect();
+        by_efficiency.sort_by(by_peak_efficiency(fleet));
+        let mut rank = vec![0; n];
+        for (p, &i) in by_efficiency.iter().enumerate() {
+            rank[i] = p;
+        }
+        let mut by_domain: Vec<usize> = (0..n).collect();
+        by_domain.sort_by_key(|&i| fleet[i].domain);
+        let domain_ends = (0..n_domains)
+            .map(|d| by_domain.partition_point(|&i| fleet[i].domain as usize <= d))
+            .collect();
+        Orders {
+            by_efficiency,
+            rank,
+            by_domain,
+            domain_ends,
+        }
+    }
+
+    /// Domain `d`'s machines, in fleet order.
+    fn members(&self, d: u32) -> &[usize] {
+        let d = d as usize;
+        let start = if d == 0 { 0 } else { self.domain_ends[d - 1] };
+        &self.by_domain[start..self.domain_ends[d]]
+    }
+}
+
+/// What one re-plan works in, kept between events so that an event
+/// costs what it changes and allocates nothing: the capacities as of
+/// the last re-plan and the checkpoints of its fill, brought current
+/// from the machines an event or the clock touched since, and working
+/// space. All of it follows from the health and the plan, so two
+/// fleets that differ only here are equal.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Per-machine capacity usable right now (0 when unavailable).
+    /// Per-machine capacity usable at `at` (0 when unavailable).
     eff_cap: Vec<f64>,
-    /// `eff_cap` summed per fault domain.
+    /// `eff_cap` summed per fault domain, in fleet order from 0.0.
     dom_caps: Vec<f64>,
+    /// When `eff_cap` was last brought current; `None` when the next
+    /// re-plan must recompute every machine (at the start, and after a
+    /// brownout changed every machine's usable fraction).
+    at: Option<SimInstant>,
+    /// Machines whose health changed since `at`.
+    dirty: Vec<usize>,
+    /// Machines whose quarantine had not ended at `at`: whom the clock
+    /// alone can make available.
+    held: Vec<usize>,
+    /// Machines whose `eff_cap` the last refresh changed.
+    moved: Vec<usize>,
+    /// Domains whose sum the current refresh re-adds.
+    dirty_domains: Vec<u32>,
     /// [`admission`]'s working space.
     live_caps: Vec<f64>,
     /// Load placed per fault domain so far.
     dom_used: Vec<f64>,
-    /// Where the next plan's placement is built; swapped with the
-    /// outgoing plan's, whose buffers the plan after that reuses.
-    loads: Vec<f64>,
-    powered: Vec<bool>,
+    /// The fill's checkpoints: before every [`MARK_EVERY`]-th position
+    /// of its walk, what was left to place and `dom_used`.
+    marks: Vec<f64>,
+    /// The policy, rate bits and replica count of the last fill's walk;
+    /// `None` when the placement is to be rebuilt whole.
+    walked: Option<(PlacementPolicy, u64, u32)>,
+    /// Where the last walk stopped: nothing at or past it is loaded.
+    walk_end: usize,
+    /// The machines whose load or power the last re-plan changed, in
+    /// fleet order.
+    changed: Vec<usize>,
 }
 
 impl PartialEq for Scratch {
@@ -489,8 +738,6 @@ impl FleetState {
             "fleet spans {} fault domains, n_domains is {n_domains}",
             domain_count(fleet)
         );
-        let mut by_efficiency: Vec<usize> = (0..n).collect();
-        by_efficiency.sort_by(by_peak_efficiency(fleet));
         let mut state = FleetState {
             machine_up: vec![true; n],
             domain_up: vec![true; n_domains],
@@ -508,14 +755,14 @@ impl FleetState {
                 served_rate: 0.0,
                 shed_rate: 0.0,
             },
-            by_efficiency,
+            orders: Orders::new(fleet, n_domains),
             scratch: Scratch {
                 eff_cap: vec![0.0; n],
                 dom_caps: vec![0.0; n_domains],
                 live_caps: Vec::with_capacity(n_domains),
                 dom_used: vec![0.0; n_domains],
-                loads: vec![0.0; n],
-                powered: vec![false; n],
+                marks: vec![0.0; (n / MARK_EVERY + 1) * (n_domains + 1)],
+                ..Scratch::default()
             },
         };
         state.replan(fleet, policy, demand, SimInstant::EPOCH);
@@ -553,15 +800,93 @@ impl FleetState {
     /// The most (peak-)efficient machine available at `at`, if any —
     /// where hedged re-dispatch replays stranded work.
     fn best_available(&self, fleet: &[Machine], at: SimInstant) -> Option<usize> {
-        self.by_efficiency
+        (self.orders.by_efficiency)
             .iter()
             .copied()
             .find(|&i| self.available(fleet, i, at))
     }
 
+    /// Machine `i`'s capacity usable at `at`.
+    fn capacity_at(&self, fleet: &[Machine], i: usize, at: SimInstant) -> f64 {
+        if self.available(fleet, i, at) {
+            fleet[i].capacity * usable_frac(&fleet[i], self.cap_frac)
+        } else {
+            0.0
+        }
+    }
+
+    /// Bring `scratch.eff_cap` and `scratch.dom_caps` to the health at
+    /// `at`, listing in `scratch.moved` the machines whose capacity
+    /// changed. From the last re-plan's, only the machines an event
+    /// touched since and those whose quarantine has ended by `at` can
+    /// differ; each domain holding one that did is re-added from 0.0 in
+    /// fleet order, the bits of a full pass. With no earlier re-plan to
+    /// start from (or one later than `at`, which could re-hold released
+    /// machines) every machine is recomputed.
+    fn refresh(&self, fleet: &[Machine], at: SimInstant, scratch: &mut Scratch) {
+        let until = &self.quarantined_until;
+        let resume = scratch.at.is_some_and(|last| last <= at);
+        let Scratch {
+            dirty,
+            held,
+            moved,
+            eff_cap,
+            dom_caps,
+            dirty_domains,
+            ..
+        } = scratch;
+        if resume {
+            held.retain(|&i| {
+                let ended = until[i] <= at;
+                if ended {
+                    dirty.push(i);
+                }
+                !ended
+            });
+        } else {
+            dirty.clear();
+            dirty.extend(0..fleet.len());
+            held.clear();
+            held.extend((0..fleet.len()).filter(|&i| until[i] > at));
+        }
+        moved.clear();
+        dirty_domains.clear();
+        for &i in dirty.iter() {
+            let cap = self.capacity_at(fleet, i, at);
+            if cap.to_bits() != eff_cap[i].to_bits() {
+                eff_cap[i] = cap;
+                moved.push(i);
+                dirty_domains.push(fleet[i].domain);
+            }
+        }
+        dirty_domains.sort_unstable();
+        dirty_domains.dedup();
+        for &d in dirty_domains.iter() {
+            let members = self.orders.members(d).iter();
+            dom_caps[d as usize] = members.fold(0.0, |sum, &i| sum + eff_cap[i]);
+        }
+        dirty.clear();
+        scratch.at = Some(at);
+    }
+
+    /// Whether `scratch`'s capacities are bit for bit those of one full
+    /// pass over the health at `at`: [`refresh`](Self::refresh)'s oracle.
+    fn capacities_are_current(&self, fleet: &[Machine], at: SimInstant, scratch: &Scratch) -> bool {
+        let mut dom_caps = vec![0.0; scratch.dom_caps.len()];
+        let mut same = true;
+        for (i, m) in fleet.iter().enumerate() {
+            let cap = self.capacity_at(fleet, i, at);
+            dom_caps[m.domain as usize] += cap;
+            same &= cap.to_bits() == scratch.eff_cap[i].to_bits();
+        }
+        let bits = |caps: &[f64]| caps.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        same && bits(&dom_caps) == bits(&scratch.dom_caps)
+    }
+
     /// Re-plan for the health at `at`: effective capacities →
     /// [`admission`] → [`place_replicated`]. Returns the machines the
-    /// new plan powers on.
+    /// new plan powers on, and leaves in `scratch.changed` those whose
+    /// load or power it changed.
     fn replan(
         &mut self,
         fleet: &[Machine],
@@ -572,37 +897,26 @@ impl FleetState {
         // Out of `self` while `self.available` is consulted; an empty
         // `Scratch` owns no heap memory.
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.dom_caps.fill(0.0);
-        for (i, m) in fleet.iter().enumerate() {
-            let cap = if self.available(fleet, i, at) {
-                m.capacity * usable_frac(m, self.cap_frac)
-            } else {
-                0.0
-            };
-            scratch.eff_cap[i] = cap;
-            scratch.dom_caps[m.domain as usize] += cap;
-        }
+        self.refresh(fleet, at, &mut scratch);
+        debug_assert!(
+            self.capacities_are_current(fleet, at, &scratch),
+            "cached capacities differ from a full pass at {at}"
+        );
         let (r_eff, served_rate, shed_rate) = admission(
             &scratch.dom_caps,
             demand * self.surge,
             policy.replicas,
             &mut scratch.live_caps,
         );
-        place_replicated(
+        let booted = place_replicated(
             fleet,
+            &self.orders,
             policy.placement,
-            &self.by_efficiency,
             served_rate,
             r_eff,
+            &mut self.plan.placement,
             &mut scratch,
         );
-        let placement = &mut self.plan.placement;
-        let booted = (scratch.powered.iter().zip(&placement.powered).enumerate())
-            .filter(|(_, (on, was_on))| **on && !**was_on)
-            .map(|(i, _)| i)
-            .collect();
-        std::mem::swap(&mut placement.loads, &mut scratch.loads);
-        std::mem::swap(&mut placement.powered, &mut scratch.powered);
         self.plan.r_eff = r_eff;
         self.plan.served_rate = served_rate;
         self.plan.shed_rate = shed_rate;
@@ -646,31 +960,44 @@ impl FleetState {
                 self.last_crash[m] = Some(at);
                 fx.stranded_rate = loads[m];
                 self.machine_up[m] = false;
+                self.scratch.dirty.push(m);
             }
             FleetEvent::Chaos(ChaosEventKind::MachineUp { machine }) => {
                 let m = machine as usize;
                 self.machine_up[m] = true;
+                self.scratch.dirty.push(m);
                 let hold = policy.breaker.quarantine(self.trips[m]);
                 if !hold.is_zero() {
-                    self.quarantined_until[m] = at + hold;
+                    // A saturated hold is a deadline past every horizon,
+                    // never one that wraps round to release the machine.
+                    self.quarantined_until[m] = at.saturating_add(hold);
+                    if !self.scratch.held.contains(&m) {
+                        self.scratch.held.push(m);
+                    }
                     fx.quarantine = Some((m, hold));
                     return fx;
                 }
             }
             FleetEvent::Chaos(ChaosEventKind::DomainDown { domain }) => {
-                fx.stranded_rate = (0..fleet.len())
-                    .filter(|&i| fleet[i].domain == domain)
-                    .map(|i| loads[i])
-                    .sum();
+                let members = self.orders.members(domain);
+                fx.stranded_rate = members.iter().map(|&i| loads[i]).sum();
+                self.scratch.dirty.extend_from_slice(members);
                 self.domain_up[domain as usize] = false;
             }
             FleetEvent::Chaos(ChaosEventKind::DomainUp { domain }) => {
+                let members = self.orders.members(domain);
+                self.scratch.dirty.extend_from_slice(members);
                 self.domain_up[domain as usize] = true;
             }
             FleetEvent::Chaos(ChaosEventKind::BrownoutStart { cap_frac }) => {
+                // Every machine's usable fraction moves: a full pass.
                 self.cap_frac = cap_frac;
+                self.scratch.at = None;
             }
-            FleetEvent::Chaos(ChaosEventKind::BrownoutEnd) => self.cap_frac = 1.0,
+            FleetEvent::Chaos(ChaosEventKind::BrownoutEnd) => {
+                self.cap_frac = 1.0;
+                self.scratch.at = None;
+            }
             FleetEvent::Chaos(ChaosEventKind::SurgeStart { factor }) => self.surge = factor,
             FleetEvent::Chaos(ChaosEventKind::SurgeEnd) => self.surge = 1.0,
             FleetEvent::Wake => {}
@@ -690,25 +1017,22 @@ struct Engine<'a> {
     /// The report under construction. Its `served` is the integral of
     /// the served rate until [`run_chaos`] takes the failed work out.
     report: ChaosReport,
-    /// What [`settle`](Self::settle) charges: the plan's powered draws.
+    /// What [`settle`](Self::settle) charges: the plan's powered
+    /// machines' draws, in fleet order.
     draws: Vec<(usize, Watts)>,
-    /// Per machine, its last [`draw`] and the bits of its `(load, cap_frac)`.
-    memo: Vec<Option<([u64; 2], Watts)>>,
+    /// The brownout cap `draws` were priced under; `None` before the
+    /// first plan.
+    draws_cap_frac: Option<f64>,
 }
 
-/// `m`'s draw at `load` under a brownout `cap_frac`, memoized on their bits.
-fn draw(memo: &mut Option<([u64; 2], Watts)>, m: &Machine, load: f64, cap_frac: f64) -> Watts {
-    let key = [load.to_bits(), cap_frac.to_bits()];
-    if let Some((_, w)) = memo.filter(|(k, _)| *k == key) {
-        return w;
-    }
-    let mut p = m.power_at(load);
+/// `m`'s draw at `load` under a brownout `cap_frac`.
+fn draw(m: &Machine, load: f64, cap_frac: f64) -> Watts {
+    let p = m.power_at(load);
     if cap_frac < 1.0 {
         // The brownout physically caps the feeder; loads were already
         // planned under it, this is belt-and-braces.
-        p = Watts::new(p.get().min(m.peak.get() * cap_frac));
+        return Watts::new(p.get().min(m.peak.get() * cap_frac));
     }
-    *memo = Some((key, p));
     p
 }
 
@@ -757,24 +1081,34 @@ impl Engine<'_> {
                 .transfer(Self::machine_component(i), RECOVERY, boot);
             observe::record_chaos_boot(tracer, at, i, boot);
         }
-        let plan = self.state.plan();
-        let (loads, cap_frac) = (&plan.placement.loads, self.state.cap_frac);
-        self.draws.clear();
-        for (i, m) in self.fleet.iter().enumerate() {
-            if plan.placement.powered[i] {
-                let w = draw(&mut self.memo[i], m, loads[i], cap_frac);
-                self.draws.push((i, w));
+        let (state, fleet) = (&self.state, self.fleet);
+        let (plan, cap_frac) = (state.plan(), state.cap_frac);
+        let placement = &plan.placement;
+        let price = |i: usize| (i, draw(&fleet[i], placement.loads[i], cap_frac));
+        if self.draws_cap_frac.map(f64::to_bits) == Some(cap_frac.to_bits()) {
+            // Only what the re-plan changed moves a draw.
+            for &i in &state.scratch.changed {
+                match self.draws.binary_search_by_key(&i, |&(j, _)| j) {
+                    Ok(k) if placement.powered[i] => self.draws[k] = price(i),
+                    Ok(k) => {
+                        self.draws.remove(k);
+                    }
+                    Err(k) if placement.powered[i] => self.draws.insert(k, price(i)),
+                    Err(_) => {}
+                }
             }
+        } else {
+            self.draws.clear();
+            (self.draws).extend(
+                (0..fleet.len())
+                    .filter(|&i| placement.powered[i])
+                    .map(price),
+            );
+            self.draws_cap_frac = Some(cap_frac);
         }
-        let powered = plan.placement.powered_count() as u32;
-        self.report.placements.push(PlacementChange {
-            at,
-            loads: plan.placement.loads.clone(),
-            powered,
-            served_rate: plan.served_rate,
-            shed_rate: plan.shed_rate,
-            replicas: plan.r_eff,
-        });
+        let powered = self.draws.len() as u32;
+        let changed = &state.scratch.changed;
+        self.report.placements.push(at, plan, changed, powered);
         observe::record_chaos_placement(
             tracer,
             at,
@@ -823,7 +1157,7 @@ impl Engine<'_> {
             Some((m, hold)) => {
                 self.report.breaker_trips += 1;
                 observe::record_chaos_breaker(tracer, at, m, self.state.trips(m), hold);
-                queue.push(at + hold, Runtime::Wake);
+                queue.push(at.saturating_add(hold), Runtime::Wake);
             }
             None => self.record_plan(at, &fx.booted, tracer),
         }
@@ -832,7 +1166,7 @@ impl Engine<'_> {
         if work > 0.0 {
             self.report.stranded += work;
             queue.push(
-                at + self.policy.retry.backoff(1),
+                at.saturating_add(self.policy.retry.backoff(1)),
                 Runtime::Redispatch { work, attempt: 1 },
             );
         }
@@ -872,7 +1206,7 @@ impl Engine<'_> {
             Some(queue) if attempt <= self.policy.retry.max_retries => {
                 let next = attempt + 1;
                 queue.push(
-                    at + self.policy.retry.backoff(next),
+                    at.saturating_add(self.policy.retry.backoff(next)),
                     Runtime::Redispatch {
                         work,
                         attempt: next,
@@ -985,7 +1319,7 @@ pub fn run_chaos(
             ..ChaosReport::default()
         },
         draws: Vec::with_capacity(fleet.len()),
-        memo: vec![None; fleet.len()],
+        draws_cap_frac: None,
     };
     // The fleet starts in steady state: the initial plan boots nothing.
     eng.record_plan(start, &[], tracer);
@@ -1176,8 +1510,9 @@ mod tests {
         assert!(r.total_energy().joules() > 0.0);
         // 2 replicas in 2 domains: both copies placed, one per domain.
         assert_eq!(r.placements.len(), 1);
-        assert_eq!(r.placements[0].replicas, 2);
-        let placed: f64 = r.placements[0].loads.iter().sum();
+        let first = r.placements.get(0).expect("the initial plan");
+        assert_eq!(first.replicas, 2);
+        let placed: f64 = first.loads.iter().sum();
         assert!((placed - 200.0).abs() < 1e-6, "r·S = 2 × 100: {placed}");
     }
 
@@ -1193,7 +1528,7 @@ mod tests {
         )
         .expect("valid");
         // 150 served twice = 300 total, capped at 150 per domain.
-        for p in &r.placements {
+        for p in r.placements.iter() {
             let mut per_dom = [0.0f64; 2];
             for (i, l) in p.loads.iter().enumerate() {
                 per_dom[fleet[i].domain as usize] += l;
@@ -1370,7 +1705,7 @@ mod tests {
         // The old timer still wakes the engine at 1 800 — and releases
         // nobody: no load on machine 0 until its latest quarantine ends.
         assert_eq!(decisions(1_800.0).count(), 1);
-        for p in &r.placements {
+        for p in r.placements.iter() {
             if p.at >= at(1_400.0) && p.at < at(2_500.0) {
                 assert_eq!(p.loads[0], 0.0, "machine 0 loaded at {}", p.at);
             }
@@ -1669,26 +2004,6 @@ mod tests {
         }
     }
 
-    /// A memoized draw is the draw computed afresh, whatever came
-    /// before it: the same load under another brownout cap (which may
-    /// bind, at a full load), another load under the same cap, or both
-    /// repeated.
-    #[test]
-    fn memoized_draws_equal_fresh_ones() {
-        grail_prop::check(256, |g| {
-            let idle = g.range(0.0f64..200.0);
-            let m = Machine::new("m", 100.0, Watts::new(idle), Watts::new(idle + 100.0));
-            let mut memo = None;
-            for _ in 0..g.range(1usize..24) {
-                let load = g.pick(&[0.0, 12.5, 50.0, 99.9, 100.0]);
-                let cap_frac = g.pick(&[1.0, 0.85, 0.6, 0.5, 0.25]);
-                let fresh = draw(&mut None, &m, load, cap_frac);
-                let memoized = draw(&mut memo, &m, load, cap_frac);
-                assert_eq!(memoized.get().to_bits(), fresh.get().to_bits());
-            }
-        });
-    }
-
     #[test]
     fn cached_efficiency_order_places_like_a_fresh_sort() {
         // Three efficiency classes: almost every comparison is a tie,
@@ -1726,6 +2041,268 @@ mod tests {
                     check_against_reference(fleet, &policy, capacity * frac, seed, 400);
                 }
             }
+        }
+    }
+
+    /// `state` with nothing cached: its next re-plan recomputes every
+    /// machine's capacity and its next fill clears every machine.
+    fn uncached(state: &FleetState) -> FleetState {
+        let mut fresh = state.clone();
+        fresh.scratch.at = None;
+        fresh.scratch.walked = None;
+        fresh
+    }
+
+    /// 3–6 domains of 1–11 machines each, every machine in a drawn domain,
+    /// its capacity and power curve (flat ones too) drawn from a few
+    /// classes.
+    fn drawn_fleet(g: &mut Gen) -> (Vec<Machine>, u32) {
+        let domains = g.range(3u32..7);
+        let machines = g.range(domains..12 * domains);
+        let fleet = (0..machines)
+            .map(|i| {
+                let capacity = g.pick(&[500.0, 1_000.0, 1_500.0, 2_000.0]);
+                let idle = g.pick(&[100.0, 180.0, 300.0]);
+                let peak = idle + g.pick(&[0.0, 50.0, 170.0]);
+                Machine::new(
+                    &format!("m{i}"),
+                    capacity,
+                    Watts::new(idle),
+                    Watts::new(peak),
+                )
+                .with_domain(if i < domains { i } else { g.range(0..domains) })
+            })
+            .collect();
+        (fleet, domains)
+    }
+
+    /// A chaos event for `fleet` at a drawn machine or domain, a restart
+    /// when the crash it drew hits a machine that is down.
+    fn drawn_event(g: &mut Gen, machine_up: &[bool], domain_up: &mut [bool]) -> ChaosEventKind {
+        let machine = g.range(0..machine_up.len() as u32);
+        let domain = g.range(0..domain_up.len() as u32);
+        match g.below(10) {
+            0..=3 if machine_up[machine as usize] => ChaosEventKind::MachineCrash { machine },
+            0..=4 => ChaosEventKind::MachineUp { machine },
+            5 => {
+                let up = &mut domain_up[domain as usize];
+                *up = !*up;
+                if *up {
+                    ChaosEventKind::DomainUp { domain }
+                } else {
+                    ChaosEventKind::DomainDown { domain }
+                }
+            }
+            6 => ChaosEventKind::BrownoutStart {
+                cap_frac: g.pick(&[0.5, 0.6, 0.85, 1.0]),
+            },
+            7 => ChaosEventKind::BrownoutEnd,
+            8 => ChaosEventKind::SurgeStart {
+                factor: g.pick(&[0.5, 1.5, 3.0]),
+            },
+            _ => ChaosEventKind::SurgeEnd,
+        }
+    }
+
+    /// On drawn fleets (3–6 domains, r ≤ 4) under drawn events — crashes
+    /// and restarts that trip the breaker, domain outages, brownouts,
+    /// surges, and wake-ups at pending deadlines or anywhere, earlier
+    /// than the last re-plan too — every `apply` returns the `Effects`,
+    /// plan and re-dispatch host of the same state with nothing cached,
+    /// and names as changed exactly the machines whose load or power
+    /// moved. Then `run_chaos` over a schedule of such events records,
+    /// through its delta placements, the plans of `FleetState` driven by
+    /// the same event order.
+    #[test]
+    fn cached_state_matches_a_rebuilt_one() {
+        grail_prop::check(256, |g| {
+            let (fleet, domains) = drawn_fleet(g);
+            let policy = ChaosPolicy {
+                placement: g.pick(&[PlacementPolicy::Spread, PlacementPolicy::Consolidate]),
+                replicas: g.range(1u32..5),
+                breaker: BreakerPolicy {
+                    base_quarantine: SimDuration::from_secs(g.range(60u64..900)),
+                    multiplier: g.range(1u32..4),
+                    reset_window: SimDuration::from_secs(3_600),
+                },
+                ..ChaosPolicy::default()
+            };
+            let demand = g.range(0.05f64..0.95) * fleet.iter().map(|m| m.capacity).sum::<f64>();
+            let n = fleet.len();
+            let mut state = FleetState::new(&fleet, domains as usize, &policy, demand);
+            let mut domain_up = vec![true; domains as usize];
+            let (mut now, mut wakes) = (SimInstant::EPOCH, Vec::new());
+            for step in 0..g.range(1usize..120) {
+                let mut policy = policy;
+                if g.one_in(16) {
+                    // The API takes the policy per call: a switch re-plans
+                    // under the other order.
+                    let placements = [PlacementPolicy::Spread, PlacementPolicy::Consolidate];
+                    policy.placement = g.pick(&placements);
+                }
+                // Chaos events run on a clock that never goes back (the
+                // breaker's window needs it); wake-ups land anywhere.
+                let (at, event) = match g.below(8) {
+                    0 if !wakes.is_empty() => (g.pick(&wakes), FleetEvent::Wake),
+                    1 => {
+                        let earliest = now.as_nanos().saturating_sub(900_000_000_000);
+                        let late = SimDuration::from_secs(g.range(0u64..1_800));
+                        (SimInstant::from_nanos(earliest) + late, FleetEvent::Wake)
+                    }
+                    k => {
+                        if k == 2 {
+                            now += SimDuration::from_secs(g.range(0u64..900));
+                        }
+                        let kind = drawn_event(g, &state.machine_up, &mut domain_up);
+                        (now, FleetEvent::Chaos(kind))
+                    }
+                };
+                let before = state.plan().clone();
+                let mut fresh = uncached(&state);
+                let fx = state.apply(&fleet, &policy, demand, at, event);
+                let what = format!("step {step}, {event:?} at {at}");
+                assert_eq!(
+                    fx,
+                    fresh.apply(&fleet, &policy, demand, at, event),
+                    "{what}"
+                );
+                assert_eq!(state.plan(), fresh.plan(), "{what}");
+                let host = fresh.best_available(&fleet, at);
+                assert_eq!(state.best_available(&fleet, at), host, "{what}");
+                let stranded: f64 = match event {
+                    FleetEvent::Chaos(ChaosEventKind::MachineCrash { machine }) => {
+                        before.placement.loads[machine as usize]
+                    }
+                    FleetEvent::Chaos(ChaosEventKind::DomainDown { domain }) => (0..n)
+                        .filter(|&i| fleet[i].domain == domain)
+                        .map(|i| before.placement.loads[i])
+                        .sum(),
+                    _ => 0.0,
+                };
+                assert_eq!(fx.stranded_rate.to_bits(), stranded.to_bits(), "{what}");
+                if let Some((_, hold)) = fx.quarantine {
+                    wakes.push(at.saturating_add(hold));
+                    continue;
+                }
+                let (old, new) = (&before.placement, &state.plan().placement);
+                let moved: Vec<usize> = (0..n)
+                    .filter(|&i| {
+                        old.loads[i].to_bits() != new.loads[i].to_bits()
+                            || old.powered[i] != new.powered[i]
+                    })
+                    .collect();
+                assert_eq!(state.scratch.changed, moved, "{what}");
+            }
+
+            let horizon = SimDuration::from_secs(20_000);
+            let (mut machine_up, mut domain_up) = (vec![true; n], vec![true; domains as usize]);
+            let mut events = Vec::new();
+            let mut t = SimInstant::EPOCH;
+            for _ in 0..g.range(0usize..60) {
+                t += SimDuration::from_secs(g.range(0u64..600));
+                let kind = drawn_event(g, &machine_up, &mut domain_up);
+                match kind {
+                    ChaosEventKind::MachineCrash { machine } => {
+                        machine_up[machine as usize] = false
+                    }
+                    ChaosEventKind::MachineUp { machine } => machine_up[machine as usize] = true,
+                    _ => {}
+                }
+                events.push(ChaosEvent { at: t, kind });
+            }
+            let schedule = ChaosSchedule::scripted(n as u32, domains, horizon, events);
+            let r = run_chaos(&fleet, &schedule, demand, &policy, &mut Tracer::off())
+                .expect("a valid drawn run");
+            // The event loop's order, less re-dispatch (which re-plans
+            // nothing): schedule events by index, wake-ups as pushed.
+            let mut state = FleetState::new(&fleet, domains as usize, &policy, demand);
+            let mut plans = vec![(SimInstant::EPOCH, state.plan().clone())];
+            let mut queue = EventQueue::new();
+            for ev in schedule.events() {
+                queue.push(ev.at, FleetEvent::Chaos(ev.kind));
+            }
+            let end = SimInstant::EPOCH + horizon;
+            while let Some((at, event)) = queue.pop() {
+                if at >= end {
+                    continue;
+                }
+                match state.apply(&fleet, &policy, demand, at, event).quarantine {
+                    Some((_, hold)) => queue.push(at.saturating_add(hold), FleetEvent::Wake),
+                    None => plans.push((at, state.plan().clone())),
+                }
+            }
+            assert_eq!(r.placements.len(), plans.len());
+            let bits = |loads: &[f64]| loads.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            for (k, (p, (at, plan))) in r.placements.iter().zip(&plans).enumerate() {
+                assert_eq!(p.at, *at, "decision {k}");
+                assert_eq!(bits(&p.loads), bits(&plan.placement.loads), "decision {k}");
+                assert_eq!(
+                    p.powered as usize,
+                    plan.placement.powered_count(),
+                    "decision {k}"
+                );
+                assert_eq!(
+                    (p.served_rate, p.shed_rate, p.replicas),
+                    (plan.served_rate, plan.shed_rate, plan.r_eff),
+                    "decision {k}"
+                );
+            }
+            let k = g.range(0..plans.len());
+            assert_eq!(r.placements.get(k), r.placements.iter().nth(k));
+            assert_eq!(r.placements.last(), r.placements.get(plans.len() - 1));
+            assert_eq!(r.placements.get(plans.len()), None);
+        });
+    }
+
+    /// A breaker hold that saturates at `SimDuration::MAX` is a deadline
+    /// past every horizon. Machine 0 crashing and restarting a second
+    /// apart holds for `300 s · 10^(trips - 2)`, which saturates at the
+    /// tenth crash; the deadline used to be a plain add, which panicked
+    /// on overflow in debug and, in release, wrapped round to just
+    /// before the restart and let the machine straight back in.
+    #[test]
+    fn a_saturated_breaker_hold_keeps_the_machine_out() {
+        let fleet = crate::cluster::chaos_fleet(2, 3);
+        let policy = ChaosPolicy {
+            placement: PlacementPolicy::Spread,
+            replicas: 1,
+            breaker: BreakerPolicy {
+                multiplier: 10,
+                ..BreakerPolicy::default()
+            },
+            ..ChaosPolicy::default()
+        };
+        let demand = 0.3 * fleet.iter().map(|m| m.capacity).sum::<f64>();
+        let mut events = Vec::new();
+        for k in 0..12 {
+            for (dt, kind) in [
+                (1.0, ChaosEventKind::MachineCrash { machine: 0 }),
+                (2.0, ChaosEventKind::MachineUp { machine: 0 }),
+            ] {
+                events.push(ChaosEvent {
+                    at: at(2.0 * f64::from(k) + dt),
+                    kind,
+                });
+            }
+        }
+        let mut state = FleetState::new(&fleet, 2, &policy, demand);
+        for ev in &events {
+            state.apply(&fleet, &policy, demand, ev.at, FleetEvent::Chaos(ev.kind));
+        }
+        assert_eq!(state.trips(0), 12);
+        assert_eq!(state.quarantined_until(0), SimInstant::MAX);
+        assert!(!state.available(&fleet, 0, at(25.0)));
+        state.apply(&fleet, &policy, demand, at(86_400.0), FleetEvent::Wake);
+        assert_eq!(state.plan().placement.loads[0], 0.0);
+
+        let schedule = ChaosSchedule::scripted(6, 2, SimDuration::from_secs(100), events);
+        let r = run_chaos(&fleet, &schedule, demand, &policy, &mut Tracer::off()).expect("valid");
+        check_conservation(&r);
+        assert_eq!(r.breaker_trips, 11, "every restart after the first is held");
+        let first = r.placements.get(0).expect("the initial plan");
+        assert!(first.loads[0] > 0.0, "Spread fills machine 0 first");
+        for p in r.placements.iter().filter(|p| p.at >= at(19.0)) {
+            assert_eq!(p.loads[0], 0.0, "machine 0 loaded at {}", p.at);
         }
     }
 

@@ -48,7 +48,7 @@ pub mod sharing;
 
 pub use admission::{AdmissionPolicy, BatchWindow};
 pub use chaos::{
-    run_chaos, BreakerPolicy, ChaosPolicy, ChaosReport, PlacementChange,
+    run_chaos, BreakerPolicy, ChaosPolicy, ChaosReport, PlacementChange, Placements,
     DOCUMENTED_AVAILABILITY_FLOOR,
 };
 pub use cluster::{chaos_fleet, domain_count, ClusterError, Machine, Placement, PlacementPolicy};
