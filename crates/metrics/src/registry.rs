@@ -1,9 +1,10 @@
 //! The deterministic metrics registry: monotone counters, gauges,
 //! fixed-bucket histograms, and windowed rates.
 //!
-//! Everything lives in `BTreeMap`s keyed by `&'static str`, so
-//! iteration (and therefore export) order is the lexicographic key
-//! order — stable across runs and machines. Histogram bucket bounds are
+//! Each family keeps its values in slots, found through a small cache
+//! on the name's address and a `BTreeMap` name index behind it; every
+//! iteration (and therefore export) follows the index, in lexicographic
+//! name order — stable across runs and machines. Histogram bucket bounds are
 //! `&'static [f64]`, fixed at first observation: there is no dynamic
 //! rebinning that could make output depend on observation order beyond
 //! the counts themselves. Rates are keyed on **simulated** time handed
@@ -221,6 +222,109 @@ impl RateWindow {
     }
 }
 
+/// One family's values by name: a slot per name, in first-use order,
+/// found through a direct-mapped cache keyed on the name's address and
+/// length — the same literal reaches the registry through the same
+/// pointer every time, so a hit compares no text — with a name index
+/// behind it for the misses, look-ups by text and iteration in name
+/// order.
+#[derive(Clone)]
+struct Family<V> {
+    /// Every name's value, in first-use order.
+    slots: Vec<V>,
+    /// The slot of every name, in name order.
+    index: BTreeMap<&'static str, u32>,
+    /// Recently used names and their slots, by a hash of the address;
+    /// allocated with the first name, so an unused registry costs
+    /// nothing to make.
+    recent: Vec<Option<(&'static str, u32)>>,
+}
+
+impl<V> Default for Family<V> {
+    fn default() -> Self {
+        Family {
+            slots: Vec::new(),
+            index: BTreeMap::new(),
+            recent: Vec::new(),
+        }
+    }
+}
+
+impl<V> Family<V> {
+    const WAYS: usize = 64;
+
+    /// The value of `name`, made by `make` on first use.
+    #[inline]
+    fn slot(&mut self, name: &'static str, make: impl FnOnce() -> V) -> &mut V {
+        let hash = (name.as_ptr() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let way = (hash >> (64 - Self::WAYS.trailing_zeros())) as usize;
+        match self.recent.get(way).copied().flatten() {
+            // Same address and length: the same immutable bytes.
+            Some((seen, i))
+                if std::ptr::eq(seen.as_ptr(), name.as_ptr()) && seen.len() == name.len() =>
+            {
+                &mut self.slots[i as usize]
+            }
+            _ => self.slot_by_text(name, way, make),
+        }
+    }
+
+    fn slot_by_text(&mut self, name: &'static str, way: usize, make: impl FnOnce() -> V) -> &mut V {
+        let next = self.slots.len() as u32;
+        let i = *self.index.entry(name).or_insert(next);
+        if i == next {
+            self.slots.push(make());
+        }
+        if self.recent.is_empty() {
+            self.recent = vec![None; Self::WAYS];
+        }
+        self.recent[way] = Some((name, i));
+        &mut self.slots[i as usize]
+    }
+
+    fn get(&self, name: &str) -> Option<&V> {
+        let &i = self.index.get(name)?;
+        Some(&self.slots[i as usize])
+    }
+
+    /// Every name and its value, in name order.
+    fn iter(&self) -> impl Iterator<Item = (&'static str, &V)> + '_ {
+        (self.index.iter()).map(|(&name, &i)| (name, &self.slots[i as usize]))
+    }
+
+    /// Fold every value of `other` into this family's value of the same
+    /// name, or add `new(value)` under a name this family lacks.
+    fn merge_from(&mut self, other: &Family<V>, new: impl Fn(&V) -> V, fold: impl Fn(&mut V, &V)) {
+        for (name, v) in other.iter() {
+            match self.index.get(name) {
+                Some(&i) => fold(&mut self.slots[i as usize], v),
+                None => {
+                    self.index.insert(name, self.slots.len() as u32);
+                    self.slots.push(new(v));
+                }
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+}
+
+/// Equal names with equal values, whatever order they were first used in.
+impl<V: PartialEq> PartialEq for Family<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+/// A map in name order, as the `BTreeMap` it replaced printed.
+impl<V: std::fmt::Debug> std::fmt::Debug for Family<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// The deterministic metrics registry carried by the trace recorder.
 ///
 /// Four families, all statically named: monotone counters, last-write
@@ -228,10 +332,10 @@ impl RateWindow {
 /// fixed-bucket histograms, and tumbling-window rates.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-    rates: BTreeMap<&'static str, RateWindow>,
+    counters: Family<u64>,
+    gauges: Family<f64>,
+    histograms: Family<Histogram>,
+    rates: Family<RateWindow>,
 }
 
 impl Registry {
@@ -242,26 +346,25 @@ impl Registry {
 
     /// Add `delta` to the monotone counter `name` (created at zero).
     pub fn add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+        *self.counters.slot(name, || 0) += delta;
     }
 
     /// Set gauge `name` to `value` (last write wins).
     pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
+        *self.gauges.slot(name, || 0.0) = value;
     }
 
     /// Add `delta` to gauge `name` (created at zero) — fan-in form for
     /// values accumulated across many devices at settlement.
     pub fn add_gauge(&mut self, name: &'static str, delta: f64) {
-        *self.gauges.entry(name).or_insert(0.0) += delta;
+        *self.gauges.slot(name, || 0.0) += delta;
     }
 
     /// Record `value` into histogram `name`, created over `bounds` on
     /// first use. Later calls reuse the original bounds.
     pub fn observe(&mut self, name: &'static str, bounds: &'static [f64], value: f64) {
         self.histograms
-            .entry(name)
-            .or_insert_with(|| Histogram::new(bounds))
+            .slot(name, || Histogram::new(bounds))
             .observe(value);
     }
 
@@ -269,15 +372,14 @@ impl Registry {
     /// created over `window_nanos` windows on first use.
     pub fn rate_add(&mut self, name: &'static str, window_nanos: u64, now_nanos: u64, delta: u64) {
         self.rates
-            .entry(name)
-            .or_insert_with(|| RateWindow::new(window_nanos))
+            .slot(name, || RateWindow::new(window_nanos))
             .add(now_nanos, delta);
     }
 
     /// Close every rate window ending at or before `now_nanos` (called
     /// by the scraper so exported rates are aligned to scrape time).
     pub fn roll_rates(&mut self, now_nanos: u64) {
-        for r in self.rates.values_mut() {
+        for r in &mut self.rates.slots {
             r.roll_to(now_nanos);
         }
     }
@@ -304,22 +406,22 @@ impl Registry {
 
     /// Counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+        self.counters.iter().map(|(k, v)| (k, *v))
     }
 
     /// Gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().map(|(k, v)| (*k, *v))
+        self.gauges.iter().map(|(k, v)| (k, *v))
     }
 
     /// Histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(k, v)| (*k, v))
+        self.histograms.iter()
     }
 
     /// Rates in name order.
     pub fn rates(&self) -> impl Iterator<Item = (&'static str, &RateWindow)> + '_ {
-        self.rates.iter().map(|(k, v)| (*k, v))
+        self.rates.iter()
     }
 
     /// Fold `other` into this registry: counters and histograms sum,
@@ -331,28 +433,13 @@ impl Registry {
     /// instant so cursors align. Merging in a fixed order is the
     /// caller's job; float sums make gauge merges order-sensitive.
     pub fn merge_from(&mut self, other: &Registry) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (name, v) in &other.gauges {
-            *self.gauges.entry(name).or_insert(0.0) += v;
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge_from(h),
-                None => {
-                    self.histograms.insert(name, h.clone());
-                }
-            }
-        }
-        for (name, r) in &other.rates {
-            match self.rates.get_mut(name) {
-                Some(mine) => mine.merge_from(r),
-                None => {
-                    self.rates.insert(name, r.clone());
-                }
-            }
-        }
+        self.counters
+            .merge_from(&other.counters, |&v| v, |a, b| *a += b);
+        // A gauge new here starts at zero and adds, so -0.0 arrives as 0.0.
+        self.gauges
+            .merge_from(&other.gauges, |&v| 0.0 + v, |a, b| *a += b);
+        (self.histograms).merge_from(&other.histograms, Clone::clone, Histogram::merge_from);
+        (self.rates).merge_from(&other.rates, Clone::clone, RateWindow::merge_from);
     }
 
     /// True when nothing has been recorded.

@@ -37,9 +37,10 @@
 //! * [`recorder`] — [`TraceSink`], the ring-buffered [`Recorder`] (and
 //!   its zero-copy [`Recorder::merge_ordered`]), and the zero-cost
 //!   [`Tracer`] handle.
-//! * `rings` (private) — the stored form: 32-byte headers and 16-byte
-//!   argument slots in fixed-size blocks, interned static strings and
-//!   tracks; [`EventRef`] reads it back.
+//! * `rings` (private) — the stored form: per event a timestamp, an
+//!   8-byte header naming its interned shape (name, category, track,
+//!   argument keys, value kinds and texts) and one 8-byte slot per
+//!   number, in fixed-size blocks; [`EventRef`] reads it back.
 //! * The recorder carries a deterministic [`grail_metrics::Registry`]
 //!   (counters, gauges, fixed-bucket histograms, windowed rates) and can
 //!   scrape it into snapshot series on a simulated-time interval.

@@ -1,7 +1,7 @@
 //! The [`TraceSink`] trait, the ring-buffered [`Recorder`], and the
 //! zero-cost [`Tracer`] handle that instrumented code holds.
 
-use crate::event::{Category, TraceEvent, TraceTime, Track};
+use crate::event::{Category, TraceEvent, Track};
 use crate::rings::{EventRef, Rings};
 use grail_metrics::{Registry, Scraper, Snapshot};
 
@@ -160,8 +160,8 @@ impl Recorder {
     /// Only keys are sorted — one word each when the timestamps leave
     /// room — and no event moves: the merged recorder adopts each part's
     /// rings whole and reads them through the sorted keys.
-    /// `retrack(part, track)` rewrites each part's track table on the
-    /// way in, once per distinct track (the shard commit shifts per-cell
+    /// `retrack(part, track)` rewrites each part's shape table on the
+    /// way in, each shape's track once (the shard commit shifts per-cell
     /// stream and device indices to global ones there; pass
     /// `|_, track| track` to keep tracks as recorded).
     ///
@@ -177,8 +177,6 @@ impl Recorder {
         retrack: impl Fn(usize, Track) -> Track,
     ) -> Recorder {
         let mut out = Recorder::with_categories(0, 0);
-        let mut keys: Vec<u64> = Vec::with_capacity(parts.iter().map(Recorder::len).sum());
-        let mut lens = Vec::with_capacity(parts.len());
         for (part, mut p) in parts.into_iter().enumerate() {
             // A part that is itself a merge reads in its merged order;
             // make that its ring order.
@@ -188,11 +186,9 @@ impl Recorder {
             out.dropped += p.dropped;
             out.metrics.merge_from(&p.metrics);
             p.rings.retrack(|track| retrack(part, track));
-            keys.extend(p.rings.times().map(TraceTime::as_nanos));
-            lens.push(p.rings.len());
             out.merged.push(p.rings);
         }
-        out.order = read_order(keys, &lens);
+        out.order = read_order(&out.merged);
         out
     }
 
@@ -217,30 +213,29 @@ impl Recorder {
     }
 }
 
-/// The read order of a merge: each event's `part << 32 | seq`, sorted
-/// by `(at, part, seq)`. `keys` holds the events' timestamps, parts
-/// concatenated (`lens` long each), and is overwritten with the result.
+/// The read order of a merge of `parts`: each event's `part << 32 |
+/// seq`, sorted by `(at, part, seq)`.
 ///
-/// When the timestamps leave room, a key is one word `at | part | seq`
-/// and sorts in place; otherwise the `(at, part, seq)` triples sort
-/// beside it, at twice the bytes. Keys are distinct either way, so the
-/// unstable sort has one possible result.
-fn read_order(mut keys: Vec<u64>, lens: &[usize]) -> Vec<u64> {
+/// When the timestamps leave room — the parts' running maxima say so
+/// before any is read — a key is one word `at | part | seq`, packed in
+/// one pass over each part's time column, and sorts in place;
+/// otherwise the `(at, part, seq)` triples sort, at three times the
+/// bytes. Keys are distinct either way, so the unstable sort has one
+/// possible result.
+fn read_order(parts: &[Rings]) -> Vec<u64> {
     // Bits that hold every value below `n`.
     let width = |n: usize| usize::BITS - n.saturating_sub(1).leading_zeros();
-    let seq_bits = width(lens.iter().copied().max().unwrap_or(0));
-    let part_bits = width(lens.len());
-    let at_bits = u64::BITS - keys.iter().copied().max().unwrap_or(0).leading_zeros();
-    let positions = lens
-        .iter()
-        .enumerate()
-        .flat_map(|(part, &len)| (0..len as u64).map(move |seq| (part as u64, seq)));
+    let seq_bits = width(parts.iter().map(Rings::len).max().unwrap_or(0));
+    let part_bits = width(parts.len());
+    let max_at = parts.iter().map(|p| p.max_at().as_nanos()).max();
+    let at_bits = u64::BITS - max_at.unwrap_or(0).leading_zeros();
+    let total = parts.iter().map(Rings::len).sum();
     if at_bits + part_bits + seq_bits > u64::BITS {
-        let mut wide: Vec<(u64, u64, u64)> = keys
-            .into_iter()
-            .zip(positions)
-            .map(|(at, (part, seq))| (at, part, seq))
-            .collect();
+        let mut wide: Vec<(u64, u64, u64)> = Vec::with_capacity(total);
+        for (part, rings) in (0..).zip(parts) {
+            let times = rings.times().flatten();
+            wide.extend((0..).zip(times).map(|(seq, at)| (at.as_nanos(), part, seq)));
+        }
         wide.sort_unstable();
         return wide
             .into_iter()
@@ -248,8 +243,21 @@ fn read_order(mut keys: Vec<u64>, lens: &[usize]) -> Vec<u64> {
             .collect();
     }
     let low = part_bits + seq_bits;
-    for (key, (part, seq)) in keys.iter_mut().zip(positions) {
-        *key = key.checked_shl(low).unwrap_or(0) | part << seq_bits | seq;
+    let mut keys: Vec<u64> = Vec::with_capacity(total);
+    for (part, rings) in (0..).zip(parts) {
+        // `part | seq`, `seq` counting up from the part's first event.
+        let mut tag = part << seq_bits;
+        for chunk in rings.times() {
+            // `low` is 64 only when every `at` is 0, and a wrapping
+            // shift by 64 shifts by nothing.
+            keys.extend(
+                chunk
+                    .iter()
+                    .zip(tag..)
+                    .map(|(at, tag)| at.as_nanos().wrapping_shl(low) | tag),
+            );
+            tag += chunk.len() as u64;
+        }
     }
     keys.sort_unstable();
     let (part_mask, seq_mask) = ((1 << part_bits) - 1, (1 << seq_bits) - 1);
@@ -260,6 +268,10 @@ fn read_order(mut keys: Vec<u64>, lens: &[usize]) -> Vec<u64> {
 }
 
 impl TraceSink for Recorder {
+    /// Inlined into every emit site: there the event's name, keys and
+    /// value kinds are constants, so its shape's hash and the cache
+    /// hit's checks mostly fold away.
+    #[inline]
     fn record(&mut self, event: TraceEvent) {
         if !self.enabled(event.cat) {
             return;
@@ -646,45 +658,111 @@ mod tests {
         assert_eq!(event_lines(&again), by_time);
     }
 
-    /// What a drawn event's strings are drawn from.
-    const NAMES: [&str; 3] = ["disk_read", "compute", "ledger.charge"];
-    const KEYS: [&str; 3] = ["bytes", "joules", "component"];
-    const KINDS: [&str; 3] = ["disk", "ssd", "cpu"];
+    /// Leak `text` as a `&'static str` at an address of its own: the
+    /// same text through another pointer.
+    fn twin(text: &str) -> &'static str {
+        Box::leak(text.to_string().into_boxed_str())
+    }
 
-    /// One event of every shape: instant or span, on any track kind, at
-    /// one of few timestamps (so ties are common; `far` ones leave no
-    /// room to pack a merge key), with 0 to `MAX_ARGS` arguments of
-    /// every `ArgValue` variant.
-    fn drawn_event(g: &mut Gen, far: bool) -> TraceEvent {
-        let at = TraceTime::from_nanos(g.below(500) + if far { u64::MAX - 500 } else { 0 });
-        let cat = g.pick(&[Category::Sim, Category::Io, Category::Ledger]);
-        let name = g.pick(&NAMES);
-        let track = match g.below(4) {
-            0 => Track::Main,
-            1 => Track::Exec,
-            2 => Track::Stream(g.below(6) as u32),
-            _ => Track::Device {
-                kind: g.pick(&KINDS),
-                index: g.below(5) as u32,
-            },
-        };
-        let event = match g.bool() {
-            true => TraceEvent::span(at, g.below(1_000), cat, name, track),
-            false => TraceEvent::instant(at, cat, name, track),
-        };
-        (0..g.below(MAX_ARGS as u64 + 1)).fold(event, |event, _| {
-            let value = match g.below(5) {
-                0 => ArgValue::U64(g.word()),
-                1 => ArgValue::I64(g.word() as i64),
-                2 => ArgValue::F64(g.pick(&[0.125, -3.0, 1e300, f64::NAN])),
-                3 => ArgValue::Str(g.pick(&["transient", "say \"hi\""])),
-                _ => ArgValue::Label {
-                    kind: g.pick(&KINDS),
-                    index: g.below(8) as u32,
+    /// What one case's events are drawn from.
+    struct Sites {
+        /// Emit sites as `(name, category, span, keys)`. Some are twins
+        /// of another: the same name under one key fewer, or with its
+        /// last key replaced.
+        sites: Vec<(&'static str, Category, bool, Vec<&'static str>)>,
+        /// Texts of `Str` values and `Label` kinds.
+        texts: Vec<&'static str>,
+        /// Stream tracks span `0..streams`: many, so that a ring holds
+        /// more shape × track pairs than its table caches, or few.
+        streams: u64,
+    }
+
+    impl Sites {
+        /// Every string is drawn from a pool holding one text twice, at
+        /// two addresses, and one string's prefix, which shares its
+        /// address but not its text.
+        fn draw(g: &mut Gen) -> Sites {
+            let names = [
+                "disk_read",
+                "compute",
+                "ledger.charge",
+                twin("compute"),
+                &"ledger.charge"[..6],
+            ];
+            let keys = [
+                "bytes",
+                "joules",
+                "component",
+                twin("bytes"),
+                &"joules"[..3],
+            ];
+            let texts = vec![
+                "disk",
+                "ssd",
+                "transient",
+                "say \"hi\"",
+                twin("disk"),
+                &"transient"[..5],
+            ];
+            let mut sites = Vec::new();
+            for _ in 0..g.range(1usize..6) {
+                let name = g.pick(&names);
+                let (cat, span) = (
+                    g.pick(&[Category::Sim, Category::Io, Category::Ledger]),
+                    g.bool(),
+                );
+                let keys = g.vec(0..MAX_ARGS + 1, |g| g.pick(&keys));
+                if let Some((_, head)) = keys.split_last() {
+                    let mut other = head.to_vec();
+                    other.push(g.pick(&["joules", "component"]));
+                    sites.push((name, cat, span, head.to_vec()));
+                    sites.push((name, cat, span, other));
+                }
+                sites.push((name, cat, span, keys));
+            }
+            let streams = if g.one_in(3) { 512 } else { 6 };
+            Sites {
+                sites,
+                texts,
+                streams,
+            }
+        }
+
+        /// One event from a drawn site, on any track kind, at one of
+        /// few timestamps (so ties are common; `far` ones leave no room
+        /// to pack a merge key), each argument of any `ArgValue`
+        /// variant — mostly `U64` or `F64`, so a site's key often holds
+        /// both.
+        fn event(&self, g: &mut Gen, far: bool) -> TraceEvent {
+            let at = TraceTime::from_nanos(g.below(500) + if far { u64::MAX - 500 } else { 0 });
+            let (name, cat, span, keys) = &self.sites[g.below(self.sites.len() as u64) as usize];
+            let track = match g.below(4) {
+                0 => Track::Main,
+                1 => Track::Exec,
+                2 => Track::Stream(g.below(self.streams) as u32),
+                _ => Track::Device {
+                    kind: g.pick(&self.texts[..2]),
+                    index: g.below(5) as u32,
                 },
             };
-            event.arg(g.pick(&KEYS), value)
-        })
+            let event = match span {
+                true => TraceEvent::span(at, g.below(1_000), *cat, name, track),
+                false => TraceEvent::instant(at, *cat, name, track),
+            };
+            keys.iter().fold(event, |event, key| {
+                let value = match g.below(8) {
+                    0..=2 => ArgValue::U64(g.word()),
+                    3 | 4 => ArgValue::F64(g.pick(&[0.125, -3.0, 1e300, f64::NAN])),
+                    5 => ArgValue::I64(g.word() as i64),
+                    6 => ArgValue::Str(g.pick(&self.texts)),
+                    _ => ArgValue::Label {
+                        kind: g.pick(&self.texts),
+                        index: g.below(8) as u32,
+                    },
+                };
+                event.arg(key, value)
+            })
+        }
     }
 
     /// A fresh, unwrapped recorder holding `r`'s events, drops and
@@ -715,7 +793,8 @@ mod tests {
         grail_prop::check(256, |g| {
             let parts = g.range(1usize..5);
             let far = g.one_in(8);
-            let drawn_event = |g: &mut Gen| drawn_event(g, far);
+            let sites = Sites::draw(g);
+            let drawn_event = |g: &mut Gen| sites.event(g, far);
             let mut sut = Vec::new();
             let mut oracle = Vec::new();
             for _ in 0..parts {
