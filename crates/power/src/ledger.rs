@@ -136,6 +136,7 @@ const KINDS: [ComponentKind; 8] = {
 /// The accounting fields are private, which is what keeps
 /// `total = Σ entries`: outside this module a Joule moves only through
 /// [`charge`](Self::charge), [`charge_all`](Self::charge_all),
+/// [`charge_draws`](Self::charge_draws),
 /// [`charge_interval`](Self::charge_interval) or
 /// [`transfer`](Self::transfer), and no code can even read a field:
 ///
@@ -187,15 +188,47 @@ impl EnergyLedger {
     #[inline]
     fn assert_conserved(&self, _op: &str) {}
 
+    /// Grow `kind`'s slots to hold `index`.
+    #[inline]
+    fn grow(&mut self, kind: ComponentKind, index: u32) {
+        let slots = &mut self.entries[kind as usize];
+        let len = index as usize + 1;
+        if slots.len() < len {
+            slots.resize(len, None);
+        }
+    }
+
     /// `component`'s entry, created at zero if absent.
     #[inline]
     fn entry(&mut self, component: ComponentId) -> &mut Joules {
-        let slots = &mut self.entries[component.kind as usize];
-        let i = component.index as usize;
-        if i >= slots.len() {
-            slots.resize(i + 1, None);
+        self.grow(component.kind, component.index);
+        let slot = &mut self.entries[component.kind as usize][component.index as usize];
+        slot.get_or_insert(Joules::ZERO)
+    }
+
+    /// The one charge loop: credit each `(index, energy)` of `run`, in
+    /// order, to `kind`'s slot `index` (grown already) and to the total,
+    /// journaling it when the journal is on. One loop per journal mode,
+    /// the total kept in a local: the same `+=` sequence as a `charge`
+    /// per pair.
+    #[inline]
+    fn credit(&mut self, kind: ComponentKind, run: impl IntoIterator<Item = (u32, Joules)>) {
+        let slots = &mut self.entries[kind as usize];
+        let mut total = self.total;
+        let mut add = |index: u32, energy: Joules| {
+            *slots[index as usize].get_or_insert(Joules::ZERO) += energy;
+            total += energy;
+        };
+        let run = run.into_iter();
+        match &mut self.journal {
+            None => run.for_each(|(index, energy)| add(index, energy)),
+            Some(journal) => run.for_each(|(index, energy)| {
+                add(index, energy);
+                let component = ComponentId::new(kind, index);
+                journal.push(LedgerOp::Charge { component, energy });
+            }),
         }
-        slots[i].get_or_insert(Joules::ZERO)
+        self.total = total;
     }
 
     /// Start journaling every subsequent [`charge`](Self::charge) and
@@ -227,14 +260,33 @@ impl EnergyLedger {
     /// each entry, the same running `total +=` sequence, the same journal
     /// pushes), audited once for the batch instead of once per pair.
     pub fn charge_all(&mut self, charges: impl IntoIterator<Item = (ComponentId, Joules)>) {
-        for (component, energy) in charges {
-            *self.entry(component) += energy;
-            self.total += energy;
-            if let Some(journal) = &mut self.journal {
-                journal.push(LedgerOp::Charge { component, energy });
-            }
+        for (ComponentId { kind, index }, energy) in charges {
+            self.grow(kind, index);
+            self.credit(kind, [(index, energy)]);
         }
         self.assert_conserved("charge");
+    }
+
+    /// Credit each `(index, power)` draw of `kind` with `power × d`, in
+    /// order: bit for bit the [`charge_all`](Self::charge_all) of
+    /// `(ComponentId::new(kind, index), power * d)` pairs, with `d`
+    /// converted to seconds once and `kind`'s slots grown once — a
+    /// fleet settling its powered machines over one interval.
+    ///
+    /// # Panics
+    /// If the indices do not ascend and one larger than the last lies
+    /// past `kind`'s slots: the slots are grown to the last index only.
+    pub fn charge_draws(&mut self, kind: ComponentKind, draws: &[(u32, Watts)], d: SimDuration) {
+        debug_assert!(
+            draws.windows(2).all(|w| w[0].0 <= w[1].0),
+            "charge_draws needs ascending indices"
+        );
+        if let Some(&(last, _)) = draws.last() {
+            self.grow(kind, last);
+        }
+        let secs = d.as_secs_f64();
+        self.credit(kind, draws.iter().map(|&(i, w)| (i, w.for_secs(secs))));
+        self.assert_conserved("charge_draws");
     }
 
     /// Extend the covered time window to include `[start, end]`.

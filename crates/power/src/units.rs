@@ -297,6 +297,14 @@ impl Watts {
     pub const fn get(self) -> f64 {
         self.0
     }
+
+    /// The energy drawn over `secs` seconds: `self * d` is
+    /// `self.for_secs(d.as_secs_f64())`, so a caller pricing many draws
+    /// over one interval converts it once.
+    #[inline]
+    pub(crate) fn for_secs(self, secs: f64) -> Joules {
+        Joules(self.0 * secs)
+    }
 }
 
 impl Add for Watts {
@@ -334,7 +342,7 @@ impl Mul<SimDuration> for Watts {
     type Output = Joules;
     #[inline]
     fn mul(self, rhs: SimDuration) -> Joules {
-        Joules(self.0 * rhs.as_secs_f64())
+        self.for_secs(rhs.as_secs_f64())
     }
 }
 

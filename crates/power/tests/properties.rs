@@ -263,6 +263,8 @@ const KINDS: [ComponentKind; 8] = [
 enum LedgerStep {
     Charge(ComponentId, Joules),
     ChargeAll(Vec<(ComponentId, Joules)>),
+    /// `charge_draws` of one kind's ascending run over one interval.
+    ChargeDraws(ComponentKind, Vec<(u32, Watts)>, SimDuration),
     Transfer(ComponentId, ComponentId, Joules),
     /// Fold in a ledger of these charges, covering this window.
     Merge(Vec<(ComponentId, Joules)>, Option<(SimInstant, SimInstant)>),
@@ -311,13 +313,43 @@ fn ledger_batch(g: &mut Gen, sparse: Option<ComponentKind>) -> Vec<(ComponentId,
     batch
 }
 
+/// A `charge_draws` run: one kind, ascending indices (repeats and ones
+/// past every slot the other steps use included), sometimes ending at
+/// the case's sparse `1 << 16`; zero watts now and then; an interval of
+/// zero, of a fraction of a nanosecond (zero again, or one), or up to
+/// about a day.
+fn ledger_draws(g: &mut Gen, sparse: Option<ComponentKind>) -> LedgerStep {
+    let kind = match sparse {
+        Some(kind) if g.one_in(3) => kind,
+        _ => g.pick(&KINDS),
+    };
+    let watts = |g: &mut Gen| {
+        if g.one_in(8) {
+            Watts::ZERO
+        } else {
+            Watts::new(g.range(0.0f64..1e4))
+        }
+    };
+    let mut draws = g.vec(0..24, |g| (g.range(0u32..16), watts(g)));
+    draws.sort_by_key(|&(i, _)| i);
+    if sparse == Some(kind) && g.one_in(4) {
+        draws.push((1 << 16, watts(g)));
+    }
+    let d = match g.below(4) {
+        0 => SimDuration::ZERO,
+        1 => SimDuration::from_secs_f64(g.range(0.0f64..1e-9)),
+        _ => SimDuration::from_nanos(g.range(0u64..100_000_000_000_000)),
+    };
+    LedgerStep::ChargeDraws(kind, draws, d)
+}
+
 fn ledger_window(g: &mut Gen) -> (SimInstant, SimInstant) {
     let a = SimInstant::from_nanos(g.range(0u64..1_000_000));
     (a, a + SimDuration::from_nanos(g.range(0u64..1_000_000)))
 }
 
 fn ledger_step(g: &mut Gen, sparse: Option<ComponentKind>) -> LedgerStep {
-    match g.below(16) {
+    match g.below(18) {
         0..=4 => LedgerStep::Charge(ledger_id(g, sparse), ledger_joules(g)),
         5..=7 => LedgerStep::ChargeAll(ledger_batch(g, sparse)),
         8..=11 => {
@@ -334,7 +366,8 @@ fn ledger_step(g: &mut Gen, sparse: Option<ComponentKind>) -> LedgerStep {
             LedgerStep::Cover(s, e)
         }
         14 => LedgerStep::EnableJournal,
-        _ => LedgerStep::TakeJournal,
+        15 => LedgerStep::TakeJournal,
+        _ => ledger_draws(g, sparse),
     }
 }
 
@@ -348,6 +381,12 @@ fn apply_ledger_step(dense: &mut EnergyLedger, old: &mut btree::EnergyLedger, st
         LedgerStep::ChargeAll(batch) => {
             dense.charge_all(batch.iter().copied());
             old.charge_ascending(batch.iter().copied());
+        }
+        LedgerStep::ChargeDraws(kind, draws, d) => {
+            dense.charge_draws(*kind, draws, *d);
+            for &(index, w) in draws {
+                old.charge(ComponentId::new(*kind, index), w * *d);
+            }
         }
         LedgerStep::Transfer(from, to, e) => {
             let moved = dense.transfer(*from, *to, *e).joules().to_bits();
@@ -407,7 +446,8 @@ fn assert_ledgers_agree(dense: &EnergyLedger, old: &btree::EnergyLedger) {
 /// The dense `EnergyLedger` is the `BTreeMap` ledger it replaced
 /// (`tests/common/btree_ledger.rs`): after any drawn sequence of
 /// charges, `charge_all` batches (descending, repeated, kinds
-/// interleaved), transfers (from an absent or a short component),
+/// interleaved), `charge_draws` runs (against a `charge` of `w * d` per
+/// draw), transfers (from an absent or a short component),
 /// merges, covers and journal switches, over all eight kinds at indices
 /// 0..12 and a sparse `1 << 16`, every reading agrees bit for bit — the
 /// journal included — and `==` decides alike on a twin built with one

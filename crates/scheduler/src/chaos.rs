@@ -310,8 +310,9 @@ impl ChaosReport {
     }
 }
 
-/// Runtime events beyond the pre-generated schedule: breaker rejoins and
-/// stranded-work re-dispatch, both scheduled by the engine itself.
+/// One event of a run: a schedule event, or one the engine schedules
+/// itself (a breaker rejoin or a stranded-work re-dispatch), the only
+/// kinds its queue holds.
 #[derive(Debug, Clone, Copy)]
 enum Runtime {
     /// A schedule event, by index into [`ChaosSchedule::events`].
@@ -1019,7 +1020,7 @@ struct Engine<'a> {
     report: ChaosReport,
     /// What [`settle`](Self::settle) charges: the plan's powered
     /// machines' draws, in fleet order.
-    draws: Vec<(usize, Watts)>,
+    draws: Vec<(u32, Watts)>,
     /// The brownout cap `draws` were priced under; `None` before the
     /// first plan.
     draws_cap_frac: Option<f64>,
@@ -1056,8 +1057,7 @@ impl Engine<'_> {
         }
         let secs = dt.as_secs_f64();
         let plan = self.state.plan();
-        let draws = self.draws.iter();
-        (self.report.ledger).charge_all(draws.map(|&(i, w)| (Self::machine_component(i), w * dt)));
+        (self.report.ledger).charge_draws(ComponentKind::Base, &self.draws, dt);
         self.report.offered += self.demand * self.state.surge * secs;
         self.report.served += plan.served_rate * secs;
         self.report.shed += plan.shed_rate * secs;
@@ -1084,11 +1084,11 @@ impl Engine<'_> {
         let (state, fleet) = (&self.state, self.fleet);
         let (plan, cap_frac) = (state.plan(), state.cap_frac);
         let placement = &plan.placement;
-        let price = |i: usize| (i, draw(&fleet[i], placement.loads[i], cap_frac));
+        let price = |i: usize| (i as u32, draw(&fleet[i], placement.loads[i], cap_frac));
         if self.draws_cap_frac.map(f64::to_bits) == Some(cap_frac.to_bits()) {
             // Only what the re-plan changed moves a draw.
             for &i in &state.scratch.changed {
-                match self.draws.binary_search_by_key(&i, |&(j, _)| j) {
+                match self.draws.binary_search_by_key(&(i as u32), |&(j, _)| j) {
                     Ok(k) if placement.powered[i] => self.draws[k] = price(i),
                     Ok(k) => {
                         self.draws.remove(k);
@@ -1323,15 +1323,38 @@ pub fn run_chaos(
     };
     // The fleet starts in steady state: the initial plan boots nothing.
     eng.record_plan(start, &[], tracer);
+    // The schedule is read in place through a cursor; the queue holds
+    // only what the engine schedules itself (wakes and re-dispatches).
+    // At one instant the schedule goes first, in index order, then the
+    // queue in push order: the order of one queue holding both with the
+    // schedule pushed first.
+    let events = schedule.events();
+    debug_assert!(
+        events.windows(2).all(|w| w[0].at <= w[1].at),
+        "schedule events must be sorted by instant"
+    );
+    let mut next = 0;
     let mut queue: EventQueue<Runtime> = EventQueue::new();
-    for (idx, ev) in schedule.events().iter().enumerate() {
-        queue.push(ev.at, Runtime::Chaos(idx));
-    }
     let mut cur = start;
     // Re-dispatches the engine backed off past the horizon — resolved at
     // the end. Late rejoins are moot.
     let mut overflow: Vec<(f64, u32)> = Vec::new();
-    while let Some((at, rt)) = queue.pop() {
+    loop {
+        // The schedule's next event, unless the queue's is earlier.
+        let due = match (events.get(next), queue.peek_time()) {
+            (Some(ev), Some(t)) if t < ev.at => None,
+            (ev, _) => ev,
+        };
+        let (at, rt) = match due {
+            Some(ev) => {
+                next += 1;
+                (ev.at, Runtime::Chaos(next - 1))
+            }
+            None => match queue.pop() {
+                Some(popped) => popped,
+                None => break,
+            },
+        };
         if at >= end {
             if let Runtime::Redispatch { work, attempt } = rt {
                 overflow.push((work, attempt));
@@ -2304,6 +2327,71 @@ mod tests {
         for p in r.placements.iter().filter(|p| p.at >= at(19.0)) {
             assert_eq!(p.loads[0], 0.0, "machine 0 loaded at {}", p.at);
         }
+    }
+
+    /// A breaker wake and a re-dispatch land on the instant of a
+    /// schedule event: the schedule event goes first, then the engine's
+    /// own events in the order they were scheduled.
+    #[test]
+    fn a_schedule_event_goes_before_a_wake_and_a_redispatch_at_its_instant() {
+        // Crashes at 1 000 and 1 200 strand work re-dispatched 800 s
+        // later; the restart at 1 300 is held 500 s. So at 1 800 the
+        // first re-dispatch and the wake meet the crash of machine 0.
+        let schedule = script(
+            10_000,
+            &[
+                (1_000.0, ChaosEventKind::MachineCrash { machine: 0 }),
+                (1_100.0, ChaosEventKind::MachineUp { machine: 0 }),
+                (1_200.0, ChaosEventKind::MachineCrash { machine: 0 }),
+                (1_300.0, ChaosEventKind::MachineUp { machine: 0 }),
+                (1_800.0, ChaosEventKind::MachineCrash { machine: 0 }),
+            ],
+        );
+        let policy = ChaosPolicy {
+            retry: RetryPolicy {
+                max_retries: 2,
+                base_backoff: SimDuration::from_secs(800),
+                multiplier: 1,
+            },
+            ..flap_policy()
+        };
+        let r = run(&schedule, 100.0, &policy);
+        // The crash finds machine 0 still held, so it strands nothing; the
+        // wake then leaves it out, and the re-dispatch replays elsewhere.
+        // Taken the other way round, the re-dispatch would replay on
+        // machine 0, the wake would load it, and the crash would strand
+        // a third batch.
+        let counters = (r.crashes, r.restarts, r.breaker_trips, r.cold_boots);
+        assert_eq!(counters, (3, 2, 1, 1));
+        assert_eq!(r.redispatches, 2);
+        let work = [r.stranded, r.recovered, r.failed].map(f64::to_bits);
+        assert_eq!(work, [6_000.0, 6_000.0, 0.0].map(f64::to_bits));
+        let placements: Vec<_> = (r.placements.iter())
+            .map(|p| (p.at.as_nanos() / 1_000_000_000, p.loads))
+            .collect();
+        let (off_0, on_0) = (vec![0.0, 100.0, 100.0, 0.0], vec![100.0, 0.0, 100.0, 0.0]);
+        let want = [
+            (0, on_0.clone()),
+            (1_000, off_0.clone()),
+            (1_100, on_0),
+            (1_200, off_0.clone()),
+            (1_800, off_0.clone()),
+            (1_800, off_0),
+        ];
+        assert_eq!(placements, want);
+        let bits = |e: Joules| e.joules().to_bits();
+        let ledger: Vec<_> = (r.ledger.iter())
+            .map(|(id, e)| (id.to_string(), bits(e)))
+            .collect();
+        let want = [
+            ("base[0]", 0x4104_2440_0000_0000),
+            ("base[1]", 0x4135_35b0_0000_0000),
+            ("base[2]", 0x4136_e360_0000_0000),
+            ("base[3]", 0x411e_8480_0000_0000),
+            ("recovery[0]", 0x40d2_7500_0000_0000),
+        ];
+        assert_eq!(ledger, want.map(|(id, b)| (id.to_string(), b)));
+        assert_eq!(bits(r.ledger.total()), 0x414b_4446_0000_0000);
     }
 
     #[test]

@@ -595,7 +595,9 @@ impl ChaosSchedule {
         self.horizon
     }
 
-    /// The time-ordered event list.
+    /// The time-ordered event list: `at` never decreases along it (both
+    /// constructors sort), so a reader may walk it as a cursor, as
+    /// `grail_scheduler::chaos::run_chaos` does.
     pub fn events(&self) -> &[ChaosEvent] {
         &self.events
     }
