@@ -16,11 +16,9 @@
 //! goes one step further for a [`HashAggregate`] over such a scan: it
 //! folds each window's survivors from their stored codes and decodes
 //! nothing but a new group's key, charging what the two operators charge.
-//! It folds contiguous ranges of windows, one per core at four windows a
-//! core or more (outside a sweep's point) and else one on the caller,
-//! each with readers and groups of its own; merges the groups in range
-//! order; and then replays the pulls on the caller's context in window
-//! order, so the charges are still the two operators', call for call.
+//! It folds contiguous ranges of windows (one per core at four windows a
+//! core or more, outside a sweep's point), each recording its windows'
+//! survivor verdicts, and makes those charges from the records.
 
 use crate::batch::{Batch, Table, BATCH_ROWS};
 use crate::exec::{ExecContext, Operator, QueryError};
@@ -115,17 +113,14 @@ pub struct ColumnarScan {
     schema: Arc<Schema>,
     decoded: Option<Vec<Arc<Vec<i64>>>>,
     cursor: usize,
-    pushed: Option<Pushdown>,
-}
-
-/// A predicate the scan tests on the encoded columns.
-struct Pushdown {
-    /// What it tests.
-    test: RangeTest,
-    /// One reader per projected column, opened by the first pull.
+    /// The predicate a pushed-down scan tests on the encoded columns.
+    test: Option<RangeTest>,
+    /// Whether a pushed-down pull has opened the projected segments.
+    opened: bool,
+    /// A filtered scan's reader of each projected column.
     readers: Vec<SegmentReader>,
-    /// The stored columns, when every projected segment is Plain: the
-    /// survivors then reach the batch as a selection over them.
+    /// The stored columns, when every projected segment is Plain: a
+    /// filtered scan's survivors reach the batch as a selection over them.
     shared: Option<Vec<Arc<Vec<i64>>>>,
 }
 
@@ -139,7 +134,10 @@ impl ColumnarScan {
             schema,
             decoded: None,
             cursor: 0,
-            pushed: None,
+            test: None,
+            opened: false,
+            readers: Vec::new(),
+            shared: None,
         }
     }
 
@@ -207,47 +205,49 @@ impl ColumnarScan {
             return None;
         }
         let mut scan = ColumnarScan::new(stored.clone(), projection.to_vec());
-        scan.pushed = Some(Pushdown {
-            test: RangeTest {
-                ranges,
-                terms: predicate.cost_terms(),
-                #[cfg(test)]
-                fault: None,
-                #[cfg(test)]
-                threads: None,
-            },
-            readers: Vec::new(),
-            shared: None,
+        scan.test = Some(RangeTest {
+            ranges,
+            terms: predicate.cost_terms(),
+            #[cfg(test)]
+            fault: None,
+            #[cfg(test)]
+            threads: None,
         });
         Some(scan)
     }
 
+    /// The projected segments, or the first projected column the table
+    /// lacks.
+    fn segments(&self) -> Result<Vec<&ColumnSegment>, QueryError> {
+        let segments = &self.stored.segments;
+        (self.projection.iter())
+            .map(|i| segments.get(*i).ok_or(QueryError::UnknownColumn(*i)))
+            .collect()
+    }
+
     /// The first pull's work, however the scan then decodes: check the
-    /// projection (a plan error charges nothing), charge one sequential
-    /// read of the projected segments, then `open` each segment in turn
-    /// and charge its decode and scan cycles per stored row.
+    /// projection (a plan error charges nothing), `open` its segments (all,
+    /// or how many did before one failed, and its error), then charge one
+    /// sequential read and each opened segment's cycles per stored row.
     fn open<T>(
         &self,
         ctx: &mut ExecContext,
-        open: impl Fn(&ColumnSegment) -> Result<T, StorageError>,
-    ) -> Result<Vec<T>, QueryError> {
-        let segments = &self.stored.segments;
-        if let Some(bad) = self.projection.iter().find(|i| **i >= segments.len()) {
-            return Err(QueryError::UnknownColumn(*bad));
-        }
+        open: impl FnOnce(&[&ColumnSegment]) -> Result<T, (usize, QueryError)>,
+    ) -> Result<T, QueryError> {
+        let segments = self.segments()?;
+        let opened = open(&segments);
         ctx.charge_read(
             self.stored.target,
             Bytes::new(self.stored.scan_bytes(&self.projection)),
             AccessPattern::Sequential,
         );
-        let mut opened = Vec::with_capacity(self.projection.len());
-        for seg in self.projection.iter().map(|i| &segments[*i]) {
+        let failed = opened.as_ref().err().map_or(segments.len(), |(k, _)| *k);
+        for seg in &segments[..failed] {
             let decode_cost = ctx.charge.decode_cycles(seg.encoding());
             let scan_cost = ctx.charge.scan_cycles_per_value;
-            opened.push(open(seg)?);
             ctx.charge_cpu((decode_cost + scan_cost) * seg.rows() as f64);
         }
-        Ok(opened)
+        opened.map_err(|(_, e)| e)
     }
 
     /// The next `BATCH_ROWS` window of `total` rows.
@@ -262,7 +262,12 @@ impl ColumnarScan {
 
     fn next_inner(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
         if self.decoded.is_none() {
-            self.decoded = Some(self.open(ctx, ColumnSegment::decode)?);
+            let decode = |segments: &[&ColumnSegment]| {
+                (segments.iter().enumerate())
+                    .map(|(k, seg)| seg.decode().map_err(|e| (k, e.into())))
+                    .collect()
+            };
+            self.decoded = Some(self.open(ctx, decode)?);
         }
         let cols = self.decoded.clone().expect("decoded above");
         let Some(rows) = self.advance(cols.first().map_or(0, |c| c.len())) else {
@@ -273,117 +278,127 @@ impl ColumnarScan {
         Ok(Some(batch))
     }
 
-    /// A pushed-down scan's pull, bracketed as a `Filter`'s pull of its
-    /// scan: the same `"scan"` pull per window, the same charges.
-    fn next_window(&mut self, ctx: &mut ExecContext) -> Result<Option<Range<usize>>, QueryError> {
-        let pushed = self.pushed.as_ref().expect("a filtered scan");
-        if pushed.readers.is_empty() {
-            let readers = self.open(ctx, ColumnSegment::reader)?;
-            let segments = || self.projection.iter().map(|i| &self.stored.segments[*i]);
-            let shared = match segments().all(|s| s.encoding() == Encoding::Plain) {
-                true => Some(
-                    segments()
-                        .map(ColumnSegment::decode)
-                        .collect::<Result<_, _>>()?,
-                ),
-                false => None,
-            };
-            let pushed = self.pushed.as_mut().expect("a filtered scan");
-            (pushed.readers, pushed.shared) = (readers, shared);
-        }
-        let total = self.stored.segments[self.projection[0]].rows() as usize;
-        Ok(self.advance(total))
-    }
-
-    /// Pull windows as a `Filter` pulls its scan until `select(pushed,
-    /// rows)`, called after window `rows`' predicate charge, finds
-    /// survivors in one; `false` at the end.
-    fn next_survivors(
+    /// A pushed-down scan's `"scan"` pull of a window, as a `Filter` pulls
+    /// its scan, then the window's predicate charge; the first pull that
+    /// succeeds runs `open`.
+    fn next_window(
         &mut self,
         ctx: &mut ExecContext,
-        mut select: impl FnMut(&mut Pushdown, Range<usize>) -> Result<bool, QueryError>,
-    ) -> Result<bool, QueryError> {
-        loop {
-            let op = ctx.begin_op("scan");
-            let window = self.next_window(ctx);
-            ctx.end_op(op);
-            let Some(rows) = window? else {
-                return Ok(false);
-            };
-            let pushed = self.pushed.as_mut().expect("a filtered scan");
-            ctx.charge_cpu(
-                ctx.charge.expr_cycles_per_term * pushed.test.terms as f64 * rows.len() as f64,
-            );
-            if select(pushed, rows)? {
-                return Ok(true);
-            }
+        open: impl FnOnce(&mut Self, &mut ExecContext) -> Result<(), QueryError>,
+    ) -> Result<Option<Range<usize>>, QueryError> {
+        let op = ctx.begin_op("scan");
+        let opened = if self.opened { Ok(()) } else { open(self, ctx) };
+        self.opened = opened.is_ok();
+        let window = opened.map(|()| {
+            let total = self.stored.segments[self.projection[0]].rows();
+            self.advance(total as usize)
+        });
+        ctx.end_op(op);
+        if let Ok(Some(rows)) = &window {
+            let terms = self.test.as_ref().expect("a filtered scan").terms;
+            ctx.charge_cpu(ctx.charge.expr_cycles_per_term * terms as f64 * rows.len() as f64);
         }
+        window
     }
 
+    /// A filtered scan's first pull: open its readers, and share the
+    /// stored columns when every projected segment is Plain.
+    fn open_readers(&mut self, ctx: &mut ExecContext) -> Result<(), QueryError> {
+        let test = self.test.as_ref().expect("a filtered scan");
+        self.readers = self.open(ctx, |segments| test.readers(segments))?;
+        let segments = self.segments()?;
+        let plain = segments.iter().all(|s| s.encoding() == Encoding::Plain);
+        let shared = plain.then(|| segments.iter().map(|s| s.decode()).collect());
+        self.shared = shared.transpose()?;
+        Ok(())
+    }
+
+    /// Pull windows as a `Filter` pulls its scan until one has survivors,
+    /// returned as a batch of the projection; `None` at the end.
     fn next_filtered(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
         let mut sel = Vec::new();
-        if !self.next_survivors(ctx, |pushed, rows| pushed.select(rows, &mut sel))? {
-            return Ok(None);
+        while let Some(rows) = self.next_window(ctx, Self::open_readers)? {
+            let test = self.test.as_ref().expect("a filtered scan");
+            test.select(&mut self.readers, rows, &mut sel)?;
+            if !sel.is_empty() {
+                return Ok(Some(self.survivors(sel)?));
+            }
         }
-        let pushed = self.pushed.as_mut().expect("a filtered scan");
-        Ok(Some(pushed.survivors(&self.schema, sel)?))
+        Ok(None)
     }
 
-    /// [`Self::next_survivors`] as a `HashAggregate` pulls a filtered
-    /// scan: inside one `"filter"` pull.
-    fn pull_filtered(
-        &mut self,
-        ctx: &mut ExecContext,
-        select: impl FnMut(&mut Pushdown, Range<usize>) -> Result<bool, QueryError>,
-    ) -> Result<bool, QueryError> {
-        let op = ctx.begin_op("filter");
-        let found = self.next_survivors(ctx, select);
-        ctx.end_op(op);
-        found
+    /// The survivors `sel` of a filtered scan as a batch of the projection.
+    fn survivors(&mut self, sel: Vec<u32>) -> Result<Batch, StorageError> {
+        let schema = self.schema.clone();
+        if let Some(cols) = &self.shared {
+            return Ok(Batch::from_selection(schema, cols.clone(), sel));
+        }
+        let cols = (self.readers.iter_mut())
+            .map(|reader| {
+                let mut col = Vec::with_capacity(sel.len());
+                reader.gather(&sel, &mut col).map(|()| col)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Batch::new(schema, cols))
     }
 
-    /// Fold the survivors of every window left into `groups`, pulled as a
-    /// `HashAggregate` pulls a filtered scan.
+    /// Fold the survivors of every window left into `groups`, charged as
+    /// a `HashAggregate` pulling a filtered scan is charged.
     ///
     /// The windows fold in the contiguous ranges [`Runner::split`] cuts at
     /// [`MIN_WINDOWS_PER_THREAD`] on [`Runner::current`] (one, on the
-    /// caller, inside a sweep's point), each range with readers and
-    /// groups of its own, and only then are the pulls made on `ctx`: each
-    /// window's "had survivors" verdict stands in for its selection, and
-    /// the first window that failed returns its error there. The ranges'
-    /// groups merge in range order; the groups leave sorted by key, so
-    /// the rows are the batch aggregate's, and so is every charge.
+    /// caller, inside a sweep's point), each a [`Part`] that opens its own
+    /// readers, folds its own groups and records how it went. The pulls'
+    /// calls are then made on `ctx` from the records, up to the first
+    /// failed open or window. The groups merge in range order and leave
+    /// sorted by key, so the rows are the batch aggregate's, and so is
+    /// every charge.
     pub(crate) fn fold(
         &mut self,
         ctx: &mut ExecContext,
         groups: &mut Groups,
     ) -> Result<(), QueryError> {
-        let segments = &self.stored.segments;
-        let total = match self.projection.iter().all(|c| *c < segments.len()) {
-            true => segments[self.projection[0]].rows() as usize,
-            false => 0,
-        };
+        let segments = self.segments();
+        let total = segments.as_ref().map_or(0, |s| s[0].rows() as usize);
         let windows = total.saturating_sub(self.cursor).div_ceil(BATCH_ROWS);
-        let test = &self.pushed.as_ref().expect("a filtered scan").test;
+        let test = self.test.as_ref().expect("a filtered scan");
         let (runner, min) = (Runner::current(), MIN_WINDOWS_PER_THREAD);
         #[cfg(test)]
-        let (runner, min) = test
-            .threads
-            .map_or((runner, min), |n| (Runner::with_threads(n), 1));
+        let (runner, min) = (test.threads).map_or((runner, min), |n| (Runner::with_threads(n), 1));
         let mut parts: Vec<Part> = (runner.split(windows, min).into_iter())
             .map(|windows| Part {
                 windows,
                 groups: groups.empty_like(),
                 survived: Vec::new(),
+                opened: Ok(()),
                 failed: None,
             })
             .collect();
-        let (stored, projection, first) = (&self.stored, &self.projection, self.cursor);
-        runner.for_each_mut(&mut parts, |_, part| {
-            part.failed = part.fold(stored, projection, test, first..total).err();
+        // No window left: only a scan not yet opened needs a range's open.
+        if let (Ok(segments), true) = (&segments, windows > 0 || !self.opened) {
+            let rows = self.cursor..total;
+            runner.for_each_mut(&mut parts, |_, part| {
+                part.failed = part.fold(segments, test, rows.clone()).err();
+            });
+        }
+        // The pulls a `HashAggregate` makes of the scan, from the records.
+        let mut verdicts = parts.iter().flat_map(|part| {
+            let survived = part.survived.iter().map(|s| Ok(*s));
+            survived.chain(part.failed.clone().map(Err))
         });
-        let mut verdicts = parts.iter().flat_map(Part::verdicts);
-        while self.pull_filtered(ctx, |_, _| verdicts.next().expect("a verdict per window"))? {}
+        let open = |scan: &mut Self, ctx: &mut _| scan.open(ctx, |_| parts[0].opened.clone());
+        let mut op = ctx.begin_op("filter");
+        let pulled = (|| -> Result<(), QueryError> {
+            while self.next_window(ctx, open)?.is_some() {
+                if verdicts.next().expect("a verdict per window")? {
+                    ctx.end_op(op);
+                    op = ctx.begin_op("filter");
+                }
+            }
+            Ok(())
+        })();
+        ctx.end_op(op);
+        pulled?;
         parts.iter().try_for_each(|part| groups.merge(&part.groups))
     }
 
@@ -457,9 +472,10 @@ struct RangeTest {
     ranges: Vec<(usize, i64, i64)>,
     /// The predicate's [`Expr::cost_terms`].
     terms: u64,
-    /// A row whose window's selection fails as a corrupt segment's would.
+    /// A reader open or a window's selection that fails as a corrupt
+    /// segment's would.
     #[cfg(test)]
-    fault: Option<usize>,
+    fault: Option<tests::Fault>,
     /// The threads an aggregate folds on, at one window a range or more
     /// (`None`: [`Runner::current`]'s, at [`MIN_WINDOWS_PER_THREAD`]).
     #[cfg(test)]
@@ -467,6 +483,23 @@ struct RangeTest {
 }
 
 impl RangeTest {
+    /// A reader of each of `segments`, the projected columns, in order:
+    /// all of them, or how many opened before one failed, and its error.
+    fn readers(
+        &self,
+        segments: &[&ColumnSegment],
+    ) -> Result<Vec<SegmentReader>, (usize, QueryError)> {
+        (segments.iter().enumerate())
+            .map(|(k, seg)| {
+                #[cfg(test)]
+                if self.fault == Some(tests::Fault::Open(k)) {
+                    return Err((k, StorageError::CorruptSegment("injected fault").into()));
+                }
+                seg.reader().map_err(|e| (k, e.into()))
+            })
+            .collect()
+    }
+
     /// Replace `sel` with the rows of window `rows` inside every range,
     /// read through `readers`, one per projected column.
     fn select(
@@ -476,7 +509,7 @@ impl RangeTest {
         sel: &mut Vec<u32>,
     ) -> Result<(), StorageError> {
         #[cfg(test)]
-        if self.fault.is_some_and(|row| rows.contains(&row)) {
+        if matches!(self.fault, Some(tests::Fault::Select(row)) if rows.contains(&row)) {
             return Err(StorageError::CorruptSegment("injected fault"));
         }
         sel.clear();
@@ -501,7 +534,7 @@ impl RangeTest {
 }
 
 /// One contiguous range of an aggregated scan's windows, folded on a
-/// runner thread.
+/// runner thread, and its record: what the charges of its pulls need.
 struct Part {
     /// Its windows, counted from the first window left to the scan.
     windows: Range<usize>,
@@ -509,36 +542,33 @@ struct Part {
     groups: Groups,
     /// Per window, in order, whether any row survived.
     survived: Vec<bool>,
-    /// The error of the window after the last in `survived`, which
-    /// ended the range early.
+    /// How its readers opened: all of them, or how many before the
+    /// projected column that failed, and its error.
+    opened: Result<(), (usize, QueryError)>,
+    /// The error that ended the range early (an open's or a window's).
     failed: Option<QueryError>,
 }
 
 impl Part {
-    /// Select and fold this range's windows of `rows`, window `w`
-    /// starting at row `rows.start + w * BATCH_ROWS`, through readers of
-    /// its own, up to the first error: group ids from the key columns'
-    /// codes, each aggregate from its column's codes.
+    /// Open readers of `segments`, the projected columns, then select and
+    /// fold this range's windows of `rows`, window `w` starting at row
+    /// `rows.start + w * BATCH_ROWS`, up to the first error: group ids
+    /// from the key columns' codes, each aggregate from its column's codes.
     fn fold(
         &mut self,
-        stored: &StoredTable,
-        projection: &[usize],
+        segments: &[&ColumnSegment],
         test: &RangeTest,
         rows: Range<usize>,
     ) -> Result<(), QueryError> {
-        if self.windows.is_empty() {
-            return Ok(());
-        }
-        let readers = projection.iter().map(|c| stored.segments[*c].reader());
-        let mut readers = readers.collect::<Result<Vec<_>, _>>()?;
+        let mut readers = test.readers(segments).map_err(|(k, e)| {
+            self.opened = Err((k, e.clone()));
+            e
+        })?;
         let (mut sel, mut gids) = (Vec::new(), Vec::new());
         for w in self.windows.clone() {
             let start = rows.start + w * BATCH_ROWS;
-            test.select(
-                &mut readers,
-                start..(start + BATCH_ROWS).min(rows.end),
-                &mut sel,
-            )?;
+            let window = start..(start + BATCH_ROWS).min(rows.end);
+            test.select(&mut readers, window, &mut sel)?;
             if !sel.is_empty() {
                 let groups = &mut self.groups;
                 ColumnarScan::group_ids(
@@ -553,37 +583,6 @@ impl Part {
             self.survived.push(!sel.is_empty());
         }
         Ok(())
-    }
-
-    /// Each window's verdict in order, ending at the failed one.
-    fn verdicts(&self) -> impl Iterator<Item = Result<bool, QueryError>> + '_ {
-        let survived = self.survived.iter().map(|s| Ok(*s));
-        survived.chain(self.failed.iter().map(|e| Err(e.clone())))
-    }
-}
-
-impl Pushdown {
-    /// Replace `sel` with the rows of window `rows` inside every range;
-    /// whether any survived.
-    fn select(&mut self, rows: Range<usize>, sel: &mut Vec<u32>) -> Result<bool, QueryError> {
-        self.test.select(&mut self.readers, rows, sel)?;
-        Ok(!sel.is_empty())
-    }
-
-    /// The survivors `sel` as a batch of the projection.
-    fn survivors(&mut self, schema: &Arc<Schema>, sel: Vec<u32>) -> Result<Batch, StorageError> {
-        if let Some(cols) = &self.shared {
-            return Ok(Batch::from_selection(schema.clone(), cols.clone(), sel));
-        }
-        let cols = self
-            .readers
-            .iter_mut()
-            .map(|reader| {
-                let mut col = Vec::with_capacity(sel.len());
-                reader.gather(&sel, &mut col).map(|()| col)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Batch::new(schema.clone(), cols))
     }
 }
 
@@ -602,7 +601,7 @@ impl Operator for ColumnarScan {
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
-        let filtered = self.pushed.is_some();
+        let filtered = self.test.is_some();
         let op = ctx.begin_op(if filtered { "filter" } else { "scan" });
         let out = if filtered {
             self.next_filtered(ctx)
@@ -622,6 +621,15 @@ mod tests {
     use crate::schema::ColumnType;
     use grail_power::units::Cycles;
     use grail_sim::DiskId;
+
+    /// Where [`RangeTest::fault`] fails, as a corrupt segment would.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(super) enum Fault {
+        /// The open of this projected column's reader.
+        Open(usize),
+        /// The selection of the window holding this row.
+        Select(usize),
+    }
 
     fn table() -> Arc<Table> {
         let schema = Schema::new(vec![
@@ -805,11 +813,13 @@ mod tests {
     }
 
     /// Everything a caller or the simulator sees of an aggregate driven
-    /// to its end or its first error.
+    /// to its end, or to its first error and one pull past it.
     #[derive(Debug, PartialEq)]
     struct Seen {
         rows: Vec<Vec<i64>>,
         error: Option<QueryError>,
+        /// The pull past the error: whether it returned rows, or its error.
+        past: Option<Result<bool, QueryError>>,
         tallies: Vec<OpTally>,
         total_cpu: Cycles,
         total_io: Bytes,
@@ -819,16 +829,23 @@ mod tests {
     fn drive(mut agg: HashAggregate) -> Seen {
         let mut ctx = ExecContext::calibrated();
         let mut rows = Vec::new();
+        let mut pull = |rows: &mut Vec<Vec<i64>>| {
+            let batch = agg.next(&mut ctx)?;
+            rows.extend(batch.iter().flat_map(|b| (0..b.len()).map(|r| b.row(r))));
+            Ok(batch.is_some())
+        };
         let error = loop {
-            match agg.next(&mut ctx) {
-                Ok(Some(b)) => rows.extend((0..b.len()).map(|r| b.row(r))),
-                Ok(None) => break None,
+            match pull(&mut rows) {
+                Ok(true) => {}
+                Ok(false) => break None,
                 Err(e) => break Some(e),
             }
         };
+        let past = error.is_some().then(|| pull(&mut rows));
         Seen {
             rows,
             error,
+            past,
             tallies: ctx.op_tallies().to_vec(),
             total_cpu: ctx.total_cpu(),
             total_io: ctx.total_io_bytes(),
@@ -845,8 +862,9 @@ mod tests {
     /// or some of its rows (so the first and the last may keep none);
     /// Plain, RLE, Dict, BitPack and Delta segments; keys that pack, that
     /// hash, or none; every `AggFunc` over values that wrap a sum; a
-    /// storage error injected into one window's selection; and bad
-    /// projection and group columns.
+    /// storage error injected into one window's selection or into the
+    /// open of one projected column's reader, then one pull past it; and
+    /// bad projection and group columns.
     #[test]
     fn split_fold_matches_the_batch_aggregate() {
         const FUNCS: [AggFunc; 5] = [
@@ -857,6 +875,7 @@ mod tests {
             AggFunc::Avg,
         ];
         let (mut split, mut single, mut faulted, mut failed) = (0, 0, 0, 0);
+        let (mut opens, mut bare_opens, mut resumed, mut refailed) = (0, 0, 0, 0);
         let (mut first_empty, mut last_empty, mut partial, mut hashed) = (0, 0, 0, 0);
         grail_prop::check(320, |g| {
             let threads = match g.range(0..8) {
@@ -930,11 +949,16 @@ mod tests {
             let aggs: Vec<AggSpec> = (0..g.range(0..5))
                 .map(|_| AggSpec::new(g.pick(&FUNCS), g.range(1..5), "a"))
                 .collect();
-            let fault = (rows > 0 && g.one_in(4)).then(|| g.range(0..rows));
+            let fault = match (rows > 0 && g.one_in(4)).then(|| g.range(0..rows)) {
+                Some(row) => Some(Fault::Select(row)),
+                None => g
+                    .one_in(3)
+                    .then(|| Fault::Open(g.range(0..projection.len()))),
+            };
             let scan = || {
                 let mut scan = ColumnarScan::pushed(&stored, &projection, &predicate)
                     .expect("per-column ranges over the projection");
-                let test = &mut scan.pushed.as_mut().expect("pushed").test;
+                let test = scan.test.as_mut().expect("pushed");
                 (test.fault, test.threads) = (fault, threads);
                 scan
             };
@@ -952,12 +976,16 @@ mod tests {
             assert_eq!(
                 got, want,
                 "{threads:?} threads, windows {kinds:?} (last {last} rows), {encodings:?}, \
-                 fault at {fault:?}, by {group_by:?} {aggs:?}"
+                 fault {fault:?}, by {group_by:?} {aggs:?}"
             );
             split += threads.is_some_and(|n| n.min(kinds.len()) > 1) as u32;
             single += (threads == Some(1) && kinds.len() > 1) as u32;
-            faulted += fault.is_some() as u32;
+            faulted += matches!(fault, Some(Fault::Select(_))) as u32;
+            opens += matches!(fault, Some(Fault::Open(_))) as u32;
+            bare_opens += (kinds.is_empty() && matches!(fault, Some(Fault::Open(_)))) as u32;
             failed += want.error.is_some() as u32;
+            resumed += matches!(want.past, Some(Ok(true))) as u32;
+            refailed += matches!(want.past, Some(Err(_))) as u32;
             first_empty += (kinds.len() > 1 && kinds[0] == 0) as u32;
             last_empty += (kinds.len() > 1 && kinds.last() == Some(&0)) as u32;
             partial += (kinds.len() > 1 && last < BATCH_ROWS) as u32;
@@ -973,6 +1001,11 @@ mod tests {
             single > 20 && partial > 100 && hashed > 40,
             "coverage: {single} in one range on the caller, {partial} with a partial last \
              window, {hashed} hashed keys"
+        );
+        assert!(
+            opens > 40 && bare_opens > 5 && resumed > 40 && refailed > 50,
+            "coverage: {opens} with a failed open ({bare_opens} with no window), {resumed} \
+             returning rows on the pull past their error, {refailed} failing it again"
         );
     }
 }
