@@ -187,6 +187,16 @@ impl Batch {
         }
     }
 
+    /// Append column `i` of the logical rows to `out`: the window copied,
+    /// or the selected rows gathered straight into it.
+    pub(crate) fn append_column(&self, i: usize, out: &mut Vec<Datum>) {
+        let col = &self.columns[i];
+        match &self.sel {
+            Some(s) => out.extend(s.iter().map(|p| col[*p as usize])),
+            None => out.extend_from_slice(&col[self.offset..self.offset + self.rows]),
+        }
+    }
+
     /// Column `i` of logical rows, materialized in order.
     pub fn gather(&self, i: usize) -> Vec<Datum> {
         self.logical_column(i).into_owned()

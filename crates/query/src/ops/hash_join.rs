@@ -6,31 +6,140 @@
 //! pipeline phase (its IO+CPU cannot overlap the probe's).
 //!
 //! Both sides stay column-major. The build keeps its columns plus, per
-//! distinct key, a chain of row indices in arrival order; a probe batch
-//! turns its whole key column into `(build row, probe row)` index pairs
-//! and every output column is gathered from them once. Matches leave in
-//! probe order, then build arrival order, in windows of at most
-//! [`BATCH_ROWS`] over that one gathered batch.
+//! distinct key, a chain of row indices in arrival order, found through
+//! one of two indexes. When the build keys span at most twice as many
+//! values as there are build rows, the chains start at `head[key − min]`
+//! and a probe key costs one bounds-checked load; otherwise distinct keys
+//! intern into a `GroupTable` and its group ids index the chains. A
+//! probe batch turns its whole key column into `(build row, probe row)`
+//! index pairs and every output column is gathered from them once.
+//! Matches leave in probe order, then build arrival order, in windows of
+//! at most [`BATCH_ROWS`] over that one gathered batch.
 
 use crate::batch::{take, Batch, BATCH_ROWS};
 use crate::exec::{ExecContext, Operator, QueryError};
 use crate::ops::group_table::GroupTable;
 use crate::schema::Schema;
+use crate::value::Datum;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// End of a build chain.
 const NONE: u32 = u32::MAX;
 
+/// How a probe key finds the head of its build chain.
+enum Index {
+    /// The keys span at most twice the build rows: key `k`'s chain
+    /// starts at `head[k − min]`, no bigger than a hash table's slots.
+    Dense { min: Datum },
+    /// Distinct build keys → group ids, whose chains start at
+    /// `head[group]`.
+    Hashed(GroupTable),
+}
+
 /// The materialized build side.
 struct BuildSide {
     /// Every build row, dense, in arrival order.
     rows: Batch,
-    /// Distinct build keys → group ids.
-    keys: GroupTable,
-    /// First build row of each key group, `NONE`-terminated through `next`.
+    index: Index,
+    /// First build row of each index entry, `NONE`-terminated through
+    /// `next`.
     head: Vec<u32>,
     /// The next build row with the same key, in arrival order.
     next: Vec<u32>,
+}
+
+/// The least of `keys` and the number of values from it to the greatest,
+/// when that span is at most twice the number of keys (no keys: an empty
+/// span). The span is taken in `i128`: `i64::MAX − i64::MIN` overflows.
+fn dense_span(keys: &[Datum]) -> Option<(Datum, usize)> {
+    let Some(&first) = keys.first() else {
+        return Some((0, 0));
+    };
+    let (min, max) = (keys.iter()).fold((first, first), |(lo, hi), k| (lo.min(*k), hi.max(*k)));
+    let span = i128::from(max) - i128::from(min) + 1;
+    (span <= 2 * keys.len() as i128).then_some((min, span as usize))
+}
+
+impl BuildSide {
+    /// Index the build rows `columns` on column `key`, each key's rows
+    /// chained in arrival order. An empty build names no key column.
+    fn new(schema: Arc<Schema>, columns: Vec<Vec<Datum>>, key: usize) -> Self {
+        let keys = columns.get(key).map_or(&[][..], Vec::as_slice);
+        assert!(keys.len() < NONE as usize, "build rows fit u32");
+        let (index, (head, next)) = match dense_span(keys) {
+            Some((min, span)) => {
+                let slots = keys.iter().map(|k| k.wrapping_sub(min) as usize);
+                (Index::Dense { min }, chains(span, slots))
+            }
+            None => {
+                let mut table = GroupTable::new(1);
+                let mut group_of = Vec::with_capacity(keys.len());
+                table.intern(&[Cow::Borrowed(keys)], keys.len(), &mut group_of);
+                let slots = group_of.iter().map(|g| *g as usize);
+                let chains = chains(table.len(), slots);
+                (Index::Hashed(table), chains)
+            }
+        };
+        BuildSide {
+            rows: Batch::new(schema, columns),
+            index,
+            head,
+            next,
+        }
+    }
+
+    /// Replace `build_rows` and `probe_rows` with a `(build row, probe
+    /// row)` pair per match of each of the probe `keys`, in probe order
+    /// then build arrival order.
+    fn probe(&self, keys: &[Datum], build_rows: &mut Vec<u32>, probe_rows: &mut Vec<u32>) {
+        build_rows.clear();
+        probe_rows.clear();
+        match &self.index {
+            Index::Dense { min } => self.walk(keys, build_rows, probe_rows, |k| {
+                // A key past `max`, or below `min` by wrapping, lands
+                // past the index.
+                let at = usize::try_from(k.wrapping_sub(*min) as u64).unwrap_or(usize::MAX);
+                self.head.get(at).copied().unwrap_or(NONE)
+            }),
+            Index::Hashed(table) => self.walk(keys, build_rows, probe_rows, |k| {
+                table.find(&[k]).map_or(NONE, |g| self.head[g as usize])
+            }),
+        }
+    }
+
+    /// [`Self::probe`] with `first` the head of a key's chain.
+    fn walk(
+        &self,
+        keys: &[Datum],
+        build_rows: &mut Vec<u32>,
+        probe_rows: &mut Vec<u32>,
+        first: impl Fn(Datum) -> u32,
+    ) {
+        for (p, key) in keys.iter().enumerate() {
+            let mut b = first(*key);
+            while b != NONE {
+                build_rows.push(b);
+                probe_rows.push(p as u32);
+                b = self.next[b as usize];
+            }
+        }
+    }
+}
+
+/// `(head, next)` chains over `entries` index entries of the rows whose
+/// entries `slots` lists in arrival order. Threading the rows last to
+/// first leaves every chain in arrival order with no tail pointers.
+fn chains(
+    entries: usize,
+    slots: impl DoubleEndedIterator<Item = usize> + ExactSizeIterator,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut head = vec![NONE; entries];
+    let mut next = vec![NONE; slots.len()];
+    for (row, slot) in slots.enumerate().rev() {
+        next[row] = std::mem::replace(&mut head[slot], row as u32);
+    }
+    (head, next)
 }
 
 /// Inner hash equi-join on one key column per side.
@@ -43,6 +152,9 @@ pub struct HashJoin {
     table: Option<BuildSide>,
     /// What has not left yet of one probe batch's matches.
     pending: Option<Batch>,
+    /// One probe batch's match pairs, reused from batch to batch.
+    build_rows: Vec<u32>,
+    probe_rows: Vec<u32>,
 }
 
 impl HashJoin {
@@ -63,6 +175,8 @@ impl HashJoin {
             schema,
             table: None,
             pending: None,
+            build_rows: Vec::new(),
+            probe_rows: Vec::new(),
         }
     }
 
@@ -72,39 +186,21 @@ impl HashJoin {
         }
         let key = self.build_key;
         let mut columns = vec![Vec::new(); self.build.schema().arity()];
-        let mut keys = GroupTable::new(1);
-        let mut group_of: Vec<u32> = Vec::new();
-        let mut rows = 0f64;
         while let Some(batch) = self.build.next(ctx)? {
             if key >= batch.schema().arity() {
                 return Err(QueryError::UnknownColumn(key));
             }
             for (c, column) in columns.iter_mut().enumerate() {
-                column.extend_from_slice(&batch.logical_column(c));
+                batch.append_column(c, column);
             }
-            keys.intern(&[batch.logical_column(key)], batch.len(), &mut group_of);
-            rows += batch.len() as f64;
         }
-        ctx.charge_cpu(ctx.charge.hash_build_cycles_per_row * rows);
+        let rows = columns.first().map_or(0, Vec::len);
+        ctx.charge_cpu(ctx.charge.hash_build_cycles_per_row * rows as f64);
         // The build is a pipeline breaker.
         ctx.phase_break();
-        // Threading the rows last to first leaves every chain in arrival
-        // order with no tail pointers.
-        assert!(group_of.len() < NONE as usize, "build rows fit u32");
-        let mut head = vec![NONE; keys.len()];
-        let mut next = vec![NONE; group_of.len()];
-        for (row, g) in group_of.iter().enumerate().rev() {
-            next[row] = std::mem::replace(&mut head[*g as usize], row as u32);
-        }
-        self.table = Some(BuildSide {
-            rows: Batch::new(self.build.schema(), columns),
-            keys,
-            head,
-            next,
-        });
+        self.table = Some(BuildSide::new(self.build.schema(), columns, key));
         Ok(())
     }
-
     fn emit_pending(&mut self) -> Option<Batch> {
         let all = self.pending.take()?;
         let cut = all.len().min(BATCH_ROWS);
@@ -128,25 +224,16 @@ impl HashJoin {
             }
             ctx.charge_cpu(ctx.charge.hash_probe_cycles_per_row * batch.len() as f64);
             let built = self.table.as_ref().expect("built above");
-            let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
-            for (p, key) in batch.logical_column(self.probe_key).iter().enumerate() {
-                let Some(g) = built.keys.find(&[*key]) else {
-                    continue;
-                };
-                let mut b = built.head[g as usize];
-                while b != NONE {
-                    build_rows.push(b);
-                    probe_rows.push(p as u32);
-                    b = built.next[b as usize];
-                }
-            }
+            let (build_rows, probe_rows) = (&mut self.build_rows, &mut self.probe_rows);
+            let keys = batch.logical_column(self.probe_key);
+            built.probe(&keys, build_rows, probe_rows);
             if build_rows.is_empty() {
                 continue;
             }
             let build_arity = built.rows.schema().arity();
-            let from_build = (0..build_arity).map(|c| take(built.rows.column(c), &build_rows));
+            let from_build = (0..build_arity).map(|c| take(built.rows.column(c), build_rows));
             let from_probe =
-                (0..batch.schema().arity()).map(|c| take(&batch.logical_column(c), &probe_rows));
+                (0..batch.schema().arity()).map(|c| take(&batch.logical_column(c), probe_rows));
             let columns = from_build.chain(from_probe).collect();
             self.pending = Some(Batch::new(self.schema.clone(), columns));
         }
@@ -383,5 +470,71 @@ mod tests {
             .map(|k| vec![*k, *k])
             .collect();
         assert_eq!(got, expect);
+    }
+
+    /// Whether a build over `keys` indexed them densely, and the
+    /// `(build row, probe row)` pairs of probing it with `probe`.
+    fn index_and_pairs(keys: &[i64], probe: &[i64]) -> (bool, Vec<(u32, u32)>) {
+        let schema = Schema::new(vec![("k", ColumnType::Int)]);
+        let side = BuildSide::new(schema, vec![keys.to_vec()], 0);
+        let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
+        side.probe(probe, &mut build_rows, &mut probe_rows);
+        let dense = matches!(side.index, Index::Dense { .. });
+        (dense, build_rows.into_iter().zip(probe_rows).collect())
+    }
+
+    #[test]
+    fn keys_at_the_ends_of_i64_index_without_overflow() {
+        let probe = [i64::MIN, 0, -1, i64::MAX];
+        let (dense, pairs) = index_and_pairs(&[i64::MAX, i64::MIN], &probe);
+        assert!(!dense, "the whole i64 range hashes");
+        assert_eq!(pairs, [(1, 0), (0, 3)]);
+        // Two keys at one end index densely; a probe key at the other end
+        // lands just past the index (i64::MIN − (i64::MAX − 1) wraps to
+        // 2) or wraps below it.
+        let probe = [i64::MIN, i64::MAX - 1, -1, i64::MAX, i64::MAX - 2];
+        let (dense, pairs) = index_and_pairs(&[i64::MAX, i64::MAX - 1], &probe);
+        assert!(dense);
+        assert_eq!(pairs, [(1, 1), (0, 3)]);
+        let probe = [i64::MAX, i64::MIN, 0, i64::MIN + 1, i64::MIN + 2];
+        let (dense, pairs) = index_and_pairs(&[i64::MIN + 1, i64::MIN], &probe);
+        assert!(dense);
+        assert_eq!(pairs, [(1, 1), (0, 3)]);
+    }
+
+    #[test]
+    fn an_all_negative_range_indexes_from_its_least_key() {
+        let (dense, pairs) = index_and_pairs(&[-3, -5, -4], &[-6, -5, -4, -3, -2, 0]);
+        assert!(dense);
+        assert_eq!(pairs, [(1, 1), (2, 2), (0, 3)]);
+        assert_eq!(dense_span(&[-3, -5, -4]), Some((-5, 3)));
+    }
+
+    #[test]
+    fn a_span_of_twice_the_rows_is_dense_and_one_more_hashes() {
+        // Three rows: 10..=15 are six values, 10..=16 seven.
+        for (max, dense) in [(15, true), (16, false)] {
+            let (got, pairs) = index_and_pairs(&[10, max, 12], &[max, 11, 10, 12]);
+            assert_eq!(got, dense, "keys up to {max}");
+            assert_eq!(pairs, [(1, 0), (0, 2), (2, 3)]);
+        }
+        assert_eq!(dense_span(&[10, 15, 12]), Some((10, 6)));
+        assert_eq!(dense_span(&[10, 16, 12]), None);
+    }
+
+    #[test]
+    fn an_empty_build_indexes_nothing() {
+        let (dense, pairs) = index_and_pairs(&[], &[0, 1, i64::MIN, i64::MAX]);
+        assert!(dense);
+        assert!(pairs.is_empty());
+    }
+
+    #[test]
+    fn duplicate_keys_chain_in_arrival_order_on_both_paths() {
+        for (far, dense) in [(2, true), (1 << 40, false)] {
+            let (got, pairs) = index_and_pairs(&[1, far, 1, 1, far], &[far, 1, 3]);
+            assert_eq!(got, dense, "keys 1 and {far}");
+            assert_eq!(pairs, [(1, 0), (4, 0), (0, 1), (2, 1), (3, 1)]);
+        }
     }
 }

@@ -122,6 +122,9 @@ pub struct ColumnarScan {
     /// The stored columns, when every projected segment is Plain: a
     /// filtered scan's survivors reach the batch as a selection over them.
     shared: Option<Vec<Arc<Vec<i64>>>>,
+    /// A filtered scan's values of one column at the candidates, reused
+    /// from window to window.
+    vals: Vec<Datum>,
 }
 
 impl ColumnarScan {
@@ -138,6 +141,7 @@ impl ColumnarScan {
             opened: false,
             readers: Vec::new(),
             shared: None,
+            vals: Vec::new(),
         }
     }
 
@@ -319,7 +323,7 @@ impl ColumnarScan {
         let mut sel = Vec::new();
         while let Some(rows) = self.next_window(ctx, Self::open_readers)? {
             let test = self.test.as_ref().expect("a filtered scan");
-            test.select(&mut self.readers, rows, &mut sel)?;
+            test.select(&mut self.readers, rows, &mut sel, &mut self.vals)?;
             if !sel.is_empty() {
                 return Ok(Some(self.survivors(sel)?));
             }
@@ -501,19 +505,20 @@ impl RangeTest {
     }
 
     /// Replace `sel` with the rows of window `rows` inside every range,
-    /// read through `readers`, one per projected column.
+    /// read through `readers`, one per projected column; `vals` is
+    /// scratch for one column's values at the candidates.
     fn select(
         &self,
         readers: &mut [SegmentReader],
         rows: Range<usize>,
         sel: &mut Vec<u32>,
+        vals: &mut Vec<Datum>,
     ) -> Result<(), StorageError> {
         #[cfg(test)]
         if matches!(self.fault, Some(tests::Fault::Select(row)) if rows.contains(&row)) {
             return Err(StorageError::CorruptSegment("injected fault"));
         }
         sel.clear();
-        let mut vals = Vec::new();
         let (&(first, lo, hi), rest) = self.ranges.split_first().expect("at least one range");
         readers[first].select_range(rows, lo, hi, sel)?;
         for &(col, lo, hi) in rest {
@@ -521,7 +526,7 @@ impl RangeTest {
                 break;
             }
             vals.clear();
-            readers[col].gather(sel, &mut vals)?;
+            readers[col].gather(sel, vals)?;
             let mut kept = 0;
             for (j, v) in vals.iter().enumerate() {
                 sel[kept] = sel[j];
@@ -564,11 +569,11 @@ impl Part {
             self.opened = Err((k, e.clone()));
             e
         })?;
-        let (mut sel, mut gids) = (Vec::new(), Vec::new());
+        let (mut sel, mut gids, mut vals) = (Vec::new(), Vec::new(), Vec::new());
         for w in self.windows.clone() {
             let start = rows.start + w * BATCH_ROWS;
             let window = start..(start + BATCH_ROWS).min(rows.end);
-            test.select(&mut readers, window, &mut sel)?;
+            test.select(&mut readers, window, &mut sel, &mut vals)?;
             if !sel.is_empty() {
                 let groups = &mut self.groups;
                 ColumnarScan::group_ids(

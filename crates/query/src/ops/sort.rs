@@ -5,10 +5,12 @@
 //! grant knob of Sec. 4.1: a smaller grant saves DRAM power but buys
 //! spill IO.
 //!
-//! The input is kept column-major; the sort itself is a stable argsort of
-//! a `u32` row permutation over the key columns, and each column is
-//! gathered through it once. Output batches are [`BATCH_ROWS`] windows
-//! over that one sorted batch.
+//! The input is kept column-major; the sort itself orders a `u32` row
+//! permutation, and each column is gathered through it once. One key
+//! sorts `(key, row)` pairs unstably, a descending key flipped to `!key`:
+//! the row breaks ties, so the order is the stable one. More keys sort
+//! the permutation stably with a comparator. Output batches are
+//! [`BATCH_ROWS`] windows over that one sorted batch.
 
 use crate::batch::{take, Batch, BATCH_ROWS};
 use crate::exec::{ExecContext, Operator, QueryError};
@@ -78,6 +80,25 @@ impl Sort {
         Ordering::Equal
     }
 
+    /// The rows of column-major `cols` in `keys` order, ties in input
+    /// order.
+    fn permutation(keys: &[(usize, SortOrder)], cols: &[Vec<Datum>]) -> Vec<u32> {
+        let rows = cols.first().map_or(0, Vec::len);
+        let rows = 0..u32::try_from(rows).expect("sort input fits u32");
+        let &[(col, order)] = keys else {
+            let mut perm: Vec<u32> = rows.collect();
+            perm.sort_by(|a, b| Sort::compare(keys, cols, *a, *b));
+            return perm;
+        };
+        // `!v` reverses the order of i64s and overflows nowhere.
+        let flip = if order == SortOrder::Desc { !0 } else { 0 };
+        let mut pairs: Vec<(Datum, u32)> = (cols[col].iter().zip(rows))
+            .map(|(v, row)| (v ^ flip, row))
+            .collect();
+        pairs.sort_unstable();
+        pairs.into_iter().map(|(_, row)| row).collect()
+    }
+
     fn ensure_sorted(&mut self, ctx: &mut ExecContext) -> Result<(), QueryError> {
         if self.sorted.is_some() {
             return Ok(());
@@ -90,13 +111,12 @@ impl Sort {
         let mut cols = vec![Vec::new(); self.schema.arity()];
         while let Some(batch) = self.input.next(ctx)? {
             for (c, col) in cols.iter_mut().enumerate() {
-                col.extend_from_slice(&batch.logical_column(c));
+                batch.append_column(c, col);
             }
         }
         let rows = cols.first().map_or(0, Vec::len);
         let n = rows as f64;
-        let mut perm: Vec<u32> = (0..u32::try_from(rows).expect("sort input fits u32")).collect();
-        perm.sort_by(|a, b| Sort::compare(&self.spec.keys, &cols, *a, *b));
+        let perm = Sort::permutation(&self.spec.keys, &cols);
         // CPU: n log2 n comparisons.
         let cmps = if n > 1.0 { n * n.log2() } else { 0.0 };
         ctx.charge_cpu(ctx.charge.sort_cycles_per_cmp * cmps);

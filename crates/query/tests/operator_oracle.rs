@@ -3,7 +3,10 @@
 //! seeded `grail_prop::Gen` inputs: dense, windowed (`offset > 0`) and
 //! selection-carrying batches, empty batches and empty inputs, key domains
 //! from two values (fan-out past `BATCH_ROWS` per probe batch) to the
-//! `i64` extremes, bad column indices, every spill grant. The aggregate
+//! `i64` extremes, bad column indices, every spill grant. The join's
+//! build indexes its keys densely or in a hash table, and the sort packs
+//! one key into `(key, row)` pairs or compares several: each path's cases
+//! are counted against a floor. The aggregate
 //! draws a domain per batch, so batches whose small keys index group ids
 //! directly, and batches that hash, meet in one aggregation. Equal means
 //! everything a caller or the simulator can observe: each batch `next()`
@@ -270,6 +273,16 @@ fn stored_of(input: &(Arc<Schema>, Vec<Batch>)) -> Arc<StoredTable> {
     Arc::new(StoredTable::columnar_plain(table, target))
 }
 
+/// Whether a join build over `keys` indexes them densely rather than in
+/// a hash table: `HashJoin`'s rule, that the keys span at most twice as
+/// many values as there are keys.
+fn dense_build(keys: &[Datum]) -> bool {
+    let (Some(lo), Some(hi)) = (keys.iter().min(), keys.iter().max()) else {
+        return true;
+    };
+    i128::from(*hi) - i128::from(*lo) < 2 * keys.len() as i128
+}
+
 fn drive(mut op: impl Operator) -> Run {
     drive_dyn(&mut op)
 }
@@ -380,6 +393,7 @@ fn hash_join_matches_the_row_at_a_time_oracle() {
     const TWIN_ROWS: usize = 2 * BATCH_ROWS;
     let (mut chunked, mut failed, mut unmatched, mut empty_build) = (0, 0, 0, 0);
     let (mut nested, mut probed, mut ranged) = (0, 0, 0);
+    let (mut dense, mut hashed, mut hashed_far) = (0, 0, 0);
     for case in 0..CASES {
         let mut rng = Gen::new(0x101 ^ (case << 20));
         let (build_arity, probe_arity) = (1 + rng.range(0..3), 1 + rng.range(0..3));
@@ -411,6 +425,16 @@ fn hash_join_matches_the_row_at_a_time_oracle() {
         }
         let both_sides = build_rows > 0 && probe_rows > 0;
         let in_schema = build_key < build_arity && probe_key < probe_arity;
+        if in_schema && both_sides {
+            let keys: Vec<Datum> = build.1.iter().flat_map(|b| b.gather(build_key)).collect();
+            let far = matches!(domain, Domain::Extremes | Domain::Wide);
+            if dense_build(&keys) {
+                dense += 1;
+            } else {
+                hashed += 1;
+                hashed_far += far as u32;
+            }
+        }
         if in_schema && got.lens().iter().sum::<usize>() <= TWIN_ROWS {
             let matches = got.sorted_rows();
             if build_rows * probe_rows <= NL_PAIRS {
@@ -488,12 +512,17 @@ fn hash_join_matches_the_row_at_a_time_oracle() {
         nested > 50 && probed > 200 && ranged > 200,
         "coverage: {nested} nested-loop, {probed} index-join and {ranged} partial-range cases with rows"
     );
+    assert!(
+        dense > 350 && hashed > 110 && hashed_far > 100,
+        "coverage: {dense} dense-index and {hashed} hashed builds, {hashed_far} of them extreme or wide keys"
+    );
 }
 
 #[test]
 fn sort_matches_the_row_at_a_time_oracle() {
     const GRANTS: [u64; 5] = [u64::MAX, 0, 64, 4096, 1 << 20];
     let (mut windowed, mut failed, mut spilled, mut tied) = (0, 0, 0, 0);
+    let (mut packed, mut packed_desc, mut compared) = (0, 0, 0);
     for case in 0..CASES {
         let mut rng = Gen::new(0x50A7 ^ (case << 20));
         let arity = 1 + rng.range(0..4);
@@ -523,10 +552,24 @@ fn sort_matches_the_row_at_a_time_oracle() {
         let sort_io = got.tallies.iter().find(|t| t.name == "sort");
         spilled += sort_io.is_some_and(|t| t.io_bytes > Bytes::ZERO) as u32;
         tied += matches!(domain, Domain::Small(_)) as u32;
+        // One key sorts packed `(key, row)` pairs, more a comparator.
+        if got.error.is_none() && input_rows(&input) > 1 {
+            match spec.keys[..] {
+                [(_, order)] => {
+                    packed += 1;
+                    packed_desc += (order == SortOrder::Desc) as u32;
+                }
+                _ => compared += 1,
+            }
+        }
     }
     assert!(
         windowed > 30 && failed > 50 && spilled > 100 && tied > 300,
         "coverage: {windowed} windowed, {failed} failed, {spilled} spilled, {tied} with ties"
+    );
+    assert!(
+        packed > 200 && packed_desc > 100 && compared > 450,
+        "coverage: {packed} packed sorts ({packed_desc} descending), {compared} by comparator"
     );
 }
 
