@@ -46,14 +46,19 @@ fn sort_on(profile: HardwareProfile, grant: u64, dop: u32) -> EnergyReport {
     r
 }
 
-pub(super) fn run(_runner: &Runner) -> Outcome {
+pub(super) fn run(runner: &Runner) -> Outcome {
     let mut out = Outcome::default();
     let total_bytes = (RECORDS as f64 * STRETCH) as u64 * RECORD_BYTES;
-    for (label, profile, dop) in [
+    let machines = [
         ("dl785_36disks", HardwareProfile::server_dl785(36), 32u32),
         ("flash_scanner", HardwareProfile::flash_scanner(), 1),
-    ] {
-        let r = sort_on(profile, 1 << 30, dop);
+    ];
+    // The two sorts share nothing, so they fan out; rows keep the
+    // machine order above.
+    let reports = runner.run(&machines, |_, (_, profile, dop)| {
+        sort_on(profile.clone(), 1 << 30, *dop)
+    });
+    for ((label, ..), r) in machines.iter().zip(reports) {
         let (e, n) = (r.energy.joules(), (RECORDS as f64 * STRETCH) as u64);
         out.push(ExperimentRecord::new(
             "EXT-JS",

@@ -21,36 +21,46 @@
 //! heterogeneous storage hierarchy (flash vs spun-down disk) it deviates
 //! exactly where the paper predicts new policies are needed.
 //!
-//! No policy reads the whole pool to choose a victim: LRU and both 2Q
-//! queues share one recency index, the energy-aware policy keeps
-//! per-re-fetch-cost runs whose order does not depend on the clock
-//! (DESIGN §4.1), and CLOCK advances its hand.
+//! No policy reads the whole pool to choose a victim, and none keys a
+//! tree by page id to find one. The pool names each resident page by a
+//! dense slot ([`Touch::slot`]), and the policies keep slot-indexed
+//! state (DESIGN §4.1): LRU and both 2Q queues are doubly linked lists
+//! threaded through the slots, CLOCK's ring is such a list with a hand
+//! on it and its reference bits a `Vec` over slots, and the energy-aware
+//! policy keeps per-re-fetch-cost runs whose order does not depend on the
+//! clock — a `last_access`-ordered list, a deadline-ordered set and a
+//! page-ordered set.
 
 use grail_power::units::{Joules, SimDuration, SimInstant, Watts};
 use grail_storage::page::PageId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Metadata the pool passes to policies on every touch.
 #[derive(Debug, Clone, Copy)]
 pub struct Touch {
     /// The page touched.
     pub page: PageId,
+    /// The pool slot holding the page: below the pool's capacity, and
+    /// the same for as long as the page stays resident.
+    pub slot: usize,
     /// Simulated time of the touch.
     pub now: SimInstant,
     /// Energy to re-fetch this page if evicted.
     pub refetch: Joules,
 }
 
-/// A replacement policy.
+/// A replacement policy. The pool names resident pages by their slots;
+/// a policy keeps what it knows of each in slot-indexed state.
 pub trait ReplacementPolicy: std::fmt::Debug + Send {
     /// The page was found in the pool.
     fn on_hit(&mut self, t: Touch);
-    /// The page was inserted into the pool.
+    /// The page was inserted into the pool, in a slot no page holds.
     fn on_insert(&mut self, t: Touch);
-    /// The page left the pool (evicted or dropped).
-    fn on_remove(&mut self, page: PageId);
-    /// Choose a victim among pages for which `evictable` holds.
-    fn victim(&mut self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId>;
+    /// The page in `slot` left the pool (evicted or dropped).
+    fn on_remove(&mut self, slot: usize);
+    /// Choose the slot of a victim among slots for which `evictable`
+    /// holds.
+    fn victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize>;
     /// The policy's display name.
     fn name(&self) -> &'static str;
 }
@@ -86,44 +96,165 @@ impl PolicyKind {
 }
 
 // ---------------------------------------------------------------------------
+// Intrusive lists over slots
+// ---------------------------------------------------------------------------
+
+/// No slot: a list's missing end or neighbour.
+const NIL: u32 = u32::MAX;
+
+fn slot32(slot: usize) -> u32 {
+    u32::try_from(slot).expect("a pool slot fits u32")
+}
+
+/// A slot's neighbours in its list: `prev` is older, `next` newer.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+const UNLINKED: Link = Link {
+    prev: NIL,
+    next: NIL,
+};
+
+/// One list threaded through a [`Links`]: its oldest and newest slot.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
+
+/// Doubly linked lists of slots threaded through one slot-indexed
+/// array, grown to the largest slot linked. A slot is in at most one of
+/// the lists that share the array; linking, unlinking and stepping are
+/// O(1).
+#[derive(Debug, Default)]
+struct Links(Vec<Link>);
+
+impl Links {
+    /// Link `slot` (in no list) into `list` right after `after`, or at
+    /// the head when `after` is `NIL`.
+    fn insert_after(&mut self, list: &mut List, after: u32, slot: u32) {
+        let at = slot as usize;
+        if at >= self.0.len() {
+            self.0.resize(at + 1, UNLINKED);
+        }
+        let next = match after {
+            NIL => list.head,
+            a => self.0[a as usize].next,
+        };
+        self.0[at] = Link { prev: after, next };
+        match after {
+            NIL => list.head = slot,
+            a => self.0[a as usize].next = slot,
+        }
+        match next {
+            NIL => list.tail = slot,
+            n => self.0[n as usize].prev = slot,
+        }
+    }
+
+    /// Append `slot` (in no list) at the tail of `list`.
+    fn push(&mut self, list: &mut List, slot: u32) {
+        self.insert_after(list, list.tail, slot);
+    }
+
+    /// Unlink `slot`, a member of `list`.
+    fn unlink(&mut self, list: &mut List, slot: u32) {
+        let Link { prev, next } = std::mem::replace(&mut self.0[slot as usize], UNLINKED);
+        debug_assert!(
+            (prev == NIL || self.0[prev as usize].next == slot)
+                && (next == NIL || self.0[next as usize].prev == slot),
+            "slot {slot}'s neighbours do not link back to it"
+        );
+        match prev {
+            NIL => list.head = next,
+            p => self.0[p as usize].next = next,
+        }
+        match next {
+            NIL => list.tail = prev,
+            n => self.0[n as usize].prev = prev,
+        }
+    }
+
+    fn prev(&self, slot: u32) -> u32 {
+        self.0[slot as usize].prev
+    }
+
+    fn next(&self, slot: u32) -> u32 {
+        self.0[slot as usize].next
+    }
+
+    /// The slots of `list`, oldest first.
+    fn iter(&self, list: List) -> impl Iterator<Item = u32> + '_ {
+        let live = |s: u32| (s != NIL).then_some(s);
+        std::iter::successors(live(list.head), move |s| live(self.next(*s)))
+    }
+}
+
+// ---------------------------------------------------------------------------
 // LRU
 // ---------------------------------------------------------------------------
 
-/// Pages in the order they were last touched, oldest first, as a
-/// logical-clock stamp per page kept in both directions. The victim
-/// index of LRU and of both 2Q queues (a FIFO is this index never
-/// re-touched).
-#[derive(Debug, Default)]
+/// Slots in the order their pages were last touched, oldest first: one
+/// list over its own [`Links`]. The victim index of LRU and of both 2Q
+/// queues (a FIFO is this list never re-touched), and CLOCK's ring.
+#[derive(Debug)]
 struct Recency {
-    stamp: u64,
-    stamp_of: BTreeMap<PageId, u64>,
-    by_stamp: BTreeMap<u64, PageId>,
+    links: Links,
+    list: List,
+}
+
+impl Default for Recency {
+    fn default() -> Self {
+        Recency {
+            links: Links::default(),
+            list: EMPTY,
+        }
+    }
 }
 
 impl Recency {
-    /// Make `page` the most recent member, adding it if absent.
-    fn touch(&mut self, page: PageId) {
-        self.stamp += 1;
-        if let Some(old) = self.stamp_of.insert(page, self.stamp) {
-            self.by_stamp.remove(&old);
-        }
-        self.by_stamp.insert(self.stamp, page);
-        debug_assert_eq!(self.stamp_of.len(), self.by_stamp.len());
+    /// Whether `slot` is a member: the head, or a slot with an older
+    /// neighbour.
+    fn contains(&self, slot: u32) -> bool {
+        self.list.head == slot
+            || self
+                .links
+                .0
+                .get(slot as usize)
+                .is_some_and(|l| l.prev != NIL)
     }
 
-    /// Drop `page`; false if it was not a member.
-    fn remove(&mut self, page: PageId) -> bool {
-        let stamp = self.stamp_of.remove(&page);
-        if let Some(stamp) = stamp {
-            self.by_stamp.remove(&stamp);
+    /// Make `slot` the most recent member, adding it if absent.
+    fn touch(&mut self, slot: usize) {
+        if self.list.tail != slot32(slot) {
+            self.remove(slot);
+            self.links.push(&mut self.list, slot32(slot));
         }
-        debug_assert_eq!(self.stamp_of.len(), self.by_stamp.len());
-        stamp.is_some()
     }
 
-    /// The least recently touched page for which `evictable` holds.
-    fn oldest(&self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        self.by_stamp.values().copied().find(|p| evictable(*p))
+    /// Drop `slot`; false if it was not a member.
+    fn remove(&mut self, slot: usize) -> bool {
+        let slot = slot32(slot);
+        let member = self.contains(slot);
+        if member {
+            self.links.unlink(&mut self.list, slot);
+        }
+        member
+    }
+
+    /// The least recently touched slot for which `evictable` holds.
+    fn oldest(&self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
+        (self.links.iter(self.list))
+            .map(|s| s as usize)
+            .find(|s| evictable(*s))
     }
 }
 
@@ -135,18 +266,18 @@ pub struct Lru {
 
 impl ReplacementPolicy for Lru {
     fn on_hit(&mut self, t: Touch) {
-        self.recency.touch(t.page);
+        self.recency.touch(t.slot);
     }
 
     fn on_insert(&mut self, t: Touch) {
-        self.recency.touch(t.page);
+        self.recency.touch(t.slot);
     }
 
-    fn on_remove(&mut self, page: PageId) {
-        self.recency.remove(page);
+    fn on_remove(&mut self, slot: usize) {
+        self.recency.remove(slot);
     }
 
-    fn victim(&mut self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+    fn victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
         self.recency.oldest(evictable)
     }
 
@@ -160,55 +291,73 @@ impl ReplacementPolicy for Lru {
 // ---------------------------------------------------------------------------
 
 /// Second-chance CLOCK: a circular scan clearing reference bits.
-#[derive(Debug, Default)]
+///
+/// The ring lists slots in insertion order; a removed slot's successor
+/// takes its place, as in a `Vec` that slides down. The hand is a slot of
+/// the ring, or `NIL` past its tail, from where the next sweep wraps to
+/// the head unless a page is inserted first: the hand lands on that page.
+#[derive(Debug)]
 pub struct Clock {
-    ring: Vec<PageId>,
-    referenced: BTreeMap<PageId, bool>,
-    hand: usize,
+    ring: Recency,
+    /// Per slot: the reference bit.
+    referenced: Vec<bool>,
+    hand: u32,
+    len: usize,
+}
+
+impl Default for Clock {
+    fn default() -> Self {
+        Clock {
+            ring: Recency::default(),
+            referenced: Vec::new(),
+            hand: NIL,
+            len: 0,
+        }
+    }
 }
 
 impl ReplacementPolicy for Clock {
     fn on_hit(&mut self, t: Touch) {
-        if let Some(bit) = self.referenced.get_mut(&t.page) {
+        if let Some(bit) = self.referenced.get_mut(t.slot) {
             *bit = true;
         }
     }
 
     fn on_insert(&mut self, t: Touch) {
-        self.ring.push(t.page);
-        self.referenced.insert(t.page, true);
+        let slot = slot32(t.slot);
+        self.ring.links.push(&mut self.ring.list, slot);
+        if self.hand == NIL {
+            self.hand = slot;
+        }
+        if t.slot >= self.referenced.len() {
+            self.referenced.resize(t.slot + 1, false);
+        }
+        self.referenced[t.slot] = true;
+        self.len += 1;
     }
 
-    fn on_remove(&mut self, page: PageId) {
-        if let Some(idx) = self.ring.iter().position(|p| *p == page) {
-            self.ring.remove(idx);
-            if self.hand > idx {
-                self.hand -= 1;
-            }
+    fn on_remove(&mut self, slot: usize) {
+        // The hand is always on a member.
+        if self.hand == slot32(slot) {
+            self.hand = self.ring.links.next(self.hand);
         }
-        self.referenced.remove(&page);
+        if self.ring.remove(slot) {
+            self.len -= 1;
+        }
     }
 
-    fn victim(&mut self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        if self.ring.is_empty() {
-            return None;
-        }
+    fn victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
         // Two sweeps: first clears reference bits, second must find a
         // victim unless nothing is evictable.
-        for _ in 0..self.ring.len() * 2 {
-            self.hand %= self.ring.len();
-            let page = self.ring[self.hand];
-            if !evictable(page) {
-                self.hand += 1;
-                continue;
+        for _ in 0..self.len * 2 {
+            if self.hand == NIL {
+                self.hand = self.ring.list.head;
             }
-            let bit = self.referenced.get_mut(&page).expect("ring member");
-            if *bit {
-                *bit = false;
-                self.hand += 1;
-            } else {
-                return Some(page);
+            let slot = self.hand as usize;
+            if evictable(slot) && !std::mem::replace(&mut self.referenced[slot], false) {
+                return Some(slot);
             }
+            self.hand = self.ring.links.next(self.hand);
         }
         None
     }
@@ -232,21 +381,21 @@ pub struct TwoQ {
 
 impl ReplacementPolicy for TwoQ {
     fn on_hit(&mut self, t: Touch) {
-        self.probation.remove(t.page);
-        self.protected.touch(t.page);
+        self.probation.remove(t.slot);
+        self.protected.touch(t.slot);
     }
 
     fn on_insert(&mut self, t: Touch) {
-        self.probation.touch(t.page);
+        self.probation.touch(t.slot);
     }
 
-    fn on_remove(&mut self, page: PageId) {
-        if !self.probation.remove(page) {
-            self.protected.remove(page);
+    fn on_remove(&mut self, slot: usize) {
+        if !self.probation.remove(slot) {
+            self.protected.remove(slot);
         }
     }
 
-    fn victim(&mut self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+    fn victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
         self.probation
             .oldest(evictable)
             .or_else(|| self.protected.oldest(evictable))
@@ -278,25 +427,37 @@ impl PageEnergyState {
     }
 }
 
+/// What the policy knows of the page in one slot.
+#[derive(Debug, Clone, Copy)]
+struct Tracked {
+    page: PageId,
+    state: PageEnergyState,
+}
+
 /// The pages of one re-fetch energy. Their wastes differ only through
 /// the predicted reuse, so each run below lists its pages by falling
-/// waste whatever the clock reads.
-#[derive(Debug, Default)]
+/// waste whatever the clock reads. Entries carry the page's slot after
+/// its id: a page has one slot, so the slot never breaks a tie.
+#[derive(Debug)]
 struct Runs {
-    /// Never re-accessed: predicted reuse grows with idle time, at one
-    /// slope for all, so the oldest `last_access` leads.
-    idle: BTreeSet<(SimInstant, PageId)>,
+    /// The re-fetch energy's bits.
+    bits: u64,
+    /// Never re-accessed, a list through the policy's `idle` links in
+    /// `last_access` order: predicted reuse grows with idle time, at one
+    /// slope for all, so the oldest leads.
+    idle: List,
+    idle_len: usize,
     /// Gap known and the deadline ahead: predicted reuse shrinks as it
     /// nears, at one slope for all, so the *last* entry leads.
-    due: BTreeSet<(u128, PageId)>,
+    due: BTreeSet<(u128, PageId, u32)>,
     /// Deadline passed: predicted reuse rests at its 1 ms floor, every
     /// waste ties, the largest page id leads.
-    overdue: BTreeSet<PageId>,
+    overdue: BTreeSet<(PageId, u32)>,
 }
 
 impl Runs {
     fn len(&self) -> usize {
-        self.idle.len() + self.due.len() + self.overdue.len()
+        self.idle_len + self.due.len() + self.overdue.len()
     }
 }
 
@@ -304,9 +465,14 @@ impl Runs {
 #[derive(Debug)]
 pub struct EnergyAware {
     residency: Watts,
-    pages: BTreeMap<PageId, PageEnergyState>,
-    /// Every page of `pages`, in the runs of its re-fetch energy's bits.
-    groups: BTreeMap<u64, Runs>,
+    /// Per slot: the page tracked there.
+    pages: Vec<Option<Tracked>>,
+    tracked: usize,
+    /// The `idle` lists of every group.
+    idle: Links,
+    /// Every tracked page, in the runs of its re-fetch energy; a group
+    /// per energy, in no order (two in every shipped trace).
+    groups: Vec<Runs>,
     now: SimInstant,
 }
 
@@ -315,8 +481,10 @@ impl EnergyAware {
     pub fn new(residency: Watts) -> Self {
         EnergyAware {
             residency,
-            pages: BTreeMap::new(),
-            groups: BTreeMap::new(),
+            pages: Vec::new(),
+            tracked: 0,
+            idle: Links::default(),
+            groups: Vec::new(),
             now: SimInstant::EPOCH,
         }
     }
@@ -344,68 +512,115 @@ impl EnergyAware {
         keep - s.refetch.joules()
     }
 
-    /// Track `t.page` as touched at `t.now` with `gap_ema`; it must not
-    /// be tracked already.
+    fn group(&self, refetch: Joules) -> Option<usize> {
+        let bits = refetch.joules().to_bits();
+        self.groups.iter().position(|g| g.bits == bits)
+    }
+
+    /// Track `t.page` in `t.slot`, touched at `t.now` with `gap_ema`; no
+    /// page may be tracked there already.
     fn admit(&mut self, t: Touch, gap_ema: Option<SimDuration>) {
         self.now = self.now.max(t.now);
-        let s = PageEnergyState {
+        let state = PageEnergyState {
             last_access: t.now,
             gap_ema,
             refetch: t.refetch,
         };
-        let runs = self.groups.entry(s.refetch.joules().to_bits()).or_default();
-        match s.deadline() {
-            Some(deadline) => runs.due.insert((deadline, t.page)),
-            None => runs.idle.insert((s.last_access, t.page)),
-        };
-        self.pages.insert(t.page, s);
+        let g = self.group(t.refetch).unwrap_or_else(|| {
+            self.groups.push(Runs {
+                bits: t.refetch.joules().to_bits(),
+                idle: EMPTY,
+                idle_len: 0,
+                due: BTreeSet::new(),
+                overdue: BTreeSet::new(),
+            });
+            self.groups.len() - 1
+        });
+        let slot = slot32(t.slot);
+        let runs = &mut self.groups[g];
+        match state.deadline() {
+            Some(deadline) => {
+                runs.due.insert((deadline, t.page, slot));
+            }
+            None => {
+                // The pool's clock never runs back, so the page joins at
+                // the tail; an older `now` walks back to its place.
+                let mut after = runs.idle.tail;
+                while after != NIL
+                    && self.pages[after as usize].is_some_and(|p| p.state.last_access > t.now)
+                {
+                    after = self.idle.prev(after);
+                }
+                self.idle.insert_after(&mut runs.idle, after, slot);
+                runs.idle_len += 1;
+            }
+        }
+        if t.slot >= self.pages.len() {
+            self.pages.resize(t.slot + 1, None);
+        }
+        debug_assert!(self.pages[t.slot].is_none(), "slot {slot} is taken");
+        self.pages[t.slot] = Some(Tracked {
+            page: t.page,
+            state,
+        });
+        self.tracked += 1;
         self.debug_check();
     }
 
-    /// Stop tracking `page`, returning what was known of it.
-    fn forget(&mut self, page: PageId) -> Option<PageEnergyState> {
-        let s = self.pages.remove(&page)?;
-        let bits = s.refetch.joules().to_bits();
-        let runs = self.groups.get_mut(&bits).expect("page has a group");
+    /// Stop tracking the page in `slot`, returning what was known of it.
+    fn forget(&mut self, slot: usize) -> Option<Tracked> {
+        let tracked = self.pages.get_mut(slot)?.take()?;
+        self.tracked -= 1;
+        let (page, s) = (tracked.page, tracked.state);
+        let g = self.group(s.refetch).expect("page has a group");
+        let runs = &mut self.groups[g];
+        let slot = slot32(slot);
         let found = match s.deadline() {
-            Some(deadline) => runs.due.remove(&(deadline, page)) || runs.overdue.remove(&page),
-            None => runs.idle.remove(&(s.last_access, page)),
+            Some(deadline) => {
+                runs.due.remove(&(deadline, page, slot)) || runs.overdue.remove(&(page, slot))
+            }
+            None => {
+                self.idle.unlink(&mut runs.idle, slot);
+                runs.idle_len -= 1;
+                true
+            }
         };
         debug_assert!(found, "{page:?} is in no run");
         if runs.len() == 0 {
-            self.groups.remove(&bits);
+            self.groups.swap_remove(g);
         }
         self.debug_check();
-        Some(s)
+        Some(tracked)
     }
 
     fn debug_check(&self) {
         debug_assert_eq!(
-            self.pages.len(),
-            self.groups.values().map(Runs::len).sum::<usize>(),
-            "index and page map disagree"
+            self.tracked,
+            self.groups.iter().map(Runs::len).sum::<usize>(),
+            "runs and page table disagree"
         );
     }
 
     /// Raise `best` to the `(waste, page id)` maximum of one run. `run`
-    /// lists evictable pages by falling predicted reuse, and `u64 → f64`,
+    /// lists evictable slots by falling predicted reuse, and `u64 → f64`,
     /// `÷ 1e9`, `× residency`, `− refetch` are each monotone, so the
     /// wastes fall too, though not strictly: the maximum is the first
     /// page or a later one whose waste rounds to the same `f64` and whose
     /// id is larger. The walk ends at the first waste below the head's.
-    fn offer(&self, run: impl Iterator<Item = PageId>, best: &mut Option<(f64, PageId)>) {
+    fn offer(&self, run: impl Iterator<Item = u32>, best: &mut Option<(f64, PageId, u32)>) {
         let mut head = None;
-        for page in run {
-            let waste = self.waste_if_kept(&self.pages[&page]);
+        for slot in run {
+            let Tracked { page, state } = self.pages[slot as usize].expect("a tracked slot");
+            let waste = self.waste_if_kept(&state);
             if *head.get_or_insert(waste) > waste {
                 break;
             }
-            let loses_to = |(w, p): (f64, PageId)| {
+            let loses_to = |(w, p, _): (f64, PageId, u32)| {
                 let by_waste = waste.partial_cmp(&w).expect("finite costs");
                 by_waste.then_with(|| page.cmp(&p)).is_lt()
             };
             if !best.is_some_and(loses_to) {
-                *best = Some((waste, page));
+                *best = Some((waste, page, slot));
             }
         }
     }
@@ -413,7 +628,7 @@ impl EnergyAware {
 
 impl ReplacementPolicy for EnergyAware {
     fn on_hit(&mut self, t: Touch) {
-        let prev = self.forget(t.page);
+        let prev = self.forget(t.slot).map(|p| p.state);
         let gap = prev.map_or(SimDuration::ZERO, |s| {
             t.now.saturating_duration_since(s.last_access)
         });
@@ -426,32 +641,32 @@ impl ReplacementPolicy for EnergyAware {
     }
 
     fn on_insert(&mut self, t: Touch) {
-        self.forget(t.page);
+        self.forget(t.slot);
         self.admit(t, None);
     }
 
-    fn on_remove(&mut self, page: PageId) {
-        self.forget(page);
+    fn on_remove(&mut self, slot: usize) {
+        self.forget(slot);
     }
 
-    fn victim(&mut self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+    fn victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
         let now = u128::from(self.now.as_nanos());
-        let free = |p: &PageId| evictable(*p);
+        let free = |s: &u32| evictable(*s as usize);
         let mut best = None;
-        for runs in self.groups.values_mut() {
+        for runs in &mut self.groups {
             // The clock only advances: a deadline it has passed stays passed.
             while runs.due.first().is_some_and(|e| e.0 <= now) {
-                let (_, page) = runs.due.pop_first().expect("just seen");
-                runs.overdue.insert(page);
+                let (_, page, slot) = runs.due.pop_first().expect("just seen");
+                runs.overdue.insert((page, slot));
             }
         }
-        for runs in self.groups.values() {
-            self.offer(runs.idle.iter().map(|e| e.1).filter(free), &mut best);
-            self.offer(runs.due.iter().rev().map(|e| e.1).filter(free), &mut best);
-            let floor = runs.overdue.iter().rev().copied().find(free);
+        for runs in &self.groups {
+            self.offer(self.idle.iter(runs.idle).filter(free), &mut best);
+            self.offer(runs.due.iter().rev().map(|e| e.2).filter(free), &mut best);
+            let floor = runs.overdue.iter().rev().map(|e| e.1).find(free);
             self.offer(floor.into_iter(), &mut best);
         }
-        best.map(|(_, page)| page)
+        best.map(|(_, _, slot)| slot as usize)
     }
 
     fn name(&self) -> &'static str {
@@ -474,23 +689,21 @@ mod tests {
         PageId::new(0, i)
     }
 
+    /// A touch of page `i`, held in slot `i`.
     fn touch(i: u32, secs: f64) -> Touch {
-        Touch {
-            page: pid(i),
-            now: SimInstant::EPOCH + SimDuration::from_secs_f64(secs),
-            refetch: Joules::new(1.0),
-        }
+        touch_cost(i, secs, 1.0)
     }
 
     fn touch_cost(i: u32, secs: f64, refetch: f64) -> Touch {
         Touch {
             page: pid(i),
+            slot: i as usize,
             now: SimInstant::EPOCH + SimDuration::from_secs_f64(secs),
             refetch: Joules::new(refetch),
         }
     }
 
-    const ALL: fn(PageId) -> bool = |_| true;
+    const ALL: fn(usize) -> bool = |_| true;
 
     #[test]
     fn lru_evicts_least_recent() {
@@ -499,9 +712,9 @@ mod tests {
         p.on_insert(touch(2, 1.0));
         p.on_insert(touch(3, 2.0));
         p.on_hit(touch(1, 3.0));
-        assert_eq!(p.victim(&ALL), Some(pid(2)));
-        p.on_remove(pid(2));
-        assert_eq!(p.victim(&ALL), Some(pid(3)));
+        assert_eq!(p.victim(&ALL), Some(2));
+        p.on_remove(2);
+        assert_eq!(p.victim(&ALL), Some(3));
     }
 
     #[test]
@@ -509,9 +722,9 @@ mod tests {
         let mut p = Lru::default();
         p.on_insert(touch(1, 0.0));
         p.on_insert(touch(2, 1.0));
-        let only2 = |pg: PageId| pg == pid(2);
-        assert_eq!(p.victim(&only2), Some(pid(2)));
-        let none = |_: PageId| false;
+        let only2 = |s: usize| s == 2;
+        assert_eq!(p.victim(&only2), Some(2));
+        let none = |_: usize| false;
         assert_eq!(p.victim(&none), None);
     }
 
@@ -525,12 +738,12 @@ mod tests {
         // only on the second sweep, so first victim is page 1 after all
         // bits clear.
         let v1 = p.victim(&ALL).unwrap();
-        assert_eq!(v1, pid(1));
+        assert_eq!(v1, 1);
         // A hit re-arms the bit and shields the page for one sweep.
         p.on_hit(touch(1, 1.0));
-        p.on_remove(pid(2));
+        p.on_remove(2);
         let v2 = p.victim(&ALL).unwrap();
-        assert_eq!(v2, pid(3), "page 1 has its bit set again");
+        assert_eq!(v2, 3, "page 1 has its bit set again");
     }
 
     #[test]
@@ -540,9 +753,34 @@ mod tests {
             p.on_insert(touch(i, 0.0));
         }
         let _ = p.victim(&ALL); // advance hand
-        p.on_remove(pid(0));
+        p.on_remove(0);
         // Must not panic or skip wildly.
         assert!(p.victim(&ALL).is_some());
+    }
+
+    /// A hand left past the ring's tail lands on the next page inserted;
+    /// with none inserted it wraps to the head.
+    #[test]
+    fn clock_hand_past_the_tail_lands_on_the_next_insert() {
+        let mut p = Clock::default();
+        for i in 0..3 {
+            p.on_insert(touch(i, 0.0));
+        }
+        p.on_hit(touch(0, 1.0));
+        p.on_hit(touch(1, 1.0));
+        // Sweep: 0 and 1 lose their bits, then 2 (bit set on insert)
+        // too, and 0 goes on the second pass.
+        assert_eq!(p.victim(&|s| s != 2), Some(0));
+        p.on_remove(0);
+        assert_eq!(p.victim(&ALL), Some(1));
+        p.on_remove(1);
+        assert_eq!(p.victim(&ALL), Some(2));
+        // The hand was on the tail: removing it leaves the hand past it.
+        p.on_remove(2);
+        p.on_insert(touch(7, 2.0));
+        p.on_insert(touch(8, 2.0));
+        p.on_hit(touch(8, 3.0));
+        assert_eq!(p.victim(&ALL), Some(7), "the hand sat on 7");
     }
 
     #[test]
@@ -551,9 +789,9 @@ mod tests {
         p.on_insert(touch(1, 0.0));
         p.on_insert(touch(2, 1.0));
         p.on_hit(touch(1, 2.0)); // promote 1 to protected
-        assert_eq!(p.victim(&ALL), Some(pid(2)), "probation page goes first");
-        p.on_remove(pid(2));
-        assert_eq!(p.victim(&ALL), Some(pid(1)), "then protected LRU");
+        assert_eq!(p.victim(&ALL), Some(2), "probation page goes first");
+        p.on_remove(2);
+        assert_eq!(p.victim(&ALL), Some(1), "then protected LRU");
     }
 
     #[test]
@@ -569,7 +807,7 @@ mod tests {
         // Victims are scan pages, not the hot one.
         for _ in 0..50 {
             let v = p.victim(&ALL).unwrap();
-            assert_ne!(v, pid(100));
+            assert_ne!(v, 100);
             p.on_remove(v);
         }
     }
@@ -583,7 +821,7 @@ mod tests {
         p.on_insert(touch_cost(2, 0.0, 20.0));
         p.on_hit(touch_cost(1, 10.0, 0.1));
         p.on_hit(touch_cost(2, 10.0, 20.0));
-        assert_eq!(p.victim(&ALL), Some(pid(1)));
+        assert_eq!(p.victim(&ALL), Some(1));
     }
 
     #[test]
@@ -598,9 +836,25 @@ mod tests {
         p.on_hit(touch_cost(2, 200.0, 1.0));
         assert_eq!(
             p.victim(&ALL),
-            Some(pid(2)),
+            Some(2),
             "long-gap page wastes more DRAM energy"
         );
+    }
+
+    /// Wastes that tie go to the larger page id, whichever slot holds it.
+    #[test]
+    fn energy_ties_compare_page_ids_not_slots() {
+        let mut p = EnergyAware::new(Watts::new(0.0));
+        for (slot, page) in [(0, 9), (1, 4), (2, 7)] {
+            p.on_insert(Touch {
+                page: pid(page),
+                slot,
+                now: SimInstant::EPOCH,
+                refetch: Joules::new(1.0),
+            });
+        }
+        assert_eq!(p.victim(&ALL), Some(0), "page 9");
+        assert_eq!(p.victim(&|s| s != 0), Some(2), "page 7");
     }
 
     #[test]
@@ -615,14 +869,14 @@ mod tests {
         ] {
             let mut p = kind.build();
             p.on_insert(touch(1, 0.0));
-            assert_eq!(p.victim(&ALL), Some(pid(1)), "{}", p.name());
+            assert_eq!(p.victim(&ALL), Some(1), "{}", p.name());
         }
     }
 
     struct Scenario {
         capacity: usize,
-        /// The policies that have a scan to be checked against.
-        kinds: [PolicyKind; 3],
+        /// Every policy, each checked against its scanning twin.
+        kinds: [PolicyKind; 4],
         model: EnergyModel,
         steps: Vec<Step>,
     }
@@ -633,13 +887,22 @@ mod tests {
     /// all-distinct re-fetch costs, fixed per page or redrawn on every
     /// touch; repeated timestamps and gaps from 1 ns to 3 s, so gap EMAs
     /// are crossed by later waits (due → overdue); pins and unpins, so a
-    /// run's head is often not evictable. `stale` touches carry a `now`
-    /// older than one the policy has already seen.
+    /// run's head is often not evictable. Page ids spread over files 0–3,
+    /// a quarter of them at an index near `u32::MAX` (the pool's sparse
+    /// page map), so id order is not arrival order. `stale` touches carry
+    /// a `now` older than one the policy has already seen.
     fn scenario(seed: u64, stale: bool) -> Scenario {
         const MS: u64 = 1_000_000;
         let mut r = Gen::new(seed);
         let capacity = r.pick(&[1, 1, 2, 3, 5, 8, 16, 33]);
-        let pages = capacity as u64 * (1 + r.below(3)) + 2;
+        let pages = capacity as u32 * (1 + r.below(3) as u32) + 2;
+        let ids: Vec<PageId> = (0..pages)
+            .map(|k| {
+                let file = r.below(4) as u32;
+                let index = if r.one_in(4) { u32::MAX - k } else { k };
+                PageId::new(file, index)
+            })
+            .collect();
         let residency = Watts::new(r.pick(&[0.0, 1e-9, 0.0005, 0.0005, 0.01]));
         // An empty palette prices every slot differently.
         let palette = r.pick(&[&[0.05, 2.0][..], &[1.0], &[0.0, 0.05, 0.5, 2.0, 7.5], &[]]);
@@ -653,27 +916,24 @@ mod tests {
         let mut now = 0;
         let steps = (0..50 + r.below(400))
             .map(|_| {
-                let page = pid(r.below(pages) as u32);
+                let k = r.below(pages.into());
+                let page = ids[k as usize];
                 match r.below(20) {
                     0 | 1 => Step::Pin(page),
                     2..=4 => Step::Unpin(page),
                     _ => {
                         now += r.pick(gaps);
                         let back = if stale { r.pick(gaps) * r.below(3) } else { 0 };
-                        let slot = if reprice {
-                            r.below(64)
-                        } else {
-                            page.index.into()
-                        };
+                        let slot = if reprice { r.below(64) } else { k };
                         let cost = match palette.len() {
                             0 => slot as f64 * 0.1,
                             n => palette[slot as usize % n],
                         };
-                        Step::Access(Touch {
+                        Step::Access {
                             page,
                             now: SimInstant::from_nanos(now.saturating_sub(back)),
                             refetch: Joules::new(cost),
-                        })
+                        }
                     }
                 }
             })
@@ -682,6 +942,7 @@ mod tests {
             capacity,
             kinds: [
                 PolicyKind::Lru,
+                PolicyKind::Clock,
                 PolicyKind::TwoQ,
                 PolicyKind::EnergyAware {
                     residency_watts_per_page: residency,
@@ -694,8 +955,8 @@ mod tests {
         }
     }
 
-    /// The differential oracle: a pool over each indexed policy and a
-    /// pool over its whole-map scan (`tests/common/reference.rs`) agree
+    /// The differential oracle: a pool over each slot-indexed policy and
+    /// a pool over its scanning twin (`tests/common/reference.rs`) agree
     /// on every `Access`, every pin and the final `PoolStats`, on 1 200
     /// generated traces per policy.
     #[test]
@@ -707,9 +968,8 @@ mod tests {
                 let mut scanned = BufferPool::with_policy(sc.capacity, scanning(kind), sc.model);
                 for (i, step) in sc.steps.iter().enumerate() {
                     let same = match *step {
-                        Step::Access(t) => {
-                            indexed.access(t.page, t.now, t.refetch)
-                                == scanned.access(t.page, t.now, t.refetch)
+                        Step::Access { page, now, refetch } => {
+                            indexed.access(page, now, refetch) == scanned.access(page, now, refetch)
                         }
                         Step::Pin(p) => indexed.pin(p) == scanned.pin(p),
                         Step::Unpin(p) => indexed.unpin(p) == scanned.unpin(p),

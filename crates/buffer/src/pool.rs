@@ -8,7 +8,6 @@
 use crate::policy::{PolicyKind, ReplacementPolicy, Touch};
 use grail_power::units::{Joules, SimInstant, Watts};
 use grail_storage::page::PageId;
-use std::collections::BTreeMap;
 
 /// Energy coefficients of the pool's memory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,8 +65,139 @@ impl PoolStats {
     }
 }
 
+/// No slot: an empty entry of the page → slot map.
+const NIL: u32 = u32::MAX;
+
+/// The files whose pages get a direct table in [`PageMap`].
+const DIRECT_FILES: u32 = 4;
+/// The indexes below which a page of such a file is in that table.
+const DIRECT_INDEXES: u32 = 1 << 16;
+
+/// Page → slot for the resident pages.
+///
+/// A page of file `< DIRECT_FILES` and index `< DIRECT_INDEXES` has an
+/// entry in its file's direct table, grown (to a power of two) to cover
+/// the largest such index seen, so it is at most 256 KB a file. Every
+/// other page lives in a small open-addressing table that holds only
+/// resident pages: linear probing, and deletion that shifts the probe
+/// chain back instead of leaving tombstones.
+#[derive(Debug, Default)]
+struct PageMap {
+    direct: Vec<Vec<u32>>,
+    /// `(page, slot)`, or slot `NIL` when empty. The length is 0 or a
+    /// power of two at least twice `sparse_len`.
+    sparse: Vec<(PageId, u32)>,
+    sparse_len: usize,
+}
+
+/// Multiply-rotate over the page id, as the query crate's group table
+/// hashes keys: the table indexes by the product's top bits.
+fn hash(page: PageId) -> u64 {
+    [page.file, page.index].iter().fold(0, |h: u64, v| {
+        (h.rotate_left(5) ^ u64::from(*v)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    })
+}
+
+fn is_direct(page: PageId) -> bool {
+    page.file < DIRECT_FILES && page.index < DIRECT_INDEXES
+}
+
+impl PageMap {
+    fn get(&self, page: PageId) -> Option<usize> {
+        let slot = if is_direct(page) {
+            let table = self.direct.get(page.file as usize)?;
+            *table.get(page.index as usize)?
+        } else {
+            self.sparse[self.probe(page).ok()?].1
+        };
+        (slot != NIL).then_some(slot as usize)
+    }
+
+    /// Map `page`, which is not mapped, to `slot`.
+    fn insert(&mut self, page: PageId, slot: usize) {
+        let slot = u32::try_from(slot).expect("a pool slot fits u32");
+        if is_direct(page) {
+            let file = page.file as usize;
+            if file >= self.direct.len() {
+                self.direct.resize_with(file + 1, Vec::new);
+            }
+            let table = &mut self.direct[file];
+            let at = page.index as usize;
+            if at >= table.len() {
+                table.resize((at + 1).next_power_of_two(), NIL);
+            }
+            table[at] = slot;
+            return;
+        }
+        if 2 * (self.sparse_len + 1) > self.sparse.len() {
+            self.grow();
+        }
+        let empty = self.probe(page).expect_err("page is not mapped");
+        self.sparse[empty] = (page, slot);
+        self.sparse_len += 1;
+    }
+
+    /// Unmap `page`, which is mapped.
+    fn remove(&mut self, page: PageId) {
+        if is_direct(page) {
+            self.direct[page.file as usize][page.index as usize] = NIL;
+            return;
+        }
+        let mut hole = self.probe(page).expect("page is mapped");
+        let mask = self.sparse.len() - 1;
+        let mut at = hole;
+        loop {
+            at = (at + 1) & mask;
+            let (p, slot) = self.sparse[at];
+            if slot == NIL {
+                break;
+            }
+            // `p` moves back into the hole unless its home lies in
+            // `(hole, at]`: a probe for it starts past the hole.
+            if at.wrapping_sub(self.home(p)) & mask >= at.wrapping_sub(hole) & mask {
+                self.sparse[hole] = (p, slot);
+                hole = at;
+            }
+        }
+        self.sparse[hole].1 = NIL;
+        self.sparse_len -= 1;
+    }
+
+    fn home(&self, page: PageId) -> usize {
+        (hash(page) >> (64 - self.sparse.len().trailing_zeros())) as usize
+    }
+
+    /// `Ok` with the entry holding `page`, or `Err` with the empty
+    /// entry where its probe ends (`Err(0)` in an empty table).
+    fn probe(&self, page: PageId) -> Result<usize, usize> {
+        if self.sparse.is_empty() {
+            return Err(0);
+        }
+        let mask = self.sparse.len() - 1;
+        let mut at = self.home(page);
+        loop {
+            match self.sparse[at] {
+                (_, NIL) => return Err(at),
+                (p, _) if p == page => return Ok(at),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let len = (2 * self.sparse.len()).max(16);
+        let old = std::mem::replace(&mut self.sparse, vec![(PageId::new(0, 0), NIL); len]);
+        self.sparse_len = 0;
+        for (page, slot) in old.into_iter().filter(|e| e.1 != NIL) {
+            self.insert(page, slot as usize);
+        }
+    }
+}
+
+/// One slot of the pool.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
+    page: PageId,
     pins: u32,
 }
 
@@ -75,7 +205,11 @@ struct Frame {
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    frames: BTreeMap<PageId, Frame>,
+    /// The slot table. Slots are handed out in order while the pool
+    /// fills; once it is full, an evicted page's slot goes straight to
+    /// the page that displaced it, so no slot is ever free.
+    frames: Vec<Frame>,
+    slots: PageMap,
     policy: Box<dyn ReplacementPolicy>,
     energy: EnergyModel,
     stats: PoolStats,
@@ -102,7 +236,8 @@ impl BufferPool {
         assert!(capacity > 0, "pool needs at least one frame");
         BufferPool {
             capacity,
-            frames: BTreeMap::new(),
+            frames: Vec::new(),
+            slots: PageMap::default(),
             policy,
             energy,
             stats: PoolStats::default(),
@@ -117,7 +252,7 @@ impl BufferPool {
 
     /// Whether `page` is cached.
     pub fn contains(&self, page: PageId) -> bool {
-        self.frames.contains_key(&page)
+        self.slots.get(page).is_some()
     }
 
     /// The policy's name (for reports).
@@ -139,45 +274,48 @@ impl BufferPool {
     /// energy a miss on this page costs. Time must be nondecreasing.
     pub fn access(&mut self, page: PageId, now: SimInstant, refetch: Joules) -> Access {
         self.accrue(now);
-        let t = Touch { page, now, refetch };
-        if self.frames.contains_key(&page) {
+        let touch = |slot| Touch {
+            page,
+            slot,
+            now,
+            refetch,
+        };
+        if let Some(slot) = self.slots.get(page) {
             self.stats.hits += 1;
-            self.policy.on_hit(t);
+            self.policy.on_hit(touch(slot));
             return Access::Hit;
         }
         self.stats.misses += 1;
         self.stats.refetch_energy += refetch;
         let mut evicted = None;
-        if self.frames.len() >= self.capacity {
+        let slot = if self.frames.len() < self.capacity {
+            self.frames.push(Frame { page, pins: 0 });
+            self.frames.len() - 1
+        } else {
             let frames = &self.frames;
-            let victim = self
-                .policy
-                .victim(&|p| frames.get(&p).map(|f| f.pins == 0).unwrap_or(false));
-            match victim {
-                Some(v) => {
-                    self.frames.remove(&v);
-                    self.policy.on_remove(v);
-                    self.stats.evictions += 1;
-                    evicted = Some(v);
-                }
-                None => {
-                    // Everything pinned: serve pass-through.
-                    self.stats.bypasses += 1;
-                    self.stats.misses -= 1;
-                    return Access::Bypass;
-                }
-            }
-        }
-        self.frames.insert(page, Frame { pins: 0 });
-        self.policy.on_insert(t);
+            let Some(slot) = self.policy.victim(&|s| frames[s].pins == 0) else {
+                // Everything pinned: serve pass-through.
+                self.stats.bypasses += 1;
+                self.stats.misses -= 1;
+                return Access::Bypass;
+            };
+            let victim = std::mem::replace(&mut self.frames[slot], Frame { page, pins: 0 }).page;
+            self.slots.remove(victim);
+            self.policy.on_remove(slot);
+            self.stats.evictions += 1;
+            evicted = Some(victim);
+            slot
+        };
+        self.slots.insert(page, slot);
+        self.policy.on_insert(touch(slot));
         Access::Miss { evicted }
     }
 
     /// Pin `page` (it must be cached). Pinned pages are never victims.
     pub fn pin(&mut self, page: PageId) -> bool {
-        match self.frames.get_mut(&page) {
-            Some(f) => {
-                f.pins += 1;
+        match self.slots.get(page) {
+            Some(slot) => {
+                self.frames[slot].pins += 1;
                 true
             }
             None => false,
@@ -186,7 +324,7 @@ impl BufferPool {
 
     /// Release one pin on `page`.
     pub fn unpin(&mut self, page: PageId) -> bool {
-        match self.frames.get_mut(&page) {
+        match self.slots.get(page).map(|slot| &mut self.frames[slot]) {
             Some(f) if f.pins > 0 => {
                 f.pins -= 1;
                 true
@@ -308,6 +446,45 @@ mod tests {
             assert!(p.occupancy() <= 4);
         }
         assert_eq!(p.stats().evictions, 96);
+    }
+
+    /// The page → slot map against a `BTreeMap` over drawn inserts and
+    /// removes of pages in the direct tables and in the probed table,
+    /// which is small enough that probe chains meet and a removal's
+    /// backward shift has entries to move.
+    #[test]
+    fn page_map_matches_a_btree_map() {
+        use std::collections::btree_map::{BTreeMap, Entry};
+        for seed in 0..100 {
+            let mut r = grail_prop::Gen::new(seed);
+            let ids: Vec<PageId> = (0..64)
+                .map(|k| match r.below(3) {
+                    0 => PageId::new(r.below(4) as u32, k),
+                    1 => PageId::new(r.below(4) as u32, u32::MAX - k),
+                    _ => PageId::new(4 + r.below(3) as u32, k * 65_537),
+                })
+                .collect();
+            let mut map = PageMap::default();
+            let mut model = BTreeMap::new();
+            for slot in 0..300 {
+                let page = ids[r.below(64) as usize];
+                match model.entry(page) {
+                    Entry::Occupied(e) => {
+                        if r.bool() {
+                            map.remove(page);
+                            e.remove();
+                        }
+                    }
+                    Entry::Vacant(e) => {
+                        map.insert(page, slot);
+                        e.insert(slot);
+                    }
+                }
+                for p in &ids {
+                    assert_eq!(map.get(*p), model.get(p).copied(), "seed {seed}: {p}");
+                }
+            }
+        }
     }
 
     #[test]

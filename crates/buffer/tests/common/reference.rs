@@ -1,22 +1,90 @@
-//! The whole-map victim scans `policy.rs` had before its ordered
-//! indexes, kept as the oracle the indexes are checked against: `ScanLru`
-//! is a `min_by_key` over every page, `ScanEnergyAware` a `max_by` on
-//! `(waste, page id)`, `ScanTwoQ` a `VecDeque` with linear `retain`s.
-//! Included by `policy.rs`'s unit tests and by `properties.rs`; both
-//! bring the names imported from `super` into scope.
+//! The whole-map victim scans `policy.rs` had before its indexes, and
+//! the `Vec` ring CLOCK had before its slot lists, kept as the oracle the
+//! slot-indexed policies are checked against: `ScanLru` is a
+//! `min_by_key` over every page, `ScanEnergyAware` a `max_by` on
+//! `(waste, page id)`, `ScanTwoQ` a `VecDeque` with linear `retain`s,
+//! `ScanClock` a `Vec` of pages with a `position` + `remove` per
+//! eviction. They speak pages ([`PagePolicy`], the policy trait before
+//! the pool handed out slots); [`Slotted`] maps the pool's slots to and
+//! from them. Included by `policy.rs`'s unit tests and by
+//! `properties.rs`; both bring the names imported from `super` into
+//! scope.
 
 use super::{Joules, PageId, PolicyKind, ReplacementPolicy, SimDuration, SimInstant, Touch, Watts};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// The scanning twin of `kind` (CLOCK never scanned the map: itself).
+/// The scanning twin of `kind`.
 pub fn scanning(kind: PolicyKind) -> Box<dyn ReplacementPolicy> {
     match kind {
-        PolicyKind::Lru => Box::new(ScanLru::default()),
-        PolicyKind::Clock => kind.build(),
-        PolicyKind::TwoQ => Box::new(ScanTwoQ::default()),
+        PolicyKind::Lru => Box::new(Slotted::new(ScanLru::default())),
+        PolicyKind::Clock => Box::new(Slotted::new(ScanClock::default())),
+        PolicyKind::TwoQ => Box::new(Slotted::new(ScanTwoQ::default())),
         PolicyKind::EnergyAware {
             residency_watts_per_page,
-        } => Box::new(ScanEnergyAware::new(residency_watts_per_page)),
+        } => Box::new(Slotted::new(ScanEnergyAware::new(residency_watts_per_page))),
+    }
+}
+
+/// A replacement policy that names pages, not slots.
+pub trait PagePolicy: std::fmt::Debug + Send {
+    /// The page was found in the pool.
+    fn on_hit(&mut self, t: Touch);
+    /// The page was inserted into the pool.
+    fn on_insert(&mut self, t: Touch);
+    /// The page left the pool (evicted or dropped).
+    fn on_remove(&mut self, page: PageId);
+    /// Choose a victim among pages for which `evictable` holds.
+    fn victim(&mut self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId>;
+    /// The policy's display name.
+    fn name(&self) -> &'static str;
+}
+
+/// A [`PagePolicy`] behind the slot-level [`ReplacementPolicy`]: the
+/// slot of every resident page, both ways.
+#[derive(Debug)]
+pub struct Slotted<P> {
+    policy: P,
+    page_of: BTreeMap<usize, PageId>,
+    slot_of: BTreeMap<PageId, usize>,
+}
+
+impl<P> Slotted<P> {
+    /// `policy`, with no page resident.
+    pub fn new(policy: P) -> Self {
+        Slotted {
+            policy,
+            page_of: BTreeMap::new(),
+            slot_of: BTreeMap::new(),
+        }
+    }
+}
+
+impl<P: PagePolicy> ReplacementPolicy for Slotted<P> {
+    fn on_hit(&mut self, t: Touch) {
+        self.policy.on_hit(t);
+    }
+
+    fn on_insert(&mut self, t: Touch) {
+        self.page_of.insert(t.slot, t.page);
+        self.slot_of.insert(t.page, t.slot);
+        self.policy.on_insert(t);
+    }
+
+    fn on_remove(&mut self, slot: usize) {
+        if let Some(page) = self.page_of.remove(&slot) {
+            self.slot_of.remove(&page);
+            self.policy.on_remove(page);
+        }
+    }
+
+    fn victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
+        let slot_of = &self.slot_of;
+        let page = self.policy.victim(&|p| evictable(slot_of[&p]))?;
+        Some(slot_of[&page])
+    }
+
+    fn name(&self) -> &'static str {
+        self.policy.name()
     }
 }
 
@@ -27,7 +95,7 @@ pub struct ScanLru {
     last_used: BTreeMap<PageId, u64>,
 }
 
-impl ReplacementPolicy for ScanLru {
+impl PagePolicy for ScanLru {
     fn on_hit(&mut self, t: Touch) {
         self.stamp += 1;
         self.last_used.insert(t.page, self.stamp);
@@ -54,6 +122,65 @@ impl ReplacementPolicy for ScanLru {
     }
 }
 
+/// Second-chance CLOCK: a circular scan clearing reference bits.
+#[derive(Debug, Default)]
+pub struct ScanClock {
+    ring: Vec<PageId>,
+    referenced: BTreeMap<PageId, bool>,
+    hand: usize,
+}
+
+impl PagePolicy for ScanClock {
+    fn on_hit(&mut self, t: Touch) {
+        if let Some(bit) = self.referenced.get_mut(&t.page) {
+            *bit = true;
+        }
+    }
+
+    fn on_insert(&mut self, t: Touch) {
+        self.ring.push(t.page);
+        self.referenced.insert(t.page, true);
+    }
+
+    fn on_remove(&mut self, page: PageId) {
+        if let Some(idx) = self.ring.iter().position(|p| *p == page) {
+            self.ring.remove(idx);
+            if self.hand > idx {
+                self.hand -= 1;
+            }
+        }
+        self.referenced.remove(&page);
+    }
+
+    fn victim(&mut self, evictable: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+        if self.ring.is_empty() {
+            return None;
+        }
+        // Two sweeps: first clears reference bits, second must find a
+        // victim unless nothing is evictable.
+        for _ in 0..self.ring.len() * 2 {
+            self.hand %= self.ring.len();
+            let page = self.ring[self.hand];
+            if !evictable(page) {
+                self.hand += 1;
+                continue;
+            }
+            let bit = self.referenced.get_mut(&page).expect("ring member");
+            if *bit {
+                *bit = false;
+                self.hand += 1;
+            } else {
+                return Some(page);
+            }
+        }
+        None
+    }
+
+    fn name(&self) -> &'static str {
+        "clock"
+    }
+}
+
 /// Simplified 2Q: new pages enter a FIFO probation queue; a hit promotes
 /// to the protected LRU. Victims come from probation first.
 #[derive(Debug, Default)]
@@ -63,7 +190,7 @@ pub struct ScanTwoQ {
     in_probation: BTreeSet<PageId>,
 }
 
-impl ReplacementPolicy for ScanTwoQ {
+impl PagePolicy for ScanTwoQ {
     fn on_hit(&mut self, t: Touch) {
         if self.in_probation.remove(&t.page) {
             self.probation.retain(|p| *p != t.page);
@@ -148,7 +275,7 @@ impl ScanEnergyAware {
     }
 }
 
-impl ReplacementPolicy for ScanEnergyAware {
+impl PagePolicy for ScanEnergyAware {
     fn on_hit(&mut self, t: Touch) {
         self.now = self.now.max(t.now);
         let entry = self.pages.entry(t.page).or_insert(PageEnergyState {
@@ -204,7 +331,14 @@ impl ReplacementPolicy for ScanEnergyAware {
 #[derive(Debug, Clone, Copy)]
 pub enum Step {
     /// Reference a page; unlike the pool's clock, `now` may run backwards.
-    Access(Touch),
+    Access {
+        /// The page referenced.
+        page: PageId,
+        /// When.
+        now: SimInstant,
+        /// Its re-fetch energy.
+        refetch: Joules,
+    },
     /// Pin a page if it is resident.
     Pin(PageId),
     /// Release one pin.
@@ -212,38 +346,56 @@ pub enum Step {
 }
 
 /// Drive `policy` through `steps` the way `BufferPool::access` drives
-/// it, over `capacity` frames. One entry per access that found the
-/// frames full: the victim, or `None` when everything was pinned.
+/// it, over `capacity` frames: slots handed out in order while they
+/// last, then each victim's slot to the page that displaced it. One
+/// entry per access that found the frames full: the victim, or `None`
+/// when everything was pinned.
 pub fn replay(
     policy: &mut dyn ReplacementPolicy,
     capacity: usize,
     steps: &[Step],
 ) -> Vec<Option<PageId>> {
-    let mut pins: BTreeMap<PageId, u32> = BTreeMap::new();
+    // Pins and slot of each resident page, and the page in each slot.
+    let mut resident: BTreeMap<PageId, (u32, usize)> = BTreeMap::new();
+    let mut page_of: Vec<PageId> = Vec::new();
     let mut victims = Vec::new();
     for step in steps {
         match *step {
             Step::Pin(page) => {
-                if let Some(n) = pins.get_mut(&page) {
+                if let Some((n, _)) = resident.get_mut(&page) {
                     *n += 1;
                 }
             }
             Step::Unpin(page) => {
-                if let Some(n) = pins.get_mut(&page) {
+                if let Some((n, _)) = resident.get_mut(&page) {
                     *n = n.saturating_sub(1);
                 }
             }
-            Step::Access(t) if pins.contains_key(&t.page) => policy.on_hit(t),
-            Step::Access(t) => {
-                if pins.len() >= capacity {
-                    let victim = policy.victim(&|p| pins.get(&p) == Some(&0));
-                    victims.push(victim);
-                    let Some(v) = victim else { continue };
-                    pins.remove(&v);
-                    policy.on_remove(v);
+            Step::Access { page, now, refetch } => {
+                let touch = |slot| Touch {
+                    page,
+                    slot,
+                    now,
+                    refetch,
+                };
+                if let Some(&(_, slot)) = resident.get(&page) {
+                    policy.on_hit(touch(slot));
+                    continue;
                 }
-                pins.insert(t.page, 0);
-                policy.on_insert(t);
+                let slot = if page_of.len() < capacity {
+                    page_of.push(page);
+                    page_of.len() - 1
+                } else {
+                    let victim = policy.victim(&|s| resident[&page_of[s]].0 == 0);
+                    victims.push(victim.map(|s| page_of[s]));
+                    let Some(slot) = victim else { continue };
+                    resident.remove(&page_of[slot]);
+                    policy.on_remove(slot);
+                    page_of[slot] = page;
+                    slot
+                };
+                resident.insert(page, (0, slot));
+                policy.on_insert(touch(slot));
             }
         }
     }

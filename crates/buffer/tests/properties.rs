@@ -1,6 +1,6 @@
 //! Property tests: pool capacity/pin invariants hold under arbitrary
-//! traces, for every policy, and the indexed policies choose the
-//! victims their whole-map scans chose.
+//! traces, for every policy, and the slot-indexed policies choose the
+//! victims their scanning twins chose.
 
 use grail_buffer::policy::{PolicyKind, ReplacementPolicy, Touch};
 use grail_buffer::pool::{Access, BufferPool, EnergyModel};
@@ -151,11 +151,13 @@ fn energy_accounting_exact() {
     });
 }
 
-/// Same victims as the whole-map scans (`common/reference.rs`), on
+/// Same victims as the scanning twins (`common/reference.rs`), on
 /// traces with pins, repeated and backward timestamps, waits that
 /// cross a gap EMA, re-fetch costs redrawn on every touch, and a
 /// residency of 0 (all wastes of a cost tie) or 1e-9 W (nanoseconds
-/// apart round to one waste). `policy.rs`'s unit tests carry a
+/// apart round to one waste). Page ids spread over files 0–3, some at
+/// an index near `u32::MAX`, so the pool's sparse page map is used and
+/// id order is not arrival order. `policy.rs`'s unit tests carry a
 /// hand-seeded twin of this over more shapes.
 #[test]
 fn indexed_victims_match_the_scanning_oracles() {
@@ -164,9 +166,15 @@ fn indexed_victims_match_the_scanning_oracles() {
     check(64, |g| {
         let cap = g.range(1usize..12);
         let residency = Watts::new(g.pick(&[0.0, 1e-9, 0.0005]));
+        let ids: Vec<PageId> = (0..40)
+            .map(|k| {
+                let index = if g.one_in(4) { u32::MAX - k } else { k };
+                PageId::new(g.range(0u32..4), index)
+            })
+            .collect();
         let trace = g.vec(1..300, |g| {
             (
-                g.range(0u32..40),
+                g.range(0..ids.len()),
                 g.range(0..GAPS_NS.len()),
                 g.range(0..COSTS.len()),
                 g.range(0u8..12),
@@ -176,24 +184,25 @@ fn indexed_victims_match_the_scanning_oracles() {
         let steps: Vec<Step> = trace
             .iter()
             .map(|&(page, gap, cost, action)| {
-                let page = PageId::new(0, page);
+                let page = ids[page];
                 match action {
                     0 => Step::Pin(page),
                     1 | 2 => Step::Unpin(page),
                     _ => {
                         now += GAPS_NS[gap];
                         let back = if action == 3 { GAPS_NS[2] } else { 0 };
-                        Step::Access(Touch {
+                        Step::Access {
                             page,
                             now: SimInstant::from_nanos(now.saturating_sub(back)),
                             refetch: Joules::new(COSTS[cost]),
-                        })
+                        }
                     }
                 }
             })
             .collect();
         for kind in [
             PolicyKind::Lru,
+            PolicyKind::Clock,
             PolicyKind::TwoQ,
             PolicyKind::EnergyAware {
                 residency_watts_per_page: residency,

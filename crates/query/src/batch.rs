@@ -187,6 +187,16 @@ impl Batch {
         }
     }
 
+    /// Column `i` at logical rows `rows`, gathered once from the backing
+    /// column through the window or the selection vector.
+    pub(crate) fn take_column(&self, i: usize, rows: &[u32]) -> Vec<Datum> {
+        let col = &self.columns[i];
+        match &self.sel {
+            Some(s) => rows.iter().map(|r| col[s[*r as usize] as usize]).collect(),
+            None => take(&col[self.offset..self.offset + self.rows], rows),
+        }
+    }
+
     /// Append column `i` of the logical rows to `out`: the window copied,
     /// or the selected rows gathered straight into it.
     pub(crate) fn append_column(&self, i: usize, out: &mut Vec<Datum>) {

@@ -232,8 +232,7 @@ impl HashJoin {
             }
             let build_arity = built.rows.schema().arity();
             let from_build = (0..build_arity).map(|c| take(built.rows.column(c), build_rows));
-            let from_probe =
-                (0..batch.schema().arity()).map(|c| take(&batch.logical_column(c), probe_rows));
+            let from_probe = (0..batch.schema().arity()).map(|c| batch.take_column(c, probe_rows));
             let columns = from_build.chain(from_probe).collect();
             self.pending = Some(Batch::new(self.schema.clone(), columns));
         }
