@@ -467,7 +467,6 @@ pub struct EnergyAware {
     residency: Watts,
     /// Per slot: the page tracked there.
     pages: Vec<Option<Tracked>>,
-    tracked: usize,
     /// The `idle` lists of every group.
     idle: Links,
     /// Every tracked page, in the runs of its re-fetch energy; a group
@@ -482,7 +481,6 @@ impl EnergyAware {
         EnergyAware {
             residency,
             pages: Vec::new(),
-            tracked: 0,
             idle: Links::default(),
             groups: Vec::new(),
             now: SimInstant::EPOCH,
@@ -563,14 +561,12 @@ impl EnergyAware {
             page: t.page,
             state,
         });
-        self.tracked += 1;
         self.debug_check();
     }
 
     /// Stop tracking the page in `slot`, returning what was known of it.
     fn forget(&mut self, slot: usize) -> Option<Tracked> {
         let tracked = self.pages.get_mut(slot)?.take()?;
-        self.tracked -= 1;
         let (page, s) = (tracked.page, tracked.state);
         let g = self.group(s.refetch).expect("page has a group");
         let runs = &mut self.groups[g];
@@ -595,7 +591,7 @@ impl EnergyAware {
 
     fn debug_check(&self) {
         debug_assert_eq!(
-            self.tracked,
+            self.pages.iter().flatten().count(),
             self.groups.iter().map(Runs::len).sum::<usize>(),
             "runs and page table disagree"
         );
@@ -888,8 +884,8 @@ mod tests {
     /// touch; repeated timestamps and gaps from 1 ns to 3 s, so gap EMAs
     /// are crossed by later waits (due → overdue); pins and unpins, so a
     /// run's head is often not evictable. Page ids spread over files 0–3,
-    /// a quarter of them at an index near `u32::MAX` (the pool's sparse
-    /// page map), so id order is not arrival order. `stale` touches carry
+    /// a quarter of them at an index near `u32::MAX`, so id order is not
+    /// arrival order. `stale` touches carry
     /// a `now` older than one the policy has already seen.
     fn scenario(seed: u64, stale: bool) -> Scenario {
         const MS: u64 = 1_000_000;

@@ -68,115 +68,78 @@ impl PoolStats {
 /// No slot: an empty entry of the page → slot map.
 const NIL: u32 = u32::MAX;
 
-/// The files whose pages get a direct table in [`PageMap`].
-const DIRECT_FILES: u32 = 4;
-/// The indexes below which a page of such a file is in that table.
-const DIRECT_INDEXES: u32 = 1 << 16;
-
-/// Page → slot for the resident pages.
-///
-/// A page of file `< DIRECT_FILES` and index `< DIRECT_INDEXES` has an
-/// entry in its file's direct table, grown (to a power of two) to cover
-/// the largest such index seen, so it is at most 256 KB a file. Every
-/// other page lives in a small open-addressing table that holds only
-/// resident pages: linear probing, and deletion that shifts the probe
-/// chain back instead of leaving tombstones.
+/// Page → slot for the resident pages: an open-addressing table that
+/// holds only resident pages, so it stays under four times the pool
+/// whatever the page ids. Linear probing, and deletion that shifts the
+/// probe chain back instead of leaving tombstones. At most a quarter
+/// full, since probe chains are what an access pays for here.
 #[derive(Debug, Default)]
 struct PageMap {
-    direct: Vec<Vec<u32>>,
     /// `(page, slot)`, or slot `NIL` when empty. The length is 0 or a
-    /// power of two at least twice `sparse_len`.
-    sparse: Vec<(PageId, u32)>,
-    sparse_len: usize,
+    /// power of two at least four times `len`.
+    table: Vec<(PageId, u32)>,
+    len: usize,
 }
 
-/// Multiply-rotate over the page id, as the query crate's group table
-/// hashes keys: the table indexes by the product's top bits.
+/// Fibonacci hashing of the page id packed into a `u64`: the table
+/// indexes by the product's top bits, so consecutive indexes spread.
 fn hash(page: PageId) -> u64 {
-    [page.file, page.index].iter().fold(0, |h: u64, v| {
-        (h.rotate_left(5) ^ u64::from(*v)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    })
-}
-
-fn is_direct(page: PageId) -> bool {
-    page.file < DIRECT_FILES && page.index < DIRECT_INDEXES
+    (u64::from(page.file) << 32 | u64::from(page.index)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 impl PageMap {
     fn get(&self, page: PageId) -> Option<usize> {
-        let slot = if is_direct(page) {
-            let table = self.direct.get(page.file as usize)?;
-            *table.get(page.index as usize)?
-        } else {
-            self.sparse[self.probe(page).ok()?].1
-        };
-        (slot != NIL).then_some(slot as usize)
+        let slot = self.table[self.probe(page).ok()?].1;
+        Some(slot as usize)
     }
 
     /// Map `page`, which is not mapped, to `slot`.
     fn insert(&mut self, page: PageId, slot: usize) {
         let slot = u32::try_from(slot).expect("a pool slot fits u32");
-        if is_direct(page) {
-            let file = page.file as usize;
-            if file >= self.direct.len() {
-                self.direct.resize_with(file + 1, Vec::new);
-            }
-            let table = &mut self.direct[file];
-            let at = page.index as usize;
-            if at >= table.len() {
-                table.resize((at + 1).next_power_of_two(), NIL);
-            }
-            table[at] = slot;
-            return;
-        }
-        if 2 * (self.sparse_len + 1) > self.sparse.len() {
+        if 4 * (self.len + 1) > self.table.len() {
             self.grow();
         }
         let empty = self.probe(page).expect_err("page is not mapped");
-        self.sparse[empty] = (page, slot);
-        self.sparse_len += 1;
+        self.table[empty] = (page, slot);
+        self.len += 1;
     }
 
     /// Unmap `page`, which is mapped.
     fn remove(&mut self, page: PageId) {
-        if is_direct(page) {
-            self.direct[page.file as usize][page.index as usize] = NIL;
-            return;
-        }
         let mut hole = self.probe(page).expect("page is mapped");
-        let mask = self.sparse.len() - 1;
+        let mask = self.table.len() - 1;
         let mut at = hole;
         loop {
             at = (at + 1) & mask;
-            let (p, slot) = self.sparse[at];
+            let (p, slot) = self.table[at];
             if slot == NIL {
                 break;
             }
             // `p` moves back into the hole unless its home lies in
             // `(hole, at]`: a probe for it starts past the hole.
             if at.wrapping_sub(self.home(p)) & mask >= at.wrapping_sub(hole) & mask {
-                self.sparse[hole] = (p, slot);
+                self.table[hole] = (p, slot);
                 hole = at;
             }
         }
-        self.sparse[hole].1 = NIL;
-        self.sparse_len -= 1;
+        self.table[hole].1 = NIL;
+        self.len -= 1;
     }
 
     fn home(&self, page: PageId) -> usize {
-        (hash(page) >> (64 - self.sparse.len().trailing_zeros())) as usize
+        (hash(page) >> (64 - self.table.len().trailing_zeros())) as usize
     }
 
     /// `Ok` with the entry holding `page`, or `Err` with the empty
     /// entry where its probe ends (`Err(0)` in an empty table).
     fn probe(&self, page: PageId) -> Result<usize, usize> {
-        if self.sparse.is_empty() {
+        if self.table.is_empty() {
             return Err(0);
         }
-        let mask = self.sparse.len() - 1;
+        let mask = self.table.len() - 1;
         let mut at = self.home(page);
         loop {
-            match self.sparse[at] {
+            match self.table[at] {
                 (_, NIL) => return Err(at),
                 (p, _) if p == page => return Ok(at),
                 _ => at = (at + 1) & mask,
@@ -185,9 +148,9 @@ impl PageMap {
     }
 
     fn grow(&mut self) {
-        let len = (2 * self.sparse.len()).max(16);
-        let old = std::mem::replace(&mut self.sparse, vec![(PageId::new(0, 0), NIL); len]);
-        self.sparse_len = 0;
+        let len = (2 * self.table.len()).max(16);
+        let old = std::mem::replace(&mut self.table, vec![(PageId::new(0, 0), NIL); len]);
+        self.len = 0;
         for (page, slot) in old.into_iter().filter(|e| e.1 != NIL) {
             self.insert(page, slot as usize);
         }
@@ -449,9 +412,9 @@ mod tests {
     }
 
     /// The page → slot map against a `BTreeMap` over drawn inserts and
-    /// removes of pages in the direct tables and in the probed table,
-    /// which is small enough that probe chains meet and a removal's
-    /// backward shift has entries to move.
+    /// removes of small, huge and far-apart page ids in a table small
+    /// enough that probe chains meet and a removal's backward shift has
+    /// entries to move.
     #[test]
     fn page_map_matches_a_btree_map() {
         use std::collections::btree_map::{BTreeMap, Entry};

@@ -156,8 +156,8 @@ fn energy_accounting_exact() {
 /// cross a gap EMA, re-fetch costs redrawn on every touch, and a
 /// residency of 0 (all wastes of a cost tie) or 1e-9 W (nanoseconds
 /// apart round to one waste). Page ids spread over files 0–3, some at
-/// an index near `u32::MAX`, so the pool's sparse page map is used and
-/// id order is not arrival order. `policy.rs`'s unit tests carry a
+/// an index near `u32::MAX`, so the pool's page map hashes far-apart
+/// ids and id order is not arrival order. `policy.rs`'s unit tests carry a
 /// hand-seeded twin of this over more shapes.
 #[test]
 fn indexed_victims_match_the_scanning_oracles() {
