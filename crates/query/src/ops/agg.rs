@@ -370,10 +370,11 @@ impl Operator for HashAggregate {
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
         let op = ctx.begin_op("agg");
         let out = (|| {
-            self.ensure_aggregated(ctx)?;
+            // Once emitted the input is exhausted: it is not pulled again.
             if self.emitted {
                 return Ok(None);
             }
+            self.ensure_aggregated(ctx)?;
             self.emitted = true;
             Ok(self.result.take())
         })();
@@ -495,6 +496,46 @@ mod tests {
                 (0, agg.schema().arity())
             );
             assert!(agg.next(&mut ctx).unwrap().is_none());
+        }
+    }
+
+    /// A drained aggregate pulls its input once: the pulls after its batch
+    /// add one `agg` call each and nothing to the input's tallies, over a
+    /// batch input and over the aggregated scan alike.
+    #[test]
+    fn a_drained_aggregate_counts_each_input_pull_once() {
+        let n = BATCH_ROWS as i64 + 1000;
+        let stored = Arc::new(StoredTable::columnar_plain(
+            Arc::new(Table::new(
+                "t",
+                Schema::new(vec![("g", ColumnType::Int), ("v", ColumnType::Int)]),
+                vec![(0..n).map(|i| i % 5).collect(), (0..n).collect()],
+            )),
+            StorageTarget::Disk(DiskId(0)),
+        ));
+        let keep = || Expr::gt(Expr::Col(1), Expr::Lit(10));
+        let aggs = || vec![AggSpec::new(AggFunc::Sum, 1, "s")];
+        let over_batches: Box<dyn Operator> = Box::new(HashAggregate::new(
+            ColumnarScan::filtered(stored.clone(), vec![0, 1], keep()),
+            vec![0],
+            aggs(),
+        ));
+        let over_scan = ColumnarScan::aggregated(stored, vec![0, 1], keep(), vec![0], aggs());
+        let calls = |ctx: &ExecContext| -> Vec<(&str, u64)> {
+            ctx.op_tallies().iter().map(|t| (t.name, t.calls)).collect()
+        };
+        for mut agg in [over_batches, over_scan] {
+            let mut ctx = ExecContext::calibrated();
+            assert_eq!(agg.next(&mut ctx).unwrap().map(|b| b.len()), Some(5));
+            let emitted = calls(&ctx);
+            // Two windows, then the pull that finds the scan exhausted.
+            assert_eq!(emitted, [("agg", 1), ("filter", 3), ("scan", 3)]);
+            for pulls in 2..4 {
+                assert!(agg.next(&mut ctx).unwrap().is_none());
+                let mut want = emitted.clone();
+                want[0].1 = pulls;
+                assert_eq!(calls(&ctx), want);
+            }
         }
     }
 

@@ -169,10 +169,10 @@ impl Operator for RowHashAggregate {
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, QueryError> {
         let op = ctx.begin_op("agg");
         let out = (|| {
-            self.ensure_aggregated(ctx)?;
             if self.emitted {
                 return Ok(None);
             }
+            self.ensure_aggregated(ctx)?;
             self.emitted = true;
             Ok(self.result.take())
         })();

@@ -34,27 +34,27 @@ const PINNED: [(&str, [u64; 4]); 3] = [
     (
         "plain",
         [
-            0x3ae0_f57a_2ccf_148e,
-            0xd8c2_2950_0b5b_3d48,
-            0x021b_d085_c140_d8dc,
+            0x47ed_c6e6_4996_340e,
+            0x25e3_2d0c_35c4_a420,
+            0x2c19_1774_f611_189c,
             0xd9fc_8d1c_e78b_84b0,
         ],
     ),
     (
         "compressed",
         [
-            0x6e9b_179b_90c1_bab5,
-            0x4851_9b6a_a502_eb06,
-            0xe58c_3d3e_b55d_e73b,
+            0x6d38_5655_7a85_d035,
+            0x5b00_dbd9_6e81_6a8e,
+            0xbdf3_c746_71e7_177b,
             0x592d_ab88_231f_dbe8,
         ],
     ),
     (
         "fig2",
         [
-            0x6e9b_179b_90c1_bab5,
-            0x4851_9b6a_a502_eb06,
-            0x7f4e_38dc_6f87_c1b8,
+            0x6d38_5655_7a85_d035,
+            0x5b00_dbd9_6e81_6a8e,
+            0xd6a7_86bc_2d2b_c678,
             0x2e6d_3500_7bc0_baf3,
         ],
     ),
@@ -119,9 +119,9 @@ fn template_digests_are_pinned() {
 /// pins above span two. Measured on `HashAggregate` over
 /// `ColumnarScan::filtered`.
 const MULTI_WINDOW_PINNED: [(&str, [u64; 2]); 3] = [
-    ("plain", [0x2911_f045_7cb6_3763, 0x284c_5e41_5ebf_f11f]),
-    ("compressed", [0x2770_5f7f_7f00_f0f4, 0x5029_b869_ffa5_1fe8]),
-    ("fig2", [0x2770_5f7f_7f00_f0f4, 0x5029_b869_ffa5_1fe8]),
+    ("plain", [0x1156_7a10_8c0c_40ff, 0x52b3_08e7_4a16_2453]),
+    ("compressed", [0xb3b5_f2d6_d41b_d9a0, 0xd787_c98c_825c_c754]),
+    ("fig2", [0xb3b5_f2d6_d41b_d9a0, 0xd787_c98c_825c_c754]),
 ];
 
 #[test]
