@@ -23,9 +23,9 @@ use grail_par::Runner;
 use grail_prop::Fnv1a;
 
 const PINNED: [(&str, u64); 9] = [
-    ("FIG1", 0xece6_033a_e0c8_67ad),
+    ("FIG1", 0x0c64_9c16_4007_2c92),
     ("FIG2", 0xeee5_d288_0b7b_dc29),
-    ("T1", 0x9470_f65f_5dbf_4efb),
+    ("T1", 0xc8e5_a455_7dc7_61a6),
     ("EXT-OPT", 0x5bab_c235_5fa1_40df),
     ("EXT-KNOB", 0x2d56_06f1_361d_ec62),
     ("EXT-SCHED", 0x2e88_ac02_502a_37ea),

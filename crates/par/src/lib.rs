@@ -8,7 +8,7 @@
 //! exactly what the byte-identical-artifacts contract cares about
 //! (`experiments.jsonl`, figure CSVs, trace exports). The same holds
 //! inside one computation cut into independent pieces: a TPC-H table
-//! drawn in seeked row ranges, the cells of a sharded simulation, or
+//! filled in row ranges, the cells of a sharded simulation, or
 //! one aggregate query's scan windows folded in contiguous ranges and
 //! merged in range order.
 //!

@@ -16,7 +16,7 @@
 
 use crate::device::DeviceClass;
 use crate::ids::DiskId;
-use crate::rng::ChaCha12Rng;
+use crate::rng::{splitmix64, ChaCha12Rng};
 use grail_power::units::{SimDuration, SimInstant};
 
 /// What kind of fault an injection draw produced.
@@ -138,13 +138,6 @@ const CHAOS_MACHINE_SALT: u64 = 0xC4A0_50C1;
 const CHAOS_DOMAIN_SALT: u64 = 0xC4A0_50D0;
 const CHAOS_BROWNOUT_SALT: u64 = 0xC4A0_50B0;
 const CHAOS_SURGE_SALT: u64 = 0xC4A0_505E;
-
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 fn device_seed(seed: u64, salt: u64, index: u64) -> u64 {
     splitmix64(seed ^ splitmix64(salt ^ splitmix64(index)))

@@ -34,9 +34,10 @@
 use crate::attr::AttributionTable;
 use crate::driver::{DriveOutcome, JobResult, JobSpec, RetryPolicy, StreamEngine};
 use crate::error::SimError;
-use crate::fault::{splitmix64, ChaosEventKind, ChaosSchedule, FaultConfig, FaultPlan};
+use crate::fault::{ChaosEventKind, ChaosSchedule, FaultConfig, FaultPlan};
 use crate::perf::{CpuPerfProfile, DiskPerfProfile, SsdPerfProfile};
 use crate::raid::RaidLevel;
+use crate::rng::splitmix64;
 use crate::sim::{ledger_event, tt, SimReport, Simulation};
 use grail_par::Runner;
 use grail_power::components::{CpuPowerProfile, DiskPowerProfile, SsdPowerProfile};

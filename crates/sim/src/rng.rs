@@ -1,12 +1,18 @@
-//! The workspace's one random number generator: ChaCha with 12 rounds,
-//! seeded and sampled the way `rand_chacha` 0.9 and `rand` 0.9 do it
-//! (PCG32 seed expansion, a 64-bit block counter with a zero stream id,
-//! four blocks buffered per refill, word-position seeks, widening-multiply
-//! integer ranges and 52-bit `[1, 2)` float ranges).
+//! The workspace's two random sources.
 //!
-//! The stream is a pinned contract, not an implementation detail: every
+//! * [`ChaCha12Rng`] — ChaCha with 12 rounds, seeded and sampled the way
+//!   `rand_chacha` 0.9 and `rand` 0.9 do it (PCG32 seed expansion, a
+//!   64-bit block counter with a zero stream id, four blocks buffered per
+//!   refill, widening-multiply integer ranges and 52-bit `[1, 2)` float
+//!   ranges). It draws the fault, chaos and buffer traces, the query
+//!   mixes and the JouleSort records.
+//! * [`splitmix64`] — a bijective 64-bit mix. It derives per-device and
+//!   per-cell seeds, and as a counter-based generator it draws the TPC-H
+//!   tables (`grail_workload::tpch`), one value per position.
+//!
+//! Both are pinned contracts, not implementation details: every
 //! generated table, fault draw and access trace behind a pinned digest or
-//! a published figure was measured on it. The known-answer tests at the
+//! a published figure was measured on them. The known-answer tests at the
 //! bottom fail if any draw moves.
 
 use std::ops::{Range, RangeInclusive};
@@ -95,24 +101,6 @@ impl ChaCha12Rng {
         self.index = index;
     }
 
-    /// The keystream position in 32-bit words: how many words the
-    /// stream has handed out since block 0 (`rand_chacha`'s meaning).
-    pub fn word_pos(&self) -> u128 {
-        let block = self
-            .counter
-            .wrapping_sub((BUF_WORDS / 16) as u64)
-            .wrapping_add((self.index / 16) as u64);
-        u128::from(block) * 16 + (self.index % 16) as u128
-    }
-
-    /// Seek to keystream word `pos`: refill the buffer at block
-    /// `pos / 16` and skip `pos % 16` words, so the next draw is the one
-    /// a fresh stream makes after `pos` words.
-    pub fn set_word_pos(&mut self, pos: u128) {
-        self.counter = (pos / 16) as u64;
-        self.refill((pos % 16) as usize);
-    }
-
     fn next_u32(&mut self) -> u32 {
         if self.index >= BUF_WORDS {
             self.refill(0);
@@ -148,6 +136,18 @@ impl ChaCha12Rng {
     pub fn random_range<T, R: SampleRange<T>>(&mut self, range: R) -> T {
         range.sample(self)
     }
+}
+
+/// SplitMix64's output for state `z` (Steele, Lea and Flood, OOPSLA
+/// 2014): `z + γ`, with γ = 2⁶⁴/φ, through two xor-shift-multiply rounds
+/// and a final xor-shift. A bijection on `u64`, so distinct inputs give
+/// distinct outputs; as `splitmix64(key + i·γ)` it is the `i`-th draw of
+/// the sequence that starts at `key`.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Types [`ChaCha12Rng::random`] can draw.
@@ -308,69 +308,22 @@ mod tests {
         assert_eq!(rng.random_range(0..100), 61);
     }
 
-    /// The words a stream hands out after `p` draws of one word.
-    fn words_after(mut rng: ChaCha12Rng, p: u128, n: usize) -> Vec<u32> {
-        for _ in 0..p {
-            rng.next_u32();
-        }
-        (0..n).map(|_| rng.next_u32()).collect()
-    }
-
-    fn seeked(mut rng: ChaCha12Rng, p: u128, n: usize) -> Vec<u32> {
-        rng.set_word_pos(p);
-        assert_eq!(rng.word_pos(), p);
-        (0..n).map(|_| rng.next_u32()).collect()
-    }
-
+    /// The sequence seeded 0 in Vigna's reference `splitmix64.c`: state
+    /// `i·γ` gives its `i + 1`-th output.
     #[test]
-    fn seeking_equals_drawing_up_to_the_position() {
-        let rng = ChaCha12Rng::seed_from_u64(42);
-        assert_eq!(rng.word_pos(), 0);
-        for p in [0, 1, 15, 16, 17, 63, 64, 65, 200] {
-            assert_eq!(
-                seeked(rng.clone(), p, 80),
-                words_after(rng.clone(), p, 80),
-                "p={p}"
-            );
-        }
-        // The last word of block 2^32 - 1, then block 2^32, whose counter
-        // carries into the high word: a seek there must equal a stream
-        // that reached it through ordinary refills from a block-aligned
-        // seek, and block 2^32 must not be block 0 again.
-        let p = 16 * (1u128 << 32) - 1;
-        let mut aligned = rng.clone();
-        aligned.set_word_pos(p - 63);
-        assert_eq!(seeked(rng.clone(), p, 80), words_after(aligned, 63, 80));
-        assert_ne!(seeked(rng.clone(), p + 1, 16), seeked(rng.clone(), 0, 16));
-        // Word 15 of block 2^32 - 1 and word 0 of block 2^32 under seed
-        // 42's key, from a ChaCha12 block function written apart from
-        // this one (counter low word in state word 12, high in 13).
-        assert_eq!(seeked(rng.clone(), p, 2), [0x56b0_7aff, 0x9f72_f8c9]);
-    }
-
-    /// `word_pos` counts one word per `u32` draw and two per `u64`
-    /// draw, also when a `u64` straddles a refill (index 63).
-    #[test]
-    fn word_pos_tracks_mixed_draws() {
-        let mut rng = ChaCha12Rng::seed_from_u64(9);
-        let mut words = 0u128;
-        let mut g = grail_prop::Gen::new(3);
-        let mut straddled = 0;
-        for _ in 0..2_000 {
-            if g.bool() {
-                rng.next_u32();
-                words += 1;
-            } else {
-                straddled += usize::from(rng.index == BUF_WORDS - 1);
-                rng.next_u64();
-                words += 2;
-            }
-            assert_eq!(rng.word_pos(), words);
-        }
-        assert!(straddled > 0, "no u64 draw straddled a refill");
-        let mut fresh = ChaCha12Rng::seed_from_u64(9);
-        fresh.set_word_pos(words);
-        assert_eq!(fresh.next_u64(), rng.next_u64());
+    fn splitmix64_matches_the_reference_sequence() {
+        let gamma = 0x9E37_79B9_7F4A_7C15u64;
+        let got: Vec<u64> = (0..3u64)
+            .map(|i| splitmix64(i.wrapping_mul(gamma)))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f
+            ]
+        );
     }
 
     /// One-word and two-word draws alternate, so pairs straddle refills.

@@ -3,15 +3,28 @@
 //! Audited TPC-H data is not reproducible here, and does not need to be:
 //! the experiments depend on table *shapes* — cardinality ratios, dense
 //! vs uniform keys, low-cardinality flags, clustered dates — not on
-//! audited content. Generation is deterministic: the same
-//! `(scale, seed)` yields bit-identical tables on any platform
-//! (ChaCha12) and at any thread count, since a table's row ranges seek
-//! to their own positions in its stream and are stitched in order.
+//! audited content, nor on which pseudo-random bits fill a column.
+//!
+//! So each drawn value is a pure function of its seed and position
+//! (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+//! SC'11): row `row` of a column is `uniform(key, row, lo, hi)`, the
+//! `row`-th draw of a SplitMix64 sequence whose start `key` mixes the
+//! seed, the table and the column, mapped onto `lo..=hi` by a 128-bit
+//! multiply-high with no rejection (a bias of at most span/2⁶⁴, below
+//! 2⁻³⁸ for every domain here). Derived columns (`l_extendedprice`,
+//! `o_orderstatus`, the keys) are functions of the same draws or of the
+//! row number. Any row range is therefore drawn exactly by itself: a
+//! table's ranges fill on all cores with no seek and no stitch, the same
+//! `(scale, seed)` yields bit-identical tables on any platform and at any
+//! thread count, and no column or table moves another's bytes.
+//!
+//! The other generated inputs (query mixes, JouleSort records, fault,
+//! chaos and buffer traces) still draw from `grail_sim::rng::ChaCha12Rng`.
 
 use grail_par::Runner;
 use grail_query::batch::Table;
 use grail_query::schema::{ColumnType, Schema};
-use grail_sim::rng::ChaCha12Rng;
+use grail_sim::rng::splitmix64;
 use std::sync::Arc;
 
 /// Scale of a generated database, in ORDERS rows; other tables follow
@@ -95,23 +108,10 @@ impl TpchTable {
     ];
 }
 
-/// Each table draws from its own stream (1 to 5 in [`TpchTable::ALL`]
-/// order), so generating one never moves another's bytes.
-fn rng_for(seed: u64, table: TpchTable) -> ChaCha12Rng {
-    let stream = table as u64 + 1;
-    ChaCha12Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stream)
-}
-
 /// Generate one table of the database at `scale` from `seed`: the same
 /// table [`generate`] returns, without drawing the other four.
 pub fn generate_table(scale: TpchScale, seed: u64, table: TpchTable) -> Arc<Table> {
-    let split = Split {
-        seed,
-        table,
-        #[cfg(test)]
-        threads: None,
-    };
-    Arc::new(draw_table(scale, split).0)
+    Arc::new(draw_table(scale, seed, table, Split::current()))
 }
 
 /// Generate the database at `scale` from `seed`.
@@ -130,19 +130,48 @@ pub fn generate(scale: TpchScale, seed: u64) -> TpchTables {
 /// totalprice, orderdate).
 pub const ORDERS_FIG2_PROJECTION: [usize; 5] = [0, 1, 2, 3, 4];
 
-/// The table `split` names at `scale`, and how many of its row ranges
-/// the stitch redrew.
-fn draw_table(scale: TpchScale, split: Split) -> (Table, usize) {
-    match split.table {
-        TpchTable::Orders => gen_orders(scale, split),
-        TpchTable::Lineitem => gen_lineitem(scale, split),
-        TpchTable::Customer => gen_customer(scale, split),
-        TpchTable::Part => gen_part(scale, split),
-        TpchTable::Supplier => gen_supplier(scale, split),
+/// The start of the sequence column `column` of `table` draws from under
+/// `seed`. Both mixes are bijections, so no two (table, column) pairs
+/// share a key at any seed. A draw that is not a stored column
+/// (LINEITEM's unit price) is numbered after the table's last column.
+fn key(seed: u64, table: TpchTable, column: usize) -> u64 {
+    splitmix64(seed ^ splitmix64((table as u64) << 32 | column as u64))
+}
+
+/// 2⁶⁴/φ, the step between consecutive rows of one column's sequence.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Row `row` of the column keyed `key`, uniform over `lo..=hi`: the word
+/// `splitmix64(key + row·γ)` mapped onto the span by Lemire's 128-bit
+/// multiply-high, with no rejection. What that leaves is a bias of at
+/// most span/2⁶⁴ per value: below 2⁻³⁸ for every domain here, whose
+/// widest (ORDERS' total price, ~5.5 × 10⁷ cents) is under 2²⁶.
+fn uniform(key: u64, row: usize, lo: i64, hi: i64) -> i64 {
+    let span = (hi - lo) as u64 + 1;
+    let x = splitmix64(key.wrapping_add((row as u64).wrapping_mul(GAMMA)));
+    lo + ((u128::from(x) * u128::from(span)) >> 64) as i64
+}
+
+/// Write `value(r)` at each row `r` of `col`, whose first row is `first`.
+fn fill(col: &mut [i64], first: usize, value: impl Fn(usize) -> i64) {
+    for (v, r) in col.iter_mut().zip(first..) {
+        *v = value(r);
     }
 }
 
-fn gen_orders(scale: TpchScale, split: Split) -> (Table, usize) {
+/// The table `table` at `scale` from `seed`, its rows cut as `split` says.
+fn draw_table(scale: TpchScale, seed: u64, table: TpchTable, split: Split) -> Table {
+    let key = |column| key(seed, table, column);
+    match table {
+        TpchTable::Orders => gen_orders(scale, key, split),
+        TpchTable::Lineitem => gen_lineitem(scale, key, split),
+        TpchTable::Customer => gen_customer(scale, key, split),
+        TpchTable::Part => gen_part(scale, key, split),
+        TpchTable::Supplier => gen_supplier(scale, key, split),
+    }
+}
+
+fn gen_orders(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Table {
     let customers = scale.customer_rows() as i64;
     let schema = Schema::new(vec![
         ("o_orderkey", ColumnType::Id),
@@ -153,21 +182,26 @@ fn gen_orders(scale: TpchScale, split: Split) -> (Table, usize) {
         ("o_orderpriority", ColumnType::Code),
         ("o_shippriority", ColumnType::Int),
     ]);
-    let (cols, redrawn) = split.columns(scale.orders_rows as usize, |rng, i| {
-        let custkey = rng.random_range(0..customers);
-        // F/O dominate; P is rare.
-        let status = match rng.random_range(0..100) {
-            0..=48 => 0,
-            49..=97 => 1,
-            _ => 2,
-        };
-        // Price in cents, 857.71 .. ~555285.16 like TPC-H's domain.
-        let price = rng.random_range(85_771..55_528_516);
-        let date = rng.random_range(0..DATE_DAYS);
-        let priority = rng.random_range(0..5);
-        [orderkey(i), custkey, status, price, date, priority, 0]
-    });
-    (Table::new("orders", schema, cols), redrawn)
+    let k: [u64; 6] = std::array::from_fn(key);
+    let cols = split.columns(
+        scale.orders_rows as usize,
+        |[okey, cust, status, price, date, priority, _ship], first| {
+            fill(okey, first, orderkey);
+            fill(cust, first, |r| uniform(k[1], r, 0, customers - 1));
+            // F/O dominate; P is rare.
+            fill(status, first, |r| match uniform(k[2], r, 0, 99) {
+                0..=48 => 0,
+                49..=97 => 1,
+                _ => 2,
+            });
+            // Price in cents, 857.71 .. ~555285.16 like TPC-H's domain.
+            fill(price, first, |r| uniform(k[3], r, 85_771, 55_528_515));
+            fill(date, first, |r| uniform(k[4], r, 0, DATE_DAYS - 1));
+            fill(priority, first, |r| uniform(k[5], r, 0, 4));
+            // o_shippriority stays 0.
+        },
+    );
+    Table::new("orders", schema, cols)
 }
 
 /// The key of ORDERS row `i`: sparse as in TPC-H (4 of every 32 key
@@ -176,7 +210,7 @@ fn orderkey(i: usize) -> i64 {
     (i as i64 / 4) * 32 + (i as i64 % 4)
 }
 
-fn gen_lineitem(scale: TpchScale, split: Split) -> (Table, usize) {
+fn gen_lineitem(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Table {
     let parts = scale.part_rows() as i64;
     let suppliers = scale.supplier_rows() as i64;
     let schema = Schema::new(vec![
@@ -191,34 +225,30 @@ fn gen_lineitem(scale: TpchScale, split: Split) -> (Table, usize) {
         ("l_linestatus", ColumnType::Code),
         ("l_shipdate", ColumnType::Date),
     ]);
-    // Four lines per order: line `i` belongs to order `i / 4`.
-    let (cols, redrawn) = split.columns(scale.lineitem_rows() as usize, |rng, i| {
-        let qty = rng.random_range(1..=50);
-        let unit_price = rng.random_range(90_000..=200_000);
-        let partkey = rng.random_range(0..parts);
-        let suppkey = rng.random_range(0..suppliers);
-        let discount = rng.random_range(0..=10);
-        let tax = rng.random_range(0..=8);
-        let returnflag = rng.random_range(0..3);
-        let linestatus = rng.random_range(0..2);
-        let shipdate = rng.random_range(0..DATE_DAYS);
-        [
-            orderkey(i / 4),
-            partkey,
-            suppkey,
-            qty,
-            qty * unit_price,
-            discount,
-            tax,
-            returnflag,
-            linestatus,
-            shipdate,
-        ]
-    });
-    (Table::new("lineitem", schema, cols), redrawn)
+    // Key 10 draws the unit price that `l_extendedprice` multiplies.
+    let k: [u64; 11] = std::array::from_fn(key);
+    let cols = split.columns(
+        scale.lineitem_rows() as usize,
+        |[okey, part, supp, qty, price, discount, tax, flag, status, ship], first| {
+            // Four lines per order: line `r` belongs to order `r / 4`.
+            fill(okey, first, |r| orderkey(r / 4));
+            fill(part, first, |r| uniform(k[1], r, 0, parts - 1));
+            fill(supp, first, |r| uniform(k[2], r, 0, suppliers - 1));
+            fill(qty, first, |r| uniform(k[3], r, 1, 50));
+            for ((p, q), r) in price.iter_mut().zip(qty.iter()).zip(first..) {
+                *p = q * uniform(k[10], r, 90_000, 200_000);
+            }
+            fill(discount, first, |r| uniform(k[5], r, 0, 10));
+            fill(tax, first, |r| uniform(k[6], r, 0, 8));
+            fill(flag, first, |r| uniform(k[7], r, 0, 2));
+            fill(status, first, |r| uniform(k[8], r, 0, 1));
+            fill(ship, first, |r| uniform(k[9], r, 0, DATE_DAYS - 1));
+        },
+    );
+    Table::new("lineitem", schema, cols)
 }
 
-fn gen_customer(scale: TpchScale, split: Split) -> (Table, usize) {
+fn gen_customer(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Table {
     let schema = Schema::new(vec![
         ("c_custkey", ColumnType::Id),
         ("c_nationkey", ColumnType::Id),
@@ -226,16 +256,21 @@ fn gen_customer(scale: TpchScale, split: Split) -> (Table, usize) {
         ("c_mktsegment", ColumnType::Code),
         ("c_ordercount", ColumnType::Int),
     ]);
-    let (cols, redrawn) = split.columns(scale.customer_rows() as usize, |rng, i| {
-        let nationkey = rng.random_range(0..25);
-        let acctbal = rng.random_range(-99_999..999_999);
-        let mktsegment = rng.random_range(0..5);
-        [i as i64, nationkey, acctbal, mktsegment, 0]
-    });
-    (Table::new("customer", schema, cols), redrawn)
+    let k: [u64; 4] = std::array::from_fn(key);
+    let cols = split.columns(
+        scale.customer_rows() as usize,
+        |[custkey, nation, acctbal, segment, _count], first| {
+            fill(custkey, first, |r| r as i64);
+            fill(nation, first, |r| uniform(k[1], r, 0, 24));
+            fill(acctbal, first, |r| uniform(k[2], r, -99_999, 999_998));
+            fill(segment, first, |r| uniform(k[3], r, 0, 4));
+            // c_ordercount stays 0.
+        },
+    );
+    Table::new("customer", schema, cols)
 }
 
-fn gen_part(scale: TpchScale, split: Split) -> (Table, usize) {
+fn gen_part(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Table {
     let schema = Schema::new(vec![
         ("p_partkey", ColumnType::Id),
         ("p_brand", ColumnType::Code),
@@ -243,169 +278,101 @@ fn gen_part(scale: TpchScale, split: Split) -> (Table, usize) {
         ("p_size", ColumnType::Int),
         ("p_retailprice", ColumnType::Decimal),
     ]);
-    let (cols, redrawn) = split.columns(scale.part_rows() as usize, |rng, i| {
-        let brand = rng.random_range(0..25);
-        let ty = rng.random_range(0..150);
-        let size = rng.random_range(1..=50);
-        [i as i64, brand, ty, size, 90_000 + (i as i64 % 200_001)]
-    });
-    (Table::new("part", schema, cols), redrawn)
+    let k: [u64; 4] = std::array::from_fn(key);
+    let cols = split.columns(
+        scale.part_rows() as usize,
+        |[partkey, brand, ty, size, retail], first| {
+            fill(partkey, first, |r| r as i64);
+            fill(brand, first, |r| uniform(k[1], r, 0, 24));
+            fill(ty, first, |r| uniform(k[2], r, 0, 149));
+            fill(size, first, |r| uniform(k[3], r, 1, 50));
+            fill(retail, first, |r| 90_000 + (r as i64 % 200_001));
+        },
+    );
+    Table::new("part", schema, cols)
 }
 
-fn gen_supplier(scale: TpchScale, split: Split) -> (Table, usize) {
+fn gen_supplier(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Table {
     let schema = Schema::new(vec![
         ("s_suppkey", ColumnType::Id),
         ("s_nationkey", ColumnType::Id),
         ("s_acctbal", ColumnType::Decimal),
         ("s_phoneprefix", ColumnType::Code),
     ]);
-    let (cols, redrawn) = split.columns(scale.supplier_rows() as usize, |rng, i| {
-        let nationkey = rng.random_range(0..25);
-        let acctbal = rng.random_range(-99_999..999_999);
-        let phoneprefix = rng.random_range(10..35);
-        [i as i64, nationkey, acctbal, phoneprefix]
-    });
-    (Table::new("supplier", schema, cols), redrawn)
+    let k: [u64; 4] = std::array::from_fn(key);
+    let cols = split.columns(
+        scale.supplier_rows() as usize,
+        |[suppkey, nation, acctbal, phone], first| {
+            fill(suppkey, first, |r| r as i64);
+            fill(nation, first, |r| uniform(k[1], r, 0, 24));
+            fill(acctbal, first, |r| uniform(k[2], r, -99_999, 999_998));
+            fill(phone, first, |r| uniform(k[3], r, 10, 34));
+        },
+    );
+    Table::new("supplier", schema, cols)
 }
 
 /// Fewest rows a range must hold to pay for a thread of its own.
 const MIN_RANGE_ROWS: usize = 2_048;
 
-/// Which table, and which seed its stream is drawn from.
+/// How a table's rows are cut into ranges: the ranges `runner` splits
+/// them into at `min` rows a range or more, one range a thread.
 #[derive(Debug, Clone, Copy)]
 struct Split {
-    seed: u64,
-    table: TpchTable,
-    /// The threads its rows are drawn on, at one row a range or more
-    /// (`None`: [`Runner::current`]'s, at [`MIN_RANGE_ROWS`]).
-    #[cfg(test)]
-    threads: Option<usize>,
+    runner: Runner,
+    min: usize,
 }
 
 impl Split {
-    /// `rows` rows of `C` columns, row `i` drawn by `row(rng, i)` from
-    /// the table's stream, and how many ranges the stitch redrew.
-    ///
-    /// Row 0 is drawn inline, and the words it consumes are the stride.
-    /// The other rows are cut into the ranges [`Runner::split`] cuts at
-    /// [`MIN_RANGE_ROWS`] on [`Runner::current`] (one, on the caller,
-    /// inside a sweep's point); a range starting at row `first` seeks to
-    /// `stride × first` and is drawn into its own slices of the columns. A
-    /// row whose draws hit Canon's second draw consumes more words, so
-    /// the stitch walks the ranges in order and draws again, from the
-    /// true position, every range whose predecessor did not end where
-    /// it began. The columns are then byte for byte the ones a single
-    /// loop over the stream draws.
+    /// [`Runner::current`]'s ranges at [`MIN_RANGE_ROWS`]: one, on the
+    /// caller, inside a sweep's point.
+    fn current() -> Self {
+        Split {
+            runner: Runner::current(),
+            min: MIN_RANGE_ROWS,
+        }
+    }
+
+    /// `rows` rows of `C` columns, allocated here and zeroed. Each range
+    /// is filled on the runner by `fill(cols, first)`, which gets the
+    /// range's slice of every column and the row its slices start at.
     fn columns<const C: usize>(
         self,
         rows: usize,
-        row: impl Fn(&mut ChaCha12Rng, usize) -> [i64; C] + Sync,
-    ) -> (Vec<Vec<i64>>, usize) {
+        fill: impl Fn(&mut [&mut [i64]; C], usize) + Sync,
+    ) -> Vec<Vec<i64>> {
         let mut cols: [Vec<i64>; C] = std::array::from_fn(|_| vec![0; rows]);
-        let mut redrawn = 0;
-        if rows > 0 {
-            let stream = rng_for(self.seed, self.table);
-            let mut rest = cols.each_mut().map(Vec::as_mut_slice);
-            let mut head = Rows::split_off(&mut rest, 0, 1);
-            head.draw(&stream, 0, &row);
-            let stride = head.end;
-
-            let (runner, min) = (Runner::current(), MIN_RANGE_ROWS);
-            #[cfg(test)]
-            let (runner, min) = self
-                .threads
-                .map_or((runner, min), |n| (Runner::with_threads(n), 1));
-            let mut ranges: Vec<Rows<C>> = (runner.split(rows - 1, min).into_iter())
-                .map(|r| Rows::split_off(&mut rest, 1 + r.start, r.len()))
-                .collect();
-            runner.for_each_mut(&mut ranges, |_, range| {
-                range.draw(&stream, stride * range.first as u128, &row);
-            });
-
-            // The stitch follows true positions only, from where row 0
-            // ended: a wrong stride costs redraws, never bytes.
-            let mut at = head.end;
-            for range in &mut ranges {
-                if range.start != at {
-                    range.draw(&stream, at, &row);
-                    redrawn += 1;
-                }
-                at = range.end;
-            }
-        }
-        (cols.into(), redrawn)
+        let mut rest = cols.each_mut().map(Vec::as_mut_slice);
+        let mut ranges: Vec<(usize, [&mut [i64]; C])> = (self.runner.split(rows, self.min))
+            .into_iter()
+            .map(|range| {
+                let slices = rest.each_mut().map(|col| {
+                    let (head, tail) = std::mem::take(col).split_at_mut(range.len());
+                    *col = tail;
+                    head
+                });
+                (range.start, slices)
+            })
+            .collect();
+        (self.runner).for_each_mut(&mut ranges, |_, (first, slices)| fill(slices, *first));
+        cols.into()
     }
 }
-
-/// Rows `first..first + len` of a table: their slices of its columns,
-/// and the stream positions they were drawn from and ended at.
-struct Rows<'a, const C: usize> {
-    first: usize,
-    len: usize,
-    cols: [&'a mut [i64]; C],
-    start: u128,
-    end: u128,
-}
-
-impl<'a, const C: usize> Rows<'a, C> {
-    /// The next `len` rows off the front of `rest`, which starts at row
-    /// `first`.
-    fn split_off(rest: &mut [&'a mut [i64]; C], first: usize, len: usize) -> Self {
-        let cols = rest.each_mut().map(|col| {
-            let (head, tail) = std::mem::take(col).split_at_mut(len);
-            *col = tail;
-            head
-        });
-        Rows {
-            first,
-            len,
-            cols,
-            start: 0,
-            end: 0,
-        }
-    }
-
-    /// Draw the rows from word `start` of `stream`.
-    fn draw(
-        &mut self,
-        stream: &ChaCha12Rng,
-        start: u128,
-        row: &impl Fn(&mut ChaCha12Rng, usize) -> [i64; C],
-    ) {
-        let mut rng = stream.clone();
-        rng.set_word_pos(start);
-        for i in 0..self.len {
-            let values = row(&mut rng, self.first + i);
-            for (col, v) in self.cols.iter_mut().zip(values) {
-                col[i] = v;
-            }
-        }
-        self.start = start;
-        self.end = rng.word_pos();
-    }
-}
-
-#[cfg(test)]
-#[path = "../tests/common/sequential.rs"]
-mod sequential;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use grail_prop::check;
 
-    /// The points `tpch_digests` pins.
-    const PINNED: [(u64, u64); 2] = [(10_000, 42), (2_000, 1009)];
-
-    /// Every table, drawn on 1 to 8 threads at a row a range or as the
-    /// current runner splits it, equals the one loop over its stream
-    /// column for column: at the row counts where the current runner's
-    /// split changes on two cores (ORDERS' tail crossing `2 ×
-    /// MIN_RANGE_ROWS`, LINEITEM's at a quarter of that), at tiny tables
-    /// where threads outnumber rows, and at the pinned scales.
+    /// Every table drawn on 1 to 8 threads at one row a range or more
+    /// equals the table drawn as one range, column for column: at tiny
+    /// tables where threads outnumber rows, at the row counts where the
+    /// current runner's split changes on two cores (ORDERS' crossing `2 ×
+    /// MIN_RANGE_ROWS`, LINEITEM's at a quarter of that), and at the
+    /// pinned scales.
     #[test]
-    fn chunked_tables_match_the_sequential_generator() {
-        let edge = 2 * MIN_RANGE_ROWS as u64 + 1;
+    fn ranges_fill_the_one_range_table() {
+        let edge = 2 * MIN_RANGE_ROWS as u64;
         let sizes = [
             0,
             1,
@@ -414,10 +381,8 @@ mod tests {
             7,
             edge - 1,
             edge,
-            edge + 1,
             edge / 4 - 1,
             edge / 4,
-            edge / 4 + 1,
             2_000,
             10_000,
         ];
@@ -428,82 +393,142 @@ mod tests {
                 g.pick(&sizes)
             };
             let seed = g.word();
-            let threads = (!g.one_in(8)).then(|| g.range(1usize..9));
+            let runner = Runner::with_threads(g.range(1usize..9));
+            let (ranged, whole) = (
+                Split { runner, min: 1 },
+                Split {
+                    runner: Runner::sequential(),
+                    min: 1,
+                },
+            );
             let scale = TpchScale { orders_rows };
             for table in TpchTable::ALL {
-                let want = sequential::generate_table(scale, seed, table);
-                let (got, _) = draw_table(
-                    scale,
-                    Split {
-                        seed,
-                        table,
-                        threads,
-                    },
-                );
-                assert_eq!(got.name, want.name);
-                assert_eq!(got.schema, want.schema);
+                let got = draw_table(scale, seed, table, ranged);
+                let want = draw_table(scale, seed, table, whole);
+                assert_eq!((&got.name, &got.schema), (&want.name, &want.schema));
                 for (c, (got, want)) in got.columns.iter().zip(&want.columns).enumerate() {
                     assert!(
                         got == want,
                         "{table:?} column {c} differs: {orders_rows} orders, seed {seed:#x}, \
-                         {threads:?} threads"
+                         {runner:?}"
                     );
                 }
             }
         });
     }
 
-    /// A row whose `u64` draw has a range of 2^63 + 1 hits Canon's second
-    /// draw about half the time, so rows draw 2 or 4 words and nearly
-    /// every range starts off the learned stride: the stitch redraws
-    /// them, and the columns still equal one loop over the stream.
+    /// Over drawn scales and seeds every column stays in its domain,
+    /// `l_extendedprice` is the quantity times a unit price in
+    /// 90 000..=200 000, and every foreign key resolves.
     #[test]
-    fn stitching_redraws_ranges_that_drifted() {
-        let row =
-            |rng: &mut ChaCha12Rng, i: usize| [i as i64, rng.random_range(0..=(1u64 << 63)) as i64];
-        let mut redrawn = 0;
-        check(256, |g| {
-            let (rows, seed, threads) = (g.range(0usize..3_000), g.word(), g.range(1usize..9));
-            let split = Split {
-                seed,
-                table: TpchTable::Orders,
-                threads: Some(threads),
+    fn columns_stay_in_their_domains() {
+        check(64, |g| {
+            let scale = TpchScale {
+                orders_rows: g.range(0..6_000),
             };
-            let (cols, n) = split.columns(rows, row);
-            redrawn += n;
-            let mut rng = rng_for(seed, TpchTable::Orders);
-            let drawn: Vec<[i64; 2]> = (0..rows).map(|i| row(&mut rng, i)).collect();
-            let want: Vec<Vec<i64>> = (0..2)
-                .map(|c| drawn.iter().map(|r| r[c]).collect())
-                .collect();
-            assert!(
-                cols == want,
-                "{rows} rows, seed {seed:#x}, {threads} threads"
+            let t = generate(scale, g.word());
+            let domains = |table: &Table, domains: &[std::ops::RangeInclusive<i64>]| {
+                assert_eq!(table.columns.len(), domains.len(), "{}", table.name);
+                for (c, (col, domain)) in table.columns.iter().zip(domains).enumerate() {
+                    let out = col.iter().find(|v| !domain.contains(v));
+                    assert!(out.is_none(), "{} column {c}: {out:?}", table.name);
+                }
+            };
+            let last = |rows: u64| 0..=rows as i64 - 1;
+            let (customers, parts) = (last(scale.customer_rows()), last(scale.part_rows()));
+            let suppliers = last(scale.supplier_rows());
+            let orderkeys = 0..=orderkey(scale.orders_rows.max(1) as usize - 1);
+            let days = 0..=DATE_DAYS - 1;
+            domains(
+                &t.orders,
+                &[
+                    orderkeys.clone(),
+                    customers.clone(),
+                    0..=2,
+                    85_771..=55_528_515,
+                    days.clone(),
+                    0..=4,
+                    0..=0,
+                ],
             );
+            #[rustfmt::skip]
+            domains(&t.lineitem, &[
+                orderkeys, parts.clone(), suppliers.clone(), 1..=50, 90_000..=10_000_000,
+                0..=10, 0..=8, 0..=2, 0..=1, days,
+            ]);
+            domains(
+                &t.customer,
+                &[customers, 0..=24, -99_999..=999_998, 0..=4, 0..=0],
+            );
+            domains(&t.part, &[parts, 0..=24, 0..=149, 1..=50, 90_000..=290_000]);
+            domains(
+                &t.supplier,
+                &[suppliers, 0..=24, -99_999..=999_998, 10..=34],
+            );
+
+            let (qty, price) = (&t.lineitem.columns[3], &t.lineitem.columns[4]);
+            for (q, p) in qty.iter().zip(price.iter()) {
+                assert!(
+                    p % q == 0 && (90_000..=200_000).contains(&(p / q)),
+                    "{p} / {q}"
+                );
+            }
+            // Line `r` belongs to order `r / 4`; the other keys are row numbers.
+            let okeys = &t.orders.columns[0];
+            assert!((t.lineitem.columns[0].iter().enumerate()).all(|(r, k)| *k == okeys[r / 4]));
+            for table in [&t.customer, &t.part, &t.supplier] {
+                assert!((table.columns[0].iter())
+                    .enumerate()
+                    .all(|(r, k)| *k == r as i64));
+            }
         });
-        assert!(redrawn > 256, "only {redrawn} ranges redrawn");
     }
 
-    /// At the pinned points no range is drawn twice: a stride learned
-    /// wrong would redraw every range after the join, generating the
-    /// table sequentially with the same bytes.
+    /// Each drawn column has a sequence of its own: a pair of columns of
+    /// one table, drawn with one key, would cover few of the value pairs
+    /// their domains allow; at toy scale independent ones cover all.
     #[test]
-    fn no_range_is_redrawn_at_the_pinned_points() {
-        for (orders_rows, seed) in PINNED {
-            for table in TpchTable::ALL {
-                for threads in [None, Some(2), Some(8)] {
-                    let split = Split {
-                        seed,
-                        table,
-                        threads,
-                    };
-                    let (_, redrawn) = draw_table(TpchScale { orders_rows }, split);
-                    assert_eq!(
-                        redrawn, 0,
-                        "{table:?} at ({orders_rows}, {seed}), {threads:?} threads"
-                    );
+    fn drawn_columns_are_independent() {
+        let t = generate(TpchScale::toy(), 5);
+        // (table, column, domain size): the low-cardinality drawn columns.
+        let drawn = [
+            (&t.orders, 2, 3),
+            (&t.orders, 5, 5),
+            (&t.lineitem, 3, 50),
+            (&t.lineitem, 5, 11),
+            (&t.lineitem, 6, 9),
+            (&t.lineitem, 7, 3),
+            (&t.lineitem, 8, 2),
+            (&t.customer, 1, 25),
+            (&t.customer, 3, 5),
+        ];
+        for (i, (table, a, n)) in drawn.iter().enumerate() {
+            for (other, b, m) in &drawn[i + 1..] {
+                if table.name != other.name || table.row_count() < 8 * n * m {
+                    continue;
                 }
+                let mut seen = vec![false; n * m];
+                let min = |c: &[i64]| c.iter().copied().min().unwrap_or(0);
+                let (lo_a, lo_b) = (min(&table.columns[*a]), min(&table.columns[*b]));
+                for (x, y) in table.columns[*a].iter().zip(table.columns[*b].iter()) {
+                    seen[(x - lo_a) as usize * m + (y - lo_b) as usize] = true;
+                }
+                let covered = seen.iter().filter(|s| **s).count();
+                assert_eq!(covered, n * m, "{} columns {a} and {b}", table.name);
             }
+        }
+    }
+
+    /// No two (table, column) pairs share a key, at several seeds.
+    #[test]
+    fn column_keys_are_distinct() {
+        for seed in [0, 1, 42, 1_009, u64::MAX, 0x9E37_79B9_7F4A_7C15] {
+            let mut keys: Vec<u64> = (TpchTable::ALL.into_iter())
+                .flat_map(|table| (0..=10).map(move |column| key(seed, table, column)))
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len(), 5 * 11, "seed {seed}");
         }
     }
 

@@ -210,5 +210,5 @@ fn reference_storm_trace_bytes_are_pinned() {
     assert_eq!(export_digest(&rec, None), PINNED_STORM);
 }
 
-const PINNED_THROUGHPUT: u64 = 0x0958_482c_81f2_5dfc;
+const PINNED_THROUGHPUT: u64 = 0x35c7_a0af_31ff_6314;
 const PINNED_STORM: u64 = 0xa9ef_a98d_49a1_a7d2;
