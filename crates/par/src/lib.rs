@@ -7,10 +7,9 @@
 //! thing a thread pool could corrupt is *output order*, and order is
 //! exactly what the byte-identical-artifacts contract cares about
 //! (`experiments.jsonl`, figure CSVs, trace exports). The same holds
-//! inside one computation cut into independent pieces: a TPC-H table
-//! filled in row ranges, the cells of a sharded simulation, or
-//! one aggregate query's scan windows folded in contiguous ranges and
-//! merged in range order.
+//! inside one computation cut into independent pieces: the cells of a
+//! sharded simulation, or one aggregate query's scan windows folded in
+//! contiguous ranges and merged in range order.
 //!
 //! The crate is one primitive, [`Runner::for_each_mut`]: the calling
 //! thread and `threads − 1` scoped workers claim `(index, &mut item)`
@@ -19,15 +18,14 @@
 //! in place, so every result lands at its **input index** whichever
 //! thread computed it. [`Runner::run`] maps `&[C] -> Vec<R>` by filling
 //! a slot vector through it, and [`Runner::split`] is the one rule that
-//! cuts a computation into contiguous ranges for it: `grail_workload`'s
-//! TPC-H generator and `grail_query`'s aggregated scan fan out that
-//! way, `grail_sim::parallel` one item per cell. All are
-//! indistinguishable from a single-threaded `for` loop. No channels, no
-//! unsafe: the only shared mutable state is that one locked iterator.
+//! cuts a computation into contiguous ranges for it: `grail_query`'s
+//! aggregated scan fans out that way, `grail_sim::parallel` one item
+//! per cell. All are indistinguishable from a single-threaded `for`
+//! loop. No channels, no unsafe: the only shared mutable state is that
+//! one locked iterator.
 //!
-//! Fan-outs do not nest: the generator and the scan ask
-//! [`Runner::current`], which is sequential on a thread running an item
-//! of a `for_each_mut`. A sweep run with `--threads N` already holds
+//! Fan-outs do not nest: the scan asks [`Runner::current`], which is
+//! sequential on a thread running an item of a `for_each_mut`. A sweep run with `--threads N` already holds
 //! the cores it was given, and one run with `--sequential` keeps every
 //! query and table it runs on that one thread.
 //!

@@ -13,15 +13,14 @@
 //! multiply-high with no rejection (a bias of at most span/2⁶⁴, below
 //! 2⁻³⁸ for every domain here). Derived columns (`l_extendedprice`,
 //! `o_orderstatus`, the keys) are functions of the same draws or of the
-//! row number. Any row range is therefore drawn exactly by itself: a
-//! table's ranges fill on all cores with no seek and no stitch, the same
+//! row number. No state passes from row to row, so there is nothing to
+//! seek or stitch: each column is one pass on the caller, the same
 //! `(scale, seed)` yields bit-identical tables on any platform and at any
 //! thread count, and no column or table moves another's bytes.
 //!
 //! The other generated inputs (query mixes, JouleSort records, fault,
 //! chaos and buffer traces) still draw from `grail_sim::rng::ChaCha12Rng`.
 
-use grail_par::Runner;
 use grail_query::batch::Table;
 use grail_query::schema::{ColumnType, Schema};
 use grail_sim::rng::splitmix64;
@@ -111,7 +110,7 @@ impl TpchTable {
 /// Generate one table of the database at `scale` from `seed`: the same
 /// table [`generate`] returns, without drawing the other four.
 pub fn generate_table(scale: TpchScale, seed: u64, table: TpchTable) -> Arc<Table> {
-    Arc::new(draw_table(scale, seed, table, Split::current()))
+    Arc::new(draw_table(scale, seed, table))
 }
 
 /// Generate the database at `scale` from `seed`.
@@ -152,26 +151,25 @@ fn uniform(key: u64, row: usize, lo: i64, hi: i64) -> i64 {
     lo + ((u128::from(x) * u128::from(span)) >> 64) as i64
 }
 
-/// Write `value(r)` at each row `r` of `col`, whose first row is `first`.
-fn fill(col: &mut [i64], first: usize, value: impl Fn(usize) -> i64) {
-    for (v, r) in col.iter_mut().zip(first..) {
-        *v = value(r);
-    }
+/// `rows` rows whose row `r` holds `value(r)`.
+fn column(rows: usize, value: impl Fn(usize) -> i64) -> Vec<i64> {
+    (0..rows).map(value).collect()
 }
 
-/// The table `table` at `scale` from `seed`, its rows cut as `split` says.
-fn draw_table(scale: TpchScale, seed: u64, table: TpchTable, split: Split) -> Table {
+/// The table `table` at `scale` from `seed`.
+fn draw_table(scale: TpchScale, seed: u64, table: TpchTable) -> Table {
     let key = |column| key(seed, table, column);
     match table {
-        TpchTable::Orders => gen_orders(scale, key, split),
-        TpchTable::Lineitem => gen_lineitem(scale, key, split),
-        TpchTable::Customer => gen_customer(scale, key, split),
-        TpchTable::Part => gen_part(scale, key, split),
-        TpchTable::Supplier => gen_supplier(scale, key, split),
+        TpchTable::Orders => gen_orders(scale, key),
+        TpchTable::Lineitem => gen_lineitem(scale, key),
+        TpchTable::Customer => gen_customer(scale, key),
+        TpchTable::Part => gen_part(scale, key),
+        TpchTable::Supplier => gen_supplier(scale, key),
     }
 }
 
-fn gen_orders(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Table {
+fn gen_orders(scale: TpchScale, key: impl Fn(usize) -> u64) -> Table {
+    let rows = scale.orders_rows as usize;
     let customers = scale.customer_rows() as i64;
     let schema = Schema::new(vec![
         ("o_orderkey", ColumnType::Id),
@@ -183,24 +181,22 @@ fn gen_orders(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Tab
         ("o_shippriority", ColumnType::Int),
     ]);
     let k: [u64; 6] = std::array::from_fn(key);
-    let cols = split.columns(
-        scale.orders_rows as usize,
-        |[okey, cust, status, price, date, priority, _ship], first| {
-            fill(okey, first, orderkey);
-            fill(cust, first, |r| uniform(k[1], r, 0, customers - 1));
-            // F/O dominate; P is rare.
-            fill(status, first, |r| match uniform(k[2], r, 0, 99) {
-                0..=48 => 0,
-                49..=97 => 1,
-                _ => 2,
-            });
-            // Price in cents, 857.71 .. ~555285.16 like TPC-H's domain.
-            fill(price, first, |r| uniform(k[3], r, 85_771, 55_528_515));
-            fill(date, first, |r| uniform(k[4], r, 0, DATE_DAYS - 1));
-            fill(priority, first, |r| uniform(k[5], r, 0, 4));
-            // o_shippriority stays 0.
-        },
-    );
+    let cols = vec![
+        column(rows, orderkey),
+        column(rows, |r| uniform(k[1], r, 0, customers - 1)),
+        // F/O dominate; P is rare.
+        column(rows, |r| match uniform(k[2], r, 0, 99) {
+            0..=48 => 0,
+            49..=97 => 1,
+            _ => 2,
+        }),
+        // Price in cents, 857.71 .. ~555285.16 like TPC-H's domain.
+        column(rows, |r| uniform(k[3], r, 85_771, 55_528_515)),
+        column(rows, |r| uniform(k[4], r, 0, DATE_DAYS - 1)),
+        column(rows, |r| uniform(k[5], r, 0, 4)),
+        // o_shippriority stays 0.
+        vec![0; rows],
+    ];
     Table::new("orders", schema, cols)
 }
 
@@ -210,7 +206,8 @@ fn orderkey(i: usize) -> i64 {
     (i as i64 / 4) * 32 + (i as i64 % 4)
 }
 
-fn gen_lineitem(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Table {
+fn gen_lineitem(scale: TpchScale, key: impl Fn(usize) -> u64) -> Table {
+    let rows = scale.lineitem_rows() as usize;
     let parts = scale.part_rows() as i64;
     let suppliers = scale.supplier_rows() as i64;
     let schema = Schema::new(vec![
@@ -227,28 +224,28 @@ fn gen_lineitem(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> T
     ]);
     // Key 10 draws the unit price that `l_extendedprice` multiplies.
     let k: [u64; 11] = std::array::from_fn(key);
-    let cols = split.columns(
-        scale.lineitem_rows() as usize,
-        |[okey, part, supp, qty, price, discount, tax, flag, status, ship], first| {
-            // Four lines per order: line `r` belongs to order `r / 4`.
-            fill(okey, first, |r| orderkey(r / 4));
-            fill(part, first, |r| uniform(k[1], r, 0, parts - 1));
-            fill(supp, first, |r| uniform(k[2], r, 0, suppliers - 1));
-            fill(qty, first, |r| uniform(k[3], r, 1, 50));
-            for ((p, q), r) in price.iter_mut().zip(qty.iter()).zip(first..) {
-                *p = q * uniform(k[10], r, 90_000, 200_000);
-            }
-            fill(discount, first, |r| uniform(k[5], r, 0, 10));
-            fill(tax, first, |r| uniform(k[6], r, 0, 8));
-            fill(flag, first, |r| uniform(k[7], r, 0, 2));
-            fill(status, first, |r| uniform(k[8], r, 0, 1));
-            fill(ship, first, |r| uniform(k[9], r, 0, DATE_DAYS - 1));
-        },
-    );
+    let qty = column(rows, |r| uniform(k[3], r, 1, 50));
+    let price = (qty.iter().enumerate())
+        .map(|(r, q)| q * uniform(k[10], r, 90_000, 200_000))
+        .collect();
+    let cols = vec![
+        // Four lines per order: line `r` belongs to order `r / 4`.
+        column(rows, |r| orderkey(r / 4)),
+        column(rows, |r| uniform(k[1], r, 0, parts - 1)),
+        column(rows, |r| uniform(k[2], r, 0, suppliers - 1)),
+        qty,
+        price,
+        column(rows, |r| uniform(k[5], r, 0, 10)),
+        column(rows, |r| uniform(k[6], r, 0, 8)),
+        column(rows, |r| uniform(k[7], r, 0, 2)),
+        column(rows, |r| uniform(k[8], r, 0, 1)),
+        column(rows, |r| uniform(k[9], r, 0, DATE_DAYS - 1)),
+    ];
     Table::new("lineitem", schema, cols)
 }
 
-fn gen_customer(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Table {
+fn gen_customer(scale: TpchScale, key: impl Fn(usize) -> u64) -> Table {
+    let rows = scale.customer_rows() as usize;
     let schema = Schema::new(vec![
         ("c_custkey", ColumnType::Id),
         ("c_nationkey", ColumnType::Id),
@@ -257,20 +254,19 @@ fn gen_customer(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> T
         ("c_ordercount", ColumnType::Int),
     ]);
     let k: [u64; 4] = std::array::from_fn(key);
-    let cols = split.columns(
-        scale.customer_rows() as usize,
-        |[custkey, nation, acctbal, segment, _count], first| {
-            fill(custkey, first, |r| r as i64);
-            fill(nation, first, |r| uniform(k[1], r, 0, 24));
-            fill(acctbal, first, |r| uniform(k[2], r, -99_999, 999_998));
-            fill(segment, first, |r| uniform(k[3], r, 0, 4));
-            // c_ordercount stays 0.
-        },
-    );
+    let cols = vec![
+        column(rows, |r| r as i64),
+        column(rows, |r| uniform(k[1], r, 0, 24)),
+        column(rows, |r| uniform(k[2], r, -99_999, 999_998)),
+        column(rows, |r| uniform(k[3], r, 0, 4)),
+        // c_ordercount stays 0.
+        vec![0; rows],
+    ];
     Table::new("customer", schema, cols)
 }
 
-fn gen_part(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Table {
+fn gen_part(scale: TpchScale, key: impl Fn(usize) -> u64) -> Table {
+    let rows = scale.part_rows() as usize;
     let schema = Schema::new(vec![
         ("p_partkey", ColumnType::Id),
         ("p_brand", ColumnType::Code),
@@ -279,20 +275,18 @@ fn gen_part(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Table
         ("p_retailprice", ColumnType::Decimal),
     ]);
     let k: [u64; 4] = std::array::from_fn(key);
-    let cols = split.columns(
-        scale.part_rows() as usize,
-        |[partkey, brand, ty, size, retail], first| {
-            fill(partkey, first, |r| r as i64);
-            fill(brand, first, |r| uniform(k[1], r, 0, 24));
-            fill(ty, first, |r| uniform(k[2], r, 0, 149));
-            fill(size, first, |r| uniform(k[3], r, 1, 50));
-            fill(retail, first, |r| 90_000 + (r as i64 % 200_001));
-        },
-    );
+    let cols = vec![
+        column(rows, |r| r as i64),
+        column(rows, |r| uniform(k[1], r, 0, 24)),
+        column(rows, |r| uniform(k[2], r, 0, 149)),
+        column(rows, |r| uniform(k[3], r, 1, 50)),
+        column(rows, |r| 90_000 + (r as i64 % 200_001)),
+    ];
     Table::new("part", schema, cols)
 }
 
-fn gen_supplier(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> Table {
+fn gen_supplier(scale: TpchScale, key: impl Fn(usize) -> u64) -> Table {
+    let rows = scale.supplier_rows() as usize;
     let schema = Schema::new(vec![
         ("s_suppkey", ColumnType::Id),
         ("s_nationkey", ColumnType::Id),
@@ -300,122 +294,19 @@ fn gen_supplier(scale: TpchScale, key: impl Fn(usize) -> u64, split: Split) -> T
         ("s_phoneprefix", ColumnType::Code),
     ]);
     let k: [u64; 4] = std::array::from_fn(key);
-    let cols = split.columns(
-        scale.supplier_rows() as usize,
-        |[suppkey, nation, acctbal, phone], first| {
-            fill(suppkey, first, |r| r as i64);
-            fill(nation, first, |r| uniform(k[1], r, 0, 24));
-            fill(acctbal, first, |r| uniform(k[2], r, -99_999, 999_998));
-            fill(phone, first, |r| uniform(k[3], r, 10, 34));
-        },
-    );
+    let cols = vec![
+        column(rows, |r| r as i64),
+        column(rows, |r| uniform(k[1], r, 0, 24)),
+        column(rows, |r| uniform(k[2], r, -99_999, 999_998)),
+        column(rows, |r| uniform(k[3], r, 10, 34)),
+    ];
     Table::new("supplier", schema, cols)
-}
-
-/// Fewest rows a range must hold to pay for a thread of its own.
-const MIN_RANGE_ROWS: usize = 2_048;
-
-/// How a table's rows are cut into ranges: the ranges `runner` splits
-/// them into at `min` rows a range or more, one range a thread.
-#[derive(Debug, Clone, Copy)]
-struct Split {
-    runner: Runner,
-    min: usize,
-}
-
-impl Split {
-    /// [`Runner::current`]'s ranges at [`MIN_RANGE_ROWS`]: one, on the
-    /// caller, inside a sweep's point.
-    fn current() -> Self {
-        Split {
-            runner: Runner::current(),
-            min: MIN_RANGE_ROWS,
-        }
-    }
-
-    /// `rows` rows of `C` columns, allocated here and zeroed. Each range
-    /// is filled on the runner by `fill(cols, first)`, which gets the
-    /// range's slice of every column and the row its slices start at.
-    fn columns<const C: usize>(
-        self,
-        rows: usize,
-        fill: impl Fn(&mut [&mut [i64]; C], usize) + Sync,
-    ) -> Vec<Vec<i64>> {
-        let mut cols: [Vec<i64>; C] = std::array::from_fn(|_| vec![0; rows]);
-        let mut rest = cols.each_mut().map(Vec::as_mut_slice);
-        let mut ranges: Vec<(usize, [&mut [i64]; C])> = (self.runner.split(rows, self.min))
-            .into_iter()
-            .map(|range| {
-                let slices = rest.each_mut().map(|col| {
-                    let (head, tail) = std::mem::take(col).split_at_mut(range.len());
-                    *col = tail;
-                    head
-                });
-                (range.start, slices)
-            })
-            .collect();
-        (self.runner).for_each_mut(&mut ranges, |_, (first, slices)| fill(slices, *first));
-        cols.into()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use grail_prop::check;
-
-    /// Every table drawn on 1 to 8 threads at one row a range or more
-    /// equals the table drawn as one range, column for column: at tiny
-    /// tables where threads outnumber rows, at the row counts where the
-    /// current runner's split changes on two cores (ORDERS' crossing `2 ×
-    /// MIN_RANGE_ROWS`, LINEITEM's at a quarter of that), and at the
-    /// pinned scales.
-    #[test]
-    fn ranges_fill_the_one_range_table() {
-        let edge = 2 * MIN_RANGE_ROWS as u64;
-        let sizes = [
-            0,
-            1,
-            2,
-            3,
-            7,
-            edge - 1,
-            edge,
-            edge / 4 - 1,
-            edge / 4,
-            2_000,
-            10_000,
-        ];
-        check(256, |g| {
-            let orders_rows = if g.one_in(4) {
-                g.range(0..5_000)
-            } else {
-                g.pick(&sizes)
-            };
-            let seed = g.word();
-            let runner = Runner::with_threads(g.range(1usize..9));
-            let (ranged, whole) = (
-                Split { runner, min: 1 },
-                Split {
-                    runner: Runner::sequential(),
-                    min: 1,
-                },
-            );
-            let scale = TpchScale { orders_rows };
-            for table in TpchTable::ALL {
-                let got = draw_table(scale, seed, table, ranged);
-                let want = draw_table(scale, seed, table, whole);
-                assert_eq!((&got.name, &got.schema), (&want.name, &want.schema));
-                for (c, (got, want)) in got.columns.iter().zip(&want.columns).enumerate() {
-                    assert!(
-                        got == want,
-                        "{table:?} column {c} differs: {orders_rows} orders, seed {seed:#x}, \
-                         {runner:?}"
-                    );
-                }
-            }
-        });
-    }
 
     /// Over drawn scales and seeds every column stays in its domain,
     /// `l_extendedprice` is the quantity times a unit price in
