@@ -8,7 +8,8 @@
 //! * **One generator.** [`Gen`] is Knuth's MMIX LCG
 //!   (`state · 6364136223846793005 + 1442695040888963407`) read through
 //!   its high bits (`>> 33`). Nothing else seeds a test input: no
-//!   environment variable, no entropy, no file.
+//!   environment variable, no entropy, no file. (`pins.txt` holds
+//!   expected values only, never an input.)
 //! * **Sized cases.** Case `i` gets the seed `splitmix64(i)` and a
 //!   `size` that ramps linearly from 0 on the first case to 4 096 on the
 //!   last. Every length [`Gen::vec`] draws is capped by the size, so
@@ -21,7 +22,8 @@
 //!   and the [`replay`] call that runs exactly that input again.
 //!
 //! [`Fnv1a`] is the other half of a pinned test: the one digest the
-//! workspace's `*_are_pinned` tests compare against their constants.
+//! workspace's `*_are_pinned` tests compute and hand to
+//! [`assert_pinned`], which holds them to the root `pins.txt`.
 //!
 //! ```
 //! grail_prop::check(64, |g| {
@@ -33,6 +35,9 @@
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
+
+mod pins;
+pub use pins::assert_pinned;
 
 use std::fmt;
 use std::ops::Range;

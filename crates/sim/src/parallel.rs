@@ -568,6 +568,7 @@ mod tests {
     use crate::fault::ChaosEvent;
     use crate::ids::StorageTarget;
     use grail_power::units::{Bytes, Cycles, Hertz, SimDuration};
+    use grail_prop::assert_pinned;
 
     /// Auto, sequential, even and uneven splits of the cell counts the
     /// tests use, and more threads than cells.
@@ -844,11 +845,9 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Pinned bytes of the simulator's exports; the root
-    // `trace_determinism` test pins the facade's and the chaos engine's.
-    // The cell constants were measured before the recorder's event
-    // layout changed, the single-device one before disk and SSD became
-    // one device.
+    // Pinned bytes of the simulator's exports, held to the root
+    // `pins.txt` under `sim.*`; the root `trace_determinism` test pins
+    // the facade's and the chaos engine's.
 
     /// FNV-1a (64-bit) over JSONL + Chrome + Prometheus + attribution
     /// rows; a ring that overflowed fails instead of digesting.
@@ -970,11 +969,8 @@ mod tests {
             ] {
                 assert!(jsonl.contains(needle), "pinned trace lost {needle}");
             }
-            assert_eq!(
-                export_digest(rec, r.report.attribution.as_ref()),
-                0x4a4b_1780_cd06_0899,
-                "exported bytes moved at {shards} shard(s)"
-            );
+            let digest = export_digest(rec, r.report.attribution.as_ref());
+            assert_pinned("sim.sharded_trace", &[("cells", digest)]);
         }
     }
 
@@ -997,11 +993,8 @@ mod tests {
             let r = run_parallel(&cfg, shards).unwrap();
             let rec = r.report.trace.as_ref().unwrap();
             assert!(rec.len() > 4 * MULTI_BLOCK_CELL_EVENTS);
-            assert_eq!(
-                export_digest(rec, r.report.attribution.as_ref()),
-                0x33dc_db60_fb3f_3434,
-                "exported bytes moved at {shards} shard(s)"
-            );
+            let digest = export_digest(rec, r.report.attribution.as_ref());
+            assert_pinned("sim.multi_block_trace", &[("cells", digest)]);
         }
     }
 
@@ -1015,11 +1008,8 @@ mod tests {
             let r = run_parallel(&cfg, shards).unwrap();
             let rec = r.report.trace.as_ref().unwrap();
             assert!(rec.dropped() > 4 * (MULTI_BLOCK_CELL_EVENTS as u64 - 10_000));
-            assert_eq!(
-                wrapped_export_digest(rec, r.report.attribution.as_ref()),
-                0x8a6d_1992_78dd_1bc4,
-                "exported bytes moved at {shards} shard(s)"
-            );
+            let digest = wrapped_export_digest(rec, r.report.attribution.as_ref());
+            assert_pinned("sim.wrapped_multi_block_trace", &[("cells", digest)]);
         }
     }
 
@@ -1047,11 +1037,8 @@ mod tests {
         for shards in [1, 2, 8] {
             let r = run_parallel(&cfg, shards).unwrap();
             assert!(r.outcome.total_retries > 0, "faults must retry");
-            assert_eq!(
-                outcome_digest(&r.outcome),
-                0x7abc_96d3_3594_cf3a,
-                "driver outcome moved at {shards} shard(s)"
-            );
+            let digest = outcome_digest(&r.outcome);
+            assert_pinned("sim.sharded_outcome", &[("cells", digest)]);
         }
     }
 
@@ -1162,7 +1149,8 @@ mod tests {
         assert_eq!(out.results.len(), 3 + 3 + 4);
         assert!(out.total_retries > 0, "faults must retry");
         assert!(out.results.iter().any(|r| r.latency().is_zero()));
-        assert_eq!(outcome_digest(&out), 0x8750_e405_b65b_3bf0);
+        let digest = outcome_digest(&out);
+        assert_pinned("sim.single_simulation_outcome", &[("every_step", digest)]);
 
         // The same streams on a budget of one retry run out of it.
         let (mut sim, cpu, streams) = every_step_shape(23);
@@ -1317,10 +1305,8 @@ mod tests {
         for name in ["ledger.charge", "ledger.transfer", "chaos.machine_crash"] {
             assert!(rec.events().any(|e| e.name == name), "lost {name}");
         }
-        assert_eq!(
-            export_digest(rec, rep.attribution.as_ref()),
-            0x3527_ff31_4df2_2b5b
-        );
+        let digest = export_digest(rec, rep.attribution.as_ref());
+        assert_pinned("sim.single_simulation_trace", &[("cell_0", digest)]);
     }
 
     #[test]
@@ -1395,10 +1381,8 @@ mod tests {
             assert!(on_device(name), "lost {name}");
         }
         assert!(rep.faults.latent > 0 && rep.faults.spin_up_faults > 0);
-        assert_eq!(
-            export_digest(rec, rep.attribution.as_ref()),
-            0xba1d_9598_0f36_7ac0
-        );
+        let digest = export_digest(rec, rep.attribution.as_ref());
+        assert_pinned("sim.single_device_trace", &[("devices", digest)]);
     }
 
     #[test]

@@ -2,41 +2,16 @@
 //! counter-based draws. A digest covers a table's name, then column by
 //! column its field name, type, length and every value, so a row that
 //! moves, a draw whose key or mapping changes, or a key that is shared
-//! between columns all land here. To re-measure, set a constant to 0 and
-//! read the table the failing assert prints — on the parent commit, never
-//! on the change.
+//! between columns all land here. The values live in the root `pins.txt`
+//! under `workload.tpch`; a failing test prints the lines to paste there.
 
-use grail_prop::Fnv1a;
+use grail_prop::{assert_pinned, Fnv1a};
 use grail_query::batch::Table;
 use grail_workload::tpch::{generate, generate_table, TpchScale, TpchTable, TpchTables};
 use std::sync::Arc;
 
-/// One row per `(orders_rows, seed)`, one digest per table in
-/// `TpchTables` field order: ORDERS, LINEITEM, CUSTOMER, PART, SUPPLIER.
-const PINNED: [(u64, u64, [u64; 5]); 2] = [
-    (
-        10_000,
-        42,
-        [
-            0x8322_456d_3cc3_4820,
-            0x3435_cfc6_718c_a1ac,
-            0x663c_0fd8_e60d_f58a,
-            0xdbcd_2f99_7117_d0aa,
-            0x4824_bc50_3a51_e07b,
-        ],
-    ),
-    (
-        2_000,
-        1009,
-        [
-            0xc715_00e4_4440_b252,
-            0x7b35_b238_8921_1865,
-            0xa7ee_8db8_8e33_3318,
-            0xbf06_229c_fba4_0a61,
-            0x1552_01d2_ce6e_7a7b,
-        ],
-    ),
-];
+/// The pinned `(orders_rows, seed)` pairs.
+const SCALES: [(u64, u64); 2] = [(10_000, 42), (2_000, 1009)];
 
 fn digest(table: &Table) -> u64 {
     let mut h = Fnv1a::new();
@@ -57,33 +32,26 @@ fn each(t: &TpchTables) -> [&Arc<Table>; 5] {
     [&t.orders, &t.lineitem, &t.customer, &t.part, &t.supplier]
 }
 
+/// `<table>_<orders_rows>_<seed>` for each table of each scale.
 #[test]
 fn generated_tables_are_pinned() {
     assert_eq!(TpchScale::toy().orders_rows, 10_000);
-    let measured: Vec<(u64, u64, [u64; 5])> = PINNED
-        .iter()
-        .map(|&(orders_rows, seed, _)| {
-            let t = generate(TpchScale { orders_rows }, seed);
-            (orders_rows, seed, each(&t).map(|t| digest(t)))
-        })
-        .collect();
-    let table: String = measured
-        .iter()
-        .map(|(rows, seed, d)| {
-            format!(
-                "    ({rows}, {seed}, [{:#x}, {:#x}, {:#x}, {:#x}, {:#x}]),\n",
-                d[0], d[1], d[2], d[3], d[4]
-            )
-        })
-        .collect();
-    assert!(measured == PINNED, "measured digests:\n{table}");
+    let mut measured = Vec::new();
+    for (orders_rows, seed) in SCALES {
+        let t = generate(TpchScale { orders_rows }, seed);
+        for table in each(&t) {
+            let name = format!("{}_{orders_rows}_{seed}", table.name);
+            measured.push((name, digest(table)));
+        }
+    }
+    assert_pinned("workload.tpch", &measured);
 }
 
 /// Each table drawn alone, last first, is exactly the table `generate`
 /// returns: no table's stream depends on another having been drawn.
 #[test]
 fn per_table_entry_points_compose_to_generate() {
-    for &(orders_rows, seed, _) in &PINNED {
+    for (orders_rows, seed) in SCALES {
         let scale = TpchScale { orders_rows };
         let whole = generate(scale, seed);
         for (table, expected) in TpchTable::ALL.into_iter().zip(each(&whole)).rev() {

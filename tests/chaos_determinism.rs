@@ -10,7 +10,8 @@
 //! 8 threads.
 //!
 //! Identical to itself is not identical to the last commit: the last
-//! test is the one pin of whole reports at fleet size, by digest.
+//! test is the one pin of whole reports at fleet size, by digest, held
+//! to the root `pins.txt` under `chaos.fleet_scale`.
 
 use grail::power::units::SimDuration;
 use grail::scheduler::chaos::{reference_storm, run_chaos, ChaosPolicy};
@@ -18,7 +19,7 @@ use grail::scheduler::cluster::{chaos_fleet, PlacementPolicy};
 use grail::sim::fault::{ChaosConfig, ChaosSchedule};
 use grail::trace::{to_jsonl, Recorder, Tracer};
 use grail_par::Runner;
-use grail_prop::Fnv1a;
+use grail_prop::{assert_pinned, Fnv1a};
 use std::fmt::Write;
 
 const POLICIES: [(&str, PlacementPolicy, u32); 4] = [
@@ -89,17 +90,9 @@ fn chaos_reports_and_traces_repeat_byte_for_byte() {
 /// `format!("{report:?}")` — the ledger's bits, every `PlacementChange`,
 /// every counter — of a 16 × 32 `chaos_fleet` under a generated
 /// hurricane, for each policy at 25 % and 60 % of fleet capacity, each
-/// report conserving its demand. The constants were measured before
-/// `run_chaos` stopped sorting the fleet and searching the ledger on
-/// every event.
+/// report conserving its demand; named `<policy>_<percent>pct`.
 #[test]
 fn fleet_scale_report_bytes_are_pinned() {
-    const PINNED: [[u64; 2]; 4] = [
-        [0xae27_6841_19e6_eb7b, 0x9d81_b430_ca9e_eb21],
-        [0x514c_0d56_31af_795c, 0x59e5_01bd_cd5c_029b],
-        [0x77f6_d553_6e18_e4fc, 0x8bb8_3fc0_6983_f0a5],
-        [0xe525_9475_9767_9a12, 0x3f66_4eeb_33b9_89f5],
-    ];
     let hurricane = ChaosConfig {
         machine_mtbf: Some(SimDuration::from_secs(6 * 3_600)),
         machine_restart: SimDuration::from_secs(900),
@@ -116,13 +109,14 @@ fn fleet_scale_report_bytes_are_pinned() {
     let horizon = SimDuration::from_secs(86_400);
     let schedule = ChaosSchedule::generate(hurricane, 1009, fleet.len() as u32, 16, horizon);
     let capacity: f64 = fleet.iter().map(|m| m.capacity).sum();
-    for ((name, placement, replicas), pinned) in POLICIES.into_iter().zip(PINNED) {
+    let mut measured = Vec::new();
+    for (name, placement, replicas) in POLICIES {
         let policy = ChaosPolicy {
             placement,
             replicas,
             ..ChaosPolicy::default()
         };
-        for (frac, pinned) in [0.25, 0.60].into_iter().zip(pinned) {
+        for (frac, percent) in [(0.25, 25), (0.60, 60)] {
             let r = run_chaos(
                 &fleet,
                 &schedule,
@@ -142,7 +136,8 @@ fn fleet_scale_report_bytes_are_pinned() {
             // Tens of megabytes of text: hashed as it is formatted.
             let mut digest = Fnv1a::new();
             write!(digest, "{r:?}").expect("hashing cannot fail");
-            assert_eq!(digest.finish(), pinned, "{name} at {frac} of capacity");
+            measured.push((format!("{name}_{percent}pct"), digest.finish()));
         }
     }
+    assert_pinned("chaos.fleet_scale", &measured);
 }

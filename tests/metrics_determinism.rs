@@ -9,7 +9,8 @@
 //! observable surface (snapshot series with bit-exact gauges, the
 //! Prometheus text of the final registry, the SLO report) to one string.
 //! Any nondeterminism anywhere in the instrumentation shows up as a
-//! string mismatch between thread counts or re-runs.
+//! string mismatch between thread counts or re-runs, and each policy's
+//! string is held to the root `pins.txt` under `metrics.sweep`.
 
 use grail::core::db::{EnergyAwareDb, ExecPolicy};
 use grail::metrics::{evaluate, to_prometheus, SloKind, SloSpec, Snapshot};
@@ -18,7 +19,7 @@ use grail::scheduler::chaos::{reference_storm, run_chaos, ChaosPolicy};
 use grail::scheduler::cluster::PlacementPolicy;
 use grail::trace::{Recorder, Tracer};
 use grail_par::Runner;
-use grail_prop::check;
+use grail_prop::{assert_pinned, check, Fnv1a};
 
 const HOUR: u64 = 3_600_000_000_000;
 
@@ -105,6 +106,18 @@ fn metrics_sweep_is_byte_identical_across_thread_counts() {
         let par = Runner::with_threads(threads).run(&POLICIES, |_, (n, p, r)| point(n, *p, *r));
         assert_eq!(par, seq, "threads={threads}");
     }
+}
+
+/// Identical across thread counts is not identical to the last commit:
+/// each policy's sweep point, by digest.
+#[test]
+fn metrics_sweep_bytes_are_pinned() {
+    let measured = POLICIES.map(|(name, placement, replicas)| {
+        let mut h = Fnv1a::new();
+        h.bytes(point(name, placement, replicas).as_bytes());
+        (name, h.finish())
+    });
+    assert_pinned("metrics.sweep", &measured);
 }
 
 #[test]

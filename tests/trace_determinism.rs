@@ -9,7 +9,7 @@ use grail::core::db::{EnergyAwareDb, ExecPolicy, ScanSpec, TracedRun};
 use grail::metrics::to_prometheus;
 use grail::prelude::*;
 use grail::trace::{to_chrome, to_jsonl};
-use grail_prop::{check, Fnv1a};
+use grail_prop::{assert_pinned, check, Fnv1a};
 use std::fmt::Write;
 
 fn loaded_db(profile: HardwareProfile) -> EnergyAwareDb {
@@ -167,10 +167,9 @@ fn seeded_fault_runs_are_byte_identical() {
 // ---------------------------------------------------------------------
 // Pinned bytes. "Identical across runs" says nothing about "identical
 // to what the previous commit exported", so the facade's traced run and
-// the reference storm carry FNV-1a digests of every exported byte. The
-// constants were measured on the commit *before* the recorder's event
-// layout changed; the sharded cells are pinned in
-// `crates/sim/src/parallel.rs`.
+// the reference storm carry FNV-1a digests of every exported byte, held
+// to the root `pins.txt` under `trace.*`; the sharded cells are pinned
+// in `crates/sim/src/parallel.rs`.
 
 /// FNV-1a (64-bit) over JSONL + Chrome + Prometheus + attribution rows.
 fn export_digest(rec: &Recorder, attribution: Option<&AttributionTable>) -> u64 {
@@ -194,10 +193,8 @@ fn single_simulation_trace_bytes_are_pinned() {
     let run = db
         .try_run_throughput_test_traced(2, 2, ExecPolicy::default(), 10.0)
         .expect("loaded db runs");
-    assert_eq!(
-        export_digest(&run.trace, run.report.attribution.as_ref()),
-        PINNED_THROUGHPUT
-    );
+    let digest = export_digest(&run.trace, run.report.attribution.as_ref());
+    assert_pinned("trace.single_simulation", &[("bytes", digest)]);
 }
 
 #[test]
@@ -207,8 +204,6 @@ fn reference_storm_trace_bytes_are_pinned() {
     let mut tracer = Tracer::on(Recorder::new(1 << 20));
     run_chaos(&fleet, &schedule, demand, &policy, &mut tracer).expect("reference storm");
     let rec = tracer.take().expect("tracer is on");
-    assert_eq!(export_digest(&rec, None), PINNED_STORM);
+    let digest = export_digest(&rec, None);
+    assert_pinned("trace.reference_storm", &[("bytes", digest)]);
 }
-
-const PINNED_THROUGHPUT: u64 = 0x35c7_a0af_31ff_6314;
-const PINNED_STORM: u64 = 0xa9ef_a98d_49a1_a7d2;
