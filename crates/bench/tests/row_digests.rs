@@ -1,29 +1,30 @@
 //! The bytes of table rows, pinned: FNV-1a over each row's JSON lines
 //! and figure files, run sequentially.
 //!
-//! * The eight rows that build their machines from a `HardwareProfile`
-//!   or price one with the cost model: a changed machine rule (a base
-//!   power one ulp off, a storage device added or dropped) moves a
-//!   digest here before it reaches a reader.
-//! * EXT-BUF: the full 200 000-access trace under LRU, CLOCK, 2Q and
-//!   the energy-aware policy, so one victim chosen differently anywhere
-//!   in it moves a hit rate or a Joule (the pool's own unit test pins
-//!   every `Access` of the first 20 000).
+//! * Every row but EXT-JS, in the table's order. A changed machine
+//!   rule (a base power one ulp off, a storage device added or
+//!   dropped), a scheduler, codec or recorder change moves a digest
+//!   here before it reaches a reader. EXT-BUF replays the full
+//!   200 000-access trace under LRU, CLOCK, 2Q and the energy-aware
+//!   policy, so one victim chosen differently anywhere in it moves a
+//!   hit rate or a Joule (the pool's own unit test pins every `Access`
+//!   of the first 20 000).
 //! * EXT-JS: the two 100 K-record external sorts, fanned over the
 //!   runner's threads, in machine order.
 //!
-//! The profile rows and EXT-BUF run in under two seconds in a debug
-//! build. EXT-JS alone adds about a second there, so its test is
-//! `#[ignore]`d; CI runs the whole file in release with
-//! `--include-ignored`. The values live in the root `pins.txt` under
-//! `bench.rows` and `bench.sort_rows`; a failing test prints the lines to
-//! paste there.
+//! The twenty rows run in about four seconds in a debug build. EXT-JS
+//! alone adds about a second there, so its test is `#[ignore]`d; CI
+//! runs the whole file in release with `--include-ignored`. The values
+//! live in the root `pins.txt` under `bench.rows` and
+//! `bench.sort_rows`; a failing test prints the lines to paste there.
 
 use grail_bench::EXPERIMENTS;
 use grail_par::Runner;
 use grail_prop::{assert_pinned, Fnv1a};
 
-const ROWS: &str = "FIG1 FIG2 T1 EXT-OPT EXT-KNOB EXT-SCHED EXT-PHYS EXT-FAULT EXT-BUF";
+const ROWS: &str = "FIG1 FIG2 T1 EXT-OPT EXT-SCHED EXT-BUF EXT-PROP EXT-PHYS EXT-DVFS EXT-KNOB \
+                    EXT-CLUSTER EXT-LOG EXT-PREFETCH EXT-TCO EXT-OLTP EXT-SHARE EXT-FAULT \
+                    EXT-CHAOS EXT-TRACE EXT-WATCH";
 
 fn digest(id: &str) -> u64 {
     let row = EXPERIMENTS
@@ -42,7 +43,7 @@ fn digest(id: &str) -> u64 {
 
 #[test]
 fn row_bytes_are_pinned() {
-    let measured: Vec<_> = ROWS.split(' ').map(|id| (id, digest(id))).collect();
+    let measured: Vec<_> = ROWS.split_whitespace().map(|id| (id, digest(id))).collect();
     assert_pinned("bench.rows", &measured);
 }
 
