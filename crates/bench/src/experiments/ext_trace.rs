@@ -13,11 +13,13 @@
 //!
 //! `fig1` is a deliberately small configuration of the Figure 1
 //! throughput test, `fig2` the Figure 2 compressed scan. A capture that overflowed its ring would export a suffix, so both
-//! must finish with zero dropped events. The two captures fan out
-//! through `grail_par` and render inside their point; rows are reported
-//! in input order, so output is identical at every thread count.
+//! must finish with zero dropped events. The two captures share one
+//! load of the toy tables, fan out through `grail_par` and render
+//! inside their point; rows are reported in input order, so output is
+//! identical at every thread count.
 
 use super::Outcome;
+use crate::points::toy;
 use crate::{cell_f64, Csv, ExperimentRecord};
 use grail_core::db::{CompressionMode, EnergyAwareDb, ExecPolicy, ScanSpec, TracedRun};
 use grail_core::profile::HardwareProfile;
@@ -25,12 +27,10 @@ use grail_par::Runner;
 use grail_power::units::{SimDuration, SimInstant, Watts};
 use grail_sim::trace::BinnedSeries;
 use grail_trace::{export, ArgValue, Category, Recorder};
-use grail_workload::tpch::TpchScale;
 
 /// The 36-disk FIG1 point at 2 streams × 2 queries.
-fn fig1() -> TracedRun {
-    let mut db = EnergyAwareDb::new(HardwareProfile::server_dl785(36));
-    db.load_tpch(TpchScale::toy());
+fn fig1(toy: &EnergyAwareDb) -> TracedRun {
+    let db = toy.on(HardwareProfile::server_dl785(36));
     let policy = ExecPolicy {
         compression: CompressionMode::Plain,
         dop: 4,
@@ -40,9 +40,8 @@ fn fig1() -> TracedRun {
 }
 
 /// Figure 2's machine scanning its 5-column projection, compressed.
-fn fig2() -> TracedRun {
-    let mut db = EnergyAwareDb::new(HardwareProfile::flash_scanner());
-    db.load_tpch(TpchScale::toy());
+fn fig2(toy: &EnergyAwareDb) -> TracedRun {
+    let db = toy.on(HardwareProfile::flash_scanner());
     let policy = ExecPolicy {
         compression: CompressionMode::Fig2,
         dop: 1,
@@ -51,8 +50,9 @@ fn fig2() -> TracedRun {
         .expect("fig2 trace run")
 }
 
-/// A figure's name and the traced run that captures it.
-type Capture = (&'static str, fn() -> TracedRun);
+/// A figure's name and the traced run that captures it from the
+/// shared toy tables.
+type Capture = (&'static str, fn(&EnergyAwareDb) -> TracedRun);
 
 const CAPTURES: [Capture; 2] = [("fig1", fig1), ("fig2", fig2)];
 
@@ -143,7 +143,9 @@ fn dump(exp: &str, run: TracedRun) -> (ExperimentRecord, String, Vec<(String, St
 
 pub(super) fn run(runner: &Runner) -> Outcome {
     let mut out = Outcome::default();
-    for (rec, detail, files) in runner.run(&CAPTURES, |_, (exp, capture)| dump(exp, capture())) {
+    let toy = toy();
+    let captures = runner.run(&CAPTURES, |_, (exp, capture)| dump(exp, capture(&toy)));
+    for (rec, detail, files) in captures {
         out.push(rec);
         out.detail(detail);
         for (path, text) in files {

@@ -25,9 +25,9 @@
 //! Prometheus text exposition of the final storm and db registries.
 
 use super::Outcome;
-use crate::points::{chaos_policy, chaos_world};
+use crate::points::{chaos_policy, chaos_world, toy};
 use crate::{cell_f64, Csv, ExperimentRecord};
-use grail_core::db::{CompressionMode, EnergyAwareDb, ExecPolicy};
+use grail_core::db::{CompressionMode, ExecPolicy};
 use grail_core::profile::HardwareProfile;
 use grail_core::report::EnergyReport;
 use grail_metrics::{evaluate, render_baseline, SloKind, SloReport, SloSpec, Snapshot};
@@ -38,7 +38,6 @@ use grail_scheduler::chaos::{
 use grail_scheduler::cluster::Machine;
 use grail_sim::ChaosSchedule;
 use grail_trace::{Recorder, Tracer};
-use grail_workload::tpch::TpchScale;
 
 /// Chaos scenarios scrape hourly: 48 snapshots over the two-day horizon.
 const CHAOS_SCRAPE: u64 = 3_600_000_000_000;
@@ -61,8 +60,7 @@ fn run_fleet(
 /// The db reference run: 4 closed streams × 4 queries of the TPC-H-like
 /// mix on a 4-spindle DL785, stretched 30 000× (Fig. 1's scale).
 fn run_db() -> (EnergyReport, Recorder) {
-    let mut db = EnergyAwareDb::new(HardwareProfile::server_dl785(4));
-    db.load_tpch(TpchScale::toy());
+    let mut db = toy().on(HardwareProfile::server_dl785(4));
     db.set_scrape_interval(DB_SCRAPE);
     let traced = db
         .try_run_throughput_test_traced(

@@ -13,13 +13,14 @@
 //! `figures/fig1_efficiency.csv`.
 
 use super::Outcome;
-use crate::points::{fig1_point, FIG1_DISKS};
+use crate::points::{fig1_point, toy, FIG1_DISKS};
 use crate::{cell_f64, Csv};
 use grail_par::Runner;
 
 pub(super) fn run(runner: &Runner) -> Outcome {
     let mut out = Outcome::default();
-    let recs = runner.run(&FIG1_DISKS, |_, d| fig1_point(*d));
+    let toy = toy();
+    let recs = runner.run(&FIG1_DISKS, |_, d| fig1_point(&toy, *d));
     let mut time_csv = Csv::new(&["disks", "time_s"]);
     let mut ee_csv = Csv::new(&["disks", "efficiency_work_per_joule"]);
     for (d, rec) in FIG1_DISKS.iter().zip(&recs) {

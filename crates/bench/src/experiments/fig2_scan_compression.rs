@@ -12,13 +12,16 @@
 //! bars of the figure are returned as `figures/fig2_bars.csv`.
 
 use super::Outcome;
-use crate::points::{fig2_point, FIG2_MODES};
+use crate::points::{fig2_point, toy, FIG2_MODES};
 use crate::{cell_f64, Csv, ExperimentRecord};
 use grail_par::Runner;
 
 pub(super) fn run(runner: &Runner) -> Outcome {
     let mut out = Outcome::default();
-    let recs = runner.run(&FIG2_MODES, |_, (label, mode)| fig2_point(label, *mode));
+    let toy = toy();
+    let recs = runner.run(&FIG2_MODES, |_, (label, mode)| {
+        fig2_point(&toy, label, *mode)
+    });
     let cpu_busy = |r: &ExperimentRecord| r.extra["cpu_busy_secs"].as_f64().expect("recorded");
     let mut bars = Csv::new(&["config", "total_s", "cpu_s", "energy_j"]);
     for rec in &recs {

@@ -9,15 +9,17 @@
 //!   profile and contrast it with the flash scanner.
 
 use super::Outcome;
-use crate::points::{fig1_db, fig1_throughput, FIG1_DISKS};
+use crate::points::{fig1_throughput, toy, FIG1_DISKS};
 use crate::ExperimentRecord;
+use grail_core::profile::HardwareProfile;
 use grail_par::Runner;
 use grail_power::units::SimDuration;
 
 pub(super) fn run(_runner: &Runner) -> Outcome {
     let mut out = Outcome::default();
+    let toy = toy();
     for disks in FIG1_DISKS {
-        let db = fig1_db(disks);
+        let db = toy.on(HardwareProfile::server_dl785(disks));
         let idle = db
             .run_idle(SimDuration::from_secs(1000))
             .expect("FIG1 builds");

@@ -2,12 +2,15 @@
 //! (and mirrored by `perf/`'s frozen copies).
 //!
 //! Each function maps one swept configuration to its
-//! [`ExperimentRecord`] using a private simulation world (fresh
-//! `EnergyAwareDb` / `Simulation` per call, seeded deterministically),
-//! so points are independent and safe to fan across `grail_par`
-//! threads. Points compute, the experiment assembles its `Outcome`,
-//! the driver reports — and the report order is the input order
-//! regardless of execution mode.
+//! [`ExperimentRecord`] using a private simulation world (its own
+//! `Simulation`, and its own `EnergyAwareDb` on the point's machine,
+//! seeded deterministically), so points are independent and safe to
+//! fan across `grail_par` threads. The TPC-H points share one [`toy`]
+//! load: the immutable tables are generated and stored once, by
+//! whichever point reads them first, and moved to each machine with
+//! [`EnergyAwareDb::on`]. Points compute, the experiment assembles its
+//! `Outcome`, the driver reports — and the report order is the input
+//! order regardless of execution mode.
 
 use crate::ExperimentRecord;
 use grail_core::db::{CompressionMode, EnergyAwareDb, ExecPolicy};
@@ -41,10 +44,11 @@ pub const FIG1_DISKS: [usize; 4] = [36, 66, 108, 204];
 /// regime.
 pub const FIG1_STRETCH: f64 = 30_000.0;
 
-/// The Figure 1 server: a `disks`-spindle DL785 with the toy TPC-H
-/// tables loaded (shared with T1, which prices the same configurations).
-pub fn fig1_db(disks: usize) -> EnergyAwareDb {
-    let mut db = EnergyAwareDb::new(HardwareProfile::server_dl785(disks));
+/// The toy TPC-H tables (seed 42) on the flash scanner: the one load
+/// a sweep shares, moved to each point's machine with
+/// [`EnergyAwareDb::on`].
+pub fn toy() -> EnergyAwareDb {
+    let mut db = EnergyAwareDb::new(HardwareProfile::flash_scanner());
     db.load_tpch(TpchScale::toy());
     db
 }
@@ -59,10 +63,10 @@ pub fn fig1_throughput(db: &EnergyAwareDb) -> EnergyReport {
     db.run_throughput_test(8, 4, policy, FIG1_STRETCH)
 }
 
-/// One point of the Figure 1 sweep: the TPC-H-like throughput test on
-/// a `disks`-spindle DL785 class server.
-pub fn fig1_point(disks: usize) -> ExperimentRecord {
-    let r = fig1_throughput(&fig1_db(disks));
+/// One point of the Figure 1 sweep: the TPC-H-like throughput test
+/// over `toy`'s tables on a `disks`-spindle DL785 class server.
+pub fn fig1_point(toy: &EnergyAwareDb, disks: usize) -> ExperimentRecord {
+    let r = fig1_throughput(&toy.on(HardwareProfile::server_dl785(disks)));
     ExperimentRecord::new(
         "FIG1",
         &format!("disks={disks}"),
@@ -88,11 +92,10 @@ pub const FIG2_MODES: [(&str, CompressionMode); 2] = [
 /// scale factor): the 5-column projection is then ~6 GB.
 pub const FIG2_STRETCH: f64 = 15_000.0;
 
-/// One bar pair of Figure 2: the ORDERS 5/7-column scan on the flash
-/// scanner box under `mode`.
-pub fn fig2_point(label: &str, mode: CompressionMode) -> ExperimentRecord {
-    let mut db = EnergyAwareDb::new(HardwareProfile::flash_scanner());
-    db.load_tpch(TpchScale::toy());
+/// One bar pair of Figure 2: the 5/7-column scan of `toy`'s ORDERS on
+/// the flash scanner box under `mode`.
+pub fn fig2_point(toy: &EnergyAwareDb, label: &str, mode: CompressionMode) -> ExperimentRecord {
+    let db = toy.on(HardwareProfile::flash_scanner());
     let r = db.run_scan(
         &grail_core::db::ScanSpec::fig2(),
         ExecPolicy {
@@ -422,9 +425,12 @@ mod tests {
 
     #[test]
     fn fig2_point_is_reproducible() {
-        let a = fig2_point("uncompressed", CompressionMode::Plain);
-        let b = fig2_point("uncompressed", CompressionMode::Plain);
+        let warm = toy();
+        let a = fig2_point(&warm, "uncompressed", CompressionMode::Plain);
+        let b = fig2_point(&warm, "uncompressed", CompressionMode::Plain);
+        let fresh = fig2_point(&toy(), "uncompressed", CompressionMode::Plain);
         assert_eq!(a.to_json_line(), b.to_json_line());
+        assert_eq!(a.to_json_line(), fresh.to_json_line());
         assert!(a.energy_j > 0.0);
     }
 

@@ -163,8 +163,10 @@ type StoredCell = OnceLock<Arc<StoredTable>>;
 /// and their physical store. Generation and compression both happen on
 /// first use: every table is generated at most once, by the first call
 /// that reads it, and every (table, storage mode) is encoded at most
-/// once, by the first call that scans it. All of it lives until the
-/// next `load_tpch*` replaces the whole value.
+/// once, by the first call that scans it. All of it lives while any db
+/// holds it: the one that loaded it, and each one [`EnergyAwareDb::on`]
+/// made from it. A `load_tpch*` swaps in a new value for its own db
+/// only.
 ///
 /// The store costs little beyond the tables: Plain segments share the
 /// tables' own columns, and Fig. 2 storage is Auto storage with ORDERS
@@ -203,10 +205,12 @@ impl Loaded {
 }
 
 /// The energy-aware database: a hardware profile plus loaded tables.
-#[derive(Debug)]
+/// A clone shares the loaded tables; [`Self::on`] moves them to
+/// another machine.
+#[derive(Debug, Clone)]
 pub struct EnergyAwareDb {
     profile: HardwareProfile,
-    loaded: Option<Loaded>,
+    loaded: Option<Arc<Loaded>>,
     fault: Option<(FaultConfig, u64)>,
     scrape_interval: Option<u64>,
 }
@@ -219,6 +223,18 @@ impl EnergyAwareDb {
             loaded: None,
             fault: None,
             scrape_interval: None,
+        }
+    }
+
+    /// This db on `profile`: the same loaded tables, fault profile and
+    /// scrape interval. The two dbs share every table generated and
+    /// every table stored so far, and whatever either one generates or
+    /// stores from now on, since what a run reads never depends on the
+    /// machine it runs on. Everything a run writes is its own.
+    pub fn on(&self, profile: HardwareProfile) -> Self {
+        EnergyAwareDb {
+            profile,
+            ..self.clone()
         }
     }
 
@@ -283,10 +299,11 @@ impl EnergyAwareDb {
     /// Load TPC-H-like tables at `scale` from `seed`. Nothing is drawn
     /// yet: each table is generated by the first call that reads it (a
     /// projection scan reads ORDERS alone), byte for byte the table
-    /// [`tpch::generate`] would return. The previous tables, and
-    /// whatever was stored for them, are dropped.
+    /// [`tpch::generate`] would return. This db lets go of the previous
+    /// tables and whatever was stored for them; a db that [`Self::on`]
+    /// made from it keeps them.
     pub fn load_tpch_seeded(&mut self, scale: TpchScale, seed: u64) {
-        self.loaded = Some(Loaded {
+        self.loaded = Some(Arc::new(Loaded {
             scale,
             seed,
             generated: Cells::default(),
@@ -294,11 +311,11 @@ impl EnergyAwareDb {
             plain: Cells::default(),
             auto: Cells::default(),
             fig2_orders: StoredCell::new(),
-        });
+        }));
     }
 
     fn try_loaded(&self) -> Result<&Loaded, SimError> {
-        self.loaded.as_ref().ok_or(SimError::NotLoaded)
+        self.loaded.as_deref().ok_or(SimError::NotLoaded)
     }
 
     /// The loaded tables, or [`SimError::NotLoaded`]. The first call
@@ -768,16 +785,36 @@ mod tests {
         .collect()
     }
 
+    /// A warm db, and the same db moved to another machine by `on`, each
+    /// report bit for bit what a fresh db on its profile reports. The
+    /// moved db runs first, so the original reads what it stored.
     #[test]
     fn repeated_calls_on_one_db_equal_a_fresh_db() {
-        let shared = db(HardwareProfile::server_dl785(36));
+        let mut shared = db(HardwareProfile::server_dl785(36));
+        shared.set_fault_profile(FaultConfig::NONE, 3);
+        let mut moved = shared.on(HardwareProfile::server_dl785(66));
+        assert_eq!(moved.fault_profile(), Some((FaultConfig::NONE, 3)));
         for mode in MODES {
+            let on_66 = facade_calls(&moved, mode);
+            let fresh_66 = facade_calls(&db(HardwareProfile::server_dl785(66)), mode);
+            assert_eq!(
+                on_66, fresh_66,
+                "{mode:?}: a moved db must equal a fresh one"
+            );
             let first = facade_calls(&shared, mode);
             let second = facade_calls(&shared, mode);
             let fresh = facade_calls(&db(HardwareProfile::server_dl785(36)), mode);
             assert_eq!(first, second, "{mode:?}: the store must not change results");
             assert_eq!(first, fresh, "{mode:?}: a warm db must equal a fresh one");
         }
+        let orders = shared.tables().orders.clone();
+        assert!(Arc::ptr_eq(&orders, &moved.tables().orders));
+        moved.load_tpch_seeded(TpchScale::toy(), 7);
+        assert!(!Arc::ptr_eq(&orders, &moved.tables().orders));
+        assert!(
+            Arc::ptr_eq(&orders, &shared.tables().orders),
+            "the original keeps its tables"
+        );
     }
 
     #[test]

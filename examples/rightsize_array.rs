@@ -25,10 +25,12 @@ fn main() -> Result<(), SimError> {
         "{:>6} {:>12} {:>14} {:>12} {:>16}",
         "disks", "time (s)", "energy (J)", "avg W", "EE (queries/J)"
     );
+    // One load of the toy tables, moved to each candidate machine.
+    let mut toy = EnergyAwareDb::new(HardwareProfile::flash_scanner());
+    toy.load_tpch(TpchScale::toy());
     let mut rows = Vec::new();
     for d in candidates {
-        let mut db = EnergyAwareDb::new(HardwareProfile::server_dl785(d));
-        db.load_tpch(TpchScale::toy());
+        let db = toy.on(HardwareProfile::server_dl785(d));
         let r = db.try_run_throughput_test(8, 4, policy, stretch)?;
         println!(
             "{:>6} {:>12.1} {:>14.0} {:>12.0} {:>16.4e}",

@@ -48,7 +48,10 @@
 //! `load_tpch` draws nothing up front: each table is generated, and
 //! encoded once per storage mode, by the first call that reads it (the
 //! scan above generates ORDERS alone), and kept until the next
-//! `load_tpch*`. Repeated queries on one `db` only scan.
+//! `load_tpch*`. Repeated queries on one `db` only scan. The same data
+//! on another machine is `db.on(profile)`: it shares the loaded tables
+//! and their store, so a sweep over machines loads once, and each run
+//! still meters its own fresh simulation.
 
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 

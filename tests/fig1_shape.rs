@@ -11,16 +11,19 @@ use grail::core::profile::HardwareProfile;
 use grail::core::report::EnergyReport;
 use grail::workload::tpch::TpchScale;
 
+/// The four Fig. 1 servers, each running over one shared load of the
+/// toy tables.
 fn sweep() -> Vec<(usize, EnergyReport)> {
     let policy = ExecPolicy {
         compression: CompressionMode::Plain,
         dop: 4,
     };
+    let mut toy = EnergyAwareDb::new(HardwareProfile::flash_scanner());
+    toy.load_tpch(TpchScale::toy());
     [36usize, 66, 108, 204]
         .into_iter()
         .map(|d| {
-            let mut db = EnergyAwareDb::new(HardwareProfile::server_dl785(d));
-            db.load_tpch(TpchScale::toy());
+            let db = toy.on(HardwareProfile::server_dl785(d));
             (d, db.run_throughput_test(8, 4, policy, 30_000.0))
         })
         .collect()

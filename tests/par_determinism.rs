@@ -4,7 +4,8 @@
 //! The unit in crates/par proves the runner preserves order for pure
 //! functions; this test closes the loop with the actual workload — a
 //! small Figure-1-style throughput sweep over full `EnergyAwareDb`
-//! worlds — comparing every result down to the f64 bit pattern.
+//! worlds, whose threaded points share one load — comparing every
+//! result down to the f64 bit pattern.
 
 use grail_core::db::{CompressionMode, EnergyAwareDb, ExecPolicy, ScanSpec};
 use grail_core::profile::HardwareProfile;
@@ -12,11 +13,17 @@ use grail_par::Runner;
 use grail_workload::tpch::TpchScale;
 use std::sync::Barrier;
 
-/// One sweep point rendered to exact bits: any divergence in simulated
-/// time, energy, or work across execution modes shows up here.
-fn point(disks: usize) -> String {
-    let mut db = EnergyAwareDb::new(HardwareProfile::server_dl785(disks));
+/// The toy tables on `profile`, nothing generated yet.
+fn load(profile: HardwareProfile) -> EnergyAwareDb {
+    let mut db = EnergyAwareDb::new(profile);
     db.load_tpch(TpchScale::toy());
+    db
+}
+
+/// One sweep point, run on `db`'s `disks`-spindle DL785, rendered to
+/// exact bits: any divergence in simulated time, energy, or work across
+/// execution modes shows up here.
+fn point(db: &EnergyAwareDb, disks: usize) -> String {
     let policy = ExecPolicy {
         compression: CompressionMode::Plain,
         dop: 4,
@@ -31,13 +38,19 @@ fn point(disks: usize) -> String {
     )
 }
 
+/// The sequential sweep runs each point on a fresh db of its own; the
+/// threaded sweeps move one unread base db to every point's machine
+/// with `on`, so points on different machines race to generate and
+/// store the tables they all read.
 #[test]
 fn parallel_simulation_sweep_is_bit_identical() {
     let disks = [12usize, 24, 36];
-    let seq = Runner::sequential().run(&disks, |_, d| point(*d));
+    let dl785 = HardwareProfile::server_dl785;
+    let seq = Runner::sequential().run(&disks, |_, d| point(&load(dl785(*d)), *d));
     assert_eq!(seq.len(), disks.len());
     for threads in [2usize, 8] {
-        let par = Runner::with_threads(threads).run(&disks, |_, d| point(*d));
+        let base = load(HardwareProfile::flash_scanner());
+        let par = Runner::with_threads(threads).run(&disks, |_, d| point(&base.on(dl785(*d)), *d));
         assert_eq!(par, seq, "threads={threads}");
     }
 }
@@ -47,11 +60,6 @@ fn parallel_simulation_sweep_is_bit_identical() {
 /// must report what a sequential run on a db of its own reports.
 #[test]
 fn racing_first_scans_share_one_store() {
-    let load = || {
-        let mut db = EnergyAwareDb::new(HardwareProfile::flash_scanner());
-        db.load_tpch(TpchScale::toy());
-        db
-    };
     let policy = ExecPolicy {
         compression: CompressionMode::Fig2,
         dop: 1,
@@ -62,8 +70,8 @@ fn racing_first_scans_share_one_store() {
             .expect("loaded db scans");
         (r.elapsed, r.energy, r.work.to_bits(), r.ledger)
     };
-    let sequential = scan(&load());
-    let shared = load();
+    let sequential = scan(&load(HardwareProfile::flash_scanner()));
+    let shared = load(HardwareProfile::flash_scanner());
     // Each worker claims one of the two items and waits for the other,
     // so both calls start on a store nobody has filled yet.
     let gate = Barrier::new(2);
