@@ -4,8 +4,8 @@
 //! Two workloads, two devices:
 //!
 //! * **OLTP**: point transactions — a B+tree descent (3 random page
-//!   reads at 150 M rows), one row write, one group-committed log
-//!   force. Random IO: a rotating disk pays a seek per page, flash
+//!   reads at 150 M rows, [`btree::height`] of ORDERS), one row write,
+//!   one group-committed log force. Random IO: a rotating disk pays a seek per page, flash
 //!   pays microseconds.
 //! * **DSS**: the Fig. 2 sequential projection scan, where the disk's
 //!   sequential bandwidth per Watt is competitive.
@@ -18,7 +18,7 @@ use grail_par::Runner;
 use grail_power::units::{Bytes, SimDuration, SimInstant};
 use grail_sim::perf::AccessPattern;
 use grail_sim::sim::Simulation;
-use grail_storage::btree::BTreeIndex;
+use grail_storage::btree;
 use grail_storage::page::PAGE_SIZE;
 
 const TXNS: u64 = 5_000;
@@ -81,10 +81,8 @@ fn dss(flash: bool) -> (f64, f64) {
 
 pub(super) fn run(_runner: &Runner) -> Outcome {
     let mut out = Outcome::default();
-    // ORDERS at 150 M rows: a 3-page B+tree descent (verified on a
-    // scaled-down tree with identical fanout arithmetic).
-    let small = BTreeIndex::build((0..1_000_000).collect());
-    let height_150m = small.height() + 1; // one more level at 150 M
+    // ORDERS at 150 M rows: a 3-page B+tree descent.
+    let height_150m = btree::height(150_000_000);
     let mut ratios = Vec::new();
     for flash in [false, true] {
         let name = if flash { "flash" } else { "disk15k" };
@@ -113,7 +111,7 @@ pub(super) fn run(_runner: &Runner) -> Outcome {
     let dss_ratio = ratios[0].1 / ratios[1].1;
     out.say(format!(
         "index: B+tree fanout {}, height {height_150m} at 150 M rows ({height_150m} random pages per lookup)",
-        grail_storage::btree::FANOUT
+        btree::FANOUT
     ));
     out.say(format!(
         "disk/flash energy ratio: {oltp_ratio:.0}x on OLTP vs {dss_ratio:.1}x on DSS — the gap IS"

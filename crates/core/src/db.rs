@@ -1,9 +1,5 @@
 //! The [`EnergyAwareDb`] facade: load data, run work, read the meter.
 
-use crate::optimizer::advisor::{advise, Advice, KnobWorkload};
-use crate::optimizer::cost::CostModel;
-use crate::optimizer::knobs::KnobGrid;
-use crate::optimizer::objective::Objective;
 use crate::profile::HardwareProfile;
 use crate::report::EnergyReport;
 use grail_metrics::registry::{JOULES_BUCKETS, SECONDS_BUCKETS};
@@ -258,11 +254,6 @@ impl EnergyAwareDb {
     /// indistinguishable from no profile at all.
     pub fn set_fault_profile(&mut self, cfg: FaultConfig, seed: u64) {
         self.fault = Some((cfg, seed));
-    }
-
-    /// Remove the fault profile; runs are fault-free again.
-    pub fn clear_fault_profile(&mut self) {
-        self.fault = None;
     }
 
     /// The active fault profile, if any.
@@ -575,19 +566,6 @@ impl EnergyAwareDb {
             },
             trace,
         })
-    }
-
-    /// Ask the knob advisor (Sec. 4.1) for the best configuration of
-    /// this machine for a scan-and-sort workload `w` under `objective`.
-    /// Errs where [`CostModel::new`] does.
-    pub fn advise_knobs(&self, w: &KnobWorkload, objective: Objective) -> Result<Advice, SimError> {
-        Ok(advise(
-            &KnobGrid::small(),
-            w,
-            &CostModel::new(&self.profile)?,
-            &grail_power::dvfs::DvfsModel::opteron_like(),
-            objective,
-        ))
     }
 
     /// Idle the machine for `d` and meter it (the baseline burn the
@@ -1031,16 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn advise_knobs_through_the_facade() {
-        let db = db(HardwareProfile::flash_scanner());
-        let w = KnobWorkload::scan_sort_default();
-        let t = db.advise_knobs(&w, Objective::MinTime).unwrap();
-        let e = db.advise_knobs(&w, Objective::MinEnergy).unwrap();
-        assert!(e.cost.energy_j <= t.cost.energy_j);
-        assert!(t.cost.elapsed_secs <= e.cost.elapsed_secs);
-    }
-
-    #[test]
     fn predicate_scans_through_the_facade() {
         use grail_query::expr::Expr;
         let db = db(HardwareProfile::flash_scanner());
@@ -1133,8 +1101,6 @@ mod tests {
                 db.try_run_throughput_test(1, 1, policy, 1.0).err(),
                 db.try_run_throughput_test_traced(1, 1, policy, 1.0).err(),
                 db.run_idle(SimDuration::from_secs(1)).err(),
-                db.advise_knobs(&KnobWorkload::scan_sort_default(), Objective::MinTime)
-                    .err(),
             ];
             for (i, got) in results.into_iter().enumerate() {
                 assert_eq!(got, Some(bad.clone()), "{disks} disks, call {i}");
@@ -1191,8 +1157,8 @@ mod tests {
             }
         }
         assert!(hit, "a 35% transient rate must fault within 10 seeds");
-        db.clear_fault_profile();
-        let back = db.run_scan(&ScanSpec::fig2(), ExecPolicy::default(), 1.0);
+        let fresh = self::db(HardwareProfile::flash_scanner());
+        let back = fresh.run_scan(&ScanSpec::fig2(), ExecPolicy::default(), 1.0);
         assert_eq!(back.retries, 0);
         assert_eq!(back.energy, clean.energy);
     }

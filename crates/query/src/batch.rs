@@ -108,22 +108,6 @@ impl Batch {
         }
     }
 
-    /// A dense batch transposed from row-major `rows`, each as wide as
-    /// the schema. For operators that assemble output a row at a time.
-    ///
-    /// # Panics
-    /// Panics when a row's width is not the schema's arity.
-    pub fn from_rows(schema: Arc<Schema>, rows: &[Vec<Datum>]) -> Self {
-        let mut cols = vec![Vec::with_capacity(rows.len()); schema.arity()];
-        for row in rows {
-            assert_eq!(row.len(), cols.len(), "row width mismatch");
-            for (col, v) in cols.iter_mut().zip(row) {
-                col.push(*v);
-            }
-        }
-        Batch::new(schema, cols)
-    }
-
     /// The batch's schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
@@ -460,14 +444,6 @@ mod tests {
         assert_eq!(tail.gather(0), &[3, 5, 7]);
         assert!(Arc::ptr_eq(&b.columns[1], &tail.columns[1]));
         assert!(b.slice(8, 8).is_empty());
-    }
-
-    #[test]
-    fn from_rows_transposes() {
-        let b = Batch::from_rows(schema(), &[vec![1, 10], vec![2, 20], vec![3, 30]]);
-        assert_eq!(b.column(0), &[1, 2, 3]);
-        assert_eq!(b.column(1), &[10, 20, 30]);
-        assert!(Batch::from_rows(schema(), &[]).is_empty());
     }
 
     #[test]

@@ -166,23 +166,6 @@ impl Expr {
         };
         Some((col, lo, hi))
     }
-
-    /// Estimated selectivity of this expression as a predicate, by the
-    /// textbook defaults (equality 0.1, range 0.3, and/or composition).
-    /// The optimizer refines these with statistics when available.
-    pub fn default_selectivity(&self) -> f64 {
-        match self {
-            Expr::Eq(..) => 0.1,
-            Expr::Lt(..) | Expr::Le(..) | Expr::Gt(..) => 0.3,
-            Expr::And(l, r) => l.default_selectivity() * r.default_selectivity(),
-            Expr::Or(l, r) => {
-                let (a, b) = (l.default_selectivity(), r.default_selectivity());
-                (a + b - a * b).min(1.0)
-            }
-            Expr::Not(e) => 1.0 - e.default_selectivity(),
-            _ => 1.0,
-        }
-    }
 }
 
 fn zip(a: Vec<Datum>, b: Vec<Datum>, f: impl Fn(Datum, Datum) -> Datum) -> Vec<Datum> {
@@ -309,19 +292,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn selectivity_composition() {
-        let e = Expr::and(
-            Expr::eq(Expr::Col(0), Expr::Lit(1)),
-            Expr::gt(Expr::Col(1), Expr::Lit(2)),
-        );
-        assert!((e.default_selectivity() - 0.03).abs() < 1e-12);
-        let o = Expr::or(
-            Expr::eq(Expr::Col(0), Expr::Lit(1)),
-            Expr::eq(Expr::Col(1), Expr::Lit(2)),
-        );
-        assert!((o.default_selectivity() - 0.19).abs() < 1e-12);
     }
 }

@@ -1,9 +1,9 @@
 //! # grail-query — a relational engine with simulation-charged costs
 //!
 //! The executor runs **real operators over real data** (projecting
-//! scans, filters, hash/nested-loop/index joins, external sort, hash
-//! aggregation) and, alongside each batch of actual work, reports calibrated
-//! resource demands — CPU cycles and device bytes — that the caller
+//! scans, filters, hash joins, external sort, hash aggregation) and,
+//! alongside each batch of actual work, reports calibrated resource
+//! demands — CPU cycles and device bytes — that the caller
 //! settles against [`grail_sim`]. Results are testable for correctness;
 //! time and energy come from the simulator, not the host clock.
 //!

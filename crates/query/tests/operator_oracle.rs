@@ -22,14 +22,9 @@
 //! folds those survivors from their stored codes, with the
 //! `HashAggregate` over `ColumnarScan::filtered` it replaces.
 //!
-//! The join cases also run the operators no template executes but
-//! EXT-OPT prices — `NestedLoopJoin`, `IndexNlJoin`, `IndexRangeScan` —
-//! on the same inputs: same row multiset as the hash join, same rows as
-//! a `Filter` over a `ColumnarScan`.
-//!
-//! No simulated work is free: on non-empty input each of those eight
-//! operators books CPU in its own `OpTally`, and the ones that touch
-//! storage book bytes too ([`BILLED`], which must list every
+//! No simulated work is free: on non-empty input each of those five
+//! operators books CPU in its own `OpTally`, and the one that touches
+//! storage books bytes too ([`BILLED`], which must list every
 //! `impl Operator` under `src/ops`).
 
 use grail_power::units::{Bytes, Cycles};
@@ -39,8 +34,7 @@ use grail_query::exec::{ExecContext, OpTally, Operator, QueryError, Tally};
 use grail_query::expr::Expr;
 use grail_query::ops::sort::SortOrder;
 use grail_query::ops::{
-    AggFunc, AggSpec, ColumnarScan, Filter, HashAggregate, HashJoin, IndexNlJoin, IndexRangeScan,
-    IndexedTable, NestedLoopJoin, Sort, SortSpec, StoredTable,
+    AggFunc, AggSpec, ColumnarScan, Filter, HashAggregate, HashJoin, Sort, SortSpec, StoredTable,
 };
 use grail_query::schema::{ColumnType, Schema};
 use grail_query::value::Datum;
@@ -222,26 +216,16 @@ impl Run {
         }
         rows
     }
-
-    /// The rows returned, sorted: the multiset two algorithms must share.
-    fn sorted_rows(&self) -> Vec<Vec<Datum>> {
-        let mut rows = self.rows();
-        rows.sort_unstable();
-        rows
-    }
 }
 
 /// Every operator under `src/ops`, the `OpTally` name it books under,
 /// and whether it reads storage (and so must book bytes as well as CPU).
-const BILLED: [(&str, &str, bool); 8] = [
+const BILLED: [(&str, &str, bool); 5] = [
     ("ColumnarScan", "scan", true),
     ("Filter", "filter", false),
     ("HashAggregate", "agg", false),
     ("HashJoin", "hash_join", false),
     ("Sort", "sort", false),
-    ("NestedLoopJoin", "nl_join", false),
-    ("IndexRangeScan", "index_scan", true),
-    ("IndexNlJoin", "index_nl_join", true),
 ];
 
 /// No free work: operator `ty` did work in `run` and must have booked it
@@ -261,16 +245,6 @@ fn assert_billed(run: &Run, ty: &str, case: u64) {
 
 fn input_rows(input: &(Arc<Schema>, Vec<Batch>)) -> usize {
     input.1.iter().map(Batch::len).sum()
-}
-
-/// The logical rows of `input`, stored plain: what an index is built over.
-fn stored_of(input: &(Arc<Schema>, Vec<Batch>)) -> Arc<StoredTable> {
-    let columns = (0..input.0.arity())
-        .map(|c| input.1.iter().flat_map(|b| b.gather(c)).collect())
-        .collect();
-    let table = Arc::new(Table::new("t", input.0.clone(), columns));
-    let target = StorageTarget::Disk(DiskId(1));
-    Arc::new(StoredTable::columnar_plain(table, target))
 }
 
 /// Whether a join build over `keys` indexes them densely rather than in
@@ -385,14 +359,7 @@ fn aggregate_matches_the_row_at_a_time_oracle() {
 
 #[test]
 fn hash_join_matches_the_row_at_a_time_oracle() {
-    /// The nested loop evaluates its predicate once per pair, through a
-    /// one-row batch: compared where the cross product stays this small.
-    const NL_PAIRS: usize = 4096;
-    /// The row-at-a-time twins run where the join returns at most this
-    /// many rows: several output batches, not the heaviest fan-outs.
-    const TWIN_ROWS: usize = 2 * BATCH_ROWS;
     let (mut chunked, mut failed, mut unmatched, mut empty_build) = (0, 0, 0, 0);
-    let (mut nested, mut probed, mut ranged) = (0, 0, 0);
     let (mut dense, mut hashed, mut hashed_far) = (0, 0, 0);
     for case in 0..CASES {
         let mut rng = Gen::new(0x101 ^ (case << 20));
@@ -435,68 +402,6 @@ fn hash_join_matches_the_row_at_a_time_oracle() {
                 hashed_far += far as u32;
             }
         }
-        if in_schema && got.lens().iter().sum::<usize>() <= TWIN_ROWS {
-            let matches = got.sorted_rows();
-            if build_rows * probe_rows <= NL_PAIRS {
-                let on = Expr::eq(Expr::Col(build_key), Expr::Col(build_arity + probe_key));
-                let nl = drive(NestedLoopJoin::new(
-                    Feed::boxed("build", &build),
-                    Feed::boxed("probe", &probe),
-                    on,
-                ));
-                assert_eq!(nl.error, None, "case {case}: nested loop");
-                assert_eq!(nl.sorted_rows(), matches, "case {case}: nested loop");
-                if both_sides {
-                    assert_billed(&nl, "NestedLoopJoin", case);
-                }
-                nested += !matches.is_empty() as u32;
-            }
-            // The index join puts its outer (the probe side) first.
-            let stored = stored_of(&build);
-            let index = Arc::new(IndexedTable::build(stored.clone(), build_key));
-            let all: Vec<usize> = (0..build_arity).collect();
-            let inl = drive(IndexNlJoin::new(
-                Feed::boxed("probe", &probe),
-                index.clone(),
-                probe_key,
-                all.clone(),
-            ));
-            assert_eq!(inl.error, None, "case {case}: index join");
-            let mut rotated = inl.rows();
-            rotated.iter_mut().for_each(|r| r.rotate_left(probe_arity));
-            rotated.sort_unstable();
-            assert_eq!(rotated, matches, "case {case}: index join");
-            if both_sides {
-                assert_billed(&inl, "IndexNlJoin", case);
-            }
-            probed += !matches.is_empty() as u32;
-            // A key range, inverted half the time, against a filtered scan.
-            let (lo, hi) = (domain.draw(&mut rng), domain.draw(&mut rng));
-            let key = || Expr::Col(build_key);
-            let in_range = Expr::and(
-                Expr::le(Expr::Lit(lo), key()),
-                Expr::le(key(), Expr::Lit(hi)),
-            );
-            let scan = drive(Filter::new(
-                Box::new(ColumnarScan::new(stored, all.clone())),
-                in_range,
-            ));
-            let range = drive(IndexRangeScan::new(index, lo, hi, all));
-            assert_eq!(range.error, None, "case {case}: index range");
-            if build_rows > 0 {
-                assert_billed(&scan, "ColumnarScan", case);
-                assert_billed(&scan, "Filter", case);
-            }
-            let mut found = range.rows();
-            if !found.is_empty() {
-                assert_billed(&range, "IndexRangeScan", case);
-            }
-            let in_key_order = found.windows(2).all(|w| w[0][build_key] <= w[1][build_key]);
-            assert!(in_key_order, "case {case}: key order");
-            ranged += (!found.is_empty() && found.len() < build_rows) as u32;
-            found.sort_unstable();
-            assert_eq!(found, scan.sorted_rows(), "case {case}: [{lo}, {hi}]");
-        }
         let lens = got.lens();
         // A full chunk followed by more of the same probe batch.
         chunked += lens.windows(2).any(|w| w[0] == BATCH_ROWS) as u32;
@@ -507,10 +412,6 @@ fn hash_join_matches_the_row_at_a_time_oracle() {
     assert!(
         chunked > 100 && failed > 50 && unmatched > 50 && empty_build > 50,
         "coverage: {chunked} chunked, {failed} failed, {unmatched} unmatched, {empty_build} empty builds"
-    );
-    assert!(
-        nested > 50 && probed > 200 && ranged > 200,
-        "coverage: {nested} nested-loop, {probed} index-join and {ranged} partial-range cases with rows"
     );
     assert!(
         dense > 350 && hashed > 110 && hashed_far > 100,

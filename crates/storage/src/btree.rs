@@ -1,111 +1,33 @@
-//! A static B+tree index: the access path transactional workloads live
-//! on.
+//! The height of a bulk-loaded B+tree: the page touches of one index
+//! descent, the access path transactional workloads live on.
 //!
 //! Sec. 5.3 claims "SSDs are better suited for transactional
 //! applications rather than warehousing": OLTP is index descents and
 //! point pages — random IO that costs a rotating disk a seek per level
-//! and a flash device almost nothing. This index is array-based
-//! (levels of separator keys over a sorted leaf level), which is how a
-//! bulk-loaded read-optimized B+tree lays out anyway, and it reports
-//! exactly how many page touches an operation costs so the simulator
-//! can charge them.
+//! and a flash device almost nothing. EXT-OLTP charges each transaction
+//! [`height`] random page reads.
 
 use crate::page::PAGE_SIZE;
 
 /// Entries per node: 64 KiB pages of (key, child/row) pairs.
 pub const FANOUT: usize = PAGE_SIZE / 16;
 
-/// A static B+tree over a sorted key column; values are the key's row
-/// position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BTreeIndex {
-    /// Sorted leaf keys.
-    leaves: Vec<i64>,
-    /// Inner levels, root-last. `levels[0]` separates leaf pages,
-    /// `levels[k]` separates `levels[k-1]` pages.
-    levels: Vec<Vec<i64>>,
-}
-
-impl BTreeIndex {
-    /// Bulk-load from a **sorted** key column (duplicates allowed).
-    ///
-    /// # Panics
-    /// Panics if `keys` is not sorted ascending.
-    pub fn build(keys: Vec<i64>) -> Self {
-        assert!(
-            keys.windows(2).all(|w| w[0] <= w[1]),
-            "bulk load requires sorted keys"
-        );
-        let mut levels = Vec::new();
-        let mut width = keys.len().div_ceil(FANOUT);
-        let mut below: Vec<i64> = keys
-            .chunks(FANOUT)
-            .map(|c| *c.first().expect("non-empty chunk"))
-            .collect();
-        while width > 1 {
-            levels.push(below.clone());
-            width = below.len().div_ceil(FANOUT);
-            below = below
-                .chunks(FANOUT)
-                .map(|c| *c.first().expect("non-empty chunk"))
-                .collect();
-        }
-        if !keys.is_empty() && levels.is_empty() {
-            // Single-leaf-page trees still have a (trivial) root level.
-            levels.push(below);
-        }
-        BTreeIndex {
-            leaves: keys,
-            levels,
-        }
+/// Page touches per point lookup in a B+tree bulk-loaded with `keys`
+/// keys: the inner levels that separate the leaf pages, plus one leaf
+/// page. A tree of one leaf page still has a (trivial) root level, so
+/// every non-empty tree is at least 2 high. Zero for an empty tree.
+pub fn height(keys: u64) -> u32 {
+    if keys == 0 {
+        return 0;
     }
-
-    /// Number of indexed keys.
-    pub fn len(&self) -> usize {
-        self.leaves.len()
+    let fanout = FANOUT as u64;
+    let mut pages = keys.div_ceil(fanout);
+    let mut inner = 0;
+    while pages > 1 {
+        pages = pages.div_ceil(fanout);
+        inner += 1;
     }
-
-    /// True if the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
-    }
-
-    /// Tree height in *page touches per point lookup* (inner levels +
-    /// one leaf page). Zero for an empty index.
-    pub fn height(&self) -> u32 {
-        if self.leaves.is_empty() {
-            0
-        } else {
-            self.levels.len() as u32 + 1
-        }
-    }
-
-    /// Find the first row whose key equals `key`.
-    pub fn lookup(&self, key: i64) -> Option<usize> {
-        let pos = self.leaves.partition_point(|k| *k < key);
-        (pos < self.leaves.len() && self.leaves[pos] == key).then_some(pos)
-    }
-
-    /// Row range `[start, end)` whose keys fall in `[lo, hi]`.
-    pub fn range(&self, lo: i64, hi: i64) -> (usize, usize) {
-        let start = self.leaves.partition_point(|k| *k < lo);
-        let end = self.leaves.partition_point(|k| *k <= hi);
-        (start, end.max(start))
-    }
-
-    /// Page touches for one point lookup (an index descent).
-    pub fn point_pages(&self) -> u32 {
-        self.height()
-    }
-
-    /// Page touches for a range scan returning `rows` rows: one descent
-    /// plus the extra leaf pages walked.
-    pub fn range_pages(&self, rows: usize) -> u32 {
-        if self.is_empty() {
-            return 0;
-        }
-        self.height() + (rows.saturating_sub(1) / FANOUT) as u32
-    }
+    inner.max(1) + 1
 }
 
 #[cfg(test)]
@@ -113,78 +35,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lookup_agrees_with_linear_search() {
-        let keys: Vec<i64> = (0..100_000).map(|i| i * 3).collect();
-        let idx = BTreeIndex::build(keys.clone());
-        for probe in [0i64, 3, 299_997, 150_000, 1, 299_998, -5] {
-            let expect = keys.iter().position(|k| *k == probe);
-            assert_eq!(idx.lookup(probe), expect, "probe {probe}");
-        }
-    }
-
-    #[test]
-    fn duplicates_find_first() {
-        let keys = vec![1, 5, 5, 5, 9];
-        let idx = BTreeIndex::build(keys);
-        assert_eq!(idx.lookup(5), Some(1));
-        assert_eq!(idx.range(5, 5), (1, 4));
-    }
-
-    #[test]
-    fn range_semantics() {
-        let keys: Vec<i64> = (0..1000).map(|i| i * 2).collect(); // evens
-        let idx = BTreeIndex::build(keys);
-        let (s, e) = idx.range(10, 20);
-        assert_eq!((s, e), (5, 11)); // 10,12,…,20
-        let (s, e) = idx.range(11, 11); // between keys
-        assert_eq!(s, e);
-        let (s, e) = idx.range(-100, 100_000);
-        assert_eq!((s, e), (0, 1000));
-        let (s, e) = idx.range(50, 10); // inverted
-        assert_eq!(s, e);
-    }
-
-    #[test]
     fn height_is_logarithmic() {
-        // FANOUT = 4096: one page up to 4096 keys, two levels to ~16M.
-        assert_eq!(BTreeIndex::build((0..100).collect()).height(), 2);
-        assert_eq!(BTreeIndex::build((0..FANOUT as i64).collect()).height(), 2);
-        let big = BTreeIndex::build((0..(FANOUT as i64 * 10)).collect());
-        assert_eq!(big.height(), 2);
-        // 150 M keys (Fig. 2's ORDERS): 3 page touches per lookup.
-        // Build a synthetic height check without allocating 150 M:
-        // leaves 150e6 → leaf pages 36622 → level-1 entries 36622 →
-        // level-1 pages 9 → level-2 (root) 1 ⇒ height 3.
-        let leaf_pages = 150_000_000usize.div_ceil(FANOUT);
-        let l1_pages = leaf_pages.div_ceil(FANOUT);
-        assert_eq!(l1_pages, 9usize.div_ceil(1)); // sanity of arithmetic
-        assert!(leaf_pages > 1 && l1_pages > 1);
-    }
-
-    #[test]
-    fn page_accounting() {
-        let idx = BTreeIndex::build((0..(FANOUT as i64 * 3)).collect());
-        assert_eq!(idx.point_pages(), 2);
-        // A range of 2 pages' worth of rows touches one extra leaf.
-        assert_eq!(idx.range_pages(FANOUT + 1), 3);
-        assert_eq!(idx.range_pages(1), 2);
-    }
-
-    #[test]
-    fn empty_and_single() {
-        let empty = BTreeIndex::build(vec![]);
-        assert!(empty.is_empty());
-        assert_eq!(empty.height(), 0);
-        assert_eq!(empty.lookup(5), None);
-        assert_eq!(empty.range_pages(10), 0);
-        let one = BTreeIndex::build(vec![7]);
-        assert_eq!(one.height(), 2);
-        assert_eq!(one.lookup(7), Some(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn unsorted_rejected() {
-        let _ = BTreeIndex::build(vec![3, 1, 2]);
+        // Both sides of each fanout boundary: one leaf page (under a
+        // trivial root), a full level-1 node, and one key past it.
+        const F: u64 = FANOUT as u64;
+        assert_eq!(F, 4096);
+        let boundaries = [
+            (0, 0),
+            (1, 2),
+            (F, 2),
+            (F + 1, 2),
+            (1_000_000, 2),
+            (F * F, 2),
+            (F * F + 1, 3),
+        ];
+        for (keys, h) in boundaries {
+            assert_eq!(height(keys), h, "{keys} keys");
+        }
+        // 150 M keys (Fig. 2's ORDERS): 36 622 leaf pages under 9
+        // level-1 pages under one root.
+        assert_eq!(height(150_000_000), 3);
     }
 }

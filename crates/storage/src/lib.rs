@@ -19,8 +19,8 @@
 //! * [`wal`] — write-ahead logging with a tunable group-commit batching
 //!   factor (Sec. 5.2's "increase the batching factor … to avoid
 //!   frequent commits on stable storage").
-//! * [`btree`] — a static B+tree index with exact page-touch accounting,
-//!   the access path behind Sec. 5.3's SSD-for-OLTP claim.
+//! * [`btree`] — the height of a bulk-loaded B+tree: the random page
+//!   reads of one index descent, behind Sec. 5.3's SSD-for-OLTP claim.
 //!
 //! The crate is deliberately independent of the simulator: it deals in
 //! bytes and disk *slots* (plain indices); binding slots to simulated

@@ -71,11 +71,10 @@ fn repartition_cost_bounded() {
     });
 }
 
-mod wal_and_btree {
+mod wal {
     use super::CASES;
     use grail_power::units::{Bytes, SimDuration, SimInstant};
     use grail_prop::check;
-    use grail_storage::btree::BTreeIndex;
     use grail_storage::wal::{schedule, FlushPolicy, FORCE_OVERHEAD};
 
     /// WAL invariants under arbitrary commit streams and policies:
@@ -122,34 +121,6 @@ mod wal_and_btree {
                 let records: u64 = commits.iter().map(|(_, b)| b.get()).sum();
                 let expect = records + plan.forces.len() as u64 * FORCE_OVERHEAD.get();
                 assert_eq!(plan.total_bytes().get(), expect);
-            }
-        });
-    }
-
-    /// B+tree lookups and ranges agree with binary search on the raw
-    /// sorted array, for arbitrary multisets.
-    #[test]
-    fn btree_matches_reference() {
-        check(CASES, |g| {
-            let (probe, lo) = (g.range(-1100i64..1100), g.range(-1100i64..1100));
-            let width = g.range(0i64..500);
-            let mut keys = g.vec(0..3000, |g| g.range(-1000i64..1000));
-            keys.sort_unstable();
-            let idx = BTreeIndex::build(keys.clone());
-            assert_eq!(idx.len(), keys.len());
-            // Point lookup = first position of the key.
-            let expect = keys.iter().position(|k| *k == probe);
-            assert_eq!(idx.lookup(probe), expect);
-            // Range = partition points.
-            let hi = lo + width;
-            let (s, e) = idx.range(lo, hi);
-            let rs = keys.partition_point(|k| *k < lo);
-            let re = keys.partition_point(|k| *k <= hi);
-            assert_eq!((s, e), (rs, re.max(rs)));
-            // Page accounting sanity.
-            if !keys.is_empty() {
-                assert!(idx.height() >= 2);
-                assert!(idx.range_pages(e - s) >= idx.height());
             }
         });
     }
